@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz verify verify-feeds verify-obs verify-dispatch verify-cluster verify-control verify-lp verify-mpc bench bench-lp-sparse bench-smoke benchall
+.PHONY: build test vet race fuzz verify verify-feeds verify-obs verify-dispatch verify-cluster verify-control verify-lp verify-mpc bench bench-lp-sparse bench-smoke benchall bench-e2e bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -34,8 +34,9 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWarmBasisImport -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzSparseFactors -fuzztime=10s ./internal/linalg/
 
-# verify is the repo's full check tier: build, vet, tests, race tests,
-# a one-iteration smoke of the plan-search benchmarks, the feed-layer
+# verify is the repo's full check tier: build, vet, tests (./bench's
+# unit tests and its every-workload smoke included), race tests, a
+# one-iteration smoke of the plan-search benchmarks, the feed-layer
 # resilience tier, the observability tier, the dispatch-plane tier, the
 # replicated-fleet tier, the warm-start solver tier, and the
 # rolling-horizon planning tier.
@@ -161,3 +162,21 @@ bench-smoke:
 # benchall sweeps the full paper-artifact benchmark suite once.
 benchall:
 	$(GO) test -bench=. -benchtime=1x -run=NONE ./...
+
+# bench-e2e runs the end-to-end benchmark BENCHMARK.json declares: every
+# workload in its own child process, untraced then traced, results under
+# bench/out/ and one line appended to bench/history.jsonl.
+bench-e2e:
+	$(GO) run ./bench -all
+
+# bench-compare judges two bench-e2e result files against BENCHMARK.json's
+# bounds (exit 1 on a regression): make bench-compare A=old.json B=new.json
+bench-compare:
+	$(GO) run ./bench compare $(A) $(B)
+
+# loc prints the non-test .go line count (plain wc -l) of every package
+# and their sum — the figure simplicity PRs report before and after.
+loc:
+	@for d in cmd/profitlb bench internal/*/; do \
+		printf '%6d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $${d%/}; \
+	done | awk '{ print; sum += $$1 } END { printf "%6d total\n", sum }'

@@ -62,7 +62,6 @@ import (
 	"profitlb/internal/market"
 	"profitlb/internal/mpc"
 	"profitlb/internal/report"
-	"profitlb/internal/resilient"
 	"profitlb/internal/sim"
 	"profitlb/internal/stats"
 	"profitlb/internal/workload"
@@ -407,14 +406,36 @@ func applyMPCFlags(sc *config.Scenario, horizon int, deferArg string) error {
 	return sc.Validate()
 }
 
+// engineFlags registers the plan-search engine flags on fs — -parallel,
+// and -sparse where the command has it — and returns the func that
+// copies the ones explicitly given onto a scenario. Only those, so that
+// `-parallel 0` can force the legacy serial search and `-sparse=false`
+// the dense warm tableau over the scenario's own settings.
+func engineFlags(fs *flag.FlagSet, withSparse bool) func(*config.Scenario) {
+	parallel := fs.Int("parallel", 0, "plan-search workers (0 serial, -1 all CPUs); overrides the scenario's parallelism")
+	var sparse *bool
+	if withSparse {
+		sparse = fs.Bool("sparse", true, "route warm-started LPs above the row threshold through the sparse revised simplex; overrides the scenario's sparse setting")
+	}
+	return func(sc *config.Scenario) {
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "parallel":
+				sc.Parallelism = *parallel
+			case "sparse":
+				sc.Sparse = sparse
+			}
+		})
+	}
+}
+
 func cmdSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	path := fs.String("config", "", "path to a scenario JSON file (see 'scaffold')")
 	faultsArg := fs.String("faults", "", "fault schedule: a JSON file of events, 'storm' for a seeded outage+spike storm, or 'flash' for a front-end-0 flash crowd")
 	seed := fs.Int64("seed", 1, "storm seed (with -faults storm)")
 	resilient := fs.Bool("resilient", false, "wrap the planner in the resilient fallback chain")
-	parallel := fs.Int("parallel", 0, "plan-search workers (0 serial, -1 all CPUs); overrides the scenario's parallelism")
-	sparse := fs.Bool("sparse", true, "route warm-started LPs above the row threshold through the sparse revised simplex; overrides the scenario's sparse setting")
+	applyEngine := engineFlags(fs, true)
 	feedsArg := fs.String("feeds", "", "telemetry feed layer: 'on' for defaults, or a feed-config JSON file")
 	horizon := fs.Int("horizon", 0, "rolling-horizon window length in slots: switches the scenario to the mpc planner (overrides the scenario's mpc block)")
 	deferArg := fs.String("defer", "", "per-class deferral allowances in slots for the mpc planner, comma-separated (e.g. '0,2'); switches the scenario to the mpc planner")
@@ -437,17 +458,7 @@ func cmdSimulate(args []string) error {
 	if *resilient {
 		sc.Resilient = true
 	}
-	// Only an explicitly given -parallel/-sparse overrides the scenario,
-	// so that `-parallel 0` can force the legacy serial search and
-	// `-sparse=false` the dense warm tableau.
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "parallel":
-			sc.Parallelism = *parallel
-		case "sparse":
-			sc.Sparse = sparse
-		}
-	})
+	applyEngine(sc)
 	if err := applyFaultsFlag(sc, *faultsArg, *seed); err != nil {
 		return err
 	}
@@ -581,8 +592,7 @@ func cmdChaos(args []string) error {
 	outageSlots := fs.Int("outage-slots", 3, "slots each outage lasts")
 	spikes := fs.Int("spikes", 2, "price spikes to inject")
 	spikeFactor := fs.Float64("spike-factor", 2, "price multiplier during a spike")
-	parallel := fs.Int("parallel", 0, "plan-search workers (0 serial, -1 all CPUs); overrides the scenario's parallelism")
-	sparse := fs.Bool("sparse", true, "route warm-started LPs above the row threshold through the sparse revised simplex; overrides the scenario's sparse setting")
+	applyEngine := engineFlags(fs, true)
 	feeds := fs.Bool("feeds", false, "route planner inputs through the telemetry feed layer and add feed faults to the storm")
 	metricsPath := fs.String("metrics", "", "write the storm run's metrics to this file on exit (Prometheus text; JSON when the path ends in .json)")
 	tracePath := fs.String("trace", "", "stream the storm run's planner-decision events to this file (JSON lines)")
@@ -602,17 +612,7 @@ func cmdChaos(args []string) error {
 		return err
 	}
 	defer sess.Close()
-	// Only an explicitly given -parallel/-sparse overrides the scenario
-	// (same precedence as simulate), so `-parallel 0` can force serial
-	// search and `-sparse=false` the dense warm tableau.
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "parallel":
-			sc.Parallelism = *parallel
-		case "sparse":
-			sc.Sparse = sparse
-		}
-	})
+	applyEngine(sc)
 	if err := sc.Validate(); err != nil { // resolves named price references
 		return err
 	}
@@ -642,33 +642,22 @@ func cmdChaos(args []string) error {
 		faultedCfg.Feeds = &feed.Config{}
 	}
 
-	type lane struct {
-		name    string
-		planner func() core.Planner
-	}
-	par := sc.Parallelism
-	lanes := []lane{
-		{"optimized", func() core.Planner {
-			p := core.NewOptimized()
-			p.Parallelism = par
-			return p
-		}},
-		{"level-search", func() core.Planner {
-			p := core.NewLevelSearch()
-			p.Parallelism = par
-			return p
-		}},
-		{"balanced", func() core.Planner { return baseline.NewBalanced() }},
-	}
+	// Every lane plans through the scenario — its engine settings with
+	// the -parallel/-sparse overrides — under its own planner name; the
+	// storm lanes add the resilient chain and the session's scope.
+	lanes := []string{"optimized", "level-search", "balanced"}
 	cleanPlanners := make([]core.Planner, len(lanes))
 	stormPlanners := make([]core.Planner, len(lanes))
-	for i, ln := range lanes {
-		cleanPlanners[i] = ln.planner()
-		sp := ln.planner()
-		attachObs(sp, sess.Scope())
-		chain := resilient.Wrap(sp)
-		chain.Obs = sess.Scope()
-		stormPlanners[i] = chain
+	for i, name := range lanes {
+		lane := *sc
+		lane.Planner, lane.Faults, lane.Resilient, lane.Obs = name, nil, false, nil
+		if cleanPlanners[i], err = lane.BuildPlanner(); err != nil {
+			return err
+		}
+		lane.Resilient, lane.Obs = true, sess.Scope()
+		if stormPlanners[i], err = lane.BuildPlanner(); err != nil {
+			return err
+		}
 	}
 	clean, err := sim.Compare(cleanCfg, cleanPlanners...)
 	if err != nil {
@@ -691,7 +680,7 @@ func cmdChaos(args []string) error {
 		header += "\tFEED TIERS"
 	}
 	fmt.Fprintln(w, header)
-	for i, ln := range lanes {
+	for i, name := range lanes {
 		var completion float64
 		for k := 0; k < sc.System.K(); k++ {
 			completion += faulted[i].CompletionRate(k)
@@ -699,7 +688,7 @@ func cmdChaos(args []string) error {
 		completion = report.Frac(completion, float64(sc.System.K()))
 		retained := report.Frac(faulted[i].TotalNetProfit(), clean[i].TotalNetProfit())
 		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.1f%%\t%.1f%%\t%d/%d\t%.2f",
-			ln.name, clean[i].TotalNetProfit(), faulted[i].TotalNetProfit(),
+			name, clean[i].TotalNetProfit(), faulted[i].TotalNetProfit(),
 			100*retained, 100*completion,
 			faulted[i].DegradedSlots(), len(faulted[i].Slots),
 			faulted[i].TotalLostRevenue())
@@ -823,27 +812,20 @@ func cmdTrace(args []string) error {
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	servers := fs.Int("servers", 6, "servers per data center")
-	parallel := fs.Int("parallel", 0, "plan-search workers for the engine planners (0 serial, -1 all CPUs)")
+	applyEngine := engineFlags(fs, false)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	planners := []core.Planner{
-		func() core.Planner {
-			o := core.NewOptimized()
-			o.Parallelism = *parallel
-			return o
-		}(),
-		func() core.Planner {
-			o := core.NewOptimized()
-			o.PerServer = true
-			o.Parallelism = *parallel
-			return o
-		}(),
-		func() core.Planner {
-			ls := core.NewLevelSearch()
-			ls.Parallelism = *parallel
-			return ls
-		}(),
+	sc := &config.Scenario{}
+	applyEngine(sc)
+	var planners []core.Planner
+	for _, name := range []string{"optimized", "optimized/per-server", "level-search"} {
+		sc.Planner = name
+		p, err := sc.BuildPlanner()
+		if err != nil {
+			return err
+		}
+		planners = append(planners, p)
 	}
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "PLANNER\tSERVERS/CENTER\tTIME")

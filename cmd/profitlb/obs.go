@@ -6,7 +6,6 @@ import (
 	"os"
 	"strings"
 
-	"profitlb/internal/core"
 	"profitlb/internal/obs"
 )
 
@@ -104,15 +103,4 @@ func (s *obsSession) Close() error {
 		s.stopPprof = nil
 	}
 	return errors.Join(errs...)
-}
-
-// attachObs hands the scope to a planner that carries a search engine;
-// baselines have nothing to report and are left alone.
-func attachObs(p core.Planner, sc *obs.Scope) {
-	switch pp := p.(type) {
-	case *core.Optimized:
-		pp.Obs = sc
-	case *core.LevelSearch:
-		pp.Obs = sc
-	}
 }

@@ -45,7 +45,7 @@ type gatewayServer struct {
 
 	driver *dispatch.Driver
 	gw     *dispatch.Gateway // single mode only
-	pub    *cluster.Publisher
+	fleet  *cluster.Fleet    // fleet mode only: the control plane + reps
 	reps   []*cluster.Replica
 	sub    *cluster.Subscriber
 	rr     atomic.Uint64
@@ -158,10 +158,11 @@ func newServer(sc *config.Scenario, addr string, opt serveOptions) (*gatewayServ
 				Gateway: dispatch.NewGateway(sc.System, gs.dcfg, scope),
 				Planner: planner, Source: src,
 			}
-			gs.pub = cluster.NewPublisher(gs.ccfg, gs.driver, scope)
-			for i := 0; i < gs.ccfg.Replicas; i++ {
-				gs.reps = append(gs.reps, cluster.NewReplica(cluster.ReplicaID(i), sc.System, gs.dcfg, gs.ccfg, scope))
+			// No fault schedule: a live fleet's failures are real ones.
+			if gs.fleet, err = cluster.NewFleet(sc.System, gs.dcfg, gs.ccfg, gs.driver, nil, scope); err != nil {
+				return nil, err
 			}
+			gs.reps = gs.fleet.Replicas
 		} else {
 			gs.gw = dispatch.NewGateway(sc.System, gs.dcfg, scope)
 			gs.driver = &dispatch.Driver{Gateway: gs.gw, Planner: planner, Source: src}
@@ -174,7 +175,7 @@ func newServer(sc *config.Scenario, addr string, opt serveOptions) (*gatewayServ
 		}
 		gs.ctrlCfg = sc.ControlConfig()
 		if gs.mode == "fleet" {
-			gs.plant = &control.FleetPlant{Pub: gs.pub, Replicas: gs.reps}
+			gs.plant = &control.FleetPlant{Pub: gs.fleet.Pub, Replicas: gs.reps}
 			gs.ctrl = control.NewController(gs.ctrlCfg, gs.dcfg, gs.plant, scope)
 		} else {
 			gs.ctrl = control.NewController(gs.ctrlCfg, gs.dcfg, control.GatewayPlant{GW: gs.gw}, scope)
@@ -191,8 +192,8 @@ func newServer(sc *config.Scenario, addr string, opt serveOptions) (*gatewayServ
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = reg.WritePrometheus(w)
 	})
-	if gs.pub != nil {
-		mux.Handle("/cluster/", http.StripPrefix("/cluster", gs.pub.Handler()))
+	if gs.fleet != nil {
+		mux.Handle("/cluster/", http.StripPrefix("/cluster", gs.fleet.Pub.Handler()))
 	}
 	gs.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	var err error
@@ -272,27 +273,18 @@ func (gs *gatewayServer) Start() error {
 	return nil
 }
 
-// fleetSlot runs one control-plane slot cycle: heartbeat the in-process
-// replicas (external joiners beat through their pulls), sweep health,
-// publish the slot's plan under its new epoch, and deliver + tick the
-// in-process replicas. External joiners receive the publish through
-// their parked long-polls.
+// fleetSlot runs one control-plane slot cycle over the in-process
+// replicas (cluster.Fleet.BeginSlot); external joiners beat through
+// their pulls and receive the publish through their parked long-polls.
+// A replica refusing the publication is logged, not fatal: the rest of
+// the fleet has applied it.
 func (gs *gatewayServer) fleetSlot(abs int, now float64) error {
-	for _, r := range gs.reps {
-		gs.pub.Beat(r.ID, abs)
+	pub, err := gs.fleet.BeginSlot(abs, now)
+	if pub != nil && err != nil {
+		fmt.Fprintf(os.Stderr, "profitlb: serve: %v\n", err)
+		return nil
 	}
-	gs.pub.SweepHealth(abs)
-	pub, err := gs.pub.PublishSlot(abs)
-	if err != nil {
-		return err
-	}
-	for _, r := range gs.reps {
-		if _, err := r.Apply(pub, now); err != nil {
-			fmt.Fprintf(os.Stderr, "profitlb: serve: %v\n", err)
-		}
-		r.Tick(abs, now)
-	}
-	return nil
+	return err
 }
 
 // beginControlSlot re-arms the controller on the slot's committed table
@@ -305,7 +297,7 @@ func (gs *gatewayServer) beginControlSlot(abs int, now float64) {
 	var t *dispatch.Table
 	if gs.mode == "fleet" {
 		gs.plant.Slot = abs
-		if cur := gs.pub.Current(); cur != nil {
+		if cur := gs.fleet.Pub.Current(); cur != nil {
 			if tab, err := dispatch.FromWire(cur.Table); err == nil {
 				t = tab
 			}
@@ -313,21 +305,7 @@ func (gs *gatewayServer) beginControlSlot(abs int, now float64) {
 	} else {
 		t = gs.gw.Table()
 	}
-	var cf []float64
-	if sch := gs.sc.Faults; sch != nil {
-		for l := 0; l < gs.sc.System.L(); l++ {
-			if f := sch.SlowCenterFactor(l, abs); f < 1 {
-				if cf == nil {
-					cf = make([]float64, gs.sc.System.L())
-					for i := range cf {
-						cf[i] = 1
-					}
-				}
-				cf[l] = f
-			}
-		}
-	}
-	gs.ctrl.BeginSlot(t, now, cf)
+	gs.ctrl.BeginSlot(t, now, gs.sc.Faults.CenterFactors(gs.sc.System.L(), abs))
 }
 
 // slotLoop rotates the plan at slot boundaries: slot i begins
@@ -558,9 +536,9 @@ func (gs *gatewayServer) handleStats(w http.ResponseWriter, _ *http.Request) {
 		})
 	}
 	out["replicas"] = rows
-	if gs.pub != nil {
-		out["publishedEpoch"] = gs.pub.Epoch()
-		out["members"] = gs.pub.Members()
+	if gs.fleet != nil {
+		out["publishedEpoch"] = gs.fleet.Pub.Epoch()
+		out["members"] = gs.fleet.Pub.Members()
 	}
 	if gs.ctrl != nil {
 		out["control"] = map[string]any{

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"profitlb/internal/datacenter"
@@ -82,11 +83,15 @@ func (f *Fleet) Live(slot int) []int {
 // rejoins take effect in this slot's publish), the publish itself, then
 // delivery to every reachable replica and a staleness tick for every
 // live one. A publisher outage skips straight to the ticks — the fleet
-// serves its last epochs. Returns the slot's publication (nil during an
-// outage); the only errors are wiring mistakes.
+// serves its last epochs. Returns the slot's publication: nil during an
+// outage, or beside the error when the publish itself failed (a wiring
+// mistake). A replica that rejects the publication does not stop the
+// boundary — the others still apply and everyone ticks — and the
+// rejections come back joined beside the publication.
 func (f *Fleet) BeginSlot(abs int, now float64) (*Publication, error) {
 	pubDown := f.sch.PublisherDown(abs)
 	var pub *Publication
+	var applyErrs []error
 	if !pubDown {
 		for i := range f.Replicas {
 			if f.Reachable(i, abs) {
@@ -105,7 +110,7 @@ func (f *Fleet) BeginSlot(abs int, now float64) (*Publication, error) {
 				continue
 			}
 			if _, err := r.Apply(pub, now); err != nil {
-				return nil, err
+				applyErrs = append(applyErrs, err)
 			}
 		}
 	}
@@ -119,7 +124,7 @@ func (f *Fleet) BeginSlot(abs int, now float64) (*Publication, error) {
 			f.scope.Gauge("cluster_epoch_lag", obs.L("replica", r.ID)).Set(lag)
 		}
 	}
-	return pub, nil
+	return pub, errors.Join(applyErrs...)
 }
 
 // Ready reports whether every live replica has applied a first epoch.

@@ -288,43 +288,31 @@ func (s *Scenario) BuildPlanner() (core.Planner, error) {
 	return p, nil
 }
 
+// engine overlays the scenario's engine overrides and scope onto a
+// planner's default knobs.
+func (s *Scenario) engine(e *core.EngineOptions) {
+	e.Parallelism = s.Parallelism
+	if s.WarmStart != nil {
+		e.WarmStart = *s.WarmStart
+	}
+	if s.Sparse != nil {
+		e.Sparse = *s.Sparse
+	}
+	e.Obs = s.Obs
+}
+
 // basePlanner resolves the planner name and applies the scenario's
-// Parallelism to the planners that have a search engine.
+// engine overrides to the planners that have a search engine.
 func (s *Scenario) basePlanner() (core.Planner, error) {
-	switch strings.ToLower(strings.TrimSpace(s.Planner)) {
-	case "", "optimized":
+	switch name := strings.ToLower(strings.TrimSpace(s.Planner)); name {
+	case "", "optimized", "optimized/per-server":
 		p := core.NewOptimized()
-		p.Parallelism = s.Parallelism
-		if s.WarmStart != nil {
-			p.WarmStart = *s.WarmStart
-		}
-		if s.Sparse != nil {
-			p.Sparse = *s.Sparse
-		}
-		p.Obs = s.Obs
-		return p, nil
-	case "optimized/per-server":
-		p := core.NewOptimized()
-		p.PerServer = true
-		p.Parallelism = s.Parallelism
-		if s.WarmStart != nil {
-			p.WarmStart = *s.WarmStart
-		}
-		if s.Sparse != nil {
-			p.Sparse = *s.Sparse
-		}
-		p.Obs = s.Obs
+		p.PerServer = name == "optimized/per-server"
+		s.engine(&p.EngineOptions)
 		return p, nil
 	case "level-search":
 		p := core.NewLevelSearch()
-		p.Parallelism = s.Parallelism
-		if s.WarmStart != nil {
-			p.WarmStart = *s.WarmStart
-		}
-		if s.Sparse != nil {
-			p.Sparse = *s.Sparse
-		}
-		p.Obs = s.Obs
+		s.engine(&p.EngineOptions)
 		return p, nil
 	case "mpc":
 		p := mpc.New(s.MPCConfig())

@@ -1,8 +1,8 @@
 package core
 
 // This file defines the contracts between a deadline-aware deferring
-// planner (internal/mpc) and the layers that host one: the simulator's
-// slot loop, the resilient fallback chain and the fault injector. They
+// planner (internal/mpc) and the layers that host one: the slot protocol
+// (Step), the resilient fallback chain and the fault injector. They
 // live in core — not in mpc — so those layers can stay ignorant of the
 // concrete controller: everything here is plain data plus small
 // structural interfaces over core types.
@@ -53,7 +53,7 @@ func Total(v []float64) float64 {
 // (internal/mpc). Beyond Plan, the host must drive the settlement hook:
 // CommitSlot exactly once per slot after the committed plan is final —
 // including shed slots, with an empty plan — or the backlog never ages
-// and due work never expires. Like every stateful planner, a single
+// and due work never expires. Step does, for every plane. Like every stateful planner, a single
 // goroutine drives it.
 type DeferralPlanner interface {
 	Planner

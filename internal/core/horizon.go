@@ -168,32 +168,18 @@ func PlanHorizon(h *HorizonInput, opts lp.Options) (*HorizonPlan, error) {
 // Like the slot planners, a HorizonPlanner must be driven by one caller
 // at a time.
 type HorizonPlanner struct {
-	// WarmStart seeds each window's LP from the previous window's
-	// exported basis (on via NewHorizonPlanner).
-	WarmStart bool
-	// Sparse routes warm-started window LPs at or above the sparse row
-	// threshold through the sparse revised simplex (on via
-	// NewHorizonPlanner); horizon LPs couple H slots in one model, so
-	// they cross the row threshold quickly. Audited like every warm
-	// result; off reproduces the dense warm path bit for bit.
-	Sparse bool
-	// LPOpts tunes the simplex solver.
-	LPOpts lp.Options
+	// EngineOptions carries the solver knobs: WarmStart seeds each
+	// window's LP from the previous window's exported basis, and Sparse
+	// matters most here — horizon LPs couple H slots in one model, so
+	// they cross the sparse row threshold quickly.
+	EngineOptions
 	solver lp.Solver
 	prev   *lp.Basis
 }
 
 // NewHorizonPlanner returns a horizon planner with warm starts on.
-func NewHorizonPlanner() *HorizonPlanner { return &HorizonPlanner{WarmStart: true, Sparse: true} }
-
-// lpOpts resolves the effective solver options with the Sparse knob
-// merged in.
-func (hp *HorizonPlanner) lpOpts() lp.Options {
-	opts := hp.LPOpts
-	if hp.Sparse {
-		opts.Sparse = true
-	}
-	return opts
+func NewHorizonPlanner() *HorizonPlanner {
+	return &HorizonPlanner{EngineOptions: EngineOptions{WarmStart: true, Sparse: true}}
 }
 
 // Plan solves one window, reusing the planner's retained solver state.

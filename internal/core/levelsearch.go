@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"profitlb/internal/lp"
-	"profitlb/internal/obs"
 )
 
 // Strategy selects how LevelSearch explores level assignments.
@@ -60,48 +59,17 @@ type LevelSearch struct {
 	PerServer bool
 	// Consolidate computes minimum powered-on servers (see Optimized).
 	Consolidate bool
-	// LPOpts tunes the simplex solver.
-	LPOpts lp.Options
-	// Parallelism controls the plan-search engine exactly as on
-	// Optimized: 0 is the legacy serial search, n ≥ 1 enables n workers
-	// plus the subset-LP memo cache, negative uses all CPUs. Results
-	// are bit-identical at every setting.
-	Parallelism int
-	// WarmStart re-solves dispatch LPs from the previous slot's optimal
-	// basis, exactly as on Optimized (on via NewLevelSearch; audited,
-	// worker-count invariant, off reproduces the cold path bit for bit;
-	// ignored under PerServer).
-	WarmStart bool
-	// Sparse routes warm-started dispatch LPs at or above the sparse row
-	// threshold through the sparse revised simplex, exactly as on
-	// Optimized (on via NewLevelSearch; audited, off reproduces the dense
-	// warm path bit for bit).
-	Sparse bool
+	// EngineOptions carries the solver and search-engine knobs, exactly
+	// as on Optimized (WarmStart and Sparse are ignored under PerServer).
+	EngineOptions
 	// warm is the retained cross-slot solver state behind WarmStart.
 	warm *warmState
-	// Stats, when non-nil, receives the engine's solver counters after
-	// each Plan call (zero when the engine is off, i.e. Parallelism == 0
-	// and WarmStart == false). Diagnostics only.
-	Stats *SearchStats
-	// Obs streams the engine's solver counters to the observability
-	// layer, exactly as on Optimized. Nil disables it.
-	Obs *obs.Scope
 }
 
 // NewLevelSearch returns a LevelSearch with the defaults used in the
 // paper reproduction (auto strategy, consolidation and warm starts on).
 func NewLevelSearch() *LevelSearch {
-	return &LevelSearch{Consolidate: true, WarmStart: true, Sparse: true}
-}
-
-// lpOpts resolves the effective solver options: the Sparse knob merges
-// into LPOpts so every solve site and the memo-cache key see one value.
-func (ls *LevelSearch) lpOpts() lp.Options {
-	opts := ls.LPOpts
-	if ls.Sparse {
-		opts.Sparse = true
-	}
-	return opts
+	return &LevelSearch{Consolidate: true, EngineOptions: EngineOptions{WarmStart: true, Sparse: true}}
 }
 
 // Name implements Planner.

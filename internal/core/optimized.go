@@ -58,6 +58,19 @@ type Optimized struct {
 	// floors buy fairness at a measurable profit cost. Plan returns an
 	// error when the floors exceed what the fleet can serve.
 	MinCompletion []float64
+	// EngineOptions carries the solver and search-engine knobs shared
+	// with LevelSearch and HorizonPlanner. WarmStart and Sparse are
+	// ignored under PerServer, whose variable layout changes with the
+	// commodity set too quickly to seed.
+	EngineOptions
+	// warm is the retained cross-slot solver state behind WarmStart.
+	warm *warmState
+}
+
+// EngineOptions are the solver and plan-search knobs every LP-backed
+// planner carries (embedded in Optimized, LevelSearch and
+// HorizonPlanner; the constructors switch WarmStart and Sparse on).
+type EngineOptions struct {
 	// LPOpts tunes the simplex solver.
 	LPOpts lp.Options
 	// Parallelism controls the plan-search engine. 0 (the default)
@@ -67,29 +80,28 @@ type Optimized struct {
 	// negative values use runtime.NumCPU(). Parallel and serial runs
 	// commit bit-identical plans — see DESIGN.md §7. The engine's
 	// goroutines live entirely inside one Plan call; the planner itself
-	// must still be driven by a single caller at a time.
+	// must still be driven by a single caller at a time. A
+	// HorizonPlanner solves one LP per window and has no search to
+	// parallelize.
 	Parallelism int
-	// WarmStart re-solves successive dispatch LPs from the optimal
-	// basis of the previous slot instead of from scratch (on via
-	// NewOptimized; see DESIGN.md §12). Warm results are audited
-	// against the model before use and identical at every Parallelism
-	// setting, but may differ from cold results at floating-point
-	// round-off level; set WarmStart to false for solves bit-identical
-	// to the classic cold path. Ignored under PerServer, whose variable
-	// layout changes with the commodity set too quickly to seed.
-	// WarmStart routes solves through the engine and memo cache even at
+	// WarmStart re-solves successive LPs (the next slot's dispatch LP,
+	// the next horizon window) from the optimal basis of the previous
+	// one instead of from scratch (see DESIGN.md §12). Warm results are
+	// audited against the model before use and identical at every
+	// Parallelism setting, but may differ from cold results at
+	// floating-point round-off level; set WarmStart to false for solves
+	// bit-identical to the classic cold path. WarmStart routes a slot
+	// planner's solves through the engine and memo cache even at
 	// Parallelism == 0, so Stats and Obs become live there too.
 	WarmStart bool
-	// Sparse routes warm-started dispatch LPs at or above the sparse row
+	// Sparse routes warm-started LPs at or above the sparse row
 	// threshold through the sparse revised simplex (LU-factorized basis,
-	// FTRAN/BTRAN solves) instead of the dense warm tableau (on via
-	// NewOptimized; see DESIGN.md §14). Results are audited exactly like
-	// the dense warm path's; set Sparse to false — or leave WarmStart
-	// off — for the dense path bit for bit. The threshold itself can be
-	// tuned via LPOpts.SparseMinRows.
+	// FTRAN/BTRAN solves) instead of the dense warm tableau (see
+	// DESIGN.md §14). Results are audited exactly like the dense warm
+	// path's; set Sparse to false — or leave WarmStart off — for the
+	// dense path bit for bit. The threshold itself can be tuned via
+	// LPOpts.SparseMinRows.
 	Sparse bool
-	// warm is the retained cross-slot solver state behind WarmStart.
-	warm *warmState
 	// Stats, when non-nil, receives the engine's solver counters after
 	// each Plan call (zero when the engine is off, i.e. Parallelism == 0
 	// and WarmStart == false). Diagnostics only.
@@ -102,21 +114,21 @@ type Optimized struct {
 	Obs *obs.Scope
 }
 
+// lpOpts resolves the effective solver options: the Sparse knob merges
+// into LPOpts so every solve site and the memo-cache key see one value.
+func (e *EngineOptions) lpOpts() lp.Options {
+	opts := e.LPOpts
+	if e.Sparse {
+		opts.Sparse = true
+	}
+	return opts
+}
+
 // NewOptimized returns the planner with the paper-faithful defaults:
 // aggregated variables, refinement, consolidation and warm-started
 // re-solves on, top-up off.
 func NewOptimized() *Optimized {
-	return &Optimized{Refine: true, Consolidate: true, WarmStart: true, Sparse: true}
-}
-
-// lpOpts resolves the effective solver options: the Sparse knob merges
-// into LPOpts so every solve site and the memo-cache key see one value.
-func (o *Optimized) lpOpts() lp.Options {
-	opts := o.LPOpts
-	if o.Sparse {
-		opts.Sparse = true
-	}
-	return opts
+	return &Optimized{Refine: true, Consolidate: true, EngineOptions: EngineOptions{WarmStart: true, Sparse: true}}
 }
 
 // Name implements Planner.
@@ -390,7 +402,7 @@ func (o *Optimized) toggleSearch(eng *engine, in *Input, full []commodity, start
 // seed the subset search. It shares the caller's engine, so its LP
 // solves land in (and draw from) the same memo cache.
 func (o *Optimized) greedySeed(eng *engine, in *Input) (assignment, error) {
-	ls := &LevelSearch{Strategy: Greedy, PerServer: o.PerServer, LPOpts: o.LPOpts, Sparse: o.Sparse}
+	ls := &LevelSearch{Strategy: Greedy, PerServer: o.PerServer, EngineOptions: EngineOptions{LPOpts: o.LPOpts, Sparse: o.Sparse}}
 	var pairs []pair
 	for k := 0; k < in.Sys.K(); k++ {
 		for l := 0; l < in.Sys.L(); l++ {

@@ -161,18 +161,20 @@ func (r *Report) MissRate(k int) float64 {
 	return float64(missed) / float64(served)
 }
 
-// Run plans every slot and pushes sampled requests through the planned
-// queues. The planner sees exactly what it would see in the fluid
-// simulation — including any fault-distorted view from Config.Sim.Faults
-// — while realization and accounting use the true arrivals, prices and
-// surviving capacity. A failed slot (planner error or panic, infeasible
-// plan) aborts the run with the partial report, or — when
-// Config.Sim.DegradeOnFailure is set — sheds its load and continues.
+// Run commits every slot through the shared slot protocol (core.Step on
+// sim.InputSource views, exactly as the fluid simulation does — plan
+// traces, fault-distorted views and feeds included) and pushes sampled
+// requests through the committed queues; realization and accounting use
+// the true arrivals, prices and surviving capacity. A failed slot
+// (planner error or panic, infeasible plan) aborts the run with the
+// partial report, or — when Config.Sim.DegradeOnFailure is set — sheds
+// its load and continues.
 func Run(cfg Config) (*Report, error) {
 	if cfg.Planner == nil {
 		return nil, fmt.Errorf("des: no planner configured")
 	}
-	if err := cfg.Sim.Validate(); err != nil {
+	src, err := sim.NewInputSource(cfg.Sim)
+	if err != nil {
 		return nil, err
 	}
 	sys := cfg.Sim.Sys
@@ -181,63 +183,29 @@ func Run(cfg Config) (*Report, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sample := serviceSampler(cfg.ServiceCV)
 	report := &Report{Planner: cfg.Planner.Name()}
-	faults := cfg.Sim.Faults
 
 	for slot := 0; slot < cfg.Sim.Slots; slot++ {
 		abs := cfg.Sim.StartSlot + slot
-		arr := make([][]float64, S)
-		planArr := make([][]float64, S)
-		for s := 0; s < S; s++ {
-			arr[s] = make([]float64, K)
-			planArr[s] = make([]float64, K)
-			for k := 0; k < K; k++ {
-				arr[s][k] = cfg.Sim.Traces[s].At(abs, k)
-				planArr[s][k] = faults.ObservedArrival(arr[s][k], s, abs)
-			}
-		}
-		prices := make([]float64, L)
-		planPrices := make([]float64, L)
-		for l := 0; l < L; l++ {
-			prices[l] = faults.TruePrice(cfg.Sim.Prices[l], l, abs)
-			planPrices[l] = faults.ObservedPrice(cfg.Sim.Prices[l], l, abs)
-		}
-		effSys, _ := faults.EffectiveSystem(sys, abs)
-		in := &core.Input{Sys: effSys, Arrivals: planArr, Prices: planPrices, Slot: abs}
-		plan, err := planSafely(cfg.Planner, in)
-		if err == nil {
-			if verr := core.Verify(in, plan, 1e-6); verr != nil {
-				err = fmt.Errorf("infeasible plan: %w", verr)
-			}
-		}
-		if err == nil && faults.ArrivalsFaulted(abs) {
-			// The planner committed against a distorted arrival view; cap
-			// the realized flows to what actually arrived.
-			sim.Reconcile(plan, arr)
-			realIn := &core.Input{Sys: effSys, Arrivals: arr, Prices: prices, Slot: abs}
-			if verr := core.Verify(realIn, plan, 1e-6); verr != nil {
-				err = fmt.Errorf("reconciled plan infeasible: %w", verr)
-			}
-		}
+		view, err := src.View(abs)
 		if err != nil {
-			if !cfg.Sim.DegradeOnFailure {
-				return report, fmt.Errorf("des: slot %d: %w", slot, err)
-			}
-			report.Slots = append(report.Slots, SlotResult{
-				Slot: abs, Degraded: true, FallbackTier: -1, FallbackName: "shed",
-				FaultsActive: faults.ActiveNames(abs),
-				Classes:      make([]ClassSlot, K),
-			})
-			continue
+			return report, fmt.Errorf("des: slot %d: %w", slot, err)
 		}
+		view.Health.Notify(cfg.Planner)
+		c := core.Step(cfg.Planner, view.Plan, view.Actual, view.Distorted)
+		if c.Err != nil && !cfg.Sim.DegradeOnFailure {
+			return report, fmt.Errorf("des: slot %d: %w", slot, c.Err)
+		}
+		// A failed slot commits the empty plan: no queue carries load, so
+		// the realization below serves and bills nothing.
+		plan, effSys, prices := c.Plan, view.Actual.Sys, view.Actual.Prices
 		sr := SlotResult{
 			Slot:             abs,
 			PlannedNetProfit: plan.Objective,
-			FallbackTier:     -1,
-			FaultsActive:     faults.ActiveNames(abs),
+			Degraded:         c.Degraded,
+			FallbackTier:     c.Tier,
+			FallbackName:     c.TierName,
+			FaultsActive:     cfg.Sim.Faults.ActiveNames(abs),
 			Classes:          make([]ClassSlot, K),
-		}
-		if fr, ok := cfg.Planner.(sim.FallbackReporter); ok {
-			sr.FallbackTier, sr.FallbackName, sr.Degraded = fr.FallbackState()
 		}
 		for l := 0; l < L; l++ {
 			dc := &effSys.Centers[l]
@@ -283,18 +251,6 @@ func Run(cfg Config) (*Report, error) {
 		report.Slots = append(report.Slots, sr)
 	}
 	return report, nil
-}
-
-// planSafely invokes the planner, recovering a panic into an error so a
-// bad planner degrades (or aborts with a partial report) instead of
-// crashing the realization.
-func planSafely(p core.Planner, in *core.Input) (plan *core.Plan, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			plan, err = nil, fmt.Errorf("planner %s panicked: %v", p.Name(), r)
-		}
-	}()
-	return p.Plan(in)
 }
 
 // queueStats carries per-queue realized aggregates.
@@ -343,23 +299,27 @@ func simulateQueue(rng *rand.Rand, sample func(*rand.Rand, float64) float64, lam
 	return served, revenue, stats
 }
 
-// Thin returns a copy of the configuration with every trace scaled by f,
-// for keeping request counts tractable in tests (note that thinning a
-// queueing system changes its delays; use it to bound runtime, not to
-// extrapolate dollars).
+// Thin returns a copy of the configuration with every trace (and plan
+// trace) scaled by f, for keeping request counts tractable in tests (note
+// that thinning a queueing system changes its delays; use it to bound
+// runtime, not to extrapolate dollars).
 func Thin(cfg Config, f float64) Config {
-	out := cfg
-	out.Sim.Traces = make([]*workload.Trace, len(cfg.Sim.Traces))
-	for i, tr := range cfg.Sim.Traces {
-		cp := &workload.Trace{Name: tr.Name, Rates: make([][]float64, tr.Slots())}
-		for s := 0; s < tr.Slots(); s++ {
-			row := make([]float64, tr.Types())
-			for k := range row {
-				row[k] = tr.At(s, k) * f
-			}
-			cp.Rates[s] = row
+	thin := func(traces []*workload.Trace) []*workload.Trace {
+		if traces == nil {
+			return nil
 		}
-		out.Sim.Traces[i] = cp
+		out := make([]*workload.Trace, len(traces))
+		for i, tr := range traces {
+			cp := &workload.Trace{Name: tr.Name, Rates: make([][]float64, tr.Slots())}
+			for s := range cp.Rates {
+				cp.Rates[s] = append([]float64(nil), tr.Rates[s]...)
+			}
+			out[i] = cp.Scale(f)
+		}
+		return out
 	}
+	out := cfg
+	out.Sim.Traces = thin(cfg.Sim.Traces)
+	out.Sim.PlanTraces = thin(cfg.Sim.PlanTraces)
 	return out
 }

@@ -375,3 +375,35 @@ func TestSimulateQueueMatchesPollaczekKhinchine(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPlansOnPlanTraces: des takes its inputs from the same
+// sim.InputSource views as the fluid run, so a planner handed half-sized
+// plan traces commits the plan the fluid run commits for them — and the
+// realized request counts follow that plan, not the actual arrivals.
+func TestRunPlansOnPlanTraces(t *testing.T) {
+	full := testConfig(3)
+	rep, err := Run(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(3)
+	cfg.Sim.PlanTraces = Thin(cfg, 0.5).Sim.Traces
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fluid, err := sim.Run(cfg.Sim, core.NewOptimized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sr := range got.Slots {
+		if want := fluid.Slots[i].NetProfit; math.Abs(sr.PlannedNetProfit-want) > 1e-9*math.Abs(want) {
+			t.Fatalf("slot %d: des committed %.12g, the fluid run on the same plan traces %.12g", i, sr.PlannedNetProfit, want)
+		}
+		served := sr.Classes[0].Served + sr.Classes[1].Served
+		whole := rep.Slots[i].Classes[0].Served + rep.Slots[i].Classes[1].Served
+		if ratio := float64(served) / float64(whole); ratio < 0.4 || ratio > 0.6 {
+			t.Fatalf("slot %d: served %d of the %d a full-view plan serves — the planner did not see the plan traces", i, served, whole)
+		}
+	}
+}

@@ -7,21 +7,32 @@ import (
 	"time"
 
 	"profitlb/internal/core"
+	"profitlb/internal/feed"
 )
 
 // PlanSource yields the planner-facing input for an absolute slot. The
 // production implementation is the simulator's InputSource, which folds
 // in fault observation and the telemetry feed layer; it is stateful and
 // must be asked for slots in order. *sim.InputSource satisfies this
-// interface structurally (no import needed).
+// interface structurally (no import needed). A source that also knows
+// the feed health its view came with (FeedHealth, as *sim.InputSource
+// does) has it forwarded to a feed.HealthObserver planner before the
+// plan call; a source exposing only PlannerInput forwards nothing.
 type PlanSource interface {
 	PlannerInput(abs int) (*core.Input, error)
 }
 
+// healthSource is the optional second face of a PlanSource.
+type healthSource interface {
+	FeedHealth(abs int) *feed.SlotHealth
+}
+
 // Driver is the gateway's slot engine: each BeginSlot it pulls the
-// slot's planner input from the source, asks the planner for a plan,
-// verifies it, compiles the routing table and hot-swaps it into the
-// gateway. Any failure along the way degrades to an all-shed table — a
+// slot's planner input from the source, commits it through the shared
+// slot protocol (core.Step — on the planner's own view: the online plane
+// has no settlement truth at the boundary, so a deferring planner's
+// ledger settles against the arrivals it planned on), compiles the
+// routing table and hot-swaps it into the gateway. Any failure along the way degrades to an all-shed table — a
 // serving plane must keep answering requests even when planning is on
 // fire — and the failure is recorded on the table, never returned as an
 // error. Like every stateful planner holder in this codebase, a Driver
@@ -31,9 +42,6 @@ type Driver struct {
 	Gateway *Gateway
 	Planner core.Planner
 	Source  PlanSource
-	// VerifyTol gates compiled plans through core.Verify (0 means 1e-6).
-	VerifyTol float64
-
 	// LastErr records why the most recent slot degraded (nil otherwise).
 	LastErr error
 
@@ -53,14 +61,6 @@ func (d *Driver) Epoch() uint64 { return d.epoch.Load() }
 // from this sequence when a membership change forces a re-spread of the
 // current plan without a new solve.
 func (d *Driver) NextEpoch() uint64 { return d.epoch.Add(1) }
-
-// tol returns the feasibility-gate tolerance.
-func (d *Driver) tol() float64 {
-	if d.VerifyTol > 0 {
-		return d.VerifyTol
-	}
-	return 1e-6
-}
 
 // BeginSlot plans, compiles and installs slot abs, with the swap taking
 // effect at virtual time now. It returns the installed table; the only
@@ -101,42 +101,25 @@ func (d *Driver) PlanTable(abs int) (*Table, error) {
 	return t, nil
 }
 
-// buildTable produces the slot's routing table from a fresh plan.
+// buildTable produces the slot's routing table from a fresh commit.
 func (d *Driver) buildTable(abs int) (*Table, error) {
 	in, err := d.Source.PlannerInput(abs)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: slot %d input: %w", abs, err)
 	}
-	plan, err := d.safePlan(in)
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: slot %d plan: %w", abs, err)
+	if hs, ok := d.Source.(healthSource); ok {
+		hs.FeedHealth(abs).Notify(d.Planner)
 	}
-	if err := core.Verify(in, plan, d.tol()); err != nil {
-		return nil, fmt.Errorf("dispatch: slot %d infeasible plan from %s: %w", abs, d.Planner.Name(), err)
+	c := core.Step(d.Planner, in, in, false)
+	if c.Err != nil {
+		return nil, fmt.Errorf("dispatch: slot %d: %w", abs, c.Err)
 	}
-	t, err := Compile(in, plan, d.Gateway.cfg)
+	t, err := Compile(in, c.Plan, d.Gateway.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: slot %d compile: %w", abs, err)
 	}
-	if fr, ok := d.Planner.(interface {
-		FallbackState() (tier int, tierName string, degraded bool)
-	}); ok {
-		if tier, name, degraded := fr.FallbackState(); degraded {
-			t.Degraded = true
-			t.Tier = name
-			_ = tier
-		}
+	if c.Degraded {
+		t.Degraded, t.Tier = true, c.TierName
 	}
 	return t, nil
-}
-
-// safePlan invokes the planner, recovering a panic into an error so a
-// crashing solver degrades the slot instead of killing the gateway.
-func (d *Driver) safePlan(in *core.Input) (plan *core.Plan, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			plan, err = nil, fmt.Errorf("planner %s panicked: %v", d.Planner.Name(), r)
-		}
-	}()
-	return d.Planner.Plan(in)
 }

@@ -62,11 +62,17 @@ func TestDriftFactors(t *testing.T) {
 	if got := sch.SlowCenterFactor(0, 2); got != 1 {
 		t.Errorf("untargeted center factor = %g, want 1", got)
 	}
+	if got := sch.CenterFactors(2, 2); len(got) != 2 || got[0] != 1 || got[1] != 0.25 {
+		t.Errorf("center factors at slot 2 = %v, want [1 0.25]", got)
+	}
+	if got := sch.CenterFactors(2, 0); got != nil {
+		t.Errorf("nominal slot center factors = %v, want nil", got)
+	}
 	if !sch.HasDriftFaults() {
 		t.Error("HasDriftFaults = false with drift events")
 	}
 	var nilSch *Schedule
-	if nilSch.FlashCrowdFactor(0, 0) != 1 || nilSch.SlowCenterFactor(0, 0) != 1 || nilSch.HasDriftFaults() {
+	if nilSch.FlashCrowdFactor(0, 0) != 1 || nilSch.SlowCenterFactor(0, 0) != 1 || nilSch.HasDriftFaults() || nilSch.CenterFactors(2, 0) != nil {
 		t.Error("nil schedule drift accessors not neutral")
 	}
 	clean := &Schedule{Events: []Event{{Kind: CenterOutage, Center: 0, From: 0, To: 0}}}

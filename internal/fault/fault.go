@@ -665,6 +665,25 @@ func (sch *Schedule) SlowCenterFactor(l, slot int) float64 {
 	return f
 }
 
+// CenterFactors assembles the per-center effective service fractions of
+// an L-center topology for the slot from any active slow-center faults;
+// nil when every center is nominal.
+func (sch *Schedule) CenterFactors(L, slot int) []float64 {
+	var out []float64
+	for l := 0; l < L; l++ {
+		if cf := sch.SlowCenterFactor(l, slot); cf < 1 {
+			if out == nil {
+				out = make([]float64, L)
+				for i := range out {
+					out[i] = 1
+				}
+			}
+			out[l] = cf
+		}
+	}
+	return out
+}
+
 // HasDriftFaults reports whether the schedule carries any in-slot drift
 // events (flash-crowd, slow-center) — the disturbances only a sub-slot
 // controller can react to.

@@ -114,6 +114,22 @@ type SlotHealth struct {
 	Arrivals []Health
 }
 
+// HealthObserver is implemented by planners that adapt to degraded
+// telemetry (see internal/resilient), e.g. by skipping an expensive
+// optimizer whose inputs are guesswork.
+type HealthObserver interface {
+	ObserveFeedHealth(h *SlotHealth)
+}
+
+// Notify hands the slot's health to the planner before it is asked for
+// the slot's plan, when the planner observes feed health; a nil health
+// (the oracle path) notifies nobody.
+func (sh *SlotHealth) Notify(planner any) {
+	if fo, ok := planner.(HealthObserver); ok && sh != nil {
+		fo.ObserveFeedHealth(sh)
+	}
+}
+
 // WorstTier returns the deepest estimator tier any feed fell to.
 func (sh *SlotHealth) WorstTier() Tier {
 	worst := TierFresh

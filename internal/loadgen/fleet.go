@@ -16,35 +16,21 @@ import (
 // exactly (requests the generator never fired cannot appear in a
 // gateway, and every fired request must be accounted admitted or shed).
 type ReplicaStat struct {
-	ID                                           string
-	Offered, Admitted, ShedBudget, ShedUnplanned int64
-	Invalid                                      int64
+	ID string
+	Counts
 }
 
-// FleetSlotResult is one slot's replay accounting across the fleet.
+// FleetSlotResult is one slot's replay accounting across the fleet: the
+// tallies aggregate every replica's answers, and the plan fields mirror
+// the published fleet-wide table (zero during a publisher outage).
 type FleetSlotResult struct {
-	Slot int
+	SlotTally
 	// Epoch is the slot's published epoch (0 during a publisher outage).
 	Epoch uint64
 	// Live is how many replicas served the slot; Stale counts live
 	// replicas serving a table older than the slot; DegradedReplicas
 	// counts live replicas in conservative-shed (stale-TTL) serving.
 	Live, Stale, DegradedReplicas int
-	// Offered..Invalid partition the fleet's answers for the slot.
-	Offered, Admitted, ShedBudget, ShedUnplanned, Invalid int64
-	// Lanes aggregates per-lane admissions across replicas, aligned with
-	// the published fleet-wide table (nil when the slot had no fresh
-	// publication — stale lanes cannot be compared against a plan).
-	Lanes []LaneStat
-	// PlannedProfit is the published plan's objective; Degraded mirrors
-	// the published table.
-	PlannedProfit float64
-	Degraded      bool
-	Tier          string
-	// Actuations counts the controller's published corrections this slot;
-	// ControlFrozen reports it froze mid-slot. Both zero without Control.
-	Actuations    int
-	ControlFrozen bool
 }
 
 // FleetReport is a whole fleet replay.
@@ -57,15 +43,11 @@ type FleetReport struct {
 	PerReplica []ReplicaStat
 }
 
+func (r *FleetReport) tally(i int) *SlotTally { return &r.Slots[i].SlotTally }
+
 // Totals sums the per-slot tallies.
 func (r *FleetReport) Totals() (offered, admitted, shed int64) {
-	for i := range r.Slots {
-		s := &r.Slots[i]
-		offered += s.Offered
-		admitted += s.Admitted
-		shed += s.ShedBudget + s.ShedUnplanned
-	}
-	return offered, admitted, shed
+	return totals(len(r.Slots), r.tally)
 }
 
 // Invalid sums the fleet's invalid answers (must be zero: a fleet under
@@ -82,48 +64,18 @@ func (r *FleetReport) Invalid() int64 {
 // error over lanes with at least minPlanned budgeted requests, across
 // slots that had a fresh publication.
 func (r *FleetReport) MaxLaneError(minPlanned float64) float64 {
-	var worst float64
-	for i := range r.Slots {
-		for j := range r.Slots[i].Lanes {
-			ls := &r.Slots[i].Lanes[j]
-			if ls.Planned < minPlanned {
-				continue
-			}
-			if e := ls.RelErr(); e > worst {
-				worst = e
-			}
-		}
-	}
-	return worst
+	return worstLane(len(r.Slots), r.tally, minPlanned, plannedErr)
 }
 
 // MaxDemandError returns the worst fleet-aggregate per-lane
 // |admitted − demand|/demand over lanes with at least minPlanned
 // realized demand, across slots that had a fresh publication.
 func (r *FleetReport) MaxDemandError(minPlanned float64) float64 {
-	var worst float64
-	for i := range r.Slots {
-		for j := range r.Slots[i].Lanes {
-			ls := &r.Slots[i].Lanes[j]
-			if ls.Demand < minPlanned {
-				continue
-			}
-			if e := ls.DemandErr(); e > worst {
-				worst = e
-			}
-		}
-	}
-	return worst
+	return worstLane(len(r.Slots), r.tally, minPlanned, demandErr)
 }
 
 // Actuations sums the controller's published corrections.
-func (r *FleetReport) Actuations() int {
-	var n int
-	for i := range r.Slots {
-		n += r.Slots[i].Actuations
-	}
-	return n
-}
+func (r *FleetReport) Actuations() int { return actuations(len(r.Slots), r.tally) }
 
 // RunFleet replays cfg.Slots slots against a replicated gateway fleet.
 // Arrival synthesis is identical to Run — same seeds, same per-stream
@@ -137,27 +89,15 @@ func RunFleet(f *cluster.Fleet, src *sim.InputSource, cfg Config) (*FleetReport,
 	if f == nil || len(f.Replicas) == 0 || src == nil {
 		return nil, errors.New("loadgen: need a fleet with replicas and an input source")
 	}
-	if cfg.Slots <= 0 {
-		return nil, fmt.Errorf("loadgen: non-positive slot count %d", cfg.Slots)
-	}
 	if cfg.Closed {
 		return nil, errors.New("loadgen: closed-loop fleet replay is not supported (feedback would need per-replica populations)")
 	}
-	gw0 := f.Replicas[0].Gateway()
-	T := gw0.System().Slot()
-	if cfg.BurstFrontEnd != nil && (*cfg.BurstFrontEnd < 0 || *cfg.BurstFrontEnd >= gw0.System().S()) {
-		return nil, fmt.Errorf("loadgen: burst front-end %d outside [0,%d)", *cfg.BurstFrontEnd, gw0.System().S())
+	plant := &control.FleetPlant{Pub: f.Pub, Replicas: f.Replicas}
+	rp, err := newReplayer(cfg, f.Replicas[0].Gateway(), src, plant)
+	if err != nil {
+		return nil, err
 	}
-	sch := src.Config().Faults
-	var ctrl *control.Controller
-	var plant *control.FleetPlant
-	if cfg.Control != nil {
-		if err := cfg.Control.Validate(); err != nil {
-			return nil, err
-		}
-		plant = &control.FleetPlant{Pub: f.Pub, Replicas: f.Replicas}
-		ctrl = control.NewController(*cfg.Control, gw0.Config(), plant, gw0.Scope())
-	}
+	T, S, K := rp.sys.Slot(), rp.sys.S(), rp.sys.K()
 	rep := &FleetReport{Replicas: len(f.Replicas)}
 	rep.PerReplica = make([]ReplicaStat, len(f.Replicas))
 	for i, r := range f.Replicas {
@@ -170,35 +110,30 @@ func RunFleet(f *cluster.Fleet, src *sim.InputSource, cfg Config) (*FleetReport,
 		if err != nil {
 			return rep, err
 		}
-		view, err := src.View(abs)
-		if err != nil {
-			return rep, err
-		}
 		// The balancer sprays at replicas that are alive AND ready — the
 		// /readyz condition. A replica partitioned away before it ever
 		// applied an epoch has no table; firing at it would turn a cluster
 		// fault into Invalid answers instead of the fleet's shed-only
 		// degradation.
 		var live []int
+		liveSet := make([]bool, len(f.Replicas))
 		for _, ri := range f.Live(abs) {
 			if f.Replicas[ri].Ready() {
 				live = append(live, ri)
+				liveSet[ri] = true
 			}
 		}
 		if len(live) == 0 {
 			return rep, fmt.Errorf("loadgen: slot %d has no live ready replicas", abs)
 		}
-		res := FleetSlotResult{Slot: abs, Live: len(live)}
+		res := FleetSlotResult{Live: len(live)}
+		// A publisher outage publishes nothing: the table stays nil.
 		var table *dispatch.Table
 		if pub != nil {
 			res.Epoch = pub.Epoch
-			table, err = dispatch.FromWire(pub.Table)
-			if err != nil {
+			if table, err = dispatch.FromWire(pub.Table); err != nil {
 				return rep, err
 			}
-			res.PlannedProfit = table.Objective
-			res.Degraded = table.Degraded
-			res.Tier = table.Tier
 		}
 		for _, ri := range live {
 			r := f.Replicas[ri]
@@ -209,107 +144,27 @@ func RunFleet(f *cluster.Fleet, src *sim.InputSource, cfg Config) (*FleetReport,
 				res.DegradedReplicas++
 			}
 		}
-		var laneAdmitted []int64
-		var streamOffered []int64
-		if table != nil {
-			laneAdmitted = make([]int64, len(table.Lanes))
-			streamOffered = make([]int64, table.K()*table.S())
-		}
-		rates := view.Actual.Arrivals
-		S := len(rates)
-		K := 0
-		if S > 0 {
-			K = len(rates[0])
-		}
-		fire := func(k, s int, at float64, spray *rand.Rand) {
-			ri := live[spray.Intn(len(live))]
-			dec := f.Replicas[ri].Gateway().Handle(k, s, start+at)
-			res.Offered++
-			pr := &rep.PerReplica[ri]
-			pr.Offered++
-			switch dec.Outcome {
-			case dispatch.Admitted:
-				res.Admitted++
-				pr.Admitted++
-				if laneAdmitted != nil && int(dec.Lane) < len(laneAdmitted) {
-					laneAdmitted[dec.Lane]++
-				}
-			case dispatch.ShedBudget:
-				res.ShedBudget++
-				pr.ShedBudget++
-			case dispatch.ShedUnplanned:
-				res.ShedUnplanned++
-				pr.ShedUnplanned++
-			default:
-				res.Invalid++
-				pr.Invalid++
-			}
-		}
-		var merged []arrival
+		plant.Slot = abs
+		plant.Serving = func(i int) bool { return liveSet[i] }
+		plant.Reachable = func(i int) bool { return f.Reachable(i, abs) }
+		// Each stream's spray is seeded independently of its arrivals, so
+		// target choice never perturbs arrival times, and drawn in the
+		// stream's own arrival order, so a controlled (merged) replay
+		// sprays exactly as a stream-by-stream one.
 		sprays := make([]*rand.Rand, S*K)
-		for s := range rates {
-			for k := range rates[s] {
-				rate := rates[s][k]
-				if rate <= 0 {
-					continue
-				}
-				seed := streamSeed(cfg.Seed, abs, s, k)
-				arrivals, err := synthesize(rate, T, seed, &cfg, table, k, s, sch.FlashCrowdFactor(s, abs))
-				if err != nil {
-					return rep, err
-				}
-				if streamOffered != nil && k < table.K() && s < table.S() {
-					streamOffered[k*table.S()+s] += int64(len(arrivals))
-				}
-				// The spray stream is seeded independently of the arrival
-				// stream so target choice never perturbs arrival times.
-				spray := rand.New(rand.NewSource(streamSeed(cfg.Seed^0x5eed, abs, s, k)))
-				if ctrl != nil {
-					// The merged replay keeps each stream's relative order, so
-					// its spray rand draws the same sequence the nested loop
-					// would.
-					sprays[s*K+k] = spray
-					for _, at := range arrivals {
-						merged = append(merged, arrival{at: at, k: k, s: s})
-					}
-					continue
-				}
-				for _, at := range arrivals {
-					fire(k, s, at, spray)
-				}
+		res.SlotTally, err = rp.slot(abs, start, table, func(k, s int, now float64) dispatch.Decision {
+			spray := sprays[s*K+k]
+			if spray == nil {
+				spray = rand.New(rand.NewSource(streamSeed(cfg.Seed^0x5eed, abs, s, k)))
+				sprays[s*K+k] = spray
 			}
-		}
-		if ctrl != nil {
-			liveSet := make([]bool, len(f.Replicas))
-			for _, ri := range live {
-				liveSet[ri] = true
-			}
-			slot := abs
-			plant.Slot = slot
-			plant.Serving = func(i int) bool { return liveSet[i] }
-			plant.Reachable = func(i int) bool { return f.Reachable(i, slot) }
-			prevActs := ctrl.Actuations()
-			// A publisher outage leaves table nil: BeginSlot(nil) disarms the
-			// controller and the fleet serves its last fenced epochs.
-			ctrl.BeginSlot(table, start, centerFactors(sch, gw0.System().L(), abs))
-			replayControlled(merged, T, start, cfg.Control.WithDefaults().TicksPerSlot, ctrl,
-				func(k, s int, at float64) { fire(k, s, at, sprays[s*K+k]) })
-			res.Actuations = ctrl.Actuations() - prevActs
-			res.ControlFrozen = ctrl.Frozen()
-		}
-		if table != nil {
-			res.Lanes = make([]LaneStat, len(table.Lanes))
-			for j := range table.Lanes {
-				ln := table.Lanes[j]
-				n := laneAdmitted[j]
-				res.Lanes[j] = LaneStat{
-					Lane:         ln,
-					Planned:      ln.Rate * T,
-					Admitted:     n,
-					AchievedRate: float64(n) / T,
-					Demand:       laneDemand(table, j, streamOffered, T),
-				}
-			}
+			ri := live[spray.Intn(len(live))]
+			dec := f.Replicas[ri].Gateway().Handle(k, s, now)
+			rep.PerReplica[ri].add(dec.Outcome)
+			return dec
+		})
+		if err != nil {
+			return rep, err
 		}
 		rep.Slots = append(rep.Slots, res)
 	}

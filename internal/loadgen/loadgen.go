@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"profitlb/internal/control"
+	"profitlb/internal/datacenter"
 	"profitlb/internal/dispatch"
 	"profitlb/internal/fault"
 	"profitlb/internal/sim"
@@ -96,27 +97,54 @@ func (ls *LaneStat) DemandErr() float64 {
 	return math.Abs(float64(ls.Admitted)-ls.Demand) / ls.Demand
 }
 
-// SlotResult is one slot's replay accounting.
-type SlotResult struct {
-	Slot int
+// Counts partitions a set of fired requests by the gateway's answer.
+type Counts struct {
 	// Offered counts synthesized arrivals; Admitted/ShedBudget/
-	// ShedUnplanned/Invalid partition the gateway's answers.
+	// ShedUnplanned/Invalid partition the answers.
 	Offered, Admitted, ShedBudget, ShedUnplanned, Invalid int64
-	// Lanes aligns with the slot table's Lanes.
+}
+
+func (c *Counts) add(o dispatch.Outcome) {
+	c.Offered++
+	switch o {
+	case dispatch.Admitted:
+		c.Admitted++
+	case dispatch.ShedBudget:
+		c.ShedBudget++
+	case dispatch.ShedUnplanned:
+		c.ShedUnplanned++
+	default:
+		c.Invalid++
+	}
+}
+
+// SlotTally is the replay accounting a single-gateway slot and a fleet
+// slot share.
+type SlotTally struct {
+	Slot int
+	Counts
+	// Lanes aligns with the slot table's Lanes (nil when a fleet slot had
+	// no fresh publication — stale lanes cannot be compared against a
+	// plan).
 	Lanes []LaneStat
-	// Revenue/EnergyCost/TransferCost/NetProfit account the *admitted*
-	// requests at the table's frozen per-request economics; PlannedProfit
-	// is the plan's predicted objective for the slot.
-	Revenue, EnergyCost, TransferCost, NetProfit float64
-	PlannedProfit                                float64
+	// PlannedProfit is the plan's predicted objective for the slot;
 	// Degraded and Tier mirror the slot table (resilient fallbacks and
 	// emergency shed tables).
-	Degraded bool
-	Tier     string
+	PlannedProfit float64
+	Degraded      bool
+	Tier          string
 	// Actuations counts the controller's published corrections this slot;
 	// ControlFrozen reports it froze mid-slot. Both zero without Control.
 	Actuations    int
 	ControlFrozen bool
+}
+
+// SlotResult is one slot's replay accounting.
+type SlotResult struct {
+	SlotTally
+	// Revenue/EnergyCost/TransferCost/NetProfit account the *admitted*
+	// requests at the table's frozen per-request economics.
+	Revenue, EnergyCost, TransferCost, NetProfit float64
 }
 
 // Report is a whole replay.
@@ -125,16 +153,10 @@ type Report struct {
 	Slots   []SlotResult
 }
 
+func (r *Report) tally(i int) *SlotTally { return &r.Slots[i].SlotTally }
+
 // Totals sums the per-slot tallies.
-func (r *Report) Totals() (offered, admitted, shed int64) {
-	for i := range r.Slots {
-		s := &r.Slots[i]
-		offered += s.Offered
-		admitted += s.Admitted
-		shed += s.ShedBudget + s.ShedUnplanned
-	}
-	return offered, admitted, shed
-}
+func (r *Report) Totals() (offered, admitted, shed int64) { return totals(len(r.Slots), r.tally) }
 
 // ShedFraction returns total shed / total offered (0 when nothing was
 // offered).
@@ -160,19 +182,7 @@ func (r *Report) BudgetShed() int64 {
 // (thin lanes drown in Poisson noise; the 5% acceptance gate uses
 // minPlanned ≈ 500).
 func (r *Report) MaxLaneError(minPlanned float64) float64 {
-	var worst float64
-	for i := range r.Slots {
-		for j := range r.Slots[i].Lanes {
-			ls := &r.Slots[i].Lanes[j]
-			if ls.Planned < minPlanned {
-				continue
-			}
-			if e := ls.RelErr(); e > worst {
-				worst = e
-			}
-		}
-	}
-	return worst
+	return worstLane(len(r.Slots), r.tally, minPlanned, plannedErr)
 }
 
 // MaxDemandError returns the worst per-lane |admitted − demand|/demand
@@ -180,14 +190,33 @@ func (r *Report) MaxLaneError(minPlanned float64) float64 {
 // drift-aware counterpart of MaxLaneError, measuring how well serving
 // tracked the traffic actually offered rather than the forecast.
 func (r *Report) MaxDemandError(minPlanned float64) float64 {
+	return worstLane(len(r.Slots), r.tally, minPlanned, demandErr)
+}
+
+// Actuations sums the controller's published corrections.
+func (r *Report) Actuations() int { return actuations(len(r.Slots), r.tally) }
+
+// totals, worstLane and actuations aggregate n slot tallies for both
+// report kinds.
+func totals(n int, at func(int) *SlotTally) (offered, admitted, shed int64) {
+	for i := 0; i < n; i++ {
+		t := at(i)
+		offered += t.Offered
+		admitted += t.Admitted
+		shed += t.ShedBudget + t.ShedUnplanned
+	}
+	return offered, admitted, shed
+}
+
+func plannedErr(ls *LaneStat) (size, err float64) { return ls.Planned, ls.RelErr() }
+func demandErr(ls *LaneStat) (size, err float64)  { return ls.Demand, ls.DemandErr() }
+
+func worstLane(n int, at func(int) *SlotTally, minSize float64, of func(*LaneStat) (size, err float64)) float64 {
 	var worst float64
-	for i := range r.Slots {
-		for j := range r.Slots[i].Lanes {
-			ls := &r.Slots[i].Lanes[j]
-			if ls.Demand < minPlanned {
-				continue
-			}
-			if e := ls.DemandErr(); e > worst {
+	for i := 0; i < n; i++ {
+		lanes := at(i).Lanes
+		for j := range lanes {
+			if size, e := of(&lanes[j]); size >= minSize && e > worst {
 				worst = e
 			}
 		}
@@ -195,13 +224,12 @@ func (r *Report) MaxDemandError(minPlanned float64) float64 {
 	return worst
 }
 
-// Actuations sums the controller's published corrections.
-func (r *Report) Actuations() int {
-	var n int
-	for i := range r.Slots {
-		n += r.Slots[i].Actuations
+func actuations(n int, at func(int) *SlotTally) int {
+	var sum int
+	for i := 0; i < n; i++ {
+		sum += at(i).Actuations
 	}
-	return n
+	return sum
 }
 
 // TotalNetProfit sums the realized per-slot profit.
@@ -233,6 +261,120 @@ func (r *Report) DegradedSlots() int {
 	return n
 }
 
+// replayer is what Run and RunFleet share: the validated config, the
+// topology and fault schedule the arrivals are synthesized from, and the
+// optional sub-slot controller over the serving plane.
+type replayer struct {
+	cfg  Config
+	src  *sim.InputSource
+	sys  *datacenter.System
+	sch  *fault.Schedule
+	ctrl *control.Controller
+}
+
+// newReplayer validates and defaults the config; gw supplies the
+// topology, dispatch config and scope, plant what a controller actuates.
+func newReplayer(cfg Config, gw *dispatch.Gateway, src *sim.InputSource, plant control.Plant) (*replayer, error) {
+	sys := gw.System()
+	if cfg.Slots <= 0 {
+		return nil, fmt.Errorf("loadgen: non-positive slot count %d", cfg.Slots)
+	}
+	if cfg.Closed && cfg.Users == 0 {
+		cfg.Users = 32
+	}
+	if cfg.Closed && cfg.Users < 0 {
+		return nil, fmt.Errorf("loadgen: negative closed-loop population %d", cfg.Users)
+	}
+	if cfg.Think == 0 {
+		cfg.Think = sys.Slot() / 8
+	}
+	if cfg.BurstFrontEnd != nil && (*cfg.BurstFrontEnd < 0 || *cfg.BurstFrontEnd >= sys.S()) {
+		return nil, fmt.Errorf("loadgen: burst front-end %d outside [0,%d)", *cfg.BurstFrontEnd, sys.S())
+	}
+	rp := &replayer{cfg: cfg, src: src, sys: sys, sch: src.Config().Faults}
+	if cfg.Control != nil {
+		if err := cfg.Control.Validate(); err != nil {
+			return nil, err
+		}
+		rp.ctrl = control.NewController(*cfg.Control, gw.Config(), plant, gw.Scope())
+	}
+	return rp, nil
+}
+
+// slot replays slot abs, starting at virtual time start: it synthesizes
+// every (front-end, type) stream's arrivals from the true rates in the
+// source's view and fires each through fire — stream by stream, or, under
+// a controller, merged in global time order with the control ticks
+// interleaved — tallying the answers against table. A nil table (a fleet
+// slot during a publisher outage) leaves the lanes uncompared and
+// disarms the controller: the plane serves its last fenced epochs.
+func (rp *replayer) slot(abs int, start float64, table *dispatch.Table,
+	fire func(k, s int, now float64) dispatch.Decision) (SlotTally, error) {
+	view, err := rp.src.View(abs)
+	if err != nil {
+		return SlotTally{}, err
+	}
+	T := rp.sys.Slot()
+	res := SlotTally{Slot: abs}
+	var laneAdmitted, streamOffered []int64
+	if table != nil {
+		res.PlannedProfit, res.Degraded, res.Tier = table.Objective, table.Degraded, table.Tier
+		laneAdmitted = make([]int64, len(table.Lanes))
+		streamOffered = make([]int64, table.K()*table.S())
+	}
+	handle := func(k, s int, at float64) {
+		dec := fire(k, s, start+at)
+		res.add(dec.Outcome)
+		// A stale replica may admit on a lane the slot's table lacks.
+		if dec.Outcome == dispatch.Admitted && int(dec.Lane) < len(laneAdmitted) {
+			laneAdmitted[dec.Lane]++
+		}
+	}
+	var merged []arrival
+	for s, row := range view.Actual.Arrivals {
+		for k, rate := range row {
+			if rate <= 0 {
+				continue
+			}
+			seed := streamSeed(rp.cfg.Seed, abs, s, k)
+			arrivals, err := synthesize(rate, T, seed, &rp.cfg, table, k, s, rp.sch.FlashCrowdFactor(s, abs))
+			if err != nil {
+				return res, err
+			}
+			if table != nil && k < table.K() && s < table.S() {
+				streamOffered[k*table.S()+s] += int64(len(arrivals))
+			}
+			for _, at := range arrivals {
+				if rp.ctrl != nil {
+					merged = append(merged, arrival{at: at, k: k, s: s})
+				} else {
+					handle(k, s, at)
+				}
+			}
+		}
+	}
+	if rp.ctrl != nil {
+		prevActs := rp.ctrl.Actuations()
+		rp.ctrl.BeginSlot(table, start, rp.sch.CenterFactors(rp.sys.L(), abs))
+		replayControlled(merged, T, start, rp.cfg.Control.WithDefaults().TicksPerSlot, rp.ctrl, handle)
+		res.Actuations = rp.ctrl.Actuations() - prevActs
+		res.ControlFrozen = rp.ctrl.Frozen()
+	}
+	if table != nil {
+		res.Lanes = make([]LaneStat, len(table.Lanes))
+		for j, ln := range table.Lanes {
+			res.Lanes[j] = LaneStat{
+				Lane:         ln,
+				Planned:      ln.Rate * T,
+				Admitted:     laneAdmitted[j],
+				AchievedRate: float64(laneAdmitted[j]) / T,
+				Demand:       laneDemand(table, j, streamOffered, T),
+			}
+		}
+	}
+	return res, nil
+}
+
 // Run replays cfg.Slots slots against the driver's gateway. The driver's
 // PlanSource must be (or share views with) src: Run begins each slot via
 // the driver — which pulls the planner-facing input from the source —
@@ -243,33 +385,12 @@ func Run(d *dispatch.Driver, src *sim.InputSource, cfg Config) (*Report, error) 
 	if d == nil || d.Gateway == nil || src == nil {
 		return nil, errors.New("loadgen: need a driver with a gateway and an input source")
 	}
-	if cfg.Slots <= 0 {
-		return nil, fmt.Errorf("loadgen: non-positive slot count %d", cfg.Slots)
-	}
-	if cfg.Closed {
-		if cfg.Users == 0 {
-			cfg.Users = 32
-		}
-		if cfg.Users < 0 {
-			return nil, fmt.Errorf("loadgen: negative closed-loop population %d", cfg.Users)
-		}
-	}
 	gw := d.Gateway
+	rp, err := newReplayer(cfg, gw, src, control.GatewayPlant{GW: gw})
+	if err != nil {
+		return nil, err
+	}
 	T := gw.System().Slot()
-	if cfg.Think == 0 {
-		cfg.Think = T / 8
-	}
-	if cfg.BurstFrontEnd != nil && (*cfg.BurstFrontEnd < 0 || *cfg.BurstFrontEnd >= gw.System().S()) {
-		return nil, fmt.Errorf("loadgen: burst front-end %d outside [0,%d)", *cfg.BurstFrontEnd, gw.System().S())
-	}
-	sch := src.Config().Faults
-	var ctrl *control.Controller
-	if cfg.Control != nil {
-		if err := cfg.Control.Validate(); err != nil {
-			return nil, err
-		}
-		ctrl = control.NewController(*cfg.Control, gw.Config(), control.GatewayPlant{GW: gw}, gw.Scope())
-	}
 	rep := &Report{Planner: d.Planner.Name()}
 	for i := 0; i < cfg.Slots; i++ {
 		abs := cfg.StartSlot + i
@@ -278,90 +399,25 @@ func Run(d *dispatch.Driver, src *sim.InputSource, cfg Config) (*Report, error) 
 		if err != nil {
 			return rep, err
 		}
-		view, err := src.View(abs)
+		tally, err := rp.slot(abs, start, table, gw.Handle)
 		if err != nil {
 			return rep, err
 		}
-		res := SlotResult{
-			Slot:          abs,
-			PlannedProfit: table.Objective,
-			Degraded:      table.Degraded,
-			Tier:          table.Tier,
-		}
-		laneAdmitted := make([]int64, len(table.Lanes))
-		rates := view.Actual.Arrivals
-		streamOffered := make([]int64, table.K()*table.S())
-		handle := func(k, s int, at float64) {
-			dec := gw.Handle(k, s, start+at)
-			res.Offered++
-			switch dec.Outcome {
-			case dispatch.Admitted:
-				res.Admitted++
-				laneAdmitted[dec.Lane]++
-			case dispatch.ShedBudget:
-				res.ShedBudget++
-			case dispatch.ShedUnplanned:
-				res.ShedUnplanned++
-			default:
-				res.Invalid++
-			}
-		}
-		var merged []arrival
-		for s := range rates {
-			for k := range rates[s] {
-				rate := rates[s][k]
-				if rate <= 0 {
-					continue
-				}
-				seed := streamSeed(cfg.Seed, abs, s, k)
-				arrivals, err := synthesize(rate, T, seed, &cfg, table, k, s, sch.FlashCrowdFactor(s, abs))
-				if err != nil {
-					return rep, err
-				}
-				if k < table.K() && s < table.S() {
-					streamOffered[k*table.S()+s] += int64(len(arrivals))
-				}
-				if ctrl != nil {
-					for _, at := range arrivals {
-						merged = append(merged, arrival{at: at, k: k, s: s})
-					}
-					continue
-				}
-				for _, at := range arrivals {
-					handle(k, s, at)
-				}
-			}
-		}
-		if ctrl != nil {
-			prevActs := ctrl.Actuations()
-			ctrl.BeginSlot(table, start, centerFactors(sch, gw.System().L(), abs))
-			replayControlled(merged, T, start, cfg.Control.WithDefaults().TicksPerSlot, ctrl, handle)
-			res.Actuations = ctrl.Actuations() - prevActs
-			res.ControlFrozen = ctrl.Frozen()
-		}
-		res.Lanes = make([]LaneStat, len(table.Lanes))
-		for j := range table.Lanes {
-			ln := table.Lanes[j]
-			n := laneAdmitted[j]
-			res.Lanes[j] = LaneStat{
-				Lane:         ln,
-				Planned:      ln.Rate * T,
-				Admitted:     n,
-				AchievedRate: float64(n) / T,
-				Demand:       laneDemand(table, j, streamOffered, T),
-			}
+		res := SlotResult{SlotTally: tally}
+		for j := range res.Lanes {
+			ls := &res.Lanes[j]
 			// A sagging center (slow-center fault) completes only cf of the
 			// lane's budget inside the deadline: the excess admissions earn
 			// zero step-TUF utility but still pay their energy and transfer.
-			good := n
-			if cf := sch.SlowCenterFactor(ln.L, abs); cf < 1 {
-				if lim := int64(cf * ln.Rate * T); good > lim {
+			good := ls.Admitted
+			if cf := rp.sch.SlowCenterFactor(ls.L, abs); cf < 1 {
+				if lim := int64(cf * ls.Rate * T); good > lim {
 					good = lim
 				}
 			}
-			res.Revenue += float64(good) * ln.Utility
-			res.EnergyCost += float64(n) * ln.UnitEnergy
-			res.TransferCost += float64(n) * ln.UnitTransfer
+			res.Revenue += float64(good) * ls.Utility
+			res.EnergyCost += float64(ls.Admitted) * ls.UnitEnergy
+			res.TransferCost += float64(ls.Admitted) * ls.UnitTransfer
 		}
 		res.EnergyCost += table.IdleCost
 		res.NetProfit = res.Revenue - res.EnergyCost - res.TransferCost
@@ -405,25 +461,6 @@ func replayControlled(merged []arrival, T, start float64, ticks int, ctrl *contr
 	for ; ei < len(merged); ei++ {
 		handle(merged[ei].k, merged[ei].s, merged[ei].at)
 	}
-}
-
-// centerFactors assembles the per-center effective service fractions for
-// a slot from any active slow-center faults; nil when every center is
-// nominal.
-func centerFactors(sch *fault.Schedule, L, abs int) []float64 {
-	var out []float64
-	for l := 0; l < L; l++ {
-		if cf := sch.SlowCenterFactor(l, abs); cf < 1 {
-			if out == nil {
-				out = make([]float64, L)
-				for i := range out {
-					out[i] = 1
-				}
-			}
-			out[l] = cf
-		}
-	}
-	return out
 }
 
 // laneDemand apportions the stream's realized offered count across its

@@ -8,6 +8,7 @@ import (
 	"profitlb/internal/datacenter"
 	"profitlb/internal/dispatch"
 	"profitlb/internal/fault"
+	"profitlb/internal/feed"
 	"profitlb/internal/market"
 	"profitlb/internal/obs"
 	"profitlb/internal/resilient"
@@ -248,3 +249,60 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("negative population accepted")
 	}
 }
+
+// TestDriverEscalatesOnDarkFeeds is the regression test of the online
+// feed-health hole: sim.Run was the only caller of ObserveFeedHealth, so
+// a chain told to escalate on degraded inputs never did under the
+// Driver. A dark arrival feed must now commit, online, the same
+// non-primary tier sim.Run records for the slot — and a source that
+// exposes only PlannerInput keeps forwarding nothing.
+func TestDriverEscalatesOnDarkFeeds(t *testing.T) {
+	cfg := testSimConfig(4)
+	cfg.Faults = &fault.Schedule{Events: []fault.Event{
+		{Kind: fault.FeedLoss, Feed: fault.FeedArrival, FrontEnd: 0, From: 0, To: 1},
+	}}
+	cfg.Feeds = &feed.Config{}
+	cfg.DegradeOnFailure = true
+	newChain := func() *resilient.Chain {
+		chain := resilient.Wrap(core.NewOptimized())
+		chain.EscalateOnDegraded = true
+		return chain
+	}
+	want, err := sim.Run(cfg, newChain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, src := harness(t, cfg, newChain(), nil)
+	rep, err := Run(d, src, Config{Seed: 1, Slots: cfg.Slots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	escalated := 0
+	for i, sr := range want.Slots {
+		got := rep.Slots[i]
+		if got.Degraded != sr.Degraded || (sr.Degraded && got.Tier != sr.FallbackName) {
+			t.Fatalf("slot %d: driver committed tier %q (degraded %v), sim.Run %q (degraded %v)",
+				i, got.Tier, got.Degraded, sr.FallbackName, sr.Degraded)
+		}
+		if sr.FallbackTier > 0 {
+			escalated++
+		}
+	}
+	if escalated == 0 || escalated == len(want.Slots) {
+		t.Fatalf("%d of %d slots escalated: the dark window should cover some slots, not all", escalated, len(want.Slots))
+	}
+
+	blind, src := harness(t, cfg, newChain(), nil)
+	blind.Source = inputOnly{src}
+	for i := 0; i < cfg.Slots; i++ {
+		table, err := blind.BeginSlot(i, float64(i))
+		if err != nil || table.Degraded {
+			t.Fatalf("slot %d: a PlannerInput-only source escalated (degraded %v, err %v)", i, table.Degraded, err)
+		}
+	}
+}
+
+// inputOnly hides everything of a source but PlannerInput.
+type inputOnly struct{ src *sim.InputSource }
+
+func (s inputOnly) PlannerInput(abs int) (*core.Input, error) { return s.src.PlannerInput(abs) }

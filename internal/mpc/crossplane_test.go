@@ -1,0 +1,115 @@
+package mpc_test
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"profitlb/internal/core"
+	"profitlb/internal/des"
+	"profitlb/internal/dispatch"
+	"profitlb/internal/market"
+	"profitlb/internal/mpc"
+	"profitlb/internal/sim"
+)
+
+// ledgerTap records the ledgers a host settles, so planes that keep no
+// per-slot report (the Driver) can be compared with the ones that do.
+type ledgerTap struct {
+	*mpc.Planner
+	ledgers []core.BacklogSlot
+}
+
+func (t *ledgerTap) CommitSlot(actual *core.Input, committed *core.Plan) core.BacklogSlot {
+	l := t.Planner.CommitSlot(actual, committed)
+	t.ledgers = append(t.ledgers, l)
+	return l
+}
+
+// TestCrossPlaneEquivalence: sim.Run, des.Run and a dispatch.Driver all
+// commit slots through core.Step, so on clean inputs they commit the
+// same plans — per-slot objectives agree across the three planes, and a
+// deferring planner's backlog is aged, drained and billed online exactly
+// as in the simulator (the Driver used to never settle it: deferred work
+// silently disappeared).
+func TestCrossPlaneEquivalence(t *testing.T) {
+	cfg := accConfig(accSys(), market.Houston(), 13, 8) // the Houston 13–21 h vibration
+	newMPC := func() *ledgerTap {
+		return &ledgerTap{Planner: mpc.New(mpc.Config{Horizon: 5, MaxDefer: []int{0, 2}, EndSlot: 21})}
+	}
+	planners := map[string]func() core.Planner{
+		"optimized": func() core.Planner { return core.NewOptimized() },
+		"mpc":       func() core.Planner { return newMPC() },
+	}
+	for name, build := range planners {
+		t.Run(name, func(t *testing.T) {
+			simPlanner := build()
+			fluid, err := sim.Run(cfg, simPlanner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			realized, err := des.Run(des.Config{Sim: cfg, Planner: build(), Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := sim.NewInputSource(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			online := build()
+			d := &dispatch.Driver{
+				Gateway: dispatch.NewGateway(cfg.Sys, dispatch.Config{}.WithDefaults(), nil),
+				Planner: online, Source: src,
+			}
+			var simSum, onlineSum, arrived, served float64
+			for i, sr := range fluid.Slots {
+				table, err := d.BeginSlot(cfg.StartSlot+i, float64(i)*cfg.Sys.Slot())
+				if err != nil || d.LastErr != nil {
+					t.Fatalf("slot %d: driver %v / %v", sr.Slot, err, d.LastErr)
+				}
+				for plane, got := range map[string]float64{"des": realized.Slots[i].PlannedNetProfit, "driver": table.Objective} {
+					if math.Abs(got-sr.NetProfit) > 1e-9*math.Abs(sr.NetProfit) {
+						t.Fatalf("slot %d: %s committed %.12g, sim %.12g", sr.Slot, plane, got, sr.NetProfit)
+					}
+				}
+				simSum += sr.NetProfit
+				onlineSum += table.Objective
+				for _, ln := range table.Lanes {
+					served += ln.Rate
+				}
+				arrived += cfg.Traces[0].At(sr.Slot, 0) + cfg.Traces[0].At(sr.Slot, 1)
+			}
+			if math.Abs(onlineSum-simSum) > 1e-9*simSum {
+				t.Fatalf("driver committed Σ %.12g, sim booked Σ %.12g", onlineSum, simSum)
+			}
+			tap, deferring := online.(*ledgerTap)
+			if !deferring {
+				return
+			}
+			if len(tap.ledgers) != len(fluid.Slots) {
+				t.Fatalf("driver settled %d ledgers over %d slots", len(tap.ledgers), len(fluid.Slots))
+			}
+			var deferred, lost float64
+			for i, l := range tap.ledgers {
+				if want := *fluid.Slots[i].Backlog; !reflect.DeepEqual(l, want) {
+					t.Fatalf("slot %d: driver ledger %+v, sim ledger %+v", fluid.Slots[i].Slot, l, want)
+				}
+				if shed := core.Total(l.Shed); shed != 0 {
+					t.Fatalf("slot %d: deadline miss online, shed %g", fluid.Slots[i].Slot, shed)
+				}
+				deferred += core.Total(l.DeferredNew)
+				lost += core.Total(l.LostNew)
+			}
+			if deferred <= 0 {
+				t.Fatal("nothing deferred online across the spike slots")
+			}
+			final := core.Total(tap.ledgers[len(tap.ledgers)-1].BacklogOut)
+			if final != 0 {
+				t.Fatalf("backlog %g stranded online despite EndSlot", final)
+			}
+			if gap := arrived - served - lost - final; math.Abs(gap) > 1e-9*arrived {
+				t.Fatalf("online conservation broken: arrived %g ≠ served %g + lost %g + backlog %g", arrived, served, lost, final)
+			}
+		})
+	}
+}

@@ -151,14 +151,14 @@ func (c *Chain) Unwrap() core.Planner {
 	return c.Tiers[0]
 }
 
-// FallbackState implements sim.FallbackReporter.
+// FallbackState implements core.FallbackReporter.
 func (c *Chain) FallbackState() (tier int, tierName string, degraded bool) {
 	return c.dec.Tier, c.dec.TierName, c.dec.Degraded
 }
 
-// ObserveFeedHealth implements sim.FeedHealthObserver: the simulator
-// hands over the slot's feed health before asking for the plan. The
-// health is consumed by the next Plan call.
+// ObserveFeedHealth implements feed.HealthObserver: the host hands over
+// the slot's feed health before asking for the plan. The health is
+// consumed by the next Plan call.
 func (c *Chain) ObserveFeedHealth(h *feed.SlotHealth) { c.inputHealth = h }
 
 // tol returns the feasibility tolerance.

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
@@ -361,22 +360,6 @@ func (r *Report) CenterSeries(k, l int) []float64 {
 	return out
 }
 
-// FallbackReporter is implemented by resilient planner wrappers (see
-// internal/resilient) that can report which fallback tier produced the
-// last committed plan. Run records the state in each SlotReport.
-type FallbackReporter interface {
-	FallbackState() (tier int, tierName string, degraded bool)
-}
-
-// FeedHealthObserver is implemented by planners that adapt to degraded
-// telemetry (see internal/resilient). When the run routes inputs through
-// the feed layer, Run forwards each slot's feed health before asking for
-// the plan, so the planner can e.g. skip an expensive optimizer whose
-// inputs are guesswork.
-type FeedHealthObserver interface {
-	ObserveFeedHealth(h *feed.SlotHealth)
-}
-
 // buildFeeds assembles the run's feed layer: one price feed per center
 // and one arrival feed per front-end, each sourcing the planner-facing
 // oracle reading (legacy observation faults included, so price blackouts
@@ -441,35 +424,21 @@ func traceMeans(tr *workload.Trace, K int) []float64 {
 // completed so far) is returned alongside the error so callers can
 // post-mortem the run.
 func Run(cfg Config, planner core.Planner) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
+	// The per-slot input assembly — fault observation, feed fetches, the
+	// effective topology — lives in the InputSource so every plane sees
+	// byte-identical planner views (see source.go).
+	src, err := NewInputSource(cfg)
+	if err != nil {
 		return nil, err
 	}
 	report := &Report{Planner: planner.Name()}
-	var feeds *feed.Set
-	if cfg.Feeds != nil {
-		var err error
-		if feeds, err = buildFeeds(&cfg); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		feeds.Instrument(cfg.Obs)
-	}
 	sc := cfg.Obs
 	observed := sc.Enabled()
-	// A deferring planner (core.DeferralPlanner, possibly behind fault or
-	// resilient wrappers) changes the slot protocol: plans are verified
-	// and reconciled against arrivals plus the backlog budget, CommitSlot
-	// settles every slot's ledger, and lost revenue comes from the ledger
-	// instead of the offered-minus-served gap. When the run has a feed
-	// layer, its multi-step projections become the planner's horizon
-	// forecasts.
-	dp, hasDefer := core.AsDeferral(planner)
-	if feeds != nil {
-		attachForecast(planner, feeds)
+	// When the run has a feed layer, its multi-step projections become a
+	// horizon planner's forecasts.
+	if src.feeds != nil {
+		attachForecast(planner, src.feeds)
 	}
-	// The per-slot input assembly — fault observation, feed fetches, the
-	// effective topology — lives in the InputSource so the online
-	// dispatch plane sees byte-identical planner views (see source.go).
-	src := newInputSourceFor(cfg, feeds)
 
 	for slot := 0; slot < cfg.Slots; slot++ {
 		abs := cfg.StartSlot + slot
@@ -481,45 +450,13 @@ func Run(cfg Config, planner core.Planner) (*Report, error) {
 		if verr != nil {
 			return report, fmt.Errorf("sim: slot %d: %w", slot, verr)
 		}
-		planView := view.Distorted
-		if view.Health != nil {
-			if fo, ok := planner.(FeedHealthObserver); ok {
-				fo.ObserveFeedHealth(view.Health)
-			}
-		}
-
-		planIn := view.Plan
-		var planStart time.Time
-		if observed {
-			planStart = time.Now()
-		}
-		plan, err := safePlan(planner, planIn)
+		view.Health.Notify(planner)
+		c := core.Step(planner, view.Plan, view.Actual, view.Distorted)
 		if observed {
 			sc.Histogram("sim_plan_seconds", nil, obs.L("planner", planner.Name())).
-				Observe(time.Since(planStart).Seconds())
+				Observe(c.PlanTime.Seconds())
 		}
-		// Backlog service is real work beyond the slot's own arrivals, so
-		// a deferring planner's plan is checked against the widened
-		// budget. Plan never mutates the buckets (only CommitSlot does),
-		// so the budget read here matches what the planner planned with.
-		var budget [][]float64
-		if hasDefer {
-			budget = dp.BacklogBudget()
-		}
-		if err == nil {
-			if verr := core.Verify(core.RelaxArrivals(planIn, budget), plan, 1e-6); verr != nil {
-				err = fmt.Errorf("infeasible plan from %s: %w", planner.Name(), verr)
-			}
-		}
-		in := view.Actual
-		relActual := core.RelaxArrivals(in, budget)
-		if err == nil && planView {
-			Reconcile(plan, relActual.Arrivals)
-			if verr := core.Verify(relActual, plan, 1e-6); verr != nil {
-				err = fmt.Errorf("reconciled plan infeasible: %w", verr)
-			}
-		}
-		var sr SlotReport
+		in, plan, err := view.Actual, c.Plan, c.Err
 		if err != nil {
 			if observed {
 				sc.Counter("sim_plan_failures_total", obs.L("planner", planner.Name())).Add(1)
@@ -528,29 +465,17 @@ func Run(cfg Config, planner core.Planner) (*Report, error) {
 			if !cfg.DegradeOnFailure {
 				return report, fmt.Errorf("sim: slot %d: %w", slot, err)
 			}
-			// Graceful degradation: shed the slot's load. Nothing is
-			// served and nothing is spent; the foregone value lands in
-			// LostRevenue and the horizon continues.
-			plan = core.NewPlan(in.Sys)
-			sr = account(in, plan)
-			sr.FallbackTier = -1
-			sr.Degraded = true
-			sr.FallbackName = "shed"
-		} else {
-			sr = account(in, plan)
-			sr.FallbackTier = -1
-			if fr, ok := planner.(FallbackReporter); ok {
-				tier, name, degraded := fr.FallbackState()
-				sr.FallbackTier, sr.FallbackName, sr.Degraded = tier, name, degraded
-			}
 		}
-		if hasDefer {
-			// Settle the deferral ledger — exactly once per slot, shed
-			// slots included (their empty plan drains nothing and expires
-			// due work). Deferred work is not lost, merely postponed: the
-			// slot's lost revenue is what the ledger says is gone for good.
-			ledger := dp.CommitSlot(in, plan)
-			sr.Backlog = &ledger
+		// A failed slot commits the empty plan: nothing is served and
+		// nothing is spent; the foregone value lands in LostRevenue and
+		// the horizon continues.
+		sr := account(in, plan)
+		sr.FallbackTier, sr.FallbackName, sr.Degraded = c.Tier, c.TierName, c.Degraded
+		if ledger := c.Backlog; ledger != nil {
+			// Deferred work is not lost, merely postponed: under a
+			// deferring planner the slot's lost revenue is what the
+			// settled ledger says is gone for good.
+			sr.Backlog = ledger
 			T := in.Sys.Slot()
 			sr.LostRevenue = 0
 			for k := 0; k < in.Sys.K(); k++ {
@@ -606,45 +531,6 @@ func attachForecast(p core.Planner, fs core.ForecastSource) {
 			return
 		}
 		p = u.Unwrap()
-	}
-}
-
-// safePlan invokes the planner, recovering a panic into an error so one
-// bad planner cannot crash a run (or a whole Compare fleet).
-func safePlan(p core.Planner, in *core.Input) (plan *core.Plan, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			plan, err = nil, fmt.Errorf("planner %s panicked: %v", p.Name(), r)
-		}
-	}()
-	return p.Plan(in)
-}
-
-// Reconcile scales a forecast-committed plan against actual arrivals:
-// per (type, front-end), if fewer requests arrived than were committed
-// the dispatch shrinks proportionally across levels and centers (shares
-// keep their reservations, so delays only improve); arrivals beyond the
-// committed volume are dropped. The plan is modified in place. It is
-// shared with internal/des, which reconciles fault-distorted plans the
-// same way.
-func Reconcile(plan *core.Plan, actual [][]float64) {
-	for k := range plan.Rate {
-		if len(plan.Rate[k]) == 0 {
-			continue
-		}
-		for s := range plan.Rate[k][0] {
-			committed := plan.ServedFrom(k, s)
-			a := actual[s][k]
-			if committed <= 0 || a >= committed {
-				continue // nothing committed, or every committed request arrived
-			}
-			f := a / committed
-			for q := range plan.Rate[k] {
-				for l := range plan.Rate[k][q][s] {
-					plan.Rate[k][q][s][l] *= f
-				}
-			}
-		}
 	}
 }
 

@@ -61,12 +61,6 @@ func NewInputSource(cfg Config) (*InputSource, error) {
 	return src, nil
 }
 
-// newInputSourceFor is Run's internal constructor: the config is already
-// validated and the feed set (possibly nil) already built.
-func newInputSourceFor(cfg Config, feeds *feed.Set) *InputSource {
-	return &InputSource{cfg: cfg, feeds: feeds, abs: cfg.StartSlot - 1}
-}
-
 // Feeds exposes the source's feed layer (nil on the oracle path).
 func (src *InputSource) Feeds() *feed.Set { return src.feeds }
 
@@ -136,4 +130,15 @@ func (src *InputSource) PlannerInput(abs int) (*core.Input, error) {
 		return nil, err
 	}
 	return view.Plan, nil
+}
+
+// FeedHealth returns the feed health that came with slot abs's planner
+// view (nil on the oracle path), so a dispatch.Driver can forward it to
+// planners that adapt to degraded telemetry, as Run does.
+func (src *InputSource) FeedHealth(abs int) *feed.SlotHealth {
+	view, err := src.View(abs)
+	if err != nil {
+		return nil
+	}
+	return view.Health
 }

@@ -454,9 +454,9 @@ func rob2ChaosScaleInput() *core.Input {
 	return &core.Input{Sys: sys, Arrivals: [][]float64{{3000, 2500, 2800}}, Prices: []float64{40, 45, 60}}
 }
 
-// planSearchPlanners enumerates the engine planners benchmarked serial
-// (Parallelism 0, warm starts off — the legacy uncached cold search) vs
-// parallel (engine workers + memo cache + warm-started re-solves).
+// planSearchPlanners builds the two engine planners of the plan-search
+// benchmarks at one setting of the two variables that survive in the
+// engine: warm-started or cold solves, and the worker count.
 func planSearchPlanners(par int, warm bool, stats *core.SearchStats) map[string]core.Planner {
 	ls := core.NewLevelSearch()
 	ls.Strategy = core.Exhaustive
@@ -470,7 +470,7 @@ func planSearchPlanners(par int, warm bool, stats *core.SearchStats) map[string]
 	return map[string]core.Planner{"level-search": ls, "optimized": o}
 }
 
-// parallelSearchWorkers is the worker count of the benchmarks' parallel
+// parallelSearchWorkers is the worker count of the benchmarks' N-worker
 // rows: every CPU, but at least 4 so the engine's batching (speculative
 // evaluation, subtree splitting) is exercised even on small boxes.
 func parallelSearchWorkers() int {
@@ -480,17 +480,32 @@ func parallelSearchWorkers() int {
 	return 4
 }
 
-// BenchmarkPlanSearch is the serial-vs-parallel comparison on the
-// rob2-chaos-scale slot. Compare with benchstat:
+// planSearchModes is one row per surviving variable: {cold, warm} solves
+// x {1, N} workers. Every row runs the same engine over the same memo
+// cache; a ratio between two rows measures exactly one variable.
+func planSearchModes() []struct {
+	name string
+	par  int
+	warm bool
+} {
+	n := parallelSearchWorkers()
+	return []struct {
+		name string
+		par  int
+		warm bool
+	}{
+		{"cold/1w", 1, false}, {fmt.Sprintf("cold/%dw", n), n, false},
+		{"warm/1w", 1, true}, {fmt.Sprintf("warm/%dw", n), n, true},
+	}
+}
+
+// BenchmarkPlanSearch times the rob2-chaos-scale slot at every row of
+// planSearchModes. Compare with benchstat:
 //
 //	go test -bench BenchmarkPlanSearch -count 10 -run NONE .
 func BenchmarkPlanSearch(b *testing.B) {
 	in := rob2ChaosScaleInput()
-	for _, mode := range []struct {
-		name string
-		par  int
-		warm bool
-	}{{"serial", 0, false}, {"parallel", parallelSearchWorkers(), true}} {
+	for _, mode := range planSearchModes() {
 		for name, p := range planSearchPlanners(mode.par, mode.warm, nil) {
 			p := p
 			b.Run(name+"/"+mode.name, func(b *testing.B) {
@@ -530,19 +545,14 @@ func updateBenchJSON(t *testing.T, path, key string, section any) {
 	t.Logf("%s section of %s: %s", key, path, raw)
 }
 
-// TestPlanSearchTrajectory measures the serial-vs-parallel plan times on
-// the rob2-chaos-scale slot and writes the trajectory point to the file
-// named by BENCH_PLAN_JSON (skipped when unset; `make bench` sets it).
-// It also enforces the engine's headline claims: the parallel exhaustive
-// search must finish the slot at least twice as fast as the legacy
-// serial search, and the optimized planner — whose engine run recorded
-// 1.15x before warm starts — must beat that prior number. Serial rows
-// run the legacy cold path
-// (WarmStart off, Parallelism 0); parallel rows run the engine at
-// parallelSearchWorkers() with warm starts on, which is why per-row
-// worker counts are recorded instead of one global number (the old
-// single "workers" field stamped runtime.NumCPU even though the serial
-// rows ran on one worker and the parallel rows on the resolved knob).
+// TestPlanSearchTrajectory times the rob2-chaos-scale slot at every row
+// of planSearchModes and writes the rows — each with its own time, LP
+// solves, cache hits and pivots — to the file named by BENCH_PLAN_JSON
+// (skipped when unset; `make bench` sets it), stamped with the box's
+// CPU count and GOMAXPROCS: the N-worker rows mean little on one CPU.
+// No ratio is gated here — every row runs the same engine, so there is
+// no second path left to be faster than — but every row must reach the
+// same objective.
 func TestPlanSearchTrajectory(t *testing.T) {
 	out := os.Getenv("BENCH_PLAN_JSON")
 	if out == "" {
@@ -566,76 +576,67 @@ func TestPlanSearchTrajectory(t *testing.T) {
 		}
 		return time.Since(start), got
 	}
-	// measure interleaves the two contenders' batches and takes each
-	// side's min, so a slow phase of a shared machine cannot land on one
-	// side of the ratio only.
-	measure := func(serial, parallel core.Planner) (time.Duration, time.Duration, *core.Plan, *core.Plan) {
-		bestS, bestP := time.Duration(1<<62), time.Duration(1<<62)
-		var planS, planP *core.Plan
-		for i := 0; i < 4; i++ {
-			if d, got := timeBatch(serial); d < bestS {
-				bestS, planS = d, got
-			}
-			if d, got := timeBatch(parallel); d < bestP {
-				bestP, planP = d, got
-			}
-		}
-		return bestS, bestP, planS, planP
+	type row struct {
+		Planner string `json:"planner"`
+		Mode    string `json:"mode"`
+		Warm    bool   `json:"warm"`
+		// Workers is the requested knob; the engine caps execution at the
+		// CPU count, recorded as WorkersResolved.
+		Workers         int   `json:"workers"`
+		WorkersResolved int   `json:"workers_resolved"`
+		Ns              int64 `json:"ns"`
+		LPSolves        int64 `json:"lp_solves"`
+		CacheHits       int64 `json:"cache_hits"`
+		WarmHits        int64 `json:"warm_hits"`
+		WarmPivots      int64 `json:"warm_pivots"`
+		ColdPivots      int64 `json:"cold_pivots"`
 	}
-	type point struct {
-		Planner       string `json:"planner"`
-		SerialNs      int64  `json:"serial_ns"`
-		SerialWorkers int    `json:"serial_workers"`
-		ParallelNs    int64  `json:"parallel_ns"`
-		// ParallelWorkers is the requested knob; the engine caps execution
-		// at the CPU count, recorded as ParallelWorkersResolved.
-		ParallelWorkers         int     `json:"parallel_workers"`
-		ParallelWorkersResolved int     `json:"parallel_workers_resolved"`
-		Speedup                 float64 `json:"speedup"`
-		LPSolves                int64   `json:"lp_solves"`
-		CacheHits               int64   `json:"cache_hits"`
-		WarmHits                int64   `json:"warm_hits"`
-		WarmPivots              int64   `json:"warm_pivots"`
-		ColdPivots              int64   `json:"cold_pivots"`
-	}
-	parWorkers := parallelSearchWorkers()
-	var points []point
+	var rows []row
 	for _, name := range []string{"level-search", "optimized"} {
-		stats := &core.SearchStats{}
-		serialT, parT, serialPlan, parPlan := measure(
-			planSearchPlanners(0, false, nil)[name],
-			planSearchPlanners(parWorkers, true, stats)[name])
-		// Warm results are audited but may differ from cold at round-off
-		// level, so the cross-mode check is a tolerance, not bit equality
-		// (bit-identity across worker counts within each mode is enforced
-		// by the core suites).
-		if d := parPlan.Objective - serialPlan.Objective; d > 1e-9*(1+serialPlan.Objective) || -d > 1e-9*(1+serialPlan.Objective) {
-			t.Fatalf("%s: parallel objective %v != serial %v", name, parPlan.Objective, serialPlan.Objective)
+		modes := planSearchModes()
+		planners := make([]core.Planner, len(modes))
+		stats := make([]core.SearchStats, len(modes))
+		best := make([]time.Duration, len(modes))
+		plans := make([]*core.Plan, len(modes))
+		for i, mode := range modes {
+			planners[i] = planSearchPlanners(mode.par, mode.warm, &stats[i])[name]
+			best[i] = time.Duration(1 << 62)
 		}
-		speedup := float64(serialT) / float64(parT)
-		if name == "level-search" && speedup < 2 {
-			t.Errorf("level-search parallel speedup %.2fx, want >= 2x (serial %v, parallel %v)", speedup, serialT, parT)
+		// The rows' batches are interleaved and each keeps its minimum, so
+		// a slow phase of a shared machine cannot land on one row only.
+		for rep := 0; rep < 4; rep++ {
+			for i := range modes {
+				if d, got := timeBatch(planners[i]); d < best[i] {
+					best[i], plans[i] = d, got
+				}
+			}
 		}
-		// 1.15x is the recorded pre-warm-start engine speedup for this
-		// planner (cache only); warm starts must improve on it.
-		if name == "optimized" && speedup <= 1.15 {
-			t.Errorf("optimized parallel speedup %.2fx, want > 1.15x pre-warm baseline (serial %v, parallel %v)", speedup, serialT, parT)
+		for i, mode := range modes {
+			// Warm results are audited but may differ from cold at
+			// round-off level, so the cross-row check is a tolerance, not
+			// bit equality (bit-identity across worker counts within each
+			// mode is enforced by the core suites).
+			if d := plans[i].Objective - plans[0].Objective; d > 1e-9*(1+plans[0].Objective) || -d > 1e-9*(1+plans[0].Objective) {
+				t.Fatalf("%s %s: objective %v != %s objective %v", name, mode.name, plans[i].Objective, modes[0].name, plans[0].Objective)
+			}
+			resolved := mode.par
+			if n := runtime.NumCPU(); resolved > n {
+				resolved = n
+			}
+			rows = append(rows, row{
+				Planner: name, Mode: mode.name, Warm: mode.warm,
+				Workers: mode.par, WorkersResolved: resolved, Ns: best[i].Nanoseconds(),
+				LPSolves: stats[i].Solves, CacheHits: stats[i].CacheHits, WarmHits: stats[i].WarmHits,
+				WarmPivots: stats[i].WarmPivots, ColdPivots: stats[i].ColdPivots,
+			})
 		}
-		resolved := parWorkers
-		if n := runtime.NumCPU(); resolved > n {
-			resolved = n
-		}
-		points = append(points, point{
-			Planner: name, SerialNs: serialT.Nanoseconds(), SerialWorkers: 1,
-			ParallelNs: parT.Nanoseconds(), ParallelWorkers: parWorkers, ParallelWorkersResolved: resolved,
-			Speedup: speedup, LPSolves: stats.Solves, CacheHits: stats.CacheHits,
-			WarmHits: stats.WarmHits, WarmPivots: stats.WarmPivots, ColdPivots: stats.ColdPivots,
-		})
 	}
 	updateBenchJSON(t, out, "plan_search", map[string]any{
-		"scenario": "rob2-chaos-scale",
-		"cpus":     runtime.NumCPU(),
-		"results":  points,
+		"scenario":         "rob2-chaos-scale",
+		"cpus":             runtime.NumCPU(),
+		"gomaxprocs":       runtime.GOMAXPROCS(0),
+		"plans_per_sample": 5,
+		"results":          rows,
 	})
 }
 

@@ -406,24 +406,16 @@ func applyMPCFlags(sc *config.Scenario, horizon int, deferArg string) error {
 	return sc.Validate()
 }
 
-// engineFlags registers the plan-search engine flags on fs — -parallel,
-// and -sparse where the command has it — and returns the func that
-// copies the ones explicitly given onto a scenario. Only those, so that
-// `-parallel 0` can force the legacy serial search and `-sparse=false`
-// the dense warm tableau over the scenario's own settings.
-func engineFlags(fs *flag.FlagSet, withSparse bool) func(*config.Scenario) {
-	parallel := fs.Int("parallel", 0, "plan-search workers (0 serial, -1 all CPUs); overrides the scenario's parallelism")
-	var sparse *bool
-	if withSparse {
-		sparse = fs.Bool("sparse", true, "route warm-started LPs above the row threshold through the sparse revised simplex; overrides the scenario's sparse setting")
-	}
+// engineFlags registers the plan-search engine flag -parallel on fs and
+// returns the func that copies it onto a scenario when it was explicitly
+// given, so that `-parallel 0` can force one worker over the scenario's
+// own setting.
+func engineFlags(fs *flag.FlagSet) func(*config.Scenario) {
+	parallel := fs.Int("parallel", 0, "plan-search workers (0 or 1: one worker, -1: all CPUs); overrides the scenario's parallelism")
 	return func(sc *config.Scenario) {
 		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "parallel":
+			if f.Name == "parallel" {
 				sc.Parallelism = *parallel
-			case "sparse":
-				sc.Sparse = sparse
 			}
 		})
 	}
@@ -435,7 +427,7 @@ func cmdSimulate(args []string) error {
 	faultsArg := fs.String("faults", "", "fault schedule: a JSON file of events, 'storm' for a seeded outage+spike storm, or 'flash' for a front-end-0 flash crowd")
 	seed := fs.Int64("seed", 1, "storm seed (with -faults storm)")
 	resilient := fs.Bool("resilient", false, "wrap the planner in the resilient fallback chain")
-	applyEngine := engineFlags(fs, true)
+	applyEngine := engineFlags(fs)
 	feedsArg := fs.String("feeds", "", "telemetry feed layer: 'on' for defaults, or a feed-config JSON file")
 	horizon := fs.Int("horizon", 0, "rolling-horizon window length in slots: switches the scenario to the mpc planner (overrides the scenario's mpc block)")
 	deferArg := fs.String("defer", "", "per-class deferral allowances in slots for the mpc planner, comma-separated (e.g. '0,2'); switches the scenario to the mpc planner")
@@ -592,7 +584,7 @@ func cmdChaos(args []string) error {
 	outageSlots := fs.Int("outage-slots", 3, "slots each outage lasts")
 	spikes := fs.Int("spikes", 2, "price spikes to inject")
 	spikeFactor := fs.Float64("spike-factor", 2, "price multiplier during a spike")
-	applyEngine := engineFlags(fs, true)
+	applyEngine := engineFlags(fs)
 	feeds := fs.Bool("feeds", false, "route planner inputs through the telemetry feed layer and add feed faults to the storm")
 	metricsPath := fs.String("metrics", "", "write the storm run's metrics to this file on exit (Prometheus text; JSON when the path ends in .json)")
 	tracePath := fs.String("trace", "", "stream the storm run's planner-decision events to this file (JSON lines)")
@@ -643,7 +635,7 @@ func cmdChaos(args []string) error {
 	}
 
 	// Every lane plans through the scenario — its engine settings with
-	// the -parallel/-sparse overrides — under its own planner name; the
+	// the -parallel override — under its own planner name; the
 	// storm lanes add the resilient chain and the session's scope.
 	lanes := []string{"optimized", "level-search", "balanced"}
 	cleanPlanners := make([]core.Planner, len(lanes))
@@ -812,7 +804,7 @@ func cmdTrace(args []string) error {
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	servers := fs.Int("servers", 6, "servers per data center")
-	applyEngine := engineFlags(fs, false)
+	applyEngine := engineFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

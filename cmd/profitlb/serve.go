@@ -54,7 +54,10 @@ type gatewayServer struct {
 	// ctrl, when -control is set, closes the sub-slot loop: the loop
 	// goroutine ticks it between slot boundaries and it hot-swaps
 	// re-scaled tables through the same install fences the planner uses.
+	// ctrlMu orders the loop's BeginSlot/Tick with /admin/stats' reads of
+	// the controller's counters; the request path never touches either.
 	ctrl    *control.Controller
+	ctrlMu  sync.Mutex
 	ctrlCfg control.Config
 	plant   *control.FleetPlant // fleet mode only
 
@@ -305,6 +308,8 @@ func (gs *gatewayServer) beginControlSlot(abs int, now float64) {
 	} else {
 		t = gs.gw.Table()
 	}
+	gs.ctrlMu.Lock()
+	defer gs.ctrlMu.Unlock()
 	gs.ctrl.BeginSlot(t, now, gs.sc.Faults.CenterFactors(gs.sc.System.L(), abs))
 }
 
@@ -335,7 +340,9 @@ func (gs *gatewayServer) slotLoop() {
 				return
 			case <-tt.C:
 			}
+			gs.ctrlMu.Lock()
 			gs.ctrl.Tick(gs.now())
+			gs.ctrlMu.Unlock()
 		}
 		next := gs.startWall.Add(time.Duration(i) * period)
 		timer := time.NewTimer(time.Until(next))
@@ -541,10 +548,12 @@ func (gs *gatewayServer) handleStats(w http.ResponseWriter, _ *http.Request) {
 		out["members"] = gs.fleet.Pub.Members()
 	}
 	if gs.ctrl != nil {
+		gs.ctrlMu.Lock()
 		out["control"] = map[string]any{
 			"sub": gs.ctrl.Sub(), "actuations": gs.ctrl.Actuations(),
 			"freezes": gs.ctrl.Freezes(), "frozen": gs.ctrl.Frozen(),
 		}
+		gs.ctrlMu.Unlock()
 	}
 	if gs.sub != nil {
 		rounds, failures, lastErr := gs.sub.Stats()

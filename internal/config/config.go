@@ -55,23 +55,17 @@ type Scenario struct {
 	// simulated runs never strand deferred work. Ignored by the other
 	// planners.
 	MPC *mpc.Config `json:"mpc,omitempty"`
-	// Parallelism configures the plan-search engine of the optimized and
-	// level-search planners (ignored by the baselines): 0 keeps the
-	// legacy serial search, n ≥ 1 runs n workers over the subset-LP memo
-	// cache, negative uses every CPU. Plans are bit-identical across all
+	// Parallelism is the plan-search worker count of the optimized and
+	// level-search planners (ignored by the baselines): 0 and 1 both mean
+	// one worker over the subset-LP memo cache, n > 1 runs n workers,
+	// negative uses every CPU. Plans are bit-identical across all
 	// settings; see DESIGN.md §7.
 	Parallelism int `json:"parallelism,omitempty"`
 	// WarmStart overrides the warm-started simplex re-solves of the
 	// optimized and level-search planners (DESIGN.md §12). Absent keeps
-	// the planner default (on); false forces every slot LP to solve cold,
-	// bit-identical to the classic path.
+	// the planner default (on); false forces every slot LP to solve cold
+	// on the dense two-phase simplex (the reference path).
 	WarmStart *bool `json:"warmStart,omitempty"`
-	// Sparse overrides the sparse revised-simplex routing of the
-	// optimized and level-search planners' warm-started LPs (DESIGN.md
-	// §14). Absent keeps the planner default (on); false forces the
-	// dense warm tableau everywhere, bit-identical to the pre-sparse
-	// path. It has no effect with WarmStart off.
-	Sparse *bool `json:"sparse,omitempty"`
 	// Faults optionally injects a deterministic fault schedule (center
 	// outages/degradations, price spikes/blackouts, arrival-trace
 	// drops/corruptions, planner timeout/error/panic). See DESIGN.md
@@ -294,9 +288,6 @@ func (s *Scenario) engine(e *core.EngineOptions) {
 	e.Parallelism = s.Parallelism
 	if s.WarmStart != nil {
 		e.WarmStart = *s.WarmStart
-	}
-	if s.Sparse != nil {
-		e.Sparse = *s.Sparse
 	}
 	e.Obs = s.Obs
 }

@@ -298,52 +298,3 @@ func TestWarmStartRoundTripAndWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSparseRoundTripAndWiring(t *testing.T) {
-	s := Example()
-	// Absent: planner defaults apply (sparse on).
-	p, err := s.BuildPlanner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o, ok := p.(*core.Optimized); !ok || !o.Sparse {
-		t.Fatalf("default planner %T should have Sparse on", p)
-	}
-
-	off := false
-	s.Sparse = &off
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Sparse == nil || *back.Sparse {
-		t.Fatal("sparse=false lost in round trip")
-	}
-	for _, name := range []string{"", "optimized/per-server"} {
-		back.Planner = name
-		p, err := back.BuildPlanner()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o, ok := p.(*core.Optimized); !ok || o.Sparse {
-			t.Fatalf("planner %q: %T with Sparse not forced off", name, p)
-		}
-	}
-	back.Planner = "level-search"
-	p, err = back.BuildPlanner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls, ok := p.(*core.LevelSearch); !ok || ls.Sparse {
-		t.Fatalf("level-search: %T with Sparse not forced off", p)
-	}
-	// Baselines ignore the knob.
-	back.Planner = "greedy-profit"
-	if _, err := back.BuildPlanner(); err != nil {
-		t.Fatal(err)
-	}
-}

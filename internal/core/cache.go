@@ -5,13 +5,11 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"profitlb/internal/lp"
 )
 
-// SearchStats carries diagnostic counters from one Plan call when the
-// parallel engine is enabled. Like the planner that fills it, it must
-// not be shared between concurrent Plan calls.
+// SearchStats carries the engine's diagnostic counters from one Plan
+// call. Like the planner that fills it, it must not be shared between
+// concurrent Plan calls.
 type SearchStats struct {
 	// Solves counts dispatch LPs actually handed to the simplex solver.
 	Solves int64
@@ -46,17 +44,14 @@ type SearchStats struct {
 // neighborhoods, and LevelSearch maps many level vectors onto the same
 // filtered commodity set — so a hit skips a full simplex solve.
 //
-// Keys cover everything the LP reads: the canonical (k,q,l sorted)
-// commodity set with each commodity's utility and deadline, the
-// variable layout (aggregated or per-server), the completion floors and
-// the solver options, all prefixed with a fingerprint of the Input so
-// an entry can never be replayed for a different slot. Entries are
-// deduplicated with a sync.Once per key: concurrent workers asking for
-// the same subset block on one solve and share the result, which is
-// also why cached rates must be treated as read-only.
-//
-// Invalidation is by construction: the cache is created per Plan call
-// and dropped with it, so there is no cross-slot state to invalidate.
+// A key holds only what varies within one Plan call: the completion
+// floors and the canonical (k,q,l sorted) commodity set. Everything else
+// the LP reads — the Input, the variable layout, the solver options — is
+// constant for the engine that owns the cache, and the cache is created
+// per Plan call and dropped with it, so there is no cross-slot state to
+// invalidate and nothing to fingerprint. Entries are deduplicated with a
+// sync.Once per key: concurrent workers asking for the same subset block
+// on one solve and share the result.
 //
 // The entry map is sharded by a hash of the key: every speculative
 // evaluation of every worker funnels through the cache, so a single
@@ -64,11 +59,10 @@ type SearchStats struct {
 // bursts. Sharding keeps lookups for different subsets contention-free
 // while sync.Once still deduplicates work within each entry.
 type subsetCache struct {
-	fingerprint uint64
-	shards      [cacheShards]cacheShard
-	hits        atomic.Int64
-	solves      atomic.Int64
-	errs        atomic.Int64
+	shards [cacheShards]cacheShard
+	hits   atomic.Int64
+	solves atomic.Int64
+	errs   atomic.Int64
 }
 
 // cacheShards is a power of two comfortably above any worker count the
@@ -87,33 +81,12 @@ type cacheEntry struct {
 	err   error
 }
 
-func newSubsetCache(in *Input) *subsetCache {
-	c := &subsetCache{fingerprint: inputFingerprint(in)}
+func newSubsetCache() *subsetCache {
+	c := &subsetCache{}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]*cacheEntry)
 	}
 	return c
-}
-
-// solve answers a dispatch-LP solve through the cache. comms must be in
-// canonical sortCommodities order so that equal sets produce equal keys.
-// w, when non-nil, warm-starts the underlying simplex solve; the cached
-// value is whichever audited result the one solve for this key produced.
-func (c *subsetCache) solve(in *Input, comms []commodity, perServer bool, floors []float64, opts lp.Options, w *warmState) ([][]float64, float64, error) {
-	e := c.entry(c.key(comms, perServer, floors, opts))
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		c.solves.Add(1)
-		e.rates, e.obj, e.err = solveDispatchLPW(in, comms, perServer, floors, opts, w)
-		if e.err != nil {
-			c.errs.Add(1)
-		}
-	})
-	if hit {
-		c.hits.Add(1)
-	}
-	return e.rates, e.obj, e.err
 }
 
 func (c *subsetCache) entry(k string) *cacheEntry {
@@ -138,39 +111,21 @@ func shardOf(k string) uint64 {
 	return h & (cacheShards - 1)
 }
 
-// key serializes every LP-visible input of a solve. bestCoef and the
-// floored flag are deliberately absent: they steer subset construction,
-// not the LP itself. Each commodity packs to one word: its utility and
-// deadline are functions of (k, q) through the class TUF, which is
-// fixed for the Plan-call lifetime of the cache, so (k, q, l) is the
-// commodity's full identity here. The key is built per lookup on the
-// search's hottest path — packing matters.
-func (c *subsetCache) key(comms []commodity, perServer bool, floors []float64, opts lp.Options) string {
-	buf := make([]byte, 0, 40+8*len(floors)+8*len(comms))
-	var u8 [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(u8[:], v)
-		buf = append(buf, u8[:]...)
-	}
-	putF := func(f float64) { put(math.Float64bits(f)) }
-	put(c.fingerprint)
-	var flags uint64
-	if perServer {
-		flags |= 1
-	}
-	if opts.Bland {
-		flags |= 2
-	}
-	if opts.Sparse {
-		flags |= 4
-	}
-	put(flags)
-	put(uint64(opts.MaxIterations))
-	putF(opts.Tol)
-	put(uint64(opts.SparseMinRows))
+// cacheKey serializes what distinguishes one solve of a Plan call from
+// another. bestCoef and the floored flag are deliberately absent: they
+// steer subset construction, not the LP itself. Each commodity packs to
+// one word: its utility and deadline are functions of (k, q) through the
+// class TUF, which is fixed for the Plan-call lifetime of the cache, so
+// (k, q, l) is the commodity's full identity here — branch-and-bound's
+// relaxations, the one off-ladder combination, carry the NumLevels
+// sentinel as their q. The key is built per lookup on the search's
+// hottest path — packing matters.
+func cacheKey(comms []commodity, floors []float64) string {
+	buf := make([]byte, 0, 8+8*len(floors)+8*len(comms))
+	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	put(uint64(len(floors)))
 	for _, f := range floors {
-		putF(f)
+		put(math.Float64bits(f))
 	}
 	for _, cm := range comms {
 		// k:24 | q:8 | l:32 bits — far beyond any deployable topology
@@ -178,51 +133,4 @@ func (c *subsetCache) key(comms []commodity, perServer bool, floors []float64, o
 		put(uint64(cm.k)<<40 | uint64(cm.q)<<32 | uint64(cm.l))
 	}
 	return string(buf)
-}
-
-// inputFingerprint hashes the parts of the Input the dispatch LP reads:
-// topology dimensions, slot length, arrivals, prices, per-center fleet
-// and service parameters, and the per-class transfer-cost and distance
-// data behind UnitProfit. FNV-1a over the raw float bits.
-func inputFingerprint(in *Input) uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	mixF := func(f float64) { mix(math.Float64bits(f)) }
-	sys := in.Sys
-	mix(uint64(sys.K()))
-	mix(uint64(sys.S()))
-	mix(uint64(sys.L()))
-	mixF(sys.Slot())
-	for _, row := range in.Arrivals {
-		for _, v := range row {
-			mixF(v)
-		}
-	}
-	for _, p := range in.Prices {
-		mixF(p)
-	}
-	for l := range sys.Centers {
-		dc := &sys.Centers[l]
-		mix(uint64(dc.Servers))
-		mixF(dc.Capacity)
-		mixF(dc.EffectivePUE())
-		for _, mu := range dc.ServiceRate {
-			mixF(mu)
-		}
-		for _, e := range dc.EnergyPerRequest {
-			mixF(e)
-		}
-	}
-	for k := range sys.Classes {
-		mixF(sys.Classes[k].TransferCostPerMile)
-	}
-	for s := range sys.FrontEnds {
-		for _, d := range sys.FrontEnds[s].DistanceMiles {
-			mixF(d)
-		}
-	}
-	return h
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"profitlb/internal/datacenter"
+	"profitlb/internal/lp"
 	"profitlb/internal/tuf"
 )
 
@@ -184,8 +185,54 @@ func TestPerServerMatchesAggregated(t *testing.T) {
 	ps := NewOptimized()
 	ps.PerServer = true
 	per := mustPlan(t, ps, in)
-	if math.Abs(agg.Objective-per.Objective) > 1e-4*math.Abs(agg.Objective)+1e-6 {
+	if math.Abs(agg.Objective-per.Objective) > 1e-7*math.Abs(agg.Objective) {
 		t.Fatalf("aggregated %g vs per-server %g", agg.Objective, per.Objective)
+	}
+}
+
+// TestDispatchLayoutsAgree: the one dispatch-LP builder emits both
+// layouts — a center as one group of M servers or as M groups of one —
+// and they are the same LP in value, with and without completion floors;
+// the per-server one carries M copies of every aggregated variable and
+// cap/share row, and its rates sum back over the groups.
+func TestDispatchLayoutsAgree(t *testing.T) {
+	_, in := starvationSystem()
+	for _, floors := range [][]float64{nil, {0.5, 0}} {
+		comms := capReservations(in, admissibleCommodities(in, floors))
+		sortCommodities(comms)
+		agg := buildDispatchLP(in, comms, floors, false)
+		per := buildDispatchLP(in, comms, floors, true)
+		servers := 0
+		for _, c := range comms {
+			servers += in.Sys.Centers[c.l].Servers
+		}
+		if got, want := per.model.NumVariables(), servers*(in.Sys.S()+1); got != want {
+			t.Fatalf("floors %v: per-server layout has %d variables, want %d", floors, got, want)
+		}
+		if got, want := agg.model.NumVariables(), len(comms)*(in.Sys.S()+1); got != want {
+			t.Fatalf("floors %v: aggregated layout has %d variables, want %d", floors, got, want)
+		}
+		ra, err := agg.model.SolveOpts(lp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := per.model.SolveOpts(lp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(ra.Objective-rp.Objective) > 1e-7*math.Abs(ra.Objective) {
+			t.Fatalf("floors %v: aggregated %g vs per-server %g", floors, ra.Objective, rp.Objective)
+		}
+		var sumA, sumP float64
+		for ci := range comms {
+			for s := 0; s < in.Sys.S(); s++ {
+				sumA += agg.extractRates(ra)[ci][s]
+				sumP += per.extractRates(rp)[ci][s]
+			}
+		}
+		if math.Abs(sumA-sumP) > 1e-6*(1+sumA) {
+			t.Fatalf("floors %v: aggregated serves %g, per-server %g", floors, sumA, sumP)
+		}
 	}
 }
 

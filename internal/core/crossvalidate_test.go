@@ -24,8 +24,8 @@ func TestDispatchLPCrossValidatedWithNLP(t *testing.T) {
 		if len(comms) == 0 {
 			continue
 		}
-		d := buildDispatchLP(in, comms, nil)
-		_, exact, err := d.solve(lp.Options{})
+		d := buildDispatchLP(in, comms, nil, false)
+		exact, err := d.model.SolveOpts(lp.Options{})
 		if err != nil {
 			continue // random reservation overloads are legitimate
 		}

@@ -148,15 +148,7 @@ const deferHoldEps = 1e-6
 // per-slot plans with consolidated server counts. Every call solves cold;
 // use a HorizonPlanner to warm-start a rolling sequence of windows.
 func PlanHorizon(h *HorizonInput, opts lp.Options) (*HorizonPlan, error) {
-	if err := h.Validate(); err != nil {
-		return nil, err
-	}
-	b := buildHorizonLP(h)
-	res, err := b.model.SolveOpts(opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: horizon LP failed: %w", err)
-	}
-	return b.extract(h, res)
+	return (&HorizonPlanner{EngineOptions: EngineOptions{LPOpts: opts}}).Plan(h)
 }
 
 // HorizonPlanner plans successive horizon windows with warm-started
@@ -164,17 +156,14 @@ func PlanHorizon(h *HorizonInput, opts lp.Options) (*HorizonPlan, error) {
 // slot, and consecutive windows share most of their structure, so the
 // previous window's optimal basis is imported as the starting vertex.
 // Results are audited exactly like the slot planners' (lp.Solver); with
-// WarmStart false every window solves cold, bit-identical to PlanHorizon.
-// Like the slot planners, a HorizonPlanner must be driven by one caller
-// at a time.
+// WarmStart false every window solves cold. Like the slot planners, a
+// HorizonPlanner must be driven by one caller at a time.
 type HorizonPlanner struct {
 	// EngineOptions carries the solver knobs: WarmStart seeds each
 	// window's LP from the previous window's exported basis, and Sparse
 	// matters most here — horizon LPs couple H slots in one model, so
 	// they cross the sparse row threshold quickly.
 	EngineOptions
-	solver lp.Solver
-	prev   *lp.Basis
 }
 
 // NewHorizonPlanner returns a horizon planner with warm starts on.
@@ -182,24 +171,16 @@ func NewHorizonPlanner() *HorizonPlanner {
 	return &HorizonPlanner{EngineOptions: EngineOptions{WarmStart: true, Sparse: true}}
 }
 
-// Plan solves one window, reusing the planner's retained solver state.
+// Plan solves one window, reusing the planner's retained solver state:
+// the window's one LP is the capture solve of the planner's warm state.
 func (hp *HorizonPlanner) Plan(h *HorizonInput) (*HorizonPlan, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}
 	b := buildHorizonLP(h)
-	var res *lp.Result
-	var err error
-	if hp.WarmStart {
-		res, err = hp.solver.SolveWarm(b.model, hp.prev, hp.lpOpts())
-		if err == nil {
-			if bas, ok := hp.solver.ExportBasis(); ok {
-				hp.prev = bas
-			}
-		}
-	} else {
-		res, err = b.model.SolveOpts(hp.LPOpts)
-	}
+	w := hp.claim(true)
+	defer w.release()
+	res, _, err := w.solveModel(b.model, hp.lpOpts(), true)
 	if err != nil {
 		return nil, fmt.Errorf("core: horizon LP failed: %w", err)
 	}

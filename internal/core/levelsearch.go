@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"profitlb/internal/datacenter"
 	"profitlb/internal/lp"
 )
 
@@ -62,8 +63,6 @@ type LevelSearch struct {
 	// EngineOptions carries the solver and search-engine knobs, exactly
 	// as on Optimized (WarmStart and Sparse are ignored under PerServer).
 	EngineOptions
-	// warm is the retained cross-slot solver state behind WarmStart.
-	warm *warmState
 }
 
 // NewLevelSearch returns a LevelSearch with the defaults used in the
@@ -78,6 +77,16 @@ func (ls *LevelSearch) Name() string { return "level-search/" + ls.Strategy.Stri
 // pair enumerates the (k, l) grid.
 type pair struct{ k, l int }
 
+func allPairs(sys *datacenter.System) []pair {
+	var pairs []pair
+	for k := 0; k < sys.K(); k++ {
+		for l := 0; l < sys.L(); l++ {
+			pairs = append(pairs, pair{k, l})
+		}
+	}
+	return pairs
+}
+
 // Plan implements Planner.
 func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 	if err := in.Validate(); err != nil {
@@ -89,13 +98,10 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 		maxEx = 4096
 	}
 
-	var pairs []pair
+	pairs := allPairs(sys)
 	space := 1.0
-	for k := 0; k < sys.K(); k++ {
-		for l := 0; l < sys.L(); l++ {
-			pairs = append(pairs, pair{k, l})
-			space *= float64(sys.Classes[k].TUF.NumLevels())
-		}
+	for _, p := range pairs {
+		space *= float64(sys.Classes[p.k].TUF.NumLevels())
 	}
 
 	strategy := ls.Strategy
@@ -107,37 +113,28 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 		}
 	}
 
-	var w *warmState
-	if ls.WarmStart && !ls.PerServer {
-		if ls.warm == nil {
-			ls.warm = newWarmState()
-		}
-		w = ls.warm
-	}
-	eng := newEngine(ls.Parallelism, in, ls.Name(), ls.Obs, w)
-	defer eng.report(ls.Stats)
-	if w != nil {
-		// Capture solve: every strategy starts from the all-tightest
-		// (all-zeros) assignment — exhaustive enumerates it first, greedy
-		// climbs from it, branch-and-bound seeds with greedy — so
-		// evaluating it here, strictly sequentially, runs the hot chain
-		// and exports the next slot's seed basis while the result lands
-		// in the memo cache for the strategy to reuse.
-		w.capture = true
-		if _, err := ls.evaluate(eng, in, pairs, make([]int, len(pairs))); err != nil {
-			return nil, err
-		}
-		w.capture = false
+	eng := ls.open(in, ls.Name(), ls.PerServer)
+	defer eng.close()
+	// Capture solve: every strategy starts from the all-tightest
+	// (all-zeros) assignment — exhaustive enumerates it first, greedy
+	// climbs from it, branch-and-bound seeds with greedy — so evaluating
+	// it here, strictly sequentially, runs the hot chain and exports the
+	// next slot's seed basis while the result lands in the memo cache for
+	// the strategy to reuse.
+	if _, err := eng.prologue(func() (assignment, error) {
+		return evaluate(eng, pairs, make([]int, len(pairs)))
+	}); err != nil {
+		return nil, err
 	}
 	var best assignment
 	var err error
 	switch strategy {
 	case Exhaustive:
-		best, err = ls.exhaustive(eng, in, pairs)
+		best, err = exhaustive(eng, pairs)
 	case Greedy:
-		best, err = ls.greedy(eng, in, pairs)
+		best, err = greedy(eng, pairs)
 	case BranchBound:
-		best, err = ls.branchBound(eng, in, pairs)
+		best, err = branchBound(eng, pairs)
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %v", ls.Strategy)
 	}
@@ -168,7 +165,8 @@ type assignment struct {
 // evaluate builds the one-level-per-pair commodity set and solves its LP.
 // Unprofitable or reservation-overloaded pairs are excluded (equivalent to
 // the LP routing nothing there).
-func (ls *LevelSearch) evaluate(eng *engine, in *Input, pairs []pair, levels []int) (assignment, error) {
+func evaluate(eng *engine, pairs []pair, levels []int) (assignment, error) {
+	in := eng.in
 	sys := in.Sys
 	var comms []commodity
 	for pi, p := range pairs {
@@ -192,7 +190,7 @@ func (ls *LevelSearch) evaluate(eng *engine, in *Input, pairs []pair, levels []i
 	if len(comms) == 0 {
 		return assignment{levels: append([]int(nil), levels...)}, nil
 	}
-	rates, obj, err := eng.solve(in, comms, ls.PerServer, nil, ls.lpOpts())
+	rates, obj, err := eng.solve(comms, nil)
 	if err == lp.ErrInfeasible {
 		return assignment{levels: append([]int(nil), levels...), obj: math.Inf(-1)}, nil
 	}
@@ -206,13 +204,13 @@ func (ls *LevelSearch) evaluate(eng *engine, in *Input, pairs []pair, levels []i
 // Batches of consecutive assignments are evaluated concurrently and
 // reduced strictly in enumeration order, so the winner — the first
 // assignment to reach the maximum — is the same at every worker count.
-func (ls *LevelSearch) exhaustive(eng *engine, in *Input, pairs []pair) (assignment, error) {
-	sys := in.Sys
+func exhaustive(eng *engine, pairs []pair) (assignment, error) {
+	sys := eng.in.Sys
 	levels := make([]int, len(pairs))
 	best := assignment{obj: math.Inf(-1)}
 	batch := 1
-	if w := eng.workerCount(); w > 1 {
-		batch = 8 * w
+	if eng.workers > 1 {
+		batch = 8 * eng.workers
 	}
 	done := false
 	for !done {
@@ -232,8 +230,8 @@ func (ls *LevelSearch) exhaustive(eng *engine, in *Input, pairs []pair) (assignm
 				done = true
 			}
 		}
-		results, err := mapOrdered(eng.workerCount(), len(vecs), func(i int) (assignment, error) {
-			return ls.evaluate(eng, in, pairs, vecs[i])
+		results, err := mapOrdered(eng.workers, len(vecs), func(i int) (assignment, error) {
+			return evaluate(eng, pairs, vecs[i])
 		})
 		if err != nil {
 			return assignment{}, err
@@ -251,10 +249,10 @@ func (ls *LevelSearch) exhaustive(eng *engine, in *Input, pairs []pair) (assignm
 // Moves run through speculativePass: neighbors are evaluated
 // concurrently against a frozen state but accepted in exactly the
 // serial order, so the climb path is identical at every worker count.
-func (ls *LevelSearch) greedy(eng *engine, in *Input, pairs []pair) (assignment, error) {
-	sys := in.Sys
+func greedy(eng *engine, pairs []pair) (assignment, error) {
+	sys := eng.in.Sys
 	levels := make([]int, len(pairs))
-	best, err := ls.evaluate(eng, in, pairs, levels)
+	best, err := evaluate(eng, pairs, levels)
 	if err != nil {
 		return assignment{}, err
 	}
@@ -266,7 +264,7 @@ func (ls *LevelSearch) greedy(eng *engine, in *Input, pairs []pair) (assignment,
 		}
 	}
 	for {
-		improved, err := speculativePass(eng.workerCount(), len(moves),
+		improved, err := speculativePass(eng.workers, len(moves),
 			func(i int) (assignment, error) {
 				mv := moves[i]
 				if mv.q == levels[mv.pi] {
@@ -274,7 +272,7 @@ func (ls *LevelSearch) greedy(eng *engine, in *Input, pairs []pair) (assignment,
 				}
 				trial := append([]int(nil), levels...)
 				trial[mv.pi] = mv.q
-				return ls.evaluate(eng, in, pairs, trial)
+				return evaluate(eng, pairs, trial)
 			},
 			func(i int, a assignment) bool {
 				if a.obj <= best.obj+1e-9 {
@@ -307,16 +305,16 @@ func (ls *LevelSearch) greedy(eng *engine, in *Input, pairs []pair) (assignment,
 // optimum is ever pruned, under any schedule. Among ties the winner is
 // fixed by the ordered reduction over subtrees (and DFS order within
 // one), with the greedy seed winning all ties — the serial result.
-func (ls *LevelSearch) branchBound(eng *engine, in *Input, pairs []pair) (assignment, error) {
+func branchBound(eng *engine, pairs []pair) (assignment, error) {
 	// Seed the incumbent with the greedy solution so pruning bites early.
-	best, err := ls.greedy(eng, in, pairs)
+	best, err := greedy(eng, pairs)
 	if err != nil {
 		return assignment{}, err
 	}
 	inc := newAtomicFloat(best.obj)
-	prefixes := bbPrefixes(in, pairs, eng.workerCount())
-	results, err := mapOrdered(eng.workerCount(), len(prefixes), func(i int) (assignment, error) {
-		return ls.bbSubtree(eng, in, pairs, prefixes[i], inc)
+	prefixes := bbPrefixes(eng.in, pairs, eng.workers)
+	results, err := mapOrdered(eng.workers, len(prefixes), func(i int) (assignment, error) {
+		return bbSubtree(eng, pairs, prefixes[i], inc)
 	})
 	if err != nil {
 		return assignment{}, err
@@ -354,15 +352,15 @@ func bbPrefixes(in *Input, pairs []pair, workers int) [][]int {
 
 // bbSubtree runs the depth-first search under one fixed level prefix,
 // returning the subtree's best leaf (ties broken by DFS order).
-func (ls *LevelSearch) bbSubtree(eng *engine, in *Input, pairs []pair, prefix []int, inc *atomicFloat) (assignment, error) {
-	sys := in.Sys
+func bbSubtree(eng *engine, pairs []pair, prefix []int, inc *atomicFloat) (assignment, error) {
+	sys := eng.in.Sys
 	levels := make([]int, len(pairs))
 	copy(levels, prefix)
 	local := assignment{obj: math.Inf(-1)}
 	var rec func(depth int) error
 	rec = func(depth int) error {
 		if depth == len(pairs) {
-			a, err := ls.evaluate(eng, in, pairs, levels)
+			a, err := evaluate(eng, pairs, levels)
 			if err != nil {
 				return err
 			}
@@ -372,7 +370,7 @@ func (ls *LevelSearch) bbSubtree(eng *engine, in *Input, pairs []pair, prefix []
 			inc.raise(a.obj)
 			return nil
 		}
-		ub, err := ls.upperBound(eng, in, pairs, levels, depth)
+		ub, err := upperBound(eng, pairs, levels, depth)
 		if err != nil {
 			return err
 		}
@@ -404,7 +402,8 @@ func (ls *LevelSearch) bbSubtree(eng *engine, in *Input, pairs []pair, prefix []
 // upperBound solves the relaxed LP where pairs below depth keep their
 // assigned level and pairs at or beyond depth get max utility with the
 // loosest deadline.
-func (ls *LevelSearch) upperBound(eng *engine, in *Input, pairs []pair, levels []int, depth int) (float64, error) {
+func upperBound(eng *engine, pairs []pair, levels []int, depth int) (float64, error) {
+	in := eng.in
 	sys := in.Sys
 	var comms []commodity
 	for pi, p := range pairs {
@@ -438,7 +437,7 @@ func (ls *LevelSearch) upperBound(eng *engine, in *Input, pairs []pair, levels [
 	if len(comms) == 0 {
 		return 0, nil
 	}
-	_, obj, err := eng.solve(in, comms, false, nil, ls.lpOpts())
+	_, obj, err := eng.solve(comms, nil)
 	if err == lp.ErrInfeasible {
 		return math.Inf(-1), nil
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"profitlb/internal/lp"
 	"profitlb/internal/obs"
@@ -63,55 +64,56 @@ type Optimized struct {
 	// ignored under PerServer, whose variable layout changes with the
 	// commodity set too quickly to seed.
 	EngineOptions
-	// warm is the retained cross-slot solver state behind WarmStart.
-	warm *warmState
 }
 
 // EngineOptions are the solver and plan-search knobs every LP-backed
 // planner carries (embedded in Optimized, LevelSearch and
-// HorizonPlanner; the constructors switch WarmStart and Sparse on).
+// HorizonPlanner; the constructors switch WarmStart and Sparse on),
+// together with the warm-start state those knobs govern. Every LP the
+// planners solve takes one path: build → engine → memo cache →
+// lp.Solver's warm ladder → the kernel the row count selects.
 type EngineOptions struct {
 	// LPOpts tunes the simplex solver.
 	LPOpts lp.Options
-	// Parallelism controls the plan-search engine. 0 (the default)
-	// keeps the legacy strictly serial, uncached search; n ≥ 1 enables
-	// the engine with n workers and the subset-LP memo cache (n = 1 is
-	// the serial engine: identical search order, answered from cache);
-	// negative values use runtime.NumCPU(). Parallel and serial runs
-	// commit bit-identical plans — see DESIGN.md §7. The engine's
-	// goroutines live entirely inside one Plan call; the planner itself
-	// must still be driven by a single caller at a time. A
-	// HorizonPlanner solves one LP per window and has no search to
-	// parallelize.
+	// Parallelism is the plan-search engine's worker count. 0 and 1 both
+	// mean one worker: the serial search order, with repeated subsets
+	// answered from the memo cache. n > 1 evaluates candidate subsets on
+	// n workers (capped at the CPU count); negative values use
+	// runtime.NumCPU(). Every setting commits the bit-identical plan — see
+	// DESIGN.md §7. The engine's goroutines live entirely inside one Plan
+	// call; the planner itself must still be driven by a single caller at
+	// a time. A HorizonPlanner solves one LP per window and has no search
+	// to parallelize.
 	Parallelism int
 	// WarmStart re-solves successive LPs (the next slot's dispatch LP,
 	// the next horizon window) from the optimal basis of the previous
 	// one instead of from scratch (see DESIGN.md §12). Warm results are
 	// audited against the model before use and identical at every
 	// Parallelism setting, but may differ from cold results at
-	// floating-point round-off level; set WarmStart to false for solves
-	// bit-identical to the classic cold path. WarmStart routes a slot
-	// planner's solves through the engine and memo cache even at
-	// Parallelism == 0, so Stats and Obs become live there too.
+	// floating-point round-off level; WarmStart false is the cold dense
+	// reference — every LP solved from scratch by the two-phase simplex.
 	WarmStart bool
-	// Sparse routes warm-started LPs at or above the sparse row
-	// threshold through the sparse revised simplex (LU-factorized basis,
-	// FTRAN/BTRAN solves) instead of the dense warm tableau (see
-	// DESIGN.md §14). Results are audited exactly like the dense warm
-	// path's; set Sparse to false — or leave WarmStart off — for the
-	// dense path bit for bit. The threshold itself can be tuned via
-	// LPOpts.SparseMinRows.
+	// Sparse lets warm-started LPs at or above the sparse row threshold
+	// run on the sparse revised simplex (LU-factorized basis, FTRAN/BTRAN
+	// solves) instead of the dense warm tableau (see DESIGN.md §12).
+	// Results are audited exactly like the dense kernel's. The
+	// constructors switch it on, and no scenario key or CLI flag switches
+	// it off — the kernel is picked from the row count, not by a user;
+	// only the solver trajectory bench does, to time the dense kernel at
+	// sparse sizes.
 	Sparse bool
 	// Stats, when non-nil, receives the engine's solver counters after
-	// each Plan call (zero when the engine is off, i.e. Parallelism == 0
-	// and WarmStart == false). Diagnostics only.
+	// each Plan call. Diagnostics only.
 	Stats *SearchStats
 	// Obs, when non-nil, streams the engine's LP-solve and cache
 	// counters (metrics plus one engine event per Plan call) to the
 	// observability layer. It only watches — plans are bit-identical
-	// with or without a scope. Zero when the engine is off: the legacy
-	// serial path has no engine to count.
+	// with or without a scope.
 	Obs *obs.Scope
+	// warm is the retained cross-call solver state behind WarmStart,
+	// claimed by one Plan call at a time (see warm.go). Holding it here
+	// means a planner value must not be copied once it has planned.
+	warm warmState
 }
 
 // lpOpts resolves the effective solver options: the Sparse knob merges
@@ -144,32 +146,17 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	var w *warmState
-	if o.WarmStart && !o.PerServer {
-		if o.warm == nil {
-			o.warm = newWarmState()
-		}
-		w = o.warm
-	}
-	eng := newEngine(o.Parallelism, in, o.Name(), o.Obs, w)
-	defer eng.report(o.Stats)
+	eng := o.open(in, o.Name(), o.PerServer)
+	defer eng.close()
 	full := admissibleCommodities(in, o.MinCompletion)
-	// The first solve of the Plan call runs strictly sequentially, so it
-	// is the designated capture solve: it re-solves on the retained hot
-	// tableau and exports the basis that seeds the next slot. The window
-	// is closed explicitly in case the subset was empty and no LP ran.
-	if w != nil {
-		w.capture = true
-	}
-	best, err := o.solveSubset(eng, in, capReservations(in, full))
-	if w != nil {
-		w.capture = false
-	}
+	best, err := eng.prologue(func() (assignment, error) {
+		return o.solveSubset(eng, capReservations(in, full))
+	})
 	if err != nil {
 		return nil, err
 	}
 	if o.Refine {
-		improved, err := o.toggleSearch(eng, in, full, best)
+		improved, err := o.toggleSearch(eng, full, best)
 		if err != nil {
 			return nil, err
 		}
@@ -178,17 +165,17 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 		// all but one level per (type, center) and sometimes escapes the
 		// full set's reservation load.
 		if multiLevel(in) {
-			seed, err := o.greedySeed(eng, in)
+			seed, err := o.greedySeed(eng)
 			if err != nil {
 				return nil, err
 			}
 			// Re-evaluate the seed subset under this planner's own
 			// constraints (the greedy search knows nothing of floors).
-			seedEval, err := o.solveSubset(eng, in, seed.comms)
+			seedEval, err := o.solveSubset(eng, seed.comms)
 			if err != nil {
 				return nil, err
 			}
-			fromSeed, err := o.toggleSearch(eng, in, full, seedEval)
+			fromSeed, err := o.toggleSearch(eng, full, seedEval)
 			if err != nil {
 				return nil, err
 			}
@@ -312,14 +299,14 @@ func dropWorst(comms []commodity) []commodity {
 // completion floors, numerically rare infeasibility retries with the
 // least valuable commodity dropped; with floors, an infeasible subset is
 // reported as a -Inf assignment so the subset search can route around it.
-func (o *Optimized) solveSubset(eng *engine, in *Input, comms []commodity) (assignment, error) {
+func (o *Optimized) solveSubset(eng *engine, comms []commodity) (assignment, error) {
 	comms = append([]commodity(nil), comms...)
 	// Canonical order: keys the memo cache and keeps the LP layout
 	// independent of how the candidate subset was constructed.
 	sortCommodities(comms)
-	withFloors := floorsActive(in, o.MinCompletion)
+	withFloors := floorsActive(eng.in, o.MinCompletion)
 	for {
-		rates, obj, err := eng.solve(in, comms, o.PerServer, o.MinCompletion, o.lpOpts())
+		rates, obj, err := eng.solve(comms, o.MinCompletion)
 		if err == nil {
 			return assignment{comms: comms, rates: rates, obj: obj}, nil
 		}
@@ -343,7 +330,7 @@ func keyOf(c commodity) commodityKey { return commodityKey{c.k, c.q, c.l} }
 // moves are evaluated through speculativePass, so the engine solves
 // several trial subsets concurrently while committing exactly the same
 // first-improvement sequence as the serial search.
-func (o *Optimized) toggleSearch(eng *engine, in *Input, full []commodity, start assignment) (assignment, error) {
+func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment) (assignment, error) {
 	best := start
 	inSet := make(map[commodityKey]bool, len(best.comms))
 	for _, c := range best.comms {
@@ -364,20 +351,20 @@ func (o *Optimized) toggleSearch(eng *engine, in *Input, full []commodity, start
 			return trial, true
 		}
 		trial = append(append([]commodity(nil), best.comms...), cand)
-		capped := capReservations(in, trial)
+		capped := capReservations(eng.in, trial)
 		if len(capped) != len(trial) {
 			return nil, false
 		}
 		return capped, true
 	}
 	for iter := 0; iter < 60; iter++ {
-		improved, err := speculativePass(eng.workerCount(), len(full),
+		improved, err := speculativePass(eng.workers, len(full),
 			func(i int) (assignment, error) {
 				trial, ok := trialFor(full[i])
 				if !ok {
 					return assignment{obj: math.Inf(-1)}, nil // skipped move
 				}
-				return o.solveSubset(eng, in, trial)
+				return o.solveSubset(eng, trial)
 			},
 			func(i int, a assignment) bool {
 				if a.obj <= best.obj+1e-9 {
@@ -401,15 +388,8 @@ func (o *Optimized) toggleSearch(eng *engine, in *Input, full []commodity, start
 // greedySeed runs the greedy single-level commitment of LevelSearch to
 // seed the subset search. It shares the caller's engine, so its LP
 // solves land in (and draw from) the same memo cache.
-func (o *Optimized) greedySeed(eng *engine, in *Input) (assignment, error) {
-	ls := &LevelSearch{Strategy: Greedy, PerServer: o.PerServer, EngineOptions: EngineOptions{LPOpts: o.LPOpts, Sparse: o.Sparse}}
-	var pairs []pair
-	for k := 0; k < in.Sys.K(); k++ {
-		for l := 0; l < in.Sys.L(); l++ {
-			pairs = append(pairs, pair{k, l})
-		}
-	}
-	return ls.greedy(eng, in, pairs)
+func (o *Optimized) greedySeed(eng *engine) (assignment, error) {
+	return greedy(eng, allPairs(eng.in.Sys))
 }
 
 // multiLevel reports whether any class has more than one TUF level.
@@ -422,57 +402,86 @@ func multiLevel(in *Input) bool {
 	return false
 }
 
-// dispatchLP is the aggregated slot LP together with the handles needed
-// to read the solution and its shadow prices back out.
+// dispatchLP is the slot LP together with the handles needed to read the
+// solution and its shadow prices back out.
 type dispatchLP struct {
 	model *lp.Model
 	comms []commodity
-	xVar  [][]int // [ci][s]
-	fVar  []int   // [ci]
-	// arrRow[k][s] and shareRow[l] index constraint rows (-1 if absent).
+	// xVar[ci] holds commodity ci's λ variables, S per server group
+	// (index g·S + s); fVar[ci][g] is the group's share variable.
+	xVar [][]int
+	fVar [][]int
+	// arrRow[k][s] and shareRow[l] index constraint rows (-1 if absent;
+	// per-server, shareRow[l] is the last server's row).
 	arrRow   [][]int
 	shareRow []int
 }
 
-// buildDispatchLP assembles the aggregated LP over the given commodities:
-// objective = paper Eq. 5, constraints = linearized Constraint 6
-// aggregated over the M_l homogeneous servers (M·C·μ·φ − Σ_s λ ≥ M/D),
-// per-front-end arrival budgets (Constraint 7) and per-center share caps
-// (Constraint 8).
-func buildDispatchLP(in *Input, comms []commodity, floors []float64) *dispatchLP {
+// buildDispatchLP assembles the slot LP over the given commodities:
+// objective = paper Eq. 5, constraints = linearized Constraint 6,
+// per-front-end arrival budgets (Constraint 7) and share caps
+// (Constraint 8). The M_l homogeneous servers of a center enter as one
+// group of M_l (the aggregated layout: M·C·μ·φ − Σ_s λ ≥ M/D) or, with
+// perServer, as M_l groups of one — the paper's faithful λ_{k,s,i,l},
+// φ_{k,i,l} variables, equal in value and much larger.
+func buildDispatchLP(in *Input, comms []commodity, floors []float64, perServer bool) *dispatchLP {
 	sys := in.Sys
 	T := sys.Slot()
+	S := sys.S()
 	d := &dispatchLP{model: lp.NewModel(), comms: comms}
 	m := d.model
+	// groups returns center l's group count and each group's size; name
+	// tags a variable or row with its group.
+	groups := func(l int) (int, float64) {
+		if perServer {
+			return sys.Centers[l].Servers, 1
+		}
+		return 1, float64(sys.Centers[l].Servers)
+	}
+	name := func(base string, g int) string {
+		if perServer {
+			return base + "_i" + strconv.Itoa(g)
+		}
+		return base
+	}
 
 	d.xVar = make([][]int, len(comms))
-	d.fVar = make([]int, len(comms))
+	d.fVar = make([][]int, len(comms))
 	for ci, c := range comms {
-		d.fVar[ci] = m.AddVariable(fmt.Sprintf("phi_k%d_q%d_l%d", c.k, c.q, c.l), 0)
-		d.xVar[ci] = make([]int, sys.S())
-		for s := 0; s < sys.S(); s++ {
-			coef := T * sys.UnitProfit(c.k, s, c.l, c.utility, in.Prices[c.l])
-			d.xVar[ci][s] = m.AddVariable(fmt.Sprintf("lam_k%d_q%d_s%d_l%d", c.k, c.q, s, c.l), coef)
+		count, _ := groups(c.l)
+		vars := make([]int, count*(S+1))
+		d.fVar[ci], d.xVar[ci] = vars[:count], vars[count:]
+		for g := 0; g < count; g++ {
+			d.fVar[ci][g] = m.AddVariable(name(fmt.Sprintf("phi_k%d_q%d_l%d", c.k, c.q, c.l), g), 0)
+			for s := 0; s < S; s++ {
+				coef := T * sys.UnitProfit(c.k, s, c.l, c.utility, in.Prices[c.l])
+				d.xVar[ci][g*S+s] = m.AddVariable(name(fmt.Sprintf("lam_k%d_q%d_s%d_l%d", c.k, c.q, s, c.l), g), coef)
+			}
 		}
 	}
 	for ci, c := range comms {
 		dc := &sys.Centers[c.l]
-		n := float64(dc.Servers)
-		terms := []lp.Term{{Var: d.fVar[ci], Coef: n * dc.Capacity * dc.ServiceRate[c.k]}}
-		for s := 0; s < sys.S(); s++ {
-			terms = append(terms, lp.Term{Var: d.xVar[ci][s], Coef: -1})
+		_, n := groups(c.l)
+		for g, f := range d.fVar[ci] {
+			terms := []lp.Term{{Var: f, Coef: n * dc.Capacity * dc.ServiceRate[c.k]}}
+			for _, x := range d.xVar[ci][g*S : (g+1)*S] {
+				terms = append(terms, lp.Term{Var: x, Coef: -1})
+			}
+			m.AddConstraint(name(fmt.Sprintf("cap_k%d_q%d_l%d", c.k, c.q, c.l), g), terms, lp.GE, n/c.deadline)
 		}
-		m.AddConstraint(fmt.Sprintf("cap_k%d_q%d_l%d", c.k, c.q, c.l), terms, lp.GE, n/c.deadline)
 	}
 	d.arrRow = make([][]int, sys.K())
 	for k := 0; k < sys.K(); k++ {
-		d.arrRow[k] = make([]int, sys.S())
-		for s := 0; s < sys.S(); s++ {
+		d.arrRow[k] = make([]int, S)
+		for s := 0; s < S; s++ {
 			d.arrRow[k][s] = -1
 			var terms []lp.Term
-			for ci, c := range comms {
-				if c.k == k {
-					terms = append(terms, lp.Term{Var: d.xVar[ci][s], Coef: 1})
+			for ci := range comms {
+				if comms[ci].k != k {
+					continue
+				}
+				for j := s; j < len(d.xVar[ci]); j += S {
+					terms = append(terms, lp.Term{Var: d.xVar[ci][j], Coef: 1})
 				}
 			}
 			if len(terms) > 0 {
@@ -491,97 +500,54 @@ func buildDispatchLP(in *Input, comms []commodity, floors []float64) *dispatchLP
 			if c.k != k {
 				continue
 			}
-			for s := 0; s < sys.S(); s++ {
-				terms = append(terms, lp.Term{Var: d.xVar[ci][s], Coef: 1})
+			for _, x := range d.xVar[ci] {
+				terms = append(terms, lp.Term{Var: x, Coef: 1})
 			}
 		}
 		var offered float64
-		for s := 0; s < sys.S(); s++ {
+		for s := 0; s < S; s++ {
 			offered += in.Arrivals[s][k]
 		}
 		if len(terms) == 0 && frac*offered > 0 {
 			// No admissible commodity can serve the type at all: encode
 			// an explicitly infeasible row so the caller sees it.
-			terms = []lp.Term{{Var: d.fVar[0], Coef: 0}}
+			terms = []lp.Term{{Var: d.fVar[0][0], Coef: 0}}
 		}
 		m.AddConstraint(fmt.Sprintf("floor_k%d", k), terms, lp.GE, frac*offered)
 	}
 	d.shareRow = make([]int, sys.L())
 	for l := 0; l < sys.L(); l++ {
 		d.shareRow[l] = -1
-		var terms []lp.Term
-		for ci, c := range comms {
-			if c.l == l {
-				terms = append(terms, lp.Term{Var: d.fVar[ci], Coef: 1})
+		count, _ := groups(l)
+		for g := 0; g < count; g++ {
+			var terms []lp.Term
+			for ci := range comms {
+				if comms[ci].l == l {
+					terms = append(terms, lp.Term{Var: d.fVar[ci][g], Coef: 1})
+				}
 			}
-		}
-		if len(terms) > 0 {
-			d.shareRow[l] = m.AddConstraint(fmt.Sprintf("share_l%d", l), terms, lp.LE, 1)
+			if len(terms) > 0 {
+				d.shareRow[l] = m.AddConstraint(name(fmt.Sprintf("share_l%d", l), g), terms, lp.LE, 1)
+			}
 		}
 	}
 	return d
 }
 
-// solve optimizes the LP and extracts the per-commodity rates.
-func (d *dispatchLP) solve(opts lp.Options) ([][]float64, *lp.Result, error) {
-	res, err := d.model.SolveOpts(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.extractRates(res), res, nil
-}
-
-// extractRates reads the per-commodity dispatch rates out of a solution.
+// extractRates reads the per-commodity dispatch rates out of a solution,
+// summed over a center's server groups.
 func (d *dispatchLP) extractRates(res *lp.Result) [][]float64 {
-	S := 0
-	if len(d.xVar) > 0 {
-		S = len(d.xVar[0])
-	}
 	rates := make([][]float64, len(d.comms))
-	for ci := range d.comms {
+	for ci, xs := range d.xVar {
+		S := len(xs) / len(d.fVar[ci])
 		rates[ci] = make([]float64, S)
-		for s := 0; s < S; s++ {
-			if v := res.Value(d.xVar[ci][s]); v > 0 {
-				rates[ci][s] = v
+		for j, x := range xs {
+			if v := res.Value(x); v > 0 {
+				rates[ci][j%S] += v
 			}
 		}
 	}
 	return rates
-}
-
-// solveDispatchLP builds and solves the slot LP over the given commodities
-// and returns rates[ci][s] (the per-commodity dispatch from each front-end)
-// and the objective (dollars for the slot).
-func solveDispatchLP(in *Input, comms []commodity, perServer bool, floors []float64, opts lp.Options) ([][]float64, float64, error) {
-	return solveDispatchLPW(in, comms, perServer, floors, opts, nil)
-}
-
-// solveDispatchLPW is solveDispatchLP with an optional warm state: when
-// w is non-nil (and the layout is aggregated — the per-server layout is
-// never warm-started), the simplex runs from the planner's retained
-// basis instead of from scratch.
-func solveDispatchLPW(in *Input, comms []commodity, perServer bool, floors []float64, opts lp.Options, w *warmState) ([][]float64, float64, error) {
-	if len(comms) == 0 {
-		if floorsActive(in, floors) {
-			return nil, 0, lp.ErrInfeasible
-		}
-		return nil, 0, nil
-	}
-	if perServer {
-		return solvePerServerLP(in, comms, floors, opts)
-	}
-	d := buildDispatchLP(in, comms, floors)
-	var res *lp.Result
-	var err error
-	if w != nil {
-		res, err = w.solveModel(d.model, opts)
-	} else {
-		res, err = d.model.SolveOpts(opts)
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return d.extractRates(res), res.Objective, nil
 }
 
 // floorsActive reports whether any completion floor binds a type with
@@ -598,111 +564,6 @@ func floorsActive(in *Input, floors []float64) bool {
 		}
 	}
 	return false
-}
-
-// solvePerServerLP is the faithful formulation with per-server variables
-// λ_{k,q,s,i,l} and φ_{k,q,i,l}; it returns rates aggregated over servers.
-func solvePerServerLP(in *Input, comms []commodity, floors []float64, opts lp.Options) ([][]float64, float64, error) {
-	sys := in.Sys
-	T := sys.Slot()
-	m := lp.NewModel()
-
-	xVar := make([][][]int, len(comms)) // [ci][i][s]
-	fVar := make([][]int, len(comms))   // [ci][i]
-	for ci, c := range comms {
-		servers := sys.Centers[c.l].Servers
-		fVar[ci] = make([]int, servers)
-		xVar[ci] = make([][]int, servers)
-		for i := 0; i < servers; i++ {
-			fVar[ci][i] = m.AddVariable(fmt.Sprintf("phi_k%d_q%d_l%d_i%d", c.k, c.q, c.l, i), 0)
-			xVar[ci][i] = make([]int, sys.S())
-			for s := 0; s < sys.S(); s++ {
-				coef := T * sys.UnitProfit(c.k, s, c.l, c.utility, in.Prices[c.l])
-				xVar[ci][i][s] = m.AddVariable(fmt.Sprintf("lam_k%d_q%d_s%d_l%d_i%d", c.k, c.q, s, c.l, i), coef)
-			}
-		}
-	}
-	for ci, c := range comms {
-		dc := &sys.Centers[c.l]
-		for i := 0; i < dc.Servers; i++ {
-			terms := []lp.Term{{Var: fVar[ci][i], Coef: dc.Capacity * dc.ServiceRate[c.k]}}
-			for s := 0; s < sys.S(); s++ {
-				terms = append(terms, lp.Term{Var: xVar[ci][i][s], Coef: -1})
-			}
-			m.AddConstraint(fmt.Sprintf("cap_k%d_q%d_l%d_i%d", c.k, c.q, c.l, i), terms, lp.GE, 1/c.deadline)
-		}
-	}
-	for k := 0; k < sys.K(); k++ {
-		for s := 0; s < sys.S(); s++ {
-			var terms []lp.Term
-			for ci, c := range comms {
-				if c.k != k {
-					continue
-				}
-				for i := range xVar[ci] {
-					terms = append(terms, lp.Term{Var: xVar[ci][i][s], Coef: 1})
-				}
-			}
-			if len(terms) > 0 {
-				m.AddConstraint(fmt.Sprintf("arr_k%d_s%d", k, s), terms, lp.LE, in.Arrivals[s][k])
-			}
-		}
-	}
-	for l := 0; l < sys.L(); l++ {
-		for i := 0; i < sys.Centers[l].Servers; i++ {
-			var terms []lp.Term
-			for ci, c := range comms {
-				if c.l == l {
-					terms = append(terms, lp.Term{Var: fVar[ci][i], Coef: 1})
-				}
-			}
-			if len(terms) > 0 {
-				m.AddConstraint(fmt.Sprintf("share_l%d_i%d", l, i), terms, lp.LE, 1)
-			}
-		}
-	}
-	for k := 0; k < sys.K() && k < len(floors); k++ {
-		frac := floors[k]
-		if frac <= 0 {
-			continue
-		}
-		var terms []lp.Term
-		for ci, c := range comms {
-			if c.k != k {
-				continue
-			}
-			for i := range xVar[ci] {
-				for s := 0; s < sys.S(); s++ {
-					terms = append(terms, lp.Term{Var: xVar[ci][i][s], Coef: 1})
-				}
-			}
-		}
-		var offered float64
-		for s := 0; s < sys.S(); s++ {
-			offered += in.Arrivals[s][k]
-		}
-		if len(terms) == 0 && frac*offered > 0 {
-			terms = []lp.Term{{Var: fVar[0][0], Coef: 0}}
-		}
-		m.AddConstraint(fmt.Sprintf("floor_k%d", k), terms, lp.GE, frac*offered)
-	}
-
-	res, err := m.SolveOpts(opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	rates := make([][]float64, len(comms))
-	for ci := range comms {
-		rates[ci] = make([]float64, sys.S())
-		for i := range xVar[ci] {
-			for s := 0; s < sys.S(); s++ {
-				if v := res.Value(xVar[ci][i][s]); v > 0 {
-					rates[ci][s] += v
-				}
-			}
-		}
-	}
-	return rates, res.Objective, nil
 }
 
 // planFromRates turns per-commodity dispatch rates into a full Plan:

@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"profitlb/internal/lp"
 )
 
 // determinismInputs is the seed battery for the parallel-vs-serial
@@ -167,35 +165,46 @@ func TestMemoCacheHits(t *testing.T) {
 // pairs within one Plan call.
 func TestCacheKeySeparatesRelaxations(t *testing.T) {
 	in := &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
-	c := newSubsetCache(in)
 	cls := in.Sys.Classes[0].TUF
 	if cls.Deadline() == cls.Level(0).Deadline {
 		t.Fatal("fixture must have a loosest deadline distinct from level 0")
 	}
 	real := []commodity{{k: 0, q: 0, l: 0, utility: cls.Level(0).Utility, deadline: cls.Level(0).Deadline}}
 	relax := []commodity{{k: 0, q: cls.NumLevels(), l: 0, utility: cls.MaxUtility(), deadline: cls.Deadline()}}
-	var opts lp.Options
-	if c.key(real, false, nil, opts) == c.key(relax, false, nil, opts) {
+	if cacheKey(real, nil) == cacheKey(relax, nil) {
 		t.Fatal("relaxation commodity shares a cache key with the real level-0 commodity")
 	}
 }
 
-// TestStatsZeroWhenSerial: with warm starting off, Parallelism=0 is the
-// legacy path and must not engage the engine.
-func TestStatsZeroWhenSerial(t *testing.T) {
+// TestParallelismZeroIsOne: Parallelism 0 and 1 are the same setting —
+// one worker over the memo cache — warm or cold: the same plan from the
+// same number of solves and cache hits, slot after slot.
+func TestParallelismZeroIsOne(t *testing.T) {
 	in := &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
-	o := NewOptimized()
-	o.WarmStart = false
-	o.Stats = &SearchStats{}
-	mustPlan(t, o, in)
-	if o.Stats.Solves != 0 || o.Stats.CacheHits != 0 {
-		t.Fatalf("Parallelism=0 must bypass the engine, got stats %+v", *o.Stats)
+	for _, warm := range []bool{false, true} {
+		var planners [2]*Optimized
+		for par := range planners {
+			planners[par] = NewOptimized()
+			planners[par].WarmStart = warm
+			planners[par].Parallelism = par
+			planners[par].Stats = &SearchStats{}
+		}
+		for slot := 0; slot < 3; slot++ {
+			p0, p1 := mustPlan(t, planners[0], in), mustPlan(t, planners[1], in)
+			if !reflect.DeepEqual(p0, p1) {
+				t.Fatalf("warm=%v slot %d: Parallelism 0 and 1 committed different plans", warm, slot)
+			}
+			s0, s1 := *planners[0].Stats, *planners[1].Stats
+			if s0 != s1 || s0.Solves == 0 || s0.CacheHits == 0 {
+				t.Fatalf("warm=%v slot %d: stats differ or engine idle: %+v vs %+v", warm, slot, s0, s1)
+			}
+		}
 	}
 }
 
-// TestStatsLiveWhenWarmSerial: WarmStart forces the engine (and with it
-// the memo cache and stats) on even at Parallelism=0, so repeated
-// subsets resolve identically at every parallelism setting.
+// TestStatsLiveWhenWarmSerial: the engine's stats are live at
+// Parallelism=0, and the warm counters show the cold first slot and the
+// warm-started second.
 func TestStatsLiveWhenWarmSerial(t *testing.T) {
 	in := &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
 	o := NewOptimized()

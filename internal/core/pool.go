@@ -13,47 +13,53 @@ import (
 
 // engine is the per-Plan-call execution context of the plan search: a
 // worker budget for evaluating independent subset/assignment LPs
-// concurrently plus a memoization cache for dispatch-LP solves. A nil
-// engine is the legacy strictly serial, uncached search. The engine
-// never outlives the Plan call that created it, so cached entries are
-// always for the call's own Input.
+// concurrently, the memo cache every dispatch-LP solve goes through, and
+// what is constant for the call — the Input, the LP layout, the solver
+// options and the claimed warm state. It never outlives the Plan call
+// that opened it, so cached entries are always for the call's own Input.
 type engine struct {
-	workers int
-	cache   *subsetCache
-	// warm, when non-nil, warm-starts every dispatch-LP solve from the
-	// owning planner's retained basis (see warm.go). The engine only
-	// forwards it; the warmState outlives the engine.
+	in        *Input
+	perServer bool
+	opts      lp.Options
+	workers   int
+	cache     *subsetCache
+	// warm, when non-nil, warm-starts every solve from the owning
+	// planner's retained basis (see warm.go); nil solves cold.
 	warm *warmState
+	// capture is raised by prologue around the call's first, strictly
+	// sequential solve: the first LP solved while it is up runs on the
+	// warm state's hot chain.
+	capture bool
+	// Per-call solver counters, published by close.
+	warmHits        atomic.Int64 // solves answered hot or by basis import
+	warmFallbacks   atomic.Int64 // warm attempts that fell back to cold
+	warmPivots      atomic.Int64 // simplex pivots spent on warm-path solves
+	coldPivots      atomic.Int64 // pivots spent on cold solves (incl. fallbacks)
+	sparseSolves    atomic.Int64 // warm solves answered by the sparse revised simplex
+	abandonedPivots atomic.Int64 // pivots burned on abandoned warm attempts
+	stats           *SearchStats
 	// sc streams the engine's solver counters to the observability
-	// layer when the owning planner carries a scope; slot and planner
-	// label the summary event. Nil-safe like everything in obs.
+	// layer when the owning planner carries a scope; the Input's slot and
+	// planner label the summary event. Nil-safe like everything in obs.
 	sc      *obs.Scope
-	slot    int
 	planner string
 }
 
-// newEngine resolves a planner's Parallelism knob. 0 (the zero value)
-// keeps the legacy serial path with no cache; n ≥ 1 enables the engine
-// with n workers and the subset-LP memo cache (n = 1 is the serial
-// engine: the same search order, answered from cache when possible);
-// negative values use all CPUs.
-//
-// A non-nil warm state forces the engine on even at parallelism 0:
-// warm starting routes solves through the memo cache so that repeated
-// subsets are answered identically at every parallelism setting, which
-// is what keeps warm plans worker-count invariant. beginSlot is called
-// here — once per Plan call — to freeze the seed basis.
-func newEngine(parallelism int, in *Input, planner string, sc *obs.Scope, w *warmState) *engine {
-	if parallelism == 0 && w == nil {
-		return nil
+// open starts the engine for one Plan call and claims the planner's warm
+// state for it; close reports and releases. Parallelism 0 and 1 both mean
+// one worker — the serial search order, answered from the cache when
+// possible — and negative values use all CPUs. The per-server layout
+// changes with the commodity set too quickly to seed, so it solves cold.
+func (e *EngineOptions) open(in *Input, planner string, perServer bool) *engine {
+	eng := &engine{
+		in: in, perServer: perServer, opts: e.lpOpts(),
+		workers: resolveWorkers(e.Parallelism), cache: newSubsetCache(),
+		warm: e.claim(!perServer), stats: e.Stats, sc: e.Obs, planner: planner,
 	}
-	w.beginSlot()
-	return &engine{
-		workers: resolveWorkers(parallelism),
-		cache:   newSubsetCache(in),
-		warm:    w,
-		sc:      sc, slot: in.Slot, planner: planner,
+	if eng.warm == nil && e.WarmStart && !perServer {
+		eng.stats = nil // a straggling call still owns the sink
 	}
+	return eng
 }
 
 // resolveWorkers maps the Parallelism knob to a concrete worker count,
@@ -76,42 +82,82 @@ func resolveWorkers(p int) int {
 	return p
 }
 
-// workerCount is nil-safe: a nil engine runs everything inline.
-func (e *engine) workerCount() int {
-	if e == nil {
-		return 1
-	}
-	return e.workers
+// prologue runs the call's first solve, which is strictly sequential and
+// therefore the designated capture solve: it re-solves on the retained
+// hot chain and exports the basis that seeds the next slot. The window is
+// closed explicitly in case the subset was empty and no LP ran.
+func (e *engine) prologue(solve func() (assignment, error)) (assignment, error) {
+	e.capture = true
+	defer func() { e.capture = false }()
+	return solve()
 }
 
-// solve routes a dispatch-LP solve through the memo cache when the
-// engine is enabled. comms must already be in canonical sortCommodities
-// order (every search path canonicalizes before solving); the returned
-// rates may be shared with other callers and must be treated as
-// read-only.
-func (e *engine) solve(in *Input, comms []commodity, perServer bool, floors []float64, opts lp.Options) ([][]float64, float64, error) {
-	if e == nil || e.cache == nil || len(comms) == 0 {
-		return solveDispatchLP(in, comms, perServer, floors, opts)
+// solve answers a dispatch-LP solve through the memo cache. comms must
+// already be in canonical sortCommodities order (every search path
+// canonicalizes before solving) so that equal sets produce equal keys.
+// Concurrent workers asking for the same subset block on one solve and
+// share its result, so the returned rates must be treated as read-only.
+func (e *engine) solve(comms []commodity, floors []float64) ([][]float64, float64, error) {
+	if len(comms) == 0 {
+		if floorsActive(e.in, floors) {
+			return nil, 0, lp.ErrInfeasible
+		}
+		return nil, 0, nil
 	}
-	return e.cache.solve(in, comms, perServer, floors, opts, e.warm)
+	c := e.cache
+	ent := c.entry(cacheKey(comms, floors))
+	hit := true
+	ent.once.Do(func() {
+		hit = false
+		c.solves.Add(1)
+		d, res, err := e.solveLP(comms, floors)
+		if err != nil {
+			c.errs.Add(1)
+			ent.err = err
+			return
+		}
+		ent.rates, ent.obj = d.extractRates(res), res.Objective
+	})
+	if hit {
+		c.hits.Add(1)
+	}
+	return ent.rates, ent.obj, ent.err
 }
 
-// report copies the engine's solver counters into a caller-provided
-// stats sink and, when the planner carries an observability scope,
-// publishes them as metrics plus one engine summary event per Plan
-// call; every side is nil-safe.
-func (e *engine) report(stats *SearchStats) {
-	if e == nil || e.cache == nil {
-		return
+// solveLP builds one dispatch LP in the call's layout and solves it,
+// uncached, through the call's warm state (cold when there is none).
+func (e *engine) solveLP(comms []commodity, floors []float64) (*dispatchLP, *lp.Result, error) {
+	d := buildDispatchLP(e.in, comms, floors, e.perServer)
+	capture := e.capture
+	if capture {
+		e.capture = false
 	}
+	res, out, err := e.warm.solveModel(d.model, e.opts, capture)
+	if out.FellBack {
+		e.warmFallbacks.Add(1)
+	} else if out.Path != "cold" {
+		e.warmHits.Add(1)
+	}
+	if out.Sparse {
+		e.sparseSolves.Add(1)
+	}
+	e.warmPivots.Add(int64(out.WarmPivots))
+	e.coldPivots.Add(int64(out.ColdPivots))
+	e.abandonedPivots.Add(int64(out.AbandonedPivots))
+	return d, res, err
+}
+
+// close copies the engine's solver counters into the planner's stats
+// sink and, when the planner carries an observability scope, publishes
+// them as metrics plus one engine summary event per Plan call (every
+// side is nil-safe), then releases the warm state.
+func (e *engine) close() {
+	defer e.warm.release()
 	solves, hits, errs := e.cache.solves.Load(), e.cache.hits.Load(), e.cache.errs.Load()
-	var warmHits, warmFalls, warmPiv, coldPiv, sparseSolves, abandonedPiv int64
-	if e.warm != nil {
-		warmHits, warmFalls = e.warm.hits.Load(), e.warm.fallbacks.Load()
-		warmPiv, coldPiv = e.warm.warmPivots.Load(), e.warm.coldPivots.Load()
-		sparseSolves, abandonedPiv = e.warm.sparseSolves.Load(), e.warm.abandonedPivots.Load()
-	}
-	if stats != nil {
+	warmHits, warmFalls := e.warmHits.Load(), e.warmFallbacks.Load()
+	warmPiv, coldPiv := e.warmPivots.Load(), e.coldPivots.Load()
+	sparseSolves, abandonedPiv := e.sparseSolves.Load(), e.abandonedPivots.Load()
+	if stats := e.stats; stats != nil {
 		stats.Solves, stats.CacheHits, stats.SolveErrors = solves, hits, errs
 		stats.WarmHits, stats.WarmFallbacks = warmHits, warmFalls
 		stats.WarmPivots, stats.ColdPivots = warmPiv, coldPiv
@@ -140,7 +186,7 @@ func (e *engine) report(stats *SearchStats) {
 			values["lpSparseSolves"] = float64(sparseSolves)
 			values["lpAbandonedPivots"] = float64(abandonedPiv)
 		}
-		e.sc.Emit(obs.Event{Kind: obs.KindEngine, Slot: e.slot, Planner: e.planner,
+		e.sc.Emit(obs.Event{Kind: obs.KindEngine, Slot: e.in.Slot, Planner: e.planner,
 			Values: values})
 	}
 }

@@ -28,29 +28,27 @@ type Sensitivity struct {
 // Sensitivity solves the slot LP over the planner's refined commodity set
 // and extracts the dual values of the share and arrival constraints.
 // It uses the aggregated layout regardless of the PerServer setting (the
-// duals are identical for homogeneous fleets).
+// duals are identical for homogeneous fleets), on a cold engine of its
+// own: the prices read out are duals, which are exact at a cold-certified
+// vertex, and the planner's retained hot chain and Stats sink must not be
+// perturbed by a side-channel solve between Plan calls.
 func (o *Optimized) Sensitivity(in *Input) (*Sensitivity, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	cold := EngineOptions{LPOpts: o.LPOpts, Parallelism: o.Parallelism}
+	eng := cold.open(in, o.Name(), false)
+	defer eng.close()
 	full := admissibleCommodities(in, o.MinCompletion)
 	comms := capReservations(in, full)
 	if o.Refine {
 		// Use the same subset the planner would commit to, so the prices
-		// describe the plan actually executed. The copied struct carries
-		// Parallelism along, so the refinement runs on its own engine.
-		agg := *o
-		agg.PerServer = false
-		// Deliberately cold (nil warm state): the prices read out below
-		// are duals, which are exact at a cold-certified vertex, and the
-		// planner's retained hot chain must not be perturbed by a
-		// side-channel solve between Plan calls.
-		eng := newEngine(agg.Parallelism, in, agg.Name(), agg.Obs, nil)
-		best, err := agg.solveSubset(eng, in, comms)
+		// describe the plan actually executed.
+		best, err := o.solveSubset(eng, comms)
 		if err != nil {
 			return nil, err
 		}
-		improved, err := agg.toggleSearch(eng, in, full, best)
+		improved, err := o.toggleSearch(eng, full, best)
 		if err != nil {
 			return nil, err
 		}
@@ -67,8 +65,7 @@ func (o *Optimized) Sensitivity(in *Input) (*Sensitivity, error) {
 	if len(comms) == 0 {
 		return out, nil
 	}
-	d := buildDispatchLP(in, comms, o.MinCompletion)
-	_, res, err := d.solve(o.LPOpts)
+	d, res, err := eng.solveLP(comms, o.MinCompletion)
 	if err != nil {
 		return nil, fmt.Errorf("core: sensitivity LP failed: %w", err)
 	}
@@ -100,5 +97,5 @@ func DispatchModel(in *Input) (*lp.Model, error) {
 		return nil, err
 	}
 	comms := capReservations(in, admissibleCommodities(in, nil))
-	return buildDispatchLP(in, comms, nil).model, nil
+	return buildDispatchLP(in, comms, nil, false).model, nil
 }

@@ -8,102 +8,87 @@ import (
 )
 
 // warmState is one planner's warm-start machinery, carried across its
-// Plan calls. Successive slots solve near-identical dispatch LPs — the
-// topology is fixed and only arrivals and prices drift — so the optimal
-// basis of one slot is an excellent starting vertex for the next
-// (DESIGN.md §12). The state splits into two tiers so warm starting
-// never breaks the planner's worker-count-invariance contract:
+// Plan calls inside its EngineOptions. Successive slots solve
+// near-identical LPs — the topology is fixed and only arrivals and
+// prices drift — so the optimal basis of one call is an excellent
+// starting vertex for the next (DESIGN.md §12). The state splits into two
+// tiers so warm starting never breaks the planner's
+// worker-count-invariance contract:
 //
 //   - base is the hot-chain solver. It runs exactly one solve per Plan
 //     call — the capture solve, on the planner's sequential prologue
 //     before any worker goroutine exists — and retains its factorized
-//     tableau, so an unchanged constraint structure re-solves with a
+//     kernel, so an unchanged constraint structure re-solves with a
 //     dual-simplex repair instead of a cold two-phase run. Its final
-//     basis is exported as the next slot's seed.
+//     basis is exported as the next call's seed.
 //   - pool holds worker solvers. Workers use lp.Solver.SolveSeeded,
 //     which is a pure function of (model, frozen seed), so a result
 //     never depends on which worker solved it or on what that solver
 //     did before. The seed is frozen per Plan call in cur.
 //
-// Like the planner that owns it, warmState must be driven by a single
-// Plan call at a time; within a call the pool and counters are
-// goroutine-safe, and capture/cur/prev are only touched on the
+// One Plan call owns the state at a time (claim/release); within a call
+// the pool is goroutine-safe, and cur/prev are only touched on the
 // planner's own goroutine before workers are spawned.
 type warmState struct {
+	// held is set while a Plan call owns the state. A planner is driven
+	// by one caller at a time, but the resilient chain abandons a tier
+	// that overruns its deadline without stopping it, so the next slot's
+	// Plan can start while the previous one is still solving.
+	held atomic.Bool
 	base lp.Solver
 	// prev is the basis exported by the most recent capture solve; cur
 	// is the frozen copy every solve of the current Plan call seeds from.
 	prev, cur *lp.Basis
-	// capture is armed by the planner around its sequential prologue
-	// solve; the first LP solved while armed runs on the hot chain.
-	capture bool
-	pool    sync.Pool // of *lp.Solver
-
-	// Per-Plan counters, harvested by engine.report.
-	hits            atomic.Int64 // solves answered hot or by basis import
-	fallbacks       atomic.Int64 // warm attempts that fell back to cold
-	warmPivots      atomic.Int64 // simplex pivots spent on warm-path solves
-	coldPivots      atomic.Int64 // pivots spent on cold solves (incl. fallbacks)
-	sparseSolves    atomic.Int64 // warm solves answered by the sparse revised simplex
-	abandonedPivots atomic.Int64 // pivots burned on abandoned warm attempts
+	pool      sync.Pool // of *lp.Solver
 }
 
-func newWarmState() *warmState {
-	w := &warmState{}
-	w.pool.New = func() any { return new(lp.Solver) }
+// claim takes the planner's warm state for one Plan call, with the seed
+// basis frozen; the caller releases it when the call ends. It returns
+// nil — solve cold — when WarmStart is off, when the LP layout is not
+// seedable, and when an earlier call still holds the state: that
+// straggler's plan has already been discarded, and the live call must
+// touch neither the hot chain nor the Stats sink it is still writing.
+func (e *EngineOptions) claim(seedable bool) *warmState {
+	w := &e.warm
+	if !e.WarmStart || !seedable || !w.held.CompareAndSwap(false, true) {
+		return nil
+	}
+	w.cur = w.prev
 	return w
 }
 
-// beginSlot freezes the seed basis for the coming Plan call and resets
-// the per-Plan counters. Nil-safe.
-func (w *warmState) beginSlot() {
-	if w == nil {
-		return
+// release ends the claim. Nil-safe.
+func (w *warmState) release() {
+	if w != nil {
+		w.held.Store(false)
 	}
-	w.cur = w.prev
-	w.capture = false
-	w.hits.Store(0)
-	w.fallbacks.Store(0)
-	w.warmPivots.Store(0)
-	w.coldPivots.Store(0)
-	w.sparseSolves.Store(0)
-	w.abandonedPivots.Store(0)
 }
 
-// solveModel answers one dispatch-LP model through the warm machinery.
-// The capture solve (sequential, at most one per Plan call) runs the
-// retained hot chain and exports its basis as the next slot's seed;
-// every other solve draws a pooled solver and imports the frozen seed,
-// keeping the result a pure function of the model.
-func (w *warmState) solveModel(m *lp.Model, opts lp.Options) (*lp.Result, error) {
-	if w.capture {
-		w.capture = false
+// solveModel is the one way an LP in this package reaches the simplex,
+// reporting how the solve ran. A nil state is the cold dense reference.
+// Otherwise the capture solve (sequential, at most one per Plan call)
+// runs the retained hot chain and exports its basis as the next call's
+// seed; every other solve draws a pooled solver and imports the frozen
+// seed, keeping the result a pure function of the model.
+func (w *warmState) solveModel(m *lp.Model, opts lp.Options, capture bool) (*lp.Result, lp.Outcome, error) {
+	if w == nil {
+		res, err := m.SolveOpts(opts)
+		return res, lp.Outcome{Path: "cold", ColdPivots: res.Iterations}, err
+	}
+	if capture {
 		res, err := w.base.SolveWarm(m, w.cur, opts)
-		w.count(w.base.LastOutcome())
 		if err == nil {
 			if b, ok := w.base.ExportBasis(); ok {
 				w.prev = b
 			}
 		}
-		return res, err
+		return res, w.base.LastOutcome(), err
 	}
-	sv := w.pool.Get().(*lp.Solver)
+	sv, _ := w.pool.Get().(*lp.Solver)
+	if sv == nil {
+		sv = new(lp.Solver)
+	}
+	defer w.pool.Put(sv)
 	res, err := sv.SolveSeeded(m, w.cur, opts)
-	w.count(sv.LastOutcome())
-	w.pool.Put(sv)
-	return res, err
-}
-
-func (w *warmState) count(out lp.Outcome) {
-	if out.FellBack {
-		w.fallbacks.Add(1)
-	} else if out.Path != "cold" {
-		w.hits.Add(1)
-	}
-	if out.Sparse {
-		w.sparseSolves.Add(1)
-	}
-	w.warmPivots.Add(int64(out.WarmPivots))
-	w.coldPivots.Add(int64(out.ColdPivots))
-	w.abandonedPivots.Add(int64(out.AbandonedPivots))
+	return res, sv.LastOutcome(), err
 }

@@ -166,16 +166,18 @@ func TestLevelSearchWarmChain(t *testing.T) {
 }
 
 // TestPerServerIgnoresWarmStart: the per-server layout is never
-// warm-started; with Parallelism 0 it must keep the legacy engine-off
-// path even though WarmStart defaults on.
+// warm-started; its LPs go through the same engine but solve cold even
+// though WarmStart defaults on, slot after slot.
 func TestPerServerIgnoresWarmStart(t *testing.T) {
 	in := &Input{Sys: twoDCSystem(), Arrivals: [][]float64{{200}}, Prices: []float64{0.1, 0.05}}
 	o := NewOptimized()
 	o.PerServer = true
 	o.Stats = &SearchStats{}
-	mustPlan(t, o, in)
-	if o.Stats.Solves != 0 {
-		t.Fatalf("per-server with Parallelism=0 must bypass the engine, got %+v", *o.Stats)
+	for slot := 0; slot < 2; slot++ {
+		mustPlan(t, o, in)
+		if st := *o.Stats; st.Solves == 0 || st.WarmHits != 0 || st.WarmFallbacks != 0 || st.WarmPivots != 0 || st.SparseSolves != 0 {
+			t.Fatalf("slot %d: per-server must solve cold through the engine, got %+v", slot, st)
+		}
 	}
 }
 
@@ -248,8 +250,7 @@ func TestHorizonPlannerWarm(t *testing.T) {
 // map: before sharding, one global mutex serialized every speculative
 // evaluation of every worker.
 func BenchmarkSubsetCacheContention(b *testing.B) {
-	in := &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
-	c := newSubsetCache(in)
+	c := newSubsetCache()
 	const nKeys = 256
 	keys := make([]string, nKeys)
 	for i := range keys {

@@ -335,7 +335,7 @@ func (c *Config) ValidateDims(centers, frontEnds, types int) error {
 // caller (a rolling-horizon planner under a resilient chain's per-tier
 // deadline) can outlive its slot and overlap the next slot's fetch.
 type Feed struct {
-	mu sync.Mutex
+	mu   sync.Mutex
 	kind string // fault.FeedPrice or fault.FeedArrival
 	idx  int
 	cfg  Config
@@ -344,10 +344,10 @@ type Feed struct {
 	// prior is the estimator of last resort; floor is the smallest value
 	// the feed ever emits (a sliver of the prior for prices — electricity
 	// is never free — and zero for arrivals).
-	prior   []float64
-	floor   float64
-	br      breaker
-	filters []*forecast.Kalman
+	prior    []float64
+	floor    float64
+	br       breaker
+	filters  []*forecast.Kalman
 	lkg      []float64
 	lkgSlot  int
 	hasLKG   bool

@@ -49,61 +49,3 @@ func TestColdAuditSurfacesNumericBreakdown(t *testing.T) {
 		t.Fatalf("breakdown result must not carry a solution: %+v", res)
 	}
 }
-
-// TestAbandonedPivotAccounting verifies that pivots burned on abandoned
-// warm attempts are reported instead of vanishing: a budget-starved warm
-// solve must surface them in Outcome.AbandonedPivots and the cumulative
-// SolverStats, while healthy chains report zero.
-func TestAbandonedPivotAccounting(t *testing.T) {
-	// Healthy warm chain: nothing is abandoned.
-	var healthy Solver
-	var seed *Basis
-	for slot := 0; slot < 3; slot++ {
-		scale := 1 + 0.1*float64(slot)
-		if _, err := healthy.SolveWarm(buildTransportLP(scale, 1), seed, Options{}); err != nil {
-			t.Fatal(err)
-		}
-		if out := healthy.LastOutcome(); out.AbandonedPivots != 0 {
-			t.Fatalf("slot %d: abandoned pivots %d on a healthy chain", slot, out.AbandonedPivots)
-		}
-		if b, ok := healthy.ExportBasis(); ok {
-			seed = b
-		}
-	}
-	if st := healthy.Stats(); st.AbandonedPivots != 0 {
-		t.Fatalf("healthy chain stats: %+v", st)
-	}
-
-	// A one-pivot budget starves the dense import mid-repair; the burned
-	// pivot must be accounted, not lost. The all-surplus seed on the Beale
-	// dual guarantees the repair cannot finish in one pivot.
-	var starved Solver
-	allSurplus := NewBasis(nil, []string{"d1", "d2", "d3", "d4"})
-	res, err := starved.SolveWarm(buildBealeDual(), allSurplus, Options{MaxIterations: 1})
-	out := starved.LastOutcome()
-	if !out.FellBack || out.Path != "cold" {
-		t.Fatalf("outcome %+v (res %v err %v), want cold fallback", out, res, err)
-	}
-	if out.AbandonedPivots < 1 {
-		t.Fatalf("outcome %+v: abandoned pivots not recorded", out)
-	}
-	if st := starved.Stats(); st.AbandonedPivots != int64(out.AbandonedPivots) {
-		t.Fatalf("stats %+v disagree with outcome %+v", st, out)
-	}
-
-	// Same contract on the sparse path.
-	var sparse Solver
-	opts := sparseTestOpts()
-	opts.MaxIterations = 1
-	res, err = sparse.SolveWarm(buildInequalityLP(1), nil, opts)
-	out = sparse.LastOutcome()
-	if !out.FellBack || out.Path != "cold" {
-		t.Fatalf("sparse outcome %+v (res %v err %v), want cold fallback", out, res, err)
-	}
-	if out.AbandonedPivots < 1 {
-		t.Fatalf("sparse outcome %+v: abandoned pivots not recorded", out)
-	}
-	if st := sparse.Stats(); st.AbandonedPivots != int64(out.AbandonedPivots) {
-		t.Fatalf("sparse stats %+v disagree with outcome %+v", st, out)
-	}
-}

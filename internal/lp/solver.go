@@ -71,7 +71,7 @@ type SolverStats struct {
 
 // Solver runs successive LP solves while retaining the dense tableau
 // arenas (allocation reuse) and, via SolveWarm, the factorized final
-// tableau of the previous solve (hot re-solves). See DESIGN.md §12.
+// state of the previous solve (hot re-solves). See DESIGN.md §12.
 //
 // A Solver is not safe for concurrent use; the planner keeps one hot
 // solver for its sequential baseline chain and a pool for workers.
@@ -79,81 +79,125 @@ type Solver struct {
 	coldAr arena
 	warmAr arena
 	ws     retained
-	sws    retainedSparse
-	last   lastSolve
+	last   kernel // final state of the most recent Optimal solve, for ExportBasis
 	out    Outcome
 	stats  SolverStats
 }
 
-// retained is the hot state kept between SolveWarm calls: the final warm
-// tableau of the previous solve, whose marker block holds B⁻¹.
+// kernel is what the warm ladder needs from a simplex implementation.
+// Two exist: the dense marker-block *tableau, whose marker columns hold
+// B⁻¹, and the LU-factorized revised simplex *sparseSolve. The ladder
+// crosses this interface a handful of times per solve, never per pivot.
+type kernel interface {
+	// model is the model the kernel currently solves.
+	model() *Model
+	// rearm points a finished kernel at a model of the same structure and
+	// refreshes the basic solution for its rhs through the retained
+	// factorization; the previous costs stay in place for the dual repair.
+	// stale reports that the drift bound maxHotUses is reached: the dense
+	// kernel then refuses (false — the ladder drops it and re-imports),
+	// the sparse one refactorizes in place.
+	rearm(m *Model, opts Options, stale bool) bool
+	// importBasis crashes a named seed into a freshly built kernel, whose
+	// costs are still zero; false means no complete basis emerged.
+	importBasis(seed *Basis) bool
+	// dualIterate repairs primal feasibility under the costs in place,
+	// priceIn loads the model's true costs, primalIterate finishes.
+	dualIterate() Status
+	priceIn()
+	primalIterate() Status
+	extract() []float64
+	duals() []float64
+	pivots() int
+	// exportBasis names the final basis; false when it is not
+	// representable (an artificial still basic on the cold tableau).
+	exportBasis() (*Basis, bool)
+}
+
+// retained is the hot state kept between SolveWarm calls: the final
+// kernel of the previous warm solve and how many hot re-solves reused it.
 type retained struct {
-	t     *tableau
-	valid bool
-	uses  int
-}
-
-// retainedSparse is the sparse counterpart: the revised-simplex state of
-// the previous solve, whose LU factors plus eta file play the marker
-// block's role.
-type retainedSparse struct {
-	ss    *sparseSolve
-	valid bool
-	uses  int
-}
-
-// lastSolve records the final state of the most recent solve for
-// ExportBasis; exactly one of t (dense) and ss (sparse) is set.
-type lastSolve struct {
-	t  *tableau
-	ss *sparseSolve
-	ok bool
+	k      kernel
+	sparse bool
+	uses   int
 }
 
 // maxHotUses bounds how many consecutive hot re-solves may reuse one
-// tableau before forcing a fresh import/refactorization, so floating-point
-// drift cannot accumulate without bound.
+// factorization before forcing a fresh one, so floating-point drift
+// cannot accumulate without bound.
 const maxHotUses = 200
 
 // Solve runs the cold two-phase simplex, reusing the solver's arena. The
 // result is bit-identical to (*Model).SolveOpts.
 func (s *Solver) Solve(m *Model, opts Options) (*Result, error) {
-	s.begin()
-	s.out.Path = "cold"
+	s.out, s.last = Outcome{}, nil
 	return s.solveCold(m, opts)
 }
 
 // SolveWarm solves m using every warm path available, in order: a hot
-// re-solve on the retained tableau when the constraint matrix is
-// unchanged (only rhs and objective may differ — the cross-slot case), an
-// import of the seed basis otherwise, and the cold two-phase path as the
+// re-solve on the retained kernel when the constraint matrix is unchanged
+// (only rhs and objective may differ — the cross-slot case), an import of
+// the seed basis otherwise, and the cold two-phase path as the
 // correctness anchor whenever a warm attempt fails. A warm result is
 // accepted only at status Optimal and after the model re-verifies the
 // solution, so correctness never depends on the warm path.
 //
-// With opts.Sparse set and the model at or above the row threshold, the
-// warm paths run the sparse revised simplex instead of the dense warm
-// tableau (see solveWarmSparse); the cold anchor stays dense either way.
+// The kernel is chosen from the row count: with opts.Sparse set and the
+// model at or above the row threshold the warm paths run the sparse
+// revised simplex, below it the dense warm tableau; the cold anchor is
+// dense either way.
 func (s *Solver) SolveWarm(m *Model, seed *Basis, opts Options) (*Result, error) {
-	s.begin()
-	if opts.sparseEligible(m) {
-		return s.solveWarmSparse(m, seed, opts)
+	return s.solve(m, seed, opts, true)
+}
+
+// SolveSeeded solves m from an optional seed basis without consulting or
+// keeping any cross-call retained state, so the result is a pure function
+// of (model, seed, opts). The planner's parallel workers rely on that
+// purity for worker-count-invariant plans (DESIGN.md §7): any worker
+// solving the same subset from the same frozen seed produces the
+// identical result.
+func (s *Solver) SolveSeeded(m *Model, seed *Basis, opts Options) (*Result, error) {
+	return s.solve(m, seed, opts, false)
+}
+
+// solve is the warm ladder — hot, import, audited cold — behind SolveWarm
+// (keep) and SolveSeeded (!keep).
+func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result, error) {
+	s.out, s.last = Outcome{}, nil
+	sparse := opts.sparseEligible(m)
+	opts = opts.withDefaults(len(m.rows), len(m.names))
+	if !keep || s.ws.sparse != sparse {
+		s.ws = retained{} // hot state does not survive a change of kernel
 	}
-	s.sws = retainedSparse{}
 	attempted := false
-	if s.ws.valid && s.ws.t != nil && sameStructure(s.ws.t.m, m) {
+	if k := s.ws.k; k != nil && sameStructure(k.model(), m) {
 		attempted = true
-		if res := s.hotSolve(m, opts); res != nil {
-			s.out.Path = "hot"
-			s.stats.HotSolves++
+		stale := s.ws.uses >= maxHotUses
+		if res := s.attempt(k, k.rearm(m, opts, stale), opts.Tol); res != nil {
+			if stale {
+				s.ws.uses = 0
+			}
+			s.ws.uses++
+			s.answered("hot", sparse, &s.stats.HotSolves)
 			return res, nil
 		}
 	}
-	if seed.Size() > 0 {
+	// The dense kernel refuses an empty seed (there is nothing to crash,
+	// and that is no failed attempt); the sparse one crashes all-slack.
+	var k kernel
+	if sparse {
+		k = newSparseSolve(m, opts)
+	} else if seed.Size() > 0 {
+		k = newWarmTableauIn(m, opts, &s.warmAr)
+	}
+	if k != nil {
 		attempted = true
-		if res := s.importSolve(m, seed, opts); res != nil {
-			s.out.Path = "import"
-			s.stats.ImportSolves++
+		s.ws = retained{} // the dense build reused the retained tableau's arena
+		if res := s.attempt(k, k.importBasis(seed), opts.Tol); res != nil {
+			if keep {
+				s.ws = retained{k: k, sparse: sparse}
+			}
+			s.answered("import", sparse, &s.stats.ImportSolves)
 			return res, nil
 		}
 	}
@@ -161,45 +205,51 @@ func (s *Solver) SolveWarm(m *Model, seed *Basis, opts Options) (*Result, error)
 		s.out.FellBack = true
 		s.stats.Fallbacks++
 	}
-	s.out.Path = "cold"
 	return s.solveCold(m, opts)
 }
 
-// SolveSeeded solves m from an optional seed basis without consulting any
-// cross-call retained state, so the result is a pure function of
-// (model, seed, opts). The planner's parallel workers rely on that purity
-// for worker-count-invariant plans (DESIGN.md §7): any worker solving the
-// same subset from the same frozen seed produces the identical result.
-func (s *Solver) SolveSeeded(m *Model, seed *Basis, opts Options) (*Result, error) {
-	s.begin()
-	s.ws = retained{} // stateless by contract
-	s.sws = retainedSparse{}
-	if opts.sparseEligible(m) {
-		if res := s.importSparse(m, seed, opts); res != nil {
-			s.sws = retainedSparse{} // drop state armed by importSparse
-			s.out.Path = "import"
-			s.out.Sparse = true
-			s.stats.ImportSolves++
-			s.stats.SparseSolves++
-			return res, nil
+// attempt drives a re-armed or freshly crashed kernel to optimality: the
+// dual simplex under the costs already in place (the previous solve's on
+// the hot path, still dual feasible; all-zero after a crash, trivially
+// so) repairs primal feasibility, then the true costs are priced in and
+// primal pivots finish. The claim is audited — the solution must
+// re-verify against the model within a tolerance proportional to the rhs
+// scale — and any failure, a kernel that could not be armed included,
+// books the pivots burned, drops the retained state and returns nil so
+// the ladder steps down.
+func (s *Solver) attempt(k kernel, armed bool, tol float64) *Result {
+	if armed && k.dualIterate() == Optimal {
+		k.priceIn()
+		if k.primalIterate() == Optimal {
+			m, x := k.model(), k.extract()
+			if m.CheckFeasible(x, auditTol(m, tol)) == nil {
+				s.out.WarmPivots = k.pivots()
+				s.stats.WarmPivots += int64(k.pivots())
+				s.last = k
+				return &Result{
+					Status:     Optimal,
+					Objective:  m.ObjectiveValue(x),
+					X:          x,
+					Duals:      k.duals(),
+					Iterations: k.pivots(),
+					Warm:       true,
+				}
+			}
 		}
-		s.out.FellBack = true
-		s.stats.Fallbacks++
-		s.out.Path = "cold"
-		return s.solveCold(m, opts)
 	}
-	if seed.Size() > 0 {
-		if res := s.importSolve(m, seed, opts); res != nil {
-			s.ws = retained{} // drop state armed by importSolve
-			s.out.Path = "import"
-			s.stats.ImportSolves++
-			return res, nil
-		}
-		s.out.FellBack = true
-		s.stats.Fallbacks++
+	s.out.AbandonedPivots += k.pivots()
+	s.stats.AbandonedPivots += int64(k.pivots())
+	s.ws = retained{}
+	return nil
+}
+
+// answered records which warm path produced the result.
+func (s *Solver) answered(path string, sparse bool, count *int64) {
+	s.out.Path, s.out.Sparse = path, sparse
+	*count++
+	if sparse {
+		s.stats.SparseSolves++
 	}
-	s.out.Path = "cold"
-	return s.solveCold(m, opts)
 }
 
 // LastOutcome reports how the most recent solve ran.
@@ -214,78 +264,10 @@ func (s *Solver) Stats() SolverStats { return s.stats }
 // rows), in which case the caller keeps its previous seed. The basis is
 // only meaningful until the next solve on this Solver.
 func (s *Solver) ExportBasis() (*Basis, bool) {
-	if !s.last.ok {
+	if s.last == nil {
 		return nil, false
 	}
-	if ss := s.last.ss; ss != nil {
-		// Sparse bases contain only structural and slack columns by
-		// construction, so they are always representable.
-		b := &Basis{}
-		for _, c := range ss.basis {
-			if c < ss.n {
-				b.vars = append(b.vars, ss.m.names[c])
-			} else {
-				b.slackRows = append(b.slackRows, ss.m.rows[ss.slackRow[c-ss.n]].name)
-			}
-		}
-		return b, true
-	}
-	if s.last.t == nil {
-		return nil, false
-	}
-	t := s.last.t
-	m := t.m
-	slackOwner := make([]int, t.artStart-t.n)
-	for i := range slackOwner {
-		slackOwner[i] = -1
-	}
-	for r, c := range t.rowSlack {
-		if c >= 0 {
-			slackOwner[c-t.n] = r
-		}
-	}
-	b := &Basis{}
-	for _, c := range t.basis {
-		switch {
-		case c >= 0 && c < t.n:
-			b.vars = append(b.vars, m.names[c])
-		case c >= t.n && c < t.artStart:
-			r := slackOwner[c-t.n]
-			if r < 0 {
-				return nil, false
-			}
-			b.slackRows = append(b.slackRows, m.rows[r].name)
-		default:
-			// Artificial (cold path) or unassigned: not representable.
-			return nil, false
-		}
-	}
-	return b, true
-}
-
-func (s *Solver) begin() {
-	s.out = Outcome{}
-	s.last = lastSolve{}
-}
-
-func (s *Solver) setLast(t *tableau, ok bool) { s.last = lastSolve{t: t, ok: ok} }
-
-func (s *Solver) setLastSparse(ss *sparseSolve) { s.last = lastSolve{ss: ss, ok: true} }
-
-// abandonDense records the pivots a failed dense warm attempt burned and
-// drops the retained tableau.
-func (s *Solver) abandonDense(t *tableau) {
-	s.out.AbandonedPivots += t.iters
-	s.stats.AbandonedPivots += int64(t.iters)
-	s.ws = retained{}
-}
-
-// abandonSparse records the pivots a failed sparse warm attempt burned
-// and drops the retained factors.
-func (s *Solver) abandonSparse(ss *sparseSolve) {
-	s.out.AbandonedPivots += ss.iters
-	s.stats.AbandonedPivots += int64(ss.iters)
-	s.sws = retainedSparse{}
+	return s.last.exportBasis()
 }
 
 func (s *Solver) solveCold(m *Model, opts Options) (*Result, error) {
@@ -293,74 +275,11 @@ func (s *Solver) solveCold(m *Model, opts Options) (*Result, error) {
 	st := t.run()
 	s.stats.ColdSolves++
 	s.stats.ColdPivots += int64(t.iters)
-	s.out.ColdPivots = t.iters
-	s.setLast(t, st == Optimal)
+	s.out.Path, s.out.ColdPivots = "cold", t.iters
+	if st == Optimal {
+		s.last = t
+	}
 	return t.result(st)
-}
-
-// hotSolve re-solves on the retained tableau: the marker block (B⁻¹)
-// turns the new rhs into the new basic solution in O(rows²) with no
-// refactorization; the dual simplex under the previous (still
-// dual-feasible) cost row repairs primal feasibility; then the new costs
-// are priced in and primal pivots finish. Any non-Optimal exit
-// invalidates the retained state and reports failure (nil) so the caller
-// falls back.
-func (s *Solver) hotSolve(m *Model, opts Options) *Result {
-	if s.ws.uses >= maxHotUses {
-		s.ws = retained{}
-		return nil
-	}
-	t := s.ws.t
-	t.m = m
-	t.opts = opts.withDefaults(t.a.Rows, t.n)
-	t.iters = 0
-	t.refreshRHS()
-	if st := t.dualIterate(); st != Optimal {
-		s.abandonDense(t)
-		return nil
-	}
-	t.setPhase2Z()
-	if st := t.iterate(); st != Optimal {
-		s.abandonDense(t)
-		return nil
-	}
-	res := s.acceptWarm(t)
-	if res == nil {
-		s.abandonDense(t)
-		return nil
-	}
-	s.ws.uses++
-	return res
-}
-
-// importSolve crashes the seed basis into a fresh warm tableau. A basis
-// imported into a different model is generally neither primal nor dual
-// feasible; primal-feasible starts finish with primal pivots, and
-// primal-infeasible starts are repaired by a zero-cost dual phase (the
-// all-zero reduced-cost row is trivially dual feasible) before the true
-// costs are priced in.
-func (s *Solver) importSolve(m *Model, seed *Basis, opts Options) *Result {
-	s.ws = retained{} // the build below reuses the retained tableau's arena
-	t := newWarmTableauIn(m, opts, &s.warmAr)
-	if !t.importBasis(seed) {
-		return nil
-	}
-	if st := t.dualIterate(); st != Optimal {
-		s.abandonDense(t)
-		return nil
-	}
-	t.setPhase2Z()
-	if st := t.iterate(); st != Optimal {
-		s.abandonDense(t)
-		return nil
-	}
-	res := s.acceptWarm(t)
-	if res == nil {
-		s.abandonDense(t)
-		return nil
-	}
-	s.ws = retained{t: t, valid: true}
-	return res
 }
 
 // warmFeasFactor scales the solver tolerance (per unit of rhs magnitude)
@@ -369,7 +288,7 @@ func (s *Solver) importSolve(m *Model, seed *Basis, opts Options) *Result {
 const warmFeasFactor = 100
 
 // auditTol is the rhs-scaled feasibility tolerance shared by the warm
-// accept gates and the cold-path Optimal audit.
+// accept gate and the cold-path Optimal audit.
 func auditTol(m *Model, tol float64) float64 {
 	scale := 1.0
 	for i := range m.rows {
@@ -378,28 +297,6 @@ func auditTol(m *Model, tol float64) float64 {
 		}
 	}
 	return tol * warmFeasFactor * scale
-}
-
-// acceptWarm audits a warm tableau that claims optimality. The solution
-// must re-verify against the model within a tolerance proportional to the
-// rhs scale; numerical drift beyond it rejects the warm result so the
-// cold path re-solves from scratch.
-func (s *Solver) acceptWarm(t *tableau) *Result {
-	x := t.extract()
-	if t.m.CheckFeasible(x, auditTol(t.m, t.opts.Tol)) != nil {
-		return nil
-	}
-	s.out.WarmPivots = t.iters
-	s.stats.WarmPivots += int64(t.iters)
-	s.setLast(t, true)
-	return &Result{
-		Status:     Optimal,
-		Objective:  t.m.ObjectiveValue(x),
-		X:          x,
-		Duals:      t.duals(),
-		Iterations: t.iters,
-		Warm:       true,
-	}
 }
 
 // sameStructure reports whether two models share variable names, senses
@@ -476,6 +373,55 @@ func newWarmTableauIn(m *Model, opts Options, ar *arena) *tableau {
 		t.basis[i] = -1 // assigned by importBasis
 	}
 	return t
+}
+
+func (t *tableau) model() *Model { return t.m }
+
+func (t *tableau) pivots() int { return t.iters }
+
+func (t *tableau) priceIn() { t.setPhase2Z() }
+
+func (t *tableau) primalIterate() Status { return t.iterate() }
+
+// rearm is the dense hot path's whole trick: the marker block (B⁻¹) turns
+// the new rhs into the new basic solution in O(rows²) with no
+// refactorization. A stale tableau is refused — its drift is shed by
+// re-importing into a fresh one.
+func (t *tableau) rearm(m *Model, opts Options, stale bool) bool {
+	t.iters = 0
+	if stale {
+		return false
+	}
+	t.m = m
+	t.opts = opts.withDefaults(t.a.Rows, t.n)
+	t.refreshRHS()
+	return true
+}
+
+// exportBasis names the basic columns. A cold tableau may still hold an
+// artificial in the basis (degenerate redundant rows): not representable.
+func (t *tableau) exportBasis() (*Basis, bool) {
+	slackOwner := make([]int, t.artStart-t.n)
+	for i := range slackOwner {
+		slackOwner[i] = -1
+	}
+	for r, c := range t.rowSlack {
+		if c >= 0 {
+			slackOwner[c-t.n] = r
+		}
+	}
+	b := &Basis{}
+	for _, c := range t.basis {
+		switch {
+		case c >= 0 && c < t.n:
+			b.vars = append(b.vars, t.m.names[c])
+		case c >= t.n && c < t.artStart && slackOwner[c-t.n] >= 0:
+			b.slackRows = append(b.slackRows, t.m.rows[slackOwner[c-t.n]].name)
+		default:
+			return nil, false
+		}
+	}
+	return b, true
 }
 
 // importPivTol is the minimum pivot magnitude accepted while crashing a

@@ -58,114 +58,6 @@ func TestSolverColdMatchesSolveOpts(t *testing.T) {
 	}
 }
 
-func TestSolveWarmHotPath(t *testing.T) {
-	var s Solver
-	base := buildTransportLP(1, 1)
-	res0, err := s.SolveWarm(base, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed, ok := s.ExportBasis()
-	if !ok {
-		t.Fatal("cold optimal solve did not export a basis")
-	}
-	if res0.Warm {
-		t.Fatal("first solve (no retained state, no seed) claimed warm")
-	}
-	// Re-solve a perturbed sequence: same structure, drifting rhs+costs.
-	for k := 1; k <= 6; k++ {
-		m := buildTransportLP(1+0.02*float64(k), 1+0.01*float64(k))
-		warm, err := s.SolveWarm(m, seed, Options{})
-		if err != nil {
-			t.Fatalf("slot %d: %v", k, err)
-		}
-		out := s.LastOutcome()
-		if k >= 2 && out.Path != "hot" {
-			t.Fatalf("slot %d: path %q (fellBack=%v), want hot", k, out.Path, out.FellBack)
-		}
-		cold, err := m.SolveOpts(Options{})
-		if err != nil {
-			t.Fatalf("slot %d cold: %v", k, err)
-		}
-		if math.Abs(warm.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
-			t.Fatalf("slot %d: warm objective %g vs cold %g", k, warm.Objective, cold.Objective)
-		}
-		for i := range cold.Duals {
-			if math.Abs(warm.Duals[i]-cold.Duals[i]) > 1e-9*(1+math.Abs(cold.Duals[i])) {
-				t.Fatalf("slot %d: dual %d warm %g vs cold %g", k, i, warm.Duals[i], cold.Duals[i])
-			}
-		}
-		if out.Path == "hot" && warm.Iterations >= cold.Iterations && cold.Iterations > 2 {
-			t.Fatalf("slot %d: hot path spent %d pivots, cold %d — no savings",
-				k, warm.Iterations, cold.Iterations)
-		}
-		if b, ok := s.ExportBasis(); ok {
-			seed = b
-		}
-	}
-	st := s.Stats()
-	if st.HotSolves == 0 {
-		t.Fatalf("no hot solves recorded: %+v", st)
-	}
-}
-
-func TestSolveSeededImportMatchesCold(t *testing.T) {
-	var base Solver
-	m0 := buildTransportLP(1, 1)
-	if _, err := base.Solve(m0, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	seed, ok := base.ExportBasis()
-	if !ok {
-		t.Fatal("no basis exported")
-	}
-	var s Solver
-	m1 := buildTransportLP(1.05, 0.97)
-	warm, err := s.SolveSeeded(m1, seed, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.LastOutcome().Path; got != "import" {
-		t.Fatalf("path %q, want import", got)
-	}
-	cold, err := m1.SolveOpts(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(warm.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
-		t.Fatalf("import objective %g vs cold %g", warm.Objective, cold.Objective)
-	}
-	// Purity: the same (model, seed, opts) must reproduce bit-identically,
-	// whatever the solver instance ran before.
-	again, err := s.SolveSeeded(m1, seed, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(warm, again) {
-		t.Fatal("SolveSeeded is not a pure function of (model, seed, opts)")
-	}
-}
-
-func TestSolveSeededHostileSeedFallsBackCold(t *testing.T) {
-	var s Solver
-	m := buildTransportLP(1, 1)
-	hostile := NewBasis(
-		[]string{"no_such_var", "x_0_0", "x_0_0", "x_0_0"},
-		[]string{"missing_row", "bal", "bal", "cap_0", "cap_0"},
-	)
-	res, err := s.SolveSeeded(m, hostile, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := m.SolveOpts(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
-		t.Fatalf("objective %g vs cold %g", res.Objective, cold.Objective)
-	}
-}
-
 // TestWarmEquivalenceProperty is the randomized three-way equivalence
 // suite: over random dispatch-shaped LP sequences with perturbed rhs and
 // costs, the dense warm chain and the sparse revised-simplex chain must
@@ -309,33 +201,5 @@ func TestGenuineCertificatesSurvive(t *testing.T) {
 	unb.AddConstraint("lo", []Term{{Var: y, Coef: 1}}, GE, 1)
 	if _, err := unb.SolveOpts(Options{}); err != ErrUnbounded {
 		t.Fatalf("unbounded model: err = %v", err)
-	}
-}
-
-func TestExportBasisRoundTrip(t *testing.T) {
-	var s Solver
-	m := buildTransportLP(1, 1)
-	if _, err := s.Solve(m, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	seed, ok := s.ExportBasis()
-	if !ok {
-		t.Fatal("export failed")
-	}
-	if seed.Size() != m.NumConstraints() {
-		t.Fatalf("basis size %d, want %d", seed.Size(), m.NumConstraints())
-	}
-	var s2 Solver
-	res, err := s2.SolveSeeded(m, seed, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.LastOutcome().Path != "import" {
-		t.Fatalf("path %q, want import", s2.LastOutcome().Path)
-	}
-	// Re-importing the optimal basis of the same model needs no pivots
-	// beyond the crash itself: at most one pass of refactorization.
-	if res.Iterations > m.NumConstraints() {
-		t.Fatalf("round-trip import took %d pivots for %d rows", res.Iterations, m.NumConstraints())
 	}
 }

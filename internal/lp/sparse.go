@@ -75,7 +75,7 @@ type sparseSolve struct {
 }
 
 // newSparseSolve builds the CSC representation and scratch state for m.
-// The basis is established later by crashBasis.
+// The basis is established later by importBasis.
 func newSparseSolve(m *Model, opts Options) *sparseSolve {
 	n := len(m.names)
 	rows := len(m.rows)
@@ -175,8 +175,8 @@ func (ss *sparseSolve) dir() float64 {
 	return 1
 }
 
-// setObj loads the internal maximization costs from the current model.
-func (ss *sparseSolve) setObj() {
+// priceIn loads the internal maximization costs from the current model.
+func (ss *sparseSolve) priceIn() {
 	d := ss.dir()
 	for v := 0; v < ss.n; v++ {
 		ss.obj[v] = d * ss.m.obj[v]
@@ -186,20 +186,14 @@ func (ss *sparseSolve) setObj() {
 	}
 }
 
-// zeroObj clears the costs; a zero cost row is trivially dual feasible,
-// which is what the import path's repair phase needs.
-func (ss *sparseSolve) zeroObj() {
-	for v := range ss.obj {
-		ss.obj[v] = 0
-	}
-}
-
-// crashBasis assembles the starting basis: seed members first (unknown
-// names and linearly dependent columns dropped, exactly like the dense
-// import), then slack columns until every row is covered. It fails —
-// sending the caller to the cold path — when no complete basis emerges
-// (e.g. an EQ row no seed column covers).
-func (ss *sparseSolve) crashBasis(seed *Basis) bool {
+// importBasis assembles the starting basis and its basic solution: seed
+// members first (unknown names and linearly dependent columns dropped,
+// exactly like the dense import), then slack columns until every row is
+// covered — with no seed at all, the all-slack basis. It fails — sending
+// the caller to the cold path — when no complete basis emerges (e.g. an
+// EQ row no seed column covers). The costs of a fresh kernel are zero,
+// which is the trivially dual-feasible row the repair phase needs.
+func (ss *sparseSolve) importBasis(seed *Basis) bool {
 	lu := linalg.NewSparseLU(ss.rows, importPivTol)
 	ss.basis = ss.basis[:0]
 	add := func(c int) {
@@ -256,6 +250,7 @@ func (ss *sparseSolve) crashBasis(seed *Basis) bool {
 	for i, c := range ss.basis {
 		ss.inBasis[c] = i
 	}
+	ss.computeXB()
 	return true
 }
 
@@ -594,123 +589,35 @@ func (ss *sparseSolve) duals() []float64 {
 	return out
 }
 
-// solveWarmSparse is SolveWarm's sparse arm: hot re-solve on the retained
-// factors when the structure is unchanged, otherwise a crash-import (the
-// seed may be empty — the all-slack basis then starts the dual repair, so
-// even a first solve avoids the dense tableau), with the cold dense
-// two-phase path as the audited correctness anchor.
-func (s *Solver) solveWarmSparse(m *Model, seed *Basis, opts Options) (*Result, error) {
-	s.ws = retained{} // dense hot state does not survive a sparse round
-	if s.sws.valid && s.sws.ss != nil && sameStructure(s.sws.ss.m, m) {
-		if res := s.hotSparse(m, opts); res != nil {
-			s.out.Path = "hot"
-			s.out.Sparse = true
-			s.stats.HotSolves++
-			s.stats.SparseSolves++
-			return res, nil
-		}
-	}
-	if res := s.importSparse(m, seed, opts); res != nil {
-		s.out.Path = "import"
-		s.out.Sparse = true
-		s.stats.ImportSolves++
-		s.stats.SparseSolves++
-		return res, nil
-	}
-	s.out.FellBack = true
-	s.stats.Fallbacks++
-	s.out.Path = "cold"
-	return s.solveCold(m, opts)
-}
+func (ss *sparseSolve) model() *Model { return ss.m }
 
-// hotSparse re-solves on the retained factors: FTRAN turns the new rhs
-// into the new basic solution, the dual simplex under the previous
-// (still dual-feasible) costs repairs primal feasibility, then the new
-// costs are priced in and primal pivots finish. Non-Optimal exits abandon
-// the retained state (recording the wasted pivots) so the caller falls
-// back. Instead of abandoning at the drift bound like the dense path, the
-// sparse path simply refactorizes — an O(fill) operation.
-func (s *Solver) hotSparse(m *Model, opts Options) *Result {
-	ss := s.sws.ss
+func (ss *sparseSolve) pivots() int { return ss.iters }
+
+// rearm refreshes the basic solution for the new rhs by one FTRAN through
+// the retained factors. Where the dense kernel sheds drift by being
+// dropped, a stale sparse one refactorizes in place — an O(fill)
+// operation.
+func (ss *sparseSolve) rearm(m *Model, opts Options, stale bool) bool {
 	ss.m = m
 	ss.opts = opts.withDefaults(ss.rows, ss.n)
 	ss.iters = 0
-	if s.sws.uses >= maxHotUses {
-		if !ss.refactorize() {
-			s.abandonSparse(ss)
-			return nil
+	if stale && !ss.refactorize() {
+		return false
+	}
+	ss.computeXB()
+	return true
+}
+
+// exportBasis names the basic columns; sparse bases hold only structural
+// and slack columns by construction, so they are always representable.
+func (ss *sparseSolve) exportBasis() (*Basis, bool) {
+	b := &Basis{}
+	for _, c := range ss.basis {
+		if c < ss.n {
+			b.vars = append(b.vars, ss.m.names[c])
+		} else {
+			b.slackRows = append(b.slackRows, ss.m.rows[ss.slackRow[c-ss.n]].name)
 		}
-		s.sws.uses = 0
 	}
-	ss.computeXB()
-	// Dual repair runs under the previous solve's costs: they are still
-	// dual feasible for this basis, while the new costs need not be.
-	if st := ss.dualIterate(); st != Optimal {
-		s.abandonSparse(ss)
-		return nil
-	}
-	ss.setObj()
-	if st := ss.primalIterate(); st != Optimal {
-		s.abandonSparse(ss)
-		return nil
-	}
-	res := s.acceptSparse(ss)
-	if res == nil {
-		s.abandonSparse(ss)
-		return nil
-	}
-	s.sws.uses++
-	return res
-}
-
-// importSparse crashes the seed basis (or, with no seed, the all-slack
-// basis) into fresh factors, repairs primal feasibility with a zero-cost
-// dual phase (an all-zero cost row is trivially dual feasible), prices in
-// the true costs and finishes with primal pivots.
-func (s *Solver) importSparse(m *Model, seed *Basis, opts Options) *Result {
-	s.sws = retainedSparse{}
-	ss := newSparseSolve(m, opts)
-	if !ss.crashBasis(seed) {
-		return nil
-	}
-	ss.computeXB()
-	ss.zeroObj()
-	if st := ss.dualIterate(); st != Optimal {
-		s.abandonSparse(ss)
-		return nil
-	}
-	ss.setObj()
-	if st := ss.primalIterate(); st != Optimal {
-		s.abandonSparse(ss)
-		return nil
-	}
-	res := s.acceptSparse(ss)
-	if res == nil {
-		s.abandonSparse(ss)
-		return nil
-	}
-	s.sws = retainedSparse{ss: ss, valid: true}
-	return res
-}
-
-// acceptSparse audits a sparse state that claims optimality against the
-// model, with the same rhs-scaled tolerance as the dense acceptWarm;
-// numerical drift beyond it rejects the result so the cold path re-solves
-// from scratch.
-func (s *Solver) acceptSparse(ss *sparseSolve) *Result {
-	x := ss.extract()
-	if ss.m.CheckFeasible(x, auditTol(ss.m, ss.opts.Tol)) != nil {
-		return nil
-	}
-	s.out.WarmPivots = ss.iters
-	s.stats.WarmPivots += int64(ss.iters)
-	s.setLastSparse(ss)
-	return &Result{
-		Status:     Optimal,
-		Objective:  ss.m.ObjectiveValue(x),
-		X:          x,
-		Duals:      ss.duals(),
-		Iterations: ss.iters,
-		Warm:       true,
-	}
+	return b, true
 }

@@ -35,53 +35,6 @@ func requireClose(t *testing.T, what string, got, want float64) {
 	}
 }
 
-// TestSparseWarmChainMatchesCold runs the canonical slot chain on the
-// transport LP with the sparse path forced on. The transport LP has an EQ
-// row, so the seedless slot 0 cannot slack-crash and must fall back cold;
-// slot 1 imports the exported basis sparsely; later slots run hot on the
-// retained factors. Every slot must match the cold reference.
-func TestSparseWarmChainMatchesCold(t *testing.T) {
-	var s Solver
-	var seed *Basis
-	opts := sparseTestOpts()
-	wantPath := []string{"cold", "import", "hot", "hot", "hot", "hot"}
-	for slot, path := range wantPath {
-		scale := 1 + 0.05*float64(slot)
-		m := buildTransportLP(scale, 1/scale)
-		res, err := s.SolveWarm(m, seed, opts)
-		if err != nil {
-			t.Fatalf("slot %d: %v", slot, err)
-		}
-		out := s.LastOutcome()
-		if out.Path != path {
-			t.Fatalf("slot %d: path %q, want %q", slot, out.Path, path)
-		}
-		if wantSparse := path != "cold"; out.Sparse != wantSparse {
-			t.Fatalf("slot %d (%s): Sparse=%v, want %v", slot, path, out.Sparse, wantSparse)
-		}
-		cold, err := m.SolveOpts(Options{})
-		if err != nil {
-			t.Fatalf("slot %d cold: %v", slot, err)
-		}
-		requireClose(t, "objective", res.Objective, cold.Objective)
-		for i := range cold.Duals {
-			requireClose(t, "dual", res.Duals[i], cold.Duals[i])
-		}
-		if err := m.CheckFeasible(res.X, 1e-6); err != nil {
-			t.Fatalf("slot %d: %v", slot, err)
-		}
-		if b, ok := s.ExportBasis(); ok {
-			seed = b
-		} else {
-			t.Fatalf("slot %d: basis not exportable", slot)
-		}
-	}
-	st := s.Stats()
-	if st.SparseSolves != 5 || st.HotSolves != 4 || st.ImportSolves != 1 || st.ColdSolves != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
 // TestSparseEmptySeedImportsOnInequalityLP verifies the all-slack crash:
 // with no EQ rows a seedless sparse solve takes the import path directly
 // — no dense tableau is ever built for the LP.
@@ -118,65 +71,6 @@ func TestSparseEmptySeedImportsOnInequalityLP(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireClose(t, "objective", res2.Objective, cold2.Objective)
-}
-
-// TestSparseSolveSeededPure verifies the worker-purity contract on the
-// sparse path: SolveSeeded must be a pure function of (model, seed, opts),
-// unaffected by whatever retained state the solver accumulated before.
-func TestSparseSolveSeededPure(t *testing.T) {
-	opts := sparseTestOpts()
-	m := buildInequalityLP(1)
-
-	var fresh Solver
-	want, err := fresh.SolveSeeded(buildInequalityLP(1), nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var dirty Solver
-	for i := 0; i < 3; i++ { // accumulate sparse hot state first
-		if _, err := dirty.SolveWarm(buildInequalityLP(1+0.1*float64(i)), nil, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := dirty.SolveSeeded(m, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("SolveSeeded not pure on sparse path:\nfresh %+v\ndirty %+v", want, got)
-	}
-	if out := dirty.LastOutcome(); out.Path != "import" || !out.Sparse {
-		t.Fatalf("outcome %+v, want sparse import", out)
-	}
-}
-
-// TestSparseExportBasisRoundTrip re-imports a sparse solve's own exported
-// basis and expects it to verify optimality almost immediately.
-func TestSparseExportBasisRoundTrip(t *testing.T) {
-	opts := sparseTestOpts()
-	var s Solver
-	m := buildInequalityLP(1)
-	res, err := s.SolveWarm(m, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, ok := s.ExportBasis()
-	if !ok {
-		t.Fatal("sparse basis not exportable")
-	}
-	var s2 Solver
-	res2, err := s2.SolveSeeded(buildInequalityLP(1), b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := s2.LastOutcome(); out.Path != "import" || !out.Sparse {
-		t.Fatalf("outcome %+v, want sparse import", out)
-	}
-	requireClose(t, "objective", res2.Objective, res.Objective)
-	if res2.Iterations > m.NumConstraints() {
-		t.Fatalf("re-import of own optimal basis took %d pivots", res2.Iterations)
-	}
 }
 
 // TestSparseOffBitIdentical verifies the knob's contract: with Sparse off,
@@ -218,26 +112,4 @@ func TestSparseOffBitIdentical(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestSparseHostileSeedFallsBackCold gives the sparse import a seed basis
-// and model whose EQ row can only be covered by seed columns; a seed
-// naming none of them must send the solve to the audited cold path.
-func TestSparseHostileSeedFallsBackCold(t *testing.T) {
-	var s Solver
-	m := buildTransportLP(1, 1)
-	hostile := NewBasis([]string{"no_such_var"}, nil)
-	res, err := s.SolveWarm(m, hostile, sparseTestOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := s.LastOutcome()
-	if out.Path != "cold" || !out.FellBack || out.Sparse {
-		t.Fatalf("outcome %+v, want cold fallback", out)
-	}
-	cold, err := m.SolveOpts(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireClose(t, "objective", res.Objective, cold.Objective)
 }

@@ -10,6 +10,7 @@ import (
 	"profitlb/internal/baseline"
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
+	"profitlb/internal/exp"
 	"profitlb/internal/fault"
 	"profitlb/internal/market"
 	"profitlb/internal/resilient"
@@ -421,5 +422,84 @@ func TestChainWithParallelPlanner(t *testing.T) {
 		if !reflect.DeepEqual(plans, serial) {
 			t.Fatalf("goroutine %d: parallel-tier chain diverged from the serial chain", g)
 		}
+	}
+}
+
+// tracked reports every finished Plan call of the tier it wraps, so a
+// test can wait for tier goroutines the chain abandoned.
+type tracked struct {
+	core.Planner
+	finished chan<- struct{}
+}
+
+func (p *tracked) Plan(in *core.Input) (*core.Plan, error) {
+	defer func() { p.finished <- struct{}{} }()
+	return p.Planner.Plan(in)
+}
+
+// TestAbandonedTierDoesNotRaceNextSlot is the -race regression for the
+// chain's deadline: a tier that overruns Timeout keeps computing after
+// the chain has moved on, so the next slot's Plan on the same warm
+// planner starts while the previous one is still solving. The straggler
+// owns the planner's warm state and Stats sink until it finishes; the
+// live call must plan without them. A day of slots under a deadline no
+// LP-backed tier can meet, then wait for every straggler.
+func TestAbandonedTierDoesNotRaceNextSlot(t *testing.T) {
+	cfg := exp.NewTwoLevelSetup().Config()
+	cfg.StartSlot, cfg.Slots = 0, 24
+	src, err := sim.NewInputSource(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := core.NewOptimized()
+	opt.Stats = &core.SearchStats{}
+	chain := resilient.Wrap(opt)
+	chain.Timeout = 50 * time.Microsecond
+	finished := make(chan struct{}, 3*cfg.Slots) // one send per tier invocation
+	for i, tier := range chain.Tiers {
+		chain.Tiers[i] = &tracked{Planner: tier, finished: finished}
+	}
+	invoked, timeouts := 0, 0
+	var in *core.Input
+	for slot := 0; slot < cfg.Slots; slot++ {
+		in, err = src.PlannerInput(slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := chain.Plan(in)
+		if err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		if err := core.Verify(in, plan, 1e-6); err != nil {
+			t.Fatalf("slot %d: committed plan infeasible: %v", slot, err)
+		}
+		for _, at := range chain.LastDecision().Attempts {
+			if at.Planner == "replay" {
+				continue
+			}
+			invoked++
+			if at.Reason == resilient.ReasonTimeout {
+				timeouts++
+			}
+		}
+	}
+	if timeouts == 0 {
+		t.Fatal("no tier overran the deadline; the test exercised nothing")
+	}
+	for i := 0; i < invoked; i++ {
+		select {
+		case <-finished:
+		case <-time.After(time.Minute):
+			t.Fatalf("straggler %d of %d never finished", i+1, invoked)
+		}
+	}
+	// With every straggler gone the planner owns its warm state again.
+	for i := 0; i < 2; i++ {
+		if _, err := opt.Plan(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if opt.Stats.Solves == 0 || opt.Stats.WarmHits == 0 {
+		t.Fatalf("planner did not recover its warm state: %+v", *opt.Stats)
 	}
 }

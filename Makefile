@@ -66,12 +66,12 @@ bench:
 bench-lp-sparse:
 	BENCH_PLAN_JSON=BENCH_plan.json $(GO) test -count=1 -run='TestWarmStartTrajectory' -v .
 
-# bench-smoke proves the plan-search benchmarks and the memo-cache
-# contention benchmark still run (one iteration, no timing claims);
-# wired into verify.
+# bench-smoke proves the plan-search benchmarks, the memo-cache
+# contention benchmark and the dispatch-LP builder benchmark still run
+# (one iteration, no timing claims); wired into verify.
 bench-smoke:
 	$(GO) test -bench=BenchmarkPlanSearch -benchtime=1x -run=NONE .
-	$(GO) test -bench=BenchmarkSubsetCacheContention -benchtime=1x -run=NONE ./internal/core/
+	$(GO) test -bench='BenchmarkSubsetCacheContention|BenchmarkBuildDispatchLP' -benchtime=1x -run=NONE ./internal/core/
 
 # benchall sweeps the full paper-artifact benchmark suite once.
 benchall:

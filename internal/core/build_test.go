@@ -1,0 +1,198 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"profitlb/internal/datacenter"
+	"profitlb/internal/tuf"
+)
+
+// synthInput is the large-topology construction of the root
+// bench_test.go at a chosen size: two-level TUFs, half of the (class,
+// center) pairs priced out, so about K·L commodities are admitted.
+func synthInput(K, L, S int) *Input {
+	sys := &datacenter.System{}
+	for k := 0; k < K; k++ {
+		u := 12 + float64(k)
+		sys.Classes = append(sys.Classes, datacenter.RequestClass{
+			Name:                fmt.Sprintf("class%02d", k),
+			TUF:                 tuf.MustNew([]tuf.Level{{Utility: u, Deadline: 0.02}, {Utility: u * 0.45, Deadline: 0.08}}),
+			TransferCostPerMile: 0.00005,
+		})
+	}
+	arrivals := make([][]float64, S)
+	for s := 0; s < S; s++ {
+		d := make([]float64, L)
+		for l := range d {
+			d[l] = 200 + 37*float64((s*7+l*11)%29)
+		}
+		sys.FrontEnds = append(sys.FrontEnds, datacenter.FrontEnd{Name: fmt.Sprintf("fe%d", s), DistanceMiles: d})
+		arrivals[s] = make([]float64, K)
+		for k := range arrivals[s] {
+			arrivals[s][k] = 400 + 30*float64((s+k)%7)
+		}
+	}
+	prices := make([]float64, L)
+	for l := 0; l < L; l++ {
+		mu, en := make([]float64, K), make([]float64, K)
+		for k := range mu {
+			mu[k] = 900 + 20*float64((l+k)%6)
+			en[k] = 1.5
+			if (l*7+k)%2 == 0 {
+				en[k] = 0.0004 + 0.00002*float64((l*3+k)%5)
+			}
+		}
+		sys.Centers = append(sys.Centers, datacenter.DataCenter{
+			Name: fmt.Sprintf("dc%02d", l), Servers: 4, Capacity: 1, ServiceRate: mu, EnergyPerRequest: en,
+		})
+		prices[l] = 30 + float64(l%9)
+	}
+	return &Input{Sys: sys, Arrivals: arrivals, Prices: prices}
+}
+
+// capReservationsRescan is capReservations as it stood before it
+// bucketed by center: Σ 1/(D·C·μ) rescanned over every commodity per
+// center per eviction round. The reference for victims and order.
+func capReservationsRescan(in *Input, orig []commodity) []commodity {
+	comms := append([]commodity(nil), orig...)
+	sys := in.Sys
+	for l := 0; l < sys.L(); l++ {
+		for {
+			var sum float64
+			var at []int
+			for ci, c := range comms {
+				if c.l == l {
+					dc := &sys.Centers[l]
+					sum += 1 / (c.deadline * dc.Capacity * dc.ServiceRate[c.k])
+					at = append(at, ci)
+				}
+			}
+			if sum <= 0.999 {
+				break
+			}
+			worst := worstEvictable(comms, at)
+			if worst < 0 {
+				break
+			}
+			comms = append(comms[:at[worst]], comms[at[worst]+1:]...)
+		}
+	}
+	return comms
+}
+
+// TestCapReservationsEvictsWithinBuckets: with deadlines tight enough
+// that several centers overflow — some down to their floored
+// commodities — the bucketed eviction returns exactly what the rescan
+// did, and leaves its input alone.
+func TestCapReservationsEvictsWithinBuckets(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	evictedAt := map[int]bool{}
+	flooredGone := false
+	for trial := 0; trial < 50; trial++ {
+		K, L := 2+rng.Intn(5), 2+rng.Intn(6)
+		in := synthInput(K, L, 2)
+		var comms []commodity
+		for k := 0; k < K; k++ {
+			for q := 0; q < 2; q++ {
+				for l := 0; l < L; l++ {
+					if rng.Intn(4) == 0 {
+						continue
+					}
+					// 1/(D·C·μ) of 0.1–0.6 a commodity: most centers overflow.
+					d := 1 / (in.Sys.Centers[l].ServiceRate[k] * (0.1 + 0.5*rng.Float64()))
+					comms = append(comms, commodity{k: k, q: q, l: l, deadline: d,
+						bestCoef: float64(rng.Intn(6)) - 1, floored: k == 0 || rng.Intn(5) == 0})
+				}
+			}
+		}
+		rng.Shuffle(len(comms), func(i, j int) { comms[i], comms[j] = comms[j], comms[i] })
+		before := append([]commodity(nil), comms...)
+		got, want := capReservations(in, comms), capReservationsRescan(in, comms)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: bucketed eviction kept\n%+v\nthe rescan kept\n%+v", trial, got, want)
+		}
+		if !reflect.DeepEqual(comms, before) {
+			t.Fatalf("trial %d: input modified", trial)
+		}
+		kept := map[commodityKey]bool{}
+		for _, c := range got {
+			kept[keyOf(c)] = true
+		}
+		for _, c := range comms {
+			if !kept[keyOf(c)] {
+				evictedAt[c.l] = true
+				flooredGone = flooredGone || c.floored
+			}
+		}
+	}
+	if len(evictedAt) < 3 || !flooredGone {
+		t.Fatalf("fixture too tame: evictions at %d centers, floored evicted: %v", len(evictedAt), flooredGone)
+	}
+}
+
+// builderSizes are the benchmark's two topologies: the paper's Section VI
+// dimensions and the fleet-large slot.
+var builderSizes = []struct {
+	name    string
+	K, L, S int
+}{{"paper-3x3x4", 3, 3, 4}, {"fleet-20x100x3", 20, 100, 3}}
+
+// BenchmarkBuildDispatchLP times one dispatch-LP build with the
+// planner's name table already filled (every slot after the first) and
+// with a fresh one (a planner's first slot).
+func BenchmarkBuildDispatchLP(b *testing.B) {
+	for _, sz := range builderSizes {
+		in := synthInput(sz.K, sz.L, sz.S)
+		comms := capReservations(in, admissibleCommodities(in, nil))
+		b.Run(sz.name+"/warm-table", func(b *testing.B) {
+			var opts EngineOptions
+			names := opts.namesFor(in.Sys)
+			buildDispatchLP(in, comms, nil, false, names)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buildDispatchLP(in, comms, nil, false, names)
+			}
+		})
+		b.Run(sz.name+"/cold-table", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var opts EngineOptions
+				buildDispatchLP(in, comms, nil, false, opts.namesFor(in.Sys))
+			}
+		})
+	}
+}
+
+// TestBuildDispatchLPAllocs is the builder's allocation budget. With the
+// table warm a build allocates a fixed handful of slabs — the model's
+// four, the handle and index slabs, the row tables, the scratch row's
+// few doublings — whatever the size; with no table (and in the
+// per-server layout, which has none) it adds one string per name and
+// nothing else. A name formatted per build, or a slice made per row,
+// breaks the first budget at once.
+func TestBuildDispatchLPAllocs(t *testing.T) {
+	const slabs = 48 // two dozen, doubled: the race detector moves a few to the heap
+	for _, sz := range builderSizes {
+		in := synthInput(sz.K, sz.L, sz.S)
+		comms := capReservations(in, admissibleCommodities(in, nil))
+		var opts EngineOptions
+		names := opts.namesFor(in.Sys)
+		d := buildDispatchLP(in, comms, nil, false, names)
+		if got := testing.AllocsPerRun(5, func() { buildDispatchLP(in, comms, nil, false, names) }); got > slabs {
+			t.Errorf("%s: %v allocations a build with a warm name table, budget %d", sz.name, got, slabs)
+		}
+		budget := float64(slabs + d.model.NumVariables() + d.model.NumConstraints())
+		if got := testing.AllocsPerRun(5, func() { buildDispatchLP(in, comms, nil, false, nil) }); got > budget {
+			t.Errorf("%s: %v allocations a table-less build of %d commodities, budget %v", sz.name, got, len(comms), budget)
+		}
+		d = buildDispatchLP(in, comms, nil, true, nil)
+		budget = float64(slabs + d.model.NumVariables() + d.model.NumConstraints())
+		if got := testing.AllocsPerRun(5, func() { buildDispatchLP(in, comms, nil, true, nil) }); got > budget {
+			t.Errorf("%s: %v allocations a per-server build of %d commodities, budget %v", sz.name, got, len(comms), budget)
+		}
+	}
+}

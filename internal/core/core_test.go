@@ -200,8 +200,8 @@ func TestDispatchLayoutsAgree(t *testing.T) {
 	for _, floors := range [][]float64{nil, {0.5, 0}} {
 		comms := capReservations(in, admissibleCommodities(in, floors))
 		sortCommodities(comms)
-		agg := buildDispatchLP(in, comms, floors, false)
-		per := buildDispatchLP(in, comms, floors, true)
+		agg := buildDispatchLP(in, comms, floors, false, nil)
+		per := buildDispatchLP(in, comms, floors, true, nil)
 		servers := 0
 		for _, c := range comms {
 			servers += in.Sys.Centers[c.l].Servers

@@ -24,7 +24,7 @@ func TestDispatchLPCrossValidatedWithNLP(t *testing.T) {
 		if len(comms) == 0 {
 			continue
 		}
-		d := buildDispatchLP(in, comms, nil, false)
+		d := buildDispatchLP(in, comms, nil, false, nil)
 		exact, err := d.model.SolveOpts(lp.Options{})
 		if err != nil {
 			continue // random reservation overloads are legitimate

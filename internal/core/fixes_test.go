@@ -63,14 +63,14 @@ func TestWorstEvictableOrder(t *testing.T) {
 		{k: 1, q: 0, l: 0, bestCoef: 3},
 		{k: 2, q: 0, l: 0, bestCoef: 1},
 	}
-	if got := worstEvictable(comms, 0); got != 2 {
+	if got := worstEvictable(comms, nil); got != 2 {
 		t.Fatalf("want the cheapest non-floored commodity (index 2), got %d", got)
 	}
 	comms = comms[:1]
-	if got := worstEvictable(comms, 0); got != 0 {
+	if got := worstEvictable(comms, nil); got != 0 {
 		t.Fatalf("want the floored fallback (index 0), got %d", got)
 	}
-	if got := worstEvictable(nil, 0); got != -1 {
+	if got := worstEvictable(nil, nil); got != -1 {
 		t.Fatalf("want -1 on empty set, got %d", got)
 	}
 }

@@ -214,19 +214,23 @@ func buildHorizonLP(h *HorizonInput) *horizonLP {
 	}
 
 	m := lp.NewModel()
+	// Names carry t/d/r, so they are spelled afresh each build, by
+	// appending into one buffer (see lpName).
+	var buf [48]byte
+	name := func(prefix string) lpName { return append(buf[:0], prefix...) }
 	xIdx := map[horizonVar]int{}
 	bIdx := map[backlogVar]int{}
 	fVar := make([][]int, H) // [t][ci]
 	for t := 0; t < H; t++ {
 		fVar[t] = make([]int, len(comms[t]))
 		for ci, c := range comms[t] {
-			fVar[t][ci] = m.AddVariable(fmt.Sprintf("phi_t%d_k%d_q%d_l%d", t, c.k, c.q, c.l), 0)
+			fVar[t][ci] = m.AddVariable(string(name("phi").tag("_t", t).tag("_k", c.k).tag("_q", c.q).tag("_l", c.l)), 0)
 			maxD := h.MaxDefer[c.k]
 			for s := 0; s < S; s++ {
 				coef := T * sys.UnitProfit(c.k, s, c.l, c.utility, h.Prices[t][c.l])
 				for d := 0; d <= maxD && d <= t; d++ {
 					v := horizonVar{ts: t, ci: ci, s: s, d: d}
-					xIdx[v] = m.AddVariable(fmt.Sprintf("x_t%d_k%d_q%d_s%d_l%d_d%d", t, c.k, c.q, s, c.l, d),
+					xIdx[v] = m.AddVariable(string(name("x").tag("_t", t).tag("_k", c.k).tag("_q", c.q).tag("_s", s).tag("_l", c.l).tag("_d", d)),
 						coef-deferHoldEps*float64(d))
 				}
 				// Carried-backlog dispatch: bucket (s, r) may run in any
@@ -236,7 +240,7 @@ func buildHorizonLP(h *HorizonInput) *horizonLP {
 						continue
 					}
 					v := backlogVar{ts: t, ci: ci, s: s, r: r}
-					bIdx[v] = m.AddVariable(fmt.Sprintf("b_t%d_k%d_q%d_s%d_l%d_r%d", t, c.k, c.q, s, c.l, r),
+					bIdx[v] = m.AddVariable(string(name("b").tag("_t", t).tag("_k", c.k).tag("_q", c.q).tag("_s", s).tag("_l", c.l).tag("_r", r)),
 						coef-deferHoldEps*float64(t))
 				}
 			}
@@ -259,7 +263,7 @@ func buildHorizonLP(h *HorizonInput) *horizonLP {
 					}
 				}
 			}
-			m.AddConstraint(fmt.Sprintf("cap_t%d_k%d_q%d_l%d", t, c.k, c.q, c.l), terms, lp.GE, n/c.deadline)
+			m.AddConstraint(string(name("cap").tag("_t", t).tag("_k", c.k).tag("_q", c.q).tag("_l", c.l)), terms, lp.GE, n/c.deadline)
 		}
 	}
 	// Backlog budgets per (front-end, type, bucket): the bucket's volume
@@ -282,7 +286,7 @@ func buildHorizonLP(h *HorizonInput) *horizonLP {
 					}
 				}
 				if len(terms) > 0 {
-					m.AddConstraint(fmt.Sprintf("bud_s%d_k%d_r%d", s, k, r), terms, lp.LE, h.backlogAt(s, k, r))
+					m.AddConstraint(string(name("bud").tag("_s", s).tag("_k", k).tag("_r", r)), terms, lp.LE, h.backlogAt(s, k, r))
 				}
 			}
 		}
@@ -302,7 +306,7 @@ func buildHorizonLP(h *HorizonInput) *horizonLP {
 					}
 				}
 				if len(terms) > 0 {
-					m.AddConstraint(fmt.Sprintf("arr_t%d_s%d_k%d", ta, s, k), terms, lp.LE, h.Arrivals[ta][s][k])
+					m.AddConstraint(string(name("arr").tag("_t", ta).tag("_s", s).tag("_k", k)), terms, lp.LE, h.Arrivals[ta][s][k])
 				}
 			}
 		}
@@ -317,7 +321,7 @@ func buildHorizonLP(h *HorizonInput) *horizonLP {
 				}
 			}
 			if len(terms) > 0 {
-				m.AddConstraint(fmt.Sprintf("share_t%d_l%d", t, l), terms, lp.LE, 1)
+				m.AddConstraint(string(name("share").tag("_t", t).tag("_l", l)), terms, lp.LE, 1)
 			}
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
+	"sync/atomic"
 
 	"profitlb/internal/lp"
 	"profitlb/internal/obs"
@@ -114,6 +114,9 @@ type EngineOptions struct {
 	// claimed by one Plan call at a time (see warm.go). Holding it here
 	// means a planner value must not be copied once it has planned.
 	warm warmState
+	// names is the planner's dispatch-LP name table (see names.go), the
+	// one thing memoised across slots whatever WarmStart says.
+	names atomic.Pointer[dispatchNames]
 }
 
 // lpOpts resolves the effective solver options: the Sparse knob merges
@@ -203,7 +206,8 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 // profitability — the floor may force serving them at a loss.
 func admissibleCommodities(in *Input, floors []float64) []commodity {
 	sys := in.Sys
-	var out []commodity
+	// About one level per (class, center) pair survives the profit test.
+	out := make([]commodity, 0, sys.K()*sys.L())
 	for k := 0; k < sys.K(); k++ {
 		floored := k < len(floors) && floors[k] > 0
 		levels := sys.Classes[k].TUF.Levels()
@@ -234,51 +238,62 @@ func admissibleCommodities(in *Input, floors []float64) []commodity {
 // Their bestCoef is usually the lowest in the set (often negative), so
 // value-ordered eviction would strip a floored type of every commodity
 // and turn a feasible instance into a spurious "floors exceed what the
-// fleet can serve" failure. The input slice is not modified.
+// fleet can serve" failure. The commodities are bucketed by center once
+// and each center evicts within its bucket; the input slice is not
+// modified and the survivors keep its order.
 func capReservations(in *Input, orig []commodity) []commodity {
-	comms := append([]commodity(nil), orig...)
 	sys := in.Sys
 	const margin = 0.999
-	for l := 0; l < sys.L(); l++ {
+	gone := make([]bool, len(orig))
+	for l, at := range bucket(len(orig), sys.L(), func(ci int) int { return orig[ci].l }) {
+		dc := &sys.Centers[l]
 		for {
 			var sum float64
-			for _, c := range comms {
-				if c.l != l {
-					continue
-				}
-				dc := &sys.Centers[l]
-				sum += 1 / (c.deadline * dc.Capacity * dc.ServiceRate[c.k])
+			for _, ci := range at {
+				sum += 1 / (orig[ci].deadline * dc.Capacity * dc.ServiceRate[orig[ci].k])
 			}
 			if sum <= margin {
 				break
 			}
-			worst := worstEvictable(comms, l)
+			worst := worstEvictable(orig, at)
 			if worst < 0 {
 				break
 			}
-			comms = append(comms[:worst], comms[worst+1:]...)
+			gone[at[worst]] = true
+			at = append(at[:worst], at[worst+1:]...)
+		}
+	}
+	comms := make([]commodity, 0, len(orig))
+	for ci, c := range orig {
+		if !gone[ci] {
+			comms = append(comms, c)
 		}
 	}
 	return comms
 }
 
-// worstEvictable picks the eviction victim among the commodities of
-// center l (any center when l < 0): the lowest bestCoef among
-// non-floored commodities, falling back to floored ones only when no
-// other candidate exists.
-func worstEvictable(comms []commodity, l int) int {
+// worstEvictable picks the eviction victim among comms[ci] for ci in at
+// (every commodity when at is nil) and returns its position in at: the
+// lowest bestCoef among non-floored commodities, falling back to floored
+// ones only when no other candidate exists.
+func worstEvictable(comms []commodity, at []int) int {
+	n := len(at)
+	if at == nil {
+		n = len(comms)
+	}
 	worst, worstVal := -1, math.Inf(1)
 	worstFl, worstFlVal := -1, math.Inf(1)
-	for ci, c := range comms {
-		if l >= 0 && c.l != l {
-			continue
+	for p := 0; p < n; p++ {
+		c := &comms[p]
+		if at != nil {
+			c = &comms[at[p]]
 		}
 		if c.floored {
 			if c.bestCoef < worstFlVal {
-				worstFl, worstFlVal = ci, c.bestCoef
+				worstFl, worstFlVal = p, c.bestCoef
 			}
 		} else if c.bestCoef < worstVal {
-			worst, worstVal = ci, c.bestCoef
+			worst, worstVal = p, c.bestCoef
 		}
 	}
 	if worst < 0 {
@@ -288,7 +303,7 @@ func worstEvictable(comms []commodity, l int) int {
 }
 
 func dropWorst(comms []commodity) []commodity {
-	worst := worstEvictable(comms, -1)
+	worst := worstEvictable(comms, nil)
 	if worst < 0 {
 		return comms[:0]
 	}
@@ -424,38 +439,59 @@ type dispatchLP struct {
 // group of M_l (the aggregated layout: M·C·μ·φ − Σ_s λ ≥ M/D) or, with
 // perServer, as M_l groups of one — the paper's faithful λ_{k,s,i,l},
 // φ_{k,i,l} variables, equal in value and much larger.
-func buildDispatchLP(in *Input, comms []commodity, floors []float64, perServer bool) *dispatchLP {
+func buildDispatchLP(in *Input, comms []commodity, floors []float64, perServer bool, names *dispatchNames) *dispatchLP {
 	sys := in.Sys
 	T := sys.Slot()
 	S := sys.S()
 	d := &dispatchLP{model: lp.NewModel(), comms: comms}
 	m := d.model
 	// groups returns center l's group count and each group's size; name
-	// tags a variable or row with its group.
+	// spells a variable or row, tagged with its group when per-server.
 	groups := func(l int) (int, float64) {
 		if perServer {
 			return sys.Centers[l].Servers, 1
 		}
 		return 1, float64(sys.Centers[l].Servers)
 	}
-	name := func(base string, g int) string {
-		if perServer {
-			return base + "_i" + strconv.Itoa(g)
+	name := func(kind, k, q, s, l, g int) string {
+		if !perServer {
+			g = -1
 		}
-		return base
+		return names.name(kind, k, q, s, l, g)
 	}
+	// Everything is sized before it is filled: ng groups in all give
+	// ng·(S+1) columns, each in one cap row and one arr or share row, and
+	// a λ in its class's floor row if there is one.
+	ng, shareRows := 0, sys.L()
+	for _, c := range comms {
+		count, _ := groups(c.l)
+		ng += count
+	}
+	if perServer {
+		shareRows = ng
+	}
+	nTerms := 2 * ng * (S + 1)
+	if len(floors) > 0 {
+		nTerms += ng * S
+	}
+	m.Grow(ng*(S+1), ng+sys.K()*(S+1)+shareRows, nTerms)
+	byClass := bucket(len(comms), sys.K(), func(ci int) int { return comms[ci].k })
+	byCenter := bucket(len(comms), sys.L(), func(ci int) int { return comms[ci].l })
+	terms := make([]lp.Term, 0, S+1)
 
 	d.xVar = make([][]int, len(comms))
 	d.fVar = make([][]int, len(comms))
+	handles := make([]int, ng*(S+1))
 	for ci, c := range comms {
 		count, _ := groups(c.l)
-		vars := make([]int, count*(S+1))
+		vars := handles[:count*(S+1)]
+		handles = handles[len(vars):]
 		d.fVar[ci], d.xVar[ci] = vars[:count], vars[count:]
 		for g := 0; g < count; g++ {
-			d.fVar[ci][g] = m.AddVariable(name(fmt.Sprintf("phi_k%d_q%d_l%d", c.k, c.q, c.l), g), 0)
+			d.fVar[ci][g] = m.AddVariable(name(phiName, c.k, c.q, -1, c.l, g), 0)
 			for s := 0; s < S; s++ {
 				coef := T * sys.UnitProfit(c.k, s, c.l, c.utility, in.Prices[c.l])
-				d.xVar[ci][g*S+s] = m.AddVariable(name(fmt.Sprintf("lam_k%d_q%d_s%d_l%d", c.k, c.q, s, c.l), g), coef)
+				d.xVar[ci][g*S+s] = m.AddVariable(name(lamName, c.k, c.q, s, c.l, g), coef)
 			}
 		}
 	}
@@ -463,29 +499,27 @@ func buildDispatchLP(in *Input, comms []commodity, floors []float64, perServer b
 		dc := &sys.Centers[c.l]
 		_, n := groups(c.l)
 		for g, f := range d.fVar[ci] {
-			terms := []lp.Term{{Var: f, Coef: n * dc.Capacity * dc.ServiceRate[c.k]}}
+			terms = append(terms[:0], lp.Term{Var: f, Coef: n * dc.Capacity * dc.ServiceRate[c.k]})
 			for _, x := range d.xVar[ci][g*S : (g+1)*S] {
 				terms = append(terms, lp.Term{Var: x, Coef: -1})
 			}
-			m.AddConstraint(name(fmt.Sprintf("cap_k%d_q%d_l%d", c.k, c.q, c.l), g), terms, lp.GE, n/c.deadline)
+			m.AddConstraint(name(capName, c.k, c.q, -1, c.l, g), terms, lp.GE, n/c.deadline)
 		}
 	}
 	d.arrRow = make([][]int, sys.K())
+	arrRows := make([]int, sys.K()*S)
 	for k := 0; k < sys.K(); k++ {
-		d.arrRow[k] = make([]int, S)
+		d.arrRow[k], arrRows = arrRows[:S:S], arrRows[S:]
 		for s := 0; s < S; s++ {
 			d.arrRow[k][s] = -1
-			var terms []lp.Term
-			for ci := range comms {
-				if comms[ci].k != k {
-					continue
-				}
+			terms = terms[:0]
+			for _, ci := range byClass[k] {
 				for j := s; j < len(d.xVar[ci]); j += S {
 					terms = append(terms, lp.Term{Var: d.xVar[ci][j], Coef: 1})
 				}
 			}
 			if len(terms) > 0 {
-				d.arrRow[k][s] = m.AddConstraint(fmt.Sprintf("arr_k%d_s%d", k, s), terms, lp.LE, in.Arrivals[s][k])
+				d.arrRow[k][s] = m.AddConstraint(name(arrName, k, -1, s, -1, -1), terms, lp.LE, in.Arrivals[s][k])
 			}
 		}
 	}
@@ -495,11 +529,8 @@ func buildDispatchLP(in *Input, comms []commodity, floors []float64, perServer b
 		if frac <= 0 {
 			continue
 		}
-		var terms []lp.Term
-		for ci, c := range comms {
-			if c.k != k {
-				continue
-			}
+		terms = terms[:0]
+		for _, ci := range byClass[k] {
 			for _, x := range d.xVar[ci] {
 				terms = append(terms, lp.Term{Var: x, Coef: 1})
 			}
@@ -511,27 +542,44 @@ func buildDispatchLP(in *Input, comms []commodity, floors []float64, perServer b
 		if len(terms) == 0 && frac*offered > 0 {
 			// No admissible commodity can serve the type at all: encode
 			// an explicitly infeasible row so the caller sees it.
-			terms = []lp.Term{{Var: d.fVar[0][0], Coef: 0}}
+			terms = append(terms, lp.Term{Var: d.fVar[0][0], Coef: 0})
 		}
-		m.AddConstraint(fmt.Sprintf("floor_k%d", k), terms, lp.GE, frac*offered)
+		m.AddConstraint(name(floorName, k, -1, -1, -1, -1), terms, lp.GE, frac*offered)
 	}
 	d.shareRow = make([]int, sys.L())
 	for l := 0; l < sys.L(); l++ {
 		d.shareRow[l] = -1
 		count, _ := groups(l)
 		for g := 0; g < count; g++ {
-			var terms []lp.Term
-			for ci := range comms {
-				if comms[ci].l == l {
-					terms = append(terms, lp.Term{Var: d.fVar[ci][g], Coef: 1})
-				}
+			terms = terms[:0]
+			for _, ci := range byCenter[l] {
+				terms = append(terms, lp.Term{Var: d.fVar[ci][g], Coef: 1})
 			}
 			if len(terms) > 0 {
-				d.shareRow[l] = m.AddConstraint(name(fmt.Sprintf("share_l%d", l), g), terms, lp.LE, 1)
+				d.shareRow[l] = m.AddConstraint(name(shareName, -1, -1, -1, l, g), terms, lp.LE, 1)
 			}
 		}
 	}
 	return d
+}
+
+// bucket groups the indices 0..n-1 by key (in [0, buckets)), keeping
+// index order within a bucket, on one slab.
+func bucket(n, buckets int, key func(int) int) [][]int {
+	out := make([][]int, buckets)
+	size := make([]int, buckets)
+	for i := 0; i < n; i++ {
+		size[key(i)]++
+	}
+	slab := make([]int, n)
+	for b, sz := range size {
+		out[b], slab = slab[:0:sz], slab[sz:]
+	}
+	for i := 0; i < n; i++ {
+		b := key(i)
+		out[b] = append(out[b], i)
+	}
+	return out
 }
 
 // extractRates reads the per-commodity dispatch rates out of a solution,

@@ -23,6 +23,8 @@ type engine struct {
 	opts      lp.Options
 	workers   int
 	cache     *subsetCache
+	// names spells the aggregated layout's names from the planner's table.
+	names *dispatchNames
 	// warm, when non-nil, warm-starts every solve from the owning
 	// planner's retained basis (see warm.go); nil solves cold.
 	warm *warmState
@@ -55,6 +57,7 @@ func (e *EngineOptions) open(in *Input, planner string, perServer bool) *engine 
 		in: in, perServer: perServer, opts: e.lpOpts(),
 		workers: resolveWorkers(e.Parallelism), cache: newSubsetCache(),
 		warm: e.claim(!perServer), stats: e.Stats, sc: e.Obs, planner: planner,
+		names: e.namesFor(in.Sys),
 	}
 	if eng.warm == nil && e.WarmStart && !perServer {
 		eng.stats = nil // a straggling call still owns the sink
@@ -127,7 +130,7 @@ func (e *engine) solve(comms []commodity, floors []float64) ([][]float64, float6
 // solveLP builds one dispatch LP in the call's layout and solves it,
 // uncached, through the call's warm state (cold when there is none).
 func (e *engine) solveLP(comms []commodity, floors []float64) (*dispatchLP, *lp.Result, error) {
-	d := buildDispatchLP(e.in, comms, floors, e.perServer)
+	d := buildDispatchLP(e.in, comms, floors, e.perServer, e.names)
 	capture := e.capture
 	if capture {
 		e.capture = false

@@ -97,5 +97,5 @@ func DispatchModel(in *Input) (*lp.Model, error) {
 		return nil, err
 	}
 	comms := capReservations(in, admissibleCommodities(in, nil))
-	return buildDispatchLP(in, comms, nil, false).model, nil
+	return buildDispatchLP(in, comms, nil, false, nil).model, nil
 }

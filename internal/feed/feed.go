@@ -409,11 +409,11 @@ func (f *Feed) fetch(slot int) ([]float64, Health) {
 	eff := f.sch.FeedEffects(f.kind, f.idx, slot)
 	var ok bool
 	if f.br.Allow(slot) {
-		rng := slotRNG(f.cfg.Seed, f.kind, f.idx, slot)
-		ok, h.Attempts, h.Failure = f.transport(rng, eff)
+		rng := slotStream{f: f, slot: slot}
+		ok, h.Attempts, h.Failure = f.transport(&rng, eff)
 		f.br.Record(slot, ok)
 		if ok {
-			out := f.observe(slot, rng, eff, &h)
+			out := f.observe(slot, &rng, eff, &h)
 			h.Breaker = f.br.state
 			return out, h
 		}
@@ -427,7 +427,7 @@ func (f *Feed) fetch(slot int) ([]float64, Health) {
 
 // transport runs the bounded-retry fetch against the slot's fault
 // effects, spending virtual latency against the per-slot deadline.
-func (f *Feed) transport(rng *rand.Rand, eff fault.FeedEffects) (ok bool, attempts int, failure string) {
+func (f *Feed) transport(rng *slotStream, eff fault.FeedEffects) (ok bool, attempts int, failure string) {
 	elapsed := 0.0
 	backoff := f.cfg.BaseBackoffMs
 	for attempt := 1; attempt <= f.cfg.MaxAttempts; attempt++ {
@@ -442,7 +442,7 @@ func (f *Feed) transport(rng *rand.Rand, eff fault.FeedEffects) (ok bool, attemp
 		switch {
 		case eff.Lost:
 			failure = "lost"
-		case eff.DropProb > 0 && rng.Float64() < eff.DropProb:
+		case eff.DropProb > 0 && rng.draw().Float64() < eff.DropProb:
 			failure = "dropout"
 		case eff.Corrupt:
 			failure = "corrupt"
@@ -459,14 +459,14 @@ func (f *Feed) transport(rng *rand.Rand, eff fault.FeedEffects) (ok bool, attemp
 // the feed's floor, then folded into the LKG cache and the filters. A
 // noisy reading poisons the cache and the filters too — the feed cannot
 // tell it is wrong, which is exactly the exposure feed-noise models.
-func (f *Feed) observe(slot int, rng *rand.Rand, eff fault.FeedEffects, h *Health) []float64 {
+func (f *Feed) observe(slot int, rng *slotStream, eff fault.FeedEffects, h *Health) []float64 {
 	row := f.src(slot)
 	out := make([]float64, len(f.prior))
 	copy(out, row)
 	if eff.NoiseSigma > 0 {
 		h.Noisy = true
 		for i := range out {
-			out[i] *= 1 + eff.NoiseSigma*rng.NormFloat64()
+			out[i] *= 1 + eff.NoiseSigma*rng.draw().NormFloat64()
 			// Only noisy readings need the floor — an unperturbed sample is
 			// the oracle value and must pass through bit-identical.
 			if out[i] < f.floor || math.IsNaN(out[i]) {
@@ -644,17 +644,31 @@ func (st *Set) StaleMarginFor(staleness int) float64 {
 	return m
 }
 
-// slotRNG derives the per-(feed, slot) random stream: a splitmix64 hash
-// of seed, feed identity and slot, so draws are independent of call
-// order across feeds and identical across rebuilt Sets.
-func slotRNG(seed int64, kind string, idx, slot int) *rand.Rand {
-	h := uint64(seed)
-	for _, b := range []byte(kind) {
-		h = splitmix64(h ^ uint64(b))
+// slotStream is one fetch's handle on the per-(feed, slot) random
+// stream: a splitmix64 hash of seed, feed identity and slot, so draws are
+// independent of call order across feeds and identical across rebuilt
+// Sets. Seeding math/rand fills a 607-word, ~5 KB state and only a
+// dropout or noise fault ever draws, so the generator is built on the
+// first draw: a clean fetch seeds nothing, and a faulted one draws what
+// it always drew — the seed depends on nothing that happened before,
+// and transport and observe share the one handle, hence one draw order.
+type slotStream struct {
+	f    *Feed
+	slot int
+	rng  *rand.Rand
+}
+
+func (s *slotStream) draw() *rand.Rand {
+	if s.rng == nil {
+		h := uint64(s.f.cfg.Seed)
+		for _, b := range []byte(s.f.kind) {
+			h = splitmix64(h ^ uint64(b))
+		}
+		h = splitmix64(h ^ uint64(uint32(s.f.idx)))
+		h = splitmix64(h ^ uint64(uint32(s.slot)))
+		s.rng = rand.New(rand.NewSource(int64(h)))
 	}
-	h = splitmix64(h ^ uint64(uint32(idx)))
-	h = splitmix64(h ^ uint64(uint32(slot)))
-	return rand.New(rand.NewSource(int64(h)))
+	return s.rng
 }
 
 func splitmix64(x uint64) uint64 {

@@ -1,21 +1,24 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs, together with a small model-builder API with named variables.
+// Package lp is the linear-programming substrate of the reproduction: a
+// small model-builder API with named variables, a cold two-phase dense
+// simplex, and Solver's warm ladder (hot re-solve → basis import → audited
+// cold fallback) over two kernels — the dense marker-block tableau and,
+// from DefaultSparseMinRows rows up, the sparse revised simplex on an
+// LU-factorized basis.
 //
 // The paper's one-level-TUF dispatch problem is a pure LP (Section IV-1),
 // and its multi-level problems reduce to LPs once every (request type, data
-// center) pair commits to a utility level, so this package is the
-// optimization substrate for the whole reproduction. Go has no production
-// LP ecosystem, so the solver is built from scratch on the standard tableau
-// method: Phase 1 drives artificial variables out of the basis to find a
-// feasible vertex, Phase 2 optimizes the true objective. Dantzig pricing is
-// used by default with an automatic switch to Bland's rule to guarantee
-// termination on degenerate problems.
+// center) pair commits to a utility level, so every planner ends here. Go
+// has no production LP ecosystem, so the solvers are built from scratch.
+// The cold path is the standard tableau method: Phase 1 drives artificial
+// variables out of the basis, Phase 2 optimizes the true objective, with
+// Dantzig pricing and an automatic switch to Bland's rule on degeneracy.
 package lp
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Sense is the direction of a constraint row.
@@ -103,14 +106,25 @@ type constraint struct {
 // non-negative; upper bounds are expressed as explicit ≤ rows by the caller
 // (or with AddUpperBound). The zero value is an empty maximization model.
 type Model struct {
-	names    []string
-	obj      []float64
-	rows     []constraint
+	names []string
+	obj   []float64
+	rows  []constraint
+	// slab backs the rows' terms; a full one is left to its rows.
+	slab     []Term
 	minimize bool
 }
 
 // NewModel returns an empty maximization model.
 func NewModel() *Model { return &Model{} }
+
+// Grow reserves room for the given further variables, rows and row terms,
+// so a builder that knows its size allocates once instead of per row.
+func (m *Model) Grow(vars, rows, terms int) {
+	m.names, m.obj, m.rows = slices.Grow(m.names, vars), slices.Grow(m.obj, vars), slices.Grow(m.rows, rows)
+	if cap(m.slab)-len(m.slab) < terms {
+		m.slab = make([]Term, 0, terms)
+	}
+}
 
 // SetMinimize switches the model to minimization of the objective.
 func (m *Model) SetMinimize(min bool) { m.minimize = min }
@@ -137,12 +151,18 @@ func (m *Model) SetObjective(v int, coef float64) {
 // VariableName returns the name given to variable v.
 func (m *Model) VariableName(v int) string { return m.names[v] }
 
+// RowName returns the name given to constraint row c.
+func (m *Model) RowName(c int) string { return m.rows[c].name }
+
 // AddConstraint adds the row Σ terms (sense) rhs and returns its index.
 // Terms may mention a variable more than once; coefficients accumulate.
 func (m *Model) AddConstraint(name string, terms []Term, sense Sense, rhs float64) int {
-	cp := make([]Term, len(terms))
-	copy(cp, terms)
-	m.rows = append(m.rows, constraint{name: name, terms: cp, sense: sense, rhs: rhs})
+	if cap(m.slab)-len(m.slab) < len(terms) {
+		m.slab = make([]Term, 0, max(len(terms), 2*cap(m.slab), 32))
+	}
+	at := len(m.slab)
+	m.slab = append(m.slab, terms...)
+	m.rows = append(m.rows, constraint{name: name, terms: m.slab[at:len(m.slab):len(m.slab)], sense: sense, rhs: rhs})
 	return len(m.rows) - 1
 }
 

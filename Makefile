@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzz verify bench bench-lp-sparse bench-smoke benchall bench-e2e bench-compare loc
+.PHONY: build test vet fmt-check race fuzz verify bench bench-lp-sparse bench-smoke profile benchall bench-e2e bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -67,11 +67,29 @@ bench-lp-sparse:
 	BENCH_PLAN_JSON=BENCH_plan.json $(GO) test -count=1 -run='TestWarmStartTrajectory' -v .
 
 # bench-smoke proves the plan-search benchmarks, the memo-cache
-# contention benchmark and the dispatch-LP builder benchmark still run
-# (one iteration, no timing claims); wired into verify.
+# contention benchmark, the dispatch-LP builder benchmark and the refine
+# slot benchmark still run (one iteration, no timing claims); wired into
+# verify.
 bench-smoke:
 	$(GO) test -bench=BenchmarkPlanSearch -benchtime=1x -run=NONE .
-	$(GO) test -bench='BenchmarkSubsetCacheContention|BenchmarkBuildDispatchLP' -benchtime=1x -run=NONE ./internal/core/
+	$(GO) test -bench='BenchmarkSubsetCacheContention|BenchmarkBuildDispatchLP|BenchmarkRefineSlot' -benchtime=1x -run=NONE ./internal/core/
+
+# profile writes a CPU and an allocation profile into the git-ignored
+# prof/ and prints the top of each, with no edit to bench/: W=refine (the
+# default) profiles BenchmarkRefineSlot, the fleet-refine-mid slot's
+# ~150 seeded subset solves; W=large profiles TestWarmStartTrajectory's
+# 20x100x3 dense and sparse hot chains, fleet-large's solver side. Dig
+# further with `go tool pprof -list <regexp> prof/$(W).test prof/$(W).cpu`.
+W ?= refine
+profile:
+	@mkdir -p prof
+ifeq ($(W),large)
+	BENCH_PLAN_JSON=$(CURDIR)/prof/plan.json $(GO) test -count=1 -run=TestWarmStartTrajectory -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem .
+else
+	$(GO) test -run=NONE -bench=BenchmarkRefineSlot -benchtime=500x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
+endif
+	$(GO) tool pprof -top -nodecount=30 prof/$(W).test prof/$(W).cpu
+	$(GO) tool pprof -top -nodecount=30 -sample_index=alloc_space prof/$(W).test prof/$(W).mem
 
 # benchall sweeps the full paper-artifact benchmark suite once.
 benchall:

@@ -650,8 +650,10 @@ func TestPlanSearchTrajectory(t *testing.T) {
 // dense tableau's O(rows·cols) work per hot re-solve (rhs refresh plus
 // a handful of pivots, each touching the whole tableau) dominates
 // re-solve latency.
-func largeTopologySystem() *datacenter.System {
-	const K, L, S = 20, 100, 3
+func largeTopologySystem() *datacenter.System { return synthTopology(20, 100, 3) }
+
+// synthTopology is largeTopologySystem's construction at a chosen size.
+func synthTopology(K, L, S int) *datacenter.System {
 	classes := make([]datacenter.RequestClass, K)
 	for k := range classes {
 		u := 12 + float64(k)

@@ -1,0 +1,118 @@
+package profitlb
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"profitlb/internal/core"
+	"profitlb/internal/resilient"
+)
+
+var updateDeterminism = flag.Bool("update", false, "rewrite testdata/determinism.golden (deliberately: it pins every solver count and objective)")
+
+// TestSlotChainDeterminism is the "nothing numerical moves" harness: it
+// drives the resilient chain over the default planner through two slot
+// sequences — 36 slots of a 6×10×3 two-level system with refine on (~150
+// seeded subset LPs a slot, dense and sparse) and 12 slots of the
+// 20×100×3 one with refine off (one hot sparse re-solve a slot) — and
+// compares every call's solver counters and %.17g objective with a golden
+// file. A change that claims to move no number regenerates nothing; one
+// that moves pivots or round-off on purpose runs `go test -run
+// TestSlotChainDeterminism -update .` and says so.
+//
+// The file is compared in full at Parallelism 0. At −1 the search
+// evaluates candidates speculatively, so its solve and cache counts
+// depend on the box's CPU count; the committed plan does not, so there
+// the objectives alone are compared — on the refine-off chain, which has
+// no search, the whole line again.
+func TestSlotChainDeterminism(t *testing.T) {
+	const golden = "testdata/determinism.golden"
+	chains := []struct {
+		name    string
+		K, L, S int
+		slots   int
+		refine  bool
+	}{
+		{"refine-6x10x3", 6, 10, 3, 36, true},
+		{"hot-20x100x3", 20, 100, 3, 12, false},
+	}
+	run := func(par int) string {
+		var out bytes.Buffer
+		for _, c := range chains {
+			sys := synthTopology(c.K, c.L, c.S)
+			var stats core.SearchStats
+			o := core.NewOptimized()
+			o.Refine, o.Parallelism, o.Stats = c.refine, par, &stats
+			chain := resilient.Wrap(o)
+			for slot := 0; slot < c.slots; slot++ {
+				plan, err := chain.Plan(largeTopologyInput(sys, slot))
+				if err != nil {
+					t.Fatalf("%s slot %d (parallelism %d): %v", c.name, slot, par, err)
+				}
+				if tier, name, _ := chain.FallbackState(); tier != 0 {
+					t.Fatalf("%s slot %d (parallelism %d): committed by tier %d (%s)", c.name, slot, par, tier, name)
+				}
+				fmt.Fprintf(&out, "%s slot=%d", c.name, slot)
+				if par == 0 || !c.refine {
+					fmt.Fprintf(&out, " solves=%d cacheHits=%d warmHits=%d warmFallbacks=%d warmPivots=%d coldPivots=%d abandonedPivots=%d sparseSolves=%d",
+						stats.Solves, stats.CacheHits, stats.WarmHits, stats.WarmFallbacks,
+						stats.WarmPivots, stats.ColdPivots, stats.AbandonedPivots, stats.SparseSolves)
+				}
+				fmt.Fprintf(&out, " obj=%.17g\n", plan.Objective)
+			}
+		}
+		return out.String()
+	}
+	got := run(0)
+	if *updateDeterminism {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(data)
+	diffLines(t, "parallelism 0", got, want)
+
+	// Strip the counters from the refine chain's golden lines for −1.
+	var wantPar strings.Builder
+	for _, line := range strings.SplitAfter(want, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == chains[0].name {
+			line = strings.Join([]string{f[0], f[1], f[len(f)-1]}, " ") + "\n"
+		}
+		wantPar.WriteString(line)
+	}
+	diffLines(t, "parallelism -1", run(-1), wantPar.String())
+}
+
+// diffLines reports the first few lines on which got and want differ.
+func diffLines(t *testing.T, what, got, want string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	shown := 0
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Errorf("%s, line %d:\n got  %s\n want %s", what, i+1, gl, wl)
+			if shown++; shown == 5 {
+				break
+			}
+		}
+	}
+	t.Fatalf("%s: solver counters or objectives moved (see -update)", what)
+}

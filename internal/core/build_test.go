@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"profitlb/internal/datacenter"
+	"profitlb/internal/obs"
+	"profitlb/internal/race"
 	"profitlb/internal/tuf"
 )
 
@@ -173,9 +176,13 @@ func BenchmarkBuildDispatchLP(b *testing.B) {
 // few doublings — whatever the size; with no table (and in the
 // per-server layout, which has none) it adds one string per name and
 // nothing else. A name formatted per build, or a slice made per row,
-// breaks the first budget at once.
+// breaks the first budget at once. A build into a dispatchLP that has
+// held an LP of the size before — a pooled solve's — allocates nothing.
 func TestBuildDispatchLPAllocs(t *testing.T) {
-	const slabs = 48 // two dozen, doubled: the race detector moves a few to the heap
+	if race.Enabled {
+		t.Skip("the race detector moves allocations to the heap")
+	}
+	const slabs = 30 // 21 to 28 measured, by size and layout
 	for _, sz := range builderSizes {
 		in := synthInput(sz.K, sz.L, sz.S)
 		comms := capReservations(in, admissibleCommodities(in, nil))
@@ -189,10 +196,96 @@ func TestBuildDispatchLPAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(5, func() { buildDispatchLP(in, comms, nil, false, nil) }); got > budget {
 			t.Errorf("%s: %v allocations a table-less build of %d commodities, budget %v", sz.name, got, len(comms), budget)
 		}
+		if got := testing.AllocsPerRun(5, func() { d.build(in, comms, nil, false, names) }); got != 0 {
+			t.Errorf("%s: %v allocations a build into a recycled dispatchLP, want none", sz.name, got)
+		}
 		d = buildDispatchLP(in, comms, nil, true, nil)
 		budget = float64(slabs + d.model.NumVariables() + d.model.NumConstraints())
 		if got := testing.AllocsPerRun(5, func() { buildDispatchLP(in, comms, nil, true, nil) }); got > budget {
 			t.Errorf("%s: %v allocations a per-server build of %d commodities, budget %v", sz.name, got, len(comms), budget)
 		}
+	}
+}
+
+// refineSlot is the fleet-refine-mid slot: 6×10×3, two TUF levels, refine
+// on — ~150 seeded subset LPs (88 rows at most, dense and sparse) plus
+// memo-cache hits a Plan.
+func refineSlot() (*Optimized, *Input) {
+	o := NewOptimized()
+	o.Stats = &SearchStats{}
+	return o, synthInput(6, 10, 3)
+}
+
+// BenchmarkRefineSlot times one warm refine Plan, the slot commit's
+// dominant piece (make profile profiles it).
+func BenchmarkRefineSlot(b *testing.B) {
+	o, in := refineSlot()
+	mustPlan(b, o, in)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := o.Plan(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRefinePlanAllocs is the refine slot's allocation budget. Before the
+// solvers, the trial model and its handles recycled with the pool, a warm
+// Plan here allocated 30 341 objects and 11.5 MB; the budget is under a
+// third of the first and a quarter of the second, with headroom over
+// today's ~3 200 and ~2.0 MB for a pool the collector happened to empty.
+func TestRefinePlanAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector moves allocations to the heap")
+	}
+	const maxObjects, maxBytes = 10_000, 2_800_000
+	o, in := refineSlot()
+	for i := 0; i < 3; i++ { // slot 0 solves cold; then the pool's slabs settle
+		mustPlan(t, o, in)
+	}
+	if o.Stats.Solves < 100 || o.Stats.SparseSolves == 0 || o.Stats.SparseSolves == o.Stats.Solves || o.Stats.WarmHits != o.Stats.Solves {
+		t.Fatalf("fixture drifted: %+v, want ~150 warm solves on both kernels", *o.Stats)
+	}
+	var before, after runtime.MemStats
+	const runs = 5
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := o.Plan(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	objects, bytes := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
+	t.Logf("%d objects, %d bytes a warm refine Plan (%d solves)", objects, bytes, o.Stats.Solves)
+	if objects > maxObjects || bytes > maxBytes {
+		t.Errorf("a warm refine Plan allocates %d objects and %d bytes, budget %d and %d", objects, bytes, maxObjects, maxBytes)
+	}
+}
+
+// TestImportPivotsReachTheBooks: the crash work of a slot's seeded solves
+// arrives in SearchStats, the metrics and the engine event — every
+// imported solve crashes a full basis, so the count dwarfs WarmPivots —
+// and repeats exactly on an identical slot.
+func TestImportPivotsReachTheBooks(t *testing.T) {
+	o, in := refineSlot()
+	reg, events := obs.NewRegistry(), &obs.Collector{}
+	o.Obs = obs.NewScope(reg, events)
+	mustPlan(t, o, in)
+	mustPlan(t, o, in)
+	second := *o.Stats
+	mustPlan(t, o, in)
+	if *o.Stats != second {
+		t.Fatalf("an identical slot ran differently:\n%+v\n%+v", second, *o.Stats)
+	}
+	if second.ImportPivots < 10*second.WarmPivots || second.ImportPivots < second.Solves {
+		t.Fatalf("stats %+v: want every solve's crash counted", second)
+	}
+	evs := events.Events()
+	if got := evs[len(evs)-1].Values["lpImportPivots"]; got != float64(second.ImportPivots) {
+		t.Fatalf("engine event carries lpImportPivots=%v, stats say %d", got, second.ImportPivots)
+	}
+	if got := reg.Counter("core_lp_import_pivots_total").Value(); got < 2*second.ImportPivots {
+		t.Fatalf("core_lp_import_pivots_total = %d after three slots, the last two alone crashed %d", got, 2*second.ImportPivots)
 	}
 }

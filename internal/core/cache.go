@@ -36,6 +36,10 @@ type SearchStats struct {
 	// abandoned for the cold path — work done and thrown away, which
 	// WarmPivots and ColdPivots both exclude.
 	AbandonedPivots int64
+	// ImportPivots counts the basis-crash work of the call's warm attempts
+	// (lp.Outcome.ImportPivots), which the three pivot counts above leave
+	// out: most of a refine slot's solver time.
+	ImportPivots int64
 }
 
 // subsetCache memoizes dispatch-LP solves within a single planning

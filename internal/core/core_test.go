@@ -41,7 +41,7 @@ func twoDCSystem() *datacenter.System {
 	}
 }
 
-func mustPlan(t *testing.T, p Planner, in *Input) *Plan {
+func mustPlan(t testing.TB, p Planner, in *Input) *Plan {
 	t.Helper()
 	plan, err := p.Plan(in)
 	if err != nil {

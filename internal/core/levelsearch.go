@@ -168,7 +168,7 @@ type assignment struct {
 func evaluate(eng *engine, pairs []pair, levels []int) (assignment, error) {
 	in := eng.in
 	sys := in.Sys
-	var comms []commodity
+	comms := make([]commodity, 0, len(pairs))
 	for pi, p := range pairs {
 		lev := sys.Classes[p.k].TUF.Level(levels[pi])
 		best := math.Inf(-1)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
+	"profitlb/internal/linalg"
 	"profitlb/internal/lp"
 	"profitlb/internal/obs"
 )
@@ -357,6 +359,7 @@ func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment
 	// so concurrent speculative evaluations are race-free.
 	trialFor := func(cand commodity) (trial []commodity, ok bool) {
 		key := keyOf(cand)
+		trial = make([]commodity, 0, len(best.comms)+1)
 		if inSet[key] {
 			for _, c := range best.comms {
 				if keyOf(c) != key {
@@ -365,7 +368,7 @@ func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment
 			}
 			return trial, true
 		}
-		trial = append(append([]commodity(nil), best.comms...), cand)
+		trial = append(append(trial, best.comms...), cand)
 		capped := capReservations(eng.in, trial)
 		if len(capped) != len(trial) {
 			return nil, false
@@ -430,6 +433,11 @@ type dispatchLP struct {
 	// per-server, shareRow[l] is the last server's row).
 	arrRow   [][]int
 	shareRow []int
+	// What a pooled solve recycles besides the above: the slabs behind the
+	// handles and row tables, and build's scratch.
+	handles, arrRows  []int
+	byClass, byCenter buckets
+	terms             []lp.Term
 }
 
 // buildDispatchLP assembles the slot LP over the given commodities:
@@ -440,10 +448,20 @@ type dispatchLP struct {
 // perServer, as M_l groups of one — the paper's faithful λ_{k,s,i,l},
 // φ_{k,i,l} variables, equal in value and much larger.
 func buildDispatchLP(in *Input, comms []commodity, floors []float64, perServer bool, names *dispatchNames) *dispatchLP {
+	return new(dispatchLP).build(in, comms, floors, perServer, names)
+}
+
+// build is buildDispatchLP into d, whose model and slabs — those of the
+// LP it held before, which nothing may still read — are refilled in place.
+func (d *dispatchLP) build(in *Input, comms []commodity, floors []float64, perServer bool, names *dispatchNames) *dispatchLP {
 	sys := in.Sys
 	T := sys.Slot()
 	S := sys.S()
-	d := &dispatchLP{model: lp.NewModel(), comms: comms}
+	if d.model == nil {
+		d.model = lp.NewModel()
+	}
+	d.model.Reset()
+	d.comms = comms
 	m := d.model
 	// groups returns center l's group count and each group's size; name
 	// spells a variable or row, tagged with its group when per-server.
@@ -475,13 +493,13 @@ func buildDispatchLP(in *Input, comms []commodity, floors []float64, perServer b
 		nTerms += ng * S
 	}
 	m.Grow(ng*(S+1), ng+sys.K()*(S+1)+shareRows, nTerms)
-	byClass := bucket(len(comms), sys.K(), func(ci int) int { return comms[ci].k })
-	byCenter := bucket(len(comms), sys.L(), func(ci int) int { return comms[ci].l })
-	terms := make([]lp.Term, 0, S+1)
+	byClass := d.byClass.group(len(comms), sys.K(), func(ci int) int { return comms[ci].k })
+	byCenter := d.byCenter.group(len(comms), sys.L(), func(ci int) int { return comms[ci].l })
+	terms := d.terms
 
-	d.xVar = make([][]int, len(comms))
-	d.fVar = make([][]int, len(comms))
-	handles := make([]int, ng*(S+1))
+	d.xVar, d.fVar = linalg.Resized(d.xVar, len(comms)), linalg.Resized(d.fVar, len(comms))
+	d.handles = linalg.Resized(d.handles, ng*(S+1))
+	handles := d.handles
 	for ci, c := range comms {
 		count, _ := groups(c.l)
 		vars := handles[:count*(S+1)]
@@ -506,8 +524,8 @@ func buildDispatchLP(in *Input, comms []commodity, floors []float64, perServer b
 			m.AddConstraint(name(capName, c.k, c.q, -1, c.l, g), terms, lp.GE, n/c.deadline)
 		}
 	}
-	d.arrRow = make([][]int, sys.K())
-	arrRows := make([]int, sys.K()*S)
+	d.arrRow, d.arrRows = linalg.Resized(d.arrRow, sys.K()), linalg.Resized(d.arrRows, sys.K()*S)
+	arrRows := d.arrRows
 	for k := 0; k < sys.K(); k++ {
 		d.arrRow[k], arrRows = arrRows[:S:S], arrRows[S:]
 		for s := 0; s < S; s++ {
@@ -546,7 +564,7 @@ func buildDispatchLP(in *Input, comms []commodity, floors []float64, perServer b
 		}
 		m.AddConstraint(name(floorName, k, -1, -1, -1, -1), terms, lp.GE, frac*offered)
 	}
-	d.shareRow = make([]int, sys.L())
+	d.shareRow = linalg.Resized(d.shareRow, sys.L())
 	for l := 0; l < sys.L(); l++ {
 		d.shareRow[l] = -1
 		count, _ := groups(l)
@@ -560,35 +578,48 @@ func buildDispatchLP(in *Input, comms []commodity, floors []float64, perServer b
 			}
 		}
 	}
+	d.terms = terms
 	return d
 }
 
-// bucket groups the indices 0..n-1 by key (in [0, buckets)), keeping
-// index order within a bucket, on one slab.
-func bucket(n, buckets int, key func(int) int) [][]int {
-	out := make([][]int, buckets)
-	size := make([]int, buckets)
+// bucket groups the indices 0..n-1 by key (in [0, nb)), keeping index
+// order within a bucket, on one slab.
+func bucket(n, nb int, key func(int) int) [][]int { return new(buckets).group(n, nb, key) }
+
+// buckets is bucket's storage, for a caller that groups again and again.
+type buckets struct {
+	of         [][]int
+	size, slab []int
+}
+
+func (b *buckets) group(n, nb int, key func(int) int) [][]int {
+	b.of, b.size, b.slab = linalg.Resized(b.of, nb), linalg.Resized(b.size, nb), linalg.Resized(b.slab, n)
+	clear(b.size)
 	for i := 0; i < n; i++ {
-		size[key(i)]++
+		b.size[key(i)]++
 	}
-	slab := make([]int, n)
-	for b, sz := range size {
-		out[b], slab = slab[:0:sz], slab[sz:]
+	slab := b.slab
+	for g, sz := range b.size {
+		b.of[g], slab = slab[:0:sz], slab[sz:]
 	}
 	for i := 0; i < n; i++ {
-		b := key(i)
-		out[b] = append(out[b], i)
+		g := key(i)
+		b.of[g] = append(b.of[g], i)
 	}
-	return out
+	return b.of
 }
 
 // extractRates reads the per-commodity dispatch rates out of a solution,
-// summed over a center's server groups.
+// summed over a center's server groups, onto one slab.
 func (d *dispatchLP) extractRates(res *lp.Result) [][]float64 {
 	rates := make([][]float64, len(d.comms))
+	if len(rates) == 0 {
+		return rates
+	}
+	S := len(d.xVar[0]) / len(d.fVar[0])
+	slab := make([]float64, len(rates)*S)
 	for ci, xs := range d.xVar {
-		S := len(xs) / len(d.fVar[ci])
-		rates[ci] = make([]float64, S)
+		rates[ci], slab = slab[:S:S], slab[S:]
 		for j, x := range xs {
 			if v := res.Value(x); v > 0 {
 				rates[ci][j%S] += v
@@ -754,14 +785,7 @@ func planObjective(in *Input, plan *Plan) float64 {
 // the LP layout — hence the committed plan — independent of both subset
 // construction order and worker count.
 func sortCommodities(comms []commodity) {
-	sort.Slice(comms, func(i, j int) bool {
-		a, b := comms[i], comms[j]
-		if a.k != b.k {
-			return a.k < b.k
-		}
-		if a.q != b.q {
-			return a.q < b.q
-		}
-		return a.l < b.l
+	slices.SortFunc(comms, func(a, b commodity) int {
+		return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.q, b.q), cmp.Compare(a.l, b.l))
 	})
 }

@@ -39,6 +39,7 @@ type engine struct {
 	coldPivots      atomic.Int64 // pivots spent on cold solves (incl. fallbacks)
 	sparseSolves    atomic.Int64 // warm solves answered by the sparse revised simplex
 	abandonedPivots atomic.Int64 // pivots burned on abandoned warm attempts
+	importPivots    atomic.Int64 // basis-crash pivots, outside the three above
 	stats           *SearchStats
 	// sc streams the engine's solver counters to the observability
 	// layer when the owning planner carries a scope; the Input's slot and
@@ -113,13 +114,14 @@ func (e *engine) solve(comms []commodity, floors []float64) ([][]float64, float6
 	ent.once.Do(func() {
 		hit = false
 		c.solves.Add(1)
-		d, res, err := e.solveLP(comms, floors)
+		u, res, err := e.solveLP(comms, floors)
+		defer e.warm.recycle(u)
 		if err != nil {
 			c.errs.Add(1)
 			ent.err = err
 			return
 		}
-		ent.rates, ent.obj = d.extractRates(res), res.Objective
+		ent.rates, ent.obj = u.d.extractRates(res), res.Objective
 	})
 	if hit {
 		c.hits.Add(1)
@@ -128,14 +130,17 @@ func (e *engine) solve(comms []commodity, floors []float64) ([][]float64, float6
 }
 
 // solveLP builds one dispatch LP in the call's layout and solves it,
-// uncached, through the call's warm state (cold when there is none).
-func (e *engine) solveLP(comms []commodity, floors []float64) (*dispatchLP, *lp.Result, error) {
-	d := buildDispatchLP(e.in, comms, floors, e.perServer, e.names)
+// uncached, through the call's warm state (cold when there is none). The
+// LP and its handles live in the returned unit, which the caller hands to
+// warm.recycle once it has read the solution out.
+func (e *engine) solveLP(comms []commodity, floors []float64) (*solveUnit, *lp.Result, error) {
 	capture := e.capture
 	if capture {
 		e.capture = false
 	}
-	res, out, err := e.warm.solveModel(d.model, e.opts, capture)
+	u := e.warm.unit(capture)
+	u.d.build(e.in, comms, floors, e.perServer, e.names)
+	res, out, err := e.warm.solveModel(u.d.model, e.opts, capture, &u.sv)
 	if out.FellBack {
 		e.warmFallbacks.Add(1)
 	} else if out.Path != "cold" {
@@ -147,7 +152,8 @@ func (e *engine) solveLP(comms []commodity, floors []float64) (*dispatchLP, *lp.
 	e.warmPivots.Add(int64(out.WarmPivots))
 	e.coldPivots.Add(int64(out.ColdPivots))
 	e.abandonedPivots.Add(int64(out.AbandonedPivots))
-	return d, res, err
+	e.importPivots.Add(int64(out.ImportPivots))
+	return u, res, err
 }
 
 // close copies the engine's solver counters into the planner's stats
@@ -160,11 +166,13 @@ func (e *engine) close() {
 	warmHits, warmFalls := e.warmHits.Load(), e.warmFallbacks.Load()
 	warmPiv, coldPiv := e.warmPivots.Load(), e.coldPivots.Load()
 	sparseSolves, abandonedPiv := e.sparseSolves.Load(), e.abandonedPivots.Load()
+	importPiv := e.importPivots.Load()
 	if stats := e.stats; stats != nil {
 		stats.Solves, stats.CacheHits, stats.SolveErrors = solves, hits, errs
 		stats.WarmHits, stats.WarmFallbacks = warmHits, warmFalls
 		stats.WarmPivots, stats.ColdPivots = warmPiv, coldPiv
 		stats.SparseSolves, stats.AbandonedPivots = sparseSolves, abandonedPiv
+		stats.ImportPivots = importPiv
 	}
 	if e.sc.Enabled() {
 		e.sc.Counter("core_lp_solves_total").Add(solves)
@@ -182,12 +190,14 @@ func (e *engine) close() {
 			e.sc.Counter("core_lp_cold_pivots_total").Add(coldPiv)
 			e.sc.Counter("core_lp_sparse_solves_total").Add(sparseSolves)
 			e.sc.Counter("core_lp_abandoned_pivots_total").Add(abandonedPiv)
+			e.sc.Counter("core_lp_import_pivots_total").Add(importPiv)
 			values["lpWarmHits"] = float64(warmHits)
 			values["lpWarmFallbacks"] = float64(warmFalls)
 			values["lpWarmPivots"] = float64(warmPiv)
 			values["lpColdPivots"] = float64(coldPiv)
 			values["lpSparseSolves"] = float64(sparseSolves)
 			values["lpAbandonedPivots"] = float64(abandonedPiv)
+			values["lpImportPivots"] = float64(importPiv)
 		}
 		e.sc.Emit(obs.Event{Kind: obs.KindEngine, Slot: e.in.Slot, Planner: e.planner,
 			Values: values})

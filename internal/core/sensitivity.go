@@ -65,7 +65,9 @@ func (o *Optimized) Sensitivity(in *Input) (*Sensitivity, error) {
 	if len(comms) == 0 {
 		return out, nil
 	}
-	d, res, err := eng.solveLP(comms, o.MinCompletion)
+	u, res, err := eng.solveLP(comms, o.MinCompletion)
+	defer eng.warm.recycle(u)
+	d := &u.d
 	if err != nil {
 		return nil, fmt.Errorf("core: sensitivity LP failed: %w", err)
 	}

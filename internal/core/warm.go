@@ -21,10 +21,10 @@ import (
 //     kernel, so an unchanged constraint structure re-solves with a
 //     dual-simplex repair instead of a cold two-phase run. Its final
 //     basis is exported as the next call's seed.
-//   - pool holds worker solvers. Workers use lp.Solver.SolveSeeded,
-//     which is a pure function of (model, frozen seed), so a result
-//     never depends on which worker solved it or on what that solver
-//     did before. The seed is frozen per Plan call in cur.
+//   - pool holds the workers' solve units. Workers use
+//     lp.Solver.SolveSeeded, which is a pure function of (model, frozen
+//     seed), so a result never depends on which worker solved it or on
+//     what that unit did before. The seed is frozen per Plan call in cur.
 //
 // One Plan call owns the state at a time (claim/release); within a call
 // the pool is goroutine-safe, and cur/prev are only touched on the
@@ -39,7 +39,40 @@ type warmState struct {
 	// prev is the basis exported by the most recent capture solve; cur
 	// is the frozen copy every solve of the current Plan call seeds from.
 	prev, cur *lp.Basis
-	pool      sync.Pool // of *lp.Solver
+	pool      sync.Pool // of *solveUnit
+}
+
+// solveUnit is what one seeded subset solve works in and the next one
+// recycles: the solver, whose kernels keep their workspaces, and the
+// dispatch LP — model, handles and builder scratch — it solves. The two
+// travel together because a solver's last kernel points at the model it
+// solved, which only the unit's next build (before that solver's next
+// solve forgets the kernel) overwrites.
+type solveUnit struct {
+	sv     lp.Solver
+	d      dispatchLP
+	pooled bool
+}
+
+// unit draws the workspace for one solve; the caller recycles it once
+// the solution is read out. The capture solve's is fresh — base's
+// retained kernel compares this slot's model with the next one's — and so
+// is a cold call's, which has no state to keep it in.
+func (w *warmState) unit(capture bool) *solveUnit {
+	if w == nil || capture {
+		return &solveUnit{}
+	}
+	if u, _ := w.pool.Get().(*solveUnit); u != nil {
+		return u
+	}
+	return &solveUnit{pooled: true}
+}
+
+// recycle returns a pooled unit.
+func (w *warmState) recycle(u *solveUnit) {
+	if u.pooled {
+		w.pool.Put(u)
+	}
 }
 
 // claim takes the planner's warm state for one Plan call, with the seed
@@ -68,9 +101,9 @@ func (w *warmState) release() {
 // reporting how the solve ran. A nil state is the cold dense reference.
 // Otherwise the capture solve (sequential, at most one per Plan call)
 // runs the retained hot chain and exports its basis as the next call's
-// seed; every other solve draws a pooled solver and imports the frozen
-// seed, keeping the result a pure function of the model.
-func (w *warmState) solveModel(m *lp.Model, opts lp.Options, capture bool) (*lp.Result, lp.Outcome, error) {
+// seed; every other solve imports the frozen seed on sv, its unit's
+// solver, keeping the result a pure function of the model.
+func (w *warmState) solveModel(m *lp.Model, opts lp.Options, capture bool, sv *lp.Solver) (*lp.Result, lp.Outcome, error) {
 	if w == nil {
 		res, err := m.SolveOpts(opts)
 		return res, lp.Outcome{Path: "cold", ColdPivots: res.Iterations}, err
@@ -84,11 +117,6 @@ func (w *warmState) solveModel(m *lp.Model, opts lp.Options, capture bool) (*lp.
 		}
 		return res, w.base.LastOutcome(), err
 	}
-	sv, _ := w.pool.Get().(*lp.Solver)
-	if sv == nil {
-		sv = new(lp.Solver)
-	}
-	defer w.pool.Put(sv)
 	res, err := sv.SolveSeeded(m, w.cur, opts)
 	return res, sv.LastOutcome(), err
 }

@@ -100,23 +100,25 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewMatrixIn returns a zero Rows×Cols matrix backed by buf when buf has
-// sufficient capacity, growing it otherwise, along with the (possibly
-// reallocated) buffer for the caller to retain. Solvers use it to reuse
-// one tableau arena across solves instead of reallocating per solve.
-func NewMatrixIn(rows, cols int, buf []float64) (*Matrix, []float64) {
+// Reset reshapes m into a zero Rows×Cols matrix, keeping its backing
+// array when that is large enough. Solvers use it to reuse one tableau
+// arena across solves instead of reallocating per solve.
+func (m *Matrix) Reset(rows, cols int) {
 	if rows < 0 || cols < 0 {
 		panic("linalg: negative matrix dimension")
 	}
-	n := rows * cols
+	m.Rows, m.Cols, m.data = rows, cols, Resized(m.data, rows*cols)
+	clear(m.data)
+}
+
+// Resized returns buf at length n with unspecified contents, reallocating
+// only when n has outgrown its capacity: how the solvers' and planners'
+// workspaces recycle a buffer from one solve to the next.
+func Resized[S ~[]E, E any](buf S, n int) S {
 	if cap(buf) < n {
-		buf = make([]float64, n)
+		return make(S, n)
 	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return &Matrix{Rows: rows, Cols: cols, data: buf}, buf
+	return buf[:n]
 }
 
 // At returns the element at row i, column j.

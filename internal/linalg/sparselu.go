@@ -16,7 +16,10 @@ import "math"
 // entries indexed by original row; U columns are indexed by pivot position
 // (strictly above the diagonal), with the pivots kept separately in udiag.
 // p[k] is the original row pivotal at position k and pinv is its inverse
-// (-1 while unpivoted).
+// (-1 while unpivoted). Every L and U column is a slice header cut from
+// one growing slab (ind, val), so Reset recycles the whole factorization
+// and a refactorization in place allocates nothing once the slab has
+// reached its size.
 type SparseLU struct {
 	n      int
 	pivTol float64
@@ -28,6 +31,8 @@ type SparseLU struct {
 	udiag []float64
 	p     []int
 	pinv  []int
+	ind   []int     // slab behind lind and uind
+	val   []float64 // slab behind lval and uval
 
 	// scratch (x must be all-zero between AddColumn calls)
 	x       []float64
@@ -38,27 +43,40 @@ type SparseLU struct {
 	scur    []int
 }
 
-// NewSparseLU returns an empty factorization for an n×n basis. pivTol is
-// the smallest pivot magnitude accepted; anything at or below it makes
-// AddColumn report the column dependent. pivTol <= 0 selects 1e-11.
+// NewSparseLU returns an empty factorization for an n×n basis; see Reset.
 func NewSparseLU(n int, pivTol float64) *SparseLU {
+	f := &SparseLU{}
+	f.Reset(n, pivTol)
+	return f
+}
+
+// Reset empties the factorization for an n×n basis, keeping every buffer
+// it has grown. pivTol is the smallest pivot magnitude accepted; anything
+// at or below it makes AddColumn report the column dependent. pivTol <= 0
+// selects 1e-11.
+func (f *SparseLU) Reset(n int, pivTol float64) {
 	if pivTol <= 0 {
 		pivTol = 1e-11
 	}
-	f := &SparseLU{
-		n:       n,
-		pivTol:  pivTol,
-		udiag:   make([]float64, 0, n),
-		p:       make([]int, 0, n),
-		pinv:    make([]int, n),
-		x:       make([]float64, n),
-		fwd:     make([]float64, n),
-		visited: make([]bool, n),
-	}
+	f.n, f.pivTol = n, pivTol
+	f.lind, f.lval, f.uind, f.uval = f.lind[:0], f.lval[:0], f.uind[:0], f.uval[:0]
+	f.udiag, f.p, f.ind, f.val = f.udiag[:0], f.p[:0], f.ind[:0], f.val[:0]
+	f.pinv, f.x, f.fwd, f.visited = Resized(f.pinv, n), Resized(f.x, n), Resized(f.fwd, n), Resized(f.visited, n)
+	clear(f.x)
+	clear(f.visited)
 	for i := range f.pinv {
 		f.pinv[i] = -1
 	}
-	return f
+}
+
+// room returns slab with space for n more entries. A slab too full is
+// left to the headers already cut from it and a fresh one of at least
+// twice the size takes over, so one Reset later a single slab holds all.
+func room[T any](slab []T, n int) []T {
+	if cap(slab)-len(slab) < n {
+		return make([]T, 0, max(n, 2*cap(slab), 64))
+	}
+	return slab
 }
 
 // N returns the basis dimension.
@@ -118,32 +136,26 @@ func (f *SparseLU) AddColumn(ind []int, val []float64) bool {
 		f.clear()
 		return false
 	}
-	// Harvest U (pivotal rows) and L (unpivoted rows, scaled by the pivot).
+	// Harvest U (pivotal rows), then L (unpivoted rows, scaled by the
+	// pivot), each in topo order, as two runs of the slab.
 	k := len(f.p)
 	d := f.x[piv]
-	var uind []int
-	var uval []float64
-	var lind []int
-	var lval []float64
+	f.ind, f.val = room(f.ind, len(f.topo)), room(f.val, len(f.topo))
+	at := len(f.ind)
 	for _, r := range f.topo {
-		v := f.x[r]
-		if v == 0 {
-			continue
-		}
-		switch {
-		case r == piv:
-		case f.pinv[r] >= 0:
-			uind = append(uind, f.pinv[r])
-			uval = append(uval, v)
-		default:
-			lind = append(lind, r)
-			lval = append(lval, v/d)
+		if v := f.x[r]; v != 0 && f.pinv[r] >= 0 {
+			f.ind, f.val = append(f.ind, f.pinv[r]), append(f.val, v)
 		}
 	}
-	f.lind = append(f.lind, lind)
-	f.lval = append(f.lval, lval)
-	f.uind = append(f.uind, uind)
-	f.uval = append(f.uval, uval)
+	mid := len(f.ind)
+	for _, r := range f.topo {
+		if v := f.x[r]; v != 0 && f.pinv[r] < 0 && r != piv {
+			f.ind, f.val = append(f.ind, r), append(f.val, v/d)
+		}
+	}
+	end := len(f.ind)
+	f.uind, f.uval = append(f.uind, f.ind[at:mid:mid]), append(f.uval, f.val[at:mid:mid])
+	f.lind, f.lval = append(f.lind, f.ind[mid:end:end]), append(f.lval, f.val[mid:end:end])
 	f.udiag = append(f.udiag, d)
 	f.p = append(f.p, piv)
 	f.pinv[piv] = k
@@ -276,6 +288,8 @@ func (f *SparseLU) SolveT(c, out []float64) {
 type EtaFile struct {
 	n    int
 	etas []eta
+	ind  []int     // slab behind the etas' entries
+	val  []float64 // (see SparseLU's)
 }
 
 type eta struct {
@@ -285,14 +299,16 @@ type eta struct {
 	diag float64
 }
 
-// NewEtaFile returns an empty file for n-dimensional bases.
+// NewEtaFile returns an empty file for n-dimensional bases. The zero
+// value is an empty file too.
 func NewEtaFile(n int) *EtaFile { return &EtaFile{n: n} }
 
 // Len returns the number of recorded updates.
 func (f *EtaFile) Len() int { return len(f.etas) }
 
-// Reset drops every recorded update (after a refactorization).
-func (f *EtaFile) Reset() { f.etas = f.etas[:0] }
+// Reset drops every recorded update (after a refactorization), keeping
+// the storage.
+func (f *EtaFile) Reset() { f.etas, f.ind, f.val = f.etas[:0], f.ind[:0], f.val[:0] }
 
 // Append records the replacement of basis position r by the column whose
 // FTRAN image (position-indexed, dense) is w. It refuses — returning
@@ -303,14 +319,15 @@ func (f *EtaFile) Append(r int, w []float64, tol float64) bool {
 	if math.Abs(d) <= tol {
 		return false
 	}
-	e := eta{r: r, diag: d}
+	f.ind, f.val = room(f.ind, len(w)), room(f.val, len(w))
+	at := len(f.ind)
 	for i, v := range w {
 		if i != r && v != 0 {
-			e.ind = append(e.ind, i)
-			e.val = append(e.val, v)
+			f.ind, f.val = append(f.ind, i), append(f.val, v)
 		}
 	}
-	f.etas = append(f.etas, e)
+	end := len(f.ind)
+	f.etas = append(f.etas, eta{r: r, ind: f.ind[at:end:end], val: f.val[at:end:end], diag: d})
 	return true
 }
 

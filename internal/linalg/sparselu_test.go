@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -276,21 +277,48 @@ func FuzzSparseFactors(f *testing.F) {
 			last.ind = append(last.ind, r)
 			last.val = append(last.val, v)
 		}
-		lu := NewSparseLU(n, 1e-10)
+		// Every input is factored twice: in a fresh SparseLU and in one Reset
+		// after factoring a matrix of another size, whose slabs, headers and
+		// scratch the second run recycles. Reuse must not show.
+		lu, re := NewSparseLU(n, 1e-10), NewSparseLU(n+5, 0)
+		for k := 0; k < n+5; k++ {
+			re.AddColumn([]int{k, (k + 3) % (n + 5)}, []float64{4, 1})
+		}
+		re.Reset(n, 1e-10)
 		var accepted []sparseCol
 		for _, c := range cols {
 			if len(c.ind) == 0 {
 				continue
 			}
-			if lu.AddColumn(c.ind, c.val) {
+			ok := lu.AddColumn(c.ind, c.val)
+			if re.AddColumn(c.ind, c.val) != ok {
+				t.Fatalf("column %v: fresh factors say %v, reused ones differ", c, ok)
+			}
+			if ok {
 				accepted = append(accepted, c)
 			}
 		}
 		if lu.Rank() != len(accepted) {
 			t.Fatalf("rank %d but %d columns accepted", lu.Rank(), len(accepted))
 		}
+		if !slices.Equal(lu.p, re.p) {
+			t.Fatalf("pivot order %v fresh, %v reused", lu.p, re.p)
+		}
 		if !lu.Complete() {
 			return
+		}
+		rhs, a, b := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range rhs {
+			rhs[i] = float64(i+1) - 0.37*float64(int(dim)%7)
+		}
+		for _, solve := range []func(*SparseLU, []float64, []float64){(*SparseLU).Solve, (*SparseLU).SolveT} {
+			solve(lu, rhs, a)
+			solve(re, rhs, b)
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+					t.Fatalf("solve differs at %d: %v fresh, %v reused", i, a, b)
+				}
+			}
 		}
 		// Residual checks are only meaningful when the accepted basis is not
 		// pathologically ill-conditioned; a tiny pivot relative to the

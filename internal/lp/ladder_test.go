@@ -309,8 +309,8 @@ func TestAbandonedPivotAccounting(t *testing.T) {
 			if !out.FellBack || out.Path != "cold" {
 				t.Fatalf("outcome %+v (res %v err %v), want cold fallback", out, res, err)
 			}
-			if out.AbandonedPivots < 1 {
-				t.Fatalf("outcome %+v: abandoned pivots not recorded", out)
+			if out.AbandonedPivots != 1 || out.ImportPivots != 4 {
+				t.Fatalf("outcome %+v: want the one budgeted pivot abandoned and the 4-row crash on its own line", out)
 			}
 			if st := starved.Stats(); st.AbandonedPivots != int64(out.AbandonedPivots) {
 				t.Fatalf("stats %+v disagree with outcome %+v", st, out)

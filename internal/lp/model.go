@@ -117,6 +117,13 @@ type Model struct {
 // NewModel returns an empty maximization model.
 func NewModel() *Model { return &Model{} }
 
+// Reset empties the model, keeping its storage, so a builder that solves
+// one LP after another refills one model. Nothing may still read the rows
+// and names of the model as it was.
+func (m *Model) Reset() {
+	m.names, m.obj, m.rows, m.slab, m.minimize = m.names[:0], m.obj[:0], m.rows[:0], m.slab[:0], false
+}
+
 // Grow reserves room for the given further variables, rows and row terms,
 // so a builder that knows its size allocates once instead of per row.
 func (m *Model) Grow(vars, rows, terms int) {

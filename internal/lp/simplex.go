@@ -90,13 +90,22 @@ func (t *tableau) result(status Status) (*Result, error) {
 type tableau struct {
 	m        *Model
 	opts     Options
-	a        *linalg.Matrix // rows x (totalCols+1); last column is rhs
-	basis    []int
 	n        int // structural variable count
 	total    int // structural + slack + artificial count
 	artStart int
 	colLimit int // entering columns are restricted to [0, colLimit)
 	iters    int
+	crashed  int // pivots importBasis spent crashing the seed, outside iters
+	arena
+}
+
+// arena is the part of a tableau that outlives a solve: the backing
+// buffers. A Solver keeps two tableaus (one for cold solves, one for the
+// retained warm kernel) and newTableauIn rebuilds each in place, so
+// successive solves through one Solver reuse the dense state.
+type arena struct {
+	a     linalg.Matrix // rows x (total+1); last column is rhs
+	basis []int
 	// objective row being optimized, length total+1 (reduced costs + value)
 	z linalg.Vector
 	// dualCol and dualSign recover the dual value of each original row
@@ -109,87 +118,43 @@ type tableau struct {
 	// rowSlack holds each row's slack/surplus column (-1 for EQ rows); it
 	// lets a Solver export the basis by name (DESIGN.md §12).
 	rowSlack []int
-	// ar, when non-nil, supplies reusable backing buffers so repeated
-	// solves through one Solver stay allocation-free.
-	ar *arena
-}
-
-// arena holds the reusable backing buffers of a tableau. A Solver keeps
-// two (one for cold solves, one for the retained warm tableau) and threads
-// them through newTableauIn so successive solves reuse the dense state.
-type arena struct {
-	mat      []float64
-	z        []float64
-	basis    []int
-	rowSlack []int
-	dualCol  []int
-	dualSign []float64
 	rhs      []float64 // scratch for the warm rhs refresh
+	seed     []int     // scratch for resolving a seed basis
 }
 
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
+// zeroed is linalg.Resized with the contents cleared.
+func zeroed[S ~[]E, E any](buf S, n int) S {
+	buf = linalg.Resized(buf, n)
+	clear(buf)
 	return buf
 }
 
-func growInts(buf []int, n int) []int {
-	if cap(buf) < n {
-		buf = make([]int, n)
+// reset points t (a fresh tableau when nil) at a new model, keeping only
+// its arena.
+func (t *tableau) reset(m *Model, opts Options) *tableau {
+	if t == nil {
+		t = new(tableau)
 	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
+	*t = tableau{m: m, n: len(m.names), arena: t.arena}
+	t.opts = opts.withDefaults(len(m.rows), t.n)
+	return t
 }
 
 // alloc sizes the tableau's matrix, basis and per-row bookkeeping for the
-// given shape, drawing from the arena when one is attached.
+// given row count; total must be set.
 func (t *tableau) alloc(rows int) {
-	cols := t.total + 1
-	if t.ar != nil {
-		t.a, t.ar.mat = linalg.NewMatrixIn(rows, cols, t.ar.mat)
-		t.ar.basis = growInts(t.ar.basis, rows)
-		t.basis = t.ar.basis
-		t.ar.rowSlack = growInts(t.ar.rowSlack, rows)
-		t.rowSlack = t.ar.rowSlack
-		t.ar.dualCol = growInts(t.ar.dualCol, rows)
-		t.dualCol = t.ar.dualCol
-		t.ar.dualSign = growFloats(t.ar.dualSign, rows)
-		t.dualSign = t.ar.dualSign
-		return
-	}
-	t.a = linalg.NewMatrix(rows, cols)
-	t.basis = make([]int, rows)
-	t.rowSlack = make([]int, rows)
-	t.dualCol = make([]int, rows)
-	t.dualSign = make([]float64, rows)
-}
-
-// newZ returns a zeroed objective row of length total+1, reusing the
-// arena's buffer when one is attached.
-func (t *tableau) newZ() linalg.Vector {
-	n := t.total + 1
-	if t.ar != nil {
-		t.ar.z = growFloats(t.ar.z, n)
-		return linalg.Vector(t.ar.z)
-	}
-	return linalg.NewVector(n)
+	t.a.Reset(rows, t.total+1)
+	t.basis, t.rowSlack, t.dualCol = zeroed(t.basis, rows), zeroed(t.rowSlack, rows), zeroed(t.dualCol, rows)
+	t.dualSign = zeroed(t.dualSign, rows)
 }
 
 func newTableau(m *Model, opts Options) *tableau { return newTableauIn(m, opts, nil) }
 
-func newTableauIn(m *Model, opts Options, ar *arena) *tableau {
-	rows := len(m.rows)
-	n := len(m.names)
-	t := &tableau{m: m, n: n, ar: ar}
-	t.opts = opts.withDefaults(rows, n)
+// newTableauIn builds the cold two-phase tableau for m in t's arena (a
+// fresh tableau when t is nil).
+func newTableauIn(m *Model, opts Options, t *tableau) *tableau {
+	t = t.reset(m, opts)
+	rows, n := len(m.rows), t.n
 
 	// Count slack/surplus and artificial columns. Normalize rhs ≥ 0 by
 	// flipping rows first so the artificial assignment is decidable.
@@ -286,7 +251,7 @@ func (t *tableau) run() Status {
 	// by pricing out the basic artificial columns.
 	if t.artStart < t.total {
 		t.colLimit = t.total
-		t.z = t.newZ()
+		t.z = zeroed(t.z, t.total+1)
 		for c := t.artStart; c < t.total; c++ {
 			t.z[c] = 1 // minimize sum of artificials
 		}
@@ -348,7 +313,7 @@ func (t *tableau) run() Status {
 // artificial columns. The warm path calls it directly after refreshing
 // the rhs or importing a basis.
 func (t *tableau) setPhase2Z() {
-	t.z = t.newZ()
+	t.z = zeroed(t.z, t.total+1)
 	dir := 1.0
 	if t.m.minimize {
 		dir = -1.0

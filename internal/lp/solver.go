@@ -1,6 +1,13 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"runtime"
+	"sync"
+	"time"
+
+	"profitlb/internal/linalg"
+)
 
 // Basis identifies an optimal basis by name: the basic structural
 // variables plus the rows whose slack/surplus variable is basic. Naming
@@ -11,18 +18,92 @@ import "math"
 type Basis struct {
 	vars      []string
 	slackRows []string
+	// The seed's own index, name → first position in vars (in slackRows),
+	// built by the first import: one frozen seed is imported by every
+	// subset solve of a slot, on several workers, while a basis that only
+	// ever seeds hot re-solves is never indexed at all.
+	index          sync.Once
+	varPos, rowPos map[string]int
+	repeats        bool // some name occurs twice in vars or in slackRows
 }
 
 // NewBasis builds a basis from explicit name lists. It is exposed for
 // tests and fuzzing; production code obtains bases from ExportBasis.
 func NewBasis(vars, slackRows []string) *Basis {
-	b := &Basis{
-		vars:      make([]string, len(vars)),
-		slackRows: make([]string, len(slackRows)),
+	names := append(append(make([]string, 0, len(vars)+len(slackRows)), vars...), slackRows...)
+	return &Basis{vars: names[:len(vars):len(vars)], slackRows: names[len(vars):]}
+}
+
+// members resolves the basis against a model, for both kernels: the
+// columns of its members in seed order — a variable's own column, a slack
+// row's rowSlack entry. Names the model lacks and rows without a slack
+// are skipped; where the model repeats a name its last bearer wins; a
+// name the seed repeats yields its column each time. buf is the caller's
+// recycled scratch, returned grown; cols is cut from it.
+func (b *Basis) members(m *Model, rowSlack []int, buf []int) (cols, _ []int) {
+	if b == nil {
+		return nil, buf
 	}
-	copy(b.vars, vars)
-	copy(b.slackRows, slackRows)
-	return b
+	b.index.Do(func() { b.varPos, b.rowPos = b.positions(b.vars), b.positions(b.slackRows) })
+	nv, n := len(b.vars), b.Size()
+	buf = linalg.Resized(buf, 2*n)
+	at, cols := buf[:n], buf[n:n]
+	for i := range at {
+		at[i] = -1
+	}
+	for c, name := range m.names {
+		if p, ok := b.varPos[name]; ok {
+			at[p] = c
+		}
+	}
+	for r := range m.rows {
+		if p, ok := b.rowPos[m.rows[r].name]; ok {
+			at[nv+p] = rowSlack[r]
+		}
+	}
+	for p, name := range b.vars {
+		if b.repeats {
+			p = b.varPos[name]
+		}
+		if c := at[p]; c >= 0 {
+			cols = append(cols, c)
+		}
+	}
+	for p, name := range b.slackRows {
+		if b.repeats {
+			p = b.rowPos[name]
+		}
+		if c := at[nv+p]; c >= 0 {
+			cols = append(cols, c)
+		}
+	}
+	return cols, buf
+}
+
+// positions maps each name to its first position, noting a repeat.
+func (b *Basis) positions(names []string) map[string]int {
+	pos := make(map[string]int, len(names))
+	for p, name := range names {
+		if _, seen := pos[name]; seen {
+			b.repeats = true
+		} else {
+			pos[name] = p
+		}
+	}
+	return pos
+}
+
+// emptyBasis sizes a basis for the given basic columns, those below n
+// being structural, so exportBasis fills one slab instead of growing two.
+func emptyBasis(basic []int, n int) *Basis {
+	nv := 0
+	for _, c := range basic {
+		if c >= 0 && c < n {
+			nv++
+		}
+	}
+	names := make([]string, len(basic))
+	return &Basis{vars: names[:0:nv], slackRows: names[nv:nv]}
 }
 
 // Size returns the number of named basis members.
@@ -53,6 +134,12 @@ type Outcome struct {
 	// abandoned mid-way during this solve; without it the cost of a
 	// fallback would vanish from the accounting.
 	AbandonedPivots int
+	// ImportPivots counts the work of crashing a basis, which none of the
+	// three above includes: the dense kernel's full-tableau pivots that
+	// bring the seed's members (then slacks) into the basis, the sparse
+	// kernel's columns eliminated into its LU factors, by the crash and by
+	// any refactorization since. An abandoned attempt's are counted too.
+	ImportPivots int
 }
 
 // SolverStats accumulates per-path counters across the life of a Solver.
@@ -67,21 +154,26 @@ type SolverStats struct {
 	// AbandonedPivots counts pivots spent on abandoned warm attempts —
 	// work done and thrown away, invisible to WarmPivots/ColdPivots.
 	AbandonedPivots int64
+	ImportPivots    int64 // basis-crash pivots, outside the three pivot counts above
 }
 
-// Solver runs successive LP solves while retaining the dense tableau
-// arenas (allocation reuse) and, via SolveWarm, the factorized final
-// state of the previous solve (hot re-solves). See DESIGN.md §12.
+// Solver runs successive LP solves while retaining every kernel's
+// workspace (a steady-state solve allocates only its Result) and, via
+// SolveWarm, the factorized final state of the previous solve (hot
+// re-solves). See DESIGN.md §12. The zero value is ready to use.
 //
 // A Solver is not safe for concurrent use; the planner keeps one hot
 // solver for its sequential baseline chain and a pool for workers.
 type Solver struct {
-	coldAr arena
-	warmAr arena
+	cold   tableau     // the cold two-phase path's
+	warm   tableau     // the dense warm kernel, rebuilt in place per import
+	sparse sparseSolve // the sparse warm kernel, likewise
 	ws     retained
 	last   kernel // final state of the most recent Optimal solve, for ExportBasis
 	out    Outcome
 	stats  SolverStats
+	// yielded is when the solver last gave up the processor (see breathe).
+	yielded time.Time
 }
 
 // kernel is what the warm ladder needs from a simplex implementation.
@@ -109,6 +201,9 @@ type kernel interface {
 	extract() []float64
 	duals() []float64
 	pivots() int
+	// crashPivots is the work importBasis (and a sparse refactorization)
+	// did, which pivots leaves out.
+	crashPivots() int
 	// exportBasis names the final basis; false when it is not
 	// representable (an artificial still basic on the cold tableau).
 	exportBasis() (*Basis, bool)
@@ -163,6 +258,7 @@ func (s *Solver) SolveSeeded(m *Model, seed *Basis, opts Options) (*Result, erro
 // solve is the warm ladder — hot, import, audited cold — behind SolveWarm
 // (keep) and SolveSeeded (!keep).
 func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result, error) {
+	s.breathe()
 	s.out, s.last = Outcome{}, nil
 	sparse := opts.sparseEligible(m)
 	opts = opts.withDefaults(len(m.rows), len(m.names))
@@ -186,13 +282,13 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 	// and that is no failed attempt); the sparse one crashes all-slack.
 	var k kernel
 	if sparse {
-		k = newSparseSolve(m, opts)
+		k = newSparseSolveIn(m, opts, &s.sparse)
 	} else if seed.Size() > 0 {
-		k = newWarmTableauIn(m, opts, &s.warmAr)
+		k = newWarmTableauIn(m, opts, &s.warm)
 	}
 	if k != nil {
 		attempted = true
-		s.ws = retained{} // the dense build reused the retained tableau's arena
+		s.ws = retained{} // the build reused the retained kernel's workspace
 		if res := s.attempt(k, k.importBasis(seed), opts.Tol); res != nil {
 			if keep {
 				s.ws = retained{k: k, sparse: sparse}
@@ -208,6 +304,30 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 	return s.solveCold(m, opts)
 }
 
+// breathe yields the processor if this solver has not for a millisecond
+// of solving. A warm solve allocates nothing until its Result, so a
+// goroutine that solves LP after LP never assists the collector and never
+// enters the scheduler — and on a small machine the collector's
+// fractional mark worker runs only when the P schedules. Left to the
+// 10 ms forced preemption, mark phases on fleet-large stretched from 2 ms
+// to 7–20 ms while the heap overshot its goal (peak RSS 23 → 32 MB). A
+// yield wakes an idle P (~8 µs), so it is rationed by time, not taken per
+// solve: 150 small solves a refine slot would pay over a millisecond.
+//
+// A solver's first solve only starts the clock: a goroutine that has not
+// been solving has not been silent, and a planner's first slot is set-up,
+// where a yield hands the P to a collector busy with the construction
+// garbage (fleet-large setup_s 0.135 → 0.160 s).
+func (s *Solver) breathe() {
+	now := time.Now()
+	if s.yielded.IsZero() || now.Sub(s.yielded) > time.Millisecond {
+		if !s.yielded.IsZero() {
+			runtime.Gosched()
+		}
+		s.yielded = now
+	}
+}
+
 // attempt drives a re-armed or freshly crashed kernel to optimality: the
 // dual simplex under the costs already in place (the previous solve's on
 // the hot path, still dual feasible; all-zero after a crash, trivially
@@ -218,6 +338,7 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 // books the pivots burned, drops the retained state and returns nil so
 // the ladder steps down.
 func (s *Solver) attempt(k kernel, armed bool, tol float64) *Result {
+	defer s.bookCrash(k)
 	if armed && k.dualIterate() == Optimal {
 		k.priceIn()
 		if k.primalIterate() == Optimal {
@@ -241,6 +362,12 @@ func (s *Solver) attempt(k kernel, armed bool, tol float64) *Result {
 	s.stats.AbandonedPivots += int64(k.pivots())
 	s.ws = retained{}
 	return nil
+}
+
+// bookCrash books an attempt's basis-crash work, accepted or abandoned.
+func (s *Solver) bookCrash(k kernel) {
+	s.out.ImportPivots += k.crashPivots()
+	s.stats.ImportPivots += int64(k.crashPivots())
 }
 
 // answered records which warm path produced the result.
@@ -271,7 +398,7 @@ func (s *Solver) ExportBasis() (*Basis, bool) {
 }
 
 func (s *Solver) solveCold(m *Model, opts Options) (*Result, error) {
-	t := newTableauIn(m, opts, &s.coldAr)
+	t := newTableauIn(m, opts, &s.cold)
 	st := t.run()
 	s.stats.ColdSolves++
 	s.stats.ColdPivots += int64(t.iters)
@@ -333,11 +460,9 @@ func sameStructure(a, b *Model) bool {
 // eligible to enter the basis. After any pivot sequence the marker block
 // holds B⁻¹, which powers the hot rhs refresh and uniform dual recovery
 // (y_r = dir·z[marker_r]).
-func newWarmTableauIn(m *Model, opts Options, ar *arena) *tableau {
-	rows := len(m.rows)
-	n := len(m.names)
-	t := &tableau{m: m, n: n, ar: ar}
-	t.opts = opts.withDefaults(rows, n)
+func newWarmTableauIn(m *Model, opts Options, t *tableau) *tableau {
+	t = t.reset(m, opts)
+	rows, n := len(m.rows), t.n
 	slacks := 0
 	for i := range m.rows {
 		if m.rows[i].sense != EQ {
@@ -348,7 +473,7 @@ func newWarmTableauIn(m *Model, opts Options, ar *arena) *tableau {
 	t.colLimit = t.artStart
 	t.total = t.artStart + rows
 	t.alloc(rows)
-	t.z = t.newZ()
+	t.z = zeroed(t.z, t.total+1)
 	slackCol := n
 	for i := range m.rows {
 		row := &m.rows[i]
@@ -379,6 +504,8 @@ func (t *tableau) model() *Model { return t.m }
 
 func (t *tableau) pivots() int { return t.iters }
 
+func (t *tableau) crashPivots() int { return t.crashed }
+
 func (t *tableau) priceIn() { t.setPhase2Z() }
 
 func (t *tableau) primalIterate() Status { return t.iterate() }
@@ -388,7 +515,7 @@ func (t *tableau) primalIterate() Status { return t.iterate() }
 // refactorization. A stale tableau is refused — its drift is shed by
 // re-importing into a fresh one.
 func (t *tableau) rearm(m *Model, opts Options, stale bool) bool {
-	t.iters = 0
+	t.iters, t.crashed = 0, 0
 	if stale {
 		return false
 	}
@@ -410,7 +537,7 @@ func (t *tableau) exportBasis() (*Basis, bool) {
 			slackOwner[c-t.n] = r
 		}
 	}
-	b := &Basis{}
+	b := emptyBasis(t.basis, t.n)
 	for _, c := range t.basis {
 		switch {
 		case c >= 0 && c < t.n:
@@ -434,28 +561,8 @@ const importPivTol = 1e-7
 // leaving the caller to go cold — when a row cannot be covered at all
 // (uncovered EQ row, or a singular slack pivot).
 func (t *tableau) importBasis(b *Basis) bool {
-	m := t.m
-	varIdx := make(map[string]int, len(m.names))
-	for i, name := range m.names {
-		varIdx[name] = i
-	}
-	rowIdx := make(map[string]int, len(m.rows))
-	for i := range m.rows {
-		rowIdx[m.rows[i].name] = i
-	}
-	cols := make([]int, 0, b.Size())
-	for _, name := range b.vars {
-		if c, ok := varIdx[name]; ok {
-			cols = append(cols, c)
-		}
-	}
-	for _, name := range b.slackRows {
-		if r, ok := rowIdx[name]; ok {
-			if c := t.rowSlack[r]; c >= 0 {
-				cols = append(cols, c)
-			}
-		}
-	}
+	var cols []int
+	cols, t.seed = b.members(t.m, t.rowSlack, t.seed)
 	for _, c := range cols {
 		best, bestAbs := -1, importPivTol
 		for r := 0; r < t.a.Rows; r++ {
@@ -470,6 +577,7 @@ func (t *tableau) importBasis(b *Basis) bool {
 			continue // dependent on columns already imported: drop it
 		}
 		t.pivot(best, c)
+		t.crashed++
 	}
 	for r := 0; r < t.a.Rows; r++ {
 		if t.basis[r] >= 0 {
@@ -480,6 +588,7 @@ func (t *tableau) importBasis(b *Basis) bool {
 			return false
 		}
 		t.pivot(r, c)
+		t.crashed++
 	}
 	return true
 }
@@ -489,13 +598,8 @@ func (t *tableau) importBasis(b *Basis) bool {
 // refactorization — this is the hot path's whole trick.
 func (t *tableau) refreshRHS() {
 	rows := t.a.Rows
-	var scratch []float64
-	if t.ar != nil {
-		t.ar.rhs = growFloats(t.ar.rhs, rows)
-		scratch = t.ar.rhs
-	} else {
-		scratch = make([]float64, rows)
-	}
+	t.rhs = zeroed(t.rhs, rows)
+	scratch := t.rhs
 	for i := 0; i < rows; i++ {
 		r := t.a.Row(i)
 		var sum float64

@@ -64,22 +64,45 @@ type sparseSolve struct {
 	inBasis []int // column -> basis position, -1 when nonbasic
 	xB      []float64
 
-	lu   *linalg.SparseLU
-	etas *linalg.EtaFile
-
-	iters  int
-	cursor int // partial-pricing scan position
+	iters   int
+	crashed int // columns eliminated into lu, outside iters
+	cursor  int // partial-pricing scan position
 
 	// scratch
-	wrk, w, rho, y, tmp, cb, bvec []float64
+	wrk, w, rho, y, tmp, bvec []float64
+
+	sparseArena
 }
 
-// newSparseSolve builds the CSC representation and scratch state for m.
-// The basis is established later by importBasis.
-func newSparseSolve(m *Model, opts Options) *sparseSolve {
+// sparseArena is the part of a sparseSolve that outlives a solve: the two
+// slabs every array above is cut from, the factors and eta file (each
+// recycling its own storage) and the seed-resolution scratch. A Solver
+// keeps one kernel and newSparseSolveIn rebuilds it in place.
+type sparseArena struct {
+	ints   []int
+	floats []float64
+	lu     linalg.SparseLU
+	etas   linalg.EtaFile
+	seed   []int
+}
+
+// carve cuts the next n entries off slab.
+func carve[T any](slab *[]T, n int) []T {
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// newSparseSolveIn builds the CSC representation and scratch state for m
+// in ss's arena (a fresh kernel when ss is nil). The basis is established
+// later by importBasis.
+func newSparseSolveIn(m *Model, opts Options, ss *sparseSolve) *sparseSolve {
+	if ss == nil {
+		ss = new(sparseSolve)
+	}
 	n := len(m.names)
 	rows := len(m.rows)
-	ss := &sparseSolve{m: m, n: n, rows: rows}
+	*ss = sparseSolve{m: m, n: n, rows: rows, sparseArena: ss.sparseArena}
 	ss.opts = opts.withDefaults(rows, n)
 
 	slacks := 0
@@ -92,15 +115,17 @@ func newSparseSolve(m *Model, opts Options) *sparseSolve {
 		nnz += len(m.rows[i].terms)
 	}
 	ss.ncols = n + slacks
-	ss.ptr = make([]int, ss.ncols+1)
-	ss.ind = make([]int, nnz)
-	ss.val = make([]float64, nnz)
-	ss.rowSlack = make([]int, rows)
-	ss.slackRow = make([]int, slacks)
+	// ints: ptr, ind, rowSlack, slackRow, count, basis, inBasis; floats:
+	// val, obj, xB and the six scratch vectors — every carve below.
+	ss.ints = zeroed(ss.ints, 3*ss.ncols+1+nnz+2*rows+slacks)
+	ss.floats = zeroed(ss.floats, nnz+ss.ncols+7*rows)
+	ints, floats := ss.ints, ss.floats
+	ss.ptr, ss.ind, ss.val = carve(&ints, ss.ncols+1), carve(&ints, nnz), carve(&floats, nnz)
+	ss.rowSlack, ss.slackRow = carve(&ints, rows), carve(&ints, slacks)
 
 	// Column counting pass, then fill. Duplicate terms are kept as-is:
 	// every consumer (LU, pricing, FTRAN scatter) accumulates.
-	count := make([]int, ss.ncols)
+	count := carve(&ints, ss.ncols)
 	for i := range m.rows {
 		for _, t := range m.rows[i].terms {
 			count[t.Var]++
@@ -137,20 +162,15 @@ func newSparseSolve(m *Model, opts Options) *sparseSolve {
 		}
 	}
 
-	ss.obj = make([]float64, ss.ncols)
-	ss.basis = make([]int, 0, rows)
-	ss.inBasis = make([]int, ss.ncols)
+	ss.obj = carve(&floats, ss.ncols)
+	ss.basis = carve(&ints, rows)[:0]
+	ss.inBasis = carve(&ints, ss.ncols)
 	for j := range ss.inBasis {
 		ss.inBasis[j] = -1
 	}
-	ss.xB = make([]float64, rows)
-	ss.wrk = make([]float64, rows)
-	ss.w = make([]float64, rows)
-	ss.rho = make([]float64, rows)
-	ss.y = make([]float64, rows)
-	ss.tmp = make([]float64, rows)
-	ss.cb = make([]float64, rows)
-	ss.bvec = make([]float64, rows)
+	ss.xB, ss.wrk, ss.w = carve(&floats, rows), carve(&floats, rows), carve(&floats, rows)
+	ss.rho, ss.y, ss.tmp = carve(&floats, rows), carve(&floats, rows), carve(&floats, rows)
+	ss.bvec = carve(&floats, rows)
 	return ss
 }
 
@@ -194,56 +214,27 @@ func (ss *sparseSolve) priceIn() {
 // EQ row no seed column covers). The costs of a fresh kernel are zero,
 // which is the trivially dual-feasible row the repair phase needs.
 func (ss *sparseSolve) importBasis(seed *Basis) bool {
-	lu := linalg.NewSparseLU(ss.rows, importPivTol)
+	ss.lu.Reset(ss.rows, importPivTol)
 	ss.basis = ss.basis[:0]
-	add := func(c int) {
-		ci, cv := ss.col(c)
-		if lu.AddColumn(ci, cv) {
+	var cols []int
+	cols, ss.seed = seed.members(ss.m, ss.rowSlack, ss.seed)
+	for _, c := range cols {
+		if ss.lu.Complete() {
+			break
+		}
+		if ss.eliminate(c) {
 			ss.basis = append(ss.basis, c)
 		}
 	}
-	if seed != nil {
-		varIdx := make(map[string]int, ss.n)
-		for i, name := range ss.m.names {
-			varIdx[name] = i
-		}
-		rowIdx := make(map[string]int, ss.rows)
-		for i := range ss.m.rows {
-			rowIdx[ss.m.rows[i].name] = i
-		}
-		for _, name := range seed.vars {
-			if lu.Complete() {
-				break
-			}
-			if c, ok := varIdx[name]; ok {
-				add(c)
-			}
-		}
-		for _, name := range seed.slackRows {
-			if lu.Complete() {
-				break
-			}
-			if r, ok := rowIdx[name]; ok {
-				if c := ss.rowSlack[r]; c >= 0 {
-					add(c)
-				}
-			}
+	for r := 0; r < ss.rows && !ss.lu.Complete(); r++ {
+		if c := ss.rowSlack[r]; c >= 0 && ss.eliminate(c) {
+			ss.basis = append(ss.basis, c)
 		}
 	}
-	for r := 0; r < ss.rows && !lu.Complete(); r++ {
-		if c := ss.rowSlack[r]; c >= 0 {
-			add(c)
-		}
-	}
-	if !lu.Complete() {
+	if !ss.lu.Complete() {
 		return false
 	}
-	ss.lu = lu
-	if ss.etas == nil {
-		ss.etas = linalg.NewEtaFile(ss.rows)
-	} else {
-		ss.etas.Reset()
-	}
+	ss.etas.Reset()
 	for j := range ss.inBasis {
 		ss.inBasis[j] = -1
 	}
@@ -254,18 +245,28 @@ func (ss *sparseSolve) importBasis(seed *Basis) bool {
 	return true
 }
 
-// refactorize rebuilds the LU factors from the current basis columns,
-// drops the eta file and recomputes xB from the model rhs. False means
-// the basis went numerically singular — the caller abandons to cold.
+// eliminate offers column c to the factors as the next basis column;
+// false means it depends on those already accepted.
+func (ss *sparseSolve) eliminate(c int) bool {
+	ci, cv := ss.col(c)
+	if !ss.lu.AddColumn(ci, cv) {
+		return false
+	}
+	ss.crashed++
+	return true
+}
+
+// refactorize rebuilds the LU factors in place from the current basis
+// columns, drops the eta file and recomputes xB from the model rhs. False
+// means the basis went numerically singular — the caller abandons to
+// cold, so nothing reads the half-built factors.
 func (ss *sparseSolve) refactorize() bool {
-	lu := linalg.NewSparseLU(ss.rows, 0)
+	ss.lu.Reset(ss.rows, 0)
 	for _, c := range ss.basis {
-		ci, cv := ss.col(c)
-		if !lu.AddColumn(ci, cv) {
+		if !ss.eliminate(c) {
 			return false
 		}
 	}
-	ss.lu = lu
 	ss.etas.Reset()
 	ss.computeXB()
 	return true
@@ -593,6 +594,8 @@ func (ss *sparseSolve) model() *Model { return ss.m }
 
 func (ss *sparseSolve) pivots() int { return ss.iters }
 
+func (ss *sparseSolve) crashPivots() int { return ss.crashed }
+
 // rearm refreshes the basic solution for the new rhs by one FTRAN through
 // the retained factors. Where the dense kernel sheds drift by being
 // dropped, a stale sparse one refactorizes in place — an O(fill)
@@ -600,7 +603,7 @@ func (ss *sparseSolve) pivots() int { return ss.iters }
 func (ss *sparseSolve) rearm(m *Model, opts Options, stale bool) bool {
 	ss.m = m
 	ss.opts = opts.withDefaults(ss.rows, ss.n)
-	ss.iters = 0
+	ss.iters, ss.crashed = 0, 0
 	if stale && !ss.refactorize() {
 		return false
 	}
@@ -611,7 +614,7 @@ func (ss *sparseSolve) rearm(m *Model, opts Options, stale bool) bool {
 // exportBasis names the basic columns; sparse bases hold only structural
 // and slack columns by construction, so they are always representable.
 func (ss *sparseSolve) exportBasis() (*Basis, bool) {
-	b := &Basis{}
+	b := emptyBasis(ss.basis, ss.n)
 	for _, c := range ss.basis {
 		if c < ss.n {
 			b.vars = append(b.vars, ss.m.names[c])

@@ -67,17 +67,20 @@ bench-lp-sparse:
 	BENCH_PLAN_JSON=BENCH_plan.json $(GO) test -count=1 -run='TestWarmStartTrajectory' -v .
 
 # bench-smoke proves the plan-search benchmarks, the memo-cache
-# contention benchmark, the dispatch-LP builder benchmark and the refine
-# slot benchmark still run (one iteration, no timing claims); wired into
-# verify.
+# contention benchmark, the dispatch-LP builder benchmark and both rows of
+# the refine slot benchmark — demand-limited, where the dual bound turns
+# every move down, and capacity-limited, where ~135 survivors are solved —
+# still run (one iteration, no timing claims); wired into verify.
 bench-smoke:
 	$(GO) test -bench=BenchmarkPlanSearch -benchtime=1x -run=NONE .
 	$(GO) test -bench='BenchmarkSubsetCacheContention|BenchmarkBuildDispatchLP|BenchmarkRefineSlot' -benchtime=1x -run=NONE ./internal/core/
 
 # profile writes a CPU and an allocation profile into the git-ignored
 # prof/ and prints the top of each, with no edit to bench/: W=refine (the
-# default) profiles BenchmarkRefineSlot, the fleet-refine-mid slot's
-# ~150 seeded subset solves; W=large profiles TestWarmStartTrajectory's
+# default) profiles BenchmarkRefineSlot/capacity-limited, the
+# fleet-refine-mid slot at three times the arrivals, whose ~135 moves the
+# dual bound lets through are solved from their incumbents' bases (the
+# recorded slot itself is two LPs now); W=large profiles TestWarmStartTrajectory's
 # 20x100x3 dense and sparse hot chains, fleet-large's solver side. Dig
 # further with `go tool pprof -list <regexp> prof/$(W).test prof/$(W).cpu`.
 W ?= refine
@@ -86,7 +89,7 @@ profile:
 ifeq ($(W),large)
 	BENCH_PLAN_JSON=$(CURDIR)/prof/plan.json $(GO) test -count=1 -run=TestWarmStartTrajectory -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem .
 else
-	$(GO) test -run=NONE -bench=BenchmarkRefineSlot -benchtime=500x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
+	$(GO) test -run=NONE -bench=BenchmarkRefineSlot/capacity-limited -benchtime=300x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
 endif
 	$(GO) tool pprof -top -nodecount=30 prof/$(W).test prof/$(W).cpu
 	$(GO) tool pprof -top -nodecount=30 -sample_index=alloc_space prof/$(W).test prof/$(W).mem

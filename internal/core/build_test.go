@@ -120,12 +120,12 @@ func TestCapReservationsEvictsWithinBuckets(t *testing.T) {
 		if !reflect.DeepEqual(comms, before) {
 			t.Fatalf("trial %d: input modified", trial)
 		}
-		kept := map[commodityKey]bool{}
+		kept := map[[3]int]bool{}
 		for _, c := range got {
-			kept[keyOf(c)] = true
+			kept[[3]int{c.k, c.q, c.l}] = true
 		}
 		for _, c := range comms {
-			if !kept[keyOf(c)] {
+			if !kept[[3]int{c.k, c.q, c.l}] {
 				evictedAt[c.l] = true
 				flooredGone = flooredGone || c.floored
 			}
@@ -208,67 +208,111 @@ func TestBuildDispatchLPAllocs(t *testing.T) {
 }
 
 // refineSlot is the fleet-refine-mid slot: 6×10×3, two TUF levels, refine
-// on — ~150 seeded subset LPs (88 rows at most, dense and sparse) plus
-// memo-cache hits a Plan.
+// on. Demand-limited: no share row is priced, so the bound turns every
+// one of the ~180 moves down and a Plan is two LPs.
 func refineSlot() (*Optimized, *Input) {
 	o := NewOptimized()
 	o.Stats = &SearchStats{}
 	return o, synthInput(6, 10, 3)
 }
 
-// BenchmarkRefineSlot times one warm refine Plan, the slot commit's
-// dominant piece (make profile profiles it).
-func BenchmarkRefineSlot(b *testing.B) {
+// refineSlotBusy is refineSlot at three times the arrivals, where the
+// centers fill up: the bound turns down two moves in three and ~135
+// survivors (88 rows at most, dense and sparse) are solved from their
+// incumbents' bases, with memo-cache hits on each converged pass.
+func refineSlotBusy() (*Optimized, *Input) {
 	o, in := refineSlot()
-	mustPlan(b, o, in)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := o.Plan(in); err != nil {
-			b.Fatal(err)
+	scaleArrivals(in, 3)
+	return o, in
+}
+
+func scaleArrivals(in *Input, by float64) {
+	for s := range in.Arrivals {
+		for k := range in.Arrivals[s] {
+			in.Arrivals[s][k] *= by
 		}
 	}
 }
 
-// TestRefinePlanAllocs is the refine slot's allocation budget. Before the
-// solvers, the trial model and its handles recycled with the pool, a warm
-// Plan here allocated 30 341 objects and 11.5 MB; the budget is under a
-// third of the first and a quarter of the second, with headroom over
-// today's ~3 200 and ~2.0 MB for a pool the collector happened to empty.
+// refineFixtures names the two for the benchmark and for the allocation
+// budget of a warm Plan.
+var refineFixtures = []struct {
+	name                 string
+	make                 func() (*Optimized, *Input)
+	maxObjects, maxBytes uint64
+}{
+	{"demand-limited", refineSlot, 1_500, 200_000},
+	{"capacity-limited", refineSlotBusy, 7_000, 2_200_000},
+}
+
+// BenchmarkRefineSlot times one warm refine Plan, the slot commit's
+// dominant piece (make profile profiles the capacity-limited one).
+func BenchmarkRefineSlot(b *testing.B) {
+	for _, fx := range refineFixtures {
+		b.Run(fx.name, func(b *testing.B) {
+			o, in := fx.make()
+			mustPlan(b, o, in)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := o.Plan(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestRefinePlanAllocs is the refine slot's allocation budget, twice. The
+// demand-limited slot shows what the search's bookkeeping costs when the
+// bound turns every move down: a move must be bounded before anything is
+// built for it (a trial list per move was 515 KB a Plan). The
+// capacity-limited one keeps the seeded-solve pool honest: before the
+// solvers, the trial model and its handles recycled with it, ~150 solves
+// allocated 30 341 objects and 11.5 MB.
 func TestRefinePlanAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector moves allocations to the heap")
 	}
-	const maxObjects, maxBytes = 10_000, 2_800_000
-	o, in := refineSlot()
-	for i := 0; i < 3; i++ { // slot 0 solves cold; then the pool's slabs settle
-		mustPlan(t, o, in)
-	}
-	if o.Stats.Solves < 100 || o.Stats.SparseSolves == 0 || o.Stats.SparseSolves == o.Stats.Solves || o.Stats.WarmHits != o.Stats.Solves {
-		t.Fatalf("fixture drifted: %+v, want ~150 warm solves on both kernels", *o.Stats)
-	}
-	var before, after runtime.MemStats
-	const runs = 5
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if _, err := o.Plan(in); err != nil {
-			t.Fatal(err)
+	for _, fx := range refineFixtures {
+		o, in := fx.make()
+		for i := 0; i < 3; i++ { // slot 0 solves cold; then the pool's slabs settle
+			mustPlan(t, o, in)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	objects, bytes := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
-	t.Logf("%d objects, %d bytes a warm refine Plan (%d solves)", objects, bytes, o.Stats.Solves)
-	if objects > maxObjects || bytes > maxBytes {
-		t.Errorf("a warm refine Plan allocates %d objects and %d bytes, budget %d and %d", objects, bytes, maxObjects, maxBytes)
+		st := *o.Stats
+		drifted := st.Bounded < 150 || st.WarmHits != st.Solves
+		if fx.name == "demand-limited" {
+			drifted = drifted || st.Solves > 5
+		} else {
+			drifted = drifted || st.Solves < 100 || st.SparseSolves == 0 || st.SparseSolves == st.Solves || st.CacheHits == 0
+		}
+		if drifted {
+			t.Fatalf("%s: fixture drifted: %+v, want ≥ 150 moves bounded and every solve warm: ≤ 5 demand-limited, ≥ 100 on both kernels with cache hits capacity-limited", fx.name, st)
+		}
+		var before, after runtime.MemStats
+		const runs = 5
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := o.Plan(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		objects, bytes := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
+		t.Logf("%s: %d objects, %d bytes a warm refine Plan (%d solves, %d bounded)", fx.name, objects, bytes, st.Solves, st.Bounded)
+		if objects > fx.maxObjects || bytes > fx.maxBytes {
+			t.Errorf("%s: a warm refine Plan allocates %d objects and %d bytes, budget %d and %d", fx.name, objects, bytes, fx.maxObjects, fx.maxBytes)
+		}
 	}
 }
 
 // TestImportPivotsReachTheBooks: the crash work of a slot's seeded solves
 // arrives in SearchStats, the metrics and the engine event — every
 // imported solve crashes a full basis, so the count dwarfs WarmPivots —
-// and repeats exactly on an identical slot.
+// and repeats exactly on an identical slot; the count of moves the dual
+// bound rejected travels the same way.
 func TestImportPivotsReachTheBooks(t *testing.T) {
-	o, in := refineSlot()
+	o, in := refineSlotBusy()
 	reg, events := obs.NewRegistry(), &obs.Collector{}
 	o.Obs = obs.NewScope(reg, events)
 	mustPlan(t, o, in)
@@ -287,5 +331,12 @@ func TestImportPivotsReachTheBooks(t *testing.T) {
 	}
 	if got := reg.Counter("core_lp_import_pivots_total").Value(); got < 2*second.ImportPivots {
 		t.Fatalf("core_lp_import_pivots_total = %d after three slots, the last two alone crashed %d", got, 2*second.ImportPivots)
+	}
+	// So do the moves the bound turned down unsolved.
+	if got := evs[len(evs)-1].Values["lpBounded"]; second.Bounded == 0 || got != float64(second.Bounded) {
+		t.Fatalf("engine event carries lpBounded=%v, stats say %d", got, second.Bounded)
+	}
+	if got := reg.Counter("core_lp_bounded_total").Value(); got < 3*second.Bounded/2 {
+		t.Fatalf("core_lp_bounded_total = %d after three slots of ~%d each", got, second.Bounded)
 	}
 }

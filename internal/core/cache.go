@@ -15,6 +15,9 @@ type SearchStats struct {
 	Solves int64
 	// CacheHits counts solves answered from the subset memo cache.
 	CacheHits int64
+	// Bounded counts search moves rejected by the incumbent's dual bound
+	// before any LP was built (see prices.bound).
+	Bounded int64
 	// SolveErrors counts solver invocations that returned an error
 	// (cache hits on a failed entry replay the error without recounting).
 	SolveErrors int64
@@ -49,7 +52,9 @@ type SearchStats struct {
 // filtered commodity set — so a hit skips a full simplex solve.
 //
 // A key holds only what varies within one Plan call: the completion
-// floors and the canonical (k,q,l sorted) commodity set. Everything else
+// floors, the canonical (k,q,l sorted) commodity set and the identity of
+// the basis the solve is seeded from (0: the slot's frozen seed, and
+// every cold solve). Everything else
 // the LP reads — the Input, the variable layout, the solver options — is
 // constant for the engine that owns the cache, and the cache is created
 // per Plan call and dropped with it, so there is no cross-slot state to
@@ -79,10 +84,9 @@ type cacheShard struct {
 }
 
 type cacheEntry struct {
-	once  sync.Once
-	rates [][]float64
-	obj   float64
-	err   error
+	once sync.Once
+	solution
+	err error
 }
 
 func newSubsetCache() *subsetCache {
@@ -124,9 +128,10 @@ func shardOf(k string) uint64 {
 // relaxations, the one off-ladder combination, carry the NumLevels
 // sentinel as their q. The key is built per lookup on the search's
 // hottest path — packing matters.
-func cacheKey(comms []commodity, floors []float64) string {
-	buf := make([]byte, 0, 8+8*len(floors)+8*len(comms))
+func cacheKey(comms []commodity, floors []float64, seed uint64) string {
+	buf := make([]byte, 0, 16+8*len(floors)+8*len(comms))
 	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	put(seed)
 	put(uint64(len(floors)))
 	for _, f := range floors {
 		put(math.Float64bits(f))

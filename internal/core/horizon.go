@@ -180,7 +180,7 @@ func (hp *HorizonPlanner) Plan(h *HorizonInput) (*HorizonPlan, error) {
 	b := buildHorizonLP(h)
 	w := hp.claim(true)
 	defer w.release()
-	res, _, err := w.solveModel(b.model, hp.lpOpts(), true, nil)
+	res, _, _, err := w.solveModel(b.model, hp.lpOpts(), true, nil, nil, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: horizon LP failed: %w", err)
 	}

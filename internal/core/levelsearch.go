@@ -113,7 +113,9 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 		}
 	}
 
-	eng := ls.open(in, ls.Name(), ls.PerServer)
+	// Greedy — on its own or as branch-and-bound's seed — is the one
+	// first-improvement search here.
+	eng := ls.open(in, ls.Name(), ls.PerServer, strategy == Greedy || strategy == BranchBound)
 	defer eng.close()
 	// Capture solve: every strategy starts from the all-tightest
 	// (all-zeros) assignment — exhaustive enumerates it first, greedy
@@ -122,7 +124,7 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 	// next slot's seed basis while the result lands in the memo cache for
 	// the strategy to reuse.
 	if _, err := eng.prologue(func() (assignment, error) {
-		return evaluate(eng, pairs, make([]int, len(pairs)))
+		return evaluate(eng, pairs, make([]int, len(pairs)), nil)
 	}); err != nil {
 		return nil, err
 	}
@@ -160,27 +162,20 @@ type assignment struct {
 	comms  []commodity
 	rates  [][]float64
 	obj    float64
+	px     *prices // the LP's shadow prices and basis, on a priced engine
 }
 
-// evaluate builds the one-level-per-pair commodity set and solves its LP.
-// Unprofitable or reservation-overloaded pairs are excluded (equivalent to
-// the LP routing nothing there).
-func evaluate(eng *engine, pairs []pair, levels []int) (assignment, error) {
+// evaluate builds the one-level-per-pair commodity set and solves its LP,
+// seeded from the basis of from, the incumbent it neighbours (nil: the
+// slot's frozen seed). Unprofitable or reservation-overloaded pairs are
+// excluded (equivalent to the LP routing nothing there).
+func evaluate(eng *engine, pairs []pair, levels []int, from *prices) (assignment, error) {
 	in := eng.in
-	sys := in.Sys
 	comms := make([]commodity, 0, len(pairs))
 	for pi, p := range pairs {
-		lev := sys.Classes[p.k].TUF.Level(levels[pi])
-		best := math.Inf(-1)
-		for s := 0; s < sys.S(); s++ {
-			if c := sys.UnitProfit(p.k, s, p.l, lev.Utility, in.Prices[p.l]); c > best {
-				best = c
-			}
+		if c := levelCommodity(in, p, levels[pi]); c.bestCoef > 0 {
+			comms = append(comms, c)
 		}
-		if best <= 0 {
-			continue
-		}
-		comms = append(comms, commodity{k: p.k, q: levels[pi], l: p.l, utility: lev.Utility, deadline: lev.Deadline, bestCoef: best})
 	}
 	// Canonical order before eviction and solving: distinct level
 	// vectors that map to the same filtered commodity set share one
@@ -190,14 +185,22 @@ func evaluate(eng *engine, pairs []pair, levels []int) (assignment, error) {
 	if len(comms) == 0 {
 		return assignment{levels: append([]int(nil), levels...)}, nil
 	}
-	rates, obj, err := eng.solve(comms, nil)
+	sol, err := eng.solve(comms, nil, from)
 	if err == lp.ErrInfeasible {
 		return assignment{levels: append([]int(nil), levels...), obj: math.Inf(-1)}, nil
 	}
 	if err != nil {
 		return assignment{}, err
 	}
-	return assignment{levels: append([]int(nil), levels...), comms: comms, rates: rates, obj: obj}, nil
+	return assignment{levels: append([]int(nil), levels...), comms: comms, rates: sol.rates, obj: sol.obj, px: sol.px}, nil
+}
+
+// levelCommodity is the commodity pair p enters the LP as when committed
+// to level q — if its best route earns anything: bestCoef ≤ 0 means
+// evaluate leaves the pair out.
+func levelCommodity(in *Input, p pair, q int) commodity {
+	lev := in.Sys.Classes[p.k].TUF.Level(q)
+	return commodity{k: p.k, q: q, l: p.l, utility: lev.Utility, deadline: lev.Deadline, bestCoef: bestRoute(in, p.k, p.l, lev.Utility)}
 }
 
 // exhaustive enumerates the mixed-radix level space in odometer order.
@@ -231,7 +234,7 @@ func exhaustive(eng *engine, pairs []pair) (assignment, error) {
 			}
 		}
 		results, err := mapOrdered(eng.workers, len(vecs), func(i int) (assignment, error) {
-			return evaluate(eng, pairs, vecs[i])
+			return evaluate(eng, pairs, vecs[i], nil)
 		})
 		if err != nil {
 			return assignment{}, err
@@ -245,24 +248,62 @@ func exhaustive(eng *engine, pairs []pair) (assignment, error) {
 	return best, nil
 }
 
-// greedy hill-climbs over single-pair level moves, first improvement.
-// Moves run through speculativePass: neighbors are evaluated
-// concurrently against a frozen state but accepted in exactly the
-// serial order, so the climb path is identical at every worker count.
+// greedy hill-climbs over single-pair level moves, first improvement. A
+// move is the pair's current commodity out and its commodity at the new
+// level in, either only if profitable; one the incumbent's shadow prices
+// bound at no improvement is rejected before anything is built (see
+// prices.bound). The others run through speculativePass, seeded from the
+// incumbent's basis: neighbors are evaluated concurrently against a
+// frozen state but accepted in exactly the serial order, so the climb
+// path is identical at every worker count.
 func greedy(eng *engine, pairs []pair) (assignment, error) {
-	sys := eng.in.Sys
+	in := eng.in
+	sys := in.Sys
 	levels := make([]int, len(pairs))
-	best, err := evaluate(eng, pairs, levels)
+	best, err := evaluate(eng, pairs, levels, nil)
 	if err != nil {
 		return assignment{}, err
 	}
-	type move struct{ pi, q int }
-	var moves []move
-	for pi := range pairs {
-		for q := 0; q < sys.Classes[pairs[pi].k].TUF.NumLevels(); q++ {
+	type move struct{ pi, q int } // pair pi to level q
+	nMoves := 0
+	for _, p := range pairs {
+		nMoves += sys.Classes[p.k].TUF.NumLevels()
+	}
+	moves := make([]move, 0, nMoves)
+	pairAt := make([]int, sys.K()*sys.L()) // (k, l)'s pair
+	for pi, p := range pairs {
+		pairAt[p.k*sys.L()+p.l] = pi
+		for q := 0; q < sys.Classes[p.k].TUF.NumLevels(); q++ {
 			moves = append(moves, move{pi, q})
 		}
 	}
+	// What the bound reads of the incumbent, rewritten by each accept:
+	// at[pi] is the position of pair pi's commodity in best.comms (-1: it
+	// has none) and reserved[l] center l's zero-load reservations. The
+	// bound speaks of the incumbent's set with one commodity out and one
+	// in, which is what evaluate would solve only where capReservations
+	// evicts nothing — not from the incumbent (whole), not after the move.
+	at := make([]int, len(pairs))
+	reserved := make([]float64, sys.L())
+	whole := false
+	place := func() {
+		clear(reserved)
+		for pi := range at {
+			at[pi] = -1
+		}
+		for ci, c := range best.comms {
+			reserved[c.l] += reservation(sys, c)
+			at[pairAt[c.k*sys.L()+c.l]] = ci
+		}
+		admitted := 0
+		for pi, p := range pairs {
+			if levelCommodity(in, p, levels[pi]).bestCoef > 0 {
+				admitted++
+			}
+		}
+		whole = admitted == len(best.comms)
+	}
+	place()
 	for {
 		improved, err := speculativePass(eng.workers, len(moves),
 			func(i int) (assignment, error) {
@@ -270,16 +311,34 @@ func greedy(eng *engine, pairs []pair) (assignment, error) {
 				if mv.q == levels[mv.pi] {
 					return assignment{obj: math.Inf(-1)}, nil // no-op move
 				}
+				if whole {
+					enter, out := levelCommodity(in, pairs[mv.pi], mv.q), at[mv.pi]
+					after := reserved[enter.l]
+					if out >= 0 {
+						after -= reservation(sys, best.comms[out])
+					}
+					add := &enter
+					if enter.bestCoef > 0 {
+						after += reservation(sys, enter)
+					} else {
+						add = nil
+					}
+					// Clear of the margin by more than the two sums' round-off.
+					if after <= reserveMargin-1e-9 && eng.bounded(&best, out, add) {
+						return assignment{obj: math.Inf(-1)}, nil
+					}
+				}
 				trial := append([]int(nil), levels...)
 				trial[mv.pi] = mv.q
-				return evaluate(eng, pairs, trial)
+				return evaluate(eng, pairs, trial, best.px)
 			},
 			func(i int, a assignment) bool {
-				if a.obj <= best.obj+1e-9 {
+				if a.obj <= best.obj+improveTol {
 					return false
 				}
 				best = a
 				levels[moves[i].pi] = moves[i].q
+				place()
 				return true
 			})
 		if err != nil {
@@ -311,6 +370,9 @@ func branchBound(eng *engine, pairs []pair) (assignment, error) {
 	if err != nil {
 		return assignment{}, err
 	}
+	// The tree compares leaves and relaxations; it searches from none, so
+	// from here no solve keeps prices or a basis.
+	eng.priced = false
 	inc := newAtomicFloat(best.obj)
 	prefixes := bbPrefixes(eng.in, pairs, eng.workers)
 	results, err := mapOrdered(eng.workers, len(prefixes), func(i int) (assignment, error) {
@@ -360,7 +422,7 @@ func bbSubtree(eng *engine, pairs []pair, prefix []int, inc *atomicFloat) (assig
 	var rec func(depth int) error
 	rec = func(depth int) error {
 		if depth == len(pairs) {
-			a, err := evaluate(eng, pairs, levels)
+			a, err := evaluate(eng, pairs, levels, nil)
 			if err != nil {
 				return err
 			}
@@ -421,12 +483,7 @@ func upperBound(eng *engine, pairs []pair, levels []int, depth int) (float64, er
 			// level-0 solve of the same pair.
 			u, d, q = cls.MaxUtility(), cls.Deadline(), cls.NumLevels()
 		}
-		bestC := math.Inf(-1)
-		for s := 0; s < sys.S(); s++ {
-			if c := sys.UnitProfit(p.k, s, p.l, u, in.Prices[p.l]); c > bestC {
-				bestC = c
-			}
-		}
+		bestC := bestRoute(in, p.k, p.l, u)
 		if bestC <= 0 {
 			continue
 		}
@@ -437,12 +494,12 @@ func upperBound(eng *engine, pairs []pair, levels []int, depth int) (float64, er
 	if len(comms) == 0 {
 		return 0, nil
 	}
-	_, obj, err := eng.solve(comms, nil)
+	sol, err := eng.solve(comms, nil, nil)
 	if err == lp.ErrInfeasible {
 		return math.Inf(-1), nil
 	}
 	if err != nil {
 		return 0, err
 	}
-	return obj, nil
+	return sol.obj, nil
 }

@@ -135,7 +135,7 @@ func TestNameTableFollowsTheSystem(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i, in := range inputs {
 			comms := capReservations(in, admissibleCommodities(in, nil))
-			eng := o.open(in, o.Name(), false)
+			eng := o.open(in, o.Name(), false, false)
 			got := namesOf(buildDispatchLP(in, comms, nil, false, eng.names).model)
 			eng.close()
 			if want := namesOf(buildDispatchLP(in, comms, nil, false, nil).model); !reflect.DeepEqual(got, want) {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"profitlb/internal/datacenter"
 	"profitlb/internal/linalg"
 	"profitlb/internal/lp"
 	"profitlb/internal/obs"
@@ -151,11 +152,11 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	eng := o.open(in, o.Name(), o.PerServer)
+	eng := o.open(in, o.Name(), o.PerServer, o.Refine)
 	defer eng.close()
 	full := admissibleCommodities(in, o.MinCompletion)
 	best, err := eng.prologue(func() (assignment, error) {
-		return o.solveSubset(eng, capReservations(in, full))
+		return o.solveSubset(eng, capReservations(in, full), nil)
 	})
 	if err != nil {
 		return nil, err
@@ -174,11 +175,14 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Re-evaluate the seed subset under this planner's own
-			// constraints (the greedy search knows nothing of floors).
-			seedEval, err := o.solveSubset(eng, seed.comms)
-			if err != nil {
-				return nil, err
+			// Floors are this planner's own constraint: the greedy search
+			// knows nothing of them, so under them its subset is solved
+			// again, from its own basis.
+			seedEval := seed
+			if len(o.MinCompletion) > 0 {
+				if seedEval, err = o.solveSubset(eng, seed.comms, seed.px); err != nil {
+					return nil, err
+				}
 			}
 			fromSeed, err := o.toggleSearch(eng, full, seedEval)
 			if err != nil {
@@ -215,12 +219,7 @@ func admissibleCommodities(in *Input, floors []float64) []commodity {
 		levels := sys.Classes[k].TUF.Levels()
 		for q, lev := range levels {
 			for l := 0; l < sys.L(); l++ {
-				best := math.Inf(-1)
-				for s := 0; s < sys.S(); s++ {
-					if c := sys.UnitProfit(k, s, l, lev.Utility, in.Prices[l]); c > best {
-						best = c
-					}
-				}
+				best := bestRoute(in, k, l, lev.Utility)
 				if best > 0 || floored {
 					out = append(out, commodity{k: k, q: q, l: l, utility: lev.Utility, deadline: lev.Deadline, bestCoef: best, floored: floored})
 				}
@@ -228,6 +227,16 @@ func admissibleCommodities(in *Input, floors []float64) []commodity {
 		}
 	}
 	return out
+}
+
+// bestRoute is the best per-request profit, over front-ends, of serving
+// class k at center l for utility u.
+func bestRoute(in *Input, k, l int, u float64) float64 {
+	best := math.Inf(-1)
+	for s := 0; s < in.Sys.S(); s++ {
+		best = max(best, in.Sys.UnitProfit(k, s, l, u, in.Prices[l]))
+	}
+	return best
 }
 
 // capReservations enforces per-center feasibility of the paper's
@@ -245,16 +254,14 @@ func admissibleCommodities(in *Input, floors []float64) []commodity {
 // modified and the survivors keep its order.
 func capReservations(in *Input, orig []commodity) []commodity {
 	sys := in.Sys
-	const margin = 0.999
 	gone := make([]bool, len(orig))
-	for l, at := range bucket(len(orig), sys.L(), func(ci int) int { return orig[ci].l }) {
-		dc := &sys.Centers[l]
+	for _, at := range bucket(len(orig), sys.L(), func(ci int) int { return orig[ci].l }) {
 		for {
 			var sum float64
 			for _, ci := range at {
-				sum += 1 / (orig[ci].deadline * dc.Capacity * dc.ServiceRate[orig[ci].k])
+				sum += reservation(sys, orig[ci])
 			}
-			if sum <= margin {
+			if sum <= reserveMargin {
 				break
 			}
 			worst := worstEvictable(orig, at)
@@ -272,6 +279,17 @@ func capReservations(in *Input, orig []commodity) []commodity {
 		}
 	}
 	return comms
+}
+
+// reserveMargin is the share of one server a center's zero-load
+// reservations may add up to.
+const reserveMargin = 0.999
+
+// reservation is the share commodity c holds at its center before any
+// load arrives, 1/(D·C·μ).
+func reservation(sys *datacenter.System, c commodity) float64 {
+	dc := &sys.Centers[c.l]
+	return 1 / (c.deadline * dc.Capacity * dc.ServiceRate[c.k])
 }
 
 // worstEvictable picks the eviction victim among comms[ci] for ci in at
@@ -312,20 +330,22 @@ func dropWorst(comms []commodity) []commodity {
 	return append(comms[:worst], comms[worst+1:]...)
 }
 
-// solveSubset solves the dispatch LP over a copy of comms. Without
-// completion floors, numerically rare infeasibility retries with the
-// least valuable commodity dropped; with floors, an infeasible subset is
+// solveSubset solves the dispatch LP over comms, which it takes over: the
+// slice is put in canonical order and, without completion floors, shrunk
+// on a numerically rare infeasibility, which retries with the least
+// valuable commodity dropped; with floors, an infeasible subset is
 // reported as a -Inf assignment so the subset search can route around it.
-func (o *Optimized) solveSubset(eng *engine, comms []commodity) (assignment, error) {
-	comms = append([]commodity(nil), comms...)
+// from is the incumbent the subset neighbours, whose basis seeds the solve
+// (nil: the slot's frozen seed).
+func (o *Optimized) solveSubset(eng *engine, comms []commodity, from *prices) (assignment, error) {
 	// Canonical order: keys the memo cache and keeps the LP layout
 	// independent of how the candidate subset was constructed.
 	sortCommodities(comms)
 	withFloors := floorsActive(eng.in, o.MinCompletion)
 	for {
-		rates, obj, err := eng.solve(comms, o.MinCompletion)
+		sol, err := eng.solve(comms, o.MinCompletion, from)
 		if err == nil {
-			return assignment{comms: comms, rates: rates, obj: obj}, nil
+			return assignment{comms: comms, rates: sol.rates, obj: sol.obj, px: sol.px}, nil
 		}
 		if err == lp.ErrInfeasible && withFloors {
 			return assignment{comms: comms, obj: math.Inf(-1)}, nil
@@ -337,60 +357,79 @@ func (o *Optimized) solveSubset(eng *engine, comms []commodity) (assignment, err
 	}
 }
 
-// commodityKey identifies a commodity across subsets.
-type commodityKey struct{ k, q, l int }
-
-func keyOf(c commodity) commodityKey { return commodityKey{c.k, c.q, c.l} }
-
 // toggleSearch hill-climbs over commodity subsets by single add/remove
-// moves, starting from start and drawing candidates from full. Candidate
-// moves are evaluated through speculativePass, so the engine solves
-// several trial subsets concurrently while committing exactly the same
-// first-improvement sequence as the serial search.
+// moves, starting from start and drawing candidates from full (both in
+// canonical order). A move the incumbent's shadow prices bound at no
+// improvement is rejected before anything is built (see prices.bound);
+// the others are evaluated through speculativePass, seeded from the
+// incumbent's basis, so the engine solves several trial subsets
+// concurrently while committing exactly the same first-improvement
+// sequence as the serial search.
 func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment) (assignment, error) {
+	sys := eng.in.Sys
 	best := start
-	inSet := make(map[commodityKey]bool, len(best.comms))
-	for _, c := range best.comms {
-		inSet[keyOf(c)] = true
-	}
-	// trialFor builds the subset for toggling cand against the current
-	// best set; ok is false when adding cand would overload a center's
-	// reservations (the move is skipped). Read-only on the search state,
-	// so concurrent speculative evaluations are race-free.
-	trialFor := func(cand commodity) (trial []commodity, ok bool) {
-		key := keyOf(cand)
-		trial = make([]commodity, 0, len(best.comms)+1)
-		if inSet[key] {
-			for _, c := range best.comms {
-				if keyOf(c) != key {
-					trial = append(trial, c)
-				}
+	// at[i] is full[i]'s position in best.comms, -1 while it is out. The
+	// passes only read it; an accept, on the search's own goroutine,
+	// rewrites it.
+	at := make([]int, len(full))
+	place := func() {
+		ci := 0
+		for i := range full {
+			for ci < len(best.comms) && compareCommodities(best.comms[ci], full[i]) < 0 {
+				ci++
 			}
-			return trial, true
+			at[i] = -1
+			if ci < len(best.comms) && compareCommodities(best.comms[ci], full[i]) == 0 {
+				at[i] = ci
+			}
 		}
-		trial = append(append(trial, best.comms...), cand)
-		capped := capReservations(eng.in, trial)
-		if len(capped) != len(trial) {
+	}
+	place()
+	// trialFor builds, in canonical order, the subset that toggles full[i]
+	// against the current best set; ok is false when adding it would
+	// overload its center's reservations (the move is skipped: best's own
+	// fit everywhere, so only that center can overflow).
+	trialFor := func(i int) (trial []commodity, ok bool) {
+		cand := full[i]
+		if ci := at[i]; ci >= 0 {
+			trial = make([]commodity, 0, len(best.comms)-1)
+			return append(append(trial, best.comms[:ci]...), best.comms[ci+1:]...), true
+		}
+		var reserved float64
+		for _, c := range best.comms {
+			if c.l == cand.l {
+				reserved += reservation(sys, c)
+			}
+		}
+		if reserved+reservation(sys, cand) > reserveMargin {
 			return nil, false
 		}
-		return capped, true
+		ci, _ := slices.BinarySearchFunc(best.comms, cand, compareCommodities)
+		trial = make([]commodity, 0, len(best.comms)+1)
+		return append(append(append(trial, best.comms[:ci]...), cand), best.comms[ci:]...), true
 	}
 	for iter := 0; iter < 60; iter++ {
 		improved, err := speculativePass(eng.workers, len(full),
 			func(i int) (assignment, error) {
-				trial, ok := trialFor(full[i])
+				var add *commodity
+				if at[i] < 0 {
+					add = &full[i]
+				}
+				if eng.bounded(&best, at[i], add) {
+					return assignment{obj: math.Inf(-1)}, nil
+				}
+				trial, ok := trialFor(i)
 				if !ok {
 					return assignment{obj: math.Inf(-1)}, nil // skipped move
 				}
-				return o.solveSubset(eng, trial)
+				return o.solveSubset(eng, trial, best.px)
 			},
 			func(i int, a assignment) bool {
-				if a.obj <= best.obj+1e-9 {
+				if a.obj <= best.obj+improveTol {
 					return false
 				}
 				best = a
-				key := keyOf(full[i])
-				inSet[key] = !inSet[key]
+				place()
 				return true
 			})
 		if err != nil {
@@ -429,9 +468,11 @@ type dispatchLP struct {
 	// (index g·S + s); fVar[ci][g] is the group's share variable.
 	xVar [][]int
 	fVar [][]int
-	// arrRow[k][s] and shareRow[l] index constraint rows (-1 if absent;
-	// per-server, shareRow[l] is the last server's row).
+	// arrRow[k][s], floorRow[k] and shareRow[l] index constraint rows (-1
+	// if absent; per-server, shareRow[l] is the last server's row).
+	// floorRow is empty when the LP carries no floors.
 	arrRow   [][]int
+	floorRow []int
 	shareRow []int
 	// What a pooled solve recycles besides the above: the slabs behind the
 	// handles and row tables, and build's scratch.
@@ -542,7 +583,9 @@ func (d *dispatchLP) build(in *Input, comms []commodity, floors []float64, perSe
 		}
 	}
 	// Completion floors (extension): Σ_{q,s,l} λ ≥ frac·Σ_s arrivals.
-	for k := 0; k < sys.K() && k < len(floors); k++ {
+	d.floorRow = linalg.Resized(d.floorRow, min(sys.K(), len(floors)))
+	for k := range d.floorRow {
+		d.floorRow[k] = -1
 		frac := floors[k]
 		if frac <= 0 {
 			continue
@@ -562,7 +605,7 @@ func (d *dispatchLP) build(in *Input, comms []commodity, floors []float64, perSe
 			// an explicitly infeasible row so the caller sees it.
 			terms = append(terms, lp.Term{Var: d.fVar[0][0], Coef: 0})
 		}
-		m.AddConstraint(name(floorName, k, -1, -1, -1, -1), terms, lp.GE, frac*offered)
+		d.floorRow[k] = m.AddConstraint(name(floorName, k, -1, -1, -1, -1), terms, lp.GE, frac*offered)
 	}
 	d.shareRow = linalg.Resized(d.shareRow, sys.L())
 	for l := 0; l < sys.L(); l++ {
@@ -784,8 +827,8 @@ func planObjective(in *Input, plan *Plan) float64 {
 // search path sorts before solving, which keys the memo cache and makes
 // the LP layout — hence the committed plan — independent of both subset
 // construction order and worker count.
-func sortCommodities(comms []commodity) {
-	slices.SortFunc(comms, func(a, b commodity) int {
-		return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.q, b.q), cmp.Compare(a.l, b.l))
-	})
+func sortCommodities(comms []commodity) { slices.SortFunc(comms, compareCommodities) }
+
+func compareCommodities(a, b commodity) int {
+	return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.q, b.q), cmp.Compare(a.l, b.l))
 }

@@ -130,13 +130,12 @@ func TestParallelPlansBitIdentical(t *testing.T) {
 }
 
 // TestMemoCacheHits proves the subset-LP cache actually fires on the
-// redundant solves the searches generate, and that the planner reports
-// its counters through Stats.
+// redundant solves the searches generate — for the refine search, the
+// moves a converged pass asks for again beside the same incumbent — and
+// that the planner reports its counters through Stats.
 func TestMemoCacheHits(t *testing.T) {
-	in := &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
-	o := NewOptimized()
+	o, in := refineSlotBusy()
 	o.Parallelism = 1
-	o.Stats = &SearchStats{}
 	mustPlan(t, o, in)
 	if o.Stats.Solves == 0 {
 		t.Fatal("engine reported no LP solves")
@@ -145,6 +144,7 @@ func TestMemoCacheHits(t *testing.T) {
 		t.Fatal("subset cache never hit during the refine search")
 	}
 
+	in = &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
 	ls := NewLevelSearch()
 	ls.Strategy = BranchBound
 	ls.Parallelism = 1
@@ -171,7 +171,7 @@ func TestCacheKeySeparatesRelaxations(t *testing.T) {
 	}
 	real := []commodity{{k: 0, q: 0, l: 0, utility: cls.Level(0).Utility, deadline: cls.Level(0).Deadline}}
 	relax := []commodity{{k: 0, q: cls.NumLevels(), l: 0, utility: cls.MaxUtility(), deadline: cls.Deadline()}}
-	if cacheKey(real, nil) == cacheKey(relax, nil) {
+	if cacheKey(real, nil, 0) == cacheKey(relax, nil, 0) {
 		t.Fatal("relaxation commodity shares a cache key with the real level-0 commodity")
 	}
 }
@@ -180,7 +180,7 @@ func TestCacheKeySeparatesRelaxations(t *testing.T) {
 // one worker over the memo cache — warm or cold: the same plan from the
 // same number of solves and cache hits, slot after slot.
 func TestParallelismZeroIsOne(t *testing.T) {
-	in := &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
+	_, in := refineSlotBusy()
 	for _, warm := range []bool{false, true} {
 		var planners [2]*Optimized
 		for par := range planners {

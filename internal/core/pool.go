@@ -32,6 +32,17 @@ type engine struct {
 	// sequential solve: the first LP solved while it is up runs on the
 	// warm state's hot chain.
 	capture bool
+	// priced makes a solve keep its shadow prices and final basis. It is up
+	// while the planner runs a first-improvement search, which bounds each
+	// move off its incumbent's prices and seeds the survivors from its
+	// basis, and lowered — between passes, never under running workers — for
+	// solves nothing searches from (branch-and-bound's tree). An entry the
+	// memo cache serves may carry prices nobody asked for, never the
+	// reverse: the searching phase comes first. The per-server layout keeps
+	// none (see prices.bound).
+	priced bool
+	seeds  atomic.Uint64 // identities handed to exported bases
+	bounds atomic.Int64  // moves rejected by the bound, unsolved
 	// Per-call solver counters, published by close.
 	warmHits        atomic.Int64 // solves answered hot or by basis import
 	warmFallbacks   atomic.Int64 // warm attempts that fell back to cold
@@ -53,9 +64,11 @@ type engine struct {
 // one worker — the serial search order, answered from the cache when
 // possible — and negative values use all CPUs. The per-server layout
 // changes with the commodity set too quickly to seed, so it solves cold.
-func (e *EngineOptions) open(in *Input, planner string, perServer bool) *engine {
+// searches says the planner will run a first-improvement search over the
+// call's solved subsets.
+func (e *EngineOptions) open(in *Input, planner string, perServer, searches bool) *engine {
 	eng := &engine{
-		in: in, perServer: perServer, opts: e.lpOpts(),
+		in: in, perServer: perServer, opts: e.lpOpts(), priced: searches && !perServer,
 		workers: resolveWorkers(e.Parallelism), cache: newSubsetCache(),
 		warm: e.claim(!perServer), stats: e.Stats, sc: e.Obs, planner: planner,
 		names: e.namesFor(in.Sys),
@@ -96,25 +109,41 @@ func (e *engine) prologue(solve func() (assignment, error)) (assignment, error) 
 	return solve()
 }
 
+// solution is one solved dispatch LP as the searches see it. It is shared
+// by every request the memo cache answers with it: read-only.
+type solution struct {
+	rates [][]float64
+	obj   float64
+	px    *prices // nil unless solved on a priced engine
+}
+
 // solve answers a dispatch-LP solve through the memo cache. comms must
 // already be in canonical sortCommodities order (every search path
 // canonicalizes before solving) so that equal sets produce equal keys.
-// Concurrent workers asking for the same subset block on one solve and
-// share its result, so the returned rates must be treated as read-only.
-func (e *engine) solve(comms []commodity, floors []float64) ([][]float64, float64, error) {
+// from, when it carries a basis, seeds the solve in place of the slot's
+// frozen seed and joins the key, so an entry stays a pure function of
+// (subset, seed): a speculative solve made next to one incumbent is never
+// served to a request made next to another. Concurrent workers asking for
+// the same entry block on one solve and share its result.
+func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solution, error) {
 	if len(comms) == 0 {
 		if floorsActive(e.in, floors) {
-			return nil, 0, lp.ErrInfeasible
+			return solution{}, lp.ErrInfeasible
 		}
-		return nil, 0, nil
+		return solution{}, nil
+	}
+	var seed *lp.Basis // nil: the slot's frozen one, identity 0
+	var seedID uint64
+	if from != nil {
+		seed, seedID = from.basis, from.seed
 	}
 	c := e.cache
-	ent := c.entry(cacheKey(comms, floors))
+	ent := c.entry(cacheKey(comms, floors, seedID))
 	hit := true
 	ent.once.Do(func() {
 		hit = false
 		c.solves.Add(1)
-		u, res, err := e.solveLP(comms, floors)
+		u, res, basis, err := e.solveLP(comms, floors, seed)
 		defer e.warm.recycle(u)
 		if err != nil {
 			c.errs.Add(1)
@@ -122,25 +151,46 @@ func (e *engine) solve(comms []commodity, floors []float64) ([][]float64, float6
 			return
 		}
 		ent.rates, ent.obj = u.d.extractRates(res), res.Objective
+		if e.priced {
+			ent.px = u.d.priceOut(e.in, res)
+			if basis != nil { // a warm solve's, so named
+				ent.px.basis, ent.px.seed = basis, e.seeds.Add(1)
+			}
+		}
 	})
 	if hit {
 		c.hits.Add(1)
 	}
-	return ent.rates, ent.obj, ent.err
+	return ent.solution, ent.err
+}
+
+// bounded reports, and counts, a move off the incumbent inc — the
+// commodity at position out of its set removed (-1: none), add admitted
+// (nil: none) — that inc's shadow prices bound at no improvement: the
+// search's accept test would turn its LP's optimum down, so the LP is not
+// built. A move with no bound (see prices.bound) is not bounded.
+func (e *engine) bounded(inc *assignment, out int, add *commodity) bool {
+	b, ok := inc.px.bound(e.in, inc.obj, out, add)
+	if !ok || b > inc.obj+improveTol {
+		return false
+	}
+	e.bounds.Add(1)
+	return true
 }
 
 // solveLP builds one dispatch LP in the call's layout and solves it,
-// uncached, through the call's warm state (cold when there is none). The
-// LP and its handles live in the returned unit, which the caller hands to
-// warm.recycle once it has read the solution out.
-func (e *engine) solveLP(comms []commodity, floors []float64) (*solveUnit, *lp.Result, error) {
+// uncached, through the call's warm state (cold when there is none), from
+// seed (nil: the slot's frozen one). The LP and its handles live in the
+// returned unit, which the caller hands to warm.recycle once it has read
+// the solution out, with a warm solve's final basis on a priced engine.
+func (e *engine) solveLP(comms []commodity, floors []float64, seed *lp.Basis) (*solveUnit, *lp.Result, *lp.Basis, error) {
 	capture := e.capture
 	if capture {
 		e.capture = false
 	}
 	u := e.warm.unit(capture)
 	u.d.build(e.in, comms, floors, e.perServer, e.names)
-	res, out, err := e.warm.solveModel(u.d.model, e.opts, capture, &u.sv)
+	res, basis, out, err := e.warm.solveModel(u.d.model, e.opts, capture, &u.sv, seed, e.priced)
 	if out.FellBack {
 		e.warmFallbacks.Add(1)
 	} else if out.Path != "cold" {
@@ -153,7 +203,7 @@ func (e *engine) solveLP(comms []commodity, floors []float64) (*solveUnit, *lp.R
 	e.coldPivots.Add(int64(out.ColdPivots))
 	e.abandonedPivots.Add(int64(out.AbandonedPivots))
 	e.importPivots.Add(int64(out.ImportPivots))
-	return u, res, err
+	return u, res, basis, err
 }
 
 // close copies the engine's solver counters into the planner's stats
@@ -166,9 +216,10 @@ func (e *engine) close() {
 	warmHits, warmFalls := e.warmHits.Load(), e.warmFallbacks.Load()
 	warmPiv, coldPiv := e.warmPivots.Load(), e.coldPivots.Load()
 	sparseSolves, abandonedPiv := e.sparseSolves.Load(), e.abandonedPivots.Load()
-	importPiv := e.importPivots.Load()
+	importPiv, bounds := e.importPivots.Load(), e.bounds.Load()
 	if stats := e.stats; stats != nil {
 		stats.Solves, stats.CacheHits, stats.SolveErrors = solves, hits, errs
+		stats.Bounded = bounds
 		stats.WarmHits, stats.WarmFallbacks = warmHits, warmFalls
 		stats.WarmPivots, stats.ColdPivots = warmPiv, coldPiv
 		stats.SparseSolves, stats.AbandonedPivots = sparseSolves, abandonedPiv
@@ -178,10 +229,12 @@ func (e *engine) close() {
 		e.sc.Counter("core_lp_solves_total").Add(solves)
 		e.sc.Counter("core_lp_cache_hits_total").Add(hits)
 		e.sc.Counter("core_lp_solve_errors_total").Add(errs)
+		e.sc.Counter("core_lp_bounded_total").Add(bounds)
 		values := map[string]float64{
 			"lpSolves":      float64(solves),
 			"lpCacheHits":   float64(hits),
 			"lpSolveErrors": float64(errs),
+			"lpBounded":     float64(bounds),
 		}
 		if e.warm != nil {
 			e.sc.Counter("core_lp_warm_hits_total").Add(warmHits)
@@ -219,7 +272,13 @@ func (e *engine) close() {
 // serial one (the chain sees a planner error and falls through to the
 // next tier).
 func mapOrdered[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
-	out := make([]T, n)
+	return mapOrderedInto(make([]T, n), workers, fn)
+}
+
+// mapOrderedInto is mapOrdered over len(out) indexes with the results
+// written into out, which a caller of many small maps reuses.
+func mapOrderedInto[T any](out []T, workers int, fn func(int) (T, error)) ([]T, error) {
+	n := len(out)
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			v, err := fn(i)
@@ -280,26 +339,29 @@ func mapOrdered[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
 // between wasted speculation and parallelism; it grows while no move is
 // accepted (converged passes become one big parallel map) and resets on
 // every accept.
+//
+// One worker overlaps nothing, so its batch stays at one: whatever it
+// evaluated past an accept would be thrown away.
 func speculativePass(workers, n int, eval func(int) (assignment, error), tryAccept func(int, assignment) bool) (bool, error) {
 	improved := false
 	batch := workers
-	if batch < 1 {
-		batch = 1
-	}
 	maxBatch := 4 * workers
-	for i := 0; i < n; {
-		b := batch
-		if b > n-i {
-			b = n - i
-		}
-		results, err := mapOrdered(workers, b, func(j int) (assignment, error) {
-			return eval(i + j)
-		})
+	if workers == 1 {
+		maxBatch = 1
+	}
+	// One results buffer and one closure for the pass, not one per batch:
+	// a bounded pass is hundreds of batches that solve nothing.
+	results := make([]assignment, maxBatch)
+	i := 0
+	evalAt := func(j int) (assignment, error) { return eval(i + j) }
+	for i < n {
+		b := min(batch, n-i)
+		batchResults, err := mapOrderedInto(results[:b], workers, evalAt)
 		if err != nil {
 			return false, err
 		}
 		accepted := false
-		for j, a := range results {
+		for j, a := range batchResults {
 			if tryAccept(i+j, a) {
 				improved, accepted = true, true
 				i += j + 1
@@ -308,9 +370,7 @@ func speculativePass(workers, n int, eval func(int) (assignment, error), tryAcce
 		}
 		if !accepted {
 			i += b
-			if workers > 1 && batch < maxBatch {
-				batch *= 2
-			}
+			batch = min(2*batch, maxBatch)
 		} else {
 			batch = workers
 		}

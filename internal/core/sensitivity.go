@@ -37,14 +37,14 @@ func (o *Optimized) Sensitivity(in *Input) (*Sensitivity, error) {
 		return nil, err
 	}
 	cold := EngineOptions{LPOpts: o.LPOpts, Parallelism: o.Parallelism}
-	eng := cold.open(in, o.Name(), false)
+	eng := cold.open(in, o.Name(), false, o.Refine)
 	defer eng.close()
 	full := admissibleCommodities(in, o.MinCompletion)
 	comms := capReservations(in, full)
 	if o.Refine {
 		// Use the same subset the planner would commit to, so the prices
 		// describe the plan actually executed.
-		best, err := o.solveSubset(eng, comms)
+		best, err := o.solveSubset(eng, comms, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +65,7 @@ func (o *Optimized) Sensitivity(in *Input) (*Sensitivity, error) {
 	if len(comms) == 0 {
 		return out, nil
 	}
-	u, res, err := eng.solveLP(comms, o.MinCompletion)
+	u, res, _, err := eng.solveLP(comms, o.MinCompletion, nil)
 	defer eng.warm.recycle(u)
 	d := &u.d
 	if err != nil {

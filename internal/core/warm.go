@@ -101,22 +101,31 @@ func (w *warmState) release() {
 // reporting how the solve ran. A nil state is the cold dense reference.
 // Otherwise the capture solve (sequential, at most one per Plan call)
 // runs the retained hot chain and exports its basis as the next call's
-// seed; every other solve imports the frozen seed on sv, its unit's
-// solver, keeping the result a pure function of the model.
-func (w *warmState) solveModel(m *lp.Model, opts lp.Options, capture bool, sv *lp.Solver) (*lp.Result, lp.Outcome, error) {
+// seed; every other solve imports seed — nil: the frozen one — on sv, its
+// unit's solver, keeping the result a pure function of (model, seed), and
+// names its final basis only if export asks. The basis returned is nil
+// when none was named.
+func (w *warmState) solveModel(m *lp.Model, opts lp.Options, capture bool, sv *lp.Solver, seed *lp.Basis, export bool) (*lp.Result, *lp.Basis, lp.Outcome, error) {
 	if w == nil {
 		res, err := m.SolveOpts(opts)
-		return res, lp.Outcome{Path: "cold", ColdPivots: res.Iterations}, err
+		return res, nil, lp.Outcome{Path: "cold", ColdPivots: res.Iterations}, err
 	}
+	var res *lp.Result
+	var err error
 	if capture {
-		res, err := w.base.SolveWarm(m, w.cur, opts)
-		if err == nil {
-			if b, ok := w.base.ExportBasis(); ok {
-				w.prev = b
-			}
+		sv = &w.base
+		res, err = sv.SolveWarm(m, w.cur, opts)
+	} else {
+		if seed == nil {
+			seed = w.cur
 		}
-		return res, w.base.LastOutcome(), err
+		res, err = sv.SolveSeeded(m, seed, opts)
 	}
-	res, err := sv.SolveSeeded(m, w.cur, opts)
-	return res, sv.LastOutcome(), err
+	var basis *lp.Basis
+	if err == nil && (capture || export) {
+		if basis, _ = sv.ExportBasis(); capture && basis != nil {
+			w.prev = basis
+		}
+	}
+	return res, basis, sv.LastOutcome(), err
 }

@@ -32,7 +32,7 @@ const (
 	// (the transport failure, if any).
 	KindFeedTransition = "feed-transition"
 	// KindEngine is one Plan call's plan-search engine summary: Slot,
-	// Planner, Values (lpSolves, lpCacheHits, lpSolveErrors).
+	// Planner, Values (lpSolves, lpCacheHits, lpSolveErrors, lpBounded).
 	KindEngine = "engine"
 	// KindEpochApplied is a gateway replica applying a published plan
 	// epoch: Slot, Planner (the replica ID), Values (epoch, members,

@@ -25,7 +25,9 @@ race:
 # solver and checks every accepted result against the cold path.
 # FuzzSparseFactors drives arbitrary sparse matrices and basis-change
 # sequences through the LU factor/eta-update machinery and checks every
-# FTRAN/BTRAN solve against a dense reference.
+# FTRAN/BTRAN solve against a dense reference. FuzzRefresh walks one held
+# dispatch LP through arbitrary changes of prices, arrivals, topology,
+# deadlines and floors and checks it against a from-scratch build each step.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s ./internal/workload/
 	$(GO) test -run=NONE -fuzz=FuzzLoad -fuzztime=10s ./internal/config/
@@ -33,6 +35,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzControlRescale -fuzztime=10s ./internal/dispatch/
 	$(GO) test -run=NONE -fuzz=FuzzWarmBasisImport -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzSparseFactors -fuzztime=10s ./internal/linalg/
+	$(GO) test -run=NONE -fuzz=FuzzRefresh -fuzztime=10s ./internal/core/
 
 # fmt-check fails when any file is not gofmt-clean.
 fmt-check:
@@ -67,13 +70,14 @@ bench-lp-sparse:
 	BENCH_PLAN_JSON=BENCH_plan.json $(GO) test -count=1 -run='TestWarmStartTrajectory' -v .
 
 # bench-smoke proves the plan-search benchmarks, the memo-cache
-# contention benchmark, the dispatch-LP builder benchmark and both rows of
+# contention benchmark, the dispatch-LP builder benchmark, both rows of
 # the refine slot benchmark — demand-limited, where the dual bound turns
 # every move down, and capacity-limited, where ~135 survivors are solved —
-# still run (one iteration, no timing claims); wired into verify.
+# and the capture slot benchmark still run (one iteration, no timing
+# claims); wired into verify.
 bench-smoke:
 	$(GO) test -bench=BenchmarkPlanSearch -benchtime=1x -run=NONE .
-	$(GO) test -bench='BenchmarkSubsetCacheContention|BenchmarkBuildDispatchLP|BenchmarkRefineSlot' -benchtime=1x -run=NONE ./internal/core/
+	$(GO) test -bench='BenchmarkSubsetCacheContention|BenchmarkBuildDispatchLP|BenchmarkRefineSlot|BenchmarkCaptureSlot' -benchtime=1x -run=NONE ./internal/core/
 
 # profile writes a CPU and an allocation profile into the git-ignored
 # prof/ and prints the top of each, with no edit to bench/: W=refine (the
@@ -81,13 +85,18 @@ bench-smoke:
 # fleet-refine-mid slot at three times the arrivals, whose ~135 moves the
 # dual bound lets through are solved from their incumbents' bases (the
 # recorded slot itself is two LPs now); W=large profiles TestWarmStartTrajectory's
-# 20x100x3 dense and sparse hot chains, fleet-large's solver side. Dig
-# further with `go tool pprof -list <regexp> prof/$(W).test prof/$(W).cpu`.
+# 20x100x3 dense and sparse hot chains, fleet-large's solver side alone;
+# W=commit profiles BenchmarkCaptureSlot/fleet-20x100x3, the planner's whole
+# share of a fleet-large commit — refresh (or rebuild) of the held LP, hot
+# re-solve, extraction, plan. Dig further with
+# `go tool pprof -list <regexp> prof/$(W).test prof/$(W).cpu`.
 W ?= refine
 profile:
 	@mkdir -p prof
 ifeq ($(W),large)
 	BENCH_PLAN_JSON=$(CURDIR)/prof/plan.json $(GO) test -count=1 -run=TestWarmStartTrajectory -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem .
+else ifeq ($(W),commit)
+	$(GO) test -run=NONE -bench=BenchmarkCaptureSlot/fleet -benchtime=2000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
 else
 	$(GO) test -run=NONE -bench=BenchmarkRefineSlot/capacity-limited -benchtime=300x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
 endif

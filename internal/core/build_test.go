@@ -177,7 +177,9 @@ func BenchmarkBuildDispatchLP(b *testing.B) {
 // per-server layout, which has none) it adds one string per name and
 // nothing else. A name formatted per build, or a slice made per row,
 // breaks the first budget at once. A build into a dispatchLP that has
-// held an LP of the size before — a pooled solve's — allocates nothing.
+// held an LP of the size before allocates nothing, whether it finds another
+// structure there and builds over it — a pooled solve's — or its own and
+// refreshes the numbers — the capture solve's.
 func TestBuildDispatchLPAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector moves allocations to the heap")
@@ -196,8 +198,14 @@ func TestBuildDispatchLPAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(5, func() { buildDispatchLP(in, comms, nil, false, nil) }); got > budget {
 			t.Errorf("%s: %v allocations a table-less build of %d commodities, budget %v", sz.name, got, len(comms), budget)
 		}
-		if got := testing.AllocsPerRun(5, func() { d.build(in, comms, nil, false, names) }); got != 0 {
-			t.Errorf("%s: %v allocations a build into a recycled dispatchLP, want none", sz.name, got)
+		if got := testing.AllocsPerRun(5, func() { d.build(in, comms, nil, false, names) }); got != 0 || d.rebuilt {
+			t.Errorf("%s: %v allocations a refresh into the held dispatchLP (structure rebuilt: %v), want none", sz.name, got, d.rebuilt)
+		}
+		if got := testing.AllocsPerRun(5, func() {
+			d.build(in, comms[1:], nil, false, names)
+			d.build(in, comms, nil, false, names)
+		}); got != 0 || !d.rebuilt {
+			t.Errorf("%s: %v allocations two builds over another structure in a recycled dispatchLP (rebuilt: %v), want none", sz.name, got, d.rebuilt)
 		}
 		d = buildDispatchLP(in, comms, nil, true, nil)
 		budget = float64(slabs + d.model.NumVariables() + d.model.NumConstraints())
@@ -241,7 +249,7 @@ var refineFixtures = []struct {
 	make                 func() (*Optimized, *Input)
 	maxObjects, maxBytes uint64
 }{
-	{"demand-limited", refineSlot, 1_500, 200_000},
+	{"demand-limited", refineSlot, 1_500, 57_000}, // 51 392 measured
 	{"capacity-limited", refineSlotBusy, 7_000, 2_200_000},
 }
 
@@ -263,17 +271,55 @@ func BenchmarkRefineSlot(b *testing.B) {
 	}
 }
 
+// BenchmarkCaptureSlot times the slot commit's planner side where a slot is
+// its capture solve alone — refine off, as on fleet-large — over a 12-slot
+// day of ±3 % arrivals and ±2 % prices like the fleet workloads': refresh
+// the held LP's numbers, re-solve hot, extract, allocate the plan. make
+// profile W=commit profiles the 20×100×3 one.
+func BenchmarkCaptureSlot(b *testing.B) {
+	for _, sz := range []struct {
+		name    string
+		K, L, S int
+	}{{"mid-6x10x3", 6, 10, 3}, {"fleet-20x100x3", 20, 100, 3}} {
+		b.Run(sz.name, func(b *testing.B) {
+			base := synthInput(sz.K, sz.L, sz.S)
+			day := make([]*Input, 12)
+			for t := range day {
+				day[t] = chainInput(base, t, 1)
+			}
+			o := NewOptimized()
+			o.Refine, o.Stats = false, &SearchStats{}
+			mustPlan(b, o, day[0])
+			var pivots int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := o.Plan(day[(i+1)%len(day)]); err != nil {
+					b.Fatal(err)
+				}
+				pivots += o.Stats.WarmPivots + o.Stats.ColdPivots
+			}
+			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+		})
+	}
+}
+
 // TestRefinePlanAllocs is the refine slot's allocation budget, twice. The
 // demand-limited slot shows what the search's bookkeeping costs when the
 // bound turns every move down: a move must be bounded before anything is
 // built for it (a trial list per move was 515 KB a Plan). The
 // capacity-limited one keeps the seeded-solve pool honest: before the
 // solvers, the trial model and its handles recycled with it, ~150 solves
-// allocated 30 341 objects and 11.5 MB.
+// allocated 30 341 objects and 11.5 MB. The Plans are counted on one P: a
+// sync.Pool keeps the last unit put back in a slot private to the P, so a
+// test goroutine that migrates between a Put and the next Get finds the
+// pool empty and the solve spends ~24 KB on a new unit — the scheduler's
+// doing, not the Plan's.
 func TestRefinePlanAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector moves allocations to the heap")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, fx := range refineFixtures {
 		o, in := fx.make()
 		for i := 0; i < 3; i++ { // slot 0 solves cold; then the pool's slabs settle

@@ -43,6 +43,11 @@ type SearchStats struct {
 	// (lp.Outcome.ImportPivots), which the three pivot counts above leave
 	// out: most of a refine slot's solver time.
 	ImportPivots int64
+	// ModelRebuilds counts capture solves whose dispatch LP could not be
+	// refreshed in place — the first slot, then a fault, a changed admitted
+	// set or a toggled floor — and so was rebuilt and re-imported: why a
+	// slot with the usual pivots still ran slow. Zero when WarmStart is off.
+	ModelRebuilds int64
 }
 
 // subsetCache memoizes dispatch-LP solves within a single planning

@@ -479,6 +479,13 @@ type dispatchLP struct {
 	handles, arrRows  []int
 	byClass, byCenter buckets
 	terms             []lp.Term
+	// shape and names are what the model's structure was built from, by
+	// value (see reshape), and rebuilt says the last build had to build it
+	// again. forget makes every build start over in a new model, as when
+	// nothing was held — the differential tests' seam, set by nothing else.
+	shape           []float64
+	names           *dispatchNames
+	rebuilt, forget bool
 }
 
 // buildDispatchLP assembles the slot LP over the given commodities:
@@ -492,17 +499,79 @@ func buildDispatchLP(in *Input, comms []commodity, floors []float64, perServer b
 	return new(dispatchLP).build(in, comms, floors, perServer, names)
 }
 
-// build is buildDispatchLP into d, whose model and slabs — those of the
-// LP it held before, which nothing may still read — are refilled in place.
+// build is buildDispatchLP into d, over the LP it held before, which
+// nothing may still read. From slot to slot only λ and p move (paper
+// Eq. 5; the coefficients of Constraints 6–8 are the topology's), so the
+// LP is built as two things: its structure — variables, names, rows,
+// terms, senses, the constant right-hand sides — only when d's was built
+// from other inputs, and its numbers always, by the one pass a fresh build
+// runs too. A held model whose structure stands sees SetObjective and
+// SetRHS alone, so the solver that factorized it re-solves it hot.
 func (d *dispatchLP) build(in *Input, comms []commodity, floors []float64, perServer bool, names *dispatchNames) *dispatchLP {
+	d.comms = comms
+	if d.forget {
+		d.model = nil
+	}
+	if d.rebuilt = d.reshape(in, floors, perServer, names); d.rebuilt {
+		d.structure(in, floors, perServer)
+	}
+	d.numbers(in, floors)
+	return d
+}
+
+// reshape records every input the structure pass reads — layout, name
+// table, dimensions, each commodity's (k, q, l, deadline) with its center's
+// M, C and μ_k, and which floor rows exist — and reports whether any
+// differs from what d's structure was built from: one comparison by value
+// in place of an invalidation rule per coefficient.
+func (d *dispatchLP) reshape(in *Input, floors []float64, perServer bool, names *dispatchNames) (changed bool) {
 	sys := in.Sys
-	T := sys.Slot()
+	nFloors := min(sys.K(), len(floors))
+	n := 4 + 7*len(d.comms) + nFloors
+	changed = d.model == nil || d.names != names || len(d.shape) != n
+	d.names, d.shape = names, linalg.Resized(d.shape, n)
+	at := 0
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			if d.shape[at] != v {
+				d.shape[at], changed = v, true
+			}
+			at++
+		}
+	}
+	layout := 0.0
+	if perServer {
+		layout = 1
+	}
+	put(layout, float64(sys.S()), float64(sys.K()), float64(sys.L()))
+	for _, c := range d.comms {
+		dc := &sys.Centers[c.l]
+		put(float64(c.k), float64(c.q), float64(c.l), c.deadline, float64(dc.Servers), dc.Capacity, dc.ServiceRate[c.k])
+	}
+	for k := 0; k < nFloors; k++ {
+		// 0: no floor row; 1: one over the class's commodities; 2: the
+		// infeasible one of a class owed service that none can give.
+		row := 0.0
+		if floors[k] > 0 {
+			row = 1
+			if floors[k]*in.Offered(k) > 0 && !slices.ContainsFunc(d.comms, func(c commodity) bool { return c.k == k }) {
+				row = 2
+			}
+		}
+		put(row)
+	}
+	return changed
+}
+
+// structure refills d.model with the LP's variables and rows, every
+// number the numbers pass owns left at zero.
+func (d *dispatchLP) structure(in *Input, floors []float64, perServer bool) {
+	sys, comms, names := in.Sys, d.comms, d.names
 	S := sys.S()
 	if d.model == nil {
 		d.model = lp.NewModel()
 	}
 	d.model.Reset()
-	d.comms = comms
 	m := d.model
 	// groups returns center l's group count and each group's size; name
 	// spells a variable or row, tagged with its group when per-server.
@@ -549,8 +618,7 @@ func (d *dispatchLP) build(in *Input, comms []commodity, floors []float64, perSe
 		for g := 0; g < count; g++ {
 			d.fVar[ci][g] = m.AddVariable(name(phiName, c.k, c.q, -1, c.l, g), 0)
 			for s := 0; s < S; s++ {
-				coef := T * sys.UnitProfit(c.k, s, c.l, c.utility, in.Prices[c.l])
-				d.xVar[ci][g*S+s] = m.AddVariable(name(lamName, c.k, c.q, s, c.l, g), coef)
+				d.xVar[ci][g*S+s] = m.AddVariable(name(lamName, c.k, c.q, s, c.l, g), 0)
 			}
 		}
 	}
@@ -578,7 +646,7 @@ func (d *dispatchLP) build(in *Input, comms []commodity, floors []float64, perSe
 				}
 			}
 			if len(terms) > 0 {
-				d.arrRow[k][s] = m.AddConstraint(name(arrName, k, -1, s, -1, -1), terms, lp.LE, in.Arrivals[s][k])
+				d.arrRow[k][s] = m.AddConstraint(name(arrName, k, -1, s, -1, -1), terms, lp.LE, 0)
 			}
 		}
 	}
@@ -586,8 +654,7 @@ func (d *dispatchLP) build(in *Input, comms []commodity, floors []float64, perSe
 	d.floorRow = linalg.Resized(d.floorRow, min(sys.K(), len(floors)))
 	for k := range d.floorRow {
 		d.floorRow[k] = -1
-		frac := floors[k]
-		if frac <= 0 {
+		if floors[k] <= 0 {
 			continue
 		}
 		terms = terms[:0]
@@ -596,16 +663,12 @@ func (d *dispatchLP) build(in *Input, comms []commodity, floors []float64, perSe
 				terms = append(terms, lp.Term{Var: x, Coef: 1})
 			}
 		}
-		var offered float64
-		for s := 0; s < S; s++ {
-			offered += in.Arrivals[s][k]
-		}
-		if len(terms) == 0 && frac*offered > 0 {
+		if len(terms) == 0 && floors[k]*in.Offered(k) > 0 {
 			// No admissible commodity can serve the type at all: encode
 			// an explicitly infeasible row so the caller sees it.
 			terms = append(terms, lp.Term{Var: d.fVar[0][0], Coef: 0})
 		}
-		d.floorRow[k] = m.AddConstraint(name(floorName, k, -1, -1, -1, -1), terms, lp.GE, frac*offered)
+		d.floorRow[k] = m.AddConstraint(name(floorName, k, -1, -1, -1, -1), terms, lp.GE, 0)
 	}
 	d.shareRow = linalg.Resized(d.shareRow, sys.L())
 	for l := 0; l < sys.L(); l++ {
@@ -622,7 +685,34 @@ func (d *dispatchLP) build(in *Input, comms []commodity, floors []float64, perSe
 		}
 	}
 	d.terms = terms
-	return d
+}
+
+// numbers writes what moves with the slot into d.model: each λ's
+// T·UnitProfit, each arrival row's budget, each floor row's quota.
+func (d *dispatchLP) numbers(in *Input, floors []float64) {
+	sys, m := in.Sys, d.model
+	T, S := sys.Slot(), sys.S()
+	for ci, c := range d.comms {
+		xs := d.xVar[ci]
+		for s := 0; s < S; s++ {
+			coef := T * sys.UnitProfit(c.k, s, c.l, c.utility, in.Prices[c.l])
+			for j := s; j < len(xs); j += S {
+				m.SetObjective(xs[j], coef)
+			}
+		}
+	}
+	for k, rows := range d.arrRow {
+		for s, row := range rows {
+			if row >= 0 {
+				m.SetRHS(row, in.Arrivals[s][k])
+			}
+		}
+	}
+	for k, row := range d.floorRow {
+		if row >= 0 {
+			m.SetRHS(row, floors[k]*in.Offered(k))
+		}
+	}
 }
 
 // bucket groups the indices 0..n-1 by key (in [0, nb)), keeping index

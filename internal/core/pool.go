@@ -51,6 +51,7 @@ type engine struct {
 	sparseSolves    atomic.Int64 // warm solves answered by the sparse revised simplex
 	abandonedPivots atomic.Int64 // pivots burned on abandoned warm attempts
 	importPivots    atomic.Int64 // basis-crash pivots, outside the three above
+	modelRebuilds   atomic.Int64 // capture solves whose held LP changed shape
 	stats           *SearchStats
 	// sc streams the engine's solver counters to the observability
 	// layer when the owning planner carries a scope; the Input's slot and
@@ -190,6 +191,9 @@ func (e *engine) solveLP(comms []commodity, floors []float64, seed *lp.Basis) (*
 	}
 	u := e.warm.unit(capture)
 	u.d.build(e.in, comms, floors, e.perServer, e.names)
+	if capture && e.warm != nil && u.d.rebuilt {
+		e.modelRebuilds.Add(1)
+	}
 	res, basis, out, err := e.warm.solveModel(u.d.model, e.opts, capture, &u.sv, seed, e.priced)
 	if out.FellBack {
 		e.warmFallbacks.Add(1)
@@ -216,14 +220,14 @@ func (e *engine) close() {
 	warmHits, warmFalls := e.warmHits.Load(), e.warmFallbacks.Load()
 	warmPiv, coldPiv := e.warmPivots.Load(), e.coldPivots.Load()
 	sparseSolves, abandonedPiv := e.sparseSolves.Load(), e.abandonedPivots.Load()
-	importPiv, bounds := e.importPivots.Load(), e.bounds.Load()
+	importPiv, bounds, rebuilds := e.importPivots.Load(), e.bounds.Load(), e.modelRebuilds.Load()
 	if stats := e.stats; stats != nil {
 		stats.Solves, stats.CacheHits, stats.SolveErrors = solves, hits, errs
 		stats.Bounded = bounds
 		stats.WarmHits, stats.WarmFallbacks = warmHits, warmFalls
 		stats.WarmPivots, stats.ColdPivots = warmPiv, coldPiv
 		stats.SparseSolves, stats.AbandonedPivots = sparseSolves, abandonedPiv
-		stats.ImportPivots = importPiv
+		stats.ImportPivots, stats.ModelRebuilds = importPiv, rebuilds
 	}
 	if e.sc.Enabled() {
 		e.sc.Counter("core_lp_solves_total").Add(solves)
@@ -244,6 +248,7 @@ func (e *engine) close() {
 			e.sc.Counter("core_lp_sparse_solves_total").Add(sparseSolves)
 			e.sc.Counter("core_lp_abandoned_pivots_total").Add(abandonedPiv)
 			e.sc.Counter("core_lp_import_pivots_total").Add(importPiv)
+			e.sc.Counter("core_lp_model_rebuilds_total").Add(rebuilds)
 			values["lpWarmHits"] = float64(warmHits)
 			values["lpWarmFallbacks"] = float64(warmFalls)
 			values["lpWarmPivots"] = float64(warmPiv)
@@ -251,6 +256,7 @@ func (e *engine) close() {
 			values["lpSparseSolves"] = float64(sparseSolves)
 			values["lpAbandonedPivots"] = float64(abandonedPiv)
 			values["lpImportPivots"] = float64(importPiv)
+			values["lpModelRebuilds"] = float64(rebuilds)
 		}
 		e.sc.Emit(obs.Event{Kind: obs.KindEngine, Slot: e.in.Slot, Planner: e.planner,
 			Values: values})

@@ -15,10 +15,12 @@ import (
 // tiers so warm starting never breaks the planner's
 // worker-count-invariance contract:
 //
-//   - base is the hot-chain solver. It runs exactly one solve per Plan
-//     call — the capture solve, on the planner's sequential prologue
+//   - hot is the hot chain's unit. Its solver runs exactly one solve per
+//     Plan call — the capture solve, on the planner's sequential prologue
 //     before any worker goroutine exists — and retains its factorized
-//     kernel, so an unchanged constraint structure re-solves with a
+//     kernel; its dispatch LP is refreshed in place while the structure
+//     stands (dispatchLP.build), so the solver is handed the very model
+//     it factorized, at the stamp it factorized, and re-solves with a
 //     dual-simplex repair instead of a cold two-phase run. Its final
 //     basis is exported as the next call's seed.
 //   - pool holds the workers' solve units. Workers use
@@ -35,7 +37,7 @@ type warmState struct {
 	// that overruns its deadline without stopping it, so the next slot's
 	// Plan can start while the previous one is still solving.
 	held atomic.Bool
-	base lp.Solver
+	hot  solveUnit
 	// prev is the basis exported by the most recent capture solve; cur
 	// is the frozen copy every solve of the current Plan call seeds from.
 	prev, cur *lp.Basis
@@ -46,8 +48,9 @@ type warmState struct {
 // recycles: the solver, whose kernels keep their workspaces, and the
 // dispatch LP — model, handles and builder scratch — it solves. The two
 // travel together because a solver's last kernel points at the model it
-// solved, which only the unit's next build (before that solver's next
-// solve forgets the kernel) overwrites.
+// solved, which only the unit's next build touches: a pooled unit's before
+// its solver's next solve forgets the kernel, the hot unit's by refreshing
+// numbers the kernel re-reads or by a rebuild the model's stamp owns up to.
 type solveUnit struct {
 	sv     lp.Solver
 	d      dispatchLP
@@ -55,12 +58,15 @@ type solveUnit struct {
 }
 
 // unit draws the workspace for one solve; the caller recycles it once
-// the solution is read out. The capture solve's is fresh — base's
-// retained kernel compares this slot's model with the next one's — and so
-// is a cold call's, which has no state to keep it in.
+// the solution is read out. The capture solve's is the hot chain's own,
+// which claim keeps a straggling call away from; a cold call's is fresh,
+// there being no state to keep one in.
 func (w *warmState) unit(capture bool) *solveUnit {
-	if w == nil || capture {
+	if w == nil {
 		return &solveUnit{}
+	}
+	if capture {
+		return &w.hot
 	}
 	if u, _ := w.pool.Get().(*solveUnit); u != nil {
 		return u
@@ -100,9 +106,10 @@ func (w *warmState) release() {
 // solveModel is the one way an LP in this package reaches the simplex,
 // reporting how the solve ran. A nil state is the cold dense reference.
 // Otherwise the capture solve (sequential, at most one per Plan call)
-// runs the retained hot chain and exports its basis as the next call's
-// seed; every other solve imports seed — nil: the frozen one — on sv, its
-// unit's solver, keeping the result a pure function of (model, seed), and
+// runs the retained hot chain, on the hot unit's solver whatever sv, and
+// exports its basis as the next call's seed; every other solve imports
+// seed — nil: the frozen one — on sv, its unit's solver, keeping the
+// result a pure function of (model, seed), and
 // names its final basis only if export asks. The basis returned is nil
 // when none was named.
 func (w *warmState) solveModel(m *lp.Model, opts lp.Options, capture bool, sv *lp.Solver, seed *lp.Basis, export bool) (*lp.Result, *lp.Basis, lp.Outcome, error) {
@@ -113,7 +120,7 @@ func (w *warmState) solveModel(m *lp.Model, opts lp.Options, capture bool, sv *l
 	var res *lp.Result
 	var err error
 	if capture {
-		sv = &w.base
+		sv = &w.hot.sv
 		res, err = sv.SolveWarm(m, w.cur, opts)
 	} else {
 		if seed == nil {

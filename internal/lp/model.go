@@ -112,6 +112,11 @@ type Model struct {
 	// slab backs the rows' terms; a full one is left to its rows.
 	slab     []Term
 	minimize bool
+	// stamp counts the edits that change what a kernel factorized — rows,
+	// columns, terms, senses, direction — and none that change only numbers
+	// (SetObjective, SetRHS): a Solver that retained a kernel for this very
+	// object knows in O(1) whether the kernel still describes it.
+	stamp uint64
 }
 
 // NewModel returns an empty maximization model.
@@ -122,6 +127,7 @@ func NewModel() *Model { return &Model{} }
 // and names of the model as it was.
 func (m *Model) Reset() {
 	m.names, m.obj, m.rows, m.slab, m.minimize = m.names[:0], m.obj[:0], m.rows[:0], m.slab[:0], false
+	m.stamp++
 }
 
 // Grow reserves room for the given further variables, rows and row terms,
@@ -134,7 +140,7 @@ func (m *Model) Grow(vars, rows, terms int) {
 }
 
 // SetMinimize switches the model to minimization of the objective.
-func (m *Model) SetMinimize(min bool) { m.minimize = min }
+func (m *Model) SetMinimize(min bool) { m.minimize, m.stamp = min, m.stamp+1 }
 
 // NumVariables returns the number of variables added so far.
 func (m *Model) NumVariables() int { return len(m.names) }
@@ -147,6 +153,7 @@ func (m *Model) NumConstraints() int { return len(m.rows) }
 func (m *Model) AddVariable(name string, objCoef float64) int {
 	m.names = append(m.names, name)
 	m.obj = append(m.obj, objCoef)
+	m.stamp++
 	return len(m.names) - 1
 }
 
@@ -154,6 +161,9 @@ func (m *Model) AddVariable(name string, objCoef float64) int {
 func (m *Model) SetObjective(v int, coef float64) {
 	m.obj[v] = coef
 }
+
+// SetRHS overwrites the right-hand side of constraint row c.
+func (m *Model) SetRHS(c int, rhs float64) { m.rows[c].rhs = rhs }
 
 // VariableName returns the name given to variable v.
 func (m *Model) VariableName(v int) string { return m.names[v] }
@@ -170,6 +180,7 @@ func (m *Model) AddConstraint(name string, terms []Term, sense Sense, rhs float6
 	at := len(m.slab)
 	m.slab = append(m.slab, terms...)
 	m.rows = append(m.rows, constraint{name: name, terms: m.slab[at:len(m.slab):len(m.slab)], sense: sense, rhs: rhs})
+	m.stamp++
 	return len(m.rows) - 1
 }
 

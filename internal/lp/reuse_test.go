@@ -16,8 +16,13 @@ import (
 // a few slack GE floors. At 64 rows and up the default options put it on
 // the sparse kernel.
 func packingLP(seed int64, rows, cols int) *Model {
+	return packingInto(NewModel(), seed, rows, cols)
+}
+
+// packingInto is packingLP refilling m, a model that held something else.
+func packingInto(m *Model, seed int64, rows, cols int) *Model {
 	rng := rand.New(rand.NewSource(seed))
-	m := NewModel()
+	m.Reset()
 	for c := 0; c < cols; c++ {
 		m.AddVariable(fmt.Sprintf("v%d", c), 1+rng.Float64()*9)
 	}
@@ -125,7 +130,9 @@ func dirty(t testing.TB) *Solver {
 // next solve. Each (model, seed) runs on a fresh Solver and on a dirty
 // one, seeded (the pool's path) and warm (the hot chain's first import),
 // and must agree to the bit in X, objective, duals, pivots, outcome and
-// exported basis.
+// exported basis. So must a hot chain that refreshes one model in place
+// (answered by the structure stamp) and the same chain over a new model a
+// step (answered by the sameStructure walk), on either solver.
 func TestSolverReuseIsInvisible(t *testing.T) {
 	opts := Options{Sparse: true}
 	cases := []struct {
@@ -152,8 +159,37 @@ func TestSolverReuseIsInvisible(t *testing.T) {
 			requireIdentical(t, "seeded, same solver again", snapshot(t, used, used.SolveSeeded, c.m(0), seed, opts), want)
 			wantWarm := snapshot(t, &freshWarm, freshWarm.SolveWarm, c.m(0), seed, opts)
 			requireIdentical(t, "warm, dirty solver", snapshot(t, used, used.SolveWarm, c.m(0), seed, opts), wantWarm)
+			// Three hot chains over the same numbers: a new model a step on
+			// a fresh solver, one model refreshed in place on a fresh solver,
+			// and one refreshed in place on the dirty solver.
+			if _, err := used.SolveSeeded(c.m(0), seed, opts); err != nil { // drops its hot state
+				t.Fatal(err)
+			}
+			var walked, stamped Solver
+			held, heldUsed := c.m(0), c.m(0)
+			for step, d := range []float64{0, 0.04, -0.03, 0.07} {
+				next := driftRHS(c.m(0), d)
+				want := snapshot(t, &walked, walked.SolveWarm, next, seed, opts)
+				if wantPath := []string{"import", "hot"}[min(step, 1)]; want.Out.Path != wantPath {
+					t.Fatalf("step %d: solved by %q, want %q", step, want.Out.Path, wantPath)
+				}
+				requireIdentical(t, fmt.Sprintf("step %d in place", step), snapshot(t, &stamped, stamped.SolveWarm, copyNumbers(held, next), seed, opts), want)
+				requireIdentical(t, fmt.Sprintf("step %d in place, dirty solver", step), snapshot(t, used, used.SolveWarm, copyNumbers(heldUsed, next), seed, opts), want)
+			}
 		})
 	}
+}
+
+// copyNumbers refreshes dst in place with src's objective and right-hand
+// sides, the two models sharing a structure.
+func copyNumbers(dst, src *Model) *Model {
+	for v, c := range src.obj {
+		dst.SetObjective(v, c)
+	}
+	for r := range src.rows {
+		dst.SetRHS(r, src.rows[r].rhs)
+	}
+	return dst
 }
 
 // driftRHS scales every rhs of m by 1+d and sways its prices by as much:

@@ -210,11 +210,28 @@ type kernel interface {
 }
 
 // retained is the hot state kept between SolveWarm calls: the final
-// kernel of the previous warm solve and how many hot re-solves reused it.
+// kernel of the previous warm solve, its model's structure stamp as of that
+// solve, and how many hot re-solves reused it.
 type retained struct {
 	k      kernel
 	sparse bool
 	uses   int
+	stamp  uint64
+}
+
+// fits reports whether the retained kernel's factorization applies to m.
+// The model it solved last, handed back, answers by its stamp: refreshed in
+// place (SetObjective, SetRHS) it fits, refilled — even identically — it
+// does not, the kernel's matrix being a copy of rows that are gone. Any
+// other model is walked.
+func (w *retained) fits(m *Model) bool {
+	if w.k == nil {
+		return false
+	}
+	if held := w.k.model(); held != m {
+		return sameStructure(held, m)
+	}
+	return w.stamp == m.stamp
 }
 
 // maxHotUses bounds how many consecutive hot re-solves may reuse one
@@ -266,7 +283,7 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 		s.ws = retained{} // hot state does not survive a change of kernel
 	}
 	attempted := false
-	if k := s.ws.k; k != nil && sameStructure(k.model(), m) {
+	if k := s.ws.k; s.ws.fits(m) {
 		attempted = true
 		stale := s.ws.uses >= maxHotUses
 		if res := s.attempt(k, k.rearm(m, opts, stale), opts.Tol); res != nil {
@@ -274,6 +291,7 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 				s.ws.uses = 0
 			}
 			s.ws.uses++
+			s.ws.stamp = m.stamp
 			s.answered("hot", sparse, &s.stats.HotSolves)
 			return res, nil
 		}
@@ -291,7 +309,7 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 		s.ws = retained{} // the build reused the retained kernel's workspace
 		if res := s.attempt(k, k.importBasis(seed), opts.Tol); res != nil {
 			if keep {
-				s.ws = retained{k: k, sparse: sparse}
+				s.ws = retained{k: k, sparse: sparse, stamp: m.stamp}
 			}
 			s.answered("import", sparse, &s.stats.ImportSolves)
 			return res, nil
@@ -429,7 +447,8 @@ func auditTol(m *Model, tol float64) float64 {
 // sameStructure reports whether two models share variable names, senses
 // and constraint coefficients exactly — the condition under which a
 // retained tableau's marker block (B⁻¹) applies to the new model. Only
-// the rhs vector and objective coefficients may differ.
+// the rhs vector and objective coefficients may differ. It is the answer
+// for two distinct models (see retained.fits).
 func sameStructure(a, b *Model) bool {
 	if a == nil || b == nil || a.minimize != b.minimize ||
 		len(a.names) != len(b.names) || len(a.rows) != len(b.rows) {

@@ -604,8 +604,8 @@ func (ss *sparseSolve) rearm(m *Model, opts Options, stale bool) bool {
 	ss.m = m
 	ss.opts = opts.withDefaults(ss.rows, ss.n)
 	ss.iters, ss.crashed = 0, 0
-	if stale && !ss.refactorize() {
-		return false
+	if stale {
+		return ss.refactorize() // ends in computeXB
 	}
 	ss.computeXB()
 	return true

@@ -119,8 +119,14 @@ bench-compare:
 	$(GO) run ./bench compare $(A) $(B)
 
 # loc prints the non-test .go line count (plain wc -l) of every package
-# and their sum — the figure simplicity PRs report before and after.
+# and their sum — the figure simplicity PRs report before and after — and,
+# for each internal package, how many other packages import it outside
+# tests: a 0 or 1 there is the next candidate for folding or deletion.
 loc:
-	@for d in cmd/profitlb bench internal/*/; do \
-		printf '%6d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $${d%/}; \
-	done | awk '{ print; sum += $$1 } END { printf "%6d total\n", sum }'
+	@{ $(GO) list -f '{{range .Imports}}imp {{.}}{{"\n"}}{{end}}' ./...; \
+		for d in cmd/profitlb bench internal/*/; do \
+			echo "loc $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $${d%/}"; \
+		done; } | awk 'BEGIN { print " lines importers package" } \
+		$$1 == "imp" { sub("^profitlb/", "", $$2); n[$$2]++; next } \
+		{ printf "%6d %9s %s\n", $$2, ($$3 ~ /^internal\//) ? n[$$3] + 0 : "-", $$3; sum += $$2 } \
+		END { printf "%6d %9s total\n", sum, "" }'

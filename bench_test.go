@@ -283,7 +283,6 @@ func BenchmarkSimulate24Slots(b *testing.B) {
 func BenchmarkAbl1LevelSearch(b *testing.B) { benchExperiment(b, "abl1-levelsearch") }
 func BenchmarkAbl2Refine(b *testing.B)      { benchExperiment(b, "abl2-refine") }
 func BenchmarkAbl3Aggregation(b *testing.B) { benchExperiment(b, "abl3-aggregation") }
-func BenchmarkAbl4TopUp(b *testing.B)       { benchExperiment(b, "abl4-topup") }
 func BenchmarkAbl5Forecast(b *testing.B)    { benchExperiment(b, "abl5-forecast") }
 func BenchmarkAbl6Baselines(b *testing.B)   { benchExperiment(b, "abl6-baselines") }
 func BenchmarkVal1MM1(b *testing.B)         { benchExperiment(b, "val1-mm1") }
@@ -307,10 +306,6 @@ func BenchmarkAbl8PUE(b *testing.B)   { benchExperiment(b, "abl8-pue") }
 func BenchmarkAbl9Scale(b *testing.B) { benchExperiment(b, "abl9-scale") }
 
 func BenchmarkVal3DES(b *testing.B) { benchExperiment(b, "val3-des") }
-
-func BenchmarkAbl10Switching(b *testing.B) { benchExperiment(b, "abl10-switching") }
-
-func BenchmarkAbl11Advisor(b *testing.B) { benchExperiment(b, "abl11-advisor") }
 
 func BenchmarkVal4ServiceCV(b *testing.B) { benchExperiment(b, "val4-servicecv") }
 

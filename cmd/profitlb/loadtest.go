@@ -122,7 +122,10 @@ func cmdLoadtest(args []string) error {
 		ccfg.Replicas = *replicas
 	}
 	if ccfg.Replicas > 1 {
-		return fleetLoadtest(sc, ccfg, d, src, lcfg, scope, *minPlanned)
+		if err := fleetLoadtest(sc, ccfg, d, src, lcfg, scope, *minPlanned); err != nil {
+			return err
+		}
+		return writeMetrics(*metricsPath, reg)
 	}
 	rep, err := loadgen.Run(d, src, lcfg)
 	if err != nil {
@@ -167,23 +170,7 @@ func cmdLoadtest(args []string) error {
 		fmt.Printf("obs counters DISAGREE: counters %d/%d/%d vs report %d/%d/%d\n",
 			cReq, cAdmit, cShed, offered, admitted, shed)
 	}
-	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		werr := error(nil)
-		if strings.HasSuffix(*metricsPath, ".json") {
-			werr = reg.WriteJSON(f)
-		} else {
-			werr = reg.WritePrometheus(f)
-		}
-		if werr != nil {
-			return werr
-		}
-	}
-	return nil
+	return writeMetrics(*metricsPath, reg)
 }
 
 // fleetLoadtest replays the scenario against an in-process replicated

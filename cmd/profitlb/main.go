@@ -23,7 +23,6 @@
 //	                              through the feed layer, -parallel N,
 //	                              -metrics/-trace/-pprof observe the storm)
 //	profitlb compare -config F    run a scenario under every planner
-//	profitlb analyze -config F    capacity advice + shadow prices
 //	profitlb export-lp -config F  dump a slot's dispatch LP (CPLEX format)
 //	profitlb serve -config F      run the online dispatch gateway over HTTP
 //	                              (-addr, -slot-seconds, -seed; -replicas N
@@ -52,7 +51,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"profitlb/internal/advisor"
 	"profitlb/internal/baseline"
 	"profitlb/internal/config"
 	"profitlb/internal/core"
@@ -94,8 +92,6 @@ func run(args []string) error {
 		return cmdScaffold()
 	case "simulate":
 		return cmdSimulate(args[1:])
-	case "analyze":
-		return cmdAnalyze(args[1:])
 	case "compare":
 		return cmdCompare(args[1:])
 	case "chaos":
@@ -143,7 +139,6 @@ commands:
                        (-feeds adds feed faults + the feed layer,
                        -parallel N sets plan-search workers;
                        -metrics/-trace/-pprof observe the storm run)
-  analyze -config F    capacity advice + shadow prices for a scenario
   compare -config F    run a scenario under every planner
   export-lp -config F  dump one slot's dispatch LP in CPLEX LP format
   serve -config F      run the online dispatch gateway: one HTTP endpoint
@@ -171,48 +166,6 @@ commands:
                        with per-replica reconciliation;
                        -addr URL[,URL...] -n N fires at live 'serve'
                        gateways over HTTP instead)`)
-}
-
-func cmdAnalyze(args []string) error {
-	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
-	path := fs.String("config", "", "path to a scenario JSON file (see 'scaffold')")
-	add := fs.Int("add", 2, "expansion candidate size (servers per center)")
-	serverCost := fs.Float64("server-cost", 0, "one-time cost per added server ($), for payback")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *path == "" {
-		return fmt.Errorf("analyze: -config is required")
-	}
-	f, err := os.Open(*path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc, err := config.Load(f)
-	if err != nil {
-		return err
-	}
-	adv, err := advisor.Advise(advisor.Config{
-		Sim:        sc.SimConfig(),
-		AddServers: *add,
-		ServerCost: *serverCost,
-	})
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "scenario %s: baseline profit $%.2f over %d slots\n", sc.Name, adv.BaselineProfit, sc.Slots)
-	fmt.Fprintln(w, "CENTER\tGAIN($)\tGAIN/SERVER($)\tSHARE DUAL($)\tPAYBACK(SLOTS)")
-	for _, rec := range adv.Recommendations {
-		payback := "-"
-		if *serverCost > 0 {
-			payback = fmt.Sprintf("%.1f", rec.PaybackSlots)
-		}
-		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.2f\t%s\n",
-			rec.Name, rec.ProfitGain, rec.GainPerServer, rec.ShareDual, payback)
-	}
-	return w.Flush()
 }
 
 // loadScenario opens and decodes a scenario file given on the flag.
@@ -506,7 +459,7 @@ func cmdSimulate(args []string) error {
 	}
 	if withFeeds {
 		fmt.Fprintf(w, "feed tiers %s, mean staleness %.2f slots, breaker-open feed-slots %d\n",
-			tierMix(rep), rep.MeanFeedStaleness(), rep.BreakerOpenSlots())
+			rep.FeedTierMix(), rep.MeanFeedStaleness(), rep.BreakerOpenSlots())
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -538,22 +491,6 @@ func feedLabel(s sim.SlotReport) string {
 	}
 	if len(parts) == 0 {
 		return "fresh"
-	}
-	return strings.Join(parts, " ")
-}
-
-// tierMix renders a run's estimator-tier counts, e.g.
-// "fresh:40 lkg:5 prior:3".
-func tierMix(rep *sim.Report) string {
-	counts := rep.FeedTierCounts()
-	var parts []string
-	for _, tier := range []string{"fresh", "lkg", "forecast", "prior"} {
-		if counts[tier] > 0 {
-			parts = append(parts, fmt.Sprintf("%s:%d", tier, counts[tier]))
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
 	}
 	return strings.Join(parts, " ")
 }
@@ -685,7 +622,7 @@ func cmdChaos(args []string) error {
 			faulted[i].DegradedSlots(), len(faulted[i].Slots),
 			faulted[i].TotalLostRevenue())
 		if *feeds {
-			fmt.Fprintf(w, "\t%s", tierMix(faulted[i]))
+			fmt.Fprintf(w, "\t%s", faulted[i].FeedTierMix())
 		}
 		fmt.Fprintln(w)
 	}

@@ -175,29 +175,6 @@ func TestCmdSimulateMPCFlags(t *testing.T) {
 	}
 }
 
-func TestCmdAnalyze(t *testing.T) {
-	scaffoldOut, err := capture(t, func() error { return run([]string{"scaffold"}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/s.json"
-	if err := os.WriteFile(path, []byte(scaffoldOut), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, err := capture(t, func() error {
-		return run([]string{"analyze", "-config", path, "-add", "1", "-server-cost", "100"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "baseline profit") || !strings.Contains(out, "SHARE DUAL") {
-		t.Fatalf("analyze output unexpected: %.200s", out)
-	}
-	if err := run([]string{"analyze"}); err == nil {
-		t.Fatal("want error without -config")
-	}
-}
-
 func TestCmdCompareAndExportLP(t *testing.T) {
 	scaffoldOut, err := capture(t, func() error { return run([]string{"scaffold"}) })
 	if err != nil {

@@ -64,25 +64,9 @@ func (s *obsSession) Scope() *obs.Scope { return s.scope }
 // paths and still called explicitly to collect the flush error.
 func (s *obsSession) Close() error {
 	var errs []error
-	if s.metricsPath != "" && s.scope != nil {
-		path := s.metricsPath
+	if s.scope != nil {
+		errs = append(errs, writeMetrics(s.metricsPath, s.scope.Metrics)) // Join drops a nil
 		s.metricsPath = ""
-		f, err := os.Create(path)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("metrics file: %w", err))
-		} else {
-			if strings.HasSuffix(path, ".json") {
-				err = s.scope.Metrics.WriteJSON(f)
-			} else {
-				err = s.scope.Metrics.WritePrometheus(f)
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				errs = append(errs, fmt.Errorf("metrics file: %w", err))
-			}
-		}
 	}
 	if s.jsonl != nil {
 		if err := s.jsonl.Err(); err != nil {
@@ -103,4 +87,29 @@ func (s *obsSession) Close() error {
 		s.stopPprof = nil
 	}
 	return errors.Join(errs...)
+}
+
+// writeMetrics dumps the registry to path — Prometheus text, or JSON
+// when the path ends in .json — and reports the first of the write and
+// close errors. An empty path writes nothing.
+func writeMetrics(path string, reg *obs.Registry) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("metrics file: %w", err)
+	}
+	if strings.HasSuffix(path, ".json") {
+		err = reg.WriteJSON(f)
+	} else {
+		err = reg.WritePrometheus(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("metrics file: %w", err)
+	}
+	return nil
 }

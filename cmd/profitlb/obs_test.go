@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -175,5 +177,40 @@ func TestCmdSimulatePprofSmoke(t *testing.T) {
 	}
 	if err := run([]string{"simulate", "-config", cfgPath, "-pprof", "not-an-addr:port:extra"}); err == nil {
 		t.Fatal("bad -pprof address must error")
+	}
+}
+
+// TestCmdLoadtestMetrics: -metrics is honoured by both replay modes —
+// the single gateway and the in-process fleet — and the dumped request
+// counter is the offered count the report reconciles on its last line.
+func TestCmdLoadtestMetrics(t *testing.T) {
+	cfgPath, dir := obsScenario(t)
+	reconciled := regexp.MustCompile(`reconcile.*: (\d+) requests = `)
+	for name, extra := range map[string][]string{"gateway": nil, "fleet": {"-replicas", "3"}} {
+		metricsPath := dir + "/" + name + ".json"
+		out, err := capture(t, func() error {
+			return run(append([]string{"loadtest", "-config", cfgPath, "-slots", "2", "-seed", "1",
+				"-metrics", metricsPath}, extra...))
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		m := reconciled.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("%s: no reconciliation line in:\n%s", name, out)
+		}
+		raw, err := os.ReadFile(metricsPath)
+		if err != nil {
+			t.Fatalf("%s: -metrics wrote no file: %v", name, err)
+		}
+		var snap struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatalf("%s: metrics file is not valid JSON: %v", name, err)
+		}
+		if got := strconv.FormatInt(snap.Counters["dispatch_requests_total"], 10); got != m[1] || got == "0" {
+			t.Fatalf("%s: dispatch_requests_total = %s, report offered %s", name, got, m[1])
+		}
 	}
 }

@@ -186,31 +186,6 @@ func (d *Dispatcher) Plan(in *core.Input) (*core.Plan, error) {
 			plan.ServersOn[l] = dc.Servers
 		}
 	}
-	plan.Objective = planProfit(in, plan)
+	plan.Objective = core.PlanObjective(in, plan)
 	return plan, nil
-}
-
-// planProfit evaluates the achieved net profit of a static plan using the
-// utility of the TUF level each (type, center) landed in.
-func planProfit(in *core.Input, plan *core.Plan) float64 {
-	sys := in.Sys
-	T := sys.Slot()
-	var sum float64
-	for l, n := range plan.ServersOn {
-		sum -= sys.IdleCost(l, in.Prices[l]) * float64(n)
-	}
-	for k := 0; k < sys.K(); k++ {
-		levels := sys.Classes[k].TUF.Levels()
-		for q := range plan.Rate[k] {
-			for s := range plan.Rate[k][q] {
-				for l, v := range plan.Rate[k][q][s] {
-					if v <= 0 {
-						continue
-					}
-					sum += T * v * sys.UnitProfit(k, s, l, levels[q].Utility, in.Prices[l])
-				}
-			}
-		}
-	}
-	return sum
 }

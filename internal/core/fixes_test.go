@@ -100,7 +100,7 @@ func TestAllocateCenterToleranceBoundary(t *testing.T) {
 	// infeasible under the old 1e-9 search bound.
 	lam := 1 + 1e-7
 	plan.Rate[0][0][0][0] = lam
-	if err := allocateCenter(in, plan, 0, true, false); err != nil {
+	if err := allocateCenter(in, plan, 0); err != nil {
 		t.Fatalf("allocateCenter: %v", err)
 	}
 	if got := plan.ServersOn[0]; got != 2 {

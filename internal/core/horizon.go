@@ -372,7 +372,7 @@ func (b *horizonLP) extract(h *HorizonInput, res *lp.Result) (*HorizonPlan, erro
 			}
 		}
 		in := &Input{Sys: sys, Arrivals: h.Arrivals[t], Prices: h.Prices[t]}
-		plan, err := planFromRates(in, comms[t], rates, true, false)
+		plan, err := planFromRates(in, comms[t], rates)
 		if err != nil {
 			return nil, fmt.Errorf("core: horizon slot %d: %w", t, err)
 		}

@@ -58,17 +58,15 @@ type LevelSearch struct {
 	MaxExhaustive int
 	// PerServer uses the paper-faithful per-server LP layout.
 	PerServer bool
-	// Consolidate computes minimum powered-on servers (see Optimized).
-	Consolidate bool
 	// EngineOptions carries the solver and search-engine knobs, exactly
 	// as on Optimized (WarmStart and Sparse are ignored under PerServer).
 	EngineOptions
 }
 
 // NewLevelSearch returns a LevelSearch with the defaults used in the
-// paper reproduction (auto strategy, consolidation and warm starts on).
+// paper reproduction (auto strategy, warm starts on).
 func NewLevelSearch() *LevelSearch {
-	return &LevelSearch{Consolidate: true, EngineOptions: EngineOptions{WarmStart: true, Sparse: true}}
+	return &LevelSearch{EngineOptions: EngineOptions{WarmStart: true, Sparse: true}}
 }
 
 // Name implements Planner.
@@ -148,7 +146,7 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 		plan := NewPlan(sys)
 		return plan, nil
 	}
-	plan, err := planFromRates(in, best.comms, best.rates, ls.Consolidate, false)
+	plan, err := planFromRates(in, best.comms, best.rates)
 	if err != nil {
 		return nil, err
 	}

@@ -48,13 +48,6 @@ type Optimized struct {
 	// in and out, keeping strict improvements, from two seeds — the full
 	// admissible set and the greedy single-level commitment.
 	Refine bool
-	// Consolidate computes the minimum number of powered-on servers per
-	// center after dispatch (on by default via NewOptimized).
-	Consolidate bool
-	// TopUp distributes leftover CPU share across used commodities after
-	// consolidation, lowering delays below their targets (and potentially
-	// crossing into a better TUF level at accounting time).
-	TopUp bool
 	// MinCompletion optionally forces serving at least the given fraction
 	// of each type's offered arrivals (one entry per class, values in
 	// [0,1]). The paper's profit maximization treats types with "no
@@ -133,10 +126,9 @@ func (e *EngineOptions) lpOpts() lp.Options {
 }
 
 // NewOptimized returns the planner with the paper-faithful defaults:
-// aggregated variables, refinement, consolidation and warm-started
-// re-solves on, top-up off.
+// aggregated variables, refinement and warm-started re-solves on.
 func NewOptimized() *Optimized {
-	return &Optimized{Refine: true, Consolidate: true, EngineOptions: EngineOptions{WarmStart: true, Sparse: true}}
+	return &Optimized{Refine: true, EngineOptions: EngineOptions{WarmStart: true, Sparse: true}}
 }
 
 // Name implements Planner.
@@ -197,7 +189,7 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 		return nil, fmt.Errorf("core: completion floors %v exceed what the fleet can serve", o.MinCompletion)
 	}
 
-	plan, err := planFromRates(in, best.comms, best.rates, o.Consolidate, o.TopUp)
+	plan, err := planFromRates(in, best.comms, best.rates)
 	if err != nil {
 		return nil, err
 	}
@@ -781,7 +773,7 @@ func floorsActive(in *Input, floors []float64) bool {
 // planFromRates turns per-commodity dispatch rates into a full Plan:
 // filling the rate tensor, choosing the number of powered-on servers per
 // center, and recomputing exact per-server shares at that count.
-func planFromRates(in *Input, comms []commodity, rates [][]float64, consolidate, topUp bool) (*Plan, error) {
+func planFromRates(in *Input, comms []commodity, rates [][]float64) (*Plan, error) {
 	sys := in.Sys
 	plan := NewPlan(sys)
 	for ci, c := range comms {
@@ -790,7 +782,7 @@ func planFromRates(in *Input, comms []commodity, rates [][]float64, consolidate,
 		}
 	}
 	for l := 0; l < sys.L(); l++ {
-		if err := allocateCenter(in, plan, l, consolidate, topUp); err != nil {
+		if err := allocateCenter(in, plan, l); err != nil {
 			return nil, err
 		}
 	}
@@ -818,7 +810,7 @@ const shareFeasTol = 1e-6
 //
 // whose left side is decreasing in n; shares are then set to exactly meet
 // each level deadline at that n.
-func allocateCenter(in *Input, plan *Plan, l int, consolidate, topUp bool) error {
+func allocateCenter(in *Input, plan *Plan, l int) error {
 	sys := in.Sys
 	dc := &sys.Centers[l]
 	var used []activeKey
@@ -844,44 +836,24 @@ func allocateCenter(in *Input, plan *Plan, l int, consolidate, topUp bool) error
 		}
 		return sum
 	}
-	n := dc.Servers
-	if shareAt(n) > 1+shareFeasTol {
-		return fmt.Errorf("core: center %d cannot host planned load on %d servers (share %g)", l, n, shareAt(n))
+	if share := shareAt(dc.Servers); share > 1+shareFeasTol {
+		return fmt.Errorf("core: center %d cannot host planned load on %d servers (share %g)", l, dc.Servers, share)
 	}
-	if consolidate {
-		lo, hi := 1, dc.Servers // invariant: hi always feasible
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if shareAt(mid) <= 1+shareFeasTol {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
+	lo, hi := 1, dc.Servers // invariant: hi always feasible
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if shareAt(mid) <= 1+shareFeasTol {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
-		n = hi
 	}
+	n := hi
 	plan.ServersOn[l] = n
-	var total float64
 	for i, a := range used {
 		mu := dc.Capacity * dc.ServiceRate[a.k]
 		d := sys.Classes[a.k].TUF.Level(a.q).Deadline
-		phi := lams[i]/(float64(n)*mu) + 1/(d*mu)
-		plan.Phi[l][a.k][a.q] = phi
-		total += phi
-	}
-	if topUp && total < 1 {
-		// Distribute leftover share proportionally to each commodity's
-		// load, reducing its delay below the level deadline.
-		var lamSum float64
-		for _, v := range lams {
-			lamSum += v
-		}
-		if lamSum > 0 {
-			slack := 1 - total
-			for i, a := range used {
-				plan.Phi[l][a.k][a.q] += slack * lams[i] / lamSum
-			}
-		}
+		plan.Phi[l][a.k][a.q] = lams[i]/(float64(n)*mu) + 1/(d*mu)
 	}
 	return nil
 }

@@ -11,10 +11,10 @@
 //
 // Each (type, level) commodity on each powered-on server is an
 // independent M/M/1 queue (virtualized CPU shares isolate them), so the
-// exact Lindley recurrence applies per queue and no global event heap is
-// needed. Slot boundaries are treated as queue resets: level deadlines
-// (≈ seconds) are several orders of magnitude below the slot length
-// (1 hour), so boundary effects are negligible by construction.
+// exact Lindley recurrence (queue.Lindley) applies per queue and no global
+// event heap is needed. Slot boundaries are treated as queue resets: level
+// deadlines (≈ seconds) are several orders of magnitude below the slot
+// length (1 hour), so boundary effects are negligible by construction.
 package des
 
 import (
@@ -23,6 +23,7 @@ import (
 	"math/rand"
 
 	"profitlb/internal/core"
+	"profitlb/internal/queue"
 	"profitlb/internal/sim"
 	"profitlb/internal/workload"
 )
@@ -273,19 +274,11 @@ func simulateQueue(rng *rand.Rand, sample func(*rand.Rand, float64) float64, lam
 	}
 	var served int
 	var revenue float64
-	var arrive, departPrev float64
-	for {
+	var arrive float64
+	queue.Lindley(func() (float64, bool) {
 		arrive += rng.ExpFloat64() / lam
-		if arrive > T {
-			break
-		}
-		start := arrive
-		if departPrev > start {
-			start = departPrev
-		}
-		depart := start + sample(rng, mu)
-		delay := depart - arrive
-		departPrev = depart
+		return arrive, arrive <= T
+	}, func() float64 { return sample(rng, mu) }, func(delay float64) {
 		served++
 		revenue += utility(delay)
 		stats.sumDelay += delay
@@ -295,7 +288,7 @@ func simulateQueue(rng *rand.Rand, sample func(*rand.Rand, float64) float64, lam
 		if delay > deadline {
 			stats.misses++
 		}
-	}
+	})
 	return served, revenue, stats
 }
 

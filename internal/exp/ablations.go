@@ -36,12 +36,6 @@ func init() {
 		Run:   runAblAggregation,
 	})
 	register(&Experiment{
-		ID:    "abl4-topup",
-		Title: "Ablation: leftover-share top-up on/off",
-		Paper: "beyond the paper (DESIGN.md §5.4)",
-		Run:   runAblTopUp,
-	})
-	register(&Experiment{
 		ID:    "abl5-forecast",
 		Title: "Ablation: planning on Kalman-predicted vs oracle arrival rates",
 		Paper: "beyond the paper (the prediction substrate of paper §III)",
@@ -139,31 +133,6 @@ func runAblAggregation() (*Result, error) {
 		Notes: []string{fmt.Sprintf(
 			"identical profit (homogeneous servers make the layouts equivalent; gap %.4f%%), very different cost — the paper's Fig. 11 in miniature",
 			100*(profits[0]/profits[1]-1))},
-	}, nil
-}
-
-func runAblTopUp() (*Result, error) {
-	t := report.NewTable("Leftover-share top-up", "top-up", "net profit($)")
-	var on, off float64
-	for _, topUp := range []bool{false, true} {
-		p := core.NewOptimized()
-		p.TopUp = topUp
-		profit, _, err := runPlanner(p)
-		if err != nil {
-			return nil, err
-		}
-		if topUp {
-			on = profit
-		} else {
-			off = profit
-		}
-		t.AddRow(fmt.Sprintf("%v", topUp), report.F(profit))
-	}
-	return &Result{ID: "abl4-topup", Title: "Share top-up",
-		Tables: []*report.Table{t},
-		Notes: []string{fmt.Sprintf(
-			"distributing slack share lowers delays and can cross TUF levels: %s extra profit",
-			report.Pct(on/off-1))},
 	}, nil
 }
 

@@ -3,9 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"profitlb/internal/core"
-	"profitlb/internal/queuesim"
+	"profitlb/internal/queue"
 	"profitlb/internal/report"
+	"profitlb/internal/stats"
 	"profitlb/internal/workload"
 )
 
@@ -26,12 +26,7 @@ func init() {
 // what the stray costs.
 func runValArrivals() (*Result, error) {
 	ts := NewTwoLevelSetup()
-	in := &core.Input{
-		Sys:      ts.Sys,
-		Arrivals: [][]float64{{ts.Traces[0].At(15, 0), ts.Traces[0].At(15, 1)}},
-		Prices:   []float64{ts.Prices[0].At(15), ts.Prices[1].At(15)},
-	}
-	plan, err := core.NewOptimized().Plan(in)
+	plan, err := ts.planPeakSlot()
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +67,11 @@ func runValArrivals() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := queuesim.MM1{Mu: mu, Seed: 405}.RunArrivals(arr)
+		delays, err := queue.Sim{Mu: mu, Seed: 405}.RunArrivals(arr)
+		if err != nil {
+			return nil, err
+		}
+		st, err := stats.Summarize(delays)
 		if err != nil {
 			return nil, err
 		}
@@ -80,12 +79,12 @@ func runValArrivals() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(v.name, report.F(disp), report.F(st.MeanDelay), report.F(st.P95Delay),
-			report.Pct(st.MeanDelay/deadline))
+		t.AddRow(v.name, report.F(disp), report.F(st.Mean), report.F(st.P95),
+			report.Pct(st.Mean/deadline))
 		if i == 0 {
-			first = st.MeanDelay
+			first = st.Mean
 		}
-		last = st.MeanDelay
+		last = st.Mean
 	}
 	return &Result{
 		ID: "val5-arrivals", Title: "Arrival burstiness",

@@ -101,7 +101,7 @@ func runDarkFeeds() (*Result, error) {
 		}
 		ratio := report.Frac(rep.TotalNetProfit(), oracleNet)
 		t.AddRow(lane.name, report.F(rep.TotalNetProfit()), report.Pct(ratio),
-			report.Pct(completionMean(rep, K)), tierMixLabel(rep),
+			report.Pct(completionMean(rep, K)), rep.FeedTierMix(),
 			fmt.Sprintf("%.2f", rep.MeanFeedStaleness()),
 			fmt.Sprintf("%d", rep.BreakerOpenSlots()),
 			fmt.Sprintf("%d/%d", rep.DegradedSlots(), len(rep.Slots)))
@@ -147,21 +147,6 @@ func completionMean(r *sim.Report, K int) float64 {
 		c += r.CompletionRate(k)
 	}
 	return c / float64(K)
-}
-
-// tierMixLabel renders the run's estimator-tier counts compactly.
-func tierMixLabel(r *sim.Report) string {
-	counts := r.FeedTierCounts()
-	var parts []string
-	for _, tier := range []string{"fresh", "lkg", "forecast", "prior"} {
-		if counts[tier] > 0 {
-			parts = append(parts, fmt.Sprintf("%s:%d", tier, counts[tier]))
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, " ")
 }
 
 // totalServed sums served requests over the run.

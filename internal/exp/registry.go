@@ -72,16 +72,6 @@ func Get(id string) (*Experiment, bool) {
 	return e, ok
 }
 
-// IDs returns the sorted registered IDs.
-func IDs() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = e.ID
-	}
-	return out
-}
-
 // compare runs the Optimized and Balanced planners over the same
 // configuration, the comparison every evaluation figure is built on.
 func compare(cfg sim.Config) (opt, bal *sim.Report, err error) {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"profitlb/internal/core"
-	"profitlb/internal/queuesim"
+	"profitlb/internal/queue"
 	"profitlb/internal/report"
 )
 
@@ -86,17 +86,12 @@ func runAblShadowPrices() (*Result, error) {
 // slot, via discrete-event replay.
 func runValUtility() (*Result, error) {
 	ts := NewTwoLevelSetup()
-	in := &core.Input{
-		Sys:      ts.Sys,
-		Arrivals: [][]float64{{ts.Traces[0].At(15, 0), ts.Traces[0].At(15, 1)}},
-		Prices:   []float64{ts.Prices[0].At(15), ts.Prices[1].At(15)},
-	}
-	plan, err := core.NewOptimized().Plan(in)
+	plan, err := ts.planPeakSlot()
 	if err != nil {
 		return nil, err
 	}
 	const arrivals = 300000
-	checks, err := queuesim.UtilityGap(ts.Sys, plan, arrivals, 515)
+	checks, err := queue.UtilityGap(ts.Sys, plan, arrivals, 515)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +110,7 @@ func runValUtility() (*Result, error) {
 			report.F(c.MeanDelayUtility), report.F(c.PerRequestUtility),
 			report.Pct(ratio))
 	}
-	meanRev, perRev := queuesim.RevenueRates(checks)
+	meanRev, perRev := queue.RevenueRates(checks)
 	return &Result{
 		ID: "val2-utility", Title: "Utility semantics gap",
 		Tables: []*report.Table{t},

@@ -8,6 +8,7 @@
 package exp
 
 import (
+	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
 	"profitlb/internal/market"
 	"profitlb/internal/sim"
@@ -238,4 +239,14 @@ func (t *TwoLevelSetup) Config() sim.Config {
 		Sys: t.Sys, Traces: t.Traces, Prices: t.Prices,
 		Slots: 6, StartSlot: 14,
 	}
+}
+
+// planPeakSlot plans the window's 15:00 slot with the default planner:
+// the one plan whose queues val1, val2 and val5 realize request by request.
+func (t *TwoLevelSetup) planPeakSlot() (*core.Plan, error) {
+	return core.NewOptimized().Plan(&core.Input{
+		Sys:      t.Sys,
+		Arrivals: [][]float64{{t.Traces[0].At(15, 0), t.Traces[0].At(15, 1)}},
+		Prices:   []float64{t.Prices[0].At(15), t.Prices[1].At(15)},
+	})
 }

@@ -3,8 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"profitlb/internal/core"
-	"profitlb/internal/queuesim"
+	"profitlb/internal/queue"
 	"profitlb/internal/report"
 )
 
@@ -23,17 +22,12 @@ func init() {
 // analytical values the planner optimized against.
 func runValMM1() (*Result, error) {
 	ts := NewTwoLevelSetup()
-	in := &core.Input{
-		Sys:      ts.Sys,
-		Arrivals: [][]float64{{ts.Traces[0].At(15, 0), ts.Traces[0].At(15, 1)}},
-		Prices:   []float64{ts.Prices[0].At(15), ts.Prices[1].At(15)},
-	}
-	plan, err := core.NewOptimized().Plan(in)
+	plan, err := ts.planPeakSlot()
 	if err != nil {
 		return nil, err
 	}
 	const arrivals = 400000
-	checks, err := queuesim.ValidatePlan(ts.Sys, plan, arrivals, 2024)
+	checks, err := queue.ValidatePlan(ts.Sys, plan, arrivals, 2024)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +41,7 @@ func runValMM1() (*Result, error) {
 			report.F(c.Lambda), report.F(c.ServiceRate), report.F(c.Deadline),
 			report.F(c.Expected), report.F(c.Simulated), report.Pct(c.RelErr))
 	}
-	worst := queuesim.WorstRelErr(checks)
+	worst := queue.WorstRelErr(checks)
 	return &Result{
 		ID: "val1-mm1", Title: "M/M/1 delay-model validation",
 		Tables: []*report.Table{t},

@@ -1,4 +1,4 @@
-package queuesim
+package queue
 
 import (
 	"errors"
@@ -9,50 +9,61 @@ import (
 
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
+	"profitlb/internal/stats"
 	"profitlb/internal/tuf"
 )
+
+// run summarizes n Poisson arrivals through q, the way the experiments
+// read a realized queue.
+func run(q Sim, n int) (stats.Summary, error) {
+	delays, err := q.RunDelays(n)
+	if err != nil {
+		return stats.Summary{}, err
+	}
+	return stats.Summarize(delays)
+}
 
 func TestRunMatchesAnalyticalDelay(t *testing.T) {
 	// Across utilizations, the realized mean delay must converge to
 	// Eq. 1's 1/(μ−λ) within a few percent at 200k arrivals.
 	for _, rho := range []float64{0.3, 0.5, 0.7, 0.9} {
-		q := MM1{Lambda: rho * 100, Mu: 100, Seed: 42}
-		st, err := q.Run(200000)
+		q := Sim{Lambda: rho * 100, Mu: 100, Seed: 42}
+		st, err := run(q, 200000)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := q.ExpectedDelay()
-		rel := math.Abs(st.MeanDelay-want) / want
+		rel := math.Abs(st.Mean-want) / want
 		if rel > 0.08 {
-			t.Fatalf("rho=%g: simulated %g vs analytical %g (rel %g)", rho, st.MeanDelay, want, rel)
+			t.Fatalf("rho=%g: simulated %g vs analytical %g (rel %g)", rho, st.Mean, want, rel)
 		}
 	}
 }
 
 func TestRunStatsShape(t *testing.T) {
-	q := MM1{Lambda: 50, Mu: 100, Seed: 7}
-	st, err := q.Run(50000)
+	q := Sim{Lambda: 50, Mu: 100, Seed: 7}
+	st, err := run(q, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Arrivals != 50000 {
-		t.Fatalf("arrivals %d", st.Arrivals)
+	if st.N != 50000 {
+		t.Fatalf("arrivals %d", st.N)
 	}
-	if !(st.MeanDelay < st.P95Delay && st.P95Delay <= st.MaxDelay) {
-		t.Fatalf("ordering: mean %g p95 %g max %g", st.MeanDelay, st.P95Delay, st.MaxDelay)
+	if !(st.Mean < st.P95 && st.P95 <= st.Max) {
+		t.Fatalf("ordering: mean %g p95 %g max %g", st.Mean, st.P95, st.Max)
 	}
 	// Little's law: L = λW; rho=0.5 → L = 1.
-	if math.Abs(st.MeanQueue-1) > 0.15 {
-		t.Fatalf("mean queue %g, want ≈1", st.MeanQueue)
+	if l := q.Lambda * st.Mean; math.Abs(l-1) > 0.15 {
+		t.Fatalf("mean queue %g, want ≈1", l)
 	}
 }
 
 func TestRunDeterministicInSeed(t *testing.T) {
-	a, err := MM1{Lambda: 30, Mu: 100, Seed: 5}.Run(1000)
+	a, err := run(Sim{Lambda: 30, Mu: 100, Seed: 5}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MM1{Lambda: 30, Mu: 100, Seed: 5}.Run(1000)
+	b, err := run(Sim{Lambda: 30, Mu: 100, Seed: 5}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +73,13 @@ func TestRunDeterministicInSeed(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := (MM1{Lambda: 100, Mu: 100, Seed: 1}).Run(10); !errors.Is(err, ErrUnstable) {
+	if _, err := (Sim{Lambda: 100, Mu: 100, Seed: 1}).RunDelays(10); !errors.Is(err, ErrUnstable) {
 		t.Fatal("want unstable")
 	}
-	if _, err := (MM1{Lambda: 10, Mu: 100}).Run(0); !errors.Is(err, ErrNoWork) {
+	if _, err := (Sim{Lambda: 10, Mu: 100}).RunDelays(0); !errors.Is(err, ErrNoWork) {
 		t.Fatal("want no-work error")
 	}
-	if _, err := (MM1{Lambda: -1, Mu: 100}).Run(10); err == nil {
+	if _, err := (Sim{Lambda: -1, Mu: 100}).RunDelays(10); err == nil {
 		t.Fatal("want rate error")
 	}
 }
@@ -78,14 +89,14 @@ func TestRunErrors(t *testing.T) {
 func TestDelayBoundsQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		mu := 100.0
-		q1 := MM1{Lambda: 30, Mu: mu, Seed: seed}
-		q2 := MM1{Lambda: 80, Mu: mu, Seed: seed}
-		s1, err1 := q1.Run(20000)
-		s2, err2 := q2.Run(20000)
+		q1 := Sim{Lambda: 30, Mu: mu, Seed: seed}
+		q2 := Sim{Lambda: 80, Mu: mu, Seed: seed}
+		s1, err1 := run(q1, 20000)
+		s2, err2 := run(q2, 20000)
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return s1.MeanDelay >= 1/mu && s2.MeanDelay > s1.MeanDelay
+		return s1.Mean >= 1/mu && s2.Mean > s1.Mean
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -157,7 +168,7 @@ func TestWorstRelErrEmpty(t *testing.T) {
 }
 
 func TestRunDelaysLength(t *testing.T) {
-	d, err := MM1{Lambda: 10, Mu: 100, Seed: 3}.RunDelays(500)
+	d, err := Sim{Lambda: 10, Mu: 100, Seed: 3}.RunDelays(500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,24 +236,28 @@ func TestRunArrivalsMatchesRunForPoisson(t *testing.T) {
 		t0 += rng.ExpFloat64() / lam
 		arrivals[i] = t0
 	}
-	st, err := MM1{Mu: mu, Seed: 5}.RunArrivals(arrivals)
+	delays, err := Sim{Mu: mu, Seed: 5}.RunArrivals(arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := stats.Summarize(delays)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := 1 / (mu - lam)
-	if math.Abs(st.MeanDelay-want)/want > 0.08 {
-		t.Fatalf("mean delay %g, want ≈%g", st.MeanDelay, want)
+	if math.Abs(st.Mean-want)/want > 0.08 {
+		t.Fatalf("mean delay %g, want ≈%g", st.Mean, want)
 	}
 }
 
 func TestRunArrivalsErrors(t *testing.T) {
-	if _, err := (MM1{Mu: 10}).RunArrivals(nil); !errors.Is(err, ErrNoWork) {
+	if _, err := (Sim{Mu: 10}).RunArrivals(nil); !errors.Is(err, ErrNoWork) {
 		t.Fatal("want no-work")
 	}
-	if _, err := (MM1{Mu: 0}).RunArrivals([]float64{1}); err == nil {
+	if _, err := (Sim{Mu: 0}).RunArrivals([]float64{1}); err == nil {
 		t.Fatal("zero mu accepted")
 	}
-	if _, err := (MM1{Mu: 10}).RunArrivals([]float64{2, 1}); err == nil {
+	if _, err := (Sim{Mu: 10}).RunArrivals([]float64{2, 1}); err == nil {
 		t.Fatal("unsorted arrivals accepted")
 	}
 }

@@ -6,9 +6,11 @@
 //
 //	R = 1 / (φ·C·μ − λ)
 //
-// The package provides the forward model, its inverse forms (which the
-// planner uses to linearize the deadline constraint), and an M/M/c
-// Erlang-C extension used by the heterogeneous-cluster example.
+// The package provides the forward model, its M/G/1 (Pollaczek–Khinchine)
+// and M/M/c (Erlang-C) counterparts for the validation experiments, and
+// the request-level realization of such a queue: the one FIFO Lindley
+// loop (fifo.go) under des.Run, the seeded Poisson run and the replay of
+// recorded arrivals, with ValidatePlan and UtilityGap (plan.go) on top.
 package queue
 
 import (
@@ -45,67 +47,8 @@ func (q MM1) Delay(lambda float64) (float64, error) {
 	return 1 / (s - lambda), nil
 }
 
-// Utilization returns λ/(φCμ), the fraction of the granted share in use.
-func (q MM1) Utilization(lambda float64) float64 {
-	s := q.ServiceRate()
-	if s == 0 {
-		if lambda == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return lambda / s
-}
-
 // Stable reports whether arrival rate lambda admits a steady state.
 func (q MM1) Stable(lambda float64) bool { return lambda >= 0 && lambda < q.ServiceRate() }
-
-// QueueLength returns the expected number of requests in the system
-// (waiting plus in service), L = ρ/(1−ρ).
-func (q MM1) QueueLength(lambda float64) (float64, error) {
-	rho := q.Utilization(lambda)
-	if rho >= 1 {
-		return math.Inf(1), ErrUnstable
-	}
-	return rho / (1 - rho), nil
-}
-
-// RequiredShare returns the minimum CPU share φ that keeps the expected
-// delay of a type within target at arrival rate lambda on a server of
-// capacity c and full-capacity rate mu. This is the planner's linearized
-// form of paper Constraint 6:
-//
-//	1/(φCμ − λ) ≤ D  ⇔  φ ≥ (λ + 1/D) / (Cμ)
-//
-// Note the paper applies this even at λ = 0, reserving a sliver of
-// capacity per admitted type; callers decide whether to keep that
-// behaviour (the faithful default) or skip idle types.
-func RequiredShare(lambda, c, mu, target float64) (float64, error) {
-	if target <= 0 {
-		return 0, fmt.Errorf("queue: non-positive delay target %g", target)
-	}
-	if c <= 0 || mu <= 0 {
-		return 0, fmt.Errorf("queue: non-positive capacity c=%g mu=%g", c, mu)
-	}
-	if lambda < 0 {
-		return 0, fmt.Errorf("queue: negative arrival rate %g", lambda)
-	}
-	return (lambda + 1/target) / (c * mu), nil
-}
-
-// MaxRate returns the largest arrival rate that a share φ can serve while
-// keeping the expected delay within target: λ ≤ φCμ − 1/D.
-// It returns 0 when the share cannot even meet the target at zero load.
-func MaxRate(phi, c, mu, target float64) float64 {
-	if target <= 0 {
-		return 0
-	}
-	r := phi*c*mu - 1/target
-	if r < 0 {
-		return 0
-	}
-	return r
-}
 
 // MMC describes an M/M/c station with c identical servers, each of service
 // rate Mu. It extends the paper's per-server model to pooled clusters.

@@ -36,107 +36,6 @@ func TestMM1DelayNegativeRate(t *testing.T) {
 	}
 }
 
-func TestMM1Utilization(t *testing.T) {
-	q := MM1{Phi: 0.5, C: 2, Mu: 10} // rate 10
-	if u := q.Utilization(5); u != 0.5 {
-		t.Fatalf("Utilization = %g, want 0.5", u)
-	}
-	zero := MM1{}
-	if u := zero.Utilization(0); u != 0 {
-		t.Fatalf("zero-share idle utilization = %g", u)
-	}
-	if u := zero.Utilization(1); !math.IsInf(u, 1) {
-		t.Fatalf("zero-share loaded utilization = %g, want +Inf", u)
-	}
-}
-
-func TestMM1QueueLength(t *testing.T) {
-	q := MM1{Phi: 1, C: 1, Mu: 10}
-	l, err := q.QueueLength(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(l-1) > 1e-12 { // rho=0.5 → L=1
-		t.Fatalf("QueueLength = %g, want 1", l)
-	}
-	if _, err := q.QueueLength(10); !errors.Is(err, ErrUnstable) {
-		t.Fatal("want unstable")
-	}
-}
-
-func TestRequiredShareInvertsDelay(t *testing.T) {
-	// The share returned must achieve exactly the target delay.
-	c, mu, lambda, target := 1.0, 120.0, 30.0, 0.25
-	phi, err := RequiredShare(lambda, c, mu, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := MM1{Phi: phi, C: c, Mu: mu}
-	d, err := q.Delay(lambda)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-target) > 1e-9 {
-		t.Fatalf("delay at required share = %g, want %g", d, target)
-	}
-}
-
-func TestRequiredShareZeroLoadReserves(t *testing.T) {
-	// The paper's linearization reserves capacity even at zero load.
-	phi, err := RequiredShare(0, 1, 100, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if phi <= 0 {
-		t.Fatalf("zero-load share = %g, want positive reservation", phi)
-	}
-}
-
-func TestRequiredShareErrors(t *testing.T) {
-	if _, err := RequiredShare(1, 1, 100, 0); err == nil {
-		t.Fatal("want error on zero target")
-	}
-	if _, err := RequiredShare(1, 0, 100, 1); err == nil {
-		t.Fatal("want error on zero capacity")
-	}
-	if _, err := RequiredShare(-1, 1, 100, 1); err == nil {
-		t.Fatal("want error on negative rate")
-	}
-}
-
-func TestMaxRate(t *testing.T) {
-	// phi*C*mu = 50, 1/D = 10 → 40.
-	if r := MaxRate(0.5, 1, 100, 0.1); math.Abs(r-40) > 1e-12 {
-		t.Fatalf("MaxRate = %g, want 40", r)
-	}
-	if r := MaxRate(0.001, 1, 100, 0.1); r != 0 {
-		t.Fatalf("infeasible share should give 0, got %g", r)
-	}
-	if r := MaxRate(1, 1, 100, 0); r != 0 {
-		t.Fatalf("zero target should give 0, got %g", r)
-	}
-}
-
-// Property: RequiredShare and MaxRate are inverses wherever both defined.
-func TestShareRateInverseQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := 0.5 + rng.Float64()*2
-		mu := 10 + rng.Float64()*200
-		target := 0.05 + rng.Float64()
-		lambda := rng.Float64() * 50
-		phi, err := RequiredShare(lambda, c, mu, target)
-		if err != nil {
-			return false
-		}
-		back := MaxRate(phi, c, mu, target)
-		return math.Abs(back-lambda) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: delay is increasing in lambda and decreasing in phi.
 func TestDelayMonotoneQuick(t *testing.T) {
 	f := func(seed int64) bool {

@@ -9,6 +9,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"profitlb/internal/core"
@@ -271,6 +272,22 @@ func (r *Report) FeedTierCounts() map[string]int {
 	out := map[string]int{}
 	r.eachFeedHealth(func(h feed.Health) { out[h.Tier.String()]++ })
 	return out
+}
+
+// FeedTierMix renders FeedTierCounts in tier order, e.g.
+// "fresh:40 lkg:5 prior:3" ("none" on the oracle path).
+func (r *Report) FeedTierMix() string {
+	counts := r.FeedTierCounts()
+	var parts []string
+	for _, tier := range []string{"fresh", "lkg", "forecast", "prior"} {
+		if counts[tier] > 0 {
+			parts = append(parts, fmt.Sprintf("%s:%d", tier, counts[tier]))
+		}
+	}
+	if len(parts) == 0 {
+		return "none"
+	}
+	return strings.Join(parts, " ")
 }
 
 // MeanFeedStaleness averages the staleness age over every feed-slot (0

@@ -89,8 +89,8 @@ func TestOptimizedBeatsBalancedOverADay(t *testing.T) {
 }
 
 func TestPlannerObjectiveMatchesAccounting(t *testing.T) {
-	// Without top-up, the plan's predicted objective equals the
-	// simulator's accounted net profit.
+	// The plan's predicted objective equals the simulator's accounted
+	// net profit.
 	cfg := testConfig(4)
 	cfg.KeepPlans = true
 	rep, err := Run(cfg, core.NewOptimized())
@@ -101,24 +101,6 @@ func TestPlannerObjectiveMatchesAccounting(t *testing.T) {
 		if math.Abs(sr.NetProfit-sr.Plan.Objective) > 1e-6*(1+math.Abs(sr.NetProfit)) {
 			t.Fatalf("slot %d: accounted %g vs planned %g", i, sr.NetProfit, sr.Plan.Objective)
 		}
-	}
-}
-
-func TestTopUpNeverHurts(t *testing.T) {
-	cfg := testConfig(8)
-	plain, err := Run(cfg, core.NewOptimized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	up := core.NewOptimized()
-	up.TopUp = true
-	topped, err := Run(cfg, up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topped.TotalNetProfit() < plain.TotalNetProfit()-1e-6 {
-		t.Fatalf("top-up lowered profit: %g vs %g",
-			topped.TotalNetProfit(), plain.TotalNetProfit())
 	}
 }
 

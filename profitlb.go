@@ -21,7 +21,6 @@ package profitlb
 import (
 	"io"
 
-	"profitlb/internal/advisor"
 	"profitlb/internal/baseline"
 	"profitlb/internal/config"
 	"profitlb/internal/core"
@@ -35,7 +34,6 @@ import (
 	"profitlb/internal/mpc"
 	"profitlb/internal/resilient"
 	"profitlb/internal/sim"
-	"profitlb/internal/switching"
 	"profitlb/internal/tuf"
 	"profitlb/internal/workload"
 )
@@ -237,12 +235,6 @@ func SimulateRequests(cfg SimConfig, p Planner, seed int64) (*RequestLevelReport
 	return des.Run(des.Config{Sim: cfg, Planner: p, Seed: seed})
 }
 
-// SwitchingPlanner wraps a planner with server power-toggle costs and
-// hold-down hysteresis, relaxing the paper's negligible-switching
-// assumption. Pair it with DataCenter.IdleEnergyPerServer to make the
-// trade-off real.
-type SwitchingPlanner = switching.Planner
-
 // Multi-slot lookahead types (the temporal-arbitrage extension).
 type (
 	// HorizonInput is a multi-slot planning window with per-class
@@ -287,17 +279,6 @@ type (
 // NewMPC returns the receding-horizon MPC planner for cfg (zero-valued
 // fields take their documented defaults at first use).
 func NewMPC(cfg MPCConfig) *MPCPlanner { return mpc.New(cfg) }
-
-// Advice is a ranked capacity-expansion report (see Advise).
-type Advice = advisor.Advice
-
-// AdvisorConfig parameterizes Advise.
-type AdvisorConfig = advisor.Config
-
-// Advise evaluates expanding each data center over a workload/price
-// horizon and ranks the candidates by profit gain per added server,
-// cross-checked against the slot LPs' share shadow prices.
-func Advise(cfg AdvisorConfig) (*Advice, error) { return advisor.Advise(cfg) }
 
 // Fault injection and resilient planning (DESIGN.md §6).
 type (

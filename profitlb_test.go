@@ -132,8 +132,8 @@ func TestFacadeWorkloads(t *testing.T) {
 
 func TestFacadeExperiments(t *testing.T) {
 	all := Experiments()
-	if len(all) != 47 {
-		t.Fatalf("%d experiments registered, want 47 (21 paper artifacts + 26 extensions)", len(all))
+	if len(all) != 44 {
+		t.Fatalf("%d experiments registered, want 44 (21 paper artifacts + 23 extensions)", len(all))
 	}
 	e, ok := ExperimentByID("fig6")
 	if !ok {
@@ -207,23 +207,6 @@ func TestFacadeMinCompletion(t *testing.T) {
 	}
 }
 
-func TestFacadeAdvise(t *testing.T) {
-	sys := exampleSystem()
-	cfg := SimConfig{
-		Sys:    sys,
-		Traces: []*Trace{ConstantTrace("fe1", []float64{9000, 7000}, 2)},
-		Prices: []*PriceTrace{Houston(), Atlanta()},
-		Slots:  2,
-	}
-	adv, err := Advise(AdvisorConfig{Sim: cfg, AddServers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(adv.Recommendations) != 2 {
-		t.Fatalf("recommendations %d", len(adv.Recommendations))
-	}
-}
-
 func TestFacadeSimulateRequests(t *testing.T) {
 	sys := exampleSystem()
 	cfg := SimConfig{
@@ -238,20 +221,6 @@ func TestFacadeSimulateRequests(t *testing.T) {
 	}
 	if rep.TotalRealized() <= 0 {
 		t.Fatalf("realized %g", rep.TotalRealized())
-	}
-}
-
-func TestFacadeSwitchingPlanner(t *testing.T) {
-	sys := exampleSystem()
-	w := &SwitchingPlanner{Inner: NewOptimized(), TogglePrice: 1, HoldSlots: 1}
-	cfg := SimConfig{
-		Sys:    sys,
-		Traces: []*Trace{ConstantTrace("fe1", []float64{500, 300}, 3)},
-		Prices: []*PriceTrace{Houston(), Atlanta()},
-		Slots:  3,
-	}
-	if _, err := Simulate(cfg, w); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -25,15 +25,21 @@ race:
 # solver and checks every accepted result against the cold path.
 # FuzzSparseFactors drives arbitrary sparse matrices and basis-change
 # sequences through the LU factor/eta-update machinery and checks every
-# FTRAN/BTRAN solve against a dense reference. FuzzRefresh walks one held
-# dispatch LP through arbitrary changes of prices, arrivals, topology,
-# deadlines and floors and checks it against a from-scratch build each step.
+# FTRAN/BTRAN solve — the list-returning ones for their lists and scratch
+# too — against a dense reference or by residual. FuzzKernelDifferential
+# solves one generated small LP dense cold, dense warm, sparse by crash and
+# sparse hot after a drift, and holds the four to one verdict, one objective
+# and a primal-dual certificate against the model itself. FuzzRefresh walks
+# one held dispatch LP through arbitrary changes of prices, arrivals,
+# topology, deadlines and floors and checks it against a from-scratch build
+# each step.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s ./internal/workload/
 	$(GO) test -run=NONE -fuzz=FuzzLoad -fuzztime=10s ./internal/config/
 	$(GO) test -run=NONE -fuzz=FuzzCompile -fuzztime=10s ./internal/dispatch/
 	$(GO) test -run=NONE -fuzz=FuzzControlRescale -fuzztime=10s ./internal/dispatch/
 	$(GO) test -run=NONE -fuzz=FuzzWarmBasisImport -fuzztime=10s ./internal/lp/
+	$(GO) test -run=NONE -fuzz=FuzzKernelDifferential -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzSparseFactors -fuzztime=10s ./internal/linalg/
 	$(GO) test -run=NONE -fuzz=FuzzRefresh -fuzztime=10s ./internal/core/
 
@@ -73,10 +79,11 @@ bench-lp-sparse:
 # contention benchmark, the dispatch-LP builder benchmark, both rows of
 # the refine slot benchmark — demand-limited, where the dual bound turns
 # every move down, and capacity-limited, where ~135 survivors are solved —
-# and the capture slot benchmark still run (one iteration, no timing
-# claims); wired into verify.
+# the capture slot benchmark and the sparse kernel's hot-pivot benchmark
+# still run (one iteration, no timing claims); wired into verify.
 bench-smoke:
 	$(GO) test -bench=BenchmarkPlanSearch -benchtime=1x -run=NONE .
+	$(GO) test -bench=BenchmarkHotPivot -benchtime=1x -run=NONE ./internal/lp/
 	$(GO) test -bench='BenchmarkSubsetCacheContention|BenchmarkBuildDispatchLP|BenchmarkRefineSlot|BenchmarkCaptureSlot' -benchtime=1x -run=NONE ./internal/core/
 
 # profile writes a CPU and an allocation profile into the git-ignored
@@ -88,7 +95,9 @@ bench-smoke:
 # 20x100x3 dense and sparse hot chains, fleet-large's solver side alone;
 # W=commit profiles BenchmarkCaptureSlot/fleet-20x100x3, the planner's whole
 # share of a fleet-large commit — refresh (or rebuild) of the held LP, hot
-# re-solve, extraction, plan. Dig further with
+# re-solve, extraction, plan; W=kernel profiles BenchmarkHotPivot/slot, the
+# sparse kernel's hot re-solve of a generated 2160-row dispatch-shaped LP
+# at ~15 pivots a solve, with no planner on top. Dig further with
 # `go tool pprof -list <regexp> prof/$(W).test prof/$(W).cpu`.
 W ?= refine
 profile:
@@ -97,6 +106,8 @@ ifeq ($(W),large)
 	BENCH_PLAN_JSON=$(CURDIR)/prof/plan.json $(GO) test -count=1 -run=TestWarmStartTrajectory -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem .
 else ifeq ($(W),commit)
 	$(GO) test -run=NONE -bench=BenchmarkCaptureSlot/fleet -benchtime=2000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
+else ifeq ($(W),kernel)
+	$(GO) test -run=NONE -bench=BenchmarkHotPivot/slot -benchtime=3000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/lp/
 else
 	$(GO) test -run=NONE -bench=BenchmarkRefineSlot/capacity-limited -benchtime=300x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
 endif

@@ -352,6 +352,44 @@ func TestRefinePlanAllocs(t *testing.T) {
 	}
 }
 
+// TestRefactorsReachTheBooks: a sparse basis refactorized in place is
+// booked as that, from the solver's Outcome to SearchStats, the metric and
+// the engine event — not as a crashed basis. Slot 0 of the 20×100×3 capture
+// chain crashes 2 160 columns once and refactorizes every 100 of its ~2 200
+// pivots; the hot slots after it crash nothing, and the one whose pivots
+// fill the eta file says so.
+func TestRefactorsReachTheBooks(t *testing.T) {
+	base := synthInput(20, 100, 3)
+	o := NewOptimized()
+	o.Refine, o.Stats = false, &SearchStats{}
+	reg, events := obs.NewRegistry(), &obs.Collector{}
+	o.Obs = obs.NewScope(reg, events)
+	var total int64
+	for slot := 0; slot < 40; slot++ {
+		mustPlan(t, o, chainInput(base, slot, 1))
+		st := *o.Stats
+		total += st.Refactors
+		evs := events.Events()
+		if got := evs[len(evs)-1].Values["lpRefactors"]; got != float64(st.Refactors) {
+			t.Fatalf("slot %d: engine event carries lpRefactors=%v, stats say %d", slot, got, st.Refactors)
+		}
+		if slot == 0 {
+			if st.ImportPivots != 2160 || st.Refactors < st.WarmPivots/100 || st.Refactors == 0 {
+				t.Fatalf("slot 0: %+v, want one 2160-column crash and a refactorization per 100 pivots", st)
+			}
+			total = 0
+		} else if st.ImportPivots != 0 || st.WarmFallbacks != 0 {
+			t.Fatalf("slot %d: %+v, want a hot slot that crashes nothing", slot, st)
+		}
+	}
+	if total == 0 {
+		t.Fatal("39 hot slots never filled the eta file: fixture drifted")
+	}
+	if got := reg.Counter("core_lp_refactors_total").Value(); got < total {
+		t.Fatalf("core_lp_refactors_total = %d, the hot slots alone refactorized %d times", got, total)
+	}
+}
+
 // TestImportPivotsReachTheBooks: the crash work of a slot's seeded solves
 // arrives in SearchStats, the metrics and the engine event — every
 // imported solve crashes a full basis, so the count dwarfs WarmPivots —

@@ -48,6 +48,12 @@ type SearchStats struct {
 	// set or a toggled floor — and so was rebuilt and re-imported: why a
 	// slot with the usual pivots still ran slow. Zero when WarmStart is off.
 	ModelRebuilds int64
+	// Refactors counts the times a sparse kernel rebuilt its basis factors
+	// in place during the call's solves (lp.Outcome.Refactors): a full eta
+	// file or a hot chain at its drift bound, each a basis' worth of
+	// eliminated columns in a slot that crashed nothing. Zero when
+	// WarmStart is off.
+	Refactors int64
 }
 
 // subsetCache memoizes dispatch-LP solves within a single planning

@@ -52,6 +52,7 @@ type engine struct {
 	abandonedPivots atomic.Int64 // pivots burned on abandoned warm attempts
 	importPivots    atomic.Int64 // basis-crash pivots, outside the three above
 	modelRebuilds   atomic.Int64 // capture solves whose held LP changed shape
+	refactors       atomic.Int64 // in-place refactorizations of a sparse basis
 	stats           *SearchStats
 	// sc streams the engine's solver counters to the observability
 	// layer when the owning planner carries a scope; the Input's slot and
@@ -207,6 +208,7 @@ func (e *engine) solveLP(comms []commodity, floors []float64, seed *lp.Basis) (*
 	e.coldPivots.Add(int64(out.ColdPivots))
 	e.abandonedPivots.Add(int64(out.AbandonedPivots))
 	e.importPivots.Add(int64(out.ImportPivots))
+	e.refactors.Add(int64(out.Refactors))
 	return u, res, basis, err
 }
 
@@ -221,13 +223,14 @@ func (e *engine) close() {
 	warmPiv, coldPiv := e.warmPivots.Load(), e.coldPivots.Load()
 	sparseSolves, abandonedPiv := e.sparseSolves.Load(), e.abandonedPivots.Load()
 	importPiv, bounds, rebuilds := e.importPivots.Load(), e.bounds.Load(), e.modelRebuilds.Load()
+	refactors := e.refactors.Load()
 	if stats := e.stats; stats != nil {
 		stats.Solves, stats.CacheHits, stats.SolveErrors = solves, hits, errs
 		stats.Bounded = bounds
 		stats.WarmHits, stats.WarmFallbacks = warmHits, warmFalls
 		stats.WarmPivots, stats.ColdPivots = warmPiv, coldPiv
 		stats.SparseSolves, stats.AbandonedPivots = sparseSolves, abandonedPiv
-		stats.ImportPivots, stats.ModelRebuilds = importPiv, rebuilds
+		stats.ImportPivots, stats.ModelRebuilds, stats.Refactors = importPiv, rebuilds, refactors
 	}
 	if e.sc.Enabled() {
 		e.sc.Counter("core_lp_solves_total").Add(solves)
@@ -249,6 +252,7 @@ func (e *engine) close() {
 			e.sc.Counter("core_lp_abandoned_pivots_total").Add(abandonedPiv)
 			e.sc.Counter("core_lp_import_pivots_total").Add(importPiv)
 			e.sc.Counter("core_lp_model_rebuilds_total").Add(rebuilds)
+			e.sc.Counter("core_lp_refactors_total").Add(refactors)
 			values["lpWarmHits"] = float64(warmHits)
 			values["lpWarmFallbacks"] = float64(warmFalls)
 			values["lpWarmPivots"] = float64(warmPiv)
@@ -257,6 +261,7 @@ func (e *engine) close() {
 			values["lpAbandonedPivots"] = float64(abandonedPiv)
 			values["lpImportPivots"] = float64(importPiv)
 			values["lpModelRebuilds"] = float64(rebuilds)
+			values["lpRefactors"] = float64(refactors)
 		}
 		e.sc.Emit(obs.Event{Kind: obs.KindEngine, Slot: e.in.Slot, Planner: e.planner,
 			Values: values})

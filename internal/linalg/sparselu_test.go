@@ -44,8 +44,8 @@ func maxAbs(v []float64) float64 {
 	return m
 }
 
-// checkFactors verifies Solve and SolveT against the column set by
-// residual: B·Solve(b) ≈ b and Bᵀ·SolveT(c) ≈ c.
+// checkFactors verifies an FTRAN and a BTRAN against the column set by
+// residual: B·solve(b) ≈ b and Bᵀ·solveT(c) ≈ c.
 func checkFactors(t *testing.T, n int, cols []sparseCol, solve func(b, out []float64), solveT func(c, out []float64)) {
 	t.Helper()
 	scale := 1.0
@@ -81,6 +81,26 @@ func checkFactors(t *testing.T, n int, cols []sparseCol, solve func(b, out []flo
 	}
 }
 
+// btranOf adapts the list-taking BTRAN through f and etas (nil: none) to
+// checkFactors' dense vectors.
+func btranOf(f *SparseLU, etas *EtaFile) func(c, out []float64) {
+	return func(c, out []float64) {
+		var in, y SparseVec
+		in.Reset(len(c))
+		y.Reset(len(c))
+		for i, v := range c {
+			if v != 0 {
+				in.Set(i, v)
+			}
+		}
+		if etas != nil {
+			etas.ApplyT(&in)
+		}
+		f.SolveT(&in, &y)
+		copy(out, y.Val)
+	}
+}
+
 func factorAll(n int, cols []sparseCol, pivTol float64) *SparseLU {
 	f := NewSparseLU(n, pivTol)
 	for _, c := range cols {
@@ -112,7 +132,7 @@ func TestSparseLURandomMatrices(t *testing.T) {
 		if !f.Complete() {
 			t.Fatalf("trial %d: factorization incomplete", trial)
 		}
-		checkFactors(t, n, cols, f.Solve, f.SolveT)
+		checkFactors(t, n, cols, f.Solve, btranOf(f, nil))
 	}
 }
 
@@ -210,12 +230,7 @@ func TestEtaFileUpdates(t *testing.T) {
 			f.Solve(b, out)
 			etas.Apply(out)
 		}
-		btran := func(c, out []float64) {
-			tmp := make([]float64, n)
-			copy(tmp, c)
-			etas.ApplyT(tmp)
-			f.SolveT(tmp, out)
-		}
+		btran := btranOf(f, etas)
 		// A few random column replacements, each recorded as an eta.
 		for upd := 0; upd < 4; upd++ {
 			r := rng.Intn(n)
@@ -223,12 +238,7 @@ func TestEtaFileUpdates(t *testing.T) {
 				ind: []int{r, rng.Intn(n)},
 				val: []float64{2 + rng.Float64(), rng.NormFloat64()},
 			}
-			dense := make([]float64, n)
-			for i, row := range repl.ind {
-				dense[row] += repl.val[i]
-			}
-			w := make([]float64, n)
-			ftran(dense, w)
+			w, _ := checkSparseSolves(t, f, etas, cols, repl, r)
 			if !etas.Append(r, w, 1e-11) {
 				continue // singular replacement refused: basis unchanged
 			}
@@ -238,9 +248,95 @@ func TestEtaFileUpdates(t *testing.T) {
 	}
 }
 
+// checkSparseSolves runs the list-returning solves on factors and eta
+// file of the given basis — FTRAN of column c, checked against the dense
+// Solve, and BTRAN of the unit vector e_r, checked by residual Bᵀ·rho = e_r
+// — and requires of each: a list without duplicates, exact zeros off it,
+// every value within the residual checks' tolerance, and the factors'
+// scratch all-clear afterwards. (An unlisted entry the dense solve leaves
+// at 1e-17 is cancellation the sparse solve met as an exact zero and did
+// not follow.) It returns the FTRAN image and the BTRAN row.
+func checkSparseSolves(t *testing.T, f *SparseLU, etas *EtaFile, basis []sparseCol, c sparseCol, r int) (w, rho *SparseVec) {
+	t.Helper()
+	n := f.N()
+	listing := func(what string, got *SparseVec) {
+		t.Helper()
+		listed := make([]bool, n)
+		for _, i := range got.Ind {
+			if listed[i] {
+				t.Fatalf("%s: index %d listed twice in %v", what, i, got.Ind)
+			}
+			listed[i] = true
+		}
+		for i, v := range got.Val {
+			if !listed[i] && v != 0 {
+				t.Fatalf("%s: entry %d is %g but not listed in %v", what, i, v, got.Ind)
+			}
+		}
+		requireScratchClear(t, f)
+	}
+	dense, want := make([]float64, n), make([]float64, n)
+	for i, row := range c.ind {
+		dense[row] += c.val[i]
+	}
+	f.Solve(dense, want)
+	etas.Apply(want)
+	w, rho = new(SparseVec), new(SparseVec)
+	w.Reset(n)
+	f.SolveSparse(c.ind, c.val, w)
+	etas.ApplySparse(w)
+	listing("FTRAN", w)
+	tol := 1e-6 * (1 + maxAbs(want))
+	for i, v := range want {
+		if math.Abs(w.Val[i]-v) > tol {
+			t.Fatalf("FTRAN: entry %d is %g, dense solve says %g (tol %g)", i, w.Val[i], v, tol)
+		}
+	}
+
+	var unit SparseVec
+	unit.Reset(n)
+	rho.Reset(n)
+	unit.Set(r, 1)
+	etas.ApplyT(&unit)
+	f.SolveT(&unit, rho)
+	listing("BTRAN", rho)
+	if len(unit.Ind) != 0 || maxAbs(unit.Val) != 0 {
+		t.Fatalf("BTRAN left its right-hand side dirty: %v %v", unit.Ind, unit.Val)
+	}
+	scale := 1.0
+	for _, col := range basis {
+		scale = math.Max(scale, maxAbs(col.val))
+	}
+	tol = 1e-6 * scale * (1 + maxAbs(rho.Val))
+	for k, col := range basis {
+		want := 0.0
+		if k == r {
+			want = 1
+		}
+		if got := colDot(col, rho.Val); math.Abs(got-want) > tol {
+			t.Fatalf("BTRAN of e_%d: residual at column %d is %g, want %g (tol %g)", r, k, got, want, tol)
+		}
+	}
+	return w, rho
+}
+
+// requireScratchClear checks the invariant every entry point of f relies
+// on: the scattered work vector all zero, nothing marked visited.
+func requireScratchClear(t *testing.T, f *SparseLU) {
+	t.Helper()
+	for i := range f.x {
+		if f.x[i] != 0 || f.visited[i] {
+			t.Fatalf("scratch dirty at %d: x=%g visited=%v", i, f.x[i], f.visited[i])
+		}
+	}
+}
+
 func TestEtaFileRefusesSingularUpdate(t *testing.T) {
 	etas := NewEtaFile(2)
-	if etas.Append(0, []float64{0, 3}, 1e-11) {
+	var w SparseVec
+	w.Reset(2)
+	w.Set(1, 3)
+	if etas.Append(0, &w, 1e-11) {
 		t.Fatal("singular eta accepted")
 	}
 	if etas.Len() != 0 {
@@ -251,13 +347,18 @@ func TestEtaFileRefusesSingularUpdate(t *testing.T) {
 // FuzzSparseFactors throws hostile basis column sets — duplicate columns,
 // zero rows, near-singular bases — at the LU + eta update path. Any basis
 // the factorization accepts must solve FTRAN/BTRAN to a small residual,
-// both before and after a product-form column replacement.
+// both before and after a product-form column replacement; the
+// list-returning solves must agree with the dense ones on every column
+// offered and every unit row, list what they fill, give the same lists on
+// fresh and reused factors, and leave the scratch clear — as a rejected
+// column must.
 func FuzzSparseFactors(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 0, 10, 1, 1, 20, 2, 2, 30})             // diagonal
 	f.Add(uint8(3), []byte{0, 0, 10, 0, 0, 10, 1, 1, 5, 2, 2, 5})     // duplicate column
 	f.Add(uint8(4), []byte{0, 0, 9, 1, 1, 9, 3, 3, 9, 2, 0, 4})       // zero row 2
 	f.Add(uint8(2), []byte{0, 0, 1, 0, 1, 255, 1, 0, 254, 1, 1, 255}) // near-singular
 	f.Add(uint8(1), []byte{0, 0, 0})                                  // 1×1 zero
+	f.Add(uint8(99), []byte("00007001 12010 2100000"))                // a BTRAN entry cancels to 1e-17 dense, to an exact 0 sparse
 	f.Fuzz(func(t *testing.T, dim uint8, data []byte) {
 		n := 1 + int(dim)%12
 		var cols []sparseCol
@@ -294,6 +395,7 @@ func FuzzSparseFactors(f *testing.F) {
 			if re.AddColumn(c.ind, c.val) != ok {
 				t.Fatalf("column %v: fresh factors say %v, reused ones differ", c, ok)
 			}
+			requireScratchClear(t, lu)
 			if ok {
 				accepted = append(accepted, c)
 			}
@@ -311,7 +413,10 @@ func FuzzSparseFactors(f *testing.F) {
 		for i := range rhs {
 			rhs[i] = float64(i+1) - 0.37*float64(int(dim)%7)
 		}
-		for _, solve := range []func(*SparseLU, []float64, []float64){(*SparseLU).Solve, (*SparseLU).SolveT} {
+		for _, solve := range []func(*SparseLU, []float64, []float64){
+			(*SparseLU).Solve,
+			func(f *SparseLU, c, out []float64) { btranOf(f, nil)(c, out) },
+		} {
 			solve(lu, rhs, a)
 			solve(re, rhs, b)
 			for i := range a {
@@ -341,15 +446,12 @@ func FuzzSparseFactors(f *testing.F) {
 			lu.Solve(b, out)
 			etas.Apply(out)
 		}
-		btran := func(c, out []float64) {
-			tmp := make([]float64, n)
-			copy(tmp, c)
-			etas.ApplyT(tmp)
-			lu.SolveT(tmp, out)
-		}
+		btran := btranOf(lu, etas)
 		checkFactors(t, n, accepted, ftran, btran)
 		// One product-form replacement drawn from the rejected columns (or a
-		// unit column when none were rejected), then re-verify.
+		// unit column when none were rejected), then re-verify. Every column
+		// offered goes through the list-returning solves on the way, on the
+		// fresh factors and on the reused ones, before the update and after.
 		repl := sparseCol{ind: []int{n - 1, 0}, val: []float64{2, 1}}
 		for _, c := range cols[len(accepted):] {
 			if len(c.ind) > 0 {
@@ -357,16 +459,27 @@ func FuzzSparseFactors(f *testing.F) {
 				break
 			}
 		}
-		dense := make([]float64, n)
-		for i, r := range repl.ind {
-			dense[r] += repl.val[i]
+		sparseSolves := func() {
+			for k, c := range append(cols[:len(cols):len(cols)], repl) {
+				if len(c.ind) == 0 {
+					continue
+				}
+				w, rho := checkSparseSolves(t, lu, etas, accepted, c, k%n)
+				w2, rho2 := checkSparseSolves(t, re, etas, accepted, c, k%n)
+				if !slices.Equal(w.Ind, w2.Ind) || !slices.Equal(w.Val, w2.Val) {
+					t.Fatalf("FTRAN of %v: %v %v on fresh factors, %v %v on reused ones", c, w.Ind, w.Val, w2.Ind, w2.Val)
+				}
+				if !slices.Equal(rho.Ind, rho2.Ind) || !slices.Equal(rho.Val, rho2.Val) {
+					t.Fatalf("BTRAN of e_%d: %v %v on fresh factors, %v %v on reused ones", k%n, rho.Ind, rho.Val, rho2.Ind, rho2.Val)
+				}
+			}
 		}
-		w := make([]float64, n)
-		ftran(dense, w)
+		sparseSolves()
 		r := int(dim) % n
-		if etas.Append(r, w, 1e-6) {
+		if w, _ := checkSparseSolves(t, lu, etas, accepted, repl, r); etas.Append(r, w, 1e-6) {
 			accepted[r] = repl
 			checkFactors(t, n, accepted, ftran, btran)
+			sparseSolves()
 		}
 	})
 }

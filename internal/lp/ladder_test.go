@@ -243,7 +243,8 @@ func TestExportBasisRoundTrip(t *testing.T) {
 // TestLadderDriftBound pins the one place the kernels answer the ladder
 // differently: after maxHotUses hot re-solves on one factorization the
 // dense kernel is dropped and the seed re-imported, while the sparse one
-// refactorizes in place and stays hot.
+// refactorizes in place and stays hot — and says so in Outcome.Refactors,
+// not as a basis crashed into ImportPivots.
 func TestLadderDriftBound(t *testing.T) {
 	for _, kn := range ladderKernels {
 		t.Run(kn.name, func(t *testing.T) {
@@ -262,8 +263,16 @@ func TestLadderDriftBound(t *testing.T) {
 				if i == 0 || (!kn.sparse && i == maxHotUses+1) {
 					want = "import"
 				}
-				if out := s.LastOutcome(); out.Path != want || out.FellBack || out.AbandonedPivots != 0 {
+				out := s.LastOutcome()
+				if out.Path != want || out.FellBack || out.AbandonedPivots != 0 {
 					t.Fatalf("solve %d: outcome %+v, want %s", i, out, want)
+				}
+				refactors := 0
+				if kn.sparse && i == maxHotUses+1 {
+					refactors = 1
+				}
+				if out.Refactors != refactors || (want == "hot" && out.ImportPivots != 0) {
+					t.Fatalf("solve %d: outcome %+v, want %d refactorizations and a hot solve to crash nothing", i, out, refactors)
 				}
 				requireMatchesCold(t, m, res)
 			}

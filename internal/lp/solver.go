@@ -137,9 +137,14 @@ type Outcome struct {
 	// ImportPivots counts the work of crashing a basis, which none of the
 	// three above includes: the dense kernel's full-tableau pivots that
 	// bring the seed's members (then slacks) into the basis, the sparse
-	// kernel's columns eliminated into its LU factors, by the crash and by
-	// any refactorization since. An abandoned attempt's are counted too.
+	// kernel's columns eliminated into its LU factors by the crash. An
+	// abandoned attempt's are counted too; a hot re-solve's is 0.
 	ImportPivots int
+	// Refactors counts the times the sparse kernel rebuilt its factors from
+	// the basis in place during this solve — a full eta file, or a hot
+	// re-solve at the drift bound — each a basis' worth of eliminated
+	// columns on a path that otherwise reads as hot.
+	Refactors int
 }
 
 // SolverStats accumulates per-path counters across the life of a Solver.
@@ -155,6 +160,7 @@ type SolverStats struct {
 	// work done and thrown away, invisible to WarmPivots/ColdPivots.
 	AbandonedPivots int64
 	ImportPivots    int64 // basis-crash pivots, outside the three pivot counts above
+	Refactors       int64 // in-place refactorizations of the sparse kernel's basis
 }
 
 // Solver runs successive LP solves while retaining every kernel's
@@ -201,9 +207,9 @@ type kernel interface {
 	extract() []float64
 	duals() []float64
 	pivots() int
-	// crashPivots is the work importBasis (and a sparse refactorization)
-	// did, which pivots leaves out.
-	crashPivots() int
+	// crashWork is what pivots leaves out: the pivots importBasis spent and
+	// how many times the kernel has refactorized since it was armed.
+	crashWork() (crashed, refactors int)
 	// exportBasis names the final basis; false when it is not
 	// representable (an artificial still basic on the cold tableau).
 	exportBasis() (*Basis, bool)
@@ -382,10 +388,14 @@ func (s *Solver) attempt(k kernel, armed bool, tol float64) *Result {
 	return nil
 }
 
-// bookCrash books an attempt's basis-crash work, accepted or abandoned.
+// bookCrash books an attempt's basis-crash and refactorization work,
+// accepted or abandoned.
 func (s *Solver) bookCrash(k kernel) {
-	s.out.ImportPivots += k.crashPivots()
-	s.stats.ImportPivots += int64(k.crashPivots())
+	crashed, refactors := k.crashWork()
+	s.out.ImportPivots += crashed
+	s.stats.ImportPivots += int64(crashed)
+	s.out.Refactors += refactors
+	s.stats.Refactors += int64(refactors)
 }
 
 // answered records which warm path produced the result.
@@ -523,7 +533,7 @@ func (t *tableau) model() *Model { return t.m }
 
 func (t *tableau) pivots() int { return t.iters }
 
-func (t *tableau) crashPivots() int { return t.crashed }
+func (t *tableau) crashWork() (crashed, refactors int) { return t.crashed, 0 }
 
 func (t *tableau) priceIn() { t.setPhase2Z() }
 

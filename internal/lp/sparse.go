@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 
 	"profitlb/internal/linalg"
 )
@@ -37,11 +38,16 @@ func (o Options) sparseEligible(m *Model) bool {
 
 // sparseSolve is the revised-simplex working state: the constraint matrix
 // in compressed sparse-column form (structural columns then one slack or
-// surplus column per inequality row, rows unflipped), an LU-factorized
-// basis with a product-form eta file on top, and the basic solution xB
-// indexed by basis position. Unlike the dense tableau no quadratic state
-// exists: every iteration works through FTRAN/BTRAN solves against the
-// factors plus one sweep over the sparse columns for pricing.
+// surplus column per inequality row, rows unflipped) and once more by row,
+// an LU-factorized basis with a product-form eta file on top, the basic
+// solution xB indexed by basis position and the reduced costs d of the
+// non-basic columns. No quadratic state exists, and a pivot costs the
+// non-zeros it touches: the entering column's FTRAN image and the leaving
+// row of B⁻¹ come back from the factors with their non-zero lists, the
+// pivot row is gathered from that row's few matrix rows, and the ratio
+// tests, the xB, reduced-cost and objective updates and the eta append walk
+// those lists. What is still dense is per solve, not per pivot: computeXB
+// and reprice.
 type sparseSolve struct {
 	m    *Model
 	opts Options
@@ -50,40 +56,58 @@ type sparseSolve struct {
 	rows  int
 	ncols int // structural + slack/surplus
 
-	// CSC storage of the full column set.
-	ptr []int
-	ind []int
-	val []float64
+	// CSC storage of the full column set, and the same entries by row.
+	ptr, rptr []int
+	ind, rind []int
+	val, rval []float64
 
 	rowSlack []int // row -> slack column, -1 for EQ rows
 	slackRow []int // slack column - n -> row
 
 	obj []float64 // internal maximization costs per column (dir·c, slacks 0)
+	// d[j] = obj[j] − a_jᵀy is column j's reduced cost, exactly 0 while j
+	// is basic. reprice computes d and the multipliers y from scratch; a
+	// pivot updates d from its pivot row and leaves y behind. optimal says
+	// that reprice found no d above the tolerance and no pivot has been made
+	// since: the one state optimality is declared in. Costs and d outlive
+	// the solve: the next slot's dual repair runs under them.
+	d       []float64
+	optimal bool
+	objv    float64 // objective change carried across a phase's pivots, for the stall test
 
 	basis   []int // basis position -> column
 	inBasis []int // column -> basis position, -1 when nonbasic
 	xB      []float64
 
-	iters   int
-	crashed int // columns eliminated into lu, outside iters
-	cursor  int // partial-pricing scan position
-
-	// scratch
-	wrk, w, rho, y, tmp, bvec []float64
+	iters     int
+	crashed   int // columns importBasis eliminated into lu, outside iters
+	refactors int // refactorizations since rearm or import
+	cursor    int // partial-pricing scan position
+	walked    walked
 
 	sparseArena
 }
 
+// walked sums, over a solve's pivots, the lengths of the three lists a
+// pivot walks — the FTRAN image, the row of B⁻¹ and the pivot row. Only
+// TestHotPivotWorkIsSparse reads it.
+type walked struct{ image, rho, row int }
+
 // sparseArena is the part of a sparseSolve that outlives a solve: the two
-// slabs every array above is cut from, the factors and eta file (each
-// recycling its own storage) and the seed-resolution scratch. A Solver
-// keeps one kernel and newSparseSolveIn rebuilds it in place.
+// slabs every array above is cut from, the factors, eta file and work
+// vectors (each recycling its own storage) and the seed-resolution scratch.
+// A Solver keeps one kernel and newSparseSolveIn rebuilds it in place.
 type sparseArena struct {
 	ints   []int
 	floats []float64
 	lu     linalg.SparseLU
 	etas   linalg.EtaFile
 	seed   []int
+	// w is the entering column's FTRAN image (by basis position), unit a
+	// BTRAN's right-hand side (e_r, or c_B), rho the row of B⁻¹ and y the
+	// multipliers those yield (by row) and alpha the pivot row rhoᵀA (by
+	// column).
+	w, unit, rho, y, alpha linalg.SparseVec
 }
 
 // carve cuts the next n entries off slab.
@@ -93,9 +117,9 @@ func carve[T any](slab *[]T, n int) []T {
 	return out
 }
 
-// newSparseSolveIn builds the CSC representation and scratch state for m
-// in ss's arena (a fresh kernel when ss is nil). The basis is established
-// later by importBasis.
+// newSparseSolveIn builds the CSC and CSR representations and scratch state
+// for m in ss's arena (a fresh kernel when ss is nil). The basis is
+// established later by importBasis.
 func newSparseSolveIn(m *Model, opts Options, ss *sparseSolve) *sparseSolve {
 	if ss == nil {
 		ss = new(sparseSolve)
@@ -115,16 +139,18 @@ func newSparseSolveIn(m *Model, opts Options, ss *sparseSolve) *sparseSolve {
 		nnz += len(m.rows[i].terms)
 	}
 	ss.ncols = n + slacks
-	// ints: ptr, ind, rowSlack, slackRow, count, basis, inBasis; floats:
-	// val, obj, xB and the six scratch vectors — every carve below.
-	ss.ints = zeroed(ss.ints, 3*ss.ncols+1+nnz+2*rows+slacks)
-	ss.floats = zeroed(ss.floats, nnz+ss.ncols+7*rows)
+	// ints: ptr, rptr, ind, rind, rowSlack, slackRow, count, basis, inBasis;
+	// floats: val, rval, obj, d, xB — every carve below.
+	ss.ints = zeroed(ss.ints, 3*ss.ncols+2+2*nnz+3*rows+slacks)
+	ss.floats = zeroed(ss.floats, 2*nnz+2*ss.ncols+rows)
 	ints, floats := ss.ints, ss.floats
 	ss.ptr, ss.ind, ss.val = carve(&ints, ss.ncols+1), carve(&ints, nnz), carve(&floats, nnz)
+	ss.rptr, ss.rind, ss.rval = carve(&ints, rows+1), carve(&ints, nnz), carve(&floats, nnz)
 	ss.rowSlack, ss.slackRow = carve(&ints, rows), carve(&ints, slacks)
 
-	// Column counting pass, then fill. Duplicate terms are kept as-is:
-	// every consumer (LU, pricing, FTRAN scatter) accumulates.
+	// Column counting pass, then fill; the rows arrive row by row, so the
+	// CSR copy fills in the same walk. Duplicate terms are kept as-is: every
+	// consumer (LU, pricing, FTRAN scatter, pivot row) accumulates.
 	count := carve(&ints, ss.ncols)
 	for i := range m.rows {
 		for _, t := range m.rows[i].terms {
@@ -145,47 +171,43 @@ func newSparseSolveIn(m *Model, opts Options, ss *sparseSolve) *sparseSolve {
 		ss.ptr[j+1] = ss.ptr[j] + count[j]
 		count[j] = ss.ptr[j]
 	}
+	at := 0
+	put := func(i, c int, v float64) {
+		ss.ind[count[c]], ss.val[count[c]] = i, v
+		count[c]++
+		ss.rind[at], ss.rval[at] = c, v
+		at++
+	}
 	for i := range m.rows {
 		for _, t := range m.rows[i].terms {
-			p := count[t.Var]
-			ss.ind[p], ss.val[p] = i, t.Coef
-			count[t.Var] = p + 1
+			put(i, t.Var, t.Coef)
 		}
 		if c := ss.rowSlack[i]; c >= 0 {
-			p := count[c]
 			v := 1.0
 			if m.rows[i].sense == GE {
 				v = -1.0
 			}
-			ss.ind[p], ss.val[p] = i, v
-			count[c] = p + 1
+			put(i, c, v)
 		}
+		ss.rptr[i+1] = at
 	}
 
-	ss.obj = carve(&floats, ss.ncols)
+	ss.obj, ss.d = carve(&floats, ss.ncols), carve(&floats, ss.ncols)
 	ss.basis = carve(&ints, rows)[:0]
 	ss.inBasis = carve(&ints, ss.ncols)
 	for j := range ss.inBasis {
 		ss.inBasis[j] = -1
 	}
-	ss.xB, ss.wrk, ss.w = carve(&floats, rows), carve(&floats, rows), carve(&floats, rows)
-	ss.rho, ss.y, ss.tmp = carve(&floats, rows), carve(&floats, rows), carve(&floats, rows)
-	ss.bvec = carve(&floats, rows)
+	ss.xB = carve(&floats, rows)
+	for _, v := range []*linalg.SparseVec{&ss.w, &ss.unit, &ss.rho, &ss.y} {
+		v.Reset(rows)
+	}
+	ss.alpha.Reset(ss.ncols)
 	return ss
 }
 
 func (ss *sparseSolve) col(j int) ([]int, []float64) {
 	return ss.ind[ss.ptr[j]:ss.ptr[j+1]], ss.val[ss.ptr[j]:ss.ptr[j+1]]
-}
-
-// colDot returns Σ a_ij · v[i] over column j's entries (v row-indexed).
-func (ss *sparseSolve) colDot(j int, v []float64) float64 {
-	ci, cv := ss.col(j)
-	var s float64
-	for t, r := range ci {
-		s += cv[t] * v[r]
-	}
-	return s
 }
 
 func (ss *sparseSolve) dir() float64 {
@@ -195,7 +217,8 @@ func (ss *sparseSolve) dir() float64 {
 	return 1
 }
 
-// priceIn loads the internal maximization costs from the current model.
+// priceIn loads the internal maximization costs from the current model and
+// prices every column under them.
 func (ss *sparseSolve) priceIn() {
 	d := ss.dir()
 	for v := 0; v < ss.n; v++ {
@@ -204,6 +227,42 @@ func (ss *sparseSolve) priceIn() {
 	for v := ss.n; v < ss.ncols; v++ {
 		ss.obj[v] = 0
 	}
+	ss.reprice()
+}
+
+// reprice computes the simplex multipliers y = Bᵀ⁻¹·c_B and every
+// non-basic reduced cost from scratch under the costs in place: a BTRAN
+// from the basic columns that carry a cost, then one pass over the matrix
+// by column (y is short enough to stay in cache, so this beats following
+// y's non-zeros along the rows even when they are few). Run once per cost
+// change, per refactorization and before optimality is declared, never per
+// pivot.
+func (ss *sparseSolve) reprice() {
+	ss.y.Clear()
+	for i, c := range ss.basis {
+		if v := ss.obj[c]; v != 0 {
+			ss.unit.Set(i, v)
+		}
+	}
+	ss.etas.ApplyT(&ss.unit)
+	ss.lu.SolveT(&ss.unit, &ss.y)
+	// The columns are walked off ptr directly (at two or three entries a
+	// column, slice headers would cost more than the products), and optimal
+	// is price's own test, so a pricing sweep of these d would agree with it.
+	y, at, tol := ss.y.Val, 0, ss.opts.Tol
+	ss.optimal = true
+	for j, end := range ss.ptr[1:] {
+		var s float64
+		if ss.inBasis[j] < 0 {
+			for p := at; p < end; p++ {
+				s += ss.val[p] * y[ss.ind[p]]
+			}
+			if s = ss.obj[j] - s; s > tol {
+				ss.optimal = false
+			}
+		}
+		ss.d[j], at = s, end
+	}
 }
 
 // importBasis assembles the starting basis and its basic solution: seed
@@ -211,8 +270,9 @@ func (ss *sparseSolve) priceIn() {
 // exactly like the dense import), then slack columns until every row is
 // covered — with no seed at all, the all-slack basis. It fails — sending
 // the caller to the cold path — when no complete basis emerges (e.g. an
-// EQ row no seed column covers). The costs of a fresh kernel are zero,
-// which is the trivially dual-feasible row the repair phase needs.
+// EQ row no seed column covers). The costs of a fresh kernel are zero, and
+// so are its multipliers and reduced costs: the trivially dual-feasible
+// row the repair phase needs.
 func (ss *sparseSolve) importBasis(seed *Basis) bool {
 	ss.lu.Reset(ss.rows, importPivTol)
 	ss.basis = ss.basis[:0]
@@ -231,6 +291,7 @@ func (ss *sparseSolve) importBasis(seed *Basis) bool {
 			ss.basis = append(ss.basis, c)
 		}
 	}
+	ss.crashed = len(ss.basis)
 	if !ss.lu.Complete() {
 		return false
 	}
@@ -249,18 +310,16 @@ func (ss *sparseSolve) importBasis(seed *Basis) bool {
 // false means it depends on those already accepted.
 func (ss *sparseSolve) eliminate(c int) bool {
 	ci, cv := ss.col(c)
-	if !ss.lu.AddColumn(ci, cv) {
-		return false
-	}
-	ss.crashed++
-	return true
+	return ss.lu.AddColumn(ci, cv)
 }
 
 // refactorize rebuilds the LU factors in place from the current basis
-// columns, drops the eta file and recomputes xB from the model rhs. False
-// means the basis went numerically singular — the caller abandons to
-// cold, so nothing reads the half-built factors.
+// columns, drops the eta file, and recomputes xB from the model rhs and
+// the reduced costs from the costs in place, shedding what the updates
+// accumulated. False means the basis went numerically singular — the
+// caller abandons to cold, so nothing reads the half-built factors.
 func (ss *sparseSolve) refactorize() bool {
+	ss.refactors++
 	ss.lu.Reset(ss.rows, 0)
 	for _, c := range ss.basis {
 		if !ss.eliminate(c) {
@@ -269,6 +328,7 @@ func (ss *sparseSolve) refactorize() bool {
 	}
 	ss.etas.Reset()
 	ss.computeXB()
+	ss.reprice()
 	return true
 }
 
@@ -276,73 +336,106 @@ func (ss *sparseSolve) refactorize() bool {
 // an FTRAN through the factors — the sparse hot path's whole trick.
 func (ss *sparseSolve) computeXB() {
 	for i := range ss.m.rows {
-		ss.bvec[i] = ss.m.rows[i].rhs
+		ss.xB[i] = ss.m.rows[i].rhs
 	}
-	ss.lu.Solve(ss.bvec, ss.xB)
+	ss.lu.Solve(ss.xB, ss.xB)
 	ss.etas.Apply(ss.xB)
 }
 
-// ftranCol computes w = B⁻¹·a_j into ss.w.
-func (ss *sparseSolve) ftranCol(j int) []float64 {
+// ftranCol computes ss.w = B⁻¹·a_j, listed in ascending position order: the
+// order a scan over all rows met the non-zeros in, so the ratio test's
+// tolerance ties and the eta's entries do not depend on the order the
+// factors' DFS found them.
+func (ss *sparseSolve) ftranCol(j int) *linalg.SparseVec {
 	ci, cv := ss.col(j)
-	for t, r := range ci {
-		ss.wrk[r] += cv[t]
-	}
-	ss.lu.Solve(ss.wrk, ss.w)
-	for _, r := range ci {
-		ss.wrk[r] = 0
-	}
-	ss.etas.Apply(ss.w)
-	return ss.w
+	ss.w.Clear()
+	ss.lu.SolveSparse(ci, cv, &ss.w)
+	ss.etas.ApplySparse(&ss.w)
+	slices.Sort(ss.w.Ind)
+	return &ss.w
 }
 
 // btranUnit computes ss.rho = row r of B⁻¹ (i.e. Bᵀ·rho = e_r).
-func (ss *sparseSolve) btranUnit(r int) []float64 {
-	for i := range ss.tmp {
-		ss.tmp[i] = 0
-	}
-	ss.tmp[r] = 1
-	ss.etas.ApplyT(ss.tmp)
-	ss.lu.SolveT(ss.tmp, ss.rho)
-	return ss.rho
+func (ss *sparseSolve) btranUnit(r int) {
+	ss.rho.Clear()
+	ss.unit.Set(r, 1)
+	ss.etas.ApplyT(&ss.unit)
+	ss.lu.SolveT(&ss.unit, &ss.rho)
 }
 
-// btranCosts computes ss.y = Bᵀ⁻¹·c_B, the simplex multipliers for the
-// current internal cost row.
-func (ss *sparseSolve) btranCosts() []float64 {
-	for i, c := range ss.basis {
-		ss.tmp[i] = ss.obj[c]
+// pivotRow gathers ss.alpha = rhoᵀ·A, the pivot row of the position
+// btranUnit was last asked for, from rho's non-zero rows of the matrix,
+// basic columns included.
+func (ss *sparseSolve) pivotRow() *linalg.SparseVec {
+	ss.alpha.Clear()
+	for _, i := range ss.rho.Ind {
+		ri := ss.rho.Val[i]
+		for p := ss.rptr[i]; p < ss.rptr[i+1]; p++ {
+			ss.alpha.Add(ss.rind[p], ri*ss.rval[p])
+		}
 	}
-	ss.etas.ApplyT(ss.tmp)
-	ss.lu.SolveT(ss.tmp, ss.y)
-	return ss.y
+	return &ss.alpha
 }
 
-// objValue returns the current (maximized) objective c_B·xB.
-func (ss *sparseSolve) objValue() float64 {
-	var s float64
-	for i, c := range ss.basis {
-		s += ss.obj[c] * ss.xB[i]
+// pivot swaps column enter into basis position leave, given enter's FTRAN
+// image in ss.w and row leave of B⁻¹ in ss.rho: it steps xB and the carried
+// objective along the image and the reduced costs along the pivot row —
+// d ← d − step·rhoᵀ·A, taken straight off rho's rows of the matrix, and not
+// at all when the entering reduced cost is zero, as all are after a crash —
+// appends the eta and refactorizes when the file is full. False means the
+// product-form update would be singular or the refactorization failed
+// (breakdown — abandon to cold).
+func (ss *sparseSolve) pivot(leave, enter int) bool {
+	w, piv := &ss.w, ss.w.Val[leave]
+	theta := ss.xB[leave] / piv
+	for _, i := range w.Ind {
+		ss.xB[i] -= theta * w.Val[i]
 	}
-	return s
-}
-
-// replace swaps the basis column at position pos for column enter, with w
-// the entering column's FTRAN image. False means the product-form update
-// would be singular (breakdown — abandon to cold).
-func (ss *sparseSolve) replace(pos, enter int, w []float64) bool {
-	if !ss.etas.Append(pos, w, ss.opts.Tol) {
+	ss.xB[leave] = theta
+	ss.objv += theta * ss.d[enter]
+	if step := ss.d[enter] / piv; step != 0 {
+		for _, i := range ss.rho.Ind {
+			si := step * ss.rho.Val[i]
+			for p := ss.rptr[i]; p < ss.rptr[i+1]; p++ {
+				if j := ss.rind[p]; ss.inBasis[j] < 0 {
+					ss.d[j] -= si * ss.rval[p]
+				}
+			}
+			ss.walked.row += ss.rptr[i+1] - ss.rptr[i]
+		}
+		ss.d[ss.basis[leave]] = -step
+	}
+	ss.d[enter] = 0
+	ss.optimal = false
+	if !ss.etas.Append(leave, w, ss.opts.Tol) {
 		return false
 	}
-	ss.inBasis[ss.basis[pos]] = -1
-	ss.basis[pos] = enter
-	ss.inBasis[enter] = pos
-	return true
+	ss.inBasis[ss.basis[leave]] = -1
+	ss.basis[leave] = enter
+	ss.inBasis[enter] = leave
+	ss.iters++
+	ss.walked.image += len(w.Ind)
+	ss.walked.rho += len(ss.rho.Ind)
+	return ss.etas.Len() < sparseRefactorEvery || ss.refactorize()
+}
+
+// stalled is the anti-cycling progress test both phases share: sign is +1
+// where the objective must rise (primal), -1 where it must fall (dual).
+// It reports whether the pivot just made leaves the phase past
+// sparseStallLimit pivots without progress.
+func (ss *sparseSolve) stalled(sign float64, last *float64, stall *int) bool {
+	if sign*(ss.objv-*last) >= ss.opts.Tol {
+		*stall, *last = 0, ss.objv
+		return false
+	}
+	*stall++
+	return *stall > sparseStallLimit
 }
 
 // dualIterate runs the revised dual simplex under the current cost row,
 // which must be dual feasible: it drives negative basic values out —
-// the repair needed after an rhs refresh or a basis crash. Bland's
+// the repair needed after an rhs refresh or a basis crash. The ratio test
+// reads the pivot row's non-zeros and the reduced costs in place. Bland's
 // smallest-index rule engages after stalling so degenerate rhs
 // perturbations cannot cycle. Returns Optimal, Infeasible (certificate,
 // re-confirmed cold by the caller) or IterationLimit (budget or
@@ -351,6 +444,7 @@ func (ss *sparseSolve) dualIterate() Status {
 	tol := ss.opts.Tol
 	bland := ss.opts.Bland
 	stall := 0
+	ss.objv = 0
 	lastObj := math.Inf(1)
 	for {
 		if ss.iters >= ss.opts.MaxIterations {
@@ -375,98 +469,75 @@ func (ss *sparseSolve) dualIterate() Status {
 		if leave < 0 {
 			return Optimal
 		}
-		rho := ss.btranUnit(leave)
-		y := ss.btranCosts()
+		ss.btranUnit(leave)
+		alpha := ss.pivotRow()
+		// ratio is column j's dual ratio, +Inf where j may not enter.
+		ratio := func(j int) float64 {
+			a := alpha.Val[j]
+			if ss.inBasis[j] >= 0 || a >= -tol {
+				return math.Inf(1)
+			}
+			return max(-ss.d[j], 0) / -a // −d ≥ −tol by dual feasibility
+		}
+		// The smallest ratio enters, the smallest column among equals — what
+		// an ascending scan of all columns for a strict minimum returns.
 		enter, bestRatio := -1, math.Inf(1)
-		for j := 0; j < ss.ncols; j++ {
-			if ss.inBasis[j] >= 0 {
-				continue
-			}
-			alpha := ss.colDot(j, rho)
-			if alpha >= -tol {
-				continue
-			}
-			z := ss.colDot(j, y) - ss.obj[j] // ≥ -tol by dual feasibility
-			if z < 0 {
-				z = 0
-			}
-			if ratio := z / -alpha; ratio < bestRatio {
-				enter, bestRatio = j, ratio
+		for _, j := range alpha.Ind {
+			if r := ratio(j); r < bestRatio || (r == bestRatio && j < enter) {
+				enter, bestRatio = j, r
 			}
 		}
 		if enter >= 0 && bland {
 			// Smallest-index tie-break among the ratio minimizers.
 			edge := bestRatio + tol*(1+math.Abs(bestRatio))
-			for j := 0; j < enter; j++ {
-				if ss.inBasis[j] >= 0 {
-					continue
-				}
-				alpha := ss.colDot(j, rho)
-				if alpha >= -tol {
-					continue
-				}
-				z := ss.colDot(j, y) - ss.obj[j]
-				if z < 0 {
-					z = 0
-				}
-				if z/-alpha <= edge {
+			for _, j := range alpha.Ind {
+				if j < enter && ratio(j) <= edge {
 					enter = j
-					break
 				}
 			}
 		}
 		if enter < 0 {
 			return Infeasible
 		}
-		w := ss.ftranCol(enter)
-		piv := w[leave]
-		if math.Abs(piv) <= tol {
+		if math.Abs(ss.ftranCol(enter).Val[leave]) <= tol {
 			return IterationLimit // FTRAN disagrees with pricing: breakdown
 		}
-		theta := ss.xB[leave] / piv
-		for i := range ss.xB {
-			ss.xB[i] -= theta * w[i]
-		}
-		ss.xB[leave] = theta
-		if !ss.replace(leave, enter, w) {
+		if !ss.pivot(leave, enter) {
 			return IterationLimit
 		}
-		ss.iters++
-		if ss.etas.Len() >= sparseRefactorEvery && !ss.refactorize() {
-			return IterationLimit
-		}
-		obj := ss.objValue()
-		if obj <= lastObj-tol {
-			stall = 0
-			lastObj = obj
-		} else {
-			stall++
-			if stall > sparseStallLimit {
-				bland = true
-			}
+		if ss.stalled(-1, &lastObj, &stall) {
+			bland = true
 		}
 	}
 }
 
 // primalIterate runs the revised primal simplex with partial pricing
-// over the sparse columns, switching to Bland's rule after stalling.
+// over the reduced costs in place, switching to Bland's rule after
+// stalling. Optimal is declared only on freshly computed reduced costs:
+// when the updated ones show no violator they are recomputed, and either
+// that pass saw none above the tolerance or pricing goes on.
 func (ss *sparseSolve) primalIterate() Status {
 	tol := ss.opts.Tol
 	bland := ss.opts.Bland
 	stall := 0
+	ss.objv = 0
 	lastObj := math.Inf(-1)
 	for {
 		if ss.iters >= ss.opts.MaxIterations {
 			return IterationLimit
 		}
-		y := ss.btranCosts()
-		enter := ss.price(y, bland, tol)
-		if enter < 0 {
+		if ss.optimal {
 			return Optimal
+		}
+		enter := ss.price(bland, tol)
+		if enter < 0 {
+			ss.reprice()
+			continue
 		}
 		w := ss.ftranCol(enter)
 		leave, bestRatio := -1, math.Inf(1)
-		for i, wi := range w {
+		for _, i := range w.Ind {
+			wi := w.Val[i]
 			if wi <= tol {
 				continue
 			}
@@ -482,7 +553,7 @@ func (ss *sparseSolve) primalIterate() Status {
 					if ss.basis[i] < ss.basis[leave] {
 						leave, bestRatio = i, ratio
 					}
-				} else if wi > w[leave] {
+				} else if wi > w.Val[leave] {
 					leave, bestRatio = i, ratio
 				}
 			}
@@ -490,44 +561,26 @@ func (ss *sparseSolve) primalIterate() Status {
 		if leave < 0 {
 			return Unbounded
 		}
-		piv := w[leave]
-		theta := ss.xB[leave] / piv
-		for i := range ss.xB {
-			ss.xB[i] -= theta * w[i]
-		}
-		ss.xB[leave] = theta
-		if !ss.replace(leave, enter, w) {
+		ss.btranUnit(leave)
+		if !ss.pivot(leave, enter) {
 			return IterationLimit
 		}
-		ss.iters++
-		if ss.etas.Len() >= sparseRefactorEvery && !ss.refactorize() {
-			return IterationLimit
-		}
-		obj := ss.objValue()
-		if obj >= lastObj+tol {
-			stall = 0
-			lastObj = obj
-		} else {
-			stall++
-			if stall > sparseStallLimit {
-				bland = true
-			}
+		if ss.stalled(1, &lastObj, &stall) {
+			bland = true
 		}
 	}
 }
 
-// price returns the entering column, or -1 at optimality. The default
-// mode is partial (cyclic block) pricing: scan blocks of columns from a
-// persistent cursor and take the best violator in the first block that
-// has one, falling through to a full sweep before declaring optimality.
-// Bland mode scans from column 0 for the smallest violating index.
-func (ss *sparseSolve) price(y []float64, bland bool, tol float64) int {
+// price returns the entering column, or -1 when no reduced cost in place
+// exceeds tol (a basic column's is exactly 0). The default mode is partial
+// (cyclic block) pricing: scan blocks of columns from a persistent cursor
+// and take the best violator in the first block that has one, falling
+// through to a full sweep. Bland mode scans from column 0 for the smallest
+// violating index.
+func (ss *sparseSolve) price(bland bool, tol float64) int {
 	if bland {
-		for j := 0; j < ss.ncols; j++ {
-			if ss.inBasis[j] >= 0 {
-				continue
-			}
-			if ss.obj[j]-ss.colDot(j, y) > tol {
+		for j, d := range ss.d {
+			if d > tol {
 				return j
 			}
 		}
@@ -542,19 +595,16 @@ func (ss *sparseSolve) price(y []float64, bland bool, tol float64) int {
 	if j >= ss.ncols {
 		j = 0
 	}
-	for scanned := 0; scanned < ss.ncols; {
-		if ss.inBasis[j] < 0 {
-			if d := ss.obj[j] - ss.colDot(j, y); d > bestD {
-				best, bestD = j, d
+	for left := ss.ncols; left > 0 && best < 0; {
+		// One block, in the straight runs either side of the wrap.
+		for n := min(span, left); n > 0; {
+			run := ss.d[j:min(j+n, ss.ncols)]
+			for i, d := range run {
+				if d > bestD {
+					best, bestD = j+i, d
+				}
 			}
-		}
-		scanned++
-		j++
-		if j == ss.ncols {
-			j = 0
-		}
-		if best >= 0 && scanned%span == 0 {
-			break
+			n, left, j = n-len(run), left-len(run), (j+len(run))%ss.ncols
 		}
 	}
 	ss.cursor = j
@@ -577,15 +627,15 @@ func (ss *sparseSolve) extract() []float64 {
 	return x
 }
 
-// duals recovers the per-row shadow prices from the simplex multipliers
-// under the true costs: y solves Bᵀy = c_B, reported in the model's own
-// optimization direction (matching the dense marker-column recovery).
+// duals reports the per-row shadow prices: the simplex multipliers y under
+// the true costs, which the reprice that declared optimality left in
+// place, in the model's own optimization direction (matching the dense
+// marker-column recovery).
 func (ss *sparseSolve) duals() []float64 {
-	y := ss.btranCosts()
 	d := ss.dir()
 	out := make([]float64, ss.rows)
 	for i := range out {
-		out[i] = d * y[i]
+		out[i] = d * ss.y.Val[i]
 	}
 	return out
 }
@@ -594,16 +644,17 @@ func (ss *sparseSolve) model() *Model { return ss.m }
 
 func (ss *sparseSolve) pivots() int { return ss.iters }
 
-func (ss *sparseSolve) crashPivots() int { return ss.crashed }
+func (ss *sparseSolve) crashWork() (crashed, refactors int) { return ss.crashed, ss.refactors }
 
 // rearm refreshes the basic solution for the new rhs by one FTRAN through
-// the retained factors. Where the dense kernel sheds drift by being
-// dropped, a stale sparse one refactorizes in place — an O(fill)
-// operation.
+// the retained factors; costs and reduced costs stay as the last solve
+// left them. Where the dense kernel sheds drift by being dropped, a stale
+// sparse one refactorizes in place — an O(fill) operation.
 func (ss *sparseSolve) rearm(m *Model, opts Options, stale bool) bool {
 	ss.m = m
 	ss.opts = opts.withDefaults(ss.rows, ss.n)
-	ss.iters, ss.crashed = 0, 0
+	ss.iters, ss.crashed, ss.refactors = 0, 0, 0
+	ss.walked = walked{}
 	if stale {
 		return ss.refactorize() // ends in computeXB
 	}

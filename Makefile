@@ -55,8 +55,8 @@ fmt-check:
 verify: build vet fmt-check test race bench-smoke
 
 # bench times the plan search on the rob2-chaos-scale slot ({cold, warm}
-# x {1, N workers}), the dense-warm vs sparse re-solve chains on the
-# large 100-center topology, and the rolling-horizon sweep on the
+# x {level-search, optimized}), the dense-warm vs sparse re-solve chains
+# on the large 100-center topology, and the rolling-horizon sweep on the
 # Houston vibration window. The -count runs feed benchstat directly
 # (`make bench | benchstat -`), and the timing trajectories — per-row
 # times, LP solves, cache hits, pivot counts, per-horizon run latency —
@@ -75,16 +75,16 @@ bench:
 bench-lp-sparse:
 	BENCH_PLAN_JSON=BENCH_plan.json $(GO) test -count=1 -run='TestWarmStartTrajectory' -v .
 
-# bench-smoke proves the plan-search benchmarks, the memo-cache
-# contention benchmark, the dispatch-LP builder benchmark, both rows of
-# the refine slot benchmark — demand-limited, where the dual bound turns
-# every move down, and capacity-limited, where ~135 survivors are solved —
-# the capture slot benchmark and the sparse kernel's hot-pivot benchmark
-# still run (one iteration, no timing claims); wired into verify.
+# bench-smoke proves the plan-search benchmarks, the dispatch-LP builder
+# benchmark, both rows of the refine slot benchmark — demand-limited,
+# where the dual bound turns every move down, and capacity-limited, where
+# ~135 survivors are solved — the capture slot benchmark and the sparse
+# kernel's hot-pivot benchmark still run (one iteration, no timing
+# claims); wired into verify.
 bench-smoke:
 	$(GO) test -bench=BenchmarkPlanSearch -benchtime=1x -run=NONE .
 	$(GO) test -bench=BenchmarkHotPivot -benchtime=1x -run=NONE ./internal/lp/
-	$(GO) test -bench='BenchmarkSubsetCacheContention|BenchmarkBuildDispatchLP|BenchmarkRefineSlot|BenchmarkCaptureSlot' -benchtime=1x -run=NONE ./internal/core/
+	$(GO) test -bench='BenchmarkBuildDispatchLP|BenchmarkRefineSlot|BenchmarkCaptureSlot' -benchtime=1x -run=NONE ./internal/core/
 
 # profile writes a CPU and an allocation profile into the git-ignored
 # prof/ and prints the top of each, with no edit to bench/: W=refine (the

@@ -450,49 +450,25 @@ func rob2ChaosScaleInput() *core.Input {
 }
 
 // planSearchPlanners builds the two engine planners of the plan-search
-// benchmarks at one setting of the two variables that survive in the
-// engine: warm-started or cold solves, and the worker count.
-func planSearchPlanners(par int, warm bool, stats *core.SearchStats) map[string]core.Planner {
+// benchmarks at one setting of the variable that survives in the engine:
+// warm-started or cold solves.
+func planSearchPlanners(warm bool, stats *core.SearchStats) map[string]core.Planner {
 	ls := core.NewLevelSearch()
 	ls.Strategy = core.Exhaustive
-	ls.Parallelism = par
 	ls.WarmStart = warm
 	ls.Stats = stats
 	o := core.NewOptimized()
-	o.Parallelism = par
 	o.WarmStart = warm
 	o.Stats = stats
 	return map[string]core.Planner{"level-search": ls, "optimized": o}
 }
 
-// parallelSearchWorkers is the worker count of the benchmarks' N-worker
-// rows: every CPU, but at least 4 so the engine's batching (speculative
-// evaluation, subtree splitting) is exercised even on small boxes.
-func parallelSearchWorkers() int {
-	if n := runtime.NumCPU(); n > 4 {
-		return n
-	}
-	return 4
-}
-
-// planSearchModes is one row per surviving variable: {cold, warm} solves
-// x {1, N} workers. Every row runs the same engine over the same memo
-// cache; a ratio between two rows measures exactly one variable.
-func planSearchModes() []struct {
+// planSearchModes is one row per setting of that variable. Both rows run
+// the same engine over the same memo cache.
+var planSearchModes = []struct {
 	name string
-	par  int
 	warm bool
-} {
-	n := parallelSearchWorkers()
-	return []struct {
-		name string
-		par  int
-		warm bool
-	}{
-		{"cold/1w", 1, false}, {fmt.Sprintf("cold/%dw", n), n, false},
-		{"warm/1w", 1, true}, {fmt.Sprintf("warm/%dw", n), n, true},
-	}
-}
+}{{"cold", false}, {"warm", true}}
 
 // BenchmarkPlanSearch times the rob2-chaos-scale slot at every row of
 // planSearchModes. Compare with benchstat:
@@ -500,8 +476,8 @@ func planSearchModes() []struct {
 //	go test -bench BenchmarkPlanSearch -count 10 -run NONE .
 func BenchmarkPlanSearch(b *testing.B) {
 	in := rob2ChaosScaleInput()
-	for _, mode := range planSearchModes() {
-		for name, p := range planSearchPlanners(mode.par, mode.warm, nil) {
+	for _, mode := range planSearchModes {
+		for name, p := range planSearchPlanners(mode.warm, nil) {
 			p := p
 			b.Run(name+"/"+mode.name, func(b *testing.B) {
 				b.ReportAllocs()
@@ -544,10 +520,9 @@ func updateBenchJSON(t *testing.T, path, key string, section any) {
 // of planSearchModes and writes the rows — each with its own time, LP
 // solves, cache hits and pivots — to the file named by BENCH_PLAN_JSON
 // (skipped when unset; `make bench` sets it), stamped with the box's
-// CPU count and GOMAXPROCS: the N-worker rows mean little on one CPU.
-// No ratio is gated here — every row runs the same engine, so there is
-// no second path left to be faster than — but every row must reach the
-// same objective.
+// CPU count and GOMAXPROCS. No ratio is gated here — every row runs the
+// same engine, so there is no second path left to be faster than — but
+// every row must reach the same objective.
 func TestPlanSearchTrajectory(t *testing.T) {
 	out := os.Getenv("BENCH_PLAN_JSON")
 	if out == "" {
@@ -572,29 +547,25 @@ func TestPlanSearchTrajectory(t *testing.T) {
 		return time.Since(start), got
 	}
 	type row struct {
-		Planner string `json:"planner"`
-		Mode    string `json:"mode"`
-		Warm    bool   `json:"warm"`
-		// Workers is the requested knob; the engine caps execution at the
-		// CPU count, recorded as WorkersResolved.
-		Workers         int   `json:"workers"`
-		WorkersResolved int   `json:"workers_resolved"`
-		Ns              int64 `json:"ns"`
-		LPSolves        int64 `json:"lp_solves"`
-		CacheHits       int64 `json:"cache_hits"`
-		WarmHits        int64 `json:"warm_hits"`
-		WarmPivots      int64 `json:"warm_pivots"`
-		ColdPivots      int64 `json:"cold_pivots"`
+		Planner    string `json:"planner"`
+		Mode       string `json:"mode"`
+		Warm       bool   `json:"warm"`
+		Ns         int64  `json:"ns"`
+		LPSolves   int64  `json:"lp_solves"`
+		CacheHits  int64  `json:"cache_hits"`
+		WarmHits   int64  `json:"warm_hits"`
+		WarmPivots int64  `json:"warm_pivots"`
+		ColdPivots int64  `json:"cold_pivots"`
 	}
 	var rows []row
 	for _, name := range []string{"level-search", "optimized"} {
-		modes := planSearchModes()
+		modes := planSearchModes
 		planners := make([]core.Planner, len(modes))
 		stats := make([]core.SearchStats, len(modes))
 		best := make([]time.Duration, len(modes))
 		plans := make([]*core.Plan, len(modes))
 		for i, mode := range modes {
-			planners[i] = planSearchPlanners(mode.par, mode.warm, &stats[i])[name]
+			planners[i] = planSearchPlanners(mode.warm, &stats[i])[name]
 			best[i] = time.Duration(1 << 62)
 		}
 		// The rows' batches are interleaved and each keeps its minimum, so
@@ -609,18 +580,12 @@ func TestPlanSearchTrajectory(t *testing.T) {
 		for i, mode := range modes {
 			// Warm results are audited but may differ from cold at
 			// round-off level, so the cross-row check is a tolerance, not
-			// bit equality (bit-identity across worker counts within each
-			// mode is enforced by the core suites).
+			// bit equality.
 			if d := plans[i].Objective - plans[0].Objective; d > 1e-9*(1+plans[0].Objective) || -d > 1e-9*(1+plans[0].Objective) {
 				t.Fatalf("%s %s: objective %v != %s objective %v", name, mode.name, plans[i].Objective, modes[0].name, plans[0].Objective)
 			}
-			resolved := mode.par
-			if n := runtime.NumCPU(); resolved > n {
-				resolved = n
-			}
 			rows = append(rows, row{
-				Planner: name, Mode: mode.name, Warm: mode.warm,
-				Workers: mode.par, WorkersResolved: resolved, Ns: best[i].Nanoseconds(),
+				Planner: name, Mode: mode.name, Warm: mode.warm, Ns: best[i].Nanoseconds(),
 				LPSolves: stats[i].Solves, CacheHits: stats[i].CacheHits, WarmHits: stats[i].WarmHits,
 				WarmPivots: stats[i].WarmPivots, ColdPivots: stats[i].ColdPivots,
 			})

@@ -34,7 +34,6 @@ func cmdLoadtest(args []string) error {
 	faultsArg := fs.String("faults", "", "fault schedule: a JSON file of events, 'storm' for a seeded outage+spike storm, or 'flash' for a front-end-0 flash crowd")
 	feedsArg := fs.String("feeds", "", "telemetry feed layer: 'on' for defaults, or a feed-config JSON file")
 	resilient := fs.Bool("resilient", false, "wrap the planner in the resilient fallback chain")
-	applyEngine := engineFlags(fs)
 	minPlanned := fs.Float64("min-planned", 500, "lanes below this planned request count are excluded from the rate-error gate")
 	addr := fs.String("addr", "", "HTTP mode: base URL of a live gateway, or a comma-separated list of replica URLs")
 	n := fs.Int("n", 1000, "HTTP mode: requests to fire")
@@ -73,7 +72,6 @@ func cmdLoadtest(args []string) error {
 	if *resilient {
 		sc.Resilient = true
 	}
-	applyEngine(sc)
 	if err := applyFaultsFlag(sc, *faultsArg, *seed); err != nil {
 		return err
 	}

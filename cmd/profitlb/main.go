@@ -8,11 +8,9 @@
 //	profitlb prices               print the embedded electricity traces
 //	profitlb trace [-seed N]      print a workload trace (-stats for summary)
 //	profitlb bench [-servers N]   time one planner invocation per planner
-//	                              (-parallel N engages the search engine)
 //	profitlb scaffold             print an example JSON scenario
 //	profitlb simulate -config F   run a JSON scenario and print the report
 //	                              (-faults F|storm, -resilient, -seed N,
-//	                              -parallel N for the plan-search engine,
 //	                              -feeds on|F for the telemetry feed layer,
 //	                              -horizon H / -defer N,N for the rolling-
 //	                              horizon mpc planner and its backlog,
@@ -20,7 +18,7 @@
 //	profitlb chaos -config F      profit retention per planner under a
 //	                              seeded outage + price-spike storm
 //	                              (-feeds adds feed faults and routes inputs
-//	                              through the feed layer, -parallel N,
+//	                              through the feed layer,
 //	                              -metrics/-trace/-pprof observe the storm)
 //	profitlb compare -config F    run a scenario under every planner
 //	profitlb export-lp -config F  dump a slot's dispatch LP (CPLEX format)
@@ -120,13 +118,12 @@ commands:
   prices               print the embedded electricity price traces (Fig. 1)
   trace [-seed N]      print a World-Cup-like workload trace (Fig. 5 generator)
   bench [-servers N]   time one planning call per planner variant
-                       (-parallel N engages the plan-search engine)
   scaffold             print an example JSON scenario to stdout
   simulate -config F   run a JSON scenario file and print the report
                        (-faults F|storm injects failures, -resilient wraps
                        the planner in the fallback chain, -seed N seeds
-                       storms, -parallel N sets plan-search workers,
-                       -feeds on|F routes inputs through the feed layer,
+                       storms, -feeds on|F routes inputs through the feed
+                       layer,
                        -horizon H plans each slot as the first of an
                        H-slot rolling window (the mpc planner) and
                        -defer N,N,... grants per-class deferral
@@ -136,8 +133,7 @@ commands:
                        -pprof ADDR serves net/http/pprof + /metrics)
   chaos -config F      profit retention per planner under a seeded fault
                        storm (outages + price spikes), resilient chains on
-                       (-feeds adds feed faults + the feed layer,
-                       -parallel N sets plan-search workers;
+                       (-feeds adds feed faults + the feed layer;
                        -metrics/-trace/-pprof observe the storm run)
   compare -config F    run a scenario under every planner
   export-lp -config F  dump one slot's dispatch LP in CPLEX LP format
@@ -359,28 +355,12 @@ func applyMPCFlags(sc *config.Scenario, horizon int, deferArg string) error {
 	return sc.Validate()
 }
 
-// engineFlags registers the plan-search engine flag -parallel on fs and
-// returns the func that copies it onto a scenario when it was explicitly
-// given, so that `-parallel 0` can force one worker over the scenario's
-// own setting.
-func engineFlags(fs *flag.FlagSet) func(*config.Scenario) {
-	parallel := fs.Int("parallel", 0, "plan-search workers (0 or 1: one worker, -1: all CPUs); overrides the scenario's parallelism")
-	return func(sc *config.Scenario) {
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "parallel" {
-				sc.Parallelism = *parallel
-			}
-		})
-	}
-}
-
 func cmdSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	path := fs.String("config", "", "path to a scenario JSON file (see 'scaffold')")
 	faultsArg := fs.String("faults", "", "fault schedule: a JSON file of events, 'storm' for a seeded outage+spike storm, or 'flash' for a front-end-0 flash crowd")
 	seed := fs.Int64("seed", 1, "storm seed (with -faults storm)")
 	resilient := fs.Bool("resilient", false, "wrap the planner in the resilient fallback chain")
-	applyEngine := engineFlags(fs)
 	feedsArg := fs.String("feeds", "", "telemetry feed layer: 'on' for defaults, or a feed-config JSON file")
 	horizon := fs.Int("horizon", 0, "rolling-horizon window length in slots: switches the scenario to the mpc planner (overrides the scenario's mpc block)")
 	deferArg := fs.String("defer", "", "per-class deferral allowances in slots for the mpc planner, comma-separated (e.g. '0,2'); switches the scenario to the mpc planner")
@@ -403,7 +383,6 @@ func cmdSimulate(args []string) error {
 	if *resilient {
 		sc.Resilient = true
 	}
-	applyEngine(sc)
 	if err := applyFaultsFlag(sc, *faultsArg, *seed); err != nil {
 		return err
 	}
@@ -521,7 +500,6 @@ func cmdChaos(args []string) error {
 	outageSlots := fs.Int("outage-slots", 3, "slots each outage lasts")
 	spikes := fs.Int("spikes", 2, "price spikes to inject")
 	spikeFactor := fs.Float64("spike-factor", 2, "price multiplier during a spike")
-	applyEngine := engineFlags(fs)
 	feeds := fs.Bool("feeds", false, "route planner inputs through the telemetry feed layer and add feed faults to the storm")
 	metricsPath := fs.String("metrics", "", "write the storm run's metrics to this file on exit (Prometheus text; JSON when the path ends in .json)")
 	tracePath := fs.String("trace", "", "stream the storm run's planner-decision events to this file (JSON lines)")
@@ -541,7 +519,6 @@ func cmdChaos(args []string) error {
 		return err
 	}
 	defer sess.Close()
-	applyEngine(sc)
 	if err := sc.Validate(); err != nil { // resolves named price references
 		return err
 	}
@@ -571,9 +548,9 @@ func cmdChaos(args []string) error {
 		faultedCfg.Feeds = &feed.Config{}
 	}
 
-	// Every lane plans through the scenario — its engine settings with
-	// the -parallel override — under its own planner name; the
-	// storm lanes add the resilient chain and the session's scope.
+	// Every lane plans through the scenario's engine settings under its
+	// own planner name; the storm lanes add the resilient chain and the
+	// session's scope.
 	lanes := []string{"optimized", "level-search", "balanced"}
 	cleanPlanners := make([]core.Planner, len(lanes))
 	stormPlanners := make([]core.Planner, len(lanes))
@@ -741,12 +718,10 @@ func cmdTrace(args []string) error {
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	servers := fs.Int("servers", 6, "servers per data center")
-	applyEngine := engineFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	sc := &config.Scenario{}
-	applyEngine(sc)
 	var planners []core.Planner
 	for _, name := range []string{"optimized", "optimized/per-server", "level-search"} {
 		sc.Planner = name

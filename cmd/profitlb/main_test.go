@@ -333,44 +333,6 @@ func TestCmdTraceStats(t *testing.T) {
 	}
 }
 
-func TestCmdSimulateParallelMatchesSerial(t *testing.T) {
-	scaffoldOut, err := capture(t, func() error { return run([]string{"scaffold"}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/s.json"
-	if err := os.WriteFile(path, []byte(scaffoldOut), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	serial, err := capture(t, func() error { return run([]string{"simulate", "-config", path}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The engine commits bit-identical plans, so the whole report — every
-	// dollar figure on every slot — must match the serial run byte for byte.
-	for _, par := range []string{"1", "-1"} {
-		out, err := capture(t, func() error {
-			return run([]string{"simulate", "-config", path, "-parallel", par})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out != serial {
-			t.Fatalf("-parallel %s report differs from the serial report", par)
-		}
-	}
-}
-
-func TestCmdBenchParallel(t *testing.T) {
-	out, err := capture(t, func() error { return run([]string{"bench", "-servers", "2", "-parallel", "2"}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "level-search") {
-		t.Fatal("bench -parallel output missing planner")
-	}
-}
-
 // writeScaffold dumps the example scenario to a temp file, optionally
 // rewriting it first.
 func writeScaffold(t *testing.T, rewrite func(string) string) string {
@@ -389,33 +351,21 @@ func writeScaffold(t *testing.T, rewrite func(string) string) string {
 	return path
 }
 
-func TestCmdChaosParallelPrecedence(t *testing.T) {
-	// Plans are bit-identical across parallelism settings, so the chaos
-	// table must be byte-identical whether the workers come from the
-	// scenario's parallelism field, the -parallel flag, or neither — and
-	// an explicit -parallel 0 must override a scenario that asks for all
-	// CPUs (same precedence rule as simulate).
-	plain := writeScaffold(t, nil)
-	parallelScenario := writeScaffold(t, func(s string) string {
-		return strings.Replace(s, `"slots": 24`, `"slots": 24, "parallelism": -1`, 1)
+// TestRetiredEngineKnobRejected: the plan search has no worker count to
+// set, so a scenario that still carries the key is refused as any unknown
+// field is, and the flag no longer parses.
+func TestRetiredEngineKnobRejected(t *testing.T) {
+	stale := writeScaffold(t, func(s string) string {
+		return strings.Replace(s, `"slots": 24`, `"slots": 24, "parallelism": 2`, 1)
 	})
-	base, err := capture(t, func() error { return run([]string{"chaos", "-config", plain, "-seed", "3"}) })
-	if err != nil {
-		t.Fatal(err)
+	if _, err := loadScenario(stale); err == nil || !strings.Contains(err.Error(), `unknown field "parallelism"`) {
+		t.Fatalf("config.Load of a scenario with \"parallelism\": %v, want the unknown-field error", err)
 	}
-	cases := [][]string{
-		{"chaos", "-config", plain, "-seed", "3", "-parallel", "-1"},
-		{"chaos", "-config", parallelScenario, "-seed", "3"},
-		{"chaos", "-config", parallelScenario, "-seed", "3", "-parallel", "0"},
-	}
-	for _, args := range cases {
-		out, err := capture(t, func() error { return run(args) })
-		if err != nil {
-			t.Fatalf("%v: %v", args, err)
-		}
-		if out != base {
-			t.Fatalf("%v: report differs from the serial baseline", args)
-		}
+	_, err := capture(t, func() error {
+		return run([]string{"simulate", "-config", writeScaffold(t, nil), "-parallel", "2"})
+	})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -parallel") {
+		t.Fatalf("simulate -parallel 2: %v, want a flag-parsing error", err)
 	}
 }
 

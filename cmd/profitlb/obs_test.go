@@ -31,7 +31,7 @@ func TestCmdSimulateObsFiles(t *testing.T) {
 	tracePath := dir + "/trace.jsonl"
 	if _, err := capture(t, func() error {
 		return run([]string{"simulate", "-config", cfgPath, "-faults", "storm", "-seed", "42",
-			"-resilient", "-parallel", "2", "-metrics", metricsPath, "-trace", tracePath})
+			"-resilient", "-metrics", metricsPath, "-trace", tracePath})
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -25,12 +25,6 @@ var updateDeterminism = flag.Bool("update", false, "rewrite testdata/determinism
 // call's solver counters and %.17g objective with a golden file. A change that claims to move no number regenerates nothing; one
 // that moves pivots or round-off on purpose runs `go test -run
 // TestSlotChainDeterminism -update .` and says so.
-//
-// The file is compared in full at Parallelism 0. At −1 the search
-// evaluates candidates speculatively, so its solve and cache counts
-// depend on the box's CPU count; the committed plan does not, so there
-// the objectives alone are compared — on the refine-off chain, which has
-// no search, the whole line again.
 func TestSlotChainDeterminism(t *testing.T) {
 	const golden = "testdata/determinism.golden"
 	chains := []struct {
@@ -44,40 +38,33 @@ func TestSlotChainDeterminism(t *testing.T) {
 		{"refine-x3-6x10x3", 6, 10, 3, 12, 3, true},
 		{"hot-20x100x3", 20, 100, 3, 12, 1, false},
 	}
-	run := func(par int) string {
-		var out bytes.Buffer
-		for _, c := range chains {
-			sys := synthTopology(c.K, c.L, c.S)
-			var stats core.SearchStats
-			o := core.NewOptimized()
-			o.Refine, o.Parallelism, o.Stats = c.refine, par, &stats
-			chain := resilient.Wrap(o)
-			for slot := 0; slot < c.slots; slot++ {
-				in := largeTopologyInput(sys, slot)
-				for s := range in.Arrivals {
-					for k := range in.Arrivals[s] {
-						in.Arrivals[s][k] *= c.load
-					}
+	var out bytes.Buffer
+	for _, c := range chains {
+		sys := synthTopology(c.K, c.L, c.S)
+		var stats core.SearchStats
+		o := core.NewOptimized()
+		o.Refine, o.Stats = c.refine, &stats
+		chain := resilient.Wrap(o)
+		for slot := 0; slot < c.slots; slot++ {
+			in := largeTopologyInput(sys, slot)
+			for s := range in.Arrivals {
+				for k := range in.Arrivals[s] {
+					in.Arrivals[s][k] *= c.load
 				}
-				plan, err := chain.Plan(in)
-				if err != nil {
-					t.Fatalf("%s slot %d (parallelism %d): %v", c.name, slot, par, err)
-				}
-				if tier, name, _ := chain.FallbackState(); tier != 0 {
-					t.Fatalf("%s slot %d (parallelism %d): committed by tier %d (%s)", c.name, slot, par, tier, name)
-				}
-				fmt.Fprintf(&out, "%s slot=%d", c.name, slot)
-				if par == 0 || !c.refine {
-					fmt.Fprintf(&out, " solves=%d cacheHits=%d bounded=%d warmHits=%d warmFallbacks=%d warmPivots=%d coldPivots=%d abandonedPivots=%d sparseSolves=%d",
-						stats.Solves, stats.CacheHits, stats.Bounded, stats.WarmHits, stats.WarmFallbacks,
-						stats.WarmPivots, stats.ColdPivots, stats.AbandonedPivots, stats.SparseSolves)
-				}
-				fmt.Fprintf(&out, " obj=%.17g\n", plan.Objective)
 			}
+			plan, err := chain.Plan(in)
+			if err != nil {
+				t.Fatalf("%s slot %d: %v", c.name, slot, err)
+			}
+			if tier, name, _ := chain.FallbackState(); tier != 0 {
+				t.Fatalf("%s slot %d: committed by tier %d (%s)", c.name, slot, tier, name)
+			}
+			fmt.Fprintf(&out, "%s slot=%d solves=%d cacheHits=%d bounded=%d warmHits=%d warmFallbacks=%d warmPivots=%d coldPivots=%d abandonedPivots=%d sparseSolves=%d obj=%.17g\n",
+				c.name, slot, stats.Solves, stats.CacheHits, stats.Bounded, stats.WarmHits, stats.WarmFallbacks,
+				stats.WarmPivots, stats.ColdPivots, stats.AbandonedPivots, stats.SparseSolves, plan.Objective)
 		}
-		return out.String()
 	}
-	got := run(0)
+	got := out.String()
 	if *updateDeterminism {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -87,22 +74,11 @@ func TestSlotChainDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := string(data)
-	diffLines(t, "parallelism 0", got, want)
-
-	// Strip the counters from the refine chains' golden lines for −1.
-	var wantPar strings.Builder
-	for _, line := range strings.SplitAfter(want, "\n") {
-		if f := strings.Fields(line); len(f) > 0 && strings.HasPrefix(f[0], "refine") {
-			line = strings.Join([]string{f[0], f[1], f[len(f)-1]}, " ") + "\n"
-		}
-		wantPar.WriteString(line)
-	}
-	diffLines(t, "parallelism -1", run(-1), wantPar.String())
+	diffLines(t, got, string(data))
 }
 
 // diffLines reports the first few lines on which got and want differ.
-func diffLines(t *testing.T, what, got, want string) {
+func diffLines(t *testing.T, got, want string) {
 	t.Helper()
 	if got == want {
 		return
@@ -118,11 +94,11 @@ func diffLines(t *testing.T, what, got, want string) {
 			wl = w[i]
 		}
 		if gl != wl {
-			t.Errorf("%s, line %d:\n got  %s\n want %s", what, i+1, gl, wl)
+			t.Errorf("line %d:\n got  %s\n want %s", i+1, gl, wl)
 			if shown++; shown == 5 {
 				break
 			}
 		}
 	}
-	t.Fatalf("%s: solver counters or objectives moved (see -update)", what)
+	t.Fatal("solver counters or objectives moved (see -update)")
 }

@@ -55,12 +55,6 @@ type Scenario struct {
 	// simulated runs never strand deferred work. Ignored by the other
 	// planners.
 	MPC *mpc.Config `json:"mpc,omitempty"`
-	// Parallelism is the plan-search worker count of the optimized and
-	// level-search planners (ignored by the baselines): 0 and 1 both mean
-	// one worker over the subset-LP memo cache, n > 1 runs n workers,
-	// negative uses every CPU. Plans are bit-identical across all
-	// settings; see DESIGN.md §7.
-	Parallelism int `json:"parallelism,omitempty"`
 	// WarmStart overrides the warm-started simplex re-solves of the
 	// optimized and level-search planners (DESIGN.md §12). Absent keeps
 	// the planner default (on); false forces every slot LP to solve cold
@@ -285,7 +279,6 @@ func (s *Scenario) BuildPlanner() (core.Planner, error) {
 // engine overlays the scenario's engine overrides and scope onto a
 // planner's default knobs.
 func (s *Scenario) engine(e *core.EngineOptions) {
-	e.Parallelism = s.Parallelism
 	if s.WarmStart != nil {
 		e.WarmStart = *s.WarmStart
 	}

@@ -211,45 +211,6 @@ func TestResilientAloneWrapsWithoutInjector(t *testing.T) {
 	}
 }
 
-func TestParallelismRoundTripAndWiring(t *testing.T) {
-	s := Example()
-	s.Parallelism = 4
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Parallelism != 4 {
-		t.Fatalf("parallelism = %d after round trip, want 4", back.Parallelism)
-	}
-	for _, name := range []string{"", "optimized/per-server"} {
-		back.Planner = name
-		p, err := back.BuildPlanner()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o, ok := p.(*core.Optimized); !ok || o.Parallelism != 4 {
-			t.Fatalf("planner %q: %T with parallelism not applied", name, p)
-		}
-	}
-	back.Planner = "level-search"
-	p, err := back.BuildPlanner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls, ok := p.(*core.LevelSearch); !ok || ls.Parallelism != 4 {
-		t.Fatalf("level-search: %T with parallelism not applied", p)
-	}
-	// Baselines have no engine; the knob must not break them.
-	back.Planner = "balanced"
-	if _, err := back.BuildPlanner(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWarmStartRoundTripAndWiring(t *testing.T) {
 	s := Example()
 	// Absent: planner defaults apply (warm on).

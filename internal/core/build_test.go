@@ -178,7 +178,7 @@ func BenchmarkBuildDispatchLP(b *testing.B) {
 // nothing else. A name formatted per build, or a slice made per row,
 // breaks the first budget at once. A build into a dispatchLP that has
 // held an LP of the size before allocates nothing, whether it finds another
-// structure there and builds over it — a pooled solve's — or its own and
+// structure there and builds over it — the spare unit's — or its own and
 // refreshes the numbers — the capture solve's.
 func TestBuildDispatchLPAllocs(t *testing.T) {
 	if race.Enabled {
@@ -308,21 +308,16 @@ func BenchmarkCaptureSlot(b *testing.B) {
 // demand-limited slot shows what the search's bookkeeping costs when the
 // bound turns every move down: a move must be bounded before anything is
 // built for it (a trial list per move was 515 KB a Plan). The
-// capacity-limited one keeps the seeded-solve pool honest: before the
-// solvers, the trial model and its handles recycled with it, ~150 solves
-// allocated 30 341 objects and 11.5 MB. The Plans are counted on one P: a
-// sync.Pool keeps the last unit put back in a slot private to the P, so a
-// test goroutine that migrates between a Put and the next Get finds the
-// pool empty and the solve spends ~24 KB on a new unit — the scheduler's
-// doing, not the Plan's.
+// capacity-limited one keeps the seeded solves' spare unit honest: before
+// the solver, the trial model and its handles were reused with it, ~150
+// solves allocated 30 341 objects and 11.5 MB.
 func TestRefinePlanAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector moves allocations to the heap")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, fx := range refineFixtures {
 		o, in := fx.make()
-		for i := 0; i < 3; i++ { // slot 0 solves cold; then the pool's slabs settle
+		for i := 0; i < 3; i++ { // slot 0 solves cold; then the units' slabs settle
 			mustPlan(t, o, in)
 		}
 		st := *o.Stats

@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"math"
-	"sync"
-	"sync/atomic"
 )
 
 // SearchStats carries the engine's diagnostic counters from one Plan
@@ -65,69 +63,16 @@ type SearchStats struct {
 // A key holds only what varies within one Plan call: the completion
 // floors, the canonical (k,q,l sorted) commodity set and the identity of
 // the basis the solve is seeded from (0: the slot's frozen seed, and
-// every cold solve). Everything else
-// the LP reads — the Input, the variable layout, the solver options — is
-// constant for the engine that owns the cache, and the cache is created
-// per Plan call and dropped with it, so there is no cross-slot state to
-// invalidate and nothing to fingerprint. Entries are deduplicated with a
-// sync.Once per key: concurrent workers asking for the same subset block
-// on one solve and share the result.
-//
-// The entry map is sharded by a hash of the key: every speculative
-// evaluation of every worker funnels through the cache, so a single
-// map mutex serializes the whole parallel search during its lookup
-// bursts. Sharding keeps lookups for different subsets contention-free
-// while sync.Once still deduplicates work within each entry.
-type subsetCache struct {
-	shards [cacheShards]cacheShard
-	hits   atomic.Int64
-	solves atomic.Int64
-	errs   atomic.Int64
-}
-
-// cacheShards is a power of two comfortably above any worker count the
-// engine resolves, so two workers rarely collide on a shard lock.
-const cacheShards = 16
-
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-}
+// every cold solve). Everything else the LP reads — the Input, the
+// variable layout, the solver options — is constant for the engine that
+// owns the cache, and the cache is created per Plan call and dropped with
+// it, so there is no cross-slot state to invalidate and nothing to
+// fingerprint. A failed solve is an entry too: a hit replays its error.
+type subsetCache map[string]cacheEntry
 
 type cacheEntry struct {
-	once sync.Once
 	solution
 	err error
-}
-
-func newSubsetCache() *subsetCache {
-	c := &subsetCache{}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*cacheEntry)
-	}
-	return c
-}
-
-func (c *subsetCache) entry(k string) *cacheEntry {
-	sh := &c.shards[shardOf(k)]
-	sh.mu.Lock()
-	e, ok := sh.entries[k]
-	if !ok {
-		e = &cacheEntry{}
-		sh.entries[k] = e
-	}
-	sh.mu.Unlock()
-	return e
-}
-
-// shardOf hashes a cache key to its shard (FNV-1a over the raw bytes).
-func shardOf(k string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(k); i++ {
-		h ^= uint64(k[i])
-		h *= 1099511628211
-	}
-	return h & (cacheShards - 1)
 }
 
 // cacheKey serializes what distinguishes one solve of a Plan call from

@@ -118,9 +118,8 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 	// Capture solve: every strategy starts from the all-tightest
 	// (all-zeros) assignment — exhaustive enumerates it first, greedy
 	// climbs from it, branch-and-bound seeds with greedy — so evaluating
-	// it here, strictly sequentially, runs the hot chain and exports the
-	// next slot's seed basis while the result lands in the memo cache for
-	// the strategy to reuse.
+	// it here runs the hot chain and exports the next slot's seed basis
+	// while the result lands in the memo cache for the strategy to reuse.
 	if _, err := eng.prologue(func() (assignment, error) {
 		return evaluate(eng, pairs, make([]int, len(pairs)), nil)
 	}); err != nil {
@@ -201,59 +200,41 @@ func levelCommodity(in *Input, p pair, q int) commodity {
 	return commodity{k: p.k, q: q, l: p.l, utility: lev.Utility, deadline: lev.Deadline, bestCoef: bestRoute(in, p.k, p.l, lev.Utility)}
 }
 
-// exhaustive enumerates the mixed-radix level space in odometer order.
-// Batches of consecutive assignments are evaluated concurrently and
-// reduced strictly in enumeration order, so the winner — the first
-// assignment to reach the maximum — is the same at every worker count.
+// exhaustive enumerates the mixed-radix level space in odometer order;
+// the winner is the first assignment to reach the maximum.
 func exhaustive(eng *engine, pairs []pair) (assignment, error) {
 	sys := eng.in.Sys
 	levels := make([]int, len(pairs))
 	best := assignment{obj: math.Inf(-1)}
-	batch := 1
-	if eng.workers > 1 {
-		batch = 8 * eng.workers
-	}
-	done := false
-	for !done {
-		vecs := make([][]int, 0, batch)
-		for len(vecs) < batch && !done {
-			vecs = append(vecs, append([]int(nil), levels...))
-			// Odometer increment over the mixed-radix level space.
-			i := 0
-			for ; i < len(pairs); i++ {
-				levels[i]++
-				if levels[i] < sys.Classes[pairs[i].k].TUF.NumLevels() {
-					break
-				}
-				levels[i] = 0
-			}
-			if i == len(pairs) {
-				done = true
-			}
-		}
-		results, err := mapOrdered(eng.workers, len(vecs), func(i int) (assignment, error) {
-			return evaluate(eng, pairs, vecs[i], nil)
-		})
+	for {
+		a, err := evaluate(eng, pairs, levels, nil)
 		if err != nil {
 			return assignment{}, err
 		}
-		for _, a := range results {
-			if a.obj > best.obj || best.rates == nil && a.rates != nil {
-				best = a
+		if a.obj > best.obj || best.rates == nil && a.rates != nil {
+			best = a
+		}
+		// Odometer increment over the mixed-radix level space.
+		i := 0
+		for ; i < len(pairs); i++ {
+			levels[i]++
+			if levels[i] < sys.Classes[pairs[i].k].TUF.NumLevels() {
+				break
 			}
+			levels[i] = 0
+		}
+		if i == len(pairs) {
+			return best, nil
 		}
 	}
-	return best, nil
 }
 
 // greedy hill-climbs over single-pair level moves, first improvement. A
 // move is the pair's current commodity out and its commodity at the new
 // level in, either only if profitable; one the incumbent's shadow prices
 // bound at no improvement is rejected before anything is built (see
-// prices.bound). The others run through speculativePass, seeded from the
-// incumbent's basis: neighbors are evaluated concurrently against a
-// frozen state but accepted in exactly the serial order, so the climb
-// path is identical at every worker count.
+// prices.bound); the others are solved, seeded from the incumbent's basis,
+// in move order, and a pass goes on from the move it accepted.
 func greedy(eng *engine, pairs []pair) (assignment, error) {
 	in := eng.in
 	sys := in.Sys
@@ -303,44 +284,40 @@ func greedy(eng *engine, pairs []pair) (assignment, error) {
 	}
 	place()
 	for {
-		improved, err := speculativePass(eng.workers, len(moves),
-			func(i int) (assignment, error) {
-				mv := moves[i]
-				if mv.q == levels[mv.pi] {
-					return assignment{obj: math.Inf(-1)}, nil // no-op move
+		improved := false
+		for _, mv := range moves {
+			if mv.q == levels[mv.pi] {
+				continue // no-op move
+			}
+			if whole {
+				enter, out := levelCommodity(in, pairs[mv.pi], mv.q), at[mv.pi]
+				after := reserved[enter.l]
+				if out >= 0 {
+					after -= reservation(sys, best.comms[out])
 				}
-				if whole {
-					enter, out := levelCommodity(in, pairs[mv.pi], mv.q), at[mv.pi]
-					after := reserved[enter.l]
-					if out >= 0 {
-						after -= reservation(sys, best.comms[out])
-					}
-					add := &enter
-					if enter.bestCoef > 0 {
-						after += reservation(sys, enter)
-					} else {
-						add = nil
-					}
-					// Clear of the margin by more than the two sums' round-off.
-					if after <= reserveMargin-1e-9 && eng.bounded(&best, out, add) {
-						return assignment{obj: math.Inf(-1)}, nil
-					}
+				add := &enter
+				if enter.bestCoef > 0 {
+					after += reservation(sys, enter)
+				} else {
+					add = nil
 				}
-				trial := append([]int(nil), levels...)
-				trial[mv.pi] = mv.q
-				return evaluate(eng, pairs, trial, best.px)
-			},
-			func(i int, a assignment) bool {
-				if a.obj <= best.obj+improveTol {
-					return false
+				// Clear of the margin by more than the two sums' round-off.
+				if after <= reserveMargin-1e-9 && eng.bounded(&best, out, add) {
+					continue
 				}
-				best = a
-				levels[moves[i].pi] = moves[i].q
-				place()
-				return true
-			})
-		if err != nil {
-			return assignment{}, err
+			}
+			trial := append([]int(nil), levels...)
+			trial[mv.pi] = mv.q
+			a, err := evaluate(eng, pairs, trial, best.px)
+			if err != nil {
+				return assignment{}, err
+			}
+			if a.obj <= best.obj+improveTol {
+				continue
+			}
+			best, improved = a, true
+			levels[mv.pi] = mv.q
+			place()
 		}
 		if !improved {
 			return best, nil
@@ -350,18 +327,11 @@ func greedy(eng *engine, pairs []pair) (assignment, error) {
 
 // branchBound explores assignments depth first; the bound at a partial
 // node relaxes every unassigned pair to its best utility with its loosest
-// deadline, which can only overestimate the achievable profit.
-//
-// The engine splits the tree into sibling prefix subtrees explored
-// concurrently with a shared atomic incumbent. The incumbent tightens
-// pruning asynchronously, but the committed plan never depends on its
-// timing because pruning keeps a margin: a subtree is cut only when its
-// relaxation bound is strictly below the incumbent minus 1e-9. The
-// incumbent never exceeds the true optimum F, while every ancestor of
-// an optimal leaf has bound ≥ F — so no assignment tied with the
-// optimum is ever pruned, under any schedule. Among ties the winner is
-// fixed by the ordered reduction over subtrees (and DFS order within
-// one), with the greedy seed winning all ties — the serial result.
+// deadline, which can only overestimate the achievable profit. Pruning
+// keeps a margin — a subtree is cut only when its relaxation bound is
+// strictly below the incumbent minus 1e-9 — so no assignment tied with the
+// optimum is ever pruned. Among ties the first leaf in DFS order wins, and
+// the greedy seed wins all of them.
 func branchBound(eng *engine, pairs []pair) (assignment, error) {
 	// Seed the incumbent with the greedy solution so pruning bites early.
 	best, err := greedy(eng, pairs)
@@ -371,77 +341,25 @@ func branchBound(eng *engine, pairs []pair) (assignment, error) {
 	// The tree compares leaves and relaxations; it searches from none, so
 	// from here no solve keeps prices or a basis.
 	eng.priced = false
-	inc := newAtomicFloat(best.obj)
-	prefixes := bbPrefixes(eng.in, pairs, eng.workers)
-	results, err := mapOrdered(eng.workers, len(prefixes), func(i int) (assignment, error) {
-		return bbSubtree(eng, pairs, prefixes[i], inc)
-	})
-	if err != nil {
-		return assignment{}, err
-	}
-	for _, a := range results {
-		if a.obj > best.obj {
-			best = a
-		}
-	}
-	return best, nil
-}
-
-// bbPrefixes expands the first tree levels into enough sibling subtrees
-// (in DFS order) to keep the worker pool busy. With one worker the
-// whole tree is a single subtree rooted at depth zero — exactly the
-// serial search.
-func bbPrefixes(in *Input, pairs []pair, workers int) [][]int {
-	prefixes := [][]int{{}}
-	if workers <= 1 {
-		return prefixes
-	}
-	target := 4 * workers
-	for depth := 0; len(prefixes) < target && depth < len(pairs); depth++ {
-		n := in.Sys.Classes[pairs[depth].k].TUF.NumLevels()
-		next := make([][]int, 0, len(prefixes)*n)
-		for _, p := range prefixes {
-			for q := 0; q < n; q++ {
-				next = append(next, append(append([]int(nil), p...), q))
-			}
-		}
-		prefixes = next
-	}
-	return prefixes
-}
-
-// bbSubtree runs the depth-first search under one fixed level prefix,
-// returning the subtree's best leaf (ties broken by DFS order).
-func bbSubtree(eng *engine, pairs []pair, prefix []int, inc *atomicFloat) (assignment, error) {
 	sys := eng.in.Sys
 	levels := make([]int, len(pairs))
-	copy(levels, prefix)
-	local := assignment{obj: math.Inf(-1)}
 	var rec func(depth int) error
 	rec = func(depth int) error {
 		if depth == len(pairs) {
 			a, err := evaluate(eng, pairs, levels, nil)
-			if err != nil {
-				return err
+			if err == nil && a.obj > best.obj {
+				best = a
 			}
-			if a.obj > local.obj {
-				local = a
-			}
-			inc.raise(a.obj)
-			return nil
+			return err
 		}
 		ub, err := upperBound(eng, pairs, levels, depth)
 		if err != nil {
 			return err
 		}
-		cut := local.obj
-		if g := inc.load(); g > cut {
-			cut = g
-		}
 		// Margin pruning: only cut subtrees strictly dominated by the
 		// incumbent; an infeasible relaxation proves every leaf below
 		// is infeasible too.
-		if ub < cut-1e-9 || math.IsInf(ub, -1) {
+		if ub < best.obj-1e-9 || math.IsInf(ub, -1) {
 			return nil
 		}
 		for q := 0; q < sys.Classes[pairs[depth].k].TUF.NumLevels(); q++ {
@@ -453,10 +371,10 @@ func bbSubtree(eng *engine, pairs []pair, prefix []int, inc *atomicFloat) (assig
 		levels[depth] = 0
 		return nil
 	}
-	if err := rec(len(prefix)); err != nil {
+	if err := rec(0); err != nil {
 		return assignment{}, err
 	}
-	return local, nil
+	return best, nil
 }
 
 // upperBound solves the relaxed LP where pairs below depth keep their

@@ -43,9 +43,10 @@ func dispatchName(kind, k, q, s, l, g int) string {
 // Plan calls. A name is a pure function of its indices, so an entry can
 // never go stale — unlike anything numeric in the model, which is why
 // names are all that is kept (DESIGN.md §12.3). Each kind has a dense
-// slab strided by the dimensions it uses, filled on first use. One
-// call's workers, and calls that claim keeps apart, share the table:
-// entries are atomic pointers, and two racing fills store equal strings.
+// slab strided by the dimensions it uses, filled on first use. Calls
+// that claim keeps apart — a straggler the resilient chain abandoned and
+// the live one — share the table: entries are atomic pointers, and two
+// racing fills store equal strings.
 type dispatchNames struct {
 	k, q, s, l int // q counts branch-and-bound's NumLevels sentinel
 	slab       [nameKinds][]atomic.Pointer[string]

@@ -148,9 +148,8 @@ func TestNameTableFollowsTheSystem(t *testing.T) {
 	}
 }
 
-// TestNameTableConcurrentFill: the table is shared by one call's workers
-// and by calls claim keeps apart, so racing first uses must be safe
-// (run under -race) and agree.
+// TestNameTableConcurrentFill: the table is shared by calls claim keeps
+// apart, so racing first uses must be safe (run under -race) and agree.
 func TestNameTableConcurrentFill(t *testing.T) {
 	const K, Q, S, L = 6, 2, 3, 20
 	var opts EngineOptions
@@ -175,17 +174,16 @@ func TestNameTableConcurrentFill(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAllWorkersShareTheNameTable plans a refine search on every CPU,
-// whose workers build their LPs through one table, twice over (cold
-// table, warm table); the plans must equal the one-worker plan's.
-func TestAllWorkersShareTheNameTable(t *testing.T) {
+// TestNameTableFillKeepsThePlan plans a refine search twice over on one
+// planner (cold table, filled table); both plans must equal a fresh
+// planner's.
+func TestNameTableFillKeepsThePlan(t *testing.T) {
 	in := synthInput(4, 5, 2)
-	serial := mustPlan(t, NewOptimized(), in)
+	fresh := mustPlan(t, NewOptimized(), in)
 	o := NewOptimized()
-	o.Parallelism = -1
 	for pass := 0; pass < 2; pass++ {
-		if got := mustPlan(t, o, in); got.Objective != serial.Objective {
-			t.Fatalf("pass %d: all-CPU objective %v, serial %v", pass, got.Objective, serial.Objective)
+		if got := mustPlan(t, o, in); got.Objective != fresh.Objective {
+			t.Fatalf("pass %d: objective %v, a fresh planner's %v", pass, got.Objective, fresh.Objective)
 		}
 	}
 }

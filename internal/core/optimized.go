@@ -71,23 +71,13 @@ type Optimized struct {
 type EngineOptions struct {
 	// LPOpts tunes the simplex solver.
 	LPOpts lp.Options
-	// Parallelism is the plan-search engine's worker count. 0 and 1 both
-	// mean one worker: the serial search order, with repeated subsets
-	// answered from the memo cache. n > 1 evaluates candidate subsets on
-	// n workers (capped at the CPU count); negative values use
-	// runtime.NumCPU(). Every setting commits the bit-identical plan — see
-	// DESIGN.md §7. The engine's goroutines live entirely inside one Plan
-	// call; the planner itself must still be driven by a single caller at
-	// a time. A HorizonPlanner solves one LP per window and has no search
-	// to parallelize.
-	Parallelism int
 	// WarmStart re-solves successive LPs (the next slot's dispatch LP,
 	// the next horizon window) from the optimal basis of the previous
 	// one instead of from scratch (see DESIGN.md §12). Warm results are
-	// audited against the model before use and identical at every
-	// Parallelism setting, but may differ from cold results at
-	// floating-point round-off level; WarmStart false is the cold dense
-	// reference — every LP solved from scratch by the two-phase simplex.
+	// audited against the model before use, but may differ from cold
+	// results at floating-point round-off level; WarmStart false is the
+	// cold dense reference — every LP solved from scratch by the two-phase
+	// simplex.
 	WarmStart bool
 	// Sparse lets warm-started LPs at or above the sparse row threshold
 	// run on the sparse revised simplex (LU-factorized basis, FTRAN/BTRAN
@@ -353,16 +343,13 @@ func (o *Optimized) solveSubset(eng *engine, comms []commodity, from *prices) (a
 // moves, starting from start and drawing candidates from full (both in
 // canonical order). A move the incumbent's shadow prices bound at no
 // improvement is rejected before anything is built (see prices.bound);
-// the others are evaluated through speculativePass, seeded from the
-// incumbent's basis, so the engine solves several trial subsets
-// concurrently while committing exactly the same first-improvement
-// sequence as the serial search.
+// the others are solved, seeded from the incumbent's basis, in candidate
+// order, and a pass goes on from the candidate it accepted.
 func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment) (assignment, error) {
 	sys := eng.in.Sys
 	best := start
-	// at[i] is full[i]'s position in best.comms, -1 while it is out. The
-	// passes only read it; an accept, on the search's own goroutine,
-	// rewrites it.
+	// at[i] is full[i]'s position in best.comms, -1 while it is out; an
+	// accept rewrites it.
 	at := make([]int, len(full))
 	place := func() {
 		ci := 0
@@ -401,31 +388,28 @@ func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment
 		return append(append(append(trial, best.comms[:ci]...), cand), best.comms[ci:]...), true
 	}
 	for iter := 0; iter < 60; iter++ {
-		improved, err := speculativePass(eng.workers, len(full),
-			func(i int) (assignment, error) {
-				var add *commodity
-				if at[i] < 0 {
-					add = &full[i]
-				}
-				if eng.bounded(&best, at[i], add) {
-					return assignment{obj: math.Inf(-1)}, nil
-				}
-				trial, ok := trialFor(i)
-				if !ok {
-					return assignment{obj: math.Inf(-1)}, nil // skipped move
-				}
-				return o.solveSubset(eng, trial, best.px)
-			},
-			func(i int, a assignment) bool {
-				if a.obj <= best.obj+improveTol {
-					return false
-				}
-				best = a
-				place()
-				return true
-			})
-		if err != nil {
-			return assignment{}, err
+		improved := false
+		for i := range full {
+			var add *commodity
+			if at[i] < 0 {
+				add = &full[i]
+			}
+			if eng.bounded(&best, at[i], add) {
+				continue
+			}
+			trial, ok := trialFor(i)
+			if !ok {
+				continue // skipped move
+			}
+			a, err := o.solveSubset(eng, trial, best.px)
+			if err != nil {
+				return assignment{}, err
+			}
+			if a.obj <= best.obj+improveTol {
+				continue
+			}
+			best, improved = a, true
+			place()
 		}
 		if !improved {
 			break
@@ -466,8 +450,8 @@ type dispatchLP struct {
 	arrRow   [][]int
 	floorRow []int
 	shareRow []int
-	// What a pooled solve recycles besides the above: the slabs behind the
-	// handles and row tables, and build's scratch.
+	// What a solve unit's next build reuses besides the above: the slabs
+	// behind the handles and row tables, and build's scratch.
 	handles, arrRows  []int
 	byClass, byCenter buckets
 	terms             []lp.Term
@@ -887,8 +871,8 @@ func planObjective(in *Input, plan *Plan) float64 {
 
 // sortCommodities orders commodities canonically (by k, q, l). Every
 // search path sorts before solving, which keys the memo cache and makes
-// the LP layout — hence the committed plan — independent of both subset
-// construction order and worker count.
+// the LP layout — hence the committed plan — independent of subset
+// construction order.
 func sortCommodities(comms []commodity) { slices.SortFunc(comms, compareCommodities) }
 
 func compareCommodities(a, b commodity) int {

@@ -36,7 +36,7 @@ func (o *Optimized) Sensitivity(in *Input) (*Sensitivity, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	cold := EngineOptions{LPOpts: o.LPOpts, Parallelism: o.Parallelism}
+	cold := EngineOptions{LPOpts: o.LPOpts}
 	eng := cold.open(in, o.Name(), false, o.Refine)
 	defer eng.close()
 	full := admissibleCommodities(in, o.MinCompletion)
@@ -65,9 +65,7 @@ func (o *Optimized) Sensitivity(in *Input) (*Sensitivity, error) {
 	if len(comms) == 0 {
 		return out, nil
 	}
-	u, res, _, err := eng.solveLP(comms, o.MinCompletion, nil)
-	defer eng.warm.recycle(u)
-	d := &u.d
+	d, res, _, err := eng.solveLP(comms, o.MinCompletion, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: sensitivity LP failed: %w", err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -11,9 +10,8 @@ import (
 // sparseOptimized returns an Optimized planner with the sparse revised
 // simplex forced on for every LP size (the test topologies sit far below
 // the production row threshold).
-func sparseOptimized(par int) *Optimized {
+func sparseOptimized() *Optimized {
 	o := NewOptimized()
-	o.Parallelism = par
 	o.LPOpts.SparseMinRows = 1
 	o.Stats = &SearchStats{}
 	return o
@@ -26,7 +24,7 @@ func TestSparseChainMatchesDenseWarmChain(t *testing.T) {
 	base := &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
 	seq := slotSequence(base, 6)
 
-	sparse := sparseOptimized(0)
+	sparse := sparseOptimized()
 	dense := NewOptimized()
 	dense.Sparse = false
 	dense.Stats = &SearchStats{}
@@ -56,17 +54,13 @@ func TestSparseChainMatchesDenseWarmChain(t *testing.T) {
 	t.Logf("sparse solves %d, abandoned pivots %d across %d slots", sparseSolves, abandoned, len(seq))
 }
 
-// TestSparseChainsWorkerCountInvariant: the worker-count-invariance
-// contract must survive the sparse path, because SolveSeeded stays a
-// pure function of (model, frozen seed) there too.
-func TestSparseChainsWorkerCountInvariant(t *testing.T) {
+// TestSparseChainReplayIdentical: two chains replay bit-identically on
+// the sparse path too, because SolveSeeded stays a pure function of
+// (model, seed) there.
+func TestSparseChainReplayIdentical(t *testing.T) {
 	base := &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
 	seq := slotSequence(base, 5)
-	serial := planChain(t, sparseOptimized(0), seq)
-	for _, par := range []int{1, 4} {
-		got := planChain(t, sparseOptimized(par), seq)
-		assertChainsEqual(t, fmt.Sprintf("sparse par=%d", par), serial, got)
-	}
+	assertChainsEqual(t, "sparse replay", planChain(t, sparseOptimized(), seq), planChain(t, sparseOptimized(), seq))
 }
 
 // TestSparseDefaultBelowThresholdStaysDense: with the default row

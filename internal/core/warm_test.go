@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -61,32 +60,24 @@ func assertChainsEqual(t *testing.T, label string, want, got []*Plan) {
 	}
 }
 
-// TestWarmChainsWorkerCountInvariant is the warm analogue of
-// TestParallelPlansBitIdentical: a warm planner chained over a slot
-// sequence must commit bit-identical plans at every Parallelism
-// setting, because the capture solve runs on the sequential prologue at
-// every setting and the worker solves are pure functions of the frozen
-// seed.
-func TestWarmChainsWorkerCountInvariant(t *testing.T) {
+// TestWarmChainsReplayIdentical: two warm planners chained over one slot
+// sequence commit bit-identical plans. Every solve but the capture solve
+// is a pure function of (model, seed), whatever its solve unit did before.
+func TestWarmChainsReplayIdentical(t *testing.T) {
 	base := &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
 	seq := slotSequence(base, 5)
-	planners := map[string]func(par int) Planner{
-		"optimized": func(p int) Planner { o := NewOptimized(); o.Parallelism = p; return o },
-		"level-search/greedy": func(p int) Planner {
+	planners := map[string]func() Planner{
+		"optimized": func() Planner { return NewOptimized() },
+		"level-search/greedy": func() Planner {
 			ls := NewLevelSearch()
 			ls.Strategy = Greedy
-			ls.Parallelism = p
 			return ls
 		},
-		"level-search/auto": func(p int) Planner { ls := NewLevelSearch(); ls.Parallelism = p; return ls },
+		"level-search/auto": func() Planner { return NewLevelSearch() },
 	}
 	for name, mk := range planners {
 		t.Run(name, func(t *testing.T) {
-			serial := planChain(t, mk(0), seq)
-			for _, par := range []int{1, 4} {
-				got := planChain(t, mk(par), seq)
-				assertChainsEqual(t, fmt.Sprintf("par=%d", par), serial, got)
-			}
+			assertChainsEqual(t, "replay", planChain(t, mk(), seq), planChain(t, mk(), seq))
 		})
 	}
 }
@@ -243,25 +234,4 @@ func TestHorizonPlannerWarm(t *testing.T) {
 	if got.Objective != want.Objective {
 		t.Fatalf("cold HorizonPlanner objective %v != PlanHorizon %v", got.Objective, want.Objective)
 	}
-}
-
-// BenchmarkSubsetCacheContention hammers the memo cache's entry lookup
-// from all procs over a working set of keys. Guards the sharded entry
-// map: before sharding, one global mutex serialized every speculative
-// evaluation of every worker.
-func BenchmarkSubsetCacheContention(b *testing.B) {
-	c := newSubsetCache()
-	const nKeys = 256
-	keys := make([]string, nKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d-%032d", i, i*i)
-	}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			c.entry(keys[i%nKeys])
-			i++
-		}
-	})
 }

@@ -391,20 +391,6 @@ func (g *Gateway) StreamOffered() []int64 {
 	return out
 }
 
-// LaneAdmitted returns the current slot's admitted count per lane,
-// aligned with Table().Lanes. Nil before the first Install.
-func (g *Gateway) LaneAdmitted() []int64 {
-	c := g.cur.Load()
-	if c == nil {
-		return nil
-	}
-	out := make([]int64, len(c.admitted))
-	for i := range c.admitted {
-		out[i] = c.admitted[i].Load()
-	}
-	return out
-}
-
 // itoa renders small non-negative ints without strconv allocations on
 // the swap path (label values are tiny).
 func itoa(n int) string {

@@ -478,11 +478,6 @@ type FeedEffects struct {
 	NoiseSigma float64
 }
 
-// Impaired reports whether any feed fault is in effect.
-func (fe FeedEffects) Impaired() bool {
-	return fe.Lost || fe.Corrupt || fe.DropProb > 0 || fe.LatencyFactor > 1 || fe.NoiseSigma > 0
-}
-
 // FeedEffects returns the combined feed faults covering the given feed
 // ("price"/"arrival" plus index) at the slot.
 func (sch *Schedule) FeedEffects(feedKind string, idx, slot int) FeedEffects {
@@ -511,20 +506,6 @@ func (sch *Schedule) FeedEffects(feedKind string, idx, slot int) FeedEffects {
 		}
 	}
 	return eff
-}
-
-// HasFeedFaults reports whether the schedule carries any feed fault
-// events (i.e. whether routing inputs through feeds changes anything).
-func (sch *Schedule) HasFeedFaults() bool {
-	if sch == nil {
-		return false
-	}
-	for i := range sch.Events {
-		if isFeedKind(sch.Events[i].Kind) {
-			return true
-		}
-	}
-	return false
 }
 
 // HasPlannerFaults reports whether the schedule carries any planner

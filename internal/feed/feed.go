@@ -634,16 +634,6 @@ func (st *Set) FetchSlot(slot int) *Sample {
 	return out
 }
 
-// StaleMarginFor exposes the capped margin applied at the given
-// staleness, for reports and tests.
-func (st *Set) StaleMarginFor(staleness int) float64 {
-	m := st.cfg.StaleMargin * float64(staleness)
-	if m > st.cfg.MaxMargin {
-		m = st.cfg.MaxMargin
-	}
-	return m
-}
-
 // slotStream is one fetch's handle on the per-(feed, slot) random
 // stream: a splitmix64 hash of seed, feed identity and slot, so draws are
 // independent of call order across feeds and identical across rebuilt

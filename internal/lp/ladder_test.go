@@ -80,15 +80,6 @@ func TestSolveWarmHotPath(t *testing.T) {
 				scale := 1 + 0.05*float64(slot)
 				step(slot, buildTransportLP(scale, 1/scale), path)
 			}
-			st := s.Stats()
-			wantSparse, wantFell := int64(0), int64(0)
-			if kn.sparse {
-				wantSparse, wantFell = 5, 1
-			}
-			if st.HotSolves != 4 || st.ImportSolves != 1 || st.ColdSolves != 1 ||
-				st.SparseSolves != wantSparse || st.Fallbacks != wantFell {
-				t.Fatalf("stats: %+v", st)
-			}
 			for i, path := range []string{"import", "hot"} {
 				m := buildTransportLP(1.3+0.05*float64(i), 1)
 				m.AddConstraint("lane_0_0", []Term{{Var: 0, Coef: 1}}, LE, 1000)
@@ -178,7 +169,6 @@ func TestSolveSeededHostileSeedFallsBackCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireMatchesCold(t, m, res)
-			before := s.Stats().Fallbacks
 			for _, solve := range []func(*Model, *Basis, Options) (*Result, error){s.SolveSeeded, s.SolveWarm} {
 				res, err := solve(m, NewBasis([]string{"no_such_var"}, nil), kn.opts)
 				if err != nil {
@@ -188,9 +178,6 @@ func TestSolveSeededHostileSeedFallsBackCold(t *testing.T) {
 					t.Fatalf("outcome %+v, want cold fallback", out)
 				}
 				requireMatchesCold(t, m, res)
-			}
-			if st := s.Stats(); st.Fallbacks != before+2 {
-				t.Fatalf("stats %+v, want %d fallbacks", st, before+2)
 			}
 		})
 	}
@@ -282,8 +269,8 @@ func TestLadderDriftBound(t *testing.T) {
 
 // TestAbandonedPivotAccounting verifies that pivots burned on abandoned
 // warm attempts are reported instead of vanishing: a budget-starved warm
-// solve must surface them in Outcome.AbandonedPivots and the cumulative
-// SolverStats, while healthy chains report zero.
+// solve must surface them in Outcome.AbandonedPivots, while healthy chains
+// report zero.
 func TestAbandonedPivotAccounting(t *testing.T) {
 	for _, kn := range ladderKernels {
 		t.Run(kn.name, func(t *testing.T) {
@@ -301,9 +288,6 @@ func TestAbandonedPivotAccounting(t *testing.T) {
 					seed = b
 				}
 			}
-			if st := healthy.Stats(); st.AbandonedPivots != 0 {
-				t.Fatalf("healthy chain stats: %+v", st)
-			}
 
 			// A one-pivot budget starves the import mid-repair; the burned
 			// pivot must be accounted, not lost. The all-surplus seed on
@@ -320,9 +304,6 @@ func TestAbandonedPivotAccounting(t *testing.T) {
 			}
 			if out.AbandonedPivots != 1 || out.ImportPivots != 4 {
 				t.Fatalf("outcome %+v: want the one budgeted pivot abandoned and the 4-row crash on its own line", out)
-			}
-			if st := starved.Stats(); st.AbandonedPivots != int64(out.AbandonedPivots) {
-				t.Fatalf("stats %+v disagree with outcome %+v", st, out)
 			}
 		})
 	}

@@ -128,7 +128,7 @@ func dirty(t testing.TB) *Solver {
 // TestSolverReuseIsInvisible is the workspace's contract: what a Solver
 // held before — bigger, smaller, other kernel — leaves no trace in the
 // next solve. Each (model, seed) runs on a fresh Solver and on a dirty
-// one, seeded (the pool's path) and warm (the hot chain's first import),
+// one, seeded (the spare unit's path) and warm (the hot chain's first import),
 // and must agree to the bit in X, objective, duals, pivots, outcome and
 // exported basis. So must a hot chain that refreshes one model in place
 // (answered by the structure stamp) and the same chain over a new model a
@@ -323,9 +323,6 @@ func TestImportPivotsCounted(t *testing.T) {
 					t.Fatalf("solve %d ran as %+v, solve 0 as %+v", i, out, first)
 				}
 			}
-			if st := s.Stats(); st.ImportPivots != 9 {
-				t.Fatalf("stats %+v, want 9 import pivots", st)
-			}
 			for i := 0; i < 2; i++ {
 				if _, err := s.SolveWarm(build(1+0.1*float64(i)), seed, kn.opts); err != nil {
 					t.Fatal(err)
@@ -370,10 +367,10 @@ func TestSeededSolveAllocs(t *testing.T) {
 	}
 }
 
-// TestSharedSeedConcurrentImport: one frozen seed is imported by every
-// worker of a Plan call at once, the first of them building its index.
-// Eight solvers racing from a cold index must all get the fresh answer
-// (run under -race).
+// TestSharedSeedConcurrentImport: a Basis is immutable once built, so
+// solvers on different goroutines may import one seed at once, the first
+// of them building its index. Eight solvers racing from a cold index must
+// all get the fresh answer (run under -race).
 func TestSharedSeedConcurrentImport(t *testing.T) {
 	for _, c := range []struct{ rows, cols int }{{30, 70}, {90, 200}} {
 		m := func() *Model { return packingLP(41, c.rows, c.cols) }

@@ -20,8 +20,8 @@ type Basis struct {
 	slackRows []string
 	// The seed's own index, name → first position in vars (in slackRows),
 	// built by the first import: one frozen seed is imported by every
-	// subset solve of a slot, on several workers, while a basis that only
-	// ever seeds hot re-solves is never indexed at all.
+	// subset solve of a slot, while a basis that only ever seeds hot
+	// re-solves is never indexed at all.
 	index          sync.Once
 	varPos, rowPos map[string]int
 	repeats        bool // some name occurs twice in vars or in slackRows
@@ -147,29 +147,13 @@ type Outcome struct {
 	Refactors int
 }
 
-// SolverStats accumulates per-path counters across the life of a Solver.
-type SolverStats struct {
-	HotSolves    int64
-	ImportSolves int64
-	ColdSolves   int64
-	SparseSolves int64 // warm solves answered by the sparse revised simplex
-	Fallbacks    int64 // warm attempts abandoned for the cold path
-	WarmPivots   int64
-	ColdPivots   int64
-	// AbandonedPivots counts pivots spent on abandoned warm attempts —
-	// work done and thrown away, invisible to WarmPivots/ColdPivots.
-	AbandonedPivots int64
-	ImportPivots    int64 // basis-crash pivots, outside the three pivot counts above
-	Refactors       int64 // in-place refactorizations of the sparse kernel's basis
-}
-
 // Solver runs successive LP solves while retaining every kernel's
 // workspace (a steady-state solve allocates only its Result) and, via
 // SolveWarm, the factorized final state of the previous solve (hot
 // re-solves). See DESIGN.md §12. The zero value is ready to use.
 //
-// A Solver is not safe for concurrent use; the planner keeps one hot
-// solver for its sequential baseline chain and a pool for workers.
+// A Solver is not safe for concurrent use; the planner keeps one for its
+// hot chain and one for every other solve of a slot.
 type Solver struct {
 	cold   tableau     // the cold two-phase path's
 	warm   tableau     // the dense warm kernel, rebuilt in place per import
@@ -177,7 +161,6 @@ type Solver struct {
 	ws     retained
 	last   kernel // final state of the most recent Optimal solve, for ExportBasis
 	out    Outcome
-	stats  SolverStats
 	// yielded is when the solver last gave up the processor (see breathe).
 	yielded time.Time
 }
@@ -270,10 +253,10 @@ func (s *Solver) SolveWarm(m *Model, seed *Basis, opts Options) (*Result, error)
 
 // SolveSeeded solves m from an optional seed basis without consulting or
 // keeping any cross-call retained state, so the result is a pure function
-// of (model, seed, opts). The planner's parallel workers rely on that
-// purity for worker-count-invariant plans (DESIGN.md §7): any worker
-// solving the same subset from the same frozen seed produces the
-// identical result.
+// of (model, seed, opts). The planner's memo cache relies on that purity
+// (DESIGN.md §7): an entry keyed by (subset, seed) is what any solve of
+// that subset from that seed would have produced, whatever the solver did
+// before.
 func (s *Solver) SolveSeeded(m *Model, seed *Basis, opts Options) (*Result, error) {
 	return s.solve(m, seed, opts, false)
 }
@@ -298,7 +281,7 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 			}
 			s.ws.uses++
 			s.ws.stamp = m.stamp
-			s.answered("hot", sparse, &s.stats.HotSolves)
+			s.out.Path, s.out.Sparse = "hot", sparse
 			return res, nil
 		}
 	}
@@ -317,13 +300,12 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 			if keep {
 				s.ws = retained{k: k, sparse: sparse, stamp: m.stamp}
 			}
-			s.answered("import", sparse, &s.stats.ImportSolves)
+			s.out.Path, s.out.Sparse = "import", sparse
 			return res, nil
 		}
 	}
 	if attempted {
 		s.out.FellBack = true
-		s.stats.Fallbacks++
 	}
 	return s.solveCold(m, opts)
 }
@@ -369,7 +351,6 @@ func (s *Solver) attempt(k kernel, armed bool, tol float64) *Result {
 			m, x := k.model(), k.extract()
 			if m.CheckFeasible(x, auditTol(m, tol)) == nil {
 				s.out.WarmPivots = k.pivots()
-				s.stats.WarmPivots += int64(k.pivots())
 				s.last = k
 				return &Result{
 					Status:     Optimal,
@@ -383,7 +364,6 @@ func (s *Solver) attempt(k kernel, armed bool, tol float64) *Result {
 		}
 	}
 	s.out.AbandonedPivots += k.pivots()
-	s.stats.AbandonedPivots += int64(k.pivots())
 	s.ws = retained{}
 	return nil
 }
@@ -393,25 +373,11 @@ func (s *Solver) attempt(k kernel, armed bool, tol float64) *Result {
 func (s *Solver) bookCrash(k kernel) {
 	crashed, refactors := k.crashWork()
 	s.out.ImportPivots += crashed
-	s.stats.ImportPivots += int64(crashed)
 	s.out.Refactors += refactors
-	s.stats.Refactors += int64(refactors)
-}
-
-// answered records which warm path produced the result.
-func (s *Solver) answered(path string, sparse bool, count *int64) {
-	s.out.Path, s.out.Sparse = path, sparse
-	*count++
-	if sparse {
-		s.stats.SparseSolves++
-	}
 }
 
 // LastOutcome reports how the most recent solve ran.
 func (s *Solver) LastOutcome() Outcome { return s.out }
-
-// Stats returns the cumulative per-path counters.
-func (s *Solver) Stats() SolverStats { return s.stats }
 
 // ExportBasis returns the final basis of the immediately preceding solve
 // on this Solver, by name. It fails when that solve did not end Optimal
@@ -428,8 +394,6 @@ func (s *Solver) ExportBasis() (*Basis, bool) {
 func (s *Solver) solveCold(m *Model, opts Options) (*Result, error) {
 	t := newTableauIn(m, opts, &s.cold)
 	st := t.run()
-	s.stats.ColdSolves++
-	s.stats.ColdPivots += int64(t.iters)
 	s.out.Path, s.out.ColdPivots = "cold", t.iters
 	if st == Optimal {
 		s.last = t

@@ -76,11 +76,7 @@ type Decision struct {
 
 // Chain is a resilient planner. It implements core.Planner and, like
 // every stateful planner in this codebase, must be driven by exactly one
-// goroutine; sim.Compare callers pass one instance per lane. Tiers with
-// core's Parallelism knob enabled are fine here: their worker
-// goroutines live entirely inside a single Plan call and never touch
-// chain state, so the single-caller contract is unchanged (the race
-// tests drive a parallel planner through a faulted chain to prove it).
+// goroutine; sim.Compare callers pass one instance per lane.
 type Chain struct {
 	// Tiers are tried in order. Must be non-empty.
 	Tiers []core.Planner
@@ -357,24 +353,7 @@ func (c *Chain) replay(in, vIn *core.Input) (*core.Plan, Attempt) {
 		}
 		p.ServersOn[l] = limit
 	}
-	for k := range p.Rate {
-		if len(p.Rate[k]) == 0 {
-			continue
-		}
-		for s := range p.Rate[k][0] {
-			committed := p.ServedFrom(k, s)
-			a := in.Arrivals[s][k]
-			if committed <= a || committed == 0 {
-				continue
-			}
-			f := a / committed
-			for q := range p.Rate[k] {
-				for l := range p.Rate[k][q][s] {
-					p.Rate[k][q][s][l] *= f
-				}
-			}
-		}
-	}
+	core.Reconcile(p, in.Arrivals)
 	// The replayed plan was optimized for a different slot; its objective
 	// is unknown until the simulator accounts it.
 	p.Objective = 0

@@ -381,22 +381,20 @@ func TestShedDoesNotPoisonReplay(t *testing.T) {
 	}
 }
 
-// TestChainWithParallelPlanner drives chains whose fallback tier uses
-// core's Parallelism knob, concurrently from two goroutines (one chain
-// per goroutine, per the single-caller contract), and checks every
-// committed plan is identical to a serial chain's. Under `make race`
-// this is the proof of the chain/engine concurrency contract.
-func TestChainWithParallelPlanner(t *testing.T) {
-	runChain := func(par int) []*core.Plan {
+// TestChainsOnTwoGoroutinesAgree drives two chains with an optimizer as
+// fallback tier concurrently (one chain per goroutine, per the
+// single-caller contract) and checks every committed plan is identical to
+// those of a chain run alone. Under `make race` this is the proof that
+// chains and the planners under them share no state.
+func TestChainsOnTwoGoroutinesAgree(t *testing.T) {
+	runChain := func() []*core.Plan {
 		prim := &misbehaver{name: "t0"}
-		o := core.NewOptimized()
-		o.Parallelism = par
-		chain := resilient.New(prim, o)
+		chain := resilient.New(prim, core.NewOptimized())
 		var plans []*core.Plan
 		for slot := 0; slot < 4; slot++ {
 			prim.mode = ""
 			if slot%2 == 1 {
-				prim.mode = "error" // odd slots fall through to the parallel tier
+				prim.mode = "error" // odd slots fall through to the optimizer
 			}
 			plan, err := chain.Plan(testInput(slot))
 			if err != nil {
@@ -407,20 +405,20 @@ func TestChainWithParallelPlanner(t *testing.T) {
 		}
 		return plans
 	}
-	serial := runChain(0)
+	alone := runChain()
 	results := make([][]*core.Plan, 2)
 	var wg sync.WaitGroup
 	for g := range results {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g] = runChain(4)
+			results[g] = runChain()
 		}(g)
 	}
 	wg.Wait()
 	for g, plans := range results {
-		if !reflect.DeepEqual(plans, serial) {
-			t.Fatalf("goroutine %d: parallel-tier chain diverged from the serial chain", g)
+		if !reflect.DeepEqual(plans, alone) {
+			t.Fatalf("goroutine %d: its chain diverged from the chain run alone", g)
 		}
 	}
 }

@@ -34,12 +34,10 @@ func obsStormSchedule() *fault.Schedule {
 }
 
 // obsStormPlanner builds the planner lane for the obs storm: the
-// primary optimizer (serial engine, so its solver counters flow to the
-// scope deterministically) behind a fault injector, inside a two-tier
-// resilient chain. A nil scope builds the identical uninstrumented lane.
+// primary optimizer behind a fault injector, inside a two-tier resilient
+// chain. A nil scope builds the identical uninstrumented lane.
 func obsStormPlanner(sched *fault.Schedule, sc *obs.Scope) core.Planner {
 	prim := core.NewOptimized()
-	prim.Parallelism = 1
 	prim.Obs = sc
 	chain := resilient.New(&fault.Injector{Planner: prim, Sched: sched}, baseline.NewBalanced())
 	chain.Obs = sc

@@ -619,13 +619,11 @@ func account(in *core.Input, plan *core.Plan) SlotReport {
 // callers pass distinct instances. Fault schedules are shared read-only
 // and feed layers are rebuilt per lane with per-(feed, slot) seeded
 // randomness, so every lane observes the identical fault and degradation
-// sequence — profit deltas are attributable to the planners alone. Planners with core's Parallelism
-// knob enabled compose with this: their internal worker goroutines are
-// scoped to one Plan call, so lanes never share search state even when
-// every lane plans in parallel. A panicking planner is recovered and
-// reported as that planner's error without disturbing the other lanes;
-// the returned slice always holds whatever reports (possibly partial)
-// each lane produced, alongside the joined per-planner errors.
+// sequence — profit deltas are attributable to the planners alone. A
+// panicking planner is recovered and reported as that planner's error
+// without disturbing the other lanes; the returned slice always holds
+// whatever reports (possibly partial) each lane produced, alongside the
+// joined per-planner errors.
 func Compare(cfg Config, planners ...core.Planner) ([]*Report, error) {
 	out := make([]*Report, len(planners))
 	errs := make([]error, len(planners))

@@ -55,8 +55,9 @@ fmt-check:
 verify: build vet fmt-check test race bench-smoke
 
 # bench times the plan search on the rob2-chaos-scale slot ({cold, warm}
-# x {level-search, optimized}), the dense-warm vs sparse re-solve chains
-# on the large 100-center topology, and the rolling-horizon sweep on the
+# x {level-search, optimized}), the warm chain on the large 100-center
+# topology (arming import, first re-use, steady hot re-solves, each on its
+# own line), and the rolling-horizon sweep on the
 # Houston vibration window. The -count runs feed benchstat directly
 # (`make bench | benchstat -`), and the timing trajectories — per-row
 # times, LP solves, cache hits, pivot counts, per-horizon run latency —
@@ -70,20 +71,21 @@ bench:
 	$(GO) test -bench=BenchmarkControlTick -count=6 -run=NONE ./internal/control/
 	BENCH_DISPATCH_JSON=$(CURDIR)/BENCH_dispatch.json $(GO) test -count=1 -run=TestControlTickTrajectory ./internal/control/
 
-# bench-lp-sparse re-runs just the solver trajectory of `bench` (the
-# "warm_start" key and its >= 3x sparse steady-state gate).
+# bench-lp-sparse is where lp's sparseMinRows comes from: both warm kernels
+# on dispatch-shaped LPs from 12 to 88 rows, hot re-solve and seeded import
+# (DESIGN 12.1 holds the recorded table; `| benchstat -` reads the output).
 bench-lp-sparse:
-	BENCH_PLAN_JSON=BENCH_plan.json $(GO) test -count=1 -run='TestWarmStartTrajectory' -v .
+	$(GO) test -bench=BenchmarkKernelCrossover -benchtime=10000x -count=6 -run=NONE ./internal/lp/
 
 # bench-smoke proves the plan-search benchmarks, the dispatch-LP builder
 # benchmark, both rows of the refine slot benchmark — demand-limited,
 # where the dual bound turns every move down, and capacity-limited, where
-# ~135 survivors are solved — the capture slot benchmark and the sparse
-# kernel's hot-pivot benchmark still run (one iteration, no timing
-# claims); wired into verify.
+# ~135 survivors are solved — the capture slot benchmark, the sparse
+# kernel's hot-pivot benchmark and the two-kernel crossover sweep still run
+# (one iteration, no timing claims); wired into verify.
 bench-smoke:
 	$(GO) test -bench=BenchmarkPlanSearch -benchtime=1x -run=NONE .
-	$(GO) test -bench=BenchmarkHotPivot -benchtime=1x -run=NONE ./internal/lp/
+	$(GO) test -bench='BenchmarkHotPivot|BenchmarkKernelCrossover' -benchtime=1x -run=NONE ./internal/lp/
 	$(GO) test -bench='BenchmarkBuildDispatchLP|BenchmarkRefineSlot|BenchmarkCaptureSlot' -benchtime=1x -run=NONE ./internal/core/
 
 # profile writes a CPU and an allocation profile into the git-ignored
@@ -92,7 +94,8 @@ bench-smoke:
 # fleet-refine-mid slot at three times the arrivals, whose ~135 moves the
 # dual bound lets through are solved from their incumbents' bases (the
 # recorded slot itself is two LPs now); W=large profiles TestWarmStartTrajectory's
-# 20x100x3 dense and sparse hot chains, fleet-large's solver side alone;
+# 20x100x3 chain, three passes of which the all-slack import that arms
+# slot 0 is nearly all — what a fleet-large planner pays once;
 # W=commit profiles BenchmarkCaptureSlot/fleet-20x100x3, the planner's whole
 # share of a fleet-large commit — refresh (or rebuild) of the held LP, hot
 # re-solve, extraction, plan; W=kernel profiles BenchmarkHotPivot/slot, the

@@ -606,10 +606,9 @@ func TestPlanSearchTrajectory(t *testing.T) {
 // energy-hungry assignments (1.5 kWh/request costs more than any
 // utility at any price in the sweep), leaving ~2000 admitted
 // commodities and a dispatch LP of ~2160 rows x ~8000 structural
-// variables — far above DefaultSparseMinRows, and the scale where the
-// dense tableau's O(rows·cols) work per hot re-solve (rhs refresh plus
-// a handful of pivots, each touching the whole tableau) dominates
-// re-solve latency.
+// variables — far above the solver's sparse row threshold, the scale
+// where a dense tableau's O(rows·cols) work per hot re-solve would
+// dominate re-solve latency.
 func largeTopologySystem() *datacenter.System { return synthTopology(20, 100, 3) }
 
 // synthTopology is largeTopologySystem's construction at a chosen size.
@@ -675,21 +674,14 @@ func largeTopologyInput(sys *datacenter.System, slot int) *core.Input {
 	return &core.Input{Sys: sys, Arrivals: arr, Prices: prices, Slot: slot}
 }
 
-// TestWarmStartTrajectory measures dense-warm vs sparse re-solves over a
-// perturbed slot sequence on the large topology and records the point in
-// BENCH_PLAN_JSON. Both chains are warm-started: the dense chain runs
-// the retained tableau path (Sparse off), the sparse chain the revised
-// simplex with LU-factorized basis updates, which the 1160-row LP
-// selects automatically under the default row threshold. Each chain has
-// three regimes — slot 0 arms the machinery (a cold two-phase solve for
-// dense, a crash-basis import for sparse), slot 1 is the first retained
-// re-use, and every later slot is a hot re-solve (rhs refresh + a
-// handful of pivots). The gate is the tentpole headline claim:
-// steady-state sparse hot re-solves (slots 2+) must finish at least 3x
-// faster than the dense warm chain's hot re-solves of the same slots,
-// with matching audited objectives and zero audit fallbacks on either
-// side. Arming costs are recorded in the JSON rather than averaged into
-// the claim.
+// TestWarmStartTrajectory times the warm chain over a perturbed slot
+// sequence on the large topology and records the point in BENCH_PLAN_JSON.
+// The chain has three regimes — slot 0 arms the LU kernel (an all-slack
+// crash import of the ~2160-row LP), slot 1 is the first retained re-use,
+// and every later slot is a hot re-solve (rhs refresh + a handful of
+// pivots) — recorded apart, so the arming cost is never averaged into the
+// steady state. Every slot must be answered warm by the sparse kernel with
+// zero audit fallbacks, at the cold reference's objective.
 func TestWarmStartTrajectory(t *testing.T) {
 	out := os.Getenv("BENCH_PLAN_JSON")
 	if out == "" {
@@ -697,19 +689,17 @@ func TestWarmStartTrajectory(t *testing.T) {
 	}
 	sys := largeTopologySystem()
 	const slots = 6
-	mkPlanner := func(sparse bool, stats *core.SearchStats) *core.Optimized {
-		o := core.NewOptimized()
-		o.Refine = false // one dispatch LP per slot: isolates the solver path
-		o.Sparse = sparse
-		o.Stats = stats
-		return o
-	}
-	// runChain returns per-slot wall times, per-slot stats snapshots and
-	// objectives for one fresh planner driven down the slot sequence.
-	runChain := func(p *core.Optimized) ([]time.Duration, []core.SearchStats, []float64) {
-		durs := make([]time.Duration, slots)
-		stats := make([]core.SearchStats, slots)
-		objs := make([]float64, slots)
+	// Per-slot minimum over 3 independent chain passes (fresh planner per
+	// pass — a warm chain re-arms from its own slot 0): per-slot times at
+	// this scale are well above timer noise, but a shared box can still
+	// stall one pass.
+	durs := make([]time.Duration, slots)
+	stats := make([]core.SearchStats, slots)
+	objs := make([]float64, slots)
+	for pass := 0; pass < 3; pass++ {
+		p := core.NewOptimized()
+		p.Refine = false // one dispatch LP per slot: isolates the solver path
+		p.Stats = &core.SearchStats{}
 		for slot := 0; slot < slots; slot++ {
 			in := largeTopologyInput(sys, slot)
 			start := time.Now()
@@ -717,98 +707,49 @@ func TestWarmStartTrajectory(t *testing.T) {
 			if err != nil {
 				t.Fatalf("slot %d: %v", slot, err)
 			}
-			durs[slot] = time.Since(start)
-			if p.Stats != nil {
-				stats[slot] = *p.Stats
+			if d := time.Since(start); pass == 0 || d < durs[slot] {
+				durs[slot] = d
 			}
-			objs[slot] = plan.Objective
-		}
-		return durs, stats, objs
-	}
-	// Per-slot minimum over 3 independent chain passes (fresh planner per
-	// pass — a warm chain re-arms from its own slot 0): per-slot times at
-	// this scale are well above timer noise, but a shared box can still
-	// stall one pass.
-	minChain := func(sparse bool) ([]time.Duration, []core.SearchStats, []float64) {
-		var best []time.Duration
-		var stats []core.SearchStats
-		var objs []float64
-		for a := 0; a < 3; a++ {
-			d, s, o := runChain(mkPlanner(sparse, &core.SearchStats{}))
-			if best == nil {
-				best, stats, objs = d, s, o
-				continue
-			}
-			for i := range d {
-				if d[i] < best[i] {
-					best[i] = d[i]
-				}
-			}
-		}
-		return best, stats, objs
-	}
-	denseDurs, denseStats, denseObjs := minChain(false)
-	sparseDurs, sparseStats, sparseObjs := minChain(true)
-	// Both chains audit every accepted result against CheckFeasible, so
-	// cross-path agreement is a tolerance (round-off accumulates
-	// differently through eta files than through tableau pivots), not bit
-	// equality.
-	for i := range denseObjs {
-		if d := sparseObjs[i] - denseObjs[i]; d > 1e-7*(1+denseObjs[i]) || -d > 1e-7*(1+denseObjs[i]) {
-			t.Fatalf("slot %d: sparse objective %v vs dense %v", i, sparseObjs[i], denseObjs[i])
+			stats[slot], objs[slot] = *p.Stats, plan.Objective
 		}
 	}
-	var steadyDense, steadySparse time.Duration
-	var densePivots, sparsePivots, sparseSolves, hotHitsDense, hotHitsSparse, abandoned int64
-	for slot := 2; slot < slots; slot++ {
-		steadyDense += denseDurs[slot]
-		steadySparse += sparseDurs[slot]
-		densePivots += denseStats[slot].WarmPivots
-		sparsePivots += sparseStats[slot].WarmPivots
-		sparseSolves += sparseStats[slot].SparseSolves
-		hotHitsDense += denseStats[slot].WarmHits
-		hotHitsSparse += sparseStats[slot].WarmHits
-		abandoned += sparseStats[slot].AbandonedPivots + denseStats[slot].AbandonedPivots
-		if denseStats[slot].WarmHits == 0 {
-			t.Errorf("dense chain solved slot %d without a warm hit: %+v", slot, denseStats[slot])
-		}
-		if sparseStats[slot].SparseSolves == 0 {
-			t.Errorf("sparse chain solved slot %d without a sparse solve: %+v", slot, sparseStats[slot])
-		}
+	// The cold reference of the last slot: round-off accumulates through
+	// eta files, so agreement is a tolerance, not bit equality.
+	cold := core.NewOptimized()
+	cold.Refine, cold.WarmStart = false, false
+	ref, err := cold.Plan(largeTopologyInput(sys, slots-1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Zero audit failures: an audit rejection surfaces as a warm fallback
-	// (the solver re-runs cold), so any fallback anywhere in either chain
-	// fails the gate.
-	for slot := 0; slot < slots; slot++ {
-		if n := denseStats[slot].WarmFallbacks; n != 0 {
-			t.Errorf("dense chain slot %d took %d audit fallbacks: %+v", slot, n, denseStats[slot])
-		}
-		if n := sparseStats[slot].WarmFallbacks; n != 0 {
-			t.Errorf("sparse chain slot %d took %d audit fallbacks: %+v", slot, n, sparseStats[slot])
-		}
+	if d := math.Abs(objs[slots-1] - ref.Objective); d > 1e-7*(1+ref.Objective) {
+		t.Fatalf("slot %d: warm objective %v vs cold %v", slots-1, objs[slots-1], ref.Objective)
 	}
-	speedup := float64(steadyDense) / float64(steadySparse)
-	if speedup < 3 {
-		t.Errorf("steady-state sparse hot re-solve speedup %.2fx over dense warm, want >= 3x (dense %v, sparse %v over slots 2..%d)",
-			speedup, steadyDense, steadySparse, slots-1)
+	var steady time.Duration
+	var pivots, sparseSolves, hotHits, abandoned int64
+	for slot, st := range stats {
+		// An audit rejection surfaces as a warm fallback (the solver
+		// re-runs cold), so any fallback anywhere fails the gate.
+		if st.WarmHits == 0 || st.SparseSolves == 0 || st.WarmFallbacks != 0 {
+			t.Errorf("slot %d was not one clean warm sparse solve: %+v", slot, st)
+		}
+		if slot >= 2 {
+			steady += durs[slot]
+			pivots += st.WarmPivots
+			sparseSolves += st.SparseSolves
+			hotHits += st.WarmHits
+		}
+		abandoned += st.AbandonedPivots
 	}
 	updateBenchJSON(t, out, "warm_start", map[string]any{
 		"scenario":                  "large-topology-100dc-20class",
 		"slots":                     slots,
-		"steady_dense_warm_ns":      steadyDense.Nanoseconds(),
-		"steady_sparse_ns":          steadySparse.Nanoseconds(),
-		"steady_sparse_speedup":     speedup,
-		"dense_cold_slot0_ns":       denseDurs[0].Nanoseconds(),
-		"dense_import_slot_ns":      denseDurs[1].Nanoseconds(),
-		"sparse_import_slot0_ns":    sparseDurs[0].Nanoseconds(),
-		"sparse_hot_slot1_ns":       sparseDurs[1].Nanoseconds(),
-		"dense_warm_pivots_steady":  densePivots,
-		"sparse_warm_pivots_steady": sparsePivots,
+		"steady_sparse_ns":          steady.Nanoseconds(),
+		"sparse_import_slot0_ns":    durs[0].Nanoseconds(),
+		"sparse_hot_slot1_ns":       durs[1].Nanoseconds(),
+		"sparse_warm_pivots_steady": pivots,
 		"sparse_solves_steady":      sparseSolves,
-		"hot_hits_steady_dense":     hotHitsDense,
-		"hot_hits_steady_sparse":    hotHitsSparse,
+		"hot_hits_steady_sparse":    hotHits,
 		"abandoned_pivots":          abandoned,
-		"serial_workers":            1,
 		"warm_start_mode":           "hot-chain+seeded-import",
 	})
 }

@@ -94,6 +94,7 @@ func cmdLoadtest(args []string) error {
 	if err != nil {
 		return err
 	}
+	src.Attach(planner)
 	gw := dispatch.NewGateway(sc.System, sc.DispatchConfig(), scope)
 	d := &dispatch.Driver{Gateway: gw, Planner: planner, Source: src}
 	lcfg := loadgen.Config{

@@ -222,7 +222,7 @@ func TestBoundIsAnUpperBound(t *testing.T) {
 	for _, bc := range boundBattery() {
 		t.Run(bc.name, func(t *testing.T) {
 			in := bc.in
-			ref := &Optimized{Refine: true, MinCompletion: bc.floors, EngineOptions: EngineOptions{WarmStart: true, Sparse: true}}
+			ref := &Optimized{Refine: true, MinCompletion: bc.floors, EngineOptions: EngineOptions{WarmStart: true}}
 			eng := ref.open(in, "reference", false, true)
 			defer eng.close()
 			th := &theorem{t: t, eng: eng, floors: bc.floors}
@@ -242,7 +242,7 @@ func TestBoundIsAnUpperBound(t *testing.T) {
 			refFromSeed := refToggle(t, ref, eng, full, reseed, th.visit)
 			defined, undefined = defined+th.defined, undefined+th.undefined
 
-			o := &Optimized{Refine: true, MinCompletion: bc.floors, EngineOptions: EngineOptions{WarmStart: true, Sparse: true, Stats: &SearchStats{}}}
+			o := &Optimized{Refine: true, MinCompletion: bc.floors, EngineOptions: EngineOptions{WarmStart: true, Stats: &SearchStats{}}}
 			prod := o.open(in, "production", false, true)
 			start, err = o.solveSubset(prod, capReservations(in, full), nil)
 			if err != nil {

@@ -226,7 +226,7 @@ func refineSlot() (*Optimized, *Input) {
 
 // refineSlotBusy is refineSlot at three times the arrivals, where the
 // centers fill up: the bound turns down two moves in three and ~135
-// survivors (88 rows at most, dense and sparse) are solved from their
+// survivors (58 to 88 rows, all on the LU kernel) are solved from their
 // incumbents' bases, with memo-cache hits on each converged pass.
 func refineSlotBusy() (*Optimized, *Input) {
 	o, in := refineSlot()
@@ -325,10 +325,10 @@ func TestRefinePlanAllocs(t *testing.T) {
 		if fx.name == "demand-limited" {
 			drifted = drifted || st.Solves > 5
 		} else {
-			drifted = drifted || st.Solves < 100 || st.SparseSolves == 0 || st.SparseSolves == st.Solves || st.CacheHits == 0
+			drifted = drifted || st.Solves < 100 || st.SparseSolves != st.Solves || st.CacheHits == 0
 		}
 		if drifted {
-			t.Fatalf("%s: fixture drifted: %+v, want ≥ 150 moves bounded and every solve warm: ≤ 5 demand-limited, ≥ 100 on both kernels with cache hits capacity-limited", fx.name, st)
+			t.Fatalf("%s: fixture drifted: %+v, want ≥ 150 moves bounded and every solve warm: ≤ 5 demand-limited, ≥ 100 on the LU kernel with cache hits capacity-limited", fx.name, st)
 		}
 		var before, after runtime.MemStats
 		const runs = 5

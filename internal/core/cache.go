@@ -30,8 +30,7 @@ type SearchStats struct {
 	WarmPivots int64
 	ColdPivots int64
 	// SparseSolves counts warm solves answered by the sparse revised
-	// simplex (zero with the Sparse knob off or every LP below the row
-	// threshold).
+	// simplex (zero when every LP is below the solver's row threshold).
 	SparseSolves int64
 	// AbandonedPivots counts pivots burned on warm attempts that were
 	// abandoned for the cold path — work done and thrown away, which

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -85,6 +87,174 @@ func TestMoreServersNeverHurt(t *testing.T) {
 	}
 	if err := quick.Check(f, econQuickCfg()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// reversedCenters lists in's data centers the other way round — distances
+// and prices with them.
+func reversedCenters(in *Input) *Input {
+	sys, L := in.Sys, in.Sys.L()
+	rev, src := sys.Clone(), sys.Clone()
+	out := &Input{Sys: rev, Arrivals: in.Arrivals, Prices: make([]float64, L)}
+	for l := 0; l < L; l++ {
+		rev.Centers[L-1-l] = src.Centers[l]
+		out.Prices[L-1-l] = in.Prices[l]
+		for s := range rev.FrontEnds {
+			rev.FrontEnds[s].DistanceMiles[L-1-l] = sys.FrontEnds[s].DistanceMiles[l]
+		}
+	}
+	return out
+}
+
+// TestPermutingCentersPermutesThePlan: the order data centers are listed in
+// is not an input. For the LP planner (Refine off) that is a law: reversing
+// them leaves the objective where it was to 1e-9 and moves every center's
+// servers and flows to its new index. The refine search is a stated limit
+// instead: it takes the first improving move in listing order, so the two
+// listings can stop at different local optima — 16 of 2 000 random systems
+// (0.8 %), by 4.5 % of the objective at worst (seed 2912463405135762322;
+// the pinned quick seeds meet it once, 0.27 % at seed 2852120736404329618,
+// both kept below). It is held to what it does guarantee: either listing at
+// least the LP planner's objective, the two within 5 % of each other, and
+// the law itself wherever they stop at the same value.
+func TestPermutingCentersPermutesThePlan(t *testing.T) {
+	check := func(seed int64) bool {
+		_, in := randomSystem(rand.New(rand.NewSource(seed)))
+		revIn := reversedCenters(in)
+		L := in.Sys.L()
+		var floor float64 // the LP planner's objective
+		for _, refine := range []bool{false, true} {
+			o, r := NewOptimized(), NewOptimized()
+			o.Refine, r.Refine = refine, refine
+			base, got := mustPlan(t, o, in), mustPlan(t, r, revIn)
+			gap := absf(got.Objective-base.Objective) / (1 + absf(base.Objective))
+			if !refine {
+				floor = base.Objective
+			} else if gap > 1e-9 {
+				t.Logf("seed %d: refine stops at %.17g reversed, %.17g as listed (gap %.2g)", seed, got.Objective, base.Objective, gap)
+				if gap > 0.05 || !leq(floor, base.Objective) || !leq(floor, got.Objective) {
+					return false
+				}
+				continue
+			}
+			if gap > 1e-9 {
+				t.Logf("seed %d: objective %.17g reversed, %.17g as listed", seed, got.Objective, base.Objective)
+				return false
+			}
+			for l := 0; l < L; l++ {
+				if got.ServersOn[L-1-l] != base.ServersOn[l] {
+					t.Logf("seed %d refine=%v: center %d runs %d servers, %d when listed at %d", seed, refine, l, base.ServersOn[l], got.ServersOn[L-1-l], L-1-l)
+					return false
+				}
+				for k := range base.Rate {
+					for q := range base.Rate[k] {
+						for s := range base.Rate[k][q] {
+							if a, b := base.Rate[k][q][s][l], got.Rate[k][q][s][L-1-l]; absf(a-b) > 1e-9*(1+absf(a)) {
+								t.Logf("seed %d refine=%v: rate[%d][%d][%d] at center %d is %g, %g when listed at %d", seed, refine, k, q, s, l, a, b, L-1-l)
+								return false
+							}
+						}
+					}
+				}
+			}
+		}
+		return true
+	}
+	for _, seed := range []int64{2852120736404329618, 2912463405135762322} {
+		if !check(seed) {
+			t.Fatalf("seed %d", seed)
+		}
+	}
+	if err := quick.Check(check, econQuickCfg()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPricedOutCenterChangesNothing: a center whose energy per request no
+// utility can pay for admits no commodity, so adding it moves neither the
+// objective nor any flow, and it stays dark.
+func TestPricedOutCenterChangesNothing(t *testing.T) {
+	f := func(seed int64) bool {
+		sys, in := randomSystem(rand.New(rand.NewSource(seed)))
+		base := mustPlan(t, NewOptimized(), in)
+		L := sys.L()
+		dead := sys.Clone().Centers[0]
+		for k := range dead.EnergyPerRequest {
+			dead.EnergyPerRequest[k] = 1e6
+		}
+		sys.Centers = append(sys.Centers, dead)
+		for s := range sys.FrontEnds {
+			sys.FrontEnds[s].DistanceMiles = append(sys.FrontEnds[s].DistanceMiles, 1)
+		}
+		in.Prices = append(in.Prices, in.Prices[0])
+		got := mustPlan(t, NewOptimized(), in)
+		if got.Objective != base.Objective || got.ServersOn[L] != 0 {
+			t.Logf("seed %d: objective %.17g with the dead center (%d servers on), %.17g without", seed, got.Objective, got.ServersOn[L], base.Objective)
+			return false
+		}
+		for k := range base.Rate {
+			for q := range base.Rate[k] {
+				for s := range base.Rate[k][q] {
+					if got.Rate[k][q][s][L] != 0 || !reflect.DeepEqual(got.Rate[k][q][s][:L], base.Rate[k][q][s]) {
+						t.Logf("seed %d: rate[%d][%d][%d] is %v with the dead center, %v without", seed, k, q, s, got.Rate[k][q][s], base.Rate[k][q][s])
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, econQuickCfg()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLooserDeadlineNeverHurts: stretching one level's deadline (short of
+// the next level's) shrinks the share its commodities reserve and removes
+// no option.
+func TestLooserDeadlineNeverHurts(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sys, in := randomSystem(rng)
+		base := planObjectiveOf(t, in)
+		k := rng.Intn(sys.K())
+		lv := sys.Classes[k].TUF.Levels()
+		q := rng.Intn(len(lv))
+		if q+1 < len(lv) {
+			lv[q].Deadline = (lv[q].Deadline + lv[q+1].Deadline) / 2
+		} else {
+			lv[q].Deadline *= 1.5
+		}
+		loose, err := newTUFFromLevels(lv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Classes[k].TUF = loose
+		return leq(base, planObjectiveOf(t, in))
+	}
+	if err := quick.Check(f, econQuickCfg()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecycledSpareUnitIsInvisible: every seeded solve of a slot runs on
+// the planner's one spare solve unit, recycled from solve to solve and slot
+// to slot. A capacity-limited refine chain (~135 survivors a slot) on a
+// planner whose spare is replaced by a fresh one before each slot must
+// commit, slot for slot, the recycled chain's %.17g objective, its plan and
+// its solver counters.
+func TestRecycledSpareUnitIsInvisible(t *testing.T) {
+	recycled, fresh := statsOptimized(true), statsOptimized(true)
+	for slot, in := range kernelChain(6, 10, 3, 3, 4) {
+		fresh.warm.spare = solveUnit{}
+		want, got := mustPlan(t, recycled, in), mustPlan(t, fresh, in)
+		if w, g := fmt.Sprintf("%.17g", want.Objective), fmt.Sprintf("%.17g", got.Objective); w != g {
+			t.Fatalf("slot %d: objective %s on a fresh spare unit, %s on the recycled one", slot, g, w)
+		}
+		assertChainsEqual(t, "fresh spare", []*Plan{want}, []*Plan{got})
+		if *fresh.Stats != *recycled.Stats || recycled.Stats.Solves < 100 {
+			t.Fatalf("slot %d: fresh spare ran %+v, recycled %+v, want the same ≥ 100 solves", slot, *fresh.Stats, *recycled.Stats)
+		}
 	}
 }
 

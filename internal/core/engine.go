@@ -51,7 +51,7 @@ type engine struct {
 // solved subsets.
 func (e *EngineOptions) open(in *Input, planner string, perServer, searches bool) *engine {
 	eng := &engine{
-		in: in, perServer: perServer, opts: e.lpOpts(), priced: searches && !perServer,
+		in: in, perServer: perServer, opts: e.LPOpts, priced: searches && !perServer,
 		cache: subsetCache{}, warm: e.claim(!perServer), stats: e.Stats, sc: e.Obs,
 		planner: planner, names: e.namesFor(in.Sys),
 	}

@@ -160,15 +160,15 @@ func PlanHorizon(h *HorizonInput, opts lp.Options) (*HorizonPlan, error) {
 // HorizonPlanner must be driven by one caller at a time.
 type HorizonPlanner struct {
 	// EngineOptions carries the solver knobs: WarmStart seeds each
-	// window's LP from the previous window's exported basis, and Sparse
-	// matters most here — horizon LPs couple H slots in one model, so
-	// they cross the sparse row threshold quickly.
+	// window's LP from the previous window's exported basis. Horizon LPs
+	// couple H slots in one model, so they cross the solver's sparse row
+	// threshold quickly.
 	EngineOptions
 }
 
 // NewHorizonPlanner returns a horizon planner with warm starts on.
 func NewHorizonPlanner() *HorizonPlanner {
-	return &HorizonPlanner{EngineOptions: EngineOptions{WarmStart: true, Sparse: true}}
+	return &HorizonPlanner{EngineOptions: EngineOptions{WarmStart: true}}
 }
 
 // Plan solves one window, reusing the planner's retained solver state:
@@ -180,7 +180,7 @@ func (hp *HorizonPlanner) Plan(h *HorizonInput) (*HorizonPlan, error) {
 	b := buildHorizonLP(h)
 	w := hp.claim(true)
 	defer w.release()
-	res, _, _, err := w.solveModel(b.model, hp.lpOpts(), true, nil, nil, false)
+	res, _, _, err := w.solveModel(b.model, hp.LPOpts, true, nil, nil, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: horizon LP failed: %w", err)
 	}

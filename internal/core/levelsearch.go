@@ -14,7 +14,7 @@ type Strategy int
 // Search strategies.
 const (
 	// Auto enumerates exhaustively when the assignment space is at most
-	// MaxExhaustive and branches-and-bounds otherwise.
+	// maxExhaustive and branches-and-bounds otherwise.
 	Auto Strategy = iota
 	// Exhaustive enumerates every assignment.
 	Exhaustive
@@ -23,6 +23,9 @@ const (
 	// BranchBound performs depth-first search with an LP relaxation bound.
 	BranchBound
 )
+
+// maxExhaustive is the largest assignment count Auto enumerates.
+const maxExhaustive = 4096
 
 // String implements fmt.Stringer.
 func (s Strategy) String() string {
@@ -53,20 +56,17 @@ func (s Strategy) String() string {
 type LevelSearch struct {
 	// Strategy picks the exploration order; Auto by default.
 	Strategy Strategy
-	// MaxExhaustive bounds the assignment count Auto will enumerate
-	// exhaustively; 0 means 4096.
-	MaxExhaustive int
 	// PerServer uses the paper-faithful per-server LP layout.
 	PerServer bool
 	// EngineOptions carries the solver and search-engine knobs, exactly
-	// as on Optimized (WarmStart and Sparse are ignored under PerServer).
+	// as on Optimized (WarmStart is ignored under PerServer).
 	EngineOptions
 }
 
 // NewLevelSearch returns a LevelSearch with the defaults used in the
 // paper reproduction (auto strategy, warm starts on).
 func NewLevelSearch() *LevelSearch {
-	return &LevelSearch{EngineOptions: EngineOptions{WarmStart: true, Sparse: true}}
+	return &LevelSearch{EngineOptions: EngineOptions{WarmStart: true}}
 }
 
 // Name implements Planner.
@@ -91,10 +91,6 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 		return nil, err
 	}
 	sys := in.Sys
-	maxEx := ls.MaxExhaustive
-	if maxEx <= 0 {
-		maxEx = 4096
-	}
 
 	pairs := allPairs(sys)
 	space := 1.0
@@ -104,7 +100,7 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 
 	strategy := ls.Strategy
 	if strategy == Auto {
-		if space <= float64(maxEx) {
+		if space <= maxExhaustive {
 			strategy = Exhaustive
 		} else {
 			strategy = BranchBound

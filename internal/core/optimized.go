@@ -56,16 +56,16 @@ type Optimized struct {
 	// error when the floors exceed what the fleet can serve.
 	MinCompletion []float64
 	// EngineOptions carries the solver and search-engine knobs shared
-	// with LevelSearch and HorizonPlanner. WarmStart and Sparse are
-	// ignored under PerServer, whose variable layout changes with the
-	// commodity set too quickly to seed.
+	// with LevelSearch and HorizonPlanner. WarmStart is ignored under
+	// PerServer, whose variable layout changes with the commodity set too
+	// quickly to seed.
 	EngineOptions
 }
 
 // EngineOptions are the solver and plan-search knobs every LP-backed
 // planner carries (embedded in Optimized, LevelSearch and
-// HorizonPlanner; the constructors switch WarmStart and Sparse on),
-// together with the warm-start state those knobs govern. Every LP the
+// HorizonPlanner; the constructors switch WarmStart on), together
+// with the warm-start state those knobs govern. Every LP the
 // planners solve takes one path: build → engine → memo cache →
 // lp.Solver's warm ladder → the kernel the row count selects.
 type EngineOptions struct {
@@ -79,14 +79,11 @@ type EngineOptions struct {
 	// cold dense reference — every LP solved from scratch by the two-phase
 	// simplex.
 	WarmStart bool
-	// Sparse lets warm-started LPs at or above the sparse row threshold
-	// run on the sparse revised simplex (LU-factorized basis, FTRAN/BTRAN
-	// solves) instead of the dense warm tableau (see DESIGN.md §12).
-	// Results are audited exactly like the dense kernel's. The
-	// constructors switch it on, and no scenario key or CLI flag switches
-	// it off — the kernel is picked from the row count, not by a user;
-	// only the solver trajectory bench does, to time the dense kernel at
-	// sparse sizes.
+	// Sparse is ignored: lp.Solver picks the warm kernel from the LP's row
+	// count alone.
+	//
+	// Deprecated: bench/slots.go still reads it, and the PR that stopped
+	// honouring it could not edit bench/; ROADMAP item 8 deletes it.
 	Sparse bool
 	// Stats, when non-nil, receives the engine's solver counters after
 	// each Plan call. Diagnostics only.
@@ -105,20 +102,10 @@ type EngineOptions struct {
 	names atomic.Pointer[dispatchNames]
 }
 
-// lpOpts resolves the effective solver options: the Sparse knob merges
-// into LPOpts so every solve site and the memo-cache key see one value.
-func (e *EngineOptions) lpOpts() lp.Options {
-	opts := e.LPOpts
-	if e.Sparse {
-		opts.Sparse = true
-	}
-	return opts
-}
-
 // NewOptimized returns the planner with the paper-faithful defaults:
 // aggregated variables, refinement and warm-started re-solves on.
 func NewOptimized() *Optimized {
-	return &Optimized{Refine: true, EngineOptions: EngineOptions{WarmStart: true, Sparse: true}}
+	return &Optimized{Refine: true, EngineOptions: EngineOptions{WarmStart: true}}
 }
 
 // Name implements Planner.

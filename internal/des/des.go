@@ -178,6 +178,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	src.Attach(cfg.Planner)
 	sys := cfg.Sim.Sys
 	T := sys.Slot()
 	K, S, L := sys.K(), sys.S(), sys.L()

@@ -117,9 +117,9 @@ func TestDualSimplexCyclingRegression(t *testing.T) {
 // exactly what the seedless sparse import builds, so the solve exercises
 // the sparse stall→Bland switch end to end.
 func TestSparseDualSimplexAntiCycling(t *testing.T) {
-	var s Solver
+	s := onSparse()
 	m := buildBealeDual()
-	res, err := s.SolveWarm(m, nil, sparseTestOpts())
+	res, err := s.SolveWarm(m, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,10 +48,10 @@ func FuzzWarmBasisImport(f *testing.F) {
 		var s Solver
 		warm, warmErr := s.SolveSeeded(m, seed, Options{})
 		if warmErr == nil {
-			for _, opts := range []Options{{}, sparseTestOpts()} {
-				var fresh Solver
-				want := snapshot(t, &fresh, fresh.SolveSeeded, m, seed, opts)
-				requireIdentical(t, "dirty solver", snapshot(t, used, used.SolveSeeded, m, seed, opts), want)
+			for _, fresh := range []*Solver{onDense(), onSparse()} {
+				used.minRows = fresh.minRows
+				want := snapshot(t, fresh, fresh.SolveSeeded, m, seed, Options{})
+				requireIdentical(t, "dirty solver", snapshot(t, used, used.SolveSeeded, m, seed, Options{}), want)
 			}
 		}
 		cold, coldErr := m.SolveOpts(Options{})
@@ -172,7 +172,7 @@ func FuzzKernelDifferential(f *testing.F) {
 			t.Skip()
 		}
 		m, drifted := fuzzLP(nv, nr, data, 0), fuzzLP(nv, nr, data, 1)
-		var hot Solver
+		hot := onSparse()
 		var coldBasis *Basis
 		for _, lp := range []*Model{m, drifted, m} { // the third round re-solves m hot
 			var cold Solver
@@ -197,14 +197,15 @@ func FuzzKernelDifferential(f *testing.F) {
 				requireCertified(t, what, lp, res)
 			}
 			agree("dense cold", want, wantErr)
-			var s Solver
+			s := onDense()
 			res, err := s.SolveSeeded(lp, coldBasis, Options{})
 			agree("dense warm", res, err)
+			s.minRows = 1 // the same workspaces, now on the LU kernel
 			for _, seed := range []*Basis{nil, coldBasis} {
-				res, err = s.SolveSeeded(lp, seed, sparseTestOpts())
+				res, err = s.SolveSeeded(lp, seed, Options{})
 				agree("sparse crash", res, err)
 			}
-			res, err = hot.SolveWarm(lp, coldBasis, sparseTestOpts())
+			res, err = hot.SolveWarm(lp, coldBasis, Options{})
 			agree("sparse "+hot.LastOutcome().Path, res, err)
 		}
 	})

@@ -111,7 +111,7 @@ func (d *shaped) refresh(rng *rand.Rand, amp float64) {
 // 2 160-row dispatch-shaped LP re-solved hot across 40 slots of drift, the
 // lists a pivot walks — the entering column's FTRAN image, the leaving row
 // of B⁻¹, the matrix rows the reduced-cost update reads — average a small
-// multiple of the counts DESIGN §14.4 records for this chain (~40, ~120 and
+// multiple of the counts DESIGN §14.3 records for this chain (~40, ~120 and
 // ~2 000), where a dense pass is 2 160 positions, 2 160 rows and all
 // 18 160 entries of the matrix. Counted by the kernel's own tallies, not
 // timed. The chain crosses the eta file's bound, so it also checks that a
@@ -120,8 +120,7 @@ func TestHotPivotWorkIsSparse(t *testing.T) {
 	d := dispatchShaped(20, 100, 3, 1)
 	rng := rand.New(rand.NewSource(2))
 	var s Solver
-	opts := Options{Sparse: true}
-	if _, err := s.SolveWarm(d.m, nil, opts); err != nil {
+	if _, err := s.SolveWarm(d.m, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if d.m.NumConstraints() != 2160 || d.m.NumVariables() != 8000 {
@@ -131,7 +130,7 @@ func TestHotPivotWorkIsSparse(t *testing.T) {
 	pivots, refactors := 0, 0
 	for slot := 1; slot <= 40; slot++ {
 		d.refresh(rng, 0.05)
-		if _, err := s.SolveWarm(d.m, nil, opts); err != nil {
+		if _, err := s.SolveWarm(d.m, nil, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		out := s.LastOutcome()
@@ -168,8 +167,7 @@ func BenchmarkHotPivot(b *testing.B) {
 			d := dispatchShaped(20, 100, 3, 1)
 			rng := rand.New(rand.NewSource(2))
 			var s Solver
-			opts := Options{Sparse: true}
-			if _, err := s.SolveWarm(d.m, nil, opts); err != nil {
+			if _, err := s.SolveWarm(d.m, nil, Options{}); err != nil {
 				b.Fatal(err)
 			}
 			pivots := 0
@@ -179,7 +177,7 @@ func BenchmarkHotPivot(b *testing.B) {
 				b.StopTimer()
 				d.refresh(rng, bc.amp)
 				b.StartTimer()
-				if _, err := s.SolveWarm(d.m, nil, opts); err != nil {
+				if _, err := s.SolveWarm(d.m, nil, Options{}); err != nil {
 					b.Fatal(err)
 				}
 				if out := s.LastOutcome(); out.Path != "hot" || !out.Sparse {
@@ -192,5 +190,79 @@ func BenchmarkHotPivot(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
 			}
 		})
+	}
+}
+
+// BenchmarkKernelCrossover is where sparseMinRows comes from: dispatch-shaped
+// LPs from 12 to 88 rows, each put through both warm kernels by the
+// package's seam, on the two things a planner asks of a warm solver — a hot
+// re-solve of one model after a slot's worth of drift in costs and arrival
+// budgets (BenchmarkHotPivot's; the refresh in place is inside the timing,
+// the same few stores on either kernel), and a seeded import of a drifted
+// sibling from the base model's optimal basis. Four classes compete for
+// every center and the arrivals are scaled to 1.3 times what the centers can
+// serve, so capacity binds as on the paper's day: the basis is mostly
+// structural columns, which the LU kernel pays for and the tableau does not.
+// The constant is the smallest size from which the LU kernel wins both;
+// DESIGN §12.1 records the table and what a heavier drift does to it.
+func BenchmarkKernelCrossover(b *testing.B) {
+	const ring = 64 // drifted siblings cycled through, so no solve repeats the last
+	for _, sz := range []struct{ rows, K, L, S int }{
+		{12, 2, 2, 3}, {24, 4, 4, 1}, {32, 4, 4, 3}, {40, 4, 4, 5}, {48, 4, 8, 2}, {58, 4, 10, 2}, {64, 4, 12, 1}, {88, 4, 16, 2},
+	} {
+		rng := rand.New(rand.NewSource(2))
+		sibling := func(amp float64) *Model {
+			d := dispatchShaped(sz.K, sz.L, sz.S, 1)
+			for i := range d.arrivals { // ~490 a stream against ~3 600 a center
+				d.arrivals[i] *= 1.3 * float64(sz.L) * 3600 / float64(sz.K*sz.S*490)
+			}
+			d.refresh(rng, amp)
+			return d.m
+		}
+		held := sibling(0)
+		if held.NumConstraints() != sz.rows {
+			b.Fatalf("fixture has %d rows, want %d", held.NumConstraints(), sz.rows)
+		}
+		seed := seedFor(b, held)
+		siblings := make([]*Model, ring)
+		for i := range siblings {
+			siblings[i] = sibling(0.05)
+		}
+		for _, op := range []struct {
+			name  string
+			solve func(s *Solver, i int) (*Result, error)
+		}{
+			{"hot", func(s *Solver, i int) (*Result, error) {
+				return s.SolveWarm(copyNumbers(held, siblings[i%ring]), seed, Options{})
+			}},
+			{"import", func(s *Solver, i int) (*Result, error) {
+				return s.SolveSeeded(siblings[i%ring], seed, Options{})
+			}},
+		} {
+			for _, kn := range ladderKernels {
+				b.Run(fmt.Sprintf("rows=%d/%s/%s", sz.rows, op.name, kn.name), func(b *testing.B) {
+					s := kn.solver()
+					if _, err := op.solve(s, ring-1); err != nil { // arms the hot chain
+						b.Fatal(err)
+					}
+					pivots := 0
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := op.solve(s, i); err != nil {
+							b.Fatal(err)
+						}
+						// The dense kernel sheds its drift by re-importing every
+						// maxHotUses solves; that is its hot chain's cost too.
+						out := s.LastOutcome()
+						if out.FellBack || out.Sparse != kn.sparse || (out.Path != op.name && out.Path != "import") {
+							b.Fatalf("iteration %d ran %+v, want %s on the %s kernel", i, out, op.name, kn.name)
+						}
+						pivots += out.WarmPivots
+					}
+					b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+				})
+			}
+		}
 	}
 }

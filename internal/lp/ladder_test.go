@@ -1,22 +1,22 @@
 package lp
 
 import (
-	"math"
 	"reflect"
 	"testing"
 )
 
 // ladderKernels forces each of the Solver's two warm kernels onto the
-// small test LPs, so every test below asserts the ladder's contract — hot
-// on the same structure, import on a changed one, audited cold fallback,
-// the drift bound, SolveSeeded purity, basis round-trip — once, over both.
+// small test LPs through the package's seam, so every test below asserts
+// the ladder's contract — hot on the same structure, import on a changed
+// one, audited cold fallback, the drift bound, SolveSeeded purity, basis
+// round-trip — once, over both.
 var ladderKernels = []struct {
 	name   string
-	opts   Options
+	solver func() *Solver
 	sparse bool
 }{
-	{"dense", Options{Sparse: true, SparseMinRows: math.MaxInt}, false},
-	{"sparse", Options{Sparse: true, SparseMinRows: 1}, true},
+	{"dense", onDense, false},
+	{"sparse", onSparse, true},
 }
 
 // requireMatchesCold checks a warm result against the cold reference of
@@ -46,11 +46,11 @@ func requireMatchesCold(t *testing.T, m *Model, res *Result) *Result {
 func TestSolveWarmHotPath(t *testing.T) {
 	for _, kn := range ladderKernels {
 		t.Run(kn.name, func(t *testing.T) {
-			var s Solver
+			s := kn.solver()
 			var seed *Basis
 			step := func(slot int, m *Model, wantPath string) {
 				t.Helper()
-				res, err := s.SolveWarm(m, seed, kn.opts)
+				res, err := s.SolveWarm(m, seed, Options{})
 				if err != nil {
 					t.Fatalf("slot %d: %v", slot, err)
 				}
@@ -105,8 +105,8 @@ func TestSolveSeededImportMatchesCold(t *testing.T) {
 				t.Fatal("no basis exported")
 			}
 			m1 := buildTransportLP(1.05, 0.97)
-			var s Solver
-			want, err := s.SolveSeeded(m1, seed, kn.opts)
+			s := kn.solver()
+			want, err := s.SolveSeeded(m1, seed, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,23 +114,23 @@ func TestSolveSeededImportMatchesCold(t *testing.T) {
 				t.Fatalf("outcome %+v, want import on the %s kernel", out, kn.name)
 			}
 			requireMatchesCold(t, m1, want)
-			again, err := s.SolveSeeded(m1, seed, kn.opts)
+			again, err := s.SolveSeeded(m1, seed, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, again) {
 				t.Fatal("SolveSeeded is not a pure function of (model, seed, opts)")
 			}
-			var dirty Solver
+			dirty := kn.solver()
 			for i := 0; i < 3; i++ { // accumulate hot state first
-				if _, err := dirty.SolveWarm(buildTransportLP(1+0.1*float64(i), 1), seed, kn.opts); err != nil {
+				if _, err := dirty.SolveWarm(buildTransportLP(1+0.1*float64(i), 1), seed, Options{}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if dirty.LastOutcome().Path != "hot" {
 				t.Fatalf("dirty solver never went hot: %+v", dirty.LastOutcome())
 			}
-			got, err := dirty.SolveSeeded(m1, seed, kn.opts)
+			got, err := dirty.SolveSeeded(m1, seed, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestSolveSeededImportMatchesCold(t *testing.T) {
 				t.Fatalf("outcome %+v, want import", out)
 			}
 			// ...and it left no hot state behind for SolveWarm to pick up.
-			if _, err := dirty.SolveWarm(m1, seed, kn.opts); err != nil {
+			if _, err := dirty.SolveWarm(m1, seed, Options{}); err != nil {
 				t.Fatal(err)
 			}
 			if out := dirty.LastOutcome(); out.Path != "import" {
@@ -159,18 +159,18 @@ func TestSolveSeededHostileSeedFallsBackCold(t *testing.T) {
 	for _, kn := range ladderKernels {
 		t.Run(kn.name, func(t *testing.T) {
 			m := buildTransportLP(1, 1)
-			var s Solver
+			s := kn.solver()
 			garbage := NewBasis(
 				[]string{"no_such_var", "x_0_0", "x_0_0", "x_0_0"},
 				[]string{"missing_row", "bal", "bal", "cap_0", "cap_0"},
 			)
-			res, err := s.SolveSeeded(m, garbage, kn.opts)
+			res, err := s.SolveSeeded(m, garbage, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireMatchesCold(t, m, res)
 			for _, solve := range []func(*Model, *Basis, Options) (*Result, error){s.SolveSeeded, s.SolveWarm} {
-				res, err := solve(m, NewBasis([]string{"no_such_var"}, nil), kn.opts)
+				res, err := solve(m, NewBasis([]string{"no_such_var"}, nil), Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,7 +189,7 @@ func TestSolveSeededHostileSeedFallsBackCold(t *testing.T) {
 func TestExportBasisRoundTrip(t *testing.T) {
 	for _, kn := range ladderKernels {
 		t.Run(kn.name, func(t *testing.T) {
-			var s Solver
+			s := kn.solver()
 			m := buildTransportLP(1, 1)
 			res, err := s.Solve(m, Options{})
 			if err != nil {
@@ -206,7 +206,7 @@ func TestExportBasisRoundTrip(t *testing.T) {
 				if seed.Size() != m.NumConstraints() {
 					t.Fatalf("%s: basis size %d, want %d", from, seed.Size(), m.NumConstraints())
 				}
-				res2, err := s.SolveSeeded(buildTransportLP(1, 1), seed, kn.opts)
+				res2, err := s.SolveSeeded(buildTransportLP(1, 1), seed, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,14 +235,14 @@ func TestExportBasisRoundTrip(t *testing.T) {
 func TestLadderDriftBound(t *testing.T) {
 	for _, kn := range ladderKernels {
 		t.Run(kn.name, func(t *testing.T) {
-			var s Solver
+			s := kn.solver()
 			if _, err := s.Solve(buildInequalityLP(1), Options{}); err != nil {
 				t.Fatal(err)
 			}
 			seed, _ := s.ExportBasis()
 			for i := 0; i <= maxHotUses+2; i++ {
 				m := buildInequalityLP(1 + 0.001*float64(i%7))
-				res, err := s.SolveWarm(m, seed, kn.opts)
+				res, err := s.SolveWarm(m, seed, Options{})
 				if err != nil {
 					t.Fatalf("solve %d: %v", i, err)
 				}
@@ -274,11 +274,11 @@ func TestLadderDriftBound(t *testing.T) {
 func TestAbandonedPivotAccounting(t *testing.T) {
 	for _, kn := range ladderKernels {
 		t.Run(kn.name, func(t *testing.T) {
-			var healthy Solver
+			healthy := kn.solver()
 			var seed *Basis
 			for slot := 0; slot < 3; slot++ {
 				scale := 1 + 0.1*float64(slot)
-				if _, err := healthy.SolveWarm(buildTransportLP(scale, 1), seed, kn.opts); err != nil {
+				if _, err := healthy.SolveWarm(buildTransportLP(scale, 1), seed, Options{}); err != nil {
 					t.Fatal(err)
 				}
 				if out := healthy.LastOutcome(); out.AbandonedPivots != 0 {
@@ -293,9 +293,8 @@ func TestAbandonedPivotAccounting(t *testing.T) {
 			// pivot must be accounted, not lost. The all-surplus seed on
 			// the Beale dual guarantees the repair cannot finish in one
 			// pivot.
-			var starved Solver
-			opts := kn.opts
-			opts.MaxIterations = 1
+			starved := kn.solver()
+			opts := Options{MaxIterations: 1}
 			allSurplus := NewBasis(nil, []string{"d1", "d2", "d3", "d4"})
 			res, err := starved.SolveWarm(buildBealeDual(), allSurplus, opts)
 			out := starved.LastOutcome()

@@ -2,8 +2,8 @@
 // small model-builder API with named variables, a cold two-phase dense
 // simplex, and Solver's warm ladder (hot re-solve → basis import → audited
 // cold fallback) over two kernels — the dense marker-block tableau and,
-// from DefaultSparseMinRows rows up, the sparse revised simplex on an
-// LU-factorized basis.
+// from sparseMinRows rows up, the sparse revised simplex on an
+// LU-factorized basis. The row count picks; no caller does.
 //
 // The paper's one-level-TUF dispatch problem is a pure LP (Section IV-1),
 // and its multi-level problems reduce to LPs once every (request type, data
@@ -190,8 +190,9 @@ func (m *Model) AddUpperBound(v int, bound float64) int {
 }
 
 // RowSpec returns a copy of constraint row c: its terms, sense and rhs.
-// It lets alternative solvers (e.g. internal/nlp) consume a Model without
-// reaching into its representation.
+// It lets a checker outside the package (core's duality certificate, its
+// refreshed-against-rebuilt comparison) read a Model without reaching into
+// its representation.
 func (m *Model) RowSpec(c int) ([]Term, Sense, float64) {
 	row := m.rows[c]
 	terms := make([]Term, len(row.terms))

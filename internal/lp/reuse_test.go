@@ -13,8 +13,8 @@ import (
 
 // packingLP is a seeded bounded-and-feasible LP of any size: maximize a
 // positive objective over LE capacity rows that cover every column, plus
-// a few slack GE floors. At 64 rows and up the default options put it on
-// the sparse kernel.
+// a few slack GE floors. From sparseMinRows rows up a plain Solver puts it
+// on the sparse kernel.
 func packingLP(seed int64, rows, cols int) *Model {
 	return packingInto(NewModel(), seed, rows, cols)
 }
@@ -103,18 +103,17 @@ func requireIdentical(t testing.TB, what string, got, want solved) {
 // dirty returns a solver whose every workspace has just held other
 // problems: a larger and a smaller model on each kernel, a structurally
 // different one, a cold solve and a retained hot chain — dense, sparse and
-// dense again across the 64-row switch.
+// dense again across the row rule.
 func dirty(t testing.TB) *Solver {
 	t.Helper()
 	var s Solver
-	opts := Options{Sparse: true}
 	for _, m := range []*Model{
 		packingLP(1, 30, 70), packingLP(2, 90, 200), packingLP(3, 12, 20), packingLP(4, 70, 75),
 		buildTransportLP(1, 1), buildBealeDual(), packingLP(5, 66, 150),
 	} {
 		seed := seedFor(t, m)
 		for _, solve := range []func(*Model, *Basis, Options) (*Result, error){s.SolveSeeded, s.SolveWarm, s.SolveWarm} {
-			if _, err := solve(m, seed, opts); err != nil {
+			if _, err := solve(m, seed, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -134,15 +133,15 @@ func dirty(t testing.TB) *Solver {
 // (answered by the structure stamp) and the same chain over a new model a
 // step (answered by the sameStructure walk), on either solver.
 func TestSolverReuseIsInvisible(t *testing.T) {
-	opts := Options{Sparse: true}
 	cases := []struct {
 		name string
 		m    func(drift float64) *Model
 	}{
 		{"dense-30x70", func(d float64) *Model { return driftRHS(packingLP(11, 30, 70), d) }},
+		{"sparse-32x70", func(d float64) *Model { return driftRHS(packingLP(15, 32, 70), d) }},
 		{"sparse-64x130", func(d float64) *Model { return driftRHS(packingLP(12, 64, 130), d) }},
 		{"sparse-120x260", func(d float64) *Model { return driftRHS(packingLP(13, 120, 260), d) }},
-		{"dense-63x64", func(d float64) *Model { return driftRHS(packingLP(14, 63, 64), d) }},
+		{"dense-31x32", func(d float64) *Model { return driftRHS(packingLP(14, 31, 32), d) }},
 		{"transport-eq", func(d float64) *Model { return buildTransportLP(1+d, 1) }},
 		{"beale-dual", func(float64) *Model { return buildBealeDual() }},
 	}
@@ -151,30 +150,30 @@ func TestSolverReuseIsInvisible(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			seed := seedFor(t, c.m(0.3))
 			var fresh, freshWarm Solver
-			want := snapshot(t, &fresh, fresh.SolveSeeded, c.m(0), seed, opts)
+			want := snapshot(t, &fresh, fresh.SolveSeeded, c.m(0), seed, Options{})
 			if want.Out.Path != "import" {
 				t.Fatalf("fixture solves by %q, want an import", want.Out.Path)
 			}
-			requireIdentical(t, "seeded, dirty solver", snapshot(t, used, used.SolveSeeded, c.m(0), seed, opts), want)
-			requireIdentical(t, "seeded, same solver again", snapshot(t, used, used.SolveSeeded, c.m(0), seed, opts), want)
-			wantWarm := snapshot(t, &freshWarm, freshWarm.SolveWarm, c.m(0), seed, opts)
-			requireIdentical(t, "warm, dirty solver", snapshot(t, used, used.SolveWarm, c.m(0), seed, opts), wantWarm)
+			requireIdentical(t, "seeded, dirty solver", snapshot(t, used, used.SolveSeeded, c.m(0), seed, Options{}), want)
+			requireIdentical(t, "seeded, same solver again", snapshot(t, used, used.SolveSeeded, c.m(0), seed, Options{}), want)
+			wantWarm := snapshot(t, &freshWarm, freshWarm.SolveWarm, c.m(0), seed, Options{})
+			requireIdentical(t, "warm, dirty solver", snapshot(t, used, used.SolveWarm, c.m(0), seed, Options{}), wantWarm)
 			// Three hot chains over the same numbers: a new model a step on
 			// a fresh solver, one model refreshed in place on a fresh solver,
 			// and one refreshed in place on the dirty solver.
-			if _, err := used.SolveSeeded(c.m(0), seed, opts); err != nil { // drops its hot state
+			if _, err := used.SolveSeeded(c.m(0), seed, Options{}); err != nil { // drops its hot state
 				t.Fatal(err)
 			}
 			var walked, stamped Solver
 			held, heldUsed := c.m(0), c.m(0)
 			for step, d := range []float64{0, 0.04, -0.03, 0.07} {
 				next := driftRHS(c.m(0), d)
-				want := snapshot(t, &walked, walked.SolveWarm, next, seed, opts)
+				want := snapshot(t, &walked, walked.SolveWarm, next, seed, Options{})
 				if wantPath := []string{"import", "hot"}[min(step, 1)]; want.Out.Path != wantPath {
 					t.Fatalf("step %d: solved by %q, want %q", step, want.Out.Path, wantPath)
 				}
-				requireIdentical(t, fmt.Sprintf("step %d in place", step), snapshot(t, &stamped, stamped.SolveWarm, copyNumbers(held, next), seed, opts), want)
-				requireIdentical(t, fmt.Sprintf("step %d in place, dirty solver", step), snapshot(t, used, used.SolveWarm, copyNumbers(heldUsed, next), seed, opts), want)
+				requireIdentical(t, fmt.Sprintf("step %d in place", step), snapshot(t, &stamped, stamped.SolveWarm, copyNumbers(held, next), seed, Options{}), want)
+				requireIdentical(t, fmt.Sprintf("step %d in place, dirty solver", step), snapshot(t, used, used.SolveWarm, copyNumbers(heldUsed, next), seed, Options{}), want)
 			}
 		})
 	}
@@ -303,10 +302,10 @@ func TestImportPivotsCounted(t *testing.T) {
 	seed := NewBasis([]string{"x", "y"}, []string{"r1"})
 	for _, kn := range ladderKernels {
 		t.Run(kn.name, func(t *testing.T) {
-			var s Solver
+			s := kn.solver()
 			var first Outcome
 			for i := 0; i < 3; i++ {
-				res, err := s.SolveSeeded(build(1), seed, kn.opts)
+				res, err := s.SolveSeeded(build(1), seed, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -324,7 +323,7 @@ func TestImportPivotsCounted(t *testing.T) {
 				}
 			}
 			for i := 0; i < 2; i++ {
-				if _, err := s.SolveWarm(build(1+0.1*float64(i)), seed, kn.opts); err != nil {
+				if _, err := s.SolveWarm(build(1+0.1*float64(i)), seed, Options{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -349,16 +348,15 @@ func TestSeededSolveAllocs(t *testing.T) {
 		m := packingLP(31, c.rows, c.cols)
 		seed := seedFor(t, driftRHS(packingLP(31, c.rows, c.cols), 0.3))
 		var s Solver
-		opts := Options{Sparse: true}
 		solve := func() {
-			if _, err := s.SolveSeeded(m, seed, opts); err != nil {
+			if _, err := s.SolveSeeded(m, seed, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 3; i++ { // the slabs settle at their size
 			solve()
 		}
-		if out := s.LastOutcome(); out.Path != "import" || out.Sparse != (c.rows >= DefaultSparseMinRows) || out.WarmPivots == 0 {
+		if out := s.LastOutcome(); out.Path != "import" || out.Sparse != (c.rows >= sparseMinRows) || out.WarmPivots == 0 {
 			t.Fatalf("%s: outcome %+v, want an import that pivots", c.name, out)
 		}
 		if got := testing.AllocsPerRun(20, solve); got != 3 {
@@ -375,7 +373,7 @@ func TestSharedSeedConcurrentImport(t *testing.T) {
 	for _, c := range []struct{ rows, cols int }{{30, 70}, {90, 200}} {
 		m := func() *Model { return packingLP(41, c.rows, c.cols) }
 		var fresh Solver
-		want := snapshot(t, &fresh, fresh.SolveSeeded, m(), seedFor(t, driftRHS(m(), 0.3)), Options{Sparse: true})
+		want := snapshot(t, &fresh, fresh.SolveSeeded, m(), seedFor(t, driftRHS(m(), 0.3)), Options{})
 		seed := seedFor(t, driftRHS(m(), 0.3)) // never imported yet
 		got := make([]solved, 8)
 		var wg sync.WaitGroup
@@ -384,7 +382,7 @@ func TestSharedSeedConcurrentImport(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				var s Solver
-				res, err := s.SolveSeeded(m(), seed, Options{Sparse: true})
+				res, err := s.SolveSeeded(m(), seed, Options{})
 				if err != nil {
 					t.Error(err)
 					return

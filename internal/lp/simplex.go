@@ -18,15 +18,12 @@ type Options struct {
 	// By default Dantzig pricing is used and the solver switches to
 	// Bland's rule after stalling to guarantee termination.
 	Bland bool
-	// Sparse routes a Solver's warm paths (SolveWarm/SolveSeeded) through
-	// the sparse revised simplex — LU-factorized basis, FTRAN/BTRAN
-	// solves, partial pricing — once the model has at least SparseMinRows
-	// rows. The cold path and every model below the threshold stay on the
-	// dense tableau, bit-identical to Sparse being off.
+	// Sparse is ignored: the warm kernel is a function of the LP's row
+	// count alone (see sparseMinRows).
+	//
+	// Deprecated: bench/slots.go still assigns it, and the PR that stopped
+	// honouring it could not edit bench/; ROADMAP item 8 deletes it.
 	Sparse bool
-	// SparseMinRows overrides the Sparse row threshold; 0 means
-	// DefaultSparseMinRows.
-	SparseMinRows int
 }
 
 func (o Options) withDefaults(rows, cols int) Options {

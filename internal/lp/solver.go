@@ -163,6 +163,10 @@ type Solver struct {
 	out    Outcome
 	// yielded is when the solver last gave up the processor (see breathe).
 	yielded time.Time
+	// minRows, when positive, stands in for sparseMinRows: the seam this
+	// package's tests put one LP through both kernels by. Nothing outside
+	// the package can select a kernel.
+	minRows int
 }
 
 // kernel is what the warm ladder needs from a simplex implementation.
@@ -202,10 +206,9 @@ type kernel interface {
 // kernel of the previous warm solve, its model's structure stamp as of that
 // solve, and how many hot re-solves reused it.
 type retained struct {
-	k      kernel
-	sparse bool
-	uses   int
-	stamp  uint64
+	k     kernel
+	uses  int
+	stamp uint64
 }
 
 // fits reports whether the retained kernel's factorization applies to m.
@@ -243,10 +246,9 @@ func (s *Solver) Solve(m *Model, opts Options) (*Result, error) {
 // accepted only at status Optimal and after the model re-verifies the
 // solution, so correctness never depends on the warm path.
 //
-// The kernel is chosen from the row count: with opts.Sparse set and the
-// model at or above the row threshold the warm paths run the sparse
-// revised simplex, below it the dense warm tableau; the cold anchor is
-// dense either way.
+// The kernel is chosen from the row count: from sparseMinRows rows up the
+// warm paths run the sparse revised simplex, below it the dense warm
+// tableau; the cold anchor is dense either way.
 func (s *Solver) SolveWarm(m *Model, seed *Basis, opts Options) (*Result, error) {
 	return s.solve(m, seed, opts, true)
 }
@@ -266,10 +268,14 @@ func (s *Solver) SolveSeeded(m *Model, seed *Basis, opts Options) (*Result, erro
 func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result, error) {
 	s.breathe()
 	s.out, s.last = Outcome{}, nil
-	sparse := opts.sparseEligible(m)
+	minRows := sparseMinRows
+	if s.minRows > 0 {
+		minRows = s.minRows
+	}
+	sparse := len(m.rows) >= minRows
 	opts = opts.withDefaults(len(m.rows), len(m.names))
-	if !keep || s.ws.sparse != sparse {
-		s.ws = retained{} // hot state does not survive a change of kernel
+	if !keep {
+		s.ws = retained{}
 	}
 	attempted := false
 	if k := s.ws.k; s.ws.fits(m) {
@@ -298,7 +304,7 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 		s.ws = retained{} // the build reused the retained kernel's workspace
 		if res := s.attempt(k, k.importBasis(seed), opts.Tol); res != nil {
 			if keep {
-				s.ws = retained{k: k, sparse: sparse, stamp: m.stamp}
+				s.ws = retained{k: k, stamp: m.stamp}
 			}
 			s.out.Path, s.out.Sparse = "import", sparse
 			return res, nil

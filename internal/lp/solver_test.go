@@ -65,10 +65,9 @@ func TestSolverColdMatchesSolveOpts(t *testing.T) {
 // (relative), with zero audit failures. Runs under -race via
 // `make verify-lp`.
 func TestWarmEquivalenceProperty(t *testing.T) {
-	spOpts := Options{Sparse: true, SparseMinRows: 1}
 	for seedIdx, rngSeed := range []int64{1, 7, 42, 1337} {
 		rng := rand.New(rand.NewSource(rngSeed))
-		var sDense, sSparse Solver
+		sDense, sSparse := onDense(), onSparse()
 		var seedDense, seedSparse *Basis
 		sawSparse := false
 		for slot := 0; slot < 12; slot++ {
@@ -99,9 +98,9 @@ func TestWarmEquivalenceProperty(t *testing.T) {
 				}
 			}
 			warm, err := sDense.SolveWarm(m, seedDense, Options{})
-			check("dense-warm", &sDense, warm, err)
-			sp, spErr := sSparse.SolveWarm(m, seedSparse, spOpts)
-			check("sparse", &sSparse, sp, spErr)
+			check("dense-warm", sDense, warm, err)
+			sp, spErr := sSparse.SolveWarm(m, seedSparse, Options{})
+			check("sparse", sSparse, sp, spErr)
 			if sSparse.LastOutcome().Sparse {
 				sawSparse = true
 			}

@@ -7,11 +7,13 @@ import (
 	"profitlb/internal/linalg"
 )
 
-// DefaultSparseMinRows is the row count at and above which Options.Sparse
-// routes warm solves through the sparse revised simplex. Below it the
-// dense tableau's cache behavior wins and the warm paths stay dense (and
-// bit-identical to a Solver with Sparse off).
-const DefaultSparseMinRows = 64
+// sparseMinRows is the row count from which a Solver's warm rungs run on
+// the LU kernel below; smaller LPs stay on the dense warm tableau. It is
+// the smallest size in BenchmarkKernelCrossover's sweep from which the LU
+// kernel wins both a hot re-solve and a seeded import (DESIGN §12.1 has the
+// table and the end-to-end runs on either side of it). The cold anchor is
+// dense at every size.
+const sparseMinRows = 32
 
 // sparseRefactorEvery bounds the product-form eta file: once this many
 // updates accumulate on top of the LU factors, the basis is refactorized
@@ -22,19 +24,6 @@ const sparseRefactorEvery = 100
 // pivots without objective progress the sparse iterations fall back to
 // Bland's smallest-index rule, which cannot cycle.
 const sparseStallLimit = 64
-
-// sparseEligible reports whether warm solves of m should use the sparse
-// revised simplex path.
-func (o Options) sparseEligible(m *Model) bool {
-	if !o.Sparse {
-		return false
-	}
-	min := o.SparseMinRows
-	if min <= 0 {
-		min = DefaultSparseMinRows
-	}
-	return len(m.rows) >= min
-}
 
 // sparseSolve is the revised-simplex working state: the constraint matrix
 // in compressed sparse-column form (structural columns then one slack or

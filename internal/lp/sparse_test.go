@@ -1,13 +1,15 @@
 package lp
 
 import (
+	"fmt"
 	"math"
-	"reflect"
 	"testing"
 )
 
-// sparseTestOpts forces the sparse revised simplex on for any model size.
-func sparseTestOpts() Options { return Options{Sparse: true, SparseMinRows: 1} }
+// onDense and onSparse return a Solver pinned, through the package's seam,
+// to one warm kernel whatever the model's size.
+func onDense() *Solver  { return &Solver{minRows: math.MaxInt} }
+func onSparse() *Solver { return &Solver{minRows: 1} }
 
 // buildInequalityLP builds a small profit-style LP with only LE/GE rows —
 // no EQ row — so the sparse all-slack crash basis always exists and even a
@@ -39,9 +41,9 @@ func requireClose(t *testing.T, what string, got, want float64) {
 // with no EQ rows a seedless sparse solve takes the import path directly
 // — no dense tableau is ever built for the LP.
 func TestSparseEmptySeedImportsOnInequalityLP(t *testing.T) {
-	var s Solver
+	s := onSparse()
 	m := buildInequalityLP(1)
-	res, err := s.SolveWarm(m, nil, sparseTestOpts())
+	res, err := s.SolveWarm(m, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func TestSparseEmptySeedImportsOnInequalityLP(t *testing.T) {
 	}
 	// And the follow-up slot goes hot on the retained factors.
 	m2 := buildInequalityLP(1.1)
-	res2, err := s.SolveWarm(m2, nil, sparseTestOpts())
+	res2, err := s.SolveWarm(m2, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,40 +75,34 @@ func TestSparseEmptySeedImportsOnInequalityLP(t *testing.T) {
 	requireClose(t, "objective", res2.Objective, cold2.Objective)
 }
 
-// TestSparseOffBitIdentical verifies the knob's contract: with Sparse off,
-// or on but below the row threshold, a SolveWarm chain is bit-identical to
-// the plain dense chain.
-func TestSparseOffBitIdentical(t *testing.T) {
+// TestKernelRuleIsRowCount pins the selection rule: a plain Solver runs a
+// chain below sparseMinRows rows to the bit as one pinned to the dense
+// kernel does, and a chain from sparseMinRows rows up as one pinned to the
+// LU kernel does — results, outcomes and exported bases — and the
+// deprecated Options.Sparse moves neither.
+func TestKernelRuleIsRowCount(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name       string
+		rows, cols int
+		pinned     func() *Solver
 	}{
-		{"off", Options{}},
-		{"below-threshold", Options{Sparse: true, SparseMinRows: 1000}},
+		{"below", sparseMinRows - 1, 2 * sparseMinRows, onDense},
+		{"at", sparseMinRows, 2 * sparseMinRows, onSparse},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var dense, other Solver
-			var seedD, seedO *Basis
-			for slot := 0; slot < 6; slot++ {
-				scale := 1 + 0.07*float64(slot)
-				wantRes, err1 := dense.SolveWarm(buildTransportLP(scale, 1), seedD, Options{})
-				gotRes, err2 := other.SolveWarm(buildTransportLP(scale, 1), seedO, tc.opts)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("slot %d: errs %v vs %v", slot, err1, err2)
+		for _, flag := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/Sparse=%v", tc.name, flag), func(t *testing.T) {
+				var plain Solver
+				pinned := tc.pinned()
+				seed := seedFor(t, driftRHS(packingLP(81, tc.rows, tc.cols), 0.3))
+				for slot := 0; slot < 5; slot++ {
+					m := func() *Model { return driftRHS(packingLP(81, tc.rows, tc.cols), 0.03*float64(slot)) }
+					want := snapshot(t, pinned, pinned.SolveWarm, m(), seed, Options{})
+					requireIdentical(t, fmt.Sprintf("slot %d", slot), snapshot(t, &plain, plain.SolveWarm, m(), seed, Options{Sparse: flag}), want)
+					if want.Out.Sparse != (tc.rows >= sparseMinRows) || want.Out.FellBack {
+						t.Fatalf("slot %d: outcome %+v on a %d-row LP", slot, want.Out, tc.rows)
+					}
 				}
-				if !reflect.DeepEqual(wantRes, gotRes) {
-					t.Fatalf("slot %d: results differ:\ndense %+v\nother %+v", slot, wantRes, gotRes)
-				}
-				if dOut, oOut := dense.LastOutcome(), other.LastOutcome(); !reflect.DeepEqual(dOut, oOut) || oOut.Sparse {
-					t.Fatalf("slot %d: outcomes differ, or a sparse solve on a dense-only chain: %+v vs %+v", slot, dOut, oOut)
-				}
-				if b, ok := dense.ExportBasis(); ok {
-					seedD = b
-				}
-				if b, ok := other.ExportBasis(); ok {
-					seedO = b
-				}
-			}
-		})
+			})
+		}
 	}
 }

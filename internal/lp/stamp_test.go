@@ -16,22 +16,21 @@ var stampFixtures = []struct {
 // the hot rung — the structure stamp says nothing the kernel copied has
 // moved — and to the optimum a cold solve of a fresh copy finds.
 func TestRefreshedInPlaceSolvesHot(t *testing.T) {
-	opts := Options{Sparse: true}
 	for _, fx := range stampFixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			m := packingLP(51, fx.rows, fx.cols)
 			seed := seedFor(t, driftRHS(packingLP(51, fx.rows, fx.cols), 0.3))
 			var s Solver
-			if _, err := s.SolveWarm(m, seed, opts); err != nil {
+			if _, err := s.SolveWarm(m, seed, Options{}); err != nil {
 				t.Fatal(err)
 			}
 			for step, d := range []float64{0.05, -0.04, 0.11} {
 				fresh := driftRHS(packingLP(51, fx.rows, fx.cols), d)
-				res, err := s.SolveWarm(copyNumbers(m, fresh), seed, opts)
+				res, err := s.SolveWarm(copyNumbers(m, fresh), seed, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if out := s.LastOutcome(); out.Path != "hot" || out.Sparse != (fx.rows >= DefaultSparseMinRows) {
+				if out := s.LastOutcome(); out.Path != "hot" || out.Sparse != (fx.rows >= sparseMinRows) {
 					t.Fatalf("step %d: outcome %+v, want a hot re-solve", step, out)
 				}
 				requireMatchesCold(t, fresh, res)
@@ -47,7 +46,6 @@ func TestRefreshedInPlaceSolvesHot(t *testing.T) {
 // is a copy of rows that are gone. Every such edit moves the stamp, so the
 // solve re-imports, and answers for the model as it now is.
 func TestRefilledInPlaceIsNotHot(t *testing.T) {
-	opts := Options{Sparse: true}
 	edits := []struct {
 		name string
 		edit func(m *Model, rows, cols int)
@@ -65,7 +63,7 @@ func TestRefilledInPlaceIsNotHot(t *testing.T) {
 				seed := seedFor(t, driftRHS(packingLP(61, fx.rows, fx.cols), 0.3))
 				var s Solver
 				for i := 0; i < 2; i++ { // import, then hot: the kernel is retained
-					if _, err := s.SolveWarm(m, seed, opts); err != nil {
+					if _, err := s.SolveWarm(m, seed, Options{}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -73,7 +71,7 @@ func TestRefilledInPlaceIsNotHot(t *testing.T) {
 					t.Fatalf("fixture: untouched model re-solved by %q, want hot", out.Path)
 				}
 				e.edit(m, fx.rows, fx.cols)
-				res, err := s.SolveWarm(m, seed, opts)
+				res, err := s.SolveWarm(m, seed, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +80,7 @@ func TestRefilledInPlaceIsNotHot(t *testing.T) {
 				}
 				requireMatchesCold(t, m, res)
 				// And the chain is hot again on the refilled model.
-				if _, err := s.SolveWarm(m, seed, opts); err != nil || s.LastOutcome().Path != "hot" {
+				if _, err := s.SolveWarm(m, seed, Options{}); err != nil || s.LastOutcome().Path != "hot" {
 					t.Fatalf("after the import: err %v, path %q, want hot", err, s.LastOutcome().Path)
 				}
 			})
@@ -95,7 +93,6 @@ func TestRefilledInPlaceIsNotHot(t *testing.T) {
 // one a fresh import of the same basis, in the same order, computes for
 // the new right-hand sides — to the bit.
 func TestStaleRearmMatchesFreshImport(t *testing.T) {
-	opts := Options{Sparse: true}
 	m := packingLP(71, 90, 200)
 	var first Solver
 	if _, err := first.Solve(m, Options{}); err != nil {
@@ -104,7 +101,7 @@ func TestStaleRearmMatchesFreshImport(t *testing.T) {
 	basis, _ := first.ExportBasis()
 	// Imported at its own optimum the basis stays put, in seed order.
 	var s Solver
-	if _, err := s.SolveWarm(m, basis, opts); err != nil {
+	if _, err := s.SolveWarm(m, basis, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	k := s.ws.k.(*sparseSolve)
@@ -112,10 +109,10 @@ func TestStaleRearmMatchesFreshImport(t *testing.T) {
 		t.Fatalf("fixture: the optimal basis took %d pivots to import", k.iters)
 	}
 	next := driftRHS(packingLP(71, 90, 200), 0.02)
-	if !k.rearm(next, opts, true) {
+	if !k.rearm(next, Options{}, true) {
 		t.Fatal("stale re-arm refused")
 	}
-	fresh := newSparseSolveIn(next, opts, nil)
+	fresh := newSparseSolveIn(next, Options{}, nil)
 	if !fresh.importBasis(basis) {
 		t.Fatal("fresh import failed")
 	}

@@ -8,6 +8,7 @@ import (
 	"profitlb/internal/core"
 	"profitlb/internal/des"
 	"profitlb/internal/dispatch"
+	"profitlb/internal/feed"
 	"profitlb/internal/market"
 	"profitlb/internal/mpc"
 	"profitlb/internal/sim"
@@ -31,20 +32,39 @@ func (t *ledgerTap) CommitSlot(actual *core.Input, committed *core.Plan) core.Ba
 // same plans — per-slot objectives agree across the three planes, and a
 // deferring planner's backlog is aged, drained and billed online exactly
 // as in the simulator (the Driver used to never settle it: deferred work
-// silently disappeared).
+// silently disappeared). With the feed layer on, every plane hands its
+// source's projections to the MPC planner (sim.InputSource.Attach), so the
+// three still agree; des.Run and the Driver's hosts used not to, and
+// planned on the planner's internal forecaster there alone. The feeds row
+// is built to tell the two forecasters apart: on a rising price a feed
+// filter that trusts history over the last sample (MeasureRel 1) projects
+// below the live price, so the planner defers batch work that its own
+// filters, tracking the last sample, would serve at once.
 func TestCrossPlaneEquivalence(t *testing.T) {
-	cfg := accConfig(accSys(), market.Houston(), 13, 8) // the Houston 13–21 h vibration
-	newMPC := func() *ledgerTap {
-		return &ledgerTap{Planner: mpc.New(mpc.Config{Horizon: 5, MaxDefer: []int{0, 2}, EndSlot: 21})}
+	vibration := accConfig(accSys(), market.Houston(), 13, 8) // the Houston 13–21 h vibration
+	ramp := &market.PriceTrace{Name: "ramp"}
+	for i := 0; i < 14; i++ {
+		ramp.Prices = append(ramp.Prices, 0.06+0.0045*float64(i))
 	}
-	planners := map[string]func() core.Planner{
-		"optimized": func() core.Planner { return core.NewOptimized() },
-		"mpc":       func() core.Planner { return newMPC() },
+	rising := accConfig(accSys(), ramp, 0, 14)
+	rising.Feeds = &feed.Config{MeasureRel: 1}
+	newMPC := func(horizon, end int) func() core.Planner {
+		return func() core.Planner {
+			return &ledgerTap{Planner: mpc.New(mpc.Config{Horizon: horizon, MaxDefer: []int{0, 2}, EndSlot: end})}
+		}
 	}
-	for name, build := range planners {
-		t.Run(name, func(t *testing.T) {
-			simPlanner := build()
-			fluid, err := sim.Run(cfg, simPlanner)
+	for _, c := range []struct {
+		name  string
+		cfg   sim.Config
+		build func() core.Planner
+	}{
+		{"optimized", vibration, func() core.Planner { return core.NewOptimized() }},
+		{"mpc", vibration, newMPC(5, 21)},
+		{"mpc+feeds", rising, newMPC(4, 14)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg, build := c.cfg, c.build
+			fluid, err := sim.Run(cfg, build())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,6 +77,7 @@ func TestCrossPlaneEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			online := build()
+			src.Attach(online) // as the Driver's hosts do (profitlb serve, loadtest)
 			d := &dispatch.Driver{
 				Gateway: dispatch.NewGateway(cfg.Sys, dispatch.Config{}.WithDefaults(), nil),
 				Planner: online, Source: src,

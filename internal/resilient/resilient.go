@@ -84,10 +84,6 @@ type Chain struct {
 	// that overruns keeps computing in its goroutine but its eventual
 	// answer is discarded.
 	Timeout time.Duration
-	// VerifyTol is the feasibility-gate tolerance (default 1e-6).
-	VerifyTol float64
-	// DisableReplay skips the last-committed-plan tier.
-	DisableReplay bool
 	// EscalateOnDegraded skips the primary tier on slots whose telemetry
 	// feeds report unusable inputs (some feed fell all the way to its
 	// prior — see feed.SlotHealth.Unusable). The slot's health arrives
@@ -157,14 +153,6 @@ func (c *Chain) FallbackState() (tier int, tierName string, degraded bool) {
 // consumed by the next Plan call.
 func (c *Chain) ObserveFeedHealth(h *feed.SlotHealth) { c.inputHealth = h }
 
-// tol returns the feasibility tolerance.
-func (c *Chain) tol() float64 {
-	if c.VerifyTol > 0 {
-		return c.VerifyTol
-	}
-	return 1e-6
-}
-
 // Plan implements core.Planner. It only errors on invalid input or an
 // empty chain; any tier failure falls through to the next tier, ending at
 // the always-feasible shed plan, so a valid slot always commits.
@@ -231,14 +219,12 @@ func (c *Chain) Plan(in *core.Input) (*core.Plan, error) {
 		c.observeReject(in.Slot, i, at)
 	}
 	n := len(c.Tiers)
-	if !c.DisableReplay {
-		plan, at := c.replay(in, vIn)
-		dec.Attempts = append(dec.Attempts, at)
-		if plan != nil {
-			return commit(plan, n, "replay"), nil
-		}
-		c.observeReject(in.Slot, n, at)
+	plan, at := c.replay(in, vIn)
+	dec.Attempts = append(dec.Attempts, at)
+	if plan != nil {
+		return commit(plan, n, "replay"), nil
 	}
+	c.observeReject(in.Slot, n, at)
 	return commit(core.NewPlan(in.Sys), n+1, "shed"), nil
 }
 
@@ -313,7 +299,7 @@ func (c *Chain) attempt(p core.Planner, in, vIn *core.Input) (*core.Plan, Attemp
 	case o.err != nil:
 		at.Reason, at.Err = ReasonError, o.err.Error()
 	default:
-		if err := core.Verify(vIn, o.plan, c.tol()); err != nil {
+		if err := core.Verify(vIn, o.plan, core.VerifyTol); err != nil {
 			at.Reason, at.Err = ReasonInfeasible, err.Error()
 			return nil, at
 		}
@@ -357,7 +343,7 @@ func (c *Chain) replay(in, vIn *core.Input) (*core.Plan, Attempt) {
 	// The replayed plan was optimized for a different slot; its objective
 	// is unknown until the simulator accounts it.
 	p.Objective = 0
-	if err := core.Verify(vIn, p, c.tol()); err != nil {
+	if err := core.Verify(vIn, p, core.VerifyTol); err != nil {
 		at.Reason, at.Err = ReasonInfeasible, err.Error()
 		return nil, at
 	}

@@ -129,8 +129,7 @@ func TestTierOrderAndTaxonomy(t *testing.T) {
 }
 
 func TestAllTiersDeadEndsInShed(t *testing.T) {
-	chain := resilient.New(&misbehaver{name: "t0", mode: "error"})
-	chain.DisableReplay = true
+	chain := resilient.New(&misbehaver{name: "t0", mode: "error"}) // fresh: no plan to replay either
 	in := testInput(0)
 	plan, err := chain.Plan(in)
 	if err != nil {

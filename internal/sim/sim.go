@@ -451,11 +451,7 @@ func Run(cfg Config, planner core.Planner) (*Report, error) {
 	report := &Report{Planner: planner.Name()}
 	sc := cfg.Obs
 	observed := sc.Enabled()
-	// When the run has a feed layer, its multi-step projections become a
-	// horizon planner's forecasts.
-	if src.feeds != nil {
-		attachForecast(planner, src.feeds)
-	}
+	src.Attach(planner)
 
 	for slot := 0; slot < cfg.Slots; slot++ {
 		abs := cfg.StartSlot + slot
@@ -530,25 +526,6 @@ func Run(cfg Config, planner core.Planner) (*Report, error) {
 		report.Slots = append(report.Slots, sr)
 	}
 	return report, nil
-}
-
-// attachForecast walks the planner's wrapper chain (resilient chains,
-// fault injectors — anything exposing Unwrap) and hands the run's feed
-// layer to the first planner that can consume multi-step forecasts
-// (internal/mpc), so its horizon assembly projects through the same
-// estimator ladder that serves the per-slot fetches.
-func attachForecast(p core.Planner, fs core.ForecastSource) {
-	for p != nil {
-		if a, ok := p.(interface{ AttachForecast(core.ForecastSource) }); ok {
-			a.AttachForecast(fs)
-			return
-		}
-		u, ok := p.(interface{ Unwrap() core.Planner })
-		if !ok {
-			return
-		}
-		p = u.Unwrap()
-	}
 }
 
 // account computes the slot's dollar flows from the plan.

@@ -61,6 +61,32 @@ func NewInputSource(cfg Config) (*InputSource, error) {
 	return src, nil
 }
 
+// Attach makes the source's feed layer the planner's forecaster: it walks
+// the planner's wrapper chain (resilient chains, fault injectors —
+// anything exposing Unwrap) to the first planner that consumes multi-step
+// forecasts (internal/mpc), so its horizon assembly projects through the
+// same estimator ladder that serves the per-slot fetches. Every plane that
+// plans off a source calls it once, before the first slot — sim.Run,
+// des.Run and the hosts of a dispatch.Driver — or an MPC planner under
+// feeds falls back to its internal forecaster on that plane alone. A no-op
+// on the oracle path and for planners that take no forecasts.
+func (src *InputSource) Attach(p core.Planner) {
+	if src.feeds == nil {
+		return
+	}
+	for p != nil {
+		if a, ok := p.(interface{ AttachForecast(core.ForecastSource) }); ok {
+			a.AttachForecast(src.feeds)
+			return
+		}
+		u, ok := p.(interface{ Unwrap() core.Planner })
+		if !ok {
+			return
+		}
+		p = u.Unwrap()
+	}
+}
+
 // Feeds exposes the source's feed layer (nil on the oracle path).
 func (src *InputSource) Feeds() *feed.Set { return src.feeds }
 

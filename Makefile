@@ -20,7 +20,12 @@ race:
 # corpus. FuzzLoad's seeds include feeds blocks, feed fault events,
 # dispatch blocks, cluster blocks and cluster fault events, so those
 # config decoders are fuzzed here too. FuzzCompile drives arbitrary
-# plans through the routing-table compiler. FuzzWarmBasisImport throws
+# plans through the routing-table compiler and holds every table it
+# accepts to the transforms' laws (wire round trip and rescale by ones are
+# identities, subdivision shares sum back exactly, scale by one only marks
+# the table). FuzzFromWire feeds raw bytes down a join-mode replica's path
+# — JSON, FromWire, the topology gate, install, serve — and requires a
+# refusal or a served request, never a panic. FuzzWarmBasisImport throws
 # hostile (mismatched, duplicated, dependent) seed bases at the warm
 # solver and checks every accepted result against the cold path.
 # FuzzSparseFactors drives arbitrary sparse matrices and basis-change
@@ -38,6 +43,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzLoad -fuzztime=10s ./internal/config/
 	$(GO) test -run=NONE -fuzz=FuzzCompile -fuzztime=10s ./internal/dispatch/
 	$(GO) test -run=NONE -fuzz=FuzzControlRescale -fuzztime=10s ./internal/dispatch/
+	$(GO) test -run=NONE -fuzz=FuzzFromWire -fuzztime=10s ./internal/cluster/
 	$(GO) test -run=NONE -fuzz=FuzzWarmBasisImport -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzKernelDifferential -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzSparseFactors -fuzztime=10s ./internal/linalg/

@@ -508,3 +508,80 @@ func TestFleetPartitionGoesStaleAlone(t *testing.T) {
 		t.Fatalf("healed replica: epoch %d staleness %d", r0.Epoch(), r0.Staleness())
 	}
 }
+
+// TestReplicaRejectsForeignTopology: a table that is sound in itself but
+// cut for another topology — a join-mode replica pointed at a publisher
+// running a different file — is refused like a corrupt payload, before
+// the gateway is touched. Installed, its center and level indices would
+// be looked up in this replica's system on every admitted request.
+func TestReplicaRejectsForeignTopology(t *testing.T) {
+	sys := testSystem()
+	dcfg := dispatch.Config{Seed: 5, SlotSeconds: 60}
+	ccfg := testClusterConfig(0)
+	publish := func(drv *dispatch.Driver) *Publication {
+		t.Helper()
+		p := NewPublisher(ccfg, drv, nil)
+		p.Beat("r0", 0)
+		pub, err := p.PublishSlot(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pub
+	}
+	refused := func(name string, pub *Publication) {
+		t.Helper()
+		r := NewReplica("r0", sys, dcfg, ccfg, nil)
+		installed, err := r.Apply(pub, 0)
+		if err == nil || installed || r.Ready() {
+			t.Errorf("%s: installed %v, ready %v, err %v; want refused", name, installed, r.Ready(), err)
+		}
+	}
+
+	// The publisher's file has a third, cheapest center: same streams,
+	// lanes routed to a center this replica has never heard of.
+	foreign := testSystem()
+	foreign.Centers = append(foreign.Centers, datacenter.DataCenter{
+		Name: "or", Servers: 8, Capacity: 1,
+		ServiceRate: []float64{20000, 3500}, EnergyPerRequest: []float64{0.0001, 0.001},
+	})
+	for i := range foreign.FrontEnds {
+		foreign.FrontEnds[i].DistanceMiles = append(foreign.FrontEnds[i].DistanceMiles, 100)
+	}
+	drv := testDriver(foreign, dcfg, nil)
+	drv.Source.(*stubSource).in.Prices = []float64{0.05, 0.08, 0.01}
+	pub := publish(drv)
+	routed := false
+	for _, ln := range pub.Table.Lanes {
+		routed = routed || ln.L == 2
+	}
+	if !routed {
+		t.Fatal("fixture: the foreign plan routes nothing to its third center")
+	}
+	refused("another topology file", pub)
+
+	// One field at a time on a table cut for the right topology.
+	good := publish(testDriver(sys, dcfg, nil))
+	if installed, err := NewReplica("r0", sys, dcfg, ccfg, nil).Apply(good, 0); err != nil || !installed {
+		t.Fatalf("own topology: %v, %v", installed, err)
+	}
+	for name, mutate := range map[string]func(w *dispatch.TableWire){
+		"center out of range": func(w *dispatch.TableWire) { w.Lanes[0].L = sys.L() },
+		"level out of range":  func(w *dispatch.TableWire) { w.Lanes[0].Q = sys.Classes[w.Lanes[0].K].TUF.NumLevels() },
+		"negative level":      func(w *dispatch.TableWire) { w.Lanes[0].Q = -1 },
+		"short serversOn":     func(w *dispatch.TableWire) { w.ServersOn = w.ServersOn[:1] },
+		"another stream grid": func(w *dispatch.TableWire) {
+			w.K++
+			w.Arrivals = append(w.Arrivals, make([]float64, w.S))
+		},
+	} {
+		bad := *good
+		w := *good.Table
+		w.Lanes = append([]dispatch.Lane(nil), good.Table.Lanes...)
+		mutate(&w)
+		if _, err := dispatch.FromWire(&w); err != nil {
+			t.Fatalf("%s: fixture is rejected by FromWire itself (%v); it must be sound on its own terms", name, err)
+		}
+		bad.Table = &w
+		refused(name, &bad)
+	}
+}

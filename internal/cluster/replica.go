@@ -105,8 +105,9 @@ func (r *Replica) FencedNotMember() int64 {
 // advances, installs this replica's subdivision of it at virtual time
 // now. It returns whether the publication was installed; fenced
 // deliveries (stale, duplicate, not-a-member) are counted and traced
-// but never disturb the serving state. Corrupt payloads are rejected
-// with an error before touching the gateway.
+// but never disturb the serving state. Corrupt payloads, and tables cut
+// for another topology, are rejected with an error before touching the
+// gateway.
 func (r *Replica) Apply(pub *Publication, now float64) (bool, error) {
 	if pub == nil || pub.Table == nil {
 		return false, fmt.Errorf("cluster: %s received an empty publication", r.ID)
@@ -135,10 +136,13 @@ func (r *Replica) Apply(pub *Publication, now float64) (bool, error) {
 		r.emitFenced(pub, reason)
 		// The gateway owns the fence counters; route through it with the
 		// pair alone so Stats and metrics agree with the trace.
-		r.gw.InstallIfNewer(&dispatch.Table{Epoch: pub.Epoch, Sub: pub.Sub}, now, 0)
+		r.gw.InstallIfNewer(&dispatch.Table{Header: dispatch.Header{Epoch: pub.Epoch, Sub: pub.Sub}}, now, 0)
 		return false, nil
 	}
 	full, err := dispatch.FromWire(pub.Table)
+	if err == nil {
+		err = fits(full, r.gw.System())
+	}
 	if err != nil {
 		return false, fmt.Errorf("cluster: %s rejected publication epoch %d: %w", r.ID, pub.Epoch, err)
 	}
@@ -169,6 +173,28 @@ func (r *Replica) Apply(pub *Publication, now float64) (bool, error) {
 		})
 	}
 	return true, nil
+}
+
+// fits checks a decoded table against the topology that is to serve it —
+// the half of validation FromWire cannot do. A publisher running another
+// topology file sends tables that are sound in themselves; installed, their
+// center and level indices would be looked up in this replica's system.
+func fits(t *dispatch.Table, sys *datacenter.System) error {
+	if t.K() != sys.K() || t.S() != sys.S() {
+		return fmt.Errorf("table shaped %d×%d streams, topology has %d×%d", t.K(), t.S(), sys.K(), sys.S())
+	}
+	if len(t.ServersOn) != sys.L() {
+		return fmt.Errorf("table lists %d centers' servers, topology has %d", len(t.ServersOn), sys.L())
+	}
+	for i, ln := range t.Lanes {
+		if ln.L < 0 || ln.L >= sys.L() {
+			return fmt.Errorf("lane %d routes to center %d of %d", i, ln.L, sys.L())
+		}
+		if levels := sys.Classes[ln.K].TUF.NumLevels(); ln.Q < 0 || ln.Q >= levels {
+			return fmt.Errorf("lane %d serves type %d at level %d of %d", i, ln.K, ln.Q, levels)
+		}
+	}
+	return nil
 }
 
 // Tick closes the replica's view of a slot boundary: if no epoch for

@@ -15,8 +15,8 @@ import (
 func wireTable(t testing.TB) *dispatch.Table {
 	t.Helper()
 	w := &dispatch.TableWire{
-		Epoch: 1, Slot: 0, SlotLen: 60, Seed: 42, K: 2, S: 2,
-		ServersOn: []int{2, 2},
+		Header: dispatch.Header{Epoch: 1, Slot: 0, SlotLen: 60, Seed: 42, ServersOn: []int{2, 2}},
+		K:      2, S: 2,
 		Lanes: []dispatch.Lane{
 			{K: 0, Q: 0, S: 0, L: 0, Rate: 100, MaxRate: 400, Burst: 300, Utility: 0.01},
 			{K: 0, Q: 0, S: 0, L: 1, Rate: 50, MaxRate: 200, Burst: 150, Utility: 0.01},

@@ -359,6 +359,56 @@ func TestProfitScalesWithUtility(t *testing.T) {
 	}
 }
 
+// TestDollarHomogeneity: the dollar is a unit. Multiplying every utility,
+// every electricity price and every transfer cost per mile by c multiplies
+// the objective by c and moves no request and no server — on the two-level,
+// two-center system of §VII's shape and on the 6×10×3 fleet slot, whose
+// refine search compares dollar gains against tolerances that do not scale.
+func TestDollarHomogeneity(t *testing.T) {
+	for _, fx := range []struct {
+		name string
+		in   *Input
+	}{
+		{"two-level", &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}},
+		{"fleet-6x10x3", synthInput(6, 10, 3)},
+	} {
+		base := mustPlan(t, NewOptimized(), fx.in)
+		for _, c := range []float64{0.5, 3} {
+			in := &Input{Sys: fx.in.Sys.Clone(), Arrivals: fx.in.Arrivals, Prices: make([]float64, len(fx.in.Prices))}
+			for l, p := range fx.in.Prices {
+				in.Prices[l] = c * p
+			}
+			for k := range in.Sys.Classes {
+				cls := &in.Sys.Classes[k]
+				cls.TransferCostPerMile *= c
+				lv := cls.TUF.Levels()
+				for q := range lv {
+					lv[q].Utility *= c
+				}
+				cls.TUF = tuf.MustNew(lv)
+			}
+			got := mustPlan(t, NewOptimized(), in)
+			if want := c * base.Objective; absf(got.Objective-want) > 1e-9*absf(want) {
+				t.Errorf("%s ×%g: objective %.17g, want %g × %.17g", fx.name, c, got.Objective, c, base.Objective)
+			}
+			if !reflect.DeepEqual(got.ServersOn, base.ServersOn) {
+				t.Errorf("%s ×%g: servers on %v, were %v", fx.name, c, got.ServersOn, base.ServersOn)
+			}
+			for k := range base.Rate {
+				for q := range base.Rate[k] {
+					for s := range base.Rate[k][q] {
+						for l, want := range base.Rate[k][q][s] {
+							if r := got.Rate[k][q][s][l]; absf(r-want) > 1e-9*(1+absf(want)) {
+								t.Errorf("%s ×%g: rate[%d][%d][%d][%d] is %g, was %g", fx.name, c, k, q, s, l, r, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDegenerateSingleEverything exercises the 1x1x1 corner thoroughly.
 func TestDegenerateSingleEverything(t *testing.T) {
 	sys := &datacenter.System{

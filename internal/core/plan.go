@@ -233,6 +233,18 @@ func (p *Plan) Delay(sys *datacenter.System, k, q, l int) float64 {
 	return 1 / srv
 }
 
+// AchievedDelay is Delay as the TUF prices it: snapped onto level q's
+// deadline when the plan meets it with equality. The LP leaves such a
+// commodity within round-off above its deadline, and the step function
+// would otherwise pay it a level down.
+func (p *Plan) AchievedDelay(sys *datacenter.System, k, q, l int) float64 {
+	d := p.Delay(sys, k, q, l)
+	if dq := sys.Classes[k].TUF.Level(q).Deadline; d > dq && d <= dq*(1+1e-9) {
+		return dq
+	}
+	return d
+}
+
 // Planner produces a Plan for one slot.
 type Planner interface {
 	// Name identifies the planner in reports.

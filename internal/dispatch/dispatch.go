@@ -27,6 +27,7 @@ package dispatch
 
 import (
 	"fmt"
+	"math"
 
 	"profitlb/internal/datacenter"
 )
@@ -88,6 +89,14 @@ func (c Config) WithDefaults() Config {
 		c.DrainSeconds = DefaultDrainSeconds
 	}
 	return c
+}
+
+// burst is the bucket-capacity rule: Burst of the lane's slot budget λ·T,
+// times Subdivide's slack, floored at MinBurst requests. The product comes
+// as two factors taken left to right — (λ, T) for an undivided table,
+// (λT, √n) for a share — so every capacity rounds as it always has.
+func (c Config) burst(a, b float64) float64 {
+	return math.Max(c.MinBurst, c.Burst*a*b)
 }
 
 // Validate checks the config against the system it will serve. It is the

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -559,10 +560,36 @@ func TestOutcomeString(t *testing.T) {
 	}
 }
 
+// sameProduct fails unless two tables decide alike: equal wire forms
+// (header, lanes with their bursts, arrival budgets) and, per stream,
+// equal planned rates, seeds and routing draws.
+func sameProduct(t *testing.T, what string, got, want *Table) {
+	t.Helper()
+	if g, w := got.Wire(), want.Wire(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: wire form\n got  %+v\n want %+v", what, g, w)
+	}
+	for k := 0; k < want.K(); k++ {
+		for s := 0; s < want.S(); s++ {
+			g, w := &got.entries[k][s], &want.entries[k][s]
+			if g.planned != w.planned || g.seed != w.seed {
+				t.Fatalf("%s: stream (%d,%d) planned %g seed %d, want %g and %d", what, k, s, g.planned, g.seed, w.planned, w.seed)
+			}
+			for seq := uint64(0); seq < 64; seq++ {
+				if g.draw(seq) != w.draw(seq) {
+					t.Fatalf("%s: stream (%d,%d) draw %d differs", what, k, s, seq)
+				}
+			}
+		}
+	}
+}
+
 // FuzzCompile feeds arbitrary per-lane rates and bucket parameters into
-// the plan→routing-table compiler and asserts its structural invariants:
-// it either rejects the plan or produces a table whose alias draws stay
-// in range for every stream.
+// the plan→routing-table compiler and asserts its structural invariants
+// — it either rejects the plan or produces a table whose alias draws stay
+// in range for every stream — and, over every table it accepts, the laws
+// of the transforms: the wire round trip and a rescale by ones are
+// identities, the shares of a subdivision sum back exactly, and a scale
+// by one only marks the table degraded.
 func FuzzCompile(f *testing.F) {
 	f.Add(100.0, 50.0, 25.0, 10.0, uint64(1), 0.05, 8.0)
 	f.Add(0.0, 0.0, 0.0, 0.0, uint64(0), 0.0, 0.0)
@@ -633,9 +660,62 @@ func FuzzCompile(f *testing.F) {
 				}
 			}
 		}
+		finite := true
 		for i, ln := range tab.Lanes {
 			if math.IsNaN(ln.Burst) || ln.Burst < 0 {
 				t.Fatalf("lane %d: burst %g", i, ln.Burst)
+			}
+			finite = finite && !math.IsInf(ln.Burst, 0) && !math.IsInf(ln.MaxRate, 0)
+		}
+		// The wire refuses what no bucket can hold; anything else it must
+		// carry across unchanged.
+		if back, err := FromWire(tab.Wire()); err != nil {
+			if finite {
+				t.Fatalf("wire round trip of a finite table: %v", err)
+			}
+		} else {
+			sameProduct(t, "wire round trip", back, tab)
+		}
+		ones := make([]float64, len(tab.Lanes))
+		for i := range ones {
+			ones[i] = 1
+		}
+		re, err := tab.Rescale(ones, tab.Sub, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameProduct(t, "rescale by ones", re, tab)
+		same := tab.Scale(1, tab.Tier, cfg)
+		if !same.Degraded {
+			t.Fatal("scale by one left the table unmarked")
+		}
+		same.Degraded = tab.Degraded
+		sameProduct(t, "scale by one", same, tab)
+		const n = 3
+		rate, maxRate := make([]float64, len(tab.Lanes)), make([]float64, len(tab.Lanes))
+		var planned [2]float64 // the fixture is one type × two front-ends
+		for idx := 0; idx < n; idx++ {
+			sub, err := tab.Subdivide(idx, n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ln := range sub.Lanes {
+				rate[i] += ln.Rate
+				maxRate[i] += ln.MaxRate
+			}
+			for s := range planned {
+				p, _ := sub.Planned(0, s)
+				planned[s] += p
+			}
+		}
+		for i, ln := range tab.Lanes {
+			if rate[i] != ln.Rate || maxRate[i] != ln.MaxRate {
+				t.Fatalf("lane %d shares sum to rate %g headroom %g, want exactly %g and %g", i, rate[i], maxRate[i], ln.Rate, ln.MaxRate)
+			}
+		}
+		for s := range planned {
+			if want, _ := tab.Planned(0, s); planned[s] != want {
+				t.Fatalf("stream (0,%d) shares sum to %g planned, want exactly %g", s, planned[s], want)
 			}
 		}
 	})

@@ -163,7 +163,7 @@ func (g *Gateway) Install(t *Table, now float64, elapsed time.Duration) {
 		t:        t,
 		buckets:  make([]bucket, len(t.Lanes)),
 		admitted: make([]atomic.Int64, len(t.Lanes)),
-		seq:      make([]atomic.Uint64, t.k*t.s),
+		seq:      make([]atomic.Uint64, t.K()*t.S()),
 		start:    now,
 	}
 	old := g.cur.Load()
@@ -276,13 +276,13 @@ func (g *Gateway) Handle(k, s int, now float64) Decision {
 	g.totalRequests.Add(1)
 	g.cReq.Inc()
 	c := g.cur.Load()
-	if c == nil || k < 0 || k >= c.t.k || s < 0 || s >= c.t.s {
+	if c == nil || k < 0 || k >= c.t.K() || s < 0 || s >= c.t.S() {
 		g.cInvalid.Inc()
 		return Decision{Outcome: Invalid, Lane: -1, Level: -1, Center: -1}
 	}
 	c.offered.Add(1)
 	e := &c.t.entries[k][s]
-	seq := c.seq[k*c.t.s+s].Add(1) - 1
+	seq := c.seq[k*c.t.S()+s].Add(1) - 1
 	lane := e.draw(seq)
 	if lane < 0 {
 		c.shedUnplanned.Add(1)

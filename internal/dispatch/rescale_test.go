@@ -56,8 +56,8 @@ func TestRescaleIdentity(t *testing.T) {
 func TestRescaleMaxRateCap(t *testing.T) {
 	cfg := Config{SlotSeconds: 60}.WithDefaults()
 	w := &TableWire{
-		Epoch: 1, SlotLen: 60, Seed: 7, K: 1, S: 2,
-		ServersOn: []int{1, 1},
+		Header: Header{Epoch: 1, SlotLen: 60, Seed: 7, ServersOn: []int{1, 1}},
+		K:      1, S: 2,
 		Lanes: []Lane{
 			{K: 0, Q: 0, S: 0, L: 0, Rate: 100, MaxRate: 150, Burst: 300},
 			{K: 0, Q: 0, S: 1, L: 1, Rate: 80, MaxRate: 400, Burst: 240},

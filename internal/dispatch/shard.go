@@ -22,12 +22,11 @@ const shardBurstSigmas = 6
 // a linearly-scaled burst would shed traffic the fleet-wide plan admits,
 // and a thin share's burst must cover its clumping outright. The fleet's
 // aggregate burst therefore exceeds the single-gateway burst, which only
-// ever errs permissive. The alias
-// tables are shared with the parent — routing probabilities are
-// rate-ratios, which subdivision leaves unchanged — but each replica's
-// draw seed is re-mixed with (idx, n) so replicas walk independent
-// routing sequences. Objective, idle cost and per-stream budgets scale by
-// the share fraction so per-replica accounting sums back to the plan.
+// ever errs permissive. Every lane moves by one factor, so the alias tables
+// stay the parent's (derive); each replica's draw seed is re-mixed with
+// (idx, n) so replicas walk independent routing sequences. Objective, idle
+// cost and per-stream budgets scale by the share fraction so per-replica
+// accounting sums back to the plan.
 func (t *Table) Subdivide(idx, n int, cfg Config) (*Table, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dispatch: subdivide into %d replicas", n)
@@ -39,43 +38,21 @@ func (t *Table) Subdivide(idx, n int, cfg Config) (*Table, error) {
 	lo := float64(idx) / float64(n)
 	hi := float64(idx+1) / float64(n)
 	share := hi - lo
-	sub := &Table{
-		Epoch:     t.Epoch,
-		Sub:       t.Sub,
-		Slot:      t.Slot,
-		SlotLen:   t.SlotLen,
-		Seed:      t.Seed,
-		Objective: t.Objective * share,
-		IdleCost:  t.IdleCost * share,
-		ServersOn: append([]int(nil), t.ServersOn...),
-		Degraded:  t.Degraded,
-		Tier:      t.Tier,
-		k:         t.k,
-		s:         t.s,
-	}
 	slack := math.Sqrt(float64(n))
-	sub.Lanes = make([]Lane, len(t.Lanes))
-	for i, ln := range t.Lanes {
-		ln.Rate = t.Lanes[i].Rate*hi - t.Lanes[i].Rate*lo
+	sub := t.derive(func(_ int, ln *Lane) {
 		// MaxRate telescopes exactly like Rate, so the per-replica headroom
 		// shares sum back to the fleet-wide headroom.
-		ln.MaxRate = t.Lanes[i].MaxRate*hi - t.Lanes[i].MaxRate*lo
+		ln.Rate = ln.Rate*hi - ln.Rate*lo
+		ln.MaxRate = ln.MaxRate*hi - ln.MaxRate*lo
 		budget := ln.Rate * t.SlotLen
-		ln.Burst = math.Max(cfg.MinBurst,
-			math.Max(cfg.Burst*budget*slack, shardBurstSigmas*math.Sqrt(budget)))
-		sub.Lanes[i] = ln
-	}
-	sub.entries = make([][]entry, t.k)
-	for k := range t.entries {
-		sub.entries[k] = make([]entry, t.s)
-		for s := range t.entries[k] {
-			e := t.entries[k][s] // alias slices shared: immutable after compile
-			e.planned = e.planned*hi - e.planned*lo
-			e.arrival *= share
-			e.seed = splitmix64(e.seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15 ^ uint64(n)<<32)
-			sub.entries[k][s] = e
-		}
-	}
+		ln.Burst = math.Max(cfg.burst(budget, slack), shardBurstSigmas*math.Sqrt(budget))
+	}, func(e *entry) {
+		e.planned = e.planned*hi - e.planned*lo
+		e.arrival *= share
+		e.seed = splitmix64(e.seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15 ^ uint64(n)<<32)
+	})
+	sub.Objective *= share
+	sub.IdleCost *= share
 	return sub, nil
 }
 
@@ -90,26 +67,12 @@ func (t *Table) Scale(factor float64, tier string, cfg Config) *Table {
 		factor = 0
 	}
 	cfg = cfg.WithDefaults()
-	out := *t
-	out.Degraded = true
-	out.Tier = tier
-	out.Objective = t.Objective * factor
-	out.ServersOn = append([]int(nil), t.ServersOn...)
-	out.Lanes = make([]Lane, len(t.Lanes))
-	for i, ln := range t.Lanes {
+	out := t.derive(func(_ int, ln *Lane) {
 		ln.Rate *= factor
 		ln.MaxRate *= factor
-		ln.Burst = math.Max(cfg.MinBurst, cfg.Burst*ln.Rate*t.SlotLen)
-		out.Lanes[i] = ln
-	}
-	out.entries = make([][]entry, t.k)
-	for k := range t.entries {
-		out.entries[k] = make([]entry, t.s)
-		for s := range t.entries[k] {
-			e := t.entries[k][s]
-			e.planned *= factor
-			out.entries[k][s] = e
-		}
-	}
-	return &out
+		ln.Burst = cfg.burst(ln.Rate, t.SlotLen)
+	}, func(e *entry) { e.planned *= factor })
+	out.Degraded, out.Tier = true, tier
+	out.Objective *= factor
+	return out
 }

@@ -55,50 +55,63 @@ type entry struct {
 	seed uint64
 }
 
-// Table is a compiled routing table for one slot: the immutable part of
-// the gateway's hot state. Mutable run state (token buckets, draw
-// counters, tallies) lives in the gateway's compiled wrapper so a Table
-// can be inspected, serialized or re-installed freely.
-type Table struct {
+// Header is what a table says about itself apart from its lanes: which
+// plan it is, for which slot, and what that plan promised. Table and
+// TableWire both embed it, so it crosses the wire, a subdivision or a
+// rescale as one value. ServersOn is shared by tables derived from one
+// another (tables are immutable) and copied at the wire boundary.
+type Header struct {
 	// Epoch is the monotonically increasing plan version stamped by the
 	// minting Driver (or cluster publisher). Zero means unversioned — a
 	// table compiled outside any epoch-fenced distribution path.
-	Epoch uint64
+	Epoch uint64 `json:"epoch"`
 	// Sub is the sub-epoch sequence within the epoch: 0 for the slot's
 	// committed plan, ticking up for every in-slot controller correction
 	// published against it. Installs are fenced on the lexicographic pair
 	// (Epoch, Sub).
-	Sub uint64
+	Sub uint64 `json:"sub,omitempty"`
 	// Slot is the absolute slot the plan was committed for.
-	Slot int
+	Slot int `json:"slot"`
 	// SlotLen is the slot length T in virtual time units (sys.Slot()).
-	SlotLen float64
+	SlotLen float64 `json:"slotLen"`
 	// Seed is the routing seed the table was compiled under.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Objective is the committed plan's predicted net profit.
-	Objective float64
-	// ServersOn mirrors the plan's powered-on counts.
-	ServersOn []int
+	Objective float64 `json:"objective"`
 	// IdleCost is the slot's idle-draw dollar cost of the powered-on
 	// servers (zero under the paper's purely per-request energy model).
-	IdleCost float64
+	IdleCost float64 `json:"idleCost"`
+	// ServersOn mirrors the plan's powered-on counts.
+	ServersOn []int `json:"serversOn"`
 	// Degraded and Tier record how the plan was obtained: Tier is the
 	// resilient fallback tier name when one fired, or "" for a primary
 	// plan; an all-shed emergency table sets Degraded with Tier "shed".
-	Degraded bool
-	Tier     string
+	Degraded bool   `json:"degraded,omitempty"`
+	Tier     string `json:"tier,omitempty"`
+}
+
+// Table is a compiled routing table for one slot: the immutable part of
+// the gateway's hot state. It is a header, the lanes, and an index of the
+// lanes by (type, front-end) stream; every table, however it comes to
+// exist, gets that index from index or derive. Mutable run state (token
+// buckets, draw counters, tallies) lives in the gateway's compiled wrapper
+// so a Table can be inspected, serialized or re-installed freely.
+type Table struct {
+	Header
 	// Lanes lists every dispatch stream with positive planned rate.
 	Lanes []Lane
 
 	entries [][]entry // [k][s]
-	k, s    int
 }
 
 // K and S report the table's type and front-end dimensions.
-func (t *Table) K() int { return t.k }
-
-// S reports the table's front-end dimension.
-func (t *Table) S() int { return t.s }
+func (t *Table) K() int { return len(t.entries) }
+func (t *Table) S() int {
+	if len(t.entries) == 0 {
+		return 0
+	}
+	return len(t.entries[0])
+}
 
 // Planned returns the plan's total dispatch rate for stream (k, s), and
 // the arrival rate the planner budgeted for it.
@@ -107,27 +120,78 @@ func (t *Table) Planned(k, s int) (planned, arrival float64) {
 	return e.planned, e.arrival
 }
 
+// index builds the per-stream routing state over t.Lanes: a K×S grid of
+// entries, each carrying the planner-budgeted rate arrival(k, s) and the
+// stream's draw seed, every lane hung on its stream in lane order, then
+// weigh. Lane coordinates must already be in range.
+func (t *Table) index(K, S int, arrival func(k, s int) float64) {
+	t.entries = make([][]entry, K)
+	for k := range t.entries {
+		t.entries[k] = make([]entry, S)
+		for s := range t.entries[k] {
+			t.entries[k][s] = entry{arrival: arrival(k, s), seed: streamSeed(t.Seed, t.Slot, k, s)}
+		}
+	}
+	for i := range t.Lanes {
+		e := &t.entries[t.Lanes[i].K][t.Lanes[i].S]
+		e.lanes = append(e.lanes, int32(i))
+	}
+	t.weigh()
+}
+
+// weigh sets every stream's planned rate and alias table from its lanes'
+// current rates. The alias slices are always fresh, so a table that
+// shares them with its parent can be re-weighed without touching it.
+func (t *Table) weigh() {
+	var weights []float64
+	for k := range t.entries {
+		for s := range t.entries[k] {
+			e := &t.entries[k][s]
+			weights, e.planned = weights[:0], 0
+			for _, li := range e.lanes {
+				weights = append(weights, t.Lanes[li].Rate)
+				e.planned += t.Lanes[li].Rate
+			}
+			e.prob, e.alias = buildAlias(weights)
+		}
+	}
+}
+
+// derive returns a copy of the table — header by value, lanes and entries
+// in fresh slices — with lane applied to every lane and stream to every
+// entry. Lane lists and alias tables stay shared with t: a transform that
+// moves every lane of a stream by one factor leaves the rate ratios, and
+// so the routing probabilities, where they were; one that does not calls
+// weigh on the result.
+func (t *Table) derive(lane func(i int, ln *Lane), stream func(e *entry)) *Table {
+	out := *t
+	out.Lanes = append([]Lane(nil), t.Lanes...)
+	for i := range out.Lanes {
+		lane(i, &out.Lanes[i])
+	}
+	out.entries = make([][]entry, len(t.entries))
+	for k, row := range t.entries {
+		out.entries[k] = append([]entry(nil), row...)
+		for s := range out.entries[k] {
+			stream(&out.entries[k][s])
+		}
+	}
+	return &out
+}
+
 // ShedTable builds the emergency table for a slot with no usable plan:
 // every stream exists with zero lanes, so each request is shed as
 // unplanned and the gateway stays up.
 func ShedTable(sys *datacenter.System, slot int, cfg Config) *Table {
-	t := &Table{
+	t := &Table{Header: Header{
 		Slot:      slot,
 		SlotLen:   sys.Slot(),
 		Seed:      cfg.Seed,
 		ServersOn: make([]int, sys.L()),
 		Degraded:  true,
 		Tier:      "shed",
-		k:         sys.K(),
-		s:         sys.S(),
-	}
-	t.entries = make([][]entry, t.k)
-	for k := 0; k < t.k; k++ {
-		t.entries[k] = make([]entry, t.s)
-		for s := 0; s < t.s; s++ {
-			t.entries[k][s] = entry{seed: streamSeed(cfg.Seed, slot, k, s)}
-		}
-	}
+	}}
+	t.index(sys.K(), sys.S(), func(int, int) float64 { return 0 })
 	return t
 }
 
@@ -150,15 +214,13 @@ func Compile(in *core.Input, plan *core.Plan, cfg Config) (*Table, error) {
 			len(plan.Rate), len(plan.ServersOn), K, L)
 	}
 	T := sys.Slot()
-	t := &Table{
+	t := &Table{Header: Header{
 		Slot:      in.Slot,
 		SlotLen:   T,
 		Seed:      cfg.Seed,
 		Objective: plan.Objective,
 		ServersOn: append([]int(nil), plan.ServersOn...),
-		k:         K,
-		s:         S,
-	}
+	}}
 	for l := 0; l < L; l++ {
 		t.IdleCost += sys.IdleCost(l, in.Prices[l]) * float64(plan.ServersOn[l])
 	}
@@ -198,20 +260,12 @@ func Compile(in *core.Input, plan *core.Plan, cfg Config) (*Table, error) {
 		}
 		return lamMax / lam
 	}
-	t.entries = make([][]entry, K)
 	for k := 0; k < K; k++ {
-		t.entries[k] = make([]entry, S)
 		cls := sys.Classes[k].TUF
-		levels := cls.Levels()
-		if len(plan.Rate[k]) != len(levels) {
-			return nil, fmt.Errorf("dispatch: type %d plan has %d levels, TUF has %d", k, len(plan.Rate[k]), len(levels))
+		if len(plan.Rate[k]) != cls.NumLevels() {
+			return nil, fmt.Errorf("dispatch: type %d plan has %d levels, TUF has %d", k, len(plan.Rate[k]), cls.NumLevels())
 		}
 		for s := 0; s < S; s++ {
-			e := entry{
-				arrival: in.Arrivals[s][k],
-				seed:    streamSeed(cfg.Seed, in.Slot, k, s),
-			}
-			var weights []float64
 			for q := range plan.Rate[k] {
 				if len(plan.Rate[k][q]) != S {
 					return nil, fmt.Errorf("dispatch: type %d level %d plan has %d front-ends, system has %d",
@@ -228,87 +282,56 @@ func Compile(in *core.Input, plan *core.Plan, cfg Config) (*Table, error) {
 					if math.IsNaN(rate) || math.IsInf(rate, 0) {
 						return nil, fmt.Errorf("dispatch: invalid rate %g at k=%d q=%d s=%d l=%d", rate, k, q, s, l)
 					}
-					// The achieved delay (and so the per-request utility)
-					// is the simulator's: the commodity's expected M/M/1
-					// delay under the plan, snapped onto the level
-					// deadline when the LP meets it with equality.
-					d := plan.Delay(sys, k, q, l)
-					if dq := levels[q].Deadline; d > dq && d <= dq*(1+1e-9) {
-						d = dq
-					}
-					lane := Lane{
+					d := plan.AchievedDelay(sys, k, q, l)
+					t.Lanes = append(t.Lanes, Lane{
 						K: k, Q: q, S: s, L: l,
 						Rate:         rate,
-						MaxRate:      rate * headroom(k, q, l, levels[q].Deadline),
-						Burst:        math.Max(cfg.MinBurst, cfg.Burst*rate*T),
+						MaxRate:      rate * headroom(k, q, l, cls.Level(q).Deadline),
+						Burst:        cfg.burst(rate, T),
 						Delay:        d,
 						Utility:      cls.Utility(d),
 						UnitEnergy:   sys.EnergyCost(k, l, in.Prices[l]),
 						UnitTransfer: sys.TransferCost(k, s, l),
-					}
-					e.lanes = append(e.lanes, int32(len(t.Lanes)))
-					weights = append(weights, rate)
-					t.Lanes = append(t.Lanes, lane)
-					e.planned += rate
+					})
 				}
 			}
-			e.prob, e.alias = buildAlias(weights)
-			t.entries[k][s] = e
 		}
 	}
+	t.index(K, S, func(k, s int) float64 { return in.Arrivals[s][k] })
 	return t, nil
 }
 
 // Rescale returns a copy of the table with every lane i's admission rate
 // set to mult[i]·Rate, capped at the lane's MaxRate headroom (when known)
 // so a boosted table can never violate the committed plan's capacity or
-// deadline envelope. Alias tables are rebuilt from the scaled weights and
-// bucket capacities re-derived from the scaled rates; the frozen per-lane
-// economics (Delay, Utility, unit costs) and MaxRate itself are carried
-// unchanged, as are every stream's arrival budget and draw seed — an
-// all-ones mult reproduces the base routing bit for bit. The result keeps
-// the base Epoch and carries sub as its sub-epoch sequence. Rescale is
-// meant for fleet-level (undivided) tables: bucket sizing uses the plain
-// Burst·λ·T rule, not Subdivide's √n slack discipline.
+// deadline envelope. Lanes of one stream move by different factors, so the
+// copy is re-weighed; bucket capacities follow the scaled rates; the
+// frozen per-lane economics (Delay, Utility, unit costs) and MaxRate
+// itself are carried unchanged, as are every stream's arrival budget and
+// draw seed — an all-ones mult reproduces the base routing bit for bit.
+// The result keeps the base Epoch and carries sub as its sub-epoch
+// sequence. Rescale is meant for fleet-level (undivided) tables: bucket
+// sizing is the plain rule, without Subdivide's √n slack and σ floor.
 func (t *Table) Rescale(mult []float64, sub uint64, cfg Config) (*Table, error) {
 	if len(mult) != len(t.Lanes) {
 		return nil, fmt.Errorf("dispatch: rescale got %d multipliers for %d lanes", len(mult), len(t.Lanes))
 	}
-	cfg = cfg.WithDefaults()
-	out := *t
-	out.Sub = sub
-	out.Lanes = make([]Lane, len(t.Lanes))
-	for i, ln := range t.Lanes {
-		m := mult[i]
+	for i, m := range mult {
 		if math.IsNaN(m) || math.IsInf(m, 0) || m <= 0 {
 			return nil, fmt.Errorf("dispatch: rescale multiplier %g for lane %d", m, i)
 		}
-		r := ln.Rate * m
-		if ln.MaxRate > 0 && r > ln.MaxRate {
-			r = ln.MaxRate
-		}
-		ln.Rate = r
-		ln.Burst = math.Max(cfg.MinBurst, cfg.Burst*r*t.SlotLen)
-		out.Lanes[i] = ln
 	}
-	out.entries = make([][]entry, t.k)
-	for k := range t.entries {
-		out.entries[k] = make([]entry, t.s)
-		for s := range t.entries[k] {
-			e := t.entries[k][s]
-			weights := make([]float64, len(e.lanes))
-			planned := 0.0
-			for j, li := range e.lanes {
-				w := out.Lanes[li].Rate
-				weights[j] = w
-				planned += w
-			}
-			e.prob, e.alias = buildAlias(weights)
-			e.planned = planned
-			out.entries[k][s] = e
+	cfg = cfg.WithDefaults()
+	out := t.derive(func(i int, ln *Lane) {
+		ln.Rate *= mult[i]
+		if ln.MaxRate > 0 && ln.Rate > ln.MaxRate {
+			ln.Rate = ln.MaxRate
 		}
-	}
-	return &out, nil
+		ln.Burst = cfg.burst(ln.Rate, t.SlotLen)
+	}, func(*entry) {})
+	out.Sub = sub
+	out.weigh()
+	return out, nil
 }
 
 // buildAlias constructs a Walker alias table (Vose's algorithm) over the

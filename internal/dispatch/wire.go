@@ -12,45 +12,28 @@ import (
 // rates with the same deterministic construction Compile uses, so a
 // round-tripped table routes identically to the original.
 type TableWire struct {
-	Epoch     uint64      `json:"epoch"`
-	Sub       uint64      `json:"sub,omitempty"`
-	Slot      int         `json:"slot"`
-	SlotLen   float64     `json:"slotLen"`
-	Seed      uint64      `json:"seed"`
-	Objective float64     `json:"objective"`
-	IdleCost  float64     `json:"idleCost"`
-	ServersOn []int       `json:"serversOn"`
-	Degraded  bool        `json:"degraded,omitempty"`
-	Tier      string      `json:"tier,omitempty"`
-	K         int         `json:"k"`
-	S         int         `json:"s"`
-	Lanes     []Lane      `json:"lanes"`
-	Arrivals  [][]float64 `json:"arrivals"` // [k][s] planner-budgeted arrival rates
+	Header
+	K        int         `json:"k"`
+	S        int         `json:"s"`
+	Lanes    []Lane      `json:"lanes"`
+	Arrivals [][]float64 `json:"arrivals"` // [k][s] planner-budgeted arrival rates
 }
 
-// Wire serializes the table. The lane slice is copied; the table stays
-// immutable.
+// Wire serializes the table. The lane and ServersOn slices are copied;
+// the table stays immutable.
 func (t *Table) Wire() *TableWire {
 	w := &TableWire{
-		Epoch:     t.Epoch,
-		Sub:       t.Sub,
-		Slot:      t.Slot,
-		SlotLen:   t.SlotLen,
-		Seed:      t.Seed,
-		Objective: t.Objective,
-		IdleCost:  t.IdleCost,
-		ServersOn: append([]int(nil), t.ServersOn...),
-		Degraded:  t.Degraded,
-		Tier:      t.Tier,
-		K:         t.k,
-		S:         t.s,
-		Lanes:     append([]Lane(nil), t.Lanes...),
+		Header:   t.Header,
+		K:        t.K(),
+		S:        t.S(),
+		Lanes:    append([]Lane(nil), t.Lanes...),
+		Arrivals: make([][]float64, t.K()),
 	}
-	w.Arrivals = make([][]float64, t.k)
-	for k := 0; k < t.k; k++ {
-		w.Arrivals[k] = make([]float64, t.s)
-		for s := 0; s < t.s; s++ {
-			w.Arrivals[k][s] = t.entries[k][s].arrival
+	w.ServersOn = append([]int(nil), t.ServersOn...)
+	for k, row := range t.entries {
+		w.Arrivals[k] = make([]float64, len(row))
+		for s := range row {
+			w.Arrivals[k][s] = row[s].arrival
 		}
 	}
 	return w
@@ -58,9 +41,11 @@ func (t *Table) Wire() *TableWire {
 
 // FromWire reconstructs a routing table from its wire form, rebuilding
 // the per-stream alias tables from the lane rates. It validates what a
-// hostile or corrupted payload can get wrong — dimensions, lane
-// coordinates, non-finite rates — and rejects rather than installing
-// garbage into a gateway.
+// hostile or corrupted payload can get wrong on its own terms —
+// dimensions, stream coordinates, non-finite rates — and rejects rather
+// than installing garbage into a gateway. Whether the table fits a given
+// topology (K, S, center and level indices, ServersOn) it cannot know;
+// the replica that installs it checks that (cluster.Replica.Apply).
 func FromWire(w *TableWire) (*Table, error) {
 	if w == nil {
 		return nil, fmt.Errorf("dispatch: nil wire table")
@@ -74,36 +59,13 @@ func FromWire(w *TableWire) (*Table, error) {
 	if len(w.Arrivals) != w.K {
 		return nil, fmt.Errorf("dispatch: wire table has %d arrival rows for %d types", len(w.Arrivals), w.K)
 	}
-	t := &Table{
-		Epoch:     w.Epoch,
-		Sub:       w.Sub,
-		Slot:      w.Slot,
-		SlotLen:   w.SlotLen,
-		Seed:      w.Seed,
-		Objective: w.Objective,
-		IdleCost:  w.IdleCost,
-		ServersOn: append([]int(nil), w.ServersOn...),
-		Degraded:  w.Degraded,
-		Tier:      w.Tier,
-		k:         w.K,
-		s:         w.S,
-		Lanes:     append([]Lane(nil), w.Lanes...),
-	}
-	t.entries = make([][]entry, w.K)
-	weights := make([][][]float64, w.K)
-	for k := 0; k < w.K; k++ {
+	for k := range w.Arrivals {
 		if len(w.Arrivals[k]) != w.S {
 			return nil, fmt.Errorf("dispatch: wire table arrival row %d has %d front-ends for %d", k, len(w.Arrivals[k]), w.S)
 		}
-		t.entries[k] = make([]entry, w.S)
-		weights[k] = make([][]float64, w.S)
-		for s := 0; s < w.S; s++ {
-			t.entries[k][s] = entry{
-				arrival: w.Arrivals[k][s],
-				seed:    streamSeed(w.Seed, w.Slot, k, s),
-			}
-		}
 	}
+	t := &Table{Header: w.Header, Lanes: append([]Lane(nil), w.Lanes...)}
+	t.ServersOn = append([]int(nil), w.ServersOn...)
 	for i := range t.Lanes {
 		ln := &t.Lanes[i]
 		if ln.K < 0 || ln.K >= w.K || ln.S < 0 || ln.S >= w.S {
@@ -123,16 +85,7 @@ func FromWire(w *TableWire) (*Table, error) {
 			// "no headroom": the lane's own rate.
 			ln.MaxRate = ln.Rate
 		}
-		e := &t.entries[ln.K][ln.S]
-		e.lanes = append(e.lanes, int32(i))
-		weights[ln.K][ln.S] = append(weights[ln.K][ln.S], ln.Rate)
-		e.planned += ln.Rate
 	}
-	for k := 0; k < w.K; k++ {
-		for s := 0; s < w.S; s++ {
-			e := &t.entries[k][s]
-			e.prob, e.alias = buildAlias(weights[k][s])
-		}
-	}
+	t.index(w.K, w.S, func(k, s int) float64 { return w.Arrivals[k][s] })
 	return t, nil
 }

@@ -116,23 +116,18 @@ type UtilityCheck struct {
 // arrivals and evaluates both utility semantics on the realized delays.
 func UtilityGap(sys *datacenter.System, plan *core.Plan, n int, seed int64) ([]UtilityCheck, error) {
 	var out []UtilityCheck
-	err := eachQueue(sys, plan, n, seed, func(l, k, q int, lamTotal float64, sim Sim, delays []float64) {
+	err := eachQueue(sys, plan, n, seed, func(l, k, q int, lamTotal float64, _ Sim, delays []float64) {
 		cls := sys.Classes[k].TUF
 		var perReq float64
 		for _, d := range delays {
 			perReq += cls.Utility(d)
 		}
 		perReq /= float64(len(delays))
-		// The mean-delay semantics use the analytical expectation
-		// (what the planner contracted), snapped onto the level
-		// deadline it meets with equality.
-		expected := sim.ExpectedDelay()
-		if dq := cls.Level(q).Deadline; expected > dq && expected <= dq*(1+1e-9) {
-			expected = dq
-		}
+		// The mean-delay semantics use the analytical expectation: what
+		// the planner contracted.
 		out = append(out, UtilityCheck{
 			Center: l, Class: k, Level: q, Rate: lamTotal,
-			MeanDelayUtility:  cls.Utility(expected),
+			MeanDelayUtility:  cls.Utility(plan.AchievedDelay(sys, k, q, l)),
 			PerRequestUtility: perReq,
 		})
 	})

@@ -451,7 +451,7 @@ func TestAbandonedTierDoesNotRaceNextSlot(t *testing.T) {
 	opt := core.NewOptimized()
 	opt.Stats = &core.SearchStats{}
 	chain := resilient.Wrap(opt)
-	chain.Timeout = 50 * time.Microsecond
+	chain.Timeout = time.Microsecond
 	finished := make(chan struct{}, 3*cfg.Slots) // one send per tier invocation
 	for i, tier := range chain.Tiers {
 		chain.Tiers[i] = &tracked{Planner: tier, finished: finished}

@@ -553,21 +553,13 @@ func account(in *core.Input, plan *core.Plan) SlotReport {
 	}
 	for k := 0; k < K; k++ {
 		cls := sys.Classes[k].TUF
-		levels := cls.Levels()
 		for q := range plan.Rate[k] {
 			for l := 0; l < L; l++ {
 				lam := plan.CenterRate(k, q, l)
 				if lam <= 0 {
 					continue
 				}
-				// Achieved utility: the TUF at the commodity's expected
-				// delay. Plans meet level deadlines with equality, so snap
-				// one-ulp overshoots back onto the boundary.
-				d := plan.Delay(sys, k, q, l)
-				if dq := levels[q].Deadline; d > dq && d <= dq*(1+1e-9) {
-					d = dq
-				}
-				u := cls.Utility(d)
+				u := cls.Utility(plan.AchievedDelay(sys, k, q, l))
 				sr.Revenue += u * lam * T
 				sr.EnergyCost += sys.EnergyCost(k, l, in.Prices[l]) * lam * T
 				sr.ServedByType[k] += lam * T

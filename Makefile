@@ -37,7 +37,9 @@ race:
 # and a primal-dual certificate against the model itself. FuzzRefresh walks
 # one held dispatch LP through arbitrary changes of prices, arrivals,
 # topology, deadlines and floors and checks it against a from-scratch build
-# each step.
+# each step. FuzzHorizonRefresh does the same for one held horizon-window
+# LP: sliding windows, a backlog coming and going, centers priced out of
+# some blocks, the window cut short, allowances changed.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s ./internal/workload/
 	$(GO) test -run=NONE -fuzz=FuzzLoad -fuzztime=10s ./internal/config/
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzKernelDifferential -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzSparseFactors -fuzztime=10s ./internal/linalg/
 	$(GO) test -run=NONE -fuzz=FuzzRefresh -fuzztime=10s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzHorizonRefresh -fuzztime=10s ./internal/core/
 
 # fmt-check fails when any file is not gofmt-clean.
 fmt-check:
@@ -86,13 +89,14 @@ bench-lp-sparse:
 # bench-smoke proves the plan-search benchmarks, the dispatch-LP builder
 # benchmark, both rows of the refine slot benchmark — demand-limited,
 # where the dual bound turns every move down, and capacity-limited, where
-# ~135 survivors are solved — the capture slot benchmark, the sparse
-# kernel's hot-pivot benchmark and the two-kernel crossover sweep still run
-# (one iteration, no timing claims); wired into verify.
+# ~135 survivors are solved — the capture slot benchmark, the horizon
+# window benchmark (first build and steady refresh), the sparse kernel's
+# hot-pivot benchmark and the two-kernel crossover sweep still run (one
+# iteration, no timing claims); wired into verify.
 bench-smoke:
 	$(GO) test -bench=BenchmarkPlanSearch -benchtime=1x -run=NONE .
 	$(GO) test -bench='BenchmarkHotPivot|BenchmarkKernelCrossover' -benchtime=1x -run=NONE ./internal/lp/
-	$(GO) test -bench='BenchmarkBuildDispatchLP|BenchmarkRefineSlot|BenchmarkCaptureSlot' -benchtime=1x -run=NONE ./internal/core/
+	$(GO) test -bench='BenchmarkBuildDispatchLP|BenchmarkRefineSlot|BenchmarkCaptureSlot|BenchmarkHorizonSlot' -benchtime=1x -run=NONE ./internal/core/
 
 # profile writes a CPU and an allocation profile into the git-ignored
 # prof/ and prints the top of each, with no edit to bench/: W=refine (the
@@ -106,7 +110,9 @@ bench-smoke:
 # share of a fleet-large commit — refresh (or rebuild) of the held LP, hot
 # re-solve, extraction, plan; W=kernel profiles BenchmarkHotPivot/slot, the
 # sparse kernel's hot re-solve of a generated 2160-row dispatch-shaped LP
-# at ~15 pivots a solve, with no planner on top. Dig further with
+# at ~15 pivots a solve, with no planner on top; W=horizon profiles
+# BenchmarkHorizonSlot/steady, a held horizon-4 window of the 6x10x3 fleet
+# refreshed and re-solved hot. Dig further with
 # `go tool pprof -list <regexp> prof/$(W).test prof/$(W).cpu`.
 W ?= refine
 profile:
@@ -117,6 +123,8 @@ else ifeq ($(W),commit)
 	$(GO) test -run=NONE -bench=BenchmarkCaptureSlot/fleet -benchtime=2000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
 else ifeq ($(W),kernel)
 	$(GO) test -run=NONE -bench=BenchmarkHotPivot/slot -benchtime=3000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/lp/
+else ifeq ($(W),horizon)
+	$(GO) test -run=NONE -bench=BenchmarkHorizonSlot/steady -benchtime=3000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
 else
 	$(GO) test -run=NONE -bench=BenchmarkRefineSlot/capacity-limited -benchtime=300x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
 endif

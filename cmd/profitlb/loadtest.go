@@ -94,7 +94,6 @@ func cmdLoadtest(args []string) error {
 	if err != nil {
 		return err
 	}
-	src.Attach(planner)
 	gw := dispatch.NewGateway(sc.System, sc.DispatchConfig(), scope)
 	d := &dispatch.Driver{Gateway: gw, Planner: planner, Source: src}
 	lcfg := loadgen.Config{

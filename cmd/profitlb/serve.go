@@ -154,7 +154,6 @@ func newServer(sc *config.Scenario, addr string, opt serveOptions) (*gatewayServ
 		if err != nil {
 			return nil, err
 		}
-		src.Attach(planner)
 		if gs.mode == "fleet" {
 			// The driver still needs a gateway for compile configuration
 			// and scope, but in fleet mode it never serves requests.

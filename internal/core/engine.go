@@ -138,19 +138,27 @@ func (e *engine) bounded(inc *assignment, out int, add *commodity) bool {
 }
 
 // solveLP builds one dispatch LP in the call's layout and solves it,
-// uncached, through the call's warm state (cold when there is none), from
-// seed (nil: the slot's frozen one). The LP and its handles are the solve
-// unit's, good until the engine's next solveLP, and come with a warm
-// solve's final basis on a priced engine.
+// uncached, from seed (nil: the slot's frozen one). The LP and its handles
+// are the solve unit's, good until the engine's next solveLP, and come
+// with a warm solve's final basis on a priced engine.
 func (e *engine) solveLP(comms []commodity, floors []float64, seed *lp.Basis) (*dispatchLP, *lp.Result, *lp.Basis, error) {
 	capture := e.capture
 	e.capture = false
 	u := e.warm.unit(capture)
 	u.d.build(e.in, comms, floors, e.perServer, e.names)
-	if capture && e.warm != nil && u.d.rebuilt {
+	res, basis, err := e.run(u.d.model, capture, u.d.rebuilt, &u.sv, seed)
+	return &u.d, res, basis, err
+}
+
+// run hands a built LP — a slot's, or a horizon window's — to the simplex
+// through the call's warm state (cold when there is none) and books how
+// the solve went. rebuilt says a capture solve's held model had to be
+// built again.
+func (e *engine) run(m *lp.Model, capture, rebuilt bool, sv *lp.Solver, seed *lp.Basis) (*lp.Result, *lp.Basis, error) {
+	if capture && e.warm != nil && rebuilt {
 		e.n.ModelRebuilds++
 	}
-	res, basis, out, err := e.warm.solveModel(u.d.model, e.opts, capture, &u.sv, seed, e.priced)
+	res, basis, out, err := e.warm.solveModel(m, e.opts, capture, sv, seed, e.priced)
 	if out.FellBack {
 		e.n.WarmFallbacks++
 	} else if out.Path != "cold" {
@@ -164,7 +172,7 @@ func (e *engine) solveLP(comms []commodity, floors []float64, seed *lp.Basis) (*
 	e.n.AbandonedPivots += int64(out.AbandonedPivots)
 	e.n.ImportPivots += int64(out.ImportPivots)
 	e.n.Refactors += int64(out.Refactors)
-	return &u.d, res, basis, err
+	return res, basis, err
 }
 
 // close copies the engine's solver counters into the planner's stats

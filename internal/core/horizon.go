@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"profitlb/internal/datacenter"
+	"profitlb/internal/linalg"
 	"profitlb/internal/lp"
 )
 
@@ -66,24 +68,21 @@ func (h *HorizonInput) Validate() error {
 		}
 	}
 	for t := range h.Arrivals {
-		in := &Input{Sys: h.Sys, Arrivals: h.Arrivals[t], Prices: h.Prices[t]}
-		if err := in.Validate(); err != nil {
+		if err := h.slot(t).Validate(); err != nil {
 			return fmt.Errorf("core: horizon slot %d: %w", t, err)
 		}
 	}
-	if h.Backlog != nil {
-		if len(h.Backlog) != h.Sys.S() {
-			return fmt.Errorf("core: backlog for %d front-ends, want %d", len(h.Backlog), h.Sys.S())
+	if h.Backlog != nil && len(h.Backlog) != h.Sys.S() {
+		return fmt.Errorf("core: backlog for %d front-ends, want %d", len(h.Backlog), h.Sys.S())
+	}
+	for s, row := range h.Backlog {
+		if len(row) != h.Sys.K() {
+			return fmt.Errorf("core: backlog front-end %d has %d types, want %d", s, len(row), h.Sys.K())
 		}
-		for s, row := range h.Backlog {
-			if len(row) != h.Sys.K() {
-				return fmt.Errorf("core: backlog front-end %d has %d types, want %d", s, len(row), h.Sys.K())
-			}
-			for k, buckets := range row {
-				for r, v := range buckets {
-					if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-						return fmt.Errorf("core: backlog[%d][%d][%d] invalid rate %g", s, k, r, v)
-					}
+		for k, buckets := range row {
+			for r, v := range buckets {
+				if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("core: backlog[%d][%d][%d] invalid rate %g", s, k, r, v)
 				}
 			}
 		}
@@ -91,22 +90,22 @@ func (h *HorizonInput) Validate() error {
 	return nil
 }
 
-// backlogAt returns the h.Backlog bucket volume, tolerating nil/ragged
-// shapes (absent buckets are zero).
-func (h *HorizonInput) backlogAt(s, k, r int) float64 {
-	if h.Backlog == nil || r >= len(h.Backlog[s][k]) {
-		return 0
+// buckets returns the backlog carried for (s, k), nil when none.
+func (h *HorizonInput) buckets(s, k int) []float64 {
+	if h.Backlog == nil {
+		return nil
 	}
-	return h.Backlog[s][k][r]
+	return h.Backlog[s][k]
 }
 
-// backlogDepth returns the deepest bucket index carried for (s, k), -1
-// when none.
-func (h *HorizonInput) backlogDepth(s, k int) int {
-	if h.Backlog == nil {
-		return -1
-	}
-	return len(h.Backlog[s][k]) - 1
+// depth is how many buckets the window LP budgets for (s, k): one per
+// slot of the class's allowance, since a rolling controller's list grows
+// and drains inside it from window to window, and as many as are carried.
+func (h *HorizonInput) depth(s, k int) int { return max(h.MaxDefer[k], len(h.buckets(s, k))) }
+
+// slot is window slot t as a slot planner's input.
+func (h *HorizonInput) slot(t int) *Input {
+	return &Input{Sys: h.Sys, Arrivals: h.Arrivals[t], Prices: h.Prices[t]}
 }
 
 // HorizonPlan is the joint decision for the window.
@@ -118,30 +117,21 @@ type HorizonPlan struct {
 	// Objective is the window's total predicted net profit.
 	Objective float64
 	// DeferredFraction[k] is the share of type k's served volume that was
-	// buffered at least one slot.
+	// buffered at least one slot: per slot, the budget the LP moved into it
+	// up to what it served. It is an attribution, not a quantity of the
+	// optimum — alternate optima of equal Objective split a slot's service
+	// between its own arrivals and moved budget differently.
 	DeferredFraction []float64
 }
 
-// horizonVar indexes one x variable of the joint LP.
-type horizonVar struct {
-	ts, ci, s, d int // serve slot, commodity index at ts, front-end, defer
-}
-
-// backlogVar indexes one carried-backlog dispatch variable: bucket
-// (s, r) of the commodity's class served during window slot ts.
-type backlogVar struct {
-	ts, ci, s, r int
-}
-
 // deferHoldEps is a tiny per-slot holding cost ($ per unit rate) charged
-// to every deferred-service variable (new work served d > 0 slots after
-// arrival, or carried backlog served at ts > 0). It breaks objective
-// ties toward serving now: with flat prices, deferring and serving are
+// to every column that defers service (a transfer, per slot of its gap; a
+// backlog column, per slot into the window). It breaks objective ties
+// toward serving now: with flat prices, deferring and serving are
 // otherwise equal-profit and the simplex could park work in the buffer
 // for nothing, stranding it when the run ends. It is orders of magnitude
-// below any real price swing, so genuine arbitrage is unaffected, and
-// serve-now variables (d = 0, and zero-defer classes entirely) carry no
-// penalty — the zero-defer LP is bit-identical to before.
+// below any real price swing, so genuine arbitrage is unaffected, and a
+// slot's own λ columns carry no penalty.
 const deferHoldEps = 1e-6
 
 // PlanHorizon solves the joint multi-slot LP and splits the solution into
@@ -153,16 +143,17 @@ func PlanHorizon(h *HorizonInput, opts lp.Options) (*HorizonPlan, error) {
 
 // HorizonPlanner plans successive horizon windows with warm-started
 // re-solves: a rolling-horizon controller re-plans a shifted window every
-// slot, and consecutive windows share most of their structure, so the
-// previous window's optimal basis is imported as the starting vertex.
-// Results are audited exactly like the slot planners' (lp.Solver); with
-// WarmStart false every window solves cold. Like the slot planners, a
-// HorizonPlanner must be driven by one caller at a time.
+// slot, and consecutive windows usually share their structure, so the
+// planner holds the window's LP, refreshes its numbers and re-solves it
+// hot; when the structure did change, the previous window's optimal basis
+// is imported as the starting vertex. Results are audited exactly like the
+// slot planners' (lp.Solver); with WarmStart false every window solves
+// cold. Like the slot planners, a HorizonPlanner must be driven by one
+// caller at a time.
 type HorizonPlanner struct {
-	// EngineOptions carries the solver knobs: WarmStart seeds each
-	// window's LP from the previous window's exported basis. Horizon LPs
-	// couple H slots in one model, so they cross the solver's sparse row
-	// threshold quickly.
+	// EngineOptions carries the solver knobs, WarmStart above all. Horizon
+	// LPs couple H slots in one model, so they cross the solver's sparse
+	// row threshold quickly.
 	EngineOptions
 }
 
@@ -171,218 +162,203 @@ func NewHorizonPlanner() *HorizonPlanner {
 	return &HorizonPlanner{EngineOptions: EngineOptions{WarmStart: true}}
 }
 
-// Plan solves one window, reusing the planner's retained solver state:
-// the window's one LP is the capture solve of the planner's warm state.
+// Plan solves one window. The window's LP is the planner's capture solve:
+// held in the hot solve unit while its structure stands (a cold call's, or
+// one a straggler locks out, is fresh), refreshed in place and re-solved
+// hot on the retained kernel, its counters booked and published like a
+// slot planner's (Stats, Obs; a window has no absolute slot, so the engine
+// event carries slot 0).
 func (hp *HorizonPlanner) Plan(h *HorizonInput) (*HorizonPlan, error) {
 	if err := h.Validate(); err != nil {
 		return nil, err
 	}
-	b := buildHorizonLP(h)
-	w := hp.claim(true)
-	defer w.release()
-	res, _, _, err := w.solveModel(b.model, hp.LPOpts, true, nil, nil, false)
+	eng := hp.open(h.slot(0), "horizon", false, false)
+	defer eng.close()
+	w := &eng.warm.unit(true).w
+	w.build(h, eng.names)
+	eng.n.Solves++
+	res, _, err := eng.run(&w.model, true, w.rebuilt, nil, nil)
 	if err != nil {
+		eng.n.SolveErrors++
 		return nil, fmt.Errorf("core: horizon LP failed: %w", err)
 	}
-	return b.extract(h, res)
+	return w.extract(h, res)
 }
 
-// horizonLP is the joint window LP with the handles needed to read the
-// solution back out per slot.
-type horizonLP struct {
-	model *lp.Model
-	comms [][]commodity
-	xIdx  map[horizonVar]int
-	bIdx  map[backlogVar]int
-	fVar  [][]int // [t][ci]
+// windowLP is the window's LP as a composition: one dispatch-LP block a
+// slot, each written into the shared model by the slot planners' own
+// structure and numbers passes (block t's arrival rows keep slot t's
+// arrivals as right-hand side), and the coupling this file owns, which
+// moves arrival budget between blocks (DESIGN.md §15.1). Like a
+// dispatchLP's, the structure is rebuilt only when what it was built from
+// changed — the window length, the allowances, a bucket list's depth, any
+// block's shape — and otherwise only numbers move, so the solver that
+// factorized the model re-solves hot.
+type windowLP struct {
+	model  lp.Model
+	blocks []dispatchLP
+	ins    []Input
+	// The coupling: the columns of (front-end s, class k) at moves[s·K+k],
+	// and every row that bounds what leaves a source.
+	K, H           int
+	moves          [][]move
+	budgets        []budget
+	shape, scratch []int
+	rebuilt        bool
 }
 
-// buildHorizonLP assembles the joint LP over the window.
-func buildHorizonLP(h *HorizonInput) *horizonLP {
-	sys := h.Sys
-	T := sys.Slot()
-	K, S := sys.K(), sys.S()
-	H := len(h.Arrivals)
+// move is a coupling column of one (s, k): arrival budget taken from
+// source src — window slot src < H, or carried bucket src−H — and served
+// in slot to. It is +1 in a slot source's arrival row and −1 in slot to's.
+// A transfer out of slot t reaches t+g, g ≤ MaxDefer[k], at cost
+// −deferHoldEps·g; bucket r reaches every slot t ≤ r at −deferHoldEps·t.
+type move struct{ col, src, to int }
 
-	// Admissible commodities per serve slot (prices differ per slot).
-	comms := make([][]commodity, H)
-	for t := 0; t < H; t++ {
-		in := &Input{Sys: sys, Arrivals: h.Arrivals[t], Prices: h.Prices[t]}
-		// Admit by the best coefficient over the whole window's arrivals;
-		// the per-slot arrivals only matter for budgets.
-		comms[t] = capReservations(in, admissibleCommodities(in, nil))
-	}
+// budget is a coupling row: the moves out of source src of (s, k) sum to at
+// most what it holds, so budget that arrived by transfer is not forwarded
+// again and a bucket — budgeted for empty or not — is served once.
+type budget struct{ row, s, k, src int }
 
-	m := lp.NewModel()
-	// Names carry t/d/r, so they are spelled afresh each build, by
-	// appending into one buffer (see lpName).
-	var buf [48]byte
-	name := func(prefix string) lpName { return append(buf[:0], prefix...) }
-	xIdx := map[horizonVar]int{}
-	bIdx := map[backlogVar]int{}
-	fVar := make([][]int, H) // [t][ci]
-	for t := 0; t < H; t++ {
-		fVar[t] = make([]int, len(comms[t]))
-		for ci, c := range comms[t] {
-			fVar[t][ci] = m.AddVariable(string(name("phi").tag("_t", t).tag("_k", c.k).tag("_q", c.q).tag("_l", c.l)), 0)
-			maxD := h.MaxDefer[c.k]
-			for s := 0; s < S; s++ {
-				coef := T * sys.UnitProfit(c.k, s, c.l, c.utility, h.Prices[t][c.l])
-				for d := 0; d <= maxD && d <= t; d++ {
-					v := horizonVar{ts: t, ci: ci, s: s, d: d}
-					xIdx[v] = m.AddVariable(string(name("x").tag("_t", t).tag("_k", c.k).tag("_q", c.q).tag("_s", s).tag("_l", c.l).tag("_d", d)),
-						coef-deferHoldEps*float64(d))
-				}
-				// Carried-backlog dispatch: bucket (s, r) may run in any
-				// slot up to its remaining deadline r.
-				for r := 0; r <= h.backlogDepth(s, c.k); r++ {
-					if t > r || h.backlogAt(s, c.k, r) <= 0 {
-						continue
-					}
-					v := backlogVar{ts: t, ci: ci, s: s, r: r}
-					bIdx[v] = m.AddVariable(string(name("b").tag("_t", t).tag("_k", c.k).tag("_q", c.q).tag("_s", s).tag("_l", c.l).tag("_r", r)),
-						coef-deferHoldEps*float64(t))
-				}
-			}
-		}
+// holds is what source src of (s, k) has to give.
+func (h *HorizonInput) holds(s, k, src int) float64 {
+	if src < len(h.Arrivals) {
+		return h.Arrivals[src][s][k]
 	}
+	if r := src - len(h.Arrivals); r < len(h.buckets(s, k)) {
+		return h.buckets(s, k)[r]
+	}
+	return 0
+}
 
-	// Capacity per (serve slot, commodity): M·C·μ·φ − Σ_{s,d} x ≥ M/D.
-	for t := 0; t < H; t++ {
-		for ci, c := range comms[t] {
-			dc := &sys.Centers[c.l]
-			n := float64(dc.Servers)
-			terms := []lp.Term{{Var: fVar[t][ci], Coef: n * dc.Capacity * dc.ServiceRate[c.k]}}
-			for s := 0; s < S; s++ {
-				for d := 0; d <= h.MaxDefer[c.k] && d <= t; d++ {
-					terms = append(terms, lp.Term{Var: xIdx[horizonVar{t, ci, s, d}], Coef: -1})
-				}
-				for r := t; r <= h.backlogDepth(s, c.k); r++ {
-					if vi, ok := bIdx[backlogVar{t, ci, s, r}]; ok {
-						terms = append(terms, lp.Term{Var: vi, Coef: -1})
-					}
-				}
-			}
-			m.AddConstraint(string(name("cap").tag("_t", t).tag("_k", c.k).tag("_q", c.q).tag("_l", c.l)), terms, lp.GE, n/c.deadline)
-		}
-	}
-	// Backlog budgets per (front-end, type, bucket): the bucket's volume
-	// bounds its total dispatch over the slots its deadline still allows.
+// build makes w the LP of window h, over the LP it held before.
+func (w *windowLP) build(h *HorizonInput, names *dispatchNames) {
+	// What the coupling's structure is built from; the blocks record theirs.
+	S, K := h.Sys.S(), h.Sys.K()
+	w.K, w.H = K, len(h.Arrivals)
+	shape := append(append(w.scratch[:0], w.H, S), h.MaxDefer...)
 	for s := 0; s < S; s++ {
 		for k := 0; k < K; k++ {
-			for r := 0; r <= h.backlogDepth(s, k); r++ {
-				if h.backlogAt(s, k, r) <= 0 {
-					continue
-				}
-				var terms []lp.Term
-				for t := 0; t < H && t <= r; t++ {
-					for ci, c := range comms[t] {
-						if c.k != k {
-							continue
-						}
-						if vi, ok := bIdx[backlogVar{t, ci, s, r}]; ok {
-							terms = append(terms, lp.Term{Var: vi, Coef: 1})
-						}
-					}
-				}
-				if len(terms) > 0 {
-					m.AddConstraint(string(name("bud").tag("_s", s).tag("_k", k).tag("_r", r)), terms, lp.LE, h.backlogAt(s, k, r))
-				}
-			}
+			shape = append(shape, h.depth(s, k))
 		}
 	}
-	// Arrival budgets per (arrival slot, front-end, type): work arriving
-	// at ta may be served at ts ∈ [ta, ta+MaxDefer].
-	for ta := 0; ta < H; ta++ {
-		for s := 0; s < S; s++ {
-			for k := 0; k < K; k++ {
-				var terms []lp.Term
-				for ts := ta; ts < H && ts <= ta+h.MaxDefer[k]; ts++ {
-					for ci, c := range comms[ts] {
-						if c.k != k {
-							continue
-						}
-						terms = append(terms, lp.Term{Var: xIdx[horizonVar{ts, ci, s, ts - ta}], Coef: 1})
-					}
-				}
-				if len(terms) > 0 {
-					m.AddConstraint(string(name("arr").tag("_t", ta).tag("_s", s).tag("_k", k)), terms, lp.LE, h.Arrivals[ta][s][k])
-				}
-			}
-		}
+	changed := !slices.Equal(shape, w.shape)
+	w.shape, w.scratch, w.moves = shape, w.shape, linalg.Resized(w.moves, S*K)
+	w.ins, w.blocks = linalg.Resized(w.ins, w.H), linalg.Resized(w.blocks, w.H)
+	for t := range w.blocks {
+		w.ins[t] = *h.slot(t)
+		w.blocks[t].comms = capReservations(&w.ins[t], admissibleCommodities(&w.ins[t], nil))
+		changed = w.blocks[t].reshape(&w.ins[t], nil, false, names) || changed
 	}
-	// Share caps per (slot, center).
-	for t := 0; t < H; t++ {
-		for l := 0; l < sys.L(); l++ {
-			var terms []lp.Term
-			for ci, c := range comms[t] {
-				if c.l == l {
-					terms = append(terms, lp.Term{Var: fVar[t][ci], Coef: 1})
-				}
-			}
-			if len(terms) > 0 {
-				m.AddConstraint(string(name("share").tag("_t", t).tag("_l", l)), terms, lp.LE, 1)
-			}
+	if w.rebuilt = changed; changed {
+		w.model.Reset()
+		w.columns(h)
+		for t := range w.blocks {
+			w.blocks[t].structure(&w.ins[t], nil, false, block{model: &w.model, prefix: fmt.Sprintf("t%d_", t), arr: w.arrTerms(t)})
 		}
+		w.rows(h)
 	}
-
-	return &horizonLP{model: m, comms: comms, xIdx: xIdx, bIdx: bIdx, fVar: fVar}
+	for t := range w.blocks {
+		w.blocks[t].numbers(&w.ins[t], nil)
+	}
+	for _, b := range w.budgets {
+		w.model.SetRHS(b.row, h.holds(b.s, b.k, b.src))
+	}
 }
 
-// extract splits an optimal window solution into per-slot plans.
-func (b *horizonLP) extract(h *HorizonInput, res *lp.Result) (*HorizonPlan, error) {
-	sys := h.Sys
-	K, S := sys.K(), sys.S()
-	H := len(h.Arrivals)
-	comms := b.comms
-	out := &HorizonPlan{DeferredFraction: make([]float64, K)}
-	servedTotal := make([]float64, K)
-	deferred := make([]float64, K)
-	for t := 0; t < H; t++ {
-		rates := make([][]float64, len(comms[t]))
-		for ci := range comms[t] {
-			rates[ci] = make([]float64, S)
-			for s := 0; s < S; s++ {
-				for d := 0; d <= h.MaxDefer[comms[t][ci].k] && d <= t; d++ {
-					v := res.Value(b.xIdx[horizonVar{t, ci, s, d}])
-					if v <= 0 {
-						continue
-					}
-					rates[ci][s] += v
-					servedTotal[comms[t][ci].k] += v
-					if d > 0 {
-						deferred[comms[t][ci].k] += v
-					}
-				}
-				// Carried backlog was buffered at least one slot before the
-				// window opened, so it always counts as deferred service.
-				for r := t; r <= h.backlogDepth(s, comms[t][ci].k); r++ {
-					vi, ok := b.bIdx[backlogVar{t, ci, s, r}]
-					if !ok {
-						continue
-					}
-					v := res.Value(vi)
-					if v <= 0 {
-						continue
-					}
-					rates[ci][s] += v
-					servedTotal[comms[t][ci].k] += v
-					deferred[comms[t][ci].k] += v
+// columns adds the coupling's columns, before any block: a block's arrival
+// rows name them.
+func (w *windowLP) columns(h *HorizonInput) {
+	for s := 0; s < h.Sys.S(); s++ {
+		for k := 0; k < w.K; k++ {
+			mv := w.moves[s*w.K+k][:0]
+			for t := 0; t < w.H; t++ {
+				for g := 1; g <= h.MaxDefer[k] && t+g < w.H; g++ {
+					mv = append(mv, move{w.model.AddVariable(fmt.Sprintf("fwd_k%d_s%d_t%d_d%d", k, s, t, g), -deferHoldEps*float64(g)), t, t + g})
 				}
 			}
+			for r := 0; r < h.depth(s, k); r++ {
+				for t := 0; t <= r && t < w.H; t++ {
+					mv = append(mv, move{w.model.AddVariable(fmt.Sprintf("back_k%d_s%d_r%d_t%d", k, s, r, t), -deferHoldEps*float64(t)), w.H + r, t})
+				}
+			}
+			w.moves[s*w.K+k] = mv
 		}
-		in := &Input{Sys: sys, Arrivals: h.Arrivals[t], Prices: h.Prices[t]}
-		plan, err := planFromRates(in, comms[t], rates)
+	}
+}
+
+// arrTerms is block t's block.arr: what the coupling adds to the arrival
+// row of class k at front-end s — budget forwarded out of slot t, and
+// budget a transfer or a bucket brings into it.
+func (w *windowLP) arrTerms(t int) func(k, s int, terms []lp.Term) []lp.Term {
+	return func(k, s int, terms []lp.Term) []lp.Term {
+		for _, mv := range w.moves[s*w.K+k] {
+			if mv.src == t {
+				terms = append(terms, lp.Term{Var: mv.col, Coef: 1})
+			} else if mv.to == t {
+				terms = append(terms, lp.Term{Var: mv.col, Coef: -1})
+			}
+		}
+		return terms
+	}
+}
+
+// rows adds the coupling's own rows, one per source a column leaves,
+// right-hand sides left to build.
+func (w *windowLP) rows(h *HorizonInput) {
+	var terms []lp.Term
+	w.budgets = w.budgets[:0]
+	for s := 0; s < h.Sys.S(); s++ {
+		for k := 0; k < w.K; k++ {
+			for src := 0; src < w.H+h.depth(s, k); src++ {
+				terms = terms[:0]
+				for _, mv := range w.moves[s*w.K+k] {
+					if mv.src == src {
+						terms = append(terms, lp.Term{Var: mv.col, Coef: 1})
+					}
+				}
+				if len(terms) == 0 {
+					continue
+				}
+				name := fmt.Sprintf("bud_k%d_s%d_r%d", k, s, src-w.H)
+				if src < w.H {
+					name = fmt.Sprintf("out_k%d_s%d_t%d", k, s, src)
+				}
+				w.budgets = append(w.budgets, budget{w.model.AddConstraint(name, terms, lp.LE, 0), s, k, src})
+			}
+		}
+	}
+}
+
+// extract splits an optimal window solution into per-slot plans. A slot's
+// deferred service is the budget that reached it through the coupling — by
+// transfer, or from the backlog, which was buffered at least one slot
+// before the window opened — up to what the slot served.
+func (w *windowLP) extract(h *HorizonInput, res *lp.Result) (*HorizonPlan, error) {
+	out := &HorizonPlan{DeferredFraction: make([]float64, w.K)}
+	served, deferred := make([]float64, w.K), make([]float64, w.K)
+	for t := range w.blocks {
+		d, in := &w.blocks[t], &w.ins[t]
+		plan, err := planFromRates(in, d.comms, d.extractRates(res))
 		if err != nil {
 			return nil, fmt.Errorf("core: horizon slot %d: %w", t, err)
 		}
 		plan.Objective = planObjective(in, plan)
 		out.Objective += plan.Objective
 		out.Slots = append(out.Slots, plan)
+		for sk, moves := range w.moves {
+			s, k, arrived := sk/w.K, sk%w.K, 0.0
+			for _, mv := range moves {
+				if mv.to == t {
+					arrived += max(0, res.Value(mv.col))
+				}
+			}
+			served[k] += plan.ServedFrom(k, s)
+			deferred[k] += min(arrived, plan.ServedFrom(k, s))
+		}
 	}
-	for k := 0; k < K; k++ {
-		if servedTotal[k] > 0 {
-			out.DeferredFraction[k] = deferred[k] / servedTotal[k]
+	for k := range served {
+		if served[k] > 0 {
+			out.DeferredFraction[k] = deferred[k] / served[k]
 		}
 	}
 	return out, nil
@@ -406,13 +382,13 @@ func VerifyHorizon(h *HorizonInput, hp *HorizonPlan, tol float64) error {
 		for s := range relaxed {
 			relaxed[s] = make([]float64, sys.K())
 			for k := 0; k < sys.K(); k++ {
-				for ta := t - h.MaxDefer[k]; ta <= t; ta++ {
-					if ta >= 0 {
-						relaxed[s][k] += h.Arrivals[ta][s][k]
-					}
+				for ta := max(0, t-h.MaxDefer[k]); ta <= t; ta++ {
+					relaxed[s][k] += h.Arrivals[ta][s][k]
 				}
-				for r := t; r <= h.backlogDepth(s, k); r++ {
-					relaxed[s][k] += h.backlogAt(s, k, r)
+				for r, v := range h.buckets(s, k) {
+					if r >= t {
+						relaxed[s][k] += v
+					}
 				}
 			}
 		}
@@ -427,8 +403,8 @@ func VerifyHorizon(h *HorizonInput, hp *HorizonPlan, tol float64) error {
 	for k := 0; k < sys.K(); k++ {
 		for s := 0; s < sys.S(); s++ {
 			var carried float64
-			for r := 0; r <= h.backlogDepth(s, k); r++ {
-				carried += h.backlogAt(s, k, r)
+			for _, v := range h.buckets(s, k) {
+				carried += v
 			}
 			arrived, served := carried, 0.0
 			for t := range hp.Slots {

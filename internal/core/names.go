@@ -7,15 +7,6 @@ import (
 	"profitlb/internal/datacenter"
 )
 
-// lpName spells an LP variable or row name by appending — "lam" then
-// tag("_k", 3) … — byte for byte what fmt.Sprintf("lam_k%d…") printed,
-// so bases, structure comparison and the LP export are untouched.
-type lpName []byte
-
-func (n lpName) tag(t string, v int) lpName {
-	return strconv.AppendInt(append(n, t...), int64(v), 10)
-}
-
 // The dispatch LP's name kinds. A name is its kind's prefix and the
 // indices the kind uses (−1 = unused), always in k, q, s, l, i order.
 const (
@@ -28,12 +19,14 @@ const (
 	nameKinds
 )
 
+// dispatchName spells a name by appending — "lam", then "_k" and 3, … —
+// byte for byte what fmt.Sprintf("lam_k%d…") printed.
 func dispatchName(kind, k, q, s, l, g int) string {
 	var buf [40]byte
-	n := lpName(append(buf[:0], [nameKinds]string{"phi", "lam", "cap", "arr", "floor", "share"}[kind]...))
+	n := append(buf[:0], [nameKinds]string{"phi", "lam", "cap", "arr", "floor", "share"}[kind]...)
 	for i, v := range [...]int{k, q, s, l, g} {
 		if v >= 0 {
-			n = n.tag([...]string{"_k", "_q", "_s", "_l", "_i"}[i], v)
+			n = strconv.AppendInt(append(n, [...]string{"_k", "_q", "_s", "_l", "_i"}[i]...), int64(v), 10)
 		}
 	}
 	return string(n)

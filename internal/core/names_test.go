@@ -188,42 +188,75 @@ func TestNameTableFillKeepsThePlan(t *testing.T) {
 	}
 }
 
-// TestHorizonNamesSpelledAsBefore: the horizon builder spells through the
-// same appender; its variables (found through the builder's own index
-// maps) and cap rows keep the fmt.Sprintf names, and every other row
-// has the shape of its kind.
-func TestHorizonNamesSpelledAsBefore(t *testing.T) {
-	for _, h := range []*HorizonInput{deferScenario(6), backlogScenario(5)} {
-		d := buildHorizonLP(h)
-		check := func(v int, want string) {
+// TestHorizonNamesSpelled pins how a window model is spelled: block t's
+// columns and rows carry the slot LP's own names behind "t<t>_", the
+// coupling's are fwd/back columns and out/bud rows over (k, s), and no two
+// columns and no two rows of a model share a name — a basis names its
+// members, so a repeat would cross two of them.
+func TestHorizonNamesSpelled(t *testing.T) {
+	deferring := deferScenario(6)
+	deferring.MaxDefer = []int{0, 3}
+	coupling := regexp.MustCompile(`^(fwd_k\d+_s\d+_t\d+_d\d+|back_k\d+_s\d+_r\d+_t\d+|out_k\d+_s\d+_t\d+|bud_k\d+_s\d+_r\d+)$`)
+	for _, h := range []*HorizonInput{deferring, backlogScenario(5)} {
+		var w windowLP
+		w.build(h, nil)
+		m := &w.model
+		// Every handle of every block leads to the slot LP's name for it.
+		ofBlocks := map[string]bool{}
+		is := func(got, want string) {
 			t.Helper()
-			if got := d.model.VariableName(v); got != want {
-				t.Fatalf("variable %d is %q, want %q", v, got, want)
+			if got != want {
+				t.Fatalf("a block spells %q where the slot LP behind its prefix has %q", got, want)
 			}
+			ofBlocks[got] = true
 		}
-		for v, i := range d.xIdx {
-			c := d.comms[v.ts][v.ci]
-			check(i, fmt.Sprintf("x_t%d_k%d_q%d_s%d_l%d_d%d", v.ts, c.k, c.q, v.s, c.l, v.d))
-		}
-		for v, i := range d.bIdx {
-			c := d.comms[v.ts][v.ci]
-			check(i, fmt.Sprintf("b_t%d_k%d_q%d_s%d_l%d_r%d", v.ts, c.k, c.q, v.s, c.l, v.r))
-		}
-		row := 0
-		for ts, fs := range d.fVar {
-			for ci, i := range fs {
-				c := d.comms[ts][ci]
-				check(i, fmt.Sprintf("phi_t%d_k%d_q%d_l%d", ts, c.k, c.q, c.l))
-				if got, want := d.model.RowName(row), fmt.Sprintf("cap_t%d_k%d_q%d_l%d", ts, c.k, c.q, c.l); got != want {
-					t.Fatalf("row %d is %q, want %q", row, got, want)
+		for slot := range w.blocks {
+			d, p := &w.blocks[slot], fmt.Sprintf("t%d_", slot)
+			for ci, c := range d.comms {
+				is(m.VariableName(d.fVar[ci][0]), p+dispatchName(phiName, c.k, c.q, -1, c.l, -1))
+				for s, x := range d.xVar[ci] {
+					is(m.VariableName(x), p+dispatchName(lamName, c.k, c.q, s, c.l, -1))
 				}
-				row++
+				ofBlocks[p+dispatchName(capName, c.k, c.q, -1, c.l, -1)] = true
+			}
+			for k, rows := range d.arrRow {
+				for s, row := range rows {
+					if row >= 0 {
+						is(m.RowName(row), p+dispatchName(arrName, k, -1, s, -1, -1))
+					}
+				}
+			}
+			for l, row := range d.shareRow {
+				if row >= 0 {
+					is(m.RowName(row), p+dispatchName(shareName, -1, -1, -1, l, -1))
+				}
 			}
 		}
-		rest := regexp.MustCompile(`^(bud_s\d+_k\d+_r\d+|arr_t\d+_s\d+_k\d+|share_t\d+_l\d+)$`)
-		for ; row < d.model.NumConstraints(); row++ {
-			if name := d.model.RowName(row); !rest.MatchString(name) {
-				t.Fatalf("row %d has the unexpected name %q", row, name)
+		cols, rows := map[string]bool{}, map[string]bool{}
+		for v := 0; v < m.NumVariables(); v++ {
+			cols[m.VariableName(v)] = true
+		}
+		for c := 0; c < m.NumConstraints(); c++ {
+			rows[m.RowName(c)] = true
+		}
+		if len(cols) != m.NumVariables() || len(rows) != m.NumConstraints() {
+			t.Fatalf("%d columns share %d names, %d rows %d", m.NumVariables(), len(cols), m.NumConstraints(), len(rows))
+		}
+		for _, names := range []map[string]bool{cols, rows} {
+			for name := range names {
+				if !ofBlocks[name] && !coupling.MatchString(name) {
+					t.Fatalf("unexpected name %q", name)
+				}
+			}
+		}
+		for _, name := range []string{"t0_lam_k1_q0_s0_l0", "t2_phi_k1_q0_l0", "fwd_k1_s0_t0_d2", "back_k1_s0_r1_t0"} {
+			if !cols[name] {
+				t.Fatalf("no column %q", name)
+			}
+		}
+		for _, name := range []string{"t1_cap_k0_q0_l0", "t0_arr_k1_s0", "t3_share_l0", "out_k1_s0_t0", "bud_k1_s0_r0"} {
+			if !rows[name] {
+				t.Fatalf("no row %q", name)
 			}
 		}
 	}

@@ -476,7 +476,11 @@ func (d *dispatchLP) build(in *Input, comms []commodity, floors []float64, perSe
 		d.model = nil
 	}
 	if d.rebuilt = d.reshape(in, floors, perServer, names); d.rebuilt {
-		d.structure(in, floors, perServer)
+		if d.model == nil {
+			d.model = lp.NewModel()
+		}
+		d.model.Reset()
+		d.structure(in, floors, perServer, block{model: d.model})
 	}
 	d.numbers(in, floors)
 	return d
@@ -526,15 +530,23 @@ func (d *dispatchLP) reshape(in *Input, floors []float64, perServer bool, names 
 	return changed
 }
 
-// structure refills d.model with the LP's variables and rows, every
-// number the numbers pass owns left at zero.
-func (d *dispatchLP) structure(in *Input, floors []float64, perServer bool) {
+// block is where structure writes a dispatch LP: into model — a slot
+// planner's own, emptied, or a horizon window's, as its slot t
+// (horizon.go) — with every name spelled behind prefix and, when arr is
+// set, the terms of the arrival row of class k at front-end s handed to it,
+// to add the columns that move arrival budget into and out of the slot.
+type block struct {
+	model  *lp.Model
+	prefix string
+	arr    func(k, s int, terms []lp.Term) []lp.Term
+}
+
+// structure appends the LP's variables and rows to at.model, d's from now
+// on, every number the numbers pass owns left at zero.
+func (d *dispatchLP) structure(in *Input, floors []float64, perServer bool, at block) {
 	sys, comms, names := in.Sys, d.comms, d.names
 	S := sys.S()
-	if d.model == nil {
-		d.model = lp.NewModel()
-	}
-	d.model.Reset()
+	d.model = at.model
 	m := d.model
 	// groups returns center l's group count and each group's size; name
 	// spells a variable or row, tagged with its group when per-server.
@@ -548,7 +560,11 @@ func (d *dispatchLP) structure(in *Input, floors []float64, perServer bool) {
 		if !perServer {
 			g = -1
 		}
-		return names.name(kind, k, q, s, l, g)
+		spelled := names.name(kind, k, q, s, l, g)
+		if at.prefix != "" { // a slot's own LP keeps the table's string, call-free
+			spelled = at.prefix + spelled
+		}
+		return spelled
 	}
 	// Everything is sized before it is filled: ng groups in all give
 	// ng·(S+1) columns, each in one cap row and one arr or share row, and
@@ -607,6 +623,9 @@ func (d *dispatchLP) structure(in *Input, floors []float64, perServer bool) {
 				for j := s; j < len(d.xVar[ci]); j += S {
 					terms = append(terms, lp.Term{Var: d.xVar[ci][j], Coef: 1})
 				}
+			}
+			if at.arr != nil {
+				terms = at.arr(k, s, terms)
 			}
 			if len(terms) > 0 {
 				d.arrRow[k][s] = m.AddConstraint(name(arrName, k, -1, s, -1, -1), terms, lp.LE, 0)

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"profitlb/internal/lp"
 	"profitlb/internal/tuf"
 )
 
@@ -76,7 +77,18 @@ func (r *refreshRig) check(step string) (rebuilt, sameSet bool) {
 
 func requireSameLP(t testing.TB, step string, got, want *dispatchLP) {
 	t.Helper()
-	a, b := got.model, want.model
+	requireSameModel(t, step, got.model, want.model)
+	if !reflect.DeepEqual(got.xVar, want.xVar) || !reflect.DeepEqual(got.fVar, want.fVar) || !reflect.DeepEqual(got.arrRow, want.arrRow) ||
+		!reflect.DeepEqual(got.shareRow, want.shareRow) || !(len(got.floorRow) == 0 && len(want.floorRow) == 0 || reflect.DeepEqual(got.floorRow, want.floorRow)) {
+		t.Fatalf("%s: handles differ", step)
+	}
+}
+
+// requireSameModel requires a held model equal to a fresh build's in every
+// name, objective coefficient, term, sense and right-hand side, and
+// byte-equal when exported.
+func requireSameModel(t testing.TB, step string, a, b *lp.Model) {
+	t.Helper()
 	if a.NumVariables() != b.NumVariables() || a.NumConstraints() != b.NumConstraints() || a.IsMinimize() != b.IsMinimize() {
 		t.Fatalf("%s: held LP is %d×%d, a fresh build %d×%d", step, a.NumConstraints(), a.NumVariables(), b.NumConstraints(), b.NumVariables())
 	}
@@ -94,10 +106,6 @@ func requireSameLP(t testing.TB, step string, got, want *dispatchLP) {
 		if a.RowName(c) != b.RowName(c) || as != bs || math.Float64bits(ar) != math.Float64bits(br) || !reflect.DeepEqual(at, bt) {
 			t.Fatalf("%s: row %d held %s %v %v %v, fresh %s %v %v %v", step, c, a.RowName(c), at, as, ar, b.RowName(c), bt, bs, br)
 		}
-	}
-	if !reflect.DeepEqual(got.xVar, want.xVar) || !reflect.DeepEqual(got.fVar, want.fVar) || !reflect.DeepEqual(got.arrRow, want.arrRow) ||
-		!reflect.DeepEqual(got.shareRow, want.shareRow) || !(len(got.floorRow) == 0 && len(want.floorRow) == 0 || reflect.DeepEqual(got.floorRow, want.floorRow)) {
-		t.Fatalf("%s: handles differ", step)
 	}
 	var ab, bb bytes.Buffer
 	if err := a.WriteLPFormat(&ab); err != nil {

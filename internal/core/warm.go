@@ -40,15 +40,17 @@ type warmState struct {
 }
 
 // solveUnit is what one solve works in and the next one reuses: the
-// solver, whose kernels keep their workspaces, and the dispatch LP —
-// model, handles and builder scratch — it solves. The two travel together
-// because a solver's last kernel points at the model it solved, which only
-// the unit's next build touches: the spare unit's before its solver's next
-// solve forgets the kernel, the hot unit's by refreshing numbers the kernel
-// re-reads or by a rebuild the model's stamp owns up to.
+// solver, whose kernels keep their workspaces, and the LP — model, handles
+// and builder scratch — it solves, a slot planner's dispatch LP or a
+// horizon planner's window. They travel together because a solver's last
+// kernel points at the model it solved, which only the unit's next build
+// touches: the spare unit's before its solver's next solve forgets the
+// kernel, the hot unit's by refreshing numbers the kernel re-reads or by a
+// rebuild the model's stamp owns up to.
 type solveUnit struct {
 	sv lp.Solver
 	d  dispatchLP
+	w  windowLP
 }
 
 // unit is the workspace of the call's next solve, the previous one's

@@ -81,16 +81,3 @@ func ExpandHeterogeneous(classes []RequestClass, frontEnds []FrontEnd, centers [
 	}
 	return sys, nil
 }
-
-// GroupOffsets returns, for each heterogeneous center, the range
-// [start, end) of expanded center indices it occupies, so callers can
-// aggregate per-group planner output back to physical centers.
-func GroupOffsets(centers []HeterogeneousCenter) [][2]int {
-	out := make([][2]int, len(centers))
-	idx := 0
-	for i, hc := range centers {
-		out[i] = [2]int{idx, idx + len(hc.Groups)}
-		idx += len(hc.Groups)
-	}
-	return out
-}

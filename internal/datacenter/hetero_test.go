@@ -81,14 +81,3 @@ func TestExpandedGroupsIndependent(t *testing.T) {
 		t.Fatal("expansion aliases the group spec")
 	}
 }
-
-func TestGroupOffsets(t *testing.T) {
-	_, _, centers := heteroFixture()
-	off := GroupOffsets(centers)
-	if off[0] != [2]int{0, 2} || off[1] != [2]int{2, 3} {
-		t.Fatalf("offsets %v", off)
-	}
-	if len(GroupOffsets(nil)) != 0 {
-		t.Fatal("nil centers should give empty offsets")
-	}
-}

@@ -27,6 +27,12 @@ type healthSource interface {
 	FeedHealth(abs int) *feed.SlotHealth
 }
 
+// forecastSource is the optional third: a source whose forecasts the
+// planner plans on (sim.InputSource under feeds).
+type forecastSource interface {
+	Attach(core.Planner)
+}
+
 // Driver is the gateway's slot engine: each BeginSlot it pulls the
 // slot's planner input from the source, commits it through the shared
 // slot protocol (core.Step — on the planner's own view: the online plane
@@ -44,6 +50,10 @@ type Driver struct {
 	Source  PlanSource
 	// LastErr records why the most recent slot degraded (nil otherwise).
 	LastErr error
+
+	// attached is set once the source has been made the planner's
+	// forecaster, before the first slot is planned.
+	attached bool
 
 	// epoch numbers every table the driver mints, monotonically: the
 	// driver is the fleet's single source of planning truth, and each
@@ -103,6 +113,12 @@ func (d *Driver) PlanTable(abs int) (*Table, error) {
 
 // buildTable produces the slot's routing table from a fresh commit.
 func (d *Driver) buildTable(abs int) (*Table, error) {
+	if !d.attached {
+		d.attached = true
+		if fs, ok := d.Source.(forecastSource); ok {
+			fs.Attach(d.Planner)
+		}
+	}
 	in, err := d.Source.PlannerInput(abs)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: slot %d input: %w", abs, err)

@@ -68,16 +68,9 @@ func TestDriftFactors(t *testing.T) {
 	if got := sch.CenterFactors(2, 0); got != nil {
 		t.Errorf("nominal slot center factors = %v, want nil", got)
 	}
-	if !sch.HasDriftFaults() {
-		t.Error("HasDriftFaults = false with drift events")
-	}
 	var nilSch *Schedule
-	if nilSch.FlashCrowdFactor(0, 0) != 1 || nilSch.SlowCenterFactor(0, 0) != 1 || nilSch.HasDriftFaults() || nilSch.CenterFactors(2, 0) != nil {
+	if nilSch.FlashCrowdFactor(0, 0) != 1 || nilSch.SlowCenterFactor(0, 0) != 1 || nilSch.CenterFactors(2, 0) != nil {
 		t.Error("nil schedule drift accessors not neutral")
-	}
-	clean := &Schedule{Events: []Event{{Kind: CenterOutage, Center: 0, From: 0, To: 0}}}
-	if clean.HasDriftFaults() {
-		t.Error("HasDriftFaults = true without drift events")
 	}
 }
 

@@ -665,22 +665,6 @@ func (sch *Schedule) CenterFactors(L, slot int) []float64 {
 	return out
 }
 
-// HasDriftFaults reports whether the schedule carries any in-slot drift
-// events (flash-crowd, slow-center) — the disturbances only a sub-slot
-// controller can react to.
-func (sch *Schedule) HasDriftFaults() bool {
-	if sch == nil {
-		return false
-	}
-	for i := range sch.Events {
-		switch sch.Events[i].Kind {
-		case FlashCrowd, SlowCenter:
-			return true
-		}
-	}
-	return false
-}
-
 // PlannerFault returns the planner fault injected at the slot, if any.
 // When several cover the slot the first in schedule order wins.
 func (sch *Schedule) PlannerFault(slot int) (Kind, bool) {

@@ -76,9 +76,6 @@ func (k *Kalman) PredictH(h int) (estimates, variances []float64, err error) {
 	return estimates, variances, nil
 }
 
-// Observations returns how many measurements the filter has consumed.
-func (k *Kalman) Observations() int { return k.n }
-
 // Warm reports whether the filter has consumed at least min observations,
 // i.e. whether Predict is anchored to data rather than the prior. Feed
 // fallback chains (internal/feed) gate the forecast estimator tier on it.

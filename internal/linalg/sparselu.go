@@ -147,9 +147,6 @@ func (f *SparseLU) Rank() int { return len(f.p) }
 // Complete reports whether all n columns have been accepted.
 func (f *SparseLU) Complete() bool { return len(f.p) == f.n }
 
-// Pivoted reports whether original row r already hosts a pivot.
-func (f *SparseLU) Pivoted(r int) bool { return f.pinv[r] >= 0 }
-
 // AddColumn eliminates one basis column (row indices ind, values val;
 // duplicate row entries accumulate) against the factors built so far and
 // accepts it as the next pivot column. It returns false — leaving the

@@ -33,8 +33,9 @@ func (t *ledgerTap) CommitSlot(actual *core.Input, committed *core.Plan) core.Ba
 // deferring planner's backlog is aged, drained and billed online exactly
 // as in the simulator (the Driver used to never settle it: deferred work
 // silently disappeared). With the feed layer on, every plane hands its
-// source's projections to the MPC planner (sim.InputSource.Attach), so the
-// three still agree; des.Run and the Driver's hosts used not to, and
+// source's projections to the MPC planner (sim.InputSource.Attach — the
+// Driver does it itself before its first slot, no host has to remember),
+// so the three still agree; des.Run and the Driver used not to, and
 // planned on the planner's internal forecaster there alone. The feeds row
 // is built to tell the two forecasters apart: on a rising price a feed
 // filter that trusts history over the last sample (MeasureRel 1) projects
@@ -77,7 +78,6 @@ func TestCrossPlaneEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			online := build()
-			src.Attach(online) // as the Driver's hosts do (profitlb serve, loadtest)
 			d := &dispatch.Driver{
 				Gateway: dispatch.NewGateway(cfg.Sys, dispatch.Config{}.WithDefaults(), nil),
 				Planner: online, Source: src,

@@ -3,10 +3,12 @@ package mpc
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
+	"profitlb/internal/obs"
 	"profitlb/internal/tuf"
 )
 
@@ -298,6 +300,56 @@ func TestPlanDoesNotMutateBacklog(t *testing.T) {
 		}
 		if !reflect.DeepEqual(p.backlog, snap) {
 			t.Fatalf("Plan mutated backlog at slot %d", slot)
+		}
+	}
+}
+
+// shortSource answers every horizon one step short.
+type shortSource struct{}
+
+func (shortSource) ForecastHorizon(h int) ([][]float64, [][][]float64) {
+	return make([][]float64, h-1), make([][][]float64, h-1)
+}
+
+// TestMalformedForecastIsAnError: an attached forecast source that answers
+// in the wrong shape fails the slot, naming the shape, and is counted — the
+// planner does not quietly plan on its internal filters instead, which
+// would put this plane on another forecaster than its peers.
+func TestMalformedForecastIsAnError(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := New(Config{Horizon: 3, MaxDefer: []int{0, 2}})
+	p.Instrument(obs.NewScope(reg, nil))
+	p.AttachForecast(shortSource{})
+	_, err := p.Plan(slotInput(unitSys(), 0, 0.1, 300, 200))
+	if err == nil || !strings.Contains(err.Error(), "1 price and 1 arrival steps, want 2") {
+		t.Fatalf("Plan under a short forecast returned %v, want the shape named", err)
+	}
+	if got := reg.Counter("mpc_horizon_failures_total", obs.L("planner", "mpc")).Value(); got != 1 {
+		t.Fatalf("mpc_horizon_failures_total = %d, want 1", got)
+	}
+}
+
+// TestInstrumentReachesTheHorizonSolve: the scope handed to the controller
+// is the inner horizon planner's too, so a window solve shows in the same
+// core_lp_* counters a slot planner's does — the first build solved cold
+// (a window this small is dense, and there is no seed yet), then warm
+// re-solves of the held window.
+func TestInstrumentReachesTheHorizonSolve(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := New(Config{Horizon: 3, MaxDefer: []int{0, 2}})
+	p.Instrument(obs.NewScope(reg, nil))
+	sys := unitSys()
+	for slot := 0; slot < 4; slot++ {
+		in := slotInput(sys, slot, 0.1, 300, 200)
+		plan, err := p.Plan(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.CommitSlot(in, plan)
+	}
+	for name, want := range map[string]int64{"core_lp_solves_total": 4, "core_lp_warm_hits_total": 3, "core_lp_model_rebuilds_total": 1, "core_lp_warm_fallbacks_total": 0} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

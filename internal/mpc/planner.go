@@ -69,13 +69,14 @@ func (p *Planner) AttachForecast(fs core.ForecastSource) {
 }
 
 // Instrument streams the controller's counters — backlog depth, deferred
-// and forced and shed volume, horizon solve latency — into the
-// observability layer. The scope only watches; plans are identical with
-// or without it.
+// and forced and shed volume, horizon solve latency — and the window
+// solves' own (the horizon planner's core_lp_* counters and engine event)
+// into the observability layer. The scope only watches; plans are
+// identical with or without it.
 func (p *Planner) Instrument(sc *obs.Scope) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.sc = sc
+	p.sc, p.horizon.Obs = sc, sc
 }
 
 // kalmanCell is one lazily-built scalar filter: the noise scales are set
@@ -168,7 +169,10 @@ func (p *Planner) Plan(in *core.Input) (*core.Plan, error) {
 		return p.myopic.Plan(in)
 	}
 
-	hin := p.assembleWindow(in, H)
+	hin, err := p.assembleWindow(in, H)
+	if err != nil {
+		return nil, p.failed(err)
+	}
 	start := time.Now()
 	hp, err := p.horizon.Plan(hin)
 	if p.sc.Enabled() {
@@ -177,15 +181,20 @@ func (p *Planner) Plan(in *core.Input) (*core.Plan, error) {
 		p.sc.Gauge("mpc_horizon_slots", obs.L("planner", p.Name())).Set(float64(H))
 	}
 	if err != nil {
-		if p.sc.Enabled() {
-			p.sc.Counter("mpc_horizon_failures_total", obs.L("planner", p.Name())).Add(1)
-		}
-		return nil, fmt.Errorf("mpc: horizon solve: %w", err)
+		return nil, p.failed(fmt.Errorf("mpc: horizon solve: %w", err))
 	}
 	plan := hp.Slots[0]
 	p.forceDrainLocked(in, plan)
 	plan.Objective = core.PlanObjective(in, plan)
 	return plan, nil
+}
+
+// failed counts a slot whose window could not be assembled or solved.
+func (p *Planner) failed(err error) error {
+	if p.sc.Enabled() {
+		p.sc.Counter("mpc_horizon_failures_total", obs.L("planner", p.Name())).Add(1)
+	}
+	return err
 }
 
 // effHorizon is the window length for a plan starting at slot: the
@@ -206,7 +215,7 @@ func (p *Planner) effHorizon(slot int) int {
 // assembleWindow builds the H-slot horizon input: slot 0 is the live
 // telemetry, slots 1..H−1 come from the attached forecast source (or the
 // internal filters), and the backlog is a snapshot of the aging buckets.
-func (p *Planner) assembleWindow(in *core.Input, H int) *core.HorizonInput {
+func (p *Planner) assembleWindow(in *core.Input, H int) (*core.HorizonInput, error) {
 	sys := in.Sys
 	K, S, L := sys.K(), sys.S(), sys.L()
 	hin := &core.HorizonInput{
@@ -228,9 +237,12 @@ func (p *Planner) assembleWindow(in *core.Input, H int) *core.HorizonInput {
 	hin.Arrivals[0] = copyMatrix(in.Arrivals)
 	hin.Prices[0] = append([]float64(nil), in.Prices...)
 	if H == 1 {
-		return hin
+		return hin, nil
 	}
-	prices, arrivals := p.projection(H - 1)
+	prices, arrivals, err := p.projection(H - 1)
+	if err != nil {
+		return nil, err
+	}
 	for t := 1; t < H; t++ {
 		hin.Prices[t] = clampRow(prices[t-1], L)
 		// Robustness hedge: deferring work to slot t only pays if the
@@ -243,18 +255,18 @@ func (p *Planner) assembleWindow(in *core.Input, H int) *core.HorizonInput {
 			hin.Arrivals[t][s] = clampRow(arrivals[t-1][s], K)
 		}
 	}
-	return hin
+	return hin, nil
 }
 
-// projection returns the h-step forecast from the attached source, or
-// the internal filter banks when no source is attached (or the source
-// returns a malformed shape).
-func (p *Planner) projection(h int) (prices [][]float64, arrivals [][][]float64) {
+// projection returns the h-step forecast from the attached source, or from
+// the internal filter banks when none is attached. An attached source that
+// answers in the wrong shape is an error, never a reason to forecast from
+// the internal filters instead: this plane would then plan on another
+// forecaster than its peers, and nothing would say so.
+func (p *Planner) projection(h int) (prices [][]float64, arrivals [][][]float64, err error) {
 	if p.fs != nil {
 		prices, arrivals = p.fs.ForecastHorizon(h)
-		if sourceShapeOK(prices, arrivals, h, len(p.priceF), len(p.arrF)) {
-			return prices, arrivals
-		}
+		return prices, arrivals, sourceShape(prices, arrivals, h, len(p.priceF), len(p.arrF))
 	}
 	prices = make([][]float64, h)
 	arrivals = make([][][]float64, h)
@@ -279,20 +291,21 @@ func (p *Planner) projection(h int) (prices [][]float64, arrivals [][][]float64)
 			}
 		}
 	}
-	return prices, arrivals
+	return prices, arrivals, nil
 }
 
-// sourceShapeOK validates an external forecast's dimensions.
-func sourceShapeOK(prices [][]float64, arrivals [][][]float64, h, L, S int) bool {
+// sourceShape checks an external forecast's dimensions: h steps of L
+// prices and S front-ends' arrivals.
+func sourceShape(prices [][]float64, arrivals [][][]float64, h, L, S int) error {
 	if len(prices) != h || len(arrivals) != h {
-		return false
+		return fmt.Errorf("mpc: forecast source returned %d price and %d arrival steps, want %d of each", len(prices), len(arrivals), h)
 	}
 	for i := 0; i < h; i++ {
 		if len(prices[i]) != L || len(arrivals[i]) != S {
-			return false
+			return fmt.Errorf("mpc: forecast source step %d has %d prices and %d front-ends, want %d and %d", i+1, len(prices[i]), len(arrivals[i]), L, S)
 		}
 	}
-	return true
+	return nil
 }
 
 // clampRow copies a forecast row, flooring negatives, NaNs and

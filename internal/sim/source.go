@@ -67,8 +67,8 @@ func NewInputSource(cfg Config) (*InputSource, error) {
 // forecasts (internal/mpc), so its horizon assembly projects through the
 // same estimator ladder that serves the per-slot fetches. Every plane that
 // plans off a source calls it once, before the first slot — sim.Run,
-// des.Run and the hosts of a dispatch.Driver — or an MPC planner under
-// feeds falls back to its internal forecaster on that plane alone. A no-op
+// des.Run and dispatch.Driver do — or an MPC planner under feeds would
+// forecast from its internal filters on that plane alone. A no-op
 // on the oracle path and for planners that take no forecasts.
 func (src *InputSource) Attach(p core.Planner) {
 	if src.feeds == nil {

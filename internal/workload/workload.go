@@ -220,30 +220,6 @@ func GoogleLike(cfg GoogleConfig) []float64 {
 	return out
 }
 
-// SamplePoisson draws a Poisson variate with the given mean, using Knuth's
-// method for small means and a normal approximation above 30.
-func SamplePoisson(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		v := int(math.Round(mean + math.Sqrt(mean)*rng.NormFloat64()))
-		if v < 0 {
-			v = 0
-		}
-		return v
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // WriteCSV writes the trace as CSV: header "slot,type0,...", one row per
 // slot.
 func (t *Trace) WriteCSV(w io.Writer) error {

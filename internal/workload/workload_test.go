@@ -3,7 +3,6 @@ package workload
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -164,34 +163,6 @@ func TestGoogleLikeBursty(t *testing.T) {
 	}
 	if max/min < 1.5 {
 		t.Fatalf("series too flat: min %g max %g", min, max)
-	}
-}
-
-func TestSamplePoissonMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, mean := range []float64{0.5, 4, 25, 200} {
-		n := 20000
-		var sum, sumsq float64
-		for i := 0; i < n; i++ {
-			v := float64(SamplePoisson(rng, mean))
-			sum += v
-			sumsq += v * v
-		}
-		m := sum / float64(n)
-		v := sumsq/float64(n) - m*m
-		if math.Abs(m-mean) > 0.05*mean+0.2 {
-			t.Errorf("mean(%g) sampled %g", mean, m)
-		}
-		if math.Abs(v-mean) > 0.15*mean+0.5 {
-			t.Errorf("var(%g) sampled %g", mean, v)
-		}
-	}
-}
-
-func TestSamplePoissonEdge(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if SamplePoisson(rng, 0) != 0 || SamplePoisson(rng, -3) != 0 {
-		t.Fatal("non-positive mean must sample 0")
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzz verify bench bench-lp-sparse bench-smoke profile benchall bench-e2e bench-compare loc
+.PHONY: build test vet fmt-check race fuzz verify bench bench-lp-sparse bench-smoke profile benchall bench-e2e bench-compare loc knobs
 
 build:
 	$(GO) build ./...
@@ -158,3 +158,51 @@ loc:
 		$$1 == "imp" { sub("^profitlb/", "", $$2); n[$$2]++; next } \
 		{ printf "%6d %9s %s\n", $$2, ($$3 ~ /^internal\//) ? n[$$3] + 0 : "-", $$3; sum += $$2 } \
 		END { printf "%6d %9s total\n", sum, "" }'
+
+# knobs prints, for every exported field of the option structs below, how
+# many places outside the owning package and outside tests set it — a
+# composite-literal key of the struct, or an assignment `.Field =` in a
+# file that imports the package (grep-level: no type information, so a
+# same-named field of another struct in such a file counts too). A 0 is an
+# option no caller has ever given a value: the next candidate for a
+# constant (PR 24 turned 31 of them into constants on this census). Rows
+# that read 0 on purpose, and why:
+#   cluster.Config PollWaitMs/MaxAttempts/BaseBackoffMs/TimeoutMs and
+#   dispatch.Config FrontEnds/DrainSeconds — deployment settings (wall-clock
+#   timings, which front-ends a host exposes): a scenario file sets them,
+#   no Go caller does, and the HTTP tests shorten the timings;
+#   feed.Config EscalateOnDark — a scenario-file switch that turns a
+#   behaviour on (the resilient chain skips its primary tier on dark
+#   feeds), read by config.BuildPlanner;
+#   dispatch.Config Burst/MinBurst — one-valued outside tests, but 27 test
+#   sites use them as the seam to small token buckets;
+#   lp.Options MaxIterations/Tol/Bland and core.EngineOptions LPOpts —
+#   one-valued; bench/ spells lp.Options and LPOpts, so they go with
+#   ROADMAP item 8 (as do the two ignored Sparse fields bench/ assigns).
+knobs:
+	@files=$$(ls *.go cmd/*/*.go bench/*.go examples/*/*.go internal/*/*.go | grep -v _test.go); \
+	echo " setters option"; \
+	for t in internal/feed:Config internal/cluster:Config internal/dispatch:Config internal/mpc:Config \
+			internal/loadgen:Config internal/lp:Options internal/core:EngineOptions internal/core:Optimized internal/core:LevelSearch; do \
+		d=$${t%:*}; T=$${t#*:}; q=$${d##*/}; \
+		fields=$$(ls $$d/*.go | grep -v _test.go | xargs awk -v T="$$T" ' \
+			$$0 == "type " T " struct {" { on = 1; next } \
+			on && /^}/ { on = 0 } \
+			on && /^\t[A-Z][A-Za-z0-9_]*[ ,]/ { \
+				n = split(substr($$0, 2), w, /[ \t]+/); \
+				for (i = 1; i <= n; i++) { c = sub(/,$$/, "", w[i]); print w[i]; if (!c) break } }'); \
+		echo $$files | tr ' ' '\n' | grep -v "^$$d/" | xargs awk -v Q="$$q" -v T="$$T" -v D="$$d" -v fields="$$fields" ' \
+			BEGIN { nf = split(fields, F, /[ \n]+/); open = Q "." T "{" } \
+			FNR == 1 { imp = 0; depth = 0 } \
+			index($$0, "\"profitlb/" D "\"") { imp = 1 } \
+			{ line = $$0; sub(/\/\/.*/, "", line); \
+				if (imp) for (i = 1; i <= nf; i++) if (line ~ ("\\." F[i] "[ \t]*[-+*/]?=([^=]|$$)")) n[F[i]]++; \
+				if (depth == 0) { p = index(line, open); if (!p) next; line = substr(line, p + length(open)); depth = 1 } \
+				lit = ""; \
+				for (j = 1; j <= length(line) && depth > 0; j++) { \
+					ch = substr(line, j, 1); \
+					if (ch == "{") depth++; else if (ch == "}") depth--; \
+					lit = lit ch } \
+				for (i = 1; i <= nf; i++) if (lit ~ ("(^|[^A-Za-z0-9_.])" F[i] ":")) n[F[i]]++ } \
+			END { for (i = 1; i <= nf; i++) printf "%8d %s.%s.%s\n", n[F[i]] + 0, Q, T, F[i] }'; \
+	done

@@ -27,7 +27,7 @@ func cmdLoadtest(args []string) error {
 	seed := fs.Int64("seed", 1, "arrival-synthesis seed (and storm seed with -faults storm)")
 	burst := fs.Float64("burst-factor", 0, "open-loop burstiness: >1 switches Poisson to a two-state MMPP with this peak-to-mean ratio")
 	burstFE := fs.Int("burst-front-end", -1, "pin the MMPP burst to this front-end index; other front-ends stay Poisson (-1 bursts all)")
-	controlOn := fs.Bool("control", false, "close the sub-slot loop: a drift controller re-scales routing tables mid-slot from achieved lane rates (tunable via the scenario's control block)")
+	controlOn := fs.Bool("control", false, "close the sub-slot loop: a drift controller re-scales routing tables mid-slot from achieved lane rates")
 	closed := fs.Bool("closed", false, "closed-loop load: think-time users per (type, front-end) stream instead of open-loop arrivals")
 	users := fs.Int("users", 0, "closed-loop users per stream (default 32)")
 	think := fs.Float64("think", 0, "closed-loop mean think time in virtual time units (default: slot/8)")
@@ -104,13 +104,10 @@ func cmdLoadtest(args []string) error {
 		Closed:      *closed,
 		Users:       *users,
 		Think:       *think,
+		Control:     *controlOn,
 	}
 	if *burstFE >= 0 {
 		lcfg.BurstFrontEnd = burstFE
-	}
-	if *controlOn {
-		ctrlCfg := sc.ControlConfig()
-		lcfg.Control = &ctrlCfg
 	}
 	if *slots > 0 {
 		lcfg.Slots = *slots
@@ -151,7 +148,7 @@ func cmdLoadtest(args []string) error {
 	fmt.Printf("shed fraction %.4f (%d budget, %d unplanned), max lane rate error %.2f%% (lanes ≥ %.0f planned), degraded slots %d/%d\n",
 		rep.ShedFraction(), rep.BudgetShed(), shed-rep.BudgetShed(),
 		100*rep.MaxLaneError(*minPlanned), *minPlanned, rep.DegradedSlots(), len(rep.Slots))
-	if lcfg.Control != nil {
+	if lcfg.Control {
 		fmt.Printf("control: %d actuations, max lane demand error %.2f%% (lanes ≥ %.0f demand)\n",
 			rep.Actuations(), 100*rep.MaxDemandError(*minPlanned), *minPlanned)
 	}
@@ -208,7 +205,7 @@ func fleetLoadtest(sc *config.Scenario, ccfg cluster.Config, d *dispatch.Driver,
 	}
 	fmt.Printf("max fleet lane rate error %.2f%% (lanes ≥ %.0f planned), invalid answers %d\n",
 		100*rep.MaxLaneError(minPlanned), minPlanned, rep.Invalid())
-	if lcfg.Control != nil {
+	if lcfg.Control {
 		fmt.Printf("control: %d actuations, max fleet lane demand error %.2f%% (lanes ≥ %.0f demand)\n",
 			rep.Actuations(), 100*rep.MaxDemandError(minPlanned), minPlanned)
 	}

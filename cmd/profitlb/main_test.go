@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"profitlb/internal/config"
 )
 
 // capture redirects stdout while fn runs and returns what was printed.
@@ -351,18 +354,78 @@ func writeScaffold(t *testing.T, rewrite func(string) string) string {
 	return path
 }
 
-// TestRetiredEngineKnobRejected: the plan search has no worker count to
-// set, so a scenario that still carries the key is refused as any unknown
-// field is, and the flag no longer parses.
+// retiredKeys lists every scenario key that became a constant, by the
+// block that carried it. A whole block that went (control) is refused by
+// its own name, the rest by the key's.
+var retiredKeys = []struct{ block, key, value string }{
+	{"feeds", "maxAttempts", "3"}, {"feeds", "attemptLatencyMs", "20"},
+	{"feeds", "baseBackoffMs", "25"}, {"feeds", "deadlineMs", "250"},
+	{"feeds", "breakerThreshold", "2"}, {"feeds", "breakerCooldown", "2"},
+	{"feeds", "ttl", "3"}, {"feeds", "decay", "1"},
+	{"feeds", "processRel", "0.15"}, {"feeds", "measureRel", "0.05"},
+	{"feeds", "minObservations", "2"}, {"feeds", "staleMargin", "0.05"},
+	{"feeds", "maxMargin", "0.5"}, {"feeds", "pricePriors", "[0.05, 0.05]"},
+	{"feeds", "arrivalPriors", "[[1, 1], [1, 1]]"},
+	{"control", "ticksPerSlot", "8"}, {"control", "deadBand", "0.15"},
+	{"control", "reentryBand", "0.075"}, {"control", "gain", "0.5"},
+	{"control", "maxStep", "0.25"}, {"control", "minMult", "0.1"},
+	{"control", "maxMult", "4"}, {"control", "minSamples", "16"},
+	{"control", "noiseSigmas", "4"},
+	{"cluster", "staleSlots", "2"}, {"cluster", "staleFactor", "0.5"},
+	{"cluster", "failThreshold", "2"},
+	{"mpc", "deferMargin", "0.2"}, {"mpc", "processRel", "0.15"},
+	{"mpc", "measureRel", "0.05"}, {"mpc", "minObservations", "3"},
+}
+
+// TestRetiredEngineKnobRejected: a key that became a constant is refused
+// by name wherever a file can carry it — the scenario's block and, for
+// the feeds keys, a -feeds file — never read past; each is given its old
+// default, so nothing but the key is wrong with the file. The plan
+// search's worker count went the same way earlier, and its flag no longer
+// parses.
 func TestRetiredEngineKnobRejected(t *testing.T) {
-	stale := writeScaffold(t, func(s string) string {
-		return strings.Replace(s, `"slots": 24`, `"slots": 24, "parallelism": 2`, 1)
-	})
-	if _, err := loadScenario(stale); err == nil || !strings.Contains(err.Error(), `unknown field "parallelism"`) {
+	path := writeScaffold(t, nil)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	splice := func(extra string) string {
+		return strings.Replace(string(raw), `"slots": 24`, `"slots": 24, `+extra, 1)
+	}
+	if _, err := config.Load(strings.NewReader(splice(`"parallelism": 2`))); err == nil ||
+		!strings.Contains(err.Error(), `unknown field "parallelism"`) {
 		t.Fatalf("config.Load of a scenario with \"parallelism\": %v, want the unknown-field error", err)
 	}
-	_, err := capture(t, func() error {
-		return run([]string{"simulate", "-config", writeScaffold(t, nil), "-parallel", "2"})
+	if len(retiredKeys) != 31 {
+		t.Fatalf("%d retired keys listed, the census found 31", len(retiredKeys))
+	}
+	for _, rk := range retiredKeys {
+		named := rk.key
+		if rk.block == "control" {
+			named = rk.block
+		}
+		want := fmt.Sprintf("unknown field %q", named)
+		block := fmt.Sprintf(`{%q: %s}`, rk.key, rk.value)
+		_, err := config.Load(strings.NewReader(splice(fmt.Sprintf(`%q: %s`, rk.block, block))))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("scenario with %s.%s: %v, want %s", rk.block, rk.key, err, want)
+		}
+		if rk.block != "feeds" {
+			continue
+		}
+		feedsPath := t.TempDir() + "/feeds.json"
+		if err := os.WriteFile(feedsPath, []byte(block), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = capture(t, func() error {
+			return run([]string{"simulate", "-config", path, "-feeds", feedsPath})
+		})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-feeds file with %s: %v, want %s", rk.key, err, want)
+		}
+	}
+	_, err = capture(t, func() error {
+		return run([]string{"simulate", "-config", path, "-parallel", "2"})
 	})
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -parallel") {
 		t.Fatalf("simulate -parallel 2: %v, want a flag-parsing error", err)
@@ -402,7 +465,7 @@ func TestCmdSimulateFeeds(t *testing.T) {
 	}
 	// A feed-config file works too, and hostile files are rejected.
 	feedsPath := t.TempDir() + "/feeds.json"
-	if err := os.WriteFile(feedsPath, []byte(`{"ttl": 2, "staleMargin": 0.1, "seed": 3}`), 0o644); err != nil {
+	if err := os.WriteFile(feedsPath, []byte(`{"seed": 3}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := capture(t, func() error {

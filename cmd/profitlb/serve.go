@@ -56,10 +56,9 @@ type gatewayServer struct {
 	// re-scaled tables through the same install fences the planner uses.
 	// ctrlMu orders the loop's BeginSlot/Tick with /admin/stats' reads of
 	// the controller's counters; the request path never touches either.
-	ctrl    *control.Controller
-	ctrlMu  sync.Mutex
-	ctrlCfg control.Config
-	plant   *control.FleetPlant // fleet mode only
+	ctrl   *control.Controller
+	ctrlMu sync.Mutex
+	plant  *control.FleetPlant // fleet mode only
 
 	srv *http.Server
 	ln  net.Listener
@@ -176,12 +175,11 @@ func newServer(sc *config.Scenario, addr string, opt serveOptions) (*gatewayServ
 		if gs.mode == "join" {
 			return nil, fmt.Errorf("profitlb: -control needs a local control plane; a join-mode replica only applies what the fleet publishes")
 		}
-		gs.ctrlCfg = sc.ControlConfig()
 		if gs.mode == "fleet" {
 			gs.plant = &control.FleetPlant{Pub: gs.fleet.Pub, Replicas: gs.reps}
-			gs.ctrl = control.NewController(gs.ctrlCfg, gs.dcfg, gs.plant, scope)
+			gs.ctrl = control.NewController(gs.dcfg, gs.plant, scope)
 		} else {
-			gs.ctrl = control.NewController(gs.ctrlCfg, gs.dcfg, control.GatewayPlant{GW: gs.gw}, scope)
+			gs.ctrl = control.NewController(gs.dcfg, control.GatewayPlant{GW: gs.gw}, scope)
 		}
 	}
 
@@ -318,13 +316,13 @@ func (gs *gatewayServer) beginControlSlot(abs int, now float64) {
 // caller after Start. In join mode the loop only advances staleness —
 // the subscriber goroutine applies whatever the control plane sends.
 // With -control it also ticks the drift controller between boundaries,
-// SlotSeconds/TicksPerSlot apart.
+// SlotSeconds/control.TicksPerSlot apart.
 func (gs *gatewayServer) slotLoop() {
 	defer close(gs.loopDone)
 	period := time.Duration(gs.dcfg.SlotSeconds * float64(time.Second))
 	ticks := 1
 	if gs.ctrl != nil {
-		ticks = gs.ctrlCfg.TicksPerSlot
+		ticks = control.TicksPerSlot
 	}
 	joinSlot := -1
 	for i := 1; ; i++ {
@@ -578,7 +576,7 @@ func cmdServe(args []string) error {
 	replicas := fs.Int("replicas", 0, "run a replicated gateway fleet with this many in-process replicas (overrides the scenario's cluster block)")
 	join := fs.String("join", "", "join an existing fleet as a data-plane replica: base URL of a fleet server (no planner runs locally)")
 	joinID := fs.String("id", "", "replica identity announced when joining (default ext-<pid>)")
-	controlOn := fs.Bool("control", false, "close the sub-slot loop: a drift controller re-scales routing tables mid-slot from achieved lane rates (tunable via the scenario's control block)")
+	controlOn := fs.Bool("control", false, "close the sub-slot loop: a drift controller re-scales routing tables mid-slot from achieved lane rates")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -169,7 +169,7 @@ func (d *Dispatcher) Plan(in *core.Input) (*core.Plan, error) {
 				// A center filled to exactly its capacity meets the final
 				// deadline with equality; floating point may land one ulp
 				// past it.
-				if delay <= cls.Deadline()*(1+1e-9) {
+				if delay <= cls.Deadline()*(1+core.DeadlineSnap) {
 					q = cls.NumLevels() - 1
 				} else {
 					return nil, fmt.Errorf("baseline: center %d type %d delay %g beyond final deadline", l, k, delay)

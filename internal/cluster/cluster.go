@@ -10,7 +10,7 @@
 //
 // The failure discipline mirrors the planning plane's: a replica that
 // misses a slot boundary keeps serving its last good epoch with a rising
-// staleness gauge, and past a configurable TTL it escalates to
+// staleness gauge, and past a TTL it escalates to
 // conservative-shed serving (the stale plan at a fraction of its budget)
 // rather than guessing. A replica that stops heartbeating is evicted
 // after consecutive missed health rounds and its share re-spreads across
@@ -23,22 +23,27 @@ package cluster
 
 import "fmt"
 
-// Config is the cluster block of a scenario configuration. The zero
-// value is "no cluster" (Replicas 0); WithDefaults fills the tunables.
+// The fleet's failure discipline.
+const (
+	// staleSlots is the staleness TTL: after serving this many slot
+	// boundaries without a fresh epoch, a replica downgrades to
+	// conservative-shed serving.
+	staleSlots = 2
+	// staleShare is the budget fraction a stale replica keeps serving at
+	// once past the TTL.
+	staleShare = 0.5
+	// failThreshold is the number of consecutive missed health rounds
+	// after which the control plane evicts a replica.
+	failThreshold = 2
+)
+
+// Config is the cluster block of a scenario configuration: the fleet
+// size and the plan-pull transport's wall-clock settings, a deployment's
+// to choose. The zero value is "no cluster"; WithDefaults fills the rest.
 type Config struct {
 	// Replicas is the gateway fleet size. 0 disables clustering; 1 is a
 	// degenerate but valid fleet (useful for the join-mode server).
 	Replicas int `json:"replicas"`
-	// StaleSlots is the staleness TTL: after serving this many slot
-	// boundaries without a fresh epoch, a replica downgrades to
-	// conservative-shed serving. Default 2.
-	StaleSlots int `json:"staleSlots,omitempty"`
-	// StaleFactor is the budget fraction a stale replica keeps serving
-	// at once past the TTL, in (0,1]. Default 0.5.
-	StaleFactor float64 `json:"staleFactor,omitempty"`
-	// FailThreshold is the number of consecutive missed health rounds
-	// after which the control plane evicts a replica. Default 2.
-	FailThreshold int `json:"failThreshold,omitempty"`
 	// PollWaitMs is how long the control plane holds a long-poll open
 	// waiting for a fresher epoch before answering 204. Default 2000.
 	PollWaitMs int `json:"pollWaitMs,omitempty"`
@@ -53,17 +58,8 @@ type Config struct {
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 }
 
-// WithDefaults fills unset tunables, leaving Replicas as given.
+// WithDefaults fills unset transport settings, leaving Replicas as given.
 func (c Config) WithDefaults() Config {
-	if c.StaleSlots <= 0 {
-		c.StaleSlots = 2
-	}
-	if c.StaleFactor <= 0 || c.StaleFactor > 1 {
-		c.StaleFactor = 0.5
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2
-	}
 	if c.PollWaitMs <= 0 {
 		c.PollWaitMs = 2000
 	}
@@ -86,15 +82,6 @@ func (c Config) Validate() error {
 	}
 	if c.Replicas > 64 {
 		return fmt.Errorf("cluster: %d replicas exceeds the supported fleet size (64)", c.Replicas)
-	}
-	if c.StaleFactor < 0 || c.StaleFactor > 1 {
-		return fmt.Errorf("cluster: stale factor %g outside [0,1]", c.StaleFactor)
-	}
-	if c.StaleSlots < 0 {
-		return fmt.Errorf("cluster: negative staleness TTL %d", c.StaleSlots)
-	}
-	if c.FailThreshold < 0 {
-		return fmt.Errorf("cluster: negative fail threshold %d", c.FailThreshold)
 	}
 	return nil
 }

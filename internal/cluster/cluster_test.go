@@ -61,7 +61,7 @@ func testDriver(sys *datacenter.System, dcfg dispatch.Config, scope *obs.Scope) 
 // testClusterConfig keeps the tunables small and explicit for tests.
 func testClusterConfig(replicas int) Config {
 	return Config{
-		Replicas: replicas, StaleSlots: 2, StaleFactor: 0.5, FailThreshold: 2,
+		Replicas:   replicas,
 		PollWaitMs: 50, MaxAttempts: 3, BaseBackoffMs: 1, TimeoutMs: 500,
 	}
 }
@@ -73,12 +73,27 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Replicas: -1},
 		{Replicas: 100},
-		{Replicas: 2, StaleFactor: 2},
-		{Replicas: 2, StaleFactor: -0.5},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: %+v accepted", i, c)
+		}
+	}
+}
+
+// TestConstantsAreTheOldDefaults pins every setting that used to be a
+// cluster key to the value its default was.
+func TestConstantsAreTheOldDefaults(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"staleSlots", staleSlots, 2},
+		{"staleShare (staleFactor)", staleShare, 0.5},
+		{"failThreshold", failThreshold, 2},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %g, the key's default was %g", c.name, c.got, c.want)
 		}
 	}
 }
@@ -109,7 +124,7 @@ func TestPublisherMembership(t *testing.T) {
 		t.Fatalf("re-spread without change published epoch %d", rp.Epoch)
 	}
 
-	// r1 goes silent: FailThreshold consecutive missed sweeps evict it.
+	// r1 goes silent: failThreshold consecutive missed sweeps evict it.
 	p.Beat("r0", 1)
 	if ev := p.SweepHealth(1); len(ev) != 0 {
 		t.Fatalf("evicted %v after one miss (threshold 2)", ev)
@@ -234,7 +249,7 @@ func TestReplicaStaleTTLDowngrade(t *testing.T) {
 	sys := testSystem()
 	dcfg := dispatch.Config{Seed: 7, SlotSeconds: 60}
 	drv := testDriver(sys, dcfg, nil)
-	ccfg := testClusterConfig(0) // StaleSlots 2, StaleFactor 0.5
+	ccfg := testClusterConfig(0)
 	p := NewPublisher(ccfg, drv, nil)
 	r := NewReplica("r0", sys, dcfg, ccfg, nil)
 
@@ -270,8 +285,8 @@ func TestReplicaStaleTTLDowngrade(t *testing.T) {
 	if !tab.Degraded || tab.Tier != "stale" {
 		t.Fatalf("downgraded table: degraded %v tier %q", tab.Degraded, tab.Tier)
 	}
-	if got := tab.Lanes[0].Rate; got != full*ccfg.StaleFactor {
-		t.Fatalf("downgraded lane rate %g, want %g", got, full*ccfg.StaleFactor)
+	if got := tab.Lanes[0].Rate; got != full*staleShare {
+		t.Fatalf("downgraded lane rate %g, want %g", got, full*staleShare)
 	}
 	// Still serving: requests shed or admit, never error.
 	if out := r.Gateway().Handle(0, 0, 2*T).Outcome; out == dispatch.Invalid {
@@ -279,7 +294,7 @@ func TestReplicaStaleTTLDowngrade(t *testing.T) {
 	}
 	// The downgrade happens once, not once per tick.
 	r.Tick(3, 3*T)
-	if got := r.Gateway().Table().Lanes[0].Rate; got != full*ccfg.StaleFactor {
+	if got := r.Gateway().Table().Lanes[0].Rate; got != full*staleShare {
 		t.Fatalf("second tick re-scaled to %g", got)
 	}
 

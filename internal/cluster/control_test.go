@@ -248,14 +248,14 @@ func TestPartitionedReplicaKeepsFencedSub(t *testing.T) {
 }
 
 // TestStaleDowngradeAppliesExactlyOnce: the conservative-shed downgrade
-// multiplies the last good plan by StaleFactor once — consecutive stale
+// multiplies the last good plan by staleShare once — consecutive stale
 // slot boundaries re-arm the same downgraded table instead of
-// compounding Scale(StaleFactor) into factor^n oblivion.
+// compounding Scale(staleShare) into factor^n oblivion.
 func TestStaleDowngradeAppliesExactlyOnce(t *testing.T) {
 	sys := testSystem()
 	dcfg := dispatch.Config{Seed: 53, SlotSeconds: 60}
 	drv := testDriver(sys, dcfg, nil)
-	ccfg := testClusterConfig(0) // StaleSlots 2, StaleFactor 0.5
+	ccfg := testClusterConfig(0)
 	p := NewPublisher(ccfg, drv, nil)
 	r := NewReplica("r0", sys, dcfg, ccfg, nil)
 
@@ -273,10 +273,10 @@ func TestStaleDowngradeAppliesExactlyOnce(t *testing.T) {
 		full[i] = ln.Rate
 	}
 	// Walk six missed boundaries: staleness 2 crosses the TTL; every
-	// boundary after it must keep the rate at exactly full·StaleFactor.
+	// boundary after it must keep the rate at exactly full·staleShare.
 	for slot := 1; slot <= 6; slot++ {
 		r.Tick(slot, float64(slot)*T)
-		if slot < int(ccfg.StaleSlots) {
+		if slot < staleSlots {
 			if r.Degraded() {
 				t.Fatalf("slot %d: degraded before the TTL", slot)
 			}
@@ -286,7 +286,7 @@ func TestStaleDowngradeAppliesExactlyOnce(t *testing.T) {
 			t.Fatalf("slot %d: not degraded past the TTL", slot)
 		}
 		for i, ln := range r.Gateway().Table().Lanes {
-			want := full[i] * ccfg.StaleFactor
+			want := full[i] * staleShare
 			if ln.Rate != want {
 				t.Fatalf("slot %d lane %d rate %g, want exactly %g (downgrade compounded?)",
 					slot, i, ln.Rate, want)

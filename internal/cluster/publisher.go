@@ -139,7 +139,7 @@ func (p *Publisher) SweepHealth(slot int) []string {
 			continue
 		}
 		m.misses++
-		if m.misses >= p.cfg.FailThreshold {
+		if m.misses >= failThreshold {
 			evicted = append(evicted, id)
 		}
 	}

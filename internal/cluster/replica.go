@@ -18,7 +18,6 @@ type Replica struct {
 	// ID is the replica's fleet identity (ReplicaID(i) in a Fleet).
 	ID string
 
-	cfg   Config
 	dcfg  dispatch.Config
 	gw    *dispatch.Gateway
 	scope *obs.Scope
@@ -45,11 +44,11 @@ type Replica struct {
 // NewReplica builds a fleet replica with its own gateway over the
 // topology. The scope may be nil or shared fleet-wide: gateway counters
 // then aggregate across replicas while per-replica reconciliation reads
-// Gateway.Stats directly.
-func NewReplica(id string, sys *datacenter.System, dcfg dispatch.Config, cfg Config, scope *obs.Scope) *Replica {
+// Gateway.Stats directly. The cluster config is not read (a replica's
+// settings are constants); bench/ pins the signature (ROADMAP item 8).
+func NewReplica(id string, sys *datacenter.System, dcfg dispatch.Config, _ Config, scope *obs.Scope) *Replica {
 	return &Replica{
 		ID:          id,
-		cfg:         cfg.WithDefaults(),
 		dcfg:        dcfg.WithDefaults(),
 		gw:          dispatch.NewGateway(sys, dcfg, scope),
 		scope:       scope,
@@ -205,7 +204,7 @@ func fits(t *dispatch.Table, sys *datacenter.System) error {
 // renewed; carrying a depleted bucket into the new slot would shed
 // traffic the stale plan still pays for). Crossing the TTL downgrades
 // the replica to conservative-shed serving instead — the last good plan
-// rescaled to StaleFactor of its budget. A replica that has never
+// rescaled to staleShare of its budget. A replica that has never
 // applied a plan has nothing to re-arm and stays not-ready.
 func (r *Replica) Tick(slot int, now float64) {
 	if !r.Ready() {
@@ -222,13 +221,13 @@ func (r *Replica) Tick(slot int, now float64) {
 		r.scope.Gauge("cluster_replica_staleness", obs.L("replica", r.ID)).Set(float64(r.staleness))
 	}
 	cur := r.gw.Table()
-	if r.staleness < r.cfg.StaleSlots || r.degraded {
+	if r.staleness < staleSlots || r.degraded {
 		renewed := *cur
 		renewed.Slot = slot // new slot: buckets reset to a full budget
 		r.gw.Install(&renewed, now, 0)
 		return
 	}
-	scaled := cur.Scale(r.cfg.StaleFactor, "stale", r.dcfg)
+	scaled := cur.Scale(staleShare, "stale", r.dcfg)
 	scaled.Slot = slot // the downgrade lands on a boundary: fresh (scaled) budget
 	r.gw.Install(scaled, now, 0)
 	r.degraded = true
@@ -238,7 +237,7 @@ func (r *Replica) Tick(slot int, now float64) {
 			Kind: obs.KindStaleServing, Slot: slot, Planner: r.ID, Staleness: r.staleness,
 			Values: map[string]float64{
 				"epoch":  float64(r.appliedEpoch),
-				"factor": r.cfg.StaleFactor,
+				"factor": staleShare,
 			},
 		})
 	}

@@ -27,7 +27,7 @@ func TestClusterBlockDefaults(t *testing.T) {
 	if cc.Replicas != 4 {
 		t.Fatalf("replicas = %d", cc.Replicas)
 	}
-	if cc.StaleSlots != 2 || cc.StaleFactor != 0.5 || cc.FailThreshold != 2 {
+	if cc.PollWaitMs != 2000 || cc.MaxAttempts != 4 || cc.BaseBackoffMs != 50 || cc.TimeoutMs != 1000 {
 		t.Fatalf("defaults not applied: %+v", cc)
 	}
 	// No cluster block means the zero (disabled) configuration.
@@ -44,8 +44,8 @@ func TestClusterBlockRejectsInvalid(t *testing.T) {
 	cases := map[string]string{
 		"negative replicas": `"cluster": {"replicas": -2}`,
 		"oversized fleet":   `"cluster": {"replicas": 500}`,
-		"stale factor > 1":  `"cluster": {"replicas": 2, "staleFactor": 3}`,
-		"unknown knob":      `"cluster": {"replicas": 2, "bogus": 1}`,
+		"retired key":       `"cluster": {"replicas": 2, "staleFactor": 0.5}`,
+		"unknown key":       `"cluster": {"replicas": 2, "bogus": 1}`,
 		"replica out of bounds": `"cluster": {"replicas": 2},
 			"faults": {"events": [{"kind":"replica-kill","replica":9,"from":0,"to":0}]}`,
 		"cluster faults without block": `"faults": {"events": [

@@ -13,7 +13,6 @@ import (
 
 	"profitlb/internal/baseline"
 	"profitlb/internal/cluster"
-	"profitlb/internal/control"
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
 	"profitlb/internal/dispatch"
@@ -49,11 +48,10 @@ type Scenario struct {
 	// "greedy-profit", "random" or "mpc" (the rolling-horizon planner of
 	// internal/mpc, tuned by the MPC block).
 	Planner string `json:"planner,omitempty"`
-	// MPC tunes the rolling-horizon planner (planner "mpc"): window
-	// length, per-class deferral allowances, end-of-run truncation and the
-	// forecast hedge. An absent EndSlot defaults to StartSlot+Slots so
-	// simulated runs never strand deferred work. Ignored by the other
-	// planners.
+	// MPC sets up the rolling-horizon planner (planner "mpc"): window
+	// length, per-class deferral allowances and end-of-run truncation. An
+	// absent EndSlot defaults to StartSlot+Slots so simulated runs never
+	// strand deferred work. Ignored by the other planners.
 	MPC *mpc.Config `json:"mpc,omitempty"`
 	// WarmStart overrides the warm-started simplex re-solves of the
 	// optimized and level-search planners (DESIGN.md §12). Absent keeps
@@ -85,16 +83,10 @@ type Scenario struct {
 	Dispatch *dispatch.Config `json:"dispatch,omitempty"`
 	// Cluster configures the replicated gateway fleet (internal/cluster)
 	// for `profitlb serve -replicas` and `profitlb loadtest -replicas`:
-	// fleet size, staleness TTL and downgrade factor, heartbeat eviction
-	// threshold and the plan-pull transport discipline. Nil (or zero
-	// replicas) means a single gateway. Simulation commands ignore it.
+	// fleet size and the plan-pull transport's wall-clock settings. Nil
+	// (or zero replicas) means a single gateway. Simulation commands
+	// ignore it.
 	Cluster *cluster.Config `json:"cluster,omitempty"`
-	// Control configures the sub-slot drift controller (internal/control)
-	// for `profitlb serve -control` and `profitlb loadtest -control`:
-	// ticks per slot, dead-band/hysteresis widths, gain, ramp limit and
-	// multiplier clamps. Nil uses the conservative defaults when -control
-	// is passed. Simulation commands ignore it.
-	Control *control.Config `json:"control,omitempty"`
 	// Obs, when non-nil, threads the observability scope (internal/obs)
 	// through the run: the simulator's slot events, the resilient
 	// chain's escalations, the core engine's solver counters and the
@@ -176,11 +168,6 @@ func (s *Scenario) Validate() error {
 	} else if s.Faults.HasClusterFaults() {
 		return errors.New("config: scenario carries cluster fault events but no cluster block")
 	}
-	if s.Control != nil {
-		if err := s.Control.Validate(); err != nil {
-			return fmt.Errorf("config: %w", err)
-		}
-	}
 	if s.MPC != nil {
 		if err := s.MPCConfig().Validate(len(s.System.Classes)); err != nil {
 			return fmt.Errorf("config: %w", err)
@@ -197,15 +184,6 @@ func (s *Scenario) ClusterConfig() cluster.Config {
 		return cluster.Config{}
 	}
 	return s.Cluster.WithDefaults()
-}
-
-// ControlConfig returns the scenario's control block with defaults
-// applied, or the pure defaults when absent.
-func (s *Scenario) ControlConfig() control.Config {
-	if s.Control == nil {
-		return control.Config{}.WithDefaults()
-	}
-	return s.Control.WithDefaults()
 }
 
 // MPCConfig returns the scenario's mpc block with defaults applied — an

@@ -41,24 +41,25 @@ func FuzzLoad(f *testing.F) {
 		`"slots": 24, "faults": {"events": null}`, 1))
 	// Feed configs, valid and hostile: the feeds block rides the same
 	// decoder, so the invariant (accepted ⇒ validates ⇒ round-trips)
-	// covers it too.
+	// covers it too. The block keeps two keys; "ttl" stands for the
+	// retired ones, which are unknown fields now.
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
 		`"slots": 24, "feeds": {}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
-		`"slots": 24, "feeds": {"maxAttempts":5,"ttl":2,"decay":0.8,"staleMargin":0.1,"seed":7,"escalateOnDark":true}`, 1))
+		`"slots": 24, "feeds": {"seed":7,"escalateOnDark":true}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
 		`"slots": 24, "resilient": true, "feeds": {"escalateOnDark": true},
 		"faults": {"events": [{"kind":"feed-loss","feed":"price","center":0,"from":0,"to":23}]}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
-		`"slots": 24, "feeds": {"decay": 1.5}`, 1))
+		`"slots": 24, "feeds": {"seed": -9223372036854775808, "escalateOnDark": false}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
-		`"slots": 24, "feeds": {"pricePriors": [0.1]}`, 1))
+		`"slots": 24, "feeds": {"seed": 1.5}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
-		`"slots": 24, "feeds": {"pricePriors": [-1, 0.2]}`, 1))
+		`"slots": 24, "feeds": {"seed": 1e30}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
-		`"slots": 24, "feeds": {"arrivalPriors": [[1,2],[3]]}`, 1))
+		`"slots": 24, "feeds": {"escalateOnDark": "yes"}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
-		`"slots": 24, "feeds": {"deadlineMs": -5}`, 1))
+		`"slots": 24, "feeds": {"seed": 3, "ttl": 2}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
 		`"slots": 24, "feeds": {"bogusKnob": true}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
@@ -84,19 +85,19 @@ func FuzzLoad(f *testing.F) {
 		`"slots": 24, "dispatch": {"slotSeconds": 1e308, "minBurst": 1e308}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
 		`"slots": 24, "dispatch": null`, 1))
-	// Cluster blocks, valid and hostile: fleet size bounds, the stale
-	// tunables, and cluster fault events that need a cluster block to
-	// bound their replica indices.
+	// Cluster blocks, valid and hostile: fleet size bounds, the transport
+	// settings, a retired key ("staleFactor"), and cluster fault events
+	// that need a cluster block to bound their replica indices.
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
 		`"slots": 24, "cluster": {"replicas": 4}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
-		`"slots": 24, "cluster": {"replicas": 4, "staleSlots": 3, "staleFactor": 0.25, "failThreshold": 1}`, 1))
+		`"slots": 24, "cluster": {"replicas": 4, "pollWaitMs": 100, "maxAttempts": 2, "baseBackoffMs": 5, "timeoutMs": 300}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
 		`"slots": 24, "cluster": {"replicas": -1}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
 		`"slots": 24, "cluster": {"replicas": 1000}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
-		`"slots": 24, "cluster": {"replicas": 2, "staleFactor": 7}`, 1))
+		`"slots": 24, "cluster": {"replicas": 2, "staleFactor": 0.5}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
 		`"slots": 24, "cluster": {"replicas": 4},
 		"faults": {"events": [{"kind":"replica-kill","replica":2,"from":3,"to":4},
@@ -109,12 +110,18 @@ func FuzzLoad(f *testing.F) {
 		`"slots": 24, "faults": {"events": [{"kind":"publisher-outage","from":0,"to":0}]}`, 1))
 	f.Add(strings.Replace(example.String(), `"slots": 24`,
 		`"slots": 24, "cluster": null`, 1))
-	// MPC blocks, valid and hostile: the rolling-horizon planner's window,
-	// per-class deferral allowances and forecast knobs.
+	// The control block is retired whole: any scenario carrying one is an
+	// unknown field.
+	f.Add(strings.Replace(example.String(), `"slots": 24`,
+		`"slots": 24, "control": {"ticksPerSlot": 8}`, 1))
+	// MPC blocks, valid and hostile: the rolling-horizon planner's window
+	// and per-class deferral allowances, and a retired key ("deferMargin").
 	f.Add(strings.Replace(example.String(), `"planner": "optimized"`,
 		`"planner": "mpc", "mpc": {"horizon": 4, "maxDefer": [0, 2]}`, 1))
 	f.Add(strings.Replace(example.String(), `"planner": "optimized"`,
-		`"planner": "mpc", "mpc": {"horizon": 6, "maxDefer": [1, 3], "endSlot": 24, "deferMargin": 0.1, "minObservations": 2}`, 1))
+		`"planner": "mpc", "mpc": {"horizon": 6, "maxDefer": [1, 3], "endSlot": 24}`, 1))
+	f.Add(strings.Replace(example.String(), `"planner": "optimized"`,
+		`"planner": "mpc", "mpc": {"horizon": 4, "maxDefer": [0, 2], "deferMargin": 0.2}`, 1))
 	f.Add(strings.Replace(example.String(), `"planner": "optimized"`,
 		`"planner": "mpc", "mpc": {"horizon": -2}`, 1))
 	f.Add(strings.Replace(example.String(), `"planner": "optimized"`,

@@ -11,7 +11,7 @@ import (
 func TestMPCBlockRoundTripAndWiring(t *testing.T) {
 	s := Example()
 	s.Planner = "mpc"
-	s.MPC = &mpc.Config{Horizon: 6, MaxDefer: []int{0, 3}, DeferMargin: 0.1}
+	s.MPC = &mpc.Config{Horizon: 6, MaxDefer: []int{0, 3}}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("mpc scenario invalid: %v", err)
 	}
@@ -27,7 +27,7 @@ func TestMPCBlockRoundTripAndWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	if loaded.MPC == nil || loaded.MPC.Horizon != 6 || len(loaded.MPC.MaxDefer) != 2 ||
-		loaded.MPC.MaxDefer[1] != 3 || loaded.MPC.DeferMargin != 0.1 {
+		loaded.MPC.MaxDefer[1] != 3 {
 		t.Fatalf("mpc block did not round-trip: %+v", loaded.MPC)
 	}
 	p, err := loaded.BuildPlanner()

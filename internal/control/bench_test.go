@@ -15,7 +15,7 @@ func benchLoop(tb testing.TB) (*Controller, *fakePlant, *dispatch.Table) {
 	tb.Helper()
 	tab := wireTable(tb)
 	plant := newFakePlant(tab)
-	ctrl := NewController(Config{}, dispatch.Config{SlotSeconds: 60}, plant, nil)
+	ctrl := NewController(dispatch.Config{SlotSeconds: 60}, plant, nil)
 	ctrl.BeginSlot(tab, 0, nil)
 	return ctrl, plant, tab
 }

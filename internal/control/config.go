@@ -1,141 +1,40 @@
-// Package control closes the loop the planner leaves open: the LP
-// commits one routing table per slot against *forecast* arrivals, and
-// dispatch then serves it open-loop — a flash crowd on one front-end or
-// a browning-out center silently turns into lane error and shed until
-// the next solve. The sub-slot Controller here compares each stream's
-// achieved offered rate (the gateway's per-stream draw counters) against
-// the plan's arrival budget every control tick, computes corrective
-// per-lane multipliers, and publishes a re-scaled table through the
-// existing atomic hot-swap — the 0-alloc Gateway.Handle hot path never
-// changes, gateways only swap a pointer.
-//
-// Robustness over reactivity, in four layers:
-//
-//   - Guarded actuation: a proportional gain < 1 toward a clamped
-//     target, a per-tick ramp limit, and dead-band hysteresis mean a
-//     step disturbance settles monotonically (no overshoot ringing) and
-//     in-band noise produces zero actuations. The controller senses
-//     *offered* traffic — demand, which actuation does not change — so
-//     the loop has no self-feedback path to oscillate through.
-//   - Graceful degradation: stale counters, a swapped-out table, a
-//     non-positive sample window, a failed re-scale or a rejected
-//     publish freeze the controller at the last safe table for the rest
-//     of the slot, raising the control_frozen gauge instead of guessing.
-//   - Fleet propagation: corrections ride the epoch-fenced publisher as
-//     sub-epochs (slot epoch · tick sequence) with the same
-//     stale/duplicate fencing; a partitioned replica keeps its last
-//     fenced table.
-//   - Hard safety caps: per-lane boosts never exceed the compiled
-//     MaxRate headroom (the committed plan's shares plus the center's
-//     unallocated slack), so an actuated table always stays inside the
-//     capacity/deadline envelope core.Verify proved feasible.
 package control
 
-import "fmt"
-
-// Config parameterizes the sub-slot controller. The zero value defaults
-// to a conservative loop: 8 ticks per slot, a ±15% dead band with ±7.5%
-// re-entry hysteresis, gain ½, ramp ±0.25 per tick, multipliers in
-// [0.1, 4].
-type Config struct {
+// The loop's settings, conservative on purpose: a ±15% dead band with
+// ±7.5% re-entry hysteresis, gain ½, ramp ±0.25 per tick.
+const (
 	// TicksPerSlot is how many control ticks subdivide each slot; the
 	// controller samples and (maybe) actuates every SlotLen/TicksPerSlot
-	// of virtual time.
-	TicksPerSlot int `json:"ticksPerSlot,omitempty"`
-	// DeadBand is the relative deviation |achieved/planned − 1| a stream
+	// of virtual time. Exported for the hosts that drive Tick.
+	TicksPerSlot = 8
+	// deadband is the relative deviation |achieved/planned − 1| a stream
 	// must exceed before the controller reacts to it at all.
-	DeadBand float64 `json:"deadBand,omitempty"`
-	// ReentryBand is the deviation below which an active stream re-enters
-	// the dead band (hysteresis: ReentryBand < DeadBand, so a stream
-	// hovering at the threshold cannot flap). Defaults to DeadBand/2.
-	ReentryBand float64 `json:"reentryBand,omitempty"`
-	// Gain is the proportional step toward the target multiplier per
-	// tick, in (0, 1]: newMult = mult + Gain·(target − mult). Gains below
+	deadband = 0.15
+	// reentryBand is the deviation below which an active stream re-enters
+	// the dead band (hysteresis: reentryBand < deadband, so a stream
+	// hovering at the threshold cannot flap).
+	reentryBand = deadband / 2
+	// gain is the proportional step toward the target multiplier per
+	// tick, in (0, 1]: newMult = mult + gain·(target − mult). Gains below
 	// 1 make the loop a first-order lag — it approaches the target
 	// monotonically and cannot overshoot.
-	Gain float64 `json:"gain,omitempty"`
-	// MaxStep bounds the per-tick multiplier change (the ramp limit).
-	MaxStep float64 `json:"maxStep,omitempty"`
-	// MinMult and MaxMult clamp the demand-tracking target multiplier.
+	gain = 0.5
+	// maxStep bounds the per-tick multiplier change (the ramp limit).
+	maxStep = 0.25
+	// minMult and maxMult clamp the demand-tracking target multiplier.
 	// Hard health caps (MaxRate headroom, a slow center's service
-	// fraction) may push the target below MinMult — safety beats floor.
-	MinMult float64 `json:"minMult,omitempty"`
-	MaxMult float64 `json:"maxMult,omitempty"`
-	// MinSamples is the fewest new offered requests a stream needs in a
+	// fraction) may push the target below minMult — safety beats floor.
+	minMult = 0.1
+	maxMult = 4.0
+	// minSamples is the fewest new offered requests a stream needs in a
 	// tick window before its measured ratio is trusted; below it the
 	// stream reads as on-plan.
-	MinSamples int `json:"minSamples,omitempty"`
-	// NoiseSigmas widens the dead band for thin streams to the sampling
-	// noise: with d offered requests in the window the measured ratio has
-	// relative standard deviation ≈ 1/√d, and a stream only activates
-	// when its deviation exceeds max(DeadBand, NoiseSigmas/√d). Ordinary
-	// Poisson fluctuation then cannot actuate a thin stream no matter how
-	// few samples a tick sees, while genuine drift (a flash crowd's
-	// 50–100% deviation) clears the widened band immediately.
-	NoiseSigmas float64 `json:"noiseSigmas,omitempty"`
-}
-
-// WithDefaults fills unset fields with the conservative defaults.
-func (c Config) WithDefaults() Config {
-	if c.TicksPerSlot == 0 {
-		c.TicksPerSlot = 8
-	}
-	if c.DeadBand == 0 {
-		c.DeadBand = 0.15
-	}
-	if c.ReentryBand == 0 {
-		c.ReentryBand = c.DeadBand / 2
-	}
-	if c.Gain == 0 {
-		c.Gain = 0.5
-	}
-	if c.MaxStep == 0 {
-		c.MaxStep = 0.25
-	}
-	if c.MinMult == 0 {
-		c.MinMult = 0.1
-	}
-	if c.MaxMult == 0 {
-		c.MaxMult = 4
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 16
-	}
-	if c.NoiseSigmas == 0 {
-		c.NoiseSigmas = 4
-	}
-	return c
-}
-
-// Validate rejects configurations that would destabilize the loop.
-func (c Config) Validate() error {
-	c = c.WithDefaults()
-	if c.TicksPerSlot < 1 {
-		return fmt.Errorf("control: ticksPerSlot %d < 1", c.TicksPerSlot)
-	}
-	if c.DeadBand < 0 {
-		return fmt.Errorf("control: deadBand %g < 0", c.DeadBand)
-	}
-	if c.ReentryBand < 0 || c.ReentryBand > c.DeadBand {
-		return fmt.Errorf("control: reentryBand %g outside [0, deadBand=%g]", c.ReentryBand, c.DeadBand)
-	}
-	if c.Gain <= 0 || c.Gain > 1 {
-		return fmt.Errorf("control: gain %g outside (0,1]", c.Gain)
-	}
-	if c.MaxStep <= 0 {
-		return fmt.Errorf("control: maxStep %g <= 0", c.MaxStep)
-	}
-	if c.MinMult <= 0 || c.MinMult > 1 {
-		return fmt.Errorf("control: minMult %g outside (0,1]", c.MinMult)
-	}
-	if c.MaxMult < 1 {
-		return fmt.Errorf("control: maxMult %g < 1", c.MaxMult)
-	}
-	if c.MinSamples < 1 {
-		return fmt.Errorf("control: minSamples %d < 1", c.MinSamples)
-	}
-	if c.NoiseSigmas < 0 {
-		return fmt.Errorf("control: noiseSigmas %g < 0", c.NoiseSigmas)
-	}
-	return nil
-}
+	minSamples = 16
+	// thinBandSigmas widens the dead band for thin streams to the
+	// sampling noise: with d offered requests in the window the measured
+	// ratio has relative standard deviation ≈ 1/√d, and a stream only
+	// activates past max(deadband, thinBandSigmas/√d). Ordinary Poisson
+	// fluctuation then cannot actuate a thin stream, while genuine drift
+	// (a flash crowd's 50–100% deviation) clears the band immediately.
+	thinBandSigmas = 4.0
+)

@@ -80,31 +80,25 @@ func (p *fakePlant) addDemand(tab *dispatch.Table, k, s int, ratio, wd float64) 
 	p.off[k*tab.S()+s] += int64(ratio * arrival * wd)
 }
 
-func TestConfigDefaultsAndValidate(t *testing.T) {
-	c := Config{}.WithDefaults()
-	if c.TicksPerSlot != 8 || c.DeadBand != 0.15 || c.ReentryBand != 0.075 ||
-		c.Gain != 0.5 || c.MaxStep != 0.25 || c.MinMult != 0.1 || c.MaxMult != 4 ||
-		c.MinSamples != 16 || c.NoiseSigmas != 4 {
-		t.Fatalf("defaults = %+v", c)
-	}
-	if err := (Config{}).Validate(); err != nil {
-		t.Fatalf("zero config invalid: %v", err)
-	}
-	bad := []Config{
-		{TicksPerSlot: -1},
-		{Gain: 1.5},
-		{Gain: -0.5},
-		{MaxStep: -1},
-		{MinMult: -0.1},
-		{MinMult: 2},
-		{MaxMult: 0.5},
-		{DeadBand: 0.1, ReentryBand: 0.2},
-		{MinSamples: -3},
-		{NoiseSigmas: -1},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d (%+v) accepted", i, c)
+// TestConstantsAreTheOldDefaults pins every setting that used to be a
+// control key to the value its default was.
+func TestConstantsAreTheOldDefaults(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"ticksPerSlot", TicksPerSlot, 8},
+		{"deadband (deadBand)", deadband, 0.15},
+		{"reentryBand", reentryBand, 0.075},
+		{"gain", gain, 0.5},
+		{"maxStep", maxStep, 0.25},
+		{"minMult", minMult, 0.1},
+		{"maxMult", maxMult, 4},
+		{"minSamples", minSamples, 16},
+		{"thinBandSigmas (noiseSigmas)", thinBandSigmas, 4},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %g, the key's default was %g", c.name, c.got, c.want)
 		}
 	}
 }
@@ -117,7 +111,7 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 func TestStepDisturbanceSettles(t *testing.T) {
 	tab := wireTable(t)
 	plant := newFakePlant(tab)
-	ctrl := NewController(Config{}, dispatch.Config{SlotSeconds: 60}, plant, nil)
+	ctrl := NewController(dispatch.Config{SlotSeconds: 60}, plant, nil)
 	ctrl.BeginSlot(tab, 0, nil)
 	const wd = 7.5 // one tick window
 	baseRate := tab.Lanes[0].Rate
@@ -169,7 +163,7 @@ func TestStepDisturbanceSettles(t *testing.T) {
 func TestMaxRateCapsBoost(t *testing.T) {
 	tab := wireTable(t)
 	plant := newFakePlant(tab)
-	ctrl := NewController(Config{}, dispatch.Config{SlotSeconds: 60}, plant, nil)
+	ctrl := NewController(dispatch.Config{SlotSeconds: 60}, plant, nil)
 	ctrl.BeginSlot(tab, 0, nil)
 	const wd = 7.5
 	for j := 1; j <= 32; j++ {
@@ -196,7 +190,7 @@ func TestMaxRateCapsBoost(t *testing.T) {
 func TestCenterFactorCapsLanes(t *testing.T) {
 	tab := wireTable(t)
 	plant := newFakePlant(tab)
-	ctrl := NewController(Config{}, dispatch.Config{SlotSeconds: 60}, plant, nil)
+	ctrl := NewController(dispatch.Config{SlotSeconds: 60}, plant, nil)
 	ctrl.BeginSlot(tab, 0, []float64{1, 0.5}) // center 1 sags to half service
 	const wd = 7.5
 	for j := 1; j <= 32; j++ {
@@ -228,7 +222,7 @@ func TestCenterFactorCapsLanes(t *testing.T) {
 func TestDeadBandZeroActuations(t *testing.T) {
 	tab := wireTable(t)
 	plant := newFakePlant(tab)
-	ctrl := NewController(Config{}, dispatch.Config{SlotSeconds: 60}, plant, nil)
+	ctrl := NewController(dispatch.Config{SlotSeconds: 60}, plant, nil)
 	ctrl.BeginSlot(tab, 0, nil)
 	rng := rand.New(rand.NewSource(7))
 	const wd = 7.5
@@ -247,13 +241,14 @@ func TestDeadBandZeroActuations(t *testing.T) {
 	}
 }
 
-// TestHysteresis checks both edges: a stream must cross DeadBand to wake
-// the controller, and once awake it keeps tracking inside (ReentryBand,
-// DeadBand) — only dropping below ReentryBand re-arms the band.
+// TestHysteresis checks both edges: a stream must cross the dead band to
+// wake the controller, and once awake it keeps tracking between the
+// re-entry band and the dead band — only dropping below the re-entry band
+// re-arms the band.
 func TestHysteresis(t *testing.T) {
 	tab := wireTable(t)
 	plant := newFakePlant(tab)
-	ctrl := NewController(Config{}, dispatch.Config{SlotSeconds: 60}, plant, nil)
+	ctrl := NewController(dispatch.Config{SlotSeconds: 60}, plant, nil)
 	ctrl.BeginSlot(tab, 0, nil)
 	const wd = 7.5
 	now := 0.0
@@ -307,7 +302,7 @@ func TestFreezeConditions(t *testing.T) {
 	arm := func(t *testing.T) (*dispatch.Table, *fakePlant, *Controller) {
 		tab := wireTable(t)
 		plant := newFakePlant(tab)
-		ctrl := NewController(Config{}, dispatch.Config{SlotSeconds: 60}, plant, nil)
+		ctrl := NewController(dispatch.Config{SlotSeconds: 60}, plant, nil)
 		ctrl.BeginSlot(tab, 0, nil)
 		return tab, plant, ctrl
 	}
@@ -411,7 +406,7 @@ func TestDeterministicLog(t *testing.T) {
 		gw.Install(tab, 0, 0)
 		plant := newFakePlant(tab)
 		plant.gw = gw
-		ctrl := NewController(Config{}, dispatch.Config{SlotSeconds: 60}, plant, nil)
+		ctrl := NewController(dispatch.Config{SlotSeconds: 60}, plant, nil)
 		ctrl.BeginSlot(tab, 0, nil)
 
 		stop := make(chan struct{})

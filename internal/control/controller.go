@@ -1,3 +1,34 @@
+// Package control closes the loop the planner leaves open: the LP
+// commits one routing table per slot against *forecast* arrivals, and
+// dispatch then serves it open-loop — a flash crowd on one front-end or
+// a browning-out center silently turns into lane error and shed until
+// the next solve. The sub-slot Controller here compares each stream's
+// achieved offered rate (the gateway's per-stream draw counters) against
+// the plan's arrival budget every control tick, computes corrective
+// per-lane multipliers, and publishes a re-scaled table through the
+// existing atomic hot-swap — the 0-alloc Gateway.Handle hot path never
+// changes, gateways only swap a pointer.
+//
+// Robustness over reactivity, in four layers:
+//
+//   - Guarded actuation: a proportional gain < 1 toward a clamped
+//     target, a per-tick ramp limit, and dead-band hysteresis mean a
+//     step disturbance settles monotonically (no overshoot ringing) and
+//     in-band noise produces zero actuations. The controller senses
+//     *offered* traffic — demand, which actuation does not change — so
+//     the loop has no self-feedback path to oscillate through.
+//   - Graceful degradation: stale counters, a swapped-out table, a
+//     non-positive sample window, a failed re-scale or a rejected
+//     publish freeze the controller at the last safe table for the rest
+//     of the slot, raising the control_frozen gauge instead of guessing.
+//   - Fleet propagation: corrections ride the epoch-fenced publisher as
+//     sub-epochs (slot epoch · tick sequence) with the same
+//     stale/duplicate fencing; a partitioned replica keeps its last
+//     fenced table.
+//   - Hard safety caps: per-lane boosts never exceed the compiled
+//     MaxRate headroom (the committed plan's shares plus the center's
+//     unallocated slack), so an actuated table always stays inside the
+//     capacity/deadline envelope core.Verify proved feasible.
 package control
 
 import (
@@ -17,6 +48,9 @@ const minTarget = 1e-3
 // actuationEps is the largest multiplier change the controller considers
 // "no change" — below it a tick publishes nothing.
 const actuationEps = 1e-9
+
+// coverageEps is the round-off allowed on a plant's reported coverage.
+const coverageEps = 1e-9
 
 // Sample is one observation of the plant: the per-stream offered
 // counters of the serving state the controller last published.
@@ -52,7 +86,6 @@ type Plant interface {
 // computation, re-scaling, alias rebuilds — happens here, off the
 // request path.
 type Controller struct {
-	cfg   Config
 	dcfg  dispatch.Config
 	plant Plant
 	scope *obs.Scope
@@ -82,9 +115,8 @@ type Controller struct {
 // NewController builds a controller over the plant. The dispatch config
 // must be the one the plant's tables were compiled under (it sizes the
 // re-scaled token buckets); scope may be nil.
-func NewController(cfg Config, dcfg dispatch.Config, plant Plant, scope *obs.Scope) *Controller {
+func NewController(dcfg dispatch.Config, plant Plant, scope *obs.Scope) *Controller {
 	c := &Controller{
-		cfg:   cfg.WithDefaults(),
 		dcfg:  dcfg.WithDefaults(),
 		plant: plant,
 		scope: scope,
@@ -165,7 +197,7 @@ func (c *Controller) Tick(now float64) bool {
 	}
 	smp := c.plant.Sample(c.base.Epoch, c.sub)
 	K, S := c.base.K(), c.base.S()
-	if !smp.OK || len(smp.StreamOffered) != K*S || smp.Coverage <= 0 || smp.Coverage > 1+1e-9 {
+	if !smp.OK || len(smp.StreamOffered) != K*S || smp.Coverage <= 0 || smp.Coverage > 1+coverageEps {
 		c.freeze("stale-counters")
 		return false
 	}
@@ -180,17 +212,15 @@ func (c *Controller) Tick(now float64) bool {
 			}
 			_, arrival := c.base.Planned(k, s)
 			r := 1.0
-			if d >= int64(c.cfg.MinSamples) && arrival > 0 {
+			if d >= minSamples && arrival > 0 {
 				r = (float64(d) / window) / (arrival * smp.Coverage)
 			}
-			// Dead-band hysteresis: enter actuation at DeadBand deviation,
-			// re-enter the band only below ReentryBand. Thin streams widen
-			// both thresholds to NoiseSigmas standard deviations of the
-			// window's Poisson sampling noise (σ ≈ 1/√d), so ordinary
-			// fluctuation on a low-rate stream cannot actuate.
-			band, reentry := c.cfg.DeadBand, c.cfg.ReentryBand
+			// Dead-band hysteresis: enter actuation at deadband deviation,
+			// re-enter the band only below reentryBand. Thin streams widen
+			// both to thinBandSigmas σ of the window's sampling noise.
+			band, reentry := deadband, reentryBand
 			if d > 0 {
-				if nb := c.cfg.NoiseSigmas / math.Sqrt(float64(d)); nb > band {
+				if nb := thinBandSigmas / math.Sqrt(float64(d)); nb > band {
 					band, reentry = nb, nb/2
 				}
 			}
@@ -205,13 +235,13 @@ func (c *Controller) Tick(now float64) bool {
 			if !c.active[i] {
 				r = 1
 			}
-			c.ratio[i] = clamp(r, c.cfg.MinMult, c.cfg.MaxMult)
+			c.ratio[i] = clamp(r, minMult, maxMult)
 		}
 	}
 	// Per-lane targets: the stream's demand ratio, hard-capped by the
 	// lane's MaxRate headroom and its center's effective service
 	// fraction, then a gain-limited ramp step from the current
-	// multiplier. Gain ≤ 1 keeps every step inside [mult, target], so
+	// multiplier. gain ≤ 1 keeps every step inside [mult, target], so
 	// the loop approaches a sustained disturbance monotonically.
 	maxDelta := 0.0
 	changed := 0
@@ -232,7 +262,7 @@ func (c *Controller) Tick(now float64) bool {
 			target = minTarget
 		}
 		old := c.mult[li]
-		step := clamp(c.cfg.Gain*(target-old), -c.cfg.MaxStep, c.cfg.MaxStep)
+		step := clamp(gain*(target-old), -maxStep, maxStep)
 		nm := old + step
 		c.scratch[li] = nm
 		if delta := math.Abs(nm - old); delta > actuationEps {

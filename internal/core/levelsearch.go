@@ -297,8 +297,7 @@ func greedy(eng *engine, pairs []pair) (assignment, error) {
 				} else {
 					add = nil
 				}
-				// Clear of the margin by more than the two sums' round-off.
-				if after <= reserveMargin-1e-9 && eng.bounded(&best, out, add) {
+				if after <= reserveMargin-reserveSlack && eng.bounded(&best, out, add) {
 					continue
 				}
 			}
@@ -325,7 +324,7 @@ func greedy(eng *engine, pairs []pair) (assignment, error) {
 // node relaxes every unassigned pair to its best utility with its loosest
 // deadline, which can only overestimate the achievable profit. Pruning
 // keeps a margin — a subtree is cut only when its relaxation bound is
-// strictly below the incumbent minus 1e-9 — so no assignment tied with the
+// strictly below the incumbent minus improveTol — so no assignment tied with the
 // optimum is ever pruned. Among ties the first leaf in DFS order wins, and
 // the greedy seed wins all of them.
 func branchBound(eng *engine, pairs []pair) (assignment, error) {
@@ -355,7 +354,7 @@ func branchBound(eng *engine, pairs []pair) (assignment, error) {
 		// Margin pruning: only cut subtrees strictly dominated by the
 		// incumbent; an infeasible relaxation proves every leaf below
 		// is infeasible too.
-		if ub < best.obj-1e-9 || math.IsInf(ub, -1) {
+		if ub < best.obj-improveTol || math.IsInf(ub, -1) {
 			return nil
 		}
 		for q := 0; q < sys.Classes[pairs[depth].k].TUF.NumLevels(); q++ {

@@ -807,7 +807,7 @@ func allocateCenter(in *Input, plan *Plan, l int) error {
 	var lams []float64
 	for k := 0; k < sys.K(); k++ {
 		for q := range plan.Rate[k] {
-			if lam := plan.CenterRate(k, q, l); lam > 1e-9 {
+			if lam := plan.CenterRate(k, q, l); lam > RateEps {
 				used = append(used, activeKey{k, q})
 				lams = append(lams, lam)
 			}

@@ -239,7 +239,7 @@ func (p *Plan) Delay(sys *datacenter.System, k, q, l int) float64 {
 // would otherwise pay it a level down.
 func (p *Plan) AchievedDelay(sys *datacenter.System, k, q, l int) float64 {
 	d := p.Delay(sys, k, q, l)
-	if dq := sys.Classes[k].TUF.Level(q).Deadline; d > dq && d <= dq*(1+1e-9) {
+	if dq := sys.Classes[k].TUF.Level(q).Deadline; d > dq && d <= dq*(1+DeadlineSnap) {
 		return dq
 	}
 	return d
@@ -302,7 +302,7 @@ func Verify(in *Input, p *Plan, tol float64) error {
 				}
 				d := p.Delay(sys, k, q, l)
 				deadline := sys.Classes[k].TUF.Level(q).Deadline
-				if d > deadline*(1+1e-6)+tol {
+				if d > deadline*(1+VerifyTol)+tol {
 					return fmt.Errorf("core: center %d commodity k=%d q=%d delay %g exceeds deadline %g", l, k, q, d, deadline)
 				}
 			}

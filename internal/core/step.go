@@ -5,8 +5,19 @@ import (
 	"time"
 )
 
-// VerifyTol is the feasibility tolerance every slot commit is gated at.
-const VerifyTol = 1e-6
+const (
+	// VerifyTol is the feasibility tolerance every slot commit is gated
+	// at: three orders above the LP's zero, for the plan's own round-off.
+	VerifyTol = 1e-6
+	// RateEps is the LP's zero on the rates it returns: below it a
+	// commodity carries no load, here and in every plane downstream.
+	RateEps = 1e-9
+	// DeadlineSnap is the relative overshoot that still meets a deadline.
+	DeadlineSnap = 1e-9
+	// reserveSlack is the round-off of re-summing a swap's reservations
+	// (a share sum, so not improveTol, which compares dollars).
+	reserveSlack = 1e-9
+)
 
 // FallbackReporter is implemented by resilient planner wrappers (see
 // internal/resilient) that can report which fallback tier produced the

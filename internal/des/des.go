@@ -215,7 +215,7 @@ func Run(cfg Config) (*Report, error) {
 				cls := sys.Classes[k].TUF
 				for q := range plan.Rate[k] {
 					lamTotal := plan.CenterRate(k, q, l)
-					if lamTotal <= 1e-9 {
+					if lamTotal <= core.RateEps {
 						continue
 					}
 					mu := plan.Phi[l][k][q] * dc.Capacity * dc.ServiceRate[k]

@@ -10,7 +10,7 @@ import (
 
 // rateEps is the rate below which a commodity's dispatch entry is treated
 // as LP noise and excluded from the routing table.
-const rateEps = 1e-9
+const rateEps = core.RateEps
 
 // Lane is one (type, level, front-end, center) dispatch stream of the
 // compiled plan, with the per-request economics frozen at compile time so

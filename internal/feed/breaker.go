@@ -28,21 +28,19 @@ func (s BreakerState) String() string {
 }
 
 // breaker is a slot-granular circuit breaker. Outcomes are recorded once
-// per slot (a slot's bounded retries count as one outcome), so threshold
-// and cooldown are both measured in slots.
+// per slot (a slot's bounded retries count as one outcome), so
+// breakerTrip and breakerCooldown are both measured in slots.
 type breaker struct {
-	threshold int // consecutive failed slots before opening
-	cooldown  int // slots to stay open before a half-open trial
-	state     BreakerState
-	fails     int
-	openedAt  int
+	state    BreakerState
+	fails    int
+	openedAt int
 }
 
 // Allow reports whether the feed should attempt a fetch this slot,
 // transitioning Open → HalfOpen when the cooldown has elapsed.
 func (b *breaker) Allow(slot int) bool {
 	if b.state == Open {
-		if slot-b.openedAt >= b.cooldown {
+		if slot-b.openedAt >= breakerCooldown {
 			b.state = HalfOpen
 			return true
 		}
@@ -58,7 +56,7 @@ func (b *breaker) Record(slot int, ok bool) {
 		return
 	}
 	b.fails++
-	if b.state == HalfOpen || b.fails >= b.threshold {
+	if b.state == HalfOpen || b.fails >= breakerTrip {
 		b.state, b.openedAt = Open, slot
 	}
 }

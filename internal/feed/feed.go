@@ -13,8 +13,8 @@
 // cooldown. When the live fetch fails, a fallback estimator chain stands
 // in:
 //
-//	fresh sample → last-known-good (TTL, decayed toward the prior)
-//	→ Kalman one-step forecast (internal/forecast) → configured prior
+//	fresh sample → last-known-good (held for a TTL)
+//	→ Kalman one-step forecast (internal/forecast) → prior
 //
 // Every Fetch reports Health — estimator tier, staleness age, breaker
 // state, attempts spent — which the simulator records per slot and the
@@ -47,13 +47,13 @@ const (
 	// TierFresh is a live sample fetched this slot (possibly noisy —
 	// feed-noise corrupts readings undetectably).
 	TierFresh Tier = iota
-	// TierLKG replays the last-known-good sample, decayed toward the
-	// prior, while its age is within the TTL.
+	// TierLKG replays the last-known-good sample while its age is within
+	// the TTL.
 	TierLKG
 	// TierForecast is the Kalman filter's one-step-ahead prediction from
 	// the good samples seen so far.
 	TierForecast
-	// TierPrior is the configured prior — the feed is effectively dark.
+	// TierPrior is the prior — the feed is effectively dark.
 	TierPrior
 )
 
@@ -167,165 +167,48 @@ func (sh *SlotHealth) AllFresh() bool {
 	return true
 }
 
-// Config parameterizes every feed of a Set. The zero value is valid and
-// means "all defaults"; fields left zero take the documented default.
+// Config is what a run chooses about its feed layer; the zero value is
+// valid. The rest is fixed (the constants below).
 type Config struct {
-	// MaxAttempts bounds fetch retries per slot (default 3).
-	MaxAttempts int `json:"maxAttempts,omitempty"`
-	// AttemptLatencyMs is the virtual cost of one fetch attempt
-	// (default 20). Feed-delay faults multiply it.
-	AttemptLatencyMs float64 `json:"attemptLatencyMs,omitempty"`
-	// BaseBackoffMs is the backoff before the second attempt, doubling
-	// per retry (default 25).
-	BaseBackoffMs float64 `json:"baseBackoffMs,omitempty"`
-	// DeadlineMs is the per-slot fetch budget (default 250); attempts
-	// that would start past it fail the slot with "deadline".
-	DeadlineMs float64 `json:"deadlineMs,omitempty"`
-	// BreakerThreshold is the consecutive failed slots that open the
-	// circuit breaker (default 2).
-	BreakerThreshold int `json:"breakerThreshold,omitempty"`
-	// BreakerCooldown is the slots the breaker stays open before a
-	// half-open trial fetch (default 2).
-	BreakerCooldown int `json:"breakerCooldown,omitempty"`
-	// TTL is how many slots a last-known-good sample stays usable
-	// (default 3).
-	TTL int `json:"ttl,omitempty"`
-	// Decay blends an aging LKG sample toward the prior per slot of
-	// staleness: value = prior + (lkg-prior)·Decay^age. Default 1 (hold
-	// the sample); must be in (0,1].
-	Decay float64 `json:"decay,omitempty"`
-	// ProcessRel and MeasureRel set each element's Kalman filter noise
-	// relative to its prior magnitude: Q=(ProcessRel·prior)², likewise R
-	// (defaults 0.15 and 0.05) — scale-free across $/kWh prices and
-	// requests/s arrivals.
-	ProcessRel float64 `json:"processRel,omitempty"`
-	MeasureRel float64 `json:"measureRel,omitempty"`
-	// MinObservations gates the forecast tier: the filter must have
-	// consumed at least this many good samples (default 2).
-	MinObservations int `json:"minObservations,omitempty"`
-	// StaleMargin inflates the planner's arrival inputs by this fraction
-	// per slot of staleness (default 0.05), reserving headroom for the
-	// demand a stale estimate may be under-calling; MaxMargin caps the
-	// inflation (default 0.5). The simulator reconciles the committed
-	// plan against actual arrivals, so the margin costs reservation
-	// headroom, never phantom revenue.
-	StaleMargin float64 `json:"staleMargin,omitempty"`
-	MaxMargin   float64 `json:"maxMargin,omitempty"`
 	// EscalateOnDark makes the resilient chain skip its primary
 	// optimizer on slots where feeds report Unusable.
 	EscalateOnDark bool `json:"escalateOnDark,omitempty"`
-	// PricePriors and ArrivalPriors override the per-feed priors
-	// (defaults: the mean of each oracle trace, standing in for the
-	// provider's historical telemetry). PricePriors[l] must be positive;
-	// ArrivalPriors[s][k] non-negative.
-	PricePriors   []float64   `json:"pricePriors,omitempty"`
-	ArrivalPriors [][]float64 `json:"arrivalPriors,omitempty"`
 	// Seed drives dropout and noise draws; equal seeds replay equal
 	// degradation sequences.
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// withDefaults returns a copy with every zero field set to its default.
-func (c Config) withDefaults() Config {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.AttemptLatencyMs <= 0 {
-		c.AttemptLatencyMs = 20
-	}
-	if c.BaseBackoffMs <= 0 {
-		c.BaseBackoffMs = 25
-	}
-	if c.DeadlineMs <= 0 {
-		c.DeadlineMs = 250
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 2
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2
-	}
-	if c.TTL <= 0 {
-		c.TTL = 3
-	}
-	if c.Decay <= 0 {
-		c.Decay = 1
-	}
-	if c.ProcessRel <= 0 {
-		c.ProcessRel = 0.15
-	}
-	if c.MeasureRel <= 0 {
-		c.MeasureRel = 0.05
-	}
-	if c.MinObservations <= 0 {
-		c.MinObservations = 2
-	}
-	if c.StaleMargin == 0 {
-		c.StaleMargin = 0.05
-	}
-	if c.MaxMargin <= 0 {
-		c.MaxMargin = 0.5
-	}
-	return c
-}
-
-// Validate rejects configurations no defaulting can repair.
-func (c *Config) Validate() error {
-	if c == nil {
-		return nil
-	}
-	if c.MaxAttempts < 0 || c.TTL < 0 || c.BreakerThreshold < 0 || c.BreakerCooldown < 0 || c.MinObservations < 0 {
-		return fmt.Errorf("feed: negative counts in config")
-	}
-	for _, v := range []float64{c.AttemptLatencyMs, c.BaseBackoffMs, c.DeadlineMs, c.ProcessRel, c.MeasureRel, c.MaxMargin} {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("feed: invalid config value %g", v)
-		}
-	}
-	if c.StaleMargin < 0 || math.IsNaN(c.StaleMargin) || math.IsInf(c.StaleMargin, 0) {
-		return fmt.Errorf("feed: invalid stale margin %g", c.StaleMargin)
-	}
-	if c.Decay < 0 || c.Decay > 1 || math.IsNaN(c.Decay) {
-		return fmt.Errorf("feed: decay %g outside [0,1]", c.Decay)
-	}
-	for l, p := range c.PricePriors {
-		if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
-			return fmt.Errorf("feed: price prior %d invalid: %g", l, p)
-		}
-	}
-	for s, row := range c.ArrivalPriors {
-		for k, v := range row {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("feed: arrival prior [%d][%d] invalid: %g", s, k, v)
-			}
-		}
-	}
-	return nil
-}
-
-// ValidateDims checks the optional prior overrides against the topology.
-func (c *Config) ValidateDims(centers, frontEnds, types int) error {
-	if c == nil {
-		return nil
-	}
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	if len(c.PricePriors) > 0 && len(c.PricePriors) != centers {
-		return fmt.Errorf("feed: %d price priors for %d centers", len(c.PricePriors), centers)
-	}
-	if len(c.ArrivalPriors) > 0 {
-		if len(c.ArrivalPriors) != frontEnds {
-			return fmt.Errorf("feed: %d arrival priors for %d front-ends", len(c.ArrivalPriors), frontEnds)
-		}
-		for s, row := range c.ArrivalPriors {
-			if len(row) != types {
-				return fmt.Errorf("feed: arrival prior %d has %d types, want %d", s, len(row), types)
-			}
-		}
-	}
-	return nil
-}
+// Every feed's transport, breaker and estimator-chain settings.
+const (
+	// maxAttempts bounds fetch retries per slot.
+	maxAttempts = 3
+	// attemptLatencyMs is the virtual cost of one fetch attempt.
+	// Feed-delay faults multiply it.
+	attemptLatencyMs = 20.0
+	// baseBackoffMs is the backoff before the second attempt, doubling
+	// per retry.
+	baseBackoffMs = 25.0
+	// deadlineMs is the per-slot fetch budget; attempts that would start
+	// past it fail the slot with "deadline".
+	deadlineMs = 250.0
+	// breakerTrip is the consecutive failed slots that open the circuit
+	// breaker; breakerCooldown is the slots it stays open before a
+	// half-open trial fetch.
+	breakerTrip     = 2
+	breakerCooldown = 2
+	// ttl is how many slots a last-known-good sample stays usable.
+	ttl = 3
+	// minObservations gates the forecast tier: the filter must have
+	// consumed at least this many good samples.
+	minObservations = 2
+	// staleMargin inflates the planner's arrival inputs by this fraction
+	// per slot of staleness, reserving headroom for the demand a stale
+	// estimate may be under-calling; maxMargin caps the inflation. The
+	// simulator reconciles the committed plan against actual arrivals, so
+	// the margin costs reservation headroom, never phantom revenue.
+	staleMargin = 0.05
+	maxMargin   = 0.5
+)
 
 // Feed is one telemetry feed: a vector source (width 1 for a price feed,
 // K for an arrival feed) behind the transport, breaker, cache and
@@ -338,22 +221,21 @@ type Feed struct {
 	mu   sync.Mutex
 	kind string // fault.FeedPrice or fault.FeedArrival
 	idx  int
-	cfg  Config
+	seed int64 // Config.Seed
 	sch  *fault.Schedule
 	src  func(slot int) []float64
 	// prior is the estimator of last resort; floor is the smallest value
 	// the feed ever emits (a sliver of the prior for prices — electricity
 	// is never free — and zero for arrivals).
-	prior    []float64
-	floor    float64
-	br       breaker
-	filters  []*forecast.Kalman
-	lkg      []float64
-	lkgSlot  int
-	hasLKG   bool
-	born     int
-	started  bool
-	lastSlot int // most recent Fetch slot, the "now" PredictAhead steps from
+	prior   []float64
+	floor   float64
+	br      breaker
+	filters []*forecast.Kalman
+	lkg     []float64
+	lkgSlot int
+	hasLKG  bool
+	born    int
+	started bool
 	// Observability (see obs.go): the attached scope plus the previous
 	// slot's tier and breaker state, so transitions emit exactly one
 	// trace event. All nil-safe; a scope never alters a reading.
@@ -363,12 +245,12 @@ type Feed struct {
 	prevKnown   bool
 }
 
-// newFeed builds one feed; cfg must already carry defaults.
-func newFeed(kind string, idx int, cfg Config, sch *fault.Schedule, prior []float64, src func(int) []float64) (*Feed, error) {
+// newFeed builds one feed. Each element's filter noise is relative to
+// its prior magnitude.
+func newFeed(kind string, idx int, seed int64, sch *fault.Schedule, prior []float64, src func(int) []float64) (*Feed, error) {
 	f := &Feed{
-		kind: kind, idx: idx, cfg: cfg, sch: sch, src: src,
+		kind: kind, idx: idx, seed: seed, sch: sch, src: src,
 		prior:   append([]float64(nil), prior...),
-		br:      breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown},
 		filters: make([]*forecast.Kalman, len(prior)),
 	}
 	if kind == fault.FeedPrice {
@@ -379,7 +261,7 @@ func newFeed(kind string, idx int, cfg Config, sch *fault.Schedule, prior []floa
 		if scale <= 0 {
 			scale = 1
 		}
-		k, err := forecast.NewKalman(sq(cfg.ProcessRel*scale), sq(cfg.MeasureRel*scale))
+		k, err := forecast.NewKalman(sq(forecast.ProcessRel*scale), sq(forecast.MeasureRel*scale))
 		if err != nil {
 			return nil, fmt.Errorf("feed: %s %d: %w", kind, idx, err)
 		}
@@ -404,7 +286,6 @@ func (f *Feed) fetch(slot int) ([]float64, Health) {
 	if !f.started {
 		f.born, f.started = slot, true
 	}
-	f.lastSlot = slot
 	h := Health{}
 	eff := f.sch.FeedEffects(f.kind, f.idx, slot)
 	var ok bool
@@ -429,14 +310,14 @@ func (f *Feed) fetch(slot int) ([]float64, Health) {
 // effects, spending virtual latency against the per-slot deadline.
 func (f *Feed) transport(rng *slotStream, eff fault.FeedEffects) (ok bool, attempts int, failure string) {
 	elapsed := 0.0
-	backoff := f.cfg.BaseBackoffMs
-	for attempt := 1; attempt <= f.cfg.MaxAttempts; attempt++ {
+	backoff := baseBackoffMs
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if attempt > 1 {
 			elapsed += backoff
 			backoff *= 2
 		}
-		elapsed += f.cfg.AttemptLatencyMs * eff.LatencyFactor
-		if elapsed > f.cfg.DeadlineMs {
+		elapsed += attemptLatencyMs * eff.LatencyFactor
+		if elapsed > deadlineMs {
 			return false, attempt, "deadline"
 		}
 		switch {
@@ -487,13 +368,10 @@ func (f *Feed) observe(slot int, rng *slotStream, eff fault.FeedEffects, h *Heal
 func (f *Feed) estimate(slot int, h *Health) []float64 {
 	out := make([]float64, len(f.prior))
 	switch {
-	case f.hasLKG && slot-f.lkgSlot <= f.cfg.TTL:
+	case f.hasLKG && slot-f.lkgSlot <= ttl:
 		h.Tier, h.Staleness = TierLKG, slot-f.lkgSlot
-		decay := math.Pow(f.cfg.Decay, float64(h.Staleness))
-		for i := range out {
-			out[i] = f.prior[i] + (f.lkg[i]-f.prior[i])*decay
-		}
-	case f.filters[0].Warm(f.cfg.MinObservations):
+		f.held(out)
+	case f.filters[0].Warm(minObservations):
 		h.Tier = TierForecast
 		h.Staleness = f.age(slot)
 		for i := range out {
@@ -513,6 +391,15 @@ func (f *Feed) estimate(slot int, h *Health) []float64 {
 	return out
 }
 
+// held writes the last-known-good sample into out, as an offset from the
+// prior: it once decayed toward it, at a rate nobody set below 1, and
+// every recorded LKG slot carries prior + (lkg − prior)'s last bit.
+func (f *Feed) held(out []float64) {
+	for i := range out {
+		out[i] = f.prior[i] + (f.lkg[i] - f.prior[i])
+	}
+}
+
 // age is the slots since the newest good sample (since birth when none).
 func (f *Feed) age(slot int) int {
 	if f.hasLKG {
@@ -527,32 +414,24 @@ func (f *Feed) age(slot int) int {
 // the same degradation sequence, which is what keeps sim.Compare lanes
 // aligned.
 type Set struct {
-	cfg      Config
 	prices   []*Feed
 	arrivals []*Feed
 }
 
 // NewSet builds the feed layer. priceSrc[l] and arrivalSrc[s] are the
 // oracle readings (already composed with any legacy observation faults);
-// pricePriors[l] and arrivalPriors[s][k] are the default priors, which
-// cfg.PricePriors / cfg.ArrivalPriors override.
+// pricePriors[l] and arrivalPriors[s][k] are the priors, the estimators
+// of last resort.
 func NewSet(cfg Config, sch *fault.Schedule, priceSrc []func(int) float64, pricePriors []float64,
 	arrivalSrc []func(int) []float64, arrivalPriors [][]float64) (*Set, error) {
-	if err := cfg.ValidateDims(len(priceSrc), len(arrivalSrc), widthOf(arrivalPriors)); err != nil {
-		return nil, err
-	}
-	c := cfg.withDefaults()
-	st := &Set{cfg: c}
+	st := &Set{}
 	for l := range priceSrc {
 		prior := pricePriors[l]
-		if len(c.PricePriors) > 0 {
-			prior = c.PricePriors[l]
-		}
 		if prior <= 0 {
 			return nil, fmt.Errorf("feed: price feed %d needs a positive prior, got %g", l, prior)
 		}
 		src := priceSrc[l]
-		f, err := newFeed(fault.FeedPrice, l, c, sch, []float64{prior},
+		f, err := newFeed(fault.FeedPrice, l, cfg.Seed, sch, []float64{prior},
 			func(slot int) []float64 { return []float64{src(slot)} })
 		if err != nil {
 			return nil, err
@@ -560,25 +439,13 @@ func NewSet(cfg Config, sch *fault.Schedule, priceSrc []func(int) float64, price
 		st.prices = append(st.prices, f)
 	}
 	for s := range arrivalSrc {
-		prior := arrivalPriors[s]
-		if len(c.ArrivalPriors) > 0 {
-			prior = c.ArrivalPriors[s]
-		}
-		f, err := newFeed(fault.FeedArrival, s, c, sch, prior, arrivalSrc[s])
+		f, err := newFeed(fault.FeedArrival, s, cfg.Seed, sch, arrivalPriors[s], arrivalSrc[s])
 		if err != nil {
 			return nil, err
 		}
 		st.arrivals = append(st.arrivals, f)
 	}
 	return st, nil
-}
-
-// widthOf returns the type count of the arrival priors (0 when empty).
-func widthOf(priors [][]float64) int {
-	if len(priors) == 0 {
-		return 0
-	}
-	return len(priors[0])
 }
 
 // Sample is one slot's planner-facing inputs as the feed layer delivered
@@ -618,10 +485,7 @@ func (st *Set) FetchSlot(slot int) *Sample {
 	for s, f := range st.arrivals {
 		row, h := f.Fetch(slot)
 		if h.Tier != TierFresh {
-			m := st.cfg.StaleMargin * float64(h.Staleness)
-			if m > st.cfg.MaxMargin {
-				m = st.cfg.MaxMargin
-			}
+			m := math.Min(maxMargin, staleMargin*float64(h.Staleness))
 			for k := range row {
 				row[k] *= 1 + m
 			}
@@ -650,7 +514,7 @@ type slotStream struct {
 
 func (s *slotStream) draw() *rand.Rand {
 	if s.rng == nil {
-		h := uint64(s.f.cfg.Seed)
+		h := uint64(s.f.seed)
 		for _, b := range []byte(s.f.kind) {
 			h = splitmix64(h ^ uint64(b))
 		}

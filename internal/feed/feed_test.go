@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"profitlb/internal/fault"
+	"profitlb/internal/forecast"
 )
 
 // testSet builds a 2-center / 1-front-end / 2-type feed layer over
@@ -78,8 +79,7 @@ func TestPriorTierWhenFeedNeverDelivers(t *testing.T) {
 	sch := &fault.Schedule{Events: []fault.Event{
 		{Kind: fault.FeedLoss, Feed: fault.FeedArrival, FrontEnd: 0, From: 0, To: 99},
 	}}
-	cfg := Config{StaleMargin: 0.05, MaxMargin: 0.5}
-	st := testSet(t, cfg, sch)
+	st := testSet(t, Config{}, sch)
 	for slot := 0; slot < 8; slot++ {
 		s := st.FetchSlot(slot)
 		h := s.Health.Arrivals[0]
@@ -104,25 +104,8 @@ func TestPriorTierWhenFeedNeverDelivers(t *testing.T) {
 	}
 }
 
-func TestLKGDecayBlendsTowardPrior(t *testing.T) {
-	sch := &fault.Schedule{Events: []fault.Event{
-		{Kind: fault.FeedLoss, Feed: fault.FeedPrice, Center: 1, From: 1, To: 99},
-	}}
-	st := testSet(t, Config{Decay: 0.5}, sch)
-	s0 := st.FetchSlot(0)
-	lkg := s0.Prices[1]
-	prior := 0.11
-	for age := 1; age <= 3; age++ {
-		s := st.FetchSlot(age)
-		want := prior + (lkg-prior)*math.Pow(0.5, float64(age))
-		if math.Abs(s.Prices[1]-want) > 1e-12 {
-			t.Fatalf("age %d: decayed LKG %g, want %g", age, s.Prices[1], want)
-		}
-	}
-}
-
 func TestBreakerStateMachine(t *testing.T) {
-	b := breaker{threshold: 2, cooldown: 2}
+	b := breaker{}
 	if !b.Allow(0) {
 		t.Fatal("closed breaker must allow")
 	}
@@ -241,7 +224,7 @@ func TestEstimatesNeverNegative(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: storm: %v", trial, err)
 		}
-		st := testSet(t, Config{Seed: int64(trial), Decay: 0.9}, sch)
+		st := testSet(t, Config{Seed: int64(trial)}, sch)
 		for slot := 0; slot < 24; slot++ {
 			s := st.FetchSlot(slot)
 			for l, p := range s.Prices {
@@ -268,28 +251,29 @@ func TestEstimatesNeverNegative(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{Decay: 1.5},
-		{Decay: -0.1},
-		{MaxAttempts: -1},
-		{DeadlineMs: math.NaN()},
-		{StaleMargin: math.Inf(1)},
-		{PricePriors: []float64{0.1, -0.2}},
-		{ArrivalPriors: [][]float64{{math.NaN()}}},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Fatalf("bad config %d validated: %+v", i, c)
+// TestConstantsAreTheOldDefaults pins every setting that used to be a
+// feeds key to the value its default was.
+func TestConstantsAreTheOldDefaults(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"maxAttempts", maxAttempts, 3},
+		{"attemptLatencyMs", attemptLatencyMs, 20},
+		{"baseBackoffMs", baseBackoffMs, 25},
+		{"deadlineMs", deadlineMs, 250},
+		{"breakerTrip (breakerThreshold)", breakerTrip, 2},
+		{"breakerCooldown", breakerCooldown, 2},
+		{"ttl", ttl, 3},
+		{"minObservations", minObservations, 2},
+		{"staleMargin", staleMargin, 0.05},
+		{"maxMargin", maxMargin, 0.5},
+		{"processRel", forecast.ProcessRel, 0.15},
+		{"measureRel", forecast.MeasureRel, 0.05},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %g, the key's default was %g", c.name, c.got, c.want)
 		}
-	}
-	dims := Config{PricePriors: []float64{0.1}}
-	if err := dims.ValidateDims(2, 1, 2); err == nil {
-		t.Fatal("1 price prior for 2 centers must fail dims check")
-	}
-	ok := Config{Decay: 0.5, PricePriors: []float64{0.1, 0.2}, ArrivalPriors: [][]float64{{1, 2}}}
-	if err := ok.ValidateDims(2, 1, 2); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
 	}
 }
 

@@ -13,7 +13,7 @@ package feed
 // adapted to projection:
 //
 //	warmed Kalman filter (flat random-walk mean — forecast.PredictH)
-//	→ last-known-good decayed toward the prior by its age at that step
+//	→ last-known-good, held flat
 //	→ prior
 //
 // Unlike a failed fetch — where a young LKG sample outranks the filter —
@@ -26,7 +26,7 @@ func (f *Feed) PredictAhead(h int) [][]float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make([][]float64, h)
-	useFilter := f.filters[0].Warm(f.cfg.MinObservations)
+	useFilter := f.filters[0].Warm(minObservations)
 	var traj [][]float64 // traj[i] is element i's h-step estimate trajectory
 	if useFilter {
 		traj = make([][]float64, len(f.filters))
@@ -48,11 +48,7 @@ func (f *Feed) PredictAhead(h int) [][]float64 {
 				row[i] = traj[i][step-1]
 			}
 		case f.hasLKG:
-			age := f.lastSlot - f.lkgSlot + step
-			decay := pow(f.cfg.Decay, age)
-			for i := range row {
-				row[i] = f.prior[i] + (f.lkg[i]-f.prior[i])*decay
-			}
+			f.held(row)
 		default:
 			copy(row, f.prior)
 		}
@@ -66,20 +62,11 @@ func (f *Feed) PredictAhead(h int) [][]float64 {
 	return out
 }
 
-// pow is an integer-exponent power without math.Pow's special cases.
-func pow(base float64, exp int) float64 {
-	out := 1.0
-	for i := 0; i < exp; i++ {
-		out *= base
-	}
-	return out
-}
-
 // ForecastHorizon implements core.ForecastSource over the whole set:
 // prices[i-1][l] and arrivals[i-1][s][k] estimate the slot i steps past
 // the most recent FetchSlot, for i in [1, h]. It composes each feed's
-// PredictAhead, so degraded feeds degrade their own projections (LKG
-// decay, then prior) without poisoning healthy ones.
+// PredictAhead, so degraded feeds degrade their own projections (LKG,
+// then prior) without poisoning healthy ones.
 func (st *Set) ForecastHorizon(h int) (prices [][]float64, arrivals [][][]float64) {
 	if h < 1 {
 		return nil, nil

@@ -41,8 +41,8 @@ func TestForecastHorizonShapeAndFilterPath(t *testing.T) {
 }
 
 // TestPredictAheadFallsBackToLKGThenPrior drives the ladder: a feed dead
-// from birth projects its prior; one with good samples but a cold filter
-// (high MinObservations) decays its LKG toward the prior step by step.
+// from birth projects its prior; one that died after a single good sample
+// (its filter still cold) holds that sample flat at every step.
 func TestPredictAheadFallsBackToLKGThenPrior(t *testing.T) {
 	schDark := &fault.Schedule{Events: []fault.Event{
 		{Kind: fault.FeedLoss, Feed: fault.FeedPrice, Center: 0, From: 0, To: 99},
@@ -53,35 +53,26 @@ func TestPredictAheadFallsBackToLKGThenPrior(t *testing.T) {
 	}
 	prices, _ := st.ForecastHorizon(3)
 	for i := range prices {
-		if prices[i][0] != 0.08 { // the configured prior
+		if prices[i][0] != 0.08 { // the prior
 			t.Fatalf("dark feed step %d projects %g, want prior 0.08", i+1, prices[i][0])
 		}
 	}
 
-	// Cold filter + live LKG: Decay < 1 pulls the projection toward the
-	// prior as the projected age grows.
+	// Cold filter + live LKG: lost from slot 1, the feed has one good
+	// sample, short of the two that warm the filter.
 	schDie := &fault.Schedule{Events: []fault.Event{
-		{Kind: fault.FeedLoss, Feed: fault.FeedPrice, Center: 1, From: 2, To: 99},
+		{Kind: fault.FeedLoss, Feed: fault.FeedPrice, Center: 1, From: 1, To: 99},
 	}}
-	st2 := testSet(t, Config{MinObservations: 100, Decay: 0.5}, schDie)
+	st2 := testSet(t, Config{}, schDie)
 	for slot := 0; slot < 3; slot++ {
 		st2.FetchSlot(slot)
 	}
 	prices2, _ := st2.ForecastHorizon(3)
-	prior := 0.11
-	lkg := 0.11 + 0.03*math.Cos(1.0) // last good sample was slot 1
+	lkg := 0.11 + 0.03*math.Cos(0) // the slot-0 sample
 	for i := range prices2 {
-		age := 3 - 1 - 1 + (i + 1) // lastSlot − lkgSlot + step
-		want := prior + (lkg-prior)*math.Pow(0.5, float64(age))
-		if math.Abs(prices2[i][1]-want) > 1e-12 {
-			t.Fatalf("LKG step %d projects %g, want %g", i+1, prices2[i][1], want)
+		if math.Abs(prices2[i][1]-lkg) > 1e-12 {
+			t.Fatalf("LKG step %d projects %g, want the held sample %g", i+1, prices2[i][1], lkg)
 		}
-	}
-	// Monotone approach to the prior.
-	d0 := math.Abs(prices2[0][1] - prior)
-	d2 := math.Abs(prices2[2][1] - prior)
-	if d2 >= d0 {
-		t.Fatalf("LKG projection not decaying toward prior: |Δ| %g → %g", d0, d2)
 	}
 }
 

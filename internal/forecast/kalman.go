@@ -15,6 +15,14 @@ import (
 	"profitlb/internal/workload"
 )
 
+// ProcessRel and MeasureRel are the noise the feed layer's and the MPC
+// planner's filters give an element, relative to its magnitude — Q =
+// (ProcessRel·scale)², R likewise: scale-free across prices and rates.
+const (
+	ProcessRel = 0.15
+	MeasureRel = 0.05
+)
+
 // Kalman is a scalar Kalman filter with a random-walk state model:
 //
 //	x_t = x_{t-1} + w,  w ~ N(0, ProcessVar)

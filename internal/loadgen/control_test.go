@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"profitlb/internal/control"
 	"profitlb/internal/core"
 	"profitlb/internal/fault"
 )
@@ -14,7 +13,7 @@ import (
 // merged (time-ordered, tick-interleaved) replay serves bit-identically
 // to the plain per-stream replay, down to every per-lane tally.
 func TestControlCleanBitIdentical(t *testing.T) {
-	run := func(ctrl *control.Config) *Report {
+	run := func(ctrl bool) *Report {
 		cfg := testSimConfig(3)
 		d, src := harness(t, cfg, core.NewOptimized(), nil)
 		rep, err := Run(d, src, Config{Seed: 9, Slots: cfg.Slots, Control: ctrl})
@@ -23,8 +22,8 @@ func TestControlCleanBitIdentical(t *testing.T) {
 		}
 		return rep
 	}
-	off := run(nil)
-	on := run(&control.Config{})
+	off := run(false)
+	on := run(true)
 	if n := on.Actuations(); n != 0 {
 		t.Fatalf("clean scenario actuated %d times; the dead band should absorb Poisson noise", n)
 	}
@@ -101,7 +100,7 @@ func flashSchedule(slots int, factor float64) *fault.Schedule {
 // the frozen replay on both realized profit and worst lane demand
 // error.
 func TestFlashCrowdControllerBeatsFrozen(t *testing.T) {
-	run := func(ctrl *control.Config) *Report {
+	run := func(ctrl bool) *Report {
 		cfg := testSimConfig(4)
 		cfg.Faults = flashSchedule(cfg.Slots, 2)
 		d, src := harness(t, cfg, core.NewOptimized(), nil)
@@ -111,8 +110,8 @@ func TestFlashCrowdControllerBeatsFrozen(t *testing.T) {
 		}
 		return rep
 	}
-	frozen := run(nil)
-	steered := run(&control.Config{})
+	frozen := run(false)
+	steered := run(true)
 	if n := steered.Actuations(); n == 0 {
 		t.Fatal("flash crowd produced zero actuations")
 	}
@@ -143,7 +142,7 @@ func TestFlashCrowdControllerBeatsFrozen(t *testing.T) {
 // ramps the center's lanes down to the effective rate, shedding exactly
 // the unprofitable excess, so it must realize strictly more profit.
 func TestSlowCenterControllerShedsExcess(t *testing.T) {
-	run := func(ctrl *control.Config) *Report {
+	run := func(ctrl bool) *Report {
 		cfg := testSimConfig(3)
 		cfg.Faults = &fault.Schedule{Events: []fault.Event{
 			{Kind: fault.SlowCenter, Center: 0, Factor: 0.5, From: 0, To: cfg.Slots - 1},
@@ -155,8 +154,8 @@ func TestSlowCenterControllerShedsExcess(t *testing.T) {
 		}
 		return rep
 	}
-	frozen := run(nil)
-	steered := run(&control.Config{})
+	frozen := run(false)
+	steered := run(true)
 	if steered.Actuations() == 0 {
 		t.Fatal("slow center produced zero actuations")
 	}
@@ -191,7 +190,7 @@ func TestSlowCenterControllerShedsExcess(t *testing.T) {
 // preserves per-stream arrival and spray order, so a quiet controller
 // leaves a fleet replay bit-identical too.
 func TestFleetControlCleanBitIdentical(t *testing.T) {
-	run := func(ctrl *control.Config) *FleetReport {
+	run := func(ctrl bool) *FleetReport {
 		cfg := testSimConfig(3)
 		f, src := fleetHarness(t, cfg, 3, nil, nil)
 		rep, err := RunFleet(f, src, Config{Seed: 9, Slots: cfg.Slots, Control: ctrl})
@@ -200,8 +199,8 @@ func TestFleetControlCleanBitIdentical(t *testing.T) {
 		}
 		return rep
 	}
-	off := run(nil)
-	on := run(&control.Config{})
+	off := run(false)
+	on := run(true)
 	if n := on.Actuations(); n != 0 {
 		t.Fatalf("clean fleet replay actuated %d times", n)
 	}
@@ -216,7 +215,7 @@ func TestFleetControlCleanBitIdentical(t *testing.T) {
 // epoch-fenced publisher to every replica — the fleet's demand tracking
 // improves and no replica ever answers Invalid.
 func TestFleetControlFlashCrowd(t *testing.T) {
-	run := func(ctrl *control.Config) *FleetReport {
+	run := func(ctrl bool) *FleetReport {
 		cfg := testSimConfig(4)
 		cfg.Faults = flashSchedule(cfg.Slots, 2)
 		f, src := fleetHarness(t, cfg, 3, cfg.Faults, nil)
@@ -226,8 +225,8 @@ func TestFleetControlFlashCrowd(t *testing.T) {
 		}
 		return rep
 	}
-	frozen := run(nil)
-	steered := run(&control.Config{})
+	frozen := run(false)
+	steered := run(true)
 	if steered.Actuations() == 0 {
 		t.Fatal("fleet flash crowd produced zero actuations")
 	}

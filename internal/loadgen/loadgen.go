@@ -43,15 +43,14 @@ type Config struct {
 	// BurstFactor <= 1 replay of the same seed makes. Nil bursts every
 	// front-end (the legacy fleet-global behaviour).
 	BurstFrontEnd *int
-	// Control, when non-nil, closes the sub-slot loop: a
-	// control.Controller over the gateway (or fleet) samples achieved
-	// per-stream rates every SlotLen/TicksPerSlot of virtual time and
+	// Control closes the sub-slot loop: a control.Controller over the
+	// gateway (or fleet) samples achieved per-stream rates every
+	// SlotLen/control.TicksPerSlot of virtual time and
 	// hot-swaps corrective re-scaled tables mid-slot. Arrivals are then
 	// replayed in global time order with control ticks interleaved; when
 	// the controller never actuates, serving is bit-identical to a
-	// control-off replay (per-lane buckets and per-stream draw sequences
-	// see the same per-stream order either way).
-	Control *control.Config
+	// control-off replay.
+	Control bool
 	// Closed switches to a closed loop: Users virtual users per
 	// (type, front-end) stream, each issuing a request, waiting the
 	// lane's expected delay, thinking Exp(Think), and repeating.
@@ -285,6 +284,13 @@ func newReplayer(cfg Config, gw *dispatch.Gateway, src *sim.InputSource, plant c
 	if cfg.Closed && cfg.Users < 0 {
 		return nil, fmt.Errorf("loadgen: negative closed-loop population %d", cfg.Users)
 	}
+	// A negative think time walks a user backwards, never to reach T.
+	if cfg.Think < 0 || math.IsNaN(cfg.Think) || math.IsInf(cfg.Think, 0) {
+		return nil, fmt.Errorf("loadgen: closed-loop think time (-think) %g, want a finite value >= 0", cfg.Think)
+	}
+	if cfg.BurstFactor < 0 || math.IsNaN(cfg.BurstFactor) {
+		return nil, fmt.Errorf("loadgen: burst factor (-burst-factor) %g, want a value >= 0", cfg.BurstFactor)
+	}
 	if cfg.Think == 0 {
 		cfg.Think = sys.Slot() / 8
 	}
@@ -292,11 +298,8 @@ func newReplayer(cfg Config, gw *dispatch.Gateway, src *sim.InputSource, plant c
 		return nil, fmt.Errorf("loadgen: burst front-end %d outside [0,%d)", *cfg.BurstFrontEnd, sys.S())
 	}
 	rp := &replayer{cfg: cfg, src: src, sys: sys, sch: src.Config().Faults}
-	if cfg.Control != nil {
-		if err := cfg.Control.Validate(); err != nil {
-			return nil, err
-		}
-		rp.ctrl = control.NewController(*cfg.Control, gw.Config(), plant, gw.Scope())
+	if cfg.Control {
+		rp.ctrl = control.NewController(gw.Config(), plant, gw.Scope())
 	}
 	return rp, nil
 }
@@ -356,7 +359,7 @@ func (rp *replayer) slot(abs int, start float64, table *dispatch.Table,
 	if rp.ctrl != nil {
 		prevActs := rp.ctrl.Actuations()
 		rp.ctrl.BeginSlot(table, start, rp.sch.CenterFactors(rp.sys.L(), abs))
-		replayControlled(merged, T, start, rp.cfg.Control.WithDefaults().TicksPerSlot, rp.ctrl, handle)
+		replayControlled(merged, T, start, rp.ctrl, handle)
 		res.Actuations = rp.ctrl.Actuations() - prevActs
 		res.ControlFrozen = rp.ctrl.Frozen()
 	}
@@ -433,11 +436,11 @@ type arrival struct {
 }
 
 // replayControlled fires the slot's arrivals in global time order with
-// controller ticks interleaved at start + j·T/ticks. The merge keeps
-// each stream's arrivals in their original order, so every per-stream
-// draw sequence and per-lane bucket trajectory is identical to the
-// per-stream nested replay whenever the controller never actuates.
-func replayControlled(merged []arrival, T, start float64, ticks int, ctrl *control.Controller, handle func(k, s int, at float64)) {
+// controller ticks interleaved at start + j·T/control.TicksPerSlot. The
+// merge keeps each stream's arrivals in their original order, so every
+// per-stream draw sequence and per-lane bucket trajectory is identical to
+// the per-stream nested replay whenever the controller never actuates.
+func replayControlled(merged []arrival, T, start float64, ctrl *control.Controller, handle func(k, s int, at float64)) {
 	sort.Slice(merged, func(a, b int) bool {
 		if merged[a].at != merged[b].at {
 			return merged[a].at < merged[b].at
@@ -447,11 +450,11 @@ func replayControlled(merged []arrival, T, start float64, ticks int, ctrl *contr
 		}
 		return merged[a].k < merged[b].k
 	})
-	dt := T / float64(ticks)
+	dt := T / control.TicksPerSlot
 	ei := 0
 	// The final tick boundary is the slot end itself: the next BeginSlot
 	// supersedes anything it could publish, so it is skipped.
-	for j := 1; j < ticks; j++ {
+	for j := 1; j < control.TicksPerSlot; j++ {
 		for ei < len(merged) && merged[ei].at < float64(j)*dt {
 			handle(merged[ei].k, merged[ei].s, merged[ei].at)
 			ei++

@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"profitlb/internal/core"
@@ -212,6 +214,31 @@ func TestClosedLoop(t *testing.T) {
 	for i := range rep.Slots {
 		if rep.Slots[i].Invalid != 0 {
 			t.Fatalf("slot %d: %d invalid answers", rep.Slots[i].Slot, rep.Slots[i].Invalid)
+		}
+	}
+}
+
+// TestReplayerRejectsRunawayLoad: a negative think time walks every
+// closed-loop user backwards in time, so the slot never ends and the
+// arrival list grows without bound (`loadtest -closed -think -1` used to
+// hang); a NaN never compares past the slot's end either. The config is
+// refused before anything is synthesized, by the name of the flag.
+func TestReplayerRejectsRunawayLoad(t *testing.T) {
+	cfg := testSimConfig(1)
+	d, src := harness(t, cfg, core.NewOptimized(), nil)
+	for name, c := range map[string]struct {
+		cfg  Config
+		flag string
+	}{
+		"negative think": {Config{Slots: 1, Closed: true, Users: 4, Think: -1}, "-think"},
+		"NaN think":      {Config{Slots: 1, Closed: true, Think: math.NaN()}, "-think"},
+		"infinite think": {Config{Slots: 1, Closed: true, Think: math.Inf(1)}, "-think"},
+		"negative burst": {Config{Slots: 1, BurstFactor: -2}, "-burst-factor"},
+		"NaN burst":      {Config{Slots: 1, BurstFactor: math.NaN()}, "-burst-factor"},
+	} {
+		_, err := newReplayer(c.cfg, d.Gateway, src, nil)
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s: error %v, want one naming %s", name, err, c.flag)
 		}
 	}
 }

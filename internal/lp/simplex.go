@@ -12,7 +12,7 @@ type Options struct {
 	// MaxIterations bounds the total pivot count across both phases.
 	// 0 means an automatic bound of 200*(rows+cols)+2000.
 	MaxIterations int
-	// Tol is the numeric tolerance for zero tests. 0 means 1e-9.
+	// Tol is the numeric tolerance for zero tests. 0 means defaultTol.
 	Tol float64
 	// Bland forces Bland's smallest-index rule from the first pivot.
 	// By default Dantzig pricing is used and the solver switches to
@@ -26,12 +26,16 @@ type Options struct {
 	Sparse bool
 }
 
+// defaultTol is the solver's zero test; every tolerance outside the
+// solver is this one or looser (DESIGN §16).
+const defaultTol = 1e-9
+
 func (o Options) withDefaults(rows, cols int) Options {
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 200*(rows+cols) + 2000
 	}
 	if o.Tol <= 0 {
-		o.Tol = 1e-9
+		o.Tol = defaultTol
 	}
 	return o
 }

@@ -141,7 +141,7 @@ func TestMPCBeatsMyopicOnHoustonVibration(t *testing.T) {
 // profit on fault-free scenarios, including the adversarial ones — flat
 // prices (deferral can only break even), a monotone morning price ramp
 // (where a lagging forecast would defer straight into the peak if the
-// DeferMargin hedge were absent), and a plain two-class day.
+// price hedge were absent), and a plain two-class day.
 func TestMPCNeverLosesOnCleanScenarios(t *testing.T) {
 	cases := []struct {
 		name string

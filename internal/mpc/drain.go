@@ -164,7 +164,8 @@ func reclaimShares(sys *datacenter.System, plan *core.Plan, l int) bool {
 			if lam := plan.CenterRate(k, q, l); lam > 0 {
 				req = lam/(n*mu) + 1/(levels[q].Deadline*mu)
 			}
-			if req < phi-1e-12 {
+			// Tighten only past round-off: dust, as for bucket volumes.
+			if req < phi-dust {
 				plan.Phi[l][k][q] = req
 				changed = true
 			}

@@ -28,7 +28,8 @@ package mpc
 
 import "fmt"
 
-// Config tunes the rolling-horizon controller.
+// Config is what a run chooses about the rolling-horizon controller: the
+// window, each class's deferral allowance, and where the run ends.
 type Config struct {
 	// Horizon is the window length H in slots. 1 disables lookahead — a
 	// one-slot window cannot see the future, so deferral is pointless and
@@ -43,46 +44,32 @@ type Config struct {
 	// so work that could only run after the end is lost immediately
 	// instead of stranded in the buffer.
 	EndSlot int `json:"endSlot,omitempty"`
-	// DeferMargin is the robustness hedge on forecast prices: horizon
-	// assembly inflates every future slot's price by (1+DeferMargin), so
+}
+
+// The controller's fixed settings. The internal filters' noise is
+// forecast.ProcessRel/MeasureRel of each element's first sample.
+const (
+	// priceHedge is the robustness hedge on forecast prices: horizon
+	// assembly inflates every future slot's price by (1+priceHedge), so
 	// the LP only withholds profitable work for later when the predicted
 	// saving is large enough to survive forecast error. Without it a
 	// lagging forecast under-predicts prices on every upward ramp and the
 	// planner defers work straight into the peak. Passively-unserved work
 	// (unprofitable or capacity-starved now) still enters the backlog
-	// regardless — the margin gates active withholding only. 0 means the
-	// default 0.2; negative means no hedge.
-	DeferMargin float64 `json:"deferMargin,omitempty"`
-	// ProcessRel and MeasureRel scale the internal Kalman filters' noise
-	// relative to each element's first observation (used only when no
-	// external forecast source is attached). Defaults 0.15 and 0.05,
-	// matching the feed layer's.
-	ProcessRel float64 `json:"processRel,omitempty"`
-	MeasureRel float64 `json:"measureRel,omitempty"`
-	// MinObservations is how many samples an internal filter needs before
-	// its projection outranks the last observation held flat (default 3).
-	MinObservations int `json:"minObservations,omitempty"`
-}
+	// regardless — the hedge gates active withholding only.
+	priceHedge = 0.2
+	// minObservations is how many samples an internal filter needs before
+	// its projection outranks the last observation held flat (used only
+	// when no external forecast source is attached).
+	minObservations = 3
+	// minScale floors a filter's noise scale, which a zero first sample would zero.
+	minScale = 1e-6
+)
 
-// WithDefaults fills unset fields.
+// WithDefaults fills an unset Horizon (4).
 func (c Config) WithDefaults() Config {
 	if c.Horizon == 0 {
 		c.Horizon = 4
-	}
-	switch {
-	case c.DeferMargin == 0:
-		c.DeferMargin = 0.2
-	case c.DeferMargin < 0:
-		c.DeferMargin = 0
-	}
-	if c.ProcessRel <= 0 {
-		c.ProcessRel = 0.15
-	}
-	if c.MeasureRel <= 0 {
-		c.MeasureRel = 0.05
-	}
-	if c.MinObservations <= 0 {
-		c.MinObservations = 3
 	}
 	return c
 }

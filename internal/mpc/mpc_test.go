@@ -8,6 +8,7 @@ import (
 
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
+	"profitlb/internal/forecast"
 	"profitlb/internal/obs"
 	"profitlb/internal/tuf"
 )
@@ -41,16 +42,29 @@ func slotInput(sys *datacenter.System, slot int, price, web, batch float64) *cor
 }
 
 func TestConfigWithDefaults(t *testing.T) {
-	c := Config{}.WithDefaults()
-	if c.Horizon != 4 || c.DeferMargin != 0.2 || c.ProcessRel != 0.15 ||
-		c.MeasureRel != 0.05 || c.MinObservations != 3 {
+	if c := (Config{}).WithDefaults(); c.Horizon != 4 {
 		t.Fatalf("defaults = %+v", c)
 	}
-	if got := (Config{DeferMargin: -1}).WithDefaults().DeferMargin; got != 0 {
-		t.Fatalf("negative margin → %g, want explicit 0", got)
+	if c := (Config{Horizon: 7}).WithDefaults(); c.Horizon != 7 {
+		t.Fatalf("explicit horizon overwritten: %+v", c)
 	}
-	if got := (Config{DeferMargin: 0.05}).WithDefaults().DeferMargin; got != 0.05 {
-		t.Fatalf("explicit margin overwritten: %g", got)
+}
+
+// TestConstantsAreTheOldDefaults pins every setting that used to be an
+// mpc key to the value its default was.
+func TestConstantsAreTheOldDefaults(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"priceHedge (deferMargin)", priceHedge, 0.2},
+		{"processRel", forecast.ProcessRel, 0.15},
+		{"measureRel", forecast.MeasureRel, 0.05},
+		{"minObservations", minObservations, 3},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %g, the key's default was %g", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -89,12 +89,9 @@ type kalmanCell struct {
 
 func (p *Planner) observe(c *kalmanCell, z float64) {
 	if c.f == nil {
-		scale := z
-		if scale < 1e-6 {
-			scale = 1e-6
-		}
+		scale := math.Max(z, minScale)
 		sq := func(x float64) float64 { return x * x }
-		c.f, _ = forecast.NewKalman(sq(p.cfg.ProcessRel*scale), sq(p.cfg.MeasureRel*scale))
+		c.f, _ = forecast.NewKalman(sq(forecast.ProcessRel*scale), sq(forecast.MeasureRel*scale))
 	}
 	c.f.Observe(z)
 	c.last = z
@@ -103,7 +100,7 @@ func (p *Planner) observe(c *kalmanCell, z float64) {
 // ahead projects the cell h steps forward: the warm filter's trajectory,
 // else the last observation held flat.
 func (p *Planner) ahead(c *kalmanCell, h int) []float64 {
-	if c.f != nil && c.f.Warm(p.cfg.MinObservations) {
+	if c.f != nil && c.f.Warm(minObservations) {
 		if est, _, err := c.f.PredictH(h); err == nil {
 			return est
 		}
@@ -246,9 +243,9 @@ func (p *Planner) assembleWindow(in *core.Input, H int) (*core.HorizonInput, err
 	for t := 1; t < H; t++ {
 		hin.Prices[t] = clampRow(prices[t-1], L)
 		// Robustness hedge: deferring work to slot t only pays if the
-		// forecast saving survives a (1+DeferMargin) price error.
+		// forecast saving survives a (1+priceHedge) price error.
 		for l := range hin.Prices[t] {
-			hin.Prices[t][l] *= 1 + p.cfg.DeferMargin
+			hin.Prices[t][l] *= 1 + priceHedge
 		}
 		hin.Arrivals[t] = make([][]float64, S)
 		for s := 0; s < S; s++ {

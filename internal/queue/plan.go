@@ -17,7 +17,7 @@ func eachQueue(sys *datacenter.System, plan *core.Plan, n int, seed int64, visit
 		for k := 0; k < sys.K(); k++ {
 			for q := range plan.Rate[k] {
 				lamTotal := plan.CenterRate(k, q, l)
-				if lamTotal <= 1e-9 {
+				if lamTotal <= core.RateEps {
 					continue
 				}
 				if plan.ServersOn[l] == 0 {

@@ -124,9 +124,6 @@ func (c *Config) Validate() error {
 	if err := c.Faults.Validate(c.Sys.L(), c.Sys.S()); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if err := c.Feeds.ValidateDims(c.Sys.L(), c.Sys.S(), c.Sys.K()); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
 	return nil
 }
 

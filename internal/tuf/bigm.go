@@ -11,6 +11,9 @@ import (
 // any meaningful delay resolution.
 const DefaultDelta = 1e-9
 
+// feasEps is the round-off of evaluating a constraint at a point.
+const feasEps = 1e-12
+
 // BigMConstraint is one inequality of the series: the constraint
 //
 //	timeGap(R) + M · utilityGap(U) ≤ 0
@@ -111,7 +114,7 @@ func (cs *ConstraintSeries) add(name string, tg, ug func(float64) float64) {
 // is feasible, namely TUF(r); FeasibleUtilities lets tests verify this.
 func (cs *ConstraintSeries) Feasible(r, u float64) bool {
 	for _, c := range cs.Constraints {
-		if c.TimeGap(r)+cs.M*c.UtilityGap(u) > 1e-12 {
+		if c.TimeGap(r)+cs.M*c.UtilityGap(u) > feasEps {
 			return false
 		}
 	}

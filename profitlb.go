@@ -264,8 +264,8 @@ func VerifyHorizon(h *HorizonInput, hp *HorizonPlan, tol float64) error {
 // backlog. Plug it into Simulate like any other Planner.
 type (
 	// MPCConfig parameterizes the receding-horizon planner: window
-	// length, per-class deferral allowances (slots each class may wait),
-	// the forecast-hedge margin and the Kalman filter knobs.
+	// length, per-class deferral allowances (slots each class may wait)
+	// and the slot the run ends at.
 	MPCConfig = mpc.Config
 	// MPCPlanner is the rolling-horizon planner with its deferrable
 	// backlog. It implements Planner.
@@ -276,8 +276,8 @@ type (
 	DeferralLedger = core.BacklogSlot
 )
 
-// NewMPC returns the receding-horizon MPC planner for cfg (zero-valued
-// fields take their documented defaults at first use).
+// NewMPC returns the receding-horizon MPC planner for cfg (a zero
+// Horizon means 4).
 func NewMPC(cfg MPCConfig) *MPCPlanner { return mpc.New(cfg) }
 
 // Fault injection and resilient planning (DESIGN.md §6).

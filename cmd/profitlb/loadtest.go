@@ -17,9 +17,10 @@ import (
 
 // cmdLoadtest replays a scenario against the dispatch plane at request
 // granularity and reports achieved vs planned traffic, shed fractions
-// and realized vs predicted profit. By default it runs the gateway
-// in-process (driver + load generator in virtual time); with -addr it
-// instead fires requests at a live `profitlb serve` gateway over HTTP.
+// and realized vs predicted profit. By default it runs the gateways
+// in-process — a fleet of one unless -replicas or the scenario's cluster
+// block says otherwise — under the load generator in virtual time; with
+// -addr it instead fires requests at a live `profitlb serve` over HTTP.
 func cmdLoadtest(args []string) error {
 	fs := flag.NewFlagSet("loadtest", flag.ContinueOnError)
 	path := fs.String("config", "", "path to a scenario JSON file (see 'scaffold')")
@@ -37,7 +38,7 @@ func cmdLoadtest(args []string) error {
 	minPlanned := fs.Float64("min-planned", 500, "lanes below this planned request count are excluded from the rate-error gate")
 	addr := fs.String("addr", "", "HTTP mode: base URL of a live gateway, or a comma-separated list of replica URLs")
 	n := fs.Int("n", 1000, "HTTP mode: requests to fire")
-	replicas := fs.Int("replicas", 0, "replay against an in-process replicated gateway fleet of this size (overrides the scenario's cluster block)")
+	replicas := fs.Int("replicas", 0, "replay against an in-process gateway fleet of this size (overrides the scenario's cluster block; default one)")
 	metricsPath := fs.String("metrics", "", "write the replay's metrics to this file on exit (Prometheus text; JSON when the path ends in .json)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,8 +95,7 @@ func cmdLoadtest(args []string) error {
 	if err != nil {
 		return err
 	}
-	gw := dispatch.NewGateway(sc.System, sc.DispatchConfig(), scope)
-	d := &dispatch.Driver{Gateway: gw, Planner: planner, Source: src}
+	d := &dispatch.Driver{Gateway: dispatch.NewGateway(sc.System, sc.DispatchConfig(), scope), Planner: planner, Source: src}
 	lcfg := loadgen.Config{
 		Seed:        *seed,
 		StartSlot:   sc.StartSlot,
@@ -116,76 +116,27 @@ func cmdLoadtest(args []string) error {
 	if *replicas > 0 {
 		ccfg.Replicas = *replicas
 	}
-	if ccfg.Replicas > 1 {
-		if err := fleetLoadtest(sc, ccfg, d, src, lcfg, scope, *minPlanned); err != nil {
-			return err
-		}
-		return writeMetrics(*metricsPath, reg)
-	}
-	rep, err := loadgen.Run(d, src, lcfg)
-	if err != nil {
-		return err
-	}
-
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "loadtest %s: planner %s, %d slots, seed %d\n", sc.Name, rep.Planner, len(rep.Slots), *seed)
-	fmt.Fprintln(w, "SLOT\tOFFERED\tADMITTED\tSHED(BUDGET)\tSHED(UNPLANNED)\tNET($)\tPLANNED($)\tTIER")
-	for i := range rep.Slots {
-		s := &rep.Slots[i]
-		tier := s.Tier
-		if tier == "" {
-			tier = "primary"
-		}
-		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%.2f\t%.2f\t%s\n",
-			s.Slot, s.Offered, s.Admitted, s.ShedBudget, s.ShedUnplanned, s.NetProfit, s.PlannedProfit, tier)
-	}
-	offered, admitted, shed := rep.Totals()
-	fmt.Fprintf(w, "total\t%d\t%d\t%d\t\t%.2f\t%.2f\t\n", offered, admitted, shed,
-		rep.TotalNetProfit(), rep.TotalPlannedProfit())
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("shed fraction %.4f (%d budget, %d unplanned), max lane rate error %.2f%% (lanes ≥ %.0f planned), degraded slots %d/%d\n",
-		rep.ShedFraction(), rep.BudgetShed(), shed-rep.BudgetShed(),
-		100*rep.MaxLaneError(*minPlanned), *minPlanned, rep.DegradedSlots(), len(rep.Slots))
-	if lcfg.Control {
-		fmt.Printf("control: %d actuations, max lane demand error %.2f%% (lanes ≥ %.0f demand)\n",
-			rep.Actuations(), 100*rep.MaxDemandError(*minPlanned), *minPlanned)
-	}
-
-	// Reconcile the generator's accounting with the gateway's counters:
-	// both watched the same requests through independent code paths.
-	cReq := scope.Counter("dispatch_requests_total").Value()
-	cAdmit := scope.Counter("dispatch_admitted_total").Value()
-	cShed := scope.Counter("dispatch_shed_total", obs.L("reason", "budget")).Value() +
-		scope.Counter("dispatch_shed_total", obs.L("reason", "unplanned")).Value()
-	if cReq == offered && cAdmit == admitted && cShed == shed {
-		fmt.Printf("obs counters reconcile: %d requests = %d admitted + %d shed\n", cReq, cAdmit, cShed)
-	} else {
-		fmt.Printf("obs counters DISAGREE: counters %d/%d/%d vs report %d/%d/%d\n",
-			cReq, cAdmit, cShed, offered, admitted, shed)
-	}
-	return writeMetrics(*metricsPath, reg)
-}
-
-// fleetLoadtest replays the scenario against an in-process replicated
-// gateway fleet and reconciles each replica's gateway counters against
-// the generator's per-replica tallies.
-func fleetLoadtest(sc *config.Scenario, ccfg cluster.Config, d *dispatch.Driver, src *sim.InputSource, lcfg loadgen.Config, scope *obs.Scope, minPlanned float64) error {
 	f, err := cluster.NewFleet(sc.System, sc.DispatchConfig(), ccfg, d, sc.Faults, scope)
 	if err != nil {
 		return err
 	}
-	rep, err := loadgen.RunFleet(f, src, lcfg)
+	rep, err := loadgen.Run(f, src, lcfg)
 	if err != nil {
 		return err
 	}
-	rep.Planner = d.Planner.Name()
+	if err := printReplay(sc, planner.Name(), lcfg, rep, *minPlanned); err != nil {
+		return err
+	}
+	reconcile(f, rep, scope, float64(len(rep.Slots))*sc.System.Slot())
+	return writeMetrics(*metricsPath, reg)
+}
 
+// printReplay writes the replay's per-slot table and its summary lines.
+func printReplay(sc *config.Scenario, planner string, lcfg loadgen.Config, rep *loadgen.Report, minPlanned float64) error {
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "loadtest %s: planner %s, fleet of %d, %d slots, seed %d\n",
-		sc.Name, rep.Planner, rep.Replicas, len(rep.Slots), lcfg.Seed)
-	fmt.Fprintln(w, "SLOT\tEPOCH\tLIVE\tSTALE\tOFFERED\tADMITTED\tSHED(BUDGET)\tSHED(UNPLANNED)\tINVALID\tTIER")
+		sc.Name, planner, rep.Replicas, len(rep.Slots), lcfg.Seed)
+	fmt.Fprintln(w, "SLOT\tEPOCH\tLIVE\tSTALE\tOFFERED\tADMITTED\tSHED(BUDGET)\tSHED(UNPLANNED)\tINVALID\tNET($)\tPLANNED($)\tTIER")
 	for i := range rep.Slots {
 		s := &rep.Slots[i]
 		tier := s.Tier
@@ -195,25 +146,31 @@ func fleetLoadtest(sc *config.Scenario, ccfg cluster.Config, d *dispatch.Driver,
 		if s.Epoch == 0 {
 			tier = "outage"
 		}
-		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
-			s.Slot, s.Epoch, s.Live, s.Stale, s.Offered, s.Admitted, s.ShedBudget, s.ShedUnplanned, s.Invalid, tier)
+		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.2f\t%.2f\t%s\n",
+			s.Slot, s.Epoch, s.Live, s.Stale, s.Offered, s.Admitted, s.ShedBudget, s.ShedUnplanned, s.Invalid,
+			s.NetProfit, s.PlannedProfit, tier)
 	}
 	offered, admitted, shed := rep.Totals()
-	fmt.Fprintf(w, "total\t\t\t\t%d\t%d\t%d\t\t%d\t\n", offered, admitted, shed, rep.Invalid())
+	fmt.Fprintf(w, "total\t\t\t\t%d\t%d\t%d\t\t%d\t%.2f\t%.2f\t\n", offered, admitted, shed, rep.Invalid(),
+		rep.TotalNetProfit(), rep.TotalPlannedProfit())
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("max fleet lane rate error %.2f%% (lanes ≥ %.0f planned), invalid answers %d\n",
-		100*rep.MaxLaneError(minPlanned), minPlanned, rep.Invalid())
+	fmt.Printf("shed fraction %.4f (%d budget, %d unplanned), max lane rate error %.2f%% (lanes ≥ %.0f planned), invalid answers %d, degraded slots %d/%d\n",
+		rep.ShedFraction(), rep.BudgetShed(), shed-rep.BudgetShed(),
+		100*rep.MaxLaneError(minPlanned), minPlanned, rep.Invalid(), rep.DegradedSlots(), len(rep.Slots))
 	if lcfg.Control {
-		fmt.Printf("control: %d actuations, max fleet lane demand error %.2f%% (lanes ≥ %.0f demand)\n",
+		fmt.Printf("control: %d actuations, max lane demand error %.2f%% (lanes ≥ %.0f demand)\n",
 			rep.Actuations(), 100*rep.MaxDemandError(minPlanned), minPlanned)
 	}
+	return nil
+}
 
-	// Reconcile each replica's gateway counters against the generator's
-	// per-replica ground truth: every request the balancer fired at a
-	// replica must be in that replica's own accounting, exactly.
-	now := float64(len(rep.Slots)) * sc.System.Slot()
+// reconcile checks the generator's accounting against the replicas' own:
+// each replica's gateway counters against the requests the balancer fired
+// at it, and the shared dispatch counters against the report's totals —
+// both watched the same requests through independent code paths.
+func reconcile(f *cluster.Fleet, rep *loadgen.Report, scope *obs.Scope, now float64) {
 	ok := true
 	for i, pr := range rep.PerReplica {
 		st := f.Replicas[i].Gateway().Stats(now)
@@ -225,9 +182,15 @@ func fleetLoadtest(sc *config.Scenario, ccfg cluster.Config, d *dispatch.Driver,
 				pr.Offered, pr.Admitted, pr.ShedBudget+pr.ShedUnplanned)
 		}
 	}
-	if ok {
-		fmt.Printf("per-replica counters reconcile across %d replicas: %d requests = %d admitted + %d shed\n",
-			rep.Replicas, offered, admitted, shed)
+	offered, admitted, shed := rep.Totals()
+	cReq := scope.Counter("dispatch_requests_total").Value()
+	cAdmit := scope.Counter("dispatch_admitted_total").Value()
+	cShed := scope.Counter("dispatch_shed_total", obs.L("reason", "budget")).Value() +
+		scope.Counter("dispatch_shed_total", obs.L("reason", "unplanned")).Value()
+	if ok && cReq == offered && cAdmit == admitted && cShed == shed {
+		fmt.Printf("obs counters reconcile across %d replicas: %d requests = %d admitted + %d shed\n", rep.Replicas, cReq, cAdmit, cShed)
+	} else {
+		fmt.Printf("obs counters DISAGREE: counters %d/%d/%d vs report %d/%d/%d\n",
+			cReq, cAdmit, cShed, offered, admitted, shed)
 	}
-	return nil
 }

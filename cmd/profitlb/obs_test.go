@@ -180,8 +180,8 @@ func TestCmdSimulatePprofSmoke(t *testing.T) {
 	}
 }
 
-// TestCmdLoadtestMetrics: -metrics is honoured by both replay modes —
-// the single gateway and the in-process fleet — and the dumped request
+// TestCmdLoadtestMetrics: -metrics is honoured for a lone gateway (a
+// fleet of one) and a three-replica fleet alike, and the dumped request
 // counter is the offered count the report reconciles on its last line.
 func TestCmdLoadtestMetrics(t *testing.T) {
 	cfgPath, dir := obsScenario(t)

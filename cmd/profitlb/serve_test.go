@@ -33,7 +33,7 @@ func serveScenario(t *testing.T) *config.Scenario {
 // cleanup drain in case the test bails early.
 func startServer(t *testing.T, sc *config.Scenario) *gatewayServer {
 	t.Helper()
-	gs, err := newGatewayServer(sc, "127.0.0.1:0")
+	gs, err := newServer(sc, "127.0.0.1:0", serveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestServeFrontEndExposure(t *testing.T) {
 func TestServeRejectsInvalidScenario(t *testing.T) {
 	sc := serveScenario(t)
 	sc.Planner = "no-such-planner"
-	if _, err := newGatewayServer(sc, "127.0.0.1:0"); err == nil {
+	if _, err := newServer(sc, "127.0.0.1:0", serveOptions{}); err == nil {
 		t.Fatal("bogus planner accepted")
 	}
 }

@@ -39,10 +39,10 @@ const (
 
 // Config is the cluster block of a scenario configuration: the fleet
 // size and the plan-pull transport's wall-clock settings, a deployment's
-// to choose. The zero value is "no cluster"; WithDefaults fills the rest.
+// to choose. The zero value is a fleet of one; WithDefaults fills the rest.
 type Config struct {
-	// Replicas is the gateway fleet size. 0 disables clustering; 1 is a
-	// degenerate but valid fleet (useful for the join-mode server).
+	// Replicas is the gateway fleet size. 0 means one replica — a lone
+	// gateway is a fleet of one, served down the same path as any other.
 	Replicas int `json:"replicas"`
 	// PollWaitMs is how long the control plane holds a long-poll open
 	// waiting for a fresher epoch before answering 204. Default 2000.
@@ -58,8 +58,12 @@ type Config struct {
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 }
 
-// WithDefaults fills unset transport settings, leaving Replicas as given.
+// WithDefaults fills unset settings: one replica, and the transport's
+// timings.
 func (c Config) WithDefaults() Config {
+	if c.Replicas == 0 {
+		c.Replicas = 1
+	}
 	if c.PollWaitMs <= 0 {
 		c.PollWaitMs = 2000
 	}

@@ -242,6 +242,32 @@ func TestReplicaApplyFences(t *testing.T) {
 	}
 }
 
+// TestApplyTimesTheSwap: a scoped replica's apply lands a positive
+// decode + fit + subdivide + install time in dispatch_swap_seconds (it
+// used to pass 0 and the histogram read 0 for every fleet install); a
+// fenced delivery installs nothing and observes nothing.
+func TestApplyTimesTheSwap(t *testing.T) {
+	sys := testSystem()
+	dcfg := dispatch.Config{Seed: 5, SlotSeconds: 60}
+	reg := obs.NewRegistry()
+	p := NewPublisher(testClusterConfig(0), testDriver(sys, dcfg, nil), nil)
+	r := NewReplica("r0", sys, dcfg, Config{}, obs.NewScope(reg, nil))
+	p.Beat("r0", 0)
+	pub, err := p.PublishSlot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []bool{true, false} { // the second delivery is a duplicate
+		if installed, err := r.Apply(pub, 0); err != nil || installed != want {
+			t.Fatalf("apply: installed %v (%v), want %v", installed, err, want)
+		}
+	}
+	h := reg.Snapshot().Histograms["dispatch_swap_seconds"]
+	if h.Count != 1 || !(h.Sum > 0) {
+		t.Fatalf("dispatch_swap_seconds count %d sum %g, want one positive observation", h.Count, h.Sum)
+	}
+}
+
 // TestReplicaStaleTTLDowngrade: missed slot boundaries grow staleness,
 // crossing the TTL downgrades to conservative-shed serving on the last
 // good epoch, and a fresh epoch clears the downgrade.

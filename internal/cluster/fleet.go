@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 
 	"profitlb/internal/datacenter"
 	"profitlb/internal/dispatch"
@@ -31,12 +30,10 @@ type Fleet struct {
 }
 
 // NewFleet builds a publisher around the driver plus cfg.Replicas
-// replicas sharing the scope. The schedule may be nil (no faults).
+// replicas (one when unset) sharing the scope. The schedule may be nil
+// (no faults).
 func NewFleet(sys *datacenter.System, dcfg dispatch.Config, cfg Config, drv *dispatch.Driver, sch *fault.Schedule, scope *obs.Scope) (*Fleet, error) {
 	cfg = cfg.WithDefaults()
-	if cfg.Replicas <= 0 {
-		return nil, fmt.Errorf("cluster: fleet needs at least one replica, got %d", cfg.Replicas)
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

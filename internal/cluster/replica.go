@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"profitlb/internal/datacenter"
 	"profitlb/internal/dispatch"
@@ -138,6 +139,12 @@ func (r *Replica) Apply(pub *Publication, now float64) (bool, error) {
 		r.gw.InstallIfNewer(&dispatch.Table{Header: dispatch.Header{Epoch: pub.Epoch, Sub: pub.Sub}}, now, 0)
 		return false, nil
 	}
+	// The swap histogram reads decode + fit + subdivide here and Install
+	// adds its own time; nothing is timed without a scope.
+	var began time.Time
+	if r.scope.Enabled() {
+		began = time.Now()
+	}
 	full, err := dispatch.FromWire(pub.Table)
 	if err == nil {
 		err = fits(full, r.gw.System())
@@ -149,7 +156,11 @@ func (r *Replica) Apply(pub *Publication, now float64) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("cluster: %s subdividing epoch %d: %w", r.ID, pub.Epoch, err)
 	}
-	if !r.gw.InstallIfNewer(sub, now, 0) {
+	var elapsed time.Duration
+	if !began.IsZero() {
+		elapsed = time.Since(began)
+	}
+	if !r.gw.InstallIfNewer(sub, now, elapsed) {
 		return false, nil // lost a race with a newer epoch; fence counted
 	}
 	r.appliedEpoch = pub.Epoch

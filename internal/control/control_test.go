@@ -7,7 +7,11 @@ import (
 	"sync"
 	"testing"
 
+	"profitlb/internal/cluster"
+	"profitlb/internal/core"
+	"profitlb/internal/datacenter"
 	"profitlb/internal/dispatch"
+	"profitlb/internal/tuf"
 )
 
 // wireTable builds a hand-scripted 2×2 table through the wire decoder so
@@ -453,26 +457,57 @@ func TestDeterministicLog(t *testing.T) {
 	}
 }
 
-// TestGatewayPlantRoundTrip exercises the real single-gateway plant:
-// samples reflect Handle traffic, publishes land through the (epoch,
-// sub) fence, and a table swapped under the controller invalidates the
+// TestFleetPlantRoundTrip exercises the real plant over a fleet of one:
+// samples reflect Handle traffic, publishes land through the (epoch, sub)
+// fence, and a table swapped under the controller invalidates the
 // observation.
-func TestGatewayPlantRoundTrip(t *testing.T) {
-	tab := wireTable(t)
-	gw := dispatch.NewGateway(nil, dispatch.Config{SlotSeconds: 60}, nil)
-	gw.Install(tab, 0, 0)
-	plant := GatewayPlant{GW: gw}
+func TestFleetPlantRoundTrip(t *testing.T) {
+	sys := &datacenter.System{
+		Classes: []datacenter.RequestClass{
+			{Name: "web", TUF: tuf.MustNew([]tuf.Level{{Utility: 0.01, Deadline: 0.01}}), TransferCostPerMile: 1e-6},
+		},
+		FrontEnds: []datacenter.FrontEnd{{Name: "east", DistanceMiles: []float64{300, 2400}}},
+		Centers: []datacenter.DataCenter{
+			{Name: "tx", Servers: 8, Capacity: 1, ServiceRate: []float64{20000}, EnergyPerRequest: []float64{0.0003}},
+			{Name: "ca", Servers: 8, Capacity: 1, ServiceRate: []float64{18000}, EnergyPerRequest: []float64{0.0003}},
+		},
+	}
+	dcfg := dispatch.Config{SlotSeconds: 60}
+	drv := &dispatch.Driver{
+		Gateway: dispatch.NewGateway(sys, dcfg, nil),
+		Planner: core.NewOptimized(),
+		Source:  fixedSource{&core.Input{Sys: sys, Arrivals: [][]float64{{30000}}, Prices: []float64{0.05, 0.08}}},
+	}
+	f, err := cluster.NewFleet(sys, dcfg, cluster.Config{}, drv, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := f.BeginSlot(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := dispatch.FromWire(pub.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := f.Replicas[0].Gateway()
+	plant := &FleetPlant{Pub: f.Pub, Replicas: f.Replicas}
 	for i := 0; i < 40; i++ {
 		gw.Handle(0, 0, float64(i)*0.01)
 	}
-	smp := plant.Sample(1, 0)
+	smp := plant.Sample(tab.Epoch, 0)
 	if !smp.OK || smp.StreamOffered[0] != 40 || smp.Coverage != 1 {
 		t.Fatalf("sample = %+v", smp)
 	}
-	if plant.Sample(2, 0).OK || plant.Sample(1, 1).OK {
+	if plant.Sample(tab.Epoch+1, 0).OK || plant.Sample(tab.Epoch, 1).OK {
 		t.Fatal("mismatched (epoch, sub) sampled OK")
 	}
-	next, err := tab.Rescale([]float64{1.5, 1, 1, 1}, 1, dispatch.Config{SlotSeconds: 60})
+	mult := make([]float64, len(tab.Lanes))
+	for i := range mult {
+		mult[i] = 1
+	}
+	mult[0] = 1.5
+	next, err := tab.Rescale(mult, 1, dcfg)
 	if err != nil {
 		t.Fatalf("rescale: %v", err)
 	}
@@ -483,11 +518,20 @@ func TestGatewayPlantRoundTrip(t *testing.T) {
 		t.Fatalf("gateway sub = %d after control publish", gw.Sub())
 	}
 	// Counters reset on install.
-	if smp := plant.Sample(1, 1); !smp.OK || smp.StreamOffered[0] != 0 {
+	if smp := plant.Sample(tab.Epoch, 1); !smp.OK || smp.StreamOffered[0] != 0 {
 		t.Fatalf("post-publish sample = %+v", smp)
 	}
 	// Re-publishing the same sub is fenced as a duplicate.
 	if plant.Publish(next, 2) {
 		t.Fatal("duplicate sub-epoch published")
 	}
+}
+
+// fixedSource replays one planner input at every slot.
+type fixedSource struct{ in *core.Input }
+
+func (s fixedSource) PlannerInput(abs int) (*core.Input, error) {
+	in := *s.in
+	in.Slot = abs
+	return &in, nil
 }

@@ -62,14 +62,14 @@ type Sample struct {
 	// StreamOffered is the cumulative per-stream draw count since the
 	// current table was installed, indexed k·S+s.
 	StreamOffered []int64
-	// Coverage is the fraction of serving capacity the counters cover: 1
-	// for a single gateway, inSync/serving for a fleet where partitioned
-	// replicas cannot report against the current sub-epoch.
+	// Coverage is the fraction of serving capacity the counters cover:
+	// inSync/serving, below 1 only when partitioned replicas cannot report
+	// against the current sub-epoch.
 	Coverage float64
 }
 
-// Plant is what the controller senses and actuates: a single gateway or
-// a replicated fleet behind the epoch-fenced publisher.
+// Plant is what the controller senses and actuates: in production a
+// FleetPlant, the replicas behind the epoch-fenced publisher.
 type Plant interface {
 	// Sample observes the per-stream offered counters, valid only if the
 	// plant still serves exactly (epoch, sub).

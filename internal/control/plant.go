@@ -5,40 +5,13 @@ import (
 	"profitlb/internal/dispatch"
 )
 
-// GatewayPlant adapts a single gateway as the controller's plant: the
-// controller's base table is the gateway's own, corrections install
-// through the same lexicographic (epoch, sub) fence every other install
-// path uses.
-type GatewayPlant struct {
-	GW *dispatch.Gateway
-}
-
-// Sample implements Plant. The observation is valid only while the
-// gateway still serves exactly the controller's (epoch, sub) — a slot
-// boundary racing ahead invalidates it, and the controller freezes
-// rather than correcting a table it no longer owns.
-func (p GatewayPlant) Sample(epoch, sub uint64) Sample {
-	if p.GW.Epoch() != epoch || p.GW.Sub() != sub {
-		return Sample{}
-	}
-	off := p.GW.StreamOffered()
-	if off == nil {
-		return Sample{}
-	}
-	return Sample{OK: true, StreamOffered: off, Coverage: 1}
-}
-
-// Publish implements Plant.
-func (p GatewayPlant) Publish(t *dispatch.Table, now float64) bool {
-	return p.GW.InstallIfNewer(t, now, 0)
-}
-
-// FleetPlant adapts a replicated fleet: samples aggregate the in-sync
-// replicas' counters (normalized by coverage, since a partitioned
-// replica's share of demand is invisible), and corrections ride the
-// publisher as sub-epoch publications applied through each replica's
-// fence. The controller's base table is the fleet-wide (undivided) one;
-// replicas subdivide corrections exactly as they do slot plans.
+// FleetPlant adapts a replicated fleet — a lone gateway being a fleet of
+// one: samples aggregate the in-sync replicas' counters (normalized by
+// coverage, since a partitioned replica's share of demand is invisible),
+// and corrections ride the publisher as sub-epoch publications applied
+// through each replica's fence. The controller's base table is the
+// fleet-wide (undivided) one; replicas subdivide corrections exactly as
+// they do slot plans.
 type FleetPlant struct {
 	Pub      *cluster.Publisher
 	Replicas []*cluster.Replica
@@ -56,7 +29,9 @@ type FleetPlant struct {
 // Sample implements Plant: the summed offered counters of every serving
 // replica that is in sync with (epoch, sub), with Coverage the in-sync
 // fraction of serving replicas. No serving replica in sync means no
-// usable observation.
+// usable observation — a slot boundary or a re-spread won a race, and
+// the controller freezes rather than correcting a table it no longer
+// owns.
 func (p *FleetPlant) Sample(epoch, sub uint64) Sample {
 	serving, inSync := 0, 0
 	var agg []int64

@@ -407,7 +407,7 @@ func TestDriverMultiSlotRecovery(t *testing.T) {
 	}
 	var got []slotState
 	for i := 0; i < 4; i++ {
-		tab, err := d.BeginSlot(10+i, float64(i)*in.Sys.Slot())
+		tab, err := install(d, 10+i, float64(i)*in.Sys.Slot())
 		if err != nil {
 			t.Fatalf("slot %d: %v", 10+i, err)
 		}

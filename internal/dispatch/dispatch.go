@@ -18,8 +18,9 @@
 //     planner-facing input from a PlanSource (the simulator's fault- and
 //     feed-aware InputSource in production use), asks the planner — a raw
 //     core planner or a resilient fallback chain — for the slot's plan,
-//     verifies it, compiles it and swaps it in. A slot whose plan cannot
-//     be produced degrades to an all-shed table instead of erroring.
+//     verifies it and compiles it for internal/cluster's publisher, whose
+//     replicas (one, for a lone gateway) install it. A slot whose plan
+//     cannot be produced degrades to an all-shed table instead of erroring.
 //
 // The package is exercised by internal/loadgen (closed/open-loop replay in
 // virtual time) and by the `profitlb serve` HTTP front-end.

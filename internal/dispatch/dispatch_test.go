@@ -438,6 +438,16 @@ func (p *stubPlanner) FallbackState() (int, string, bool) {
 	return 1, p.tier, true
 }
 
+// install plans slot abs and installs the table in the driver's gateway
+// at virtual time now — what a fleet of one does with the publication.
+func install(d *Driver, abs int, now float64) (*Table, error) {
+	t, err := d.PlanTable(abs)
+	if err == nil {
+		d.Gateway.Install(t, now, 0)
+	}
+	return t, err
+}
+
 func TestDriverHappyPath(t *testing.T) {
 	in := testInput(testSystem())
 	gw := NewGateway(in.Sys, Config{SlotSeconds: 60}, nil)
@@ -446,7 +456,7 @@ func TestDriverHappyPath(t *testing.T) {
 		Planner: &stubPlanner{planner: core.NewOptimized()},
 		Source:  &stubSource{in: in},
 	}
-	tab, err := d.BeginSlot(7, 0)
+	tab, err := install(d, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,9 +494,9 @@ func TestDriverDegradesToShed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			gw := NewGateway(in.Sys, Config{SlotSeconds: 60}, nil)
 			tc.d.Gateway = gw
-			tab, err := tc.d.BeginSlot(3, 0)
+			tab, err := install(tc.d, 3, 0)
 			if err != nil {
-				t.Fatalf("BeginSlot returned a wiring error: %v", err)
+				t.Fatalf("PlanTable returned a wiring error: %v", err)
 			}
 			if tc.d.LastErr == nil {
 				t.Fatal("LastErr is nil for a degraded slot")
@@ -510,7 +520,7 @@ func TestDriverMarksFallbackTier(t *testing.T) {
 		Planner: &stubPlanner{planner: core.NewOptimized(), tier: "balanced"},
 		Source:  &stubSource{in: in},
 	}
-	tab, err := d.BeginSlot(1, 0)
+	tab, err := install(d, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,8 +530,8 @@ func TestDriverMarksFallbackTier(t *testing.T) {
 }
 
 func TestDriverMissingWiring(t *testing.T) {
-	if _, err := (&Driver{}).BeginSlot(0, 0); err == nil {
-		t.Fatal("BeginSlot with no wiring succeeded")
+	if _, err := (&Driver{}).PlanTable(0); err == nil {
+		t.Fatal("PlanTable with no wiring succeeded")
 	}
 }
 
@@ -588,8 +598,9 @@ func sameProduct(t *testing.T, what string, got, want *Table) {
 // — it either rejects the plan or produces a table whose alias draws stay
 // in range for every stream — and, over every table it accepts, the laws
 // of the transforms: the wire round trip and a rescale by ones are
-// identities, the shares of a subdivision sum back exactly, and a scale
-// by one only marks the table degraded.
+// identities, a fleet of one's subdivision is the table itself, the shares
+// of a subdivision sum back exactly, and a scale by one only marks the
+// table degraded.
 func FuzzCompile(f *testing.F) {
 	f.Add(100.0, 50.0, 25.0, 10.0, uint64(1), 0.05, 8.0)
 	f.Add(0.0, 0.0, 0.0, 0.0, uint64(0), 0.0, 0.0)
@@ -691,6 +702,9 @@ func FuzzCompile(f *testing.F) {
 		}
 		same.Degraded = tab.Degraded
 		sameProduct(t, "scale by one", same, tab)
+		if one, err := tab.Subdivide(0, 1, cfg); err != nil || one != tab {
+			t.Fatalf("a fleet of one got %p (%v), want the table itself", one, err)
+		}
 		const n = 3
 		rate, maxRate := make([]float64, len(tab.Lanes)), make([]float64, len(tab.Lanes))
 		var planned [2]float64 // the fixture is one type × two front-ends

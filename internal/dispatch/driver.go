@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"profitlb/internal/core"
 	"profitlb/internal/feed"
@@ -33,18 +32,21 @@ type forecastSource interface {
 	Attach(core.Planner)
 }
 
-// Driver is the gateway's slot engine: each BeginSlot it pulls the
+// Driver is the serving plane's slot engine: each PlanTable it pulls the
 // slot's planner input from the source, commits it through the shared
 // slot protocol (core.Step — on the planner's own view: the online plane
 // has no settlement truth at the boundary, so a deferring planner's
-// ledger settles against the arrivals it planned on), compiles the
-// routing table and hot-swaps it into the gateway. Any failure along the way degrades to an all-shed table — a
-// serving plane must keep answering requests even when planning is on
-// fire — and the failure is recorded on the table, never returned as an
-// error. Like every stateful planner holder in this codebase, a Driver
-// is driven by exactly one goroutine (the serve loop or the load
-// generator); the Gateway it feeds is the concurrency boundary.
+// ledger settles against the arrivals it planned on) and compiles the
+// epoch-stamped routing table the cluster publisher hands to its replicas
+// (a lone gateway is a fleet of one). Any failure along the way degrades
+// to an all-shed table — a serving plane must keep answering requests
+// even when planning is on fire — and the failure is recorded on the
+// table, never returned as an error. Like every stateful planner holder in
+// this codebase, a Driver is driven by exactly one goroutine (the serve
+// loop or the load generator).
 type Driver struct {
+	// Gateway supplies the topology, the compile configuration and the
+	// observability scope; it never serves requests itself.
 	Gateway *Gateway
 	Planner core.Planner
 	Source  PlanSource
@@ -72,26 +74,11 @@ func (d *Driver) Epoch() uint64 { return d.epoch.Load() }
 // current plan without a new solve.
 func (d *Driver) NextEpoch() uint64 { return d.epoch.Add(1) }
 
-// BeginSlot plans, compiles and installs slot abs, with the swap taking
-// effect at virtual time now. It returns the installed table; the only
-// errors are wiring mistakes (missing gateway/planner/source). A slot
-// whose input, plan or compile fails installs ShedTable and parks the
-// cause in LastErr — the gateway sheds instead of erroring.
-func (d *Driver) BeginSlot(abs int, now float64) (*Table, error) {
-	start := time.Now()
-	t, err := d.PlanTable(abs)
-	if err != nil {
-		return nil, err
-	}
-	d.Gateway.Install(t, now, time.Since(start))
-	return t, nil
-}
-
-// PlanTable plans and compiles slot abs without installing it — the
-// cluster publisher path, where the control plane mints tables for a
-// fleet of replicas instead of a local gateway. The returned table is
-// epoch-stamped; failures degrade to an all-shed table with the cause in
-// LastErr, exactly as BeginSlot does. The only error is a wiring mistake.
+// PlanTable plans and compiles slot abs for the cluster publisher. The
+// returned table is epoch-stamped; a slot whose input, plan or compile
+// fails gets ShedTable with the cause parked in LastErr — replicas shed
+// instead of erroring. The only error is a wiring mistake (missing
+// gateway, planner or source).
 func (d *Driver) PlanTable(abs int) (*Table, error) {
 	if d.Gateway == nil || d.Planner == nil || d.Source == nil {
 		return nil, errors.New("dispatch: driver needs a gateway, a planner and a plan source")

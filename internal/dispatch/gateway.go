@@ -70,8 +70,8 @@ type compiled struct {
 
 // Gateway executes the current slot's routing table. Handle is safe for
 // concurrent use and allocation-free; Install atomically hot-swaps the
-// table (typically from the Driver's background planner loop) without
-// pausing the request path.
+// table (from the owning cluster.Replica's apply) without pausing the
+// request path.
 type Gateway struct {
 	sys *datacenter.System
 	cfg Config
@@ -113,6 +113,10 @@ func NewGateway(sys *datacenter.System, cfg Config, scope *obs.Scope) *Gateway {
 		g.cInvalid = scope.Counter("dispatch_invalid_total")
 		g.cFencedStale = scope.Counter("dispatch_fenced_total", obs.L("reason", "stale"))
 		g.cFencedDup = scope.Counter("dispatch_fenced_total", obs.L("reason", "duplicate"))
+		// dispatch_swap_seconds: per install, the install itself plus, for a
+		// replica applying a publication, its decode + topology check +
+		// subdivide — what a plan costs between arriving and serving,
+		// planning excluded.
 		g.hSwap = scope.Histogram("dispatch_swap_seconds", obs.ExpBuckets(1e-6, 4, 12))
 	}
 	return g
@@ -144,10 +148,12 @@ func (g *Gateway) Config() Config { return g.cfg }
 
 // Install hot-swaps the routing table: the new compiled state becomes
 // current in one atomic pointer store. now is the virtual time of the
-// swap — the instant bucket refill starts. The elapsed argument is the
-// plan+compile latency the caller measured; it lands in the swap
-// histogram. Publishing per-lane occupancy gauges for the outgoing table
-// happens here, off the request path.
+// swap — the instant bucket refill starts. With a metrics scope, the
+// dispatch_swap_seconds histogram observes elapsed — what the caller spent
+// turning a publication into t (decode, topology check, subdivide) — plus
+// Install's own time; without one nothing is timed. Publishing per-lane
+// occupancy gauges for the outgoing table happens here, off the request
+// path.
 //
 // Bucket state across the swap: a table for a *new* slot starts every
 // bucket full (a fresh slot is a fresh budget, and a full bucket does not
@@ -159,6 +165,10 @@ func (g *Gateway) Config() Config { return g.cfg }
 // discarding the fraction would bias admission low by up to one request
 // per lane per swap.
 func (g *Gateway) Install(t *Table, now float64, elapsed time.Duration) {
+	var began time.Time
+	if g.hSwap != nil {
+		began = time.Now()
+	}
 	c := &compiled{
 		t:        t,
 		buckets:  make([]bucket, len(t.Lanes)),
@@ -195,7 +205,9 @@ func (g *Gateway) Install(t *Table, now float64, elapsed time.Duration) {
 	}
 	g.cur.Store(c)
 	g.swaps.Add(1)
-	g.hSwap.Observe(elapsed.Seconds())
+	if g.hSwap != nil {
+		g.hSwap.Observe((elapsed + time.Since(began)).Seconds())
+	}
 	if g.scope.Enabled() {
 		g.scope.Gauge("dispatch_current_slot").Set(float64(t.Slot))
 		g.scope.Gauge("dispatch_current_epoch").Set(float64(t.Epoch))

@@ -21,18 +21,25 @@ const shardBurstSigmas = 6
 // stream fluctuates with the square root of its share, not linearly, so
 // a linearly-scaled burst would shed traffic the fleet-wide plan admits,
 // and a thin share's burst must cover its clumping outright. The fleet's
-// aggregate burst therefore exceeds the single-gateway burst, which only
+// aggregate burst therefore exceeds the undivided table's, which only
 // ever errs permissive. Every lane moves by one factor, so the alias tables
 // stay the parent's (derive); each replica's draw seed is re-mixed with
 // (idx, n) so replicas walk independent routing sequences. Objective, idle
 // cost and per-stream budgets scale by the share fraction so per-replica
 // accounting sums back to the plan.
+//
+// A fleet of one gets the table itself: its share is the whole plan, it has
+// no peer to decorrelate its draws from, and no slice is thin enough to
+// need the σ floor — so a lone gateway serves exactly what was compiled.
 func (t *Table) Subdivide(idx, n int, cfg Config) (*Table, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dispatch: subdivide into %d replicas", n)
 	}
 	if idx < 0 || idx >= n {
 		return nil, fmt.Errorf("dispatch: replica index %d outside fleet of %d", idx, n)
+	}
+	if n == 1 {
+		return t, nil
 	}
 	cfg = cfg.WithDefaults()
 	lo := float64(idx) / float64(n)

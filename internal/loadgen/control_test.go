@@ -15,8 +15,8 @@ import (
 func TestControlCleanBitIdentical(t *testing.T) {
 	run := func(ctrl bool) *Report {
 		cfg := testSimConfig(3)
-		d, src := harness(t, cfg, core.NewOptimized(), nil)
-		rep, err := Run(d, src, Config{Seed: 9, Slots: cfg.Slots, Control: ctrl})
+		f, src := harness(t, cfg, core.NewOptimized(), nil)
+		rep, err := Run(f, src, Config{Seed: 9, Slots: cfg.Slots, Control: ctrl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,8 +103,8 @@ func TestFlashCrowdControllerBeatsFrozen(t *testing.T) {
 	run := func(ctrl bool) *Report {
 		cfg := testSimConfig(4)
 		cfg.Faults = flashSchedule(cfg.Slots, 2)
-		d, src := harness(t, cfg, core.NewOptimized(), nil)
-		rep, err := Run(d, src, Config{Seed: 17, Slots: cfg.Slots, Control: ctrl})
+		f, src := harness(t, cfg, core.NewOptimized(), nil)
+		rep, err := Run(f, src, Config{Seed: 17, Slots: cfg.Slots, Control: ctrl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,8 +147,8 @@ func TestSlowCenterControllerShedsExcess(t *testing.T) {
 		cfg.Faults = &fault.Schedule{Events: []fault.Event{
 			{Kind: fault.SlowCenter, Center: 0, Factor: 0.5, From: 0, To: cfg.Slots - 1},
 		}}
-		d, src := harness(t, cfg, core.NewOptimized(), nil)
-		rep, err := Run(d, src, Config{Seed: 23, Slots: cfg.Slots, Control: ctrl})
+		f, src := harness(t, cfg, core.NewOptimized(), nil)
+		rep, err := Run(f, src, Config{Seed: 23, Slots: cfg.Slots, Control: ctrl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,10 +190,10 @@ func TestSlowCenterControllerShedsExcess(t *testing.T) {
 // preserves per-stream arrival and spray order, so a quiet controller
 // leaves a fleet replay bit-identical too.
 func TestFleetControlCleanBitIdentical(t *testing.T) {
-	run := func(ctrl bool) *FleetReport {
+	run := func(ctrl bool) *Report {
 		cfg := testSimConfig(3)
 		f, src := fleetHarness(t, cfg, 3, nil, nil)
-		rep, err := RunFleet(f, src, Config{Seed: 9, Slots: cfg.Slots, Control: ctrl})
+		rep, err := Run(f, src, Config{Seed: 9, Slots: cfg.Slots, Control: ctrl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,11 +215,11 @@ func TestFleetControlCleanBitIdentical(t *testing.T) {
 // epoch-fenced publisher to every replica — the fleet's demand tracking
 // improves and no replica ever answers Invalid.
 func TestFleetControlFlashCrowd(t *testing.T) {
-	run := func(ctrl bool) *FleetReport {
+	run := func(ctrl bool) *Report {
 		cfg := testSimConfig(4)
 		cfg.Faults = flashSchedule(cfg.Slots, 2)
 		f, src := fleetHarness(t, cfg, 3, cfg.Faults, nil)
-		rep, err := RunFleet(f, src, Config{Seed: 31, Slots: cfg.Slots, Control: ctrl})
+		rep, err := Run(f, src, Config{Seed: 31, Slots: cfg.Slots, Control: ctrl})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"profitlb/internal/cluster"
 	"profitlb/internal/core"
-	"profitlb/internal/dispatch"
 	"profitlb/internal/fault"
 	"profitlb/internal/obs"
 	"profitlb/internal/sim"
@@ -16,9 +15,8 @@ import (
 // driver plans fleet-wide, the fleet subdivides across replicas.
 func fleetHarness(t *testing.T, cfg sim.Config, replicas int, sch *fault.Schedule, scope *obs.Scope) (*cluster.Fleet, *sim.InputSource) {
 	t.Helper()
-	d, src := harness(t, cfg, core.NewOptimized(), scope)
-	f, err := cluster.NewFleet(cfg.Sys, dispatch.Config{Seed: 11, SlotSeconds: 60},
-		cluster.Config{Replicas: replicas}, d, sch, scope)
+	d, src := driver(t, cfg, core.NewOptimized(), scope)
+	f, err := cluster.NewFleet(cfg.Sys, testDispatch, cluster.Config{Replicas: replicas}, d, sch, scope)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +27,7 @@ func fleetHarness(t *testing.T, cfg sim.Config, replicas int, sch *fault.Schedul
 // generator's per-replica ground truth, exactly: requests the balancer
 // never fired cannot appear in a gateway, and every fired request must
 // be accounted admitted or shed.
-func reconcile(t *testing.T, f *cluster.Fleet, rep *FleetReport, now float64) {
+func reconcile(t *testing.T, f *cluster.Fleet, rep *Report, now float64) {
 	t.Helper()
 	for i, pr := range rep.PerReplica {
 		st := f.Replicas[i].Gateway().Stats(now)
@@ -51,7 +49,7 @@ func TestFleetCleanScenario(t *testing.T) {
 	reg := obs.NewRegistry()
 	scope := obs.NewScope(reg, nil)
 	f, src := fleetHarness(t, cfg, 4, nil, scope)
-	rep, err := RunFleet(f, src, Config{Seed: 1, Slots: cfg.Slots})
+	rep, err := Run(f, src, Config{Seed: 1, Slots: cfg.Slots})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +80,10 @@ func TestFleetCleanScenario(t *testing.T) {
 	}
 	reconcile(t, f, rep, float64(cfg.Slots)*cfg.Sys.Slot())
 
-	// Arrival synthesis is shared with the single-gateway replay: the
-	// fleet faced exactly the traffic one gateway would have.
-	d, src2 := harness(t, testSimConfig(cfg.Slots), core.NewOptimized(), nil)
-	single, err := Run(d, src2, Config{Seed: 1, Slots: cfg.Slots})
+	// Arrival synthesis does not depend on the fleet's size: the fleet
+	// faced exactly the traffic a fleet of one would have.
+	one, src2 := harness(t, testSimConfig(cfg.Slots), core.NewOptimized(), nil)
+	single, err := Run(one, src2, Config{Seed: 1, Slots: cfg.Slots})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +114,7 @@ func TestFleetReplicaKillStorm(t *testing.T) {
 	reg := obs.NewRegistry()
 	scope := obs.NewScope(reg, nil)
 	f, src := fleetHarness(t, cfg, 4, storm, scope)
-	rep, err := RunFleet(f, src, Config{Seed: 5, Slots: cfg.Slots})
+	rep, err := Run(f, src, Config{Seed: 5, Slots: cfg.Slots})
 	if err != nil {
 		t.Fatalf("the fleet went down under the storm: %v", err)
 	}
@@ -153,7 +151,7 @@ func TestFleetPublisherOutageServesStale(t *testing.T) {
 		{Kind: fault.PublisherOutage, From: 2, To: 2},
 	}}
 	f, src := fleetHarness(t, cfg, 2, sch, nil)
-	rep, err := RunFleet(f, src, Config{Seed: 1, Slots: cfg.Slots})
+	rep, err := Run(f, src, Config{Seed: 1, Slots: cfg.Slots})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +192,7 @@ func TestFleetDeterministicReplay(t *testing.T) {
 			{Kind: fault.ReplicaKill, Replica: 1, From: 1, To: 1},
 		}}
 		f, src := fleetHarness(t, cfg, 3, sch, nil)
-		rep, err := RunFleet(f, src, Config{Seed: 7, Slots: cfg.Slots})
+		rep, err := Run(f, src, Config{Seed: 7, Slots: cfg.Slots})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,13 +211,13 @@ func TestFleetDeterministicReplay(t *testing.T) {
 func TestRunFleetValidation(t *testing.T) {
 	cfg := testSimConfig(1)
 	f, src := fleetHarness(t, cfg, 2, nil, nil)
-	if _, err := RunFleet(nil, src, Config{Slots: 1}); err == nil {
+	if _, err := Run(nil, src, Config{Slots: 1}); err == nil {
 		t.Fatal("nil fleet accepted")
 	}
-	if _, err := RunFleet(f, src, Config{Slots: 0}); err == nil {
+	if _, err := Run(f, src, Config{Slots: 0}); err == nil {
 		t.Fatal("zero slots accepted")
 	}
-	if _, err := RunFleet(f, src, Config{Slots: 1, Closed: true}); err == nil {
+	if _, err := Run(f, src, Config{Slots: 1, Closed: true}); err == nil {
 		t.Fatal("closed-loop fleet replay accepted")
 	}
 }

@@ -124,7 +124,7 @@ func fire(client *http.Client, u string, fc FireConfig, res *HTTPResult) (int, e
 
 // FireHTTPMulti sprays n requests across a fleet of gateway replicas:
 // each request picks a seeded-random target (the same balancer model
-// RunFleet uses) and fires with the given discipline. The per-target
+// Run uses) and fires with the given discipline. The per-target
 // tallies let a caller reconcile each replica's served counts exactly.
 func FireHTTPMulti(targets []string, sys *datacenter.System, n int, seed int64, fc FireConfig) (HTTPResult, []HTTPResult, error) {
 	if len(targets) == 0 {

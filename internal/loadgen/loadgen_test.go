@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"profitlb/internal/cluster"
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
 	"profitlb/internal/dispatch"
@@ -61,16 +62,31 @@ func testSimConfig(slots int) sim.Config {
 	}
 }
 
-// harness builds the full in-process stack: input source, planner,
-// gateway (instrumented when scope is non-nil) and driver.
-func harness(t *testing.T, cfg sim.Config, planner core.Planner, scope *obs.Scope) (*dispatch.Driver, *sim.InputSource) {
+// driver builds the planning half of the stack: input source, planner
+// and driver (instrumented when scope is non-nil).
+func driver(t *testing.T, cfg sim.Config, planner core.Planner, scope *obs.Scope) (*dispatch.Driver, *sim.InputSource) {
 	t.Helper()
 	src, err := sim.NewInputSource(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := dispatch.NewGateway(cfg.Sys, dispatch.Config{Seed: 11, SlotSeconds: 60}, scope)
+	gw := dispatch.NewGateway(cfg.Sys, testDispatch, scope)
 	return &dispatch.Driver{Gateway: gw, Planner: planner, Source: src}, src
+}
+
+// testDispatch is the routing configuration every harness serves under.
+var testDispatch = dispatch.Config{Seed: 11, SlotSeconds: 60}
+
+// harness builds the full in-process stack around a lone gateway — a
+// fleet of one observing the scenario's faults.
+func harness(t *testing.T, cfg sim.Config, planner core.Planner, scope *obs.Scope) (*cluster.Fleet, *sim.InputSource) {
+	t.Helper()
+	d, src := driver(t, cfg, planner, scope)
+	f, err := cluster.NewFleet(cfg.Sys, testDispatch, cluster.Config{}, d, cfg.Faults, scope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, src
 }
 
 // TestCleanScenario is the subsystem's acceptance gate: replaying a
@@ -78,8 +94,8 @@ func harness(t *testing.T, cfg sim.Config, planner core.Planner, scope *obs.Scop
 // planned λ and nothing is shed.
 func TestCleanScenario(t *testing.T) {
 	cfg := testSimConfig(3)
-	d, src := harness(t, cfg, core.NewOptimized(), nil)
-	rep, err := Run(d, src, Config{Seed: 1, Slots: cfg.Slots})
+	f, src := harness(t, cfg, core.NewOptimized(), nil)
+	rep, err := Run(f, src, Config{Seed: 1, Slots: cfg.Slots})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +131,8 @@ func TestCleanScenario(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []byte {
 		cfg := testSimConfig(2)
-		d, src := harness(t, cfg, core.NewOptimized(), nil)
-		rep, err := Run(d, src, Config{Seed: 7, Slots: cfg.Slots, BurstFactor: 2})
+		f, src := harness(t, cfg, core.NewOptimized(), nil)
+		rep, err := Run(f, src, Config{Seed: 7, Slots: cfg.Slots, BurstFactor: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,8 +152,8 @@ func TestDeterministicReplay(t *testing.T) {
 func TestSeedMatters(t *testing.T) {
 	offered := func(seed int64) int64 {
 		cfg := testSimConfig(1)
-		d, src := harness(t, cfg, core.NewOptimized(), nil)
-		rep, err := Run(d, src, Config{Seed: seed, Slots: 1})
+		f, src := harness(t, cfg, core.NewOptimized(), nil)
+		rep, err := Run(f, src, Config{Seed: seed, Slots: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,8 +185,8 @@ func TestFaultStorm(t *testing.T) {
 	cfg.DegradeOnFailure = true
 	reg := obs.NewRegistry()
 	scope := obs.NewScope(reg, nil)
-	d, src := harness(t, cfg, resilient.Wrap(core.NewOptimized()), scope)
-	rep, err := Run(d, src, Config{Seed: 5, Slots: cfg.Slots})
+	f, src := harness(t, cfg, resilient.Wrap(core.NewOptimized()), scope)
+	rep, err := Run(f, src, Config{Seed: 5, Slots: cfg.Slots})
 	if err != nil {
 		t.Fatalf("the gateway went down under the storm: %v", err)
 	}
@@ -202,8 +218,8 @@ func TestFaultStorm(t *testing.T) {
 // function of the population and think time, and the gateway absorbs it.
 func TestClosedLoop(t *testing.T) {
 	cfg := testSimConfig(2)
-	d, src := harness(t, cfg, core.NewOptimized(), nil)
-	rep, err := Run(d, src, Config{Seed: 2, Slots: cfg.Slots, Closed: true, Users: 16})
+	f, src := harness(t, cfg, core.NewOptimized(), nil)
+	rep, err := Run(f, src, Config{Seed: 2, Slots: cfg.Slots, Closed: true, Users: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +241,7 @@ func TestClosedLoop(t *testing.T) {
 // refused before anything is synthesized, by the name of the flag.
 func TestReplayerRejectsRunawayLoad(t *testing.T) {
 	cfg := testSimConfig(1)
-	d, src := harness(t, cfg, core.NewOptimized(), nil)
+	f, src := harness(t, cfg, core.NewOptimized(), nil)
 	for name, c := range map[string]struct {
 		cfg  Config
 		flag string
@@ -236,7 +252,7 @@ func TestReplayerRejectsRunawayLoad(t *testing.T) {
 		"negative burst": {Config{Slots: 1, BurstFactor: -2}, "-burst-factor"},
 		"NaN burst":      {Config{Slots: 1, BurstFactor: math.NaN()}, "-burst-factor"},
 	} {
-		_, err := newReplayer(c.cfg, d.Gateway, src, nil)
+		_, err := newReplayer(c.cfg, f, src)
 		if err == nil || !strings.Contains(err.Error(), c.flag) {
 			t.Errorf("%s: error %v, want one naming %s", name, err, c.flag)
 		}
@@ -249,8 +265,8 @@ func TestReplayerRejectsRunawayLoad(t *testing.T) {
 // is still served.
 func TestBurstyArrivals(t *testing.T) {
 	cfg := testSimConfig(2)
-	d, src := harness(t, cfg, core.NewOptimized(), nil)
-	rep, err := Run(d, src, Config{Seed: 3, Slots: cfg.Slots, BurstFactor: 4})
+	f, src := harness(t, cfg, core.NewOptimized(), nil)
+	rep, err := Run(f, src, Config{Seed: 3, Slots: cfg.Slots, BurstFactor: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,14 +281,14 @@ func TestBurstyArrivals(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	cfg := testSimConfig(1)
-	d, src := harness(t, cfg, core.NewOptimized(), nil)
+	f, src := harness(t, cfg, core.NewOptimized(), nil)
 	if _, err := Run(nil, src, Config{Slots: 1}); err == nil {
-		t.Fatal("nil driver accepted")
+		t.Fatal("nil fleet accepted")
 	}
-	if _, err := Run(d, src, Config{Slots: 0}); err == nil {
+	if _, err := Run(f, src, Config{Slots: 0}); err == nil {
 		t.Fatal("zero slots accepted")
 	}
-	if _, err := Run(d, src, Config{Slots: 1, Closed: true, Users: -1}); err == nil {
+	if _, err := Run(f, src, Config{Slots: 1, Closed: true, Users: -1}); err == nil {
 		t.Fatal("negative population accepted")
 	}
 }
@@ -299,8 +315,8 @@ func TestDriverEscalatesOnDarkFeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, src := harness(t, cfg, newChain(), nil)
-	rep, err := Run(d, src, Config{Seed: 1, Slots: cfg.Slots})
+	f, src := harness(t, cfg, newChain(), nil)
+	rep, err := Run(f, src, Config{Seed: 1, Slots: cfg.Slots})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,10 +335,10 @@ func TestDriverEscalatesOnDarkFeeds(t *testing.T) {
 		t.Fatalf("%d of %d slots escalated: the dark window should cover some slots, not all", escalated, len(want.Slots))
 	}
 
-	blind, src := harness(t, cfg, newChain(), nil)
+	blind, src := driver(t, cfg, newChain(), nil)
 	blind.Source = inputOnly{src}
 	for i := 0; i < cfg.Slots; i++ {
-		table, err := blind.BeginSlot(i, float64(i))
+		table, err := blind.PlanTable(i)
 		if err != nil || table.Degraded {
 			t.Fatalf("slot %d: a PlannerInput-only source escalated (degraded %v, err %v)", i, table.Degraded, err)
 		}

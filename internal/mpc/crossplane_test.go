@@ -92,7 +92,7 @@ func TestCrossPlaneEquivalence(t *testing.T) {
 			}
 			var simSum, onlineSum, arrived, served float64
 			for i, sr := range fluid.Slots {
-				table, err := d.BeginSlot(cfg.StartSlot+i, float64(i)*cfg.Sys.Slot())
+				table, err := d.PlanTable(cfg.StartSlot + i)
 				if err != nil || d.LastErr != nil {
 					t.Fatalf("slot %d: driver %v / %v", sr.Slot, err, d.LastErr)
 				}

@@ -24,7 +24,7 @@
 //	profitlb export-lp -config F  dump a slot's dispatch LP (CPLEX format)
 //	profitlb serve -config F      run the online dispatch gateway over HTTP
 //	                              (-addr, -slot-seconds, -seed; -replicas N
-//	                              runs a replicated fleet, -join URL joins
+//	                              sizes the fleet (one), -join URL joins
 //	                              one as a data-plane replica, -control arms
 //	                              the sub-slot drift controller; graceful
 //	                              drain on SIGINT/SIGTERM)
@@ -34,7 +34,7 @@
 //	                              -faults F|storm|flash, -feeds, -resilient,
 //	                              -burst-front-end S pins the MMPP burst,
 //	                              -control arms the drift controller,
-//	                              -replicas N replays against a fleet;
+//	                              -replicas N sizes the fleet (one);
 //	                              -addr URL[,URL...] fires at live gateways)
 package main
 
@@ -144,8 +144,9 @@ commands:
                        boundaries and graceful drain on SIGINT/SIGTERM
                        (-addr, -slot-seconds N maps one plan slot onto N
                        wall seconds, -seed N fixes the routing seed;
-                       -replicas N serves a replicated gateway fleet with
-                       epoch-fenced plan distribution at /cluster/plan,
+                       -replicas N serves through N gateway replicas
+                       (default one) with epoch-fenced plan distribution
+                       at /cluster/plan,
                        -join URL -id NAME joins a remote fleet as a
                        planner-less data-plane replica, -control arms the
                        sub-slot drift controller publishing fenced
@@ -159,7 +160,7 @@ commands:
                        to one front-end, -control arms the sub-slot drift
                        controller and reports demand error + actuations;
                        -replicas N replays against an in-process fleet
-                       with per-replica reconciliation;
+                       of N (default one) with per-replica reconciliation;
                        -addr URL[,URL...] -n N fires at live 'serve'
                        gateways over HTTP instead)`)
 }

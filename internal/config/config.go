@@ -81,11 +81,11 @@ type Scenario struct {
 	// the wall-clock slot length, the routing seed and the exposed
 	// front-ends. Simulation commands ignore it.
 	Dispatch *dispatch.Config `json:"dispatch,omitempty"`
-	// Cluster configures the replicated gateway fleet (internal/cluster)
-	// for `profitlb serve -replicas` and `profitlb loadtest -replicas`:
+	// Cluster configures the gateway fleet (internal/cluster) that
+	// `profitlb serve` and `profitlb loadtest` run:
 	// fleet size and the plan-pull transport's wall-clock settings. Nil
-	// (or zero replicas) means a single gateway. Simulation commands
-	// ignore it.
+	// (or zero replicas) means a fleet of one. Simulation commands ignore
+	// it.
 	Cluster *cluster.Config `json:"cluster,omitempty"`
 	// Obs, when non-nil, threads the observability scope (internal/obs)
 	// through the run: the simulator's slot events, the resilient
@@ -178,7 +178,7 @@ func (s *Scenario) Validate() error {
 }
 
 // ClusterConfig returns the scenario's cluster block with defaults
-// applied, or the zero (no-cluster) configuration when absent.
+// applied, or the zero configuration (a fleet of one) when absent.
 func (s *Scenario) ClusterConfig() cluster.Config {
 	if s.Cluster == nil {
 		return cluster.Config{}

@@ -26,6 +26,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 
 	"profitlb/internal/datacenter"
 	"profitlb/internal/market"
@@ -188,13 +189,33 @@ func (e *Event) feedIndex() int {
 	return e.Center
 }
 
-// isFeedKind reports whether the kind belongs to the feed fault family.
-func isFeedKind(k Kind) bool {
-	switch k {
-	case FeedDelay, FeedDropout, FeedNoise, FeedCorrupt, FeedLoss:
-		return true
-	}
-	return false
+// family is the plane a fault kind acts on.
+type family uint8
+
+const (
+	capacityFaults family = iota + 1
+	priceFaults
+	traceFaults
+	plannerFaults
+	feedFaults
+	clusterFaults
+	driftFaults
+)
+
+// families is the one kind → family table.
+var families = map[Kind]family{
+	CenterOutage: capacityFaults, CenterDegrade: capacityFaults,
+	PriceSpike: priceFaults, PriceBlackout: priceFaults,
+	TraceDrop: traceFaults, TraceCorrupt: traceFaults,
+	PlannerTimeout: plannerFaults, PlannerError: plannerFaults, PlannerPanic: plannerFaults,
+	FeedDelay: feedFaults, FeedDropout: feedFaults, FeedNoise: feedFaults, FeedCorrupt: feedFaults, FeedLoss: feedFaults,
+	ReplicaKill: clusterFaults, ReplicaPartition: clusterFaults, PublisherOutage: clusterFaults,
+	FlashCrowd: driftFaults, SlowCenter: driftFaults,
+}
+
+// of matches the events of one family.
+func of(f family) func(*Event) bool {
+	return func(e *Event) bool { return families[e.Kind] == f }
 }
 
 // validate checks one event against the topology dimensions.
@@ -311,17 +332,43 @@ func (sch *Schedule) Validate(centers, frontEnds int) error {
 	return nil
 }
 
-// ActiveAt returns the events covering the slot, in schedule order.
-func (sch *Schedule) ActiveAt(slot int) []Event {
+// anySlot makes a walk cover the whole schedule instead of one slot.
+const anySlot = math.MinInt
+
+// walk visits, in schedule order, the events covering slot (every event
+// for anySlot) until visit returns false — the one loop every accessor
+// below runs on. A nil schedule has no events.
+func (sch *Schedule) walk(slot int, visit func(e *Event) bool) {
 	if sch == nil {
-		return nil
+		return
 	}
-	var out []Event
 	for i := range sch.Events {
-		if sch.Events[i].Active(slot) {
-			out = append(out, sch.Events[i])
+		if e := &sch.Events[i]; (slot == anySlot || e.Active(slot)) && !visit(e) {
+			return
 		}
 	}
+}
+
+// find returns the first event covering slot (anySlot: any event) that
+// match accepts, or nil.
+func (sch *Schedule) find(slot int, match func(e *Event) bool) *Event {
+	var found *Event
+	sch.walk(slot, func(e *Event) bool {
+		if match(e) {
+			found = e
+		}
+		return found == nil
+	})
+	return found
+}
+
+// ActiveAt returns the events covering the slot, in schedule order.
+func (sch *Schedule) ActiveAt(slot int) []Event {
+	var out []Event
+	sch.walk(slot, func(e *Event) bool {
+		out = append(out, *e)
+		return true
+	})
 	return out
 }
 
@@ -349,11 +396,7 @@ func (sch *Schedule) EffectiveSystem(sys *datacenter.System, slot int) (*datacen
 		return sys, false
 	}
 	var eff *datacenter.System
-	for i := range sch.Events {
-		e := &sch.Events[i]
-		if !e.Active(slot) {
-			continue
-		}
+	sch.walk(slot, func(e *Event) bool {
 		var survivors int
 		switch e.Kind {
 		case CenterOutage:
@@ -361,7 +404,7 @@ func (sch *Schedule) EffectiveSystem(sys *datacenter.System, slot int) (*datacen
 		case CenterDegrade:
 			survivors = int(float64(sys.Centers[e.Center].Servers) * e.Factor)
 		default:
-			continue
+			return true
 		}
 		if eff == nil {
 			eff = sys.Clone()
@@ -369,7 +412,8 @@ func (sch *Schedule) EffectiveSystem(sys *datacenter.System, slot int) (*datacen
 		if survivors < eff.Centers[e.Center].Servers {
 			eff.Centers[e.Center].Servers = survivors
 		}
-	}
+		return true
+	})
 	if eff == nil {
 		return sys, false
 	}
@@ -381,15 +425,12 @@ func (sch *Schedule) EffectiveSystem(sys *datacenter.System, slot int) (*datacen
 // market events; blackouts only hide them from planners).
 func (sch *Schedule) TruePrice(tr *market.PriceTrace, l, slot int) float64 {
 	p := tr.At(slot)
-	if sch == nil {
-		return p
-	}
-	for i := range sch.Events {
-		e := &sch.Events[i]
-		if e.Kind == PriceSpike && e.Center == l && e.Active(slot) {
+	sch.walk(slot, func(e *Event) bool {
+		if e.Kind == PriceSpike && e.Center == l {
 			p *= e.Factor
 		}
-	}
+		return true
+	})
 	return p
 }
 
@@ -399,64 +440,42 @@ func (sch *Schedule) TruePrice(tr *market.PriceTrace, l, slot int) float64 {
 // adjacent blackouts); a blackout reaching back to slot 0 pins the feed
 // to the raw slot-0 price.
 func (sch *Schedule) ObservedPrice(tr *market.PriceTrace, l, slot int) float64 {
-	if sch == nil {
-		return tr.At(slot)
+	blackout := func(t int) bool {
+		return sch.find(t, func(e *Event) bool { return e.Kind == PriceBlackout && e.Center == l }) != nil
 	}
 	t := slot
-	for t > 0 && sch.blackoutAt(l, t) {
+	for t > 0 && blackout(t) {
 		t--
 	}
-	if t == 0 && sch.blackoutAt(l, 0) {
+	if t == 0 && blackout(0) {
 		return tr.At(0)
 	}
 	return sch.TruePrice(tr, l, t)
-}
-
-func (sch *Schedule) blackoutAt(l, slot int) bool {
-	for i := range sch.Events {
-		e := &sch.Events[i]
-		if e.Kind == PriceBlackout && e.Center == l && e.Active(slot) {
-			return true
-		}
-	}
-	return false
 }
 
 // ObservedArrival maps a true arrival-rate reading from front-end s to
 // what the planner sees: zero under an active drop, scaled by the corrupt
 // factor otherwise.
 func (sch *Schedule) ObservedArrival(rate float64, s, slot int) float64 {
-	if sch == nil {
-		return rate
-	}
-	for i := range sch.Events {
-		e := &sch.Events[i]
-		if !e.Active(slot) || e.FrontEnd != s {
-			continue
+	sch.walk(slot, func(e *Event) bool {
+		if e.FrontEnd == s {
+			switch e.Kind {
+			case TraceDrop:
+				rate = 0
+				return false
+			case TraceCorrupt:
+				rate *= e.Factor
+			}
 		}
-		switch e.Kind {
-		case TraceDrop:
-			return 0
-		case TraceCorrupt:
-			rate *= e.Factor
-		}
-	}
+		return true
+	})
 	return rate
 }
 
 // ArrivalsFaulted reports whether any trace fault covers the slot, i.e.
 // whether the planner's view of arrivals differs from reality.
 func (sch *Schedule) ArrivalsFaulted(slot int) bool {
-	if sch == nil {
-		return false
-	}
-	for i := range sch.Events {
-		e := &sch.Events[i]
-		if (e.Kind == TraceDrop || e.Kind == TraceCorrupt) && e.Active(slot) {
-			return true
-		}
-	}
-	return false
+	return sch.find(slot, of(traceFaults)) != nil
 }
 
 // FeedEffects is the combined impact of the active feed faults on one
@@ -482,13 +501,9 @@ type FeedEffects struct {
 // ("price"/"arrival" plus index) at the slot.
 func (sch *Schedule) FeedEffects(feedKind string, idx, slot int) FeedEffects {
 	eff := FeedEffects{LatencyFactor: 1}
-	if sch == nil {
-		return eff
-	}
-	for i := range sch.Events {
-		e := &sch.Events[i]
-		if !isFeedKind(e.Kind) || e.Feed != feedKind || e.feedIndex() != idx || !e.Active(slot) {
-			continue
+	sch.walk(slot, func(e *Event) bool {
+		if families[e.Kind] != feedFaults || e.Feed != feedKind || e.feedIndex() != idx {
+			return true
 		}
 		switch e.Kind {
 		case FeedLoss:
@@ -504,7 +519,8 @@ func (sch *Schedule) FeedEffects(feedKind string, idx, slot int) FeedEffects {
 				eff.NoiseSigma = e.Factor
 			}
 		}
-	}
+		return true
+	})
 	return eff
 }
 
@@ -512,40 +528,14 @@ func (sch *Schedule) FeedEffects(feedKind string, idx, slot int) FeedEffects {
 // timeout/error/panic events (i.e. whether wrapping the planner in an
 // Injector changes anything).
 func (sch *Schedule) HasPlannerFaults() bool {
-	if sch == nil {
-		return false
-	}
-	for i := range sch.Events {
-		switch sch.Events[i].Kind {
-		case PlannerTimeout, PlannerError, PlannerPanic:
-			return true
-		}
-	}
-	return false
-}
-
-// isClusterKind reports whether the kind belongs to the cluster family.
-func isClusterKind(k Kind) bool {
-	switch k {
-	case ReplicaKill, ReplicaPartition, PublisherOutage:
-		return true
-	}
-	return false
+	return sch.find(anySlot, of(plannerFaults)) != nil
 }
 
 // HasClusterFaults reports whether the schedule carries any cluster
 // fault events (i.e. whether a fleet run faces kills, partitions or
 // control-plane outages).
 func (sch *Schedule) HasClusterFaults() bool {
-	if sch == nil {
-		return false
-	}
-	for i := range sch.Events {
-		if isClusterKind(sch.Events[i].Kind) {
-			return true
-		}
-	}
-	return false
+	return sch.find(anySlot, of(clusterFaults)) != nil
 }
 
 // ValidateCluster bounds the cluster events' replica indices against the
@@ -568,16 +558,7 @@ func (sch *Schedule) ValidateCluster(replicas int) error {
 
 // ReplicaDown reports whether replica i is killed at the slot.
 func (sch *Schedule) ReplicaDown(i, slot int) bool {
-	if sch == nil {
-		return false
-	}
-	for j := range sch.Events {
-		e := &sch.Events[j]
-		if e.Kind == ReplicaKill && e.Replica == i && e.Active(slot) {
-			return true
-		}
-	}
-	return false
+	return sch.find(slot, func(e *Event) bool { return e.Kind == ReplicaKill && e.Replica == i }) != nil
 }
 
 // ReplicaPartitioned reports whether replica i is cut off from the
@@ -585,30 +566,12 @@ func (sch *Schedule) ReplicaDown(i, slot int) bool {
 // too, but ReplicaDown takes precedence in the harness: dead replicas
 // serve nothing, partitioned ones serve stale).
 func (sch *Schedule) ReplicaPartitioned(i, slot int) bool {
-	if sch == nil {
-		return false
-	}
-	for j := range sch.Events {
-		e := &sch.Events[j]
-		if e.Kind == ReplicaPartition && e.Replica == i && e.Active(slot) {
-			return true
-		}
-	}
-	return false
+	return sch.find(slot, func(e *Event) bool { return e.Kind == ReplicaPartition && e.Replica == i }) != nil
 }
 
 // PublisherDown reports whether the control plane is out at the slot.
 func (sch *Schedule) PublisherDown(slot int) bool {
-	if sch == nil {
-		return false
-	}
-	for i := range sch.Events {
-		e := &sch.Events[i]
-		if e.Kind == PublisherOutage && e.Active(slot) {
-			return true
-		}
-	}
-	return false
+	return sch.find(slot, func(e *Event) bool { return e.Kind == PublisherOutage }) != nil
 }
 
 // FlashCrowdFactor returns the realized-arrival burst factor for
@@ -617,15 +580,12 @@ func (sch *Schedule) PublisherDown(slot int) bool {
 // worst one wins).
 func (sch *Schedule) FlashCrowdFactor(s, slot int) float64 {
 	f := 1.0
-	if sch == nil {
-		return f
-	}
-	for i := range sch.Events {
-		e := &sch.Events[i]
-		if e.Kind == FlashCrowd && e.FrontEnd == s && e.Active(slot) && e.Factor > f {
+	sch.walk(slot, func(e *Event) bool {
+		if e.Kind == FlashCrowd && e.FrontEnd == s && e.Factor > f {
 			f = e.Factor
 		}
-	}
+		return true
+	})
 	return f
 }
 
@@ -634,15 +594,12 @@ func (sch *Schedule) FlashCrowdFactor(s, slot int) float64 {
 // factor otherwise (the deepest sag wins).
 func (sch *Schedule) SlowCenterFactor(l, slot int) float64 {
 	f := 1.0
-	if sch == nil {
-		return f
-	}
-	for i := range sch.Events {
-		e := &sch.Events[i]
-		if e.Kind == SlowCenter && e.Center == l && e.Active(slot) && e.Factor < f {
+	sch.walk(slot, func(e *Event) bool {
+		if e.Kind == SlowCenter && e.Center == l && e.Factor < f {
 			f = e.Factor
 		}
-	}
+		return true
+	})
 	return f
 }
 
@@ -668,17 +625,8 @@ func (sch *Schedule) CenterFactors(L, slot int) []float64 {
 // PlannerFault returns the planner fault injected at the slot, if any.
 // When several cover the slot the first in schedule order wins.
 func (sch *Schedule) PlannerFault(slot int) (Kind, bool) {
-	if sch == nil {
-		return "", false
-	}
-	for i := range sch.Events {
-		e := &sch.Events[i]
-		switch e.Kind {
-		case PlannerTimeout, PlannerError, PlannerPanic:
-			if e.Active(slot) {
-				return e.Kind, true
-			}
-		}
+	if e := sch.find(slot, of(plannerFaults)); e != nil {
+		return e.Kind, true
 	}
 	return "", false
 }

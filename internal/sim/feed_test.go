@@ -11,32 +11,6 @@ import (
 	"profitlb/internal/resilient"
 )
 
-// TestFeedPathBitIdenticalToOracle is the acceptance gate of the feed
-// layer: with no feed faults active, routing inputs through the feeds
-// must produce the identical report — same plans, same dollars, to the
-// last bit — as the direct oracle path.
-func TestFeedPathBitIdenticalToOracle(t *testing.T) {
-	cfg := testConfig(6)
-	oracle, err := Run(cfg, core.NewOptimized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Feeds = &feed.Config{}
-	fed, err := Run(cfg, core.NewOptimized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fed.Slots {
-		if fed.Slots[i].Feeds == nil || !fed.Slots[i].Feeds.AllFresh() {
-			t.Fatalf("slot %d: clean feeds must report all-fresh health", i)
-		}
-		fed.Slots[i].Feeds = nil // health is the only permitted difference
-	}
-	if !reflect.DeepEqual(oracle, fed) {
-		t.Fatal("feed-path report differs from the oracle path with no feed faults")
-	}
-}
-
 // TestFeedPathComposesWithLegacyFaults: legacy observation faults (price
 // blackout) distort the value the feed transports, and the run still
 // reconciles and completes.

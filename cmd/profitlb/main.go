@@ -11,14 +11,15 @@
 //	profitlb scaffold             print an example JSON scenario
 //	profitlb simulate -config F   run a JSON scenario and print the report
 //	                              (-faults F|storm, -resilient, -seed N,
-//	                              -feeds on|F for the telemetry feed layer,
+//	                              -feeds on|F to configure the telemetry
+//	                              feed layer and print its health,
 //	                              -horizon H / -defer N,N for the rolling-
 //	                              horizon mpc planner and its backlog,
 //	                              -metrics/-trace/-pprof for observability)
 //	profitlb chaos -config F      profit retention per planner under a
 //	                              seeded outage + price-spike storm
-//	                              (-feeds adds feed faults and routes inputs
-//	                              through the feed layer,
+//	                              (-feeds adds feed faults and a feed-tier
+//	                              column,
 //	                              -metrics/-trace/-pprof observe the storm)
 //	profitlb compare -config F    run a scenario under every planner
 //	profitlb export-lp -config F  dump a slot's dispatch LP (CPLEX format)
@@ -122,8 +123,8 @@ commands:
   simulate -config F   run a JSON scenario file and print the report
                        (-faults F|storm injects failures, -resilient wraps
                        the planner in the fallback chain, -seed N seeds
-                       storms, -feeds on|F routes inputs through the feed
-                       layer,
+                       storms, -feeds on|F configures the feed layer and
+                       adds a feed-health column,
                        -horizon H plans each slot as the first of an
                        H-slot rolling window (the mpc planner) and
                        -defer N,N,... grants per-class deferral
@@ -133,7 +134,7 @@ commands:
                        -pprof ADDR serves net/http/pprof + /metrics)
   chaos -config F      profit retention per planner under a seeded fault
                        storm (outages + price spikes), resilient chains on
-                       (-feeds adds feed faults + the feed layer;
+                       (-feeds adds feed faults + a feed-tier column;
                        -metrics/-trace/-pprof observe the storm run)
   compare -config F    run a scenario under every planner
   export-lp -config F  dump one slot's dispatch LP in CPLEX LP format
@@ -452,9 +453,6 @@ func cmdSimulate(args []string) error {
 // non-fresh feeds as e.g. "p0:lkg(1) a1:prior(3)!" (p = price feed of
 // center N, a = arrival feed of front-end N, bang = open breaker).
 func feedLabel(s sim.SlotReport) string {
-	if s.Feeds == nil {
-		return "-"
-	}
 	if s.Feeds.AllFresh() {
 		return "fresh"
 	}
@@ -501,7 +499,7 @@ func cmdChaos(args []string) error {
 	outageSlots := fs.Int("outage-slots", 3, "slots each outage lasts")
 	spikes := fs.Int("spikes", 2, "price spikes to inject")
 	spikeFactor := fs.Float64("spike-factor", 2, "price multiplier during a spike")
-	feeds := fs.Bool("feeds", false, "route planner inputs through the telemetry feed layer and add feed faults to the storm")
+	feeds := fs.Bool("feeds", false, "add feed faults to the storm and report each planner's feed tiers")
 	metricsPath := fs.String("metrics", "", "write the storm run's metrics to this file on exit (Prometheus text; JSON when the path ends in .json)")
 	tracePath := fs.String("trace", "", "stream the storm run's planner-decision events to this file (JSON lines)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and live /metrics on this address (e.g. 127.0.0.1:6060)")
@@ -545,9 +543,6 @@ func cmdChaos(args []string) error {
 	faultedCfg.Faults = storm
 	faultedCfg.DegradeOnFailure = true
 	faultedCfg.Obs = sess.Scope()
-	if *feeds && faultedCfg.Feeds == nil {
-		faultedCfg.Feeds = &feed.Config{}
-	}
 
 	// Every lane plans through the scenario's engine settings under its
 	// own planner name; the storm lanes add the resilient chain and the

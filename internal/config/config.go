@@ -69,12 +69,13 @@ type Scenario struct {
 	// degrade instead of aborting. It is implied whenever Faults carries
 	// planner-fault events.
 	Resilient bool `json:"resilient,omitempty"`
-	// Feeds routes the planner's price and arrival inputs through the
-	// telemetry feed layer (internal/feed): retry/backoff fetches, circuit
+	// Feeds configures the telemetry feed layer (internal/feed) every
+	// planner input comes through: retry/backoff fetches, circuit
 	// breakers, last-known-good caching and the forecast/prior fallback
-	// chain. Feed fault events in Faults impair the transport. With a
-	// resilient chain, Feeds.EscalateOnDark makes the chain skip its
-	// primary tier on slots whose feeds are unusable.
+	// chain; nil means the zero feed.Config. Feed fault events in Faults
+	// impair the transport. With a resilient chain, Feeds.EscalateOnDark
+	// makes the chain skip its primary tier on slots whose feeds are
+	// unusable. The CLI prints feed health when the scenario sets it.
 	Feeds *feed.Config `json:"feeds,omitempty"`
 	// Dispatch configures the online serving plane for `profitlb serve`
 	// and `profitlb loadtest` (internal/dispatch): token-bucket burst,

@@ -77,8 +77,8 @@ type DeferralPlanner interface {
 // ForecastSource supplies multi-step forecasts for horizon assembly:
 // prices[i-1][l] and arrivals[i-1][s][k] estimate slot now+i, for i in
 // [1, h]. The telemetry feed layer (feed.Set) implements it over its
-// per-feed estimator ladder; a deferring planner falls back to its own
-// filters when no source is attached.
+// per-feed estimator ladder; a deferring planner with no source attached
+// cannot plan past the current slot.
 type ForecastSource interface {
 	ForecastHorizon(h int) (prices [][]float64, arrivals [][][]float64)
 }

@@ -27,7 +27,8 @@ type healthSource interface {
 }
 
 // forecastSource is the optional third: a source whose forecasts the
-// planner plans on (sim.InputSource under feeds).
+// planner plans on (sim.InputSource). Behind a source without it, an MPC
+// planner's look-ahead slots shed (mpc.ErrNoForecast).
 type forecastSource interface {
 	Attach(core.Planner)
 }

@@ -54,7 +54,7 @@ func darkFeedsLanes() []struct {
 
 // runDarkFeeds replays the Section VII window with the planner's inputs
 // routed through the telemetry feed layer at increasing levels of feed
-// degradation, against the oracle path as the reference. The "dark" lane
+// degradation, against the fault-free run as the reference. The "dark" lane
 // is the acid test: every feed is permanently lost from the first slot,
 // so the planner runs entirely on priors — the run must still complete
 // and serve real load, because the priors are trace means and the

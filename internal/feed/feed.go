@@ -18,9 +18,12 @@
 //
 // Every Fetch reports Health — estimator tier, staleness age, breaker
 // state, attempts spent — which the simulator records per slot and the
-// resilient planner chain uses to escalate. With no feed faults active
-// every fetch is a first-attempt fresh sample, so a feed-routed run is
-// bit-identical to the oracle path.
+// resilient planner chain uses to escalate. Every run plans through a
+// feed layer (sim.InputSource builds a clean one when the run names
+// none), and the same estimators project a rolling-horizon planner's
+// window (horizon.go). With no feed faults active every fetch is a
+// first-attempt fresh sample: the planner sees the oracle readings bit
+// for bit.
 //
 // All randomness (dropout draws, noise) is derived from a per-(feed,
 // slot) splitmix hash of the configured seed, so a Set replays
@@ -123,7 +126,7 @@ type HealthObserver interface {
 
 // Notify hands the slot's health to the planner before it is asked for
 // the slot's plan, when the planner observes feed health; a nil health
-// (the oracle path) notifies nobody.
+// notifies nobody.
 func (sh *SlotHealth) Notify(planner any) {
 	if fo, ok := planner.(HealthObserver); ok && sh != nil {
 		fo.ObserveFeedHealth(sh)

@@ -5,7 +5,8 @@ package feed
 // slot 0 has telemetry: the remaining H−1 slots must be forecast. This
 // file extends each feed's estimator ladder from "stand in for one failed
 // fetch" to "project h slots ahead", and bundles the per-feed projections
-// into the core.ForecastSource shape the planner consumes.
+// into the core.ForecastSource shape the planner consumes — the planner's
+// only forecaster.
 
 // PredictAhead projects the feed i slots past its most recent Fetch for
 // i in [1, h]: out[i-1] is the step-i estimate (same width as a Fetch

@@ -15,9 +15,9 @@ import (
 	"profitlb/internal/workload"
 )
 
-// ProcessRel and MeasureRel are the noise the feed layer's and the MPC
-// planner's filters give an element, relative to its magnitude — Q =
-// (ProcessRel·scale)², R likewise: scale-free across prices and rates.
+// ProcessRel and MeasureRel are the noise the feed layer's filters give
+// an element, relative to its magnitude — Q = (ProcessRel·scale)², R
+// likewise: scale-free across prices and rates.
 const (
 	ProcessRel = 0.15
 	MeasureRel = 0.05

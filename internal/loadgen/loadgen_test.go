@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"profitlb/internal/fault"
 	"profitlb/internal/feed"
 	"profitlb/internal/market"
+	"profitlb/internal/mpc"
 	"profitlb/internal/obs"
 	"profitlb/internal/resilient"
 	"profitlb/internal/sim"
@@ -341,6 +343,30 @@ func TestDriverEscalatesOnDarkFeeds(t *testing.T) {
 		table, err := blind.PlanTable(i)
 		if err != nil || table.Degraded {
 			t.Fatalf("slot %d: a PlannerInput-only source escalated (degraded %v, err %v)", i, table.Degraded, err)
+		}
+	}
+}
+
+// TestMPCBehindAnInputOnlySourceSheds: a source exposing only PlannerInput
+// cannot hand its feed layer to an MPC planner, and the planner has no
+// forecaster of its own, so each slot whose window looks ahead degrades
+// to the shed table with the missing forecast source named — it never
+// plans on a forecast no other plane sees. The same planner behind the
+// source itself plans every slot.
+func TestMPCBehindAnInputOnlySourceSheds(t *testing.T) {
+	cfg := testSimConfig(3)
+	newMPC := func() core.Planner { return mpc.New(mpc.Config{Horizon: 3, MaxDefer: []int{0, 1}}) }
+	blind, src := driver(t, cfg, newMPC(), nil)
+	blind.Source = inputOnly{src}
+	attached, _ := driver(t, cfg, newMPC(), nil)
+	for i := 0; i < cfg.Slots; i++ {
+		table, err := blind.PlanTable(i)
+		if err != nil || !table.Degraded || table.Tier != "shed" || !errors.Is(blind.LastErr, mpc.ErrNoForecast) {
+			t.Fatalf("slot %d: blind driver committed tier %q (degraded %v), err %v, LastErr %v; want the shed table and ErrNoForecast",
+				i, table.Tier, table.Degraded, err, blind.LastErr)
+		}
+		if table, err = attached.PlanTable(i); err != nil || table.Degraded || attached.LastErr != nil {
+			t.Fatalf("slot %d: attached driver degraded %v, err %v, LastErr %v", i, table.Degraded, err, attached.LastErr)
 		}
 	}
 }

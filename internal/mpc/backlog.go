@@ -39,7 +39,7 @@ func (p *Planner) CommitSlot(actual *core.Input, committed *core.Plan) core.Back
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	K, S := actual.Sys.K(), actual.Sys.S()
-	p.lazyInit(K, S, actual.Sys.L())
+	p.lazyInit(K, S)
 	bs := core.BacklogSlot{
 		CarriedIn:   make([]float64, K),
 		Drained:     make([]float64, K),

@@ -33,18 +33,15 @@ func (t *ledgerTap) CommitSlot(actual *core.Input, committed *core.Plan) core.Ba
 // same plans — per-slot objectives agree across the three planes, and a
 // deferring planner's backlog is aged, drained and billed online exactly
 // as in the simulator (the Driver used to never settle it: deferred work
-// silently disappeared). With the feed layer on, every plane hands its
-// source's projections to the MPC planner (sim.InputSource.Attach — the
-// Driver does it itself before its first slot, no host has to remember),
-// so the three still agree; des.Run and the Driver used not to, and
-// planned on the planner's internal forecaster there alone. The feeds row
-// is built to tell the two forecasters apart with a fault only the feed's
-// estimator ladder sees: the price feed is lost from slot 1, with one
-// sample in its cache and its filter cold. Once the sample's TTL runs out
-// the slot's price is the prior (the ramp's mean), but the feed still
-// projects the cached slot-0 price, far below it, so the planner defers
-// batch work; its own filters, which saw the prior arrive as a sample,
-// project the prior and would serve at once.
+// silently disappeared). Every plane hands its source's feed projections
+// to the MPC planner (sim.InputSource.Attach — the Driver does it itself
+// before its first slot, no host has to remember), so the three agree on
+// the window too. The feeds row runs the feed's estimator ladder off its
+// fresh tier: the price feed is lost from slot 1, with one sample in its
+// cache and its filter cold. Once the sample's TTL runs out the slot's
+// price is the prior (the ramp's mean), but the feed still projects the
+// cached slot-0 price, far below it, so the planner defers batch work
+// that a window projected from the prior would serve at once.
 func TestCrossPlaneEquivalence(t *testing.T) {
 	vibration := accConfig(accSys(), market.Houston(), 13, 8) // the Houston 13–21 h vibration
 	ramp := &market.PriceTrace{Name: "ramp"}

@@ -29,7 +29,7 @@ func (p *Planner) ForceDrain(in *core.Input, committed *core.Plan) float64 {
 
 func (p *Planner) forceDrainLocked(in *core.Input, plan *core.Plan) float64 {
 	K, S := in.Sys.K(), in.Sys.S()
-	p.lazyInit(K, S, in.Sys.L())
+	p.lazyInit(K, S)
 	for k := range p.forced {
 		p.forced[k] = 0
 	}

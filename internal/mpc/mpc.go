@@ -2,9 +2,11 @@
 // plane over the paper's slot optimization. Where the paper's planner is
 // slot-myopic — every request is dispatched, or lost, in the slot it
 // arrives — the MPC planner treats each slot as the first of an H-slot
-// window: it forecasts the remaining H−1 slots' arrivals and prices,
-// solves the joint horizon LP (core.PlanHorizon's formulation, warm-started
-// across windows), commits only slot 0's dispatch, and rolls forward.
+// window: it takes the remaining H−1 slots' arrivals and prices from the
+// attached forecast source (the run's feed layer, attached by
+// sim.InputSource.Attach), solves the joint horizon LP (core.PlanHorizon's
+// formulation, warm-started across windows), commits only slot 0's
+// dispatch, and rolls forward.
 //
 // What makes the window worth solving is deferrable work: classes whose
 // contract allows buffering for up to MaxDefer slots before dispatch.
@@ -46,25 +48,15 @@ type Config struct {
 	EndSlot int `json:"endSlot,omitempty"`
 }
 
-// The controller's fixed settings. The internal filters' noise is
-// forecast.ProcessRel/MeasureRel of each element's first sample.
-const (
-	// priceHedge is the robustness hedge on forecast prices: horizon
-	// assembly inflates every future slot's price by (1+priceHedge), so
-	// the LP only withholds profitable work for later when the predicted
-	// saving is large enough to survive forecast error. Without it a
-	// lagging forecast under-predicts prices on every upward ramp and the
-	// planner defers work straight into the peak. Passively-unserved work
-	// (unprofitable or capacity-starved now) still enters the backlog
-	// regardless — the hedge gates active withholding only.
-	priceHedge = 0.2
-	// minObservations is how many samples an internal filter needs before
-	// its projection outranks the last observation held flat (used only
-	// when no external forecast source is attached).
-	minObservations = 3
-	// minScale floors a filter's noise scale, which a zero first sample would zero.
-	minScale = 1e-6
-)
+// priceHedge is the robustness hedge on forecast prices: horizon assembly
+// inflates every future slot's price by (1+priceHedge), so the LP only
+// withholds profitable work for later when the predicted saving is large
+// enough to survive forecast error. Without it a lagging forecast
+// under-predicts prices on every upward ramp and the planner defers work
+// straight into the peak. Passively-unserved work (unprofitable or
+// capacity-starved now) still enters the backlog regardless — the hedge
+// gates active withholding only.
+const priceHedge = 0.2
 
 // WithDefaults fills an unset Horizon (4).
 func (c Config) WithDefaults() Config {

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -8,7 +9,6 @@ import (
 
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
-	"profitlb/internal/forecast"
 	"profitlb/internal/obs"
 	"profitlb/internal/tuf"
 )
@@ -58,9 +58,6 @@ func TestConstantsAreTheOldDefaults(t *testing.T) {
 		got, want float64
 	}{
 		{"priceHedge (deferMargin)", priceHedge, 0.2},
-		{"processRel", forecast.ProcessRel, 0.15},
-		{"measureRel", forecast.MeasureRel, 0.05},
-		{"minObservations", minObservations, 3},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %g, the key's default was %g", c.name, c.got, c.want)
@@ -160,6 +157,7 @@ func TestPlanCommitConservation(t *testing.T) {
 	sys := unitSys()
 	const slots = 10
 	p := New(Config{Horizon: 4, MaxDefer: []int{0, 2}, EndSlot: slots})
+	p.AttachForecast(flatSource{0.088, 300, 200}) // the valleys ahead
 	var prevOut []float64
 	var totArr, totServed, totShed, totLost, totDef float64
 	for slot := 0; slot < slots; slot++ {
@@ -249,7 +247,7 @@ func TestForceDrainPlacesDueWork(t *testing.T) {
 	in := slotInput(sys, 0, 0.148, 300, 0)
 	t.Run("fits", func(t *testing.T) {
 		p := New(Config{Horizon: 4, MaxDefer: []int{0, 2}, EndSlot: 10})
-		p.lazyInit(sys.K(), sys.S(), sys.L())
+		p.lazyInit(sys.K(), sys.S())
 		p.backlog[0][1] = []float64{150}
 		plan, err := core.NewOptimized().Plan(in)
 		if err != nil {
@@ -272,7 +270,7 @@ func TestForceDrainPlacesDueWork(t *testing.T) {
 	})
 	t.Run("overflow", func(t *testing.T) {
 		p := New(Config{Horizon: 4, MaxDefer: []int{0, 2}, EndSlot: 10})
-		p.lazyInit(sys.K(), sys.S(), sys.L())
+		p.lazyInit(sys.K(), sys.S())
 		p.backlog[0][1] = []float64{10000}
 		plan, err := core.NewOptimized().Plan(in)
 		if err != nil {
@@ -296,6 +294,7 @@ func TestForceDrainPlacesDueWork(t *testing.T) {
 func TestPlanDoesNotMutateBacklog(t *testing.T) {
 	sys := unitSys()
 	p := New(Config{Horizon: 4, MaxDefer: []int{0, 2}, EndSlot: 10})
+	p.AttachForecast(flatSource{0.088, 300, 200})
 	// Build a nonzero buffer, snapshot it, then plan twice.
 	if _, err := p.Plan(slotInput(sys, 0, 0.148, 300, 200)); err != nil {
 		t.Fatal(err)
@@ -318,6 +317,19 @@ func TestPlanDoesNotMutateBacklog(t *testing.T) {
 	}
 }
 
+// flatSource forecasts every slot ahead at one price and one (web, batch)
+// arrival pair on unitSys's lone center and front-end.
+type flatSource struct{ price, web, batch float64 }
+
+func (f flatSource) ForecastHorizon(h int) ([][]float64, [][][]float64) {
+	prices, arrivals := make([][]float64, h), make([][][]float64, h)
+	for i := range prices {
+		prices[i] = []float64{f.price}
+		arrivals[i] = [][]float64{{f.web, f.batch}}
+	}
+	return prices, arrivals
+}
+
 // shortSource answers every horizon one step short.
 type shortSource struct{}
 
@@ -325,21 +337,30 @@ func (shortSource) ForecastHorizon(h int) ([][]float64, [][][]float64) {
 	return make([][]float64, h-1), make([][][]float64, h-1)
 }
 
-// TestMalformedForecastIsAnError: an attached forecast source that answers
-// in the wrong shape fails the slot, naming the shape, and is counted — the
-// planner does not quietly plan on its internal filters instead, which
-// would put this plane on another forecaster than its peers.
+// TestMalformedForecastIsAnError: a window planned with no forecast source
+// attached, or with one that answers in the wrong shape, fails the slot
+// with the cause named and is counted — the planner has no forecaster of
+// its own to fall back on, so no plane can quietly plan on another
+// forecast than its peers.
 func TestMalformedForecastIsAnError(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := New(Config{Horizon: 3, MaxDefer: []int{0, 2}})
 	p.Instrument(obs.NewScope(reg, nil))
+	failures := func() int64 { return reg.Counter("mpc_horizon_failures_total", obs.L("planner", "mpc")).Value() }
+	in := slotInput(unitSys(), 0, 0.1, 300, 200)
+	if _, err := p.Plan(in); !errors.Is(err, ErrNoForecast) {
+		t.Fatalf("Plan with no forecast source returned %v, want ErrNoForecast", err)
+	}
+	if got := failures(); got != 1 {
+		t.Fatalf("mpc_horizon_failures_total = %d, want 1", got)
+	}
 	p.AttachForecast(shortSource{})
-	_, err := p.Plan(slotInput(unitSys(), 0, 0.1, 300, 200))
+	_, err := p.Plan(in)
 	if err == nil || !strings.Contains(err.Error(), "1 price and 1 arrival steps, want 2") {
 		t.Fatalf("Plan under a short forecast returned %v, want the shape named", err)
 	}
-	if got := reg.Counter("mpc_horizon_failures_total", obs.L("planner", "mpc")).Value(); got != 1 {
-		t.Fatalf("mpc_horizon_failures_total = %d, want 1", got)
+	if got := failures(); got != 2 {
+		t.Fatalf("mpc_horizon_failures_total = %d, want 2", got)
 	}
 }
 
@@ -352,6 +373,7 @@ func TestInstrumentReachesTheHorizonSolve(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := New(Config{Horizon: 3, MaxDefer: []int{0, 2}})
 	p.Instrument(obs.NewScope(reg, nil))
+	p.AttachForecast(flatSource{0.1, 300, 200})
 	sys := unitSys()
 	for slot := 0; slot < 4; slot++ {
 		in := slotInput(sys, slot, 0.1, 300, 200)

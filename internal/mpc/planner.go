@@ -1,13 +1,13 @@
 package mpc
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"time"
 
 	"profitlb/internal/core"
-	"profitlb/internal/forecast"
 	"profitlb/internal/obs"
 )
 
@@ -37,12 +37,12 @@ type Planner struct {
 	// the next CommitSlot (replace semantics: each drain overwrites it, so
 	// an abandoned tier's drain cannot double-count).
 	forced []float64
-
-	// Internal filter banks for horizon assembly when no forecast source
-	// is attached: one per price element and one per (front-end, class).
-	priceF []*kalmanCell
-	arrF   [][]*kalmanCell
 }
+
+// ErrNoForecast fails a slot whose window reaches past slot 0 while no
+// forecast source is attached: the planner has nothing to plan the later
+// slots on. A host attaches one through sim.InputSource.Attach.
+var ErrNoForecast = errors.New("mpc: horizon window needs a forecast source, none attached")
 
 // New returns a controller for the configuration (defaults applied).
 func New(cfg Config) *Planner {
@@ -59,9 +59,9 @@ func (p *Planner) Name() string { return "mpc" }
 // Config returns the effective (defaulted) configuration.
 func (p *Planner) Config() Config { return p.cfg }
 
-// AttachForecast routes horizon assembly through an external multi-step
-// forecast source (the telemetry feed layer); without one the planner
-// projects from its own per-element Kalman filters.
+// AttachForecast routes horizon assembly through a multi-step forecast
+// source (the telemetry feed layer); without one a window longer than one
+// slot fails with ErrNoForecast.
 func (p *Planner) AttachForecast(fs core.ForecastSource) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -79,58 +79,16 @@ func (p *Planner) Instrument(sc *obs.Scope) {
 	p.sc, p.horizon.Obs = sc, sc
 }
 
-// kalmanCell is one lazily-built scalar filter: the noise scales are set
-// relative to the first observation, and until the filter is warm the
-// projection holds the last observation flat.
-type kalmanCell struct {
-	f    *forecast.Kalman
-	last float64
-}
-
-func (p *Planner) observe(c *kalmanCell, z float64) {
-	if c.f == nil {
-		scale := math.Max(z, minScale)
-		sq := func(x float64) float64 { return x * x }
-		c.f, _ = forecast.NewKalman(sq(forecast.ProcessRel*scale), sq(forecast.MeasureRel*scale))
-	}
-	c.f.Observe(z)
-	c.last = z
-}
-
-// ahead projects the cell h steps forward: the warm filter's trajectory,
-// else the last observation held flat.
-func (p *Planner) ahead(c *kalmanCell, h int) []float64 {
-	if c.f != nil && c.f.Warm(minObservations) {
-		if est, _, err := c.f.PredictH(h); err == nil {
-			return est
-		}
-	}
-	out := make([]float64, h)
-	for i := range out {
-		out[i] = c.last
-	}
-	return out
-}
-
-// lazyInit shapes the per-topology state on first use. K and S never
-// change across a run (fault-effective topologies reshape centers, not
-// classes or front-ends).
-func (p *Planner) lazyInit(K, S, L int) {
+// lazyInit shapes the backlog on first use. K and S never change across a
+// run (fault-effective topologies reshape centers, not classes or
+// front-ends).
+func (p *Planner) lazyInit(K, S int) {
 	if p.backlog != nil {
 		return
 	}
 	p.backlog = make([][][]float64, S)
-	p.arrF = make([][]*kalmanCell, S)
 	for s := 0; s < S; s++ {
 		p.backlog[s] = make([][]float64, K)
-		p.arrF[s] = make([]*kalmanCell, K)
-		for k := 0; k < K; k++ {
-			p.arrF[s][k] = &kalmanCell{}
-		}
-	}
-	p.priceF = make([]*kalmanCell, L)
-	for l := 0; l < L; l++ {
-		p.priceF[l] = &kalmanCell{}
 	}
 	p.forced = make([]float64, K)
 }
@@ -144,17 +102,7 @@ func (p *Planner) Plan(in *core.Input) (*core.Plan, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	sys := in.Sys
-	K, S, L := sys.K(), sys.S(), sys.L()
-	p.lazyInit(K, S, L)
-	for l := 0; l < L; l++ {
-		p.observe(p.priceF[l], in.Prices[l])
-	}
-	for s := 0; s < S; s++ {
-		for k := 0; k < K; k++ {
-			p.observe(p.arrF[s][k], in.Arrivals[s][k])
-		}
-	}
+	p.lazyInit(in.Sys.K(), in.Sys.S())
 	for k := range p.forced {
 		p.forced[k] = 0
 	}
@@ -210,8 +158,8 @@ func (p *Planner) effHorizon(slot int) int {
 }
 
 // assembleWindow builds the H-slot horizon input: slot 0 is the live
-// telemetry, slots 1..H−1 come from the attached forecast source (or the
-// internal filters), and the backlog is a snapshot of the aging buckets.
+// telemetry, slots 1..H−1 come from the attached forecast source, and the
+// backlog is a snapshot of the aging buckets.
 func (p *Planner) assembleWindow(in *core.Input, H int) (*core.HorizonInput, error) {
 	sys := in.Sys
 	K, S, L := sys.K(), sys.S(), sys.L()
@@ -236,8 +184,11 @@ func (p *Planner) assembleWindow(in *core.Input, H int) (*core.HorizonInput, err
 	if H == 1 {
 		return hin, nil
 	}
-	prices, arrivals, err := p.projection(H - 1)
-	if err != nil {
+	if p.fs == nil {
+		return nil, ErrNoForecast
+	}
+	prices, arrivals := p.fs.ForecastHorizon(H - 1)
+	if err := sourceShape(prices, arrivals, H-1, L, S); err != nil {
 		return nil, err
 	}
 	for t := 1; t < H; t++ {
@@ -255,44 +206,9 @@ func (p *Planner) assembleWindow(in *core.Input, H int) (*core.HorizonInput, err
 	return hin, nil
 }
 
-// projection returns the h-step forecast from the attached source, or from
-// the internal filter banks when none is attached. An attached source that
-// answers in the wrong shape is an error, never a reason to forecast from
-// the internal filters instead: this plane would then plan on another
-// forecaster than its peers, and nothing would say so.
-func (p *Planner) projection(h int) (prices [][]float64, arrivals [][][]float64, err error) {
-	if p.fs != nil {
-		prices, arrivals = p.fs.ForecastHorizon(h)
-		return prices, arrivals, sourceShape(prices, arrivals, h, len(p.priceF), len(p.arrF))
-	}
-	prices = make([][]float64, h)
-	arrivals = make([][][]float64, h)
-	for i := 0; i < h; i++ {
-		prices[i] = make([]float64, len(p.priceF))
-		arrivals[i] = make([][]float64, len(p.arrF))
-		for s := range p.arrF {
-			arrivals[i][s] = make([]float64, len(p.arrF[s]))
-		}
-	}
-	for l, c := range p.priceF {
-		traj := p.ahead(c, h)
-		for i := 0; i < h; i++ {
-			prices[i][l] = traj[i]
-		}
-	}
-	for s := range p.arrF {
-		for k, c := range p.arrF[s] {
-			traj := p.ahead(c, h)
-			for i := 0; i < h; i++ {
-				arrivals[i][s][k] = traj[i]
-			}
-		}
-	}
-	return prices, arrivals, nil
-}
-
-// sourceShape checks an external forecast's dimensions: h steps of L
-// prices and S front-ends' arrivals.
+// sourceShape checks a forecast's dimensions: h steps of L prices and S
+// front-ends' arrivals. A source answering in the wrong shape fails the
+// slot rather than being patched over.
 func sourceShape(prices [][]float64, arrivals [][][]float64, h, L, S int) error {
 	if len(prices) != h || len(arrivals) != h {
 		return fmt.Errorf("mpc: forecast source returned %d price and %d arrival steps, want %d of each", len(prices), len(arrivals), h)

@@ -36,8 +36,8 @@ type windowTap struct {
 func (w *windowTap) Plan(in *core.Input) (*core.Plan, error) {
 	plan, err := w.Planner.Plan(in)
 	p := w.Planner
-	// Plan leaves filters and backlog as its own assembly saw them, so
-	// assembling again reproduces the window it solved.
+	// Plan leaves the backlog as its own assembly saw it, and projecting
+	// mutates no feed, so assembling again reproduces the window it solved.
 	if H := p.effHorizon(in.Slot); err == nil && !p.cfg.myopicOnly() && (H > 1 || !p.backlogEmpty()) {
 		hin, _ := p.assembleWindow(in, H)
 		w.windows = append(w.windows, houstonWindow{Horizon: p.cfg.Horizon, Slot: in.Slot,

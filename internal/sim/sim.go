@@ -1,6 +1,7 @@
 // Package sim runs the paper's time-slotted evaluation loop: at the start
 // of every slot the planner under test sees the slot's average arrival
-// rates and electricity prices and commits a dispatch/allocation plan; the
+// rates and electricity prices, as the run's telemetry feed layer
+// (internal/feed) delivers them, and commits a dispatch/allocation plan; the
 // simulator then accounts the achieved utility (from each commodity's
 // expected M/M/1 delay through its TUF), the energy dollar cost (Eq. 2),
 // the transfer dollar cost (Eq. 3) and the resulting net profit.
@@ -52,14 +53,15 @@ type Config struct {
 	// PlanTraces). Planner faults in the schedule only fire if the
 	// planner is wrapped in a fault.Injector.
 	Faults *fault.Schedule
-	// Feeds, when set, routes the planner's inputs through the telemetry
-	// feed layer (internal/feed): per-slot fetches with retry/backoff,
-	// circuit breakers, and the LKG → forecast → prior fallback chain.
-	// Feed fault events in Faults impair the transport; with no feed
-	// faults active every fetch is fresh and the run is bit-identical to
-	// the oracle path. The accounting always settles on true prices and
-	// actual arrivals — feeds distort only the planner's view, and
-	// distorted plans are reconciled like PlanTraces.
+	// Feeds configures the telemetry feed layer (internal/feed) every
+	// planner input comes through: per-slot fetches with retry/backoff,
+	// circuit breakers, and the LKG → forecast → prior fallback chain,
+	// whose estimators also project an MPC planner's window. Nil means
+	// the zero feed.Config. Feed fault events in Faults impair the
+	// transport; with none active every fetch is fresh, and the planner
+	// sees exactly the observed traces and prices. The accounting always
+	// settles on true prices and actual arrivals — feeds distort only the
+	// planner's view, and distorted plans are reconciled like PlanTraces.
 	Feeds *feed.Config
 	// Obs, when non-nil, streams the run's slot lifecycle — plan
 	// commits with their dollar flows, failures, fallback tiers, feed
@@ -162,8 +164,7 @@ type SlotReport struct {
 	// FaultsActive lists the injected faults in effect during the slot.
 	FaultsActive []string
 	// Feeds records every feed's health for the slot — estimator tier,
-	// staleness, breaker state — when the run routes inputs through the
-	// feed layer (Config.Feeds); nil on the oracle path.
+	// staleness, breaker state.
 	Feeds *feed.SlotHealth
 	// Backlog is the slot's deferral ledger when the planner buffers
 	// deferrable work across slots (core.DeferralPlanner, internal/mpc):
@@ -263,8 +264,7 @@ func (r *Report) TotalLostRevenue() float64 {
 }
 
 // FeedTierCounts counts feed-slots per estimator tier name ("fresh",
-// "lkg", "forecast", "prior") across every feed of every slot. Empty on
-// the oracle path.
+// "lkg", "forecast", "prior") across every feed of every slot.
 func (r *Report) FeedTierCounts() map[string]int {
 	out := map[string]int{}
 	r.eachFeedHealth(func(h feed.Health) { out[h.Tier.String()]++ })
@@ -272,7 +272,7 @@ func (r *Report) FeedTierCounts() map[string]int {
 }
 
 // FeedTierMix renders FeedTierCounts in tier order, e.g.
-// "fresh:40 lkg:5 prior:3" ("none" on the oracle path).
+// "fresh:40 lkg:5 prior:3".
 func (r *Report) FeedTierMix() string {
 	counts := r.FeedTierCounts()
 	var parts []string
@@ -281,14 +281,11 @@ func (r *Report) FeedTierMix() string {
 			parts = append(parts, fmt.Sprintf("%s:%d", tier, counts[tier]))
 		}
 	}
-	if len(parts) == 0 {
-		return "none"
-	}
 	return strings.Join(parts, " ")
 }
 
 // MeanFeedStaleness averages the staleness age over every feed-slot (0
-// on the oracle path or when every fetch was fresh).
+// when every fetch was fresh).
 func (r *Report) MeanFeedStaleness() float64 {
 	var sum float64
 	var n int
@@ -312,14 +309,10 @@ func (r *Report) BreakerOpenSlots() int {
 
 func (r *Report) eachFeedHealth(fn func(feed.Health)) {
 	for i := range r.Slots {
-		sh := r.Slots[i].Feeds
-		if sh == nil {
-			continue
-		}
-		for _, h := range sh.Prices {
+		for _, h := range r.Slots[i].Feeds.Prices {
 			fn(h)
 		}
-		for _, h := range sh.Arrivals {
+		for _, h := range r.Slots[i].Feeds.Arrivals {
 			fn(h)
 		}
 	}
@@ -376,11 +369,15 @@ func (r *Report) CenterSeries(k, l int) []float64 {
 
 // buildFeeds assembles the run's feed layer: one price feed per center
 // and one arrival feed per front-end, each sourcing the planner-facing
-// oracle reading (legacy observation faults included, so price blackouts
-// and trace drops compose underneath the feed transport), with the trace
-// mean as the default prior — the stand-in for the provider's historical
-// telemetry.
+// oracle reading (the plan traces when set, and the legacy observation
+// faults, so price blackouts and trace drops compose underneath the feed
+// transport), with the trace mean as the default prior — the stand-in for
+// the provider's historical telemetry.
 func buildFeeds(cfg *Config) (*feed.Set, error) {
+	var fc feed.Config
+	if cfg.Feeds != nil {
+		fc = *cfg.Feeds
+	}
 	K, S, L := cfg.Sys.K(), cfg.Sys.S(), cfg.Sys.L()
 	priceSrc := make([]func(int) float64, L)
 	pricePriors := make([]float64, L)
@@ -408,7 +405,7 @@ func buildFeeds(cfg *Config) (*feed.Set, error) {
 		}
 		arrivalPriors[s] = traceMeans(cfg.Traces[s], K)
 	}
-	return feed.NewSet(*cfg.Feeds, cfg.Faults, priceSrc, pricePriors, arrivalSrc, arrivalPriors)
+	return feed.NewSet(fc, cfg.Faults, priceSrc, pricePriors, arrivalSrc, arrivalPriors)
 }
 
 // traceMeans returns the per-type mean rate over the whole trace.

@@ -295,10 +295,7 @@ func (p *Publisher) emitMembership(reason, id string, slot int) {
 		epoch = p.cur.Epoch
 	}
 	p.scope.Emit(obs.Event{
-		Kind: obs.KindMembership, Slot: slot, Planner: id, Reason: reason,
-		Values: map[string]float64{
-			"epoch":   float64(epoch),
-			"members": float64(len(p.order)),
-		},
+		Kind: obs.KindMembership, Slot: slot, Epoch: epoch, Replica: id, Reason: reason,
+		Values: map[string]float64{"members": float64(len(p.order))},
 	})
 }

@@ -173,10 +173,8 @@ func (r *Replica) Apply(pub *Publication, now float64) (bool, error) {
 		r.scope.Gauge("cluster_replica_epoch", obs.L("replica", r.ID)).Set(float64(pub.Epoch))
 		r.scope.Gauge("cluster_replica_staleness", obs.L("replica", r.ID)).Set(0)
 		r.scope.Emit(obs.Event{
-			Kind: obs.KindEpochApplied, Slot: pub.Slot, Planner: r.ID,
+			Kind: obs.KindEpochApplied, Slot: pub.Slot, Epoch: pub.Epoch, Sub: pub.Sub, Replica: r.ID,
 			Values: map[string]float64{
-				"epoch":   float64(pub.Epoch),
-				"sub":     float64(pub.Sub),
 				"members": float64(len(pub.Members)),
 				"index":   float64(idx),
 			},
@@ -245,11 +243,8 @@ func (r *Replica) Tick(slot int, now float64) {
 	if r.scope.Enabled() {
 		r.scope.Counter("cluster_stale_downgrades_total").Inc()
 		r.scope.Emit(obs.Event{
-			Kind: obs.KindStaleServing, Slot: slot, Planner: r.ID, Staleness: r.staleness,
-			Values: map[string]float64{
-				"epoch":  float64(r.appliedEpoch),
-				"factor": staleShare,
-			},
+			Kind: obs.KindStaleServing, Slot: slot, Epoch: r.appliedEpoch, Replica: r.ID, Staleness: r.staleness,
+			Values: map[string]float64{"factor": staleShare},
 		})
 	}
 }
@@ -260,11 +255,7 @@ func (r *Replica) emitFenced(pub *Publication, reason string) {
 		return
 	}
 	r.scope.Emit(obs.Event{
-		Kind: obs.KindEpochFenced, Slot: pub.Slot, Planner: r.ID, Reason: reason,
-		Values: map[string]float64{
-			"epoch":   float64(pub.Epoch),
-			"sub":     float64(pub.Sub),
-			"current": float64(r.gw.Epoch()),
-		},
+		Kind: obs.KindEpochFenced, Slot: pub.Slot, Epoch: pub.Epoch, Sub: pub.Sub, Replica: r.ID, Reason: reason,
+		Values: map[string]float64{"current": float64(r.gw.Epoch())},
 	})
 }

@@ -301,10 +301,8 @@ func (c *Controller) Tick(now float64) bool {
 	c.log = append(c.log, c.actuationLine(changed))
 	if c.scope.Enabled() {
 		c.scope.Emit(obs.Event{
-			Kind: obs.KindControlActuation, Slot: c.base.Slot,
+			Kind: obs.KindControlActuation, Slot: c.base.Slot, Epoch: c.base.Epoch, Sub: c.sub,
 			Values: map[string]float64{
-				"epoch":        float64(c.base.Epoch),
-				"sub":          float64(c.sub),
 				"tick":         float64(c.tick),
 				"lanesChanged": float64(changed),
 				"maxStep":      maxDelta,
@@ -324,12 +322,8 @@ func (c *Controller) freeze(reason string) {
 	c.log = append(c.log, fmt.Sprintf("tick=%d freeze reason=%s", c.tick, reason))
 	if c.scope.Enabled() {
 		c.scope.Emit(obs.Event{
-			Kind: obs.KindControlFrozen, Slot: c.base.Slot, Reason: reason,
-			Values: map[string]float64{
-				"epoch": float64(c.base.Epoch),
-				"sub":   float64(c.sub),
-				"tick":  float64(c.tick),
-			},
+			Kind: obs.KindControlFrozen, Slot: c.base.Slot, Epoch: c.base.Epoch, Sub: c.sub, Reason: reason,
+			Values: map[string]float64{"tick": float64(c.tick)},
 		})
 	}
 }

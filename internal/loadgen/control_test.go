@@ -6,6 +6,7 @@ import (
 
 	"profitlb/internal/core"
 	"profitlb/internal/fault"
+	"profitlb/internal/obs"
 )
 
 // TestControlCleanBitIdentical: on a clean scenario the controller's
@@ -236,5 +237,64 @@ func TestFleetControlFlashCrowd(t *testing.T) {
 	fe, se := frozen.MaxDemandError(500), steered.MaxDemandError(500)
 	if se >= fe {
 		t.Fatalf("fleet controller demand error %.4f did not beat frozen %.4f", se, fe)
+	}
+}
+
+// TestFleetControlEventsJoinBySlotAndEpoch: one slot's story joins across
+// the planes by field. Under a flash crowd on a 2-replica fleet, each
+// slot's base table is applied once per replica under the epoch the
+// driver minted for it, and every controller actuation names a (slot,
+// epoch) the replicas applied, whose correction each replica then applied
+// under the actuation's sub-epoch.
+func TestFleetControlEventsJoinBySlotAndEpoch(t *testing.T) {
+	cfg := testSimConfig(4)
+	cfg.Faults = flashSchedule(cfg.Slots, 2)
+	col := &obs.Collector{}
+	f, src := fleetHarness(t, cfg, 2, cfg.Faults, obs.NewScope(obs.NewRegistry(), col))
+	rep, err := Run(f, src, Config{Seed: 31, Slots: cfg.Slots, Control: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type at struct {
+		slot       int
+		epoch, sub uint64
+	}
+	applied := map[at]map[string]int{} // per replica
+	var actuations []obs.Event
+	for _, ev := range col.Events() {
+		if _, ok := ev.Values["epoch"]; ok {
+			t.Fatalf("%s event carries its epoch in Values: %+v", ev.Kind, ev)
+		}
+		switch ev.Kind {
+		case obs.KindEpochApplied:
+			if ev.Replica == "" || ev.Planner != "" {
+				t.Fatalf("epoch-applied names its replica in Replica %q, Planner %q", ev.Replica, ev.Planner)
+			}
+			k := at{ev.Slot, ev.Epoch, ev.Sub}
+			if applied[k] == nil {
+				applied[k] = map[string]int{}
+			}
+			applied[k][ev.Replica]++
+		case obs.KindControlActuation:
+			actuations = append(actuations, ev)
+		}
+	}
+	once := func(k at) bool {
+		got := applied[k]
+		return len(got) == 2 && got[f.Replicas[0].ID] == 1 && got[f.Replicas[1].ID] == 1
+	}
+	for _, s := range rep.Slots {
+		if s.Epoch == 0 || !once(at{s.Slot, s.Epoch, 0}) {
+			t.Fatalf("slot %d: driver epoch %d applied %v, want once per replica", s.Slot, s.Epoch, applied[at{s.Slot, s.Epoch, 0}])
+		}
+	}
+	if len(actuations) == 0 {
+		t.Fatal("the flash crowd produced no actuation to join")
+	}
+	for _, ev := range actuations {
+		if !once(at{ev.Slot, ev.Epoch, 0}) || ev.Sub == 0 || !once(at{ev.Slot, ev.Epoch, ev.Sub}) {
+			t.Fatalf("actuation at slot %d epoch %d sub %d joins no applied base and correction: %v / %v",
+				ev.Slot, ev.Epoch, ev.Sub, applied[at{ev.Slot, ev.Epoch, 0}], applied[at{ev.Slot, ev.Epoch, ev.Sub}])
+		}
 	}
 }

@@ -35,37 +35,43 @@ const (
 	// Planner, Values (lpSolves, lpCacheHits, lpSolveErrors, lpBounded).
 	KindEngine = "engine"
 	// KindEpochApplied is a gateway replica applying a published plan
-	// epoch: Slot, Planner (the replica ID), Values (epoch, members,
-	// index).
+	// epoch: Slot, Epoch, Sub, Replica, Values (members, index).
 	KindEpochApplied = "epoch-applied"
 	// KindEpochFenced is a stale or duplicate plan delivery rejected by
-	// the epoch fence: Slot, Planner (the replica ID), Reason
-	// ("stale"/"duplicate"/"not-member"), Values (epoch, current).
+	// the epoch fence: Slot, Epoch, Sub (the delivery's), Replica, Reason
+	// ("stale"/"duplicate"/"not-member"), Values (current).
 	KindEpochFenced = "epoch-fenced"
 	// KindMembership is the control plane changing the replica set:
-	// Slot, Reason ("join"/"evict"/"rejoin"), Planner (the replica ID),
-	// Values (epoch, members).
+	// Slot, Epoch (the current plan's), Replica, Reason
+	// ("join"/"evict"/"rejoin"), Values (members).
 	KindMembership = "membership"
 	// KindStaleServing is a replica crossing the staleness TTL into
-	// conservative-shed serving: Slot, Planner (the replica ID),
-	// Staleness, Values (epoch, factor).
+	// conservative-shed serving: Slot, Epoch (the last applied), Replica,
+	// Staleness, Values (factor).
 	KindStaleServing = "stale-serving"
 	// KindControlActuation is a sub-slot controller publishing a corrected
-	// table: Slot, Values (epoch, sub, tick, lanesChanged, maxStep).
+	// table: Slot, Epoch, Sub, Values (tick, lanesChanged, maxStep).
 	KindControlActuation = "control-actuation"
 	// KindControlFrozen is the controller freezing at the last safe table
-	// instead of actuating: Slot, Reason ("stale-counters"/"clock"/
-	// "publish-rejected"/"rescale"), Values (epoch, sub, tick).
+	// instead of actuating: Slot, Epoch, Sub, Reason ("stale-counters"/
+	// "clock"/"publish-rejected"/"rescale"), Values (tick).
 	KindControlFrozen = "control-frozen"
 )
 
 // Event is one structured trace record. Unused fields stay zero and are
 // omitted from the JSON encoding; Values holds the kind's numeric
 // payload (maps marshal with sorted keys, so encodings are
-// deterministic).
+// deterministic). Slot, Epoch, Sub and Replica join one slot's events
+// across the publisher, replicas and controller.
 type Event struct {
-	Kind      string             `json:"kind"`
-	Slot      int                `json:"slot"`
+	Kind string `json:"kind"`
+	Slot int    `json:"slot"`
+	// Epoch is the plan epoch the event concerns and Sub its sub-slot
+	// correction (0 for the slot's base table); Replica names the gateway
+	// replica.
+	Epoch     uint64             `json:"epoch,omitempty"`
+	Sub       uint64             `json:"sub,omitempty"`
+	Replica   string             `json:"replica,omitempty"`
 	Planner   string             `json:"planner,omitempty"`
 	Tier      int                `json:"tier,omitempty"`
 	TierName  string             `json:"tierName,omitempty"`

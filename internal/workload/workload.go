@@ -135,15 +135,19 @@ func ShiftTypes(name string, base []float64, types, shift int) *Trace {
 
 // WorldCupConfig parameterizes the World-Cup-like diurnal generator.
 type WorldCupConfig struct {
-	Slots     int     // series length; 0 means 24
-	Base      float64 // baseline rate; 0 means 500
-	DaySwing  float64 // diurnal amplitude as a fraction of Base; 0 means 0.6
-	PeakSlot  float64 // slot of diurnal maximum; 0 means 15
-	Burst     float64 // flash-crowd peak height as a multiple of Base; 0 means 1.5
-	BurstSlot int     // slot where the flash crowd is centred; 0 means 19
-	Noise     float64 // relative per-slot noise; 0 means 0.08
-	Seed      int64
+	Slots int     // series length; 0 means 24
+	Base  float64 // baseline rate; 0 means 500
+	Burst float64 // flash-crowd peak height as a multiple of Base; 0 means 1.5
+	Noise float64 // relative per-slot noise; 0 means 0.08
+	Seed  int64
 }
+
+// The World-Cup-like day's fixed shape.
+const (
+	daySwing  = 0.6 // diurnal amplitude as a fraction of Base
+	peakSlot  = 15  // slot of the diurnal maximum
+	burstSlot = 19  // slot where the flash crowd is centred
+)
 
 // WorldCupLike produces one diurnal base series with a flash-crowd spike,
 // the stand-in for the paper's 1998 World Cup access trace (Fig. 5).
@@ -154,17 +158,8 @@ func WorldCupLike(cfg WorldCupConfig) []float64 {
 	if cfg.Base <= 0 {
 		cfg.Base = 500
 	}
-	if cfg.DaySwing <= 0 {
-		cfg.DaySwing = 0.6
-	}
-	if cfg.PeakSlot == 0 {
-		cfg.PeakSlot = 15
-	}
 	if cfg.Burst <= 0 {
 		cfg.Burst = 1.5
-	}
-	if cfg.BurstSlot == 0 {
-		cfg.BurstSlot = 19
 	}
 	if cfg.Noise == 0 {
 		cfg.Noise = 0.08
@@ -174,10 +169,10 @@ func WorldCupLike(cfg WorldCupConfig) []float64 {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	out := make([]float64, cfg.Slots)
 	for s := range out {
-		phase := 2 * math.Pi * (float64(s) - cfg.PeakSlot) / 24
-		v := cfg.Base * (1 + cfg.DaySwing*math.Cos(phase))
-		// Flash crowd: a narrow Gaussian bump around BurstSlot.
-		d := float64(s - cfg.BurstSlot)
+		phase := 2 * math.Pi * (float64(s) - peakSlot) / 24
+		v := cfg.Base * (1 + daySwing*math.Cos(phase))
+		// Flash crowd: a narrow Gaussian bump around burstSlot.
+		d := float64(s - burstSlot)
 		v += cfg.Base * cfg.Burst * math.Exp(-d*d/2)
 		v *= 1 + cfg.Noise*(2*rng.Float64()-1)
 		if v < 0 {

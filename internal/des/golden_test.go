@@ -17,13 +17,14 @@ var updateGolden = flag.Bool("update", false, "rewrite the realized-run golden")
 
 // TestRealizedGolden pins what the request-level run realizes — served
 // counts, deadline misses and dollars per slot — on the Section VII
-// window thinned to a quarter of its load, under exponential and CV = 2
-// (hyperexponential) service. Every figure follows from the order in
-// which the per-commodity queues draw arrivals and service times from
-// the one seeded generator, so the file changes only if that order does.
+// window thinned to a quarter of its load, under CV = 0.5 (Erlang-4),
+// exponential and CV = 2 (hyperexponential) service. Every figure follows
+// from the order in which the per-commodity queues draw arrivals and
+// service times from the one seeded generator, so the file changes only if
+// that order does.
 func TestRealizedGolden(t *testing.T) {
 	var got bytes.Buffer
-	for _, cv := range []float64{1, 2} {
+	for _, cv := range []float64{0.5, 1, 2} {
 		cfg := des.Thin(des.Config{
 			Sim:       exp.NewTwoLevelSetup().Config(),
 			Planner:   core.NewOptimized(),

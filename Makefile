@@ -176,6 +176,8 @@ loc:
 #   feeds), read by config.BuildPlanner;
 #   dispatch.Config Burst/MinBurst — one-valued outside tests, but 27 test
 #   sites use them as the seam to small token buckets;
+#   core.Optimized MinCompletion — set through the root facade
+#   (examples/fairness), whose files import profitlb, not internal/core;
 #   lp.Options MaxIterations/Tol/Bland and core.EngineOptions LPOpts —
 #   one-valued; bench/ spells lp.Options and LPOpts, so they go with
 #   ROADMAP item 8 (as do the two ignored Sparse fields bench/ assigns).

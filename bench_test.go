@@ -278,18 +278,6 @@ func BenchmarkSimulate24Slots(b *testing.B) {
 	}
 }
 
-// Extension experiments (ablations + validation).
-
-func BenchmarkAbl1LevelSearch(b *testing.B) { benchExperiment(b, "abl1-levelsearch") }
-func BenchmarkAbl2Refine(b *testing.B)      { benchExperiment(b, "abl2-refine") }
-func BenchmarkAbl3Aggregation(b *testing.B) { benchExperiment(b, "abl3-aggregation") }
-func BenchmarkAbl5Forecast(b *testing.B)    { benchExperiment(b, "abl5-forecast") }
-func BenchmarkAbl6Baselines(b *testing.B)   { benchExperiment(b, "abl6-baselines") }
-func BenchmarkVal1MM1(b *testing.B)         { benchExperiment(b, "val1-mm1") }
-
-func BenchmarkAbl7ShadowPrices(b *testing.B) { benchExperiment(b, "abl7-shadowprices") }
-func BenchmarkVal2Utility(b *testing.B)      { benchExperiment(b, "val2-utility") }
-
 // BenchmarkSensitivity prices one slot's scarce resources.
 func BenchmarkSensitivity(b *testing.B) {
 	in := benchInput()
@@ -302,25 +290,9 @@ func BenchmarkSensitivity(b *testing.B) {
 	}
 }
 
-func BenchmarkAbl8PUE(b *testing.B)   { benchExperiment(b, "abl8-pue") }
-func BenchmarkAbl9Scale(b *testing.B) { benchExperiment(b, "abl9-scale") }
+// The extension experiments a gate or the README names.
 
-func BenchmarkVal3DES(b *testing.B) { benchExperiment(b, "val3-des") }
-
-func BenchmarkVal4ServiceCV(b *testing.B) { benchExperiment(b, "val4-servicecv") }
-
-func BenchmarkAbl12Fairness(b *testing.B) { benchExperiment(b, "abl12-fairness") }
-
-func BenchmarkAbl13Defer(b *testing.B) { benchExperiment(b, "abl13-defer") }
-
-func BenchmarkAbl14Margin(b *testing.B) { benchExperiment(b, "abl14-margin") }
-
-func BenchmarkAbl15PriceBlind(b *testing.B) { benchExperiment(b, "abl15-priceblind") }
-func BenchmarkVal5Arrivals(b *testing.B)    { benchExperiment(b, "val5-arrivals") }
-
-func BenchmarkAbl16Pooling(b *testing.B) { benchExperiment(b, "abl16-pooling") }
-func BenchmarkAbl17Week(b *testing.B)    { benchExperiment(b, "abl17-week") }
-
+func BenchmarkAbl13Defer(b *testing.B)     { benchExperiment(b, "abl13-defer") }
 func BenchmarkMPC1PriceShift(b *testing.B) { benchExperiment(b, "mpc1-priceshift") }
 func BenchmarkMPC2FaultDefer(b *testing.B) { benchExperiment(b, "mpc2-faultdefer") }
 

@@ -43,7 +43,7 @@ func TestCmdList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"fig1", "fig11", "tab9", "val1-mm1"} {
+	for _, id := range []string{"fig1", "fig11", "tab9", "abl13-defer"} {
 		if !strings.Contains(out, id) {
 			t.Errorf("list output missing %s", id)
 		}

@@ -209,6 +209,56 @@ func TestPricedOutCenterChangesNothing(t *testing.T) {
 	}
 }
 
+// TestDearerCoolingNeverDrawsMoreEnergy: raising one center's PUE scales
+// that center's energy costs and nothing else. For the LP planner (Refine
+// off) over one admitted commodity set that is a law: with x the optimum
+// before and y after, (c′−c)·(y−x) ≥ 0, and c′−c is a negative multiple of
+// the center's energy per request, so the energy the center draws for
+// served requests before PUE, Σ e_k·λ, never rises. The admitted set is
+// the stated limit: a raise that prices one of the center's commodities out
+// of admissibleCommodities also frees the share it reserved at zero load,
+// and the LP may spend that share serving more there — 69 of 2 000 random
+// systems (3.5 %), by 7.8 % of the energy at worst (seed 2716230, kept
+// below); the refine search meets it on 1 of the 2 000, by 0.1 %. It is
+// held to what it does guarantee: the energy rises only where the center's
+// admitted set shrank.
+func TestDearerCoolingNeverDrawsMoreEnergy(t *testing.T) {
+	energy := func(in *Input, l int) float64 {
+		o := NewOptimized()
+		o.Refine = false
+		p := mustPlan(t, o, in)
+		var e float64
+		for k := range p.Rate {
+			for q := range p.Rate[k] {
+				for s := range p.Rate[k][q] {
+					e += in.Sys.Centers[l].EnergyPerRequest[k] * p.Rate[k][q][s][l]
+				}
+			}
+		}
+		return e
+	}
+	admitted := func(in *Input) int { return len(capReservations(in, admissibleCommodities(in, nil))) }
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sys, in := randomSystem(rng)
+		l := rng.Intn(sys.L())
+		base, was := energy(in, l), admitted(in)
+		sys.Centers[l].PUE = 1.2 + 2*rng.Float64()
+		got, now := energy(in, l), admitted(in)
+		if leq(got, base) {
+			return true
+		}
+		t.Logf("seed %d: center %d draws %.17g at PUE %.3g, %.17g at 1 (admitted %d → %d)", seed, l, got, sys.Centers[l].PUE, base, was, now)
+		return now < was
+	}
+	if !check(2716230) {
+		t.Fatal("seed 2716230")
+	}
+	if err := quick.Check(check, econQuickCfg()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestLooserDeadlineNeverHurts: stretching one level's deadline (short of
 // the next level's) shrinks the share its commodities reserve and removes
 // no option.

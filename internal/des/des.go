@@ -11,7 +11,7 @@
 //
 // Each (type, level) commodity on each powered-on server is an
 // independent M/M/1 queue (virtualized CPU shares isolate them), so the
-// exact Lindley recurrence (queue.Lindley) applies per queue and no global
+// exact Lindley recurrence (lindley) applies per queue and no global
 // event heap is needed. Slot boundaries are treated as queue resets: level
 // deadlines (≈ seconds) are several orders of magnitude below the slot
 // length (1 hour), so boundary effects are negligible by construction.
@@ -23,7 +23,6 @@ import (
 	"math/rand"
 
 	"profitlb/internal/core"
-	"profitlb/internal/queue"
 	"profitlb/internal/sim"
 	"profitlb/internal/workload"
 )
@@ -43,7 +42,8 @@ type Config struct {
 	// (steadier, k capped at 64, so the smallest effective CV is 0.125);
 	// CV > 1 draws a balanced two-phase hyperexponential (burstier). Use
 	// it to stress the plan against service distributions the paper's
-	// model does not cover (see the M/G/1 analysis in internal/queue).
+	// model does not cover (the Pollaczek–Khinchine cross-check in
+	// des_test.go gives the mean delay each CV should realize).
 	ServiceCV float64
 }
 
@@ -276,7 +276,7 @@ func simulateQueue(rng *rand.Rand, sample func(*rand.Rand, float64) float64, lam
 	var served int
 	var revenue float64
 	var arrive float64
-	queue.Lindley(func() (float64, bool) {
+	lindley(func() (float64, bool) {
 		arrive += rng.ExpFloat64() / lam
 		return arrive, arrive <= T
 	}, func() float64 { return sample(rng, mu) }, func(delay float64) {
@@ -291,6 +291,33 @@ func simulateQueue(rng *rand.Rand, sample func(*rand.Rand, float64) float64, lam
 		}
 	})
 	return served, revenue, stats
+}
+
+// lindley pushes a stream of requests through one FIFO single-server
+// queue — a commodity's CPU share on one server — by the exact recurrence
+//
+//	depart[i] = max(arrive[i], depart[i-1]) + service[i]
+//
+// which needs no event list. next yields the arrival instants in
+// non-decreasing order and false once the stream has ended; service draws
+// one request's service time; visit receives its response time. next runs
+// before service, so callers drawing both from one rand.Rand consume it
+// arrival first.
+func lindley(next func() (arrive float64, ok bool), service func() float64, visit func(delay float64)) {
+	var departPrev float64
+	for {
+		arrive, ok := next()
+		if !ok {
+			return
+		}
+		start := arrive
+		if departPrev > start {
+			start = departPrev
+		}
+		depart := start + service()
+		visit(depart - arrive)
+		departPrev = depart
+	}
 }
 
 // Thin returns a copy of the configuration with every trace (and plan

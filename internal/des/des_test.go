@@ -12,7 +12,6 @@ import (
 	"profitlb/internal/datacenter"
 	"profitlb/internal/fault"
 	"profitlb/internal/market"
-	"profitlb/internal/queue"
 	"profitlb/internal/resilient"
 	"profitlb/internal/sim"
 	"profitlb/internal/tuf"
@@ -351,12 +350,26 @@ func TestRunDegradesThroughFaultStorm(t *testing.T) {
 	}
 }
 
+// pollaczekKhinchine is the M/G/1 expected sojourn time at arrival rate
+// lam < mu, for service at rate mu with coefficient of variation cv:
+//
+//	W = 1/μ + ρ·(1+CV²) / (2·μ·(1−ρ)),  ρ = λ/μ.
+func pollaczekKhinchine(lam, mu, cv float64) float64 {
+	rho := lam / mu
+	return 1/mu + rho*(1+cv*cv)/(2*mu*(1-rho))
+}
+
 // TestSimulateQueueMatchesPollaczekKhinchine cross-validates the
-// request-level simulator against the analytical M/G/1 formula in
-// internal/queue for several service-time distributions.
+// request-level simulator against the analytical M/G/1 formula for
+// several service-time distributions. At CV 1 the formula is the paper's
+// Eq. 1, 1/(μ−λ), so that lane is the request-level check of the M/M/1
+// delay model the planner optimizes against.
 func TestSimulateQueueMatchesPollaczekKhinchine(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	lam, mu := 60.0, 100.0
+	if pk, eq1 := pollaczekKhinchine(lam, mu, 1), 1/(mu-lam); math.Abs(pk-eq1) > 1e-12*eq1 {
+		t.Fatalf("Pollaczek-Khinchine at CV 1 is %g, Eq. 1 gives %g", pk, eq1)
+	}
 	utility := func(float64) float64 { return 0 }
 	for _, cv := range []float64{0.5, 1, 2} {
 		sample := serviceSampler(cv)
@@ -365,11 +378,7 @@ func TestSimulateQueueMatchesPollaczekKhinchine(t *testing.T) {
 			t.Fatalf("cv=%g: only %d requests", cv, served)
 		}
 		mean := stats.sumDelay / float64(served)
-		g := queue.MG1{Phi: 1, C: 1, Mu: mu, CV: cv}
-		want, err := g.Delay(lam)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := pollaczekKhinchine(lam, mu, cv)
 		if math.Abs(mean-want)/want > 0.08 {
 			t.Fatalf("cv=%g: simulated %g vs Pollaczek-Khinchine %g", cv, mean, want)
 		}

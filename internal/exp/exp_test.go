@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"profitlb/internal/baseline"
 	"profitlb/internal/core"
 	"profitlb/internal/sim"
 )
@@ -15,14 +16,9 @@ func TestRegistryComplete(t *testing.T) {
 		"fig5", "tab4", "tab5", "tab6", "tab7", "fig6", "fig7",
 		"tab8", "tab9", "tab10", "tab11", "fig8", "fig9", "fig10a", "fig10b",
 		"fig11",
-		// Beyond the paper: ablations and model validation.
-		"abl1-levelsearch", "abl2-refine", "abl3-aggregation",
-		"abl5-forecast", "abl6-baselines",
-		"abl7-shadowprices", "abl8-pue", "abl9-scale",
-		"abl12-fairness", "abl13-defer", "abl14-margin",
-		"abl15-priceblind", "abl16-pooling", "abl17-week",
-		"val1-mm1", "val2-utility", "val3-des", "val4-servicecv", "val5-arrivals",
-		"rob2-chaos", "rob3-darkfeeds",
+		// Beyond the paper: the extensions a gate, README or another
+		// experiment names.
+		"abl13-defer", "rob2-chaos", "rob3-darkfeeds",
 		"mpc1-priceshift", "mpc2-faultdefer",
 	}
 	for _, id := range want {
@@ -242,6 +238,10 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 	register(&Experiment{ID: "fig1"})
 }
 
+// TestAblationInvariants holds the design-choice findings on the Section
+// VII window: branch-and-bound level search equals exhaustive and greedy
+// never beats it, subset refinement never hurts, and the per-server layout
+// nets what the aggregated one does on homogeneous servers.
 func TestAblationInvariants(t *testing.T) {
 	ts := NewTwoLevelSetup()
 	cfg := ts.Config()
@@ -293,73 +293,19 @@ func TestAblationInvariants(t *testing.T) {
 	}
 }
 
+// TestAblBaselinesOptimizedOnTop: on the Section VI day every static
+// dispatch order — price (the paper's Balanced), distance, unit profit and
+// a seeded random one — nets at most what the per-slot optimization nets.
 func TestAblBaselinesOptimizedOnTop(t *testing.T) {
-	res, err := runAblBaselines()
+	reports, err := sim.Compare(NewTraceSetup().Config(), core.NewOptimized(),
+		baseline.NewBalanced(), baseline.NewNearest(), baseline.NewGreedyProfit(), baseline.NewRandom(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tables) == 0 || res.Tables[0].NumRows() != 5 {
-		t.Fatalf("expected 5 planners in the comparison")
-	}
-}
-
-func TestValMM1SmallError(t *testing.T) {
-	res, err := runValMM1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tables[0].String()) == 0 {
-		t.Fatal("empty validation table")
-	}
-}
-
-func TestExtensionShapes(t *testing.T) {
-	// abl16: pooling must dominate per-server isolation everywhere.
-	res, err := runAblPooling()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tables[0].NumRows() != 4 {
-		t.Fatalf("pooling rows %d", res.Tables[0].NumRows())
-	}
-
-	// abl17: weekday gain exceeds weekend gain, both positive.
-	week, err := runAblWeek()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(week.Notes) == 0 {
-		t.Fatal("week experiment missing note")
-	}
-
-	// val5: burstiness strictly inflates the realized delay.
-	arr, err := runValArrivals()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arr.Tables[0].NumRows() != 3 {
-		t.Fatalf("arrivals rows %d", arr.Tables[0].NumRows())
-	}
-}
-
-func TestAblMarginSweetSpot(t *testing.T) {
-	// The margin sweep must be non-trivial: some positive margin beats
-	// planning exactly to the forecast.
-	res, err := runAblMargin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Notes) == 0 || res.Tables[0].NumRows() != 5 {
-		t.Fatalf("margin result malformed: %+v", res)
-	}
-}
-
-func TestAblPriceBlindDecomposition(t *testing.T) {
-	res, err := runAblPriceBlind()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tables) != 2 || len(res.Notes) != 2 {
-		t.Fatalf("expected two setups in the decomposition, got %d tables", len(res.Tables))
+	opt := reports[0].TotalNetProfit()
+	for _, r := range reports[1:] {
+		if r.TotalNetProfit() > opt {
+			t.Errorf("%s nets %g, above optimized's %g", r.Planner, r.TotalNetProfit(), opt)
+		}
 	}
 }

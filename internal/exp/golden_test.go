@@ -59,36 +59,3 @@ func TestDispatchModelGolden(t *testing.T) {
 		}
 	}
 }
-
-// TestValidationGolden pins the rendered text of the queue-realising
-// validation experiments: every number in them comes out of a seeded
-// request-level run, so any change to the order in which the FIFO loop,
-// its arrival source or its service sampler draw from the generator
-// shows here as a changed byte.
-func TestValidationGolden(t *testing.T) {
-	var got bytes.Buffer
-	for _, id := range []string{"val1-mm1", "val2-utility", "val3-des", "val4-servicecv", "val5-arrivals"} {
-		e, ok := Get(id)
-		if !ok {
-			t.Fatalf("experiment %s is not registered", id)
-		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		got.WriteString(res.String())
-	}
-	path := filepath.Join("testdata", "validation.golden")
-	if *updateGolden {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (generate it at the parent commit with -update)", err)
-	}
-	if !bytes.Equal(want, got.Bytes()) {
-		t.Fatalf("validation experiments drifted from the golden text:\n%s", got.Bytes())
-	}
-}

@@ -1,14 +1,15 @@
 // Package exp defines one runnable experiment per table and figure of the
-// paper's evaluation (Sections V–VII) and a registry the CLI and the
-// benchmark harness share. Each experiment reconstructs its setup from the
-// paper's printed parameters where available and from the documented
-// substitutions in DESIGN.md otherwise, runs the Optimized and Balanced
-// approaches through the simulator, and renders the same rows/series the
-// paper reports.
+// paper's evaluation (Sections V–VII), the five extensions a gate, the
+// README or another experiment names (abl13-defer, rob2-chaos,
+// rob3-darkfeeds, mpc1-priceshift, mpc2-faultdefer), and a registry the
+// CLI and the benchmark harness share. Each paper experiment reconstructs
+// its setup from the paper's printed parameters where available and from
+// the documented substitutions in DESIGN.md otherwise, runs the Optimized
+// and Balanced approaches through the simulator, and renders the same
+// rows/series the paper reports.
 package exp
 
 import (
-	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
 	"profitlb/internal/market"
 	"profitlb/internal/sim"
@@ -239,14 +240,4 @@ func (t *TwoLevelSetup) Config() sim.Config {
 		Sys: t.Sys, Traces: t.Traces, Prices: t.Prices,
 		Slots: 6, StartSlot: 14,
 	}
-}
-
-// planPeakSlot plans the window's 15:00 slot with the default planner:
-// the one plan whose queues val1, val2 and val5 realize request by request.
-func (t *TwoLevelSetup) planPeakSlot() (*core.Plan, error) {
-	return core.NewOptimized().Plan(&core.Input{
-		Sys:      t.Sys,
-		Arrivals: [][]float64{{t.Traces[0].At(15, 0), t.Traces[0].At(15, 1)}},
-		Prices:   []float64{t.Prices[0].At(15), t.Prices[1].At(15)},
-	})
 }

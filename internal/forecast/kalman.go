@@ -131,31 +131,3 @@ func PredictTrace(tr *workload.Trace, processVar, measureVar float64) (*workload
 	}
 	return out, nil
 }
-
-// MAPE returns the mean absolute percentage error of predicted vs actual
-// over slots [1, n) (slot 0 is the cold start), skipping zero actuals.
-func MAPE(actual, predicted *workload.Trace) (float64, error) {
-	if actual.Slots() != predicted.Slots() || actual.Types() != predicted.Types() {
-		return 0, errors.New("forecast: traces disagree in shape")
-	}
-	var sum float64
-	var n int
-	for s := 1; s < actual.Slots(); s++ {
-		for k := 0; k < actual.Types(); k++ {
-			a := actual.At(s, k)
-			if a == 0 {
-				continue
-			}
-			d := predicted.At(s, k) - a
-			if d < 0 {
-				d = -d
-			}
-			sum += d / a
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	return sum / float64(n), nil
-}

@@ -87,11 +87,15 @@ func TestPredictTrace(t *testing.T) {
 	if pred.At(0, 0) != tr.At(0, 0) {
 		t.Fatal("cold start should echo the first observation")
 	}
-	mape, err := MAPE(tr, pred)
-	if err != nil {
-		t.Fatal(err)
+	// The mean absolute percentage error past the cold start: a diurnal
+	// trace with strong process noise tracks within ~50%.
+	var mape float64
+	for s := 1; s < tr.Slots(); s++ {
+		for k := 0; k < tr.Types(); k++ {
+			mape += math.Abs(pred.At(s, k)-tr.At(s, k)) / tr.At(s, k)
+		}
 	}
-	// A diurnal trace with strong process noise tracks within ~50%.
+	mape /= float64((tr.Slots() - 1) * tr.Types())
 	if mape <= 0 || mape > 0.5 {
 		t.Fatalf("MAPE %g outside plausible band", mape)
 	}
@@ -109,23 +113,6 @@ func TestPredictTraceErrors(t *testing.T) {
 	ok := workload.Constant("x", []float64{1}, 3)
 	if _, err := PredictTrace(ok, 0, 1); err == nil {
 		t.Fatal("invalid variances accepted")
-	}
-}
-
-func TestMAPEShapeMismatch(t *testing.T) {
-	a := workload.Constant("a", []float64{1}, 3)
-	b := workload.Constant("b", []float64{1}, 4)
-	if _, err := MAPE(a, b); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
-func TestMAPEZeroActualsSkipped(t *testing.T) {
-	a := workload.Constant("a", []float64{0}, 3)
-	b := workload.Constant("b", []float64{5}, 3)
-	m, err := MAPE(a, b)
-	if err != nil || m != 0 {
-		t.Fatalf("MAPE over zero actuals = %g, %v", m, err)
 	}
 }
 

@@ -137,16 +137,16 @@ func ShiftTypes(name string, base []float64, types, shift int) *Trace {
 type WorldCupConfig struct {
 	Slots int     // series length; 0 means 24
 	Base  float64 // baseline rate; 0 means 500
-	Burst float64 // flash-crowd peak height as a multiple of Base; 0 means 1.5
-	Noise float64 // relative per-slot noise; 0 means 0.08
 	Seed  int64
 }
 
 // The World-Cup-like day's fixed shape.
 const (
-	daySwing  = 0.6 // diurnal amplitude as a fraction of Base
-	peakSlot  = 15  // slot of the diurnal maximum
-	burstSlot = 19  // slot where the flash crowd is centred
+	daySwing    = 0.6  // diurnal amplitude as a fraction of Base
+	peakSlot    = 15   // slot of the diurnal maximum
+	burstSlot   = 19   // slot where the flash crowd is centred
+	burstHeight = 1.5  // flash-crowd peak height as a multiple of Base
+	slotNoise   = 0.08 // relative per-slot noise
 )
 
 // WorldCupLike produces one diurnal base series with a flash-crowd spike,
@@ -158,14 +158,6 @@ func WorldCupLike(cfg WorldCupConfig) []float64 {
 	if cfg.Base <= 0 {
 		cfg.Base = 500
 	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = 1.5
-	}
-	if cfg.Noise == 0 {
-		cfg.Noise = 0.08
-	} else if cfg.Noise < 0 {
-		cfg.Noise = 0
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	out := make([]float64, cfg.Slots)
 	for s := range out {
@@ -173,8 +165,8 @@ func WorldCupLike(cfg WorldCupConfig) []float64 {
 		v := cfg.Base * (1 + daySwing*math.Cos(phase))
 		// Flash crowd: a narrow Gaussian bump around burstSlot.
 		d := float64(s - burstSlot)
-		v += cfg.Base * cfg.Burst * math.Exp(-d*d/2)
-		v *= 1 + cfg.Noise*(2*rng.Float64()-1)
+		v += cfg.Base * burstHeight * math.Exp(-d*d/2)
+		v *= 1 + slotNoise*(2*rng.Float64()-1)
 		if v < 0 {
 			v = 0
 		}
@@ -269,38 +261,4 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// WeekConfig parameterizes the week-long generator.
-type WeekConfig struct {
-	// Daily configures the within-day shape (its Slots field is ignored;
-	// each day spans 24 slots).
-	Daily WorldCupConfig
-	// WeekendFactor scales Saturday and Sunday volumes; 0 means 0.6.
-	WeekendFactor float64
-	Seed          int64
-}
-
-// WeekLike produces a 168-slot (7x24) series: the diurnal WorldCupLike
-// shape each day, weekday/weekend amplitude modulation, and a fresh noise
-// stream per day. Days 5 and 6 are the weekend.
-func WeekLike(cfg WeekConfig) []float64 {
-	if cfg.WeekendFactor <= 0 {
-		cfg.WeekendFactor = 0.6
-	}
-	out := make([]float64, 0, 7*24)
-	for day := 0; day < 7; day++ {
-		d := cfg.Daily
-		d.Slots = 24
-		d.Seed = cfg.Seed*7 + int64(day)
-		series := WorldCupLike(d)
-		f := 1.0
-		if day >= 5 {
-			f = cfg.WeekendFactor
-		}
-		for _, v := range series {
-			out = append(out, v*f)
-		}
-	}
-	return out
 }

@@ -289,38 +289,3 @@ func TestMMPPErrors(t *testing.T) {
 		t.Fatal("zero window accepted")
 	}
 }
-
-func TestWeekLike(t *testing.T) {
-	w := WeekLike(WeekConfig{Daily: WorldCupConfig{Seed: 1, Base: 1000}, Seed: 4})
-	if len(w) != 168 {
-		t.Fatalf("len = %d, want 168", len(w))
-	}
-	var weekday, weekend float64
-	for d := 0; d < 5; d++ {
-		for h := 0; h < 24; h++ {
-			weekday += w[d*24+h]
-		}
-	}
-	for d := 5; d < 7; d++ {
-		for h := 0; h < 24; h++ {
-			weekend += w[d*24+h]
-		}
-	}
-	weekday /= 5 * 24
-	weekend /= 2 * 24
-	if weekend >= weekday*0.8 {
-		t.Fatalf("weekend mean %g not clearly below weekday %g", weekend, weekday)
-	}
-	for _, v := range w {
-		if v < 0 {
-			t.Fatal("negative rate")
-		}
-	}
-	// Deterministic in seed.
-	w2 := WeekLike(WeekConfig{Daily: WorldCupConfig{Seed: 1, Base: 1000}, Seed: 4})
-	for i := range w {
-		if w[i] != w2[i] {
-			t.Fatal("same seed differs")
-		}
-	}
-}

@@ -132,8 +132,8 @@ func TestFacadeWorkloads(t *testing.T) {
 
 func TestFacadeExperiments(t *testing.T) {
 	all := Experiments()
-	if len(all) != 44 {
-		t.Fatalf("%d experiments registered, want 44 (21 paper artifacts + 23 extensions)", len(all))
+	if len(all) != 26 {
+		t.Fatalf("%d experiments registered, want 26 (21 paper artifacts + 5 gates)", len(all))
 	}
 	e, ok := ExperimentByID("fig6")
 	if !ok {

@@ -82,7 +82,7 @@ bench:
 
 # bench-lp-sparse is where lp's sparseMinRows comes from: both warm kernels
 # on dispatch-shaped LPs from 12 to 88 rows, hot re-solve and seeded import
-# (DESIGN 12.1 holds the recorded table; `| benchstat -` reads the output).
+# (DESIGN §12.1 holds the recorded table; `| benchstat -` reads the output).
 bench-lp-sparse:
 	$(GO) test -bench=BenchmarkKernelCrossover -benchtime=10000x -count=6 -run=NONE ./internal/lp/
 

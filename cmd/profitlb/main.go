@@ -7,7 +7,6 @@
 //	profitlb run <id>... | all    run experiments (-csv DIR for CSV export)
 //	profitlb prices               print the embedded electricity traces
 //	profitlb trace [-seed N]      print a workload trace (-stats for summary)
-//	profitlb bench [-servers N]   time one planner invocation per planner
 //	profitlb scaffold             print an example JSON scenario
 //	profitlb simulate -config F   run a JSON scenario and print the report
 //	                              (-faults F|storm, -resilient, -seed N,
@@ -48,7 +47,6 @@ import (
 	"strconv"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"profitlb/internal/baseline"
 	"profitlb/internal/config"
@@ -56,7 +54,6 @@ import (
 	"profitlb/internal/exp"
 	"profitlb/internal/fault"
 	"profitlb/internal/feed"
-	"profitlb/internal/market"
 	"profitlb/internal/mpc"
 	"profitlb/internal/report"
 	"profitlb/internal/sim"
@@ -85,8 +82,6 @@ func run(args []string) error {
 		return cmdPrices()
 	case "trace":
 		return cmdTrace(args[1:])
-	case "bench":
-		return cmdBench(args[1:])
 	case "scaffold":
 		return cmdScaffold()
 	case "simulate":
@@ -118,7 +113,6 @@ commands:
   run <id>... | all    run experiments and print their tables
   prices               print the embedded electricity price traces (Fig. 1)
   trace [-seed N]      print a World-Cup-like workload trace (Fig. 5 generator)
-  bench [-servers N]   time one planning call per planner variant
   scaffold             print an example JSON scenario to stdout
   simulate -config F   run a JSON scenario file and print the report
                        (-faults F|storm injects failures, -resilient wraps
@@ -708,34 +702,5 @@ func cmdTrace(args []string) error {
 		fmt.Fprintf(w, "type%d\t%.1f\t%.1f\t%.3f\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t%.3f\n",
 			ts.Type, sm.Mean, sm.SD, sm.CV, sm.Min, sm.Max, sm.P50, sm.P95, sm.PeakToMean, ts.Lag1)
 	}
-	return w.Flush()
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	servers := fs.Int("servers", 6, "servers per data center")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	sc := &config.Scenario{}
-	var planners []core.Planner
-	for _, name := range []string{"optimized", "optimized/per-server", "level-search"} {
-		sc.Planner = name
-		p, err := sc.BuildPlanner()
-		if err != nil {
-			return err
-		}
-		planners = append(planners, p)
-	}
-	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "PLANNER\tSERVERS/CENTER\tTIME")
-	for _, p := range planners {
-		d, err := exp.PlanOnce(*servers, p)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%s\t%d\t%s\n", p.Name(), *servers, d.Round(time.Microsecond))
-	}
-	_ = market.Locations() // keep the embedded traces linked for -trimpath builds
 	return w.Flush()
 }

@@ -96,16 +96,6 @@ func TestCmdTrace(t *testing.T) {
 	}
 }
 
-func TestCmdBench(t *testing.T) {
-	out, err := capture(t, func() error { return run([]string{"bench", "-servers", "2"}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "optimized/per-server") {
-		t.Fatal("bench output missing planner")
-	}
-}
-
 func TestCmdHelpAndUnknown(t *testing.T) {
 	if _, err := capture(t, func() error { return run(nil) }); err != nil {
 		t.Fatal("bare invocation should print usage without error")

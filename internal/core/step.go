@@ -21,9 +21,14 @@ const (
 
 // FallbackReporter is implemented by resilient planner wrappers (see
 // internal/resilient) that can report which fallback tier produced the
-// last committed plan.
+// last committed plan, and hand over the receipt for its feasibility gate.
 type FallbackReporter interface {
 	FallbackState() (tier int, tierName string, degraded bool)
+	// VerifiedPlan is the receipt: the plan the last Plan call returned
+	// after it passed Verify at VerifyTol against the Input Plan was
+	// handed, widened by the deferral budget (RelaxArrivals); nil when
+	// the wrapper gates nothing. Step does not check that plan again.
+	VerifiedPlan() *Plan
 }
 
 // SlotCommit is what one slot boundary committed.
@@ -53,7 +58,8 @@ type SlotCommit struct {
 // with a panic recovered into an error; verify against that view's
 // arrivals widened by the backlog budget — backlog service is real work
 // beyond the slot's own arrivals, and Plan never mutates the buckets, so
-// the budget read here is the one the planner planned with; when the
+// the budget read here is the one the planner planned with — unless the
+// planner's receipt (FallbackReporter) names that very plan; when the
 // view is distorted, reconcile onto the actual arrivals and verify
 // again; read the fallback state; and settle a deferring planner's
 // ledger on the actual input exactly once — failed slots included, whose
@@ -68,7 +74,8 @@ func Step(p Planner, view, actual *Input, distorted bool) SlotCommit {
 	if hasDefer {
 		budget = dp.BacklogBudget()
 	}
-	if err == nil {
+	fr, reports := p.(FallbackReporter)
+	if err == nil && !(reports && plan != nil && fr.VerifiedPlan() == plan) {
 		if verr := Verify(RelaxArrivals(view, budget), plan, VerifyTol); verr != nil {
 			err = fmt.Errorf("infeasible plan from %s: %w", p.Name(), verr)
 		}
@@ -83,7 +90,7 @@ func Step(p Planner, view, actual *Input, distorted bool) SlotCommit {
 	if err != nil {
 		c.Err, c.TierName, c.Degraded = err, "shed", true
 		plan = NewPlan(actual.Sys)
-	} else if fr, ok := p.(FallbackReporter); ok {
+	} else if reports {
 		c.Tier, c.TierName, c.Degraded = fr.FallbackState()
 	}
 	if hasDefer {

@@ -46,6 +46,28 @@ func (w tiered) Name() string                     { return w.inner.Name() }
 func (w tiered) Plan(in *Input) (*Plan, error)    { return w.inner.Plan(in) }
 func (w tiered) Unwrap() Planner                  { return w.inner }
 func (tiered) FallbackState() (int, string, bool) { return 2, "balanced", true }
+func (tiered) VerifiedPlan() *Plan                { return nil }
+
+// gated is tiered plus the resilient chain's receipt: VerifiedPlan names
+// the plan Plan last returned, or, when forged, a plan it never returned.
+type gated struct {
+	tiered
+	forged bool
+	last   *Plan
+}
+
+func (g *gated) Plan(in *Input) (*Plan, error) {
+	plan, err := g.inner.Plan(in)
+	g.last = plan
+	return plan, err
+}
+
+func (g *gated) VerifiedPlan() *Plan {
+	if g.forged {
+		return &Plan{}
+	}
+	return g.last
+}
 
 func TestStepProtocol(t *testing.T) {
 	sys := oneDCSystem()
@@ -70,6 +92,7 @@ func TestStepProtocol(t *testing.T) {
 		distorted bool
 		deferring bool
 		budget    float64
+		receipt   string  // "" (none), "own" or "forged"
 		wantErr   string  // substring of SlotCommit.Err; "" = slot commits
 		served    float64 // committed dispatch rate
 	}{
@@ -81,6 +104,10 @@ func TestStepProtocol(t *testing.T) {
 		{name: "reconciled plan re-verified", plan: good, actual: dark, distorted: true, wantErr: "reconciled plan infeasible"},
 		{name: "backlog widens the budget", plan: overdraw, actual: view, deferring: true, budget: 50, served: 100},
 		{name: "backlog budget is a bound", plan: overdraw, actual: view, deferring: true, budget: 10, wantErr: "infeasible plan"},
+		{name: "receipt skips the view-side verify", plan: overdraw, actual: view, receipt: "own", served: 100},
+		{name: "receipt for another plan is verified", plan: overdraw, actual: view, receipt: "forged", wantErr: "infeasible plan from stub"},
+		{name: "receipt on a distorted view is reconciled", plan: good, actual: half, distorted: true, receipt: "own", served: 25},
+		{name: "receipt on a distorted view is re-verified", plan: good, actual: dark, distorted: true, receipt: "own", wantErr: "reconciled plan infeasible"},
 		{name: "failed deferring slot settles once", plan: func(*Input) (*Plan, error) { panic("boom") }, actual: half, distorted: true, deferring: true, budget: 50, wantErr: "panicked"},
 	}
 	for _, tc := range cases {
@@ -93,7 +120,11 @@ func TestStepProtocol(t *testing.T) {
 				dp = &stubDeferral{stubPlanner: stubPlanner{plan: tc.plan}, budget: [][]float64{{tc.budget}}}
 				stub, p = &dp.stubPlanner, dp
 			}
-			c := Step(tiered{p}, view, tc.actual, tc.distorted)
+			var w Planner = tiered{p}
+			if tc.receipt != "" {
+				w = &gated{tiered: tiered{p}, forged: tc.receipt == "forged"}
+			}
+			c := Step(w, view, tc.actual, tc.distorted)
 			if stub.calls != 1 {
 				t.Fatalf("Plan called %d times, want exactly once", stub.calls)
 			}

@@ -438,6 +438,9 @@ func (p *stubPlanner) FallbackState() (int, string, bool) {
 	return 1, p.tier, true
 }
 
+// VerifiedPlan gives no receipt: the stub gates nothing, so Step verifies.
+func (*stubPlanner) VerifiedPlan() *core.Plan { return nil }
+
 // install plans slot abs and installs the table in the driver's gateway
 // at virtual time now — what a fleet of one does with the publication.
 func install(d *Driver, abs int, now float64) (*Table, error) {

@@ -9,7 +9,9 @@
 //
 // Each tier is attempted in order; a tier is rejected if it times out,
 // returns an error, panics, or emits a plan that fails core.Verify
-// against the slot's (possibly fault-degraded) topology. The chain records
+// against the slot's (possibly fault-degraded) topology. That gate is the
+// slot's only one: the chain hands core.Step its receipt
+// (VerifiedPlan), and Step does not check the plan again. The chain records
 // a structured Decision for every slot — which tier fired, and why every
 // earlier tier was rejected — which internal/sim surfaces per slot as
 // FallbackTier / FallbackName in its reports.
@@ -97,6 +99,7 @@ type Chain struct {
 	Obs *obs.Scope
 
 	last        *core.Plan
+	verified    *core.Plan
 	dec         Decision
 	inputHealth *feed.SlotHealth
 }
@@ -148,6 +151,11 @@ func (c *Chain) FallbackState() (tier int, tierName string, degraded bool) {
 	return c.dec.Tier, c.dec.TierName, c.dec.Degraded
 }
 
+// VerifiedPlan implements core.FallbackReporter: every plan the chain
+// commits has passed its tier's gate, so the receipt is the last commit
+// (nil after a Plan error).
+func (c *Chain) VerifiedPlan() *core.Plan { return c.verified }
+
 // ObserveFeedHealth implements feed.HealthObserver: the host hands over
 // the slot's feed health before asking for the plan. The health is
 // consumed by the next Plan call.
@@ -157,6 +165,7 @@ func (c *Chain) ObserveFeedHealth(h *feed.SlotHealth) { c.inputHealth = h }
 // empty chain; any tier failure falls through to the next tier, ending at
 // the always-feasible shed plan, so a valid slot always commits.
 func (c *Chain) Plan(in *core.Input) (*core.Plan, error) {
+	c.verified = nil
 	if len(c.Tiers) == 0 {
 		return nil, fmt.Errorf("resilient: chain has no tiers")
 	}
@@ -165,21 +174,24 @@ func (c *Chain) Plan(in *core.Input) (*core.Plan, error) {
 	}
 	dec := Decision{Slot: in.Slot, Tier: -1}
 	// A deferring primary (internal/mpc) changes two things about the
-	// chain: committed plans are feasibility-gated against the slot's
-	// arrivals plus the backlog budget (backlog service is real work
-	// beyond the arrivals), and any commit the deferral planner did not
-	// produce itself — a fallback tier, a replay, the shed plan — gets a
-	// force-drain pass so buckets due this slot still meet their
-	// deadlines on a degraded slot.
+	// gate: plans are checked against the slot's arrivals plus the
+	// backlog budget (backlog service is real work beyond the arrivals),
+	// and any plan the deferral planner did not produce itself — a
+	// fallback tier, a replay, the shed plan — first gets a force-drain
+	// pass so buckets due this slot still meet their deadlines on a
+	// degraded slot. The drained plan is the one checked.
 	dp, hasDefer := core.AsDeferral(c.Tiers[0])
 	vIn := in
 	if hasDefer {
 		vIn = core.RelaxArrivals(in, dp.BacklogBudget())
 	}
-	commit := func(plan *core.Plan, tier int, name string) *core.Plan {
+	gate := func(plan *core.Plan, tier int) error {
 		if hasDefer && tier > 0 {
 			dp.ForceDrain(in, plan)
 		}
+		return core.Verify(vIn, plan, core.VerifyTol)
+	}
+	commit := func(plan *core.Plan, tier int, name string) *core.Plan {
 		dec.Tier, dec.TierName, dec.Degraded = tier, name, tier > 0
 		c.dec = dec
 		if c.Obs.Enabled() {
@@ -196,6 +208,7 @@ func (c *Chain) Plan(in *core.Input) (*core.Plan, error) {
 		if planDispatches(plan) {
 			c.last = plan.Clone()
 		}
+		c.verified = plan
 		return plan
 	}
 	start := 0
@@ -211,7 +224,7 @@ func (c *Chain) Plan(in *core.Input) (*core.Plan, error) {
 	c.inputHealth = nil
 	for i := start; i < len(c.Tiers); i++ {
 		p := c.Tiers[i]
-		plan, at := c.attempt(p, in, vIn)
+		plan, at := c.attempt(p, in, func(plan *core.Plan) error { return gate(plan, i) })
 		dec.Attempts = append(dec.Attempts, at)
 		if plan != nil {
 			return commit(plan, i, p.Name()), nil
@@ -219,13 +232,22 @@ func (c *Chain) Plan(in *core.Input) (*core.Plan, error) {
 		c.observeReject(in.Slot, i, at)
 	}
 	n := len(c.Tiers)
-	plan, at := c.replay(in, vIn)
+	plan, at := c.replay(in, func(plan *core.Plan) error { return gate(plan, n) })
 	dec.Attempts = append(dec.Attempts, at)
 	if plan != nil {
 		return commit(plan, n, "replay"), nil
 	}
 	c.observeReject(in.Slot, n, at)
-	return commit(core.NewPlan(in.Sys), n+1, "shed"), nil
+	shed := core.NewPlan(in.Sys)
+	if err := gate(shed, n+1); err != nil {
+		// The due work does not fit even on an idle fleet: shed it too.
+		// An empty plan dispatches nothing and is feasible on any input.
+		at := Attempt{Planner: "shed", Reason: ReasonInfeasible, Err: err.Error()}
+		dec.Attempts = append(dec.Attempts, at)
+		c.observeReject(in.Slot, n+1, at)
+		shed = core.NewPlan(in.Sys)
+	}
+	return commit(shed, n+1, "shed"), nil
 }
 
 // observeReject publishes one rejected tier attempt as an escalation
@@ -257,10 +279,9 @@ func planDispatches(p *core.Plan) bool {
 }
 
 // attempt runs one tier under the deadline with panic recovery, and
-// feasibility-gates its plan against vIn (the slot input, with the
-// arrival budgets relaxed by the backlog budget when the primary tier is
-// a deferring planner). A nil plan means rejection.
-func (c *Chain) attempt(p core.Planner, in, vIn *core.Input) (*core.Plan, Attempt) {
+// passes its plan through the slot's gate (force-drain, then Verify). A
+// nil plan means rejection.
+func (c *Chain) attempt(p core.Planner, in *core.Input, gate func(*core.Plan) error) (*core.Plan, Attempt) {
 	start := time.Now()
 	type outcome struct {
 		plan     *core.Plan
@@ -299,7 +320,7 @@ func (c *Chain) attempt(p core.Planner, in, vIn *core.Input) (*core.Plan, Attemp
 	case o.err != nil:
 		at.Reason, at.Err = ReasonError, o.err.Error()
 	default:
-		if err := core.Verify(vIn, o.plan, core.VerifyTol); err != nil {
+		if err := gate(o.plan); err != nil {
 			at.Reason, at.Err = ReasonInfeasible, err.Error()
 			return nil, at
 		}
@@ -312,8 +333,8 @@ func (c *Chain) attempt(p core.Planner, in, vIn *core.Input) (*core.Plan, Attemp
 // are capped to the surviving fleet and the capped centers' rates shrink
 // proportionally (per-server load, and therefore every delay, never
 // rises), then dispatch is capped to the slot's arrival budget per
-// (type, front-end). The result is feasibility-gated like any tier.
-func (c *Chain) replay(in, vIn *core.Input) (*core.Plan, Attempt) {
+// (type, front-end). The result passes the gate like any tier.
+func (c *Chain) replay(in *core.Input, gate func(*core.Plan) error) (*core.Plan, Attempt) {
 	at := Attempt{Planner: "replay"}
 	if c.last == nil {
 		at.Reason, at.Err = ReasonError, "no committed plan to replay"
@@ -343,7 +364,7 @@ func (c *Chain) replay(in, vIn *core.Input) (*core.Plan, Attempt) {
 	// The replayed plan was optimized for a different slot; its objective
 	// is unknown until the simulator accounts it.
 	p.Objective = 0
-	if err := core.Verify(vIn, p, core.VerifyTol); err != nil {
+	if err := gate(p); err != nil {
 		at.Reason, at.Err = ReasonInfeasible, err.Error()
 		return nil, at
 	}

@@ -106,8 +106,8 @@ func TestTierOrderAndTaxonomy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chain errored: %v", err)
 			}
-			if plan == nil {
-				t.Fatal("no plan committed")
+			if plan == nil || chain.VerifiedPlan() != plan {
+				t.Fatal("no plan committed, or the receipt names another")
 			}
 			dec := chain.LastDecision()
 			if dec.Tier != c.wantTier || dec.TierName != c.wantName {
@@ -498,5 +498,76 @@ func TestAbandonedTierDoesNotRaceNextSlot(t *testing.T) {
 	}
 	if opt.Stats.Solves == 0 || opt.Stats.WarmHits == 0 {
 		t.Fatalf("planner did not recover its warm state: %+v", *opt.Stats)
+	}
+}
+
+// drainer is a deferring primary that always errors, so every plan the
+// chain commits is a fallback it force-drains; its first ForceDrain
+// overdraws the slot's arrivals.
+type drainer struct{ drains int }
+
+func (d *drainer) Name() string                                        { return "drainer" }
+func (d *drainer) Plan(*core.Input) (*core.Plan, error)                { return nil, errors.New("scripted failure") }
+func (d *drainer) BacklogBudget() [][]float64                          { return [][]float64{{0}} }
+func (d *drainer) CommitSlot(*core.Input, *core.Plan) core.BacklogSlot { return core.BacklogSlot{} }
+func (d *drainer) ForceDrain(_ *core.Input, p *core.Plan) float64 {
+	d.drains++
+	if d.drains > 1 {
+		return 0
+	}
+	p.Rate[0][0][0][0] += 1000
+	return 1000
+}
+
+// TestDrainedFallbackIsGated checks the chain gates the plan it commits,
+// drain included: a tier whose drained plan overdraws is rejected as
+// infeasible and the next tier commits (the shed tier sheds the drain
+// itself), and the receipt names the plan Plan returned.
+func TestDrainedFallbackIsGated(t *testing.T) {
+	cases := []struct {
+		name     string
+		tiers    func() []core.Planner
+		wantName string
+		want     []resilient.Reason
+	}{
+		{"fallback tier", func() []core.Planner {
+			return []core.Planner{&drainer{}, &misbehaver{name: "t1"}, &misbehaver{name: "t2"}}
+		}, "t2",
+			[]resilient.Reason{resilient.ReasonError, resilient.ReasonInfeasible, ""}},
+		{"shed tier", func() []core.Planner { return []core.Planner{&drainer{}} }, "shed",
+			[]resilient.Reason{resilient.ReasonError, resilient.ReasonError, resilient.ReasonInfeasible}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			chain := resilient.New(c.tiers()...)
+			in := testInput(0)
+			plan, err := chain.Plan(in)
+			if err != nil {
+				t.Fatalf("chain errored: %v", err)
+			}
+			if chain.VerifiedPlan() != plan {
+				t.Fatal("receipt does not name the committed plan")
+			}
+			if err := core.Verify(in, plan, core.VerifyTol); err != nil {
+				t.Fatalf("committed plan infeasible: %v", err)
+			}
+			dec := chain.LastDecision()
+			if dec.TierName != c.wantName {
+				t.Fatalf("committed %q, want %q", dec.TierName, c.wantName)
+			}
+			var got []resilient.Reason
+			for _, at := range dec.Attempts {
+				got = append(got, at.Reason)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("attempt reasons %q, want %q", got, c.want)
+			}
+			// Before the drain was gated, the overdrawn plan reached Step
+			// and failed the whole slot.
+			s := core.Step(resilient.New(c.tiers()...), in, in, false)
+			if s.Err != nil || s.TierName != c.wantName {
+				t.Fatalf("Step committed %q, err %v", s.TierName, s.Err)
+			}
+		})
 	}
 }

@@ -79,34 +79,3 @@ func (p MMPP) Arrivals(horizon float64, seed int64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// Burstiness returns the index of dispersion of counts over windows of
-// the given length, estimated from a generated sample: variance of the
-// per-window count over its mean. Poisson gives 1; MMPP gives more.
-func (p MMPP) Burstiness(window float64, windows int, seed int64) (float64, error) {
-	if window <= 0 || windows < 2 {
-		return 0, fmt.Errorf("workload: need positive window and at least 2 windows")
-	}
-	arr, err := p.Arrivals(window*float64(windows), seed)
-	if err != nil {
-		return 0, err
-	}
-	counts := make([]float64, windows)
-	for _, a := range arr {
-		i := int(a / window)
-		if i >= 0 && i < windows {
-			counts[i]++
-		}
-	}
-	var sum, sumsq float64
-	for _, c := range counts {
-		sum += c
-		sumsq += c * c
-	}
-	mean := sum / float64(windows)
-	if mean == 0 {
-		return 0, nil
-	}
-	variance := sumsq/float64(windows) - mean*mean
-	return variance / mean, nil
-}

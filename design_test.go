@@ -22,8 +22,8 @@ var (
 
 // TestDesignReferences fails on any "DESIGN §N[.M]" in the repository's
 // code and documents that names no section of DESIGN.md, and on a
-// DESIGN.md over designMaxBytes. CHANGES.md and ISSUE.md are history and
-// proposals, so they may name sections that have since moved.
+// DESIGN.md over designMaxBytes. CHANGES.md is history, so it may name
+// sections that have since moved.
 func TestDesignReferences(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -49,7 +49,7 @@ func TestDesignReferences(t *testing.T) {
 			return nil
 		}
 		if name == "Makefile" || strings.HasSuffix(name, ".go") ||
-			(strings.HasSuffix(name, ".md") && name != "CHANGES.md" && name != "ISSUE.md") {
+			(strings.HasSuffix(name, ".md") && name != "CHANGES.md") {
 			files = append(files, path)
 		}
 		return nil

@@ -91,12 +91,14 @@ bench-lp-sparse:
 # where the dual bound turns every move down, and capacity-limited, where
 # ~135 survivors are solved — the capture slot benchmark, the horizon
 # window benchmark (first build and steady refresh), the sparse kernel's
-# hot-pivot benchmark and the two-kernel crossover sweep still run (one
-# iteration, no timing claims); wired into verify.
+# hot-pivot benchmark, the two-kernel crossover sweep and the routing-table
+# benchmarks (compile, and the 8-replica decode-and-subdivide apply) still
+# run (one iteration, no timing claims); wired into verify.
 bench-smoke:
 	$(GO) test -bench=BenchmarkPlanSearch -benchtime=1x -run=NONE .
 	$(GO) test -bench='BenchmarkHotPivot|BenchmarkKernelCrossover' -benchtime=1x -run=NONE ./internal/lp/
 	$(GO) test -bench='BenchmarkBuildDispatchLP|BenchmarkRefineSlot|BenchmarkCaptureSlot|BenchmarkHorizonSlot' -benchtime=1x -run=NONE ./internal/core/
+	$(GO) test -bench='BenchmarkCompile|BenchmarkApply' -benchtime=1x -run=NONE ./internal/dispatch/
 
 # profile writes a CPU and an allocation profile into the git-ignored
 # prof/ and prints the top of each, with no edit to bench/: W=refine (the
@@ -108,7 +110,10 @@ bench-smoke:
 # slot 0 is nearly all — what a fleet-large planner pays once;
 # W=commit profiles BenchmarkCaptureSlot/fleet-20x100x3, the planner's whole
 # share of a fleet-large commit — refresh (or rebuild) of the held LP, hot
-# re-solve, extraction, plan; W=kernel profiles BenchmarkHotPivot/slot, the
+# re-solve, extraction, plan; W=apply profiles BenchmarkApply, the replica
+# half of that commit — 8 replicas each decoding the synthetic 20x100x3
+# routing table from its wire form and cutting their share (Compile alone is
+# BenchmarkCompile/fleet-20x100x3); W=kernel profiles BenchmarkHotPivot/slot, the
 # sparse kernel's hot re-solve of a generated 2160-row dispatch-shaped LP
 # at ~15 pivots a solve, with no planner on top; W=horizon profiles
 # BenchmarkHorizonSlot/steady, a held horizon-4 window of the 6x10x3 fleet
@@ -121,6 +126,8 @@ ifeq ($(W),large)
 	BENCH_PLAN_JSON=$(CURDIR)/prof/plan.json $(GO) test -count=1 -run=TestWarmStartTrajectory -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem .
 else ifeq ($(W),commit)
 	$(GO) test -run=NONE -bench=BenchmarkCaptureSlot/fleet -benchtime=2000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
+else ifeq ($(W),apply)
+	$(GO) test -run=NONE -bench=BenchmarkApply -benchtime=2000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/dispatch/
 else ifeq ($(W),kernel)
 	$(GO) test -run=NONE -bench=BenchmarkHotPivot/slot -benchtime=3000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/lp/
 else ifeq ($(W),horizon)

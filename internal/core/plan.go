@@ -105,54 +105,174 @@ type Plan struct {
 	Objective float64
 }
 
+// A plan's storage is a fixed handful of slabs whatever its size: every
+// Rate[k][q][s] and Phi[l][k] row is cut from one []float64, every
+// Rate[k][q] and Phi[l] row from one [][]float64, and every Rate[k] from
+// one [][][]float64. Rows are capped at their own length, so appending to
+// one reallocates it rather than writing into its neighbour.
+
+// carve cuts the next n entries off slab.
+func carve[T any](slab *[]T, n int) []T {
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
 // NewPlan allocates a zero plan shaped for the system.
 func NewPlan(sys *datacenter.System) *Plan {
 	K, S, L := sys.K(), sys.S(), sys.L()
+	var levels int
+	for k := range sys.Classes {
+		levels += sys.Classes[k].TUF.NumLevels()
+	}
 	p := &Plan{
 		Rate:      make([][][][]float64, K),
 		Phi:       make([][][]float64, L),
 		ServersOn: make([]int, L),
 	}
-	for k := 0; k < K; k++ {
-		Q := sys.Classes[k].TUF.NumLevels()
-		p.Rate[k] = make([][][]float64, Q)
-		for q := 0; q < Q; q++ {
-			p.Rate[k][q] = make([][]float64, S)
-			for s := 0; s < S; s++ {
-				p.Rate[k][q][s] = make([]float64, L)
+	byLevel := make([][][]float64, levels)
+	heads := make([][]float64, levels*S+L*K)
+	cells := make([]float64, levels*S*L+L*levels)
+	for k := range p.Rate {
+		p.Rate[k] = carve(&byLevel, sys.Classes[k].TUF.NumLevels())
+		for q := range p.Rate[k] {
+			p.Rate[k][q] = carve(&heads, S)
+			for s := range p.Rate[k][q] {
+				p.Rate[k][q][s] = carve(&cells, L)
 			}
 		}
 	}
-	for l := 0; l < L; l++ {
-		p.Phi[l] = make([][]float64, K)
-		for k := 0; k < K; k++ {
-			p.Phi[l][k] = make([]float64, sys.Classes[k].TUF.NumLevels())
+	for l := range p.Phi {
+		p.Phi[l] = carve(&heads, K)
+		for k := range p.Phi[l] {
+			p.Phi[l][k] = carve(&cells, sys.Classes[k].TUF.NumLevels())
 		}
 	}
 	return p
 }
 
-// Clone returns a deep copy of the plan.
-func (p *Plan) Clone() *Plan {
-	out := &Plan{
-		Objective: p.Objective,
-		ServersOn: append([]int(nil), p.ServersOn...),
-		Rate:      make([][][][]float64, len(p.Rate)),
-		Phi:       make([][][]float64, len(p.Phi)),
+// Clone returns a deep copy of the plan, shaped like it row for row.
+func (p *Plan) Clone() *Plan { return p.CopyTo(nil) }
+
+// CopyTo copies the plan into dst and returns dst when dst is shaped like
+// the plan row for row; otherwise (dst nil included) it returns a fresh
+// copy and leaves dst alone. A holder that keeps a copy of each slot's
+// plan refills one buffer this way instead of cloning a new one.
+func (p *Plan) CopyTo(dst *Plan) *Plan {
+	if dst == nil || !dst.sameShape(p) {
+		dst = p.zeroLike()
 	}
+	dst.Objective = p.Objective
+	copy(dst.ServersOn, p.ServersOn)
 	for k := range p.Rate {
-		out.Rate[k] = make([][][]float64, len(p.Rate[k]))
 		for q := range p.Rate[k] {
-			out.Rate[k][q] = make([][]float64, len(p.Rate[k][q]))
 			for s := range p.Rate[k][q] {
-				out.Rate[k][q][s] = append([]float64(nil), p.Rate[k][q][s]...)
+				copy(dst.Rate[k][q][s], p.Rate[k][q][s])
 			}
 		}
 	}
 	for l := range p.Phi {
-		out.Phi[l] = make([][]float64, len(p.Phi[l]))
 		for k := range p.Phi[l] {
-			out.Phi[l][k] = append([]float64(nil), p.Phi[l][k]...)
+			copy(dst.Phi[l][k], p.Phi[l][k])
+		}
+	}
+	return dst
+}
+
+// Shift returns Σ|λ − λ'| over every rate cell of the plan and prev: how
+// much dispatch moved between two slots. It reports false when the two
+// plans are shaped differently.
+func (p *Plan) Shift(prev *Plan) (float64, bool) {
+	if !p.sameShape(prev) {
+		return 0, false
+	}
+	var sum float64
+	for k := range p.Rate {
+		for q := range p.Rate[k] {
+			for s := range p.Rate[k][q] {
+				was := prev.Rate[k][q][s]
+				for l, v := range p.Rate[k][q][s] {
+					sum += math.Abs(v - was[l])
+				}
+			}
+		}
+	}
+	return sum, true
+}
+
+// sameShape reports whether p and o have the same rows, row for row.
+func (p *Plan) sameShape(o *Plan) bool {
+	if len(p.ServersOn) != len(o.ServersOn) || len(p.Rate) != len(o.Rate) || len(p.Phi) != len(o.Phi) {
+		return false
+	}
+	for k := range p.Rate {
+		if len(p.Rate[k]) != len(o.Rate[k]) {
+			return false
+		}
+		for q := range p.Rate[k] {
+			if len(p.Rate[k][q]) != len(o.Rate[k][q]) {
+				return false
+			}
+			for s := range p.Rate[k][q] {
+				if len(p.Rate[k][q][s]) != len(o.Rate[k][q][s]) {
+					return false
+				}
+			}
+		}
+	}
+	for l := range p.Phi {
+		if len(p.Phi[l]) != len(o.Phi[l]) {
+			return false
+		}
+		for k := range p.Phi[l] {
+			if len(p.Phi[l][k]) != len(o.Phi[l][k]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// zeroLike allocates a zero plan shaped like p row for row, from the same
+// slabs NewPlan cuts.
+func (p *Plan) zeroLike() *Plan {
+	var nLevels, nHeads, nCells int
+	for k := range p.Rate {
+		nLevels += len(p.Rate[k])
+		for q := range p.Rate[k] {
+			nHeads += len(p.Rate[k][q])
+			for s := range p.Rate[k][q] {
+				nCells += len(p.Rate[k][q][s])
+			}
+		}
+	}
+	for l := range p.Phi {
+		nHeads += len(p.Phi[l])
+		for k := range p.Phi[l] {
+			nCells += len(p.Phi[l][k])
+		}
+	}
+	out := &Plan{
+		Rate:      make([][][][]float64, len(p.Rate)),
+		Phi:       make([][][]float64, len(p.Phi)),
+		ServersOn: make([]int, len(p.ServersOn)),
+	}
+	byLevel := make([][][]float64, nLevels)
+	heads := make([][]float64, nHeads)
+	cells := make([]float64, nCells)
+	for k := range p.Rate {
+		out.Rate[k] = carve(&byLevel, len(p.Rate[k]))
+		for q := range p.Rate[k] {
+			out.Rate[k][q] = carve(&heads, len(p.Rate[k][q]))
+			for s := range p.Rate[k][q] {
+				out.Rate[k][q][s] = carve(&cells, len(p.Rate[k][q][s]))
+			}
+		}
+	}
+	for l := range p.Phi {
+		out.Phi[l] = carve(&heads, len(p.Phi[l]))
+		for k := range p.Phi[l] {
+			out.Phi[l][k] = carve(&cells, len(p.Phi[l][k]))
 		}
 	}
 	return out

@@ -58,19 +58,97 @@ func BenchmarkDispatchHotPathParallel(b *testing.B) {
 	})
 }
 
+// synthPlan fills a plan for fleetInput(K, L, S) without an LP: stream
+// (k, s) sends its arrivals, split evenly over both levels, to every
+// 32nd center (offset by s) whose class-k energy draw is cheap: 240 lanes
+// at 20×100×3, where the LP plan has 61. Every center powers all its
+// servers and grants each commodity an equal share.
+func synthPlan(K, L, S int) (*core.Input, *core.Plan) {
+	in := fleetInput(K, L, S, 5)
+	plan := core.NewPlan(in.Sys)
+	for k := 0; k < K; k++ {
+		for s := 0; s < S; s++ {
+			var to []int
+			for l := s; l < L; l += 32 {
+				if in.Sys.Centers[l].EnergyPerRequest[k] < 1 {
+					to = append(to, l)
+				}
+			}
+			for q := range plan.Rate[k] {
+				for _, l := range to {
+					plan.Rate[k][q][s][l] = in.Arrivals[s][k] / float64(len(to)*len(plan.Rate[k]))
+				}
+			}
+		}
+	}
+	for l := 0; l < L; l++ {
+		plan.ServersOn[l] = in.Sys.Centers[l].Servers
+		for k := range plan.Phi[l] {
+			for q := range plan.Phi[l][k] {
+				plan.Phi[l][k][q] = 1 / float64(K*len(plan.Phi[l][k]))
+			}
+		}
+	}
+	return in, plan
+}
+
+// fleetSizes are the synthetic plans the table benchmarks and allocation
+// budgets run at: a small fleet and fleet-large's 20×100×3 (types ×
+// centers × front-ends).
+var fleetSizes = []struct {
+	name    string
+	K, L, S int
+}{{"fleet-3x4x2", 3, 4, 2}, {"fleet-20x100x3", 20, 100, 3}}
+
 // BenchmarkCompile times the slot-boundary cost: freezing a committed
-// plan into a routing table.
+// plan into a routing table, for the LP-planned 2×2×2 fixture and the
+// synthetic fleet-large plan.
 func BenchmarkCompile(b *testing.B) {
-	in := testInput(testSystem())
-	plan, err := core.NewOptimized().Plan(in)
+	cfg := Config{Seed: 1, SlotSeconds: 60}
+	run := func(b *testing.B, in *core.Input, plan *core.Plan) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Compile(in, plan, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("fixture-2x2x2", func(b *testing.B) {
+		in := testInput(testSystem())
+		plan, err := core.NewOptimized().Plan(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, in, plan)
+	})
+	b.Run("fleet-20x100x3", func(b *testing.B) {
+		in, plan := synthPlan(20, 100, 3)
+		run(b, in, plan)
+	})
+}
+
+// BenchmarkApply times the replica half of a fleet-large commit: each of
+// 8 replicas decodes the published wire table and cuts its share.
+func BenchmarkApply(b *testing.B) {
+	const replicas = 8
+	cfg := Config{Seed: 1, SlotSeconds: 60}
+	in, plan := synthPlan(20, 100, 3)
+	tab, err := Compile(in, plan, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{Seed: 1, SlotSeconds: 60}
+	w := tab.Wire()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compile(in, plan, cfg); err != nil {
-			b.Fatal(err)
+		for r := 0; r < replicas; r++ {
+			full, err := FromWire(w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := full.Subdivide(r, replicas, cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
@@ -120,16 +121,47 @@ func (t *Table) Planned(k, s int) (planned, arrival float64) {
 	return e.planned, e.arrival
 }
 
+// A table's storage is a fixed handful of slabs whatever its size: the
+// entries are one []entry (plus the [k] row headers), every stream's lane
+// list is cut from one []int32, and its alias table from one []float64
+// and one []int32. Each cut is capped at its own length.
+
+// carve cuts the next n entries off slab.
+func carve[T any](slab *[]T, n int) []T {
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// grid returns a K×S grid of entries cut from one slab.
+func grid(K, S int) [][]entry {
+	rows, cells := make([][]entry, K), make([]entry, K*S)
+	for k := range rows {
+		rows[k] = carve(&cells, S)
+	}
+	return rows
+}
+
 // index builds the per-stream routing state over t.Lanes: a K×S grid of
 // entries, each carrying the planner-budgeted rate arrival(k, s) and the
 // stream's draw seed, every lane hung on its stream in lane order, then
 // weigh. Lane coordinates must already be in range.
 func (t *Table) index(K, S int, arrival func(k, s int) float64) {
-	t.entries = make([][]entry, K)
+	t.entries = grid(K, S)
+	// Count each stream's lanes, cut its list off one slab, then deal the
+	// lanes out in lane order.
+	counts := make([]int32, K*S)
+	for i := range t.Lanes {
+		counts[t.Lanes[i].K*S+t.Lanes[i].S]++
+	}
+	lanes := make([]int32, len(t.Lanes))
 	for k := range t.entries {
-		t.entries[k] = make([]entry, S)
 		for s := range t.entries[k] {
-			t.entries[k][s] = entry{arrival: arrival(k, s), seed: streamSeed(t.Seed, t.Slot, k, s)}
+			t.entries[k][s] = entry{
+				lanes:   carve(&lanes, int(counts[k*S+s]))[:0],
+				arrival: arrival(k, s),
+				seed:    streamSeed(t.Seed, t.Slot, k, s),
+			}
 		}
 	}
 	for i := range t.Lanes {
@@ -140,25 +172,36 @@ func (t *Table) index(K, S int, arrival func(k, s int) float64) {
 }
 
 // weigh sets every stream's planned rate and alias table from its lanes'
-// current rates. The alias slices are always fresh, so a table that
+// current rates. The alias slabs are always fresh, so a table that
 // shares them with its parent can be re-weighed without touching it.
 func (t *Table) weigh() {
-	var weights []float64
+	widest, cells := 0, 0
+	for k := range t.entries {
+		for s := range t.entries[k] {
+			widest = max(widest, len(t.entries[k][s].lanes))
+			cells += len(t.entries[k][s].lanes)
+		}
+	}
+	v := newVose(widest)
+	prob, alias := make([]float64, cells), make([]int32, cells)
 	for k := range t.entries {
 		for s := range t.entries[k] {
 			e := &t.entries[k][s]
-			weights, e.planned = weights[:0], 0
-			for _, li := range e.lanes {
-				weights = append(weights, t.Lanes[li].Rate)
+			n := len(e.lanes)
+			weights := v.weights[:n]
+			e.planned = 0
+			for i, li := range e.lanes {
+				weights[i] = t.Lanes[li].Rate
 				e.planned += t.Lanes[li].Rate
 			}
-			e.prob, e.alias = buildAlias(weights)
+			e.prob, e.alias = carve(&prob, n), carve(&alias, n)
+			v.fill(weights, e.prob, e.alias)
 		}
 	}
 }
 
 // derive returns a copy of the table — header by value, lanes and entries
-// in fresh slices — with lane applied to every lane and stream to every
+// in fresh slabs — with lane applied to every lane and stream to every
 // entry. Lane lists and alias tables stay shared with t: a transform that
 // moves every lane of a stream by one factor leaves the rate ratios, and
 // so the routing probabilities, where they were; one that does not calls
@@ -169,9 +212,9 @@ func (t *Table) derive(lane func(i int, ln *Lane), stream func(e *entry)) *Table
 	for i := range out.Lanes {
 		lane(i, &out.Lanes[i])
 	}
-	out.entries = make([][]entry, len(t.entries))
+	out.entries = grid(t.K(), t.S())
 	for k, row := range t.entries {
-		out.entries[k] = append([]entry(nil), row...)
+		copy(out.entries[k], row)
 		for s := range out.entries[k] {
 			stream(&out.entries[k][s])
 		}
@@ -260,10 +303,13 @@ func Compile(in *core.Input, plan *core.Plan, cfg Config) (*Table, error) {
 		}
 		return lamMax / lam
 	}
+	// The first pass checks the plan and counts its lanes, so the second
+	// fills a lane slab sized once (nil for none, which /admin/plan shows
+	// as null).
+	lanes := 0
 	for k := 0; k < K; k++ {
-		cls := sys.Classes[k].TUF
-		if len(plan.Rate[k]) != cls.NumLevels() {
-			return nil, fmt.Errorf("dispatch: type %d plan has %d levels, TUF has %d", k, len(plan.Rate[k]), cls.NumLevels())
+		if nq := sys.Classes[k].TUF.NumLevels(); len(plan.Rate[k]) != nq {
+			return nil, fmt.Errorf("dispatch: type %d plan has %d levels, TUF has %d", k, len(plan.Rate[k]), nq)
 		}
 		for s := 0; s < S; s++ {
 			for q := range plan.Rate[k] {
@@ -281,6 +327,20 @@ func Compile(in *core.Input, plan *core.Plan, cfg Config) (*Table, error) {
 					}
 					if math.IsNaN(rate) || math.IsInf(rate, 0) {
 						return nil, fmt.Errorf("dispatch: invalid rate %g at k=%d q=%d s=%d l=%d", rate, k, q, s, l)
+					}
+					lanes++
+				}
+			}
+		}
+	}
+	t.Lanes = slices.Grow(t.Lanes, lanes)
+	for k := 0; k < K; k++ {
+		cls := sys.Classes[k].TUF
+		for s := 0; s < S; s++ {
+			for q := range plan.Rate[k] {
+				for l, rate := range plan.Rate[k][q][s] {
+					if rate <= rateEps {
+						continue
 					}
 					d := plan.AchievedDelay(sys, k, q, l)
 					t.Lanes = append(t.Lanes, Lane{
@@ -334,25 +394,33 @@ func (t *Table) Rescale(mult []float64, sub uint64, cfg Config) (*Table, error) 
 	return out, nil
 }
 
-// buildAlias constructs a Walker alias table (Vose's algorithm) over the
-// weights. Sampling cell i accepts i with probability prob[i] and
-// otherwise redirects to alias[i]; the stationary distribution is
-// weights/Σweights. The construction is deterministic: worklists are
-// filled in ascending index order.
-func buildAlias(weights []float64) (prob []float64, alias []int32) {
+// vose is the scratch of Vose's alias construction, sized for the widest
+// stream and reused by every stream of one weigh.
+type vose struct {
+	weights, scaled []float64
+	small, large    []int32
+}
+
+func newVose(n int) vose {
+	f, i := make([]float64, 2*n), make([]int32, 2*n)
+	return vose{weights: f[:n:n], scaled: f[n:], small: i[:n:n], large: i[n:]}
+}
+
+// fill constructs a Walker alias table (Vose's algorithm) over the
+// weights into prob and alias, both len(weights). Sampling cell i accepts
+// i with probability prob[i] and otherwise redirects to alias[i]; the
+// stationary distribution is weights/Σweights. The construction is
+// deterministic: worklists are filled in ascending index order.
+func (v *vose) fill(weights, prob []float64, alias []int32) {
 	n := len(weights)
 	if n == 0 {
-		return nil, nil
+		return
 	}
-	prob = make([]float64, n)
-	alias = make([]int32, n)
 	var sum float64
 	for _, w := range weights {
 		sum += w
 	}
-	scaled := make([]float64, n)
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
+	scaled, small, large := v.scaled[:n], v.small[:0], v.large[:0]
 	for i, w := range weights {
 		scaled[i] = w * float64(n) / sum
 		if scaled[i] < 1 {
@@ -382,7 +450,6 @@ func buildAlias(weights []float64) (prob []float64, alias []int32) {
 	for _, i := range small {
 		prob[i] = 1
 	}
-	return prob, alias
 }
 
 // draw samples a lane index for the stream's seq-th request. It returns

@@ -30,8 +30,9 @@ func (t *Table) Wire() *TableWire {
 		Arrivals: make([][]float64, t.K()),
 	}
 	w.ServersOn = append([]int(nil), t.ServersOn...)
+	arrivals := make([]float64, t.K()*t.S())
 	for k, row := range t.entries {
-		w.Arrivals[k] = make([]float64, len(row))
+		w.Arrivals[k] = carve(&arrivals, len(row))
 		for s := range row {
 			w.Arrivals[k][s] = row[s].arrival
 		}

@@ -98,11 +98,15 @@ type Chain struct {
 	// without it.
 	Obs *obs.Scope
 
-	last        *core.Plan
+	last        *core.Plan // the replay tier's copy of the last dispatching commit
 	verified    *core.Plan
 	dec         Decision
 	inputHealth *feed.SlotHealth
 }
+
+// shiftBuckets bound resilient_dispatch_shift, Σ|λ_t − λ_{t−1}| between
+// consecutive dispatching commits in requests per second: 1 to ~4·10⁶.
+var shiftBuckets = obs.ExpBuckets(1, 4, 12)
 
 // New builds a chain over the given tiers.
 func New(tiers ...core.Planner) *Chain { return &Chain{Tiers: tiers} }
@@ -204,9 +208,15 @@ func (c *Chain) Plan(in *core.Input) (*core.Plan, error) {
 		// commit) here would overwrite the last useful plan with
 		// emptiness, leaving replay nothing to offer on the next failed
 		// slot even though a perfectly serviceable plan had been
-		// committed earlier in the horizon.
+		// committed earlier in the horizon. The held copy is refilled in
+		// place; replay hands out clones of it, never the buffer itself.
 		if planDispatches(plan) {
-			c.last = plan.Clone()
+			if c.last != nil && c.Obs.Enabled() {
+				if shift, ok := plan.Shift(c.last); ok {
+					c.Obs.Histogram("resilient_dispatch_shift", shiftBuckets).Observe(shift)
+				}
+			}
+			c.last = plan.CopyTo(c.last)
 		}
 		c.verified = plan
 		return plan

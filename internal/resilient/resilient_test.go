@@ -2,6 +2,8 @@ package resilient_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -13,6 +15,8 @@ import (
 	"profitlb/internal/exp"
 	"profitlb/internal/fault"
 	"profitlb/internal/market"
+	"profitlb/internal/obs"
+	"profitlb/internal/race"
 	"profitlb/internal/resilient"
 	"profitlb/internal/sim"
 	"profitlb/internal/tuf"
@@ -569,5 +573,126 @@ func TestDrainedFallbackIsGated(t *testing.T) {
 				t.Fatalf("Step committed %q, err %v", s.TierName, s.Err)
 			}
 		})
+	}
+}
+
+// fixed is a tier that commits the same plan object every slot.
+type fixed struct{ plan *core.Plan }
+
+func (f *fixed) Name() string                         { return "fixed" }
+func (f *fixed) Plan(*core.Input) (*core.Plan, error) { return f.plan, nil }
+
+// wideInput is testInput with its centers copied out to n.
+func wideInput(n int) *core.Input {
+	in := testInput(0)
+	dc, fe := in.Sys.Centers[0], &in.Sys.FrontEnds[0]
+	in.Sys.Centers, in.Prices, fe.DistanceMiles = nil, nil, nil
+	for l := 0; l < n; l++ {
+		c := dc
+		c.Name = fmt.Sprintf("dc%d", l)
+		in.Sys.Centers = append(in.Sys.Centers, c)
+		in.Prices = append(in.Prices, 30)
+		fe.DistanceMiles = append(fe.DistanceMiles, 150)
+	}
+	return in
+}
+
+// TestSteadyCommitAllocs: the chain refills one held replay copy in place,
+// so a steady commit of a dispatching plan costs exactly what a commit of
+// an empty plan (which the replay tier never learns) costs, at any size.
+func TestSteadyCommitAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector moves allocations to the heap")
+	}
+	for _, n := range []int{2, 64} {
+		in := wideInput(n)
+		busy, err := baseline.NewBalanced().Plan(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if busy.Served(0) == 0 {
+			t.Fatalf("%d centers: the fixture plan dispatches nothing", n)
+		}
+		commit := func(p *core.Plan) float64 {
+			chain := resilient.New(&fixed{p})
+			return testing.AllocsPerRun(100, func() {
+				if _, err := chain.Plan(in); err != nil || chain.LastDecision().Tier != 0 {
+					t.Fatalf("%d centers: the fixed tier did not commit (%v)", n, err)
+				}
+			})
+		}
+		if got, idle := commit(busy), commit(core.NewPlan(in.Sys)); got != idle {
+			t.Errorf("%d centers: a dispatching commit makes %v allocations, an empty one %v: the replay copy allocates", n, got, idle)
+		}
+	}
+}
+
+// TestReplayHandsOutCopies: a replayed plan is the caller's to change; the
+// chain's held copy, and so the next replay, stays what was committed.
+func TestReplayHandsOutCopies(t *testing.T) {
+	flaky := &misbehaver{name: "t0"}
+	chain := resilient.New(flaky)
+	if _, err := chain.Plan(testInput(0)); err != nil {
+		t.Fatal(err)
+	}
+	flaky.mode = "error"
+	first, err := chain.Plan(testInput(1))
+	if err != nil || chain.LastDecision().TierName != "replay" {
+		t.Fatalf("slot 1 committed %q (%v), want replay", chain.LastDecision().TierName, err)
+	}
+	want := first.Clone()
+	for k := range first.Rate {
+		for q := range first.Rate[k] {
+			for s := range first.Rate[k][q] {
+				for l := range first.Rate[k][q][s] {
+					first.Rate[k][q][s][l] = 0
+				}
+			}
+		}
+	}
+	first.ServersOn[0] = 0
+	again, err := chain.Plan(testInput(1))
+	if err != nil || chain.LastDecision().TierName != "replay" {
+		t.Fatalf("slot 2 committed %q (%v), want replay", chain.LastDecision().TierName, err)
+	}
+	if !reflect.DeepEqual(again, want) {
+		t.Fatal("mutating a replayed plan changed the next replay")
+	}
+}
+
+// TestDispatchShiftRecorded: across a two-slot price swing the chain
+// records Σ|λ_t − λ_{t−1}| once, for the second commit (the first has no
+// predecessor), and commits what a chain without a scope commits.
+func TestDispatchShiftRecorded(t *testing.T) {
+	reg := obs.NewRegistry()
+	chain := resilient.New(core.NewOptimized())
+	chain.Obs = obs.NewScope(reg, nil)
+	bare := resilient.New(core.NewOptimized())
+	in0, in1 := testInput(0), testInput(1)
+	in0.Prices = []float64{5, 35}
+	in1.Prices = []float64{35, 5}
+	var plans []*core.Plan
+	for _, in := range []*core.Input{in0, in1} {
+		p, err := chain.Plan(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q, err := bare.Plan(in); err != nil || !reflect.DeepEqual(p, q) {
+			t.Fatalf("slot %d: the scope changed the plan (%v)", in.Slot, err)
+		}
+		plans = append(plans, p)
+	}
+	var want float64
+	for s := range plans[0].Rate[0][0] {
+		for l, v := range plans[1].Rate[0][0][s] {
+			want += math.Abs(v - plans[0].Rate[0][0][s][l])
+		}
+	}
+	if want == 0 {
+		t.Fatal("the price swing moved no dispatch; the test exercises nothing")
+	}
+	h := reg.Snapshot().Histograms["resilient_dispatch_shift"]
+	if h.Count != 1 || h.Sum != want {
+		t.Fatalf("resilient_dispatch_shift holds %d observations summing to %g, want 1 of %g", h.Count, h.Sum, want)
 	}
 }

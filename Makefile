@@ -25,7 +25,12 @@ race:
 # identities, subdivision shares sum back exactly, scale by one only marks
 # the table). FuzzFromWire feeds raw bytes down a join-mode replica's path
 # — JSON, FromWire, the topology gate, install, serve — and requires a
-# refusal or a served request, never a panic. FuzzWarmBasisImport throws
+# refusal or a served request, never a panic. FuzzReplicaFence drives one
+# replica through byte-decoded deliveries (epoch, sub, member or not, slot)
+# and staleness ticks: the served (epoch, sub) stays the largest accepted
+# stamp, and every refused delivery is counted exactly once (stale,
+# duplicate or not-member) without touching the serving table.
+# FuzzWarmBasisImport throws
 # hostile (mismatched, duplicated, dependent) seed bases at the warm
 # solver and checks every accepted result against the cold path.
 # FuzzSparseFactors drives arbitrary sparse matrices and basis-change
@@ -46,6 +51,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCompile -fuzztime=10s ./internal/dispatch/
 	$(GO) test -run=NONE -fuzz=FuzzControlRescale -fuzztime=10s ./internal/dispatch/
 	$(GO) test -run=NONE -fuzz=FuzzFromWire -fuzztime=10s ./internal/cluster/
+	$(GO) test -run=NONE -fuzz=FuzzReplicaFence -fuzztime=10s ./internal/cluster/
 	$(GO) test -run=NONE -fuzz=FuzzWarmBasisImport -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzKernelDifferential -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzSparseFactors -fuzztime=10s ./internal/linalg/

@@ -120,7 +120,7 @@ func TestServeFleetSmoke(t *testing.T) {
 	}
 
 	const n = 300
-	res, err := loadgen.FireHTTP(base, gs.sc.System, n, 13)
+	res, _, err := loadgen.FireHTTP([]string{base}, gs.sc.System, n, 13, loadgen.FireConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestServeAdminReadsTheFleet(t *testing.T) {
 	}
 
 	const n = 200
-	if _, err := loadgen.FireHTTP(base, gs.sc.System, n, 3); err != nil {
+	if _, _, err := loadgen.FireHTTP([]string{base}, gs.sc.System, n, 3, loadgen.FireConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	rr := gs.rr.Load()
@@ -306,7 +306,7 @@ func TestServeControlSmoke(t *testing.T) {
 	})
 	base := "http://" + gs.Addr()
 	// Serve traffic across a few control ticks.
-	rep, err := loadgen.FireHTTP(base, sc.System, 400, 7)
+	rep, _, err := loadgen.FireHTTP([]string{base}, sc.System, 400, 7, loadgen.FireConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,25 +49,20 @@ func cmdLoadtest(args []string) error {
 	}
 	if *addr != "" {
 		targets := strings.Split(*addr, ",")
-		if len(targets) == 1 {
-			res, err := loadgen.FireHTTP(targets[0], sc.System, *n, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("loadtest %s: %d requests → %d admitted, %d shed, %d rejected (%d retries)\n",
-				targets[0], res.Sent, res.Admitted, res.Shed, res.Rejected, res.Retries)
-			return nil
-		}
-		total, per, err := loadgen.FireHTTPMulti(targets, sc.System, *n, *seed, loadgen.FireConfig{})
+		total, per, err := loadgen.FireHTTP(targets, sc.System, *n, *seed, loadgen.FireConfig{})
 		if err != nil {
 			return err
 		}
-		for i, p := range per {
-			fmt.Printf("  %s: %d requests → %d admitted, %d shed, %d rejected (%d retries)\n",
-				targets[i], p.Sent, p.Admitted, p.Shed, p.Rejected, p.Retries)
+		label := "loadtest " + targets[0]
+		if len(targets) > 1 {
+			for i, p := range per {
+				fmt.Printf("  %s: %d requests → %d admitted, %d shed, %d rejected (%d retries)\n",
+					targets[i], p.Sent, p.Admitted, p.Shed, p.Rejected, p.Retries)
+			}
+			label = fmt.Sprintf("loadtest fleet of %d", len(targets))
 		}
-		fmt.Printf("loadtest fleet of %d: %d requests → %d admitted, %d shed, %d rejected (%d retries)\n",
-			len(targets), total.Sent, total.Admitted, total.Shed, total.Rejected, total.Retries)
+		fmt.Printf("%s: %d requests → %d admitted, %d shed, %d rejected (%d retries)\n",
+			label, total.Sent, total.Admitted, total.Shed, total.Rejected, total.Retries)
 		return nil
 	}
 	if *resilient {

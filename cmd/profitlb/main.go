@@ -415,7 +415,7 @@ func cmdSimulate(args []string) error {
 		fmt.Fprintf(w, "%d\t%.0f\t%.0f\t%.2f\t%.2f\t%.2f\t%.2f\t%d",
 			s.Slot, s.Offered(), s.Served(), s.Revenue, s.EnergyCost, s.TransferCost, s.NetProfit, s.ServersOn)
 		if withFaults {
-			fmt.Fprintf(w, "\t%s\t%s", fallbackLabel(s), strings.Join(s.FaultsActive, " "))
+			fmt.Fprintf(w, "\t%s\t%s", s.TierLabel(), strings.Join(s.FaultsActive, " "))
 		}
 		if withFeeds {
 			fmt.Fprintf(w, "\t%s", feedLabel(s))
@@ -465,20 +465,6 @@ func feedLabel(s sim.SlotReport) string {
 		return "fresh"
 	}
 	return strings.Join(parts, " ")
-}
-
-// fallbackLabel renders a slot's fallback state for the report table.
-func fallbackLabel(s sim.SlotReport) string {
-	switch {
-	case s.FallbackTier == 0:
-		return "primary"
-	case s.FallbackTier > 0:
-		return fmt.Sprintf("%d:%s", s.FallbackTier, s.FallbackName)
-	case s.FallbackName != "": // the simulator itself shed the slot
-		return s.FallbackName
-	default:
-		return "-"
-	}
 }
 
 // cmdChaos runs the scenario twice per planner — clean and under a
@@ -577,15 +563,10 @@ func cmdChaos(args []string) error {
 	}
 	fmt.Fprintln(w, header)
 	for i, name := range lanes {
-		var completion float64
-		for k := 0; k < sc.System.K(); k++ {
-			completion += faulted[i].CompletionRate(k)
-		}
-		completion = report.Frac(completion, float64(sc.System.K()))
 		retained := report.Frac(faulted[i].TotalNetProfit(), clean[i].TotalNetProfit())
 		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.1f%%\t%.1f%%\t%d/%d\t%.2f",
 			name, clean[i].TotalNetProfit(), faulted[i].TotalNetProfit(),
-			100*retained, 100*completion,
+			100*retained, 100*faulted[i].MeanCompletion(),
 			faulted[i].DegradedSlots(), len(faulted[i].Slots),
 			faulted[i].TotalLostRevenue())
 		if *feeds {

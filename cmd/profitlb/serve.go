@@ -503,7 +503,7 @@ func (gs *gatewayServer) stats(now float64) (dispatch.Stats, []replicaStatus) {
 			Staleness: r.Staleness(), Degraded: r.Degraded(),
 			Stats: r.Gateway().Stats(now),
 		}
-		if st, f := &rows[i].Stats, &rows[fresh].Stats; st.Epoch > f.Epoch || st.Epoch == f.Epoch && st.Sub > f.Sub {
+		if f := &rows[fresh].Stats; stamp(&rows[i].Stats).Cmp(f.Epoch, f.Sub) > 0 {
 			fresh = i
 		}
 	}
@@ -523,7 +523,7 @@ func (gs *gatewayServer) stats(now float64) (dispatch.Stats, []replicaStatus) {
 		sum.TotalAdmitted += st.TotalAdmitted
 		sum.TotalShed += st.TotalShed
 		sum.Swaps += st.Swaps
-		if st.Epoch != sum.Epoch || st.Sub != sum.Sub || len(st.Lanes) != len(sum.Lanes) {
+		if stamp(st).Cmp(sum.Epoch, sum.Sub) != 0 || len(st.Lanes) != len(sum.Lanes) {
 			continue
 		}
 		if same++; i == fresh {
@@ -538,6 +538,11 @@ func (gs *gatewayServer) stats(now float64) (dispatch.Stats, []replicaStatus) {
 		sum.Lanes[j].Occupancy /= float64(same)
 	}
 	return sum, rows
+}
+
+// stamp carries a snapshot's (epoch, sub) into dispatch.Header's order.
+func stamp(st *dispatch.Stats) dispatch.Header {
+	return dispatch.Header{Epoch: st.Epoch, Sub: st.Sub}
 }
 
 // statsBody is /admin/stats: the serving plane's aggregate dispatch.Stats

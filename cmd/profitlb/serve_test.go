@@ -91,7 +91,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	const n = 400
-	res, err := loadgen.FireHTTP(base, sc.System, n, 7)
+	res, _, err := loadgen.FireHTTP([]string{base}, sc.System, n, 7, loadgen.FireConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"profitlb/internal/core"
@@ -149,32 +151,6 @@ func TestPublisherMembership(t *testing.T) {
 	}
 }
 
-// TestPublisherOutageBehaviour: a down control plane drops beats, skips
-// sweeps, refuses publishes and fails waits immediately.
-func TestPublisherOutageBehaviour(t *testing.T) {
-	drv := testDriver(testSystem(), dispatch.Config{SlotSeconds: 60}, nil)
-	p := NewPublisher(testClusterConfig(0), drv, nil)
-	p.Beat("r0", 0)
-	if _, err := p.PublishSlot(0); err != nil {
-		t.Fatal(err)
-	}
-	p.SetDown(true)
-	p.Beat("r9", 1) // dropped
-	if got := p.Members(); len(got) != 1 {
-		t.Fatalf("down publisher accepted a join: %v", got)
-	}
-	if _, err := p.PublishSlot(1); err == nil {
-		t.Fatal("down publisher published")
-	}
-	if pub := p.Wait(0, 0, nil); pub != nil {
-		t.Fatal("down publisher answered a wait")
-	}
-	p.SetDown(false)
-	if pub, err := p.PublishSlot(2); err != nil || pub.Epoch != 2 {
-		t.Fatalf("recovery publish: %v, %v", pub, err)
-	}
-}
-
 // TestReplicaApplyFences: stale, duplicate and not-a-member publications
 // are counted and never disturb the serving state.
 func TestReplicaApplyFences(t *testing.T) {
@@ -213,8 +189,8 @@ func TestReplicaApplyFences(t *testing.T) {
 	if installed, err := r.Apply(pub1, 60); err != nil || installed {
 		t.Fatalf("stale apply: %v, %v", installed, err)
 	}
-	if stale, dup := r.Gateway().Fenced(); stale != 1 || dup != 1 {
-		t.Fatalf("gateway fence counters (%d, %d), want (1, 1)", stale, dup)
+	if st := r.Gateway().Stats(0); st.FencedStale != 1 || st.FencedDup != 1 {
+		t.Fatalf("gateway fence counters (%d, %d), want (1, 1)", st.FencedStale, st.FencedDup)
 	}
 	// Not a member.
 	alien := &Publication{Epoch: pub2.Epoch + 1, Slot: 2, Members: []string{"other"}, Table: pub2.Table}
@@ -240,6 +216,73 @@ func TestReplicaApplyFences(t *testing.T) {
 	if r.Epoch() != pub2.Epoch {
 		t.Fatalf("fenced deliveries moved the replica to epoch %d", r.Epoch())
 	}
+}
+
+// TestStampReadsAreConsistent: while one goroutine applies a rising
+// (epoch, sub) sequence, readers of Gateway.Stats, Replica.Epoch and
+// Replica.Sub only ever see what one installed table carried — a (slot,
+// epoch, sub) triple that was installed, never two tables' halves — and
+// never see the stamp go back. Every install carries its own slot, so a
+// snapshot pairing one table's slot with another's stamp shows.
+func TestStampReadsAreConsistent(t *testing.T) {
+	sys := testSystem()
+	dcfg := dispatch.Config{Seed: 59, SlotSeconds: 60}
+	ccfg := testClusterConfig(0)
+	p := NewPublisher(ccfg, testDriver(sys, dcfg, nil), nil)
+	p.Beat("r0", 0)
+	pub, err := p.PublishSlot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReplica("r0", sys, dcfg, ccfg, nil)
+	const epochs, subs, readers = 500, 4, 4
+	installed := func(slot int, epoch, sub uint64) bool {
+		return slot == -1 && epoch == 0 && sub == 0 || // nothing installed yet
+			epoch >= 1 && epoch <= epochs && sub < subs && slot == int(epoch*subs+sub)
+	}
+	done := make(chan struct{})
+	var wg, started sync.WaitGroup
+	started.Add(readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			started.Done()
+			var last dispatch.Header
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				st := r.Gateway().Stats(0)
+				if !installed(st.Slot, st.Epoch, st.Sub) || last.Cmp(st.Epoch, st.Sub) > 0 {
+					t.Errorf("Stats read (slot %d, epoch %d, sub %d) after (%d, %d): no installed table carried it",
+						st.Slot, st.Epoch, st.Sub, last.Epoch, last.Sub)
+					return
+				}
+				last.Epoch, last.Sub = st.Epoch, st.Sub
+				if e, s := r.Epoch(), r.Sub(); e < last.Epoch || e > epochs || s >= subs {
+					t.Errorf("replica read epoch %d sub %d after Stats read (%d, %d)", e, s, last.Epoch, last.Sub)
+					return
+				}
+			}
+		}()
+	}
+	started.Wait()
+	for e := uint64(1); e <= epochs; e++ {
+		for s := uint64(0); s < subs; s++ {
+			w := *pub.Table
+			w.Epoch, w.Sub, w.Slot = e, s, int(e*subs+s)
+			d := &Publication{Epoch: e, Sub: s, Slot: w.Slot, Members: []string{"r0"}, Table: &w}
+			if ok, err := r.Apply(d, float64(e)*sys.Slot()); !ok || err != nil {
+				t.Fatalf("apply (%d, %d): %v, %v", e, s, ok, err)
+			}
+			runtime.Gosched()
+		}
+	}
+	close(done)
+	wg.Wait()
 }
 
 // TestApplyTimesTheSwap: a scoped replica's apply lands a positive

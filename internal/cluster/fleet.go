@@ -21,12 +21,8 @@ type Fleet struct {
 	Pub      *Publisher
 	Replicas []*Replica
 
-	cfg   Config
 	sch   *fault.Schedule
 	scope *obs.Scope
-	// joined tracks which replicas have ever beaten, so the first slot
-	// joins everyone before the first publish.
-	joined []bool
 }
 
 // NewFleet builds a publisher around the driver plus cfg.Replicas
@@ -40,21 +36,12 @@ func NewFleet(sys *datacenter.System, dcfg dispatch.Config, cfg Config, drv *dis
 	if err := sch.ValidateCluster(cfg.Replicas); err != nil {
 		return nil, err
 	}
-	f := &Fleet{
-		Pub:    NewPublisher(cfg, drv, scope),
-		cfg:    cfg,
-		sch:    sch,
-		scope:  scope,
-		joined: make([]bool, cfg.Replicas),
-	}
+	f := &Fleet{Pub: NewPublisher(cfg, drv, scope), sch: sch, scope: scope}
 	for i := 0; i < cfg.Replicas; i++ {
 		f.Replicas = append(f.Replicas, NewReplica(ReplicaID(i), sys, dcfg, cfg, scope))
 	}
 	return f, nil
 }
-
-// Down reports whether replica i is killed at the slot.
-func (f *Fleet) Down(i, slot int) bool { return f.sch.ReplicaDown(i, slot) }
 
 // Reachable reports whether replica i can talk to the control plane at
 // the slot: alive, not partitioned, and the control plane itself up.
@@ -93,7 +80,6 @@ func (f *Fleet) BeginSlot(abs int, now float64) (*Publication, error) {
 		for i := range f.Replicas {
 			if f.Reachable(i, abs) {
 				f.Pub.Beat(f.Replicas[i].ID, abs)
-				f.joined[i] = true
 			}
 		}
 		f.Pub.SweepHealth(abs)

@@ -19,16 +19,13 @@ import (
 // long-polls: if an epoch newer than after is already published it
 // answers immediately, otherwise it holds the request up to wait
 // milliseconds (capped by PollWaitMs) and answers 204 if nothing fresher
-// arrives. A control plane in outage answers 503.
+// arrives. A control plane that is down answers nothing: its replicas see
+// connection errors.
 func (p *Publisher) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/plan", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		if p.Down() {
-			http.Error(w, "control plane down", http.StatusServiceUnavailable)
 			return
 		}
 		after, _ := strconv.ParseUint(r.URL.Query().Get("after"), 10, 64)
@@ -50,10 +47,6 @@ func (p *Publisher) Handler() http.Handler {
 		defer cancel()
 		pub := p.Wait(after, afterSub, ctx.Done())
 		if pub == nil {
-			if p.Down() {
-				http.Error(w, "control plane down", http.StatusServiceUnavailable)
-				return
-			}
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"sync"
 
 	"profitlb/internal/dispatch"
@@ -45,7 +44,6 @@ type Publisher struct {
 	cur     *Publication // last published epoch (nil before the first)
 	order   []string     // live members in join order — the subdivision order
 	health  map[string]*member
-	down    bool
 	notify  chan struct{} // closed and remade on every publish
 	changed bool          // membership changed since the last publish
 }
@@ -79,22 +77,6 @@ func (p *Publisher) Members() []string {
 	return append([]string(nil), p.order...)
 }
 
-// SetDown simulates a control-plane outage: while down, heartbeats are
-// dropped, health rounds do not run, nothing publishes, and Wait fails
-// immediately. Serving replicas notice only through staleness.
-func (p *Publisher) SetDown(down bool) {
-	p.mu.Lock()
-	p.down = down
-	p.mu.Unlock()
-}
-
-// Down reports whether the control plane is in simulated outage.
-func (p *Publisher) Down() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.down
-}
-
 // Beat records a heartbeat from the replica. An unknown ID joins the
 // fleet (first contact and recovery after eviction look identical —
 // that is what makes rejoin free); the join takes effect at the next
@@ -102,7 +84,7 @@ func (p *Publisher) Down() bool {
 func (p *Publisher) Beat(id string, slot int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.down || id == "" {
+	if id == "" {
 		return
 	}
 	m, ok := p.health[id]
@@ -128,9 +110,6 @@ func (p *Publisher) Beat(id string, slot int) {
 func (p *Publisher) SweepHealth(slot int) []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.down {
-		return nil
-	}
 	var evicted []string
 	for _, id := range p.order {
 		m := p.health[id]
@@ -160,16 +139,16 @@ func (p *Publisher) SweepHealth(slot int) []string {
 // PublishSlot plans slot abs through the driver and publishes the result
 // under its freshly minted epoch. Failures inside planning have already
 // degraded to an all-shed table (the driver's contract), so the only
-// errors are wiring mistakes or an outage.
+// errors are wiring mistakes.
 func (p *Publisher) PublishSlot(abs int) (*Publication, error) {
-	if p.Down() {
-		return nil, errors.New("cluster: control plane is down")
-	}
 	t, err := p.drv.PlanTable(abs)
 	if err != nil {
 		return nil, err
 	}
-	return p.publish(t.Wire(), abs), nil
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.changed = false
+	return p.publishLocked(t.Wire(), abs, p.order), nil
 }
 
 // Respread re-publishes the current table under a fresh epoch if (and
@@ -179,38 +158,34 @@ func (p *Publisher) PublishSlot(abs int) (*Publication, error) {
 func (p *Publisher) Respread(slot int) *Publication {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.down || p.cur == nil || !p.changed {
+	if p.cur == nil || !p.changed {
 		return nil
 	}
 	w := *p.cur.Table // shallow copy; slices are immutable after compile
 	w.Epoch = p.drv.NextEpoch()
 	w.Sub = 0 // a fresh epoch restarts the sub-epoch sequence
-	return p.publishLocked(&w, slot)
+	p.changed = false
+	return p.publishLocked(&w, slot, p.order)
 }
 
-// publish stamps and stores a new publication, waking every long-poll.
-func (p *Publisher) publish(w *dispatch.TableWire, slot int) *Publication {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.publishLocked(w, slot)
-}
-
-func (p *Publisher) publishLocked(w *dispatch.TableWire, slot int) *Publication {
+// publishLocked stores w as the current publication, spread over members
+// and stamped with w's own (epoch, sub), and wakes every long-poll
+// (caller holds mu).
+func (p *Publisher) publishLocked(w *dispatch.TableWire, slot int, members []string) *Publication {
 	pub := &Publication{
 		Epoch:   w.Epoch,
 		Sub:     w.Sub,
 		Slot:    slot,
-		Members: append([]string(nil), p.order...),
+		Members: append([]string(nil), members...),
 		Table:   w,
 	}
 	p.cur = pub
-	p.changed = false
 	close(p.notify)
 	p.notify = make(chan struct{})
 	if p.scope.Enabled() {
 		p.scope.Gauge("cluster_published_epoch").Set(float64(pub.Epoch))
 		p.scope.Gauge("cluster_published_sub").Set(float64(pub.Sub))
-		p.scope.Gauge("cluster_members").Set(float64(len(pub.Members)))
+		p.scope.Gauge("cluster_members").Set(float64(len(p.order)))
 	}
 	return pub
 }
@@ -221,32 +196,16 @@ func (p *Publisher) publishLocked(w *dispatch.TableWire, slot int) *Publication 
 // pending membership-change flag, and re-spreads nothing — the correction
 // is pinned to the exact membership the epoch was spread over, because a
 // replica's subdivision index must not move mid-epoch. The publish is
-// refused (nil) when the control plane is down, nothing was ever
-// published, the correction targets a different epoch (a slot or
-// re-spread publish won the race), or its sub-epoch does not advance.
+// refused (nil) when nothing was ever published, the correction targets a
+// different epoch (a slot or re-spread publish won the race), or its
+// sub-epoch does not advance.
 func (p *Publisher) PublishControl(w *dispatch.TableWire, slot int) *Publication {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.down || p.cur == nil || w == nil {
+	if p.cur == nil || w == nil || w.Epoch != p.cur.Epoch || w.Cmp(p.cur.Epoch, p.cur.Sub) <= 0 {
 		return nil
 	}
-	if w.Epoch != p.cur.Epoch || w.Sub <= p.cur.Sub {
-		return nil
-	}
-	pub := &Publication{
-		Epoch:   w.Epoch,
-		Sub:     w.Sub,
-		Slot:    slot,
-		Members: append([]string(nil), p.cur.Members...),
-		Table:   w,
-	}
-	p.cur = pub
-	close(p.notify)
-	p.notify = make(chan struct{})
-	if p.scope.Enabled() {
-		p.scope.Gauge("cluster_published_sub").Set(float64(pub.Sub))
-	}
-	return pub
+	return p.publishLocked(w, slot, p.cur.Members)
 }
 
 // Current returns the last publication (nil before the first).
@@ -260,15 +219,12 @@ func (p *Publisher) Current() *Publication {
 // lexicographically newer than (after, afterSub): it returns immediately
 // when one is already published, otherwise blocks until the next publish
 // or until cancel closes. A nil return means nothing newer arrived in
-// time (the HTTP layer's 204) or the control plane is down.
+// time (the HTTP layer's 204).
 func (p *Publisher) Wait(after, afterSub uint64, cancel <-chan struct{}) *Publication {
 	for {
 		p.mu.Lock()
-		if p.down {
-			p.mu.Unlock()
-			return nil
-		}
-		if p.cur != nil && (p.cur.Epoch > after || (p.cur.Epoch == after && p.cur.Sub > afterSub)) {
+		// A publication's stamp is its table's (publishLocked).
+		if p.cur != nil && p.cur.Table.Cmp(after, afterSub) > 0 {
 			pub := p.cur
 			p.mu.Unlock()
 			return pub

@@ -28,11 +28,9 @@ type Replica struct {
 	// applies publications while admin handlers read the state. The
 	// request hot path never takes it — Handle only touches the gateway.
 	mu sync.Mutex
-	// applied describes the last publication that passed the fence.
-	appliedEpoch uint64
-	appliedSub   uint64
-	appliedSlot  int
-	fleetSize    int
+	// appliedSlot is the slot of the last publication that passed the
+	// fence (its stamp is the installed table's); staleness counts from it.
+	appliedSlot int
 	// staleness is how many slot boundaries have passed since the
 	// applied slot; degraded marks the conservative-shed downgrade.
 	staleness int
@@ -64,19 +62,11 @@ func (r *Replica) Gateway() *dispatch.Gateway { return r.gw }
 // the /readyz condition: before this it can only answer Invalid.
 func (r *Replica) Ready() bool { return r.gw.Table() != nil }
 
-// Epoch returns the last applied plan epoch.
-func (r *Replica) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.appliedEpoch
-}
+// Epoch returns the last applied plan epoch: the serving table's.
+func (r *Replica) Epoch() uint64 { return r.gw.Epoch() }
 
 // Sub returns the last applied sub-epoch within the applied epoch.
-func (r *Replica) Sub() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.appliedSub
-}
+func (r *Replica) Sub() uint64 { return r.gw.Sub() }
 
 // Staleness returns how many slot boundaries the replica has served
 // past its applied slot (0 when fresh).
@@ -127,16 +117,10 @@ func (r *Replica) Apply(pub *Publication, now float64) (bool, error) {
 		return false, nil
 	}
 	// Fence before the rebuild: a stale (epoch, sub-epoch) pair must not
-	// cost a compile, and must not be able to fail one either.
-	if curE, curS := r.gw.Epoch(), r.gw.Sub(); pub.Epoch < curE || (pub.Epoch == curE && pub.Sub <= curS) {
-		reason := "stale"
-		if pub.Epoch == curE && pub.Sub == curS {
-			reason = "duplicate"
-		}
+	// cost a compile, and must not be able to fail one either. The
+	// gateway counts it, so Stats and metrics agree with the trace.
+	if reason := r.gw.Fence(pub.Epoch, pub.Sub); reason != "" {
 		r.emitFenced(pub, reason)
-		// The gateway owns the fence counters; route through it with the
-		// pair alone so Stats and metrics agree with the trace.
-		r.gw.InstallIfNewer(&dispatch.Table{Header: dispatch.Header{Epoch: pub.Epoch, Sub: pub.Sub}}, now, 0)
 		return false, nil
 	}
 	// The swap histogram reads decode + fit + subdivide here and Install
@@ -149,6 +133,10 @@ func (r *Replica) Apply(pub *Publication, now float64) (bool, error) {
 	if err == nil {
 		err = fits(full, r.gw.System())
 	}
+	if err == nil && full.Cmp(pub.Epoch, pub.Sub) != 0 {
+		// The table's stamp is what the gateway will serve and fence on.
+		err = fmt.Errorf("table stamped (%d, %d)", full.Epoch, full.Sub)
+	}
 	if err != nil {
 		return false, fmt.Errorf("cluster: %s rejected publication epoch %d: %w", r.ID, pub.Epoch, err)
 	}
@@ -160,13 +148,9 @@ func (r *Replica) Apply(pub *Publication, now float64) (bool, error) {
 	if !began.IsZero() {
 		elapsed = time.Since(began)
 	}
-	if !r.gw.InstallIfNewer(sub, now, elapsed) {
-		return false, nil // lost a race with a newer epoch; fence counted
-	}
-	r.appliedEpoch = pub.Epoch
-	r.appliedSub = pub.Sub
+	// mu makes this the gateway's only installer, so the fence above holds.
+	r.gw.Install(sub, now, elapsed)
 	r.appliedSlot = pub.Slot
-	r.fleetSize = len(pub.Members)
 	r.staleness = 0
 	r.degraded = false
 	if r.scope.Enabled() {
@@ -243,7 +227,7 @@ func (r *Replica) Tick(slot int, now float64) {
 	if r.scope.Enabled() {
 		r.scope.Counter("cluster_stale_downgrades_total").Inc()
 		r.scope.Emit(obs.Event{
-			Kind: obs.KindStaleServing, Slot: slot, Epoch: r.appliedEpoch, Replica: r.ID, Staleness: r.staleness,
+			Kind: obs.KindStaleServing, Slot: slot, Epoch: cur.Epoch, Replica: r.ID, Staleness: r.staleness,
 			Values: map[string]float64{"factor": staleShare},
 		})
 	}

@@ -41,7 +41,7 @@ func (p *FleetPlant) Sample(epoch, sub uint64) Sample {
 		}
 		serving++
 		gw := r.Gateway()
-		if gw.Epoch() != epoch || gw.Sub() != sub {
+		if t := gw.Table(); t == nil || t.Cmp(epoch, sub) != 0 {
 			continue
 		}
 		off := gw.StreamOffered()

@@ -70,8 +70,8 @@ func TestEpochFence(t *testing.T) {
 	if gw.InstallIfNewer(stale, 0, 0) {
 		t.Fatal("stale epoch installed")
 	}
-	if s, d := gw.Fenced(); s != 1 || d != 1 {
-		t.Fatalf("Fenced() = (%d, %d), want (1, 1)", s, d)
+	if st := gw.Stats(0); st.FencedStale != 1 || st.FencedDup != 1 {
+		t.Fatalf("fence counters (%d, %d), want (1, 1)", st.FencedStale, st.FencedDup)
 	}
 	if got := gw.Table().Lanes[0].Rate; got != 2 {
 		t.Fatalf("serving lane rate %g after fenced installs, want 2", got)

@@ -76,13 +76,10 @@ type Gateway struct {
 	sys *datacenter.System
 	cfg Config
 
+	// cur is the installed table and its run state — also the only record
+	// of the (epoch, sub) stamp the gateway serves, so one load reads a
+	// slot, epoch and sub that one table carried.
 	cur atomic.Pointer[compiled]
-
-	// epoch is the highest plan epoch installed so far; sub is the highest
-	// sub-epoch installed within it. InstallIfNewer fences on the
-	// lexicographic pair: anything at or below (epoch, sub) is rejected.
-	epoch atomic.Uint64
-	sub   atomic.Uint64
 
 	// Totals survive swaps (the per-slot tallies reset with each table).
 	totalRequests atomic.Int64
@@ -126,19 +123,22 @@ func NewGateway(sys *datacenter.System, cfg Config, scope *obs.Scope) *Gateway {
 // slot engine shares it for its own counters.
 func (g *Gateway) Scope() *obs.Scope { return g.scope }
 
-// Epoch returns the highest plan epoch installed so far (0 before any
-// epoch-stamped install).
-func (g *Gateway) Epoch() uint64 { return g.epoch.Load() }
-
-// Sub returns the highest sub-epoch installed within the current epoch
-// (0 for a slot's committed plan; controller corrections tick it up).
-func (g *Gateway) Sub() uint64 { return g.sub.Load() }
-
-// Fenced returns the lifetime counts of rejected installs: stale (epoch
-// below current) and duplicate (epoch equal to current).
-func (g *Gateway) Fenced() (stale, dup int64) {
-	return g.fencedStale.Load(), g.fencedDup.Load()
+// header returns the installed table's header: the zero header, stamp
+// (0, 0), before the first install.
+func (g *Gateway) header() Header {
+	if c := g.cur.Load(); c != nil {
+		return c.t.Header
+	}
+	return Header{}
 }
+
+// Epoch returns the installed table's plan epoch (0 before any
+// epoch-stamped install).
+func (g *Gateway) Epoch() uint64 { return g.header().Epoch }
+
+// Sub returns the installed table's sub-epoch within its epoch (0 for a
+// slot's committed plan; controller corrections tick it up).
+func (g *Gateway) Sub() uint64 { return g.header().Sub }
 
 // System returns the topology the gateway serves.
 func (g *Gateway) System() *datacenter.System { return g.sys }
@@ -146,14 +146,15 @@ func (g *Gateway) System() *datacenter.System { return g.sys }
 // Config returns the gateway's (defaulted) configuration.
 func (g *Gateway) Config() Config { return g.cfg }
 
-// Install hot-swaps the routing table: the new compiled state becomes
-// current in one atomic pointer store. now is the virtual time of the
-// swap — the instant bucket refill starts. With a metrics scope, the
-// dispatch_swap_seconds histogram observes elapsed — what the caller spent
-// turning a publication into t (decode, topology check, subdivide) — plus
-// Install's own time; without one nothing is timed. Publishing per-lane
-// occupancy gauges for the outgoing table happens here, off the request
-// path.
+// Install hot-swaps the routing table: the new compiled state — and with
+// it the table's (epoch, sub) stamp — becomes current in one atomic
+// pointer store. Install does not fence (Fence, InstallIfNewer). now is
+// the virtual time of the swap — the instant bucket refill starts. With a
+// metrics scope, the dispatch_swap_seconds histogram observes elapsed —
+// what the caller spent turning a publication into t (decode, topology
+// check, subdivide) — plus Install's own time; without one nothing is
+// timed. Publishing per-lane occupancy gauges for the outgoing table
+// happens here, off the request path.
 //
 // Bucket state across the swap: a table for a *new* slot starts every
 // bucket full (a fresh slot is a fresh budget, and a full bucket does not
@@ -197,12 +198,6 @@ func (g *Gateway) Install(t *Table, now float64, elapsed time.Duration) {
 		}
 		c.buckets[i].reset(now, burst)
 	}
-	if t.Epoch > g.epoch.Load() {
-		g.epoch.Store(t.Epoch)
-		g.sub.Store(t.Sub)
-	} else if t.Epoch == g.epoch.Load() && t.Sub > g.sub.Load() {
-		g.sub.Store(t.Sub)
-	}
 	g.cur.Store(c)
 	g.swaps.Add(1)
 	if g.hSwap != nil {
@@ -227,24 +222,36 @@ func laneCoord(ln *Lane) Lane {
 	return Lane{K: ln.K, Q: ln.Q, S: ln.S, L: ln.L}
 }
 
-// InstallIfNewer installs the table only if its (epoch, sub-epoch) pair
-// advances lexicographically past the gateway's current one — the fence
-// that makes distributed plan application safe against stale, duplicate
-// and out-of-order deliveries, for slot plans (sub 0) and in-slot
-// controller corrections (sub > 0) alike. It reports whether the table
-// was installed; fenced tables bump the stale/duplicate counters and
-// leave the serving state untouched. Like Install, it is meant for a
-// single installer goroutine per gateway.
+// Fence is the serving plane's one fence: it checks a delivery stamped
+// (epoch, sub) against the installed table's stamp, before anything is
+// decoded or built, and returns "" when the pair advances past it
+// (Header.Cmp) — slot plans (sub 0) and in-slot controller corrections
+// (sub > 0) alike. Otherwise it counts the delivery and returns why it is
+// refused: "duplicate" for the installed stamp itself, "stale" for an
+// older one. A caller that gets "" and then installs must be the
+// gateway's single installer, as InstallIfNewer's callers are.
+func (g *Gateway) Fence(epoch, sub uint64) string {
+	switch g.header().Cmp(epoch, sub) {
+	case -1:
+		return ""
+	case 0:
+		g.fencedDup.Add(1)
+		g.cFencedDup.Inc()
+		return "duplicate"
+	default:
+		g.fencedStale.Add(1)
+		g.cFencedStale.Inc()
+		return "stale"
+	}
+}
+
+// InstallIfNewer installs the table only if its stamp passes Fence — what
+// makes distributed plan application safe against stale, duplicate and
+// out-of-order deliveries. It reports whether the table was installed;
+// a fenced table leaves the serving state untouched. Like Install, it is
+// meant for a single installer goroutine per gateway.
 func (g *Gateway) InstallIfNewer(t *Table, now float64, elapsed time.Duration) bool {
-	curE, curS := g.epoch.Load(), g.sub.Load()
-	if t.Epoch < curE || (t.Epoch == curE && t.Sub <= curS) {
-		if t.Epoch == curE && t.Sub == curS {
-			g.fencedDup.Add(1)
-			g.cFencedDup.Inc()
-		} else {
-			g.fencedStale.Add(1)
-			g.cFencedStale.Inc()
-		}
+	if g.Fence(t.Epoch, t.Sub) != "" {
 		return false
 	}
 	g.Install(t, now, elapsed)
@@ -327,8 +334,8 @@ type LaneCount struct {
 
 // Stats is a point-in-time snapshot of the gateway.
 type Stats struct {
-	// Slot and Degraded/Tier describe the installed table; Epoch and Sub
-	// are the highest (epoch, sub-epoch) pair applied.
+	// Slot, Epoch, Sub and Degraded/Tier describe the installed table (Slot
+	// -1 and stamp (0, 0) before the first install).
 	Slot     int
 	Epoch    uint64
 	Sub      uint64
@@ -354,8 +361,6 @@ func (g *Gateway) Stats(now float64) Stats {
 		TotalAdmitted: g.totalAdmitted.Load(),
 		TotalShed:     g.totalShed.Load(),
 		Swaps:         g.swaps.Load(),
-		Epoch:         g.epoch.Load(),
-		Sub:           g.sub.Load(),
 		FencedStale:   g.fencedStale.Load(),
 		FencedDup:     g.fencedDup.Load(),
 		Slot:          -1,
@@ -364,7 +369,7 @@ func (g *Gateway) Stats(now float64) Stats {
 	if c == nil {
 		return st
 	}
-	st.Slot = c.t.Slot
+	st.Slot, st.Epoch, st.Sub = c.t.Slot, c.t.Epoch, c.t.Sub
 	st.Degraded = c.t.Degraded
 	st.Tier = c.t.Tier
 	st.Offered = c.offered.Load()

@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -89,6 +90,18 @@ type Header struct {
 	// plan; an all-shed emergency table sets Degraded with Tier "shed".
 	Degraded bool   `json:"degraded,omitempty"`
 	Tier     string `json:"tier,omitempty"`
+}
+
+// Cmp orders the header's (Epoch, Sub) stamp against (epoch, sub)
+// lexicographically: -1 when the header is older, 0 for the same stamp,
+// +1 when it is newer. It is the serving plane's one order — the gateway
+// fence, the long-poll, the controller's publish guard and every
+// same-stamp check compare through it.
+func (h Header) Cmp(epoch, sub uint64) int {
+	if c := cmp.Compare(h.Epoch, epoch); c != 0 {
+		return c
+	}
+	return cmp.Compare(h.Sub, sub)
 }
 
 // Table is a compiled routing table for one slot: the immutable part of

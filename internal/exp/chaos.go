@@ -78,15 +78,9 @@ func runChaosStorm() (*Result, error) {
 	t := report.NewTable("Outage + price-spike storm (14:00-19:00, center 2 down 15-17h, 2x spike 16-18h)",
 		"planner", "clean net($)", "storm net($)", "retained", "completion", "degraded slots", "lost($)")
 	for i, ln := range lanes {
-		var completion float64
-		K := cleanCfg.Sys.K()
-		for k := 0; k < K; k++ {
-			completion += faulted[i].CompletionRate(k)
-		}
-		completion = report.Frac(completion, float64(K))
 		retained := report.Frac(faulted[i].TotalNetProfit(), clean[i].TotalNetProfit())
 		t.AddRow(ln.name, report.F(clean[i].TotalNetProfit()), report.F(faulted[i].TotalNetProfit()),
-			report.Pct(retained), report.Pct(completion),
+			report.Pct(retained), report.Pct(faulted[i].MeanCompletion()),
 			fmt.Sprintf("%d/%d", faulted[i].DegradedSlots(), len(faulted[i].Slots)),
 			report.F(faulted[i].TotalLostRevenue()))
 	}
@@ -94,13 +88,7 @@ func runChaosStorm() (*Result, error) {
 	tiers := report.NewTable("Per-slot fallback tiers (optimized lane)",
 		"hour", "tier", "faults active")
 	for _, s := range faulted[0].Slots {
-		label := "primary"
-		if s.FallbackTier > 0 {
-			label = fmt.Sprintf("%d:%s", s.FallbackTier, s.FallbackName)
-		} else if s.FallbackTier < 0 && s.FallbackName != "" {
-			label = s.FallbackName
-		}
-		tiers.AddRow(fmt.Sprintf("%d", s.Slot), label, strings.Join(s.FaultsActive, " "))
+		tiers.AddRow(fmt.Sprintf("%d", s.Slot), s.TierLabel(), strings.Join(s.FaultsActive, " "))
 	}
 
 	var acts []string

@@ -62,7 +62,6 @@ func darkFeedsLanes() []struct {
 func runDarkFeeds() (*Result, error) {
 	ts := NewTwoLevelSetup()
 	base := ts.Config()
-	K := base.Sys.K()
 
 	oracle, err := sim.Run(base, core.NewOptimized())
 	if err != nil {
@@ -72,7 +71,7 @@ func runDarkFeeds() (*Result, error) {
 
 	t := report.NewTable("Planning on degraded telemetry (14:00-19:00, feed layer on, optimized planner)",
 		"lane", "net($)", "% of oracle", "completion", "feed tiers", "stale(avg)", "brk-open", "degraded")
-	t.AddRow("oracle", report.F(oracleNet), report.Pct(1), report.Pct(completionMean(oracle, K)),
+	t.AddRow("oracle", report.F(oracleNet), report.Pct(1), report.Pct(oracle.MeanCompletion()),
 		"-", "-", "-", fmt.Sprintf("%d/%d", oracle.DegradedSlots(), len(oracle.Slots)))
 
 	var dark *sim.Report
@@ -101,7 +100,7 @@ func runDarkFeeds() (*Result, error) {
 		}
 		ratio := report.Frac(rep.TotalNetProfit(), oracleNet)
 		t.AddRow(lane.name, report.F(rep.TotalNetProfit()), report.Pct(ratio),
-			report.Pct(completionMean(rep, K)), rep.FeedTierMix(),
+			report.Pct(rep.MeanCompletion()), rep.FeedTierMix(),
 			fmt.Sprintf("%.2f", rep.MeanFeedStaleness()),
 			fmt.Sprintf("%d", rep.BreakerOpenSlots()),
 			fmt.Sprintf("%d/%d", rep.DegradedSlots(), len(rep.Slots)))
@@ -118,14 +117,8 @@ func runDarkFeeds() (*Result, error) {
 		for _, h := range s.Feeds.Arrivals {
 			al = append(al, h.Label())
 		}
-		tier := "primary"
-		if s.FallbackTier > 0 {
-			tier = fmt.Sprintf("%d:%s", s.FallbackTier, s.FallbackName)
-		} else if s.FallbackTier < 0 && s.FallbackName != "" {
-			tier = s.FallbackName
-		}
 		slots.AddRow(fmt.Sprintf("%d", s.Slot), fmt.Sprintf("%.0f", s.Served()),
-			strings.Join(pl, " "), strings.Join(al, " "), tier)
+			strings.Join(pl, " "), strings.Join(al, " "), s.TierLabel())
 	}
 
 	return &Result{
@@ -138,15 +131,6 @@ func runDarkFeeds() (*Result, error) {
 			"the dark lane's breakers open after 2 failed slots and stay open (half-open probes keep failing against a permanently lost feed), so the transport stops burning its retry budget",
 		},
 	}, nil
-}
-
-// completionMean averages the per-type completion rate.
-func completionMean(r *sim.Report, K int) float64 {
-	var c float64
-	for k := 0; k < K; k++ {
-		c += r.CompletionRate(k)
-	}
-	return c / float64(K)
 }
 
 // totalServed sums served requests over the run.

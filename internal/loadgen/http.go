@@ -59,46 +59,57 @@ func (fc FireConfig) withDefaults() FireConfig {
 	return fc
 }
 
-// FireHTTP fires n requests at the gateway's dispatch endpoints with the
-// default client discipline, spreading them across every (front-end,
-// class) pair in a seeded random order. 200 counts as admitted, 429 as
-// shed, anything else (unknown endpoint, draining 503) as rejected. It
-// is the client half of the serve smoke test and of `profitlb loadtest
+// FireHTTP fires n requests at gateway dispatch endpoints with the given
+// client discipline, spreading them across every (front-end, class) pair
+// in a seeded random order. Each request goes to a seeded-random target
+// among targets (base URLs: the same balancer model Run uses); a lone
+// target, like Run's lone replica, makes no target draw. 200 counts as
+// admitted, 429 as shed, anything else (unknown endpoint, draining 503) as
+// rejected. It returns the total and, in target order, the per-target
+// tallies a caller reconciles each replica's served counts against. It is
+// the client half of the serve smoke test and of `profitlb loadtest
 // -addr`.
-func FireHTTP(baseURL string, sys *datacenter.System, n int, seed int64) (HTTPResult, error) {
-	return FireHTTPWith(baseURL, sys, n, seed, FireConfig{})
-}
-
-// FireHTTPWith is FireHTTP with an explicit client discipline.
-func FireHTTPWith(baseURL string, sys *datacenter.System, n int, seed int64, fc FireConfig) (HTTPResult, error) {
+func FireHTTP(targets []string, sys *datacenter.System, n int, seed int64, fc FireConfig) (HTTPResult, []HTTPResult, error) {
+	if len(targets) == 0 {
+		return HTTPResult{}, nil, fmt.Errorf("loadgen: no targets to fire at")
+	}
 	fc = fc.withDefaults()
-	var res HTTPResult
+	var total HTTPResult
+	per := make([]HTTPResult, len(targets))
 	client := &http.Client{Timeout: fc.Timeout}
 	rng := rand.New(rand.NewSource(seed))
 	S, K := sys.S(), sys.K()
 	if S == 0 || K == 0 {
-		return res, fmt.Errorf("loadgen: system has no front-ends or classes")
+		return total, per, fmt.Errorf("loadgen: system has no front-ends or classes")
 	}
+	var err error
 	for i := 0; i < n; i++ {
+		t := 0
+		if len(targets) > 1 {
+			t = rng.Intn(len(targets))
+		}
 		s := rng.Intn(S)
 		k := rng.Intn(K)
-		u := fmt.Sprintf("%s/dispatch/%s/%s", baseURL,
+		u := fmt.Sprintf("%s/dispatch/%s/%s", targets[t],
 			url.PathEscape(sys.FrontEnds[s].Name), url.PathEscape(sys.Classes[k].Name))
-		code, err := fire(client, u, fc, &res)
-		if err != nil {
-			return res, err
+		var code int
+		if code, err = fire(client, u, fc, &per[t]); err != nil {
+			break
 		}
-		res.Sent++
+		per[t].Sent++
 		switch code {
 		case http.StatusOK:
-			res.Admitted++
+			per[t].Admitted++
 		case http.StatusTooManyRequests:
-			res.Shed++
+			per[t].Shed++
 		default:
-			res.Rejected++
+			per[t].Rejected++
 		}
 	}
-	return res, nil
+	for i := range per {
+		total.add(per[i])
+	}
+	return total, per, err
 }
 
 // fire issues one request, retrying connection errors with doubling
@@ -120,50 +131,4 @@ func fire(client *http.Client, u string, fc FireConfig, res *HTTPResult) (int, e
 		return resp.StatusCode, nil
 	}
 	return 0, fmt.Errorf("loadgen: firing %s: %d attempts failed: %w", u, fc.Retries+1, lastErr)
-}
-
-// FireHTTPMulti sprays n requests across a fleet of gateway replicas:
-// each request picks a seeded-random target (the same balancer model
-// Run uses) and fires with the given discipline. The per-target
-// tallies let a caller reconcile each replica's served counts exactly.
-func FireHTTPMulti(targets []string, sys *datacenter.System, n int, seed int64, fc FireConfig) (HTTPResult, []HTTPResult, error) {
-	if len(targets) == 0 {
-		return HTTPResult{}, nil, fmt.Errorf("loadgen: no targets to fire at")
-	}
-	fc = fc.withDefaults()
-	var total HTTPResult
-	per := make([]HTTPResult, len(targets))
-	client := &http.Client{Timeout: fc.Timeout}
-	rng := rand.New(rand.NewSource(seed))
-	S, K := sys.S(), sys.K()
-	if S == 0 || K == 0 {
-		return total, per, fmt.Errorf("loadgen: system has no front-ends or classes")
-	}
-	for i := 0; i < n; i++ {
-		t := rng.Intn(len(targets))
-		s := rng.Intn(S)
-		k := rng.Intn(K)
-		u := fmt.Sprintf("%s/dispatch/%s/%s", targets[t],
-			url.PathEscape(sys.FrontEnds[s].Name), url.PathEscape(sys.Classes[k].Name))
-		code, err := fire(client, u, fc, &per[t])
-		if err != nil {
-			for j := range per {
-				total.add(per[j])
-			}
-			return total, per, err
-		}
-		per[t].Sent++
-		switch code {
-		case http.StatusOK:
-			per[t].Admitted++
-		case http.StatusTooManyRequests:
-			per[t].Shed++
-		default:
-			per[t].Rejected++
-		}
-	}
-	for i := range per {
-		total.add(per[i])
-	}
-	return total, per, nil
 }

@@ -37,7 +37,7 @@ func TestFireHTTPRetriesConnectionErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	res, err := FireHTTPWith(srv.URL, testSystem(), 1, 1, fastFire(3))
+	res, _, err := FireHTTP([]string{srv.URL}, testSystem(), 1, 1, fastFire(3))
 	if err != nil {
 		t.Fatalf("flaky server defeated the retry budget: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestFireHTTPNeverRetriesShed(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	res, err := FireHTTPWith(srv.URL, testSystem(), 1, 1, fastFire(3))
+	res, _, err := FireHTTP([]string{srv.URL}, testSystem(), 1, 1, fastFire(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFireHTTPGivesUpAfterBudget(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	res, err := FireHTTPWith(srv.URL, testSystem(), 1, 1, fastFire(2))
+	res, _, err := FireHTTP([]string{srv.URL}, testSystem(), 1, 1, fastFire(2))
 	if err == nil {
 		t.Fatal("permanently dropping server did not error out")
 	}
@@ -92,7 +92,7 @@ func TestFireHTTPGivesUpAfterBudget(t *testing.T) {
 	}
 }
 
-// TestFireHTTPMultiPerTargetTallies: the multi-target sprayer keeps
+// TestFireHTTPMultiPerTargetTallies: spraying several targets keeps
 // per-replica tallies that sum to the total, and each target's outcomes
 // reflect its own behaviour.
 func TestFireHTTPMultiPerTargetTallies(t *testing.T) {
@@ -106,7 +106,7 @@ func TestFireHTTPMultiPerTargetTallies(t *testing.T) {
 	defer shedding.Close()
 
 	const n = 40
-	total, per, err := FireHTTPMulti([]string{ok.URL, shedding.URL}, testSystem(), n, 3, fastFire(1))
+	total, per, err := FireHTTP([]string{ok.URL, shedding.URL}, testSystem(), n, 3, fastFire(1))
 	if err != nil {
 		t.Fatal(err)
 	}

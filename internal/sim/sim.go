@@ -182,6 +182,23 @@ func (r *SlotReport) Offered() float64 { return sum(r.OfferedByType) }
 // Served returns the slot's total served request count.
 func (r *SlotReport) Served() float64 { return sum(r.ServedByType) }
 
+// TierLabel names the tier that committed the slot's plan: "primary",
+// "N:name" for resilient fallback tier N, the tier name alone ("shed")
+// when the simulator itself shed a failed slot, and "-" for a planner
+// that reports no fallback state.
+func (r *SlotReport) TierLabel() string {
+	switch {
+	case r.FallbackTier == 0:
+		return "primary"
+	case r.FallbackTier > 0:
+		return fmt.Sprintf("%d:%s", r.FallbackTier, r.FallbackName)
+	case r.FallbackName != "":
+		return r.FallbackName
+	default:
+		return "-"
+	}
+}
+
 func sum(v []float64) float64 {
 	var s float64
 	for _, x := range v {
@@ -228,6 +245,20 @@ func (r *Report) CompletionRate(k int) float64 {
 		return 0
 	}
 	return srv / off
+}
+
+// MeanCompletion averages CompletionRate over the request types (0 for a
+// run with no slots or no types).
+func (r *Report) MeanCompletion() float64 {
+	if len(r.Slots) == 0 || len(r.Slots[0].OfferedByType) == 0 {
+		return 0
+	}
+	K := len(r.Slots[0].OfferedByType)
+	var c float64
+	for k := 0; k < K; k++ {
+		c += r.CompletionRate(k)
+	}
+	return c / float64(K)
 }
 
 // DegradedSlots counts slots that did not get their primary plan.

@@ -11,8 +11,9 @@ test:
 vet:
 	$(GO) vet ./...
 
-# race runs the full suite under the race detector; it exercises the
-# resilient chain's deadline goroutines and sim.Compare's parallel lanes.
+# race runs the full suite under the race detector; it exercises
+# sim.Compare's parallel lanes. The planner packages start no goroutine
+# and use no lock (TestPlannersRunOnTheCallersGoroutine holds that).
 race:
 	$(GO) test -race ./...
 

@@ -1,10 +1,14 @@
 package profitlb
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -75,5 +79,58 @@ func TestDesignReferences(t *testing.T) {
 	}
 	if refs == 0 {
 		t.Error("found no DESIGN § references: the scan is broken")
+	}
+}
+
+// TestPlannersRunOnTheCallersGoroutine fails on any import of sync or
+// sync/atomic, call to time.Sleep or time.After, or go statement in the
+// non-test code of the packages a slot's plan is made in. A planner fault
+// is an error the planner returns (core.ErrTimeout among them), so
+// nothing there waits on a clock or shares state with another goroutine,
+// and a run stays a function of its scenario and seed.
+func TestPlannersRunOnTheCallersGoroutine(t *testing.T) {
+	files := 0
+	for _, dir := range []string{"fault", "resilient", "core", "mpc", "feed"} {
+		paths, err := filepath.Glob(filepath.Join("internal", dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			files++
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock := "" // the file's name for package time
+			for _, imp := range f.Imports {
+				switch p, _ := strconv.Unquote(imp.Path.Value); p {
+				case "sync", "sync/atomic":
+					t.Errorf("%s: imports %s", fset.Position(imp.Pos()), p)
+				case "time":
+					clock = "time"
+					if imp.Name != nil {
+						clock = imp.Name.Name
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					t.Errorf("%s: starts a goroutine", fset.Position(n.Pos()))
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && x.Name == clock && (n.Sel.Name == "Sleep" || n.Sel.Name == "After") {
+						t.Errorf("%s: uses time.%s", fset.Position(n.Pos()), n.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if files == 0 {
+		t.Error("found no planner source files: the scan is broken")
 	}
 }

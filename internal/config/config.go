@@ -242,11 +242,6 @@ func (s *Scenario) BuildPlanner() (core.Planner, error) {
 	if s.Resilient || s.Faults.HasPlannerFaults() {
 		chain := resilient.Wrap(p)
 		chain.Obs = s.Obs
-		if s.Faults.HasPlannerFaults() {
-			// Injected hangs must overrun the per-tier deadline to
-			// register as timeouts rather than merely slow slots.
-			chain.Timeout = fault.DefaultHang / 2
-		}
 		if s.Feeds != nil && s.Feeds.EscalateOnDark {
 			chain.EscalateOnDegraded = true
 		}

@@ -45,20 +45,16 @@ type engine struct {
 }
 
 // open starts the engine for one Plan call and claims the planner's warm
-// state for it; close reports and releases. The per-server layout changes
+// state for it; close reports. The per-server layout changes
 // with the commodity set too quickly to seed, so it solves cold. searches
 // says the planner will run a first-improvement search over the call's
 // solved subsets.
 func (e *EngineOptions) open(in *Input, planner string, perServer, searches bool) *engine {
-	eng := &engine{
+	return &engine{
 		in: in, perServer: perServer, opts: e.LPOpts, priced: searches && !perServer,
 		cache: subsetCache{}, warm: e.claim(!perServer), stats: e.Stats, sc: e.Obs,
 		planner: planner, names: e.namesFor(in.Sys),
 	}
-	if eng.warm == nil && e.WarmStart && !perServer {
-		eng.stats = nil // a straggling call still owns the sink
-	}
-	return eng
 }
 
 // prologue runs the call's first solve, the designated capture solve: it
@@ -178,9 +174,8 @@ func (e *engine) run(m *lp.Model, capture, rebuilt bool, sv *lp.Solver, seed *lp
 // close copies the engine's solver counters into the planner's stats
 // sink and, when the planner carries an observability scope, publishes
 // them as metrics plus one engine summary event per Plan call (every
-// side is nil-safe), then releases the warm state.
+// side is nil-safe).
 func (e *engine) close() {
-	defer e.warm.release()
 	if e.stats != nil {
 		*e.stats = e.n
 	}

@@ -163,8 +163,8 @@ func NewHorizonPlanner() *HorizonPlanner {
 }
 
 // Plan solves one window. The window's LP is the planner's capture solve:
-// held in the hot solve unit while its structure stands (a cold call's, or
-// one a straggler locks out, is fresh), refreshed in place and re-solved
+// held in the hot solve unit while its structure stands (a cold call's is
+// fresh), refreshed in place and re-solved
 // hot on the retained kernel, its counters booked and published like a
 // slot planner's (Stats, Obs; a window has no absolute slot, so the engine
 // event carries slot 0).

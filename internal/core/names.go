@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"profitlb/internal/datacenter"
 )
@@ -36,13 +35,11 @@ func dispatchName(kind, k, q, s, l, g int) string {
 // Plan calls. A name is a pure function of its indices, so an entry can
 // never go stale — unlike anything numeric in the model, which is why
 // names are all that is kept (DESIGN.md §12.3). Each kind has a dense
-// slab strided by the dimensions it uses, filled on first use. Calls
-// that claim keeps apart — a straggler the resilient chain abandoned and
-// the live one — share the table: entries are atomic pointers, and two
-// racing fills store equal strings.
+// slab strided by the dimensions it uses, filled on first use ("" is an
+// entry not yet spelled).
 type dispatchNames struct {
 	k, q, s, l int // q counts branch-and-bound's NumLevels sentinel
-	slab       [nameKinds][]atomic.Pointer[string]
+	slab       [nameKinds][]string
 }
 
 // namesFor returns the planner's table, replaced when sys outgrows it.
@@ -51,14 +48,14 @@ func (e *EngineOptions) namesFor(sys *datacenter.System) *dispatchNames {
 	for _, c := range sys.Classes {
 		q = max(q, c.TUF.NumLevels()+1)
 	}
-	t := e.names.Load()
+	t := e.names
 	if t == nil || t.k < sys.K() || t.q < q || t.s < sys.S() || t.l < sys.L() {
 		t = &dispatchNames{k: sys.K(), q: q, s: sys.S(), l: sys.L()}
 		kql := t.k * t.q * t.l
 		for kind, n := range [nameKinds]int{phiName: kql, lamName: kql * t.s, capName: kql, arrName: t.k * t.s, floorName: t.k, shareName: t.l} {
-			t.slab[kind] = make([]atomic.Pointer[string], n)
+			t.slab[kind] = make([]string, n)
 		}
-		e.names.Store(t)
+		e.names = t
 	}
 	return t
 }
@@ -80,10 +77,8 @@ func (t *dispatchNames) name(kind, k, q, s, l, g int) string {
 	case floorName:
 		at = k
 	}
-	if hit := t.slab[kind][at].Load(); hit != nil {
-		return *hit
+	if t.slab[kind][at] == "" {
+		t.slab[kind][at] = dispatchName(kind, k, q, s, l, g)
 	}
-	spelled := dispatchName(kind, k, q, s, l, g)
-	t.slab[kind][at].Store(&spelled)
-	return spelled
+	return t.slab[kind][at]
 }

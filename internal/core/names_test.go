@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"regexp"
-	"sync"
 	"testing"
 
 	"profitlb/internal/datacenter"
@@ -146,32 +145,6 @@ func TestNameTableFollowsTheSystem(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestNameTableConcurrentFill: the table is shared by calls claim keeps
-// apart, so racing first uses must be safe (run under -race) and agree.
-func TestNameTableConcurrentFill(t *testing.T) {
-	const K, Q, S, L = 6, 2, 3, 20
-	var opts EngineOptions
-	sys := dimsSystem(K, Q, S, L)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			table := opts.namesFor(sys)
-			for draw := 0; draw < 4000; draw++ {
-				kind := rng.Intn(nameKinds)
-				k, q, s, l := usedIndices(kind, rng.Intn(K), rng.Intn(Q+1), rng.Intn(S), rng.Intn(L))
-				if got, want := table.name(kind, k, q, s, l, -1), sprintfName(kind, k, q, s, l, -1); got != want {
-					t.Errorf("got %q, want %q", got, want)
-					return
-				}
-			}
-		}(int64(w))
-	}
-	wg.Wait()
 }
 
 // TestNameTableFillKeepsThePlan plans a refine search twice over on one

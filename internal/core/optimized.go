@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"profitlb/internal/datacenter"
 	"profitlb/internal/linalg"
@@ -94,12 +93,12 @@ type EngineOptions struct {
 	// with or without a scope.
 	Obs *obs.Scope
 	// warm is the retained cross-call solver state behind WarmStart,
-	// claimed by one Plan call at a time (see warm.go). Holding it here
+	// claimed by each Plan call in turn (see warm.go). Holding it here
 	// means a planner value must not be copied once it has planned.
 	warm warmState
 	// names is the planner's dispatch-LP name table (see names.go), the
 	// one thing memoised across slots whatever WarmStart says.
-	names atomic.Pointer[dispatchNames]
+	names *dispatchNames
 }
 
 // NewOptimized returns the planner with the paper-faithful defaults:

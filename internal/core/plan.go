@@ -365,6 +365,10 @@ func (p *Plan) AchievedDelay(sys *datacenter.System, k, q, l int) float64 {
 	return d
 }
 
+// ErrTimeout is what a planner wraps when it ran out of its time budget;
+// a resilient chain classifies it as a timeout, not a plain error.
+var ErrTimeout = errors.New("the planner ran out of its time budget")
+
 // Planner produces a Plan for one slot.
 type Planner interface {
 	// Name identifies the planner in reports.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"profitlb/internal/lp"
-)
+import "profitlb/internal/lp"
 
 // warmState is one planner's warm-start machinery, carried across its
 // Plan calls inside its EngineOptions. Successive slots solve
@@ -26,13 +22,9 @@ import (
 //     a pure function of (model, seed), so a result never depends on what
 //     the unit did before. The default seed is frozen per Plan call in cur.
 //
-// One Plan call owns the state at a time (claim/release).
+// A planner is driven by one caller at a time, so one Plan call owns the
+// state from claim to its return.
 type warmState struct {
-	// held is set while a Plan call owns the state. A planner is driven
-	// by one caller at a time, but the resilient chain abandons a tier
-	// that overruns its deadline without stopping it, so the next slot's
-	// Plan can start while the previous one is still solving.
-	held       atomic.Bool
 	hot, spare solveUnit
 	// prev is the basis exported by the most recent capture solve; cur
 	// is the frozen copy every solve of the current Plan call seeds from.
@@ -55,8 +47,7 @@ type solveUnit struct {
 
 // unit is the workspace of the call's next solve, the previous one's
 // solution having been read out. The capture solve's is the hot chain's
-// own, which claim keeps a straggling call away from; a cold call's is
-// fresh, there being no state to keep one in.
+// own; a cold call's is fresh, there being no state to keep one in.
 func (w *warmState) unit(capture bool) *solveUnit {
 	if w == nil {
 		return &solveUnit{}
@@ -68,25 +59,15 @@ func (w *warmState) unit(capture bool) *solveUnit {
 }
 
 // claim takes the planner's warm state for one Plan call, with the seed
-// basis frozen; the caller releases it when the call ends. It returns
-// nil — solve cold — when WarmStart is off, when the LP layout is not
-// seedable, and when an earlier call still holds the state: that
-// straggler's plan has already been discarded, and the live call must
-// touch neither the hot chain nor the Stats sink it is still writing.
+// basis frozen. It returns nil — solve cold — when WarmStart is off or the
+// LP layout is not seedable.
 func (e *EngineOptions) claim(seedable bool) *warmState {
-	w := &e.warm
-	if !e.WarmStart || !seedable || !w.held.CompareAndSwap(false, true) {
+	if !e.WarmStart || !seedable {
 		return nil
 	}
+	w := &e.warm
 	w.cur = w.prev
 	return w
-}
-
-// release ends the claim. Nil-safe.
-func (w *warmState) release() {
-	if w != nil {
-		w.held.Store(false)
-	}
 }
 
 // solveModel is the one way an LP in this package reaches the simplex,

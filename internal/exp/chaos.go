@@ -60,11 +60,8 @@ func runChaosStorm() (*Result, error) {
 	for i, ln := range lanes {
 		cleanPlanners[i] = ln.planner()
 		// The injector fires the schedule's planner faults at the primary
-		// tier; the chain's deadline is shorter than the injected hang so
-		// a timeout slot falls through instead of stalling.
-		chain := resilient.Wrap(&fault.Injector{Planner: ln.planner(), Sched: stormCfg.Faults})
-		chain.Timeout = fault.DefaultHang / 2
-		stormPlanners[i] = chain
+		// tier, and the chain falls through to the next one.
+		stormPlanners[i] = resilient.Wrap(&fault.Injector{Planner: ln.planner(), Sched: stormCfg.Faults})
 	}
 	clean, err := sim.Compare(cleanCfg, cleanPlanners...)
 	if err != nil {

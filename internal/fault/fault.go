@@ -51,7 +51,8 @@ const (
 	// TraceCorrupt multiplies FrontEnd's arrival readings by Factor as
 	// seen by planners.
 	TraceCorrupt Kind = "trace-corrupt"
-	// PlannerTimeout makes the wrapped planner hang before answering.
+	// PlannerTimeout makes the wrapped planner report that it ran out of
+	// its time budget (core.ErrTimeout).
 	PlannerTimeout Kind = "planner-timeout"
 	// PlannerError makes the wrapped planner return an error.
 	PlannerError Kind = "planner-error"

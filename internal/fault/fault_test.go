@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
@@ -231,11 +230,15 @@ func TestStormDeterministicAndValid(t *testing.T) {
 }
 
 // stubPlanner answers with a fixed empty plan so injector behavior is
-// observable in isolation.
-type stubPlanner struct{ sys *datacenter.System }
+// observable in isolation; it counts the calls that reach it.
+type stubPlanner struct {
+	sys   *datacenter.System
+	calls int
+}
 
 func (p *stubPlanner) Name() string { return "stub" }
 func (p *stubPlanner) Plan(in *core.Input) (*core.Plan, error) {
+	p.calls++
 	return core.NewPlan(in.Sys), nil
 }
 
@@ -255,13 +258,14 @@ func TestInjectorFaults(t *testing.T) {
 		{Kind: PlannerPanic, From: 2, To: 2},
 		{Kind: PlannerTimeout, From: 3, To: 3},
 	}}
-	inj := &Injector{Planner: &stubPlanner{sys}, Sched: sch, Hang: 5 * time.Millisecond}
+	stub := &stubPlanner{sys: sys}
+	inj := &Injector{Planner: stub, Sched: sch}
 	if inj.Name() != "stub" {
 		t.Fatalf("injector name %q", inj.Name())
 	}
 	// Clean slot: passthrough.
-	if _, err := inj.Plan(stubInput(sys, 0)); err != nil {
-		t.Fatalf("clean slot errored: %v", err)
+	if _, err := inj.Plan(stubInput(sys, 0)); err != nil || stub.calls != 1 {
+		t.Fatalf("clean slot: err %v, %d calls reached the planner", err, stub.calls)
 	}
 	// Error slot.
 	if _, err := inj.Plan(stubInput(sys, 1)); !errors.Is(err, ErrInjected) {
@@ -276,13 +280,20 @@ func TestInjectorFaults(t *testing.T) {
 		}()
 		inj.Plan(stubInput(sys, 2))
 	}()
-	// Timeout slot: hangs for Hang, then still answers.
-	start := time.Now()
-	if _, err := inj.Plan(stubInput(sys, 3)); err != nil {
-		t.Fatalf("timeout slot errored: %v", err)
+	// Timeout slot: the planner's time-budget error, at once.
+	if _, err := inj.Plan(stubInput(sys, 3)); !errors.Is(err, core.ErrTimeout) || errors.Is(err, ErrInjected) {
+		t.Fatalf("slot 3 error = %v, want core.ErrTimeout", err)
 	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Fatal("timeout slot did not hang")
+	if stub.calls != 1 {
+		t.Fatalf("%d calls reached the planner, want only the clean slot's", stub.calls)
+	}
+	// Without a chain, a timeout slot fails like an error slot: Step sheds it.
+	for slot, want := range map[int]error{1: ErrInjected, 3: core.ErrTimeout} {
+		in := stubInput(sys, slot)
+		c := core.Step(inj, in, in, false)
+		if !errors.Is(c.Err, want) || c.TierName != "shed" || !c.Degraded || c.Plan.Served(0) != 0 {
+			t.Fatalf("slot %d through Step: err %v, tier %q, degraded %v; want a shed slot wrapping %v", slot, c.Err, c.TierName, c.Degraded, want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"profitlb/internal/core"
 )
@@ -11,21 +10,14 @@ import (
 // ErrInjected is the error an Injector returns on a planner-error slot.
 var ErrInjected = errors.New("fault: injected planner error")
 
-// DefaultHang is how long an injected planner-timeout blocks before the
-// wrapped planner answers anyway. A resilient wrapper with a shorter
-// per-tier deadline turns the hang into a timeout; without one the slot
-// is merely slow.
-const DefaultHang = 100 * time.Millisecond
-
 // Injector wraps a planner and fires the schedule's planner faults at the
-// slots they cover, keyed by Input.Slot. Timeout slots block for Hang and
-// then answer normally; error slots return ErrInjected; panic slots
-// panic. All other behaviour passes through unchanged.
+// slots they cover, keyed by Input.Slot. Timeout slots return a wrapped
+// core.ErrTimeout and error slots ErrInjected, both without calling the
+// wrapped planner; panic slots panic. All other behaviour passes through
+// unchanged.
 type Injector struct {
 	Planner core.Planner
 	Sched   *Schedule
-	// Hang overrides DefaultHang for timeout slots.
-	Hang time.Duration
 }
 
 // Name implements core.Planner, keeping the inner planner's name so
@@ -41,11 +33,7 @@ func (inj *Injector) Plan(in *core.Input) (*core.Plan, error) {
 	if kind, ok := inj.Sched.PlannerFault(in.Slot); ok {
 		switch kind {
 		case PlannerTimeout:
-			hang := inj.Hang
-			if hang <= 0 {
-				hang = DefaultHang
-			}
-			time.Sleep(hang)
+			return nil, fmt.Errorf("%w at slot %d", core.ErrTimeout, in.Slot)
 		case PlannerError:
 			return nil, fmt.Errorf("%w at slot %d", ErrInjected, in.Slot)
 		case PlannerPanic:

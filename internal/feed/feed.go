@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"profitlb/internal/fault"
 	"profitlb/internal/forecast"
@@ -215,13 +214,10 @@ const (
 
 // Feed is one telemetry feed: a vector source (width 1 for a price feed,
 // K for an arrival feed) behind the transport, breaker, cache and
-// estimator chain. Fetch must be called by a single goroutine with
-// non-decreasing slots — the simulator's slot loop is that driver. A
-// small mutex additionally serializes Fetch against PredictAhead, whose
-// caller (a rolling-horizon planner under a resilient chain's per-tier
-// deadline) can outlive its slot and overlap the next slot's fetch.
+// estimator chain. Fetch and PredictAhead must be called by a single
+// goroutine, Fetch with non-decreasing slots — the simulator's slot loop,
+// which also runs the planner that predicts, is that driver.
 type Feed struct {
-	mu   sync.Mutex
 	kind string // fault.FeedPrice or fault.FeedArrival
 	idx  int
 	seed int64 // Config.Seed
@@ -278,9 +274,7 @@ func sq(v float64) float64 { return v * v }
 // Fetch produces the slot's planner-facing reading and its health. The
 // returned slice is owned by the caller.
 func (f *Feed) Fetch(slot int) ([]float64, Health) {
-	f.mu.Lock()
 	out, h := f.fetch(slot)
-	f.mu.Unlock()
 	f.note(slot, h)
 	return out, h
 }

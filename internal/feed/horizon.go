@@ -22,10 +22,8 @@ package feed
 // consumed every good sample including the LKG one, and holding a raw
 // sample flat for i slots is strictly worse than the filter's smoothed
 // state. Values are clamped to the feed's floor. PredictAhead never
-// mutates feed state and is safe to call concurrently with Fetch.
+// mutates feed state.
 func (f *Feed) PredictAhead(h int) [][]float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make([][]float64, h)
 	useFilter := f.filters[0].Warm(minObservations)
 	var traj [][]float64 // traj[i] is element i's h-step estimate trajectory

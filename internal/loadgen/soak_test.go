@@ -4,11 +4,14 @@ import (
 	"runtime"
 	"testing"
 
+	"profitlb/internal/cluster"
 	"profitlb/internal/control"
+	"profitlb/internal/core"
 	"profitlb/internal/dispatch"
 	"profitlb/internal/fault"
 	"profitlb/internal/obs"
 	"profitlb/internal/race"
+	"profitlb/internal/resilient"
 )
 
 // soakSlots is the soak's length: long enough to measure the heap well
@@ -40,13 +43,15 @@ func (p auditPlant) Publish(t *dispatch.Table, now float64) bool {
 
 // TestFleetSoak is the fence half of the all-planes soak: 4 replicas with
 // the sub-slot controller on, a flash crowd on front-end 0 for the whole
-// run and a seeded storm of replica kills, partitions and publisher
-// outages. After every slot and around every control tick it audits that
-// no replica's served (epoch, sub) ever goes back or passes the
-// publisher's current stamp, that no request is answered Invalid, and
+// run and a seeded storm of planner timeouts, errors and panics, replica
+// kills, partitions and publisher outages; the driver plans through the
+// resilient chain. After every slot and around every control tick it
+// audits that no replica's served (epoch, sub) ever goes back or passes
+// the publisher's current stamp, that no request is answered Invalid, and
 // that each replica's gateway Stats reconcile exactly with the tallies
-// the generator fired at it. At the end the post-GC live heap must sit
-// within soakHeapSlack of its slot-50 reading.
+// the generator fired at it. Every slot one sampled request on one live
+// replica must cost Handle 0 allocations. At the end the post-GC live
+// heap must sit within soakHeapSlack of its slot-50 reading.
 func TestFleetSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: skipped under -short")
@@ -56,15 +61,22 @@ func TestFleetSoak(t *testing.T) {
 	storm, err := fault.Storm(fault.StormConfig{
 		Seed: 21, Start: 1, Slots: soakSlots - 1,
 		Centers: cfg.Sys.L(), FrontEnds: cfg.Sys.S(),
-		Replicas:     4,
-		ReplicaKills: 12, Partitions: 12, PublisherOutages: 8,
+		PlannerFaults: 6,
+		Replicas:      4,
+		ReplicaKills:  12, Partitions: 12, PublisherOutages: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	storm.Events = append(storm.Events, flashSchedule(soakSlots, 2).Events...)
 	cfg.Faults = storm
-	f, src := fleetHarness(t, cfg, 4, storm, obs.NewScope(obs.NewRegistry(), nil))
+	scope := obs.NewScope(obs.NewRegistry(), nil)
+	chain := resilient.Wrap(&fault.Injector{Planner: core.NewOptimized(), Sched: storm})
+	d, src := driver(t, cfg, chain, scope)
+	f, err := cluster.NewFleet(cfg.Sys, testDispatch, cluster.Config{Replicas: 4}, d, storm, scope)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rp, err := newReplayer(Config{Seed: 13, Slots: soakSlots}, f, src)
 	if err != nil {
 		t.Fatal(err)
@@ -103,14 +115,25 @@ func TestFleetSoak(t *testing.T) {
 	var heap50 uint64
 	var actuations, outages, stale int
 	live := map[int]bool{}
+	rejected := map[resilient.Reason]int{}
 	for abs := 0; abs < soakSlots; abs++ {
-		res, err := rp.slot(abs, float64(abs)*cfg.Sys.Slot(), per)
+		start := float64(abs) * cfg.Sys.Slot()
+		res, err := rp.slot(abs, start, per)
 		if err != nil {
 			t.Fatalf("slot %d: %v", abs, err)
 		}
 		if res.Invalid != 0 {
 			t.Fatalf("slot %d: %d requests answered Invalid", abs, res.Invalid)
 		}
+		// A publisher outage plans nothing: the decision is an older slot's.
+		if dec := chain.LastDecision(); dec.Slot == abs {
+			for _, at := range dec.Attempts {
+				if at.Reason != "" {
+					rejected[at.Reason]++
+				}
+			}
+		}
+		sampleHandle(t, f, abs, start+cfg.Sys.Slot(), per)
 		audit("after slot")
 		actuations += res.Actuations
 		live[res.Live] = true
@@ -122,17 +145,42 @@ func TestFleetSoak(t *testing.T) {
 			heap50 = liveHeap()
 		}
 	}
-	if actuations == 0 || len(live) == 1 || outages == 0 || stale == 0 {
-		t.Fatalf("vacuous soak: %d actuations, live counts %v, %d outage slots, %d stale replica-slots",
-			actuations, live, outages, stale)
+	if actuations == 0 || len(live) == 1 || outages == 0 || stale == 0 ||
+		rejected[resilient.ReasonTimeout] == 0 || rejected[resilient.ReasonError] == 0 || rejected[resilient.ReasonPanic] == 0 {
+		t.Fatalf("vacuous soak: %d actuations, live counts %v, %d outage slots, %d stale replica-slots, tier rejections %v",
+			actuations, live, outages, stale, rejected)
 	}
 	// The race detector's instrumentation moves the heap; the audits above
 	// still run under it.
 	end := liveHeap()
-	t.Logf("%d actuations, %d outage slots, %d stale replica-slots; live heap %d B at slot 50, %d B at slot %d",
-		actuations, outages, stale, heap50, end, soakSlots)
+	t.Logf("%d actuations, %d outage slots, %d stale replica-slots, tier rejections %v; live heap %d B at slot 50, %d B at slot %d",
+		actuations, outages, stale, rejected, heap50, end, soakSlots)
 	if !race.Enabled && end > heap50+soakHeapSlack {
 		t.Fatalf("live heap grew from %d B at slot 50 to %d B at slot %d (slack %d B)", heap50, end, soakSlots, soakHeapSlack)
+	}
+}
+
+// sampleHandle fires one request of a (type, front-end) that rotates with
+// the slot at one live replica, at the slot's end, under
+// testing.AllocsPerRun, and requires Handle to allocate nothing. Each
+// call's outcome joins that replica's generator tally, so the exact Stats
+// reconciliation still holds. The race detector moves allocations to the
+// heap, so under it the sampled calls are fired but not counted.
+func sampleHandle(t *testing.T, f *cluster.Fleet, abs int, now float64, per []ReplicaStat) {
+	t.Helper()
+	var ready []int
+	for _, ri := range f.Live(abs) {
+		if f.Replicas[ri].Ready() {
+			ready = append(ready, ri)
+		}
+	}
+	ri := ready[abs%len(ready)]
+	gw := f.Replicas[ri].Gateway()
+	sys := gw.System()
+	k, s := abs%sys.K(), (abs/sys.K())%sys.S()
+	allocs := testing.AllocsPerRun(1, func() { per[ri].add(gw.Handle(k, s, now).Outcome) })
+	if !race.Enabled && allocs != 0 {
+		t.Fatalf("slot %d: Handle(%d, %d) on %s made %v allocations, want 0", abs, k, s, f.Replicas[ri].ID, allocs)
 	}
 }
 

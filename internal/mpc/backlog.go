@@ -13,8 +13,6 @@ const dust = 1e-12
 // BacklogBudget implements core.DeferralPlanner: the current buffered
 // volume per [frontEnd][class], a fresh copy.
 func (p *Planner) BacklogBudget() [][]float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([][]float64, len(p.backlog))
 	for s := range p.backlog {
 		out[s] = make([]float64, len(p.backlog[s]))
@@ -36,8 +34,6 @@ func (p *Planner) BacklogBudget() [][]float64 {
 // ages one slot. A nil or empty committed plan settles a shed slot:
 // nothing drains, due work expires.
 func (p *Planner) CommitSlot(actual *core.Input, committed *core.Plan) core.BacklogSlot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	K, S := actual.Sys.K(), actual.Sys.S()
 	p.lazyInit(K, S)
 	bs := core.BacklogSlot{

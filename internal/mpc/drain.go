@@ -21,13 +21,7 @@ const drainEps = 1e-9
 // slack, grow CPU shares out of the center's free share, power on more
 // servers — and is deterministic. Work that still does not fit stays in
 // the bucket for CommitSlot to shed.
-func (p *Planner) ForceDrain(in *core.Input, committed *core.Plan) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.forceDrainLocked(in, committed)
-}
-
-func (p *Planner) forceDrainLocked(in *core.Input, plan *core.Plan) float64 {
+func (p *Planner) ForceDrain(in *core.Input, plan *core.Plan) float64 {
 	K, S := in.Sys.K(), in.Sys.S()
 	p.lazyInit(K, S)
 	for k := range p.forced {

@@ -23,9 +23,7 @@
 // The planner is a core.DeferralPlanner; hosts (internal/sim,
 // internal/resilient) drive the settlement hook CommitSlot exactly once
 // per slot and verify committed plans against arrivals plus the backlog
-// budget. All planner state is mutex-guarded: a resilient chain's
-// abandoned-timeout goroutines may still be inside Plan while the chain
-// commits a fallback tier and calls ForceDrain.
+// budget. Like every stateful planner it has one caller at a time.
 package mpc
 
 import "fmt"

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"profitlb/internal/core"
@@ -13,16 +12,10 @@ import (
 
 // Planner is the rolling-horizon controller. It implements
 // core.DeferralPlanner; hosts must drive CommitSlot exactly once per slot
-// (see the package comment). Unlike the other stateful planners, every
-// method is mutex-guarded rather than single-caller: a resilient chain
-// that abandons a timed-out Plan call leaves its goroutine running, and
-// the chain's fallback commit (ForceDrain) plus the simulator's
-// settlement (CommitSlot) race against it. The mutex makes those
-// overlaps safe — bucket state is only ever mutated by CommitSlot, so an
-// abandoned Plan can at worst warm the LP basis with a discarded window
-// and overwrite the Forced diagnostic.
+// (see the package comment). Like every stateful planner it is driven by
+// one caller at a time: the host, or the resilient chain on the host's
+// goroutine.
 type Planner struct {
-	mu  sync.Mutex
 	cfg Config
 
 	myopic  *core.Optimized
@@ -35,7 +28,7 @@ type Planner struct {
 	backlog [][][]float64
 	// forced[k] is the volume the latest force-drain placed, consumed by
 	// the next CommitSlot (replace semantics: each drain overwrites it, so
-	// an abandoned tier's drain cannot double-count).
+	// the drain of a tier the gate then rejects cannot double-count).
 	forced []float64
 }
 
@@ -63,8 +56,6 @@ func (p *Planner) Config() Config { return p.cfg }
 // source (the telemetry feed layer); without one a window longer than one
 // slot fails with ErrNoForecast.
 func (p *Planner) AttachForecast(fs core.ForecastSource) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.fs = fs
 }
 
@@ -74,8 +65,6 @@ func (p *Planner) AttachForecast(fs core.ForecastSource) {
 // into the observability layer. The scope only watches; plans are
 // identical with or without it.
 func (p *Planner) Instrument(sc *obs.Scope) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.sc, p.horizon.Obs = sc, sc
 }
 
@@ -100,8 +89,6 @@ func (p *Planner) Plan(in *core.Input) (*core.Plan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.lazyInit(in.Sys.K(), in.Sys.S())
 	for k := range p.forced {
 		p.forced[k] = 0
@@ -129,7 +116,7 @@ func (p *Planner) Plan(in *core.Input) (*core.Plan, error) {
 		return nil, p.failed(fmt.Errorf("mpc: horizon solve: %w", err))
 	}
 	plan := hp.Slots[0]
-	p.forceDrainLocked(in, plan)
+	p.ForceDrain(in, plan)
 	plan.Objective = core.PlanObjective(in, plan)
 	return plan, nil
 }

@@ -1,14 +1,15 @@
 // Package resilient wraps any core.Planner in an ordered fallback chain
-// with per-tier deadlines, panic recovery and feasibility gating, so that
-// one failing solver cannot kill a simulation horizon. The default chain
-// mirrors the degradation ladder a production dispatcher would use:
+// with error classification, panic recovery and feasibility gating, so
+// that one failing solver cannot kill a simulation horizon. The default
+// chain mirrors the degradation ladder a production dispatcher would use:
 //
 //	Optimized LP  →  greedy LevelSearch  →  Balanced baseline
 //	→  replay of the last committed plan scaled to surviving capacity
 //	→  shed everything (an empty, trivially feasible plan)
 //
-// Each tier is attempted in order; a tier is rejected if it times out,
-// returns an error, panics, or emits a plan that fails core.Verify
+// Each tier is attempted in order; a tier is rejected if it reports a
+// timeout (an error wrapping core.ErrTimeout), returns any other error,
+// panics, or emits a plan that fails core.Verify
 // against the slot's (possibly fault-degraded) topology. That gate is the
 // slot's only one: the chain hands core.Step its receipt
 // (VerifiedPlan), and Step does not check the plan again. The chain records
@@ -18,6 +19,7 @@
 package resilient
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -32,9 +34,10 @@ type Reason string
 
 // The rejection taxonomy, in the order the chain detects them.
 const (
-	// ReasonTimeout: the tier did not answer within the per-tier deadline.
+	// ReasonTimeout: the tier reported that it ran out of its time budget
+	// (an error wrapping core.ErrTimeout).
 	ReasonTimeout Reason = "timeout"
-	// ReasonError: the tier returned an error.
+	// ReasonError: the tier returned any other error.
 	ReasonError Reason = "error"
 	// ReasonPanic: the tier panicked (recovered by the chain).
 	ReasonPanic Reason = "panic"
@@ -78,14 +81,12 @@ type Decision struct {
 
 // Chain is a resilient planner. It implements core.Planner and, like
 // every stateful planner in this codebase, must be driven by exactly one
-// goroutine; sim.Compare callers pass one instance per lane.
+// goroutine; sim.Compare callers pass one instance per lane. Tiers run
+// synchronously on that goroutine, one after the other, so a rejected
+// tier has finished before the next one starts.
 type Chain struct {
 	// Tiers are tried in order. Must be non-empty.
 	Tiers []core.Planner
-	// Timeout is the per-tier planning deadline; zero disables it. A tier
-	// that overruns keeps computing in its goroutine but its eventual
-	// answer is discarded.
-	Timeout time.Duration
 	// EscalateOnDegraded skips the primary tier on slots whose telemetry
 	// feeds report unusable inputs (some feed fell all the way to its
 	// prior — see feed.SlotHealth.Unusable). The slot's health arrives
@@ -288,53 +289,29 @@ func planDispatches(p *core.Plan) bool {
 	return false
 }
 
-// attempt runs one tier under the deadline with panic recovery, and
-// passes its plan through the slot's gate (force-drain, then Verify). A
-// nil plan means rejection.
+// attempt runs one tier with panic recovery and passes its plan through
+// the slot's gate (force-drain, then Verify). A nil plan means rejection.
 func (c *Chain) attempt(p core.Planner, in *core.Input, gate func(*core.Plan) error) (*core.Plan, Attempt) {
 	start := time.Now()
-	type outcome struct {
-		plan     *core.Plan
-		err      error
-		panicked any
-	}
-	invoke := func() (o outcome) {
-		defer func() {
-			if r := recover(); r != nil {
-				o.panicked = r
-			}
-		}()
-		o.plan, o.err = p.Plan(in)
-		return o
-	}
-	var o outcome
-	if c.Timeout > 0 {
-		done := make(chan outcome, 1)
-		go func() { done <- invoke() }()
-		select {
-		case o = <-done:
-		case <-time.After(c.Timeout):
-			return nil, Attempt{
-				Planner: p.Name(), Reason: ReasonTimeout,
-				Err:     fmt.Sprintf("no plan within %s", c.Timeout),
-				Elapsed: time.Since(start),
-			}
-		}
-	} else {
-		o = invoke()
-	}
+	var panicked any
+	plan, err := func() (*core.Plan, error) {
+		defer func() { panicked = recover() }()
+		return p.Plan(in)
+	}()
 	at := Attempt{Planner: p.Name(), Elapsed: time.Since(start)}
 	switch {
-	case o.panicked != nil:
-		at.Reason, at.Err = ReasonPanic, fmt.Sprint(o.panicked)
-	case o.err != nil:
-		at.Reason, at.Err = ReasonError, o.err.Error()
+	case panicked != nil:
+		at.Reason, at.Err = ReasonPanic, fmt.Sprint(panicked)
+	case errors.Is(err, core.ErrTimeout):
+		at.Reason, at.Err = ReasonTimeout, err.Error()
+	case err != nil:
+		at.Reason, at.Err = ReasonError, err.Error()
 	default:
-		if err := gate(o.plan); err != nil {
+		if err := gate(plan); err != nil {
 			at.Reason, at.Err = ReasonInfeasible, err.Error()
 			return nil, at
 		}
-		return o.plan, at
+		return plan, at
 	}
 	return nil, at
 }

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"profitlb/internal/baseline"
 	"profitlb/internal/core"
@@ -52,7 +52,6 @@ func testInput(slot int) *core.Input {
 type misbehaver struct {
 	name string
 	mode string // "", "error", "panic", "hang", "infeasible"
-	hang time.Duration
 }
 
 func (m *misbehaver) Name() string { return m.name }
@@ -63,8 +62,7 @@ func (m *misbehaver) Plan(in *core.Input) (*core.Plan, error) {
 	case "panic":
 		panic("scripted panic")
 	case "hang":
-		time.Sleep(m.hang)
-		return baseline.NewBalanced().Plan(in)
+		return nil, fmt.Errorf("scripted hang: %w", core.ErrTimeout)
 	case "infeasible":
 		// A plan that claims dispatch with every server off.
 		p := core.NewPlan(in.Sys)
@@ -102,10 +100,9 @@ func TestTierOrderAndTaxonomy(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			tiers := make([]core.Planner, len(c.modes))
 			for i, mode := range c.modes {
-				tiers[i] = &misbehaver{name: "t" + string(rune('0'+i)), mode: mode, hang: 200 * time.Millisecond}
+				tiers[i] = &misbehaver{name: "t" + string(rune('0'+i)), mode: mode}
 			}
 			chain := resilient.New(tiers...)
-			chain.Timeout = 20 * time.Millisecond
 			plan, err := chain.Plan(testInput(0))
 			if err != nil {
 				t.Fatalf("chain errored: %v", err)
@@ -426,82 +423,77 @@ func TestChainsOnTwoGoroutinesAgree(t *testing.T) {
 	}
 }
 
-// tracked reports every finished Plan call of the tier it wraps, so a
-// test can wait for tier goroutines the chain abandoned.
-type tracked struct {
-	core.Planner
-	finished chan<- struct{}
+// faultedSlot is what one slot of a planner-fault day committed, with the
+// wall-time fields zeroed.
+type faultedSlot struct {
+	Plan     *core.Plan
+	Decision resilient.Decision
+	Search   core.SearchStats
 }
 
-func (p *tracked) Plan(in *core.Input) (*core.Plan, error) {
-	defer func() { p.finished <- struct{}{} }()
-	return p.Planner.Plan(in)
-}
-
-// TestAbandonedTierDoesNotRaceNextSlot is the -race regression for the
-// chain's deadline: a tier that overruns Timeout keeps computing after
-// the chain has moved on, so the next slot's Plan on the same warm
-// planner starts while the previous one is still solving. The straggler
-// owns the planner's warm state and Stats sink until it finishes; the
-// live call must plan without them. A day of slots under a deadline no
-// LP-backed tier can meet, then wait for every straggler.
-func TestAbandonedTierDoesNotRaceNextSlot(t *testing.T) {
+// faultedDay plans the Section VII day through a chain whose primary, a
+// warm Optimized planner, times out on the given slots, and records every
+// slot's commit.
+func faultedDay(t *testing.T, timeouts ...int) []faultedSlot {
+	t.Helper()
 	cfg := exp.NewTwoLevelSetup().Config()
 	cfg.StartSlot, cfg.Slots = 0, 24
 	src, err := sim.NewInputSource(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sch := &fault.Schedule{}
+	for _, slot := range timeouts {
+		sch.Events = append(sch.Events, fault.Event{Kind: fault.PlannerTimeout, From: slot, To: slot})
+	}
 	opt := core.NewOptimized()
 	opt.Stats = &core.SearchStats{}
-	chain := resilient.Wrap(opt)
-	chain.Timeout = time.Microsecond
-	finished := make(chan struct{}, 3*cfg.Slots) // one send per tier invocation
-	for i, tier := range chain.Tiers {
-		chain.Tiers[i] = &tracked{Planner: tier, finished: finished}
-	}
-	invoked, timeouts := 0, 0
-	var in *core.Input
-	for slot := 0; slot < cfg.Slots; slot++ {
-		in, err = src.PlannerInput(slot)
+	chain := resilient.Wrap(&fault.Injector{Planner: opt, Sched: sch})
+	day := make([]faultedSlot, cfg.Slots)
+	for slot := range day {
+		in, err := src.PlannerInput(slot)
 		if err != nil {
 			t.Fatal(err)
 		}
+		*opt.Stats = core.SearchStats{}
 		plan, err := chain.Plan(in)
 		if err != nil {
 			t.Fatalf("slot %d: %v", slot, err)
 		}
-		if err := core.Verify(in, plan, 1e-6); err != nil {
-			t.Fatalf("slot %d: committed plan infeasible: %v", slot, err)
+		dec := chain.LastDecision()
+		for i := range dec.Attempts {
+			dec.Attempts[i].Elapsed = 0
 		}
-		for _, at := range chain.LastDecision().Attempts {
-			if at.Planner == "replay" {
-				continue
-			}
-			invoked++
-			if at.Reason == resilient.ReasonTimeout {
-				timeouts++
-			}
+		day[slot] = faultedSlot{Plan: plan, Decision: dec, Search: *opt.Stats}
+	}
+	return day
+}
+
+// TestPlannerFaultDayDeterministic: a timeout is an error the primary
+// returns at once, not a deadline, so a day with timeout slots is a
+// function of its inputs. Each timeout slot commits tier 1, the clean slot
+// after it solves warm from the basis the slot before the timeout left,
+// and the whole day — plans, decisions and each slot's solver counters —
+// is the same on one P as on two.
+func TestPlannerFaultDayDeterministic(t *testing.T) {
+	timeouts := []int{3, 8, 14, 19}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	one := faultedDay(t, timeouts...)
+	runtime.GOMAXPROCS(2)
+	two := faultedDay(t, timeouts...)
+	for _, slot := range timeouts {
+		dec := one[slot].Decision
+		if dec.Tier != 1 || dec.Attempts[0].Reason != resilient.ReasonTimeout {
+			t.Fatalf("slot %d: committed tier %d after %q, want tier 1 after a timeout", slot, dec.Tier, dec.Attempts[0].Reason)
+		}
+		if s := one[slot+1].Search; one[slot+1].Decision.Tier != 0 || s.Solves == 0 || s.WarmHits == 0 {
+			t.Fatalf("slot %d: tier %d, %d solves, %d warm hits after the timeout; want a warm primary", slot+1, one[slot+1].Decision.Tier, s.Solves, s.WarmHits)
 		}
 	}
-	if timeouts == 0 {
-		t.Fatal("no tier overran the deadline; the test exercised nothing")
-	}
-	for i := 0; i < invoked; i++ {
-		select {
-		case <-finished:
-		case <-time.After(time.Minute):
-			t.Fatalf("straggler %d of %d never finished", i+1, invoked)
+	for slot := range one {
+		if !reflect.DeepEqual(one[slot], two[slot]) {
+			t.Fatalf("slot %d differs between GOMAXPROCS 1 and 2:\n%+v\n%+v", slot, one[slot], two[slot])
 		}
-	}
-	// With every straggler gone the planner owns its warm state again.
-	for i := 0; i < 2; i++ {
-		if _, err := opt.Plan(in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if opt.Stats.Solves == 0 || opt.Stats.WarmHits == 0 {
-		t.Fatalf("planner did not recover its warm state: %+v", *opt.Stats)
 	}
 }
 

@@ -291,8 +291,8 @@ type (
 	// FaultInjector wraps a planner so the schedule's planner faults fire
 	// at their slots.
 	FaultInjector = fault.Injector
-	// ResilientChain is an ordered planner fallback ladder with per-tier
-	// deadlines, panic recovery and feasibility gating.
+	// ResilientChain is an ordered planner fallback ladder with error
+	// classification, panic recovery and feasibility gating.
 	ResilientChain = resilient.Chain
 	// StormConfig parameterizes the seeded random storm generator.
 	StormConfig = fault.StormConfig

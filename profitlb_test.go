@@ -3,7 +3,6 @@ package profitlb
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 // exampleSystem builds a small but complete topology through the facade.
@@ -256,9 +255,7 @@ func TestFacadeFaultStorm(t *testing.T) {
 		Faults:           storm,
 		DegradeOnFailure: true,
 	}
-	chain := Resilient(&FaultInjector{Planner: NewOptimized(), Sched: storm})
-	chain.Timeout = 20 * time.Millisecond // below the injector's hang
-	rep, err := Simulate(cfg, chain)
+	rep, err := Simulate(cfg, Resilient(&FaultInjector{Planner: NewOptimized(), Sched: storm}))
 	if err != nil {
 		t.Fatal(err)
 	}

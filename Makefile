@@ -112,7 +112,10 @@ bench-smoke:
 # default) profiles BenchmarkRefineSlot/capacity-limited, the
 # fleet-refine-mid slot at three times the arrivals, whose ~135 moves the
 # dual bound lets through are solved from their incumbents' bases (the
-# recorded slot itself is two LPs now); W=large profiles TestWarmStartTrajectory's
+# recorded slot itself is two hot re-solves); W=mid profiles
+# BenchmarkRefineSlot/demand-limited, that recorded 6x10x3 slot — the
+# planner side of fleet-refine-mid: the capture and the greedy start, each
+# refreshed and re-solved hot on its own chain, every move bounded; W=large profiles TestWarmStartTrajectory's
 # 20x100x3 chain, three passes of which the all-slack import that arms
 # slot 0 is nearly all — what a fleet-large planner pays once;
 # W=commit profiles BenchmarkCaptureSlot/fleet-20x100x3, the planner's whole
@@ -137,6 +140,8 @@ else ifeq ($(W),apply)
 	$(GO) test -run=NONE -bench=BenchmarkApply -benchtime=2000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/dispatch/
 else ifeq ($(W),kernel)
 	$(GO) test -run=NONE -bench=BenchmarkHotPivot/slot -benchtime=3000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/lp/
+else ifeq ($(W),mid)
+	$(GO) test -run=NONE -bench=BenchmarkRefineSlot/demand-limited -benchtime=20000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
 else ifeq ($(W),horizon)
 	$(GO) test -run=NONE -bench=BenchmarkHorizonSlot/steady -benchtime=3000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
 else

@@ -255,8 +255,9 @@ func (gs *gatewayServer) fleetSlot(abs int, now float64) error {
 }
 
 // committed returns the table the server currently serves, undivided: the
-// publisher's current publication decoded (nil before the first). A
-// join-mode server holds no publisher, only its replica's own share.
+// publisher's current publication, decoded once for it and the replicas
+// (nil before the first). A join-mode server holds no publisher, only its
+// replica's own share.
 func (gs *gatewayServer) committed() *dispatch.Table {
 	if gs.fleet == nil {
 		return gs.reps[0].Gateway().Table()
@@ -265,7 +266,7 @@ func (gs *gatewayServer) committed() *dispatch.Table {
 	if cur == nil {
 		return nil
 	}
-	t, err := dispatch.FromWire(cur.Table)
+	t, err := cur.Decoded()
 	if err != nil {
 		return nil
 	}

@@ -669,3 +669,64 @@ func TestReplicaRejectsForeignTopology(t *testing.T) {
 		refused(name, &bad)
 	}
 }
+
+// TestPublicationDecodedOnce: a 4-replica fleet decodes each slot's
+// publication once, after the fences, for all its replicas, and
+// Decoded hands every later reader that same table. A copy of the
+// publication carrying another wire table decodes its own, as does a
+// publication built by hand.
+func TestPublicationDecodedOnce(t *testing.T) {
+	decodes := 0
+	fromWire = func(w *dispatch.TableWire) (*dispatch.Table, error) {
+		decodes++
+		return dispatch.FromWire(w)
+	}
+	defer func() { fromWire = dispatch.FromWire }()
+	sys := testSystem()
+	dcfg := dispatch.Config{Seed: 17, SlotSeconds: 60}
+	f, err := NewFleet(sys, dcfg, testClusterConfig(4), testDriver(sys, dcfg, nil), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := sys.Slot()
+	var pub *Publication
+	for i := 0; i < 3; i++ {
+		decodes = 0
+		if pub, err = f.BeginSlot(i, float64(i)*T); err != nil {
+			t.Fatal(err)
+		}
+		if decodes != 1 {
+			t.Fatalf("slot %d: %d decodes for 4 replicas, want 1", i, decodes)
+		}
+		for _, r := range f.Replicas {
+			if r.Epoch() != pub.Epoch {
+				t.Fatalf("slot %d: replica %s serves epoch %d, want %d", i, r.ID, r.Epoch(), pub.Epoch)
+			}
+		}
+	}
+	once, err := pub.Decoded()
+	if err != nil || decodes != 1 {
+		t.Fatalf("a later reader decoded again (%d decodes, %v)", decodes, err)
+	}
+	// A stale delivery is fenced before any decode.
+	if installed, err := f.Replicas[0].Apply(pub, 3*T); installed || err != nil || decodes != 1 {
+		t.Fatalf("duplicate delivery: installed %v, err %v, %d decodes", installed, err, decodes)
+	}
+
+	swapped := *pub
+	w := *pub.Table
+	w.Lanes = append([]dispatch.Lane(nil), pub.Table.Lanes...)
+	w.Lanes[0].Rate /= 2
+	swapped.Table = &w
+	own, err := swapped.Decoded()
+	if err != nil || decodes != 2 || own == once || own.Lanes[0].Rate != w.Lanes[0].Rate {
+		t.Fatalf("a copy with a swapped table: %d decodes, same table %v, err %v", decodes, own == once, err)
+	}
+	if again, _ := pub.Decoded(); again != once {
+		t.Fatal("the original publication lost its decode to the copy")
+	}
+	byHand := &Publication{Epoch: pub.Epoch, Slot: pub.Slot, Members: pub.Members, Table: pub.Table}
+	if t1, _ := byHand.Decoded(); t1 == once || decodes != 3 {
+		t.Fatalf("a hand-built publication shared the publisher's decode (%d decodes)", decodes)
+	}
+}

@@ -21,6 +21,36 @@ type Publication struct {
 	Slot    int                 `json:"slot"`
 	Members []string            `json:"members"`
 	Table   *dispatch.TableWire `json:"table"`
+
+	// memo is the publisher's decode of Table, shared by every reader in
+	// the process (nil on a publication that came over HTTP or was built
+	// by hand).
+	memo *decodeMemo
+}
+
+// decodeMemo is one wire table's decode, made at most once, on first use.
+type decodeMemo struct {
+	once  sync.Once
+	wire  *dispatch.TableWire
+	table *dispatch.Table
+	err   error
+}
+
+// fromWire is the decode a publication's readers share; the tests count
+// its calls through it.
+var fromWire = dispatch.FromWire
+
+// Decoded returns the publication's routing table, decoded from its wire
+// form. A publication the publisher made decodes once, on its first use,
+// for every replica and reader in the process: the memo is keyed on the
+// wire table it decodes, so a copy carrying another Table decodes its own,
+// as does a publication decoded from HTTP. The table is shared: read-only.
+func (pub *Publication) Decoded() (*dispatch.Table, error) {
+	if m := pub.memo; m != nil && m.wire == pub.Table {
+		m.once.Do(func() { m.table, m.err = fromWire(m.wire) })
+		return m.table, m.err
+	}
+	return fromWire(pub.Table)
 }
 
 // member is the control plane's health record for one replica.
@@ -169,8 +199,8 @@ func (p *Publisher) Respread(slot int) *Publication {
 }
 
 // publishLocked stores w as the current publication, spread over members
-// and stamped with w's own (epoch, sub), and wakes every long-poll
-// (caller holds mu).
+// and stamped with w's own (epoch, sub), with a memo that decodes w once
+// for all its readers, and wakes every long-poll (caller holds mu).
 func (p *Publisher) publishLocked(w *dispatch.TableWire, slot int, members []string) *Publication {
 	pub := &Publication{
 		Epoch:   w.Epoch,
@@ -178,6 +208,7 @@ func (p *Publisher) publishLocked(w *dispatch.TableWire, slot int, members []str
 		Slot:    slot,
 		Members: append([]string(nil), members...),
 		Table:   w,
+		memo:    &decodeMemo{wire: w},
 	}
 	p.cur = pub
 	close(p.notify)

@@ -129,7 +129,7 @@ func (r *Replica) Apply(pub *Publication, now float64) (bool, error) {
 	if r.scope.Enabled() {
 		began = time.Now()
 	}
-	full, err := dispatch.FromWire(pub.Table)
+	full, err := pub.Decoded()
 	if err == nil {
 		err = fits(full, r.gw.System())
 	}

@@ -181,7 +181,7 @@ func refGreedy(t *testing.T, eng *engine, pairs []pair, visit func(*assignment, 
 					continue
 				}
 				out := slices.IndexFunc(best.comms, func(c commodity) bool { return c.k == p.k && c.l == p.l })
-				c := levelCommodity(in, p, q)
+				c := eng.levelCommodity(p, q)
 				var add *commodity
 				if c.bestCoef > 0 {
 					add = &c

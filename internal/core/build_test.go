@@ -249,7 +249,7 @@ var refineFixtures = []struct {
 	make                 func() (*Optimized, *Input)
 	maxObjects, maxBytes uint64
 }{
-	{"demand-limited", refineSlot, 1_500, 57_000}, // 51 392 measured
+	{"demand-limited", refineSlot, 1_500, 52_000}, // 46 800 measured
 	{"capacity-limited", refineSlotBusy, 7_000, 2_200_000},
 }
 

@@ -40,10 +40,11 @@ type SearchStats struct {
 	// (lp.Outcome.ImportPivots), which the three pivot counts above leave
 	// out: most of a refine slot's solver time.
 	ImportPivots int64
-	// ModelRebuilds counts capture solves whose dispatch LP could not be
-	// refreshed in place — the first slot, then a fault, a changed admitted
-	// set or a toggled floor — and so was rebuilt and re-imported: why a
-	// slot with the usual pivots still ran slow. Zero when WarmStart is off.
+	// ModelRebuilds counts held-chain solves (the capture, and a refine
+	// call's greedy start) whose dispatch LP could not be refreshed in
+	// place — the first slot, then a fault, a changed admitted set or a
+	// toggled floor — and so was rebuilt and re-imported: why a slot with
+	// the usual pivots still ran slow. Zero when WarmStart is off.
 	ModelRebuilds int64
 	// Refactors counts the times a sparse kernel rebuilt its basis factors
 	// in place during the call's solves (lp.Outcome.Refactors): a full eta

@@ -22,9 +22,12 @@ type engine struct {
 	// warm, when non-nil, warm-starts every solve from the owning
 	// planner's retained basis (see warm.go); nil solves cold.
 	warm *warmState
-	// capture is raised by prologue around the call's first solve: the
-	// first LP solved while it is up runs on the warm state's hot chain.
-	capture bool
+	// held is raised by prologue around the call's first solve (capture)
+	// and around Refine's greedy start (greedyStart): the first request
+	// while it is up takes that held chain — its LP solved on the chain's
+	// unit, or the memo cache's answer, which consumes the chain all the
+	// same, so a move's LP never lands on it.
+	held chain
 	// priced makes a solve keep its shadow prices and final basis. It is up
 	// while the planner runs a first-improvement search, which bounds each
 	// move off its incumbent's prices and seeds the survivors from its
@@ -34,6 +37,9 @@ type engine struct {
 	// per-server layout keeps none (see prices.bound).
 	priced bool
 	seeds  uint64 // identities handed to exported bases
+	// routes is each (k, q, l)'s best route, priced when a level search
+	// first asks (levelCommodity).
+	routes *routeTable
 	// n counts the call's solver work; close publishes it.
 	n     SearchStats
 	stats *SearchStats
@@ -57,13 +63,14 @@ func (e *EngineOptions) open(in *Input, planner string, perServer, searches bool
 	}
 }
 
-// prologue runs the call's first solve, the designated capture solve: it
-// re-solves on the retained hot chain and exports the basis that seeds the
-// next slot. The window is closed explicitly in case the subset was empty
-// and no LP ran.
-func (e *engine) prologue(solve func() (assignment, error)) (assignment, error) {
-	e.capture = true
-	defer func() { e.capture = false }()
+// prologue runs solve's first request on the held chain c: the call's
+// first solve, the designated capture solve, re-solves on the retained hot
+// chain and exports the basis that seeds the next slot; Refine's greedy
+// start re-solves on its own. The window is closed explicitly in case the
+// subset was empty and nothing was requested.
+func (e *engine) prologue(c chain, solve func() (assignment, error)) (assignment, error) {
+	e.held = c
+	defer func() { e.held = seeded }()
 	return solve()
 }
 
@@ -81,7 +88,9 @@ type solution struct {
 // from, when it carries a basis, seeds the solve in place of the slot's
 // frozen seed and joins the key, so an entry stays a pure function of
 // (subset, seed): a solve made next to one incumbent is never served to a
-// request made next to another.
+// request made next to another. A held chain's solve is keyed like a solve
+// from the frozen seed: it is an optimum of the same LP, and the first
+// request for its key in the call.
 func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solution, error) {
 	if len(comms) == 0 {
 		if floorsActive(e.in, floors) {
@@ -89,6 +98,8 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solut
 		}
 		return solution{}, nil
 	}
+	c := e.held
+	e.held = seeded
 	var seed *lp.Basis // nil: the slot's frozen one, identity 0
 	var seedID uint64
 	if from != nil {
@@ -101,7 +112,7 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solut
 	}
 	e.n.Solves++
 	var ent cacheEntry
-	d, res, basis, err := e.solveLP(comms, floors, seed)
+	d, res, basis, err := e.solveLP(c, comms, floors, seed)
 	if err != nil {
 		e.n.SolveErrors++
 		ent.err = err
@@ -133,28 +144,25 @@ func (e *engine) bounded(inc *assignment, out int, add *commodity) bool {
 	return true
 }
 
-// solveLP builds one dispatch LP in the call's layout and solves it,
-// uncached, from seed (nil: the slot's frozen one). The LP and its handles
-// are the solve unit's, good until the engine's next solveLP, and come
-// with a warm solve's final basis on a priced engine.
-func (e *engine) solveLP(comms []commodity, floors []float64, seed *lp.Basis) (*dispatchLP, *lp.Result, *lp.Basis, error) {
-	capture := e.capture
-	e.capture = false
-	u := e.warm.unit(capture)
+// solveLP builds one dispatch LP in the call's layout on chain c's unit
+// and solves it, uncached, from seed (nil: the slot's frozen one). The LP
+// and its handles are the solve unit's, good until the unit's next build,
+// and come with a warm solve's final basis on a priced engine.
+func (e *engine) solveLP(c chain, comms []commodity, floors []float64, seed *lp.Basis) (*dispatchLP, *lp.Result, *lp.Basis, error) {
+	u := e.warm.unit(c)
 	u.d.build(e.in, comms, floors, e.perServer, e.names)
-	res, basis, err := e.run(u.d.model, capture, u.d.rebuilt, &u.sv, seed)
+	res, basis, err := e.run(u.d.model, c, u.d.rebuilt, &u.sv, seed)
 	return &u.d, res, basis, err
 }
 
 // run hands a built LP — a slot's, or a horizon window's — to the simplex
 // through the call's warm state (cold when there is none) and books how
-// the solve went. rebuilt says a capture solve's held model had to be
-// built again.
-func (e *engine) run(m *lp.Model, capture, rebuilt bool, sv *lp.Solver, seed *lp.Basis) (*lp.Result, *lp.Basis, error) {
-	if capture && e.warm != nil && rebuilt {
+// the solve went. rebuilt says a held chain's model had to be built again.
+func (e *engine) run(m *lp.Model, c chain, rebuilt bool, sv *lp.Solver, seed *lp.Basis) (*lp.Result, *lp.Basis, error) {
+	if c != seeded && e.warm != nil && rebuilt {
 		e.n.ModelRebuilds++
 	}
-	res, basis, out, err := e.warm.solveModel(m, e.opts, capture, sv, seed, e.priced)
+	res, basis, out, err := e.warm.solveModel(m, e.opts, c, sv, seed, e.priced)
 	if out.FellBack {
 		e.n.WarmFallbacks++
 	} else if out.Path != "cold" {

@@ -174,10 +174,10 @@ func (hp *HorizonPlanner) Plan(h *HorizonInput) (*HorizonPlan, error) {
 	}
 	eng := hp.open(h.slot(0), "horizon", false, false)
 	defer eng.close()
-	w := &eng.warm.unit(true).w
+	w := &eng.warm.unit(capture).w
 	w.build(h, eng.names)
 	eng.n.Solves++
-	res, _, err := eng.run(&w.model, true, w.rebuilt, nil, nil)
+	res, _, err := eng.run(&w.model, capture, w.rebuilt, nil, nil)
 	if err != nil {
 		eng.n.SolveErrors++
 		return nil, fmt.Errorf("core: horizon LP failed: %w", err)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"profitlb/internal/datacenter"
 	"profitlb/internal/lp"
@@ -116,7 +117,7 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 	// climbs from it, branch-and-bound seeds with greedy — so evaluating
 	// it here runs the hot chain and exports the next slot's seed basis
 	// while the result lands in the memo cache for the strategy to reuse.
-	if _, err := eng.prologue(func() (assignment, error) {
+	if _, err := eng.prologue(capture, func() (assignment, error) {
 		return evaluate(eng, pairs, make([]int, len(pairs)), nil)
 	}); err != nil {
 		return nil, err
@@ -166,7 +167,7 @@ func evaluate(eng *engine, pairs []pair, levels []int, from *prices) (assignment
 	in := eng.in
 	comms := make([]commodity, 0, len(pairs))
 	for pi, p := range pairs {
-		if c := levelCommodity(in, p, levels[pi]); c.bestCoef > 0 {
+		if c := eng.levelCommodity(p, levels[pi]); c.bestCoef > 0 {
 			comms = append(comms, c)
 		}
 	}
@@ -190,10 +191,39 @@ func evaluate(eng *engine, pairs []pair, levels []int, from *prices) (assignment
 
 // levelCommodity is the commodity pair p enters the LP as when committed
 // to level q — if its best route earns anything: bestCoef ≤ 0 means
-// evaluate leaves the pair out.
-func levelCommodity(in *Input, p pair, q int) commodity {
-	lev := in.Sys.Classes[p.k].TUF.Level(q)
-	return commodity{k: p.k, q: q, l: p.l, utility: lev.Utility, deadline: lev.Deadline, bestCoef: bestRoute(in, p.k, p.l, lev.Utility)}
+// evaluate leaves the pair out. The best routes are priced once a call,
+// on first use: the greedy asks again for every move and every accept.
+func (e *engine) levelCommodity(p pair, q int) commodity {
+	if e.routes == nil {
+		e.routes = newRouteTable(e.in)
+	}
+	lev := e.in.Sys.Classes[p.k].TUF.Level(q)
+	best := e.routes.best[(p.k*e.in.Sys.L()+p.l)*e.routes.levels+q]
+	return commodity{k: p.k, q: q, l: p.l, utility: lev.Utility, deadline: lev.Deadline, bestCoef: best}
+}
+
+// routeTable is one call's best routes: best[(k·L + l)·levels + q] is
+// bestRoute of (k, q, l), levels the most any class has.
+type routeTable struct {
+	best   []float64
+	levels int
+}
+
+func newRouteTable(in *Input) *routeTable {
+	sys := in.Sys
+	rt := &routeTable{}
+	for _, c := range sys.Classes {
+		rt.levels = max(rt.levels, c.TUF.NumLevels())
+	}
+	rt.best = make([]float64, sys.K()*sys.L()*rt.levels)
+	for k, c := range sys.Classes {
+		for q := 0; q < c.TUF.NumLevels(); q++ {
+			for l := 0; l < sys.L(); l++ {
+				rt.best[(k*sys.L()+l)*rt.levels+q] = bestRoute(in, k, l, c.TUF.Level(q).Utility)
+			}
+		}
+	}
+	return rt
 }
 
 // exhaustive enumerates the mixed-radix level space in odometer order;
@@ -225,20 +255,25 @@ func exhaustive(eng *engine, pairs []pair) (assignment, error) {
 	}
 }
 
-// greedy hill-climbs over single-pair level moves, first improvement. A
-// move is the pair's current commodity out and its commodity at the new
-// level in, either only if profitable; one the incumbent's shadow prices
-// bound at no improvement is rejected before anything is built (see
-// prices.bound); the others are solved, seeded from the incumbent's basis,
-// in move order, and a pass goes on from the move it accepted.
+// greedy hill-climbs from the all-tightest assignment (see climb).
 func greedy(eng *engine, pairs []pair) (assignment, error) {
-	in := eng.in
-	sys := in.Sys
-	levels := make([]int, len(pairs))
-	best, err := evaluate(eng, pairs, levels, nil)
+	start, err := evaluate(eng, pairs, make([]int, len(pairs)), nil)
 	if err != nil {
 		return assignment{}, err
 	}
+	return climb(eng, pairs, start)
+}
+
+// climb hill-climbs from start over single-pair level moves, first
+// improvement. A move is the pair's current commodity out and its
+// commodity at the new level in, either only if profitable; one the
+// incumbent's shadow prices bound at no improvement is rejected before
+// anything is built (see prices.bound); the others are solved, seeded from
+// the incumbent's basis, in move order, and a pass goes on from the move
+// it accepted.
+func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
+	sys := eng.in.Sys
+	best, levels := start, slices.Clone(start.levels)
 	type move struct{ pi, q int } // pair pi to level q
 	nMoves := 0
 	for _, p := range pairs {
@@ -272,7 +307,7 @@ func greedy(eng *engine, pairs []pair) (assignment, error) {
 		}
 		admitted := 0
 		for pi, p := range pairs {
-			if levelCommodity(in, p, levels[pi]).bestCoef > 0 {
+			if eng.levelCommodity(p, levels[pi]).bestCoef > 0 {
 				admitted++
 			}
 		}
@@ -286,7 +321,7 @@ func greedy(eng *engine, pairs []pair) (assignment, error) {
 				continue // no-op move
 			}
 			if whole {
-				enter, out := levelCommodity(in, pairs[mv.pi], mv.q), at[mv.pi]
+				enter, out := eng.levelCommodity(pairs[mv.pi], mv.q), at[mv.pi]
 				after := reserved[enter.l]
 				if out >= 0 {
 					after -= reservation(sys, best.comms[out])

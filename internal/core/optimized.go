@@ -123,7 +123,7 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 	eng := o.open(in, o.Name(), o.PerServer, o.Refine)
 	defer eng.close()
 	full := admissibleCommodities(in, o.MinCompletion)
-	best, err := eng.prologue(func() (assignment, error) {
+	best, err := eng.prologue(capture, func() (assignment, error) {
 		return o.solveSubset(eng, capReservations(in, full), nil)
 	})
 	if err != nil {
@@ -406,9 +406,18 @@ func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment
 
 // greedySeed runs the greedy single-level commitment of LevelSearch to
 // seed the subset search. It shares the caller's engine, so its LP
-// solves land in (and draw from) the same memo cache.
+// solves land in (and draw from) the same memo cache. Its start — every
+// (type, center) pair at its top level, the same commodity set slot after
+// slot — is the call's second held solve, re-solved on the greedy chain.
 func (o *Optimized) greedySeed(eng *engine) (assignment, error) {
-	return greedy(eng, allPairs(eng.in.Sys))
+	pairs := allPairs(eng.in.Sys)
+	start, err := eng.prologue(greedyStart, func() (assignment, error) {
+		return evaluate(eng, pairs, make([]int, len(pairs)), nil)
+	})
+	if err != nil {
+		return assignment{}, err
+	}
+	return climb(eng, pairs, start)
 }
 
 // multiLevel reports whether any class has more than one TUF level.

@@ -254,12 +254,13 @@ func chainInput(base *Input, slot int, load float64) *Input {
 }
 
 // TestRefreshedChainEqualsRebuiltChain runs each determinism chain on two
-// planners, one refreshing its capture LP in place and one made to build
-// every slot's in a new model, as the planner did before it held one. The
-// two must agree slot by slot in every solver counter and in the %.17g
-// objective, through a center losing half its servers mid-chain — which
-// both meet on the import rung — and getting them back; and the first
-// rebuilds exactly on those slots.
+// planners, one refreshing its held LPs in place — the capture's and, on a
+// refine chain, the greedy start's — and one made to build every slot's in
+// a new model, as the planner did before it held them. The two must agree
+// slot by slot in every solver counter and in the %.17g objective, through
+// a center losing half its servers mid-chain — which both meet on the
+// import rung — and getting them back; and the first rebuilds exactly on
+// those slots, each of its held LPs once.
 func TestRefreshedChainEqualsRebuiltChain(t *testing.T) {
 	chains := []struct {
 		name    string
@@ -281,10 +282,14 @@ func TestRefreshedChainEqualsRebuiltChain(t *testing.T) {
 			planner := func(forget bool) *Optimized {
 				o := NewOptimized()
 				o.Refine, o.Stats = c.refine, &SearchStats{}
-				o.warm.hot.d.forget = forget
+				o.warm.hot.d.forget, o.warm.greedy.d.forget = forget, forget
 				return o
 			}
 			refreshed, rebuilt := planner(false), planner(true)
+			held := int64(1) // the capture, and a refine call's greedy start
+			if c.refine {
+				held = 2
+			}
 			for slot := 0; slot < c.slots; slot++ {
 				reshaped := slot == 0
 				if slot == 4 || slot == 6 { // center 1 degrades, then recovers
@@ -297,11 +302,11 @@ func TestRefreshedChainEqualsRebuiltChain(t *testing.T) {
 					t.Fatalf("slot %d: refreshed plan earns %s, rebuilt %s", slot, g, w)
 				}
 				gs, ws := *refreshed.Stats, *rebuilt.Stats
-				if wantRebuilds := map[bool]int64{true: 1}[reshaped]; gs.ModelRebuilds != wantRebuilds || ws.ModelRebuilds != 1 {
-					t.Fatalf("slot %d: %d structure rebuilds refreshing (want %d), %d rebuilding (want 1)", slot, gs.ModelRebuilds, wantRebuilds, ws.ModelRebuilds)
+				if wantRebuilds := map[bool]int64{true: held}[reshaped]; gs.ModelRebuilds != wantRebuilds || ws.ModelRebuilds != held {
+					t.Fatalf("slot %d: %d structure rebuilds refreshing (want %d), %d rebuilding (want %d)", slot, gs.ModelRebuilds, wantRebuilds, ws.ModelRebuilds, held)
 				}
-				if wantHot := int64(1); !reshaped && gs.WarmHits < wantHot {
-					t.Fatalf("slot %d: stats %+v, want the capture solve warm", slot, gs)
+				if !reshaped && gs.WarmHits < held {
+					t.Fatalf("slot %d: stats %+v, want the held solves warm", slot, gs)
 				}
 				gs.ModelRebuilds, ws.ModelRebuilds = 0, 0
 				if gs != ws {
@@ -341,4 +346,47 @@ func TestCaptureSolveRefreshesHot(t *testing.T) {
 	if path() != "hot" || o.Stats.ModelRebuilds != 0 {
 		t.Fatalf("slot after the fault: capture solve by %q, %d rebuilds, want hot again", path(), o.Stats.ModelRebuilds)
 	}
+}
+
+// TestSteadyRefineSlotImportsNothing: a demand-limited 6×10×3 refine slot
+// solves two LPs — the capture and the greedy start, every move bounded —
+// and once both held chains are armed it crashes no basis: slot 0 builds
+// both held LPs, each steady slot re-solves both hot with no import pivot,
+// and a center outage makes both import once, after which both are hot
+// again.
+func TestSteadyRefineSlotImportsNothing(t *testing.T) {
+	base := synthInput(6, 10, 3)
+	o := NewOptimized()
+	o.Stats = &SearchStats{}
+	paths := func() [2]string {
+		return [2]string{o.warm.hot.sv.LastOutcome().Path, o.warm.greedy.sv.LastOutcome().Path}
+	}
+	imported, hot := [2]string{"import", "import"}, [2]string{"hot", "hot"}
+	plan := func(n int, rebuilds int64, want [2]string) SearchStats {
+		t.Helper()
+		mustPlan(t, o, chainInput(base, n, 1))
+		if st := *o.Stats; st.ModelRebuilds != rebuilds || paths() != want || st.WarmFallbacks != 0 {
+			t.Fatalf("slot %d: held chains by %v, %+v; want %v and %d rebuilds", n, paths(), st, want, rebuilds)
+		}
+		return *o.Stats
+	}
+	steady := func(n int) {
+		t.Helper()
+		if st := plan(n, 0, hot); st.Solves != 2 || st.WarmHits != 2 || st.ImportPivots != 0 {
+			t.Fatalf("slot %d: %+v; want the two held LPs re-solved hot and no import", n, st)
+		}
+	}
+	if st := plan(0, 2, imported); st.Solves != 2 || st.ImportPivots == 0 {
+		t.Fatalf("slot 0: %+v; want the two held LPs crashed", st)
+	}
+	for n := 1; n < 5; n++ {
+		steady(n)
+	}
+	down := base.Sys.Centers[2].Servers
+	base.Sys.Centers[2].Servers = 0
+	plan(5, 2, imported)
+	plan(6, 0, hot) // the moves the outage lets past the bound import, on the spare unit
+	base.Sys.Centers[2].Servers = down
+	plan(7, 2, imported)
+	steady(8)
 }

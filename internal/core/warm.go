@@ -6,16 +6,20 @@ import "profitlb/internal/lp"
 // Plan calls inside its EngineOptions. Successive slots solve
 // near-identical LPs — the topology is fixed and only arrivals and
 // prices drift — so the optimal basis of one call is an excellent
-// starting vertex for the next (DESIGN.md §12). The state holds two solve
-// units:
+// starting vertex for the next (DESIGN.md §12). The state holds three
+// solve units:
 //
-//   - hot is the hot chain's unit. Its solver runs exactly one solve per
-//     Plan call — the capture solve, the call's first — and retains its
-//     factorized kernel; its dispatch LP is refreshed in place while the
-//     structure stands (dispatchLP.build), so the solver is handed the
+//   - hot is the capture chain's unit. Its solver runs exactly one solve
+//     per Plan call — the capture solve, the call's first — and retains
+//     its factorized kernel; its dispatch LP is refreshed in place while
+//     the structure stands (dispatchLP.build), so the solver is handed the
 //     very model it factorized, at the stamp it factorized, and re-solves
 //     with a dual-simplex repair instead of a cold two-phase run. Its
 //     final basis is exported as the next call's seed.
+//   - greedy is the same kind of chain for a multi-level Refine call's
+//     second capture, its greedy start: the same commodity set slot after
+//     slot, so it re-solves hot too. It exports no seed, and imports the
+//     frozen one only when its structure changed.
 //   - spare is the unit of every other solve of the call, one after the
 //     other: the search is sequential and reads a solution out before it
 //     asks for the next. Those solves use lp.Solver.SolveSeeded, which is
@@ -25,11 +29,21 @@ import "profitlb/internal/lp"
 // A planner is driven by one caller at a time, so one Plan call owns the
 // state from claim to its return.
 type warmState struct {
-	hot, spare solveUnit
+	hot, greedy, spare solveUnit
 	// prev is the basis exported by the most recent capture solve; cur
 	// is the frozen copy every solve of the current Plan call seeds from.
 	prev, cur *lp.Basis
 }
+
+// chain names the solve unit a request runs on: a held chain's, which
+// re-solves hot, or the spare's, seeded.
+type chain uint8
+
+const (
+	seeded      chain = iota // the spare unit: a pure function of (model, seed)
+	capture                  // the hot unit; exports the next call's seed
+	greedyStart              // the greedy unit; exports nothing across calls
+)
 
 // solveUnit is what one solve works in and the next one reuses: the
 // solver, whose kernels keep their workspaces, and the LP — model, handles
@@ -37,7 +51,7 @@ type warmState struct {
 // horizon planner's window. They travel together because a solver's last
 // kernel points at the model it solved, which only the unit's next build
 // touches: the spare unit's before its solver's next solve forgets the
-// kernel, the hot unit's by refreshing numbers the kernel re-reads or by a
+// kernel, a held unit's by refreshing numbers the kernel re-reads or by a
 // rebuild the model's stamp owns up to.
 type solveUnit struct {
 	sv lp.Solver
@@ -45,15 +59,17 @@ type solveUnit struct {
 	w  windowLP
 }
 
-// unit is the workspace of the call's next solve, the previous one's
-// solution having been read out. The capture solve's is the hot chain's
-// own; a cold call's is fresh, there being no state to keep one in.
-func (w *warmState) unit(capture bool) *solveUnit {
-	if w == nil {
+// unit is the workspace of the call's next solve on chain c, the previous
+// one's solution having been read out. A cold call's is fresh, there being
+// no state to keep one in.
+func (w *warmState) unit(c chain) *solveUnit {
+	switch {
+	case w == nil:
 		return &solveUnit{}
-	}
-	if capture {
+	case c == capture:
 		return &w.hot
+	case c == greedyStart:
+		return &w.greedy
 	}
 	return &w.spare
 }
@@ -72,31 +88,33 @@ func (e *EngineOptions) claim(seedable bool) *warmState {
 
 // solveModel is the one way an LP in this package reaches the simplex,
 // reporting how the solve ran. A nil state is the cold dense reference.
-// Otherwise the capture solve (the first, at most one per Plan call)
-// runs the retained hot chain, on the hot unit's solver whatever sv, and
-// exports its basis as the next call's seed; every other solve imports
-// seed — nil: the frozen one — on sv, its unit's solver, keeping the
-// result a pure function of (model, seed), and names its final basis only
-// if export asks. The basis returned is nil when none was named.
-func (w *warmState) solveModel(m *lp.Model, opts lp.Options, capture bool, sv *lp.Solver, seed *lp.Basis, export bool) (*lp.Result, *lp.Basis, lp.Outcome, error) {
+// Otherwise a held chain's solve (c: capture or greedyStart, at most one
+// each per Plan call) runs that unit's retained chain, on its solver
+// whatever sv, with the frozen seed as the import fallback; only the
+// capture exports its basis as the next call's seed. Every other solve
+// imports seed — nil: the frozen one — on sv, its unit's solver, keeping
+// the result a pure function of (model, seed). A solve names its final
+// basis only if it is the capture or export asks; the basis returned is
+// nil when none was named.
+func (w *warmState) solveModel(m *lp.Model, opts lp.Options, c chain, sv *lp.Solver, seed *lp.Basis, export bool) (*lp.Result, *lp.Basis, lp.Outcome, error) {
 	if w == nil {
 		res, err := m.SolveOpts(opts)
 		return res, nil, lp.Outcome{Path: "cold", ColdPivots: res.Iterations}, err
 	}
 	var res *lp.Result
 	var err error
-	if capture {
-		sv = &w.hot.sv
-		res, err = sv.SolveWarm(m, w.cur, opts)
-	} else {
+	if c == seeded {
 		if seed == nil {
 			seed = w.cur
 		}
 		res, err = sv.SolveSeeded(m, seed, opts)
+	} else {
+		sv = &w.unit(c).sv
+		res, err = sv.SolveWarm(m, w.cur, opts)
 	}
 	var basis *lp.Basis
-	if err == nil && (capture || export) {
-		if basis, _ = sv.ExportBasis(); capture && basis != nil {
+	if err == nil && (c == capture || export) {
+		if basis, _ = sv.ExportBasis(); c == capture && basis != nil {
 			w.prev = basis
 		}
 	}

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
+	"profitlb/internal/datacenter"
 	"profitlb/internal/lp"
+	"profitlb/internal/tuf"
 )
 
 // slotSequence perturbs one base input into a deterministic sequence of
@@ -60,14 +63,55 @@ func assertChainsEqual(t *testing.T, label string, want, got []*Plan) {
 	}
 }
 
+// topLevelOnlySystem is multiLevelSystem with every lower level priced
+// out: each (type, center) pair admits its top level only, so a refine
+// call's greedy start is its full admissible set, and its request is a
+// memo-cache hit of the capture solve. r2's top deadline is halved, so dc1
+// cannot hold every zero-load reservation: both sets lose the same
+// commodity to eviction, and the greedy climb, whose bound speaks only of
+// a set nothing was evicted from, solves its moves after the hit.
+func topLevelOnlySystem() *datacenter.System {
+	sys := multiLevelSystem()
+	for k := range sys.Classes {
+		top := sys.Classes[k].TUF.Level(0)
+		if k == 1 {
+			top.Deadline /= 2
+		}
+		sys.Classes[k].TUF = tuf.MustNew([]tuf.Level{top, {Utility: 0.01, Deadline: 10 * top.Deadline}})
+	}
+	return sys
+}
+
+// refineChains are the warm-chain tests' refine planners, each with the
+// slot input its chain drifts from: the plain one; one carrying completion
+// floors, under which the greedy seed's subset is solved again from its
+// own basis; and one whose greedy start is its full admissible set.
+var refineChains = []struct {
+	name string
+	base func() *Input
+	make func() *Optimized
+}{
+	{"optimized", multiLevelInput, NewOptimized},
+	{"optimized/floors", multiLevelInput, func() *Optimized {
+		o := NewOptimized()
+		o.MinCompletion = []float64{0.3, 0.6}
+		return o
+	}},
+	{"optimized/greedy-start-is-full-set", func() *Input {
+		return &Input{Sys: topLevelOnlySystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
+	}, NewOptimized},
+}
+
+func multiLevelInput() *Input {
+	return &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
+}
+
 // TestWarmChainsReplayIdentical: two warm planners chained over one slot
-// sequence commit bit-identical plans. Every solve but the capture solve
+// sequence commit bit-identical plans. Every solve but the held chains'
 // is a pure function of (model, seed), whatever its solve unit did before.
 func TestWarmChainsReplayIdentical(t *testing.T) {
-	base := &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
-	seq := slotSequence(base, 5)
+	seq := slotSequence(multiLevelInput(), 5)
 	planners := map[string]func() Planner{
-		"optimized": func() Planner { return NewOptimized() },
 		"level-search/greedy": func() Planner {
 			ls := NewLevelSearch()
 			ls.Strategy = Greedy
@@ -80,43 +124,65 @@ func TestWarmChainsReplayIdentical(t *testing.T) {
 			assertChainsEqual(t, "replay", planChain(t, mk(), seq), planChain(t, mk(), seq))
 		})
 	}
+	for _, c := range refineChains {
+		t.Run(c.name, func(t *testing.T) {
+			seq := slotSequence(c.base(), 5)
+			assertChainsEqual(t, "replay", planChain(t, c.make(), seq), planChain(t, c.make(), seq))
+		})
+	}
 }
 
 // TestWarmChainMatchesColdChain: warm-started chains must agree with
 // cold chains on every slot's audited outcome — same feasible plans,
 // objectives within solver tolerance — and the warm machinery must
-// actually fire after the first slot.
+// actually fire after the first slot. Where the greedy start is the full
+// set, its request is the capture's memo entry, and no other LP may take
+// the greedy chain in its place.
 func TestWarmChainMatchesColdChain(t *testing.T) {
-	base := &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
-	seq := slotSequence(base, 6)
+	for _, c := range refineChains {
+		t.Run(c.name, func(t *testing.T) {
+			seq := slotSequence(c.base(), 6)
+			warm, cold := c.make(), c.make()
+			warm.Stats, cold.WarmStart = &SearchStats{}, false
+			startIsFull := c.name == "optimized/greedy-start-is-full-set"
 
-	warm := NewOptimized()
-	warm.Stats = &SearchStats{}
-	cold := NewOptimized()
-	cold.WarmStart = false
-
-	var warmHits int64
-	for i, in := range seq {
-		wp, err := warm.Plan(in)
-		if err != nil {
-			t.Fatalf("warm slot %d: %v", i, err)
-		}
-		cp, err := cold.Plan(in)
-		if err != nil {
-			t.Fatalf("cold slot %d: %v", i, err)
-		}
-		if err := Verify(in, wp, 1e-5); err != nil {
-			t.Fatalf("warm slot %d failed verification: %v", i, err)
-		}
-		if d := math.Abs(wp.Objective - cp.Objective); d > 1e-6*(1+math.Abs(cp.Objective)) {
-			t.Fatalf("slot %d: warm objective %v vs cold %v", i, wp.Objective, cp.Objective)
-		}
-		if i > 0 {
-			warmHits += warm.Stats.WarmHits
-		}
-	}
-	if warmHits == 0 {
-		t.Fatal("warm chain never warm-started after the first slot")
+			var warmHits int64
+			for i, in := range seq {
+				wp, err := warm.Plan(in)
+				if err != nil {
+					t.Fatalf("warm slot %d: %v", i, err)
+				}
+				cp, err := cold.Plan(in)
+				if err != nil {
+					t.Fatalf("cold slot %d: %v", i, err)
+				}
+				if err := Verify(in, wp, 1e-5); err != nil {
+					t.Fatalf("warm slot %d failed verification: %v", i, err)
+				}
+				if d := math.Abs(wp.Objective - cp.Objective); d > 1e-6*(1+math.Abs(cp.Objective)) {
+					t.Fatalf("slot %d: warm objective %v vs cold %v", i, wp.Objective, cp.Objective)
+				}
+				if i > 0 {
+					warmHits += warm.Stats.WarmHits
+				}
+				if startIsFull {
+					admissible := admissibleCommodities(in, nil)
+					full := capReservations(in, admissible)
+					pairs := allPairs(in.Sys)
+					eng := (&EngineOptions{}).open(in, "probe", false, false)
+					start, err := evaluate(eng, pairs, make([]int, len(pairs)), nil)
+					if err != nil || !slices.Equal(start.comms, full) || len(full) == len(admissible) {
+						t.Fatalf("slot %d: fixture drifted: greedy start %v, full set %v of %d admissible (%v)", i, start.comms, full, len(admissible), err)
+					}
+					if warm.Stats.CacheHits == 0 || warm.warm.greedy.d.model != nil || warm.warm.greedy.sv.LastOutcome().Path != "" {
+						t.Fatalf("slot %d: %+v; an LP other than the greedy start ran on its chain", i, *warm.Stats)
+					}
+				}
+			}
+			if warmHits == 0 {
+				t.Fatal("warm chain never warm-started after the first slot")
+			}
+		})
 	}
 }
 

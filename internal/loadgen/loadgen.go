@@ -400,7 +400,7 @@ func (rp *replayer) slot(abs int, start float64, per []ReplicaStat) (SlotResult,
 	var table *dispatch.Table
 	if pub != nil {
 		res.Epoch = pub.Epoch
-		if table, err = dispatch.FromWire(pub.Table); err != nil {
+		if table, err = pub.Decoded(); err != nil {
 			return res, err
 		}
 		res.PlannedProfit, res.Degraded, res.Tier = table.Objective, table.Degraded, table.Tier

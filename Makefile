@@ -45,7 +45,10 @@ race:
 # topology, deadlines and floors and checks it against a from-scratch build
 # each step. FuzzHorizonRefresh does the same for one held horizon-window
 # LP: sliding windows, a backlog coming and going, centers priced out of
-# some blocks, the window cut short, allowances changed.
+# some blocks, the window cut short, allowances changed. FuzzBigMOracle
+# decodes small systems (≤ 2 centers × 2 front-ends × 2 types, ≤ 3
+# levels) and holds the level searches and Optimized's greedy seed to the
+# paper's program solved exactly (DESIGN §16).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s ./internal/workload/
 	$(GO) test -run=NONE -fuzz=FuzzLoad -fuzztime=10s ./internal/config/
@@ -58,6 +61,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSparseFactors -fuzztime=10s ./internal/linalg/
 	$(GO) test -run=NONE -fuzz=FuzzRefresh -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzHorizonRefresh -fuzztime=10s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzBigMOracle -fuzztime=10s ./internal/core/
 
 # fmt-check fails when any file is not gofmt-clean.
 fmt-check:

@@ -158,6 +158,25 @@ func printReplay(sc *config.Scenario, planner string, lcfg loadgen.Config, rep *
 		fmt.Printf("control: %d actuations, max lane demand error %.2f%% (lanes ≥ %.0f demand)\n",
 			rep.Actuations(), 100*rep.MaxDemandError(minPlanned), minPlanned)
 	}
+	fmt.Print("deadline misses:")
+	for k, c := range sc.System.Classes {
+		var served int
+		var delay float64
+		for i := range rep.Slots {
+			if cs := rep.Slots[i].Classes; k < len(cs) {
+				served += cs[k].Served
+				delay += cs[k].MeanDelay * float64(cs[k].Served)
+			}
+		}
+		if served > 0 {
+			delay /= float64(served)
+		}
+		sep := ","
+		if k == len(sc.System.Classes)-1 {
+			sep = "\n"
+		}
+		fmt.Printf(" %s %.2f%% (mean delay %.4g)%s", c.Name, 100*rep.MissRate(k), delay, sep)
+	}
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"profitlb/internal/datacenter"
@@ -58,10 +59,13 @@ func synthInput(K, L, S int) *Input {
 
 // capReservationsRescan is capReservations as it stood before it
 // bucketed by center: Σ 1/(D·C·μ) rescanned over every commodity per
-// center per eviction round. The reference for victims and order.
+// center per eviction round, after dropping every commodity that cannot
+// fit alone. The reference for victims and order.
 func capReservationsRescan(in *Input, orig []commodity) []commodity {
-	comms := append([]commodity(nil), orig...)
 	sys := in.Sys
+	comms := slices.DeleteFunc(append([]commodity(nil), orig...), func(c commodity) bool {
+		return reservation(sys, c) > reserveMargin
+	})
 	for l := 0; l < sys.L(); l++ {
 		for {
 			var sum float64
@@ -84,6 +88,27 @@ func capReservationsRescan(in *Input, orig []commodity) []commodity {
 		}
 	}
 	return comms
+}
+
+// TestCapReservationsEvictsTheUnfittableFirst: a commodity whose
+// zero-load reservation alone overflows its server goes first, however
+// valuable, so the cheap commodity that fits beside it stays. Ordered by
+// value alone, the cheap one went first and the center served nothing.
+func TestCapReservationsEvictsTheUnfittableFirst(t *testing.T) {
+	in := synthInput(2, 1, 1)
+	dc := &in.Sys.Centers[0]
+	rate := func(k int) float64 { return dc.Capacity * dc.ServiceRate[k] }
+	comms := []commodity{
+		{k: 0, l: 0, deadline: 2 / rate(0), bestCoef: 1},    // reserves one half
+		{k: 1, l: 0, deadline: 0.5 / rate(1), bestCoef: 50}, // reserves two servers
+	}
+	got := capReservations(in, comms)
+	if len(got) != 1 || got[0].k != 0 {
+		t.Fatalf("kept %+v, want the commodity that fits", got)
+	}
+	if again := capReservationsRescan(in, comms); !reflect.DeepEqual(again, got) {
+		t.Fatalf("the rescan keeps %+v", again)
+	}
 }
 
 // TestCapReservationsEvictsWithinBuckets: with deadlines tight enough

@@ -356,8 +356,10 @@ func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 }
 
 // branchBound explores assignments depth first; the bound at a partial
-// node relaxes every unassigned pair to its best utility with its loosest
-// deadline, which can only overestimate the achievable profit. Pruning
+// node relaxes every unassigned pair to its best utility with no deadline,
+// which can only overestimate the achievable profit. Its loosest deadline
+// would not do: a leaf may leave the pair out (unprofitable at its level,
+// or evicted by capReservations) and reserve no share for it. Pruning
 // keeps a margin — a subtree is cut only when its relaxation bound is
 // strictly below the incumbent minus improveTol — so no assignment tied with the
 // optimum is ever pruned. Among ties the first leaf in DFS order wins, and
@@ -408,8 +410,8 @@ func branchBound(eng *engine, pairs []pair) (assignment, error) {
 }
 
 // upperBound solves the relaxed LP where pairs below depth keep their
-// assigned level and pairs at or beyond depth get max utility with the
-// loosest deadline.
+// assigned level and pairs at or beyond depth get max utility with no
+// deadline, so they reserve no share.
 func upperBound(eng *engine, pairs []pair, levels []int, depth int) (float64, error) {
 	in := eng.in
 	sys := in.Sys
@@ -422,12 +424,12 @@ func upperBound(eng *engine, pairs []pair, levels []int, depth int) (float64, er
 			lev := cls.Level(levels[pi])
 			u, d, q = lev.Utility, lev.Deadline, levels[pi]
 		} else {
-			// Relaxed pairs combine max utility with the loosest deadline —
-			// a combination no real level has — and carry the NumLevels
+			// Relaxed pairs combine max utility with no deadline — a
+			// combination no real level has — and carry the NumLevels
 			// sentinel so the memo cache, whose key identifies a commodity
 			// by (k, q, l), can never conflate a relaxation with the real
 			// level-0 solve of the same pair.
-			u, d, q = cls.MaxUtility(), cls.Deadline(), cls.NumLevels()
+			u, d, q = cls.MaxUtility(), math.Inf(1), cls.NumLevels()
 		}
 		bestC := bestRoute(in, p.k, p.l, u)
 		if bestC <= 0 {

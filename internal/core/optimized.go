@@ -217,13 +217,17 @@ func bestRoute(in *Input, k, l int, u float64) float64 {
 // Their bestCoef is usually the lowest in the set (often negative), so
 // value-ordered eviction would strip a floored type of every commodity
 // and turn a feasible instance into a spurious "floors exceed what the
-// fleet can serve" failure. The commodities are bucketed by center once
+// fleet can serve" failure. A commodity whose reservation alone
+// overflows the server can never be served, and goes before any value
+// ordering: evicting cheaper commodities first would strip the center of
+// everything it can serve. The commodities are bucketed by center once
 // and each center evicts within its bucket; the input slice is not
 // modified and the survivors keep its order.
 func capReservations(in *Input, orig []commodity) []commodity {
 	sys := in.Sys
 	gone := make([]bool, len(orig))
 	for _, at := range bucket(len(orig), sys.L(), func(ci int) int { return orig[ci].l }) {
+		unfit := true // an unfittable commodity overflows the center: checked on the first overflow
 		for {
 			var sum float64
 			for _, ci := range at {
@@ -231,6 +235,14 @@ func capReservations(in *Input, orig []commodity) []commodity {
 			}
 			if sum <= reserveMargin {
 				break
+			}
+			if unfit {
+				unfit = false
+				at = slices.DeleteFunc(at, func(ci int) bool {
+					gone[ci] = reservation(sys, orig[ci]) > reserveMargin
+					return gone[ci]
+				})
+				continue
 			}
 			worst := worstEvictable(orig, at)
 			if worst < 0 {

@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"profitlb/internal/core"
@@ -34,7 +37,8 @@ import (
 type bigM struct {
 	in *core.Input
 	// committed restricts the program to LevelSearch's space: a pair
-	// whose every level earns on its best route is on at one of them.
+	// that must commit (mustCommit) is on at one of its levels, and no
+	// pair is on at a level whose reservation cannot fit on its own.
 	committed bool
 	pairs     []struct{ k, l int }
 	// Column indices, per pair p: z[p][q], phi[p], lam[p][q][s].
@@ -104,7 +108,11 @@ func (o *bigM) model(fix map[int]float64) *lp.Model {
 		on := make([]lp.Term, 0, len(o.z[p]))
 		for q, zq := range o.z[p] {
 			on = append(on, lp.Term{Var: zq, Coef: 1})
-			m.AddConstraint(fmt.Sprintf("zub_%d_%d", p, q), []lp.Term{{Var: zq, Coef: 1}}, lp.LE, 1)
+			ub := 1.0
+			if o.committed && 1/(ts.Level(q).Deadline*rate) > 0.999 { // evicted whatever else is on
+				ub = 0
+			}
+			m.AddConstraint(fmt.Sprintf("zub_%d_%d", p, q), []lp.Term{{Var: zq, Coef: 1}}, lp.LE, ub)
 			if v, ok := fix[zq]; ok {
 				m.AddConstraint(fmt.Sprintf("fix_%d_%d", p, q), []lp.Term{{Var: zq, Coef: 1}}, lp.EQ, v)
 			}
@@ -113,7 +121,7 @@ func (o *bigM) model(fix map[int]float64) *lp.Model {
 			}
 		}
 		sense := lp.LE
-		if o.committed && o.earnsAtEveryLevel(pr.k, pr.l) {
+		if o.committed && o.mustCommit(pr.k, pr.l) {
 			sense = lp.EQ
 		}
 		m.AddConstraint(fmt.Sprintf("onelevel_%d", p), on, sense, 1)
@@ -169,36 +177,55 @@ func (o *bigM) model(fix map[int]float64) *lp.Model {
 	return m
 }
 
-// earnsAtEveryLevel reports whether type k's best route to center l earns
-// at each of its levels.
-func (o *bigM) earnsAtEveryLevel(k, l int) bool {
+// mustCommit reports whether level search has to commit type k at center
+// l to one of its levels: its best route earns at each level, and each
+// level's zero-load reservation 1/(D·C·μ) fits the center on its own.
+// A level that cannot fit is one capReservations evicts whatever else is
+// on — committing the pair there switches it off.
+func (o *bigM) mustCommit(k, l int) bool {
 	sys := o.in.Sys
+	dc := &sys.Centers[l]
 	for _, lev := range sys.Classes[k].TUF.Levels() {
 		best := math.Inf(-1)
 		for s := 0; s < sys.S(); s++ {
 			best = max(best, sys.UnitProfit(k, s, l, lev.Utility, o.in.Prices[l]))
 		}
-		if best <= 0 {
+		if best <= 0 || 1/(lev.Deadline*dc.Capacity*dc.ServiceRate[k]) > 0.999 { // capReservations' margin
 			return false
 		}
 	}
 	return true
 }
 
-// solve maximises the program by depth-first branch-and-bound over the
-// LP relaxations, branching on the first fractional binary, z = 1 first.
-// It returns the optimum and each pair's level (-1: off).
+// solve is optimum for instances the oracle must solve.
 func (o *bigM) solve(t *testing.T) (float64, []int) {
 	t.Helper()
+	best, levels, err := o.optimum()
+	if err != nil {
+		t.Fatalf("oracle relaxation: %v", err)
+	}
+	return best, levels
+}
+
+// optimum maximises the program by depth-first branch-and-bound over the
+// LP relaxations, branching on the first fractional binary, z = 1 first.
+// It returns the optimum and each pair's level (-1: off), or the first
+// relaxation the LP solver could not solve.
+func (o *bigM) optimum() (float64, []int, error) {
 	best, levels := math.Inf(-1), []int(nil)
+	var failed error
 	var rec func(fix map[int]float64)
 	rec = func(fix map[int]float64) {
+		if failed != nil {
+			return
+		}
 		res, err := o.model(fix).SolveOpts(lp.Options{})
 		if errors.Is(err, lp.ErrInfeasible) {
 			return
 		}
 		if err != nil {
-			t.Fatalf("oracle relaxation: %v", err)
+			failed = err
+			return
 		}
 		if res.Objective <= best+1e-9*(1+math.Abs(best)) {
 			return
@@ -228,7 +255,7 @@ func (o *bigM) solve(t *testing.T) (float64, []int) {
 		}
 	}
 	rec(map[int]float64{})
-	return best, levels
+	return best, levels, failed
 }
 
 // eq5 is a plan's slot profit as Eq. 5 counts it: utility less energy and
@@ -253,7 +280,7 @@ func eq5(in *core.Input, plan *core.Plan) float64 {
 // (the 15:00 slot of its 14:00–19:00 window, at the setup's unit scale and
 // at Fig. 10's high- and low-workload scales) and a three-level variant of
 // it, the second type's loose level split in two.
-func oracleCases(t *testing.T) map[string]*core.Input {
+func oracleCases(t testing.TB) map[string]*core.Input {
 	t.Helper()
 	cases := map[string]*core.Input{}
 	slot15 := func(setup *exp.TwoLevelSetup) *core.Input {
@@ -344,4 +371,293 @@ func mustPlan(t *testing.T, p core.Planner, in *core.Input) *core.Plan {
 		t.Fatalf("%s: %v", p.Name(), err)
 	}
 	return plan
+}
+
+// oracleBounds are the ranges a fuzzed oracle instance draws from: ≤ 2
+// centers × 2 front-ends × 2 types of ≤ 3 levels, deadlines increasing
+// and utilities decreasing along a type's levels. A value read outside
+// its range is clamped into it, so every instance inside the ranges — the
+// four oracleCases among them — encodes exactly.
+var oracleBounds = struct {
+	transfer, utility, deadline, distance, servers, capacity, service, energy, price, arrival [2]float64
+}{
+	transfer: [2]float64{0, 0.001}, utility: [2]float64{0.1, 50}, deadline: [2]float64{0.001, 0.5},
+	distance: [2]float64{0, 3000}, servers: [2]float64{1, 6}, capacity: [2]float64{0.5, 2},
+	service: [2]float64{100, 20000}, energy: [2]float64{0, 0.01}, price: [2]float64{0, 1},
+	arrival: [2]float64{0, 50000},
+}
+
+// oracleCodec walks an oracle instance's numbers in one fixed order, so
+// one walk both encodes an instance and decodes fuzz bytes into one: the
+// dimensions first (a byte each), then every number as 8 little-endian
+// bytes of its float64.
+type oracleCodec struct {
+	data []byte
+	out  []byte     // encoding, when non-nil
+	rng  *rand.Rand // draws every value in range, when non-nil: log-uniformly over a positive range
+}
+
+func (c *oracleCodec) dim(v *int, n int) {
+	if c.out != nil {
+		c.out = append(c.out, byte(*v-1))
+		return
+	}
+	if c.rng != nil {
+		*v = 1 + c.rng.Intn(n)
+		return
+	}
+	var b byte
+	if len(c.data) > 0 {
+		b, c.data = c.data[0], c.data[1:]
+	}
+	*v = 1 + int(b)%n
+}
+
+func (c *oracleCodec) num(v *float64, bounds [2]float64) {
+	if c.out != nil {
+		c.out = binary.LittleEndian.AppendUint64(c.out, math.Float64bits(*v))
+		return
+	}
+	if c.rng != nil {
+		if lo, hi := bounds[0], bounds[1]; lo > 0 {
+			*v = lo * math.Pow(hi/lo, c.rng.Float64())
+		} else {
+			*v = lo + c.rng.Float64()*(hi-lo)
+		}
+		return
+	}
+	var buf [8]byte
+	c.data = c.data[copy(buf[:], c.data):]
+	x := math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+	if math.IsNaN(x) {
+		x = bounds[0]
+	}
+	*v = min(max(x, bounds[0]), bounds[1])
+}
+
+// walk encodes in (c.out non-nil) or decodes c.data into a new instance.
+func (c *oracleCodec) walk(in *core.Input) *core.Input {
+	b := &oracleBounds
+	var K, S, L int
+	if c.out != nil {
+		K, S, L = in.Sys.K(), in.Sys.S(), in.Sys.L()
+	}
+	c.dim(&K, 2)
+	c.dim(&S, 2)
+	c.dim(&L, 2)
+	sys := &datacenter.System{Classes: make([]datacenter.RequestClass, K), FrontEnds: make([]datacenter.FrontEnd, S), Centers: make([]datacenter.DataCenter, L)}
+	out := &core.Input{Sys: sys, Arrivals: make([][]float64, S), Prices: make([]float64, L)}
+	for k := range sys.Classes {
+		var levels []tuf.Level
+		nq := 0
+		if c.out != nil {
+			levels = in.Sys.Classes[k].TUF.Levels()
+			nq = len(levels)
+			sys.Classes[k].TransferCostPerMile = in.Sys.Classes[k].TransferCostPerMile
+		}
+		c.dim(&nq, 3)
+		levels = append([]tuf.Level(nil), levels...)
+		levels = append(levels, make([]tuf.Level, nq-len(levels))...)
+		c.num(&sys.Classes[k].TransferCostPerMile, b.transfer)
+		for q := range levels {
+			c.num(&levels[q].Utility, b.utility)
+			c.num(&levels[q].Deadline, b.deadline)
+			if q > 0 {
+				levels[q].Utility = min(levels[q].Utility, 0.8*levels[q-1].Utility)
+				levels[q].Deadline = max(levels[q].Deadline, 1.25*levels[q-1].Deadline)
+			}
+		}
+		sys.Classes[k].Name, sys.Classes[k].TUF = fmt.Sprintf("k%d", k), tuf.MustNew(levels)
+	}
+	for s := range sys.FrontEnds {
+		fe := &sys.FrontEnds[s]
+		fe.Name, fe.DistanceMiles = fmt.Sprintf("fe%d", s), make([]float64, L)
+		out.Arrivals[s] = make([]float64, K)
+		if c.out != nil {
+			copy(fe.DistanceMiles, in.Sys.FrontEnds[s].DistanceMiles)
+			copy(out.Arrivals[s], in.Arrivals[s])
+		}
+		for l := range fe.DistanceMiles {
+			c.num(&fe.DistanceMiles[l], b.distance)
+		}
+		for k := range out.Arrivals[s] {
+			c.num(&out.Arrivals[s][k], b.arrival)
+		}
+	}
+	for l := range sys.Centers {
+		dc := &sys.Centers[l]
+		dc.Name, dc.ServiceRate, dc.EnergyPerRequest = fmt.Sprintf("dc%d", l), make([]float64, K), make([]float64, K)
+		servers := 0.0
+		if c.out != nil {
+			src := &in.Sys.Centers[l]
+			servers, dc.Capacity, out.Prices[l] = float64(src.Servers), src.Capacity, in.Prices[l]
+			copy(dc.ServiceRate, src.ServiceRate)
+			copy(dc.EnergyPerRequest, src.EnergyPerRequest)
+		}
+		c.num(&servers, b.servers)
+		dc.Servers = int(servers)
+		c.num(&dc.Capacity, b.capacity)
+		for k := range dc.ServiceRate {
+			c.num(&dc.ServiceRate[k], b.service)
+			c.num(&dc.EnergyPerRequest[k], b.energy)
+		}
+		c.num(&out.Prices[l], b.price)
+	}
+	return out
+}
+
+func encodeOracle(in *core.Input) []byte {
+	c := &oracleCodec{out: []byte{}}
+	c.walk(in)
+	return c.out
+}
+
+func decodeOracle(data []byte) *core.Input { return (&oracleCodec{data: data}).walk(nil) }
+
+// FuzzBigMOracle holds TestBigMOracle's laws on generated instances: the
+// exhaustive and branch-and-bound level searches reach the program's
+// optimum over their own space, and no level search, greedy climb or
+// greedy seed exceeds the program. The corpus starts at the four
+// oracleCases.
+func FuzzBigMOracle(f *testing.F) {
+	cases := oracleCases(f)
+	for _, name := range []string{"slot15", "slot15-x0.5", "slot15-x2", "slot15-3level"} {
+		data := encodeOracle(cases[name])
+		if again := encodeOracle(decodeOracle(data)); !bytes.Equal(again, data) {
+			f.Fatalf("%s does not decode to itself", name)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := decodeOracle(data)
+		if err := in.Validate(); err != nil {
+			t.Skip(err)
+		}
+		if _, err := checkOracleLaws(t, in); err != nil {
+			t.Skip(err)
+		}
+	})
+}
+
+// evictionFree reports whether the committed program is exactly level
+// search's space: at every center the largest reservations its pairs'
+// levels can take add up within capReservations' margin, so nothing but
+// a level that cannot fit on its own is ever evicted. Elsewhere an
+// eviction can switch off, in combination, a pair the program must keep
+// on: level search may beat the committed program (never the program
+// itself), and a leaf may beat branch-and-bound's relaxation, which then
+// stops short of the exhaustive optimum.
+func evictionFree(in *core.Input) bool {
+	sys := in.Sys
+	for l := range sys.Centers {
+		dc := &sys.Centers[l]
+		var sum float64
+		for k := range sys.Classes {
+			var most float64
+			for _, lev := range sys.Classes[k].TUF.Levels() {
+				if r := 1 / (lev.Deadline * dc.Capacity * dc.ServiceRate[k]); r <= 0.999 {
+					most = max(most, r)
+				}
+			}
+			sum += most
+		}
+		if sum > 0.999 {
+			return false
+		}
+	}
+	return true
+}
+
+// oracleRun is what checkOracleLaws found on one instance: the program's
+// optimum z, its optimum zc over level search's space, what the
+// exhaustive and branch-and-bound searches commit, and whether zc is
+// exactly that space (evictionFree).
+type oracleRun struct {
+	z, zc, exhaustive, branchBound float64
+	exact                          bool
+}
+
+// checkOracleLaws holds the level searches and Optimized's greedy seed to
+// the program — or returns an error when the oracle's own LP solver
+// breaks down on the instance, which then proves nothing.
+func checkOracleLaws(t *testing.T, in *core.Input) (oracleRun, error) {
+	t.Helper()
+	z, _, err := newBigM(in, false).optimum()
+	if err != nil {
+		return oracleRun{}, err
+	}
+	zc, _, err := newBigM(in, true).optimum()
+	if err != nil {
+		return oracleRun{}, err
+	}
+	above := func(got float64) bool { return got > z+1e-7*(1+math.Abs(z)) }
+	run := oracleRun{z: z, zc: zc, exact: evictionFree(in)}
+	for _, st := range []core.Strategy{core.Exhaustive, core.BranchBound, core.Greedy} {
+		ls := core.NewLevelSearch()
+		ls.Strategy = st
+		got := eq5(in, mustPlan(t, ls, in))
+		if above(got) {
+			t.Fatalf("%v commits %.12g above the program's %.12g", st, got, z)
+		}
+		switch st {
+		case core.Exhaustive:
+			run.exhaustive = got
+		case core.BranchBound:
+			run.branchBound = got
+		}
+		if run.exact && st != core.Greedy && math.Abs(got-zc) > 1e-7*(1+math.Abs(zc)) {
+			t.Fatalf("%v commits %.12g; the program in level search's space %.12g", st, got, zc)
+		}
+	}
+	seed, _, err := core.GreedySeedObjective(core.NewOptimized(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if above(seed) {
+		t.Fatalf("Optimized's greedy seed reaches %.12g above the program's %.12g", seed, z)
+	}
+	return run, nil
+}
+
+// TestBigMOracleSweep holds FuzzBigMOracle's laws on 1 000 instances drawn
+// from oracleBounds (log-uniformly where a range is positive), and measures how often Optimized, warm and
+// cold, commits below the program, and how often level search's space is
+// wider than the committed program's (DESIGN §16).
+func TestBigMOracleSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var below, n, unsolved, inexact, wider, short int
+	var worst float64
+	for i := 0; i < 1000; i++ {
+		in := (&oracleCodec{rng: rng}).walk(nil)
+		if err := in.Validate(); err != nil {
+			continue
+		}
+		run, err := checkOracleLaws(t, in)
+		if err != nil {
+			unsolved++
+			t.Logf("instance %d: %v", i, err)
+			continue
+		}
+		n++
+		if !run.exact {
+			inexact++
+			if run.exhaustive > run.zc+1e-7*(1+math.Abs(run.zc)) {
+				wider++
+			}
+			if run.branchBound < run.exhaustive-1e-7*(1+math.Abs(run.exhaustive)) {
+				short++
+			}
+		}
+		for _, warm := range []bool{true, false} {
+			o := core.NewOptimized()
+			o.WarmStart = warm
+			if got := eq5(in, mustPlan(t, o, in)); got < run.z-1e-7*(1+math.Abs(run.z)) {
+				below++
+				worst = max(worst, (run.z-got)/run.z)
+				t.Logf("instance %d (warm %v): Optimized %.10g below the program's %.10g", i, warm, got, run.z)
+			}
+		}
+	}
+	t.Logf("Optimized below the program on %d of %d runs (%d instances x warm, cold), worst by %.3g %%", below, 2*n, n, 100*worst)
+	t.Logf("%d instances can evict in combination: on %d level search beats the committed program, on %d branch-and-bound stops below the exhaustive search; the oracle's LP broke down on %d", inexact, wider, short, unsolved)
 }

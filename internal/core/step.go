@@ -54,8 +54,8 @@ type SlotCommit struct {
 }
 
 // Step is the slot protocol, shared by every plane that commits plans
-// (sim.Run, des.Run, dispatch.Driver): plan once on the planner's view
-// with a panic recovered into an error; verify against that view's
+// (sim.Run, dispatch.Driver): plan once on the planner's view with a
+// panic recovered into an error; verify against that view's
 // arrivals widened by the backlog budget — backlog service is real work
 // beyond the slot's own arrivals, and Plan never mutates the buckets, so
 // the budget read here is the one the planner planned with — unless the

@@ -14,7 +14,7 @@
 // in:
 //
 //	fresh sample → last-known-good (held for a TTL)
-//	→ Kalman one-step forecast (internal/forecast) → prior
+//	→ Kalman one-step forecast (kalman.go) → prior
 //
 // Every Fetch reports Health — estimator tier, staleness age, breaker
 // state, attempts spent — which the simulator records per slot and the
@@ -37,7 +37,6 @@ import (
 	"math/rand"
 
 	"profitlb/internal/fault"
-	"profitlb/internal/forecast"
 	"profitlb/internal/obs"
 )
 
@@ -229,7 +228,7 @@ type Feed struct {
 	prior   []float64
 	floor   float64
 	br      breaker
-	filters []*forecast.Kalman
+	filters []*Kalman
 	lkg     []float64
 	lkgSlot int
 	hasLKG  bool
@@ -250,7 +249,7 @@ func newFeed(kind string, idx int, seed int64, sch *fault.Schedule, prior []floa
 	f := &Feed{
 		kind: kind, idx: idx, seed: seed, sch: sch, src: src,
 		prior:   append([]float64(nil), prior...),
-		filters: make([]*forecast.Kalman, len(prior)),
+		filters: make([]*Kalman, len(prior)),
 	}
 	if kind == fault.FeedPrice {
 		f.floor = prior[0] * 0.01
@@ -260,7 +259,7 @@ func newFeed(kind string, idx int, seed int64, sch *fault.Schedule, prior []floa
 		if scale <= 0 {
 			scale = 1
 		}
-		k, err := forecast.NewKalman(sq(forecast.ProcessRel*scale), sq(forecast.MeasureRel*scale))
+		k, err := NewKalman(sq(ProcessRel*scale), sq(MeasureRel*scale))
 		if err != nil {
 			return nil, fmt.Errorf("feed: %s %d: %w", kind, idx, err)
 		}

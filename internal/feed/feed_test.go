@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"profitlb/internal/fault"
-	"profitlb/internal/forecast"
 )
 
 // testSet builds a 2-center / 1-front-end / 2-type feed layer over
@@ -268,8 +267,8 @@ func TestConstantsAreTheOldDefaults(t *testing.T) {
 		{"minObservations", minObservations, 2},
 		{"staleMargin", staleMargin, 0.05},
 		{"maxMargin", maxMargin, 0.5},
-		{"processRel", forecast.ProcessRel, 0.15},
-		{"measureRel", forecast.MeasureRel, 0.05},
+		{"processRel", ProcessRel, 0.15},
+		{"measureRel", MeasureRel, 0.05},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %g, the key's default was %g", c.name, c.got, c.want)

@@ -13,7 +13,7 @@ package feed
 // reading). The estimator ladder mirrors the per-slot fallback chain,
 // adapted to projection:
 //
-//	warmed Kalman filter (flat random-walk mean — forecast.PredictH)
+//	warmed Kalman filter (flat random-walk mean — Kalman.PredictH)
 //	→ last-known-good, held flat
 //	→ prior
 //

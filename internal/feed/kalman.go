@@ -1,12 +1,14 @@
-// Package forecast provides arrival-rate prediction for the dispatcher.
+package feed
+
+// Arrival-rate prediction for the dispatcher: the filter behind the feed
+// layer's forecast tier, and PredictTrace for planning on predictions.
 //
 // The paper runs its optimization on the *average arrival rates during a
 // slot* and explicitly defers forecasting to existing methods, naming the
-// Kalman filter. This package supplies that optional substrate: a scalar
+// Kalman filter. This file supplies that optional substrate: a scalar
 // random-walk Kalman filter per request type, plus a helper that turns a
 // realized workload trace into the one-slot-ahead predictions a deployed
 // dispatcher would actually plan on.
-package forecast
 
 import (
 	"errors"
@@ -42,7 +44,7 @@ type Kalman struct {
 // positive.
 func NewKalman(processVar, measureVar float64) (*Kalman, error) {
 	if processVar <= 0 || measureVar <= 0 {
-		return nil, fmt.Errorf("forecast: variances must be positive, got Q=%g R=%g", processVar, measureVar)
+		return nil, fmt.Errorf("feed: variances must be positive, got Q=%g R=%g", processVar, measureVar)
 	}
 	return &Kalman{ProcessVar: processVar, MeasureVar: measureVar, p: 1e6}, nil
 }
@@ -73,7 +75,7 @@ func (k *Kalman) Predict() (estimate, variance float64) {
 // values, so PredictH(1) agrees with Predict exactly. h must be ≥ 1.
 func (k *Kalman) PredictH(h int) (estimates, variances []float64, err error) {
 	if h < 1 {
-		return nil, nil, fmt.Errorf("forecast: horizon %d, want >= 1", h)
+		return nil, nil, fmt.Errorf("feed: horizon %d, want >= 1", h)
 	}
 	estimates = make([]float64, h)
 	variances = make([]float64, h)
@@ -86,11 +88,11 @@ func (k *Kalman) PredictH(h int) (estimates, variances []float64, err error) {
 
 // Warm reports whether the filter has consumed at least min observations,
 // i.e. whether Predict is anchored to data rather than the prior. Feed
-// fallback chains (internal/feed) gate the forecast estimator tier on it.
+// fallback chains gate the forecast estimator tier on it.
 func (k *Kalman) Warm(min int) bool { return k.n >= min }
 
 // ErrShortTrace is returned when a trace is too short to predict from.
-var ErrShortTrace = errors.New("forecast: trace needs at least two slots")
+var ErrShortTrace = errors.New("feed: trace needs at least two slots")
 
 // PredictTrace produces the one-slot-ahead prediction trace for tr: slot t
 // of the result is the filter's forecast after observing slots 0..t-1.

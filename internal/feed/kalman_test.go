@@ -1,4 +1,4 @@
-package forecast
+package feed
 
 import (
 	"math"

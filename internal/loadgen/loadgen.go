@@ -7,13 +7,24 @@
 // actually did against what the plan promised: per-lane achieved vs
 // planned rates, shed fractions by reason, and realized vs predicted
 // profit.
+//
+// Realized profit is settled request by request, as the planner's model
+// (PAPER.md's Eq. 1) says requests are served: every admitted request
+// queues at its center on one of the slot's powered-on servers, each
+// (type, level) commodity on a server is a FIFO queue served at the
+// commodity's share of the server, and the request earns its type's TUF
+// at its own response time. Slot boundaries reset the queues: level
+// deadlines are orders of magnitude below a slot, so boundary effects are
+// negligible by construction.
 package loadgen
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"profitlb/internal/cluster"
@@ -144,9 +155,30 @@ type SlotResult struct {
 	// ControlFrozen reports it froze mid-slot. Both zero without Control.
 	Actuations    int
 	ControlFrozen bool
-	// Revenue/EnergyCost/TransferCost/NetProfit account the *admitted*
-	// requests at the table's frozen per-request economics.
+	// Revenue/EnergyCost/TransferCost/NetProfit settle the *admitted*
+	// requests through their centers' queues: revenue is each request's
+	// TUF at its own response time, energy is billed at the slot's true
+	// prices plus the table's idle cost, and transfer at the (front-end,
+	// center) distance.
 	Revenue, EnergyCost, TransferCost, NetProfit float64
+	// Classes holds the per-type settled statistics (nil during a
+	// publisher outage).
+	Classes []ClassSlot
+}
+
+// ClassSlot aggregates one request type's settled requests in a slot.
+type ClassSlot struct {
+	// Served counts the type's admitted requests.
+	Served int
+	// MeanDelay and MaxDelay are the realized response times of the
+	// requests a queue served.
+	MeanDelay float64
+	MaxDelay  float64
+	// DeadlineMisses counts requests finishing after their commodity's
+	// level deadline (they earn a lower TUF step, or nothing). A request
+	// admitted to a commodity the slot's plan does not serve never
+	// finishes: it is a miss and is left out of the delays.
+	DeadlineMisses int
 }
 
 // ReplicaStat is one replica's lifetime tally as the load generator saw
@@ -263,6 +295,23 @@ func (r *Report) TotalPlannedProfit() float64 {
 	return s
 }
 
+// MissRate returns the fraction of type k's admitted requests that missed
+// their commodity's level deadline over the whole run (0 when none were
+// admitted).
+func (r *Report) MissRate(k int) float64 {
+	var served, missed int
+	for i := range r.Slots {
+		if c := r.Slots[i].Classes; k < len(c) {
+			served += c[k].Served
+			missed += c[k].DeadlineMisses
+		}
+	}
+	if served == 0 {
+		return 0
+	}
+	return float64(missed) / float64(served)
+}
+
 // DegradedSlots counts slots served by a fallback or emergency table.
 func (r *Report) DegradedSlots() int {
 	var n int
@@ -276,7 +325,8 @@ func (r *Report) DegradedSlots() int {
 
 // replayer is one replay's state: the validated config, the topology and
 // fault schedule the arrivals are synthesized from, the fleet serving
-// them, and the optional sub-slot controller over it.
+// them, the optional sub-slot controller over it, and the settlement's
+// service model.
 type replayer struct {
 	cfg   Config
 	src   *sim.InputSource
@@ -285,11 +335,25 @@ type replayer struct {
 	fleet *cluster.Fleet
 	plant *control.FleetPlant
 	ctrl  *control.Controller
+	// cv is the coefficient of variation of the settlement's service
+	// times (serviceSampler): 0, the default, is exponential — the
+	// planner's M/M/1 model. Only tests set it, to stress the plan
+	// against service distributions the paper's model does not cover.
+	cv float64
+	// levels are the topology's levelOffsets: commodity (k, q, l) is
+	// settled as (levels[k]+q)·L + l.
+	levels []int
 }
 
 // newReplayer validates and defaults the config; the fleet's first
 // replica supplies the topology, dispatch config and scope.
 func newReplayer(cfg Config, f *cluster.Fleet, src *sim.InputSource) (*replayer, error) {
+	if f == nil || len(f.Replicas) == 0 || src == nil {
+		return nil, errors.New("loadgen: need a fleet with replicas and an input source")
+	}
+	if cfg.Closed && len(f.Replicas) > 1 {
+		return nil, errors.New("loadgen: closed-loop replay needs a fleet of one (feedback would need per-replica populations)")
+	}
 	gw := f.Replicas[0].Gateway()
 	sys := gw.System()
 	if cfg.Slots <= 0 {
@@ -319,7 +383,18 @@ func newReplayer(cfg Config, f *cluster.Fleet, src *sim.InputSource) (*replayer,
 	if cfg.Control {
 		rp.ctrl = control.NewController(gw.Config(), rp.plant, gw.Scope())
 	}
+	rp.levels = levelOffsets(sys)
 	return rp, nil
+}
+
+// levelOffsets numbers every type's levels in one sequence: type k's
+// level q is offsets[k]+q, and offsets[K] counts them all.
+func levelOffsets(sys *datacenter.System) []int {
+	offsets := make([]int, sys.K()+1)
+	for k, c := range sys.Classes {
+		offsets[k+1] = offsets[k] + c.TUF.NumLevels()
+	}
+	return offsets
 }
 
 // Run replays cfg.Slots slots against a gateway fleet — a lone gateway
@@ -335,22 +410,22 @@ func newReplayer(cfg Config, f *cluster.Fleet, src *sim.InputSource) (*replayer,
 // table, so it is refused for fleets larger than one and fails on a slot
 // a publisher outage left without one.
 func Run(f *cluster.Fleet, src *sim.InputSource, cfg Config) (*Report, error) {
-	if f == nil || len(f.Replicas) == 0 || src == nil {
-		return nil, errors.New("loadgen: need a fleet with replicas and an input source")
-	}
-	if cfg.Closed && len(f.Replicas) > 1 {
-		return nil, errors.New("loadgen: closed-loop replay needs a fleet of one (feedback would need per-replica populations)")
-	}
 	rp, err := newReplayer(cfg, f, src)
 	if err != nil {
 		return nil, err
 	}
+	return rp.run()
+}
+
+// run replays the configured window slot by slot.
+func (rp *replayer) run() (*Report, error) {
+	f := rp.fleet
 	rep := &Report{Replicas: len(f.Replicas), PerReplica: make([]ReplicaStat, len(f.Replicas))}
 	for i, r := range f.Replicas {
 		rep.PerReplica[i].ID = r.ID
 	}
-	for i := 0; i < cfg.Slots; i++ {
-		res, err := rp.slot(cfg.StartSlot+i, float64(i)*rp.sys.Slot(), rep.PerReplica)
+	for i := 0; i < rp.cfg.Slots; i++ {
+		res, err := rp.slot(rp.cfg.StartSlot+i, float64(i)*rp.sys.Slot(), rep.PerReplica)
 		if err != nil {
 			return rep, err
 		}
@@ -415,17 +490,29 @@ func (rp *replayer) slot(abs int, start float64, per []ReplicaStat) (SlotResult,
 	if err != nil {
 		return res, err
 	}
-	T, K := rp.sys.Slot(), rp.sys.K()
-	var laneAdmitted, streamOffered []int64
+	T, K, S, L := rp.sys.Slot(), rp.sys.K(), rp.sys.S(), rp.sys.L()
+	// Admissions are keyed by what the answering gateway decided — type,
+	// level, front-end, center — not by its lane index: a stale replica's
+	// lane indexes its own older table.
+	var admitted, streamOffered []int64
+	var queues [][]admission
 	if table != nil {
-		laneAdmitted = make([]int64, len(table.Lanes))
+		admitted = make([]int64, rp.levels[K]*L*S)
+		queues = make([][]admission, rp.levels[K]*L)
 		streamOffered = make([]int64, table.K()*table.S())
 	}
 	// Each stream's spray is seeded independently of its arrivals, so
 	// target choice never perturbs arrival times, and drawn in the
 	// stream's own arrival order, so a controlled (merged) replay sprays
 	// exactly as a stream-by-stream one. A lone live replica needs no draw.
-	sprays := make([]*rand.Rand, rp.sys.S()*K)
+	sprays := make([]*rand.Rand, S*K)
+	// Settlement draws come from streams of their own, one per (type,
+	// front-end) stream, and every fired request takes its draws, admitted
+	// or not: a request keeps its server draw and service time whatever
+	// the gateways decide about the others, so two replays of one seed —
+	// frozen and controlled, say — settle the same requests alike.
+	settles := make([]*rand.Rand, S*K)
+	sample := serviceSampler(rp.cv)
 	fire := func(k, s int, at float64) {
 		ri := live[0]
 		if len(live) > 1 {
@@ -439,9 +526,19 @@ func (rp *replayer) slot(abs int, start float64, per []ReplicaStat) (SlotResult,
 		dec := f.Replicas[ri].Gateway().Handle(k, s, start+at)
 		res.add(dec.Outcome)
 		per[ri].add(dec.Outcome)
-		// A stale replica may admit on a lane the slot's table lacks.
-		if dec.Outcome == dispatch.Admitted && int(dec.Lane) < len(laneAdmitted) {
-			laneAdmitted[dec.Lane]++
+		if table == nil {
+			return
+		}
+		draw := settles[s*K+k]
+		if draw == nil {
+			draw = rand.New(rand.NewSource(streamSeed(rp.cfg.Seed^0x5e771e, abs, s, k)))
+			settles[s*K+k] = draw
+		}
+		server, work := draw.Float64(), sample(draw, 1)
+		if dec.Outcome == dispatch.Admitted {
+			c := rp.commodity(k, int(dec.Level), int(dec.Center))
+			admitted[c*S+s]++
+			queues[c] = append(queues[c], admission{at: at, s: s, server: server, work: work})
 		}
 	}
 	var merged []arrival
@@ -469,7 +566,7 @@ func (rp *replayer) slot(abs int, start float64, per []ReplicaStat) (SlotResult,
 	}
 	if rp.ctrl != nil {
 		prevActs := rp.ctrl.Actuations()
-		rp.ctrl.BeginSlot(table, start, rp.sch.CenterFactors(rp.sys.L(), abs))
+		rp.ctrl.BeginSlot(table, start, rp.sch.CenterFactors(L, abs))
 		replayControlled(merged, T, start, rp.ctrl, fire)
 		res.Actuations = rp.ctrl.Actuations() - prevActs
 		res.ControlFrozen = rp.ctrl.Frozen()
@@ -477,31 +574,233 @@ func (rp *replayer) slot(abs int, start float64, per []ReplicaStat) (SlotResult,
 	if table == nil {
 		return res, nil
 	}
+	// An admission on a lane the slot's table lacks counts in Admitted
+	// and is settled, but shows in no LaneStat.
 	res.Lanes = make([]LaneStat, len(table.Lanes))
 	for j, ln := range table.Lanes {
+		n := admitted[rp.commodity(ln.K, ln.Q, ln.L)*S+ln.S]
 		res.Lanes[j] = LaneStat{
 			Lane:         ln,
 			Planned:      ln.Rate * T,
-			Admitted:     laneAdmitted[j],
-			AchievedRate: float64(laneAdmitted[j]) / T,
+			Admitted:     n,
+			AchievedRate: float64(n) / T,
 			Demand:       laneDemand(table, j, streamOffered, T),
 		}
-		// A sagging center (slow-center fault) completes only cf of the
-		// lane's budget inside the deadline: the excess admissions earn
-		// zero step-TUF utility but still pay their energy and transfer.
-		good := laneAdmitted[j]
-		if cf := rp.sch.SlowCenterFactor(ln.L, abs); cf < 1 {
-			if lim := int64(cf * ln.Rate * T); good > lim {
-				good = lim
+	}
+	rp.settle(&res, table, admitted, queues, view.Actual.Prices)
+	return res, nil
+}
+
+// admission is one admitted request awaiting settlement: its instant in
+// the slot, the front-end it came through, its server draw in [0, 1) and
+// its work — its service time at unit rate (every serviceSampler scales
+// as 1/μ).
+type admission struct {
+	at           float64
+	s            int
+	server, work float64
+}
+
+// commodity numbers (type k, level q, center l) for settlement.
+func (rp *replayer) commodity(k, q, l int) int { return (rp.levels[k]+q)*rp.sys.L() + l }
+
+// settle serves the slot's admissions through the centers' queues and
+// books the slot's economics into res. admitted[c·S+s] counts commodity
+// c's admissions from front-end s; queues[c] holds them in firing order.
+// Each commodity's admissions go to the powered-on server their draw
+// names and, merged across front-ends and replicas in time order, each
+// server serves them FIFO (lindley) at the commodity's per-server rate
+// (serviceRates) times the center's slow-center factor: a sagging or
+// overrun center is simply a slower queue. Every request pays its energy
+// at the slot's true price and its transfer; the table adds its idle cost.
+func (rp *replayer) settle(res *SlotResult, table *dispatch.Table, admitted []int64, queues [][]admission, prices []float64) {
+	sys := rp.sys
+	S, L := sys.S(), sys.L()
+	rates := serviceRates(table, sys, rp.levels)
+	res.Classes = make([]ClassSlot, sys.K())
+	timed := make([]int, sys.K())
+	sumDelay := make([]float64, sys.K())
+	for k := range sys.Classes {
+		cls := sys.Classes[k].TUF
+		agg := &res.Classes[k]
+		for q := 0; q < cls.NumLevels(); q++ {
+			deadline := cls.Level(q).Deadline
+			for l := 0; l < L; l++ {
+				c := rp.commodity(k, q, l)
+				queue := queues[c]
+				if len(queue) == 0 {
+					continue
+				}
+				for s := 0; s < S; s++ {
+					res.TransferCost += float64(admitted[c*S+s]) * sys.TransferCost(k, s, l)
+				}
+				res.EnergyCost += float64(len(queue)) * sys.EnergyCost(k, l, prices[l])
+				agg.Served += len(queue)
+				n := table.ServersOn[l]
+				mu := rates[c] * rp.sch.SlowCenterFactor(l, table.Slot)
+				if n <= 0 || mu <= 0 {
+					agg.DeadlineMisses += len(queue)
+					continue
+				}
+				slices.SortStableFunc(queue, func(a, b admission) int {
+					return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.s, b.s))
+				})
+				byServer, ends := spread(queue, n)
+				i := 0
+				for _, end := range ends {
+					lindley(func() (float64, bool) {
+						if i == end {
+							return 0, false
+						}
+						i++
+						return byServer[i-1].at, true
+					}, func() float64 { return byServer[i-1].work / mu }, func(delay float64) {
+						res.Revenue += cls.Utility(delay)
+						timed[k]++
+						sumDelay[k] += delay
+						agg.MaxDelay = math.Max(agg.MaxDelay, delay)
+						if delay > deadline {
+							agg.DeadlineMisses++
+						}
+					})
+				}
 			}
 		}
-		res.Revenue += float64(good) * ln.Utility
-		res.EnergyCost += float64(laneAdmitted[j]) * ln.UnitEnergy
-		res.TransferCost += float64(laneAdmitted[j]) * ln.UnitTransfer
+	}
+	for k := range res.Classes {
+		if timed[k] > 0 {
+			res.Classes[k].MeanDelay = sumDelay[k] / float64(timed[k])
+		}
 	}
 	res.EnergyCost += table.IdleCost
 	res.NetProfit = res.Revenue - res.EnergyCost - res.TransferCost
-	return res, nil
+}
+
+// spread groups a commodity's time-ordered admissions by the server their
+// draws name (a counting sort, so each group keeps time order) and returns
+// the groups with each one's end offset.
+func spread(queue []admission, n int) (byServer []admission, ends []int) {
+	server := make([]int, len(queue))
+	ends = make([]int, n)
+	for i, a := range queue {
+		server[i] = min(int(a.server*float64(n)), n-1)
+		ends[server[i]]++
+	}
+	next := make([]int, n)
+	for j := 1; j < n; j++ {
+		ends[j] += ends[j-1]
+		next[j] = ends[j-1]
+	}
+	byServer = make([]admission, len(queue))
+	for i, a := range queue {
+		byServer[next[server[i]]] = a
+		next[server[i]]++
+	}
+	return byServer, ends
+}
+
+// serviceRates derives every commodity's per-server service rate from the
+// slot's table: a center splits its capacity among the commodities it
+// serves in proportion to their committed shares, (φ/Σφ)·C·μ_k — the
+// model Compile's MaxRate headroom assumes. A commodity with headroom
+// gives that rate back exactly, as ΣMaxRate/n + 1/D_q over its lanes; one
+// without has no share slack at its center (Σφ = 1), so its delay gives
+// φ·C·μ_k = 1/Delay + λ/n (to DeadlineSnap where Delay sits on the
+// deadline). A commodity the table does not serve gets rate 0.
+func serviceRates(table *dispatch.Table, sys *datacenter.System, levels []int) []float64 {
+	L := sys.L()
+	n := levels[len(levels)-1] * L
+	lam, top, delay := make([]float64, n), make([]float64, n), make([]float64, n)
+	for _, ln := range table.Lanes {
+		c := (levels[ln.K]+ln.Q)*L + ln.L
+		lam[c] += ln.Rate
+		top[c] += ln.MaxRate
+		delay[c] = ln.Delay
+	}
+	rates := make([]float64, n)
+	for k := range sys.Classes {
+		cls := sys.Classes[k].TUF
+		for q := 0; q < cls.NumLevels(); q++ {
+			for l := 0; l < L; l++ {
+				c := (levels[k]+q)*L + l
+				on := float64(table.ServersOn[l])
+				switch {
+				case lam[c] == 0 || on == 0:
+				case top[c] > lam[c]:
+					rates[c] = top[c]/on + 1/cls.Level(q).Deadline
+				default:
+					rates[c] = 1/delay[c] + lam[c]/on
+				}
+			}
+		}
+	}
+	return rates
+}
+
+// serviceSampler returns a sampler of service times with mean 1/mu and
+// coefficient of variation cv, drawing from the rng it is handed: cv ≤ 0
+// or exactly 1 draws exponential service (the planner's M/M/1 model);
+// 0 < cv < 1 draws Erlang-k (steadier, k = round(1/cv²) capped at 64, so
+// the smallest effective cv is 0.125); cv > 1 draws a balanced two-phase
+// hyperexponential (burstier).
+func serviceSampler(cv float64) func(rng *rand.Rand, mu float64) float64 {
+	switch {
+	case cv <= 0 || cv == 1:
+		return func(rng *rand.Rand, mu float64) float64 { return rng.ExpFloat64() / mu }
+	case cv < 1:
+		// Erlang-k with k = round(1/cv²): sum of k exponentials at rate kμ.
+		k := int(math.Round(1 / (cv * cv)))
+		if k < 1 {
+			k = 1
+		}
+		if k > 64 {
+			k = 64
+		}
+		return func(rng *rand.Rand, mu float64) float64 {
+			var s float64
+			for i := 0; i < k; i++ {
+				s += rng.ExpFloat64()
+			}
+			return s / (float64(k) * mu)
+		}
+	default:
+		// Balanced-means H2: with probability p rate 2pμ, else 2(1−p)μ.
+		c2 := cv * cv
+		p := 0.5 * (1 + math.Sqrt((c2-1)/(c2+1)))
+		return func(rng *rand.Rand, mu float64) float64 {
+			if rng.Float64() < p {
+				return rng.ExpFloat64() / (2 * p * mu)
+			}
+			return rng.ExpFloat64() / (2 * (1 - p) * mu)
+		}
+	}
+}
+
+// lindley pushes a stream of requests through one FIFO single-server
+// queue — a commodity's CPU share on one server — by the exact recurrence
+//
+//	depart[i] = max(arrive[i], depart[i-1]) + service[i]
+//
+// which needs no event list. next yields the arrival instants in
+// non-decreasing order and false once the stream has ended; service draws
+// one request's service time; visit receives its response time. next runs
+// before service, so callers drawing both from one rand.Rand consume it
+// arrival first.
+func lindley(next func() (arrive float64, ok bool), service func() float64, visit func(delay float64)) {
+	var departPrev float64
+	for {
+		arrive, ok := next()
+		if !ok {
+			return
+		}
+		start := arrive
+		if departPrev > start {
+			start = departPrev
+		}
+		depart := start + service()
+		visit(depart - arrive)
+		departPrev = depart
+	}
 }
 
 // arrival is one synthesized request in a slot's merged replay stream.

@@ -6,7 +6,6 @@ import (
 
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
-	"profitlb/internal/des"
 	"profitlb/internal/dispatch"
 	"profitlb/internal/fault"
 	"profitlb/internal/feed"
@@ -35,8 +34,9 @@ func (r *inputTap) Plan(in *core.Input) (*core.Plan, error) {
 }
 
 // TestPlanInputsAreTheObservedOracle: every plane that plans off a
-// sim.InputSource — sim.Run, des.Run and a dispatch.Driver — hands its
-// planner, on every slot, exactly the observed oracle: the forecast
+// sim.InputSource — sim.Run and a dispatch.Driver, the serving plane's
+// planning half — hands its planner, on every slot, exactly the observed
+// oracle: the forecast
 // trace's arrivals and the listed prices, as the fault schedule lets a
 // planner see them (a price blackout holds the last price, a trace drop
 // zeroes a front-end). That holds bit for bit whether the run names a
@@ -94,9 +94,6 @@ func TestPlanInputsAreTheObservedOracle(t *testing.T) {
 				return planes[plane]
 			}
 			if _, err := sim.Run(cfg, tap("sim")); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := des.Run(des.Config{Sim: cfg, Planner: tap("des"), Seed: 1}); err != nil {
 				t.Fatal(err)
 			}
 			src, err := sim.NewInputSource(cfg)

@@ -64,9 +64,9 @@ func NewInputSource(cfg Config) (*InputSource, error) {
 // anything exposing Unwrap) to the first planner that consumes multi-step
 // forecasts (internal/mpc), so its horizon assembly projects through the
 // same estimator ladder that serves the per-slot fetches. Every plane that
-// plans off a source calls it once, before the first slot — sim.Run,
-// des.Run and dispatch.Driver do — or an MPC planner has no forecast to
-// plan its window on. A no-op for planners that take no forecasts.
+// plans off a source calls it once, before the first slot — sim.Run and
+// dispatch.Driver do — or an MPC planner has no forecast to plan its
+// window on. A no-op for planners that take no forecasts.
 func (src *InputSource) Attach(p core.Planner) {
 	for p != nil {
 		if a, ok := p.(interface{ AttachForecast(core.ForecastSource) }); ok {

@@ -22,13 +22,15 @@ import (
 	"io"
 
 	"profitlb/internal/baseline"
+	"profitlb/internal/cluster"
 	"profitlb/internal/config"
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
-	"profitlb/internal/des"
+	"profitlb/internal/dispatch"
 	"profitlb/internal/exp"
 	"profitlb/internal/fault"
-	"profitlb/internal/forecast"
+	"profitlb/internal/feed"
+	"profitlb/internal/loadgen"
 	"profitlb/internal/lp"
 	"profitlb/internal/market"
 	"profitlb/internal/mpc"
@@ -205,7 +207,7 @@ func ShiftTypes(name string, base []float64, types, shift int) *Trace {
 
 // PredictTrace produces one-slot-ahead Kalman predictions for a trace.
 func PredictTrace(tr *Trace, processVar, measureVar float64) (*Trace, error) {
-	return forecast.PredictTrace(tr, processVar, measureVar)
+	return feed.PredictTrace(tr, processVar, measureVar)
 }
 
 // Sensitivity is the shadow-price report of the slot LP (see
@@ -224,15 +226,29 @@ func LoadScenario(r io.Reader) (*Scenario, error) { return config.Load(r) }
 // for hand-written configuration files (`profitlb scaffold`).
 func ExampleScenario() *Scenario { return config.Example() }
 
-// RequestLevelReport is the outcome of a request-level (discrete-event)
-// realization of the planner's decisions.
-type RequestLevelReport = des.Report
+// RequestLevelReport is the outcome of a request-level realization of the
+// planner's decisions: the serving plane's replay report.
+type RequestLevelReport = loadgen.Report
 
-// SimulateRequests realizes every slot's plan request by request: Poisson
-// arrivals, exponential service, per-request TUF billing. It is the
-// empirical counterpart of Simulate's fluid accounting.
+// SimulateRequests realizes every slot's plan request by request on the
+// serving plane: a fleet of one gateway serves Poisson arrivals at the
+// true rates, and every admitted request queues at its center, is served
+// exponentially and earns the TUF at its own response time. It is the
+// empirical counterpart of Simulate's fluid accounting. A slot whose plan
+// fails sheds its load and is reported Degraded with tier "shed"
+// (DegradeOnFailure concerns Simulate only).
 func SimulateRequests(cfg SimConfig, p Planner, seed int64) (*RequestLevelReport, error) {
-	return des.Run(des.Config{Sim: cfg, Planner: p, Seed: seed})
+	src, err := sim.NewInputSource(cfg)
+	if err != nil {
+		return nil, err
+	}
+	dcfg := dispatch.Config{Seed: uint64(seed)}
+	d := &dispatch.Driver{Gateway: dispatch.NewGateway(cfg.Sys, dcfg, nil), Planner: p, Source: src}
+	f, err := cluster.NewFleet(cfg.Sys, dcfg, cluster.Config{}, d, cfg.Faults, nil)
+	if err != nil {
+		return nil, err
+	}
+	return loadgen.Run(f, src, loadgen.Config{Seed: seed, StartSlot: cfg.StartSlot, Slots: cfg.Slots})
 }
 
 // Multi-slot lookahead types (the temporal-arbitrage extension).

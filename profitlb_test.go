@@ -218,8 +218,8 @@ func TestFacadeSimulateRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.TotalRealized() <= 0 {
-		t.Fatalf("realized %g", rep.TotalRealized())
+	if rep.TotalNetProfit() <= 0 {
+		t.Fatalf("realized %g", rep.TotalNetProfit())
 	}
 }
 

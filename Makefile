@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzz verify bench bench-lp-sparse bench-smoke profile benchall bench-e2e bench-compare loc knobs
+.PHONY: build test vet fmt-check race fuzz verify bench bench-lp-sparse bench-smoke profile benchall bench-e2e bench-compare bench-pairs loc knobs
 
 build:
 	$(GO) build ./...
@@ -48,7 +48,9 @@ race:
 # some blocks, the window cut short, allowances changed. FuzzBigMOracle
 # decodes small systems (≤ 2 centers × 2 front-ends × 2 types, ≤ 3
 # levels) and holds the level searches and Optimized's greedy seed to the
-# paper's program solved exactly (DESIGN §16).
+# paper's program solved exactly (DESIGN §16). FuzzRoutePass decodes small
+# systems (≤ 4 front-ends, ≤ 3 levels) and holds the planner's route pass
+# to UnitProfit bit for bit: the best route and every λ's LP coefficient.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadCSV -fuzztime=10s ./internal/workload/
 	$(GO) test -run=NONE -fuzz=FuzzLoad -fuzztime=10s ./internal/config/
@@ -62,6 +64,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzRefresh -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzHorizonRefresh -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzBigMOracle -fuzztime=10s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzRoutePass -fuzztime=10s ./internal/core/
 
 # fmt-check fails when any file is not gofmt-clean.
 fmt-check:
@@ -168,6 +171,18 @@ bench-e2e:
 # bounds (exit 1 on a regression): make bench-compare A=old.json B=new.json
 bench-compare:
 	$(GO) run ./bench compare $(A) $(B)
+
+# bench-pairs is the A/B re-check a performance change is judged by: it
+# builds ./bench for BASE (a temporary checkout) and for the working tree,
+# runs N alternating --seed 7 --seconds 20 --trace 0 pairs of workload W,
+# each binary from its own checkout, and prints every pair's change/parent
+# ratio of each end-to-end metric, each metric's median ratio and how many
+# pairs it improved in (scripts/bench-pairs.sh): make bench-pairs
+# W=fleet-refine-mid N=10 BASE=HEAD~1.
+N ?= 10
+BASE ?= HEAD
+bench-pairs:
+	sh scripts/bench-pairs.sh $(W) $(N) $(BASE)
 
 # loc prints the non-test .go line count (plain wc -l) of every package
 # and their sum — the figure simplicity PRs report before and after — and,

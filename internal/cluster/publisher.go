@@ -76,6 +76,9 @@ type Publisher struct {
 	health  map[string]*member
 	notify  chan struct{} // closed and remade on every publish
 	changed bool          // membership changed since the last publish
+	// planning is up while PublishSlot has the driver plan a slot, whose
+	// epoch is minted already: Respread waits for that publish.
+	planning bool
 }
 
 // NewPublisher wraps a slot-engine driver as the fleet control plane.
@@ -171,12 +174,18 @@ func (p *Publisher) SweepHealth(slot int) []string {
 // degraded to an all-shed table (the driver's contract), so the only
 // errors are wiring mistakes.
 func (p *Publisher) PublishSlot(abs int) (*Publication, error) {
+	// The driver mints the slot's epoch before it plans; a re-spread in
+	// the meantime would mint past it and fence the slot's table out.
+	p.mu.Lock()
+	p.planning = true
+	p.mu.Unlock()
 	t, err := p.drv.PlanTable(abs)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.planning = false
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.changed = false
 	return p.publishLocked(t.Wire(), abs, p.order), nil
 }
@@ -184,11 +193,12 @@ func (p *Publisher) PublishSlot(abs int) (*Publication, error) {
 // Respread re-publishes the current table under a fresh epoch if (and
 // only if) membership changed since the last publish — the mid-slot path
 // that redistributes an evicted replica's share without a new solve.
-// Returns the new publication, or nil when nothing needed re-spreading.
+// Returns the new publication, or nil when nothing needed re-spreading or
+// a slot is being planned: its publish spreads over the new membership.
 func (p *Publisher) Respread(slot int) *Publication {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.cur == nil || !p.changed {
+	if p.cur == nil || !p.changed || p.planning {
 		return nil
 	}
 	w := *p.cur.Table // shallow copy; slices are immutable after compile

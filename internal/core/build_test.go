@@ -274,7 +274,7 @@ var refineFixtures = []struct {
 	make                 func() (*Optimized, *Input)
 	maxObjects, maxBytes uint64
 }{
-	{"demand-limited", refineSlot, 1_500, 52_000}, // 46 800 measured
+	{"demand-limited", refineSlot, 1_500, 35_000}, // 31 760 measured
 	{"capacity-limited", refineSlotBusy, 7_000, 2_200_000},
 }
 
@@ -307,13 +307,7 @@ func BenchmarkCaptureSlot(b *testing.B) {
 		K, L, S int
 	}{{"mid-6x10x3", 6, 10, 3}, {"fleet-20x100x3", 20, 100, 3}} {
 		b.Run(sz.name, func(b *testing.B) {
-			base := synthInput(sz.K, sz.L, sz.S)
-			day := make([]*Input, 12)
-			for t := range day {
-				day[t] = chainInput(base, t, 1)
-			}
-			o := NewOptimized()
-			o.Refine, o.Stats = false, &SearchStats{}
+			o, day := captureDay(sz.K, sz.L, sz.S)
 			mustPlan(b, o, day[0])
 			var pivots int64
 			b.ReportAllocs()
@@ -326,6 +320,52 @@ func BenchmarkCaptureSlot(b *testing.B) {
 			}
 			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 		})
+	}
+}
+
+// captureDay is BenchmarkCaptureSlot's K×L×S fleet: a refine-off planner
+// and a 12-slot day of ±3 % arrivals and ±2 % prices.
+func captureDay(K, L, S int) (*Optimized, []*Input) {
+	base := synthInput(K, L, S)
+	day := make([]*Input, 12)
+	for t := range day {
+		day[t] = chainInput(base, t, 1)
+	}
+	o := NewOptimized()
+	o.Refine, o.Stats = false, &SearchStats{}
+	return o, day
+}
+
+// TestCaptureSlotAllocs is the allocation budget of a steady 20×100×3
+// capture slot, fleet-large's planner side. What is left is the plan
+// (NewPlan, ~190 kB) and the solve's Result and basis; before the planner
+// held its lists and priced each route once, a Plan allocated 707 kB in 209
+// objects — ~130 of them allocateCenter's per-center lists.
+func TestCaptureSlotAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector moves allocations to the heap")
+	}
+	const maxObjects, maxBytes = 60, 350_000 // 14 and 319 000 measured
+	o, day := captureDay(20, 100, 3)
+	for i := 0; i < 3; i++ { // slot 0 solves cold; then the held slabs settle
+		mustPlan(t, o, day[i])
+	}
+	if st := *o.Stats; st.ModelRebuilds != 0 || st.ImportPivots != 0 || st.Solves != 1 {
+		t.Fatalf("fixture drifted: %+v, want one hot solve a slot", st)
+	}
+	var before, after runtime.MemStats
+	const runs = 8
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := o.Plan(day[3+i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	objects, bytes := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
+	t.Logf("%d objects, %d bytes a steady 20×100×3 capture Plan", objects, bytes)
+	if objects > maxObjects || bytes > maxBytes {
+		t.Errorf("a steady capture Plan allocates %d objects and %d bytes, budget %d and %d", objects, bytes, maxObjects, maxBytes)
 	}
 }
 

@@ -75,17 +75,18 @@ type cacheEntry struct {
 	err error
 }
 
-// cacheKey serializes what distinguishes one solve of a Plan call from
-// another. bestCoef and the floored flag are deliberately absent: they
-// steer subset construction, not the LP itself. Each commodity packs to
-// one word: its utility and deadline are functions of (k, q) through the
-// class TUF, which is fixed for the Plan-call lifetime of the cache, so
-// (k, q, l) is the commodity's full identity here — branch-and-bound's
-// relaxations, the one off-ladder combination, carry the NumLevels
-// sentinel as their q. The key is built per lookup on the search's
-// hottest path — packing matters.
-func cacheKey(comms []commodity, floors []float64, seed uint64) string {
-	buf := make([]byte, 0, 16+8*len(floors)+8*len(comms))
+// appendCacheKey serializes, onto buf, what distinguishes one solve of a
+// Plan call from another. bestCoef and the floored flag are deliberately
+// absent: they steer subset construction, not the LP itself. Each
+// commodity packs to one word: its utility and deadline are functions of
+// (k, q) through the class TUF, which is fixed for the Plan-call lifetime
+// of the cache, so (k, q, l) is the commodity's full identity here —
+// branch-and-bound's relaxations, the one off-ladder combination, carry
+// the NumLevels sentinel as their q. The key is built per lookup on the
+// search's hottest path — packing matters — into a held buffer: a lookup
+// by string(key) copies nothing, only a stored entry's key is a new
+// string.
+func appendCacheKey(buf []byte, comms []commodity, floors []float64, seed uint64) []byte {
 	put := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	put(seed)
 	put(uint64(len(floors)))
@@ -97,5 +98,5 @@ func cacheKey(comms []commodity, floors []float64, seed uint64) string {
 		// (TUF ladders have a handful of levels).
 		put(uint64(cm.k)<<40 | uint64(cm.q)<<32 | uint64(cm.l))
 	}
-	return string(buf)
+	return buf
 }

@@ -127,4 +127,8 @@ func RelaxArrivals(in *Input, budget [][]float64) *Input {
 // PlanObjective evaluates the slot objective (paper Eq. 5) of a plan
 // against an input — the exported face of planObjective, for planners
 // outside this package that assemble or augment plans directly.
-func PlanObjective(in *Input, p *Plan) float64 { return planObjective(in, p) }
+func PlanObjective(in *Input, p *Plan) float64 {
+	var r routePass
+	r.price(in)
+	return planObjective(in, p, &r)
+}

@@ -16,7 +16,9 @@ type engine struct {
 	in        *Input
 	perServer bool
 	opts      lp.Options
-	cache     subsetCache
+	// cache is nil on a call whose requests cannot repeat (a refine-off
+	// Optimized: its capture alone), which then builds no memo key.
+	cache subsetCache
 	// names spells the aggregated layout's names from the planner's table.
 	names *dispatchNames
 	// warm, when non-nil, warm-starts every solve from the owning
@@ -37,15 +39,16 @@ type engine struct {
 	// per-server layout keeps none (see prices.bound).
 	priced bool
 	seeds  uint64 // identities handed to exported bases
-	// routes is each (k, q, l)'s best route, priced when a level search
-	// first asks (levelCommodity).
-	routes *routeTable
+	// scratch is the owning planner's held storage, its route pass priced
+	// for in by open.
+	scratch *planScratch
 	// n counts the call's solver work; close publishes it.
 	n     SearchStats
 	stats *SearchStats
 	// sc streams the engine's solver counters to the observability
 	// layer when the owning planner carries a scope; the Input's slot and
-	// planner label the summary event. Nil-safe like everything in obs.
+	// epoch and the planner label the summary event. Nil-safe like
+	// everything in obs.
 	sc      *obs.Scope
 	planner string
 }
@@ -56,11 +59,34 @@ type engine struct {
 // says the planner will run a first-improvement search over the call's
 // solved subsets.
 func (e *EngineOptions) open(in *Input, planner string, perServer, searches bool) *engine {
+	e.scratch.routes.price(in)
 	return &engine{
 		in: in, perServer: perServer, opts: e.LPOpts, priced: searches && !perServer,
 		cache: subsetCache{}, warm: e.claim(!perServer), stats: e.Stats, sc: e.Obs,
-		planner: planner, names: e.namesFor(in.Sys),
+		planner: planner, names: e.namesFor(in.Sys), scratch: &e.scratch,
 	}
+}
+
+// planScratch is what a planner's Plan calls refill, each with [:0], in
+// place of the lists a call used to allocate: the call's admission (the
+// route pass and the admissible and capped lists, see admission),
+// evaluate's per-vector subset and its capped copy, the memo key, the
+// rates of a solve no cache entry owns and planFromRates' read-out.
+// Nothing in it is read before the call that fills it has written it, so
+// a planner plans alike with it dropped before every call
+// (TestHeldListsAreInvisible).
+type planScratch struct {
+	admission
+	pick, kept []commodity
+	key        []byte
+	rates      rateRows
+	read       readout
+}
+
+// admit lists the call's admissible commodities and caps them, into the
+// planner's held lists (see admission.admit).
+func (e *engine) admit(floors []float64) (full, capped []commodity) {
+	return e.scratch.admit(e.in, floors)
 }
 
 // prologue runs solve's first request on the held chain c: the call's
@@ -105,10 +131,16 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solut
 	if from != nil {
 		seed, seedID = from.basis, from.seed
 	}
-	key := cacheKey(comms, floors, seedID)
-	if ent, ok := e.cache[key]; ok {
-		e.n.CacheHits++
-		return ent.solution, ent.err
+	// A nil cache is a call whose requests cannot repeat: no key is built,
+	// and the rates, which no entry will own, go to the held rows.
+	rows := &e.scratch.rates
+	if e.cache != nil {
+		e.scratch.key = appendCacheKey(e.scratch.key[:0], comms, floors, seedID)
+		if ent, ok := e.cache[string(e.scratch.key)]; ok {
+			e.n.CacheHits++
+			return ent.solution, ent.err
+		}
+		rows = nil
 	}
 	e.n.Solves++
 	var ent cacheEntry
@@ -117,7 +149,7 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solut
 		e.n.SolveErrors++
 		ent.err = err
 	} else {
-		ent.rates, ent.obj = d.extractRates(res), res.Objective
+		ent.rates, ent.obj = d.extractRates(res, rows), res.Objective
 		if e.priced {
 			ent.px = d.priceOut(e.in, res)
 			if basis != nil { // a warm solve's, so named
@@ -126,7 +158,9 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solut
 			}
 		}
 	}
-	e.cache[key] = ent
+	if e.cache != nil {
+		e.cache[string(e.scratch.key)] = ent
+	}
 	return ent.solution, ent.err
 }
 
@@ -219,5 +253,5 @@ func (e *engine) close() {
 		e.sc.Counter(c.metric).Add(c.v)
 		values[c.key] = float64(c.v)
 	}
-	e.sc.Emit(obs.Event{Kind: obs.KindEngine, Slot: e.in.Slot, Planner: e.planner, Values: values})
+	e.sc.Emit(obs.Event{Kind: obs.KindEngine, Slot: e.in.Slot, Epoch: e.in.Epoch, Planner: e.planner, Values: values})
 }

@@ -42,7 +42,7 @@ func TestCacheKeySeparatesRelaxations(t *testing.T) {
 	}
 	real := []commodity{{k: 0, q: 0, l: 0, utility: cls.Level(0).Utility, deadline: cls.Level(0).Deadline}}
 	relax := []commodity{{k: 0, q: cls.NumLevels(), l: 0, utility: cls.MaxUtility(), deadline: cls.Deadline()}}
-	if cacheKey(real, nil, 0) == cacheKey(relax, nil, 0) {
+	if string(appendCacheKey(nil, real, nil, 0)) == string(appendCacheKey(nil, relax, nil, 0)) {
 		t.Fatal("relaxation commodity shares a cache key with the real level-0 commodity")
 	}
 }

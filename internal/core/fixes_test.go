@@ -95,12 +95,11 @@ func TestAllocateCenterToleranceBoundary(t *testing.T) {
 		}},
 	}
 	in := &Input{Sys: sys, Arrivals: [][]float64{{2}}, Prices: []float64{1}}
-	plan := NewPlan(sys)
 	// shareAt(2) = 0.5 + λ/2 = 1 + 5e-8: feasible within shareFeasTol,
 	// infeasible under the old 1e-9 search bound.
 	lam := 1 + 1e-7
-	plan.Rate[0][0][0][0] = lam
-	if err := allocateCenter(in, plan, 0); err != nil {
+	plan, err := planFromRates(in, []commodity{{k: 0, q: 0, l: 0}}, [][]float64{{lam}}, new(readout))
+	if err != nil {
 		t.Fatalf("allocateCenter: %v", err)
 	}
 	if got := plan.ServersOn[0]; got != 2 {

@@ -198,6 +198,12 @@ type windowLP struct {
 	model  lp.Model
 	blocks []dispatchLP
 	ins    []Input
+	// lists[t] is block t's admission, route pass and commodity lists,
+	// refilled every build (block t's comms are its capped list); rates and
+	// read are extract's held read-out.
+	lists []admission
+	rates rateRows
+	read  readout
 	// The coupling: the columns of (front-end s, class k) at moves[s·K+k],
 	// and every row that bounds what leaves a source.
 	K, H           int
@@ -243,10 +249,11 @@ func (w *windowLP) build(h *HorizonInput, names *dispatchNames) {
 	}
 	changed := !slices.Equal(shape, w.shape)
 	w.shape, w.scratch, w.moves = shape, w.shape, linalg.Resized(w.moves, S*K)
-	w.ins, w.blocks = linalg.Resized(w.ins, w.H), linalg.Resized(w.blocks, w.H)
+	w.ins, w.blocks, w.lists = linalg.Resized(w.ins, w.H), linalg.Resized(w.blocks, w.H), linalg.Resized(w.lists, w.H)
 	for t := range w.blocks {
 		w.ins[t] = *h.slot(t)
-		w.blocks[t].comms = capReservations(&w.ins[t], admissibleCommodities(&w.ins[t], nil))
+		w.lists[t].routes.price(&w.ins[t])
+		_, w.blocks[t].comms = w.lists[t].admit(&w.ins[t], nil)
 		changed = w.blocks[t].reshape(&w.ins[t], nil, false, names) || changed
 	}
 	if w.rebuilt = changed; changed {
@@ -338,11 +345,11 @@ func (w *windowLP) extract(h *HorizonInput, res *lp.Result) (*HorizonPlan, error
 	served, deferred := make([]float64, w.K), make([]float64, w.K)
 	for t := range w.blocks {
 		d, in := &w.blocks[t], &w.ins[t]
-		plan, err := planFromRates(in, d.comms, d.extractRates(res))
+		plan, err := planFromRates(in, d.comms, d.extractRates(res, &w.rates), &w.read)
 		if err != nil {
 			return nil, fmt.Errorf("core: horizon slot %d: %w", t, err)
 		}
-		plan.Objective = planObjective(in, plan)
+		plan.Objective = planObjective(in, plan, &w.lists[t].routes)
 		out.Objective += plan.Objective
 		out.Slots = append(out.Slots, plan)
 		for sk, moves := range w.moves {

@@ -142,12 +142,7 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 		plan := NewPlan(sys)
 		return plan, nil
 	}
-	plan, err := planFromRates(in, best.comms, best.rates)
-	if err != nil {
-		return nil, err
-	}
-	plan.Objective = planObjective(in, plan)
-	return plan, nil
+	return eng.planOf(best)
 }
 
 // assignment is one evaluated level commitment.
@@ -162,68 +157,42 @@ type assignment struct {
 // evaluate builds the one-level-per-pair commodity set and solves its LP,
 // seeded from the basis of from, the incumbent it neighbours (nil: the
 // slot's frozen seed). Unprofitable or reservation-overloaded pairs are
-// excluded (equivalent to the LP routing nothing there).
+// excluded (equivalent to the LP routing nothing there). The set is built
+// in the planner's held lists; a solved assignment keeps a copy.
 func evaluate(eng *engine, pairs []pair, levels []int, from *prices) (assignment, error) {
-	in := eng.in
-	comms := make([]commodity, 0, len(pairs))
+	sc := eng.scratch
+	sc.pick = sc.pick[:0]
 	for pi, p := range pairs {
 		if c := eng.levelCommodity(p, levels[pi]); c.bestCoef > 0 {
-			comms = append(comms, c)
+			sc.pick = append(sc.pick, c)
 		}
 	}
 	// Canonical order before eviction and solving: distinct level
 	// vectors that map to the same filtered commodity set share one
 	// cache entry.
-	sortCommodities(comms)
-	comms = capReservations(in, comms)
-	if len(comms) == 0 {
+	sortCommodities(sc.pick)
+	sc.kept = sc.capReservations(eng.in, sc.pick, sc.kept[:0])
+	if len(sc.kept) == 0 {
 		return assignment{levels: append([]int(nil), levels...)}, nil
 	}
-	sol, err := eng.solve(comms, nil, from)
+	sol, err := eng.solve(sc.kept, nil, from)
 	if err == lp.ErrInfeasible {
 		return assignment{levels: append([]int(nil), levels...), obj: math.Inf(-1)}, nil
 	}
 	if err != nil {
 		return assignment{}, err
 	}
-	return assignment{levels: append([]int(nil), levels...), comms: comms, rates: sol.rates, obj: sol.obj, px: sol.px}, nil
+	return assignment{levels: append([]int(nil), levels...), comms: slices.Clone(sc.kept), rates: sol.rates, obj: sol.obj, px: sol.px}, nil
 }
 
 // levelCommodity is the commodity pair p enters the LP as when committed
 // to level q — if its best route earns anything: bestCoef ≤ 0 means
-// evaluate leaves the pair out. The best routes are priced once a call,
-// on first use: the greedy asks again for every move and every accept.
+// evaluate leaves the pair out. The best route is read off the call's
+// route pass: the greedy asks again for every move and every accept.
 func (e *engine) levelCommodity(p pair, q int) commodity {
-	if e.routes == nil {
-		e.routes = newRouteTable(e.in)
-	}
 	lev := e.in.Sys.Classes[p.k].TUF.Level(q)
-	best := e.routes.best[(p.k*e.in.Sys.L()+p.l)*e.routes.levels+q]
+	best := e.scratch.routes.best(p.k, p.l, lev.Utility)
 	return commodity{k: p.k, q: q, l: p.l, utility: lev.Utility, deadline: lev.Deadline, bestCoef: best}
-}
-
-// routeTable is one call's best routes: best[(k·L + l)·levels + q] is
-// bestRoute of (k, q, l), levels the most any class has.
-type routeTable struct {
-	best   []float64
-	levels int
-}
-
-func newRouteTable(in *Input) *routeTable {
-	sys := in.Sys
-	rt := &routeTable{}
-	for _, c := range sys.Classes {
-		rt.levels = max(rt.levels, c.TUF.NumLevels())
-	}
-	rt.best = make([]float64, sys.K()*sys.L()*rt.levels)
-	for k, c := range sys.Classes {
-		for q := 0; q < c.TUF.NumLevels(); q++ {
-			for l := 0; l < sys.L(); l++ {
-				rt.best[(k*sys.L()+l)*rt.levels+q] = bestRoute(in, k, l, c.TUF.Level(q).Utility)
-			}
-		}
-	}
-	return rt
 }
 
 // exhaustive enumerates the mixed-radix level space in odometer order;
@@ -413,9 +382,8 @@ func branchBound(eng *engine, pairs []pair) (assignment, error) {
 // assigned level and pairs at or beyond depth get max utility with no
 // deadline, so they reserve no share.
 func upperBound(eng *engine, pairs []pair, levels []int, depth int) (float64, error) {
-	in := eng.in
-	sys := in.Sys
-	var comms []commodity
+	sys, sc := eng.in.Sys, eng.scratch
+	sc.pick = sc.pick[:0]
 	for pi, p := range pairs {
 		cls := sys.Classes[p.k].TUF
 		var u, d float64
@@ -431,18 +399,18 @@ func upperBound(eng *engine, pairs []pair, levels []int, depth int) (float64, er
 			// level-0 solve of the same pair.
 			u, d, q = cls.MaxUtility(), math.Inf(1), cls.NumLevels()
 		}
-		bestC := bestRoute(in, p.k, p.l, u)
+		bestC := sc.routes.best(p.k, p.l, u)
 		if bestC <= 0 {
 			continue
 		}
-		comms = append(comms, commodity{k: p.k, q: q, l: p.l, utility: u, deadline: d, bestCoef: bestC})
+		sc.pick = append(sc.pick, commodity{k: p.k, q: q, l: p.l, utility: u, deadline: d, bestCoef: bestC})
 	}
-	sortCommodities(comms)
-	comms = capReservations(in, comms)
-	if len(comms) == 0 {
+	sortCommodities(sc.pick)
+	sc.kept = sc.capReservations(eng.in, sc.pick, sc.kept[:0])
+	if len(sc.kept) == 0 {
 		return 0, nil
 	}
-	sol, err := eng.solve(comms, nil, nil)
+	sol, err := eng.solve(sc.kept, nil, nil)
 	if err == lp.ErrInfeasible {
 		return math.Inf(-1), nil
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -99,6 +98,9 @@ type EngineOptions struct {
 	// names is the planner's dispatch-LP name table (see names.go), the
 	// one thing memoised across slots whatever WarmStart says.
 	names *dispatchNames
+	// scratch is the storage each Plan call refills instead of allocating
+	// (see planScratch); it carries no state from one call to the next.
+	scratch planScratch
 }
 
 // NewOptimized returns the planner with the paper-faithful defaults:
@@ -122,9 +124,13 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 	}
 	eng := o.open(in, o.Name(), o.PerServer, o.Refine)
 	defer eng.close()
-	full := admissibleCommodities(in, o.MinCompletion)
+	if !o.Refine {
+		// The capture is the call's one request: no later one can hit its key.
+		eng.cache = nil
+	}
+	full, capped := eng.admit(o.MinCompletion)
 	best, err := eng.prologue(capture, func() (assignment, error) {
-		return o.solveSubset(eng, capReservations(in, full), nil)
+		return o.solveSubset(eng, capped, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -164,31 +170,59 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 	if math.IsInf(best.obj, -1) {
 		return nil, fmt.Errorf("core: completion floors %v exceed what the fleet can serve", o.MinCompletion)
 	}
-
-	plan, err := planFromRates(in, best.comms, best.rates)
-	if err != nil {
-		return nil, err
-	}
-	plan.Objective = planObjective(in, plan)
-	return plan, nil
+	return eng.planOf(best)
 }
 
-// admissibleCommodities lists every (k, q, l) whose best route earns a
-// positive per-request profit; the LP would never use the others, and
-// omitting them avoids the paper's zero-load share reservation for them.
-// Types carrying a completion floor are admitted regardless of
-// profitability — the floor may force serving them at a loss.
-func admissibleCommodities(in *Input, floors []float64) []commodity {
+// routePass is one Input's per-request route costs: at [k·L + l], the
+// energy cost E of serving a type-k request at center l and the cheapest
+// transfer into it, min over front-ends s of T_s. A route earns
+// UnitProfit's (u − E) − T_s, and IEEE subtraction is monotone, so the
+// best route over front-ends, max_s of that, is exactly (u − E) − min_s T.
+// A planner prices it again every call, never carrying it across calls: an
+// outage or a slowed center hands the planner another System each slot.
+type routePass struct {
+	L            int
+	energy, minT []float64
+}
+
+// price fills the pass for in, over what it held before.
+func (r *routePass) price(in *Input) {
 	sys := in.Sys
-	// About one level per (class, center) pair survives the profit test.
-	out := make([]commodity, 0, sys.K()*sys.L())
+	K, L := sys.K(), sys.L()
+	r.L, r.energy, r.minT = L, linalg.Resized(r.energy, K*L), linalg.Resized(r.minT, K*L)
+	for k := 0; k < K; k++ {
+		for l := 0; l < L; l++ {
+			t := math.Inf(1)
+			for s := 0; s < sys.S(); s++ {
+				t = min(t, sys.TransferCost(k, s, l))
+			}
+			r.energy[k*L+l], r.minT[k*L+l] = sys.EnergyCost(k, l, in.Prices[l]), t
+		}
+	}
+}
+
+// best is the best per-request profit, over front-ends, of serving class k
+// at center l for utility u.
+func (r *routePass) best(k, l int, u float64) float64 {
+	i := k*r.L + l
+	return (u - r.energy[i]) - r.minT[i]
+}
+
+// admissible appends to out every (k, q, l) whose best route earns a
+// positive per-request profit, in (k, q, l) order; the LP would never use
+// the others, and omitting them avoids the paper's zero-load share
+// reservation for them. Types carrying a completion floor are admitted
+// regardless of profitability — the floor may force serving them at a
+// loss.
+func (r *routePass) admissible(in *Input, floors []float64, out []commodity) []commodity {
+	sys := in.Sys
 	for k := 0; k < sys.K(); k++ {
 		floored := k < len(floors) && floors[k] > 0
-		levels := sys.Classes[k].TUF.Levels()
-		for q, lev := range levels {
+		tf := sys.Classes[k].TUF
+		for q := 0; q < tf.NumLevels(); q++ {
+			lev := tf.Level(q)
 			for l := 0; l < sys.L(); l++ {
-				best := bestRoute(in, k, l, lev.Utility)
-				if best > 0 || floored {
+				if best := r.best(k, l, lev.Utility); best > 0 || floored {
 					out = append(out, commodity{k: k, q: q, l: l, utility: lev.Utility, deadline: lev.Deadline, bestCoef: best, floored: floored})
 				}
 			}
@@ -197,14 +231,32 @@ func admissibleCommodities(in *Input, floors []float64) []commodity {
 	return out
 }
 
-// bestRoute is the best per-request profit, over front-ends, of serving
-// class k at center l for utility u.
-func bestRoute(in *Input, k, l int, u float64) float64 {
-	best := math.Inf(-1)
-	for s := 0; s < in.Sys.S(); s++ {
-		best = max(best, in.Sys.UnitProfit(k, s, l, u, in.Prices[l]))
-	}
-	return best
+// admissibleCommodities is routePass.admissible into a new list, off a
+// pass of its own.
+func admissibleCommodities(in *Input, floors []float64) []commodity {
+	var r routePass
+	r.price(in)
+	return r.admissible(in, floors, nil)
+}
+
+// admission is what one Input's commodity lists are built in, held by
+// their owner and refilled with [:0] every call: the route pass, the
+// admissible list, the capped list, and capReservations' flags and
+// buckets. Nothing in it outlives the call as state.
+type admission struct {
+	routes       routePass
+	full, capped []commodity
+	gone         []bool
+	at           buckets
+}
+
+// admit lists the admissible commodities off a.routes, which must be
+// priced for in, and caps them: the full list and its capped copy, both
+// a's until its next admit.
+func (a *admission) admit(in *Input, floors []float64) (full, capped []commodity) {
+	a.full = a.routes.admissible(in, floors, a.full[:0])
+	a.capped = a.capReservations(in, a.full, a.capped[:0])
+	return a.full, a.capped
 }
 
 // capReservations enforces per-center feasibility of the paper's
@@ -222,11 +274,13 @@ func bestRoute(in *Input, k, l int, u float64) float64 {
 // ordering: evicting cheaper commodities first would strip the center of
 // everything it can serve. The commodities are bucketed by center once
 // and each center evicts within its bucket; the input slice is not
-// modified and the survivors keep its order.
-func capReservations(in *Input, orig []commodity) []commodity {
+// modified and the survivors, in its order, are appended to out.
+func (a *admission) capReservations(in *Input, orig, out []commodity) []commodity {
 	sys := in.Sys
-	gone := make([]bool, len(orig))
-	for _, at := range bucket(len(orig), sys.L(), func(ci int) int { return orig[ci].l }) {
+	a.gone = linalg.Resized(a.gone, len(orig))
+	gone := a.gone
+	clear(gone)
+	for _, at := range a.at.group(len(orig), sys.L(), func(ci int) int { return orig[ci].l }) {
 		unfit := true // an unfittable commodity overflows the center: checked on the first overflow
 		for {
 			var sum float64
@@ -252,13 +306,17 @@ func capReservations(in *Input, orig []commodity) []commodity {
 			at = append(at[:worst], at[worst+1:]...)
 		}
 	}
-	comms := make([]commodity, 0, len(orig))
 	for ci, c := range orig {
 		if !gone[ci] {
-			comms = append(comms, c)
+			out = append(out, c)
 		}
 	}
-	return comms
+	return out
+}
+
+// capReservations is admission.capReservations into a new list.
+func capReservations(in *Input, orig []commodity) []commodity {
+	return new(admission).capReservations(in, orig, nil)
 }
 
 // reserveMargin is the share of one server a center's zero-load
@@ -690,14 +748,17 @@ func (d *dispatchLP) structure(in *Input, floors []float64, perServer bool, at b
 }
 
 // numbers writes what moves with the slot into d.model: each λ's
-// T·UnitProfit, each arrival row's budget, each floor row's quota.
+// T·UnitProfit, each arrival row's budget, each floor row's quota. A
+// commodity's energy cost is priced once, not once per front-end:
+// UnitProfit is (u − E) − T_s, each cost rounded as UnitProfit rounds it.
 func (d *dispatchLP) numbers(in *Input, floors []float64) {
 	sys, m := in.Sys, d.model
 	T, S := sys.Slot(), sys.S()
 	for ci, c := range d.comms {
 		xs := d.xVar[ci]
+		net := c.utility - float64(sys.EnergyCost(c.k, c.l, in.Prices[c.l]))
 		for s := 0; s < S; s++ {
-			coef := T * sys.UnitProfit(c.k, s, c.l, c.utility, in.Prices[c.l])
+			coef := T * (net - float64(sys.TransferCost(c.k, s, c.l)))
 			for j := s; j < len(xs); j += S {
 				m.SetObjective(xs[j], coef)
 			}
@@ -717,11 +778,9 @@ func (d *dispatchLP) numbers(in *Input, floors []float64) {
 	}
 }
 
-// bucket groups the indices 0..n-1 by key (in [0, nb)), keeping index
-// order within a bucket, on one slab.
-func bucket(n, nb int, key func(int) int) [][]int { return new(buckets).group(n, nb, key) }
-
-// buckets is bucket's storage, for a caller that groups again and again.
+// buckets is the storage of group, which buckets the indices 0..n-1 by key
+// (in [0, nb)), keeping index order within a bucket, on one slab, and is
+// called again and again.
 type buckets struct {
 	of         [][]int
 	size, slab []int
@@ -745,16 +804,18 @@ func (b *buckets) group(n, nb int, key func(int) int) [][]int {
 }
 
 // extractRates reads the per-commodity dispatch rates out of a solution,
-// summed over a center's server groups, onto one slab.
-func (d *dispatchLP) extractRates(res *lp.Result) [][]float64 {
-	rates := make([][]float64, len(d.comms))
-	if len(rates) == 0 {
-		return rates
+// summed over a center's server groups, onto one slab: into's, refilled,
+// or, with into nil, a new one a memo-cache entry can own.
+func (d *dispatchLP) extractRates(res *lp.Result, into *rateRows) [][]float64 {
+	if into == nil {
+		into = new(rateRows)
+	}
+	if len(d.comms) == 0 {
+		return into.cut(0, 0)
 	}
 	S := len(d.xVar[0]) / len(d.fVar[0])
-	slab := make([]float64, len(rates)*S)
+	rates := into.cut(len(d.comms), S)
 	for ci, xs := range d.xVar {
-		rates[ci], slab = slab[:S:S], slab[S:]
 		for j, x := range xs {
 			if v := res.Value(x); v > 0 {
 				rates[ci][j%S] += v
@@ -762,6 +823,22 @@ func (d *dispatchLP) extractRates(res *lp.Result) [][]float64 {
 		}
 	}
 	return rates
+}
+
+// rateRows is extractRates' storage: n rows of S zeros cut from one slab.
+type rateRows struct {
+	rows [][]float64
+	slab []float64
+}
+
+func (r *rateRows) cut(n, S int) [][]float64 {
+	r.rows, r.slab = linalg.Resized(r.rows, n), linalg.Resized(r.slab, n*S)
+	clear(r.slab)
+	slab := r.slab
+	for i := range r.rows {
+		r.rows[i], slab = slab[:S:S], slab[S:]
+	}
+	return r.rows
 }
 
 // floorsActive reports whether any completion floor binds a type with
@@ -782,25 +859,35 @@ func floorsActive(in *Input, floors []float64) bool {
 
 // planFromRates turns per-commodity dispatch rates into a full Plan:
 // filling the rate tensor, choosing the number of powered-on servers per
-// center, and recomputing exact per-server shares at that count.
-func planFromRates(in *Input, comms []commodity, rates [][]float64) (*Plan, error) {
+// center, and recomputing exact per-server shares at that count. comms is
+// in canonical order; each one's rates are summed once, in front-end
+// order, and each center reads its commodities from r, refilled.
+func planFromRates(in *Input, comms []commodity, rates [][]float64, r *readout) (*Plan, error) {
 	sys := in.Sys
 	plan := NewPlan(sys)
+	r.lams = linalg.Resized(r.lams, len(comms))
 	for ci, c := range comms {
+		var lam float64
 		for s, v := range rates[ci] {
 			plan.Rate[c.k][c.q][s][c.l] = v
+			lam += v
 		}
+		r.lams[ci] = lam
 	}
-	for l := 0; l < sys.L(); l++ {
-		if err := allocateCenter(in, plan, l); err != nil {
+	for l, at := range r.at.group(len(comms), sys.L(), func(ci int) int { return comms[ci].l }) {
+		if err := allocateCenter(in, plan, l, comms, at, r.lams); err != nil {
 			return nil, err
 		}
 	}
 	return plan, nil
 }
 
-// activeKey identifies a used commodity within one center.
-type activeKey struct{ k, q int }
+// readout is planFromRates' storage: each commodity's aggregate rate
+// Λ_{k,q,l}, and the commodities bucketed by center.
+type readout struct {
+	lams []float64
+	at   buckets
+}
 
 // shareFeasTol is the single share-budget tolerance of allocateCenter:
 // both the full-fleet feasibility gate and the consolidation binary
@@ -814,35 +901,34 @@ type activeKey struct{ k, q int }
 const shareFeasTol = 1e-6
 
 // allocateCenter decides ServersOn[l] and Phi[l] from the center's
-// dispatched rates. The minimum server count n satisfies
+// dispatched rates: comms[ci] for ci in at, in canonical order, each
+// carrying lams[ci], used when that exceeds RateEps. The minimum server
+// count n satisfies
 //
 //	Σ_{used (k,q)} ( Λ/(n·C·μ_k) + 1/(D_q·C·μ_k) ) ≤ 1,
 //
 // whose left side is decreasing in n; shares are then set to exactly meet
 // each level deadline at that n.
-func allocateCenter(in *Input, plan *Plan, l int) error {
+func allocateCenter(in *Input, plan *Plan, l int, comms []commodity, at []int, lams []float64) error {
 	sys := in.Sys
 	dc := &sys.Centers[l]
-	var used []activeKey
-	var lams []float64
-	for k := 0; k < sys.K(); k++ {
-		for q := range plan.Rate[k] {
-			if lam := plan.CenterRate(k, q, l); lam > RateEps {
-				used = append(used, activeKey{k, q})
-				lams = append(lams, lam)
-			}
-		}
-	}
-	if len(used) == 0 {
+	if !slices.ContainsFunc(at, func(ci int) bool { return lams[ci] > RateEps }) {
 		plan.ServersOn[l] = 0
 		return nil
 	}
+	// phi is commodity ci's per-server share at n servers.
+	phi := func(ci, n int) float64 {
+		c := &comms[ci]
+		mu := dc.Capacity * dc.ServiceRate[c.k]
+		d := sys.Classes[c.k].TUF.Level(c.q).Deadline
+		return lams[ci]/(float64(n)*mu) + 1/(d*mu)
+	}
 	shareAt := func(n int) float64 {
 		var sum float64
-		for i, a := range used {
-			mu := dc.Capacity * dc.ServiceRate[a.k]
-			d := sys.Classes[a.k].TUF.Level(a.q).Deadline
-			sum += lams[i]/(float64(n)*mu) + 1/(d*mu)
+		for _, ci := range at {
+			if lams[ci] > RateEps {
+				sum += phi(ci, n)
+			}
 		}
 		return sum
 	}
@@ -860,10 +946,10 @@ func allocateCenter(in *Input, plan *Plan, l int) error {
 	}
 	n := hi
 	plan.ServersOn[l] = n
-	for i, a := range used {
-		mu := dc.Capacity * dc.ServiceRate[a.k]
-		d := sys.Classes[a.k].TUF.Level(a.q).Deadline
-		plan.Phi[l][a.k][a.q] = lams[i]/(float64(n)*mu) + 1/(d*mu)
+	for _, ci := range at {
+		if lams[ci] > RateEps {
+			plan.Phi[l][comms[ci].k][comms[ci].q] = phi(ci, n)
+		}
 	}
 	return nil
 }
@@ -872,7 +958,9 @@ func allocateCenter(in *Input, plan *Plan, l int) error {
 // each commodity's level utility (the deadline is met with equality, so
 // the level utility is the achieved utility), minus the idle draw of the
 // powered-on servers (zero under the paper's per-request energy model).
-func planObjective(in *Input, plan *Plan) float64 {
+// Each cell's UnitProfit is (u − E) − T_s with E read off r, the pass
+// priced for in.
+func planObjective(in *Input, plan *Plan, r *routePass) float64 {
 	sys := in.Sys
 	T := sys.Slot()
 	var sum float64
@@ -880,14 +968,15 @@ func planObjective(in *Input, plan *Plan) float64 {
 		sum -= sys.IdleCost(l, in.Prices[l]) * float64(n)
 	}
 	for k := 0; k < sys.K(); k++ {
-		levels := sys.Classes[k].TUF.Levels()
+		tf := sys.Classes[k].TUF
 		for q := range plan.Rate[k] {
+			u := tf.Level(q).Utility
 			for s := range plan.Rate[k][q] {
 				for l, v := range plan.Rate[k][q][s] {
 					if v <= 0 {
 						continue
 					}
-					sum += T * v * sys.UnitProfit(k, s, l, levels[q].Utility, in.Prices[l])
+					sum += T * v * ((u - r.energy[k*r.L+l]) - sys.TransferCost(k, s, l))
 				}
 			}
 		}
@@ -895,12 +984,34 @@ func planObjective(in *Input, plan *Plan) float64 {
 	return sum
 }
 
+// planOf reads the call's chosen assignment out as its Plan (see
+// planFromRates), valued by Eq. 5 off the call's route pass.
+func (e *engine) planOf(best assignment) (*Plan, error) {
+	plan, err := planFromRates(e.in, best.comms, best.rates, &e.scratch.read)
+	if err != nil {
+		return nil, err
+	}
+	plan.Objective = planObjective(e.in, plan, &e.scratch.routes)
+	return plan, nil
+}
+
 // sortCommodities orders commodities canonically (by k, q, l). Every
 // search path sorts before solving, which keys the memo cache and makes
 // the LP layout — hence the committed plan — independent of subset
-// construction order.
-func sortCommodities(comms []commodity) { slices.SortFunc(comms, compareCommodities) }
+// construction order. Most lists arrive sorted (admission builds in
+// (k, q, l) order and capping keeps it) and are left as they are.
+func sortCommodities(comms []commodity) {
+	if !slices.IsSortedFunc(comms, compareCommodities) {
+		slices.SortFunc(comms, compareCommodities)
+	}
+}
 
 func compareCommodities(a, b commodity) int {
-	return cmp.Or(cmp.Compare(a.k, b.k), cmp.Compare(a.q, b.q), cmp.Compare(a.l, b.l))
+	if a.k != b.k {
+		return a.k - b.k
+	}
+	if a.q != b.q {
+		return a.q - b.q
+	}
+	return a.l - b.l
 }

@@ -45,6 +45,11 @@ type Input struct {
 	// slot-aware wrappers — fault injectors, resilient fallback chains,
 	// decision logs — can tie their records to the simulation timeline.
 	Slot int
+	// Epoch is, on the serving plane, the plan epoch the slot's commit
+	// will publish (dispatch.Driver mints it before planning), so the
+	// planner's events join the replicas' on (Slot, Epoch). Informational
+	// like Slot; 0 offline.
+	Epoch uint64
 }
 
 // Validate checks that the input is dimensionally consistent.

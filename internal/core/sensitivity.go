@@ -39,8 +39,7 @@ func (o *Optimized) Sensitivity(in *Input) (*Sensitivity, error) {
 	cold := EngineOptions{LPOpts: o.LPOpts}
 	eng := cold.open(in, o.Name(), false, o.Refine)
 	defer eng.close()
-	full := admissibleCommodities(in, o.MinCompletion)
-	comms := capReservations(in, full)
+	full, comms := eng.admit(o.MinCompletion)
 	if o.Refine {
 		// Use the same subset the planner would commit to, so the prices
 		// describe the plan actually executed.

@@ -188,9 +188,12 @@ func (sys *System) IdleCost(l int, price float64) float64 {
 
 // UnitProfit returns the profit coefficient of one type-k request routed
 // s→l that earns utility u: u − energy − transfer. This is the objective
-// coefficient of the paper's Eq. 5 before multiplying by λ and T.
+// coefficient of the paper's Eq. 5 before multiplying by λ and T. Each
+// cost is rounded before it is subtracted (the conversions forbid a fused
+// multiply-add), so a caller that stores the costs first and subtracts
+// them in the same order gets the same bits on every architecture.
 func (sys *System) UnitProfit(k, s, l int, u, price float64) float64 {
-	return u - sys.EnergyCost(k, l, price) - sys.TransferCost(k, s, l)
+	return (u - float64(sys.EnergyCost(k, l, price))) - float64(sys.TransferCost(k, s, l))
 }
 
 // DedicatedCapacity returns the largest aggregate arrival rate of type k

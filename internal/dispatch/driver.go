@@ -61,9 +61,10 @@ type Driver struct {
 	// epoch numbers every table the driver mints, monotonically: the
 	// driver is the fleet's single source of planning truth, and each
 	// plan it commits — primary, fallback or emergency shed — gets the
-	// next epoch. Replicas fence on it. Atomic because the cluster
-	// publisher mints re-spread epochs from HTTP handler goroutines
-	// while the slot loop plans.
+	// next epoch, minted before planning so the planner's events carry it
+	// (core.Input.Epoch). Replicas fence on it. Atomic because the cluster
+	// publisher mints re-spread epochs from HTTP handler goroutines; it
+	// mints none while a slot is being planned (Publisher.PublishSlot).
 	epoch atomic.Uint64
 }
 
@@ -76,20 +77,22 @@ func (d *Driver) Epoch() uint64 { return d.epoch.Load() }
 func (d *Driver) NextEpoch() uint64 { return d.epoch.Add(1) }
 
 // PlanTable plans and compiles slot abs for the cluster publisher. The
-// returned table is epoch-stamped; a slot whose input, plan or compile
-// fails gets ShedTable with the cause parked in LastErr — replicas shed
-// instead of erroring. The only error is a wiring mistake (missing
+// returned table is stamped with the epoch minted for it before planning,
+// which the planner saw as its Input's Epoch; a slot whose input, plan or
+// compile fails gets ShedTable with the cause parked in LastErr — replicas
+// shed instead of erroring. The only error is a wiring mistake (missing
 // gateway, planner or source).
 func (d *Driver) PlanTable(abs int) (*Table, error) {
 	if d.Gateway == nil || d.Planner == nil || d.Source == nil {
 		return nil, errors.New("dispatch: driver needs a gateway, a planner and a plan source")
 	}
-	t, err := d.buildTable(abs)
+	epoch := d.NextEpoch()
+	t, err := d.buildTable(abs, epoch)
 	d.LastErr = err
 	if err != nil {
 		t = ShedTable(d.Gateway.sys, abs, d.Gateway.cfg)
 	}
-	t.Epoch = d.NextEpoch()
+	t.Epoch = epoch
 	if scope := d.Gateway.Scope(); scope.Enabled() {
 		scope.Counter("dispatch_slots_total").Inc()
 		if t.Degraded {
@@ -99,8 +102,9 @@ func (d *Driver) PlanTable(abs int) (*Table, error) {
 	return t, nil
 }
 
-// buildTable produces the slot's routing table from a fresh commit.
-func (d *Driver) buildTable(abs int) (*Table, error) {
+// buildTable produces the slot's routing table from a fresh commit
+// planned under epoch.
+func (d *Driver) buildTable(abs int, epoch uint64) (*Table, error) {
 	if !d.attached {
 		d.attached = true
 		if fs, ok := d.Source.(forecastSource); ok {
@@ -111,6 +115,7 @@ func (d *Driver) buildTable(abs int) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: slot %d input: %w", abs, err)
 	}
+	in.Epoch = epoch
 	if hs, ok := d.Source.(healthSource); ok {
 		hs.FeedHealth(abs).Notify(d.Planner)
 	}

@@ -22,17 +22,18 @@ const (
 	// sheds it when DegradeOnFailure is set): Slot, Planner, Err.
 	KindPlanFailed = "plan-failed"
 	// KindEscalation is one rejected tier of a resilient chain: Slot,
-	// Planner (the tier), Tier, Reason, Err, Values (elapsedMs).
+	// Epoch, Planner (the tier), Tier, Reason, Err, Values (elapsedMs).
 	KindEscalation = "escalation"
 	// KindTierCommit is the chain tier that produced the committed plan:
-	// Slot, Planner (the chain), Tier, TierName.
+	// Slot, Epoch, Planner (the chain), Tier, TierName.
 	KindTierCommit = "tier-commit"
 	// KindFeedTransition is a telemetry feed changing estimator tier or
 	// breaker state: Slot, Feed, FeedTier, Breaker, Staleness, Reason
 	// (the transport failure, if any).
 	KindFeedTransition = "feed-transition"
 	// KindEngine is one Plan call's plan-search engine summary: Slot,
-	// Planner, Values (lpSolves, lpCacheHits, lpSolveErrors, lpBounded).
+	// Epoch, Planner, Values (lpSolves, lpCacheHits, lpSolveErrors,
+	// lpBounded).
 	KindEngine = "engine"
 	// KindEpochApplied is a gateway replica applying a published plan
 	// epoch: Slot, Epoch, Sub, Replica, Values (members, index).
@@ -62,7 +63,8 @@ const (
 // omitted from the JSON encoding; Values holds the kind's numeric
 // payload (maps marshal with sorted keys, so encodings are
 // deterministic). Slot, Epoch, Sub and Replica join one slot's events
-// across the publisher, replicas and controller.
+// across the planner, publisher, replicas and controller; the planner's
+// carry the epoch its commit publishes, 0 offline.
 type Event struct {
 	Kind string `json:"kind"`
 	Slot int    `json:"slot"`

@@ -201,7 +201,7 @@ func (c *Chain) Plan(in *core.Input) (*core.Plan, error) {
 		c.dec = dec
 		if c.Obs.Enabled() {
 			c.Obs.Counter("resilient_commits_total", obs.L("tier", name)).Add(1)
-			c.Obs.Emit(obs.Event{Kind: obs.KindTierCommit, Slot: in.Slot,
+			c.Obs.Emit(obs.Event{Kind: obs.KindTierCommit, Slot: in.Slot, Epoch: in.Epoch,
 				Planner: c.Name(), Tier: tier, TierName: name})
 		}
 		// The replay tier only learns plans that actually dispatch
@@ -229,7 +229,7 @@ func (c *Chain) Plan(in *core.Input) (*core.Plan, error) {
 			Err: "feeds report unusable inputs; escalating past primary tier",
 		}
 		dec.Attempts = append(dec.Attempts, at)
-		c.observeReject(in.Slot, 0, at)
+		c.observeReject(in, 0, at)
 		start = 1
 	}
 	c.inputHealth = nil
@@ -240,7 +240,7 @@ func (c *Chain) Plan(in *core.Input) (*core.Plan, error) {
 		if plan != nil {
 			return commit(plan, i, p.Name()), nil
 		}
-		c.observeReject(in.Slot, i, at)
+		c.observeReject(in, i, at)
 	}
 	n := len(c.Tiers)
 	plan, at := c.replay(in, func(plan *core.Plan) error { return gate(plan, n) })
@@ -248,27 +248,28 @@ func (c *Chain) Plan(in *core.Input) (*core.Plan, error) {
 	if plan != nil {
 		return commit(plan, n, "replay"), nil
 	}
-	c.observeReject(in.Slot, n, at)
+	c.observeReject(in, n, at)
 	shed := core.NewPlan(in.Sys)
 	if err := gate(shed, n+1); err != nil {
 		// The due work does not fit even on an idle fleet: shed it too.
 		// An empty plan dispatches nothing and is feasible on any input.
 		at := Attempt{Planner: "shed", Reason: ReasonInfeasible, Err: err.Error()}
 		dec.Attempts = append(dec.Attempts, at)
-		c.observeReject(in.Slot, n+1, at)
+		c.observeReject(in, n+1, at)
 		shed = core.NewPlan(in.Sys)
 	}
 	return commit(shed, n+1, "shed"), nil
 }
 
-// observeReject publishes one rejected tier attempt as an escalation
-// event plus a by-reason counter. Nil-safe; no-op without a scope.
-func (c *Chain) observeReject(slot, tier int, at Attempt) {
+// observeReject publishes one rejected tier attempt at in's slot as an
+// escalation event plus a by-reason counter. Nil-safe; no-op without a
+// scope.
+func (c *Chain) observeReject(in *core.Input, tier int, at Attempt) {
 	if !c.Obs.Enabled() {
 		return
 	}
 	c.Obs.Counter("resilient_escalations_total", obs.L("reason", string(at.Reason))).Add(1)
-	c.Obs.Emit(obs.Event{Kind: obs.KindEscalation, Slot: slot, Planner: at.Planner,
+	c.Obs.Emit(obs.Event{Kind: obs.KindEscalation, Slot: in.Slot, Epoch: in.Epoch, Planner: at.Planner,
 		Tier: tier, Reason: string(at.Reason), Err: at.Err,
 		Values: map[string]float64{"elapsedMs": float64(at.Elapsed) / float64(time.Millisecond)}})
 }

@@ -30,6 +30,8 @@ func FuzzFromWire(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte(`{"epoch":1,"slot":0,"slotLen":1,"seed":1,"objective":0,"idleCost":0,"serversOn":[1,1],"k":2,"s":2,` +
 		`"lanes":[{"K":1,"Q":7,"S":0,"L":9,"Rate":10,"MaxRate":0,"Burst":8}],"arrivals":[[1,1],[1,1]]}`))
+	f.Add([]byte(`{"epoch":1,"slot":0,"slotLen":1,"seed":1,"serversOn":[1,1],"k":2,"s":2,` +
+		`"lanes":[{"K":0,"Q":0,"S":0,"L":0,"Rate":10,"MaxRate":20,"Burst":8,"Service":-5}],"arrivals":[[1,1],[1,1]]}`))
 	f.Add([]byte(`{"k":1,"s":1,"slotLen":1e308,"lanes":[{"Rate":1e308,"Burst":1e308}],"arrivals":[[-1]]}`))
 	f.Add([]byte(`{"k":-1}`))
 	f.Add([]byte(`null`))

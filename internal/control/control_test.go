@@ -22,10 +22,10 @@ func wireTable(t testing.TB) *dispatch.Table {
 		Header: dispatch.Header{Epoch: 1, Slot: 0, SlotLen: 60, Seed: 42, ServersOn: []int{2, 2}},
 		K:      2, S: 2,
 		Lanes: []dispatch.Lane{
-			{K: 0, Q: 0, S: 0, L: 0, Rate: 100, MaxRate: 400, Burst: 300, Utility: 0.01},
-			{K: 0, Q: 0, S: 0, L: 1, Rate: 50, MaxRate: 200, Burst: 150, Utility: 0.01},
-			{K: 0, Q: 0, S: 1, L: 0, Rate: 80, MaxRate: 320, Burst: 240, Utility: 0.01},
-			{K: 1, Q: 0, S: 0, L: 1, Rate: 40, MaxRate: 60, Burst: 120, Utility: 0.05},
+			{K: 0, Q: 0, S: 0, L: 0, Rate: 100, MaxRate: 400, Burst: 300},
+			{K: 0, Q: 0, S: 0, L: 1, Rate: 50, MaxRate: 200, Burst: 150},
+			{K: 0, Q: 0, S: 1, L: 0, Rate: 80, MaxRate: 320, Burst: 240},
+			{K: 1, Q: 0, S: 0, L: 1, Rate: 40, MaxRate: 60, Burst: 120},
 		},
 		Arrivals: [][]float64{{150, 80}, {40, 0}},
 	}

@@ -327,6 +327,38 @@ func TestBoundCarriesTheFloorPrice(t *testing.T) {
 	}
 }
 
+// TestBoundGap: the level-relaxed bound z̄ (Bound) sits above every
+// planner's committed objective on the demand- and capacity-limited refine
+// fixtures, and leaves the committed plans' planner state alone: a
+// planner re-plans the slot identically after a bound. The gaps are
+// DESIGN §16's.
+func TestBoundGap(t *testing.T) {
+	for _, fx := range refineFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			o, in := fx.make()
+			off := NewOptimized()
+			off.Refine = false
+			greedy := NewLevelSearch()
+			greedy.Strategy = Greedy
+			zs := []float64{mustPlan(t, o, in).Objective, mustPlan(t, off, in).Objective, mustPlan(t, greedy, in).Objective}
+			zbar, err := Bound(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, z := range zs {
+				if z > zbar+1e-9*math.Abs(zbar) {
+					t.Fatalf("planner %d commits %.17g above the bound %.17g", i, z, zbar)
+				}
+			}
+			if again := mustPlan(t, o, in).Objective; again != zs[0] {
+				t.Fatalf("refine re-plans at %.17g after the bound, %.17g before", again, zs[0])
+			}
+			t.Logf("z̄ %.10g; gap refine %.3g %%, refine off %.3g %%, greedy level search %.3g %%",
+				zbar, 100*(zbar-zs[0])/zbar, 100*(zbar-zs[1])/zbar, 100*(zbar-zs[2])/zbar)
+		})
+	}
+}
+
 // TestUnboundedOnPurpose: the moves prices.bound declines to speak of are
 // still solved, and come out as they did before there was a bound.
 func TestUnboundedOnPurpose(t *testing.T) {
@@ -535,13 +567,18 @@ func TestRefineLargeFinishes(t *testing.T) {
 	o, off := NewOptimized(), NewOptimized()
 	o.Stats, off.Refine = &SearchStats{}, false
 	base := mustPlan(t, off, in)
+	zbar, err := Bound(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for slot := 0; slot < 2; slot++ {
 		begin := time.Now()
 		plan := mustPlan(t, o, in)
 		t.Logf("slot %d: %v on %d CPUs, %+v", slot, time.Since(begin), runtime.NumCPU(), *o.Stats)
-		if plan.Objective < base.Objective {
-			t.Fatalf("slot %d: refine earns %.17g, the unrefined plan %.17g", slot, plan.Objective, base.Objective)
+		if plan.Objective < base.Objective || plan.Objective > zbar+1e-9*zbar {
+			t.Fatalf("slot %d: refine earns %.17g, the unrefined plan %.17g, the bound %.17g", slot, plan.Objective, base.Objective, zbar)
 		}
+		t.Logf("slot %d: gap to z̄ %.10g: refine %.3g %%, refine off %.3g %%", slot, zbar, 100*(zbar-plan.Objective)/zbar, 100*(zbar-base.Objective)/zbar)
 	}
 	if o.Stats.Solves > 1000 || o.Stats.Bounded < 10*o.Stats.Solves || o.Stats.WarmFallbacks != 0 {
 		t.Fatalf("warm slot: %+v, want ≤ 1000 solves, the rest bounded", *o.Stats)

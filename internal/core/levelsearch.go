@@ -378,6 +378,20 @@ func branchBound(eng *engine, pairs []pair) (assignment, error) {
 	return best, nil
 }
 
+// Bound returns the slot's level-relaxed upper bound z̄, branch-and-bound's
+// root relaxation: every (type, center) pair at its best utility with no
+// deadline. No plan on in beats it, the paper's program's optimum included.
+// It solves on a fresh engine, which no planner's warm chain sees.
+func Bound(in *Input) (float64, error) {
+	if err := in.Validate(); err != nil {
+		return 0, err
+	}
+	var o EngineOptions
+	eng := o.open(in, "bound", false, false)
+	defer eng.close()
+	return upperBound(eng, allPairs(in.Sys), nil, 0)
+}
+
 // upperBound solves the relaxed LP where pairs below depth keep their
 // assigned level and pairs at or beyond depth get max utility with no
 // deadline, so they reserve no share.

@@ -516,8 +516,9 @@ func decodeOracle(data []byte) *core.Input { return (&oracleCodec{data: data}).w
 
 // FuzzBigMOracle holds TestBigMOracle's laws on generated instances: the
 // exhaustive and branch-and-bound level searches reach the program's
-// optimum over their own space, and no level search, greedy climb or
-// greedy seed exceeds the program. The corpus starts at the four
+// optimum over their own space, no level search, greedy climb or greedy
+// seed exceeds the program, and the level-relaxed bound (core.Bound) is
+// at least the program and every planner. The corpus starts at the four
 // oracleCases.
 func FuzzBigMOracle(f *testing.F) {
 	cases := oracleCases(f)
@@ -578,8 +579,9 @@ type oracleRun struct {
 }
 
 // checkOracleLaws holds the level searches and Optimized's greedy seed to
-// the program — or returns an error when the oracle's own LP solver
-// breaks down on the instance, which then proves nothing.
+// the program, and the program and every planner to the level-relaxed
+// bound — or returns an error when the oracle's own LP solver breaks down
+// on the instance, which then proves nothing.
 func checkOracleLaws(t *testing.T, in *core.Input) (oracleRun, error) {
 	t.Helper()
 	z, _, err := newBigM(in, false).optimum()
@@ -590,7 +592,19 @@ func checkOracleLaws(t *testing.T, in *core.Input) (oracleRun, error) {
 	if err != nil {
 		return oracleRun{}, err
 	}
+	zbar, err := core.Bound(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	above := func(got float64) bool { return got > z+1e-7*(1+math.Abs(z)) }
+	// The level-relaxed bound is above the program and every planner.
+	bounds := func(who string, got float64) {
+		if got > zbar+1e-7*(1+math.Abs(zbar)) {
+			t.Fatalf("%s reaches %.12g above the bound %.12g", who, got, zbar)
+		}
+	}
+	bounds("the program", z)
+	bounds("Optimized", eq5(in, mustPlan(t, core.NewOptimized(), in)))
 	run := oracleRun{z: z, zc: zc, exact: evictionFree(in)}
 	for _, st := range []core.Strategy{core.Exhaustive, core.BranchBound, core.Greedy} {
 		ls := core.NewLevelSearch()
@@ -599,6 +613,7 @@ func checkOracleLaws(t *testing.T, in *core.Input) (oracleRun, error) {
 		if above(got) {
 			t.Fatalf("%v commits %.12g above the program's %.12g", st, got, z)
 		}
+		bounds(st.String(), got)
 		switch st {
 		case core.Exhaustive:
 			run.exhaustive = got
@@ -616,6 +631,7 @@ func checkOracleLaws(t *testing.T, in *core.Input) (oracleRun, error) {
 	if above(seed) {
 		t.Fatalf("Optimized's greedy seed reaches %.12g above the program's %.12g", seed, z)
 	}
+	bounds("Optimized's greedy seed", seed)
 	return run, nil
 }
 

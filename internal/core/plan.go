@@ -358,16 +358,66 @@ func (p *Plan) Delay(sys *datacenter.System, k, q, l int) float64 {
 	return 1 / srv
 }
 
-// AchievedDelay is Delay as the TUF prices it: snapped onto level q's
-// deadline when the plan meets it with equality. The LP leaves such a
-// commodity within round-off above its deadline, and the step function
-// would otherwise pay it a level down.
-func (p *Plan) AchievedDelay(sys *datacenter.System, k, q, l int) float64 {
-	d := p.Delay(sys, k, q, l)
-	if dq := sys.Classes[k].TUF.Level(q).Deadline; d > dq && d <= dq*(1+DeadlineSnap) {
-		return dq
+// Valuation prices a committed plan commodity by commodity, as paper Eq.
+// 5 books it: the one place a plan's shares become rates, delays, money
+// and service rates. The simulator's accounting and Compile read it.
+type Valuation struct {
+	sys    *datacenter.System
+	plan   *Plan
+	sumPhi []float64 // per center: Σφ, the committed share total
+}
+
+// Priced is one commodity's valuation under a plan.
+type Priced struct {
+	// Rate is Λ_{k,q,l}, the commodity's aggregate rate at the center.
+	Rate float64
+	// Delay is Plan.Delay snapped onto level q's deadline when the plan
+	// meets it with equality: the LP leaves such a commodity within
+	// round-off above it, and the step TUF would pay it a level down.
+	Delay float64
+	// Utility is the TUF's per-request revenue at Delay.
+	Utility float64
+	// Service is the per-server rate the commodity is served at: its share
+	// plus a cut of the center's unallocated slack in proportion to it,
+	// times C·μ_k — (φ/Σφ)·C·μ_k with slack. The boosted shares sum to 1,
+	// so all commodities served at Service at once still fit the center.
+	Service float64
+	// Headroom is the factor by which Rate can grow, served at Service,
+	// before the delay reaches the level deadline; never below 1.
+	Headroom float64
+}
+
+// Value prepares the valuation of plan, committed against in.
+func Value(in *Input, plan *Plan) Valuation {
+	sumPhi := make([]float64, len(plan.ServersOn))
+	for l := range sumPhi {
+		for k := range plan.Rate {
+			for _, phi := range plan.Phi[l][k] {
+				sumPhi[l] += phi
+			}
+		}
 	}
-	return d
+	return Valuation{sys: in.Sys, plan: plan, sumPhi: sumPhi}
+}
+
+// At prices commodity (k, q, l).
+func (v Valuation) At(k, q, l int) Priced {
+	tf, dc := v.sys.Classes[k].TUF, &v.sys.Centers[l]
+	lam, d, deadline := v.plan.CenterRate(k, q, l), v.plan.Delay(v.sys, k, q, l), tf.Level(q).Deadline
+	if d > deadline && d <= deadline*(1+DeadlineSnap) {
+		d = deadline
+	}
+	phi := v.plan.Phi[l][k][q]
+	boosted := phi
+	if slack := 1 - v.sumPhi[l]; slack > 0 && v.sumPhi[l] > 0 {
+		boosted += slack * phi / v.sumPhi[l]
+	}
+	c := Priced{Rate: lam, Delay: d, Utility: tf.Utility(d), Service: boosted * dc.Capacity * dc.ServiceRate[k], Headroom: 1}
+	// The rate at which Service meets the deadline; NaN compares false.
+	if n := float64(v.plan.ServersOn[l]); lam > RateEps && n > 0 && deadline > 0 && n*(c.Service-1/deadline) > lam {
+		c.Headroom = n * (c.Service - 1/deadline) / lam
+	}
+	return c
 }
 
 // ErrTimeout is what a planner wraps when it ran out of its time budget;

@@ -193,6 +193,9 @@ func TestSubdivideSharesSumExactly(t *testing.T) {
 			}
 			for i := range sub.Lanes {
 				rates[i] += sub.Lanes[i].Rate
+				if sub.Lanes[i].Service != tab.Lanes[i].Service {
+					t.Fatalf("subdivision %d/%d lane %d service rate %g, want the per-server %g", idx, n, i, sub.Lanes[i].Service, tab.Lanes[i].Service)
+				}
 				if sub.Lanes[i].Burst < DefaultMinBurst {
 					t.Fatalf("lane %d burst %g below floor", i, sub.Lanes[i].Burst)
 				}
@@ -354,6 +357,9 @@ func TestScaleConservativeShed(t *testing.T) {
 	}
 	if half.Lanes[0].Rate != rate/2 {
 		t.Fatalf("scaled rate %g, want %g", half.Lanes[0].Rate, rate/2)
+	}
+	if half.Lanes[0].Service != tab.Lanes[0].Service || tab.Lanes[0].Service <= 0 {
+		t.Fatalf("scaled service rate %g, want the per-server %g", half.Lanes[0].Service, tab.Lanes[0].Service)
 	}
 	if tab.Lanes[0].Rate != rate {
 		t.Fatal("Scale mutated the source table")

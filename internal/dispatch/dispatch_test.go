@@ -117,7 +117,7 @@ func TestConfigWithDefaults(t *testing.T) {
 
 // TestCompile checks that the table mirrors the plan: one lane per
 // positive (k, q, s, l) rate, stream budgets summing to the plan's
-// dispatch totals, and frozen economics consistent with the topology.
+// dispatch totals, and each lane's frozen valuation the plan's.
 func TestCompile(t *testing.T) {
 	in, plan, tab := testTable(t, Config{Seed: 42, SlotSeconds: 60})
 	sys := in.Sys
@@ -166,6 +166,7 @@ func TestCompile(t *testing.T) {
 			}
 		}
 	}
+	v := core.Value(in, plan)
 	for i, ln := range tab.Lanes {
 		if ln.Rate <= rateEps {
 			t.Errorf("lane %d has non-positive rate %g", i, ln.Rate)
@@ -173,14 +174,13 @@ func TestCompile(t *testing.T) {
 		if ln.Burst < DefaultMinBurst {
 			t.Errorf("lane %d burst %g below floor", i, ln.Burst)
 		}
-		if ln.Utility <= 0 {
-			t.Errorf("lane %d utility %g; the plan should not buy worthless lanes", i, ln.Utility)
+		c := v.At(ln.K, ln.Q, ln.L)
+		if c.Utility <= 0 {
+			t.Errorf("lane %d utility %g; the plan should not buy worthless lanes", i, c.Utility)
 		}
-		if want := sys.TransferCost(ln.K, ln.S, ln.L); ln.UnitTransfer != want {
-			t.Errorf("lane %d transfer %g, want %g", i, ln.UnitTransfer, want)
-		}
-		if want := sys.EnergyCost(ln.K, ln.L, in.Prices[ln.L]); ln.UnitEnergy != want {
-			t.Errorf("lane %d energy %g, want %g", i, ln.UnitEnergy, want)
+		if ln.Delay != c.Delay || ln.Service != c.Service || ln.MaxRate != ln.Rate*c.Headroom {
+			t.Errorf("lane %d delay %g, service %g, max rate %g; the valuation says %g, %g, %g",
+				i, ln.Delay, ln.Service, ln.MaxRate, c.Delay, c.Service, ln.Rate*c.Headroom)
 		}
 	}
 }

@@ -59,8 +59,8 @@ func TestRescaleMaxRateCap(t *testing.T) {
 		Header: Header{Epoch: 1, SlotLen: 60, Seed: 7, ServersOn: []int{1, 1}},
 		K:      1, S: 2,
 		Lanes: []Lane{
-			{K: 0, Q: 0, S: 0, L: 0, Rate: 100, MaxRate: 150, Burst: 300},
-			{K: 0, Q: 0, S: 1, L: 1, Rate: 80, MaxRate: 400, Burst: 240},
+			{K: 0, Q: 0, S: 0, L: 0, Rate: 100, MaxRate: 150, Burst: 300, Service: 90},
+			{K: 0, Q: 0, S: 1, L: 1, Rate: 80, MaxRate: 400, Burst: 240, Service: 250},
 		},
 		Arrivals: [][]float64{{100, 80}},
 	}
@@ -77,6 +77,11 @@ func TestRescaleMaxRateCap(t *testing.T) {
 	}
 	if got := re.Lanes[1].Rate; got != 240 {
 		t.Fatalf("free lane rate %g, want 3×80 = 240", got)
+	}
+	for i := range re.Lanes {
+		if re.Lanes[i].Service != tab.Lanes[i].Service {
+			t.Fatalf("lane %d service rate %g, want the per-server %g", i, re.Lanes[i].Service, tab.Lanes[i].Service)
+		}
 	}
 	// The per-stream planned budget tracks the re-scaled lane sum.
 	if p, _ := re.Planned(0, 0); p != 150 {
@@ -174,10 +179,11 @@ func TestInstallIfNewerLexicographic(t *testing.T) {
 	}
 }
 
-// TestWireSubMaxRate: the sub-epoch and per-lane headroom survive the
-// wire round trip; hostile MaxRate values are rejected (NaN/Inf) or
-// normalized up to Rate (a missing or undercut headroom must never make
-// Rescale clamp below the committed plan).
+// TestWireSubMaxRate: the sub-epoch, per-lane headroom and service rate
+// survive the wire round trip; hostile MaxRate values are rejected
+// (NaN/Inf) or normalized up to Rate (a missing or undercut headroom must
+// never make Rescale clamp below the committed plan), and a NaN, infinite
+// or negative Service is rejected.
 func TestWireSubMaxRate(t *testing.T) {
 	cfg := Config{Seed: 13, SlotSeconds: 60}
 	_, _, tab := testTable(t, cfg)
@@ -190,8 +196,9 @@ func TestWireSubMaxRate(t *testing.T) {
 		t.Fatalf("round trip pair (%d,%d), want (6,2)", back.Epoch, back.Sub)
 	}
 	for i := range tab.Lanes {
-		if back.Lanes[i].MaxRate != tab.Lanes[i].MaxRate {
-			t.Fatalf("lane %d headroom %g → %g across the wire", i, tab.Lanes[i].MaxRate, back.Lanes[i].MaxRate)
+		if back.Lanes[i].MaxRate != tab.Lanes[i].MaxRate || back.Lanes[i].Service != tab.Lanes[i].Service {
+			t.Fatalf("lane %d headroom %g → %g, service rate %g → %g across the wire", i,
+				tab.Lanes[i].MaxRate, back.Lanes[i].MaxRate, tab.Lanes[i].Service, back.Lanes[i].Service)
 		}
 	}
 
@@ -210,6 +217,13 @@ func TestWireSubMaxRate(t *testing.T) {
 	w.Lanes[0].MaxRate = math.Inf(1)
 	if _, err := FromWire(w); err == nil {
 		t.Error("infinite MaxRate accepted")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		w = clone()
+		w.Lanes[0].Service = bad
+		if _, err := FromWire(w); err == nil {
+			t.Errorf("service rate %g accepted", bad)
+		}
 	}
 	w = clone()
 	w.Lanes[0].MaxRate = 0 // legacy wire with no headroom field

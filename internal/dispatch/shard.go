@@ -24,9 +24,9 @@ const shardBurstSigmas = 6
 // aggregate burst therefore exceeds the undivided table's, which only
 // ever errs permissive. Every lane moves by one factor, so the alias tables
 // stay the parent's (derive); each replica's draw seed is re-mixed with
-// (idx, n) so replicas walk independent routing sequences. Objective, idle
-// cost and per-stream budgets scale by the share fraction so per-replica
-// accounting sums back to the plan.
+// (idx, n) so replicas walk independent routing sequences. Objective and
+// per-stream budgets scale by the share fraction so per-replica
+// accounting sums back to the plan; Service, a per-server rate, does not.
 //
 // A fleet of one gets the table itself: its share is the whole plan, it has
 // no peer to decorrelate its draws from, and no slice is thin enough to
@@ -59,7 +59,6 @@ func (t *Table) Subdivide(idx, n int, cfg Config) (*Table, error) {
 		e.seed = splitmix64(e.seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15 ^ uint64(n)<<32)
 	})
 	sub.Objective *= share
-	sub.IdleCost *= share
 	return sub, nil
 }
 

@@ -15,32 +15,31 @@ import (
 const rateEps = core.RateEps
 
 // Lane is one (type, level, front-end, center) dispatch stream of the
-// compiled plan, with the per-request economics frozen at compile time so
-// the hot path and the load-test accounting never re-derive them.
+// compiled plan, with what the plan's valuation (core.Value) says of its
+// commodity frozen at compile time so the hot path and the load-test
+// settlement never re-derive it.
 type Lane struct {
 	K, Q, S, L int
 	// Rate is the plan's dispatch rate λ_{k,q,s,l}, requests per unit
 	// virtual time.
 	Rate float64
 	// MaxRate is the lane's capacity headroom: the largest admission rate
-	// the committed plan's shares (plus the center's unallocated share
-	// slack, spread over the commodity's lanes in proportion to rate) can
-	// sustain without violating the level deadline. A sub-slot controller
-	// may boost the lane up to MaxRate and no further; MaxRate ≥ Rate
-	// always, and 0 means "no headroom known" (treated as Rate).
+	// the commodity's Service can sustain without violating the level
+	// deadline, the commodity's headroom spread over its lanes in
+	// proportion to rate. A sub-slot controller may boost the lane up to
+	// MaxRate and no further; MaxRate ≥ Rate always, and 0 means "no
+	// headroom known" (treated as Rate).
 	MaxRate float64
 	// Burst is the lane's token-bucket capacity in requests.
 	Burst float64
 	// Delay is the commodity's expected M/M/1 delay under the plan, in
 	// virtual time units (the closed-loop load generator's response time).
 	Delay float64
-	// Utility is the per-request revenue at the plan's expected delay for
-	// the commodity (the TUF evaluated exactly as the simulator does).
-	Utility float64
-	// UnitEnergy and UnitTransfer are the per-request dollar costs at the
-	// slot's electricity price and the (front-end, center) distance.
-	UnitEnergy   float64
-	UnitTransfer float64
+	// Service is the per-server rate the commodity's center serves it at,
+	// (φ/Σφ)·C·μ_k of the committed plan (core.Priced.Service): every lane
+	// of a commodity carries the same value, and a per-server rate is
+	// left unchanged by every transform of the table.
+	Service float64
 }
 
 // entry is the per-(k, s) routing state: a Walker alias table over the
@@ -80,9 +79,6 @@ type Header struct {
 	Seed uint64 `json:"seed"`
 	// Objective is the committed plan's predicted net profit.
 	Objective float64 `json:"objective"`
-	// IdleCost is the slot's idle-draw dollar cost of the powered-on
-	// servers (zero under the paper's purely per-request energy model).
-	IdleCost float64 `json:"idleCost"`
 	// ServersOn mirrors the plan's powered-on counts.
 	ServersOn []int `json:"serversOn"`
 	// Degraded and Tier record how the plan was obtained: Tier is the
@@ -253,9 +249,9 @@ func ShedTable(sys *datacenter.System, slot int, cfg Config) *Table {
 
 // Compile freezes a committed plan into a routing table: one alias table
 // per (type, front-end) stream over the plan's positive (level, center)
-// lanes, per-lane token-bucket capacities, and the per-request economics
-// at the slot's prices. The input must be the one the plan was committed
-// against (it supplies the topology, budgets and prices). Compile does
+// lanes, per-lane token-bucket capacities, and each lane's commodity as
+// core.Value prices it. The input must be the one the plan was committed
+// against (it supplies the topology and budgets). Compile does
 // not re-verify feasibility — the Driver gates plans through core.Verify
 // before compiling.
 func Compile(in *core.Input, plan *core.Plan, cfg Config) (*Table, error) {
@@ -277,45 +273,6 @@ func Compile(in *core.Input, plan *core.Plan, cfg Config) (*Table, error) {
 		Objective: plan.Objective,
 		ServersOn: append([]int(nil), plan.ServersOn...),
 	}}
-	for l := 0; l < L; l++ {
-		t.IdleCost += sys.IdleCost(l, in.Prices[l]) * float64(plan.ServersOn[l])
-	}
-	// Per-center committed share totals: whatever the plan left unallocated
-	// is slack a sub-slot controller may draw on. Spreading the slack over
-	// a center's commodities in proportion to their committed shares keeps
-	// the boosted shares summing to exactly 1, so every lane serving at its
-	// MaxRate simultaneously still meets the capacity and deadline
-	// constraints core.Verify enforces.
-	sumPhi := make([]float64, L)
-	for l := 0; l < L; l++ {
-		for k := range plan.Rate {
-			for q := range plan.Phi[l][k] {
-				sumPhi[l] += plan.Phi[l][k][q]
-			}
-		}
-	}
-	// headroom returns MaxRate/Rate for commodity (k, q, l): the factor by
-	// which the commodity's aggregate rate can grow — under its share plus
-	// its proportional cut of the center's slack — before the M/M/1 delay
-	// hits the level deadline. Never below 1.
-	headroom := func(k, q, l int, deadline float64) float64 {
-		lam := plan.CenterRate(k, q, l)
-		n := float64(plan.ServersOn[l])
-		if lam <= rateEps || n == 0 || deadline <= 0 {
-			return 1
-		}
-		phi := plan.Phi[l][k][q]
-		boosted := phi
-		if slack := 1 - sumPhi[l]; slack > 0 && sumPhi[l] > 0 {
-			boosted += slack * phi / sumPhi[l]
-		}
-		dc := &sys.Centers[l]
-		lamMax := n * (boosted*dc.Capacity*dc.ServiceRate[k] - 1/deadline)
-		if math.IsNaN(lamMax) || lamMax <= lam {
-			return 1
-		}
-		return lamMax / lam
-	}
 	// The first pass checks the plan and counts its lanes, so the second
 	// fills a lane slab sized once (nil for none, which /admin/plan shows
 	// as null).
@@ -347,24 +304,22 @@ func Compile(in *core.Input, plan *core.Plan, cfg Config) (*Table, error) {
 		}
 	}
 	t.Lanes = slices.Grow(t.Lanes, lanes)
+	v := core.Value(in, plan)
 	for k := 0; k < K; k++ {
-		cls := sys.Classes[k].TUF
 		for s := 0; s < S; s++ {
 			for q := range plan.Rate[k] {
 				for l, rate := range plan.Rate[k][q][s] {
 					if rate <= rateEps {
 						continue
 					}
-					d := plan.AchievedDelay(sys, k, q, l)
+					c := v.At(k, q, l)
 					t.Lanes = append(t.Lanes, Lane{
 						K: k, Q: q, S: s, L: l,
-						Rate:         rate,
-						MaxRate:      rate * headroom(k, q, l, cls.Level(q).Deadline),
-						Burst:        cfg.burst(rate, T),
-						Delay:        d,
-						Utility:      cls.Utility(d),
-						UnitEnergy:   sys.EnergyCost(k, l, in.Prices[l]),
-						UnitTransfer: sys.TransferCost(k, s, l),
+						Rate:    rate,
+						MaxRate: rate * c.Headroom,
+						Burst:   cfg.burst(rate, T),
+						Delay:   c.Delay,
+						Service: c.Service,
 					})
 				}
 			}
@@ -379,8 +334,7 @@ func Compile(in *core.Input, plan *core.Plan, cfg Config) (*Table, error) {
 // so a boosted table can never violate the committed plan's capacity or
 // deadline envelope. Lanes of one stream move by different factors, so the
 // copy is re-weighed; bucket capacities follow the scaled rates; the
-// frozen per-lane economics (Delay, Utility, unit costs) and MaxRate
-// itself are carried unchanged, as are every stream's arrival budget and
+// frozen per-lane valuation (Delay, Service) and MaxRate itself are carried unchanged, as are every stream's arrival budget and
 // draw seed — an all-ones mult reproduces the base routing bit for bit.
 // The result keeps the base Epoch and carries sub as its sub-epoch
 // sequence. Rescale is meant for fleet-level (undivided) tables: bucket

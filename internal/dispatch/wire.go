@@ -43,10 +43,11 @@ func (t *Table) Wire() *TableWire {
 // FromWire reconstructs a routing table from its wire form, rebuilding
 // the per-stream alias tables from the lane rates. It validates what a
 // hostile or corrupted payload can get wrong on its own terms —
-// dimensions, stream coordinates, non-finite rates — and rejects rather
-// than installing garbage into a gateway. Whether the table fits a given
-// topology (K, S, center and level indices, ServersOn) it cannot know;
-// the replica that installs it checks that (cluster.Replica.Apply).
+// dimensions, stream coordinates, non-finite or negative rates — and
+// rejects rather than installing garbage into a gateway. Whether the
+// table fits a given topology (K, S, center and level indices,
+// ServersOn) it cannot know; the replica that installs it checks that
+// (cluster.Replica.Apply).
 func FromWire(w *TableWire) (*Table, error) {
 	if w == nil {
 		return nil, fmt.Errorf("dispatch: nil wire table")
@@ -80,6 +81,9 @@ func FromWire(w *TableWire) (*Table, error) {
 		}
 		if math.IsNaN(ln.MaxRate) || math.IsInf(ln.MaxRate, 0) {
 			return nil, fmt.Errorf("dispatch: wire lane %d has max rate %g", i, ln.MaxRate)
+		}
+		if ln.Service < 0 || math.IsNaN(ln.Service) || math.IsInf(ln.Service, 0) {
+			return nil, fmt.Errorf("dispatch: wire lane %d has service rate %g", i, ln.Service)
 		}
 		if ln.MaxRate < ln.Rate {
 			// Unknown (0), negative, or sub-rate headroom all normalize to

@@ -157,9 +157,9 @@ type SlotResult struct {
 	ControlFrozen bool
 	// Revenue/EnergyCost/TransferCost/NetProfit settle the *admitted*
 	// requests through their centers' queues: revenue is each request's
-	// TUF at its own response time, energy is billed at the slot's true
-	// prices plus the table's idle cost, and transfer at the (front-end,
-	// center) distance.
+	// TUF at its own response time, energy — the powered-on servers' idle
+	// draw included — is billed at the slot's true prices, and transfer at
+	// the (front-end, center) distance.
 	Revenue, EnergyCost, TransferCost, NetProfit float64
 	// Classes holds the per-type settled statistics (nil during a
 	// publisher outage).
@@ -610,13 +610,17 @@ func (rp *replayer) commodity(k, q, l int) int { return (rp.levels[k]+q)*rp.sys.
 // Each commodity's admissions go to the powered-on server their draw
 // names and, merged across front-ends and replicas in time order, each
 // server serves them FIFO (lindley) at the commodity's per-server rate
-// (serviceRates) times the center's slow-center factor: a sagging or
+// (its lanes' Service) times the center's slow-center factor: a sagging or
 // overrun center is simply a slower queue. Every request pays its energy
-// at the slot's true price and its transfer; the table adds its idle cost.
+// at the slot's true price and its transfer, and the powered-on servers
+// their idle draw at the same prices.
 func (rp *replayer) settle(res *SlotResult, table *dispatch.Table, admitted []int64, queues [][]admission, prices []float64) {
 	sys := rp.sys
 	S, L := sys.S(), sys.L()
-	rates := serviceRates(table, sys, rp.levels)
+	rates := make([]float64, len(queues)) // 0 for a commodity with no lane
+	for _, ln := range table.Lanes {
+		rates[rp.commodity(ln.K, ln.Q, ln.L)] = ln.Service
+	}
 	res.Classes = make([]ClassSlot, sys.K())
 	timed := make([]int, sys.K())
 	sumDelay := make([]float64, sys.K())
@@ -672,7 +676,11 @@ func (rp *replayer) settle(res *SlotResult, table *dispatch.Table, admitted []in
 			res.Classes[k].MeanDelay = sumDelay[k] / float64(timed[k])
 		}
 	}
-	res.EnergyCost += table.IdleCost
+	var idle float64 // billed, like every request's energy, at the true prices
+	for l, n := range table.ServersOn {
+		idle += sys.IdleCost(l, prices[l]) * float64(n)
+	}
+	res.EnergyCost += idle
 	res.NetProfit = res.Revenue - res.EnergyCost - res.TransferCost
 }
 
@@ -697,44 +705,6 @@ func spread(queue []admission, n int) (byServer []admission, ends []int) {
 		next[server[i]]++
 	}
 	return byServer, ends
-}
-
-// serviceRates derives every commodity's per-server service rate from the
-// slot's table: a center splits its capacity among the commodities it
-// serves in proportion to their committed shares, (φ/Σφ)·C·μ_k — the
-// model Compile's MaxRate headroom assumes. A commodity with headroom
-// gives that rate back exactly, as ΣMaxRate/n + 1/D_q over its lanes; one
-// without has no share slack at its center (Σφ = 1), so its delay gives
-// φ·C·μ_k = 1/Delay + λ/n (to DeadlineSnap where Delay sits on the
-// deadline). A commodity the table does not serve gets rate 0.
-func serviceRates(table *dispatch.Table, sys *datacenter.System, levels []int) []float64 {
-	L := sys.L()
-	n := levels[len(levels)-1] * L
-	lam, top, delay := make([]float64, n), make([]float64, n), make([]float64, n)
-	for _, ln := range table.Lanes {
-		c := (levels[ln.K]+ln.Q)*L + ln.L
-		lam[c] += ln.Rate
-		top[c] += ln.MaxRate
-		delay[c] = ln.Delay
-	}
-	rates := make([]float64, n)
-	for k := range sys.Classes {
-		cls := sys.Classes[k].TUF
-		for q := 0; q < cls.NumLevels(); q++ {
-			for l := 0; l < L; l++ {
-				c := (levels[k]+q)*L + l
-				on := float64(table.ServersOn[l])
-				switch {
-				case lam[c] == 0 || on == 0:
-				case top[c] > lam[c]:
-					rates[c] = top[c]/on + 1/cls.Level(q).Deadline
-				default:
-					rates[c] = 1/delay[c] + lam[c]/on
-				}
-			}
-		}
-	}
-	return rates
 }
 
 // serviceSampler returns a sampler of service times with mean 1/mu and

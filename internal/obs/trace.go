@@ -16,7 +16,9 @@ const (
 	KindSlotEnd = "slot-end"
 	// KindPlanCommitted is the accounted plan: Slot, Planner,
 	// Tier/TierName, Values (revenue, energyCost, transferCost,
-	// netProfit, serversOn, offered, served).
+	// netProfit, serversOn, offered, served, and from sim.Run the
+	// level-relaxed bound z̄ on the planner's input with the committed
+	// objective's gap (z̄ − z)/z̄).
 	KindPlanCommitted = "plan-committed"
 	// KindPlanFailed is a slot whose plan failed outright (the simulator
 	// sheds it when DegradeOnFailure is set): Slot, Planner, Err.

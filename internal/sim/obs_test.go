@@ -173,6 +173,35 @@ func TestObsEscalationsHaveTraceEvents(t *testing.T) {
 	}
 }
 
+// TestPlanCommittedCarriesTheGap: under a scope every committed plan's
+// event carries the level-relaxed bound on the planner's input, at or
+// above the committed objective, and the gap between them.
+func TestPlanCommittedCarriesTheGap(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.KeepPlans = true
+	col := &obs.Collector{}
+	cfg.Obs = obs.NewScope(nil, col)
+	rep, err := Run(cfg, core.NewOptimized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen int
+	for _, ev := range col.Events() {
+		if ev.Kind != obs.KindPlanCommitted {
+			continue
+		}
+		z := rep.Slots[seen].Plan.Objective
+		zbar, gap := ev.Values["bound"], ev.Values["gap"]
+		if zbar <= 0 || z > zbar*(1+1e-9) || gap != (zbar-z)/zbar {
+			t.Fatalf("slot %d: objective %.17g, bound %.17g, gap %g", ev.Slot, z, zbar, gap)
+		}
+		seen++
+	}
+	if seen != len(rep.Slots) {
+		t.Fatalf("%d plan-committed events for %d slots", seen, len(rep.Slots))
+	}
+}
+
 // strippedEvent is an Event reduced to its identity fields: Values
 // carries wall-clock measurements (elapsed milliseconds, LP counters),
 // which would make a golden file flaky.

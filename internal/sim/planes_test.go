@@ -1,12 +1,15 @@
 package sim_test
 
 import (
+	"math"
 	"sync"
 	"testing"
 
+	"profitlb/internal/baseline"
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
 	"profitlb/internal/dispatch"
+	"profitlb/internal/exp"
 	"profitlb/internal/fault"
 	"profitlb/internal/feed"
 	"profitlb/internal/market"
@@ -130,5 +133,65 @@ func TestPlanInputsAreTheObservedOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPlannerObjectiveMatchesAccounting: every planner's predicted
+// objective is what the simulator accounts for its plan, to round-off, on
+// every slot of the package's test day, the Section VI day and Section
+// VII's window — the
+// planner values Eq. 5 at each commodity's level utility, the accounting
+// at the utility core.Value pays at the commodity's delay.
+func TestPlannerObjectiveMatchesAccounting(t *testing.T) {
+	planners := []struct {
+		name string
+		mk   func() core.Planner
+	}{
+		{"optimized", func() core.Planner { return core.NewOptimized() }},
+		{"optimized/refine-off", func() core.Planner {
+			o := core.NewOptimized()
+			o.Refine = false
+			return o
+		}},
+		{"level-search/greedy", func() core.Planner {
+			ls := core.NewLevelSearch()
+			ls.Strategy = core.Greedy
+			return ls
+		}},
+		{"level-search/branch-and-bound", func() core.Planner {
+			ls := core.NewLevelSearch()
+			ls.Strategy = core.BranchBound
+			return ls
+		}},
+		{"balanced", func() core.Planner { return baseline.NewBalanced() }},
+	}
+	setups := []struct {
+		name string
+		cfg  sim.Config
+	}{
+		{"two-centers", sim.TestConfig(4)},
+		{"section-vi", exp.NewTraceSetup().Config()},
+		{"section-vii", exp.NewTwoLevelSetup().Config()},
+	}
+	for _, setup := range setups {
+		for _, p := range planners {
+			t.Run(setup.name+"/"+p.name, func(t *testing.T) {
+				cfg := setup.cfg
+				cfg.KeepPlans = true
+				rep, err := sim.Run(cfg, p.mk())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var worst float64
+				for i, sr := range rep.Slots {
+					d := math.Abs(sr.NetProfit-sr.Plan.Objective) / (1 + math.Abs(sr.NetProfit))
+					if d > 1e-12 {
+						t.Fatalf("slot %d: accounted %.17g vs planned %.17g", i, sr.NetProfit, sr.Plan.Objective)
+					}
+					worst = max(worst, d)
+				}
+				t.Logf("%d slots, worst relative gap %.3g", len(rep.Slots), worst)
+			})
+		}
 	}
 }

@@ -529,7 +529,7 @@ func Run(cfg Config, planner core.Planner) (*Report, error) {
 		}
 		if observed {
 			if err == nil {
-				sc.Emit(obs.Event{Kind: obs.KindPlanCommitted, Slot: abs, Planner: planner.Name(),
+				ev := obs.Event{Kind: obs.KindPlanCommitted, Slot: abs, Planner: planner.Name(),
 					Tier: sr.FallbackTier, TierName: sr.FallbackName,
 					Values: map[string]float64{
 						"revenue":      sr.Revenue,
@@ -539,7 +539,13 @@ func Run(cfg Config, planner core.Planner) (*Report, error) {
 						"serversOn":    float64(sr.ServersOn),
 						"offered":      sr.Offered(),
 						"served":       sr.Served(),
-					}})
+					}}
+				// The level-relaxed bound on what the planner saw, and how
+				// far the committed objective sits below it.
+				if zbar, err := core.Bound(view.Plan); err == nil && zbar > 0 {
+					ev.Values["bound"], ev.Values["gap"] = zbar, (zbar-plan.Objective)/zbar
+				}
+				sc.Emit(ev)
 			}
 			if sr.Degraded {
 				sc.Counter("sim_degraded_slots_total", obs.L("planner", planner.Name())).Add(1)
@@ -553,7 +559,8 @@ func Run(cfg Config, planner core.Planner) (*Report, error) {
 	return report, nil
 }
 
-// account computes the slot's dollar flows from the plan.
+// account computes the slot's dollar flows from the plan: revenue as
+// core.Value prices it, energy and transfer at the slot's prices.
 func account(in *core.Input, plan *core.Plan) SlotReport {
 	sys := in.Sys
 	T := sys.Slot()
@@ -576,16 +583,16 @@ func account(in *core.Input, plan *core.Plan) SlotReport {
 	for l := 0; l < L; l++ {
 		sr.EnergyCost += sys.IdleCost(l, in.Prices[l]) * float64(plan.ServersOn[l])
 	}
+	v := core.Value(in, plan)
 	for k := 0; k < K; k++ {
-		cls := sys.Classes[k].TUF
 		for q := range plan.Rate[k] {
 			for l := 0; l < L; l++ {
-				lam := plan.CenterRate(k, q, l)
+				c := v.At(k, q, l)
+				lam := c.Rate
 				if lam <= 0 {
 					continue
 				}
-				u := cls.Utility(plan.AchievedDelay(sys, k, q, l))
-				sr.Revenue += u * lam * T
+				sr.Revenue += c.Utility * lam * T
 				sr.EnergyCost += sys.EnergyCost(k, l, in.Prices[l]) * lam * T
 				sr.ServedByType[k] += lam * T
 				sr.CenterServed[k][l] += lam * T

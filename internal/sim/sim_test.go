@@ -88,22 +88,6 @@ func TestOptimizedBeatsBalancedOverADay(t *testing.T) {
 	}
 }
 
-func TestPlannerObjectiveMatchesAccounting(t *testing.T) {
-	// The plan's predicted objective equals the simulator's accounted
-	// net profit.
-	cfg := testConfig(4)
-	cfg.KeepPlans = true
-	rep, err := Run(cfg, core.NewOptimized())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sr := range rep.Slots {
-		if math.Abs(sr.NetProfit-sr.Plan.Objective) > 1e-6*(1+math.Abs(sr.NetProfit)) {
-			t.Fatalf("slot %d: accounted %g vs planned %g", i, sr.NetProfit, sr.Plan.Objective)
-		}
-	}
-}
-
 func TestStartSlotOffsets(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.StartSlot = 14

@@ -14,33 +14,59 @@ import (
 )
 
 // designMaxBytes caps DESIGN.md: it says what the system is, and history
-// belongs in CHANGES.md.
-const designMaxBytes = 60000
+// belongs in CHANGES.md. readmeMaxBytes caps README.md: it says what a
+// user runs, and points at DESIGN for the rest.
+const (
+	designMaxBytes = 60000
+	readmeMaxBytes = 15000
+)
 
 var (
 	// designRef matches "DESIGN §7.4" or "DESIGN.md §12", also when a
 	// line break (and a comment marker) falls between the two words.
 	designRef     = regexp.MustCompile(`DESIGN(?:\.md)?(?:\s|//|#)*§\s*(\d+(?:\.\d+)?)`)
 	designHeading = regexp.MustCompile(`(?m)^(?:## (\d+)\.|### (\d+\.\d+)) `)
+	// lineRef and prNumber are what the current-state documents do not
+	// carry: line numbers rot, and history belongs in CHANGES.md.
+	lineRef  = regexp.MustCompile(`\.go:\d+`)
+	prNumber = regexp.MustCompile(`PR \d+`)
 )
 
 // TestDesignReferences fails on any "DESIGN §N[.M]" in the repository's
-// code and documents that names no section of DESIGN.md, and on a
-// DESIGN.md over designMaxBytes. CHANGES.md is history, so it may name
-// sections that have since moved.
+// code and documents that names no section of DESIGN.md, on a DESIGN.md
+// over designMaxBytes or a README.md over readmeMaxBytes, and on a
+// "file.go:<line>" link or a "PR <n>" in README.md, DESIGN.md or the
+// verify skill. CHANGES.md is history, so it may name sections that have
+// since moved.
 func TestDesignReferences(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(design) > designMaxBytes {
-		t.Errorf("DESIGN.md is %d bytes, over the %d cap", len(design), designMaxBytes)
+	skill := filepath.Join(".claude", "skills", "verify", "SKILL.md")
+	caps := map[string]int{"DESIGN.md": designMaxBytes, "README.md": readmeMaxBytes}
+	for _, path := range []string{"DESIGN.md", "README.md", skill} {
+		b, err := os.ReadFile(path)
+		if path == skill && os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit, ok := caps[path]; ok && len(b) > limit {
+			t.Errorf("%s is %d bytes, over the %d cap", path, len(b), limit)
+		}
+		for _, re := range []*regexp.Regexp{lineRef, prNumber} {
+			for _, m := range re.FindAllString(string(b), -1) {
+				t.Errorf("%s: carries %q: cite a symbol, and leave history to CHANGES.md", path, m)
+			}
+		}
 	}
 	sections := map[string]bool{}
 	for _, m := range designHeading.FindAllStringSubmatch(string(design), -1) {
 		sections[m[1]+m[2]] = true
 	}
-	files := []string{filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+	files := []string{skill}
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err

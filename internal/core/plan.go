@@ -420,6 +420,33 @@ func (v Valuation) At(k, q, l int) Priced {
 	return c
 }
 
+// Expected is a request's expected utility on commodity (k, q, l) as the
+// queue pays it rather than as Eq. 1 books it: random splitting makes each
+// of the center's n servers an M/M/1 queue served at Service with
+// arrivals Λ/n, whose sojourn time is exponential at θ = Service − Λ/n,
+// so the step TUF pays Σᵢ Uᵢ·(e^{−θDᵢ₋₁} − e^{−θDᵢ}) with D₀ = 0. It is 0
+// where no server is on or θ ≤ 0.
+func (v Valuation) Expected(k, q, l int) float64 {
+	n := float64(v.plan.ServersOn[l])
+	if n <= 0 {
+		return 0
+	}
+	theta := v.At(k, q, l).Service - v.plan.CenterRate(k, q, l)/n
+	if !(theta > 0) {
+		return 0
+	}
+	tf := v.sys.Classes[k].TUF
+	var e float64
+	above := 1.0 // P(R > Dᵢ₋₁)
+	for i := 0; i < tf.NumLevels(); i++ {
+		lv := tf.Level(i)
+		next := math.Exp(-theta * lv.Deadline)
+		e += lv.Utility * (above - next)
+		above = next
+	}
+	return e
+}
+
 // ErrTimeout is what a planner wraps when it ran out of its time budget;
 // a resilient chain classifies it as a timeout, not a plain error.
 var ErrTimeout = errors.New("the planner ran out of its time budget")

@@ -355,6 +355,86 @@ func TestSettledQueueMatchesPollaczekKhinchine(t *testing.T) {
 	}
 }
 
+// TestSettledValueMatchesExpected holds the settlement to
+// core.Valuation.Expected, the closed form of what the queue pays: one
+// type with two levels ($2 by 0.05, $1 by 0.2) on one center's one
+// server, λ = 60 against C·μ = 100, at service CV 1. Lindley delays are
+// correlated, so the bound is on batch means, a slot each: every slot
+// starts with empty queues and draws its own streams, so the batches are
+// independent. The empty start is a bias, not noise: the M/M/1 relaxation
+// time is τ = 1/(μ(1−√ρ)²) ≈ 0.2, a slot runs 400 time units (~2 000 τ),
+// and the transient moves a slot's mean by at most U₁·5τ/T, which the
+// test requires to sit inside the bound.
+func TestSettledValueMatchesExpected(t *testing.T) {
+	const lam, mu, slots, slotLen = 60.0, 100.0, 20, 400.0
+	tf := tuf.MustNew([]tuf.Level{{Utility: 2, Deadline: 0.05}, {Utility: 1, Deadline: 0.2}})
+	rates := make([][]float64, slots)
+	prices := make([]float64, slots)
+	for i := range rates {
+		rates[i], prices[i] = []float64{lam}, 0.05
+	}
+	cfg := sim.Config{
+		Sys: &datacenter.System{
+			SlotHours: slotLen,
+			Classes:   []datacenter.RequestClass{{Name: "q", TUF: tf}},
+			FrontEnds: []datacenter.FrontEnd{{Name: "fe", DistanceMiles: []float64{0}}},
+			Centers: []datacenter.DataCenter{
+				{Name: "dc", Servers: 1, Capacity: 1, ServiceRate: []float64{mu}, EnergyPerRequest: []float64{1e-6}},
+			},
+		},
+		Traces: []*workload.Trace{{Name: "fe", Rates: rates}},
+		Prices: []*market.PriceTrace{{Name: "dc", Prices: prices}},
+		Slots:  slots,
+	}
+	src, err := sim.NewInputSource(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := src.View(0) // every slot's input is slot 0's
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.NewOptimized().Plan(view.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := core.Value(view.Plan, plan)
+	var rate, want, booked float64
+	for q := 0; q < tf.NumLevels(); q++ {
+		c := val.At(0, q, 0)
+		rate += c.Rate
+		want += c.Rate * val.Expected(0, q, 0)
+		booked += c.Rate * c.Utility
+	}
+	if rate == 0 {
+		t.Fatal("the plan serves nothing")
+	}
+	want, booked = want/rate, booked/rate
+
+	rep := realize(t, cfg, core.NewOptimized(), 5, 1)
+	var sum, sumsq float64
+	for _, s := range rep.Slots {
+		if s.Classes[0].Served < 20000 {
+			t.Fatalf("slot %d: only %d requests", s.Slot, s.Classes[0].Served)
+		}
+		m := s.Revenue / float64(s.Classes[0].Served)
+		sum += m
+		sumsq += m * m
+	}
+	mean := sum / slots
+	se := math.Sqrt((sumsq/slots - mean*mean) / (slots - 1))
+	bound := 4 * se
+	tau := 1 / (mu * math.Pow(1-math.Sqrt(lam/mu), 2))
+	if bias := tf.Level(0).Utility * 5 * tau / slotLen; bias > bound {
+		t.Fatalf("the empty-queue start (≤ %g) does not sit inside the bound %g: lengthen the slot", bias, bound)
+	}
+	t.Logf("settled %.5f per request, expected %.5f (ratio %.4f, bound ±%.5f), booked %.5f (expected/booked %.4f)",
+		mean, want, mean/want, bound, booked, want/booked)
+	if math.Abs(mean-want) > bound {
+		t.Fatalf("settled %g per request vs expected %g: off by more than %g", mean, want, bound)
+	}
+}
+
 // TestRunPlansOnPlanTraces: the replay plans off the same sim.InputSource
 // views as the fluid run, so a planner handed half-sized plan traces
 // commits the plan the fluid run commits for them — and the realized

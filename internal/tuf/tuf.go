@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -77,38 +76,6 @@ func MustNew(levels []Level) *StepDownward {
 // deadline, zero after.
 func Constant(u, deadline float64) (*StepDownward, error) {
 	return New([]Level{{Utility: u, Deadline: deadline}})
-}
-
-// Staircase approximates an arbitrary non-increasing function fn on
-// (0, deadline] by a steps-level step-downward TUF, sampling fn at the left
-// edge of each step (so the staircase upper-bounds fn are conservative from
-// the provider's view). It reifies the paper's remark that a monotonic
-// non-increasing TUF is a step-downward TUF with infinitely many steps.
-func Staircase(fn func(float64) float64, deadline float64, steps int) (*StepDownward, error) {
-	if steps < 1 {
-		return nil, fmt.Errorf("tuf: Staircase needs at least one step, got %d", steps)
-	}
-	if deadline <= 0 {
-		return nil, ErrNonPositiveValue
-	}
-	var levels []Level
-	prevU := math.Inf(1)
-	for q := 1; q <= steps; q++ {
-		d := deadline * float64(q) / float64(steps)
-		u := fn(deadline * float64(q-1) / float64(steps))
-		if u <= 0 {
-			break // function hit zero; remaining steps earn nothing
-		}
-		if u >= prevU {
-			// Merge flat regions: keep strictly decreasing utilities by
-			// extending the previous level's deadline instead.
-			levels[len(levels)-1].Deadline = d
-			continue
-		}
-		levels = append(levels, Level{Utility: u, Deadline: d})
-		prevU = u
-	}
-	return New(levels)
 }
 
 // Levels returns a copy of the ordered level set.
@@ -191,27 +158,4 @@ func (s *StepDownward) UnmarshalJSON(data []byte) error {
 	}
 	s.levels = dec.levels
 	return nil
-}
-
-// LagrangeSelect evaluates the polynomial that interpolates the level
-// utilities at the integer nodes x = 1..n, reproducing the intent of paper
-// Eq. 26: a single integer variable x selects utility level x through a
-// smooth algebraic identity, which is what lets constraint-programming
-// solvers encode the discrete level choice. At integer x in [1, n] it
-// returns exactly Level(x-1).Utility.
-func (s *StepDownward) LagrangeSelect(x float64) float64 {
-	n := len(s.levels)
-	var sum float64
-	for i := 1; i <= n; i++ {
-		num, den := 1.0, 1.0
-		for j := 1; j <= n; j++ {
-			if j == i {
-				continue
-			}
-			num *= x - float64(j)
-			den *= float64(i - j)
-		}
-		sum += num / den * s.levels[i-1].Utility
-	}
-	return sum
 }

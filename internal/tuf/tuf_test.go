@@ -112,72 +112,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestStaircase(t *testing.T) {
-	// Linearly decaying profit 10(1 − r/2) over (0, 2].
-	fn := func(r float64) float64 { return 10 * (1 - r/2) }
-	s, err := Staircase(fn, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumLevels() != 4 {
-		t.Fatalf("levels = %d, want 4", s.NumLevels())
-	}
-	// Step q covers ((q-1)/2, q/2] and carries fn evaluated at the left
-	// edge, an upper bound on fn within the step.
-	for _, r := range []float64{0.2, 0.7, 1.3, 1.9} {
-		if u := s.Utility(r); u < fn(r)-1e-9 {
-			t.Errorf("staircase at %g = %g is below fn = %g", r, u, fn(r))
-		}
-	}
-}
-
-func TestStaircaseMergesFlats(t *testing.T) {
-	fn := func(r float64) float64 {
-		if r < 1 {
-			return 8
-		}
-		return 3
-	}
-	s, err := Staircase(fn, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumLevels() != 2 {
-		t.Fatalf("levels = %d, want 2 (flats merged)", s.NumLevels())
-	}
-	if s.Utility(0.9) != 8 || s.Utility(1.6) != 3 {
-		t.Fatal("merged staircase mis-evaluates")
-	}
-}
-
-func TestStaircaseErrors(t *testing.T) {
-	fn := func(float64) float64 { return 1 }
-	if _, err := Staircase(fn, 2, 0); err == nil {
-		t.Fatal("want error for zero steps")
-	}
-	if _, err := Staircase(fn, -1, 3); err == nil {
-		t.Fatal("want error for negative deadline")
-	}
-}
-
-func TestLagrangeSelectAtIntegers(t *testing.T) {
-	s := MustNew([]Level{{30, 0.1}, {18, 0.4}, {7, 1.1}, {2, 3}})
-	for i := 0; i < s.NumLevels(); i++ {
-		got := s.LagrangeSelect(float64(i + 1))
-		want := s.Level(i).Utility
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("LagrangeSelect(%d) = %g, want %g", i+1, got, want)
-		}
-	}
-}
-
-func TestLagrangeSelectSingleLevel(t *testing.T) {
-	s := MustNew([]Level{{5, 1}})
-	if s.LagrangeSelect(1) != 5 {
-		t.Fatal("single-level select wrong")
-	}
-}
-
 // Property: Utility is non-increasing in delay for random valid TUFs.
 func TestUtilityNonIncreasingQuick(t *testing.T) {
 	f := func(seed int64) bool {

@@ -40,7 +40,13 @@ race:
 # too — against a dense reference or by residual. FuzzKernelDifferential
 # solves one generated small LP dense cold, dense warm, sparse by crash and
 # sparse hot after a drift, and holds the four to one verdict, one objective
-# and a primal-dual certificate against the model itself. FuzzRefresh walks
+# and a primal-dual certificate against the model itself. FuzzTrialRollback
+# walks a dispatch-shaped LP through commodities fixed out and back and
+# budgets moved, solving each state as a trial from a checkpoint on both
+# kernels: each is held to a cold solve of the subset model its pins stand
+# for, and re-run after its rollback to the bit (core's
+# TestTrialsMatchSubsetLPs, in make test, holds the planners' trials to
+# their subset LPs on the oracle cases). FuzzRefresh walks
 # one held dispatch LP through arbitrary changes of prices, arrivals,
 # topology, deadlines and floors and checks it against a from-scratch build
 # each step. FuzzHorizonRefresh does the same for one held horizon-window
@@ -60,6 +66,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReplicaFence -fuzztime=10s ./internal/cluster/
 	$(GO) test -run=NONE -fuzz=FuzzWarmBasisImport -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzKernelDifferential -fuzztime=10s ./internal/lp/
+	$(GO) test -run=NONE -fuzz=FuzzTrialRollback -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzSparseFactors -fuzztime=10s ./internal/linalg/
 	$(GO) test -run=NONE -fuzz=FuzzRefresh -fuzztime=10s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzHorizonRefresh -fuzztime=10s ./internal/core/
@@ -101,9 +108,10 @@ bench-lp-sparse:
 	$(GO) test -bench=BenchmarkKernelCrossover -benchtime=10000x -count=6 -run=NONE ./internal/lp/
 
 # bench-smoke proves the plan-search benchmarks, the dispatch-LP builder
-# benchmark, both rows of the refine slot benchmark — demand-limited,
-# where the dual bound turns every move down, and capacity-limited, where
-# ~135 survivors are solved — the capture slot benchmark, the horizon
+# benchmark, the three rows of the refine slot benchmark — demand-limited,
+# where the dual bound turns every move down, capacity-limited, where
+# ~145 survivors are solved, and paper-day, the Section VI day's busiest
+# slot — the capture slot benchmark, the horizon
 # window benchmark (first build and steady refresh), the sparse kernel's
 # hot-pivot benchmark, the two-kernel crossover sweep and the routing-table
 # benchmarks (compile, and the 8-replica decode-and-subdivide apply) still
@@ -117,9 +125,12 @@ bench-smoke:
 # profile writes a CPU and an allocation profile into the git-ignored
 # prof/ and prints the top of each, with no edit to bench/: W=refine (the
 # default) profiles BenchmarkRefineSlot/capacity-limited, the
-# fleet-refine-mid slot at three times the arrivals, whose ~135 moves the
-# dual bound lets through are solved from their incumbents' bases (the
-# recorded slot itself is two hot re-solves); W=mid profiles
+# fleet-refine-mid slot at three times the arrivals, whose ~145 moves the
+# dual bound lets through are solved as trials from their incumbents'
+# kernels (the recorded slot itself is two hot re-solves); W=day profiles
+# BenchmarkRefineSlot/paper-day, the paper-day workload's busiest slot: a
+# 24-row dense capture adopted by the search unit and a handful of dense
+# trials; W=mid profiles
 # BenchmarkRefineSlot/demand-limited, that recorded 6x10x3 slot — the
 # planner side of fleet-refine-mid: the capture and the greedy start, each
 # refreshed and re-solved hot on its own chain, every move bounded; W=large profiles TestWarmStartTrajectory's
@@ -149,6 +160,8 @@ else ifeq ($(W),kernel)
 	$(GO) test -run=NONE -bench=BenchmarkHotPivot/slot -benchtime=3000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/lp/
 else ifeq ($(W),mid)
 	$(GO) test -run=NONE -bench=BenchmarkRefineSlot/demand-limited -benchtime=20000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
+else ifeq ($(W),day)
+	$(GO) test -run=NONE -bench=BenchmarkRefineSlot/paper-day -benchtime=20000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
 else ifeq ($(W),horizon)
 	$(GO) test -run=NONE -bench=BenchmarkHorizonSlot/steady -benchtime=3000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
 else

@@ -49,6 +49,9 @@ type gatewayServer struct {
 	sub    *cluster.Subscriber
 	rr     atomic.Uint64 // the /dispatch round robin; nothing else turns it
 	reg    *obs.Registry
+	// hReq is dispatch_request_seconds: each /dispatch request's time in
+	// its handler, path resolution, Handle and response write included.
+	hReq *obs.Histogram
 
 	// ctrl, when -control is set, closes the sub-slot loop: the loop
 	// goroutine ticks it between slot boundaries and it hot-swaps
@@ -101,6 +104,7 @@ func newServer(sc *config.Scenario, addr string, opt serveOptions) (*gatewayServ
 		ccfg:        sc.ClusterConfig(),
 		mode:        "fleet",
 		reg:         reg,
+		hReq:        reg.Histogram("dispatch_request_seconds", obs.ExpBuckets(1e-6, 4, 12)),
 		feByName:    map[string]int{},
 		classByName: map[string]int{},
 		exposed:     make([]bool, sc.System.S()),
@@ -374,10 +378,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // handleDispatch is the request hot path: /dispatch/<front-end>/<class>,
-// where both segments accept a name or an index. Admitted requests get
-// 200 with the serving center and level; shed requests get 429 with the
-// reason; a draining gateway refuses with 503.
+// timed into dispatch_request_seconds (see dispatch).
 func (gs *gatewayServer) handleDispatch(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	gs.dispatch(w, r)
+	gs.hReq.Observe(time.Since(start).Seconds())
+}
+
+// dispatch answers one /dispatch request, where both path segments
+// accept a name or an index. Admitted requests get 200 with the serving
+// center and level; shed requests get 429 with the reason; a draining
+// gateway refuses with 503.
+func (gs *gatewayServer) dispatch(w http.ResponseWriter, r *http.Request) {
 	if gs.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"outcome": "draining"})
 		return

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"profitlb/internal/config"
 	"profitlb/internal/dispatch"
 	"profitlb/internal/loadgen"
+	"profitlb/internal/race"
 )
 
 // serveScenario is the smoke-test fixture: the example scenario with a
@@ -151,6 +153,10 @@ func TestServeSmoke(t *testing.T) {
 		!strings.Contains(metrics, fmt.Sprintf("dispatch_requests_total %d", stats.TotalRequests)) {
 		t.Fatalf("/metrics missing dispatch_requests_total %d:\n%s", stats.TotalRequests, metrics)
 	}
+	// Every /dispatch request is timed, the 404 one too.
+	if want := fmt.Sprintf("dispatch_request_seconds_count %d", stats.TotalRequests+1); !strings.Contains(metrics, want) {
+		t.Fatalf("/metrics missing %q:\n%s", want, metrics)
+	}
 
 	// Drain: the shutdown completes within the deadline and late
 	// requests are refused, not served.
@@ -161,6 +167,28 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("gateway still answering after drain")
+	}
+}
+
+// TestDispatchTimingAllocatesNothing: timing a /dispatch request into
+// dispatch_request_seconds adds no allocation to the handler.
+func TestDispatchTimingAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector moves allocations to the heap")
+	}
+	gs := startServer(t, serveScenario(t))
+	sc := gs.sc.System
+	r := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/dispatch/%s/%s", sc.FrontEnds[0].Name, sc.Classes[0].Name), nil)
+	w := httptest.NewRecorder()
+	run := func(h http.HandlerFunc) float64 {
+		return testing.AllocsPerRun(200, func() {
+			w.Body.Reset()
+			h(w, r)
+		})
+	}
+	bare, timed := run(gs.dispatch), run(gs.handleDispatch)
+	if timed > bare {
+		t.Fatalf("a timed /dispatch request allocates %v times, the untimed one %v", timed, bare)
 	}
 }
 

@@ -19,10 +19,11 @@ var updateDeterminism = flag.Bool("update", false, "rewrite testdata/determinism
 // sequences — 36 slots of a 6×10×3 two-level system with refine on
 // (demand-limited: the dual bound turns every move down and a slot is two
 // LPs), 12 slots of the same at three times the arrivals (capacity-
-// limited: ~135 moves a slot survive the bound and are solved from their
-// incumbents' bases, on the LU kernel) and 12 slots of the 20×100×3 one
-// with refine off (one hot sparse re-solve a slot) — and compares every
-// call's solver counters and %.17g objective with a golden file. A change that claims to move no number regenerates nothing; one
+// limited: ~135 moves a slot survive the bound and are solved as trials
+// from their incumbents' kernels, on the LU kernel) and 12 slots of the
+// 20×100×3 one with refine off (one hot sparse re-solve a slot) — and
+// compares every call's solver counters and %.17g objective with a golden
+// file. A change that claims to move no number regenerates nothing; one
 // that moves pivots or round-off on purpose runs `go test -run
 // TestSlotChainDeterminism -update .` and says so.
 func TestSlotChainDeterminism(t *testing.T) {

@@ -12,9 +12,9 @@ import (
 const improveTol = 1e-9
 
 // prices is what a first-improvement search keeps of a solved subset LP:
-// its shadow prices by meaning, and the final basis its neighbours are
-// seeded from. With lp.Result.Duals = ∂obj/∂rhs the rows of the
-// aggregated layout price as
+// its shadow prices by meaning, and its identity and set, from which its
+// neighbours are solved (see searchUnit). With lp.Result.Duals = ∂obj/∂rhs
+// the rows of the aggregated layout price as
 //
 //	cap_c    M·C·μ·φ_c − Σ_s λ_cs ≥ M/D_c    y_c  ≤ 0
 //	arr_ks   Σ_{c∈k} λ_cs ≤ A_sk             α_ks ≥ 0
@@ -33,38 +33,42 @@ type prices struct {
 	// route[k·S+s] = α_ks + β_k, what a type-k request from front-end s
 	// must out-earn; NaN where the set has no commodity of class k.
 	route []float64
-	// basis is the LP's final basis and seed its identity in the memo
-	// key; nil and 0 — the slot's frozen seed — on a cold engine or when
-	// the basis could not be named.
-	basis *lp.Basis
+	// seed is the solution's identity in the memo key of the moves made
+	// from it, and comms its set, which the search unit admits to solve
+	// them; 0 and nil on a cold engine, whose solves nothing depends on.
 	seed  uint64
+	comms []commodity
 }
 
-// priceOut reads the prices of d's solved LP (aggregated layout only).
-func (d *dispatchLP) priceOut(in *Input, res *lp.Result) *prices {
+// priceOut reads the prices of d's solved LP (aggregated layout only) for
+// the set comms: d's own commodities, or on the search unit's LP those
+// at[ci] names, the rows of the others holding nothing (0 ≥ 0 and the
+// like) that a subset LP would have.
+func (d *dispatchLP) priceOut(in *Input, res *lp.Result, comms []commodity, at []int) *prices {
 	sys := in.Sys
 	K, L, S := sys.K(), sys.L(), sys.S()
-	slab := make([]float64, len(d.comms)+L+K*S)
-	p := &prices{drop: slab[:len(d.comms)], share: slab[len(d.comms):][:L], route: slab[len(d.comms)+L:]}
-	for ci, c := range d.comms {
-		// The cap rows are the model's first, one per commodity.
-		p.drop[ci] = -res.Duals[ci] * float64(sys.Centers[c.l].Servers) / c.deadline
+	slab := make([]float64, len(comms)+L+K*S)
+	p := &prices{drop: slab[:len(comms)], share: slab[len(comms):][:L], route: slab[len(comms)+L:]}
+	for i := range p.share {
+		p.share[i] = math.NaN()
 	}
-	for l, row := range d.shareRow {
-		p.share[l] = math.NaN()
-		if row >= 0 {
-			p.share[l] = res.Duals[row]
-		}
+	for i := range p.route {
+		p.route[i] = math.NaN()
 	}
-	for k, rows := range d.arrRow {
-		var floor float64
-		if k < len(d.floorRow) && d.floorRow[k] >= 0 {
-			floor = res.Duals[d.floorRow[k]]
+	for ci, c := range comms {
+		row := ci // the cap rows are the model's first, one per commodity
+		if at != nil {
+			row = at[ci]
 		}
-		for s, row := range rows {
-			p.route[k*S+s] = math.NaN()
-			if row >= 0 {
-				p.route[k*S+s] = res.Duals[row] + floor
+		p.drop[ci] = -res.Duals[row] * float64(sys.Centers[c.l].Servers) / c.deadline
+		p.share[c.l] = res.Duals[d.shareRow[c.l]]
+		if route := p.route[c.k*S:][:S]; math.IsNaN(route[0]) {
+			var floor float64
+			if c.k < len(d.floorRow) && d.floorRow[c.k] >= 0 {
+				floor = res.Duals[d.floorRow[c.k]]
+			}
+			for s, row := range d.arrRow[c.k] {
+				route[s] = res.Duals[row] + floor
 			}
 		}
 	}
@@ -83,11 +87,11 @@ func (d *dispatchLP) priceOut(in *Input, res *lp.Result) *prices {
 //	z_T ≤ z_I + drop[out] − u·M/D_add.
 //
 // Rows of I that T no longer has only loosen the bound (their terms are
-// non-negative). ok is false where no bound is defined, and the caller
-// solves the LP: no prices (the incumbent was infeasible under its
-// floors, or the per-server layout, which keeps none), or an entering
-// commodity whose center or class the incumbent has no row for, or whose
-// routes do not price out.
+// non-negative). An entering commodity whose routes do not price out, or
+// whose center or class the incumbent has no row for, is bounded by a
+// Lagrangian instead (addBound). ok is false where there are no prices:
+// the incumbent was infeasible under its floors, or the per-server
+// layout, which keeps none.
 func (p *prices) bound(in *Input, obj float64, out int, add *commodity) (_ float64, ok bool) {
 	if p == nil {
 		return 0, false
@@ -98,16 +102,69 @@ func (p *prices) bound(in *Input, obj float64, out int, add *commodity) (_ float
 	if add == nil {
 		return obj, true
 	}
+	if u, ok := p.entry(in, add); ok {
+		return obj - u*float64(in.Sys.Centers[add.l].Servers)/add.deadline, true
+	}
+	return obj + p.addBound(in, add), true
+}
+
+// entry is the price u = σ_l/(M·C·μ) of add's cap row, and whether add's
+// routes price out under it: a NaN (absent row) fails the comparison.
+func (p *prices) entry(in *Input, add *commodity) (u float64, ok bool) {
 	sys := in.Sys
 	dc := &sys.Centers[add.l]
-	m := float64(dc.Servers)
-	route := p.route[add.k*sys.S():][:sys.S()]
-	u := p.share[add.l] / (m * dc.Capacity * dc.ServiceRate[add.k])
-	for s, r := range route {
-		// A NaN (absent row) fails the comparison: no bound.
+	u = p.share[add.l] / (float64(dc.Servers) * dc.Capacity * dc.ServiceRate[add.k])
+	for s, r := range p.route[add.k*sys.S():][:sys.S()] {
 		if !(sys.Slot()*sys.UnitProfit(add.k, s, add.l, add.utility, in.Prices[add.l])-r <= u) {
-			return 0, false
+			return u, false
 		}
 	}
-	return obj - u*m/add.deadline, true
+	return u, true
+}
+
+// addBound is what admitting add can gain when its routes do not price
+// out: a Lagrangian bound that prices add's cap row at −w (w ≥ 0) and
+// every other row of the neighbour at the incumbent's price (0 for a row
+// the incumbent lacks), and lets each column whose reduced cost is then
+// positive run to the box its own rows imply — φ ≤ 1 by the share row,
+// λ_s ≤ min(A_sk, a − M/D) by the arrival row and the cap row — with
+// a = M·C·μ and p_s = T·profit:
+//
+//	z_T ≤ z_I + drop[out] − w·M/D + (a·w − σ_l)⁺ + Σ_s (p_s − route_ks − w)⁺·λmax_s.
+//
+// The incumbent's own columns price out and stay at 0. The right side is
+// convex and piecewise linear in w, so its least value over w ≥ 0 is at 0
+// or a breakpoint: σ_l/a or some p_s − route_ks.
+func (p *prices) addBound(in *Input, add *commodity) float64 {
+	sys := in.Sys
+	dc := &sys.Centers[add.l]
+	need := float64(dc.Servers) / add.deadline
+	a := float64(dc.Servers) * dc.Capacity * dc.ServiceRate[add.k]
+	sigma, lmax := orZero(p.share[add.l]), max(0, a-need)
+	route := p.route[add.k*sys.S():][:sys.S()]
+	margin := func(s int) float64 {
+		return sys.Slot()*sys.UnitProfit(add.k, s, add.l, add.utility, in.Prices[add.l]) - orZero(route[s])
+	}
+	gain := func(w float64) float64 {
+		g := -w*need + max(0, a*w-sigma)
+		for s := range route {
+			g += max(0, margin(s)-w) * min(in.Arrivals[s][add.k], lmax)
+		}
+		return g
+	}
+	best := min(gain(0), gain(sigma/a))
+	for s := range route {
+		if w := margin(s); w > 0 {
+			best = min(best, gain(w))
+		}
+	}
+	return best
+}
+
+// orZero is v, or 0 for an absent row's NaN.
+func orZero(v float64) float64 {
+	if math.IsNaN(v) {
+		return 0
+	}
+	return v
 }

@@ -99,6 +99,9 @@ type theorem struct {
 	eng                *engine
 	floors             []float64
 	defined, undefined int
+	// lagrangian counts the defined moves whose entering commodity's routes
+	// do not price out, bounded by prices.addBound.
+	lagrangian int
 }
 
 func (th *theorem) visit(inc *assignment, out int, add *commodity) {
@@ -108,6 +111,11 @@ func (th *theorem) visit(inc *assignment, out int, add *commodity) {
 		return
 	}
 	th.defined++
+	if add != nil {
+		if _, in := inc.px.entry(th.eng.in, add); !in {
+			th.lagrangian++
+		}
+	}
 	set := slices.Clone(inc.comms)
 	if out >= 0 {
 		set = slices.Delete(set, out, out+1)
@@ -286,6 +294,40 @@ func TestBoundIsAnUpperBound(t *testing.T) {
 	}
 }
 
+// TestAddBoundIsAnUpperBound: beside the incumbents of
+// TestBoundIsAnUpperBound's reference searches, the adds whose routes do
+// not price out are bounded by the Lagrangian (prices.addBound), and
+// theorem.visit holds each to its explicitly solved optimum; the battery
+// must visit a hundred of them.
+func TestAddBoundIsAnUpperBound(t *testing.T) {
+	lagrangian := 0
+	for _, bc := range boundBattery() {
+		ref := &Optimized{Refine: true, MinCompletion: bc.floors, EngineOptions: EngineOptions{WarmStart: true}}
+		eng := ref.open(bc.in, "reference", false, true)
+		th := &theorem{t: t, eng: eng, floors: bc.floors}
+		full := admissibleCommodities(bc.in, bc.floors)
+		start, err := ref.solveSubset(eng, capReservations(bc.in, full), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refToggle(t, ref, eng, full, start, th.visit)
+		th.floors = nil // greedy plans without them
+		seed := refGreedy(t, eng, allPairs(bc.in.Sys), th.visit)
+		th.floors = bc.floors
+		reseed, err := ref.solveSubset(eng, slices.Clone(seed.comms), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refToggle(t, ref, eng, full, reseed, th.visit)
+		eng.close()
+		lagrangian += th.lagrangian
+	}
+	t.Logf("%d visited adds bounded by the Lagrangian", lagrangian)
+	if lagrangian < 100 {
+		t.Fatalf("battery too tame: %d adds bounded by the Lagrangian", lagrangian)
+	}
+}
+
 // TestBoundCarriesTheFloorPrice: under a completion floor that binds — a
 // class served at a loss — a route must out-earn the arrival row's price
 // plus the floor row's (which is negative: the loss the floor forces), so
@@ -380,7 +422,9 @@ func TestUnboundedOnPurpose(t *testing.T) {
 	})
 
 	// An entering commodity whose class has no arrival row, or whose center
-	// no share row, in the incumbent has no price to be held to.
+	// no share row, in the incumbent is held to the Lagrangian bound with
+	// those rows priced at 0 — a bound the neighbour's LP stays under —
+	// and the search still re-admits the class.
 	t.Run("no-row", func(t *testing.T) {
 		o := NewOptimized()
 		o.Stats = &SearchStats{}
@@ -403,10 +447,12 @@ func TestUnboundedOnPurpose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		th := &theorem{t: t, eng: eng}
 		for _, add := range []*commodity{ofClass, atCenter} {
-			if _, ok := inc.px.bound(busy, inc.obj, -1, add); ok {
-				t.Fatalf("bound defined for %+v, whose row the incumbent lacks", *add)
-			}
+			th.visit(&inc, -1, add)
+		}
+		if th.defined != 2 {
+			t.Fatalf("bound defined on %d of the two moves whose rows the incumbent lacks", th.defined)
 		}
 		other := slices.IndexFunc(full, func(c commodity) bool { return c.k != k && c.l != l })
 		if _, ok := inc.px.bound(busy, inc.obj, -1, &full[other]); !ok {
@@ -483,10 +529,10 @@ func TestUnboundedOnPurpose(t *testing.T) {
 
 // TestSeededKeyKeepsIncumbentsApart: a solve of subset X made beside
 // incumbent A is never served to a request for X beside incumbent B,
-// whose basis would have led elsewhere; beside A again, it is.
+// whose kernel would have led elsewhere; beside A again, it is.
 func TestSeededKeyKeepsIncumbentsApart(t *testing.T) {
 	o, in := refineSlotBusy()
-	mustPlan(t, o, in) // arm the warm state: bases are exported only when warm
+	mustPlan(t, o, in) // arm the warm state: solutions are numbered only when warm
 	eng := o.open(in, o.Name(), false, true)
 	defer eng.close()
 	full := capReservations(in, admissibleCommodities(in, nil))
@@ -499,7 +545,7 @@ func TestSeededKeyKeepsIncumbentsApart(t *testing.T) {
 		return sol
 	}
 	a, b, x := solve(full[1:], nil), solve(full[:len(full)-1], nil), full[1:len(full)-1]
-	if a.px.basis == nil || b.px.basis == nil || a.px.seed == b.px.seed || a.px.seed == 0 {
+	if a.px.seed == b.px.seed || a.px.seed == 0 || b.px.seed == 0 {
 		t.Fatalf("incumbents carry seeds %d and %d", a.px.seed, b.px.seed)
 	}
 	underA := solve(x, a.px)

@@ -46,6 +46,11 @@ type SearchStats struct {
 	// toggled floor — and so was rebuilt and re-imported: why a slot with
 	// the usual pivots still ran slow. Zero when WarmStart is off.
 	ModelRebuilds int64
+	// Trials counts solves answered on the search unit: a move's survivor
+	// solved hot from its incumbent's checkpointed kernel, its set a numbers
+	// change of the search LP (see searchUnit). Zero on a slot whose moves
+	// the dual bound all turns down, and when WarmStart is off.
+	Trials int64
 	// Refactors counts the times a sparse kernel rebuilt its basis factors
 	// in place during the call's solves (lp.Outcome.Refactors): a full eta
 	// file or a hot chain at its drift bound, each a basis' worth of
@@ -62,12 +67,12 @@ type SearchStats struct {
 //
 // A key holds only what varies within one Plan call: the completion
 // floors, the canonical (k,q,l sorted) commodity set and the identity of
-// the basis the solve is seeded from (0: the slot's frozen seed, and
-// every cold solve). Everything else the LP reads — the Input, the
-// variable layout, the solver options — is constant for the engine that
-// owns the cache, and the cache is created per Plan call and dropped with
-// it, so there is no cross-slot state to invalidate and nothing to
-// fingerprint. A failed solve is an entry too: a hit replays its error.
+// the incumbent the solve starts from (0: none, and every cold solve).
+// Everything else the LP reads — the Input, the variable layout, the
+// solver options — is constant for the engine that owns the cache, and
+// the cache is created per Plan call and dropped with it, so there is no
+// cross-slot state to invalidate and nothing to fingerprint. A failed
+// solve is an entry too: a hit replays its error.
 type subsetCache map[string]cacheEntry
 
 type cacheEntry struct {

@@ -215,8 +215,8 @@ func TestDispatchLayoutsAgree(t *testing.T) {
 		var sumA, sumP float64
 		for ci := range comms {
 			for s := 0; s < in.Sys.S(); s++ {
-				sumA += agg.extractRates(ra, nil)[ci][s]
-				sumP += per.extractRates(rp, nil)[ci][s]
+				sumA += agg.extractRates(ra, nil, nil)[ci][s]
+				sumP += per.extractRates(rp, nil, nil)[ci][s]
 			}
 		}
 		if math.Abs(sumA-sumP) > 1e-6*(1+sumA) {

@@ -38,7 +38,14 @@ type engine struct {
 	// for, never the reverse: the searching phase comes first. The
 	// per-server layout keeps none (see prices.bound).
 	priced bool
-	seeds  uint64 // identities handed to exported bases
+	seeds  uint64 // identities handed to priced solutions
+	// capture is the identity of the call's capture solve, whose kernel
+	// the search unit may adopt (0: none priced).
+	capture uint64
+	// universe is every commodity a search move may admit: the call's
+	// admissible list, which admit sets and the search unit's first build
+	// lists when no admit did.
+	universe []commodity
 	// scratch is the owning planner's held storage, its route pass priced
 	// for in by open.
 	scratch *planScratch
@@ -86,7 +93,9 @@ type planScratch struct {
 // admit lists the call's admissible commodities and caps them, into the
 // planner's held lists (see admission.admit).
 func (e *engine) admit(floors []float64) (full, capped []commodity) {
-	return e.scratch.admit(e.in, floors)
+	full, capped = e.scratch.admit(e.in, floors)
+	e.universe = full
+	return full, capped
 }
 
 // prologue runs solve's first request on the held chain c: the call's
@@ -110,13 +119,15 @@ type solution struct {
 
 // solve answers a dispatch-LP solve through the memo cache. comms must
 // already be in canonical sortCommodities order (every search path
-// canonicalizes before solving) so that equal sets produce equal keys.
-// from, when it carries a basis, seeds the solve in place of the slot's
-// frozen seed and joins the key, so an entry stays a pure function of
-// (subset, seed): a solve made next to one incumbent is never served to a
-// request made next to another. A held chain's solve is keyed like a solve
-// from the frozen seed: it is an optimum of the same LP, and the first
-// request for its key in the call.
+// canonicalizes before solving) so that equal sets produce equal keys, and
+// must not change while the call lasts: a priced solution keeps it as its
+// set. from, the prices of the incumbent the set neighbours, makes the request
+// a move's survivor: it is solved as a trial from that incumbent's kernel
+// (see searchUnit), and the incumbent's identity joins the key, so an entry
+// stays a function of (subset, incumbent) within the call: a solve made
+// next to one incumbent is never served to a request made next to another.
+// A held chain's solve is keyed like a request with no incumbent: it is an
+// optimum of the same LP, and the first request for its key in the call.
 func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solution, error) {
 	if len(comms) == 0 {
 		if floorsActive(e.in, floors) {
@@ -126,10 +137,9 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solut
 	}
 	c := e.held
 	e.held = seeded
-	var seed *lp.Basis // nil: the slot's frozen one, identity 0
-	var seedID uint64
+	var seedID uint64 // 0: no incumbent
 	if from != nil {
-		seed, seedID = from.basis, from.seed
+		seedID = from.seed
 	}
 	// A nil cache is a call whose requests cannot repeat: no key is built,
 	// and the rates, which no entry will own, go to the held rows.
@@ -144,17 +154,23 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solut
 	}
 	e.n.Solves++
 	var ent cacheEntry
-	d, res, basis, err := e.solveLP(c, comms, floors, seed)
+	d, at, res, err := e.solveLP(c, comms, floors, from)
 	if err != nil {
 		e.n.SolveErrors++
 		ent.err = err
 	} else {
-		ent.rates, ent.obj = d.extractRates(res, rows), res.Objective
+		ent.rates, ent.obj = d.extractRates(res, rows, at), res.Objective
 		if e.priced {
-			ent.px = d.priceOut(e.in, res)
-			if basis != nil { // a warm solve's, so named
+			ent.px = d.priceOut(e.in, res, comms, at)
+			if e.warm != nil { // a search may go on from it: number it
 				e.seeds++
-				ent.px.basis, ent.px.seed = basis, e.seeds
+				ent.px.seed, ent.px.comms = e.seeds, comms
+				if c == capture {
+					e.capture = e.seeds
+				}
+				if at != nil {
+					e.warm.search.last = e.seeds
+				}
 			}
 		}
 	}
@@ -178,31 +194,43 @@ func (e *engine) bounded(inc *assignment, out int, add *commodity) bool {
 	return true
 }
 
-// solveLP builds one dispatch LP in the call's layout on chain c's unit
-// and solves it, uncached, from seed (nil: the slot's frozen one). The LP
-// and its handles are the solve unit's, good until the unit's next build,
-// and come with a warm solve's final basis on a priced engine.
-func (e *engine) solveLP(c chain, comms []commodity, floors []float64, seed *lp.Basis) (*dispatchLP, *lp.Result, *lp.Basis, error) {
+// solveLP solves one dispatch LP in the call's layout, uncached: a move's
+// survivor (from: its incumbent's prices) as a trial on the search unit if
+// it can, otherwise comms' own LP built on chain c's unit, from the slot's
+// frozen seed. The LP and its handles are the unit's, good until its next
+// build; at lists comms' positions in the LP's commodities when it was the
+// search unit's (nil: the LP is comms' own).
+func (e *engine) solveLP(c chain, comms []commodity, floors []float64, from *prices) (*dispatchLP, []int, *lp.Result, error) {
+	if res, at := e.trial(comms, floors, from); res != nil {
+		return &e.warm.search.d, at, res, nil
+	}
 	u := e.warm.unit(c)
 	u.d.build(e.in, comms, floors, e.perServer, e.names)
-	res, basis, err := e.run(u.d.model, c, u.d.rebuilt, &u.sv, seed)
-	return &u.d, res, basis, err
+	res, err := e.run(u.d.model, c, u.d.rebuilt, &u.sv)
+	return &u.d, nil, res, err
 }
 
 // run hands a built LP — a slot's, or a horizon window's — to the simplex
 // through the call's warm state (cold when there is none) and books how
 // the solve went. rebuilt says a held chain's model had to be built again.
-func (e *engine) run(m *lp.Model, c chain, rebuilt bool, sv *lp.Solver, seed *lp.Basis) (*lp.Result, *lp.Basis, error) {
+func (e *engine) run(m *lp.Model, c chain, rebuilt bool, sv *lp.Solver) (*lp.Result, error) {
 	if c != seeded && e.warm != nil && rebuilt {
 		e.n.ModelRebuilds++
 	}
-	res, basis, out, err := e.warm.solveModel(m, e.opts, c, sv, seed, e.priced)
+	res, out, err := e.warm.solveModel(m, e.opts, c, sv)
+	e.book(out, true)
+	return res, err
+}
+
+// book adds one solver call's work to the call's counters; a call that
+// answered a request also counts as a warm hit or a fallback.
+func (e *engine) book(out lp.Outcome, answered bool) {
 	if out.FellBack {
 		e.n.WarmFallbacks++
-	} else if out.Path != "cold" {
+	} else if answered && out.Path != "cold" {
 		e.n.WarmHits++
 	}
-	if out.Sparse {
+	if answered && out.Sparse {
 		e.n.SparseSolves++
 	}
 	e.n.WarmPivots += int64(out.WarmPivots)
@@ -210,7 +238,6 @@ func (e *engine) run(m *lp.Model, c chain, rebuilt bool, sv *lp.Solver, seed *lp
 	e.n.AbandonedPivots += int64(out.AbandonedPivots)
 	e.n.ImportPivots += int64(out.ImportPivots)
 	e.n.Refactors += int64(out.Refactors)
-	return res, basis, err
 }
 
 // close copies the engine's solver counters into the planner's stats
@@ -242,6 +269,7 @@ func (e *engine) close() {
 		{n.AbandonedPivots, "core_lp_abandoned_pivots_total", "lpAbandonedPivots"},
 		{n.ImportPivots, "core_lp_import_pivots_total", "lpImportPivots"},
 		{n.ModelRebuilds, "core_lp_model_rebuilds_total", "lpModelRebuilds"},
+		{n.Trials, "core_lp_trials_total", "lpTrials"},
 		{n.Refactors, "core_lp_refactors_total", "lpRefactors"},
 	}
 	published := counters[:]

@@ -177,7 +177,7 @@ func (hp *HorizonPlanner) Plan(h *HorizonInput) (*HorizonPlan, error) {
 	w := &eng.warm.unit(capture).w
 	w.build(h, eng.names)
 	eng.n.Solves++
-	res, _, err := eng.run(&w.model, capture, w.rebuilt, nil, nil)
+	res, err := eng.run(&w.model, capture, w.rebuilt, nil)
 	if err != nil {
 		eng.n.SolveErrors++
 		return nil, fmt.Errorf("core: horizon LP failed: %w", err)
@@ -345,7 +345,7 @@ func (w *windowLP) extract(h *HorizonInput, res *lp.Result) (*HorizonPlan, error
 	served, deferred := make([]float64, w.K), make([]float64, w.K)
 	for t := range w.blocks {
 		d, in := &w.blocks[t], &w.ins[t]
-		plan, err := planFromRates(in, d.comms, d.extractRates(res, &w.rates), &w.read)
+		plan, err := planFromRates(in, d.comms, d.extractRates(res, &w.rates, nil), &w.read)
 		if err != nil {
 			return nil, fmt.Errorf("core: horizon slot %d: %w", t, err)
 		}

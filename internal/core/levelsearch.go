@@ -155,10 +155,10 @@ type assignment struct {
 }
 
 // evaluate builds the one-level-per-pair commodity set and solves its LP,
-// seeded from the basis of from, the incumbent it neighbours (nil: the
-// slot's frozen seed). Unprofitable or reservation-overloaded pairs are
-// excluded (equivalent to the LP routing nothing there). The set is built
-// in the planner's held lists; a solved assignment keeps a copy.
+// as a move from from, the incumbent it neighbours (nil: none).
+// Unprofitable or reservation-overloaded pairs are excluded (equivalent to
+// the LP routing nothing there). The set is built in the planner's held
+// lists; what is solved is a copy, the assignment's.
 func evaluate(eng *engine, pairs []pair, levels []int, from *prices) (assignment, error) {
 	sc := eng.scratch
 	sc.pick = sc.pick[:0]
@@ -175,14 +175,15 @@ func evaluate(eng *engine, pairs []pair, levels []int, from *prices) (assignment
 	if len(sc.kept) == 0 {
 		return assignment{levels: append([]int(nil), levels...)}, nil
 	}
-	sol, err := eng.solve(sc.kept, nil, from)
+	comms := slices.Clone(sc.kept)
+	sol, err := eng.solve(comms, nil, from)
 	if err == lp.ErrInfeasible {
 		return assignment{levels: append([]int(nil), levels...), obj: math.Inf(-1)}, nil
 	}
 	if err != nil {
 		return assignment{}, err
 	}
-	return assignment{levels: append([]int(nil), levels...), comms: slices.Clone(sc.kept), rates: sol.rates, obj: sol.obj, px: sol.px}, nil
+	return assignment{levels: append([]int(nil), levels...), comms: comms, rates: sol.rates, obj: sol.obj, px: sol.px}, nil
 }
 
 // levelCommodity is the commodity pair p enters the LP as when committed
@@ -237,9 +238,9 @@ func greedy(eng *engine, pairs []pair) (assignment, error) {
 // improvement. A move is the pair's current commodity out and its
 // commodity at the new level in, either only if profitable; one the
 // incumbent's shadow prices bound at no improvement is rejected before
-// anything is built (see prices.bound); the others are solved, seeded from
-// the incumbent's basis, in move order, and a pass goes on from the move
-// it accepted.
+// anything is built (see prices.bound); the others are solved from the
+// incumbent's kernel, in move order, and a pass goes on from the move it
+// accepted.
 func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 	sys := eng.in.Sys
 	best, levels := start, slices.Clone(start.levels)

@@ -373,8 +373,8 @@ func dropWorst(comms []commodity) []commodity {
 // on a numerically rare infeasibility, which retries with the least
 // valuable commodity dropped; with floors, an infeasible subset is
 // reported as a -Inf assignment so the subset search can route around it.
-// from is the incumbent the subset neighbours, whose basis seeds the solve
-// (nil: the slot's frozen seed).
+// from is the incumbent the subset neighbours (nil: none), whose kernel
+// the solve starts from (see engine.solve).
 func (o *Optimized) solveSubset(eng *engine, comms []commodity, from *prices) (assignment, error) {
 	// Canonical order: keys the memo cache and keeps the LP layout
 	// independent of how the candidate subset was constructed.
@@ -399,8 +399,8 @@ func (o *Optimized) solveSubset(eng *engine, comms []commodity, from *prices) (a
 // moves, starting from start and drawing candidates from full (both in
 // canonical order). A move the incumbent's shadow prices bound at no
 // improvement is rejected before anything is built (see prices.bound);
-// the others are solved, seeded from the incumbent's basis, in candidate
-// order, and a pass goes on from the candidate it accepted.
+// the others are solved from the incumbent's kernel, in candidate order,
+// and a pass goes on from the candidate it accepted.
 func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment) (assignment, error) {
 	sys := eng.in.Sys
 	best := start
@@ -805,17 +805,26 @@ func (b *buckets) group(n, nb int, key func(int) int) [][]int {
 
 // extractRates reads the per-commodity dispatch rates out of a solution,
 // summed over a center's server groups, onto one slab: into's, refilled,
-// or, with into nil, a new one a memo-cache entry can own.
-func (d *dispatchLP) extractRates(res *lp.Result, into *rateRows) [][]float64 {
+// or, with into nil, a new one a memo-cache entry can own. The rows are
+// d's commodities', or with at those of d.comms[at[i]] for each i.
+func (d *dispatchLP) extractRates(res *lp.Result, into *rateRows, at []int) [][]float64 {
 	if into == nil {
 		into = new(rateRows)
 	}
-	if len(d.comms) == 0 {
+	n := len(d.comms)
+	if at != nil {
+		n = len(at)
+	}
+	if n == 0 {
 		return into.cut(0, 0)
 	}
 	S := len(d.xVar[0]) / len(d.fVar[0])
-	rates := into.cut(len(d.comms), S)
-	for ci, xs := range d.xVar {
+	rates := into.cut(n, S)
+	for ci := range rates {
+		xs := d.xVar[ci]
+		if at != nil {
+			xs = d.xVar[at[ci]]
+		}
 		for j, x := range xs {
 			if v := res.Value(x); v > 0 {
 				rates[ci][j%S] += v

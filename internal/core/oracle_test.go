@@ -677,3 +677,27 @@ func TestBigMOracleSweep(t *testing.T) {
 	t.Logf("Optimized below the program on %d of %d runs (%d instances x warm, cold), worst by %.3g %%", below, 2*n, n, 100*worst)
 	t.Logf("%d instances can evict in combination: on %d level search beats the committed program, on %d branch-and-bound stops below the exhaustive search; the oracle's LP broke down on %d", inexact, wider, short, unsolved)
 }
+
+// TestTrialsMatchSubsetLPs: on the oracle cases and the capacity-limited
+// refine fixture, every move a warm refine planner solves as a trial on its
+// search LP — the universe's LP with the set's outsiders fixed at zero —
+// reaches the optimum of the set's own LP.
+func TestTrialsMatchSubsetLPs(t *testing.T) {
+	cases := oracleCases(t)
+	_, busy := core.RefineSlotBusy()
+	cases["capacity-limited"] = busy
+	total := 0
+	for name, in := range cases {
+		t.Run(name, func(t *testing.T) {
+			n, err := core.TrialsAgainstSubsetLPs(core.NewOptimized(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d trials checked", n)
+			total += n
+		})
+	}
+	if total < 100 {
+		t.Fatalf("%d trials checked in all: fixture too tame", total)
+	}
+}

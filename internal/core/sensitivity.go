@@ -64,7 +64,7 @@ func (o *Optimized) Sensitivity(in *Input) (*Sensitivity, error) {
 	if len(comms) == 0 {
 		return out, nil
 	}
-	d, res, _, err := eng.solveLP(seeded, comms, o.MinCompletion, nil)
+	d, _, res, err := eng.solveLP(seeded, comms, o.MinCompletion, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: sensitivity LP failed: %w", err)
 	}

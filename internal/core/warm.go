@@ -6,7 +6,7 @@ import "profitlb/internal/lp"
 // Plan calls inside its EngineOptions. Successive slots solve
 // near-identical LPs — the topology is fixed and only arrivals and
 // prices drift — so the optimal basis of one call is an excellent
-// starting vertex for the next (DESIGN.md §12). The state holds three
+// starting vertex for the next (DESIGN.md §12). The state holds four
 // solve units:
 //
 //   - hot is the capture chain's unit. Its solver runs exactly one solve
@@ -20,19 +20,28 @@ import "profitlb/internal/lp"
 //     second capture, its greedy start: the same commodity set slot after
 //     slot, so it re-solves hot too. It exports no seed, and imports the
 //     frozen one only when its structure changed.
+//   - search holds the LP of a search's whole candidate set, on which a
+//     move that survives the dual bound is a numbers change solved as a
+//     trial hot from its incumbent's kernel (see searchUnit). It is built
+//     on a call's first survivor, so a slot whose moves are all bounded
+//     never touches it.
 //   - spare is the unit of every other solve of the call, one after the
 //     other: the search is sequential and reads a solution out before it
-//     asks for the next. Those solves use lp.Solver.SolveSeeded, which is
-//     a pure function of (model, seed), so a result never depends on what
-//     the unit did before. The default seed is frozen per Plan call in cur.
+//     asks for the next. Those solves use lp.Solver.SolveSeeded from the
+//     seed frozen per Plan call in cur, a pure function of (model, seed),
+//     so a result never depends on what the unit did before.
 //
 // A planner is driven by one caller at a time, so one Plan call owns the
 // state from claim to its return.
 type warmState struct {
 	hot, greedy, spare solveUnit
+	search             searchUnit
 	// prev is the basis exported by the most recent capture solve; cur
 	// is the frozen copy every solve of the current Plan call seeds from.
 	prev, cur *lp.Basis
+	// onTrial, when set, sees every trial the search unit answers: the
+	// set, its floors and the result. Set by tests only.
+	onTrial func(comms []commodity, floors []float64, res *lp.Result)
 }
 
 // chain names the solve unit a request runs on: a held chain's, which
@@ -83,40 +92,36 @@ func (e *EngineOptions) claim(seedable bool) *warmState {
 	}
 	w := &e.warm
 	w.cur = w.prev
+	w.search.claim()
 	return w
 }
 
-// solveModel is the one way an LP in this package reaches the simplex,
-// reporting how the solve ran. A nil state is the cold dense reference.
-// Otherwise a held chain's solve (c: capture or greedyStart, at most one
-// each per Plan call) runs that unit's retained chain, on its solver
-// whatever sv, with the frozen seed as the import fallback; only the
-// capture exports its basis as the next call's seed. Every other solve
-// imports seed — nil: the frozen one — on sv, its unit's solver, keeping
-// the result a pure function of (model, seed). A solve names its final
-// basis only if it is the capture or export asks; the basis returned is
-// nil when none was named.
-func (w *warmState) solveModel(m *lp.Model, opts lp.Options, c chain, sv *lp.Solver, seed *lp.Basis, export bool) (*lp.Result, *lp.Basis, lp.Outcome, error) {
+// solveModel is the one way an LP in this package reaches the simplex
+// ladder, reporting how the solve ran; a search unit's trials are its top
+// rung (engine.trial). A nil state is the cold dense reference. Otherwise
+// a held chain's solve (c: capture or greedyStart, at most one each per
+// Plan call) runs that unit's retained chain, on its solver whatever sv,
+// with the frozen seed as the import fallback, and the capture exports its
+// final basis as the next call's seed. Every other solve imports the
+// frozen seed on sv, its unit's solver, keeping the result a pure function
+// of (model, seed).
+func (w *warmState) solveModel(m *lp.Model, opts lp.Options, c chain, sv *lp.Solver) (*lp.Result, lp.Outcome, error) {
 	if w == nil {
 		res, err := m.SolveOpts(opts)
-		return res, nil, lp.Outcome{Path: "cold", ColdPivots: res.Iterations}, err
+		return res, lp.Outcome{Path: "cold", ColdPivots: res.Iterations}, err
 	}
 	var res *lp.Result
 	var err error
 	if c == seeded {
-		if seed == nil {
-			seed = w.cur
-		}
-		res, err = sv.SolveSeeded(m, seed, opts)
+		res, err = sv.SolveSeeded(m, w.cur, opts)
 	} else {
 		sv = &w.unit(c).sv
 		res, err = sv.SolveWarm(m, w.cur, opts)
 	}
-	var basis *lp.Basis
-	if err == nil && (c == capture || export) {
-		if basis, _ = sv.ExportBasis(); c == capture && basis != nil {
+	if err == nil && c == capture {
+		if basis, ok := sv.ExportBasis(); ok {
 			w.prev = basis
 		}
 	}
-	return res, basis, sv.LastOutcome(), err
+	return res, sv.LastOutcome(), err
 }

@@ -44,6 +44,13 @@ func (m *Matrix) Reset(rows, cols int) {
 	clear(m.data)
 }
 
+// CopyFrom makes m a copy of src, keeping m's backing array when that is
+// large enough.
+func (m *Matrix) CopyFrom(src *Matrix) {
+	m.Rows, m.Cols, m.data = src.Rows, src.Cols, Resized(m.data, len(src.data))
+	copy(m.data, src.data)
+}
+
 // Resized returns buf at length n with unspecified contents, reallocating
 // only when n has outgrown its capacity: how the solvers' and planners'
 // workspaces recycle a buffer from one solve to the next.

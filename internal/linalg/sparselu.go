@@ -509,6 +509,20 @@ func (f *EtaFile) Len() int { return len(f.etas) }
 // the storage.
 func (f *EtaFile) Reset() { f.etas, f.ind, f.val = f.etas[:0], f.ind[:0], f.val[:0] }
 
+// EtaMark is a length of an EtaFile, to truncate it back to.
+type EtaMark struct {
+	n   int
+	ind []int
+	val []float64
+}
+
+// Mark records the file's current length.
+func (f *EtaFile) Mark() EtaMark { return EtaMark{len(f.etas), f.ind, f.val} }
+
+// Truncate drops every update recorded since m was marked, with no Reset
+// between: the basis goes back to the one the file described then.
+func (f *EtaFile) Truncate(m EtaMark) { f.etas, f.ind, f.val = f.etas[:m.n], m.ind, m.val }
+
 // Append records the replacement of basis position r by the column whose
 // FTRAN image (position-indexed) is w, keeping w's listed non-zeros. It
 // refuses — returning false — when the diagonal |w[r]| is at or below tol,

@@ -114,9 +114,14 @@ type Model struct {
 	minimize bool
 	// stamp counts the edits that change what a kernel factorized — rows,
 	// columns, terms, senses, direction — and none that change only numbers
-	// (SetObjective, SetRHS): a Solver that retained a kernel for this very
-	// object knows in O(1) whether the kernel still describes it.
+	// (SetObjective, SetRHS, Fix): a Solver that retained a kernel for this
+	// very object knows in O(1) whether the kernel still describes it.
 	stamp uint64
+	// fixed pins variables at zero (see Fix).
+	fixed pins
+	// costs counts SetObjective calls, so a trial knows whether the costs
+	// moved since its checkpoint (see Solver.Trial).
+	costs uint64
 }
 
 // NewModel returns an empty maximization model.
@@ -127,6 +132,8 @@ func NewModel() *Model { return &Model{} }
 // and names of the model as it was.
 func (m *Model) Reset() {
 	m.names, m.obj, m.rows, m.slab, m.minimize = m.names[:0], m.obj[:0], m.rows[:0], m.slab[:0], false
+	clear(m.fixed)
+	m.fixed = m.fixed[:0]
 	m.stamp++
 }
 
@@ -160,10 +167,38 @@ func (m *Model) AddVariable(name string, objCoef float64) int {
 // SetObjective overwrites the objective coefficient of variable v.
 func (m *Model) SetObjective(v int, coef float64) {
 	m.obj[v] = coef
+	m.costs++
 }
 
 // SetRHS overwrites the right-hand side of constraint row c.
 func (m *Model) SetRHS(c int, rhs float64) { m.rows[c].rhs = rhs }
+
+// Fix pins variable v at zero (on) or frees it again (off). Like SetRHS it
+// changes a number — the variable's upper bound, 0 or none — not the
+// structure, so a kernel retained for the model stays hot across it: a
+// fixed column never enters a basis, and one still basic above the
+// tolerance is a primal infeasibility the dual simplex drives out (DESIGN
+// §14.2). A pin is a bound, never a cost: a big-M penalty would need a
+// bound on the duals that nothing provides.
+func (m *Model) Fix(v int, on bool) {
+	if n := len(m.fixed); n <= v {
+		if !on {
+			return
+		}
+		m.fixed = slices.Grow(m.fixed, len(m.names)-n)[:len(m.names)]
+		clear(m.fixed[n:])
+	}
+	m.fixed[v] = on
+}
+
+// pins flags the variables Fix has pinned, by index; those past its end
+// are free, and so are slack and artificial columns, past every variable.
+// A kernel copies a model's pins into a local before a loop over columns
+// or rows, so a model never pinned costs each one compare.
+type pins []bool
+
+// has reports whether column c is pinned.
+func (p pins) has(c int) bool { return uint(c) < uint(len(p)) && p[c] }
 
 // VariableName returns the name given to variable v.
 func (m *Model) VariableName(v int) string { return m.names[v] }
@@ -240,10 +275,10 @@ func (m *Model) RowActivity(c int, x []float64) float64 {
 	return s
 }
 
-// CheckFeasible verifies that x satisfies every constraint and the
-// non-negativity bounds within tol, returning a descriptive error for the
-// first violation found. It is used heavily by tests and by callers that
-// post-process solutions.
+// CheckFeasible verifies that x satisfies every constraint, the
+// non-negativity bounds and the pins of Fix within tol, returning a
+// descriptive error for the first violation found. It is used heavily by
+// tests and by callers that post-process solutions.
 func (m *Model) CheckFeasible(x []float64, tol float64) error {
 	if len(x) != len(m.names) {
 		return fmt.Errorf("lp: solution has %d values, model has %d variables", len(x), len(m.names))
@@ -251,6 +286,9 @@ func (m *Model) CheckFeasible(x []float64, tol float64) error {
 	for i, v := range x {
 		if v < -tol {
 			return fmt.Errorf("lp: variable %s = %g violates non-negativity", m.names[i], v)
+		}
+		if v > tol && m.fixed.has(i) {
+			return fmt.Errorf("lp: variable %s = %g violates its pin at 0", m.names[i], v)
 		}
 	}
 	for i, row := range m.rows {

@@ -285,7 +285,7 @@ func (t *tableau) run() Status {
 			row := t.a.Row(r)
 			pivoted := false
 			for c := 0; c < t.artStart; c++ {
-				if math.Abs(row[c]) > tol {
+				if math.Abs(row[c]) > tol && !t.m.fixed.has(c) {
 					t.pivot(r, c)
 					pivoted = true
 					break
@@ -369,14 +369,15 @@ func (t *tableau) iterate() Status {
 
 // chooseColumn returns the entering column, or -1 at optimality. Artificial
 // columns are never eligible in phase 2 (they are eligible in phase 1 only
-// in the sense of leaving; their reduced costs start at 0 after pricing).
+// in the sense of leaving; their reduced costs start at 0 after pricing),
+// and a fixed column never is.
 func (t *tableau) chooseColumn(bland bool, tol float64) int {
-	limit := t.colLimit
+	limit, fixed := t.colLimit, t.m.fixed
 	best := -1
 	bestVal := -tol
 	for c := 0; c < limit; c++ {
 		rc := t.z[c]
-		if rc < bestVal {
+		if rc < bestVal && !fixed.has(c) {
 			if bland {
 				return c
 			}
@@ -388,14 +389,17 @@ func (t *tableau) chooseColumn(bland bool, tol float64) int {
 }
 
 // chooseRow performs the ratio test for entering column col and returns the
-// leaving row, or -1 if the column is unbounded.
+// leaving row, or -1 if the column is unbounded. A fixed column still basic
+// (at zero: the dual repair drove out every one above it) blocks where col
+// would raise it, at its upper bound of 0.
 func (t *tableau) chooseRow(col int, bland bool, tol float64) int {
-	rhs := t.total
+	rhs, fixed := t.total, t.m.fixed
+	pinned := len(fixed) > 0
 	best := -1
 	bestRatio := math.Inf(1)
 	for r := 0; r < t.a.Rows; r++ {
 		a := t.a.At(r, col)
-		if a <= tol {
+		if a <= tol && (!pinned || a >= -tol || !fixed.has(t.basis[r])) {
 			continue
 		}
 		ratio := t.a.At(r, rhs) / a

@@ -116,9 +116,9 @@ func (b *Basis) Size() int {
 
 // Outcome describes how the most recent solve on a Solver ran.
 type Outcome struct {
-	// Path is "hot" (retained tableau or factors, rhs refresh), "import"
-	// (seed basis crashed into a fresh warm state) or "cold" (two-phase
-	// simplex).
+	// Path is "hot" (retained tableau or factors, rhs refresh), "trial"
+	// (a checkpointed kernel, numbers refreshed: see Trial), "import" (seed
+	// basis crashed into a fresh warm state) or "cold" (two-phase simplex).
 	Path string
 	// Sparse reports that the warm path ran the sparse revised simplex
 	// rather than the dense warm tableau.
@@ -159,6 +159,7 @@ type Solver struct {
 	warm   tableau     // the dense warm kernel, rebuilt in place per import
 	sparse sparseSolve // the sparse warm kernel, likewise
 	ws     retained
+	cp     checkpoint
 	last   kernel // final state of the most recent Optimal solve, for ExportBasis
 	out    Outcome
 	// yielded is when the solver last gave up the processor (see breathe).
@@ -200,6 +201,43 @@ type kernel interface {
 	// exportBasis names the final basis; false when it is not
 	// representable (an artificial still basic on the cold tableau).
 	exportBasis() (*Basis, bool)
+	// save copies what the kernel's pivots change into st and restore
+	// copies it back: the state a trial starts from and rolls back to.
+	// save refactorizes a long eta file first, reporting in how many
+	// refactorizations, and ok false when that failed.
+	save(st *state) (refactors int, ok bool)
+	restore(st *state)
+	// relax makes the costs in place dual feasible over the enterable
+	// columns by raising any that prices in to zero — a column a trial
+	// unfixed may, having been held out of the checkpoint's optimality —
+	// and reports whether it moved one: then priceIn must load the true
+	// costs after the repair, as on the hot path.
+	relax() bool
+}
+
+// state is a kernel's pivoted state, kept for trials. The dense kernel
+// keeps its tableau, basis and cost row; the sparse one its basis, basic
+// solution, reduced costs, pricing cursor and eta count — its factors are
+// the state's own, which a trial reads and never refactorizes.
+type state struct {
+	a              linalg.Matrix
+	basis, inBasis []int
+	vals, d        []float64 // dense: the cost row; sparse: xB and d
+	etas           linalg.EtaMark
+	cursor         int
+}
+
+// checkpoint is the state Trial starts from: kernel k's, for model m at
+// stamp, under the costs m had when it was kept. fresh says k still holds
+// it, no pivot having been made since. refactors is what taking it cost,
+// booked by the next trial.
+type checkpoint struct {
+	k            kernel
+	m            *Model
+	stamp, costs uint64
+	fresh        bool
+	refactors    int
+	st           state
 }
 
 // retained is the hot state kept between SolveWarm calls: the final
@@ -267,7 +305,7 @@ func (s *Solver) SolveSeeded(m *Model, seed *Basis, opts Options) (*Result, erro
 // (keep) and SolveSeeded (!keep).
 func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result, error) {
 	s.breathe()
-	s.out, s.last = Outcome{}, nil
+	s.out, s.last, s.cp.k = Outcome{}, nil, nil
 	minRows := sparseMinRows
 	if s.minRows > 0 {
 		minRows = s.minRows
@@ -281,7 +319,7 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 	if k := s.ws.k; s.ws.fits(m) {
 		attempted = true
 		stale := s.ws.uses >= maxHotUses
-		if res := s.attempt(k, k.rearm(m, opts, stale), opts.Tol); res != nil {
+		if res := s.attempt(k, k.rearm(m, opts, stale), true, opts.Tol); res != nil {
 			if stale {
 				s.ws.uses = 0
 			}
@@ -302,7 +340,7 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 	if k != nil {
 		attempted = true
 		s.ws = retained{} // the build reused the retained kernel's workspace
-		if res := s.attempt(k, k.importBasis(seed), opts.Tol); res != nil {
+		if res := s.attempt(k, k.importBasis(seed), true, opts.Tol); res != nil {
 			if keep {
 				s.ws = retained{k: k, stamp: m.stamp}
 			}
@@ -314,6 +352,76 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 		s.out.FellBack = true
 	}
 	return s.solveCold(m, opts)
+}
+
+// Checkpoint keeps the final kernel of the preceding solve on s — a warm
+// one, or a trial, that ended Optimal — as the state Trial starts from,
+// and reports whether it could: a cold solve leaves no kernel to keep.
+func (s *Solver) Checkpoint() bool {
+	s.cp.k = nil
+	k := s.last
+	if k == nil || k == kernel(&s.cold) {
+		return false
+	}
+	refactors, ok := k.save(&s.cp.st)
+	if !ok {
+		return false
+	}
+	m := k.model()
+	s.cp.k, s.cp.m, s.cp.stamp, s.cp.costs, s.cp.fresh = k, m, m.stamp, m.costs, true
+	s.cp.refactors += refactors
+	return true
+}
+
+// Adopt makes the final kernel of src's preceding solve the checkpoint of
+// s, over m — a model with the structure and the numbers src solved, which
+// keeps its own kernel untouched. Only a dense warm tableau is copied;
+// otherwise Adopt reports false and s keeps no checkpoint.
+func (s *Solver) Adopt(src *Solver, m *Model) bool {
+	s.cp.k = nil
+	t, ok := src.last.(*tableau)
+	if !ok || t != &src.warm || !sameStructure(t.m, m) {
+		return false
+	}
+	s.ws = retained{} // the copy reuses the retained kernel's workspace
+	s.warm.copyFrom(t, m)
+	s.last = &s.warm
+	return s.Checkpoint()
+}
+
+// Trial solves m — the checkpointed model, only its numbers changed since
+// (SetRHS, SetObjective, Fix) — hot from the checkpoint, which stays as it
+// was: every trial starts from it, until Checkpoint keeps a trial's final
+// kernel in its place. A trial that would refactorize, breaks down, finds
+// the model infeasible or fails the audit returns nil, and the caller goes
+// on down the ladder on another solver: the kernel's factors are the
+// checkpoint's, so no import may run on this one. With no checkpoint for
+// m at its stamp, Trial returns nil at once.
+func (s *Solver) Trial(m *Model, opts Options) *Result {
+	s.breathe()
+	s.out, s.last = Outcome{Refactors: s.cp.refactors}, nil
+	s.cp.refactors = 0
+	cp := &s.cp
+	if cp.k == nil || cp.m != m || cp.stamp != m.stamp {
+		return nil
+	}
+	k := cp.k
+	if !cp.fresh {
+		k.restore(&cp.st)
+	}
+	cp.fresh = false
+	s.ws = retained{}
+	opts = opts.withDefaults(len(m.rows), len(m.names))
+	// Under the checkpoint's own costs, unless relax moved some, the
+	// repair leaves the true reduced costs in place: no pricing in.
+	armed := k.rearm(m, opts, false)
+	price := armed && k.relax() || m.costs != cp.costs
+	res := s.attempt(k, armed, price, opts.Tol)
+	if res != nil {
+		_, sparse := k.(*sparseSolve)
+		s.out.Path, s.out.Sparse = "trial", sparse
+	}
+	return res
 }
 
 // breathe yields the processor if this solver has not for a millisecond
@@ -343,16 +451,18 @@ func (s *Solver) breathe() {
 // attempt drives a re-armed or freshly crashed kernel to optimality: the
 // dual simplex under the costs already in place (the previous solve's on
 // the hot path, still dual feasible; all-zero after a crash, trivially
-// so) repairs primal feasibility, then the true costs are priced in and
-// primal pivots finish. The claim is audited — the solution must
-// re-verify against the model within a tolerance proportional to the rhs
-// scale — and any failure, a kernel that could not be armed included,
-// books the pivots burned, drops the retained state and returns nil so
-// the ladder steps down.
-func (s *Solver) attempt(k kernel, armed bool, tol float64) *Result {
+// so) repairs primal feasibility, then the true costs are priced in (if
+// price: a trial's may be in place already) and primal pivots finish. The
+// claim is audited — the solution must re-verify against the model within
+// a tolerance proportional to the rhs scale — and any failure, a kernel
+// that could not be armed included, books the pivots burned, drops the
+// retained state and returns nil so the ladder steps down.
+func (s *Solver) attempt(k kernel, armed, price bool, tol float64) *Result {
 	defer s.bookCrash(k)
 	if armed && k.dualIterate() == Optimal {
-		k.priceIn()
+		if price {
+			k.priceIn()
+		}
 		if k.primalIterate() == Optimal {
 			m, x := k.model(), k.extract()
 			if m.CheckFeasible(x, auditTol(m, tol)) == nil {
@@ -501,6 +611,40 @@ func newWarmTableauIn(m *Model, opts Options, t *tableau) *tableau {
 
 func (t *tableau) model() *Model { return t.m }
 
+func (t *tableau) save(st *state) (int, bool) {
+	st.a.CopyFrom(&t.a)
+	st.basis, st.vals = append(st.basis[:0], t.basis...), append(st.vals[:0], t.z...)
+	return 0, true
+}
+
+func (t *tableau) restore(st *state) {
+	t.a.CopyFrom(&st.a)
+	copy(t.basis, st.basis)
+	copy(t.z, st.vals)
+}
+
+// relax clears every negative reduced cost of an enterable column (a
+// basic one's is 0).
+func (t *tableau) relax() (moved bool) {
+	fixed := t.m.fixed
+	for c, rc := range t.z[:t.colLimit] {
+		if rc < 0 && !fixed.has(c) {
+			t.z[c], moved = 0, true
+		}
+	}
+	return moved
+}
+
+// copyFrom makes t a copy of src's warm tableau, over m.
+func (t *tableau) copyFrom(src *tableau, m *Model) {
+	t.reset(m, src.opts)
+	t.total, t.artStart, t.colLimit = src.total, src.artStart, src.colLimit
+	t.a.CopyFrom(&src.a)
+	t.basis, t.z = append(t.basis[:0], src.basis...), append(t.z[:0], src.z...)
+	t.dualCol, t.dualSign = append(t.dualCol[:0], src.dualCol...), append(t.dualSign[:0], src.dualSign...)
+	t.rowSlack = append(t.rowSlack[:0], src.rowSlack...)
+}
+
 func (t *tableau) pivots() int { return t.iters }
 
 func (t *tableau) crashWork() (crashed, refactors int) { return t.crashed, 0 }
@@ -614,11 +758,12 @@ func (t *tableau) refreshRHS() {
 
 // dualIterate runs the dual simplex on the current reduced-cost row,
 // which must be dual feasible (z ≥ 0 over enterable columns): it drives
-// negative basic values out while preserving dual feasibility — exactly
-// the repair needed after an rhs perturbation. Returns Optimal when the
-// rhs is non-negative, Infeasible when a negative row has no eligible
-// entering column (a primal infeasibility certificate, which callers
-// re-confirm via the cold path), or IterationLimit.
+// negative basic values — and fixed basic columns above zero — out while
+// preserving dual feasibility — exactly the repair needed after an rhs
+// perturbation or a pin. Returns Optimal when the basic solution is
+// feasible, Infeasible when a violating row has no eligible entering
+// column (a primal infeasibility certificate, which callers re-confirm via
+// the cold path), or IterationLimit.
 //
 // Like the primal iterate, it starts on Dantzig-style pricing (most
 // negative basic value, minimum ratio) and switches to Bland's
@@ -630,7 +775,7 @@ func (t *tableau) refreshRHS() {
 // run without decrease is the cycling signature.
 func (t *tableau) dualIterate() Status {
 	tol := t.opts.Tol
-	rhs := t.total
+	fixed := t.m.fixed
 	bland := t.opts.Bland
 	stall := 0
 	lastObj := math.Inf(1)
@@ -638,30 +783,23 @@ func (t *tableau) dualIterate() Status {
 		if t.iters >= t.opts.MaxIterations {
 			return IterationLimit
 		}
-		leave := -1
-		if bland {
-			bestCol := t.total + 1
-			for r := 0; r < t.a.Rows; r++ {
-				if t.a.At(r, rhs) < -tol && t.basis[r] < bestCol {
-					leave, bestCol = r, t.basis[r]
-				}
-			}
-		} else {
-			minVal := -tol
-			for r := 0; r < t.a.Rows; r++ {
-				if v := t.a.At(r, rhs); v < minVal {
-					leave, minVal = r, v
-				}
-			}
-		}
+		leave, up := t.leaving(bland, tol)
 		if leave < 0 {
 			return Optimal
+		}
+		// A negative basic leaves at its lower bound 0 through a negative
+		// entry of its row; a fixed one above 0 leaves at its upper bound 0,
+		// the bounded dual simplex's rule, through a positive one: the row
+		// with its sign flipped.
+		sign := 1.0
+		if up {
+			sign = -1
 		}
 		row := t.a.Row(leave)
 		enter, bestRatio := -1, math.Inf(1)
 		for c := 0; c < t.colLimit; c++ {
-			a := row[c]
-			if a >= -tol {
+			a := sign * row[c]
+			if a >= -tol || fixed.has(c) {
 				continue
 			}
 			if ratio := t.z[c] / -a; ratio < bestRatio {
@@ -672,8 +810,8 @@ func (t *tableau) dualIterate() Status {
 			// Smallest-index tie-break among the ratio minimizers.
 			edge := bestRatio + tol*(1+math.Abs(bestRatio))
 			for c := 0; c < enter; c++ {
-				a := row[c]
-				if a >= -tol {
+				a := sign * row[c]
+				if a >= -tol || fixed.has(c) {
 					continue
 				}
 				if t.z[c]/-a <= edge {
@@ -698,4 +836,43 @@ func (t *tableau) dualIterate() Status {
 			}
 		}
 	}
+}
+
+// leaving is the dual simplex's leaving row, as sparseSolve.leaving picks
+// it: the most negative basic value (bland: the violator with the smallest
+// basic column), and on a model with pins, in a second scan, a fixed basic
+// above tol, which leaves at its upper bound 0 (up).
+func (t *tableau) leaving(bland bool, tol float64) (leave int, up bool) {
+	fixed, rhs := t.m.fixed, t.total
+	leave = -1
+	if bland {
+		bestCol := t.total + 1
+		for r := 0; r < t.a.Rows; r++ {
+			if t.a.At(r, rhs) < -tol && t.basis[r] < bestCol {
+				leave, bestCol = r, t.basis[r]
+			}
+		}
+		if len(fixed) > 0 {
+			for r := 0; r < t.a.Rows; r++ {
+				if t.a.At(r, rhs) > tol && t.basis[r] < bestCol && fixed.has(t.basis[r]) {
+					leave, bestCol, up = r, t.basis[r], true
+				}
+			}
+		}
+		return leave, up
+	}
+	minVal := -tol
+	for r := 0; r < t.a.Rows; r++ {
+		if v := t.a.At(r, rhs); v < minVal {
+			leave, minVal = r, v
+		}
+	}
+	if len(fixed) > 0 {
+		for r := 0; r < t.a.Rows; r++ {
+			if v := t.a.At(r, rhs); v > -minVal && fixed.has(t.basis[r]) {
+				leave, minVal, up = r, -v, true
+			}
+		}
+	}
+	return leave, up
 }

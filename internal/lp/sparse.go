@@ -73,6 +73,9 @@ type sparseSolve struct {
 	refactors int // refactorizations since rearm or import
 	cursor    int // partial-pricing scan position
 	walked    walked
+	// held says the factors are a checkpoint's (see Solver.Trial): a pivot
+	// that would refactorize them breaks the trial off instead.
+	held bool
 
 	sparseArena
 }
@@ -238,7 +241,7 @@ func (ss *sparseSolve) reprice() {
 	// The columns are walked off ptr directly (at two or three entries a
 	// column, slice headers would cost more than the products), and optimal
 	// is price's own test, so a pricing sweep of these d would agree with it.
-	y, at, tol := ss.y.Val, 0, ss.opts.Tol
+	y, at, tol, fixed := ss.y.Val, 0, ss.opts.Tol, ss.m.fixed
 	ss.optimal = true
 	for j, end := range ss.ptr[1:] {
 		var s float64
@@ -246,7 +249,7 @@ func (ss *sparseSolve) reprice() {
 			for p := at; p < end; p++ {
 				s += ss.val[p] * y[ss.ind[p]]
 			}
-			if s = ss.obj[j] - s; s > tol {
+			if s = ss.obj[j] - s; s > tol && !fixed.has(j) {
 				ss.optimal = false
 			}
 		}
@@ -405,7 +408,7 @@ func (ss *sparseSolve) pivot(leave, enter int) bool {
 	ss.iters++
 	ss.walked.image += len(w.Ind)
 	ss.walked.rho += len(ss.rho.Ind)
-	return ss.etas.Len() < sparseRefactorEvery || ss.refactorize()
+	return ss.etas.Len() < sparseRefactorEvery || !ss.held && ss.refactorize()
 }
 
 // stalled is the anti-cycling progress test both phases share: sign is +1
@@ -432,6 +435,7 @@ func (ss *sparseSolve) stalled(sign float64, last *float64, stall *int) bool {
 func (ss *sparseSolve) dualIterate() Status {
 	tol := ss.opts.Tol
 	bland := ss.opts.Bland
+	fixed := ss.m.fixed
 	stall := 0
 	ss.objv = 0
 	lastObj := math.Inf(1)
@@ -439,31 +443,21 @@ func (ss *sparseSolve) dualIterate() Status {
 		if ss.iters >= ss.opts.MaxIterations {
 			return IterationLimit
 		}
-		leave := -1
-		if bland {
-			bestCol := ss.ncols
-			for r, v := range ss.xB {
-				if v < -tol && ss.basis[r] < bestCol {
-					leave, bestCol = r, ss.basis[r]
-				}
-			}
-		} else {
-			minVal := -tol
-			for r, v := range ss.xB {
-				if v < minVal {
-					leave, minVal = r, v
-				}
-			}
-		}
+		leave, up := ss.leaving(bland, tol)
 		if leave < 0 {
 			return Optimal
 		}
 		ss.btranUnit(leave)
 		alpha := ss.pivotRow()
-		// ratio is column j's dual ratio, +Inf where j may not enter.
+		// ratio is column j's dual ratio, +Inf where j may not enter. A
+		// fixed basic above 0 leaves at its upper bound 0 through the pivot
+		// row with its sign flipped (the dense kernel's rule).
 		ratio := func(j int) float64 {
 			a := alpha.Val[j]
-			if ss.inBasis[j] >= 0 || a >= -tol {
+			if up {
+				a = -a
+			}
+			if ss.inBasis[j] >= 0 || a >= -tol || fixed.has(j) {
 				return math.Inf(1)
 			}
 			return max(-ss.d[j], 0) / -a // −d ≥ −tol by dual feasibility
@@ -500,13 +494,54 @@ func (ss *sparseSolve) dualIterate() Status {
 	}
 }
 
+// leaving is the dual simplex's leaving position: the most negative basic
+// value, or under bland the violator with the smallest basic column — and,
+// on a model with pins, a fixed basic above tol, which leaves at its upper
+// bound 0 (up). The pinned pass is a second scan, so an unpinned model's
+// scan, the hot loop of a crash's repair, tests nothing more.
+func (ss *sparseSolve) leaving(bland bool, tol float64) (leave int, up bool) {
+	fixed := ss.m.fixed
+	leave = -1
+	if bland {
+		bestCol := ss.ncols
+		for r, v := range ss.xB {
+			if v < -tol && ss.basis[r] < bestCol {
+				leave, bestCol = r, ss.basis[r]
+			}
+		}
+		if len(fixed) > 0 {
+			for r, v := range ss.xB {
+				if v > tol && ss.basis[r] < bestCol && fixed.has(ss.basis[r]) {
+					leave, bestCol, up = r, ss.basis[r], true
+				}
+			}
+		}
+		return leave, up
+	}
+	minVal := -tol
+	for r, v := range ss.xB {
+		if v < minVal {
+			leave, minVal = r, v
+		}
+	}
+	if len(fixed) > 0 {
+		for r, v := range ss.xB {
+			if v > -minVal && fixed.has(ss.basis[r]) {
+				leave, minVal, up = r, -v, true
+			}
+		}
+	}
+	return leave, up
+}
+
 // primalIterate runs the revised primal simplex with partial pricing
 // over the reduced costs in place, switching to Bland's rule after
 // stalling. Optimal is declared only on freshly computed reduced costs:
 // when the updated ones show no violator they are recomputed, and either
 // that pass saw none above the tolerance or pricing goes on.
 func (ss *sparseSolve) primalIterate() Status {
-	tol := ss.opts.Tol
+	tol, fixed := ss.opts.Tol, ss.m.fixed
+	pinned := len(fixed) > 0
 	bland := ss.opts.Bland
 	stall := 0
 	ss.objv = 0
@@ -526,8 +561,9 @@ func (ss *sparseSolve) primalIterate() Status {
 		w := ss.ftranCol(enter)
 		leave, bestRatio := -1, math.Inf(1)
 		for _, i := range w.Ind {
+			// A fixed basic (at zero) blocks where enter would raise it.
 			wi := w.Val[i]
-			if wi <= tol {
+			if wi <= tol && (!pinned || wi >= -tol || !fixed.has(ss.basis[i])) {
 				continue
 			}
 			ratio := ss.xB[i] / wi
@@ -542,7 +578,7 @@ func (ss *sparseSolve) primalIterate() Status {
 					if ss.basis[i] < ss.basis[leave] {
 						leave, bestRatio = i, ratio
 					}
-				} else if wi > w.Val[leave] {
+				} else if math.Abs(wi) > math.Abs(w.Val[leave]) {
 					leave, bestRatio = i, ratio
 				}
 			}
@@ -567,9 +603,10 @@ func (ss *sparseSolve) primalIterate() Status {
 // through to a full sweep. Bland mode scans from column 0 for the smallest
 // violating index.
 func (ss *sparseSolve) price(bland bool, tol float64) int {
+	fixed := ss.m.fixed
 	if bland {
 		for j, d := range ss.d {
-			if d > tol {
+			if d > tol && !fixed.has(j) {
 				return j
 			}
 		}
@@ -589,7 +626,7 @@ func (ss *sparseSolve) price(bland bool, tol float64) int {
 		for n := min(span, left); n > 0; {
 			run := ss.d[j:min(j+n, ss.ncols)]
 			for i, d := range run {
-				if d > bestD {
+				if d > bestD && !fixed.has(j+i) {
 					best, bestD = j+i, d
 				}
 			}
@@ -630,6 +667,41 @@ func (ss *sparseSolve) duals() []float64 {
 }
 
 func (ss *sparseSolve) model() *Model { return ss.m }
+
+// save keeps the state after refactorizing an eta file past half its bound,
+// so the trials that start from it have room to pivot.
+func (ss *sparseSolve) save(st *state) (refactors int, ok bool) {
+	if ss.etas.Len() > sparseRefactorEvery/2 {
+		if refactors = 1; !ss.refactorize() {
+			return refactors, false
+		}
+	}
+	st.basis, st.inBasis = append(st.basis[:0], ss.basis...), append(st.inBasis[:0], ss.inBasis...)
+	st.vals, st.d = append(st.vals[:0], ss.xB...), append(st.d[:0], ss.d...)
+	st.etas, st.cursor, ss.held = ss.etas.Mark(), ss.cursor, true
+	return refactors, true
+}
+
+// relax clears every positive reduced cost of an enterable non-basic
+// column.
+func (ss *sparseSolve) relax() (moved bool) {
+	fixed := ss.m.fixed
+	for j, d := range ss.d {
+		if d > 0 && ss.inBasis[j] < 0 && !fixed.has(j) {
+			ss.d[j], moved = 0, true
+		}
+	}
+	return moved
+}
+
+func (ss *sparseSolve) restore(st *state) {
+	copy(ss.basis, st.basis)
+	copy(ss.inBasis, st.inBasis)
+	copy(ss.xB, st.vals)
+	copy(ss.d, st.d)
+	ss.etas.Truncate(st.etas)
+	ss.cursor, ss.optimal = st.cursor, false
+}
 
 func (ss *sparseSolve) pivots() int { return ss.iters }
 

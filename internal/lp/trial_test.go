@@ -1,0 +1,137 @@
+package lp
+
+import (
+	"math"
+	"slices"
+	"testing"
+)
+
+// subsetOf is the model m stands for under its pins: m without its fixed
+// columns, every row keeping its sense and rhs over the columns left.
+func subsetOf(m *Model) *Model {
+	sub, at := NewModel(), make([]int, len(m.names))
+	sub.SetMinimize(m.minimize)
+	for v, name := range m.names {
+		at[v] = -1
+		if !m.fixed.has(v) {
+			at[v] = sub.AddVariable(name, m.obj[v])
+		}
+	}
+	for _, row := range m.rows {
+		var terms []Term
+		for _, t := range row.terms {
+			if at[t.Var] >= 0 {
+				terms = append(terms, Term{Var: at[t.Var], Coef: t.Coef})
+			}
+		}
+		sub.AddConstraint(row.name, terms, row.sense, row.rhs)
+	}
+	return sub
+}
+
+// FuzzTrialRollback walks a generated dispatch-shaped LP (dispatchShaped:
+// a cap row, a share column and a flow per front-end for each commodity,
+// arrival and share rows) through byte-decoded moves — a commodity taken
+// out (its columns fixed, its cap row's rhs at 0) or put back, an arrival
+// budget moved, a flow's profit moved, the last trial kept as the
+// checkpoint — on both kernels,
+// solving each state as a trial. Every trial is held to the cold solve of
+// the subset model its pins stand for: the same verdict (a trial answers
+// exactly when that is Optimal), the same objective to 1e-9 relative, and
+// a solution that passes the audit, pins included. Run again after the
+// rollback, the same trial reproduces itself bit for bit.
+func FuzzTrialRollback(f *testing.F) {
+	f.Add(uint8(2), uint8(3), uint8(2), int64(1), []byte{0, 3, 6, 1, 2, 9, 4})
+	f.Add(uint8(3), uint8(4), uint8(1), int64(7), []byte{0, 0, 3, 3, 2, 6, 6, 9, 1, 4, 7, 2})
+	f.Add(uint8(1), uint8(2), uint8(3), int64(3), []byte{0, 2, 3, 5, 6, 8, 2, 0, 3})
+	f.Fuzz(func(t *testing.T, nk, nl, ns uint8, seed int64, moves []byte) {
+		if len(moves) > 48 {
+			t.Skip()
+		}
+		d := dispatchShaped(1+int(nk)%3, 2+int(nl)%4, 1+int(ns)%3, seed)
+		m := d.m
+		profit := m.ObjectiveCoefs()
+		need := make([]float64, len(d.comms))
+		for ci := range d.comms {
+			_, _, need[ci] = m.RowSpec(ci) // the cap rows come first
+		}
+		for _, kernel := range []string{"dense", "sparse"} {
+			s := onDense()
+			if kernel == "sparse" {
+				s = onSparse()
+			}
+			var cold Solver
+			if _, err := cold.Solve(m, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			basis, _ := cold.ExportBasis()
+			if _, err := s.SolveSeeded(m, basis, Options{}); err != nil || !s.Checkpoint() {
+				t.Fatalf("%s: no warm kernel to checkpoint (%v)", kernel, err)
+			}
+			out := make([]bool, len(d.comms))
+			budget := slices.Clone(d.arrivals)
+			for _, mv := range moves {
+				switch i := int(mv / 4); mv % 4 {
+				case 0:
+					ci := i % len(d.comms)
+					out[ci] = !out[ci]
+					for _, x := range append([]int{d.comms[ci].flows[0] - 1}, d.comms[ci].flows...) {
+						m.Fix(x, out[ci]) // the share column precedes the flows
+					}
+					m.SetRHS(ci, need[ci])
+					if out[ci] {
+						m.SetRHS(ci, 0)
+					}
+				case 1:
+					r := i % len(d.arrRows)
+					budget[r] = d.arrivals[r] * float64(i%5) / 3
+					m.SetRHS(d.arrRows[r], budget[r])
+				case 2:
+					c := d.comms[i%len(d.comms)]
+					m.SetObjective(c.flows[i%len(c.flows)], float64(i%7-2))
+				case 3:
+					s.Checkpoint() // keeps the last trial when it answered
+					continue
+				}
+				got := s.Trial(m, Options{})
+				var gotRun []float64
+				if got != nil {
+					gotRun = append(append([]float64{got.Objective}, got.X...), got.Duals...)
+				}
+				want, err := subsetOf(m).SolveOpts(Options{})
+				if (got != nil) != (err == nil) {
+					t.Fatalf("%s: trial answered %v, the subset model's cold solve says %v", kernel, got != nil, err)
+				}
+				if got == nil {
+					continue
+				}
+				if math.Abs(got.Objective-want.Objective) > 1e-9*math.Max(1, math.Abs(want.Objective)) {
+					t.Fatalf("%s: trial reaches %.17g, the subset model %.17g", kernel, got.Objective, want.Objective)
+				}
+				if err := m.CheckFeasible(got.X, auditTol(m, defaultTol)); err != nil {
+					t.Fatalf("%s: trial fails the audit: %v", kernel, err)
+				}
+				again := s.Trial(m, Options{})
+				if again == nil || !slices.Equal(gotRun, append(append([]float64{again.Objective}, again.X...), again.Duals...)) {
+					t.Fatalf("%s: the trial re-run after its rollback differs", kernel)
+				}
+			}
+			for ci := range out { // back to the full model for the other kernel
+				if out[ci] {
+					for _, x := range append([]int{d.comms[ci].flows[0] - 1}, d.comms[ci].flows...) {
+						m.Fix(x, false)
+					}
+					m.SetRHS(ci, need[ci])
+				}
+			}
+			for r, row := range d.arrRows {
+				m.SetRHS(row, d.arrivals[r])
+			}
+			for _, c := range d.comms {
+				for _, x := range c.flows {
+					m.SetObjective(x, profit[x])
+				}
+			}
+		}
+	})
+}

@@ -13,7 +13,7 @@ const improveTol = 1e-9
 
 // prices is what a first-improvement search keeps of a solved subset LP:
 // its shadow prices by meaning, and its identity and set, from which its
-// neighbours are solved (see searchUnit). With lp.Result.Duals = ∂obj/∂rhs
+// neighbours are solved (see heldUnit). With lp.Result.Duals = ∂obj/∂rhs
 // the rows of the aggregated layout price as
 //
 //	cap_c    M·C·μ·φ_c − Σ_s λ_cs ≥ M/D_c    y_c  ≤ 0
@@ -34,14 +34,14 @@ type prices struct {
 	// must out-earn; NaN where the set has no commodity of class k.
 	route []float64
 	// seed is the solution's identity in the memo key of the moves made
-	// from it, and comms its set, which the search unit admits to solve
+	// from it, and comms its set, which the hot unit admits to solve
 	// them; 0 and nil on a cold engine, whose solves nothing depends on.
 	seed  uint64
 	comms []commodity
 }
 
 // priceOut reads the prices of d's solved LP (aggregated layout only) for
-// the set comms: d's own commodities, or on the search unit's LP those
+// the set comms: d's own commodities, or on the hot unit's LP those
 // at[ci] names, the rows of the others holding nothing (0 ≥ 0 and the
 // like) that a subset LP would have.
 func (d *dispatchLP) priceOut(in *Input, res *lp.Result, comms []commodity, at []int) *prices {

@@ -46,9 +46,9 @@ type SearchStats struct {
 	// toggled floor — and so was rebuilt and re-imported: why a slot with
 	// the usual pivots still ran slow. Zero when WarmStart is off.
 	ModelRebuilds int64
-	// Trials counts solves answered on the search unit: a move's survivor
+	// Trials counts solves answered on the hot unit: a move's survivor
 	// solved hot from its incumbent's checkpointed kernel, its set a numbers
-	// change of the search LP (see searchUnit). Zero on a slot whose moves
+	// change of the capture's LP (see heldUnit). Zero on a slot whose moves
 	// the dual bound all turns down, and when WarmStart is off.
 	Trials int64
 	// Refactors counts the times a sparse kernel rebuilt its basis factors

@@ -39,13 +39,10 @@ type engine struct {
 	// per-server layout keeps none (see prices.bound).
 	priced bool
 	seeds  uint64 // identities handed to priced solutions
-	// capture is the identity of the call's capture solve, whose kernel
-	// the search unit may adopt (0: none priced).
-	capture uint64
-	// universe is every commodity a search move may admit: the call's
-	// admissible list, which admit sets and the search unit's first build
-	// lists when no admit did.
+	// universe is the call's admissible list, admitted under floors, over
+	// which admit has the hot unit's LP built (see heldUnit).
 	universe []commodity
+	floors   []float64
 	// scratch is the owning planner's held storage, its route pass priced
 	// for in by open.
 	scratch *planScratch
@@ -91,10 +88,11 @@ type planScratch struct {
 }
 
 // admit lists the call's admissible commodities and caps them, into the
-// planner's held lists (see admission.admit).
+// planner's held lists (see admission.admit): the full list is the call's
+// universe.
 func (e *engine) admit(floors []float64) (full, capped []commodity) {
 	full, capped = e.scratch.admit(e.in, floors)
-	e.universe = full
+	e.universe, e.floors = full, floors
 	return full, capped
 }
 
@@ -123,7 +121,7 @@ type solution struct {
 // must not change while the call lasts: a priced solution keeps it as its
 // set. from, the prices of the incumbent the set neighbours, makes the request
 // a move's survivor: it is solved as a trial from that incumbent's kernel
-// (see searchUnit), and the incumbent's identity joins the key, so an entry
+// (see heldUnit), and the incumbent's identity joins the key, so an entry
 // stays a function of (subset, incumbent) within the call: a solve made
 // next to one incumbent is never served to a request made next to another.
 // A held chain's solve is keyed like a request with no incumbent: it is an
@@ -165,11 +163,8 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solut
 			if e.warm != nil { // a search may go on from it: number it
 				e.seeds++
 				ent.px.seed, ent.px.comms = e.seeds, comms
-				if c == capture {
-					e.capture = e.seeds
-				}
 				if at != nil {
-					e.warm.search.last = e.seeds
+					e.warm.hot.last = e.seeds
 				}
 			}
 		}
@@ -195,19 +190,25 @@ func (e *engine) bounded(inc *assignment, out int, add *commodity) bool {
 }
 
 // solveLP solves one dispatch LP in the call's layout, uncached: a move's
-// survivor (from: its incumbent's prices) as a trial on the search unit if
-// it can, otherwise comms' own LP built on chain c's unit, from the slot's
-// frozen seed. The LP and its handles are the unit's, good until its next
-// build; at lists comms' positions in the LP's commodities when it was the
-// search unit's (nil: the LP is comms' own).
+// survivor (from: its incumbent's prices) as a trial on the hot unit if it
+// can, the capture on the hot unit's LP of the call's universe (see
+// heldUnit), otherwise comms' own LP built on chain c's unit, from the
+// slot's frozen seed. The LP and its handles are the unit's, good until
+// its next build; at lists comms' positions in the LP's commodities when
+// it was the hot unit's (nil: the LP is comms' own).
 func (e *engine) solveLP(c chain, comms []commodity, floors []float64, from *prices) (*dispatchLP, []int, *lp.Result, error) {
 	if res, at := e.trial(comms, floors, from); res != nil {
-		return &e.warm.search.d, at, res, nil
+		return &e.warm.hot.d, at, res, nil
 	}
 	u := e.warm.unit(c)
-	u.d.build(e.in, comms, floors, e.perServer, e.names)
+	var at []int
+	if c == capture && e.warm != nil {
+		at = e.warm.hot.hold(e.in, e.universe, comms, floors, e.names)
+	} else {
+		u.d.build(e.in, comms, floors, e.perServer, e.names)
+	}
 	res, err := e.run(u.d.model, c, u.d.rebuilt, &u.sv)
-	return &u.d, nil, res, err
+	return &u.d, at, res, err
 }
 
 // run hands a built LP — a slot's, or a horizon window's — to the simplex

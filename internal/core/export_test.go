@@ -33,11 +33,11 @@ func GreedySeedObjective(o *Optimized, in *Input) (float64, string, error) {
 func RefineSlotBusy() (*Optimized, *Input) { return refineSlotBusy() }
 
 // TrialsAgainstSubsetLPs plans in twice with o, the second warm, holding
-// every trial the search unit answers to the subset LP it stands for,
+// every trial the hot unit answers to the subset LP it stands for,
 // built on its own and solved seeded from the slot's frozen seed: it
 // returns how many trials it checked and an error for the first whose
 // objective differs by more than 1e-9 relative (the trial's solution passed
-// the search LP's audit, or it would not have answered).
+// the held LP's audit, or it would not have answered).
 func TrialsAgainstSubsetLPs(o *Optimized, in *Input) (int, error) {
 	var checked int
 	var first error

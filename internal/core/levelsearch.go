@@ -115,8 +115,10 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 	// Capture solve: every strategy starts from the all-tightest
 	// (all-zeros) assignment — exhaustive enumerates it first, greedy
 	// climbs from it, branch-and-bound seeds with greedy — so evaluating
-	// it here runs the hot chain and exports the next slot's seed basis
-	// while the result lands in the memo cache for the strategy to reuse.
+	// it here runs the hot chain, on the LP of every admissible level, and
+	// exports the next slot's seed basis while the result lands in the
+	// memo cache for the strategy to reuse.
+	eng.admit(nil)
 	if _, err := eng.prologue(capture, func() (assignment, error) {
 		return evaluate(eng, pairs, make([]int, len(pairs)), nil)
 	}); err != nil {

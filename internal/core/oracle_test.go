@@ -680,7 +680,7 @@ func TestBigMOracleSweep(t *testing.T) {
 
 // TestTrialsMatchSubsetLPs: on the oracle cases and the capacity-limited
 // refine fixture, every move a warm refine planner solves as a trial on its
-// search LP — the universe's LP with the set's outsiders fixed at zero —
+// held LP — the universe's LP with the set's outsiders fixed at zero —
 // reaches the optimum of the set's own LP.
 func TestTrialsMatchSubsetLPs(t *testing.T) {
 	cases := oracleCases(t)

@@ -30,6 +30,7 @@ import (
 	"math"
 
 	"profitlb/internal/datacenter"
+	"profitlb/internal/linalg"
 )
 
 // Input is everything a planner sees at the start of a slot.
@@ -116,13 +117,6 @@ type Plan struct {
 // one [][][]float64. Rows are capped at their own length, so appending to
 // one reallocates it rather than writing into its neighbour.
 
-// carve cuts the next n entries off slab.
-func carve[T any](slab *[]T, n int) []T {
-	out := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return out
-}
-
 // NewPlan allocates a zero plan shaped for the system.
 func NewPlan(sys *datacenter.System) *Plan {
 	K, S, L := sys.K(), sys.S(), sys.L()
@@ -139,18 +133,18 @@ func NewPlan(sys *datacenter.System) *Plan {
 	heads := make([][]float64, levels*S+L*K)
 	cells := make([]float64, levels*S*L+L*levels)
 	for k := range p.Rate {
-		p.Rate[k] = carve(&byLevel, sys.Classes[k].TUF.NumLevels())
+		p.Rate[k] = linalg.Carve(&byLevel, sys.Classes[k].TUF.NumLevels())
 		for q := range p.Rate[k] {
-			p.Rate[k][q] = carve(&heads, S)
+			p.Rate[k][q] = linalg.Carve(&heads, S)
 			for s := range p.Rate[k][q] {
-				p.Rate[k][q][s] = carve(&cells, L)
+				p.Rate[k][q][s] = linalg.Carve(&cells, L)
 			}
 		}
 	}
 	for l := range p.Phi {
-		p.Phi[l] = carve(&heads, K)
+		p.Phi[l] = linalg.Carve(&heads, K)
 		for k := range p.Phi[l] {
-			p.Phi[l][k] = carve(&cells, sys.Classes[k].TUF.NumLevels())
+			p.Phi[l][k] = linalg.Carve(&cells, sys.Classes[k].TUF.NumLevels())
 		}
 	}
 	return p
@@ -266,18 +260,18 @@ func (p *Plan) zeroLike() *Plan {
 	heads := make([][]float64, nHeads)
 	cells := make([]float64, nCells)
 	for k := range p.Rate {
-		out.Rate[k] = carve(&byLevel, len(p.Rate[k]))
+		out.Rate[k] = linalg.Carve(&byLevel, len(p.Rate[k]))
 		for q := range p.Rate[k] {
-			out.Rate[k][q] = carve(&heads, len(p.Rate[k][q]))
+			out.Rate[k][q] = linalg.Carve(&heads, len(p.Rate[k][q]))
 			for s := range p.Rate[k][q] {
-				out.Rate[k][q][s] = carve(&cells, len(p.Rate[k][q][s]))
+				out.Rate[k][q][s] = linalg.Carve(&cells, len(p.Rate[k][q][s]))
 			}
 		}
 	}
 	for l := range p.Phi {
-		out.Phi[l] = carve(&heads, len(p.Phi[l]))
+		out.Phi[l] = linalg.Carve(&heads, len(p.Phi[l]))
 		for k := range p.Phi[l] {
-			out.Phi[l][k] = carve(&cells, len(p.Phi[l][k]))
+			out.Phi[l][k] = linalg.Carve(&cells, len(p.Phi[l][k]))
 		}
 	}
 	return out
@@ -364,6 +358,7 @@ func (p *Plan) Delay(sys *datacenter.System, k, q, l int) float64 {
 type Valuation struct {
 	sys    *datacenter.System
 	plan   *Plan
+	prices []float64
 	sumPhi []float64 // per center: Σφ, the committed share total
 }
 
@@ -383,7 +378,9 @@ type Priced struct {
 	// so all commodities served at Service at once still fit the center.
 	Service float64
 	// Headroom is the factor by which Rate can grow, served at Service,
-	// before the delay reaches the level deadline; never below 1.
+	// before a request more earns less than the misses it causes (boost),
+	// short of the rate at which the delay reaches the level deadline;
+	// never below 1.
 	Headroom float64
 }
 
@@ -397,7 +394,7 @@ func Value(in *Input, plan *Plan) Valuation {
 			}
 		}
 	}
-	return Valuation{sys: in.Sys, plan: plan, sumPhi: sumPhi}
+	return Valuation{sys: in.Sys, plan: plan, prices: in.Prices, sumPhi: sumPhi}
 }
 
 // At prices commodity (k, q, l).
@@ -413,11 +410,30 @@ func (v Valuation) At(k, q, l int) Priced {
 		boosted += slack * phi / v.sumPhi[l]
 	}
 	c := Priced{Rate: lam, Delay: d, Utility: tf.Utility(d), Service: boosted * dc.Capacity * dc.ServiceRate[k], Headroom: 1}
-	// The rate at which Service meets the deadline; NaN compares false.
+	// Below the rate at which Service meets the deadline, the rate that
+	// earns the most (boost); NaN compares false.
 	if n := float64(v.plan.ServersOn[l]); lam > RateEps && n > 0 && deadline > 0 && n*(c.Service-1/deadline) > lam {
-		c.Headroom = n * (c.Service - 1/deadline) / lam
+		peak := boost(c.Service*deadline, tf.Level(q).Utility, v.sys.EnergyCost(k, l, v.prices[l]))
+		c.Headroom = max(min(peak, c.Service*deadline-1)*n/(deadline*lam), 1)
 	}
 	return c
+}
+
+// boost is μD − x, the rate per server in units of 1/D at which traffic
+// served at μ earns the most when a request pays u if its sojourn time,
+// exponential at θ = μ − λ, is within D and costs e to serve: with x = θD,
+// λ(u(1 − e^{−x}) − e) peaks where (1 + μD − x)·e^{−x} = 1 − e/u. One
+// Newton step from x₀ = ln((1 + μD)/(1 − e/u)), where e^{x₀} is known,
+// lands within 1e-3 of the root once μD passes 100 (0.03 at 10). A late
+// request earns a lower level's utility, not 0, so the true peak lies
+// above it. 0 where a request costs what it pays.
+func boost(mD, u, e float64) float64 {
+	if e >= u {
+		return 0
+	}
+	x := math.Log((1 + mD) / (1 - e/u))
+	x -= x / (2 + mD - x)
+	return max(mD-x, 0)
 }
 
 // Expected is a request's expected utility on commodity (k, q, l) as the

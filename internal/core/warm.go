@@ -6,25 +6,24 @@ import "profitlb/internal/lp"
 // Plan calls inside its EngineOptions. Successive slots solve
 // near-identical LPs — the topology is fixed and only arrivals and
 // prices drift — so the optimal basis of one call is an excellent
-// starting vertex for the next (DESIGN.md §12). The state holds four
+// starting vertex for the next (DESIGN.md §12). The state holds three
 // solve units:
 //
-//   - hot is the capture chain's unit. Its solver runs exactly one solve
+//   - hot is the capture chain's unit and the call's one held LP (see
+//     heldUnit): the dispatch LP of the call's admissible universe, the
+//     capture's set admitted on it by numbers. Its solver runs one solve
 //     per Plan call — the capture solve, the call's first — and retains
-//     its factorized kernel; its dispatch LP is refreshed in place while
-//     the structure stands (dispatchLP.build), so the solver is handed the
+//     its factorized kernel; the LP is refreshed in place while the
+//     structure stands (dispatchLP.build), so the solver is handed the
 //     very model it factorized, at the stamp it factorized, and re-solves
 //     with a dual-simplex repair instead of a cold two-phase run. Its
-//     final basis is exported as the next call's seed.
+//     final basis is exported as the next call's seed. A move that
+//     survives the dual bound is a trial on the same LP, from a
+//     checkpoint of the kernel, which trials leave where the capture did.
 //   - greedy is the same kind of chain for a multi-level Refine call's
 //     second capture, its greedy start: the same commodity set slot after
 //     slot, so it re-solves hot too. It exports no seed, and imports the
 //     frozen one only when its structure changed.
-//   - search holds the LP of a search's whole candidate set, on which a
-//     move that survives the dual bound is a numbers change solved as a
-//     trial hot from its incumbent's kernel (see searchUnit). It is built
-//     on a call's first survivor, so a slot whose moves are all bounded
-//     never touches it.
 //   - spare is the unit of every other solve of the call, one after the
 //     other: the search is sequential and reads a solution out before it
 //     asks for the next. Those solves use lp.Solver.SolveSeeded from the
@@ -34,13 +33,13 @@ import "profitlb/internal/lp"
 // A planner is driven by one caller at a time, so one Plan call owns the
 // state from claim to its return.
 type warmState struct {
-	hot, greedy, spare solveUnit
-	search             searchUnit
+	hot           heldUnit
+	greedy, spare solveUnit
 	// prev is the basis exported by the most recent capture solve; cur
 	// is the frozen copy every solve of the current Plan call seeds from.
 	prev, cur *lp.Basis
-	// onTrial, when set, sees every trial the search unit answers: the
-	// set, its floors and the result. Set by tests only.
+	// onTrial, when set, sees every trial the hot unit answers: the set,
+	// its floors and the result. Set by tests only.
 	onTrial func(comms []commodity, floors []float64, res *lp.Result)
 }
 
@@ -76,7 +75,7 @@ func (w *warmState) unit(c chain) *solveUnit {
 	case w == nil:
 		return &solveUnit{}
 	case c == capture:
-		return &w.hot
+		return &w.hot.solveUnit
 	case c == greedyStart:
 		return &w.greedy
 	}
@@ -92,12 +91,12 @@ func (e *EngineOptions) claim(seedable bool) *warmState {
 	}
 	w := &e.warm
 	w.cur = w.prev
-	w.search.claim()
+	w.hot.claim()
 	return w
 }
 
 // solveModel is the one way an LP in this package reaches the simplex
-// ladder, reporting how the solve ran; a search unit's trials are its top
+// ladder, reporting how the solve ran; the hot unit's trials are its top
 // rung (engine.trial). A nil state is the cold dense reference. Otherwise
 // a held chain's solve (c: capture or greedyStart, at most one each per
 // Plan call) runs that unit's retained chain, on its solver whatever sv,

@@ -31,6 +31,7 @@ import (
 	"math"
 
 	"profitlb/internal/datacenter"
+	"profitlb/internal/workload"
 )
 
 // Defaults for Config fields left zero.
@@ -54,7 +55,8 @@ const (
 // (a gateway cannot run slots of no length).
 type Config struct {
 	// Burst sets every lane's token-bucket capacity as a fraction of the
-	// lane's slot budget λ·T (0 means DefaultBurst). The capacity is
+	// lane's slot budget λ·T (0 means DefaultBurst), counting a budget
+	// under clumpBudget requests as √(clumpBudget·λT). The capacity is
 	// floored at MinBurst requests.
 	Burst float64 `json:"burst,omitempty"`
 	// MinBurst floors the bucket capacity in requests (0 means
@@ -100,6 +102,23 @@ func (c Config) burst(a, b float64) float64 {
 	return math.Max(c.MinBurst, c.Burst*a*b)
 }
 
+// clumpBudget is the slot budget, in requests, below which a lane's bucket
+// scales with the budget's Poisson spread √(λT) rather than with λT:
+// Burst·√(clumpBudget·λT), 4σ at DefaultBurst, so a lane planned at its
+// arrivals does not shed their clumping, while one offered twice its
+// budget admits at most λT + 4σ.
+const clumpBudget = 6400
+
+// laneBurst is the bucket-capacity rule of a whole-plan lane: burst's,
+// floored at Burst·√(clumpBudget·λT).
+func (c Config) laneBurst(rate, T float64) float64 {
+	b := c.burst(rate, T)
+	if budget := rate * T; budget < clumpBudget {
+		b = max(b, c.Burst*math.Sqrt(clumpBudget*budget))
+	}
+	return b
+}
+
 // Validate checks the config against the system it will serve. It is the
 // gate behind the scenario `dispatch` JSON block, so it rejects what a
 // hand-written file can get wrong: negative burst or floor, a zero or
@@ -143,21 +162,11 @@ func (c *Config) Validate(sys *datacenter.System) error {
 	return nil
 }
 
-// splitmix64 is the SplitMix64 mixer: a full-period bijection on uint64
-// used to derive per-request random draws from (seed, stream, sequence)
-// without any allocation or shared state.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // streamSeed mixes the table seed, slot and (k, s) stream identity into
 // the base of the stream's per-request draw sequence.
 func streamSeed(seed uint64, slot, k, s int) uint64 {
-	x := splitmix64(seed ^ 0x6a09e667f3bcc908)
-	x = splitmix64(x ^ uint64(int64(slot)))
-	x = splitmix64(x ^ uint64(k)<<32 ^ uint64(s))
+	x := workload.SplitMix64(seed ^ 0x6a09e667f3bcc908)
+	x = workload.SplitMix64(x ^ uint64(int64(slot)))
+	x = workload.SplitMix64(x ^ uint64(k)<<32 ^ uint64(s))
 	return x
 }

@@ -3,6 +3,8 @@ package dispatch
 import (
 	"fmt"
 	"math"
+
+	"profitlb/internal/workload"
 )
 
 // shardBurstSigmas floors a subdivided lane's burst at this many standard
@@ -56,7 +58,7 @@ func (t *Table) Subdivide(idx, n int, cfg Config) (*Table, error) {
 	}, func(e *entry) {
 		e.planned = e.planned*hi - e.planned*lo
 		e.arrival *= share
-		e.seed = splitmix64(e.seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15 ^ uint64(n)<<32)
+		e.seed = workload.SplitMix64(e.seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15 ^ uint64(n)<<32)
 	})
 	sub.Objective *= share
 	return sub, nil
@@ -76,7 +78,7 @@ func (t *Table) Scale(factor float64, tier string, cfg Config) *Table {
 	out := t.derive(func(_ int, ln *Lane) {
 		ln.Rate *= factor
 		ln.MaxRate *= factor
-		ln.Burst = cfg.burst(ln.Rate, t.SlotLen)
+		ln.Burst = cfg.laneBurst(ln.Rate, t.SlotLen)
 	}, func(e *entry) { e.planned *= factor })
 	out.Degraded, out.Tier = true, tier
 	out.Objective *= factor

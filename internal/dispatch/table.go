@@ -8,6 +8,8 @@ import (
 
 	"profitlb/internal/core"
 	"profitlb/internal/datacenter"
+	"profitlb/internal/linalg"
+	"profitlb/internal/workload"
 )
 
 // rateEps is the rate below which a commodity's dispatch entry is treated
@@ -23,10 +25,11 @@ type Lane struct {
 	// Rate is the plan's dispatch rate λ_{k,q,s,l}, requests per unit
 	// virtual time.
 	Rate float64
-	// MaxRate is the lane's capacity headroom: the largest admission rate
-	// the commodity's Service can sustain without violating the level
-	// deadline, the commodity's headroom spread over its lanes in
-	// proportion to rate. A sub-slot controller may boost the lane up to
+	// MaxRate is the lane's capacity headroom: the admission rate at which
+	// the commodity's traffic, served at Service, earns the most as the
+	// queue pays it, below the rate at which its delay reaches the level
+	// deadline (core.Priced.Headroom), spread over its lanes in proportion
+	// to rate. A sub-slot controller may boost the lane up to
 	// MaxRate and no further; MaxRate ≥ Rate always, and 0 means "no
 	// headroom known" (treated as Rate).
 	MaxRate float64
@@ -135,18 +138,11 @@ func (t *Table) Planned(k, s int) (planned, arrival float64) {
 // list is cut from one []int32, and its alias table from one []float64
 // and one []int32. Each cut is capped at its own length.
 
-// carve cuts the next n entries off slab.
-func carve[T any](slab *[]T, n int) []T {
-	out := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return out
-}
-
 // grid returns a K×S grid of entries cut from one slab.
 func grid(K, S int) [][]entry {
 	rows, cells := make([][]entry, K), make([]entry, K*S)
 	for k := range rows {
-		rows[k] = carve(&cells, S)
+		rows[k] = linalg.Carve(&cells, S)
 	}
 	return rows
 }
@@ -167,7 +163,7 @@ func (t *Table) index(K, S int, arrival func(k, s int) float64) {
 	for k := range t.entries {
 		for s := range t.entries[k] {
 			t.entries[k][s] = entry{
-				lanes:   carve(&lanes, int(counts[k*S+s]))[:0],
+				lanes:   linalg.Carve(&lanes, int(counts[k*S+s]))[:0],
 				arrival: arrival(k, s),
 				seed:    streamSeed(t.Seed, t.Slot, k, s),
 			}
@@ -203,7 +199,7 @@ func (t *Table) weigh() {
 				weights[i] = t.Lanes[li].Rate
 				e.planned += t.Lanes[li].Rate
 			}
-			e.prob, e.alias = carve(&prob, n), carve(&alias, n)
+			e.prob, e.alias = linalg.Carve(&prob, n), linalg.Carve(&alias, n)
 			v.fill(weights, e.prob, e.alias)
 		}
 	}
@@ -317,7 +313,7 @@ func Compile(in *core.Input, plan *core.Plan, cfg Config) (*Table, error) {
 						K: k, Q: q, S: s, L: l,
 						Rate:    rate,
 						MaxRate: rate * c.Headroom,
-						Burst:   cfg.burst(rate, T),
+						Burst:   cfg.laneBurst(rate, T),
 						Delay:   c.Delay,
 						Service: c.Service,
 					})
@@ -338,7 +334,8 @@ func Compile(in *core.Input, plan *core.Plan, cfg Config) (*Table, error) {
 // draw seed — an all-ones mult reproduces the base routing bit for bit.
 // The result keeps the base Epoch and carries sub as its sub-epoch
 // sequence. Rescale is meant for fleet-level (undivided) tables: bucket
-// sizing is the plain rule, without Subdivide's √n slack and σ floor.
+// sizing is Compile's rule (laneBurst), without Subdivide's √n slack and
+// 6σ floor.
 func (t *Table) Rescale(mult []float64, sub uint64, cfg Config) (*Table, error) {
 	if len(mult) != len(t.Lanes) {
 		return nil, fmt.Errorf("dispatch: rescale got %d multipliers for %d lanes", len(mult), len(t.Lanes))
@@ -354,7 +351,7 @@ func (t *Table) Rescale(mult []float64, sub uint64, cfg Config) (*Table, error) 
 		if ln.MaxRate > 0 && ln.Rate > ln.MaxRate {
 			ln.Rate = ln.MaxRate
 		}
-		ln.Burst = cfg.burst(ln.Rate, t.SlotLen)
+		ln.Burst = cfg.laneBurst(ln.Rate, t.SlotLen)
 	}, func(*entry) {})
 	out.Sub = sub
 	out.weigh()
@@ -426,7 +423,7 @@ func (e *entry) draw(seq uint64) int32 {
 	if n == 0 {
 		return -1
 	}
-	u := splitmix64(e.seed + seq*0x9e3779b97f4a7c15)
+	u := workload.SplitMix64(e.seed + seq*0x9e3779b97f4a7c15)
 	cell := (u >> 32) * n >> 32
 	frac := float64(u&0xffffffff) / (1 << 32)
 	if frac < e.prob[cell] {

@@ -3,6 +3,8 @@ package dispatch
 import (
 	"fmt"
 	"math"
+
+	"profitlb/internal/linalg"
 )
 
 // TableWire is the serializable form of a compiled routing table: what
@@ -32,7 +34,7 @@ func (t *Table) Wire() *TableWire {
 	w.ServersOn = append([]int(nil), t.ServersOn...)
 	arrivals := make([]float64, t.K()*t.S())
 	for k, row := range t.entries {
-		w.Arrivals[k] = carve(&arrivals, len(row))
+		w.Arrivals[k] = linalg.Carve(&arrivals, len(row))
 		for s := range row {
 			w.Arrivals[k][s] = row[s].arrival
 		}

@@ -38,6 +38,7 @@ import (
 
 	"profitlb/internal/fault"
 	"profitlb/internal/obs"
+	"profitlb/internal/workload"
 )
 
 // Tier identifies which estimator produced a slot's planner-facing value.
@@ -495,7 +496,7 @@ func (st *Set) FetchSlot(slot int) *Sample {
 }
 
 // slotStream is one fetch's handle on the per-(feed, slot) random
-// stream: a splitmix64 hash of seed, feed identity and slot, so draws are
+// stream: a SplitMix64 hash of seed, feed identity and slot, so draws are
 // independent of call order across feeds and identical across rebuilt
 // Sets. Seeding math/rand fills a 607-word, ~5 KB state and only a
 // dropout or noise fault ever draws, so the generator is built on the
@@ -512,21 +513,11 @@ func (s *slotStream) draw() *rand.Rand {
 	if s.rng == nil {
 		h := uint64(s.f.seed)
 		for _, b := range []byte(s.f.kind) {
-			h = splitmix64(h ^ uint64(b))
+			h = workload.SplitMix64(h ^ uint64(b))
 		}
-		h = splitmix64(h ^ uint64(uint32(s.f.idx)))
-		h = splitmix64(h ^ uint64(uint32(s.slot)))
+		h = workload.SplitMix64(h ^ uint64(uint32(s.f.idx)))
+		h = workload.SplitMix64(h ^ uint64(uint32(s.slot)))
 		s.rng = rand.New(rand.NewSource(int64(h)))
 	}
 	return s.rng
-}
-
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
 }

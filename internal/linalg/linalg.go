@@ -61,6 +61,14 @@ func Resized[S ~[]E, E any](buf S, n int) S {
 	return buf[:n]
 }
 
+// Carve cuts the next n entries off slab, capped at their own length so
+// that appending to them reallocates rather than writing into the rest.
+func Carve[T any](slab *[]T, n int) []T {
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
 // At returns the element at row i, column j.
 func (m *Matrix) At(i, j int) float64 { return m.data[i*m.Cols+j] }
 

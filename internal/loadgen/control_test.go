@@ -187,6 +187,47 @@ func TestSlowCenterControllerShedsExcess(t *testing.T) {
 	}
 }
 
+// TestControllerBeatsFrozenOnTenSeeds is ROADMAP item 10(b)'s deciding
+// number: the flash crowd and the slow center above, each replayed on
+// seeds 1–10 with the controller and frozen. The controller must earn more
+// on at least nine of ten under each. Its boosts stop where a commodity's
+// traffic earns the most as the queue pays it (core.Valuation.At's
+// Headroom); boosted to where the mean delay meets the deadline instead,
+// it lost the flash crowd on four seeds of ten.
+func TestControllerBeatsFrozenOnTenSeeds(t *testing.T) {
+	cases := []struct {
+		name   string
+		slots  int
+		faults *fault.Schedule
+	}{
+		{"flash crowd", 4, flashSchedule(4, 2)},
+		{"slow center", 3, &fault.Schedule{Events: []fault.Event{{Kind: fault.SlowCenter, Center: 0, Factor: 0.5, From: 0, To: 2}}}},
+	}
+	for _, c := range cases {
+		wins := 0
+		for seed := int64(1); seed <= 10; seed++ {
+			profit := func(ctrl bool) float64 {
+				cfg := testSimConfig(c.slots)
+				cfg.Faults = c.faults
+				f, src := harness(t, cfg, core.NewOptimized(), nil)
+				rep, err := Run(f, src, Config{Seed: seed, Slots: cfg.Slots, Control: ctrl})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep.TotalNetProfit()
+			}
+			frozen, steered := profit(false), profit(true)
+			if steered > frozen {
+				wins++
+			}
+			t.Logf("%s seed %d: controller %.2f, frozen %.2f (%+.2f)", c.name, seed, steered, frozen, steered-frozen)
+		}
+		if wins < 9 {
+			t.Errorf("%s: the controller beat frozen on %d of 10 seeds, want at least 9", c.name, wins)
+		}
+	}
+}
+
 // TestFleetControlCleanBitIdentical: the fleet replay's merged loop
 // preserves per-stream arrival and spray order, so a quiet controller
 // leaves a fleet replay bit-identical too.

@@ -828,15 +828,13 @@ func laneDemand(table *dispatch.Table, j int, streamOffered []int64, T float64) 
 }
 
 // streamSeed derives the arrival-synthesis seed for one (slot, s, k)
-// stream (SplitMix64 over the user seed and the coordinates).
+// stream: SplitMix64 over the user seed, then over each coordinate in
+// turn. The seed is mixed before any coordinate joins it, so two seeds
+// never share a stream, whatever slots they play.
 func streamSeed(seed int64, abs, s, k int) int64 {
-	x := uint64(seed) ^ 0x9e3779b97f4a7c15
+	x := workload.SplitMix64(uint64(seed))
 	for _, v := range [3]uint64{uint64(int64(abs)), uint64(s), uint64(k)} {
-		x ^= v
-		x += 0x9e3779b97f4a7c15
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		x ^= x >> 31
+		x = workload.SplitMix64(x ^ v)
 	}
 	return int64(x >> 1) // non-negative for rand.NewSource
 }

@@ -91,6 +91,27 @@ func harness(t *testing.T, cfg sim.Config, planner core.Planner, scope *obs.Scop
 	return f, src
 }
 
+// TestStreamSeedsDoNotAlias: two run seeds never replay one another's
+// streams. Mixing the slot into the seed before the seed was mixed made
+// only seed ^ slot matter, so seeds 1, 2 and 3 played the same four slot
+// streams of a four-slot run in another order.
+func TestStreamSeedsDoNotAlias(t *testing.T) {
+	owner := map[int64]int64{}
+	for seed := int64(0); seed <= 10; seed++ {
+		for abs := 0; abs < 4; abs++ {
+			for s := 0; s < 2; s++ {
+				for k := 0; k < 2; k++ {
+					x := streamSeed(seed, abs, s, k)
+					if o, ok := owner[x]; ok && o != seed {
+						t.Fatalf("seeds %d and %d share stream %d (slot %d, front-end %d, type %d)", o, seed, x, abs, s, k)
+					}
+					owner[x] = seed
+				}
+			}
+		}
+	}
+}
+
 // TestCleanScenario is the subsystem's acceptance gate: replaying a
 // clean scenario, every fat lane's achieved rate lands within 5% of the
 // planned λ and nothing is shed.

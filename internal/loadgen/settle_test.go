@@ -362,11 +362,11 @@ func TestSettledQueueMatchesPollaczekKhinchine(t *testing.T) {
 // correlated, so the bound is on batch means, a slot each: every slot
 // starts with empty queues and draws its own streams, so the batches are
 // independent. The empty start is a bias, not noise: the M/M/1 relaxation
-// time is τ = 1/(μ(1−√ρ)²) ≈ 0.2, a slot runs 400 time units (~2 000 τ),
+// time is τ = 1/(μ(1−√ρ)²) ≈ 0.2, a slot runs 800 time units (~4 000 τ),
 // and the transient moves a slot's mean by at most U₁·5τ/T, which the
 // test requires to sit inside the bound.
 func TestSettledValueMatchesExpected(t *testing.T) {
-	const lam, mu, slots, slotLen = 60.0, 100.0, 20, 400.0
+	const lam, mu, slots, slotLen = 60.0, 100.0, 20, 800.0
 	tf := tuf.MustNew([]tuf.Level{{Utility: 2, Deadline: 0.05}, {Utility: 1, Deadline: 0.2}})
 	rates := make([][]float64, slots)
 	prices := make([]float64, slots)

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -9,9 +10,12 @@ import (
 	"profitlb/internal/core"
 	"profitlb/internal/dispatch"
 	"profitlb/internal/fault"
+	"profitlb/internal/feed"
+	"profitlb/internal/mpc"
 	"profitlb/internal/obs"
 	"profitlb/internal/race"
 	"profitlb/internal/resilient"
+	"profitlb/internal/sim"
 )
 
 // soakSlots is the soak's length: long enough to measure the heap well
@@ -53,25 +57,114 @@ func (p auditPlant) Publish(t *dispatch.Table, now float64) bool {
 // replica must cost Handle 0 allocations. At the end the post-GC live
 // heap must sit within soakHeapSlack of its slot-50 reading.
 func TestFleetSoak(t *testing.T) {
+	fleetSoak(t, testSimConfig(soakSlots), core.NewOptimized(), nil)
+}
+
+// TestFleetSoakMPCFeeds is TestFleetSoak's sibling with every plane on:
+// the planner is the deferring MPC (batch class deferrable one slot,
+// energy prices spiking every third slot) behind the same resilient chain
+// and planner faults, and the inputs come
+// through the feed layer, which the storm also hits with dropouts, noise
+// and delays. Besides the fence, reconciliation, allocation and heap
+// audits, every slot's deferral ledger is audited as it is settled, per
+// class, to 1e-9 relative: the backlog carried out is the backlog carried
+// in less what drained and what was shed plus what was deferred; the
+// slot's arrivals are its new work served plus deferred plus lost; and the
+// backlog carried in is the previous settled slot's carried out.
+func TestFleetSoakMPCFeeds(t *testing.T) {
+	cfg := testSimConfig(soakSlots)
+	cfg.Feeds = &feed.Config{Seed: 4}
+	// Every third slot the energy price makes batch work (3.5–4 Wh a request)
+	// cost more than either of its levels pays, so the planner defers it
+	// to the next slot, where it drains.
+	for _, p := range cfg.Prices {
+		p.Prices = []float64{p.Prices[0], p.Prices[0], 20}
+	}
+	tap := &ledgerTap{Planner: mpc.New(mpc.Config{Horizon: 3, MaxDefer: []int{0, 1}, EndSlot: soakSlots})}
+	var prev []float64
+	audited, deferred, drained := 0, 0.0, 0.0
+	fleetSoak(t, cfg, tap, func(abs int) {
+		for _, st := range tap.settled {
+			l := st.ledger
+			for k := range l.CarriedIn {
+				servedNew := st.served[k] - l.Drained[k]
+				for _, c := range [...]struct {
+					what      string
+					got, want float64
+				}{
+					{"backlog out", l.BacklogOut[k], l.CarriedIn[k] - l.Drained[k] - l.Shed[k] + l.DeferredNew[k]},
+					{"arrivals", st.arrivals[k], servedNew + l.DeferredNew[k] + l.LostNew[k]},
+				} {
+					if math.Abs(c.got-c.want) > 1e-9*math.Max(1, math.Abs(c.want)) {
+						t.Fatalf("slot %d class %d: %s %.17g, the ledger says %.17g: %+v", abs, k, c.what, c.got, c.want, l)
+					}
+				}
+				if prev != nil && math.Abs(l.CarriedIn[k]-prev[k]) > 1e-9*math.Max(1, prev[k]) {
+					t.Fatalf("slot %d class %d: carried in %.17g, the last settled slot carried out %.17g", abs, k, l.CarriedIn[k], prev[k])
+				}
+			}
+			prev = l.BacklogOut
+			audited++
+			deferred += core.Total(l.DeferredNew)
+			drained += core.Total(l.Drained)
+		}
+		tap.settled = tap.settled[:0]
+	})
+	if audited < soakSlots/2 || deferred == 0 || drained == 0 {
+		t.Fatalf("vacuous ledger audit: %d slots settled, %g deferred, %g drained", audited, deferred, drained)
+	}
+	t.Logf("%d ledgers audited: %.1f req/s deferred, %.1f drained", audited, deferred, drained)
+}
+
+// ledgerTap records each ledger the host settles on its planner, with
+// the slot's arrivals and committed service per class.
+type ledgerTap struct {
+	*mpc.Planner
+	settled []settledSlot
+}
+
+type settledSlot struct {
+	ledger           core.BacklogSlot
+	arrivals, served []float64
+}
+
+func (t *ledgerTap) CommitSlot(actual *core.Input, committed *core.Plan) core.BacklogSlot {
+	l := t.Planner.CommitSlot(actual, committed)
+	st := settledSlot{ledger: l}
+	for k := range l.CarriedIn {
+		st.arrivals = append(st.arrivals, actual.Offered(k))
+		st.served = append(st.served, committed.Served(k))
+	}
+	t.settled = append(t.settled, st)
+	return l
+}
+
+// fleetSoak runs the all-planes soak of TestFleetSoak with primary as the
+// resilient chain's first tier, calling slotDone after each slot's audits.
+// A run with feeds also has its feeds hit by the storm.
+func fleetSoak(t *testing.T, cfg sim.Config, primary core.Planner, slotDone func(abs int)) {
 	if testing.Short() {
 		t.Skip("soak: skipped under -short")
 	}
-	cfg := testSimConfig(soakSlots)
 	// Slot 0 stays clean so every replica holds a table before the storm.
-	storm, err := fault.Storm(fault.StormConfig{
+	sc := fault.StormConfig{
 		Seed: 21, Start: 1, Slots: soakSlots - 1,
 		Centers: cfg.Sys.L(), FrontEnds: cfg.Sys.S(),
 		PlannerFaults: 6,
 		Replicas:      4,
 		ReplicaKills:  12, Partitions: 12, PublisherOutages: 8,
-	})
+	}
+	if cfg.Feeds != nil {
+		sc.FeedDropouts, sc.FeedNoises, sc.FeedDelays = 6, 6, 6
+	}
+	storm, err := fault.Storm(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	storm.Events = append(storm.Events, flashSchedule(soakSlots, 2).Events...)
 	cfg.Faults = storm
 	scope := obs.NewScope(obs.NewRegistry(), nil)
-	chain := resilient.Wrap(&fault.Injector{Planner: core.NewOptimized(), Sched: storm})
+	chain := resilient.Wrap(&fault.Injector{Planner: primary, Sched: storm})
 	d, src := driver(t, cfg, chain, scope)
 	f, err := cluster.NewFleet(cfg.Sys, testDispatch, cluster.Config{Replicas: 4}, d, storm, scope)
 	if err != nil {
@@ -140,6 +233,9 @@ func TestFleetSoak(t *testing.T) {
 		stale += res.Stale
 		if res.Epoch == 0 {
 			outages++
+		}
+		if slotDone != nil {
+			slotDone(abs)
 		}
 		if abs == 50 {
 			heap50 = liveHeap()

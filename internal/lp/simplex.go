@@ -89,14 +89,15 @@ func (t *tableau) result(status Status) (*Result, error) {
 // normalization), and a final rhs column. Row r of the matrix is constraint
 // r; basis[r] holds the index of the column currently basic in that row.
 type tableau struct {
-	m        *Model
-	opts     Options
-	n        int // structural variable count
-	total    int // structural + slack + artificial count
-	artStart int
-	colLimit int // entering columns are restricted to [0, colLimit)
-	iters    int
-	crashed  int // pivots importBasis spent crashing the seed, outside iters
+	m         *Model
+	opts      Options
+	n         int // structural variable count
+	total     int // structural + slack + artificial count
+	artStart  int
+	colLimit  int // entering columns are restricted to [0, colLimit)
+	iters     int
+	crashed   int // pivots importBasis spent crashing the seed, outside iters
+	refactors int // refactorizations since rearm: 1 for a stale one
 	arena
 }
 

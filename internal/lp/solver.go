@@ -140,10 +140,10 @@ type Outcome struct {
 	// kernel's columns eliminated into its LU factors by the crash. An
 	// abandoned attempt's are counted too; a hot re-solve's is 0.
 	ImportPivots int
-	// Refactors counts the times the sparse kernel rebuilt its factors from
-	// the basis in place during this solve — a full eta file, or a hot
-	// re-solve at the drift bound — each a basis' worth of eliminated
-	// columns on a path that otherwise reads as hot.
+	// Refactors counts the times the kernel rebuilt its factors (the dense
+	// one: its tableau) from the basis in place during this solve — a full
+	// eta file, or a hot re-solve at a drift bound — each a basis' worth of
+	// eliminated columns on a path that otherwise reads as hot.
 	Refactors int
 }
 
@@ -180,9 +180,8 @@ type kernel interface {
 	// rearm points a finished kernel at a model of the same structure and
 	// refreshes the basic solution for its rhs through the retained
 	// factorization; the previous costs stay in place for the dual repair.
-	// stale reports that the drift bound maxHotUses is reached: the dense
-	// kernel then refuses (false — the ladder drops it and re-imports),
-	// the sparse one refactorizes in place.
+	// stale reports that a drift bound is reached: the kernel then
+	// refactorizes in place from its basis, false when that went singular.
 	rearm(m *Model, opts Options, stale bool) bool
 	// importBasis crashes a named seed into a freshly built kernel, whose
 	// costs are still zero; false means no complete basis emerged.
@@ -203,15 +202,16 @@ type kernel interface {
 	exportBasis() (*Basis, bool)
 	// save copies what the kernel's pivots change into st and restore
 	// copies it back: the state a trial starts from and rolls back to.
-	// save refactorizes a long eta file first, reporting in how many
-	// refactorizations, and ok false when that failed.
+	// save refactorizes a long eta file first, restore when st's factors
+	// are gone, each reporting in how many refactorizations, and ok false
+	// when that failed.
 	save(st *state) (refactors int, ok bool)
-	restore(st *state)
+	restore(st *state) (refactors int, ok bool)
 	// relax makes the costs in place dual feasible over the enterable
-	// columns by raising any that prices in to zero — a column a trial
-	// unfixed may, having been held out of the checkpoint's optimality —
-	// and reports whether it moved one: then priceIn must load the true
-	// costs after the repair, as on the hot path.
+	// columns by raising any that prices in to zero — a column unfixed
+	// since may, having been held out of the kernel's optimality — and
+	// reports whether it moved one: then priceIn must load the true costs
+	// after the repair.
 	relax() bool
 }
 
@@ -225,19 +225,23 @@ type state struct {
 	vals, d        []float64 // dense: the cost row; sparse: xB and d
 	etas           linalg.EtaMark
 	cursor         int
+	factored       int // sparse: the factors' generation the state shares
 }
 
-// checkpoint is the state Trial starts from: kernel k's, for model m at
-// stamp, under the costs m had when it was kept. fresh says k still holds
-// it, no pivot having been made since. refactors is what taking it cost,
-// booked by the next trial.
+// checkpoint is the state Trial starts from — kernel k's, for model m at
+// stamp, under the costs m had when it was kept: home, the state a solve
+// left, which the next SolveWarm resumes from, or once a trial's was kept
+// (away), st. fresh says k still holds it, no pivot having been made
+// since. owed is what taking it cost — its refactorizations, and the
+// crash that made a cold final state a kernel — booked by the next solve
+// on s.
 type checkpoint struct {
 	k            kernel
 	m            *Model
 	stamp, costs uint64
-	fresh        bool
-	refactors    int
-	st           state
+	fresh, away  bool
+	owed         Outcome
+	home, st     state
 }
 
 // retained is the hot state kept between SolveWarm calls: the final
@@ -251,8 +255,8 @@ type retained struct {
 
 // fits reports whether the retained kernel's factorization applies to m.
 // The model it solved last, handed back, answers by its stamp: refreshed in
-// place (SetObjective, SetRHS) it fits, refilled — even identically — it
-// does not, the kernel's matrix being a copy of rows that are gone. Any
+// place (SetObjective, SetRHS, Fix) it fits, refilled — even identically —
+// it does not, the kernel's matrix being a copy of rows that are gone. Any
 // other model is walked.
 func (w *retained) fits(m *Model) bool {
 	if w.k == nil {
@@ -278,8 +282,8 @@ func (s *Solver) Solve(m *Model, opts Options) (*Result, error) {
 
 // SolveWarm solves m using every warm path available, in order: a hot
 // re-solve on the retained kernel when the constraint matrix is unchanged
-// (only rhs and objective may differ — the cross-slot case), an import of
-// the seed basis otherwise, and the cold two-phase path as the
+// (only rhs, objective and pins may differ — the cross-slot case), an
+// import of the seed basis otherwise, and the cold two-phase path as the
 // correctness anchor whenever a warm attempt fails. A warm result is
 // accepted only at status Optimal and after the model re-verifies the
 // solution, so correctness never depends on the warm path.
@@ -302,24 +306,38 @@ func (s *Solver) SolveSeeded(m *Model, seed *Basis, opts Options) (*Result, erro
 }
 
 // solve is the warm ladder — hot, import, audited cold — behind SolveWarm
-// (keep) and SolveSeeded (!keep).
+// (keep) and SolveSeeded (!keep). It drops the checkpoint, SolveWarm first
+// putting the kernel back where the solve before its trials left it.
 func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result, error) {
 	s.breathe()
-	s.out, s.last, s.cp.k = Outcome{}, nil, nil
+	s.out, s.last, s.cp.owed = s.cp.owed, nil, Outcome{}
+	s.sparse.held = false
 	minRows := sparseMinRows
 	if s.minRows > 0 {
 		minRows = s.minRows
 	}
 	sparse := len(m.rows) >= minRows
 	opts = opts.withDefaults(len(m.rows), len(m.names))
-	if !keep {
+	if cp := &s.cp; keep && cp.k != nil && (cp.away || !cp.fresh) {
+		refactors, ok := cp.k.restore(&cp.home)
+		if s.out.Refactors += refactors; !ok {
+			s.ws = retained{}
+		}
+	}
+	if s.cp.k = nil; !keep {
 		s.ws = retained{}
 	}
 	attempted := false
 	if k := s.ws.k; s.ws.fits(m) {
 		attempted = true
 		stale := s.ws.uses >= maxHotUses
-		if res := s.attempt(k, k.rearm(m, opts, stale), true, opts.Tol); res != nil {
+		// On a model with pins, a column held out of the kernel's optimality
+		// may be free now: the costs in place are relaxed for it.
+		armed := k.rearm(m, opts, stale)
+		if armed && len(m.fixed) > 0 {
+			k.relax()
+		}
+		if res := s.attempt(k, armed, true, opts.Tol); res != nil {
 			if stale {
 				s.ws.uses = 0
 			}
@@ -328,6 +346,7 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 			s.out.Path, s.out.Sparse = "hot", sparse
 			return res, nil
 		}
+		s.ws = retained{}
 	}
 	// The dense kernel refuses an empty seed (there is nothing to crash,
 	// and that is no failed attempt); the sparse one crashes all-slack.
@@ -356,37 +375,50 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 
 // Checkpoint keeps the final kernel of the preceding solve on s — a warm
 // one, or a trial, that ended Optimal — as the state Trial starts from,
-// and reports whether it could: a cold solve leaves no kernel to keep.
+// reporting whether it could (a failed solve leaves no kernel). A cold
+// solve's final basis is first crashed into a warm kernel (rewarm), which
+// the next SolveWarm resumes hot. That SolveWarm resumes where the solve
+// before the trials left the kernel: trials do not move the hot chain.
 func (s *Solver) Checkpoint() bool {
-	s.cp.k = nil
-	k := s.last
-	if k == nil || k == kernel(&s.cold) {
+	k, cp := s.last, &s.cp
+	if k == kernel(&s.cold) {
+		k = s.rewarm()
+	}
+	if k == nil {
 		return false
 	}
-	refactors, ok := k.save(&s.cp.st)
-	if !ok {
+	st := &cp.home
+	if cp.away = s.out.Path == "trial"; cp.away {
+		st = &cp.st
+	}
+	refactors, ok := k.save(st)
+	if !ok { // the kernel broke down refactorizing, and shared its factors
+		cp.k, s.ws = nil, retained{}
 		return false
 	}
 	m := k.model()
-	s.cp.k, s.cp.m, s.cp.stamp, s.cp.costs, s.cp.fresh = k, m, m.stamp, m.costs, true
-	s.cp.refactors += refactors
+	cp.k, cp.m, cp.stamp, cp.costs, cp.fresh = k, m, m.stamp, m.costs, true
+	cp.owed.Refactors += refactors
 	return true
 }
 
-// Adopt makes the final kernel of src's preceding solve the checkpoint of
-// s, over m — a model with the structure and the numbers src solved, which
-// keeps its own kernel untouched. Only a dense warm tableau is copied;
-// otherwise Adopt reports false and s keeps no checkpoint.
-func (s *Solver) Adopt(src *Solver, m *Model) bool {
-	s.cp.k = nil
-	t, ok := src.last.(*tableau)
-	if !ok || t != &src.warm || !sameStructure(t.m, m) {
-		return false
+// rewarm re-solves the cold tableau's model from its final basis on the
+// warm ladder, whose import rung crashes it into the kernel the model's
+// size selects, retained hot; the work is owed to the next solve. Nil when
+// the basis is not representable or the import did not answer.
+func (s *Solver) rewarm() kernel {
+	b, ok := s.cold.exportBasis()
+	if !ok {
+		return nil
 	}
-	s.ws = retained{} // the copy reuses the retained kernel's workspace
-	s.warm.copyFrom(t, m)
-	s.last = &s.warm
-	return s.Checkpoint()
+	out := s.out
+	_, err := s.solve(s.cold.model(), b, s.cold.opts, true)
+	imported := err == nil && s.out.Path == "import"
+	s.cp.owed = Outcome{ImportPivots: s.out.ImportPivots + s.out.WarmPivots + s.out.AbandonedPivots, ColdPivots: s.out.ColdPivots, Refactors: s.out.Refactors}
+	if s.out = out; !imported {
+		return nil
+	}
+	return s.last
 }
 
 // Trial solves m — the checkpointed model, only its numbers changed since
@@ -399,18 +431,22 @@ func (s *Solver) Adopt(src *Solver, m *Model) bool {
 // m at its stamp, Trial returns nil at once.
 func (s *Solver) Trial(m *Model, opts Options) *Result {
 	s.breathe()
-	s.out, s.last = Outcome{Refactors: s.cp.refactors}, nil
-	s.cp.refactors = 0
+	s.out, s.last, s.cp.owed = s.cp.owed, nil, Outcome{}
 	cp := &s.cp
 	if cp.k == nil || cp.m != m || cp.stamp != m.stamp {
 		return nil
 	}
-	k := cp.k
+	k, st := cp.k, &cp.home
+	if cp.away {
+		st = &cp.st
+	}
 	if !cp.fresh {
-		k.restore(&cp.st)
+		if _, ok := k.restore(st); !ok {
+			return nil
+		}
 	}
 	cp.fresh = false
-	s.ws = retained{}
+	s.sparse.held = true
 	opts = opts.withDefaults(len(m.rows), len(m.names))
 	// Under the checkpoint's own costs, unless relax moved some, the
 	// repair leaves the true reduced costs in place: no pricing in.
@@ -455,8 +491,8 @@ func (s *Solver) breathe() {
 // price: a trial's may be in place already) and primal pivots finish. The
 // claim is audited — the solution must re-verify against the model within
 // a tolerance proportional to the rhs scale — and any failure, a kernel
-// that could not be armed included, books the pivots burned, drops the
-// retained state and returns nil so the ladder steps down.
+// that could not be armed included, books the pivots burned and returns
+// nil so the ladder steps down.
 func (s *Solver) attempt(k kernel, armed, price bool, tol float64) *Result {
 	defer s.bookCrash(k)
 	if armed && k.dualIterate() == Optimal {
@@ -480,7 +516,6 @@ func (s *Solver) attempt(k kernel, armed, price bool, tol float64) *Result {
 		}
 	}
 	s.out.AbandonedPivots += k.pivots()
-	s.ws = retained{}
 	return nil
 }
 
@@ -617,10 +652,11 @@ func (t *tableau) save(st *state) (int, bool) {
 	return 0, true
 }
 
-func (t *tableau) restore(st *state) {
+func (t *tableau) restore(st *state) (int, bool) {
 	t.a.CopyFrom(&st.a)
 	copy(t.basis, st.basis)
 	copy(t.z, st.vals)
+	return 0, true
 }
 
 // relax clears every negative reduced cost of an enterable column (a
@@ -635,19 +671,9 @@ func (t *tableau) relax() (moved bool) {
 	return moved
 }
 
-// copyFrom makes t a copy of src's warm tableau, over m.
-func (t *tableau) copyFrom(src *tableau, m *Model) {
-	t.reset(m, src.opts)
-	t.total, t.artStart, t.colLimit = src.total, src.artStart, src.colLimit
-	t.a.CopyFrom(&src.a)
-	t.basis, t.z = append(t.basis[:0], src.basis...), append(t.z[:0], src.z...)
-	t.dualCol, t.dualSign = append(t.dualCol[:0], src.dualCol...), append(t.dualSign[:0], src.dualSign...)
-	t.rowSlack = append(t.rowSlack[:0], src.rowSlack...)
-}
-
 func (t *tableau) pivots() int { return t.iters }
 
-func (t *tableau) crashWork() (crashed, refactors int) { return t.crashed, 0 }
+func (t *tableau) crashWork() (crashed, refactors int) { return t.crashed, t.refactors }
 
 func (t *tableau) priceIn() { t.setPhase2Z() }
 
@@ -655,17 +681,28 @@ func (t *tableau) primalIterate() Status { return t.iterate() }
 
 // rearm is the dense hot path's whole trick: the marker block (B⁻¹) turns
 // the new rhs into the new basic solution in O(rows²) with no
-// refactorization. A stale tableau is refused — its drift is shed by
-// re-importing into a fresh one.
+// refactorization. A stale tableau is rebuilt from m and its basis
+// instead (refactorize).
 func (t *tableau) rearm(m *Model, opts Options, stale bool) bool {
-	t.iters, t.crashed = 0, 0
-	if stale {
-		return false
-	}
+	t.iters, t.crashed, t.refactors = 0, 0, 0
 	t.m = m
 	t.opts = opts.withDefaults(t.a.Rows, t.n)
+	if stale {
+		return t.refactorize()
+	}
 	t.refreshRHS()
 	return true
+}
+
+// refactorize builds the tableau again from its model and crashes its basis
+// back in, shedding the drift its pivots accumulated; the costs in place are
+// zero after it, as after an import. False: the basis went singular.
+func (t *tableau) refactorize() bool {
+	basis := append(t.seed[:0], t.basis...)
+	newWarmTableauIn(t.m, t.opts, t)
+	ok := t.crash(basis)
+	t.seed, t.crashed, t.refactors = basis, 0, 1
+	return ok
 }
 
 // exportBasis names the basic columns. A cold tableau may still hold an
@@ -706,6 +743,12 @@ const importPivTol = 1e-7
 func (t *tableau) importBasis(b *Basis) bool {
 	var cols []int
 	cols, t.seed = b.members(t.m, t.rowSlack, t.seed)
+	return t.crash(cols)
+}
+
+// crash pivots cols into a freshly built tableau, then slacks into the
+// rows left uncovered (see importBasis).
+func (t *tableau) crash(cols []int) bool {
 	for _, c := range cols {
 		best, bestAbs := -1, importPivTol
 		for r := 0; r < t.a.Rows; r++ {

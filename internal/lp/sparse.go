@@ -75,7 +75,8 @@ type sparseSolve struct {
 	walked    walked
 	// held says the factors are a checkpoint's (see Solver.Trial): a pivot
 	// that would refactorize them breaks the trial off instead.
-	held bool
+	held     bool
+	factored int // factorizations made: which a saved state shares
 
 	sparseArena
 }
@@ -100,13 +101,6 @@ type sparseArena struct {
 	// multipliers those yield (by row) and alpha the pivot row rhoᵀA (by
 	// column).
 	w, unit, rho, y, alpha linalg.SparseVec
-}
-
-// carve cuts the next n entries off slab.
-func carve[T any](slab *[]T, n int) []T {
-	out := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return out
 }
 
 // newSparseSolveIn builds the CSC and CSR representations and scratch state
@@ -136,14 +130,14 @@ func newSparseSolveIn(m *Model, opts Options, ss *sparseSolve) *sparseSolve {
 	ss.ints = zeroed(ss.ints, 3*ss.ncols+2+2*nnz+3*rows+slacks)
 	ss.floats = zeroed(ss.floats, 2*nnz+2*ss.ncols+rows)
 	ints, floats := ss.ints, ss.floats
-	ss.ptr, ss.ind, ss.val = carve(&ints, ss.ncols+1), carve(&ints, nnz), carve(&floats, nnz)
-	ss.rptr, ss.rind, ss.rval = carve(&ints, rows+1), carve(&ints, nnz), carve(&floats, nnz)
-	ss.rowSlack, ss.slackRow = carve(&ints, rows), carve(&ints, slacks)
+	ss.ptr, ss.ind, ss.val = linalg.Carve(&ints, ss.ncols+1), linalg.Carve(&ints, nnz), linalg.Carve(&floats, nnz)
+	ss.rptr, ss.rind, ss.rval = linalg.Carve(&ints, rows+1), linalg.Carve(&ints, nnz), linalg.Carve(&floats, nnz)
+	ss.rowSlack, ss.slackRow = linalg.Carve(&ints, rows), linalg.Carve(&ints, slacks)
 
 	// Column counting pass, then fill; the rows arrive row by row, so the
 	// CSR copy fills in the same walk. Duplicate terms are kept as-is: every
 	// consumer (LU, pricing, FTRAN scatter, pivot row) accumulates.
-	count := carve(&ints, ss.ncols)
+	count := linalg.Carve(&ints, ss.ncols)
 	for i := range m.rows {
 		for _, t := range m.rows[i].terms {
 			count[t.Var]++
@@ -184,13 +178,13 @@ func newSparseSolveIn(m *Model, opts Options, ss *sparseSolve) *sparseSolve {
 		ss.rptr[i+1] = at
 	}
 
-	ss.obj, ss.d = carve(&floats, ss.ncols), carve(&floats, ss.ncols)
-	ss.basis = carve(&ints, rows)[:0]
-	ss.inBasis = carve(&ints, ss.ncols)
+	ss.obj, ss.d = linalg.Carve(&floats, ss.ncols), linalg.Carve(&floats, ss.ncols)
+	ss.basis = linalg.Carve(&ints, rows)[:0]
+	ss.inBasis = linalg.Carve(&ints, ss.ncols)
 	for j := range ss.inBasis {
 		ss.inBasis[j] = -1
 	}
-	ss.xB = carve(&floats, rows)
+	ss.xB = linalg.Carve(&floats, rows)
 	for _, v := range []*linalg.SparseVec{&ss.w, &ss.unit, &ss.rho, &ss.y} {
 		v.Reset(rows)
 	}
@@ -312,6 +306,7 @@ func (ss *sparseSolve) eliminate(c int) bool {
 // caller abandons to cold, so nothing reads the half-built factors.
 func (ss *sparseSolve) refactorize() bool {
 	ss.refactors++
+	ss.factored++
 	ss.lu.Reset(ss.rows, 0)
 	for _, c := range ss.basis {
 		if !ss.eliminate(c) {
@@ -668,17 +663,18 @@ func (ss *sparseSolve) duals() []float64 {
 
 func (ss *sparseSolve) model() *Model { return ss.m }
 
-// save keeps the state after refactorizing an eta file past half its bound,
-// so the trials that start from it have room to pivot.
+// save keeps the state after refactorizing an eta file past a quarter of
+// its bound, so the trials that start from it have room to pivot (at
+// 20×100×3 a trial from a state 39 etas deep could run out).
 func (ss *sparseSolve) save(st *state) (refactors int, ok bool) {
-	if ss.etas.Len() > sparseRefactorEvery/2 {
+	if ss.etas.Len() > sparseRefactorEvery/4 {
 		if refactors = 1; !ss.refactorize() {
 			return refactors, false
 		}
 	}
 	st.basis, st.inBasis = append(st.basis[:0], ss.basis...), append(st.inBasis[:0], ss.inBasis...)
 	st.vals, st.d = append(st.vals[:0], ss.xB...), append(st.d[:0], ss.d...)
-	st.etas, st.cursor, ss.held = ss.etas.Mark(), ss.cursor, true
+	st.etas, st.cursor, st.factored = ss.etas.Mark(), ss.cursor, ss.factored
 	return refactors, true
 }
 
@@ -694,13 +690,17 @@ func (ss *sparseSolve) relax() (moved bool) {
 	return moved
 }
 
-func (ss *sparseSolve) restore(st *state) {
+func (ss *sparseSolve) restore(st *state) (int, bool) {
 	copy(ss.basis, st.basis)
 	copy(ss.inBasis, st.inBasis)
+	ss.cursor, ss.optimal = st.cursor, false
+	if st.factored != ss.factored { // a later save refactorized: rebuild st's
+		return 1, ss.refactorize()
+	}
 	copy(ss.xB, st.vals)
 	copy(ss.d, st.d)
 	ss.etas.Truncate(st.etas)
-	ss.cursor, ss.optimal = st.cursor, false
+	return 0, true
 }
 
 func (ss *sparseSolve) pivots() int { return ss.iters }

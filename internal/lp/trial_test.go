@@ -39,7 +39,10 @@ func subsetOf(m *Model) *Model {
 // the subset model its pins stand for: the same verdict (a trial answers
 // exactly when that is Optimal), the same objective to 1e-9 relative, and
 // a solution that passes the audit, pins included. Run again after the
-// rollback, the same trial reproduces itself bit for bit.
+// rollback, the same trial reproduces itself bit for bit. Last, SolveWarm
+// under new rhs, new costs and every column freed resumes hot from where
+// the first solve left the kernel and meets the cold solve to 1e-9
+// relative.
 func FuzzTrialRollback(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(2), int64(1), []byte{0, 3, 6, 1, 2, 9, 4})
 	f.Add(uint8(3), uint8(4), uint8(1), int64(7), []byte{0, 0, 3, 3, 2, 6, 6, 9, 1, 4, 7, 2})
@@ -65,7 +68,7 @@ func FuzzTrialRollback(f *testing.F) {
 				t.Fatal(err)
 			}
 			basis, _ := cold.ExportBasis()
-			if _, err := s.SolveSeeded(m, basis, Options{}); err != nil || !s.Checkpoint() {
+			if _, err := s.SolveWarm(m, basis, Options{}); err != nil || !s.Checkpoint() {
 				t.Fatalf("%s: no warm kernel to checkpoint (%v)", kernel, err)
 			}
 			out := make([]bool, len(d.comms))
@@ -116,6 +119,40 @@ func FuzzTrialRollback(f *testing.F) {
 					t.Fatalf("%s: the trial re-run after its rollback differs", kernel)
 				}
 			}
+			// After trials and an accepted checkpoint the next SolveWarm
+			// resumes where the first solve left the kernel: every column
+			// freed, every budget and a profit per commodity moved, it
+			// re-solves hot and agrees with the cold solve.
+			if s.Trial(m, Options{}) != nil {
+				s.Checkpoint()
+			}
+			for ci := range out {
+				if out[ci] {
+					for _, x := range append([]int{d.comms[ci].flows[0] - 1}, d.comms[ci].flows...) {
+						m.Fix(x, false)
+					}
+					m.SetRHS(ci, need[ci])
+					out[ci] = false
+				}
+			}
+			for r, row := range d.arrRows {
+				m.SetRHS(row, d.arrivals[r]*(1+float64(r%3)/2))
+			}
+			for ci, c := range d.comms {
+				x := c.flows[ci%len(c.flows)]
+				m.SetObjective(x, profit[x]+float64(ci%3)-1)
+			}
+			got, err := s.SolveWarm(m, nil, Options{})
+			if err != nil || s.LastOutcome().Path != "hot" {
+				t.Fatalf("%s: resumed from the checkpoint: path %q, %v", kernel, s.LastOutcome().Path, err)
+			}
+			want, err := m.SolveOpts(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got.Objective-want.Objective) > 1e-9*math.Max(1, math.Abs(want.Objective)) {
+				t.Fatalf("%s: resumed hot, reaches %.17g, the cold solve %.17g", kernel, got.Objective, want.Objective)
+			}
 			for ci := range out { // back to the full model for the other kernel
 				if out[ci] {
 					for _, x := range append([]int{d.comms[ci].flows[0] - 1}, d.comms[ci].flows...) {
@@ -134,4 +171,38 @@ func FuzzTrialRollback(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCheckpointRewarmsColdSolve: a checkpoint of a cold solve's final
+// state crashes its basis into the warm kernel (its work owed to the next
+// solve as crash work), so trials answer from it and the next SolveWarm
+// resumes hot, on both kernels.
+func TestCheckpointRewarmsColdSolve(t *testing.T) {
+	for _, kernel := range []string{"dense", "sparse"} {
+		s := onDense()
+		if kernel == "sparse" {
+			s = onSparse()
+		}
+		d := dispatchShaped(2, 3, 2, 5)
+		m := d.m
+		if _, err := s.Solve(m, Options{}); err != nil || !s.Checkpoint() {
+			t.Fatalf("%s: no kernel made of the cold solve (%v)", kernel, err)
+		}
+		c := d.comms[0]
+		for _, x := range append([]int{c.flows[0] - 1}, c.flows...) {
+			m.Fix(x, true)
+		}
+		m.SetRHS(0, 0)
+		got := s.Trial(m, Options{})
+		if got == nil || s.LastOutcome().ImportPivots == 0 {
+			t.Fatalf("%s: trial from the rewarmed checkpoint: %v, outcome %+v", kernel, got != nil, s.LastOutcome())
+		}
+		want, err := subsetOf(m).SolveOpts(Options{})
+		if err != nil || math.Abs(got.Objective-want.Objective) > 1e-9*math.Max(1, math.Abs(want.Objective)) {
+			t.Fatalf("%s: trial reaches %.17g, the subset model %.17g (%v)", kernel, got.Objective, want.Objective, err)
+		}
+		if _, err := s.SolveWarm(m, nil, Options{}); err != nil || s.LastOutcome().Path != "hot" {
+			t.Fatalf("%s: after the trial, path %q (%v), want hot", kernel, s.LastOutcome().Path, err)
+		}
+	}
 }

@@ -177,10 +177,10 @@ type SlotReport struct {
 }
 
 // Offered returns the slot's total offered request count.
-func (r *SlotReport) Offered() float64 { return sum(r.OfferedByType) }
+func (r *SlotReport) Offered() float64 { return core.Total(r.OfferedByType) }
 
 // Served returns the slot's total served request count.
-func (r *SlotReport) Served() float64 { return sum(r.ServedByType) }
+func (r *SlotReport) Served() float64 { return core.Total(r.ServedByType) }
 
 // TierLabel names the tier that committed the slot's plan: "primary",
 // "N:name" for resilient fallback tier N, the tier name alone ("shed")
@@ -197,14 +197,6 @@ func (r *SlotReport) TierLabel() string {
 	default:
 		return "-"
 	}
-}
-
-func sum(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }
 
 // Report is the full run outcome for one planner.

@@ -262,3 +262,13 @@ func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	}
 	return t, nil
 }
+
+// SplitMix64 is the SplitMix64 mixer, a full-period bijection on uint64,
+// through which the seeded planes (dispatch, feed, loadgen) hash a seed and
+// a stream's coordinates, so a stream's draws depend on nothing run before.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzz verify bench bench-lp-sparse bench-smoke profile benchall bench-e2e bench-compare bench-pairs loc knobs
+.PHONY: build test vet fmt-check race fuzz verify soak soak-smoke bench bench-lp-sparse bench-smoke profile benchall bench-e2e bench-compare bench-pairs loc knobs
 
 build:
 	$(GO) build ./...
@@ -79,10 +79,27 @@ fmt-check:
 
 # verify is the repo's full check tier: build, vet, gofmt, tests
 # (./bench's unit tests and its every-workload smoke included), the same
-# suite under the race detector, and a one-iteration smoke of the
-# benchmarks. Every package's tier — feeds, obs, dispatch, cluster,
-# control, lp, mpc — is a subset of `test` and `race`.
-verify: build vet fmt-check test race bench-smoke
+# suite under the race detector, a one-iteration smoke of the
+# benchmarks and a 1 000-slot smoke of the long soak. Every package's
+# tier — feeds, obs, dispatch, cluster, control, lp, mpc — is a subset of
+# `test` and `race`.
+verify: build vet fmt-check test race bench-smoke soak-smoke
+
+# soak runs the two all-planes fleet soaks (TestFleetSoak and
+# TestFleetSoakMPCFeeds, internal/loadgen) for SOAK slots, 10 000 by
+# default (`go test` runs them at 200), the storm's fault counts scaled
+# with the length. Each fails on a fence that goes back, a replica's
+# Stats that do not reconcile with what was fired at it, a Handle that
+# allocates, a deferral ledger that does not balance, or a post-GC live
+# heap that ends more than 1 MiB above its slot-50 reading; -v logs the
+# heap's slope in bytes a slot. On a 2-CPU box 10 000 slots take ~15
+# minutes; soak-smoke, 1 000 slots, about a minute and a half.
+SOAK ?= 10000
+soak:
+	$(GO) test -count=1 -timeout 0 -run '^(TestFleetSoak|TestFleetSoakMPCFeeds)$$' -v ./internal/loadgen/ -soak.slots=$(SOAK)
+
+soak-smoke:
+	$(MAKE) soak SOAK=1000
 
 # bench times the plan search on the rob2-chaos-scale slot ({cold, warm}
 # x {level-search, optimized}), the warm chain on the large 100-center
@@ -129,8 +146,8 @@ bench-smoke:
 # dual bound lets through are solved as trials from their incumbents'
 # kernels (the recorded slot itself is two hot re-solves); W=day profiles
 # BenchmarkRefineSlot/paper-day, the paper-day workload's busiest slot: a
-# 24-row dense capture adopted by the search unit and a handful of dense
-# trials; W=mid profiles
+# 24-row dense capture re-solved hot and six dense trials on its kernel,
+# five of them cut by their cutoff; W=mid profiles
 # BenchmarkRefineSlot/demand-limited, that recorded 6x10x3 slot — the
 # planner side of fleet-refine-mid: the capture and the greedy start, each
 # refreshed and re-solved hot on its own chain, every move bounded; W=large profiles TestWarmStartTrajectory's

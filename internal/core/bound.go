@@ -11,6 +11,21 @@ import (
 // this, and rejected unsolved when its dual bound cannot.
 const improveTol = 1e-9
 
+// cutSlack is how far, relative to the incumbent's objective, a move's
+// cutoff sits below it (cutoffOf): a trial stops once its dual bound is
+// under the cutoff (lp.Solver.Trial), so a move whose optimum is within
+// round-off of the accept test is still solved, and the search takes the
+// moves it would take with every survivor solved.
+const cutSlack = 1e-7
+
+// noCutoff is the cutoff of a request whose optimum is needed whatever it
+// is: no trial stops short for it.
+var noCutoff = math.Inf(-1)
+
+// cutoffOf is the cutoff of a move off an incumbent at obj: the accept
+// test turns down any optimum below it.
+func cutoffOf(obj float64) float64 { return obj - cutSlack*max(1, math.Abs(obj)) }
+
 // prices is what a first-improvement search keeps of a solved subset LP:
 // its shadow prices by meaning, and its identity and set, from which its
 // neighbours are solved (see heldUnit). With lp.Result.Duals = ∂obj/∂rhs

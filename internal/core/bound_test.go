@@ -124,7 +124,7 @@ func (th *theorem) visit(inc *assignment, out int, add *commodity) {
 		set = append(set, *add)
 	}
 	sortCommodities(set)
-	sol, err := th.eng.solve(set, th.floors, nil)
+	sol, err := th.eng.solve(set, th.floors, nil, noCutoff)
 	if errors.Is(err, lp.ErrInfeasible) {
 		return // −∞ is under any bound
 	}
@@ -157,7 +157,7 @@ func refToggle(t *testing.T, o *Optimized, eng *engine, full []commodity, start 
 			if len(capReservations(eng.in, trial)) != len(trial) {
 				continue
 			}
-			a, err := o.solveSubset(eng, trial, nil)
+			a, err := o.solveSubset(eng, trial, nil, noCutoff)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func refGreedy(t *testing.T, eng *engine, pairs []pair, visit func(*assignment, 
 	in := eng.in
 	sys := in.Sys
 	levels := make([]int, len(pairs))
-	best, err := evaluate(eng, pairs, levels, nil)
+	best, err := evaluate(eng, pairs, levels, nil, noCutoff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func refGreedy(t *testing.T, eng *engine, pairs []pair, visit func(*assignment, 
 				visit(&best, out, add)
 				trial := slices.Clone(levels)
 				trial[pi] = q
-				a, err := evaluate(eng, pairs, trial, nil)
+				a, err := evaluate(eng, pairs, trial, nil, noCutoff)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,7 +235,7 @@ func TestBoundIsAnUpperBound(t *testing.T) {
 			defer eng.close()
 			th := &theorem{t: t, eng: eng, floors: bc.floors}
 			full := admissibleCommodities(in, bc.floors)
-			start, err := ref.solveSubset(eng, capReservations(in, full), nil)
+			start, err := ref.solveSubset(eng, capReservations(in, full), nil, noCutoff)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +243,7 @@ func TestBoundIsAnUpperBound(t *testing.T) {
 			th.floors = nil // greedy plans without them
 			refSeed := refGreedy(t, eng, allPairs(in.Sys), th.visit)
 			th.floors = bc.floors
-			reseed, err := ref.solveSubset(eng, slices.Clone(refSeed.comms), nil)
+			reseed, err := ref.solveSubset(eng, slices.Clone(refSeed.comms), nil, noCutoff)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +252,7 @@ func TestBoundIsAnUpperBound(t *testing.T) {
 
 			o := &Optimized{Refine: true, MinCompletion: bc.floors, EngineOptions: EngineOptions{WarmStart: true, Stats: &SearchStats{}}}
 			prod := o.open(in, "production", false, true)
-			start, err = o.solveSubset(prod, capReservations(in, full), nil)
+			start, err = o.solveSubset(prod, capReservations(in, full), nil, noCutoff)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func TestBoundIsAnUpperBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reseed, err = o.solveSubset(prod, slices.Clone(gotSeed.comms), gotSeed.px)
+			reseed, err = o.solveSubset(prod, slices.Clone(gotSeed.comms), gotSeed.px, noCutoff)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,7 +306,7 @@ func TestAddBoundIsAnUpperBound(t *testing.T) {
 		eng := ref.open(bc.in, "reference", false, true)
 		th := &theorem{t: t, eng: eng, floors: bc.floors}
 		full := admissibleCommodities(bc.in, bc.floors)
-		start, err := ref.solveSubset(eng, capReservations(bc.in, full), nil)
+		start, err := ref.solveSubset(eng, capReservations(bc.in, full), nil, noCutoff)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func TestAddBoundIsAnUpperBound(t *testing.T) {
 		th.floors = nil // greedy plans without them
 		seed := refGreedy(t, eng, allPairs(bc.in.Sys), th.visit)
 		th.floors = bc.floors
-		reseed, err := ref.solveSubset(eng, slices.Clone(seed.comms), nil)
+		reseed, err := ref.solveSubset(eng, slices.Clone(seed.comms), nil, noCutoff)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,11 +351,11 @@ func TestBoundCarriesTheFloorPrice(t *testing.T) {
 	if best < 0 || full[best].bestCoef >= 0 {
 		t.Fatalf("fixture drifted: class %d's best commodity %+v", k, full[best])
 	}
-	inc, err := o.solveSubset(eng, slices.Delete(slices.Clone(full), best, best+1), nil)
+	inc, err := o.solveSubset(eng, slices.Delete(slices.Clone(full), best, best+1), nil, noCutoff)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := o.solveSubset(eng, slices.Clone(full), nil)
+	all, err := o.solveSubset(eng, slices.Clone(full), nil, noCutoff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestUnboundedOnPurpose(t *testing.T) {
 				part = append(part, c)
 			}
 		}
-		inc, err := o.solveSubset(eng, part, nil)
+		inc, err := o.solveSubset(eng, part, nil, noCutoff)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +483,7 @@ func TestUnboundedOnPurpose(t *testing.T) {
 		}
 		pairs := allPairs(in.Sys)
 		ref := (&EngineOptions{WarmStart: true}).open(in, "reference", false, true)
-		start, err := evaluate(ref, pairs, make([]int, len(pairs)), nil)
+		start, err := evaluate(ref, pairs, make([]int, len(pairs)), nil, noCutoff)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +513,7 @@ func TestUnboundedOnPurpose(t *testing.T) {
 		o.MinCompletion, o.Stats = []float64{1, 1, 1, 1}, &SearchStats{}
 		eng := o.open(in, o.Name(), false, true)
 		full := admissibleCommodities(in, o.MinCompletion)
-		start, err := o.solveSubset(eng, capReservations(in, full), nil)
+		start, err := o.solveSubset(eng, capReservations(in, full), nil, noCutoff)
 		if err != nil || !math.IsInf(start.obj, -1) || start.px != nil {
 			t.Fatalf("floors beyond the fleet's capacity: start %+v, %v", start, err)
 		}
@@ -538,7 +538,7 @@ func TestSeededKeyKeepsIncumbentsApart(t *testing.T) {
 	full := capReservations(in, admissibleCommodities(in, nil))
 	solve := func(set []commodity, from *prices) solution {
 		t.Helper()
-		sol, err := eng.solve(set, nil, from)
+		sol, err := eng.solve(set, nil, from, noCutoff)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -285,7 +285,8 @@ var refineFixtures = []struct {
 // dominant piece, on the two refine fixtures and on the paper-day slot
 // (paperDaySlot), reporting per Plan the moves that survived the dual
 // bound (every request but the capture and the greedy start), how many of
-// them were trials on the capture's LP, and the basis-crash work. make
+// them were trials on the capture's LP and how many of those their cutoff
+// stopped, and the basis-crash work. make
 // profile profiles the capacity-limited row (W=refine) and the paper-day
 // one (W=day).
 func BenchmarkRefineSlot(b *testing.B) {
@@ -298,7 +299,7 @@ func BenchmarkRefineSlot(b *testing.B) {
 		b.Run(fx.name, func(b *testing.B) {
 			o, in := fx.make()
 			mustPlan(b, o, in)
-			var survivors, trials, crashed int64
+			var survivors, trials, cuts, crashed int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -307,10 +308,11 @@ func BenchmarkRefineSlot(b *testing.B) {
 				}
 				st := o.Stats
 				survivors += st.Solves + st.CacheHits - held(in)
-				trials, crashed = trials+st.Trials, crashed+st.ImportPivots
+				trials, cuts, crashed = trials+st.Trials, cuts+st.Cuts, crashed+st.ImportPivots
 			}
 			b.ReportMetric(float64(survivors)/float64(b.N), "survivors/op")
 			b.ReportMetric(float64(trials)/float64(b.N), "trials/op")
+			b.ReportMetric(float64(cuts)/float64(b.N), "cuts/op")
 			b.ReportMetric(float64(crashed)/float64(b.N), "import-pivots/op")
 		})
 	}
@@ -579,13 +581,13 @@ func TestRefactorsReachTheBooks(t *testing.T) {
 	}
 }
 
-// TestSearchUnitOnlyWhereMovesSurvive: the demand-limited slot, whose
+// TestCheckpointOnlyWhereMovesSurvive: the demand-limited slot, whose
 // moves the dual bound all turns down, solves no trial and takes no
 // checkpoint of the hot kernel; the capacity-limited one solves its
 // survivors as trials on the capture's own LP and, once its first slot is
 // behind it, crashes no basis at all where it crashed one per survivor,
 // ~55 columns each.
-func TestSearchUnitOnlyWhereMovesSurvive(t *testing.T) {
+func TestCheckpointOnlyWhereMovesSurvive(t *testing.T) {
 	o, in := refineSlot()
 	for i := 0; i < 3; i++ {
 		mustPlan(t, o, in)
@@ -607,8 +609,9 @@ func TestSearchUnitOnlyWhereMovesSurvive(t *testing.T) {
 // TestImportPivotsReachTheBooks: the crash work of a slot's solves — on
 // this fixture the first slot's capture, its survivors being trials on the
 // capture's LP — arrives in SearchStats, the metrics and the engine event;
-// an identical slot after it crashes nothing and repeats exactly; the count
-// of moves the dual bound rejected travels the same way.
+// an identical slot after it crashes nothing and repeats exactly; the
+// counts of moves the dual bound rejected and of trials their cutoff
+// stopped travel the same way.
 func TestImportPivotsReachTheBooks(t *testing.T) {
 	o, in := refineSlotBusy()
 	reg, events := obs.NewRegistry(), &obs.Collector{}
@@ -637,5 +640,11 @@ func TestImportPivotsReachTheBooks(t *testing.T) {
 	}
 	if got := reg.Counter("core_lp_bounded_total").Value(); got < 3*second.Bounded/2 {
 		t.Fatalf("core_lp_bounded_total = %d after three slots of ~%d each", got, second.Bounded)
+	}
+	if got := evs[len(evs)-1].Values["lpCuts"]; second.Cuts == 0 || second.Cuts > second.Trials || got != float64(second.Cuts) {
+		t.Fatalf("engine event carries lpCuts=%v, stats say %d of %d trials cut", got, second.Cuts, second.Trials)
+	}
+	if got := reg.Counter("core_lp_cuts_total").Value(); got != first.Cuts+2*second.Cuts {
+		t.Fatalf("core_lp_cuts_total = %d after three slots, the stats %d + 2×%d", got, first.Cuts, second.Cuts)
 	}
 }

@@ -51,6 +51,11 @@ type SearchStats struct {
 	// change of the capture's LP (see heldUnit). Zero on a slot whose moves
 	// the dual bound all turns down, and when WarmStart is off.
 	Trials int64
+	// Cuts counts the trials stopped by their cutoff: a move whose dual
+	// bound fell below the incumbent's objective while it was being
+	// solved, answered as not improving with its repair cut short
+	// (lp.Solver.Trial). They are Trials too.
+	Cuts int64
 	// Refactors counts the times a sparse kernel rebuilt its basis factors
 	// in place during the call's solves (lp.Outcome.Refactors): a full eta
 	// file or a hot chain at its drift bound, each a basis' worth of

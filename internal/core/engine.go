@@ -108,11 +108,15 @@ func (e *engine) prologue(c chain, solve func() (assignment, error)) (assignment
 }
 
 // solution is one solved dispatch LP as the searches see it. It is shared
-// by every request the memo cache answers with it: read-only.
+// by every request the memo cache answers with it: read-only. A cut one
+// is a trial its cutoff stopped: obj is the dual bound it stopped at,
+// above the optimum and below the cutoff, and there are no rates or
+// prices — it reads as a move that does not improve.
 type solution struct {
 	rates [][]float64
 	obj   float64
 	px    *prices // nil unless solved on a priced engine
+	cut   bool
 }
 
 // solve answers a dispatch-LP solve through the memo cache. comms must
@@ -126,7 +130,13 @@ type solution struct {
 // next to one incumbent is never served to a request made next to another.
 // A held chain's solve is keyed like a request with no incumbent: it is an
 // optimum of the same LP, and the first request for its key in the call.
-func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solution, error) {
+//
+// cutoff (noCutoff: none) is what the request needs the optimum to beat: a
+// trial may stop once it cannot (a cut solution). The cache serves a cut
+// entry only to a request whose cutoff is above the bound it stopped at —
+// any whose cutoff is at least the one it was cut under; another solves
+// the set again, and its answer replaces the entry.
+func (e *engine) solve(comms []commodity, floors []float64, from *prices, cutoff float64) (solution, error) {
 	if len(comms) == 0 {
 		if floorsActive(e.in, floors) {
 			return solution{}, lp.ErrInfeasible
@@ -144,7 +154,7 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solut
 	rows := &e.scratch.rates
 	if e.cache != nil {
 		e.scratch.key = appendCacheKey(e.scratch.key[:0], comms, floors, seedID)
-		if ent, ok := e.cache[string(e.scratch.key)]; ok {
+		if ent, ok := e.cache[string(e.scratch.key)]; ok && (!ent.cut || ent.obj < cutoff) {
 			e.n.CacheHits++
 			return ent.solution, ent.err
 		}
@@ -152,11 +162,14 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices) (solut
 	}
 	e.n.Solves++
 	var ent cacheEntry
-	d, at, res, err := e.solveLP(c, comms, floors, from)
-	if err != nil {
+	d, at, res, err := e.solveLP(c, comms, floors, from, cutoff)
+	switch {
+	case err != nil:
 		e.n.SolveErrors++
 		ent.err = err
-	} else {
+	case res.Status == lp.Cutoff:
+		ent.obj, ent.cut = res.Objective, true
+	default:
 		ent.rates, ent.obj = d.extractRates(res, rows, at), res.Objective
 		if e.priced {
 			ent.px = d.priceOut(e.in, res, comms, at)
@@ -196,8 +209,8 @@ func (e *engine) bounded(inc *assignment, out int, add *commodity) bool {
 // slot's frozen seed. The LP and its handles are the unit's, good until
 // its next build; at lists comms' positions in the LP's commodities when
 // it was the hot unit's (nil: the LP is comms' own).
-func (e *engine) solveLP(c chain, comms []commodity, floors []float64, from *prices) (*dispatchLP, []int, *lp.Result, error) {
-	if res, at := e.trial(comms, floors, from); res != nil {
+func (e *engine) solveLP(c chain, comms []commodity, floors []float64, from *prices, cutoff float64) (*dispatchLP, []int, *lp.Result, error) {
+	if res, at := e.trial(comms, floors, from, cutoff); res != nil {
 		return &e.warm.hot.d, at, res, nil
 	}
 	u := e.warm.unit(c)
@@ -271,6 +284,7 @@ func (e *engine) close() {
 		{n.ImportPivots, "core_lp_import_pivots_total", "lpImportPivots"},
 		{n.ModelRebuilds, "core_lp_model_rebuilds_total", "lpModelRebuilds"},
 		{n.Trials, "core_lp_trials_total", "lpTrials"},
+		{n.Cuts, "core_lp_cuts_total", "lpCuts"},
 		{n.Refactors, "core_lp_refactors_total", "lpRefactors"},
 	}
 	published := counters[:]

@@ -120,7 +120,7 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 	// memo cache for the strategy to reuse.
 	eng.admit(nil)
 	if _, err := eng.prologue(capture, func() (assignment, error) {
-		return evaluate(eng, pairs, make([]int, len(pairs)), nil)
+		return evaluate(eng, pairs, make([]int, len(pairs)), nil, noCutoff)
 	}); err != nil {
 		return nil, err
 	}
@@ -157,11 +157,12 @@ type assignment struct {
 }
 
 // evaluate builds the one-level-per-pair commodity set and solves its LP,
-// as a move from from, the incumbent it neighbours (nil: none).
+// as a move from from, the incumbent it neighbours (nil: none), under
+// cutoff (see engine.solve).
 // Unprofitable or reservation-overloaded pairs are excluded (equivalent to
 // the LP routing nothing there). The set is built in the planner's held
 // lists; what is solved is a copy, the assignment's.
-func evaluate(eng *engine, pairs []pair, levels []int, from *prices) (assignment, error) {
+func evaluate(eng *engine, pairs []pair, levels []int, from *prices, cutoff float64) (assignment, error) {
 	sc := eng.scratch
 	sc.pick = sc.pick[:0]
 	for pi, p := range pairs {
@@ -178,7 +179,7 @@ func evaluate(eng *engine, pairs []pair, levels []int, from *prices) (assignment
 		return assignment{levels: append([]int(nil), levels...)}, nil
 	}
 	comms := slices.Clone(sc.kept)
-	sol, err := eng.solve(comms, nil, from)
+	sol, err := eng.solve(comms, nil, from, cutoff)
 	if err == lp.ErrInfeasible {
 		return assignment{levels: append([]int(nil), levels...), obj: math.Inf(-1)}, nil
 	}
@@ -205,7 +206,7 @@ func exhaustive(eng *engine, pairs []pair) (assignment, error) {
 	levels := make([]int, len(pairs))
 	best := assignment{obj: math.Inf(-1)}
 	for {
-		a, err := evaluate(eng, pairs, levels, nil)
+		a, err := evaluate(eng, pairs, levels, nil, noCutoff)
 		if err != nil {
 			return assignment{}, err
 		}
@@ -229,7 +230,7 @@ func exhaustive(eng *engine, pairs []pair) (assignment, error) {
 
 // greedy hill-climbs from the all-tightest assignment (see climb).
 func greedy(eng *engine, pairs []pair) (assignment, error) {
-	start, err := evaluate(eng, pairs, make([]int, len(pairs)), nil)
+	start, err := evaluate(eng, pairs, make([]int, len(pairs)), nil, noCutoff)
 	if err != nil {
 		return assignment{}, err
 	}
@@ -241,8 +242,8 @@ func greedy(eng *engine, pairs []pair) (assignment, error) {
 // commodity at the new level in, either only if profitable; one the
 // incumbent's shadow prices bound at no improvement is rejected before
 // anything is built (see prices.bound); the others are solved from the
-// incumbent's kernel, in move order, and a pass goes on from the move it
-// accepted.
+// incumbent's kernel under its cutoff, in move order, and a pass goes on
+// from the move it accepted.
 func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 	sys := eng.in.Sys
 	best, levels := start, slices.Clone(start.levels)
@@ -310,7 +311,7 @@ func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 			}
 			trial := append([]int(nil), levels...)
 			trial[mv.pi] = mv.q
-			a, err := evaluate(eng, pairs, trial, best.px)
+			a, err := evaluate(eng, pairs, trial, best.px, cutoffOf(best.obj))
 			if err != nil {
 				return assignment{}, err
 			}
@@ -350,7 +351,7 @@ func branchBound(eng *engine, pairs []pair) (assignment, error) {
 	var rec func(depth int) error
 	rec = func(depth int) error {
 		if depth == len(pairs) {
-			a, err := evaluate(eng, pairs, levels, nil)
+			a, err := evaluate(eng, pairs, levels, nil, noCutoff)
 			if err == nil && a.obj > best.obj {
 				best = a
 			}
@@ -427,7 +428,7 @@ func upperBound(eng *engine, pairs []pair, levels []int, depth int) (float64, er
 	if len(sc.kept) == 0 {
 		return 0, nil
 	}
-	sol, err := eng.solve(sc.kept, nil, nil)
+	sol, err := eng.solve(sc.kept, nil, nil, noCutoff)
 	if err == lp.ErrInfeasible {
 		return math.Inf(-1), nil
 	}

@@ -130,7 +130,7 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 	}
 	full, capped := eng.admit(o.MinCompletion)
 	best, err := eng.prologue(capture, func() (assignment, error) {
-		return o.solveSubset(eng, capped, nil)
+		return o.solveSubset(eng, capped, nil, noCutoff)
 	})
 	if err != nil {
 		return nil, err
@@ -154,7 +154,7 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 			// again, from its own basis.
 			seedEval := seed
 			if len(o.MinCompletion) > 0 {
-				if seedEval, err = o.solveSubset(eng, seed.comms, seed.px); err != nil {
+				if seedEval, err = o.solveSubset(eng, seed.comms, seed.px, noCutoff); err != nil {
 					return nil, err
 				}
 			}
@@ -374,14 +374,14 @@ func dropWorst(comms []commodity) []commodity {
 // valuable commodity dropped; with floors, an infeasible subset is
 // reported as a -Inf assignment so the subset search can route around it.
 // from is the incumbent the subset neighbours (nil: none), whose kernel
-// the solve starts from (see engine.solve).
-func (o *Optimized) solveSubset(eng *engine, comms []commodity, from *prices) (assignment, error) {
+// the solve starts from, and cutoff what it must beat (see engine.solve).
+func (o *Optimized) solveSubset(eng *engine, comms []commodity, from *prices, cutoff float64) (assignment, error) {
 	// Canonical order: keys the memo cache and keeps the LP layout
 	// independent of how the candidate subset was constructed.
 	sortCommodities(comms)
 	withFloors := floorsActive(eng.in, o.MinCompletion)
 	for {
-		sol, err := eng.solve(comms, o.MinCompletion, from)
+		sol, err := eng.solve(comms, o.MinCompletion, from, cutoff)
 		if err == nil {
 			return assignment{comms: comms, rates: sol.rates, obj: sol.obj, px: sol.px}, nil
 		}
@@ -399,8 +399,8 @@ func (o *Optimized) solveSubset(eng *engine, comms []commodity, from *prices) (a
 // moves, starting from start and drawing candidates from full (both in
 // canonical order). A move the incumbent's shadow prices bound at no
 // improvement is rejected before anything is built (see prices.bound);
-// the others are solved from the incumbent's kernel, in candidate order,
-// and a pass goes on from the candidate it accepted.
+// the others are solved from the incumbent's kernel under its cutoff, in
+// candidate order, and a pass goes on from the candidate it accepted.
 func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment) (assignment, error) {
 	sys := eng.in.Sys
 	best := start
@@ -457,7 +457,7 @@ func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment
 			if !ok {
 				continue // skipped move
 			}
-			a, err := o.solveSubset(eng, trial, best.px)
+			a, err := o.solveSubset(eng, trial, best.px, cutoffOf(best.obj))
 			if err != nil {
 				return assignment{}, err
 			}
@@ -482,7 +482,7 @@ func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment
 func (o *Optimized) greedySeed(eng *engine) (assignment, error) {
 	pairs := allPairs(eng.in.Sys)
 	start, err := eng.prologue(greedyStart, func() (assignment, error) {
-		return evaluate(eng, pairs, make([]int, len(pairs)), nil)
+		return evaluate(eng, pairs, make([]int, len(pairs)), nil, noCutoff)
 	})
 	if err != nil {
 		return assignment{}, err

@@ -681,7 +681,8 @@ func TestBigMOracleSweep(t *testing.T) {
 // TestTrialsMatchSubsetLPs: on the oracle cases and the capacity-limited
 // refine fixture, every move a warm refine planner solves as a trial on its
 // held LP — the universe's LP with the set's outsiders fixed at zero —
-// reaches the optimum of the set's own LP.
+// reaches the optimum of the set's own LP, or was cut by a bound that lies
+// between that optimum and its cutoff. A fixture with trials cuts some.
 func TestTrialsMatchSubsetLPs(t *testing.T) {
 	cases := oracleCases(t)
 	_, busy := core.RefineSlotBusy()
@@ -689,11 +690,14 @@ func TestTrialsMatchSubsetLPs(t *testing.T) {
 	total := 0
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
-			n, err := core.TrialsAgainstSubsetLPs(core.NewOptimized(), in)
+			n, cuts, err := core.TrialsAgainstSubsetLPs(core.NewOptimized(), in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%d trials checked", n)
+			t.Logf("%d trials checked, %d cut", n, cuts)
+			if n > 0 && cuts == 0 {
+				t.Fatalf("%d trials and none cut", n)
+			}
 			total += n
 		})
 	}

@@ -57,12 +57,13 @@ func (u *heldUnit) hold(in *Input, universe, comms []commodity, floors []float64
 
 // trial solves comms, a move's survivor beside the incumbent from, on the
 // hot unit: the incumbent's kernel made the checkpoint (ready), comms
-// admitted by numbers, a trial solved. It returns nil — the caller solves
-// comms' own LP on the spare unit, the ladder's next rungs — where there
-// is no trial to run: a cold engine, an unpriced request, floors other
-// than the held LP's, a capture that did not solve on it, comms not a
-// subset of it, or a failed trial.
-func (e *engine) trial(comms []commodity, floors []float64, from *prices) (*lp.Result, []int) {
+// admitted by numbers, a trial solved under cutoff. It returns nil — the
+// caller solves comms' own LP on the spare unit, the ladder's next rungs —
+// where there is no trial to run: a cold engine, an unpriced request,
+// floors other than the held LP's, a capture that did not solve on it,
+// comms not a subset of it, or a failed trial. A trial the cutoff stopped
+// (lp.Cutoff) is an answer: its optimum is below the cutoff.
+func (e *engine) trial(comms []commodity, floors []float64, from *prices, cutoff float64) (*lp.Result, []int) {
 	if e.warm == nil || from == nil || !e.priced || !slices.Equal(floors, e.floors) {
 		return nil, nil
 	}
@@ -70,15 +71,19 @@ func (e *engine) trial(comms []commodity, floors []float64, from *prices) (*lp.R
 	if !e.ready(from) || !u.admit(e.in, comms) {
 		return nil, nil
 	}
-	res := u.sv.Trial(u.d.model, e.opts)
+	res := u.sv.Trial(u.d.model, e.opts, cutoff)
 	e.book(u.sv.LastOutcome(), res != nil)
-	if res == nil {
+	switch {
+	case res == nil:
 		u.last = 0
 		return nil, nil
+	case res.Status == lp.Cutoff:
+		u.last = 0 // a cut kernel holds no optimum to checkpoint
+		e.n.Cuts++
 	}
 	e.n.Trials++
 	if e.warm.onTrial != nil {
-		e.warm.onTrial(comms, floors, res)
+		e.warm.onTrial(comms, floors, cutoff, res)
 	}
 	return res, u.at
 }
@@ -106,7 +111,7 @@ func (e *engine) ready(from *prices) bool {
 	if u.cp == 0 || !u.admit(e.in, from.comms) {
 		return false
 	}
-	res := u.sv.Trial(u.d.model, e.opts)
+	res := u.sv.Trial(u.d.model, e.opts, noCutoff)
 	e.book(u.sv.LastOutcome(), false)
 	if u.last = 0; res == nil {
 		return false

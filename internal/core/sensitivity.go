@@ -43,7 +43,7 @@ func (o *Optimized) Sensitivity(in *Input) (*Sensitivity, error) {
 	if o.Refine {
 		// Use the same subset the planner would commit to, so the prices
 		// describe the plan actually executed.
-		best, err := o.solveSubset(eng, comms, nil)
+		best, err := o.solveSubset(eng, comms, nil, noCutoff)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +64,7 @@ func (o *Optimized) Sensitivity(in *Input) (*Sensitivity, error) {
 	if len(comms) == 0 {
 		return out, nil
 	}
-	d, _, res, err := eng.solveLP(seeded, comms, o.MinCompletion, nil)
+	d, _, res, err := eng.solveLP(seeded, comms, o.MinCompletion, nil, noCutoff)
 	if err != nil {
 		return nil, fmt.Errorf("core: sensitivity LP failed: %w", err)
 	}

@@ -39,8 +39,8 @@ type warmState struct {
 	// is the frozen copy every solve of the current Plan call seeds from.
 	prev, cur *lp.Basis
 	// onTrial, when set, sees every trial the hot unit answers: the set,
-	// its floors and the result. Set by tests only.
-	onTrial func(comms []commodity, floors []float64, res *lp.Result)
+	// its floors, its cutoff and the result. Set by tests only.
+	onTrial func(comms []commodity, floors []float64, cutoff float64, res *lp.Result)
 }
 
 // chain names the solve unit a request runs on: a held chain's, which

@@ -170,7 +170,7 @@ func TestWarmChainMatchesColdChain(t *testing.T) {
 					full := capReservations(in, admissible)
 					pairs := allPairs(in.Sys)
 					eng := (&EngineOptions{}).open(in, "probe", false, false)
-					start, err := evaluate(eng, pairs, make([]int, len(pairs)), nil)
+					start, err := evaluate(eng, pairs, make([]int, len(pairs)), nil, noCutoff)
 					if err != nil || !slices.Equal(start.comms, full) || len(full) == len(admissible) {
 						t.Fatalf("slot %d: fixture drifted: greedy start %v, full set %v of %d admissible (%v)", i, start.comms, full, len(admissible), err)
 					}

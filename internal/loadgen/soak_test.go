@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"flag"
 	"math"
 	"runtime"
 	"testing"
@@ -18,9 +19,11 @@ import (
 	"profitlb/internal/sim"
 )
 
-// soakSlots is the soak's length: long enough to measure the heap well
-// past its slot-50 reading, short enough to run in a few seconds.
-const soakSlots = 200
+// soakLength is the soak's length in slots. The default, 200, is long
+// enough to measure the heap well past its slot-50 reading and short
+// enough to run in a few seconds; make soak runs 10 000, with the storm's
+// fault counts scaled to keep its density.
+var soakLength = flag.Int("soak.slots", 200, "slots the fleet soaks run (make soak: 10000)")
 
 // soakHeapSlack bounds how far the live heap may grow from slot 50 to
 // the end of the soak. What legitimately accrues — the controller's
@@ -57,7 +60,7 @@ func (p auditPlant) Publish(t *dispatch.Table, now float64) bool {
 // replica must cost Handle 0 allocations. At the end the post-GC live
 // heap must sit within soakHeapSlack of its slot-50 reading.
 func TestFleetSoak(t *testing.T) {
-	fleetSoak(t, testSimConfig(soakSlots), core.NewOptimized(), nil)
+	fleetSoak(t, testSimConfig(*soakLength), core.NewOptimized(), nil)
 }
 
 // TestFleetSoakMPCFeeds is TestFleetSoak's sibling with every plane on:
@@ -72,6 +75,7 @@ func TestFleetSoak(t *testing.T) {
 // slot's arrivals are its new work served plus deferred plus lost; and the
 // backlog carried in is the previous settled slot's carried out.
 func TestFleetSoakMPCFeeds(t *testing.T) {
+	soakSlots := *soakLength
 	cfg := testSimConfig(soakSlots)
 	cfg.Feeds = &feed.Config{Seed: 4}
 	// Every third slot the energy price makes batch work (3.5–4 Wh a request)
@@ -146,16 +150,19 @@ func fleetSoak(t *testing.T, cfg sim.Config, primary core.Planner, slotDone func
 	if testing.Short() {
 		t.Skip("soak: skipped under -short")
 	}
-	// Slot 0 stays clean so every replica holds a table before the storm.
+	// Slot 0 stays clean so every replica holds a table before the storm,
+	// which strikes as often in a long soak as in 200 slots.
+	soakSlots := cfg.Slots
+	scale := max(1, soakSlots/200)
 	sc := fault.StormConfig{
 		Seed: 21, Start: 1, Slots: soakSlots - 1,
 		Centers: cfg.Sys.L(), FrontEnds: cfg.Sys.S(),
-		PlannerFaults: 6,
+		PlannerFaults: 6 * scale,
 		Replicas:      4,
-		ReplicaKills:  12, Partitions: 12, PublisherOutages: 8,
+		ReplicaKills:  12 * scale, Partitions: 12 * scale, PublisherOutages: 8 * scale,
 	}
 	if cfg.Feeds != nil {
-		sc.FeedDropouts, sc.FeedNoises, sc.FeedDelays = 6, 6, 6
+		sc.FeedDropouts, sc.FeedNoises, sc.FeedDelays = 6*scale, 6*scale, 6*scale
 	}
 	storm, err := fault.Storm(sc)
 	if err != nil {
@@ -249,8 +256,8 @@ func fleetSoak(t *testing.T, cfg sim.Config, primary core.Planner, slotDone func
 	// The race detector's instrumentation moves the heap; the audits above
 	// still run under it.
 	end := liveHeap()
-	t.Logf("%d actuations, %d outage slots, %d stale replica-slots, tier rejections %v; live heap %d B at slot 50, %d B at slot %d",
-		actuations, outages, stale, rejected, heap50, end, soakSlots)
+	t.Logf("%d actuations, %d outage slots, %d stale replica-slots, tier rejections %v; live heap %d B at slot 50, %d B at slot %d (%+.1f B a slot)",
+		actuations, outages, stale, rejected, heap50, end, soakSlots, (float64(end)-float64(heap50))/float64(soakSlots-50))
 	if !race.Enabled && end > heap50+soakHeapSlack {
 		t.Fatalf("live heap grew from %d B at slot 50 to %d B at slot %d (slack %d B)", heap50, end, soakSlots, soakHeapSlack)
 	}

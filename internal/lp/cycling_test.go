@@ -90,7 +90,7 @@ func TestDualSimplexCyclingRegression(t *testing.T) {
 	}
 
 	tb := bealeDualRepairState(t)
-	if st := tb.dualIterate(); st != Optimal {
+	if st := tb.dualIterate(math.Inf(-1)); st != Optimal {
 		t.Fatalf("fixed dual simplex: status %v after %d iters", st, tb.iters)
 	}
 	if tb.iters >= old.iters {

@@ -59,6 +59,10 @@ const (
 	// drifted numerically. Surfaced instead of a silently wrong answer;
 	// callers treat it like IterationLimit (retry, escalate, re-scale).
 	NumericBreakdown
+	// Cutoff reports a trial stopped by its cutoff (see Solver.Trial): its
+	// dual bound, the Result's Objective, fell below the cutoff, so its
+	// optimum lies below it too. No solution is carried.
+	Cutoff
 )
 
 // String implements fmt.Stringer.
@@ -74,6 +78,8 @@ func (s Status) String() string {
 		return "iteration-limit"
 	case NumericBreakdown:
 		return "numeric-breakdown"
+	case Cutoff:
+		return "cutoff"
 	default:
 		return fmt.Sprintf("Status(%d)", int(s))
 	}
@@ -244,6 +250,15 @@ func (m *Model) ObjectiveCoefs() []float64 {
 
 // IsMinimize reports whether the model minimizes its objective.
 func (m *Model) IsMinimize() bool { return m.minimize }
+
+// dir is the sign that turns the model's objective into the kernels'
+// internal maximization.
+func (m *Model) dir() float64 {
+	if m.minimize {
+		return -1
+	}
+	return 1
+}
 
 // Result is the outcome of solving a Model.
 type Result struct {

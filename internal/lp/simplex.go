@@ -96,8 +96,9 @@ type tableau struct {
 	artStart  int
 	colLimit  int // entering columns are restricted to [0, colLimit)
 	iters     int
-	crashed   int // pivots importBasis spent crashing the seed, outside iters
-	refactors int // refactorizations since rearm: 1 for a stale one
+	crashed   int     // pivots importBasis spent crashing the seed, outside iters
+	refactors int     // refactorizations since rearm: 1 for a stale one
+	cut       float64 // the basic objective that stopped the last repair (bound)
 	arena
 }
 
@@ -235,10 +236,7 @@ func newTableauIn(m *Model, opts Options, t *tableau) *tableau {
 // models report ∂objective/∂rhs in the minimized direction.
 func (t *tableau) duals() []float64 {
 	y := make([]float64, len(t.dualCol))
-	dir := 1.0
-	if t.m.minimize {
-		dir = -1.0
-	}
+	dir := t.m.dir()
 	for i, col := range t.dualCol {
 		y[i] = dir * t.dualSign[i] * t.z[col]
 	}
@@ -316,10 +314,7 @@ func (t *tableau) run() Status {
 // the rhs or importing a basis.
 func (t *tableau) setPhase2Z() {
 	t.z = zeroed(t.z, t.total+1)
-	dir := 1.0
-	if t.m.minimize {
-		dir = -1.0
-	}
+	dir := t.m.dir()
 	for v, c := range t.m.obj {
 		t.z[v] = -dir * c
 	}

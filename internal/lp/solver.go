@@ -187,8 +187,14 @@ type kernel interface {
 	// costs are still zero; false means no complete basis emerged.
 	importBasis(seed *Basis) bool
 	// dualIterate repairs primal feasibility under the costs in place,
-	// priceIn loads the model's true costs, primalIterate finishes.
-	dualIterate() Status
+	// priceIn loads the model's true costs, primalIterate finishes. Every
+	// iterate of the repair is dual feasible, so where the costs in place
+	// are the model's its basic objective caps the optimum (weak duality);
+	// above −Inf, cutoff (internal maximization terms) stops the repair
+	// with Cutoff as soon as that objective is below it, and bound then
+	// reads it.
+	dualIterate(cutoff float64) Status
+	bound() float64
 	priceIn()
 	primalIterate() Status
 	extract() []float64
@@ -337,7 +343,7 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 		if armed && len(m.fixed) > 0 {
 			k.relax()
 		}
-		if res := s.attempt(k, armed, true, opts.Tol); res != nil {
+		if res := s.attempt(k, armed, true, math.Inf(-1), opts.Tol); res != nil {
 			if stale {
 				s.ws.uses = 0
 			}
@@ -359,7 +365,7 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 	if k != nil {
 		attempted = true
 		s.ws = retained{} // the build reused the retained kernel's workspace
-		if res := s.attempt(k, k.importBasis(seed), true, opts.Tol); res != nil {
+		if res := s.attempt(k, k.importBasis(seed), true, math.Inf(-1), opts.Tol); res != nil {
 			if keep {
 				s.ws = retained{k: k, stamp: m.stamp}
 			}
@@ -429,7 +435,16 @@ func (s *Solver) rewarm() kernel {
 // on down the ladder on another solver: the kernel's factors are the
 // checkpoint's, so no import may run on this one. With no checkpoint for
 // m at its stamp, Trial returns nil at once.
-func (s *Solver) Trial(m *Model, opts Options) *Result {
+//
+// cutoff, in the model's own direction, is what the caller needs the
+// optimum to beat. Where the repair runs under m's own costs — the
+// checkpoint's, no column priced in by relax — each of its iterates is a
+// dual bound on the optimum, and the trial stops as soon as one fails to
+// beat cutoff: the Result then has Status Cutoff and that bound as its
+// Objective, and no solution. Such a cut is an answer, not a failure, and
+// its kernel is no checkpoint. The unreachable side — −Inf maximizing,
+// +Inf minimizing — never cuts.
+func (s *Solver) Trial(m *Model, opts Options, cutoff float64) *Result {
 	s.breathe()
 	s.out, s.last, s.cp.owed = s.cp.owed, nil, Outcome{}
 	cp := &s.cp
@@ -452,7 +467,10 @@ func (s *Solver) Trial(m *Model, opts Options) *Result {
 	// repair leaves the true reduced costs in place: no pricing in.
 	armed := k.rearm(m, opts, false)
 	price := armed && k.relax() || m.costs != cp.costs
-	res := s.attempt(k, armed, price, opts.Tol)
+	if cutoff *= m.dir(); price {
+		cutoff = math.Inf(-1)
+	}
+	res := s.attempt(k, armed, price, cutoff, opts.Tol)
 	if res != nil {
 		_, sparse := k.(*sparseSolve)
 		s.out.Path, s.out.Sparse = "trial", sparse
@@ -492,25 +510,32 @@ func (s *Solver) breathe() {
 // claim is audited — the solution must re-verify against the model within
 // a tolerance proportional to the rhs scale — and any failure, a kernel
 // that could not be armed included, books the pivots burned and returns
-// nil so the ladder steps down.
-func (s *Solver) attempt(k kernel, armed, price bool, tol float64) *Result {
+// nil so the ladder steps down. A repair stopped by cutoff (see Trial) is
+// answered, its pivots booked as warm.
+func (s *Solver) attempt(k kernel, armed, price bool, cutoff, tol float64) *Result {
 	defer s.bookCrash(k)
-	if armed && k.dualIterate() == Optimal {
-		if price {
-			k.priceIn()
-		}
-		if k.primalIterate() == Optimal {
-			m, x := k.model(), k.extract()
-			if m.CheckFeasible(x, auditTol(m, tol)) == nil {
-				s.out.WarmPivots = k.pivots()
-				s.last = k
-				return &Result{
-					Status:     Optimal,
-					Objective:  m.ObjectiveValue(x),
-					X:          x,
-					Duals:      k.duals(),
-					Iterations: k.pivots(),
-					Warm:       true,
+	if armed {
+		switch k.dualIterate(cutoff) {
+		case Cutoff:
+			s.out.WarmPivots = k.pivots()
+			return &Result{Status: Cutoff, Objective: k.model().dir() * k.bound(), Iterations: k.pivots(), Warm: true}
+		case Optimal:
+			if price {
+				k.priceIn()
+			}
+			if k.primalIterate() == Optimal {
+				m, x := k.model(), k.extract()
+				if m.CheckFeasible(x, auditTol(m, tol)) == nil {
+					s.out.WarmPivots = k.pivots()
+					s.last = k
+					return &Result{
+						Status:     Optimal,
+						Objective:  m.ObjectiveValue(x),
+						X:          x,
+						Duals:      k.duals(),
+						Iterations: k.pivots(),
+						Warm:       true,
+					}
 				}
 			}
 		}
@@ -815,13 +840,16 @@ func (t *tableau) refreshRHS() {
 // so a dual-degenerate rhs perturbation cannot cycle the hot path into
 // its MaxIterations budget. The objective value in the z row's rhs cell
 // is the progress measure: dual pivots only ever decrease it, and a long
-// run without decrease is the cycling signature.
-func (t *tableau) dualIterate() Status {
+// run without decrease is the cycling signature. That cell is stale after
+// refreshRHS, so the cutoff reads the basic objective afresh (basicObj):
+// O(rows) against a pivot's O(rows × columns).
+func (t *tableau) dualIterate(cutoff float64) Status {
 	tol := t.opts.Tol
 	fixed := t.m.fixed
 	bland := t.opts.Bland
 	stall := 0
 	lastObj := math.Inf(1)
+	cuts := !math.IsInf(cutoff, -1)
 	for {
 		if t.iters >= t.opts.MaxIterations {
 			return IterationLimit
@@ -829,6 +857,11 @@ func (t *tableau) dualIterate() Status {
 		leave, up := t.leaving(bland, tol)
 		if leave < 0 {
 			return Optimal
+		}
+		if cuts {
+			if t.cut = t.basicObj(); t.cut < cutoff {
+				return Cutoff
+			}
 		}
 		// A negative basic leaves at its lower bound 0 through a negative
 		// entry of its row; a fixed one above 0 leaves at its upper bound 0,
@@ -880,6 +913,21 @@ func (t *tableau) dualIterate() Status {
 		}
 	}
 }
+
+// basicObj is the basic solution's objective under the model's costs, in
+// the internal maximization: Σ dir·c_b·x_b over the basic structurals.
+func (t *tableau) basicObj() float64 {
+	dir, rhs := t.m.dir(), t.total
+	var z float64
+	for r, b := range t.basis {
+		if b < t.n {
+			z += dir * t.m.obj[b] * t.a.At(r, rhs)
+		}
+	}
+	return z
+}
+
+func (t *tableau) bound() float64 { return t.cut }
 
 // leaving is the dual simplex's leaving row, as sparseSolve.leaving picks
 // it: the most negative basic value (bland: the violator with the smallest

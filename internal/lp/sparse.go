@@ -63,6 +63,7 @@ type sparseSolve struct {
 	d       []float64
 	optimal bool
 	objv    float64 // objective change carried across a phase's pivots, for the stall test
+	cut     float64 // the basic objective that stopped the last repair (bound)
 
 	basis   []int // basis position -> column
 	inBasis []int // column -> basis position, -1 when nonbasic
@@ -196,17 +197,10 @@ func (ss *sparseSolve) col(j int) ([]int, []float64) {
 	return ss.ind[ss.ptr[j]:ss.ptr[j+1]], ss.val[ss.ptr[j]:ss.ptr[j+1]]
 }
 
-func (ss *sparseSolve) dir() float64 {
-	if ss.m.minimize {
-		return -1
-	}
-	return 1
-}
-
 // priceIn loads the internal maximization costs from the current model and
 // prices every column under them.
 func (ss *sparseSolve) priceIn() {
-	d := ss.dir()
+	d := ss.m.dir()
 	for v := 0; v < ss.n; v++ {
 		ss.obj[v] = d * ss.m.obj[v]
 	}
@@ -425,15 +419,22 @@ func (ss *sparseSolve) stalled(sign float64, last *float64, stall *int) bool {
 // reads the pivot row's non-zeros and the reduced costs in place. Bland's
 // smallest-index rule engages after stalling so degenerate rhs
 // perturbations cannot cycle. Returns Optimal, Infeasible (certificate,
-// re-confirmed cold by the caller) or IterationLimit (budget or
-// numerical breakdown; the caller abandons).
-func (ss *sparseSolve) dualIterate() Status {
+// re-confirmed cold by the caller), IterationLimit (budget or numerical
+// breakdown; the caller abandons) or, under a cutoff, Cutoff: the basic
+// objective, c_B·xB once and then carried along with objv, fell below it.
+func (ss *sparseSolve) dualIterate(cutoff float64) Status {
 	tol := ss.opts.Tol
 	bland := ss.opts.Bland
 	fixed := ss.m.fixed
 	stall := 0
 	ss.objv = 0
 	lastObj := math.Inf(1)
+	cuts, base := !math.IsInf(cutoff, -1), 0.0
+	if cuts {
+		for i, c := range ss.basis {
+			base += ss.obj[c] * ss.xB[i]
+		}
+	}
 	for {
 		if ss.iters >= ss.opts.MaxIterations {
 			return IterationLimit
@@ -441,6 +442,11 @@ func (ss *sparseSolve) dualIterate() Status {
 		leave, up := ss.leaving(bland, tol)
 		if leave < 0 {
 			return Optimal
+		}
+		if cuts {
+			if ss.cut = base + ss.objv; ss.cut < cutoff {
+				return Cutoff
+			}
 		}
 		ss.btranUnit(leave)
 		alpha := ss.pivotRow()
@@ -653,7 +659,7 @@ func (ss *sparseSolve) extract() []float64 {
 // place, in the model's own optimization direction (matching the dense
 // marker-column recovery).
 func (ss *sparseSolve) duals() []float64 {
-	d := ss.dir()
+	d := ss.m.dir()
 	out := make([]float64, ss.rows)
 	for i := range out {
 		out[i] = d * ss.y.Val[i]
@@ -662,6 +668,8 @@ func (ss *sparseSolve) duals() []float64 {
 }
 
 func (ss *sparseSolve) model() *Model { return ss.m }
+
+func (ss *sparseSolve) bound() float64 { return ss.cut }
 
 // save keeps the state after refactorizing an eta file past a quarter of
 // its bound, so the trials that start from it have room to pivot (at

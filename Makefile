@@ -31,16 +31,15 @@ race:
 # and staleness ticks: the served (epoch, sub) stays the largest accepted
 # stamp, and every refused delivery is counted exactly once (stale,
 # duplicate or not-member) without touching the serving table.
-# FuzzWarmBasisImport throws
-# hostile (mismatched, duplicated, dependent) seed bases at the warm
-# solver and checks every accepted result against the cold path.
 # FuzzSparseFactors drives arbitrary sparse matrices and basis-change
 # sequences through the LU factor/eta-update machinery and checks every
 # FTRAN/BTRAN solve — the list-returning ones for their lists and scratch
 # too — against a dense reference or by residual. FuzzKernelDifferential
-# solves one generated small LP dense cold, dense warm, sparse by crash and
-# sparse hot after a drift, and holds the four to one verdict, one objective
-# and a primal-dual certificate against the model itself. FuzzTrialRollback
+# solves one generated small LP on each kernel by a fresh start, by the warm
+# chain's first solve, hot after its numbers drifted and as a trial from the
+# checkpoint back to the first numbers, and holds every answer to the dense
+# cold verdict, objective and a primal-dual certificate against the model
+# itself. FuzzTrialRollback
 # walks a dispatch-shaped LP through commodities fixed out and back and
 # budgets moved, solving each state as a trial from a checkpoint on both
 # kernels: each is held to a cold solve of the subset model its pins stand
@@ -64,7 +63,6 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzControlRescale -fuzztime=10s ./internal/dispatch/
 	$(GO) test -run=NONE -fuzz=FuzzFromWire -fuzztime=10s ./internal/cluster/
 	$(GO) test -run=NONE -fuzz=FuzzReplicaFence -fuzztime=10s ./internal/cluster/
-	$(GO) test -run=NONE -fuzz=FuzzWarmBasisImport -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzKernelDifferential -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzTrialRollback -fuzztime=10s ./internal/lp/
 	$(GO) test -run=NONE -fuzz=FuzzSparseFactors -fuzztime=10s ./internal/linalg/
@@ -103,8 +101,8 @@ soak-smoke:
 
 # bench times the plan search on the rob2-chaos-scale slot ({cold, warm}
 # x {level-search, optimized}), the warm chain on the large 100-center
-# topology (arming import, first re-use, steady hot re-solves, each on its
-# own line), and the rolling-horizon sweep on the
+# topology (the fresh start that arms it, first re-use, steady hot
+# re-solves, each on its own line), and the rolling-horizon sweep on the
 # Houston vibration window. The -count runs feed benchstat directly
 # (`make bench | benchstat -`), and the timing trajectories — per-row
 # times, LP solves, cache hits, pivot counts, per-horizon run latency —
@@ -118,9 +116,9 @@ bench:
 	$(GO) test -bench=BenchmarkControlTick -count=6 -run=NONE ./internal/control/
 	BENCH_DISPATCH_JSON=$(CURDIR)/BENCH_dispatch.json $(GO) test -count=1 -run=TestControlTickTrajectory ./internal/control/
 
-# bench-lp-sparse is where lp's sparseMinRows comes from: both warm kernels
-# on dispatch-shaped LPs from 12 to 88 rows, hot re-solve and seeded import
-# (DESIGN §12.1 holds the recorded table; `| benchstat -` reads the output).
+# bench-lp-sparse is where lp's sparseMinRows comes from: both warm kernels'
+# hot re-solves of dispatch-shaped LPs from 12 to 88 rows (DESIGN §12.1
+# holds the recorded table; `| benchstat -` reads the output).
 bench-lp-sparse:
 	$(GO) test -bench=BenchmarkKernelCrossover -benchtime=10000x -count=6 -run=NONE ./internal/lp/
 
@@ -151,7 +149,7 @@ bench-smoke:
 # BenchmarkRefineSlot/demand-limited, that recorded 6x10x3 slot — the
 # planner side of fleet-refine-mid: the capture and the greedy start, each
 # refreshed and re-solved hot on its own chain, every move bounded; W=large profiles TestWarmStartTrajectory's
-# 20x100x3 chain, three passes of which the all-slack import that arms
+# 20x100x3 chain, three passes of which the all-slack fresh start that arms
 # slot 0 is nearly all — what a fleet-large planner pays once;
 # W=commit profiles BenchmarkCaptureSlot/fleet-20x100x3, the planner's whole
 # share of a fleet-large commit — refresh (or rebuild) of the held LP, hot

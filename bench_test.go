@@ -13,6 +13,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -648,11 +649,11 @@ func largeTopologyInput(sys *datacenter.System, slot int) *core.Input {
 
 // TestWarmStartTrajectory times the warm chain over a perturbed slot
 // sequence on the large topology and records the point in BENCH_PLAN_JSON.
-// The chain has three regimes — slot 0 arms the LU kernel (an all-slack
-// crash import of the ~2160-row LP), slot 1 is the first retained re-use,
-// and every later slot is a hot re-solve (rhs refresh + a handful of
-// pivots) — recorded apart, so the arming cost is never averaged into the
-// steady state. Every slot must be answered warm by the sparse kernel with
+// The chain has three regimes — slot 0 arms the LU kernel (the fresh
+// start's all-slack crash of the ~2160-row LP), slot 1 is the first
+// retained re-use, and every later slot is a hot re-solve (rhs refresh + a
+// handful of pivots) — recorded apart, so the arming cost is never
+// averaged into the steady state. Every slot must be answered warm by the sparse kernel with
 // zero audit fallbacks, at the cold reference's objective.
 func TestWarmStartTrajectory(t *testing.T) {
 	out := os.Getenv("BENCH_PLAN_JSON")
@@ -722,6 +723,59 @@ func TestWarmStartTrajectory(t *testing.T) {
 		"sparse_solves_steady":      sparseSolves,
 		"hot_hits_steady_sparse":    hotHits,
 		"abandoned_pivots":          abandoned,
-		"warm_start_mode":           "hot-chain+seeded-import",
+		"warm_start_mode":           "hot-chain+fresh-start",
 	})
+}
+
+// TestLargeOutageStartsOver runs the 20×100×3 chain with Refine off (one
+// held ~2160-row dispatch LP a slot) through a shape change: six steady
+// slots, a slot with center 0 down to no servers, the recovered system and
+// one slot more. The outage and the recovery each rebuild the LP once and
+// start over on the LU kernel from the all-slack basis, with no fallback,
+// to the cold planner's objective within 1e-7; the slot after is hot
+// again. Each slot's time is logged against the median of the steady
+// ones, ungated: DESIGN §16 states the cost of starting over there.
+func TestLargeOutageStartsOver(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two cold solves of a ~2160-row LP")
+	}
+	sys := largeTopologySystem()
+	p := core.NewOptimized()
+	p.Refine, p.Stats = false, &core.SearchStats{}
+	cold := core.NewOptimized()
+	cold.Refine, cold.WarmStart = false, false
+	down := sys.Centers[0].Servers
+	servers := []int{down, down, down, down, down, down, 0, down, down}
+	took := make([]time.Duration, len(servers))
+	for slot := range servers {
+		sys.Centers[0].Servers = servers[slot]
+		in := largeTopologyInput(sys, slot)
+		start := time.Now()
+		plan, err := p.Plan(in)
+		if took[slot] = time.Since(start); err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		switch st := *p.Stats; slot {
+		case 6, 7:
+			ref, err := cold.Plan(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(plan.Objective - ref.Objective); d > 1e-7*(1+math.Abs(ref.Objective)) {
+				t.Fatalf("slot %d: objective %v, the cold planner's %v", slot, plan.Objective, ref.Objective)
+			}
+			if st.ModelRebuilds != 1 || st.WarmFallbacks != 0 || st.ImportPivots == 0 {
+				t.Fatalf("slot %d: %+v, want one rebuild started over without a fallback", slot, st)
+			}
+		case 8:
+			if st.ModelRebuilds != 0 || st.WarmFallbacks != 0 || st.ImportPivots != 0 || st.WarmHits != st.Solves {
+				t.Fatalf("slot after the recovery: %+v, want a hot re-solve", st)
+			}
+		}
+	}
+	steady := slices.Clone(took[1:6]) // slot 0 arms the chain
+	slices.Sort(steady)
+	for slot, d := range took {
+		t.Logf("slot %d (center 0 at %d servers): %v, %.1f× the steady median %v", slot, servers[slot], d, float64(d)/float64(steady[2]), steady[2])
+	}
 }

@@ -137,7 +137,7 @@ func (th *theorem) visit(inc *assignment, out int, add *commodity) {
 }
 
 // refToggle is toggleSearch as it stood before the bound: every neighbour
-// built, capped and solved from the slot's frozen seed. visit sees each
+// built, capped and solved fresh. visit sees each
 // move first.
 func refToggle(t *testing.T, o *Optimized, eng *engine, full []commodity, start assignment, visit func(*assignment, int, *commodity)) assignment {
 	best := start
@@ -560,8 +560,8 @@ func TestSeededKeyKeepsIncumbentsApart(t *testing.T) {
 	if again := solve(x, a.px); again.px != underA.px || eng.n.CacheHits != hits+1 {
 		t.Fatal("a repeated request beside incumbent A was not a cache hit")
 	}
-	if frozen := solve(x, nil); frozen.px == underA.px || frozen.px == underB.px {
-		t.Fatal("a request from the frozen seed was served an incumbent-seeded solve")
+	if alone := solve(x, nil); alone.px == underA.px || alone.px == underB.px {
+		t.Fatal("a request beside no incumbent was served an incumbent-seeded solve")
 	}
 }
 

@@ -19,10 +19,10 @@ type SearchStats struct {
 	// SolveErrors counts solver invocations that returned an error
 	// (cache hits on a failed entry replay the error without recounting).
 	SolveErrors int64
-	// WarmHits counts LP solves answered by a warm path (hot re-solve or
-	// basis import) of the planner's warm-start machinery; WarmFallbacks
-	// counts warm attempts that fell back to the cold two-phase solve.
-	// Both are zero when WarmStart is off.
+	// WarmHits counts LP solves answered by a warm path (hot re-solve,
+	// trial or fresh LU start) of the planner's warm-start machinery;
+	// WarmFallbacks counts warm attempts that fell back to the cold
+	// two-phase solve. Both are zero when WarmStart is off.
 	WarmHits      int64
 	WarmFallbacks int64
 	// WarmPivots and ColdPivots split the simplex pivot spend of the Plan
@@ -36,14 +36,14 @@ type SearchStats struct {
 	// abandoned for the cold path — work done and thrown away, which
 	// WarmPivots and ColdPivots both exclude.
 	AbandonedPivots int64
-	// ImportPivots counts the basis-crash work of the call's warm attempts
+	// ImportPivots counts the crash work of the call's fresh starts
 	// (lp.Outcome.ImportPivots), which the three pivot counts above leave
-	// out: most of a refine slot's solver time.
+	// out: what a held chain pays when its structure changed.
 	ImportPivots int64
 	// ModelRebuilds counts held-chain solves (the capture, and a refine
 	// call's greedy start) whose dispatch LP could not be refreshed in
 	// place — the first slot, then a fault, a changed admitted set or a
-	// toggled floor — and so was rebuilt and re-imported: why a slot with
+	// toggled floor — and so was rebuilt and started over: why a slot with
 	// the usual pivots still ran slow. Zero when WarmStart is off.
 	ModelRebuilds int64
 	// Trials counts solves answered on the hot unit: a move's survivor

@@ -59,7 +59,7 @@ type engine struct {
 
 // open starts the engine for one Plan call and claims the planner's warm
 // state for it; close reports. The per-server layout changes
-// with the commodity set too quickly to seed, so it solves cold. searches
+// with the commodity set too quickly to hold, so it solves cold. searches
 // says the planner will run a first-improvement search over the call's
 // solved subsets.
 func (e *EngineOptions) open(in *Input, planner string, perServer, searches bool) *engine {
@@ -98,12 +98,12 @@ func (e *engine) admit(floors []float64) (full, capped []commodity) {
 
 // prologue runs solve's first request on the held chain c: the call's
 // first solve, the designated capture solve, re-solves on the retained hot
-// chain and exports the basis that seeds the next slot; Refine's greedy
+// chain, which the next slot's capture re-solves in turn; Refine's greedy
 // start re-solves on its own. The window is closed explicitly in case the
 // subset was empty and nothing was requested.
 func (e *engine) prologue(c chain, solve func() (assignment, error)) (assignment, error) {
 	e.held = c
-	defer func() { e.held = seeded }()
+	defer func() { e.held = spare }()
 	return solve()
 }
 
@@ -144,7 +144,7 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices, cutoff
 		return solution{}, nil
 	}
 	c := e.held
-	e.held = seeded
+	e.held = spare
 	var seedID uint64 // 0: no incumbent
 	if from != nil {
 		seedID = from.seed
@@ -205,8 +205,8 @@ func (e *engine) bounded(inc *assignment, out int, add *commodity) bool {
 // solveLP solves one dispatch LP in the call's layout, uncached: a move's
 // survivor (from: its incumbent's prices) as a trial on the hot unit if it
 // can, the capture on the hot unit's LP of the call's universe (see
-// heldUnit), otherwise comms' own LP built on chain c's unit, from the
-// slot's frozen seed. The LP and its handles are the unit's, good until
+// heldUnit), otherwise comms' own LP built on chain c's unit, started
+// fresh. The LP and its handles are the unit's, good until
 // its next build; at lists comms' positions in the LP's commodities when
 // it was the hot unit's (nil: the LP is comms' own).
 func (e *engine) solveLP(c chain, comms []commodity, floors []float64, from *prices, cutoff float64) (*dispatchLP, []int, *lp.Result, error) {
@@ -228,7 +228,7 @@ func (e *engine) solveLP(c chain, comms []commodity, floors []float64, from *pri
 // through the call's warm state (cold when there is none) and books how
 // the solve went. rebuilt says a held chain's model had to be built again.
 func (e *engine) run(m *lp.Model, c chain, rebuilt bool, sv *lp.Solver) (*lp.Result, error) {
-	if c != seeded && e.warm != nil && rebuilt {
+	if c != spare && e.warm != nil && rebuilt {
 		e.n.ModelRebuilds++
 	}
 	res, out, err := e.warm.solveModel(m, e.opts, c, sv)

@@ -7,10 +7,9 @@ import (
 	"profitlb/internal/lp"
 )
 
-// GreedySeedObjective plans in with o, whose capture exports the seed a
-// greedy start imports, then runs o's greedy seed on in twice, each time
-// through an engine of o's own as Plan does: the first arms o's greedy
-// chain, the second re-solves its start on it. It returns the objective of
+// GreedySeedObjective plans in with o, then runs o's greedy seed on in
+// twice, each time through an engine of o's own as Plan does: the first
+// arms o's greedy chain, the second re-solves its start on it. It returns the objective of
 // the assignment the second reaches and how its start was solved.
 func GreedySeedObjective(o *Optimized, in *Input) (float64, string, error) {
 	if _, err := o.Plan(in); err != nil {
@@ -34,7 +33,7 @@ func RefineSlotBusy() (*Optimized, *Input) { return refineSlotBusy() }
 
 // TrialsAgainstSubsetLPs plans in twice with o, the second warm, holding
 // every trial the hot unit answers to the subset LP it stands for,
-// built on its own and solved seeded from the slot's frozen seed: it
+// built on its own and started fresh: it
 // returns how many trials it checked, how many of them their cutoff
 // stopped, and an error for the first that disagrees with its subset LP —
 // an optimum that differs by more than 1e-9 relative (the trial's solution
@@ -46,7 +45,7 @@ func TrialsAgainstSubsetLPs(o *Optimized, in *Input) (checked, cuts int, _ error
 		checked++
 		d := buildDispatchLP(in, comms, floors, false, o.namesFor(in.Sys))
 		var sv lp.Solver
-		want, err := sv.SolveSeeded(d.model, o.warm.cur, o.LPOpts)
+		want, err := sv.SolveFresh(d.model, o.LPOpts)
 		slack := 1e-9 * math.Max(1, math.Abs(want.Objective))
 		switch {
 		case res.Status == lp.Cutoff:

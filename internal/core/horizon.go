@@ -145,8 +145,8 @@ func PlanHorizon(h *HorizonInput, opts lp.Options) (*HorizonPlan, error) {
 // re-solves: a rolling-horizon controller re-plans a shifted window every
 // slot, and consecutive windows usually share their structure, so the
 // planner holds the window's LP, refreshes its numbers and re-solves it
-// hot; when the structure did change, the previous window's optimal basis
-// is imported as the starting vertex. Results are audited exactly like the
+// hot; when the structure did change, the window starts over, as any fresh
+// solve does, and is held from there. Results are audited exactly like the
 // slot planners' (lp.Solver); with WarmStart false every window solves
 // cold. Like the slot planners, a HorizonPlanner must be driven by one
 // caller at a time.

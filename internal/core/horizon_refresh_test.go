@@ -24,10 +24,9 @@ type windowRig struct {
 	names   *dispatchNames
 	held    windowLP
 	// sv re-solves the held model the way a planner's hot chain does: on
-	// the kernel it kept while the structure stands, else from seed, the
-	// basis of the solve before.
-	sv   lp.Solver
-	seed *lp.Basis
+	// the kernel it kept while the structure stands, else from a fresh
+	// start.
+	sv lp.Solver
 }
 
 func newWindowRig(t testing.TB, K, L, S int) *windowRig {
@@ -78,12 +77,9 @@ func (r *windowRig) check(step string) (rebuilt bool, path string) {
 	var fresh windowLP
 	fresh.build(h, r.names)
 	requireSameModel(r.t, step, &r.held.model, &fresh.model)
-	got, err := r.sv.SolveWarm(&r.held.model, r.seed, lp.Options{})
+	got, err := r.sv.SolveWarm(&r.held.model, nil, lp.Options{})
 	if err != nil {
 		r.t.Fatalf("%s: held model: %v", step, err)
-	}
-	if basis, ok := r.sv.ExportBasis(); ok {
-		r.seed = basis
 	}
 	want, err := fresh.model.SolveOpts(lp.Options{})
 	if err != nil {
@@ -189,7 +185,7 @@ func FuzzHorizonRefresh(f *testing.F) {
 // the fleet chain every window after the first — the ones in which a
 // backlog appears, thins and drains included — rebuilds nothing, crashes
 // nothing and re-solves hot; when the run's end shortens the window, each
-// new length costs exactly one rebuild, answered by a basis import.
+// new length costs exactly one rebuild, answered by a fresh start.
 func TestHorizonHeldRefreshedHot(t *testing.T) {
 	base := synthInput(6, 10, 3)
 	hp := NewHorizonPlanner()
@@ -212,7 +208,7 @@ func TestHorizonHeldRefreshedHot(t *testing.T) {
 			t.Fatalf("%s: stats %+v, want one warm solve", name, st)
 		}
 		if w == 0 {
-			if st.ModelRebuilds != 1 || path != "import" {
+			if st.ModelRebuilds != 1 || path != "fresh" {
 				t.Fatalf("%s: %d rebuilds, solved by %q; want the first build crashed", name, st.ModelRebuilds, path)
 			}
 		} else if st.ModelRebuilds != 0 || path != "hot" || st.ImportPivots != 0 || st.WarmHits != 1 {
@@ -226,7 +222,7 @@ func TestHorizonHeldRefreshedHot(t *testing.T) {
 			h.Arrivals, h.Prices = h.Arrivals[:H], h.Prices[:H]
 			plan(name, h)
 			st, path := *hp.Stats, hp.warm.hot.sv.LastOutcome().Path
-			if want := map[int]string{0: "import", 1: "hot"}[pass]; st.ModelRebuilds != int64(1-pass) || path != want || st.WarmFallbacks != 0 {
+			if want := map[int]string{0: "fresh", 1: "hot"}[pass]; st.ModelRebuilds != int64(1-pass) || path != want || st.WarmFallbacks != 0 {
 				t.Fatalf("%s: %d rebuilds, solved by %q (stats %+v); want %d, %q", name, st.ModelRebuilds, path, st, 1-pass, want)
 			}
 		}

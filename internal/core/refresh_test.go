@@ -258,8 +258,8 @@ func chainInput(base *Input, slot int, load float64) *Input {
 // refine chain, the greedy start's — and one made to build every slot's in
 // a new model, as the planner did before it held them. The two must agree
 // slot by slot in every solver counter and in the %.17g objective, through
-// a center losing half its servers mid-chain — which both meet on the
-// import rung — and getting them back; and the first rebuilds exactly on
+// a center losing half its servers mid-chain — which both meet by
+// starting over — and getting them back; and the first rebuilds exactly on
 // those slots, each of its held LPs once.
 func TestRefreshedChainEqualsRebuiltChain(t *testing.T) {
 	chains := []struct {
@@ -320,14 +320,14 @@ func TestRefreshedChainEqualsRebuiltChain(t *testing.T) {
 // TestCaptureSolveRefreshesHot pins what a steady slot's capture solve is:
 // no structure rebuild, one hot re-solve on the retained kernel — the
 // solver sees the model it factorized at the stamp it factorized — and,
-// once a center degrades, one rebuild answered by a basis import.
+// once a center degrades, one rebuild answered by a fresh start.
 func TestCaptureSolveRefreshesHot(t *testing.T) {
 	base := synthInput(6, 10, 3)
 	o := NewOptimized()
 	o.Refine, o.Stats = false, &SearchStats{}
 	path := func() string { return o.warm.hot.sv.LastOutcome().Path }
 	mustPlan(t, o, chainInput(base, 0, 1))
-	if path() != "import" || o.Stats.ModelRebuilds != 1 {
+	if path() != "fresh" || o.Stats.ModelRebuilds != 1 {
 		t.Fatalf("slot 0: capture solve by %q with %d rebuilds, want the first build crashed all-slack", path(), o.Stats.ModelRebuilds)
 	}
 	held := o.warm.hot.d.model
@@ -339,7 +339,7 @@ func TestCaptureSolveRefreshesHot(t *testing.T) {
 	}
 	base.Sys.Centers[2].Servers = 1
 	mustPlan(t, o, chainInput(base, 5, 1))
-	if path() != "import" || o.Stats.ModelRebuilds != 1 || o.Stats.WarmFallbacks != 0 {
+	if path() != "fresh" || o.Stats.ModelRebuilds != 1 || o.Stats.WarmFallbacks != 0 {
 		t.Fatalf("degraded slot: capture solve by %q, stats %+v; want one rebuild, imported", path(), *o.Stats)
 	}
 	mustPlan(t, o, chainInput(base, 6, 1))
@@ -352,8 +352,8 @@ func TestCaptureSolveRefreshesHot(t *testing.T) {
 // solves two LPs — the capture and the greedy start, every move bounded —
 // and once both held chains are armed it crashes no basis: slot 0 builds
 // both held LPs, each steady slot re-solves both hot with no import pivot,
-// and a center outage makes both import once, after which both are hot
-// again.
+// and a center outage makes both start over once, after which both are
+// hot again.
 func TestSteadyRefineSlotImportsNothing(t *testing.T) {
 	base := synthInput(6, 10, 3)
 	o := NewOptimized()
@@ -361,7 +361,7 @@ func TestSteadyRefineSlotImportsNothing(t *testing.T) {
 	paths := func() [2]string {
 		return [2]string{o.warm.hot.sv.LastOutcome().Path, o.warm.greedy.sv.LastOutcome().Path}
 	}
-	imported, hot := [2]string{"import", "import"}, [2]string{"hot", "hot"}
+	imported, hot := [2]string{"fresh", "fresh"}, [2]string{"hot", "hot"}
 	plan := func(n int, rebuilds int64, want [2]string) SearchStats {
 		t.Helper()
 		mustPlan(t, o, chainInput(base, n, 1))
@@ -385,7 +385,7 @@ func TestSteadyRefineSlotImportsNothing(t *testing.T) {
 	down := base.Sys.Centers[2].Servers
 	base.Sys.Centers[2].Servers = 0
 	plan(5, 2, imported)
-	plan(6, 0, hot) // the moves the outage lets past the bound import, on the spare unit
+	plan(6, 0, hot) // the moves the outage lets past the bound start fresh, on the spare unit
 	base.Sys.Centers[2].Servers = down
 	plan(7, 2, imported)
 	steady(8)

@@ -69,8 +69,8 @@ func TestSparseChainMatchesColdChain(t *testing.T) {
 }
 
 // TestSparseChainReplayIdentical: two chains replay bit-identically on
-// the sparse path too, because SolveSeeded stays a pure function of
-// (model, seed) there.
+// the sparse path too, because SolveFresh stays a pure function of
+// the model there.
 func TestSparseChainReplayIdentical(t *testing.T) {
 	seq := kernelChain(6, 10, 3, 3, 3)
 	first := statsOptimized(true)

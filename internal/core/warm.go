@@ -16,41 +16,37 @@ import "profitlb/internal/lp"
 //     its factorized kernel; the LP is refreshed in place while the
 //     structure stands (dispatchLP.build), so the solver is handed the
 //     very model it factorized, at the stamp it factorized, and re-solves
-//     with a dual-simplex repair instead of a cold two-phase run. Its
-//     final basis is exported as the next call's seed. A move that
-//     survives the dual bound is a trial on the same LP, from a
+//     with a dual-simplex repair instead of a cold two-phase run. A move
+//     that survives the dual bound is a trial on the same LP, from a
 //     checkpoint of the kernel, which trials leave where the capture did.
 //   - greedy is the same kind of chain for a multi-level Refine call's
 //     second capture, its greedy start: the same commodity set slot after
-//     slot, so it re-solves hot too. It exports no seed, and imports the
-//     frozen one only when its structure changed.
+//     slot, so it re-solves hot too.
 //   - spare is the unit of every other solve of the call, one after the
 //     other: the search is sequential and reads a solution out before it
-//     asks for the next. Those solves use lp.Solver.SolveSeeded from the
-//     seed frozen per Plan call in cur, a pure function of (model, seed),
-//     so a result never depends on what the unit did before.
+//     asks for the next. Those solves start fresh (lp.Solver.SolveFresh),
+//     a pure function of the model, so a result never depends on what the
+//     unit did before.
 //
-// A planner is driven by one caller at a time, so one Plan call owns the
-// state from claim to its return.
+// A held chain whose structure changed starts over as a spare solve does,
+// and keeps the kernel it ends with. A planner is driven by one caller at
+// a time, so one Plan call owns the state from claim to its return.
 type warmState struct {
 	hot           heldUnit
 	greedy, spare solveUnit
-	// prev is the basis exported by the most recent capture solve; cur
-	// is the frozen copy every solve of the current Plan call seeds from.
-	prev, cur *lp.Basis
 	// onTrial, when set, sees every trial the hot unit answers: the set,
 	// its floors, its cutoff and the result. Set by tests only.
 	onTrial func(comms []commodity, floors []float64, cutoff float64, res *lp.Result)
 }
 
 // chain names the solve unit a request runs on: a held chain's, which
-// re-solves hot, or the spare's, seeded.
+// re-solves hot, or the spare's, which starts fresh.
 type chain uint8
 
 const (
-	seeded      chain = iota // the spare unit: a pure function of (model, seed)
-	capture                  // the hot unit; exports the next call's seed
-	greedyStart              // the greedy unit; exports nothing across calls
+	spare       chain = iota // the spare unit: a pure function of the model
+	capture                  // the hot unit
+	greedyStart              // the greedy unit
 )
 
 // solveUnit is what one solve works in and the next one reuses: the
@@ -82,15 +78,13 @@ func (w *warmState) unit(c chain) *solveUnit {
 	return &w.spare
 }
 
-// claim takes the planner's warm state for one Plan call, with the seed
-// basis frozen. It returns nil — solve cold — when WarmStart is off or the
-// LP layout is not seedable.
-func (e *EngineOptions) claim(seedable bool) *warmState {
-	if !e.WarmStart || !seedable {
+// claim takes the planner's warm state for one Plan call. It returns nil —
+// solve cold — when WarmStart is off or the LP layout is not held.
+func (e *EngineOptions) claim(held bool) *warmState {
+	if !e.WarmStart || !held {
 		return nil
 	}
 	w := &e.warm
-	w.cur = w.prev
 	w.hot.claim()
 	return w
 }
@@ -100,10 +94,8 @@ func (e *EngineOptions) claim(seedable bool) *warmState {
 // rung (engine.trial). A nil state is the cold dense reference. Otherwise
 // a held chain's solve (c: capture or greedyStart, at most one each per
 // Plan call) runs that unit's retained chain, on its solver whatever sv,
-// with the frozen seed as the import fallback, and the capture exports its
-// final basis as the next call's seed. Every other solve imports the
-// frozen seed on sv, its unit's solver, keeping the result a pure function
-// of (model, seed).
+// and every other solve starts fresh on sv, its unit's solver, keeping
+// the result a pure function of the model.
 func (w *warmState) solveModel(m *lp.Model, opts lp.Options, c chain, sv *lp.Solver) (*lp.Result, lp.Outcome, error) {
 	if w == nil {
 		res, err := m.SolveOpts(opts)
@@ -111,16 +103,11 @@ func (w *warmState) solveModel(m *lp.Model, opts lp.Options, c chain, sv *lp.Sol
 	}
 	var res *lp.Result
 	var err error
-	if c == seeded {
-		res, err = sv.SolveSeeded(m, w.cur, opts)
+	if c == spare {
+		res, err = sv.SolveFresh(m, opts)
 	} else {
 		sv = &w.unit(c).sv
-		res, err = sv.SolveWarm(m, w.cur, opts)
-	}
-	if err == nil && c == capture {
-		if basis, ok := sv.ExportBasis(); ok {
-			w.prev = basis
-		}
+		res, err = sv.SolveWarm(m, nil, opts)
 	}
 	return res, sv.LastOutcome(), err
 }

@@ -69,8 +69,8 @@ func buildBealeDual() *Model {
 func bealeDualRepairState(t *testing.T) *tableau {
 	t.Helper()
 	tb := newWarmTableauIn(buildBealeDual(), Options{}, nil)
-	if !tb.importBasis(&Basis{}) {
-		t.Fatal("all-surplus import failed")
+	if !tb.crash(nil) {
+		t.Fatal("all-surplus crash failed")
 	}
 	tb.setPhase2Z()
 	tb.opts.MaxIterations = 1000
@@ -114,7 +114,7 @@ func TestDualSimplexCyclingRegression(t *testing.T) {
 
 // TestSparseDualSimplexAntiCycling runs the same degenerate instance
 // through the sparse revised dual simplex: the all-surplus crash basis is
-// exactly what the seedless sparse import builds, so the solve exercises
+// exactly what the sparse fresh start builds, so the solve exercises
 // the sparse stall→Bland switch end to end.
 func TestSparseDualSimplexAntiCycling(t *testing.T) {
 	s := onSparse()
@@ -123,8 +123,8 @@ func TestSparseDualSimplexAntiCycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := s.LastOutcome(); out.Path != "import" || !out.Sparse {
-		t.Fatalf("outcome %+v, want sparse import", out)
+	if out := s.LastOutcome(); out.Path != "fresh" || !out.Sparse {
+		t.Fatalf("outcome %+v, want a sparse fresh start", out)
 	}
 	cold, err := m.SolveOpts(Options{})
 	if err != nil {

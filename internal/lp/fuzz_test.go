@@ -4,72 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
-	"strings"
 	"testing"
 )
-
-// FuzzWarmBasisImport drives hostile name-keyed bases through the warm
-// import path: whatever garbage the basis carries (unknown names,
-// duplicates, truncated or oversized sets), SolveSeeded must return the
-// same verdict as the cold solve and, at Optimal, an objective within
-// 1e-9 and a solution the model itself verifies — and a Solver whose
-// workspaces have just held other problems (see dirty) must return that
-// answer to the bit, by the same path and pivots, with the seed resolved
-// to the columns the map-based reference names. Names are supplied as
-// comma-separated lists so the fuzzer can splice real and fake entries.
-func FuzzWarmBasisImport(f *testing.F) {
-	f.Add("x_0_0,x_1_2", "cap_0,dem_1", 1.0, 1.0)
-	f.Add("", "", 0.5, 2.0)
-	f.Add("x_0_0,x_0_0,x_0_0,x_0_0,x_0_0,x_0_0,x_0_0", "bal,bal,bal", 1.0, 1.0)
-	f.Add("nope,x_9_9,x_0_1", "cap_0,cap_0,cap_1,dem_0,dem_1,dem_2,bal", 1.2, 0.8)
-	f.Add("x_0_0,x_0_1,x_0_2,x_1_0,x_1_1,x_1_2", "cap_0,cap_1,dem_0,dem_1,dem_2,bal", 1.0, 1.0)
-	used := dirty(f)
-	f.Fuzz(func(t *testing.T, vars string, slacks string, rhsScale float64, priceScale float64) {
-		if !(rhsScale > 0.01 && rhsScale < 100) || !(priceScale > 0.01 && priceScale < 100) {
-			t.Skip()
-		}
-		split := func(s string) []string {
-			if s == "" {
-				return nil
-			}
-			parts := strings.Split(s, ",")
-			if len(parts) > 64 {
-				parts = parts[:64]
-			}
-			return parts
-		}
-		seed := NewBasis(split(vars), split(slacks))
-		m := buildTransportLP(rhsScale, priceScale)
-		rowSlack := newWarmTableauIn(m, Options{}, nil).rowSlack
-		if got, _ := seed.members(m, rowSlack, nil); !reflect.DeepEqual(append([]int{}, got...), append([]int{}, membersByMap(seed, m, rowSlack)...)) {
-			t.Fatalf("seed %q | %q resolves to %v, map reference %v", vars, slacks, got, membersByMap(seed, m, rowSlack))
-		}
-		var s Solver
-		warm, warmErr := s.SolveSeeded(m, seed, Options{})
-		if warmErr == nil {
-			for _, fresh := range []*Solver{onDense(), onSparse()} {
-				used.minRows = fresh.minRows
-				want := snapshot(t, fresh, fresh.SolveSeeded, m, seed, Options{})
-				requireIdentical(t, "dirty solver", snapshot(t, used, used.SolveSeeded, m, seed, Options{}), want)
-			}
-		}
-		cold, coldErr := m.SolveOpts(Options{})
-		if (warmErr == nil) != (coldErr == nil) {
-			t.Fatalf("verdicts diverge: warm %v, cold %v (seed %q | %q)", warmErr, coldErr, vars, slacks)
-		}
-		if warmErr != nil {
-			return
-		}
-		if math.Abs(warm.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
-			t.Fatalf("objective %g vs cold %g (path %s, seed %q | %q)",
-				warm.Objective, cold.Objective, s.LastOutcome().Path, vars, slacks)
-		}
-		if err := m.CheckFeasible(warm.X, 1e-6*(1+rhsScale*50)); err != nil {
-			t.Fatalf("warm solution infeasible: %v (seed %q | %q)", err, vars, slacks)
-		}
-	})
-}
 
 // fuzzLP decodes a small LP from fuzz bytes: up to 6 variables and 6 rows
 // of mixed ≤/≥/= sense, small integer costs, coefficients (a third of them
@@ -152,13 +88,16 @@ func requireCertified(t *testing.T, what string, m *Model, res *Result) {
 	}
 }
 
-// FuzzKernelDifferential solves one generated LP four ways — dense cold,
-// dense warm from the cold basis, sparse by crash (all-slack, and from the
-// cold basis) and sparse hot, on a kernel that has meanwhile solved the
-// same structure under drifted costs and right-hand sides — and requires
-// one verdict, one objective to 1e-7 of its scale, and of every Optimal
-// answer a certificate against the model itself, never against another
-// path's vector. The drifted LP gets the same treatment hot against cold.
+// FuzzKernelDifferential solves one generated LP on each kernel through
+// every entry the ladder has — a fresh start, the warm chain's first solve
+// and a hot re-solve of the same model after its costs and right-hand sides
+// drifted, and a trial from the checkpoint of that re-solve back to the
+// first numbers — and requires of each answer the dense cold solve's
+// verdict, its objective to 1e-7 of its scale and, at Optimal, a
+// certificate against the model itself, never against another path's
+// vector. On the dense kernel the fresh start is the cold simplex and the
+// chain runs from its optimum handed over; a trial that does not answer
+// (nil) steps down the ladder and is no verdict.
 func FuzzKernelDifferential(f *testing.F) {
 	f.Add(uint8(1), uint8(1), []byte{1, 6, 5, 0, 6, 5, 5, 0, 8, 5, 7})                                        // max 3x+2y, two ≤ rows
 	f.Add(uint8(1), uint8(2), []byte{0, 4, 5, 1, 3, 5, 5, 1, 2, 5, 0, 2, 6, 5, 5})                            // min with ≥ and = rows
@@ -172,41 +111,46 @@ func FuzzKernelDifferential(f *testing.F) {
 			t.Skip()
 		}
 		m, drifted := fuzzLP(nv, nr, data, 0), fuzzLP(nv, nr, data, 1)
-		hot := onSparse()
-		var coldBasis *Basis
-		for _, lp := range []*Model{m, drifted, m} { // the third round re-solves m hot
-			var cold Solver
-			want, wantErr := cold.Solve(lp, Options{})
-			if errors.Is(wantErr, ErrIterationLimit) || errors.Is(wantErr, ErrNumericBreakdown) {
+		type verdict struct {
+			res *Result
+			err error
+		}
+		cold := map[*Model]verdict{}
+		for _, lp := range []*Model{m, drifted} {
+			res, err := lp.SolveOpts(Options{})
+			if errors.Is(err, ErrIterationLimit) || errors.Is(err, ErrNumericBreakdown) {
 				t.Skip("no verdict to compare")
 			}
-			if b, ok := cold.ExportBasis(); ok && lp == m {
-				coldBasis = b
+			cold[lp] = verdict{res, err}
+		}
+		agree := func(what string, lp *Model, res *Result, err error) {
+			t.Helper()
+			want := cold[lp]
+			if !errors.Is(err, want.err) || (err == nil) != (want.err == nil) {
+				t.Fatalf("%s: verdict %v, dense cold says %v", what, err, want.err)
 			}
-			agree := func(what string, res *Result, err error) {
-				t.Helper()
-				if !errors.Is(err, wantErr) || (err == nil) != (wantErr == nil) {
-					t.Fatalf("%s: verdict %v, dense cold says %v", what, err, wantErr)
-				}
-				if err != nil {
-					return
-				}
-				if math.Abs(res.Objective-want.Objective) > 1e-7*(1+math.Abs(want.Objective)) {
-					t.Fatalf("%s: objective %g, dense cold says %g", what, res.Objective, want.Objective)
-				}
-				requireCertified(t, what, lp, res)
+			if err != nil {
+				return
 			}
-			agree("dense cold", want, wantErr)
-			s := onDense()
-			res, err := s.SolveSeeded(lp, coldBasis, Options{})
-			agree("dense warm", res, err)
-			s.minRows = 1 // the same workspaces, now on the LU kernel
-			for _, seed := range []*Basis{nil, coldBasis} {
-				res, err = s.SolveSeeded(lp, seed, Options{})
-				agree("sparse crash", res, err)
+			if math.Abs(res.Objective-want.res.Objective) > 1e-7*(1+math.Abs(want.res.Objective)) {
+				t.Fatalf("%s: objective %g, dense cold says %g", what, res.Objective, want.res.Objective)
 			}
-			res, err = hot.SolveWarm(lp, coldBasis, Options{})
-			agree("sparse "+hot.LastOutcome().Path, res, err)
+			requireCertified(t, what, lp, res)
+		}
+		for _, kn := range ladderKernels {
+			s, held := kn.solver(), fuzzLP(nv, nr, data, 0)
+			res, err := s.SolveFresh(m, Options{})
+			agree(kn.name+" fresh "+s.LastOutcome().Path, m, res, err)
+			res, err = s.SolveWarm(held, nil, Options{})
+			agree(kn.name+" warm "+s.LastOutcome().Path, m, res, err)
+			res, err = s.SolveWarm(copyNumbers(held, drifted), nil, Options{})
+			agree(kn.name+" drifted "+s.LastOutcome().Path, drifted, res, err)
+			if err != nil || !s.Checkpoint() {
+				continue
+			}
+			if res := s.Trial(copyNumbers(held, m), Options{}, math.Inf(-1)); res != nil {
+				agree(kn.name+" trial", m, res, nil)
+			}
 		}
 	})
 }

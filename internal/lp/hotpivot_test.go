@@ -195,16 +195,15 @@ func BenchmarkHotPivot(b *testing.B) {
 
 // BenchmarkKernelCrossover is where sparseMinRows comes from: dispatch-shaped
 // LPs from 12 to 88 rows, each put through both warm kernels by the
-// package's seam, on the two things a planner asks of a warm solver — a hot
-// re-solve of one model after a slot's worth of drift in costs and arrival
-// budgets (BenchmarkHotPivot's; the refresh in place is inside the timing,
-// the same few stores on either kernel), and a seeded import of a drifted
-// sibling from the base model's optimal basis. Four classes compete for
+// package's seam, on what a planner asks of a warm solver slot after slot —
+// a hot re-solve of one model after a slot's worth of drift in costs and
+// arrival budgets (BenchmarkHotPivot's; the refresh in place is inside the
+// timing, the same few stores on either kernel). Four classes compete for
 // every center and the arrivals are scaled to 1.3 times what the centers can
 // serve, so capacity binds as on the paper's day: the basis is mostly
 // structural columns, which the LU kernel pays for and the tableau does not.
-// The constant is the smallest size from which the LU kernel wins both;
-// DESIGN §12.1 records the table and what a heavier drift does to it.
+// The constant is the smallest size from which the LU kernel wins; DESIGN
+// §12.1 records the table.
 func BenchmarkKernelCrossover(b *testing.B) {
 	const ring = 64 // drifted siblings cycled through, so no solve repeats the last
 	for _, sz := range []struct{ rows, K, L, S int }{
@@ -223,46 +222,34 @@ func BenchmarkKernelCrossover(b *testing.B) {
 		if held.NumConstraints() != sz.rows {
 			b.Fatalf("fixture has %d rows, want %d", held.NumConstraints(), sz.rows)
 		}
-		seed := seedFor(b, held)
 		siblings := make([]*Model, ring)
 		for i := range siblings {
 			siblings[i] = sibling(0.05)
 		}
-		for _, op := range []struct {
-			name  string
-			solve func(s *Solver, i int) (*Result, error)
-		}{
-			{"hot", func(s *Solver, i int) (*Result, error) {
-				return s.SolveWarm(copyNumbers(held, siblings[i%ring]), seed, Options{})
-			}},
-			{"import", func(s *Solver, i int) (*Result, error) {
-				return s.SolveSeeded(siblings[i%ring], seed, Options{})
-			}},
-		} {
-			for _, kn := range ladderKernels {
-				b.Run(fmt.Sprintf("rows=%d/%s/%s", sz.rows, op.name, kn.name), func(b *testing.B) {
-					s := kn.solver()
-					if _, err := op.solve(s, ring-1); err != nil { // arms the hot chain
+		solve := func(s *Solver, i int) (*Result, error) {
+			return s.SolveWarm(copyNumbers(held, siblings[i%ring]), nil, Options{})
+		}
+		for _, kn := range ladderKernels {
+			b.Run(fmt.Sprintf("rows=%d/hot/%s", sz.rows, kn.name), func(b *testing.B) {
+				s := kn.solver()
+				if _, err := solve(s, ring-1); err != nil { // arms the hot chain
+					b.Fatal(err)
+				}
+				pivots := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := solve(s, i); err != nil {
 						b.Fatal(err)
 					}
-					pivots := 0
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := op.solve(s, i); err != nil {
-							b.Fatal(err)
-						}
-						// The dense kernel sheds its drift by re-importing every
-						// maxHotUses solves; that is its hot chain's cost too.
-						out := s.LastOutcome()
-						if out.FellBack || out.Sparse != kn.sparse || (out.Path != op.name && out.Path != "import") {
-							b.Fatalf("iteration %d ran %+v, want %s on the %s kernel", i, out, op.name, kn.name)
-						}
-						pivots += out.WarmPivots
+					out := s.LastOutcome()
+					if out.FellBack || out.Sparse != kn.sparse || out.Path != "hot" {
+						b.Fatalf("iteration %d ran %+v, want hot on the %s kernel", i, out, kn.name)
 					}
-					b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-				})
-			}
+					pivots += out.WarmPivots
+				}
+				b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+			})
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package lp is the linear-programming substrate of the reproduction: a
 // small model-builder API with named variables, a cold two-phase dense
-// simplex, and Solver's warm ladder (hot re-solve → basis import → audited
-// cold fallback) over two kernels — the dense marker-block tableau and,
+// simplex, and Solver's warm ladder (hot re-solve, or a fresh start, with
+// the audited cold simplex behind both) over two kernels — the dense marker-block tableau and,
 // from sparseMinRows rows up, the sparse revised simplex on an
 // LU-factorized basis. The row count picks; no caller does.
 //
@@ -272,7 +272,7 @@ type Result struct {
 	Duals      []float64
 	Iterations int
 	// Warm reports that the result came from a warm-started path (hot
-	// re-solve or basis import) of a Solver rather than the cold
+	// re-solve, trial or fresh start) of a Solver rather than the cold
 	// two-phase simplex. Warm results are audited against the model
 	// before being returned; see DESIGN.md §12.
 	Warm bool

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"profitlb/internal/race"
@@ -42,41 +41,25 @@ func packingInto(m *Model, seed int64, rows, cols int) *Model {
 	return m
 }
 
-// seedFor is the optimal basis of a perturbed sibling of m, which is what
-// the planner imports: mostly right, not quite.
-func seedFor(t testing.TB, sibling *Model) *Basis {
-	t.Helper()
-	var s Solver
-	if _, err := s.Solve(sibling, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	b, ok := s.ExportBasis()
-	if !ok {
-		t.Fatal("export failed")
-	}
-	return b
-}
-
 // solved is everything a solve reports, for bit-exact comparison.
 type solved struct {
-	Res     Result
-	Out     Outcome
-	Vars    []string
-	Slacks  []string
-	HasSeed bool
+	Res Result
+	Out Outcome
 }
 
-func snapshot(t testing.TB, s *Solver, solve func(*Model, *Basis, Options) (*Result, error), m *Model, seed *Basis, opts Options) solved {
+// snapshot solves m on s — SolveWarm when warm, else SolveFresh — and
+// keeps what it reported.
+func snapshot(t testing.TB, s *Solver, warm bool, m *Model, opts Options) solved {
 	t.Helper()
-	res, err := solve(m, seed, opts)
+	solve := s.SolveFresh
+	if warm {
+		solve = func(m *Model, opts Options) (*Result, error) { return s.SolveWarm(m, nil, opts) }
+	}
+	res, err := solve(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := solved{Res: *res, Out: s.LastOutcome()}
-	if b, ok := s.ExportBasis(); ok {
-		snap.Vars, snap.Slacks, snap.HasSeed = b.vars, b.slackRows, true
-	}
-	return snap
+	return solved{Res: *res, Out: s.LastOutcome()}
 }
 
 func requireIdentical(t testing.TB, what string, got, want solved) {
@@ -95,9 +78,6 @@ func requireIdentical(t testing.TB, what string, got, want solved) {
 	if got.Res.Iterations != want.Res.Iterations || got.Out != want.Out {
 		t.Fatalf("%s: ran differently from a fresh solver\n got  %d pivots %+v\n want %d pivots %+v", what, got.Res.Iterations, got.Out, want.Res.Iterations, want.Out)
 	}
-	if got.HasSeed != want.HasSeed || !reflect.DeepEqual(got.Vars, want.Vars) || !reflect.DeepEqual(got.Slacks, want.Slacks) {
-		t.Fatalf("%s: exported basis differs from a fresh solver's", what)
-	}
 }
 
 // dirty returns a solver whose every workspace has just held other
@@ -111,11 +91,8 @@ func dirty(t testing.TB) *Solver {
 		packingLP(1, 30, 70), packingLP(2, 90, 200), packingLP(3, 12, 20), packingLP(4, 70, 75),
 		buildTransportLP(1, 1), buildBealeDual(), packingLP(5, 66, 150),
 	} {
-		seed := seedFor(t, m)
-		for _, solve := range []func(*Model, *Basis, Options) (*Result, error){s.SolveSeeded, s.SolveWarm, s.SolveWarm} {
-			if _, err := solve(m, seed, Options{}); err != nil {
-				t.Fatal(err)
-			}
+		for _, warm := range []bool{false, true, true} {
+			snapshot(t, &s, warm, m, Options{})
 		}
 	}
 	if _, err := s.Solve(packingLP(6, 40, 90), Options{}); err != nil {
@@ -126,12 +103,13 @@ func dirty(t testing.TB) *Solver {
 
 // TestSolverReuseIsInvisible is the workspace's contract: what a Solver
 // held before — bigger, smaller, other kernel — leaves no trace in the
-// next solve. Each (model, seed) runs on a fresh Solver and on a dirty
-// one, seeded (the spare unit's path) and warm (the hot chain's first import),
-// and must agree to the bit in X, objective, duals, pivots, outcome and
-// exported basis. So must a hot chain that refreshes one model in place
-// (answered by the structure stamp) and the same chain over a new model a
-// step (answered by the sameStructure walk), on either solver.
+// next solve. Each model runs on a fresh Solver and on a dirty one, fresh
+// (the spare unit's path, twice: a pure function of the model) and warm
+// (the hot chain's first solve, its optimum kept), and must agree to the
+// bit in X, objective, duals, pivots and outcome. So must a hot chain that
+// refreshes one model in place (answered by the structure stamp) and the
+// same chain over a new model a step (answered by the sameStructure walk),
+// on either solver.
 func TestSolverReuseIsInvisible(t *testing.T) {
 	cases := []struct {
 		name string
@@ -148,32 +126,33 @@ func TestSolverReuseIsInvisible(t *testing.T) {
 	used := dirty(t)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			seed := seedFor(t, c.m(0.3))
 			var fresh, freshWarm Solver
-			want := snapshot(t, &fresh, fresh.SolveSeeded, c.m(0), seed, Options{})
-			if want.Out.Path != "import" {
-				t.Fatalf("fixture solves by %q, want an import", want.Out.Path)
+			want := snapshot(t, &fresh, false, c.m(0), Options{})
+			start := "cold"
+			if c.m(0).NumConstraints() >= sparseMinRows {
+				start = "fresh"
 			}
-			requireIdentical(t, "seeded, dirty solver", snapshot(t, used, used.SolveSeeded, c.m(0), seed, Options{}), want)
-			requireIdentical(t, "seeded, same solver again", snapshot(t, used, used.SolveSeeded, c.m(0), seed, Options{}), want)
-			wantWarm := snapshot(t, &freshWarm, freshWarm.SolveWarm, c.m(0), seed, Options{})
-			requireIdentical(t, "warm, dirty solver", snapshot(t, used, used.SolveWarm, c.m(0), seed, Options{}), wantWarm)
+			if want.Out.Path != start {
+				t.Fatalf("fixture starts by %q, want %q", want.Out.Path, start)
+			}
+			requireIdentical(t, "fresh, dirty solver", snapshot(t, used, false, c.m(0), Options{}), want)
+			requireIdentical(t, "fresh, same solver again", snapshot(t, used, false, c.m(0), Options{}), want)
+			wantWarm := snapshot(t, &freshWarm, true, c.m(0), Options{})
+			requireIdentical(t, "warm, dirty solver", snapshot(t, used, true, c.m(0), Options{}), wantWarm)
 			// Three hot chains over the same numbers: a new model a step on
 			// a fresh solver, one model refreshed in place on a fresh solver,
 			// and one refreshed in place on the dirty solver.
-			if _, err := used.SolveSeeded(c.m(0), seed, Options{}); err != nil { // drops its hot state
-				t.Fatal(err)
-			}
+			snapshot(t, used, false, c.m(0), Options{}) // drops its hot state
 			var walked, stamped Solver
 			held, heldUsed := c.m(0), c.m(0)
 			for step, d := range []float64{0, 0.04, -0.03, 0.07} {
 				next := driftRHS(c.m(0), d)
-				want := snapshot(t, &walked, walked.SolveWarm, next, seed, Options{})
-				if wantPath := []string{"import", "hot"}[min(step, 1)]; want.Out.Path != wantPath {
+				want := snapshot(t, &walked, true, next, Options{})
+				if wantPath := []string{start, "hot"}[min(step, 1)]; want.Out.Path != wantPath {
 					t.Fatalf("step %d: solved by %q, want %q", step, want.Out.Path, wantPath)
 				}
-				requireIdentical(t, fmt.Sprintf("step %d in place", step), snapshot(t, &stamped, stamped.SolveWarm, copyNumbers(held, next), seed, Options{}), want)
-				requireIdentical(t, fmt.Sprintf("step %d in place, dirty solver", step), snapshot(t, used, used.SolveWarm, copyNumbers(heldUsed, next), seed, Options{}), want)
+				requireIdentical(t, fmt.Sprintf("step %d in place", step), snapshot(t, &stamped, true, copyNumbers(held, next), Options{}), want)
+				requireIdentical(t, fmt.Sprintf("step %d in place, dirty solver", step), snapshot(t, used, true, copyNumbers(heldUsed, next), Options{}), want)
 			}
 		})
 	}
@@ -192,7 +171,7 @@ func copyNumbers(dst, src *Model) *Model {
 }
 
 // driftRHS scales every rhs of m by 1+d and sways its prices by as much:
-// the slot-to-slot drift a seed from the sibling model has to absorb.
+// the slot-to-slot drift a hot re-solve has to absorb.
 func driftRHS(m *Model, d float64) *Model {
 	for i := range m.rows {
 		m.rows[i].rhs *= 1 + d
@@ -203,93 +182,12 @@ func driftRHS(m *Model, d float64) *Model {
 	return m
 }
 
-// membersByMap is importBasis's seed resolution as both kernels spelled
-// it before the basis indexed itself: two maps over the model's names per
-// solve. The reference for which columns a seed names, and in what order.
-func membersByMap(b *Basis, m *Model, rowSlack []int) []int {
-	varIdx := make(map[string]int, len(m.names))
-	for i, name := range m.names {
-		varIdx[name] = i
-	}
-	rowIdx := make(map[string]int, len(m.rows))
-	for i := range m.rows {
-		rowIdx[m.rows[i].name] = i
-	}
-	var cols []int
-	for _, name := range b.vars {
-		if c, ok := varIdx[name]; ok {
-			cols = append(cols, c)
-		}
-	}
-	for _, name := range b.slackRows {
-		if r, ok := rowIdx[name]; ok {
-			if c := rowSlack[r]; c >= 0 {
-				cols = append(cols, c)
-			}
-		}
-	}
-	return cols
-}
-
-// TestSeedResolution pins the one seed resolver: members in seed order,
-// unknown names and slackless rows skipped, a name the seed repeats
-// yielding its column each time, a name the model repeats resolving to
-// its last bearer — the literal list is what the map-based import
-// resolved at the commit before the change — and agreement with the map
-// reference over random seeds, on a scratch buffer reused throughout.
-func TestSeedResolution(t *testing.T) {
-	m := NewModel()
-	for _, name := range []string{"a", "b", "c", "b", "d"} { // "b" twice: column 3 wins
-		m.AddVariable(name, 1)
-	}
-	m.AddConstraint("r0", []Term{{0, 1}}, LE, 1)
-	m.AddConstraint("eq", []Term{{1, 1}}, EQ, 1) // no slack
-	m.AddConstraint("r2", []Term{{2, 1}}, GE, 1)
-	m.AddConstraint("r0", []Term{{4, 1}}, LE, 1) // "r0" twice: row 3 wins
-	k := newWarmTableauIn(m, Options{}, nil)
-	seed := NewBasis(
-		[]string{"d", "nope", "b", "a", "d", "b"},
-		[]string{"r2", "eq", "ghost", "r0", "r2", "a"},
-	)
-	want := []int{4, 3, 0, 4, 3, 6, 7, 6}
-	var buf []int
-	got, buf := seed.members(m, k.rowSlack, buf)
-	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(membersByMap(seed, m, k.rowSlack), want) {
-		t.Fatalf("members %v, map reference %v, want %v", got, membersByMap(seed, m, k.rowSlack), want)
-	}
-	if cols, _ := (*Basis)(nil).members(m, k.rowSlack, nil); len(cols) != 0 {
-		t.Fatalf("nil seed resolved to %v", cols)
-	}
-
-	rng := rand.New(rand.NewSource(5))
-	big := packingLP(21, 40, 90)
-	bk := newSparseSolveIn(big, Options{}, nil)
-	pick := func(n int, known func(int) string) []string {
-		out := make([]string, n)
-		for i := range out {
-			if out[i] = known(rng.Intn(120)); rng.Intn(5) == 0 && i > 0 {
-				out[i] = out[rng.Intn(i)]
-			}
-		}
-		return out
-	}
-	for trial := 0; trial < 200; trial++ {
-		s := NewBasis(
-			pick(rng.Intn(60), func(i int) string { return fmt.Sprintf("v%d", i) }),
-			pick(rng.Intn(60), func(i int) string { return []string{"cap", "floor", "v"}[i%3] + fmt.Sprint(i/2) }),
-		)
-		got, buf = s.members(big, bk.rowSlack, buf)
-		if want := membersByMap(s, big, bk.rowSlack); !reflect.DeepEqual(append([]int(nil), got...), append([]int(nil), want...)) {
-			t.Fatalf("trial %d: members %v, map reference %v", trial, got, want)
-		}
-	}
-}
-
-// TestImportPivotsCounted: the crash is on the books. A seeded solve of a
-// 3-row model covers 3 rows — three full-tableau pivots on the dense
-// kernel, three columns eliminated on the sparse one — and says so in
+// TestImportPivotsCounted: the crash is on the books. A 3-row model
+// covers 3 rows — three columns eliminated by the sparse kernel's
+// all-slack fresh start, three full-tableau pivots handing the dense
+// kernel its cold optimum on the next call — and says so in
 // Outcome.ImportPivots, the same figure on every repeat, beside (not in)
-// the pivot counts; a hot re-solve crashes nothing.
+// the pivot counts; a hot re-solve from a kept kernel crashes nothing.
 func TestImportPivotsCounted(t *testing.T) {
 	build := func(scale float64) *Model {
 		m := NewModel()
@@ -299,21 +197,24 @@ func TestImportPivotsCounted(t *testing.T) {
 		m.AddConstraint("r2", []Term{{x, 1}}, GE, 1*scale)
 		return m
 	}
-	seed := NewBasis([]string{"x", "y"}, []string{"r1"})
 	for _, kn := range ladderKernels {
 		t.Run(kn.name, func(t *testing.T) {
-			s := kn.solver()
+			var s *Solver
 			var first Outcome
 			for i := 0; i < 3; i++ {
-				res, err := s.SolveSeeded(build(1), seed, Options{})
+				s = kn.solver()
+				res, err := s.SolveWarm(build(1), nil, Options{})
+				if err == nil && !kn.sparse { // the dense start is cold
+					res, err = s.SolveWarm(build(1), nil, Options{})
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
 				out := s.LastOutcome()
-				if out.Path != "import" || out.Sparse != kn.sparse || out.ImportPivots != 3 {
-					t.Fatalf("solve %d: outcome %+v, want a 3-pivot import", i, out)
+				if out.Path != map[bool]string{false: "hot", true: "fresh"}[kn.sparse] || out.Sparse != kn.sparse || out.ImportPivots != 3 {
+					t.Fatalf("solve %d: outcome %+v, want 3 crash pivots", i, out)
 				}
-				if out.WarmPivots != res.Iterations || out.AbandonedPivots != 0 || out.ColdPivots != 0 {
+				if out.WarmPivots != res.Iterations || out.ColdPivots != 0 || out.AbandonedPivots != 0 {
 					t.Fatalf("solve %d: crash pivots leaked into %+v (%d iterations)", i, out, res.Iterations)
 				}
 				if i == 0 {
@@ -323,7 +224,7 @@ func TestImportPivotsCounted(t *testing.T) {
 				}
 			}
 			for i := 0; i < 2; i++ {
-				if _, err := s.SolveWarm(build(1+0.1*float64(i)), seed, Options{}); err != nil {
+				if _, err := s.SolveWarm(build(1+0.1*float64(i)), nil, Options{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -334,9 +235,10 @@ func TestImportPivotsCounted(t *testing.T) {
 	}
 }
 
-// TestSeededSolveAllocs is the workspace's budget: in steady state a
-// seeded solve on a reused Solver allocates its Result — the struct, X
-// and Duals — and nothing else, on either kernel.
+// TestSeededSolveAllocs is the workspace's budget: in steady state a fresh
+// solve on a reused Solver — the spare unit's — allocates its Result — the
+// struct, X and Duals — and nothing else, on either start: the dense cold
+// simplex and the LU kernel's all-slack crash.
 func TestSeededSolveAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector moves allocations to the heap")
@@ -346,56 +248,21 @@ func TestSeededSolveAllocs(t *testing.T) {
 		rows, cols int
 	}{{"dense-30x70", 30, 70}, {"sparse-90x200", 90, 200}} {
 		m := packingLP(31, c.rows, c.cols)
-		seed := seedFor(t, driftRHS(packingLP(31, c.rows, c.cols), 0.3))
 		var s Solver
 		solve := func() {
-			if _, err := s.SolveSeeded(m, seed, Options{}); err != nil {
+			if _, err := s.SolveFresh(m, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 3; i++ { // the slabs settle at their size
 			solve()
 		}
-		if out := s.LastOutcome(); out.Path != "import" || out.Sparse != (c.rows >= sparseMinRows) || out.WarmPivots == 0 {
-			t.Fatalf("%s: outcome %+v, want an import that pivots", c.name, out)
+		sparse := c.rows >= sparseMinRows
+		if out := s.LastOutcome(); out.Path != map[bool]string{false: "cold", true: "fresh"}[sparse] || out.Sparse != sparse || out.WarmPivots+out.ColdPivots == 0 {
+			t.Fatalf("%s: outcome %+v, want a fresh start that pivots", c.name, out)
 		}
 		if got := testing.AllocsPerRun(20, solve); got != 3 {
-			t.Errorf("%s: %v allocations a steady-state seeded solve, want 3 (Result, X, Duals)", c.name, got)
-		}
-	}
-}
-
-// TestSharedSeedConcurrentImport: a Basis is immutable once built, so
-// solvers on different goroutines may import one seed at once, the first
-// of them building its index. Eight solvers racing from a cold index must
-// all get the fresh answer (run under -race).
-func TestSharedSeedConcurrentImport(t *testing.T) {
-	for _, c := range []struct{ rows, cols int }{{30, 70}, {90, 200}} {
-		m := func() *Model { return packingLP(41, c.rows, c.cols) }
-		var fresh Solver
-		want := snapshot(t, &fresh, fresh.SolveSeeded, m(), seedFor(t, driftRHS(m(), 0.3)), Options{})
-		seed := seedFor(t, driftRHS(m(), 0.3)) // never imported yet
-		got := make([]solved, 8)
-		var wg sync.WaitGroup
-		for w := range got {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var s Solver
-				res, err := s.SolveSeeded(m(), seed, Options{})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				got[w] = solved{Res: *res, Out: s.LastOutcome()}
-			}()
-		}
-		wg.Wait()
-		want.Vars, want.Slacks, want.HasSeed = nil, nil, false
-		for w := range got {
-			if !t.Failed() {
-				requireIdentical(t, fmt.Sprintf("%dx%d worker %d", c.rows, c.cols, w), got[w], want)
-			}
+			t.Errorf("%s: %v allocations a steady-state fresh solve, want 3 (Result, X, Duals)", c.name, got)
 		}
 	}
 }

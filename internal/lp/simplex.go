@@ -96,7 +96,7 @@ type tableau struct {
 	artStart  int
 	colLimit  int // entering columns are restricted to [0, colLimit)
 	iters     int
-	crashed   int     // pivots importBasis spent crashing the seed, outside iters
+	crashed   int     // pivots crash spent, outside iters
 	refactors int     // refactorizations since rearm: 1 for a stale one
 	cut       float64 // the basic objective that stopped the last repair (bound)
 	arena
@@ -118,11 +118,11 @@ type arena struct {
 	// an extra sign flip.
 	dualCol  []int
 	dualSign []float64
-	// rowSlack holds each row's slack/surplus column (-1 for EQ rows); it
-	// lets a Solver export the basis by name (DESIGN.md §12).
+	// rowSlack holds each row's slack/surplus column (-1 for EQ rows), for
+	// the crash's slack pass.
 	rowSlack []int
 	rhs      []float64 // scratch for the warm rhs refresh
-	seed     []int     // scratch for resolving a seed basis
+	saved    []int     // scratch for the basis refactorize crashes back in
 }
 
 // zeroed is linalg.Resized with the contents cleared.
@@ -159,27 +159,12 @@ func newTableauIn(m *Model, opts Options, t *tableau) *tableau {
 	t = t.reset(m, opts)
 	rows, n := len(m.rows), t.n
 
-	// Count slack/surplus and artificial columns. Normalize rhs ≥ 0 by
-	// flipping rows first so the artificial assignment is decidable.
-	type rowPlan struct {
-		sense Sense
-		flip  bool
-	}
-	plans := make([]rowPlan, rows)
+	// Count slack/surplus and artificial columns, on rows normalized to
+	// rhs ≥ 0 so the artificial assignment is decidable.
 	slacks := 0
 	arts := 0
-	for i, row := range m.rows {
-		sense := row.sense
-		flip := row.rhs < 0
-		if flip {
-			switch sense {
-			case LE:
-				sense = GE
-			case GE:
-				sense = LE
-			}
-		}
-		plans[i] = rowPlan{sense: sense, flip: flip}
+	for i := range m.rows {
+		sense, _ := coldSense(&m.rows[i])
 		if sense != EQ {
 			slacks++
 		}
@@ -193,28 +178,23 @@ func newTableauIn(m *Model, opts Options, t *tableau) *tableau {
 
 	slackCol := n
 	artCol := t.artStart
-	for i, row := range m.rows {
-		t.rowSlack[i] = -1
+	for i := range m.rows {
+		row := &m.rows[i]
 		r := t.a.Row(i)
-		sign := 1.0
-		if plans[i].flip {
-			sign = -1.0
-		}
+		sense, sign := coldSense(row)
 		for _, term := range row.terms {
 			r[term.Var] += sign * term.Coef
 		}
 		r[t.total] = sign * row.rhs
-		switch plans[i].sense {
+		switch sense {
 		case LE:
 			r[slackCol] = 1
 			t.basis[i] = slackCol
 			t.dualCol[i], t.dualSign[i] = slackCol, sign
-			t.rowSlack[i] = slackCol
 			slackCol++
 		case GE:
 			r[slackCol] = -1
 			t.dualCol[i], t.dualSign[i] = slackCol, -sign
-			t.rowSlack[i] = slackCol
 			slackCol++
 			r[artCol] = 1
 			t.basis[i] = artCol
@@ -227,6 +207,22 @@ func newTableauIn(m *Model, opts Options, t *tableau) *tableau {
 		}
 	}
 	return t
+}
+
+// coldSense is row's sense once the cold tableau has flipped it to a
+// non-negative rhs, and the sign the flip multiplies the row by. A flip
+// keeps an inequality an inequality, so the slack columns are numbered as
+// on the warm layouts.
+func coldSense(row *constraint) (Sense, float64) {
+	switch {
+	case row.rhs >= 0:
+		return row.sense, 1
+	case row.sense == LE:
+		return GE, -1
+	case row.sense == GE:
+		return LE, -1
+	}
+	return EQ, -1
 }
 
 // duals recovers the dual value of every original constraint row from the
@@ -311,7 +307,7 @@ func (t *tableau) run() Status {
 // setPhase2Z rebuilds the reduced-cost row for the true objective by
 // pricing out the current basis. colLimit must already exclude any
 // artificial columns. The warm path calls it directly after refreshing
-// the rhs or importing a basis.
+// the rhs or crashing a basis in.
 func (t *tableau) setPhase2Z() {
 	t.z = zeroed(t.z, t.total+1)
 	dir := t.m.dir()

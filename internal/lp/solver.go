@@ -3,128 +3,31 @@ package lp
 import (
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"profitlb/internal/linalg"
 )
 
-// Basis identifies an optimal basis by name: the basic structural
-// variables plus the rows whose slack/surplus variable is basic. Naming
-// (rather than indexing) makes a basis portable across related models —
-// the planner's memoized subset-LPs share variable and row names, so a
-// basis exported from one solve seeds a neighboring solve even when the
-// column order differs. A Basis is immutable once built.
-type Basis struct {
-	vars      []string
-	slackRows []string
-	// The seed's own index, name → first position in vars (in slackRows),
-	// built by the first import: one frozen seed is imported by every
-	// subset solve of a slot, while a basis that only ever seeds hot
-	// re-solves is never indexed at all.
-	index          sync.Once
-	varPos, rowPos map[string]int
-	repeats        bool // some name occurs twice in vars or in slackRows
-}
-
-// NewBasis builds a basis from explicit name lists. It is exposed for
-// tests and fuzzing; production code obtains bases from ExportBasis.
-func NewBasis(vars, slackRows []string) *Basis {
-	names := append(append(make([]string, 0, len(vars)+len(slackRows)), vars...), slackRows...)
-	return &Basis{vars: names[:len(vars):len(vars)], slackRows: names[len(vars):]}
-}
-
-// members resolves the basis against a model, for both kernels: the
-// columns of its members in seed order — a variable's own column, a slack
-// row's rowSlack entry. Names the model lacks and rows without a slack
-// are skipped; where the model repeats a name its last bearer wins; a
-// name the seed repeats yields its column each time. buf is the caller's
-// recycled scratch, returned grown; cols is cut from it.
-func (b *Basis) members(m *Model, rowSlack []int, buf []int) (cols, _ []int) {
-	if b == nil {
-		return nil, buf
-	}
-	b.index.Do(func() { b.varPos, b.rowPos = b.positions(b.vars), b.positions(b.slackRows) })
-	nv, n := len(b.vars), b.Size()
-	buf = linalg.Resized(buf, 2*n)
-	at, cols := buf[:n], buf[n:n]
-	for i := range at {
-		at[i] = -1
-	}
-	for c, name := range m.names {
-		if p, ok := b.varPos[name]; ok {
-			at[p] = c
-		}
-	}
-	for r := range m.rows {
-		if p, ok := b.rowPos[m.rows[r].name]; ok {
-			at[nv+p] = rowSlack[r]
-		}
-	}
-	for p, name := range b.vars {
-		if b.repeats {
-			p = b.varPos[name]
-		}
-		if c := at[p]; c >= 0 {
-			cols = append(cols, c)
-		}
-	}
-	for p, name := range b.slackRows {
-		if b.repeats {
-			p = b.rowPos[name]
-		}
-		if c := at[nv+p]; c >= 0 {
-			cols = append(cols, c)
-		}
-	}
-	return cols, buf
-}
-
-// positions maps each name to its first position, noting a repeat.
-func (b *Basis) positions(names []string) map[string]int {
-	pos := make(map[string]int, len(names))
-	for p, name := range names {
-		if _, seen := pos[name]; seen {
-			b.repeats = true
-		} else {
-			pos[name] = p
-		}
-	}
-	return pos
-}
-
-// emptyBasis sizes a basis for the given basic columns, those below n
-// being structural, so exportBasis fills one slab instead of growing two.
-func emptyBasis(basic []int, n int) *Basis {
-	nv := 0
-	for _, c := range basic {
-		if c >= 0 && c < n {
-			nv++
-		}
-	}
-	names := make([]string, len(basic))
-	return &Basis{vars: names[:0:nv], slackRows: names[nv:nv]}
-}
-
-// Size returns the number of named basis members.
-func (b *Basis) Size() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.vars) + len(b.slackRows)
-}
+// Basis is the type of SolveWarm's second parameter, which is ignored: the
+// ladder re-solves a kept kernel or starts over, and reads no basis from
+// its caller.
+//
+// Deprecated: bench/slots.go still passes nil to SolveWarm; ROADMAP item 8
+// deletes the parameter and this type with it.
+type Basis struct{}
 
 // Outcome describes how the most recent solve on a Solver ran.
 type Outcome struct {
 	// Path is "hot" (retained tableau or factors, rhs refresh), "trial"
-	// (a checkpointed kernel, numbers refreshed: see Trial), "import" (seed
-	// basis crashed into a fresh warm state) or "cold" (two-phase simplex).
+	// (a checkpointed kernel, numbers refreshed: see Trial), "fresh" (the LU
+	// kernel started from the all-slack basis: see SolveFresh) or "cold"
+	// (two-phase simplex).
 	Path string
 	// Sparse reports that the warm path ran the sparse revised simplex
 	// rather than the dense warm tableau.
 	Sparse bool
 	// FellBack reports that a warm attempt was abandoned for the cold
-	// path (singular import, infeasible repair, drift guard, limits).
+	// path (no all-slack basis, infeasible repair, drift guard, limits).
 	FellBack bool
 	// WarmPivots and ColdPivots count simplex pivots spent on the
 	// respective path during this solve.
@@ -134,11 +37,13 @@ type Outcome struct {
 	// abandoned mid-way during this solve; without it the cost of a
 	// fallback would vanish from the accounting.
 	AbandonedPivots int
-	// ImportPivots counts the work of crashing a basis, which none of the
-	// three above includes: the dense kernel's full-tableau pivots that
-	// bring the seed's members (then slacks) into the basis, the sparse
-	// kernel's columns eliminated into its LU factors by the crash. An
-	// abandoned attempt's are counted too; a hot re-solve's is 0.
+	// ImportPivots counts the crash work of a fresh start, which none of
+	// the three above includes: the columns the LU kernel's all-slack crash
+	// eliminates into its factors, and the crash that hands a kept cold
+	// optimum to the warm kernel (see SolveWarm, Checkpoint) — the dense
+	// kernel's full-tableau pivots or the sparse one's eliminated columns.
+	// An abandoned attempt's are counted too; a hot re-solve from a kept
+	// kernel crashes nothing.
 	ImportPivots int
 	// Refactors counts the times the kernel rebuilt its factors (the dense
 	// one: its tableau) from the basis in place during this solve — a full
@@ -156,11 +61,11 @@ type Outcome struct {
 // hot chain and one for every other solve of a slot.
 type Solver struct {
 	cold   tableau     // the cold two-phase path's
-	warm   tableau     // the dense warm kernel, rebuilt in place per import
-	sparse sparseSolve // the sparse warm kernel, likewise
+	warm   tableau     // the dense warm kernel, rebuilt in place per hand-over
+	sparse sparseSolve // the sparse warm kernel, rebuilt per fresh start
 	ws     retained
 	cp     checkpoint
-	last   kernel // final state of the most recent Optimal solve, for ExportBasis
+	last   kernel // final state of the most recent Optimal solve, for Checkpoint
 	out    Outcome
 	// yielded is when the solver last gave up the processor (see breathe).
 	yielded time.Time
@@ -183,9 +88,13 @@ type kernel interface {
 	// stale reports that a drift bound is reached: the kernel then
 	// refactorizes in place from its basis, false when that went singular.
 	rearm(m *Model, opts Options, stale bool) bool
-	// importBasis crashes a named seed into a freshly built kernel, whose
-	// costs are still zero; false means no complete basis emerged.
-	importBasis(seed *Basis) bool
+	// crash brings cols into a freshly built kernel's basis, then slacks
+	// into the rows left uncovered — with no cols, the all-slack basis. A
+	// column is numbered alike on every layout: structurals first, then
+	// one slack per inequality row in row order. A column dependent on
+	// those before it is dropped. The costs are still zero after it; false
+	// means no complete basis emerged.
+	crash(cols []int) bool
 	// dualIterate repairs primal feasibility under the costs in place,
 	// priceIn loads the model's true costs, primalIterate finishes. Every
 	// iterate of the repair is dual feasible, so where the costs in place
@@ -200,12 +109,9 @@ type kernel interface {
 	extract() []float64
 	duals() []float64
 	pivots() int
-	// crashWork is what pivots leaves out: the pivots importBasis spent and
-	// how many times the kernel has refactorized since it was armed.
+	// crashWork is what pivots leaves out: the pivots crash spent and how
+	// many times the kernel has refactorized since it was armed.
 	crashWork() (crashed, refactors int)
-	// exportBasis names the final basis; false when it is not
-	// representable (an artificial still basic on the cold tableau).
-	exportBasis() (*Basis, bool)
 	// save copies what the kernel's pivots change into st and restore
 	// copies it back: the state a trial starts from and rolls back to.
 	// save refactorizes a long eta file first, restore when st's factors
@@ -286,43 +192,40 @@ func (s *Solver) Solve(m *Model, opts Options) (*Result, error) {
 	return s.solveCold(m, opts)
 }
 
-// SolveWarm solves m using every warm path available, in order: a hot
+// SolveWarm solves m on the warm ladder and keeps its final kernel: a hot
 // re-solve on the retained kernel when the constraint matrix is unchanged
-// (only rhs, objective and pins may differ — the cross-slot case), an
-// import of the seed basis otherwise, and the cold two-phase path as the
+// (only rhs, objective and pins may differ — the cross-slot case), a fresh
+// start otherwise (see SolveFresh), and the cold two-phase path as the
 // correctness anchor whenever a warm attempt fails. A warm result is
 // accepted only at status Optimal and after the model re-verifies the
-// solution, so correctness never depends on the warm path.
-//
-// The kernel is chosen from the row count: from sparseMinRows rows up the
-// warm paths run the sparse revised simplex, below it the dense warm
-// tableau; the cold anchor is dense either way.
-func (s *Solver) SolveWarm(m *Model, seed *Basis, opts Options) (*Result, error) {
-	return s.solve(m, seed, opts, true)
+// solution, so correctness never depends on the warm path. A cold optimum
+// is kept too: the next call on the same structure crashes its basis into
+// the warm kernel (handOver) and re-solves hot from it. The second
+// parameter is ignored.
+func (s *Solver) SolveWarm(m *Model, _ *Basis, opts Options) (*Result, error) {
+	return s.solve(m, opts, true)
 }
 
-// SolveSeeded solves m from an optional seed basis without consulting or
-// keeping any cross-call retained state, so the result is a pure function
-// of (model, seed, opts). The planner's memo cache relies on that purity
-// (DESIGN.md §7): an entry keyed by (subset, seed) is what any solve of
-// that subset from that seed would have produced, whatever the solver did
-// before.
-func (s *Solver) SolveSeeded(m *Model, seed *Basis, opts Options) (*Result, error) {
-	return s.solve(m, seed, opts, false)
+// SolveFresh solves m from scratch without consulting or keeping any
+// cross-call retained state, so the result is a pure function of (model,
+// opts). The planner's memo cache relies on that purity (DESIGN.md §7):
+// an entry keyed by its subset is what any solve of that subset would have
+// produced, whatever the solver did before. The kernel is chosen from the
+// row count: from sparseMinRows rows up the LU kernel starts from the
+// all-slack basis, below it the start is the cold two-phase simplex, which
+// is the anchor behind a failed start too.
+func (s *Solver) SolveFresh(m *Model, opts Options) (*Result, error) {
+	return s.solve(m, opts, false)
 }
 
-// solve is the warm ladder — hot, import, audited cold — behind SolveWarm
-// (keep) and SolveSeeded (!keep). It drops the checkpoint, SolveWarm first
+// solve is the warm ladder — hot, fresh, audited cold — behind SolveWarm
+// (keep) and SolveFresh (!keep). It drops the checkpoint, SolveWarm first
 // putting the kernel back where the solve before its trials left it.
-func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result, error) {
+func (s *Solver) solve(m *Model, opts Options, keep bool) (*Result, error) {
 	s.breathe()
 	s.out, s.last, s.cp.owed = s.cp.owed, nil, Outcome{}
 	s.sparse.held = false
-	minRows := sparseMinRows
-	if s.minRows > 0 {
-		minRows = s.minRows
-	}
-	sparse := len(m.rows) >= minRows
+	sparse := s.sparseAt(m)
 	opts = opts.withDefaults(len(m.rows), len(m.names))
 	if cp := &s.cp; keep && cp.k != nil && (cp.away || !cp.fresh) {
 		refactors, ok := cp.k.restore(&cp.home)
@@ -335,60 +238,70 @@ func (s *Solver) solve(m *Model, seed *Basis, opts Options, keep bool) (*Result,
 	}
 	attempted := false
 	if k := s.ws.k; s.ws.fits(m) {
-		attempted = true
 		stale := s.ws.uses >= maxHotUses
+		var armed bool
+		if k == kernel(&s.cold) {
+			k, armed = s.handOver(m, opts)
+		} else {
+			armed = k.rearm(m, opts, stale)
+		}
 		// On a model with pins, a column held out of the kernel's optimality
 		// may be free now: the costs in place are relaxed for it.
-		armed := k.rearm(m, opts, stale)
 		if armed && len(m.fixed) > 0 {
 			k.relax()
 		}
-		if res := s.attempt(k, armed, true, math.Inf(-1), opts.Tol); res != nil {
-			if stale {
-				s.ws.uses = 0
+		if attempted = k != nil; attempted {
+			if res := s.attempt(k, armed, true, math.Inf(-1), opts.Tol); res != nil {
+				if stale {
+					s.ws.uses = 0
+				}
+				s.ws.uses++
+				s.ws.stamp = m.stamp
+				s.out.Path, s.out.Sparse = "hot", sparse
+				return res, nil
 			}
-			s.ws.uses++
-			s.ws.stamp = m.stamp
-			s.out.Path, s.out.Sparse = "hot", sparse
-			return res, nil
 		}
 		s.ws = retained{}
 	}
-	// The dense kernel refuses an empty seed (there is nothing to crash,
-	// and that is no failed attempt); the sparse one crashes all-slack.
-	var k kernel
 	if sparse {
-		k = newSparseSolveIn(m, opts, &s.sparse)
-	} else if seed.Size() > 0 {
-		k = newWarmTableauIn(m, opts, &s.warm)
-	}
-	if k != nil {
 		attempted = true
-		s.ws = retained{} // the build reused the retained kernel's workspace
-		if res := s.attempt(k, k.importBasis(seed), true, math.Inf(-1), opts.Tol); res != nil {
+		s.ws = retained{} // the build reuses the retained kernel's workspace
+		k := newSparseSolveIn(m, opts, &s.sparse)
+		if res := s.attempt(k, k.crash(nil), true, math.Inf(-1), opts.Tol); res != nil {
 			if keep {
 				s.ws = retained{k: k, stamp: m.stamp}
 			}
-			s.out.Path, s.out.Sparse = "import", sparse
+			s.out.Path, s.out.Sparse = "fresh", true
 			return res, nil
 		}
 	}
-	if attempted {
-		s.out.FellBack = true
+	s.out.FellBack = attempted
+	res, err := s.solveCold(m, opts)
+	if keep && err == nil {
+		s.ws = retained{k: &s.cold, stamp: m.stamp} // handed over when next asked
 	}
-	return s.solveCold(m, opts)
+	return res, err
+}
+
+// sparseAt reports whether m's warm paths run on the LU kernel.
+func (s *Solver) sparseAt(m *Model) bool {
+	if s.minRows > 0 {
+		return len(m.rows) >= s.minRows
+	}
+	return len(m.rows) >= sparseMinRows
 }
 
 // Checkpoint keeps the final kernel of the preceding solve on s — a warm
 // one, or a trial, that ended Optimal — as the state Trial starts from,
 // reporting whether it could (a failed solve leaves no kernel). A cold
-// solve's final basis is first crashed into a warm kernel (rewarm), which
-// the next SolveWarm resumes hot. That SolveWarm resumes where the solve
-// before the trials left the kernel: trials do not move the hot chain.
+// solve's optimum is first handed to the warm kernel (rewarm), which the
+// next SolveWarm resumes hot; the work is owed to the next solve on s.
+// That SolveWarm resumes where the solve before the trials left the
+// kernel: trials do not move the hot chain.
 func (s *Solver) Checkpoint() bool {
 	k, cp := s.last, &s.cp
 	if k == kernel(&s.cold) {
-		k = s.rewarm()
+		k, cp.owed = s.rewarm()
 	}
 	if k == nil {
 		return false
@@ -408,23 +321,46 @@ func (s *Solver) Checkpoint() bool {
 	return true
 }
 
-// rewarm re-solves the cold tableau's model from its final basis on the
-// warm ladder, whose import rung crashes it into the kernel the model's
-// size selects, retained hot; the work is owed to the next solve. Nil when
-// the basis is not representable or the import did not answer.
-func (s *Solver) rewarm() kernel {
-	b, ok := s.cold.exportBasis()
-	if !ok {
-		return nil
+// handOver builds the warm kernel m's size selects, retained, and crashes
+// into it the basis the cold tableau ended with — structural and slack
+// columns are numbered alike on every layout — reporting whether it went
+// in whole. The costs in place are zero, as after any crash. Nil when an
+// artificial is still basic (degenerate redundant rows).
+func (s *Solver) handOver(m *Model, opts Options) (k kernel, armed bool) {
+	t := &s.cold
+	for _, c := range t.basis {
+		if c >= t.artStart {
+			return nil, false
+		}
+	}
+	if s.sparseAt(m) {
+		k = newSparseSolveIn(m, opts, &s.sparse)
+	} else {
+		k = newWarmTableauIn(m, opts, &s.warm)
+	}
+	s.ws, s.cp.k = retained{k: k, stamp: m.stamp}, nil // the build reused their workspace
+	return k, k.crash(t.basis)
+}
+
+// rewarm hands the cold tableau's optimum to the warm kernel and drives it
+// to the optimum it already is, retained hot. It returns that kernel, nil
+// when the hand-over or the attempt failed, and what it cost as crash work
+// and refactorizations; s's outcome is left as it was.
+func (s *Solver) rewarm() (kernel, Outcome) {
+	t := &s.cold
+	k, armed := s.handOver(t.m, t.opts)
+	if k == nil {
+		return nil, Outcome{}
 	}
 	out := s.out
-	_, err := s.solve(s.cold.model(), b, s.cold.opts, true)
-	imported := err == nil && s.out.Path == "import"
-	s.cp.owed = Outcome{ImportPivots: s.out.ImportPivots + s.out.WarmPivots + s.out.AbandonedPivots, ColdPivots: s.out.ColdPivots, Refactors: s.out.Refactors}
-	if s.out = out; !imported {
-		return nil
+	s.out = Outcome{}
+	res := s.attempt(k, armed, true, math.Inf(-1), t.opts.Tol)
+	work := Outcome{ImportPivots: s.out.ImportPivots + s.out.WarmPivots + s.out.AbandonedPivots, Refactors: s.out.Refactors}
+	if s.out = out; res == nil {
+		s.ws = retained{}
+		return nil, work
 	}
-	return s.last
+	return k, work
 }
 
 // Trial solves m — the checkpointed model, only its numbers changed since
@@ -433,7 +369,7 @@ func (s *Solver) rewarm() kernel {
 // kernel in its place. A trial that would refactorize, breaks down, finds
 // the model infeasible or fails the audit returns nil, and the caller goes
 // on down the ladder on another solver: the kernel's factors are the
-// checkpoint's, so no import may run on this one. With no checkpoint for
+// checkpoint's, so no fresh start may run on this one. With no checkpoint for
 // m at its stamp, Trial returns nil at once.
 //
 // cutoff, in the model's own direction, is what the caller needs the
@@ -555,18 +491,6 @@ func (s *Solver) bookCrash(k kernel) {
 // LastOutcome reports how the most recent solve ran.
 func (s *Solver) LastOutcome() Outcome { return s.out }
 
-// ExportBasis returns the final basis of the immediately preceding solve
-// on this Solver, by name. It fails when that solve did not end Optimal
-// or when an artificial variable is still basic (degenerate redundant
-// rows), in which case the caller keeps its previous seed. The basis is
-// only meaningful until the next solve on this Solver.
-func (s *Solver) ExportBasis() (*Basis, bool) {
-	if s.last == nil {
-		return nil, false
-	}
-	return s.last.exportBasis()
-}
-
 func (s *Solver) solveCold(m *Model, opts Options) (*Result, error) {
 	t := newTableauIn(m, opts, &s.cold)
 	st := t.run()
@@ -664,7 +588,7 @@ func newWarmTableauIn(m *Model, opts Options, t *tableau) *tableau {
 		}
 		r[t.artStart+i] = 1
 		t.dualCol[i], t.dualSign[i] = t.artStart+i, 1
-		t.basis[i] = -1 // assigned by importBasis
+		t.basis[i] = -1 // assigned by crash
 	}
 	return t
 }
@@ -721,61 +645,26 @@ func (t *tableau) rearm(m *Model, opts Options, stale bool) bool {
 
 // refactorize builds the tableau again from its model and crashes its basis
 // back in, shedding the drift its pivots accumulated; the costs in place are
-// zero after it, as after an import. False: the basis went singular.
+// zero after it, as after a crash. False: the basis went singular.
 func (t *tableau) refactorize() bool {
-	basis := append(t.seed[:0], t.basis...)
+	basis := append(t.saved[:0], t.basis...)
 	newWarmTableauIn(t.m, t.opts, t)
 	ok := t.crash(basis)
-	t.seed, t.crashed, t.refactors = basis, 0, 1
+	t.saved, t.crashed, t.refactors = basis, 0, 1
 	return ok
 }
 
-// exportBasis names the basic columns. A cold tableau may still hold an
-// artificial in the basis (degenerate redundant rows): not representable.
-func (t *tableau) exportBasis() (*Basis, bool) {
-	slackOwner := make([]int, t.artStart-t.n)
-	for i := range slackOwner {
-		slackOwner[i] = -1
-	}
-	for r, c := range t.rowSlack {
-		if c >= 0 {
-			slackOwner[c-t.n] = r
-		}
-	}
-	b := emptyBasis(t.basis, t.n)
-	for _, c := range t.basis {
-		switch {
-		case c >= 0 && c < t.n:
-			b.vars = append(b.vars, t.m.names[c])
-		case c >= t.n && c < t.artStart && slackOwner[c-t.n] >= 0:
-			b.slackRows = append(b.slackRows, t.m.rows[slackOwner[c-t.n]].name)
-		default:
-			return nil, false
-		}
-	}
-	return b, true
-}
-
-// importPivTol is the minimum pivot magnitude accepted while crashing a
-// named basis; anything smaller is treated as singular.
-const importPivTol = 1e-7
-
-// importBasis pivots the named basis members into the warm tableau.
-// Unknown names and columns that turn out linearly dependent are dropped;
-// rows left uncovered fall back to their own slack. It returns false —
-// leaving the caller to go cold — when a row cannot be covered at all
-// (uncovered EQ row, or a singular slack pivot).
-func (t *tableau) importBasis(b *Basis) bool {
-	var cols []int
-	cols, t.seed = b.members(t.m, t.rowSlack, t.seed)
-	return t.crash(cols)
-}
+// crashPivTol is the minimum pivot magnitude accepted while crashing a
+// basis; anything smaller is treated as singular.
+const crashPivTol = 1e-7
 
 // crash pivots cols into a freshly built tableau, then slacks into the
-// rows left uncovered (see importBasis).
+// rows left uncovered (see kernel.crash): false — the caller goes cold —
+// when a row cannot be covered at all (an uncovered EQ row, or a singular
+// slack pivot).
 func (t *tableau) crash(cols []int) bool {
 	for _, c := range cols {
-		best, bestAbs := -1, importPivTol
+		best, bestAbs := -1, crashPivTol
 		for r := 0; r < t.a.Rows; r++ {
 			if t.basis[r] >= 0 {
 				continue
@@ -785,7 +674,7 @@ func (t *tableau) crash(cols []int) bool {
 			}
 		}
 		if best < 0 {
-			continue // dependent on columns already imported: drop it
+			continue // dependent on columns already crashed in: drop it
 		}
 		t.pivot(best, c)
 		t.crashed++
@@ -795,7 +684,7 @@ func (t *tableau) crash(cols []int) bool {
 			continue
 		}
 		c := t.rowSlack[r]
-		if c < 0 || math.Abs(t.a.At(r, c)) <= importPivTol {
+		if c < 0 || math.Abs(t.a.At(r, c)) <= crashPivTol {
 			return false
 		}
 		t.pivot(r, c)

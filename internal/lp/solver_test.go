@@ -68,7 +68,6 @@ func TestWarmEquivalenceProperty(t *testing.T) {
 	for seedIdx, rngSeed := range []int64{1, 7, 42, 1337} {
 		rng := rand.New(rand.NewSource(rngSeed))
 		sDense, sSparse := onDense(), onSparse()
-		var seedDense, seedSparse *Basis
 		sawSparse := false
 		for slot := 0; slot < 12; slot++ {
 			rhsScale := 0.8 + 0.4*rng.Float64()
@@ -97,18 +96,12 @@ func TestWarmEquivalenceProperty(t *testing.T) {
 					t.Fatalf("rng %d slot %d: %s solution infeasible: %v", seedIdx, slot, name, err)
 				}
 			}
-			warm, err := sDense.SolveWarm(m, seedDense, Options{})
+			warm, err := sDense.SolveWarm(m, nil, Options{})
 			check("dense-warm", sDense, warm, err)
-			sp, spErr := sSparse.SolveWarm(m, seedSparse, Options{})
+			sp, spErr := sSparse.SolveWarm(m, nil, Options{})
 			check("sparse", sSparse, sp, spErr)
 			if sSparse.LastOutcome().Sparse {
 				sawSparse = true
-			}
-			if b, ok := sDense.ExportBasis(); ok {
-				seedDense = b
-			}
-			if b, ok := sSparse.ExportBasis(); ok {
-				seedSparse = b
 			}
 		}
 		if !sawSparse {
@@ -122,20 +115,18 @@ func TestWarmEquivalenceProperty(t *testing.T) {
 // dual pivots alone, without refactorization or artificials.
 func TestDualIterateRepairsRHS(t *testing.T) {
 	var s Solver
-	m0 := buildTransportLP(1, 1)
-	if _, err := s.Solve(m0, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	seed, _ := s.ExportBasis()
-	if _, err := s.SolveSeeded(m0, seed, Options{}); err != nil {
-		t.Fatal(err) // arms a warm tableau inside the solver
+	if _, err := s.SolveWarm(buildTransportLP(1, 1), nil, Options{}); err != nil {
+		t.Fatal(err) // the cold optimum arms a warm tableau inside the solver
 	}
 	// Tighten capacities by 20%: the retained basis becomes primal
 	// infeasible and only the dual phase can repair it.
 	m1 := buildTransportLP(0.8, 1)
-	res, err := s.SolveWarm(m1, seed, Options{})
+	res, err := s.SolveWarm(m1, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if out := s.LastOutcome(); out.Path != "hot" {
+		t.Fatalf("outcome %+v, want a hot re-solve", out)
 	}
 	cold, err := m1.SolveOpts(Options{})
 	if err != nil {

@@ -8,11 +8,11 @@ import (
 )
 
 // sparseMinRows is the row count from which a Solver's warm rungs run on
-// the LU kernel below; smaller LPs stay on the dense warm tableau. It is
-// the smallest size in BenchmarkKernelCrossover's sweep from which the LU
-// kernel wins both a hot re-solve and a seeded import (DESIGN §12.1 has the
-// table and the end-to-end runs on either side of it). The cold anchor is
-// dense at every size.
+// the LU kernel below, a fresh start included; smaller LPs start cold and
+// re-solve on the dense warm tableau. It is the smallest size in
+// BenchmarkKernelCrossover's sweep from which the LU kernel wins a hot
+// re-solve (DESIGN §12.1 has the table and the end-to-end runs on either
+// side of it). The cold anchor is dense at every size.
 const sparseMinRows = 32
 
 // sparseRefactorEvery bounds the product-form eta file: once this many
@@ -51,7 +51,6 @@ type sparseSolve struct {
 	val, rval []float64
 
 	rowSlack []int // row -> slack column, -1 for EQ rows
-	slackRow []int // slack column - n -> row
 
 	obj []float64 // internal maximization costs per column (dir·c, slacks 0)
 	// d[j] = obj[j] − a_jᵀy is column j's reduced cost, exactly 0 while j
@@ -70,8 +69,8 @@ type sparseSolve struct {
 	xB      []float64
 
 	iters     int
-	crashed   int // columns importBasis eliminated into lu, outside iters
-	refactors int // refactorizations since rearm or import
+	crashed   int // columns crash eliminated into lu, outside iters
+	refactors int // refactorizations since rearm or crash
 	cursor    int // partial-pricing scan position
 	walked    walked
 	// held says the factors are a checkpoint's (see Solver.Trial): a pivot
@@ -88,15 +87,14 @@ type sparseSolve struct {
 type walked struct{ image, rho, row int }
 
 // sparseArena is the part of a sparseSolve that outlives a solve: the two
-// slabs every array above is cut from, the factors, eta file and work
-// vectors (each recycling its own storage) and the seed-resolution scratch.
-// A Solver keeps one kernel and newSparseSolveIn rebuilds it in place.
+// slabs every array above is cut from and the factors, eta file and work
+// vectors (each recycling its own storage). A Solver keeps one kernel and
+// newSparseSolveIn rebuilds it in place.
 type sparseArena struct {
 	ints   []int
 	floats []float64
 	lu     linalg.SparseLU
 	etas   linalg.EtaFile
-	seed   []int
 	// w is the entering column's FTRAN image (by basis position), unit a
 	// BTRAN's right-hand side (e_r, or c_B), rho the row of B⁻¹ and y the
 	// multipliers those yield (by row) and alpha the pivot row rhoᵀA (by
@@ -106,7 +104,7 @@ type sparseArena struct {
 
 // newSparseSolveIn builds the CSC and CSR representations and scratch state
 // for m in ss's arena (a fresh kernel when ss is nil). The basis is
-// established later by importBasis.
+// established later by crash.
 func newSparseSolveIn(m *Model, opts Options, ss *sparseSolve) *sparseSolve {
 	if ss == nil {
 		ss = new(sparseSolve)
@@ -126,14 +124,14 @@ func newSparseSolveIn(m *Model, opts Options, ss *sparseSolve) *sparseSolve {
 		nnz += len(m.rows[i].terms)
 	}
 	ss.ncols = n + slacks
-	// ints: ptr, rptr, ind, rind, rowSlack, slackRow, count, basis, inBasis;
-	// floats: val, rval, obj, d, xB — every carve below.
-	ss.ints = zeroed(ss.ints, 3*ss.ncols+2+2*nnz+3*rows+slacks)
+	// ints: ptr, rptr, ind, rind, rowSlack, count, basis, inBasis; floats:
+	// val, rval, obj, d, xB — every carve below.
+	ss.ints = zeroed(ss.ints, 3*ss.ncols+2+2*nnz+3*rows)
 	ss.floats = zeroed(ss.floats, 2*nnz+2*ss.ncols+rows)
 	ints, floats := ss.ints, ss.floats
 	ss.ptr, ss.ind, ss.val = linalg.Carve(&ints, ss.ncols+1), linalg.Carve(&ints, nnz), linalg.Carve(&floats, nnz)
 	ss.rptr, ss.rind, ss.rval = linalg.Carve(&ints, rows+1), linalg.Carve(&ints, nnz), linalg.Carve(&floats, nnz)
-	ss.rowSlack, ss.slackRow = linalg.Carve(&ints, rows), linalg.Carve(&ints, slacks)
+	ss.rowSlack = linalg.Carve(&ints, rows)
 
 	// Column counting pass, then fill; the rows arrive row by row, so the
 	// CSR copy fills in the same walk. Duplicate terms are kept as-is: every
@@ -149,7 +147,6 @@ func newSparseSolveIn(m *Model, opts Options, ss *sparseSolve) *sparseSolve {
 		ss.rowSlack[i] = -1
 		if m.rows[i].sense != EQ {
 			ss.rowSlack[i] = sc
-			ss.slackRow[sc-n] = i
 			count[sc]++
 			sc++
 		}
@@ -245,19 +242,16 @@ func (ss *sparseSolve) reprice() {
 	}
 }
 
-// importBasis assembles the starting basis and its basic solution: seed
-// members first (unknown names and linearly dependent columns dropped,
-// exactly like the dense import), then slack columns until every row is
-// covered — with no seed at all, the all-slack basis. It fails — sending
-// the caller to the cold path — when no complete basis emerges (e.g. an
-// EQ row no seed column covers). The costs of a fresh kernel are zero, and
-// so are its multipliers and reduced costs: the trivially dual-feasible
-// row the repair phase needs.
-func (ss *sparseSolve) importBasis(seed *Basis) bool {
-	ss.lu.Reset(ss.rows, importPivTol)
+// crash assembles the starting basis and its basic solution: cols first
+// (linearly dependent ones dropped, exactly like the dense crash), then
+// slack columns until every row is covered — with no cols, the all-slack
+// basis. It fails — sending the caller to the cold path — when no complete
+// basis emerges (e.g. an EQ row no column covers). The costs of a fresh
+// kernel are zero, and so are its multipliers and reduced costs: the
+// trivially dual-feasible row the repair phase needs.
+func (ss *sparseSolve) crash(cols []int) bool {
+	ss.lu.Reset(ss.rows, crashPivTol)
 	ss.basis = ss.basis[:0]
-	var cols []int
-	cols, ss.seed = seed.members(ss.m, ss.rowSlack, ss.seed)
 	for _, c := range cols {
 		if ss.lu.Complete() {
 			break
@@ -729,18 +723,4 @@ func (ss *sparseSolve) rearm(m *Model, opts Options, stale bool) bool {
 	}
 	ss.computeXB()
 	return true
-}
-
-// exportBasis names the basic columns; sparse bases hold only structural
-// and slack columns by construction, so they are always representable.
-func (ss *sparseSolve) exportBasis() (*Basis, bool) {
-	b := emptyBasis(ss.basis, ss.n)
-	for _, c := range ss.basis {
-		if c < ss.n {
-			b.vars = append(b.vars, ss.m.names[c])
-		} else {
-			b.slackRows = append(b.slackRows, ss.m.rows[ss.slackRow[c-ss.n]].name)
-		}
-	}
-	return b, true
 }

@@ -12,8 +12,8 @@ func onDense() *Solver  { return &Solver{minRows: math.MaxInt} }
 func onSparse() *Solver { return &Solver{minRows: 1} }
 
 // buildInequalityLP builds a small profit-style LP with only LE/GE rows —
-// no EQ row — so the sparse all-slack crash basis always exists and even a
-// seedless first solve can take the sparse import path. The GE row makes
+// no EQ row — so the sparse all-slack crash basis always exists and a
+// first solve can take the sparse fresh start. The GE row makes
 // the all-slack start primal infeasible, exercising the zero-cost dual
 // repair phase.
 func buildInequalityLP(scale float64) *Model {
@@ -38,8 +38,8 @@ func requireClose(t *testing.T, what string, got, want float64) {
 }
 
 // TestSparseEmptySeedImportsOnInequalityLP verifies the all-slack crash:
-// with no EQ rows a seedless sparse solve takes the import path directly
-// — no dense tableau is ever built for the LP.
+// with no EQ rows a first sparse solve takes the fresh start directly — no
+// dense tableau is ever built for the LP.
 func TestSparseEmptySeedImportsOnInequalityLP(t *testing.T) {
 	s := onSparse()
 	m := buildInequalityLP(1)
@@ -48,8 +48,8 @@ func TestSparseEmptySeedImportsOnInequalityLP(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := s.LastOutcome()
-	if out.Path != "import" || !out.Sparse || out.FellBack {
-		t.Fatalf("outcome %+v, want sparse import without fallback", out)
+	if out.Path != "fresh" || !out.Sparse || out.FellBack {
+		t.Fatalf("outcome %+v, want a sparse fresh start without fallback", out)
 	}
 	cold, err := m.SolveOpts(Options{})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestSparseEmptySeedImportsOnInequalityLP(t *testing.T) {
 // TestKernelRuleIsRowCount pins the selection rule: a plain Solver runs a
 // chain below sparseMinRows rows to the bit as one pinned to the dense
 // kernel does, and a chain from sparseMinRows rows up as one pinned to the
-// LU kernel does — results, outcomes and exported bases — and the
+// LU kernel does — results and outcomes — and the
 // deprecated Options.Sparse moves neither.
 func TestKernelRuleIsRowCount(t *testing.T) {
 	for _, tc := range []struct {
@@ -93,11 +93,10 @@ func TestKernelRuleIsRowCount(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/Sparse=%v", tc.name, flag), func(t *testing.T) {
 				var plain Solver
 				pinned := tc.pinned()
-				seed := seedFor(t, driftRHS(packingLP(81, tc.rows, tc.cols), 0.3))
 				for slot := 0; slot < 5; slot++ {
 					m := func() *Model { return driftRHS(packingLP(81, tc.rows, tc.cols), 0.03*float64(slot)) }
-					want := snapshot(t, pinned, pinned.SolveWarm, m(), seed, Options{})
-					requireIdentical(t, fmt.Sprintf("slot %d", slot), snapshot(t, &plain, plain.SolveWarm, m(), seed, Options{Sparse: flag}), want)
+					want := snapshot(t, pinned, true, m(), Options{})
+					requireIdentical(t, fmt.Sprintf("slot %d", slot), snapshot(t, &plain, true, m(), Options{Sparse: flag}), want)
 					if want.Out.Sparse != (tc.rows >= sparseMinRows) || want.Out.FellBack {
 						t.Fatalf("slot %d: outcome %+v on a %d-row LP", slot, want.Out, tc.rows)
 					}

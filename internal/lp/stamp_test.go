@@ -19,14 +19,13 @@ func TestRefreshedInPlaceSolvesHot(t *testing.T) {
 	for _, fx := range stampFixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			m := packingLP(51, fx.rows, fx.cols)
-			seed := seedFor(t, driftRHS(packingLP(51, fx.rows, fx.cols), 0.3))
 			var s Solver
-			if _, err := s.SolveWarm(m, seed, Options{}); err != nil {
+			if _, err := s.SolveWarm(m, nil, Options{}); err != nil {
 				t.Fatal(err)
 			}
 			for step, d := range []float64{0.05, -0.04, 0.11} {
 				fresh := driftRHS(packingLP(51, fx.rows, fx.cols), d)
-				res, err := s.SolveWarm(copyNumbers(m, fresh), seed, Options{})
+				res, err := s.SolveWarm(copyNumbers(m, fresh), nil, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -44,7 +43,7 @@ func TestRefreshedInPlaceSolvesHot(t *testing.T) {
 // again, identically or not, or grown by a row, or turned around — is the
 // same object and would compare equal to itself, while the kernel's matrix
 // is a copy of rows that are gone. Every such edit moves the stamp, so the
-// solve re-imports, and answers for the model as it now is.
+// solve starts over, and answers for the model as it now is.
 func TestRefilledInPlaceIsNotHot(t *testing.T) {
 	edits := []struct {
 		name string
@@ -60,10 +59,10 @@ func TestRefilledInPlaceIsNotHot(t *testing.T) {
 		for _, e := range edits {
 			t.Run(fx.name+"/"+e.name, func(t *testing.T) {
 				m := packingLP(61, fx.rows, fx.cols)
-				seed := seedFor(t, driftRHS(packingLP(61, fx.rows, fx.cols), 0.3))
+				start := map[bool]string{false: "cold", true: "fresh"}[fx.rows >= sparseMinRows]
 				var s Solver
-				for i := 0; i < 2; i++ { // import, then hot: the kernel is retained
-					if _, err := s.SolveWarm(m, seed, Options{}); err != nil {
+				for i := 0; i < 2; i++ { // a start, then hot: the kernel is retained
+					if _, err := s.SolveWarm(m, nil, Options{}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -71,17 +70,17 @@ func TestRefilledInPlaceIsNotHot(t *testing.T) {
 					t.Fatalf("fixture: untouched model re-solved by %q, want hot", out.Path)
 				}
 				e.edit(m, fx.rows, fx.cols)
-				res, err := s.SolveWarm(m, seed, Options{})
+				res, err := s.SolveWarm(m, nil, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if out := s.LastOutcome(); out.Path != "import" {
-					t.Fatalf("outcome %+v: a refilled model must be imported afresh", out)
+				if out := s.LastOutcome(); out.Path != start {
+					t.Fatalf("outcome %+v: a refilled model must start over (%s)", out, start)
 				}
 				requireMatchesCold(t, m, res)
 				// And the chain is hot again on the refilled model.
-				if _, err := s.SolveWarm(m, seed, Options{}); err != nil || s.LastOutcome().Path != "hot" {
-					t.Fatalf("after the import: err %v, path %q, want hot", err, s.LastOutcome().Path)
+				if _, err := s.SolveWarm(m, nil, Options{}); err != nil || s.LastOutcome().Path != "hot" {
+					t.Fatalf("after the start: err %v, path %q, want hot", err, s.LastOutcome().Path)
 				}
 			})
 		}
@@ -90,35 +89,27 @@ func TestRefilledInPlaceIsNotHot(t *testing.T) {
 
 // TestStaleRearmMatchesFreshImport: at the drift bound the sparse kernel
 // refactorizes in place, and the basic solution that leaves it with is the
-// one a fresh import of the same basis, in the same order, computes for
-// the new right-hand sides — to the bit.
+// one a fresh crash of the same basis, in the same order, computes for the
+// new right-hand sides — to the bit.
 func TestStaleRearmMatchesFreshImport(t *testing.T) {
 	m := packingLP(71, 90, 200)
-	var first Solver
-	if _, err := first.Solve(m, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	basis, _ := first.ExportBasis()
-	// Imported at its own optimum the basis stays put, in seed order.
 	var s Solver
-	if _, err := s.SolveWarm(m, basis, Options{}); err != nil {
+	if _, err := s.SolveWarm(m, nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	k := s.ws.k.(*sparseSolve)
-	if k.iters != 0 {
-		t.Fatalf("fixture: the optimal basis took %d pivots to import", k.iters)
-	}
+	basis := append([]int(nil), k.basis...)
 	next := driftRHS(packingLP(71, 90, 200), 0.02)
 	if !k.rearm(next, Options{}, true) {
 		t.Fatal("stale re-arm refused")
 	}
 	fresh := newSparseSolveIn(next, Options{}, nil)
-	if !fresh.importBasis(basis) {
-		t.Fatal("fresh import failed")
+	if !fresh.crash(basis) {
+		t.Fatal("fresh crash failed")
 	}
 	for i := range fresh.xB {
 		if fresh.basis[i] != k.basis[i] || math.Float64bits(fresh.xB[i]) != math.Float64bits(k.xB[i]) {
-			t.Fatalf("position %d: stale re-arm holds column %d at %v, a fresh import column %d at %v", i, k.basis[i], k.xB[i], fresh.basis[i], fresh.xB[i])
+			t.Fatalf("position %d: stale re-arm holds column %d at %v, a fresh crash column %d at %v", i, k.basis[i], k.xB[i], fresh.basis[i], fresh.xB[i])
 		}
 	}
 }

@@ -67,12 +67,7 @@ func FuzzTrialRollback(f *testing.F) {
 			if kernel == "sparse" {
 				s = onSparse()
 			}
-			var cold Solver
-			if _, err := cold.Solve(m, Options{}); err != nil {
-				t.Fatal(err)
-			}
-			basis, _ := cold.ExportBasis()
-			first, err := s.SolveWarm(m, basis, Options{})
+			first, err := s.SolveWarm(m, nil, Options{})
 			if err != nil || !s.Checkpoint() {
 				t.Fatalf("%s: no warm kernel to checkpoint (%v)", kernel, err)
 			}

@@ -53,7 +53,7 @@ race:
 # some blocks, the window cut short, allowances changed. FuzzBigMOracle
 # decodes small systems (≤ 2 centers × 2 front-ends × 2 types, ≤ 3
 # levels) and holds the level searches and Optimized's greedy seed to the
-# paper's program solved exactly (DESIGN §16). FuzzRoutePass decodes small
+# paper's program solved exactly (DESIGN §15). FuzzRoutePass decodes small
 # systems (≤ 4 front-ends, ≤ 3 levels) and holds the planner's route pass
 # to UnitProfit bit for bit: the best route and every λ's LP coefficient.
 fuzz:

@@ -401,10 +401,10 @@ func TestMPCHorizonTrajectory(t *testing.T) {
 // benchmarks: the Section VII two-level topology grown to the scale of
 // the rob2-chaos storm experiment — a third request class and a third,
 // energy-expensive data center that is unprofitable for every class.
-// The exhaustive level space has 2^9 = 512 assignments, but every
-// choice on the unprofitable center's pairs filters to the same
-// commodity set, so only 2^6 = 64 distinct subset LPs exist: the
-// redundancy the engine's memo cache is built to collapse.
+// The exhaustive level space has 3^9 = 19 683 assignments (each pair's
+// two levels and off), but every choice on the unprofitable center's
+// pairs filters to the same commodity set, so only 3^6 = 729 distinct
+// subset LPs exist: the redundancy the engine's memo cache collapses.
 func rob2ChaosScaleInput() *core.Input {
 	sys := &datacenter.System{
 		Classes: []datacenter.RequestClass{
@@ -734,7 +734,7 @@ func TestWarmStartTrajectory(t *testing.T) {
 // start over on the LU kernel from the all-slack basis, with no fallback,
 // to the cold planner's objective within 1e-7; the slot after is hot
 // again. Each slot's time is logged against the median of the steady
-// ones, ungated: DESIGN §16 states the cost of starting over there.
+// ones, ungated: DESIGN §15 states the cost of starting over there.
 func TestLargeOutageStartsOver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two cold solves of a ~2160-row LP")

@@ -22,28 +22,97 @@ const (
 )
 
 var (
-	// designRef matches "DESIGN §7.4" or "DESIGN.md §12", also when a
-	// line break (and a comment marker) falls between the two words.
-	designRef     = regexp.MustCompile(`DESIGN(?:\.md)?(?:\s|//|#)*§\s*(\d+(?:\.\d+)?)`)
+	// designRef matches "DESIGN §7.4", "DESIGN.md §12" or a list such as
+	// "DESIGN §3, §7 and §12.3", also when a line break (and a comment
+	// marker) falls inside; sectionRef is each "§N[.M]" in it, and the
+	// whole of it in the documents that describe the repository.
+	designRef     = regexp.MustCompile(`DESIGN(?:\.md)?` + refGap + `§\s*\d+(?:\.\d+)?(?:` + refGap + `(?:,|and|or)` + refGap + `§\s*\d+(?:\.\d+)?)*`)
+	sectionRef    = regexp.MustCompile(`§\s*(\d+(?:\.\d+)?)`)
 	designHeading = regexp.MustCompile(`(?m)^(?:## (\d+)\.|### (\d+\.\d+)) `)
+	// citedFunc is a test, fuzz target or benchmark a document names; a
+	// trailing * makes it a prefix. testFunc is one declared in the tree.
+	citedFunc = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*\*?`)
+	testFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	// lineRef and prNumber are what the current-state documents do not
 	// carry: line numbers rot, and history belongs in CHANGES.md.
 	lineRef  = regexp.MustCompile(`\.go:\d+`)
 	prNumber = regexp.MustCompile(`PR \d+`)
 )
 
-// TestDesignReferences fails on any "DESIGN §N[.M]" in the repository's
-// code and documents that names no section of DESIGN.md, on a DESIGN.md
-// over designMaxBytes or a README.md over readmeMaxBytes, and on a
-// "file.go:<line>" link or a "PR <n>" in README.md, DESIGN.md or the
-// verify skill. CHANGES.md is history, so it may name sections that have
-// since moved.
+// refGap is what may stand between the parts of a section reference:
+// space, a line break and a comment marker.
+const refGap = `(?:\s|//|#)*`
+
+// TestDesignReferences fails on a DESIGN.md over designMaxBytes or a
+// README.md over readmeMaxBytes; on any "§N[.M]" in DESIGN.md, README.md
+// or the verify skill, and any "DESIGN §N[.M]" (or list of sections) in
+// the repository's other code and documents, that names no section of
+// DESIGN.md; on a Test, Fuzz or Benchmark name those three documents cite
+// that no function in the tree has (a trailing * must match one); and on
+// a "file.go:<line>" link or a "PR <n>" in them. CHANGES.md is history,
+// so it may name sections and tests that have since moved.
 func TestDesignReferences(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sections := map[string]bool{}
+	for _, m := range designHeading.FindAllStringSubmatch(string(design), -1) {
+		sections[m[1]+m[2]] = true
+	}
 	skill := filepath.Join(".claude", "skills", "verify", "SKILL.md")
+	docs := map[string]bool{"DESIGN.md": true, "README.md": true, skill: true}
+	var others []string
+	funcs := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(name, ".go") {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range testFunc.FindAllStringSubmatch(string(b), -1) {
+				funcs[m[1]] = true
+			}
+		}
+		if !docs[path] && (name == "Makefile" || strings.HasSuffix(name, ".go") ||
+			(strings.HasSuffix(name, ".md") && name != "CHANGES.md")) {
+			others = append(others, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := func(name string) bool {
+		if prefix, glob := strings.CutSuffix(name, "*"); glob {
+			for f := range funcs {
+				if strings.HasPrefix(f, prefix) {
+					return true
+				}
+			}
+			return false
+		}
+		return funcs[name]
+	}
+	refs, names := 0, 0
+	section := func(path, ref string) {
+		for _, m := range sectionRef.FindAllStringSubmatch(ref, -1) {
+			refs++
+			if !sections[m[1]] {
+				t.Errorf("%s: §%s names no section of DESIGN.md", path, m[1])
+			}
+		}
+	}
 	caps := map[string]int{"DESIGN.md": designMaxBytes, "README.md": readmeMaxBytes}
 	for _, path := range []string{"DESIGN.md", "README.md", skill} {
 		b, err := os.ReadFile(path)
@@ -61,50 +130,25 @@ func TestDesignReferences(t *testing.T) {
 				t.Errorf("%s: carries %q: cite a symbol, and leave history to CHANGES.md", path, m)
 			}
 		}
-	}
-	sections := map[string]bool{}
-	for _, m := range designHeading.FindAllStringSubmatch(string(design), -1) {
-		sections[m[1]+m[2]] = true
-	}
-	files := []string{skill}
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
+		section(path, string(b))
+		for _, name := range citedFunc.FindAllString(string(b), -1) {
+			names++
+			if !cited(name) {
+				t.Errorf("%s: cites %s, which is no function in the tree", path, name)
 			}
-			return nil
 		}
-		if name == "Makefile" || strings.HasSuffix(name, ".go") ||
-			(strings.HasSuffix(name, ".md") && name != "CHANGES.md") {
-			files = append(files, path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	refs := 0
-	for _, path := range files {
+	for _, path := range others {
 		b, err := os.ReadFile(path)
-		if os.IsNotExist(err) {
-			continue
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range designRef.FindAllStringSubmatch(string(b), -1) {
-			refs++
-			if !sections[m[1]] {
-				t.Errorf("%s: DESIGN §%s names no section of DESIGN.md", path, m[1])
-			}
+		for _, m := range designRef.FindAllString(string(b), -1) {
+			section(path, m)
 		}
 	}
-	if refs == 0 {
-		t.Error("found no DESIGN § references: the scan is broken")
+	if refs == 0 || names == 0 || len(funcs) == 0 {
+		t.Errorf("found %d section references, %d cited tests and %d test functions: the scan is broken", refs, names, len(funcs))
 	}
 }
 

@@ -373,7 +373,7 @@ func TestBoundCarriesTheFloorPrice(t *testing.T) {
 // planner's committed objective on the demand- and capacity-limited refine
 // fixtures, and leaves the committed plans' planner state alone: a
 // planner re-plans the slot identically after a bound. The gaps are
-// DESIGN §16's.
+// DESIGN §15's.
 func TestBoundGap(t *testing.T) {
 	for _, fx := range refineFixtures {
 		t.Run(fx.name, func(t *testing.T) {

@@ -65,10 +65,14 @@ type SearchStats struct {
 }
 
 // subsetCache memoizes dispatch-LP solves within a single planning
-// call. The search procedures re-solve byte-identical commodity subsets
-// constantly — both refine seeds of Optimized walk overlapping
-// neighborhoods, and LevelSearch maps many level vectors onto the same
-// filtered commodity set — so a hit skips a full simplex solve.
+// call. LevelSearch's exhaustive and branch-and-bound walks map many level
+// vectors onto the same filtered commodity set — every choice of a pair
+// that earns nothing, off or evicted, leaves the same set — so a hit skips
+// a full simplex solve. Optimized's searches seldom ask twice: the key
+// carries the incumbent's number, so requests made beside different
+// incumbents never share an entry. Per Plan on the rob2-chaos-scale slot
+// (TestPlanSearchTrajectory) exhaustive level search solves 728 LPs and
+// is answered 18 929 times from the memo, warm Optimized 38 and 5.
 //
 // A key holds only what varies within one Plan call: the completion
 // floors, the canonical (k,q,l sorted) commodity set and the identity of

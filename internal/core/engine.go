@@ -32,11 +32,12 @@ type engine struct {
 	held chain
 	// priced makes a solve keep its shadow prices and final basis. It is up
 	// while the planner runs a first-improvement search, which bounds each
-	// move off its incumbent's prices and seeds the survivors from its
-	// basis, and lowered for solves nothing searches from (branch-and-bound's
-	// tree). An entry the memo cache serves may carry prices nobody asked
-	// for, never the reverse: the searching phase comes first. The
-	// per-server layout keeps none (see prices.bound).
+	// move off its incumbent's prices and solves the survivors as trials
+	// from its kernel (see heldUnit), and lowered for solves nothing
+	// searches from (branch-and-bound's tree). An entry the memo cache
+	// serves may carry prices nobody asked for, never the reverse: the
+	// searching phase comes first. The per-server layout keeps none (see
+	// prices.bound).
 	priced bool
 	seeds  uint64 // identities handed to priced solutions
 	// universe is the call's admissible list, admitted under floors, over

@@ -60,7 +60,7 @@ func TestStatsLiveWhenWarmSerial(t *testing.T) {
 	if o.Stats.ColdPivots == 0 {
 		t.Fatalf("first Plan of a fresh planner solves cold, got stats %+v", *o.Stats)
 	}
-	// The second slot re-solves from the first slot's exported basis.
+	// The second slot re-solves the held LP from the first slot's optimum.
 	mustPlan(t, o, in)
 	if o.Stats.WarmHits == 0 {
 		t.Fatalf("second Plan must warm-start, got stats %+v", *o.Stats)

@@ -189,7 +189,7 @@ func (hp *HorizonPlanner) Plan(h *HorizonInput) (*HorizonPlan, error) {
 // slot, each written into the shared model by the slot planners' own
 // structure and numbers passes (block t's arrival rows keep slot t's
 // arrivals as right-hand side), and the coupling this file owns, which
-// moves arrival budget between blocks (DESIGN.md §15.1). Like a
+// moves arrival budget between blocks (DESIGN.md §14.1). Like a
 // dispatchLP's, the structure is rebuilt only when what it was built from
 // changed — the window length, the allowances, a bucket list's depth, any
 // block's shape — and otherwise only numbers move, so the solver that

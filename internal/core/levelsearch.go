@@ -51,6 +51,11 @@ func (s Strategy) String() string {
 // planner searches the assignment space for the most profitable
 // commitment.
 //
+// A pair may also be off: it serves nothing and reserves nothing, the
+// choice the program leaves a pair whose reservation a richer pair needs.
+// Exhaustive and branch-and-bound walk off beside the levels; Greedy's
+// climb moves between levels only.
+//
 // Optimized's split-commodity LP is at least as good on homogeneous
 // centers (it may mix levels within a center); LevelSearch exists as the
 // faithful discrete comparator and for the solver-cost study of Fig. 11.
@@ -76,6 +81,15 @@ func (ls *LevelSearch) Name() string { return "level-search/" + ls.Strategy.Stri
 // pair enumerates the (k, l) grid.
 type pair struct{ k, l int }
 
+// choices is how many values a pair's entry in a level vector takes: its
+// levels 0..NumLevels-1 and off, the index NumLevels. Off is never a
+// commodity's q, so it cannot meet branch-and-bound's relaxation sentinel,
+// which is a commodity's q and never a level vector's entry.
+func choices(sys *datacenter.System, p pair) int { return sys.Classes[p.k].TUF.NumLevels() + 1 }
+
+// isOff reports whether level q of pair p is off.
+func isOff(sys *datacenter.System, p pair, q int) bool { return q == sys.Classes[p.k].TUF.NumLevels() }
+
 func allPairs(sys *datacenter.System) []pair {
 	var pairs []pair
 	for k := 0; k < sys.K(); k++ {
@@ -94,9 +108,9 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 	sys := in.Sys
 
 	pairs := allPairs(sys)
-	space := 1.0
+	space := 1.0 // the walked space: each pair's levels and off
 	for _, p := range pairs {
-		space *= float64(sys.Classes[p.k].TUF.NumLevels())
+		space *= float64(choices(sys, p))
 	}
 
 	strategy := ls.Strategy
@@ -149,7 +163,7 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 
 // assignment is one evaluated level commitment.
 type assignment struct {
-	levels []int // level per pair index
+	levels []int // level per pair index, NumLevels for off
 	comms  []commodity
 	rates  [][]float64
 	obj    float64
@@ -159,13 +173,16 @@ type assignment struct {
 // evaluate builds the one-level-per-pair commodity set and solves its LP,
 // as a move from from, the incumbent it neighbours (nil: none), under
 // cutoff (see engine.solve).
-// Unprofitable or reservation-overloaded pairs are excluded (equivalent to
-// the LP routing nothing there). The set is built in the planner's held
+// Off, unprofitable or reservation-overloaded pairs are excluded (equivalent
+// to the LP routing nothing there). The set is built in the planner's held
 // lists; what is solved is a copy, the assignment's.
 func evaluate(eng *engine, pairs []pair, levels []int, from *prices, cutoff float64) (assignment, error) {
 	sc := eng.scratch
 	sc.pick = sc.pick[:0]
 	for pi, p := range pairs {
+		if isOff(eng.in.Sys, p, levels[pi]) {
+			continue
+		}
 		if c := eng.levelCommodity(p, levels[pi]); c.bestCoef > 0 {
 			sc.pick = append(sc.pick, c)
 		}
@@ -199,8 +216,8 @@ func (e *engine) levelCommodity(p pair, q int) commodity {
 	return commodity{k: p.k, q: q, l: p.l, utility: lev.Utility, deadline: lev.Deadline, bestCoef: best}
 }
 
-// exhaustive enumerates the mixed-radix level space in odometer order;
-// the winner is the first assignment to reach the maximum.
+// exhaustive enumerates the mixed-radix level space, off included, in
+// odometer order; the winner is the first assignment to reach the maximum.
 func exhaustive(eng *engine, pairs []pair) (assignment, error) {
 	sys := eng.in.Sys
 	levels := make([]int, len(pairs))
@@ -217,7 +234,7 @@ func exhaustive(eng *engine, pairs []pair) (assignment, error) {
 		i := 0
 		for ; i < len(pairs); i++ {
 			levels[i]++
-			if levels[i] < sys.Classes[pairs[i].k].TUF.NumLevels() {
+			if levels[i] < choices(sys, pairs[i]) {
 				break
 			}
 			levels[i] = 0
@@ -328,14 +345,14 @@ func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 	}
 }
 
-// branchBound explores assignments depth first; the bound at a partial
-// node relaxes every unassigned pair to its best utility with no deadline,
-// which can only overestimate the achievable profit. Its loosest deadline
-// would not do: a leaf may leave the pair out (unprofitable at its level,
-// or evicted by capReservations) and reserve no share for it. Pruning
-// keeps a margin — a subtree is cut only when its relaxation bound is
-// strictly below the incumbent minus improveTol — so no assignment tied with the
-// optimum is ever pruned. Among ties the first leaf in DFS order wins, and
+// branchBound explores assignments, off included, depth first; the bound
+// at a partial node relaxes every unassigned pair to its best utility with
+// no deadline, which can only overestimate the achievable profit. Its
+// loosest deadline would not do: a leaf may leave the pair out (off,
+// unprofitable at its level, or evicted by capReservations) and reserve no
+// share for it. Pruning keeps a margin — a subtree is cut only when its
+// relaxation bound is strictly below the incumbent minus improveTol — so
+// no assignment tied with the optimum is ever pruned. Among ties the first leaf in DFS order wins, and
 // the greedy seed wins all of them.
 func branchBound(eng *engine, pairs []pair) (assignment, error) {
 	// Seed the incumbent with the greedy solution so pruning bites early.
@@ -367,7 +384,7 @@ func branchBound(eng *engine, pairs []pair) (assignment, error) {
 		if ub < best.obj-improveTol || math.IsInf(ub, -1) {
 			return nil
 		}
-		for q := 0; q < sys.Classes[pairs[depth].k].TUF.NumLevels(); q++ {
+		for q := 0; q < choices(sys, pairs[depth]); q++ {
 			levels[depth] = q
 			if err := rec(depth + 1); err != nil {
 				return err
@@ -397,8 +414,8 @@ func Bound(in *Input) (float64, error) {
 }
 
 // upperBound solves the relaxed LP where pairs below depth keep their
-// assigned level and pairs at or beyond depth get max utility with no
-// deadline, so they reserve no share.
+// assigned level (off: left out, as a leaf leaves it) and pairs at or
+// beyond depth get max utility with no deadline, so they reserve no share.
 func upperBound(eng *engine, pairs []pair, levels []int, depth int) (float64, error) {
 	sys, sc := eng.in.Sys, eng.scratch
 	sc.pick = sc.pick[:0]
@@ -407,6 +424,9 @@ func upperBound(eng *engine, pairs []pair, levels []int, depth int) (float64, er
 		var u, d float64
 		var q int
 		if pi < depth {
+			if isOff(sys, p, levels[pi]) {
+				continue
+			}
 			lev := cls.Level(levels[pi])
 			u, d, q = lev.Utility, lev.Deadline, levels[pi]
 		} else {

@@ -34,7 +34,7 @@ func dispatchName(kind, k, q, s, l, g int) string {
 // dispatchNames memoises the aggregated layout's names across a planner's
 // Plan calls. A name is a pure function of its indices, so an entry can
 // never go stale — unlike anything numeric in the model, which is why
-// names are all that is kept (DESIGN.md §12.3). Each kind has a dense
+// names are all that is kept (DESIGN.md §7.6). Each kind has a dense
 // slab strided by the dimensions it uses, filled on first use ("" is an
 // entry not yet spelled).
 type dispatchNames struct {

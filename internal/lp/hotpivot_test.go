@@ -111,7 +111,7 @@ func (d *shaped) refresh(rng *rand.Rand, amp float64) {
 // 2 160-row dispatch-shaped LP re-solved hot across 40 slots of drift, the
 // lists a pivot walks — the entering column's FTRAN image, the leaving row
 // of B⁻¹, the matrix rows the reduced-cost update reads — average a small
-// multiple of the counts DESIGN §14.3 records for this chain (~40, ~120 and
+// multiple of the counts DESIGN §12.2 records for this chain (~40, ~120 and
 // ~2 000), where a dense pass is 2 160 positions, 2 160 rows and all
 // 18 160 entries of the matrix. Counted by the kernel's own tallies, not
 // timed. The chain crosses the eta file's bound, so it also checks that a

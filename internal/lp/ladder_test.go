@@ -88,13 +88,13 @@ func TestSolveWarmHotPath(t *testing.T) {
 	}
 }
 
-// TestSolveSeededImportMatchesCold: a seedless SolveFresh starts over on
+// TestSolveFreshMatchesCold: SolveFresh starts over on
 // the kernel it is given — cold on the dense one, the all-slack crash on
 // the sparse one — matches the cold reference, and is a pure function of
 // (model, opts): the same bits from a fresh solver, from the same solver
 // again, and from one that accumulated hot state first, which it leaves
 // behind for SolveWarm to pick up.
-func TestSolveSeededImportMatchesCold(t *testing.T) {
+func TestSolveFreshMatchesCold(t *testing.T) {
 	for _, kn := range ladderKernels {
 		t.Run(kn.name, func(t *testing.T) {
 			start := map[bool]string{false: "cold", true: "fresh"}[kn.sparse]

@@ -184,7 +184,7 @@ func (m *Model) SetRHS(c int, rhs float64) { m.rows[c].rhs = rhs }
 // structure, so a kernel retained for the model stays hot across it: a
 // fixed column never enters a basis, and one still basic above the
 // tolerance is a primal infeasibility the dual simplex drives out (DESIGN
-// §14.2). A pin is a bound, never a cost: a big-M penalty would need a
+// §12.4). A pin is a bound, never a cost: a big-M penalty would need a
 // bound on the duals that nothing provides.
 func (m *Model) Fix(v int, on bool) {
 	if n := len(m.fixed); n <= v {

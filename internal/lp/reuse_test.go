@@ -235,11 +235,11 @@ func TestImportPivotsCounted(t *testing.T) {
 	}
 }
 
-// TestSeededSolveAllocs is the workspace's budget: in steady state a fresh
+// TestFreshSolveAllocs is the workspace's budget: in steady state a fresh
 // solve on a reused Solver — the spare unit's — allocates its Result — the
 // struct, X and Duals — and nothing else, on either start: the dense cold
 // simplex and the LU kernel's all-slack crash.
-func TestSeededSolveAllocs(t *testing.T) {
+func TestFreshSolveAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector moves allocations to the heap")
 	}

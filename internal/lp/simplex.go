@@ -27,7 +27,7 @@ type Options struct {
 }
 
 // defaultTol is the solver's zero test; every tolerance outside the
-// solver is this one or looser (DESIGN §16).
+// solver is this one or looser (DESIGN §15).
 const defaultTol = 1e-9
 
 func (o Options) withDefaults(rows, cols int) Options {

@@ -110,30 +110,37 @@ func TestWarmEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestDualIterateRepairsRHS exercises the dual simplex in isolation: an
-// optimal warm tableau whose rhs is then tightened must be repaired by
-// dual pivots alone, without refactorization or artificials.
+// TestDualIterateRepairsRHS exercises the dual simplex on either kernel:
+// every other capacity of a solved packing LP cut to 1 % drives basic
+// variables of the retained optimum negative, and the hot re-solve must
+// repair them by dual pivots — no fallback, no crash, no refactorization —
+// and match the cold reference.
 func TestDualIterateRepairsRHS(t *testing.T) {
-	var s Solver
-	if _, err := s.SolveWarm(buildTransportLP(1, 1), nil, Options{}); err != nil {
-		t.Fatal(err) // the cold optimum arms a warm tableau inside the solver
-	}
-	// Tighten capacities by 20%: the retained basis becomes primal
-	// infeasible and only the dual phase can repair it.
-	m1 := buildTransportLP(0.8, 1)
-	res, err := s.SolveWarm(m1, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := s.LastOutcome(); out.Path != "hot" {
-		t.Fatalf("outcome %+v, want a hot re-solve", out)
-	}
-	cold, err := m1.SolveOpts(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
-		t.Fatalf("objective %g vs cold %g", res.Objective, cold.Objective)
+	for _, kn := range ladderKernels {
+		t.Run(kn.name, func(t *testing.T) {
+			s := kn.solver()
+			m := packingLP(3, 12, 20)
+			for i := 0; i < 2; i++ { // the first solve starts over, the second is hot: the kernel is armed
+				if _, err := s.SolveWarm(m, nil, Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			caps := m.NumConstraints() - m.NumConstraints()/5
+			for r := 0; r < caps; r += 2 {
+				_, _, rhs := m.RowSpec(r)
+				m.SetRHS(r, 0.01*rhs)
+			}
+			res, err := s.SolveWarm(m, nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := s.LastOutcome()
+			if out.Path != "hot" || out.Sparse != kn.sparse || out.FellBack || out.WarmPivots == 0 || out.ImportPivots != 0 || out.Refactors != 0 {
+				t.Fatalf("outcome %+v, want a hot re-solve on the %s kernel that pivots", out, kn.name)
+			}
+			t.Logf("%s: %d warm pivots", kn.name, out.WarmPivots)
+			requireMatchesCold(t, m, res)
+		})
 	}
 }
 

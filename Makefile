@@ -105,7 +105,7 @@ soak-smoke:
 # re-solves, each on its own line), and the rolling-horizon sweep on the
 # Houston vibration window. The -count runs feed benchstat directly
 # (`make bench | benchstat -`), and the timing trajectories — per-row
-# times, LP solves, cache hits, pivot counts, per-horizon run latency —
+# times, LP solves, pivot counts, per-horizon run latency —
 # land in BENCH_plan.json under the "plan_search", "warm_start" and
 # "mpc" keys.
 bench:

@@ -404,7 +404,8 @@ func TestMPCHorizonTrajectory(t *testing.T) {
 // The exhaustive level space has 3^9 = 19 683 assignments (each pair's
 // two levels and off), but every choice on the unprofitable center's
 // pairs filters to the same commodity set, so only 3^6 = 729 distinct
-// subset LPs exist: the redundancy the engine's memo cache collapses.
+// subset LPs exist, and the walk's canonical level vectors reach each
+// once: 728 solves, the all-out vector being no LP.
 func rob2ChaosScaleInput() *core.Input {
 	sys := &datacenter.System{
 		Classes: []datacenter.RequestClass{
@@ -437,7 +438,7 @@ func planSearchPlanners(warm bool, stats *core.SearchStats) map[string]core.Plan
 }
 
 // planSearchModes is one row per setting of that variable. Both rows run
-// the same engine over the same memo cache.
+// the same engine, every request a solve.
 var planSearchModes = []struct {
 	name string
 	warm bool
@@ -491,7 +492,7 @@ func updateBenchJSON(t *testing.T, path, key string, section any) {
 
 // TestPlanSearchTrajectory times the rob2-chaos-scale slot at every row
 // of planSearchModes and writes the rows — each with its own time, LP
-// solves, cache hits and pivots — to the file named by BENCH_PLAN_JSON
+// solves and pivots — to the file named by BENCH_PLAN_JSON
 // (skipped when unset; `make bench` sets it), stamped with the box's
 // CPU count and GOMAXPROCS. No ratio is gated here — every row runs the
 // same engine, so there is no second path left to be faster than — but
@@ -525,7 +526,6 @@ func TestPlanSearchTrajectory(t *testing.T) {
 		Warm       bool   `json:"warm"`
 		Ns         int64  `json:"ns"`
 		LPSolves   int64  `json:"lp_solves"`
-		CacheHits  int64  `json:"cache_hits"`
 		WarmHits   int64  `json:"warm_hits"`
 		WarmPivots int64  `json:"warm_pivots"`
 		ColdPivots int64  `json:"cold_pivots"`
@@ -559,7 +559,7 @@ func TestPlanSearchTrajectory(t *testing.T) {
 			}
 			rows = append(rows, row{
 				Planner: name, Mode: mode.name, Warm: mode.warm, Ns: best[i].Nanoseconds(),
-				LPSolves: stats[i].Solves, CacheHits: stats[i].CacheHits, WarmHits: stats[i].WarmHits,
+				LPSolves: stats[i].Solves, WarmHits: stats[i].WarmHits,
 				WarmPivots: stats[i].WarmPivots, ColdPivots: stats[i].ColdPivots,
 			})
 		}

@@ -60,8 +60,8 @@ func TestSlotChainDeterminism(t *testing.T) {
 			if tier, name, _ := chain.FallbackState(); tier != 0 {
 				t.Fatalf("%s slot %d: committed by tier %d (%s)", c.name, slot, tier, name)
 			}
-			fmt.Fprintf(&out, "%s slot=%d solves=%d cacheHits=%d bounded=%d warmHits=%d warmFallbacks=%d warmPivots=%d coldPivots=%d abandonedPivots=%d sparseSolves=%d obj=%.17g\n",
-				c.name, slot, stats.Solves, stats.CacheHits, stats.Bounded, stats.WarmHits, stats.WarmFallbacks,
+			fmt.Fprintf(&out, "%s slot=%d solves=%d bounded=%d warmHits=%d warmFallbacks=%d warmPivots=%d coldPivots=%d abandonedPivots=%d sparseSolves=%d obj=%.17g\n",
+				c.name, slot, stats.Solves, stats.Bounded, stats.WarmHits, stats.WarmFallbacks,
 				stats.WarmPivots, stats.ColdPivots, stats.AbandonedPivots, stats.SparseSolves, plan.Objective)
 		}
 	}

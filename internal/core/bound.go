@@ -48,9 +48,10 @@ type prices struct {
 	// route[k·S+s] = α_ks + β_k, what a type-k request from front-end s
 	// must out-earn; NaN where the set has no commodity of class k.
 	route []float64
-	// seed is the solution's identity in the memo key of the moves made
-	// from it, and comms its set, which the hot unit admits to solve
-	// them; 0 and nil on a cold engine, whose solves nothing depends on.
+	// seed is the solution's identity, by which the hot unit knows whose
+	// kernel it holds (heldUnit.cp, last), and comms its set, which the hot
+	// unit admits to solve the moves made from it; 0 and nil on a cold
+	// engine, whose solves nothing depends on.
 	seed  uint64
 	comms []commodity
 }

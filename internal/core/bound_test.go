@@ -177,7 +177,7 @@ func refGreedy(t *testing.T, eng *engine, pairs []pair, visit func(*assignment, 
 	in := eng.in
 	sys := in.Sys
 	levels := make([]int, len(pairs))
-	best, err := evaluate(eng, pairs, levels, nil, noCutoff)
+	best, err := evaluateLevels(eng, pairs, levels, nil, noCutoff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func refGreedy(t *testing.T, eng *engine, pairs []pair, visit func(*assignment, 
 				visit(&best, out, add)
 				trial := slices.Clone(levels)
 				trial[pi] = q
-				a, err := evaluate(eng, pairs, trial, nil, noCutoff)
+				a, err := evaluateLevels(eng, pairs, trial, nil, noCutoff)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -483,7 +483,7 @@ func TestUnboundedOnPurpose(t *testing.T) {
 		}
 		pairs := allPairs(in.Sys)
 		ref := (&EngineOptions{WarmStart: true}).open(in, "reference", false, true)
-		start, err := evaluate(ref, pairs, make([]int, len(pairs)), nil, noCutoff)
+		start, err := evaluateLevels(ref, pairs, make([]int, len(pairs)), nil, noCutoff)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -521,80 +521,45 @@ func TestUnboundedOnPurpose(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.close()
-		if o.Stats.Bounded != 0 || o.Stats.Solves+o.Stats.CacheHits < int64(len(full)) {
+		if o.Stats.Bounded != 0 || o.Stats.Solves < int64(len(full)) {
 			t.Fatalf("stats %+v: want each of the %d moves off an infeasible incumbent solved", *o.Stats, len(full))
 		}
 	})
 }
 
-// TestSeededKeyKeepsIncumbentsApart: a solve of subset X made beside
-// incumbent A is never served to a request for X beside incumbent B,
-// whose kernel would have led elsewhere; beside A again, it is.
-func TestSeededKeyKeepsIncumbentsApart(t *testing.T) {
-	o, in := refineSlotBusy()
-	mustPlan(t, o, in) // arm the warm state: solutions are numbered only when warm
-	eng := o.open(in, o.Name(), false, true)
-	defer eng.close()
-	full := capReservations(in, admissibleCommodities(in, nil))
-	solve := func(set []commodity, from *prices) solution {
-		t.Helper()
-		sol, err := eng.solve(set, nil, from, noCutoff)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sol
-	}
-	a, b, x := solve(full[1:], nil), solve(full[:len(full)-1], nil), full[1:len(full)-1]
-	if a.px.seed == b.px.seed || a.px.seed == 0 || b.px.seed == 0 {
-		t.Fatalf("incumbents carry seeds %d and %d", a.px.seed, b.px.seed)
-	}
-	underA := solve(x, a.px)
-	solves, hits := eng.n.Solves, eng.n.CacheHits
-	underB := solve(x, b.px)
-	if eng.n.Solves != solves+1 || eng.n.CacheHits != hits {
-		t.Fatal("a request beside incumbent B was served the solve made beside A")
-	}
-	if underA.px == underB.px || relErr(underA.obj, underB.obj) > 1e-9 {
-		t.Fatalf("the two solves of one subset: %.17g and %.17g", underA.obj, underB.obj)
-	}
-	if again := solve(x, a.px); again.px != underA.px || eng.n.CacheHits != hits+1 {
-		t.Fatal("a repeated request beside incumbent A was not a cache hit")
-	}
-	if alone := solve(x, nil); alone.px == underA.px || alone.px == underB.px {
-		t.Fatal("a request beside no incumbent was served an incumbent-seeded solve")
-	}
-}
-
 // TestBranchBoundTreeKeepsNoPrices: shadow prices and a basis are kept
 // where a search reads them — the solves of branch-and-bound's greedy
 // seed — and nowhere else: the leaves and relaxations its tree compares
-// add entries to the memo cache, none of them priced.
+// are solved, none of them priced.
 func TestBranchBoundTreeKeepsNoPrices(t *testing.T) {
 	in := &Input{Sys: multiLevelSystem(), Arrivals: [][]float64{{400, 300}}, Prices: []float64{1.2, 0.9}}
 	pairs := allPairs(in.Sys)
-	entries := func(search func(*engine, []pair) (assignment, error)) (all, priced int, best assignment) {
+	solves := func(search func(*engine, []pair, assignment) (assignment, error)) (all, priced int, best assignment) {
 		ls := NewLevelSearch()
-		eng := ls.open(in, ls.Name(), false, true)
-		defer eng.close()
-		best, err := search(eng, pairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ent := range eng.cache {
+		ls.warm.onSolve = func(_ []commodity, _ []float64, _ *prices, sol solution, err error) {
 			all++
-			if ent.px != nil {
+			if sol.px != nil {
 				priced++
 			}
 		}
+		eng := ls.open(in, ls.Name(), false, true)
+		defer eng.close()
+		first, err := evaluateLevels(eng, pairs, make([]int, len(pairs)), nil, noCutoff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if best, err = search(eng, pairs, first); err != nil {
+			t.Fatal(err)
+		}
 		return all, priced, best
 	}
-	seedAll, seedPriced, seed := entries(greedy)
+	seedAll, seedPriced, seed := solves(climb)
 	if seedPriced == 0 || seedPriced != seedAll {
 		t.Fatalf("greedy priced %d of its %d solves, want all: it searches from any of them", seedPriced, seedAll)
 	}
-	all, priced, best := entries(branchBound)
+	all, priced, best := solves(branchBound)
 	if priced != seedPriced || all <= seedAll {
-		t.Fatalf("branch-and-bound: %d entries, %d priced; its greedy seed alone: %d, %d", all, priced, seedAll, seedPriced)
+		t.Fatalf("branch-and-bound: %d solves, %d priced; its greedy seed alone: %d, %d", all, priced, seedAll, seedPriced)
 	}
 	if best.obj < seed.obj {
 		t.Fatalf("branch-and-bound committed %g, below its seed's %g", best.obj, seed.obj)

@@ -5,20 +5,79 @@ import (
 	"profitlb/internal/obs"
 )
 
+// SearchStats carries the engine's diagnostic counters from one Plan
+// call. Like the planner that fills it, it must not be shared between
+// concurrent Plan calls.
+type SearchStats struct {
+	// Solves counts dispatch LPs actually handed to the simplex solver.
+	Solves int64
+	// CacheHits is 0: no search asks twice (DESIGN §7.3).
+	//
+	// Deprecated: bench/slots.go still reads it; ROADMAP item 8 deletes it.
+	CacheHits int64
+	// Bounded counts search moves rejected by the incumbent's dual bound
+	// before any LP was built (see prices.bound).
+	Bounded int64
+	// SolveErrors counts solver invocations that returned an error.
+	SolveErrors int64
+	// WarmHits counts LP solves answered by a warm path (hot re-solve,
+	// trial or fresh LU start) of the planner's warm-start machinery;
+	// WarmFallbacks counts warm attempts that fell back to the cold
+	// two-phase solve. Both are zero when WarmStart is off.
+	WarmHits      int64
+	WarmFallbacks int64
+	// WarmPivots and ColdPivots split the simplex pivot spend of the Plan
+	// call by path — the raw material of the warm-speedup benchmarks.
+	WarmPivots int64
+	ColdPivots int64
+	// SparseSolves counts warm solves answered by the sparse revised
+	// simplex (zero when every LP is below the solver's row threshold).
+	SparseSolves int64
+	// AbandonedPivots counts pivots burned on warm attempts that were
+	// abandoned for the cold path — work done and thrown away, which
+	// WarmPivots and ColdPivots both exclude.
+	AbandonedPivots int64
+	// ImportPivots counts the crash work of the call's fresh starts
+	// (lp.Outcome.ImportPivots), which the three pivot counts above leave
+	// out: what a held chain pays when its structure changed.
+	ImportPivots int64
+	// ModelRebuilds counts held-chain solves (the capture, and a refine
+	// call's greedy start) whose dispatch LP could not be refreshed in
+	// place — the first slot, then a fault, a changed admitted set or a
+	// toggled floor — and so was rebuilt and started over: why a slot with
+	// the usual pivots still ran slow. Zero when WarmStart is off.
+	ModelRebuilds int64
+	// Trials counts solves answered on the hot unit: a move's survivor
+	// solved hot from its incumbent's checkpointed kernel, its set a numbers
+	// change of the capture's LP (see heldUnit). Zero on a slot whose moves
+	// the dual bound all turns down, and when WarmStart is off.
+	Trials int64
+	// Cuts counts the trials stopped by their cutoff: a move whose dual
+	// bound fell below the incumbent's objective while it was being
+	// solved, answered as not improving with its repair cut short
+	// (lp.Solver.Trial). They are Trials too.
+	Cuts int64
+	// Refactors counts the times a sparse kernel rebuilt its basis factors
+	// in place during the call's solves (lp.Outcome.Refactors): a full eta
+	// file or a hot chain at its drift bound, each a basis' worth of
+	// eliminated columns in a slot that crashed nothing. Zero when
+	// WarmStart is off.
+	Refactors int64
+}
+
 // engine is the per-Plan-call execution context of the plan search: the
-// memo cache every dispatch-LP solve goes through, the call's solver
-// counters, and what is constant for the call — the Input, the LP layout,
-// the solver options and the claimed warm state. The search it serves is
-// one sequential walk on the caller's goroutine. It never outlives the
-// Plan call that opened it, so cached entries are always for the call's
-// own Input.
+// call's solver counters, and what is constant for the call — the Input,
+// the LP layout, the solver options and the claimed warm state. The search
+// it serves is one sequential walk on the caller's goroutine, and every
+// request it makes is a solve. It never outlives the Plan call that opened
+// it.
 type engine struct {
 	in        *Input
 	perServer bool
 	opts      lp.Options
-	// cache is nil on a call whose requests cannot repeat (a refine-off
-	// Optimized: its capture alone), which then builds no memo key.
-	cache subsetCache
+	// single marks a call whose capture is its one request (a refine-off
+	// Optimized): its rates go to the held rows.
+	single bool
 	// names spells the aggregated layout's names from the planner's table.
 	names *dispatchNames
 	// warm, when non-nil, warm-starts every solve from the owning
@@ -26,18 +85,15 @@ type engine struct {
 	warm *warmState
 	// held is raised by prologue around the call's first solve (capture)
 	// and around Refine's greedy start (greedyStart): the first request
-	// while it is up takes that held chain — its LP solved on the chain's
-	// unit, or the memo cache's answer, which consumes the chain all the
-	// same, so a move's LP never lands on it.
+	// while it is up takes that held chain, so a move's LP never lands on
+	// it.
 	held chain
 	// priced makes a solve keep its shadow prices and final basis. It is up
 	// while the planner runs a first-improvement search, which bounds each
 	// move off its incumbent's prices and solves the survivors as trials
 	// from its kernel (see heldUnit), and lowered for solves nothing
-	// searches from (branch-and-bound's tree). An entry the memo cache
-	// serves may carry prices nobody asked for, never the reverse: the
-	// searching phase comes first. The per-server layout keeps none (see
-	// prices.bound).
+	// searches from (branch-and-bound's tree). The per-server layout keeps
+	// none (see prices.bound).
 	priced bool
 	seeds  uint64 // identities handed to priced solutions
 	// universe is the call's admissible list, admitted under floors, over
@@ -56,6 +112,8 @@ type engine struct {
 	// everything in obs.
 	sc      *obs.Scope
 	planner string
+	// onSolve is the owning planner's warm.onSolve, which tests set.
+	onSolve func(comms []commodity, floors []float64, from *prices, sol solution, err error)
 }
 
 // open starts the engine for one Plan call and claims the planner's warm
@@ -67,23 +125,22 @@ func (e *EngineOptions) open(in *Input, planner string, perServer, searches bool
 	e.scratch.routes.price(in)
 	return &engine{
 		in: in, perServer: perServer, opts: e.LPOpts, priced: searches && !perServer,
-		cache: subsetCache{}, warm: e.claim(!perServer), stats: e.Stats, sc: e.Obs,
-		planner: planner, names: e.namesFor(in.Sys), scratch: &e.scratch,
+		warm: e.claim(!perServer), stats: e.Stats, sc: e.Obs, planner: planner,
+		names: e.namesFor(in.Sys), scratch: &e.scratch, onSolve: e.warm.onSolve,
 	}
 }
 
 // planScratch is what a planner's Plan calls refill, each with [:0], in
 // place of the lists a call used to allocate: the call's admission (the
 // route pass and the admissible and capped lists, see admission),
-// evaluate's per-vector subset and its capped copy, the memo key, the
-// rates of a solve no cache entry owns and planFromRates' read-out.
+// pick's per-vector subset and its capped copy, the rates of a single
+// call's capture and planFromRates' read-out.
 // Nothing in it is read before the call that fills it has written it, so
 // a planner plans alike with it dropped before every call
 // (TestHeldListsAreInvisible).
 type planScratch struct {
 	admission
 	pick, kept []commodity
-	key        []byte
 	rates      rateRows
 	read       readout
 }
@@ -108,35 +165,23 @@ func (e *engine) prologue(c chain, solve func() (assignment, error)) (assignment
 	return solve()
 }
 
-// solution is one solved dispatch LP as the searches see it. It is shared
-// by every request the memo cache answers with it: read-only. A cut one
-// is a trial its cutoff stopped: obj is the dual bound it stopped at,
-// above the optimum and below the cutoff, and there are no rates or
-// prices — it reads as a move that does not improve.
+// solution is one solved dispatch LP as the searches see it: read-only.
+// A cut one is a trial its cutoff stopped: obj is the dual bound it
+// stopped at, above the optimum and below the cutoff, and there are no
+// rates or prices — it reads as a move that does not improve.
 type solution struct {
 	rates [][]float64
 	obj   float64
 	px    *prices // nil unless solved on a priced engine
-	cut   bool
 }
 
-// solve answers a dispatch-LP solve through the memo cache. comms must
-// already be in canonical sortCommodities order (every search path
-// canonicalizes before solving) so that equal sets produce equal keys, and
-// must not change while the call lasts: a priced solution keeps it as its
-// set. from, the prices of the incumbent the set neighbours, makes the request
-// a move's survivor: it is solved as a trial from that incumbent's kernel
-// (see heldUnit), and the incumbent's identity joins the key, so an entry
-// stays a function of (subset, incumbent) within the call: a solve made
-// next to one incumbent is never served to a request made next to another.
-// A held chain's solve is keyed like a request with no incumbent: it is an
-// optimum of the same LP, and the first request for its key in the call.
-//
-// cutoff (noCutoff: none) is what the request needs the optimum to beat: a
-// trial may stop once it cannot (a cut solution). The cache serves a cut
-// entry only to a request whose cutoff is above the bound it stopped at —
-// any whose cutoff is at least the one it was cut under; another solves
-// the set again, and its answer replaces the entry.
+// solve solves the dispatch LP of comms, no search asking twice (DESIGN
+// §7.3). comms, in canonical sortCommodities order, must not change while
+// the call lasts: a priced solution keeps it as its set. from, the prices
+// of the incumbent the set neighbours, makes the request a move's
+// survivor, solved as a trial from that incumbent's kernel (see heldUnit).
+// cutoff (noCutoff: none) is what the optimum must beat: a trial may stop
+// once it cannot (a cut solution).
 func (e *engine) solve(comms []commodity, floors []float64, from *prices, cutoff float64) (solution, error) {
 	if len(comms) == 0 {
 		if floorsActive(e.in, floors) {
@@ -146,47 +191,35 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices, cutoff
 	}
 	c := e.held
 	e.held = spare
-	var seedID uint64 // 0: no incumbent
-	if from != nil {
-		seedID = from.seed
-	}
-	// A nil cache is a call whose requests cannot repeat: no key is built,
-	// and the rates, which no entry will own, go to the held rows.
-	rows := &e.scratch.rates
-	if e.cache != nil {
-		e.scratch.key = appendCacheKey(e.scratch.key[:0], comms, floors, seedID)
-		if ent, ok := e.cache[string(e.scratch.key)]; ok && (!ent.cut || ent.obj < cutoff) {
-			e.n.CacheHits++
-			return ent.solution, ent.err
-		}
-		rows = nil
-	}
 	e.n.Solves++
-	var ent cacheEntry
+	var rows *rateRows // nil: a slab of the solution's own, which a search may keep
+	if e.single {
+		rows = &e.scratch.rates
+	}
+	var sol solution
 	d, at, res, err := e.solveLP(c, comms, floors, from, cutoff)
 	switch {
 	case err != nil:
 		e.n.SolveErrors++
-		ent.err = err
 	case res.Status == lp.Cutoff:
-		ent.obj, ent.cut = res.Objective, true
+		sol.obj = res.Objective
 	default:
-		ent.rates, ent.obj = d.extractRates(res, rows, at), res.Objective
+		sol.rates, sol.obj = d.extractRates(res, rows, at), res.Objective
 		if e.priced {
-			ent.px = d.priceOut(e.in, res, comms, at)
+			sol.px = d.priceOut(e.in, res, comms, at)
 			if e.warm != nil { // a search may go on from it: number it
 				e.seeds++
-				ent.px.seed, ent.px.comms = e.seeds, comms
+				sol.px.seed, sol.px.comms = e.seeds, comms
 				if at != nil {
 					e.warm.hot.last = e.seeds
 				}
 			}
 		}
 	}
-	if e.cache != nil {
-		e.cache[string(e.scratch.key)] = ent
+	if e.onSolve != nil {
+		e.onSolve(comms, floors, from, sol, err)
 	}
-	return ent.solution, ent.err
+	return sol, err
 }
 
 // bounded reports, and counts, a move off the incumbent inc — the
@@ -203,7 +236,7 @@ func (e *engine) bounded(inc *assignment, out int, add *commodity) bool {
 	return true
 }
 
-// solveLP solves one dispatch LP in the call's layout, uncached: a move's
+// solveLP solves one dispatch LP in the call's layout: a move's
 // survivor (from: its incumbent's prices) as a trial on the hot unit if it
 // can, the capture on the hot unit's LP of the call's universe (see
 // heldUnit), otherwise comms' own LP built on chain c's unit, started
@@ -272,7 +305,6 @@ func (e *engine) close() {
 		metric, key string
 	}{
 		{n.Solves, "core_lp_solves_total", "lpSolves"},
-		{n.CacheHits, "core_lp_cache_hits_total", "lpCacheHits"},
 		{n.SolveErrors, "core_lp_solve_errors_total", "lpSolveErrors"},
 		{n.Bounded, "core_lp_bounded_total", "lpBounded"},
 		// From here on, published only under a warm state.
@@ -290,7 +322,7 @@ func (e *engine) close() {
 	}
 	published := counters[:]
 	if e.warm == nil {
-		published = counters[:4]
+		published = counters[:3]
 	}
 	values := make(map[string]float64, len(published))
 	for _, c := range published {

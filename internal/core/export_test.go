@@ -8,8 +8,9 @@ import (
 )
 
 // GreedySeedObjective plans in with o, then runs o's greedy seed on in
-// twice, each time through an engine of o's own as Plan does: the first
-// arms o's greedy chain, the second re-solves its start on it. It returns the objective of
+// twice, each time through an engine of o's own as Plan does but with no
+// capture to share its start: the first arms o's greedy chain, the second
+// re-solves its start on it. It returns the objective of
 // the assignment the second reaches and how its start was solved.
 func GreedySeedObjective(o *Optimized, in *Input) (float64, string, error) {
 	if _, err := o.Plan(in); err != nil {
@@ -19,13 +20,29 @@ func GreedySeedObjective(o *Optimized, in *Input) (float64, string, error) {
 	for i := 0; i < 2; i++ {
 		eng := o.open(in, o.Name(), o.PerServer, o.Refine)
 		var err error
-		a, err = o.greedySeed(eng)
+		a, err = o.greedySeed(eng, assignment{})
 		eng.close()
 		if err != nil {
 			return 0, "", err
 		}
 	}
 	return a.obj, o.warm.greedy.sv.LastOutcome().Path, nil
+}
+
+// evaluateLevels picks the set levels stands for and evaluates it on eng.
+func evaluateLevels(eng *engine, pairs []pair, levels []int, from *prices, cutoff float64) (assignment, error) {
+	kept, _ := eng.pick(pairs, levels)
+	return eng.evaluate(levels, kept, from, cutoff)
+}
+
+// greedy is LevelSearch's Greedy strategy on eng: the climb from the
+// all-tightest assignment, evaluated here rather than by a capture.
+func greedy(eng *engine, pairs []pair) (assignment, error) {
+	start, err := evaluateLevels(eng, pairs, make([]int, len(pairs)), nil, noCutoff)
+	if err != nil {
+		return assignment{}, err
+	}
+	return climb(eng, pairs, start)
 }
 
 // RefineSlotBusy is the capacity-limited refine fixture (refineSlotBusy).

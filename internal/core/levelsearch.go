@@ -87,9 +87,6 @@ type pair struct{ k, l int }
 // which is a commodity's q and never a level vector's entry.
 func choices(sys *datacenter.System, p pair) int { return sys.Classes[p.k].TUF.NumLevels() + 1 }
 
-// isOff reports whether level q of pair p is off.
-func isOff(sys *datacenter.System, p pair, q int) bool { return q == sys.Classes[p.k].TUF.NumLevels() }
-
 func allPairs(sys *datacenter.System) []pair {
 	var pairs []pair
 	for k := 0; k < sys.K(); k++ {
@@ -127,26 +124,27 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 	eng := ls.open(in, ls.Name(), ls.PerServer, strategy == Greedy || strategy == BranchBound)
 	defer eng.close()
 	// Capture solve: every strategy starts from the all-tightest
-	// (all-zeros) assignment — exhaustive enumerates it first, greedy
-	// climbs from it, branch-and-bound seeds with greedy — so evaluating
+	// (all-zeros) assignment — the first leaf of exhaustive's and
+	// branch-and-bound's walks, the start of greedy's climb — so evaluating
 	// it here runs the hot chain, on the LP of every admissible level,
-	// which the next slot re-solves, while the result lands in the memo
-	// cache for the strategy to reuse.
+	// which the next slot re-solves, and hands the strategy its answer.
 	eng.admit(nil)
-	if _, err := eng.prologue(capture, func() (assignment, error) {
-		return evaluate(eng, pairs, make([]int, len(pairs)), nil, noCutoff)
-	}); err != nil {
+	first, err := eng.prologue(capture, func() (assignment, error) {
+		levels := make([]int, len(pairs))
+		kept, _ := eng.pick(pairs, levels)
+		return eng.evaluate(levels, kept, nil, noCutoff)
+	})
+	if err != nil {
 		return nil, err
 	}
 	var best assignment
-	var err error
 	switch strategy {
 	case Exhaustive:
-		best, err = exhaustive(eng, pairs)
+		best, err = exhaustive(eng, pairs, first)
 	case Greedy:
-		best, err = greedy(eng, pairs)
+		best, err = climb(eng, pairs, first)
 	case BranchBound:
-		best, err = branchBound(eng, pairs)
+		best, err = branchBound(eng, pairs, first)
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %v", ls.Strategy)
 	}
@@ -170,74 +168,108 @@ type assignment struct {
 	px     *prices // the LP's shadow prices and basis, on a priced engine
 }
 
-// evaluate builds the one-level-per-pair commodity set and solves its LP,
-// as a move from from, the incumbent it neighbours (nil: none), under
-// cutoff (see engine.solve).
-// Off, unprofitable or reservation-overloaded pairs are excluded (equivalent
-// to the LP routing nothing there). The set is built in the planner's held
-// lists; what is solved is a copy, the assignment's.
-func evaluate(eng *engine, pairs []pair, levels []int, from *prices, cutoff float64) (assignment, error) {
-	sc := eng.scratch
+// pick builds, in the planner's held lists, the set levels stands for:
+// each pair whose level enters (see entering), in canonical order, less
+// capReservations' evictions, which evicted reports.
+func (e *engine) pick(pairs []pair, levels []int) (kept []commodity, evicted bool) {
+	sc := e.scratch
 	sc.pick = sc.pick[:0]
 	for pi, p := range pairs {
-		if isOff(eng.in.Sys, p, levels[pi]) {
-			continue
-		}
-		if c := eng.levelCommodity(p, levels[pi]); c.bestCoef > 0 {
+		if c, ok := e.entering(p, levels[pi]); ok {
 			sc.pick = append(sc.pick, c)
 		}
 	}
-	// Canonical order before eviction and solving: distinct level
-	// vectors that map to the same filtered commodity set share one
-	// cache entry.
 	sortCommodities(sc.pick)
-	sc.kept = sc.capReservations(eng.in, sc.pick, sc.kept[:0])
-	if len(sc.kept) == 0 {
-		return assignment{levels: append([]int(nil), levels...)}, nil
+	sc.kept = sc.capReservations(e.in, sc.pick, sc.kept[:0])
+	return sc.kept, len(sc.kept) < len(sc.pick)
+}
+
+// evaluate solves a copy of kept, the set levels stands for (see pick), as
+// a move from from, the incumbent it neighbours (nil: none), under cutoff
+// (see engine.solve). An empty set is no LP.
+func (e *engine) evaluate(levels []int, kept []commodity, from *prices, cutoff float64) (assignment, error) {
+	a := assignment{levels: slices.Clone(levels)}
+	if len(kept) == 0 {
+		return a, nil
 	}
-	comms := slices.Clone(sc.kept)
-	sol, err := eng.solve(comms, nil, from, cutoff)
+	a.comms = slices.Clone(kept)
+	sol, err := e.solve(a.comms, nil, from, cutoff)
 	if err == lp.ErrInfeasible {
-		return assignment{levels: append([]int(nil), levels...), obj: math.Inf(-1)}, nil
+		return assignment{levels: a.levels, obj: math.Inf(-1)}, nil
 	}
-	if err != nil {
-		return assignment{}, err
-	}
-	return assignment{levels: append([]int(nil), levels...), comms: comms, rates: sol.rates, obj: sol.obj, px: sol.px}, nil
+	a.rates, a.obj, a.px = sol.rates, sol.obj, sol.px
+	return a, err
 }
 
 // levelCommodity is the commodity pair p enters the LP as when committed
-// to level q — if its best route earns anything: bestCoef ≤ 0 means
-// evaluate leaves the pair out. The best route is read off the call's
-// route pass: the greedy asks again for every move and every accept.
+// to level q. The best route is read off the call's route pass: the greedy
+// asks again for every move and every accept.
 func (e *engine) levelCommodity(p pair, q int) commodity {
 	lev := e.in.Sys.Classes[p.k].TUF.Level(q)
 	best := e.scratch.routes.best(p.k, p.l, lev.Utility)
 	return commodity{k: p.k, q: q, l: p.l, utility: lev.Utility, deadline: lev.Deadline, bestCoef: best}
 }
 
-// exhaustive enumerates the mixed-radix level space, off included, in
-// odometer order; the winner is the first assignment to reach the maximum.
-func exhaustive(eng *engine, pairs []pair) (assignment, error) {
-	sys := eng.in.Sys
-	levels := make([]int, len(pairs))
-	best := assignment{obj: math.Inf(-1)}
+// entering is pair p's commodity at level q, and whether it enters the
+// pair's set: q is a level, not off, that earns something and whose
+// reservation fits a server. Every other choice leaves the pair out, the
+// same set whichever it is.
+func (e *engine) entering(p pair, q int) (c commodity, ok bool) {
+	if q < e.in.Sys.Classes[p.k].TUF.NumLevels() { // not off
+		c = e.levelCommodity(p, q)
+		ok = c.bestCoef > 0 && reservation(e.in.Sys, c) <= reserveMargin
+	}
+	return c, ok
+}
+
+// values lists each pair's entries in the exhaustive and branch-and-bound
+// walks: its levels that enter, and out once, at its first choice that
+// does not. Each vector of them is a set of its own, reached at its first
+// vector in the odometer order of every choice.
+func (e *engine) values(pairs []pair) [][]int {
+	vals := make([][]int, len(pairs))
+	for pi, p := range pairs {
+		out := false
+		for q := 0; q < choices(e.in.Sys, p); q++ {
+			if _, in := e.entering(p, q); in || !out {
+				vals[pi], out = append(vals[pi], q), out || !in
+			}
+		}
+	}
+	return vals
+}
+
+// exhaustive walks the vectors of the pairs' values (see values) in
+// odometer order; the first assignment to reach the maximum wins. The
+// capture, first, is the first leaf, and its set is skipped where it comes
+// round; so is a vector capReservations would evict from, whose kept set
+// is a vector of its own.
+func exhaustive(eng *engine, pairs []pair, first assignment) (assignment, error) {
+	vals := eng.values(pairs)
+	at, levels := make([]int, len(pairs)), make([]int, len(pairs))
+	best, captured := first, false
 	for {
-		a, err := evaluate(eng, pairs, levels, nil, noCutoff)
-		if err != nil {
-			return assignment{}, err
+		if kept, evicted := eng.pick(pairs, levels); !evicted {
+			if !captured && sameSet(kept, first.comms) {
+				captured = true
+			} else {
+				a, err := eng.evaluate(levels, kept, nil, noCutoff)
+				if err != nil {
+					return assignment{}, err
+				}
+				if a.obj > best.obj || best.rates == nil && a.rates != nil {
+					best = a
+				}
+			}
 		}
-		if a.obj > best.obj || best.rates == nil && a.rates != nil {
-			best = a
-		}
-		// Odometer increment over the mixed-radix level space.
+		// Odometer increment over the mixed-radix space of values.
 		i := 0
 		for ; i < len(pairs); i++ {
-			levels[i]++
-			if levels[i] < choices(sys, pairs[i]) {
+			if at[i]++; at[i] < len(vals[i]) {
+				levels[i] = vals[i][at[i]]
 				break
 			}
-			levels[i] = 0
+			at[i], levels[i] = 0, vals[i][0]
 		}
 		if i == len(pairs) {
 			return best, nil
@@ -245,22 +277,15 @@ func exhaustive(eng *engine, pairs []pair) (assignment, error) {
 	}
 }
 
-// greedy hill-climbs from the all-tightest assignment (see climb).
-func greedy(eng *engine, pairs []pair) (assignment, error) {
-	start, err := evaluate(eng, pairs, make([]int, len(pairs)), nil, noCutoff)
-	if err != nil {
-		return assignment{}, err
-	}
-	return climb(eng, pairs, start)
-}
-
 // climb hill-climbs from start over single-pair level moves, first
-// improvement. A move is the pair's current commodity out and its
-// commodity at the new level in, either only if profitable; one the
-// incumbent's shadow prices bound at no improvement is rejected before
-// anything is built (see prices.bound); the others are solved from the
-// incumbent's kernel under its cutoff, in move order, and a pass goes on
-// from the move it accepted.
+// improvement, circular as toggleSearch is. A move is the pair's current
+// commodity out and its commodity at the new level in, if it earns
+// anything; of a pair's moves to levels that do not enter, one set, only
+// the first off its own level is asked. A move the incumbent's shadow
+// prices bound at no improvement is rejected before anything is built
+// (see prices.bound); the others are solved from the incumbent's kernel
+// under its cutoff, in move order, and a pass goes on from the move it
+// accepted.
 func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 	sys := eng.in.Sys
 	best, levels := start, slices.Clone(start.levels)
@@ -276,6 +301,16 @@ func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 		for q := 0; q < sys.Classes[p.k].TUF.NumLevels(); q++ {
 			moves = append(moves, move{pi, q})
 		}
+	}
+	// asked reports whether pair pi has a level below q but its own that
+	// does not enter, whose move asked the set of a move to q, out.
+	asked := func(pi, q int) bool {
+		for o := 0; o < q; o++ {
+			if _, in := eng.entering(pairs[pi], o); o != levels[pi] && !in {
+				return true
+			}
+		}
+		return false
 	}
 	// What the bound reads of the incumbent, rewritten by each accept:
 	// at[pi] is the position of pair pi's commodity in best.comms (-1: it
@@ -304,14 +339,22 @@ func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 		whole = admitted == len(best.comms)
 	}
 	place()
+	last := len(moves) // the move accepted last
 	for {
 		improved := false
-		for _, mv := range moves {
+		for mi, mv := range moves {
+			if !improved && mi > last {
+				return best, nil
+			}
 			if mv.q == levels[mv.pi] {
 				continue // no-op move
 			}
+			enter, in := eng.entering(pairs[mv.pi], mv.q)
+			if !in && asked(mv.pi, mv.q) {
+				continue
+			}
 			if whole {
-				enter, out := eng.levelCommodity(pairs[mv.pi], mv.q), at[mv.pi]
+				out := at[mv.pi]
 				after := reserved[enter.l]
 				if out >= 0 {
 					after -= reservation(sys, best.comms[out])
@@ -328,14 +371,15 @@ func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 			}
 			trial := append([]int(nil), levels...)
 			trial[mv.pi] = mv.q
-			a, err := evaluate(eng, pairs, trial, best.px, cutoffOf(best.obj))
+			kept, _ := eng.pick(pairs, trial)
+			a, err := eng.evaluate(trial, kept, best.px, cutoffOf(best.obj))
 			if err != nil {
 				return assignment{}, err
 			}
 			if a.obj <= best.obj+improveTol {
 				continue
 			}
-			best, improved = a, true
+			best, improved, last = a, true, mi
 			levels[mv.pi] = mv.q
 			place()
 		}
@@ -345,18 +389,20 @@ func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 	}
 }
 
-// branchBound explores assignments, off included, depth first; the bound
-// at a partial node relaxes every unassigned pair to its best utility with
-// no deadline, which can only overestimate the achievable profit. Its
-// loosest deadline would not do: a leaf may leave the pair out (off,
-// unprofitable at its level, or evicted by capReservations) and reserve no
-// share for it. Pruning keeps a margin — a subtree is cut only when its
-// relaxation bound is strictly below the incumbent minus improveTol — so
-// no assignment tied with the optimum is ever pruned. Among ties the first leaf in DFS order wins, and
-// the greedy seed wins all of them.
-func branchBound(eng *engine, pairs []pair) (assignment, error) {
+// branchBound explores the pairs' values (see values) depth first from
+// the incumbent greedy climbs to from first, the capture, whose set it
+// skips where a leaf comes round to it. The bound at a partial node
+// relaxes every unassigned pair to its best utility with no deadline,
+// which can only overestimate the achievable profit (a leaf may leave the
+// pair out and reserve nothing). A prefix whose reservations overflow a
+// center is pruned, each kept set below it being a leaf of its own, and a
+// pair whose only value is out is neither branched on nor bounded. A
+// subtree is cut only when its bound is strictly below the incumbent
+// minus improveTol, so no assignment tied with the optimum is pruned:
+// among ties the greedy seed wins, then the first leaf in DFS order.
+func branchBound(eng *engine, pairs []pair, first assignment) (assignment, error) {
 	// Seed the incumbent with the greedy solution so pruning bites early.
-	best, err := greedy(eng, pairs)
+	best, err := climb(eng, pairs, first)
 	if err != nil {
 		return assignment{}, err
 	}
@@ -364,11 +410,22 @@ func branchBound(eng *engine, pairs []pair) (assignment, error) {
 	// from here no solve keeps prices or a basis.
 	eng.priced = false
 	sys := eng.in.Sys
+	vals := eng.values(pairs)
 	levels := make([]int, len(pairs))
+	reserved := make([]float64, sys.L()) // the prefix's reservations by center
+	captured := false
 	var rec func(depth int) error
 	rec = func(depth int) error {
+		for ; depth < len(pairs) && len(vals[depth]) == 1; depth++ {
+			levels[depth] = vals[depth][0]
+		}
 		if depth == len(pairs) {
-			a, err := evaluate(eng, pairs, levels, nil, noCutoff)
+			kept, _ := eng.pick(pairs, levels)
+			if !captured && sameSet(kept, first.comms) {
+				captured = true
+				return nil
+			}
+			a, err := eng.evaluate(levels, kept, nil, noCutoff)
 			if err == nil && a.obj > best.obj {
 				best = a
 			}
@@ -384,13 +441,21 @@ func branchBound(eng *engine, pairs []pair) (assignment, error) {
 		if ub < best.obj-improveTol || math.IsInf(ub, -1) {
 			return nil
 		}
-		for q := 0; q < choices(sys, pairs[depth]); q++ {
+		p := pairs[depth]
+		prior := reserved[p.l]
+		for _, q := range vals[depth] {
+			reserved[p.l] = prior
+			if c, ok := eng.entering(p, q); ok {
+				if reserved[p.l] += reservation(sys, c); reserved[p.l] > reserveMargin {
+					continue
+				}
+			}
 			levels[depth] = q
 			if err := rec(depth + 1); err != nil {
 				return err
 			}
 		}
-		levels[depth] = 0
+		reserved[p.l] = prior
 		return nil
 	}
 	if err := rec(0); err != nil {
@@ -414,41 +479,34 @@ func Bound(in *Input) (float64, error) {
 }
 
 // upperBound solves the relaxed LP where pairs below depth keep their
-// assigned level (off: left out, as a leaf leaves it) and pairs at or
+// assigned level (out: left out, as a leaf leaves it) and pairs at or
 // beyond depth get max utility with no deadline, so they reserve no share.
+// The assigned pairs' reservations fit (branchBound prunes a prefix that
+// overflows), so nothing is evicted.
 func upperBound(eng *engine, pairs []pair, levels []int, depth int) (float64, error) {
 	sys, sc := eng.in.Sys, eng.scratch
 	sc.pick = sc.pick[:0]
 	for pi, p := range pairs {
-		cls := sys.Classes[p.k].TUF
-		var u, d float64
-		var q int
 		if pi < depth {
-			if isOff(sys, p, levels[pi]) {
-				continue
+			if c, ok := eng.entering(p, levels[pi]); ok {
+				sc.pick = append(sc.pick, c)
 			}
-			lev := cls.Level(levels[pi])
-			u, d, q = lev.Utility, lev.Deadline, levels[pi]
-		} else {
-			// Relaxed pairs combine max utility with no deadline — a
-			// combination no real level has — and carry the NumLevels
-			// sentinel so the memo cache, whose key identifies a commodity
-			// by (k, q, l), can never conflate a relaxation with the real
-			// level-0 solve of the same pair.
-			u, d, q = cls.MaxUtility(), math.Inf(1), cls.NumLevels()
-		}
-		bestC := sc.routes.best(p.k, p.l, u)
-		if bestC <= 0 {
 			continue
 		}
-		sc.pick = append(sc.pick, commodity{k: p.k, q: q, l: p.l, utility: u, deadline: d, bestCoef: bestC})
+		// Relaxed pairs combine max utility with no deadline, which no
+		// real level has, under the NumLevels sentinel q: the LP names
+		// them apart from the pair's real levels (dispatchNames counts it).
+		cls := sys.Classes[p.k].TUF
+		u := cls.MaxUtility()
+		if bestC := sc.routes.best(p.k, p.l, u); bestC > 0 {
+			sc.pick = append(sc.pick, commodity{k: p.k, q: cls.NumLevels(), l: p.l, utility: u, deadline: math.Inf(1), bestCoef: bestC})
+		}
 	}
-	sortCommodities(sc.pick)
-	sc.kept = sc.capReservations(eng.in, sc.pick, sc.kept[:0])
-	if len(sc.kept) == 0 {
+	if len(sc.pick) == 0 {
 		return 0, nil
 	}
-	sol, err := eng.solve(sc.kept, nil, nil, noCutoff)
+	sortCommodities(sc.pick)
+	sol, err := eng.solve(sc.pick, nil, nil, noCutoff)
 	if err == lp.ErrInfeasible {
 		return math.Inf(-1), nil
 	}

@@ -64,8 +64,8 @@ type Optimized struct {
 // planner carries (embedded in Optimized, LevelSearch and
 // HorizonPlanner; the constructors switch WarmStart on), together
 // with the warm-start state those knobs govern. Every LP the
-// planners solve takes one path: build → engine → memo cache →
-// lp.Solver's warm ladder → the kernel the row count selects.
+// planners solve takes one path: build → engine → lp.Solver's warm
+// ladder → the kernel the row count selects.
 type EngineOptions struct {
 	// LPOpts tunes the simplex solver.
 	LPOpts lp.Options
@@ -86,8 +86,8 @@ type EngineOptions struct {
 	// Stats, when non-nil, receives the engine's solver counters after
 	// each Plan call. Diagnostics only.
 	Stats *SearchStats
-	// Obs, when non-nil, streams the engine's LP-solve and cache
-	// counters (metrics plus one engine event per Plan call) to the
+	// Obs, when non-nil, streams the engine's LP-solve counters
+	// (metrics plus one engine event per Plan call) to the
 	// observability layer. It only watches — plans are bit-identical
 	// with or without a scope.
 	Obs *obs.Scope
@@ -124,17 +124,15 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 	}
 	eng := o.open(in, o.Name(), o.PerServer, o.Refine)
 	defer eng.close()
-	if !o.Refine {
-		// The capture is the call's one request: no later one can hit its key.
-		eng.cache = nil
-	}
+	eng.single = !o.Refine
 	full, capped := eng.admit(o.MinCompletion)
-	best, err := eng.prologue(capture, func() (assignment, error) {
+	captured, err := eng.prologue(capture, func() (assignment, error) {
 		return o.solveSubset(eng, capped, nil, noCutoff)
 	})
 	if err != nil {
 		return nil, err
 	}
+	best := captured
 	if o.Refine {
 		improved, err := o.toggleSearch(eng, full, best)
 		if err != nil {
@@ -145,9 +143,14 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 		// all but one level per (type, center) and sometimes escapes the
 		// full set's reservation load.
 		if multiLevel(in) {
-			seed, err := o.greedySeed(eng)
+			seed, err := o.greedySeed(eng, captured)
 			if err != nil {
 				return nil, err
+			}
+			// The capture's own answer as the seed (the climb took no move
+			// from it) would retrace the first search question for question.
+			if seed.px != nil && seed.px == captured.px {
+				return eng.planOf(best)
 			}
 			// Floors are this planner's own constraint: the greedy search
 			// knows nothing of them, so under them its subset is solved
@@ -376,8 +379,8 @@ func dropWorst(comms []commodity) []commodity {
 // from is the incumbent the subset neighbours (nil: none), whose kernel
 // the solve starts from, and cutoff what it must beat (see engine.solve).
 func (o *Optimized) solveSubset(eng *engine, comms []commodity, from *prices, cutoff float64) (assignment, error) {
-	// Canonical order: keys the memo cache and keeps the LP layout
-	// independent of how the candidate subset was constructed.
+	// Canonical order: keeps the LP layout independent of how the
+	// candidate subset was constructed.
 	sortCommodities(comms)
 	withFloors := floorsActive(eng.in, o.MinCompletion)
 	for {
@@ -400,7 +403,9 @@ func (o *Optimized) solveSubset(eng *engine, comms []commodity, from *prices, cu
 // canonical order). A move the incumbent's shadow prices bound at no
 // improvement is rejected before anything is built (see prices.bound);
 // the others are solved from the incumbent's kernel under its cutoff, in
-// candidate order, and a pass goes on from the candidate it accepted.
+// candidate order, and a pass goes on from the candidate it accepted, for
+// at most 60 passes. It is circular: a pass with no accept stops at the
+// candidate after the last accepted one, every move being refused then.
 func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment) (assignment, error) {
 	sys := eng.in.Sys
 	best := start
@@ -443,9 +448,13 @@ func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment
 		trial = make([]commodity, 0, len(best.comms)+1)
 		return append(append(append(trial, best.comms[:ci]...), cand), best.comms[ci:]...), true
 	}
-	for iter := 0; iter < 60; iter++ {
+	last := len(full) // the candidate accepted last
+	for pass := 0; pass < 60; pass++ {
 		improved := false
 		for i := range full {
+			if !improved && i > last {
+				return best, nil
+			}
 			var add *commodity
 			if at[i] < 0 {
 				add = &full[i]
@@ -464,7 +473,7 @@ func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment
 			if a.obj <= best.obj+improveTol {
 				continue
 			}
-			best, improved = a, true
+			best, improved, last = a, true, i
 			place()
 		}
 		if !improved {
@@ -474,16 +483,20 @@ func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment
 	return best, nil
 }
 
-// greedySeed runs the greedy single-level commitment of LevelSearch to
-// seed the subset search. It shares the caller's engine, so its LP
-// solves land in (and draw from) the same memo cache. Its start — every
-// (type, center) pair at its top level, the same commodity set slot after
-// slot — is the call's second held solve, re-solved on the greedy chain.
-func (o *Optimized) greedySeed(eng *engine) (assignment, error) {
+// greedySeed runs LevelSearch's greedy single-level commitment on the
+// caller's engine to seed the subset search. Its start, every pair at its
+// top level, is re-solved on the greedy chain, unless it is the capture's
+// question (the same set, no floors), whose answer it then takes.
+func (o *Optimized) greedySeed(eng *engine, captured assignment) (assignment, error) {
 	pairs := allPairs(eng.in.Sys)
-	start, err := eng.prologue(greedyStart, func() (assignment, error) {
-		return evaluate(eng, pairs, make([]int, len(pairs)), nil, noCutoff)
-	})
+	levels := make([]int, len(pairs))
+	kept, _ := eng.pick(pairs, levels)
+	start, err := captured, error(nil)
+	if start.levels = levels; len(o.MinCompletion) > 0 || !sameSet(kept, captured.comms) {
+		start, err = eng.prologue(greedyStart, func() (assignment, error) {
+			return eng.evaluate(levels, kept, nil, noCutoff)
+		})
+	}
 	if err != nil {
 		return assignment{}, err
 	}
@@ -805,7 +818,7 @@ func (b *buckets) group(n, nb int, key func(int) int) [][]int {
 
 // extractRates reads the per-commodity dispatch rates out of a solution,
 // summed over a center's server groups, onto one slab: into's, refilled,
-// or, with into nil, a new one a memo-cache entry can own. The rows are
+// or, with into nil, a new one the solution owns. The rows are
 // d's commodities', or with at those of d.comms[at[i]] for each i.
 func (d *dispatchLP) extractRates(res *lp.Result, into *rateRows, at []int) [][]float64 {
 	if into == nil {
@@ -1005,14 +1018,18 @@ func (e *engine) planOf(best assignment) (*Plan, error) {
 }
 
 // sortCommodities orders commodities canonically (by k, q, l). Every
-// search path sorts before solving, which keys the memo cache and makes
-// the LP layout — hence the committed plan — independent of subset
-// construction order. Most lists arrive sorted (admission builds in
+// search path sorts before solving, which makes the LP layout — hence the
+// committed plan — independent of subset construction order. Most lists arrive sorted (admission builds in
 // (k, q, l) order and capping keeps it) and are left as they are.
 func sortCommodities(comms []commodity) {
 	if !slices.IsSortedFunc(comms, compareCommodities) {
 		slices.SortFunc(comms, compareCommodities)
 	}
+}
+
+// sameSet reports whether two canonical lists hold the same (k, q, l)s.
+func sameSet(a, b []commodity) bool {
+	return slices.EqualFunc(a, b, func(x, y commodity) bool { return compareCommodities(x, y) == 0 })
 }
 
 func compareCommodities(a, b commodity) int {

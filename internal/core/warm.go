@@ -37,6 +37,10 @@ type warmState struct {
 	// onTrial, when set, sees every trial the hot unit answers: the set,
 	// its floors, its cutoff and the result. Set by tests only.
 	onTrial func(comms []commodity, floors []float64, cutoff float64, res *lp.Result)
+	// onSolve, when set, sees every request engine.solve answers — the
+	// set, its floors, the incumbent it was asked beside (nil: none) and
+	// the answer — on a cold engine too. Set by tests only.
+	onSolve func(comms []commodity, floors []float64, from *prices, sol solution, err error)
 }
 
 // chain names the solve unit a request runs on: a held chain's, which

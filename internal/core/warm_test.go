@@ -65,11 +65,11 @@ func assertChainsEqual(t *testing.T, label string, want, got []*Plan) {
 
 // topLevelOnlySystem is multiLevelSystem with every lower level priced
 // out: each (type, center) pair admits its top level only, so a refine
-// call's greedy start is its full admissible set, and its request is a
-// memo-cache hit of the capture solve. r2's top deadline is halved, so dc1
+// call's greedy start is its full admissible set, and the capture's
+// answer is its start. r2's top deadline is halved, so dc1
 // cannot hold every zero-load reservation: both sets lose the same
 // commodity to eviction, and the greedy climb, whose bound speaks only of
-// a set nothing was evicted from, solves its moves after the hit.
+// a set nothing was evicted from, solves its moves from that start.
 func topLevelOnlySystem() *datacenter.System {
 	sys := multiLevelSystem()
 	for k := range sys.Classes {
@@ -136,8 +136,8 @@ func TestWarmChainsReplayIdentical(t *testing.T) {
 // cold chains on every slot's audited outcome — same feasible plans,
 // objectives within solver tolerance — and the warm machinery must
 // actually fire after the first slot. Where the greedy start is the full
-// set, its request is the capture's memo entry, and no other LP may take
-// the greedy chain in its place.
+// set, the capture's answer is its start, and no other LP may take the
+// greedy chain in its place.
 func TestWarmChainMatchesColdChain(t *testing.T) {
 	for _, c := range refineChains {
 		t.Run(c.name, func(t *testing.T) {
@@ -170,12 +170,12 @@ func TestWarmChainMatchesColdChain(t *testing.T) {
 					full := capReservations(in, admissible)
 					pairs := allPairs(in.Sys)
 					eng := (&EngineOptions{}).open(in, "probe", false, false)
-					start, err := evaluate(eng, pairs, make([]int, len(pairs)), nil, noCutoff)
+					start, err := evaluateLevels(eng, pairs, make([]int, len(pairs)), nil, noCutoff)
 					if err != nil || !slices.Equal(start.comms, full) || len(full) == len(admissible) {
 						t.Fatalf("slot %d: fixture drifted: greedy start %v, full set %v of %d admissible (%v)", i, start.comms, full, len(admissible), err)
 					}
-					if warm.Stats.CacheHits == 0 || warm.warm.greedy.d.model != nil || warm.warm.greedy.sv.LastOutcome().Path != "" {
-						t.Fatalf("slot %d: %+v; an LP other than the greedy start ran on its chain", i, *warm.Stats)
+					if warm.warm.greedy.d.model != nil || warm.warm.greedy.sv.LastOutcome().Path != "" {
+						t.Fatalf("slot %d: %+v; an LP ran on the greedy chain, whose start is the capture's answer", i, *warm.Stats)
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -60,7 +61,9 @@ func (p auditPlant) Publish(t *dispatch.Table, now float64) bool {
 // replica must cost Handle 0 allocations. At the end the post-GC live
 // heap must sit within soakHeapSlack of its slot-50 reading.
 func TestFleetSoak(t *testing.T) {
-	fleetSoak(t, testSimConfig(*soakLength), core.NewOptimized(), nil)
+	o := core.NewOptimized()
+	o.Stats = &core.SearchStats{}
+	fleetSoak(t, testSimConfig(*soakLength), o, func() string { return fmt.Sprintf("%+v", *o.Stats) }, nil)
 }
 
 // TestFleetSoakMPCFeeds is TestFleetSoak's sibling with every plane on:
@@ -85,9 +88,11 @@ func TestFleetSoakMPCFeeds(t *testing.T) {
 		p.Prices = []float64{p.Prices[0], p.Prices[0], 20}
 	}
 	tap := &ledgerTap{Planner: mpc.New(mpc.Config{Horizon: 3, MaxDefer: []int{0, 1}, EndSlot: soakSlots})}
+	engine := &lastEngine{}
+	tap.Instrument(obs.NewScope(nil, engine))
 	var prev []float64
 	audited, deferred, drained := 0, 0.0, 0.0
-	fleetSoak(t, cfg, tap, func(abs int) {
+	fleetSoak(t, cfg, tap, func() string { return fmt.Sprint(engine.values) }, func(abs int) {
 		for _, st := range tap.settled {
 			l := st.ledger
 			for k := range l.CarriedIn {
@@ -143,10 +148,82 @@ func (t *ledgerTap) CommitSlot(actual *core.Input, committed *core.Plan) core.Ba
 	return l
 }
 
+// lastEngine keeps the values of the last engine event it is sent: a held
+// planner's ladder mix for the differential to name. The soak emits from
+// one goroutine.
+type lastEngine struct{ values map[string]float64 }
+
+func (l *lastEngine) Emit(ev obs.Event) {
+	if ev.Kind == obs.KindEngine {
+		l.values = ev.Values
+	}
+}
+
+// planTap records what the primary tier last planned: its input and the
+// objective of the plan it returned, before any gate touched the plan.
+type planTap struct {
+	core.Planner
+	in  *core.Input
+	obj float64
+}
+
+func (p *planTap) Plan(in *core.Input) (*core.Plan, error) {
+	plan, err := p.Planner.Plan(in)
+	if err == nil {
+		p.in, p.obj = in, plan.Objective
+	}
+	return plan, err
+}
+
+// Unwrap exposes the tapped planner's capabilities, as the injector does.
+func (p *planTap) Unwrap() core.Planner { return p.Planner }
+
+// differential re-plans the slot the held primary tier just committed on a
+// fresh planner of its kind, with no warm state and no fault (freshReplan).
+// The fresh plan must pass the chain's gate and reach the held objective
+// to 1e-7 relative; a miss names the slot and the held planner's ladder
+// mix.
+func differential(t *testing.T, abs int, tap *planTap, ladder func() string) {
+	t.Helper()
+	held, got, err := freshReplan(tap)
+	if err != nil {
+		t.Fatalf("slot %d: the fresh plan fails: %v; held ladder %s", abs, err, ladder())
+	}
+	if math.Abs(got-held) > 1e-7*math.Max(1, math.Abs(held)) {
+		t.Fatalf("slot %d: held plan reaches %.17g, a fresh planner %.17g; held ladder %s", abs, held, got, ladder())
+	}
+}
+
+// freshReplan solves again what the tapped planner last planned: the
+// window an MPC solved, on the cold horizon planner, held to
+// core.VerifyHorizon; otherwise the slot's input, on a new core.Optimized,
+// held to core.Verify. It returns the held and the fresh objective and the
+// gate's verdict.
+func freshReplan(tap *planTap) (held, got float64, err error) {
+	if w, ok := tap.Planner.(interface {
+		Window() (*core.HorizonInput, *core.HorizonPlan)
+	}); ok {
+		if hin, hp := w.Window(); hin != nil {
+			fresh, err := (&core.HorizonPlanner{}).Plan(hin)
+			if err != nil {
+				return 0, 0, err
+			}
+			return hp.Objective, fresh.Objective, core.VerifyHorizon(hin, fresh, core.VerifyTol)
+		}
+	}
+	fresh, err := core.NewOptimized().Plan(tap.in)
+	if err != nil {
+		return 0, 0, err
+	}
+	return tap.obj, fresh.Objective, core.Verify(tap.in, fresh, core.VerifyTol)
+}
+
 // fleetSoak runs the all-planes soak of TestFleetSoak with primary as the
 // resilient chain's first tier, calling slotDone after each slot's audits.
-// A run with feeds also has its feeds hit by the storm.
-func fleetSoak(t *testing.T, cfg sim.Config, primary core.Planner, slotDone func(abs int)) {
+// A run with feeds also has its feeds hit by the storm. Every slot the
+// primary tier commits is re-planned fresh (differential); ladder reports
+// the held planner's solver counters for a miss.
+func fleetSoak(t *testing.T, cfg sim.Config, primary core.Planner, ladder func() string, slotDone func(abs int)) {
 	if testing.Short() {
 		t.Skip("soak: skipped under -short")
 	}
@@ -171,7 +248,8 @@ func fleetSoak(t *testing.T, cfg sim.Config, primary core.Planner, slotDone func
 	storm.Events = append(storm.Events, flashSchedule(soakSlots, 2).Events...)
 	cfg.Faults = storm
 	scope := obs.NewScope(obs.NewRegistry(), nil)
-	chain := resilient.Wrap(&fault.Injector{Planner: primary, Sched: storm})
+	tap := &planTap{Planner: primary}
+	chain := resilient.Wrap(&fault.Injector{Planner: tap, Sched: storm})
 	d, src := driver(t, cfg, chain, scope)
 	f, err := cluster.NewFleet(cfg.Sys, testDispatch, cluster.Config{Replicas: 4}, d, storm, scope)
 	if err != nil {
@@ -213,7 +291,7 @@ func fleetSoak(t *testing.T, cfg sim.Config, primary core.Planner, slotDone func
 	rp.ctrl = control.NewController(testDispatch, auditPlant{rp.plant, audit}, nil)
 
 	var heap50 uint64
-	var actuations, outages, stale int
+	var actuations, outages, stale, rechecked int
 	live := map[int]bool{}
 	rejected := map[resilient.Reason]int{}
 	for abs := 0; abs < soakSlots; abs++ {
@@ -232,6 +310,10 @@ func fleetSoak(t *testing.T, cfg sim.Config, primary core.Planner, slotDone func
 					rejected[at.Reason]++
 				}
 			}
+			if dec.Tier == 0 {
+				differential(t, abs, tap, ladder)
+				rechecked++
+			}
 		}
 		sampleHandle(t, f, abs, start+cfg.Sys.Slot(), per)
 		audit("after slot")
@@ -248,16 +330,16 @@ func fleetSoak(t *testing.T, cfg sim.Config, primary core.Planner, slotDone func
 			heap50 = liveHeap()
 		}
 	}
-	if actuations == 0 || len(live) == 1 || outages == 0 || stale == 0 ||
+	if actuations == 0 || len(live) == 1 || outages == 0 || stale == 0 || rechecked < soakSlots/2 ||
 		rejected[resilient.ReasonTimeout] == 0 || rejected[resilient.ReasonError] == 0 || rejected[resilient.ReasonPanic] == 0 {
-		t.Fatalf("vacuous soak: %d actuations, live counts %v, %d outage slots, %d stale replica-slots, tier rejections %v",
-			actuations, live, outages, stale, rejected)
+		t.Fatalf("vacuous soak: %d actuations, live counts %v, %d outage slots, %d stale replica-slots, %d slots re-planned fresh, tier rejections %v",
+			actuations, live, outages, stale, rechecked, rejected)
 	}
 	// The race detector's instrumentation moves the heap; the audits above
 	// still run under it.
 	end := liveHeap()
-	t.Logf("%d actuations, %d outage slots, %d stale replica-slots, tier rejections %v; live heap %d B at slot 50, %d B at slot %d (%+.1f B a slot)",
-		actuations, outages, stale, rejected, heap50, end, soakSlots, (float64(end)-float64(heap50))/float64(soakSlots-50))
+	t.Logf("%d actuations, %d outage slots, %d stale replica-slots, %d slots re-planned fresh, tier rejections %v; live heap %d B at slot 50, %d B at slot %d (%+.1f B a slot)",
+		actuations, outages, stale, rechecked, rejected, heap50, end, soakSlots, (float64(end)-float64(heap50))/float64(soakSlots-50))
 	if !race.Enabled && end > heap50+soakHeapSlack {
 		t.Fatalf("live heap grew from %d B at slot 50 to %d B at slot %d (slack %d B)", heap50, end, soakSlots, soakHeapSlack)
 	}

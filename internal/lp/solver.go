@@ -208,9 +208,8 @@ func (s *Solver) SolveWarm(m *Model, _ *Basis, opts Options) (*Result, error) {
 
 // SolveFresh solves m from scratch without consulting or keeping any
 // cross-call retained state, so the result is a pure function of (model,
-// opts). The planner's memo cache relies on that purity (DESIGN.md §7):
-// an entry keyed by its subset is what any solve of that subset would have
-// produced, whatever the solver did before. The kernel is chosen from the
+// opts): a plan does not depend on what the spare unit solved before
+// (DESIGN.md §7). The kernel is chosen from the
 // row count: from sparseMinRows rows up the LU kernel starts from the
 // all-slack basis, below it the start is the cold two-phase simplex, which
 // is the anchor behind a failed start too.

@@ -30,6 +30,11 @@ type Planner struct {
 	// the next CommitSlot (replace semantics: each drain overwrites it, so
 	// the drain of a tier the gate then rejects cannot double-count).
 	forced []float64
+	// window and windowPlan are the last Plan call's horizon window and
+	// the plan the horizon planner made of it (nil: the call planned
+	// myopically or failed).
+	window     *core.HorizonInput
+	windowPlan *core.HorizonPlan
 }
 
 // ErrNoForecast fails a slot whose window reaches past slot 0 while no
@@ -51,6 +56,13 @@ func (p *Planner) Name() string { return "mpc" }
 
 // Config returns the effective (defaulted) configuration.
 func (p *Planner) Config() Config { return p.cfg }
+
+// Window returns the horizon window the last Plan call solved and the
+// plan the horizon planner made of it, whose slot 0 the call then
+// force-drained; nil, nil when the call planned myopically or failed.
+func (p *Planner) Window() (*core.HorizonInput, *core.HorizonPlan) {
+	return p.window, p.windowPlan
+}
 
 // AttachForecast routes horizon assembly through a multi-step forecast
 // source (the telemetry feed layer); without one a window longer than one
@@ -90,6 +102,7 @@ func (p *Planner) Plan(in *core.Input) (*core.Plan, error) {
 		return nil, err
 	}
 	p.lazyInit(in.Sys.K(), in.Sys.S())
+	p.window, p.windowPlan = nil, nil
 	for k := range p.forced {
 		p.forced[k] = 0
 	}
@@ -115,6 +128,7 @@ func (p *Planner) Plan(in *core.Input) (*core.Plan, error) {
 	if err != nil {
 		return nil, p.failed(fmt.Errorf("mpc: horizon solve: %w", err))
 	}
+	p.window, p.windowPlan = hin, hp
 	plan := hp.Slots[0]
 	p.ForceDrain(in, plan)
 	plan.Objective = core.PlanObjective(in, plan)

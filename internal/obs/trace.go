@@ -34,8 +34,9 @@ const (
 	// (the transport failure, if any).
 	KindFeedTransition = "feed-transition"
 	// KindEngine is one Plan call's plan-search engine summary: Slot,
-	// Epoch, Planner, Values (lpSolves, lpCacheHits, lpSolveErrors,
-	// lpBounded).
+	// Epoch, Planner, Values (lpSolves, lpSolveErrors, lpBounded, and
+	// from a warm planner the lpWarm*, pivot, lpTrials, lpCuts and the
+	// other counters of core.SearchStats).
 	KindEngine = "engine"
 	// KindEpochApplied is a gateway replica applying a published plan
 	// epoch: Slot, Epoch, Sub, Replica, Values (members, index).

@@ -122,17 +122,18 @@ bench:
 bench-lp-sparse:
 	$(GO) test -bench=BenchmarkKernelCrossover -benchtime=10000x -count=6 -run=NONE ./internal/lp/
 
-# bench-smoke proves the plan-search benchmarks, the dispatch-LP builder
+# bench-smoke proves the plan-search benchmarks, the whole fleet slot
+# commit's (BenchmarkFleetSlot, both fleets), the dispatch-LP builder
 # benchmark, the three rows of the refine slot benchmark — demand-limited,
 # where the dual bound turns every move down, capacity-limited, where
 # ~145 survivors are solved, and paper-day, the Section VI day's busiest
 # slot — the capture slot benchmark, the horizon
 # window benchmark (first build and steady refresh), the sparse kernel's
 # hot-pivot benchmark, the two-kernel crossover sweep and the routing-table
-# benchmarks (compile, and the 8-replica decode-and-subdivide apply) still
+# benchmarks (compile, and the 8-replica decode, shares and installs) still
 # run (one iteration, no timing claims); wired into verify.
 bench-smoke:
-	$(GO) test -bench=BenchmarkPlanSearch -benchtime=1x -run=NONE .
+	$(GO) test -bench='BenchmarkPlanSearch|BenchmarkFleetSlot' -benchtime=1x -run=NONE .
 	$(GO) test -bench='BenchmarkHotPivot|BenchmarkKernelCrossover' -benchtime=1x -run=NONE ./internal/lp/
 	$(GO) test -bench='BenchmarkBuildDispatchLP|BenchmarkRefineSlot|BenchmarkCaptureSlot|BenchmarkHorizonSlot' -benchtime=1x -run=NONE ./internal/core/
 	$(GO) test -bench='BenchmarkCompile|BenchmarkApply' -benchtime=1x -run=NONE ./internal/dispatch/
@@ -148,14 +149,21 @@ bench-smoke:
 # five of them cut by their cutoff; W=mid profiles
 # BenchmarkRefineSlot/demand-limited, that recorded 6x10x3 slot — the
 # planner side of fleet-refine-mid: the capture and the greedy start, each
-# refreshed and re-solved hot on its own chain, every move bounded; W=large profiles TestWarmStartTrajectory's
+# refreshed and re-solved hot on its own chain, every move bounded;
+# W=fleet profiles BenchmarkFleetSlot/refine-mid-6x10x3, the whole
+# fleet-refine-mid commit through cluster.Fleet.BeginSlot — feed fetch and
+# input assembly, the resilient chain's plan, compile, wire, publish, the
+# shared decode and the 4 replicas' shares and installs — with no edit to
+# bench/ (its fleet-large twin is BenchmarkFleetSlot/large-20x100x3);
+# W=large profiles TestWarmStartTrajectory's
 # 20x100x3 chain, three passes of which the all-slack fresh start that arms
 # slot 0 is nearly all — what a fleet-large planner pays once;
 # W=commit profiles BenchmarkCaptureSlot/fleet-20x100x3, the planner's whole
 # share of a fleet-large commit — refresh (or rebuild) of the held LP, hot
-# re-solve, extraction, plan; W=apply profiles BenchmarkApply, the replica
-# half of that commit — 8 replicas each decoding the synthetic 20x100x3
-# routing table from its wire form and cutting their share (Compile alone is
+# re-solve, extraction, the plan refilled in the one handed back;
+# W=apply profiles BenchmarkApply, the replica half of that commit — the
+# synthetic 20x100x3 routing table decoded once from its wire form, 8
+# replicas' shares cut together and each installed (Compile alone is
 # BenchmarkCompile/fleet-20x100x3); W=kernel profiles BenchmarkHotPivot/slot, the
 # sparse kernel's hot re-solve of a generated 2160-row dispatch-shaped LP
 # at ~15 pivots a solve, with no planner on top; W=horizon profiles
@@ -173,6 +181,8 @@ else ifeq ($(W),apply)
 	$(GO) test -run=NONE -bench=BenchmarkApply -benchtime=2000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/dispatch/
 else ifeq ($(W),kernel)
 	$(GO) test -run=NONE -bench=BenchmarkHotPivot/slot -benchtime=3000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/lp/
+else ifeq ($(W),fleet)
+	$(GO) test -run=NONE -bench=BenchmarkFleetSlot/refine-mid -benchtime=5000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 .
 else ifeq ($(W),mid)
 	$(GO) test -run=NONE -bench=BenchmarkRefineSlot/demand-limited -benchtime=20000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/core/
 else ifeq ($(W),day)

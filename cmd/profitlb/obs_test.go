@@ -3,10 +3,14 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"profitlb/internal/obs"
+	"profitlb/internal/sim"
 )
 
 // obsScenario writes a scaffold scenario into a temp dir and returns
@@ -212,5 +216,76 @@ func TestCmdLoadtestMetrics(t *testing.T) {
 		if got := strconv.FormatInt(snap.Counters["dispatch_requests_total"], 10); got != m[1] || got == "0" {
 			t.Fatalf("%s: dispatch_requests_total = %s, report offered %s", name, got, m[1])
 		}
+	}
+}
+
+// TestSimulateTraceRebuildsInputs: a seeded storm run with feeds on writes
+// one slot-input event per slot beside one topology event, and decoding
+// them (sim.DecodeInputs) rebuilds, bit for bit, every input its planner
+// was handed — the same scenario's input source, walked slot by slot,
+// hands out the very same inputs: outages' servers, feed-degraded
+// arrivals and prices included.
+func TestSimulateTraceRebuildsInputs(t *testing.T) {
+	cfgPath, dir := obsScenario(t)
+	tracePath := dir + "/trace.jsonl"
+	if _, err := capture(t, func() error {
+		return run([]string{"simulate", "-config", cfgPath, "-faults", "storm", "-seed", "42",
+			"-feeds", "on", "-resilient", "-trace", tracePath})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []obs.Event
+	topologies := 0
+	for i, ln := range strings.Split(strings.TrimRight(string(trace), "\n"), "\n") {
+		var ev obs.Event
+		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
+			t.Fatalf("trace line %d: %v", i, err)
+		}
+		if ev.Kind == obs.KindTopology {
+			topologies++
+		}
+		events = append(events, ev)
+	}
+	got, err := sim.DecodeInputs(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sc, err := loadScenario(cfgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := applyFaultsFlag(sc, "storm", 42); err != nil {
+		t.Fatal(err)
+	}
+	if err := applyFeedsFlag(sc, "on"); err != nil {
+		t.Fatal(err)
+	}
+	src, err := sim.NewInputSource(sc.SimConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topologies != 1 || len(got) != sc.Slots {
+		t.Fatalf("%d topology events and %d slot inputs, want 1 and %d", topologies, len(got), sc.Slots)
+	}
+	outages := 0
+	for i, in := range got {
+		want, err := src.PlannerInput(sc.StartSlot + i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(in, want) {
+			t.Fatalf("slot %d: the trace rebuilds\n%+v\nthe planner was handed\n%+v", want.Slot, in, want)
+		}
+		if in.Sys.Centers[0].Servers != sc.System.Centers[0].Servers || in.Sys.Centers[1].Servers != sc.System.Centers[1].Servers {
+			outages++
+		}
+	}
+	if outages == 0 {
+		t.Fatal("no slot ran with a center's servers down: the storm exercises nothing")
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -728,5 +729,60 @@ func TestPublicationDecodedOnce(t *testing.T) {
 	byHand := &Publication{Epoch: pub.Epoch, Slot: pub.Slot, Members: pub.Members, Table: pub.Table}
 	if t1, _ := byHand.Decoded(); t1 == once || decodes != 3 {
 		t.Fatalf("a hand-built publication shared the publisher's decode (%d decodes)", decodes)
+	}
+}
+
+// TestSharesCutOnceForAllMembers: the members of a publication the
+// publisher made install shares cut together by its memo, each the
+// member's Subdivide to the bit, when they apply it all at once from
+// their own goroutines; a member whose bucket settings differ from the
+// memo's cuts its own.
+func TestSharesCutOnceForAllMembers(t *testing.T) {
+	sys := testSystem()
+	dcfg := dispatch.Config{Seed: 17, SlotSeconds: 60}
+	const n = 4
+	f, err := NewFleet(sys, dcfg, testClusterConfig(n), testDriver(sys, dcfg, nil), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range f.Replicas {
+		f.Pub.Beat(r.ID, 0)
+	}
+	pub, err := f.Pub.PublishSlot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, r := range f.Replicas {
+		wg.Add(1)
+		go func(r *Replica) {
+			defer wg.Done()
+			if installed, err := r.Apply(pub, 0); !installed || err != nil {
+				t.Errorf("%s: installed %v, %v", r.ID, installed, err)
+			}
+		}(r)
+	}
+	wg.Wait()
+	full, err := pub.Decoded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range f.Replicas {
+		want, err := full.Subdivide(i, n, dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Gateway().Table(); !reflect.DeepEqual(got, want) || got != &pub.memo.shares[i] {
+			t.Fatalf("%s serves another table than its cut share", r.ID)
+		}
+	}
+	other := dcfg.WithDefaults()
+	other.Burst *= 2
+	own, err := pub.share(full, 1, n, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := full.Subdivide(1, n, other); own == &pub.memo.shares[1] || !reflect.DeepEqual(own, want) {
+		t.Fatal("a member with other bucket settings got the memo's share")
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 
 	"profitlb/internal/dispatch"
@@ -28,12 +29,25 @@ type Publication struct {
 	memo *decodeMemo
 }
 
-// decodeMemo is one wire table's decode, made at most once, on first use.
+// memoized is a publication and its memo, which the publisher allocates
+// together.
+type memoized struct {
+	pub  Publication
+	memo decodeMemo
+}
+
+// decodeMemo is one wire table's decode, made at most once, on first use,
+// and the shares of the decode the publication's members install, cut
+// together on the first install (see share).
 type decodeMemo struct {
 	once  sync.Once
 	wire  *dispatch.TableWire
 	table *dispatch.Table
 	err   error
+
+	shareOnce sync.Once
+	shares    []dispatch.Table
+	shareCfg  dispatch.Config
 }
 
 // fromWire is the decode a publication's readers share; the tests count
@@ -53,6 +67,28 @@ func (pub *Publication) Decoded() (*dispatch.Table, error) {
 	return fromWire(pub.Table)
 }
 
+// share returns member idx's share of full, the publication's Decoded
+// table, spread over its n members under cfg (dispatch.Table.Subdivide).
+// A publication the publisher made cuts every member's share at once, on
+// the first request, from one set of slabs (dispatch.Table.Shares), and
+// hands each member its own; a request the memo cannot answer — another
+// table or bucket setting — subdivides alone. Shares are read-only like
+// the decode.
+func (pub *Publication) share(full *dispatch.Table, idx, n int, cfg dispatch.Config) (*dispatch.Table, error) {
+	m := pub.memo
+	if n == 1 || m == nil || m.wire != pub.Table || n != len(pub.Members) {
+		return full.Subdivide(idx, n, cfg)
+	}
+	m.shareOnce.Do(func() {
+		m.shares, _ = full.Shares(n, cfg) // errs only on an empty fleet
+		m.shareCfg = cfg
+	})
+	if !m.shareCfg.SameShares(cfg) {
+		return full.Subdivide(idx, n, cfg)
+	}
+	return &m.shares[idx], nil
+}
+
 // member is the control plane's health record for one replica.
 type member struct {
 	beaten bool // heartbeat seen since the last sweep
@@ -70,12 +106,18 @@ type Publisher struct {
 	drv   *dispatch.Driver
 	scope *obs.Scope
 
-	mu      sync.Mutex
-	cur     *Publication // last published epoch (nil before the first)
-	order   []string     // live members in join order — the subdivision order
-	health  map[string]*member
-	notify  chan struct{} // closed and remade on every publish
-	changed bool          // membership changed since the last publish
+	mu  sync.Mutex
+	cur *Publication // last published epoch (nil before the first)
+	// order is the live members in join order — the subdivision order —
+	// which publications share: a membership change replaces it, never
+	// edits it.
+	order  []string
+	health map[string]*member
+	// notify is closed and remade by the first publish after a long-poll
+	// took it (waited).
+	notify  chan struct{}
+	waited  bool
+	changed bool // membership changed since the last publish
 	// planning is up while PublishSlot has the driver plan a slot, whose
 	// epoch is minted already: Respread waits for that publish.
 	planning bool
@@ -128,7 +170,7 @@ func (p *Publisher) Beat(id string, slot int) {
 		}
 		m = &member{}
 		p.health[id] = m
-		p.order = append(p.order, id)
+		p.order = append(p.order[:len(p.order):len(p.order)], id)
 		p.changed = true
 		p.emitMembership(reason, id, slot)
 	}
@@ -157,11 +199,8 @@ func (p *Publisher) SweepHealth(slot int) []string {
 	}
 	for _, id := range evicted {
 		delete(p.health, id)
-		for i, o := range p.order {
-			if o == id {
-				p.order = append(p.order[:i], p.order[i+1:]...)
-				break
-			}
+		if i := slices.Index(p.order, id); i >= 0 {
+			p.order = slices.Concat(p.order[:i], p.order[i+1:])
 		}
 		p.changed = true
 		p.emitMembership("evict", id, slot)
@@ -209,20 +248,25 @@ func (p *Publisher) Respread(slot int) *Publication {
 }
 
 // publishLocked stores w as the current publication, spread over members
-// and stamped with w's own (epoch, sub), with a memo that decodes w once
-// for all its readers, and wakes every long-poll (caller holds mu).
+// (a membership the publisher never edits) and stamped with w's own
+// (epoch, sub), with a memo that decodes w once for all its readers,
+// and wakes every long-poll (caller holds mu).
 func (p *Publisher) publishLocked(w *dispatch.TableWire, slot int, members []string) *Publication {
-	pub := &Publication{
+	memo := &memoized{memo: decodeMemo{wire: w}}
+	memo.pub = Publication{
 		Epoch:   w.Epoch,
 		Sub:     w.Sub,
 		Slot:    slot,
-		Members: append([]string(nil), members...),
+		Members: members,
 		Table:   w,
-		memo:    &decodeMemo{wire: w},
+		memo:    &memo.memo,
 	}
+	pub := &memo.pub
 	p.cur = pub
-	close(p.notify)
-	p.notify = make(chan struct{})
+	if p.waited {
+		close(p.notify)
+		p.notify, p.waited = make(chan struct{}), false
+	}
 	if p.scope.Enabled() {
 		p.scope.Gauge("cluster_published_epoch").Set(float64(pub.Epoch))
 		p.scope.Gauge("cluster_published_sub").Set(float64(pub.Sub))
@@ -271,6 +315,7 @@ func (p *Publisher) Wait(after, afterSub uint64, cancel <-chan struct{}) *Public
 			return pub
 		}
 		ch := p.notify
+		p.waited = true
 		p.mu.Unlock()
 		select {
 		case <-ch:

@@ -140,7 +140,7 @@ func (r *Replica) Apply(pub *Publication, now float64) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("cluster: %s rejected publication epoch %d: %w", r.ID, pub.Epoch, err)
 	}
-	sub, err := full.Subdivide(idx, len(pub.Members), r.dcfg)
+	sub, err := pub.share(full, idx, len(pub.Members), r.dcfg)
 	if err != nil {
 		return false, fmt.Errorf("cluster: %s subdividing epoch %d: %w", r.ID, pub.Epoch, err)
 	}

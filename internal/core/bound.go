@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"profitlb/internal/linalg"
 	"profitlb/internal/lp"
 )
 
@@ -54,17 +55,24 @@ type prices struct {
 	// engine, whose solves nothing depends on.
 	seed  uint64
 	comms []commodity
+	// slab holds drop, share and route.
+	slab []float64
 }
 
 // priceOut reads the prices of d's solved LP (aggregated layout only) for
 // the set comms: d's own commodities, or on the hot unit's LP those
 // at[ci] names, the rows of the others holding nothing (0 ≥ 0 and the
 // like) that a subset LP would have.
-func (d *dispatchLP) priceOut(in *Input, res *lp.Result, comms []commodity, at []int) *prices {
+func (d *dispatchLP) priceOut(in *Input, res *lp.Result, comms []commodity, at []int, into *prices) *prices {
 	sys := in.Sys
 	K, L, S := sys.K(), sys.L(), sys.S()
-	slab := make([]float64, len(comms)+L+K*S)
-	p := &prices{drop: slab[:len(comms)], share: slab[len(comms):][:L], route: slab[len(comms)+L:]}
+	p := into
+	if p == nil {
+		p = new(prices)
+	}
+	p.slab = linalg.Resized(p.slab, len(comms)+L+K*S)
+	slab := p.slab
+	*p = prices{slab: slab, drop: slab[:len(comms)], share: slab[len(comms):][:L], route: slab[len(comms)+L:]}
 	for i := range p.share {
 		p.share[i] = math.NaN()
 	}

@@ -276,8 +276,8 @@ var refineFixtures = []struct {
 	make                 func() (*Optimized, *Input)
 	maxObjects, maxBytes uint64
 }{
-	{"demand-limited", refineSlot, 1_500, 35_000}, // 31 760 measured
-	{"capacity-limited", refineSlotBusy, 7_000, 2_200_000},
+	{"demand-limited", refineSlot, 4, 4_000},           // 1 and 1 523 measured
+	{"capacity-limited", refineSlotBusy, 600, 600_000}, // 500 and 484 864 measured
 }
 
 // BenchmarkRefineSlot times one warm refine Plan, the slot commit's
@@ -302,9 +302,11 @@ func BenchmarkRefineSlot(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := o.Plan(in); err != nil {
+				plan, err := o.Plan(in)
+				if err != nil {
 					b.Fatal(err)
 				}
+				Recycle(o, plan) // as the serving plane's Driver does
 				st := o.Stats
 				survivors += st.Solves - held(in)
 				trials, cuts, crashed = trials+st.Trials, cuts+st.Cuts, crashed+st.ImportPivots
@@ -444,9 +446,11 @@ func BenchmarkCaptureSlot(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := o.Plan(day[(i+1)%len(day)]); err != nil {
+				plan, err := o.Plan(day[(i+1)%len(day)])
+				if err != nil {
 					b.Fatal(err)
 				}
+				Recycle(o, plan) // as the serving plane's Driver does
 				pivots += o.Stats.WarmPivots + o.Stats.ColdPivots
 			}
 			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
@@ -468,15 +472,18 @@ func captureDay(K, L, S int) (*Optimized, []*Input) {
 }
 
 // TestCaptureSlotAllocs is the allocation budget of a steady 20×100×3
-// capture slot, fleet-large's planner side. What is left is the plan
-// (NewPlan, ~190 kB) and the solve's Result and basis; before the planner
-// held its lists and priced each route once, a Plan allocated 707 kB in 209
-// objects — ~130 of them allocateCenter's per-center lists.
+// capture slot, fleet-large's planner side, its plan handed back as the
+// serving plane's Driver does (Recycle). Nearly nothing is left: the plan
+// is refilled and the solver's Result is the solver's (14 objects and
+// 319 000 bytes while each Plan allocated both, ~190 kB of it the plan);
+// what remains is a kernel slab's occasional growth. Before the planner
+// held its lists and priced each route once, a Plan allocated 707 kB in
+// 209 objects — ~130 of them allocateCenter's per-center lists.
 func TestCaptureSlotAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector moves allocations to the heap")
 	}
-	const maxObjects, maxBytes = 60, 350_000 // 14 and 319 000 measured
+	const maxObjects, maxBytes = 4, 40_000 // 1 and 29 094 measured
 	o, day := captureDay(20, 100, 3)
 	for i := 0; i < 3; i++ { // slot 0 solves cold; then the held slabs settle
 		mustPlan(t, o, day[i])
@@ -488,9 +495,11 @@ func TestCaptureSlotAllocs(t *testing.T) {
 	const runs = 8
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, err := o.Plan(day[3+i]); err != nil {
+		plan, err := o.Plan(day[3+i])
+		if err != nil {
 			t.Fatal(err)
 		}
+		Recycle(o, plan) // as the serving plane's Driver does
 	}
 	runtime.ReadMemStats(&after)
 	objects, bytes := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
@@ -500,10 +509,13 @@ func TestCaptureSlotAllocs(t *testing.T) {
 	}
 }
 
-// TestRefinePlanAllocs is the refine slot's allocation budget, twice. The
+// TestRefinePlanAllocs is the refine slot's allocation budget, twice, each
+// plan handed back as the serving plane's Driver does (Recycle). The
 // demand-limited slot shows what the search's bookkeeping costs when the
 // bound turns every move down: a move must be bounded before anything is
-// built for it (a trial list per move was 515 KB a Plan). The
+// built for it (a trial list per move was 515 KB a Plan), and the two held
+// chains' answers are read into storage they keep (heldOut; 31 760 bytes
+// a Plan before they were, with the plan and the solves' Results). The
 // capacity-limited one keeps the search and spare units honest: before
 // the solver, the trial model and its handles were reused with it, ~150
 // solves allocated 30 341 objects and 11.5 MB.
@@ -530,9 +542,11 @@ func TestRefinePlanAllocs(t *testing.T) {
 		const runs = 5
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if _, err := o.Plan(in); err != nil {
+			plan, err := o.Plan(in)
+			if err != nil {
 				t.Fatal(err)
 			}
+			Recycle(o, plan) // as the serving plane's Driver does
 		}
 		runtime.ReadMemStats(&after)
 		objects, bytes := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs

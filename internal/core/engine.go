@@ -1,6 +1,7 @@
 package core
 
 import (
+	"profitlb/internal/linalg"
 	"profitlb/internal/lp"
 	"profitlb/internal/obs"
 )
@@ -75,9 +76,6 @@ type engine struct {
 	in        *Input
 	perServer bool
 	opts      lp.Options
-	// single marks a call whose capture is its one request (a refine-off
-	// Optimized): its rates go to the held rows.
-	single bool
 	// names spells the aggregated layout's names from the planner's table.
 	names *dispatchNames
 	// warm, when non-nil, warm-starts every solve from the owning
@@ -123,27 +121,103 @@ type engine struct {
 // solved subsets.
 func (e *EngineOptions) open(in *Input, planner string, perServer, searches bool) *engine {
 	e.scratch.routes.price(in)
-	return &engine{
+	e.scratch.eng = engine{
 		in: in, perServer: perServer, opts: e.LPOpts, priced: searches && !perServer,
 		warm: e.claim(!perServer), stats: e.Stats, sc: e.Obs, planner: planner,
 		names: e.namesFor(in.Sys), scratch: &e.scratch, onSolve: e.warm.onSolve,
 	}
+	return &e.scratch.eng
 }
 
 // planScratch is what a planner's Plan calls refill, each with [:0], in
 // place of the lists a call used to allocate: the call's admission (the
 // route pass and the admissible and capped lists, see admission),
-// pick's per-vector subset and its capped copy, the rates of a single
-// call's capture and planFromRates' read-out.
-// Nothing in it is read before the call that fills it has written it, so
-// a planner plans alike with it dropped before every call
+// pick's per-vector subset and its capped copy, the walks' lists, the
+// held chains' answers, planFromRates' read-out, the engine and a plan
+// handed back. Nothing in it is read before the call that fills it has
+// written it, so a planner plans alike with it dropped before every call
 // (TestHeldListsAreInvisible).
 type planScratch struct {
 	admission
 	pick, kept []commodity
-	rates      rateRows
 	read       readout
+	// pairs is the call's (k, l) grid, levels the all-tightest vector a
+	// capture or greedy start is picked from, toggle toggleSearch's
+	// positions and climb climb's working lists.
+	pairs  []pair
+	levels []int
+	toggle []int
+	climb  climbScratch
+	// out[c] is what held chain c's one request a call reads out into.
+	out [greedyStart + 1]heldOut
+	// plan is a plan handed back (Recycle), which the next call refills.
+	plan *Plan
+	// eng is the call's engine (see open).
+	eng engine
 }
+
+// heldOut is a held chain's answer, refilled by the chain's one request a
+// call: its rates, its shadow prices and, when it is a level vector's
+// set (evaluate), the vector and the set. A search may hold it as its
+// incumbent until the call returns.
+type heldOut struct {
+	rates  rateRows
+	px     prices
+	levels []int
+	comms  []commodity
+}
+
+// heldOut is the storage of the request the engine is about to make when
+// that is a held chain's, nil for a spare request.
+func (e *engine) heldOut() *heldOut {
+	if e.held == spare {
+		return nil
+	}
+	return &e.scratch.out[e.held]
+}
+
+// climbScratch is climb's storage: the incumbent's level vector, the
+// moves, the pair of each (k, l), the bound's positions and reservations
+// (see climb) and the vector of the move being asked.
+type climbScratch struct {
+	levels, pairAt, at, trial []int
+	moves                     []levelMove
+	reserved                  []float64
+}
+
+// levelMove is one of climb's moves: pair pi to level q.
+type levelMove struct{ pi, q int }
+
+// zeroLevels returns the all-tightest level vector of n pairs, the
+// planner's (see planScratch).
+func (e *engine) zeroLevels(n int) []int {
+	e.scratch.levels = linalg.Resized(e.scratch.levels, n)
+	clear(e.scratch.levels)
+	return e.scratch.levels
+}
+
+// Recycle hands a plan its caller is done with back to the planner that
+// will refill it, p or the first planner p wraps (Unwrap) that refills
+// plans: an Optimized or a LevelSearch, whose next Plan call returns it
+// refilled instead of a new plan. A handed-back plan is the planner's: it
+// must not be read after that next call, nor handed back twice. Planners
+// that refill nothing drop it.
+func Recycle(p Planner, plan *Plan) {
+	for p != nil && plan != nil {
+		if r, ok := p.(interface{ recycle(*Plan) }); ok {
+			r.recycle(plan)
+			return
+		}
+		u, ok := p.(interface{ Unwrap() Planner })
+		if !ok {
+			return
+		}
+		p = u.Unwrap()
+	}
+}
+
+// recycle keeps plan for the next Plan call to refill.
+func (e *EngineOptions) recycle(plan *Plan) { e.scratch.plan = plan }
 
 // admit lists the call's admissible commodities and caps them, into the
 // planner's held lists (see admission.admit): the full list is the call's
@@ -189,12 +263,14 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices, cutoff
 		}
 		return solution{}, nil
 	}
+	out := e.heldOut()
 	c := e.held
 	e.held = spare
 	e.n.Solves++
 	var rows *rateRows // nil: a slab of the solution's own, which a search may keep
-	if e.single {
-		rows = &e.scratch.rates
+	var px *prices
+	if out != nil {
+		rows, px = &out.rates, &out.px
 	}
 	var sol solution
 	d, at, res, err := e.solveLP(c, comms, floors, from, cutoff)
@@ -206,7 +282,7 @@ func (e *engine) solve(comms []commodity, floors []float64, from *prices, cutoff
 	default:
 		sol.rates, sol.obj = d.extractRates(res, rows, at), res.Objective
 		if e.priced {
-			sol.px = d.priceOut(e.in, res, comms, at)
+			sol.px = d.priceOut(e.in, res, comms, at, px)
 			if e.warm != nil { // a search may go on from it: number it
 				e.seeds++
 				sol.px.seed, sol.px.comms = e.seeds, comms

@@ -98,7 +98,7 @@ func TestAllocateCenterToleranceBoundary(t *testing.T) {
 	// shareAt(2) = 0.5 + λ/2 = 1 + 5e-8: feasible within shareFeasTol,
 	// infeasible under the old 1e-9 search bound.
 	lam := 1 + 1e-7
-	plan, err := planFromRates(in, []commodity{{k: 0, q: 0, l: 0}}, [][]float64{{lam}}, new(readout))
+	plan, err := planFromRates(in, []commodity{{k: 0, q: 0, l: 0}}, [][]float64{{lam}}, new(readout), nil)
 	if err != nil {
 		t.Fatalf("allocateCenter: %v", err)
 	}

@@ -345,7 +345,7 @@ func (w *windowLP) extract(h *HorizonInput, res *lp.Result) (*HorizonPlan, error
 	served, deferred := make([]float64, w.K), make([]float64, w.K)
 	for t := range w.blocks {
 		d, in := &w.blocks[t], &w.ins[t]
-		plan, err := planFromRates(in, d.comms, d.extractRates(res, &w.rates, nil), &w.read)
+		plan, err := planFromRates(in, d.comms, d.extractRates(res, &w.rates, nil), &w.read, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: horizon slot %d: %w", t, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"profitlb/internal/datacenter"
+	"profitlb/internal/linalg"
 	"profitlb/internal/lp"
 )
 
@@ -88,7 +89,11 @@ type pair struct{ k, l int }
 func choices(sys *datacenter.System, p pair) int { return sys.Classes[p.k].TUF.NumLevels() + 1 }
 
 func allPairs(sys *datacenter.System) []pair {
-	var pairs []pair
+	return appendPairs(make([]pair, 0, sys.K()*sys.L()), sys)
+}
+
+// appendPairs appends sys's pairs, k-major, to pairs.
+func appendPairs(pairs []pair, sys *datacenter.System) []pair {
 	for k := 0; k < sys.K(); k++ {
 		for l := 0; l < sys.L(); l++ {
 			pairs = append(pairs, pair{k, l})
@@ -104,7 +109,9 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 	}
 	sys := in.Sys
 
-	pairs := allPairs(sys)
+	sc := &ls.scratch
+	sc.pairs = appendPairs(sc.pairs[:0], sys)
+	pairs := sc.pairs
 	space := 1.0 // the walked space: each pair's levels and off
 	for _, p := range pairs {
 		space *= float64(choices(sys, p))
@@ -130,7 +137,7 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 	// which the next slot re-solves, and hands the strategy its answer.
 	eng.admit(nil)
 	first, err := eng.prologue(capture, func() (assignment, error) {
-		levels := make([]int, len(pairs))
+		levels := eng.zeroLevels(len(pairs))
 		kept, _ := eng.pick(pairs, levels)
 		return eng.evaluate(levels, kept, nil, noCutoff)
 	})
@@ -152,8 +159,9 @@ func (ls *LevelSearch) Plan(in *Input) (*Plan, error) {
 		return nil, err
 	}
 	if best.rates == nil {
-		// Nothing profitable anywhere: empty plan.
-		plan := NewPlan(sys)
+		// Nothing profitable anywhere: the empty plan.
+		plan := reuse(eng.scratch.plan, sys)
+		eng.scratch.plan = nil
 		return plan, nil
 	}
 	return eng.planOf(best)
@@ -186,13 +194,21 @@ func (e *engine) pick(pairs []pair, levels []int) (kept []commodity, evicted boo
 
 // evaluate solves a copy of kept, the set levels stands for (see pick), as
 // a move from from, the incumbent it neighbours (nil: none), under cutoff
-// (see engine.solve). An empty set is no LP.
+// (see engine.solve). An empty set is no LP. A held chain's request copies
+// into the chain's own storage (see heldOut), a move's into new slices a
+// search may keep.
 func (e *engine) evaluate(levels []int, kept []commodity, from *prices, cutoff float64) (assignment, error) {
-	a := assignment{levels: slices.Clone(levels)}
+	var a assignment
+	if out := e.heldOut(); out != nil {
+		out.levels, out.comms = append(out.levels[:0], levels...), append(out.comms[:0], kept...)
+		a.levels, a.comms = out.levels, out.comms
+	} else {
+		a.levels, a.comms = slices.Clone(levels), slices.Clone(kept)
+	}
 	if len(kept) == 0 {
+		a.comms = nil
 		return a, nil
 	}
-	a.comms = slices.Clone(kept)
 	sol, err := e.solve(a.comms, nil, from, cutoff)
 	if err == lp.ErrInfeasible {
 		return assignment{levels: a.levels, obj: math.Inf(-1)}, nil
@@ -288,18 +304,16 @@ func exhaustive(eng *engine, pairs []pair, first assignment) (assignment, error)
 // accepted.
 func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 	sys := eng.in.Sys
-	best, levels := start, slices.Clone(start.levels)
-	type move struct{ pi, q int } // pair pi to level q
-	nMoves := 0
-	for _, p := range pairs {
-		nMoves += sys.Classes[p.k].TUF.NumLevels()
-	}
-	moves := make([]move, 0, nMoves)
-	pairAt := make([]int, sys.K()*sys.L()) // (k, l)'s pair
+	cs := &eng.scratch.climb
+	cs.levels = append(cs.levels[:0], start.levels...)
+	best, levels := start, cs.levels
+	moves := cs.moves[:0]
+	cs.pairAt = linalg.Resized(cs.pairAt, sys.K()*sys.L())
+	pairAt := cs.pairAt // (k, l)'s pair
 	for pi, p := range pairs {
 		pairAt[p.k*sys.L()+p.l] = pi
 		for q := 0; q < sys.Classes[p.k].TUF.NumLevels(); q++ {
-			moves = append(moves, move{pi, q})
+			moves = append(moves, levelMove{pi, q})
 		}
 	}
 	// asked reports whether pair pi has a level below q but its own that
@@ -318,8 +332,9 @@ func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 	// bound speaks of the incumbent's set with one commodity out and one
 	// in, which is what evaluate would solve only where capReservations
 	// evicts nothing — not from the incumbent (whole), not after the move.
-	at := make([]int, len(pairs))
-	reserved := make([]float64, sys.L())
+	cs.moves = moves
+	cs.at, cs.reserved = linalg.Resized(cs.at, len(pairs)), linalg.Resized(cs.reserved, sys.L())
+	at, reserved := cs.at, cs.reserved
 	whole := false
 	place := func() {
 		clear(reserved)
@@ -369,7 +384,8 @@ func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 					continue
 				}
 			}
-			trial := append([]int(nil), levels...)
+			cs.trial = append(cs.trial[:0], levels...)
+			trial := cs.trial
 			trial[mv.pi] = mv.q
 			kept, _ := eng.pick(pairs, trial)
 			a, err := eng.evaluate(trial, kept, best.px, cutoffOf(best.obj))

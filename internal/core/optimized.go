@@ -124,7 +124,6 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 	}
 	eng := o.open(in, o.Name(), o.PerServer, o.Refine)
 	defer eng.close()
-	eng.single = !o.Refine
 	full, capped := eng.admit(o.MinCompletion)
 	captured, err := eng.prologue(capture, func() (assignment, error) {
 		return o.solveSubset(eng, capped, nil, noCutoff)
@@ -411,7 +410,8 @@ func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment
 	best := start
 	// at[i] is full[i]'s position in best.comms, -1 while it is out; an
 	// accept rewrites it.
-	at := make([]int, len(full))
+	eng.scratch.toggle = linalg.Resized(eng.scratch.toggle, len(full))
+	at := eng.scratch.toggle
 	place := func() {
 		ci := 0
 		for i := range full {
@@ -488,8 +488,10 @@ func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment
 // top level, is re-solved on the greedy chain, unless it is the capture's
 // question (the same set, no floors), whose answer it then takes.
 func (o *Optimized) greedySeed(eng *engine, captured assignment) (assignment, error) {
-	pairs := allPairs(eng.in.Sys)
-	levels := make([]int, len(pairs))
+	sc := eng.scratch
+	sc.pairs = appendPairs(sc.pairs[:0], eng.in.Sys)
+	pairs := sc.pairs
+	levels := eng.zeroLevels(len(pairs))
 	kept, _ := eng.pick(pairs, levels)
 	start, err := captured, error(nil)
 	if start.levels = levels; len(o.MinCompletion) > 0 || !sameSet(kept, captured.comms) {
@@ -883,10 +885,11 @@ func floorsActive(in *Input, floors []float64) bool {
 // filling the rate tensor, choosing the number of powered-on servers per
 // center, and recomputing exact per-server shares at that count. comms is
 // in canonical order; each one's rates are summed once, in front-end
-// order, and each center reads its commodities from r, refilled.
-func planFromRates(in *Input, comms []commodity, rates [][]float64, r *readout) (*Plan, error) {
+// order, and each center reads its commodities from r, refilled. The plan
+// is into, refilled when it is shaped for in (see reuse), or a new one.
+func planFromRates(in *Input, comms []commodity, rates [][]float64, r *readout, into *Plan) (*Plan, error) {
 	sys := in.Sys
-	plan := NewPlan(sys)
+	plan := reuse(into, sys)
 	r.lams = linalg.Resized(r.lams, len(comms))
 	for ci, c := range comms {
 		var lam float64
@@ -1007,9 +1010,11 @@ func planObjective(in *Input, plan *Plan, r *routePass) float64 {
 }
 
 // planOf reads the call's chosen assignment out as its Plan (see
-// planFromRates), valued by Eq. 5 off the call's route pass.
+// planFromRates), valued by Eq. 5 off the call's route pass, into the plan
+// last handed back (see Recycle) if there is one.
 func (e *engine) planOf(best assignment) (*Plan, error) {
-	plan, err := planFromRates(e.in, best.comms, best.rates, &e.scratch.read)
+	plan, err := planFromRates(e.in, best.comms, best.rates, &e.scratch.read, e.scratch.plan)
+	e.scratch.plan = nil
 	if err != nil {
 		return nil, err
 	}

@@ -150,6 +150,55 @@ func NewPlan(sys *datacenter.System) *Plan {
 	return p
 }
 
+// reuse returns held zeroed when it is shaped as NewPlan(sys) cuts, row
+// for row, and a new plan otherwise: the refill of a plan its owner holds.
+func reuse(held *Plan, sys *datacenter.System) *Plan {
+	if held == nil || len(held.Rate) != sys.K() || len(held.Phi) != sys.L() || len(held.ServersOn) != sys.L() {
+		return NewPlan(sys)
+	}
+	for k := range held.Rate {
+		nq := sys.Classes[k].TUF.NumLevels()
+		if len(held.Rate[k]) != nq {
+			return NewPlan(sys)
+		}
+		for q := range held.Rate[k] {
+			if len(held.Rate[k][q]) != sys.S() {
+				return NewPlan(sys)
+			}
+			for s := range held.Rate[k][q] {
+				if len(held.Rate[k][q][s]) != sys.L() {
+					return NewPlan(sys)
+				}
+			}
+		}
+	}
+	for l := range held.Phi {
+		if len(held.Phi[l]) != sys.K() {
+			return NewPlan(sys)
+		}
+		for k := range held.Phi[l] {
+			if len(held.Phi[l][k]) != sys.Classes[k].TUF.NumLevels() {
+				return NewPlan(sys)
+			}
+		}
+	}
+	held.Objective = 0
+	clear(held.ServersOn)
+	for k := range held.Rate {
+		for q := range held.Rate[k] {
+			for s := range held.Rate[k][q] {
+				clear(held.Rate[k][q][s])
+			}
+		}
+	}
+	for l := range held.Phi {
+		for k := range held.Phi[l] {
+			clear(held.Phi[l][k])
+		}
+	}
+	return held
+}
+
 // Clone returns a deep copy of the plan, shaped like it row for row.
 func (p *Plan) Clone() *Plan { return p.CopyTo(nil) }
 

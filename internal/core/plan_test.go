@@ -55,7 +55,8 @@ func everyRow(p *Plan, f func(row *[]float64)) {
 }
 
 // TestPlanAllocs: NewPlan and Clone cost planSlabs allocations whatever
-// K·Q·S·L is, and refilling a same-shaped copy costs none.
+// K·Q·S·L is, and refilling a same-shaped copy — by CopyTo, or a plan
+// handed back to its planner (reuse) — costs none.
 func TestPlanAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector moves allocations to the heap")
@@ -75,6 +76,9 @@ func TestPlanAllocs(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(100, func() { p.Shift(held) }); got != 0 {
 			t.Errorf("%s: Shift makes %v allocations, want none", sz.name, got)
+		}
+		if got := testing.AllocsPerRun(100, func() { held = reuse(held, sys) }); got != 0 {
+			t.Errorf("%s: refilling a handed-back plan makes %v allocations, want none", sz.name, got)
 		}
 	}
 }

@@ -127,8 +127,10 @@ func BenchmarkCompile(b *testing.B) {
 	})
 }
 
-// BenchmarkApply times the replica half of a fleet-large commit: each of
-// 8 replicas decodes the published wire table and cuts its share.
+// BenchmarkApply times the replica half of a fleet-large commit as an
+// in-process fleet runs it: the published wire table decoded once for 8
+// replicas, their shares cut together (Shares), and each installed on its
+// replica's gateway, every slot a new one.
 func BenchmarkApply(b *testing.B) {
 	const replicas = 8
 	cfg := Config{Seed: 1, SlotSeconds: 60}
@@ -137,18 +139,25 @@ func BenchmarkApply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w := tab.Wire()
+	w := *tab.Wire()
+	gws := make([]*Gateway, replicas)
+	for r := range gws {
+		gws[r] = NewGateway(in.Sys, cfg, nil)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for r := 0; r < replicas; r++ {
-			full, err := FromWire(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := full.Subdivide(r, replicas, cfg); err != nil {
-				b.Fatal(err)
-			}
+		w.Slot = i
+		full, err := FromWire(&w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		shares, err := full.Shares(replicas, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for r, gw := range gws {
+			gw.Install(&shares[r], w.SlotLen*float64(i), 0)
 		}
 	}
 }

@@ -124,6 +124,8 @@ func (d *Driver) buildTable(abs int, epoch uint64) (*Table, error) {
 		return nil, fmt.Errorf("dispatch: slot %d: %w", abs, c.Err)
 	}
 	t, err := Compile(in, c.Plan, d.Gateway.cfg)
+	// The table holds nothing of the plan: it goes back to be refilled.
+	core.Recycle(d.Planner, c.Plan)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: slot %d compile: %w", abs, err)
 	}

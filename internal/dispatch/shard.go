@@ -43,12 +43,46 @@ func (t *Table) Subdivide(idx, n int, cfg Config) (*Table, error) {
 	if n == 1 {
 		return t, nil
 	}
+	sl := t.slabs(1)
+	return t.subdivide(idx, n, cfg.WithDefaults(), new(Table), &sl), nil
+}
+
+// Shares is Subdivide of every replica of an n-replica fleet, shares[idx]
+// replica idx's, all cut from one slab per element type: what an
+// in-process fleet's replicas install from one publication. A fleet of
+// one gets a copy of the table's header and slices.
+func (t *Table) Shares(n int, cfg Config) ([]Table, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("dispatch: subdivide into %d replicas", n)
+	}
+	shares := make([]Table, n)
+	if n == 1 {
+		shares[0] = *t
+		return shares, nil
+	}
 	cfg = cfg.WithDefaults()
+	sl := t.slabs(n)
+	for idx := range shares {
+		t.subdivide(idx, n, cfg, &shares[idx], &sl)
+	}
+	return shares, nil
+}
+
+// SameShares reports whether c subdivides a table as o does: the bucket
+// settings a share's capacities are derived from agree.
+func (c Config) SameShares(o Config) bool {
+	c, o = c.WithDefaults(), o.WithDefaults()
+	return c.Burst == o.Burst && c.MinBurst == o.MinBurst
+}
+
+// subdivide is Subdivide of a fleet of more than one under cfg, with its
+// defaults, into out, cut from sl.
+func (t *Table) subdivide(idx, n int, cfg Config, out *Table, sl *derivedSlabs) *Table {
 	lo := float64(idx) / float64(n)
 	hi := float64(idx+1) / float64(n)
 	share := hi - lo
 	slack := math.Sqrt(float64(n))
-	sub := t.derive(func(_ int, ln *Lane) {
+	sub := t.deriveInto(out, sl, func(_ int, ln *Lane) {
 		// MaxRate telescopes exactly like Rate, so the per-replica headroom
 		// shares sum back to the fleet-wide headroom.
 		ln.Rate = ln.Rate*hi - ln.Rate*lo
@@ -61,7 +95,7 @@ func (t *Table) Subdivide(idx, n int, cfg Config) (*Table, error) {
 		e.seed = workload.SplitMix64(e.seed ^ (uint64(idx)+1)*0x9e3779b97f4a7c15 ^ uint64(n)<<32)
 	})
 	sub.Objective *= share
-	return sub, nil
+	return sub
 }
 
 // Scale returns a copy of the table with every lane's admission rate (and

@@ -63,7 +63,8 @@ type entry struct {
 // plan it is, for which slot, and what that plan promised. Table and
 // TableWire both embed it, so it crosses the wire, a subdivision or a
 // rescale as one value. ServersOn is shared by tables derived from one
-// another (tables are immutable) and copied at the wire boundary.
+// another and by a table's wire form (both are immutable), and copied
+// where a wire form is decoded (FromWire).
 type Header struct {
 	// Epoch is the monotonically increasing plan version stamped by the
 	// minting Driver (or cluster publisher). Zero means unversioned — a
@@ -134,9 +135,10 @@ func (t *Table) Planned(k, s int) (planned, arrival float64) {
 }
 
 // A table's storage is a fixed handful of slabs whatever its size: the
-// entries are one []entry (plus the [k] row headers), every stream's lane
-// list is cut from one []int32, and its alias table from one []float64
-// and one []int32. Each cut is capped at its own length.
+// entries are one []entry (plus the [k] row headers), and every stream's
+// lane list and alias table are cut from one []int32 and one []float64,
+// which also hold the scratch of the alias construction. Each cut is
+// capped at its own length.
 
 // grid returns a K×S grid of entries cut from one slab.
 func grid(K, S int) [][]entry {
@@ -153,17 +155,20 @@ func grid(K, S int) [][]entry {
 // weigh. Lane coordinates must already be in range.
 func (t *Table) index(K, S int, arrival func(k, s int) float64) {
 	t.entries = grid(K, S)
-	// Count each stream's lanes, cut its list off one slab, then deal the
-	// lanes out in lane order.
-	counts := make([]int32, K*S)
+	// Count each stream's lanes — in its entry's seed, which the deal below
+	// sets — cut its list off the slab, then deal the lanes out in lane
+	// order.
+	widest := 0
 	for i := range t.Lanes {
-		counts[t.Lanes[i].K*S+t.Lanes[i].S]++
+		e := &t.entries[t.Lanes[i].K][t.Lanes[i].S]
+		e.seed++
+		widest = max(widest, int(e.seed))
 	}
-	lanes := make([]int32, len(t.Lanes))
+	ints, floats := weighSlabs(len(t.Lanes), widest, len(t.Lanes))
 	for k := range t.entries {
 		for s := range t.entries[k] {
 			t.entries[k][s] = entry{
-				lanes:   linalg.Carve(&lanes, int(counts[k*S+s]))[:0],
+				lanes:   linalg.Carve(&ints, int(t.entries[k][s].seed))[:0],
 				arrival: arrival(k, s),
 				seed:    streamSeed(t.Seed, t.Slot, k, s),
 			}
@@ -173,13 +178,22 @@ func (t *Table) index(K, S int, arrival func(k, s int) float64) {
 		e := &t.entries[t.Lanes[i].K][t.Lanes[i].S]
 		e.lanes = append(e.lanes, int32(i))
 	}
-	t.weigh()
+	t.weigh(ints, floats)
+}
+
+// weighSlabs allocates what weigh cuts a table's alias tables of cells
+// cells, over streams at most widest wide, from, after extra int32s for
+// the caller.
+func weighSlabs(cells, widest, extra int) ([]int32, []float64) {
+	return make([]int32, extra+cells+2*widest), make([]float64, cells+2*widest)
 }
 
 // weigh sets every stream's planned rate and alias table from its lanes'
-// current rates. The alias slabs are always fresh, so a table that
-// shares them with its parent can be re-weighed without touching it.
-func (t *Table) weigh() {
+// current rates, cutting the tables from ints and floats (nil: slabs of
+// its own, see weighSlabs), which it takes over. The alias slabs are
+// always fresh, so a table that shares them with its parent can be
+// re-weighed without touching it.
+func (t *Table) weigh(ints []int32, floats []float64) {
 	widest, cells := 0, 0
 	for k := range t.entries {
 		for s := range t.entries[k] {
@@ -187,8 +201,11 @@ func (t *Table) weigh() {
 			cells += len(t.entries[k][s].lanes)
 		}
 	}
-	v := newVose(widest)
-	prob, alias := make([]float64, cells), make([]int32, cells)
+	if ints == nil {
+		ints, floats = weighSlabs(cells, widest, 0)
+	}
+	prob, alias := linalg.Carve(&floats, cells), linalg.Carve(&ints, cells)
+	v := vose{weights: floats[:widest:widest], scaled: floats[widest:], small: ints[:widest:widest], large: ints[widest:]}
 	for k := range t.entries {
 		for s := range t.entries[k] {
 			e := &t.entries[k][s]
@@ -212,19 +229,46 @@ func (t *Table) weigh() {
 // so the routing probabilities, where they were; one that does not calls
 // weigh on the result.
 func (t *Table) derive(lane func(i int, ln *Lane), stream func(e *entry)) *Table {
-	out := *t
-	out.Lanes = append([]Lane(nil), t.Lanes...)
+	sl := t.slabs(1)
+	return t.deriveInto(new(Table), &sl, lane, stream)
+}
+
+// derivedSlabs is what derived tables are cut from: their lanes, entry
+// cells and entry row headers (the tables themselves are the caller's).
+type derivedSlabs struct {
+	lanes []Lane
+	cells []entry
+	rows  [][]entry
+}
+
+// slabs allocates the storage of n tables derived from t.
+func (t *Table) slabs(n int) derivedSlabs {
+	return derivedSlabs{
+		lanes: make([]Lane, n*len(t.Lanes)),
+		cells: make([]entry, n*t.K()*t.S()),
+		rows:  make([][]entry, n*t.K()),
+	}
+}
+
+// deriveInto is derive into out, its storage cut from sl.
+func (t *Table) deriveInto(out *Table, sl *derivedSlabs, lane func(i int, ln *Lane), stream func(e *entry)) *Table {
+	*out = *t
+	if out.Lanes = nil; len(t.Lanes) > 0 { // none stays nil, as Compile leaves it
+		out.Lanes = linalg.Carve(&sl.lanes, len(t.Lanes))
+		copy(out.Lanes, t.Lanes)
+	}
 	for i := range out.Lanes {
 		lane(i, &out.Lanes[i])
 	}
-	out.entries = grid(t.K(), t.S())
+	out.entries = linalg.Carve(&sl.rows, t.K())
 	for k, row := range t.entries {
+		out.entries[k] = linalg.Carve(&sl.cells, len(row))
 		copy(out.entries[k], row)
 		for s := range out.entries[k] {
 			stream(&out.entries[k][s])
 		}
 	}
-	return &out
+	return out
 }
 
 // ShedTable builds the emergency table for a slot with no usable plan:
@@ -354,7 +398,7 @@ func (t *Table) Rescale(mult []float64, sub uint64, cfg Config) (*Table, error) 
 		ln.Burst = cfg.laneBurst(ln.Rate, t.SlotLen)
 	}, func(*entry) {})
 	out.Sub = sub
-	out.weigh()
+	out.weigh(nil, nil)
 	return out, nil
 }
 
@@ -363,11 +407,6 @@ func (t *Table) Rescale(mult []float64, sub uint64, cfg Config) (*Table, error) 
 type vose struct {
 	weights, scaled []float64
 	small, large    []int32
-}
-
-func newVose(n int) vose {
-	f, i := make([]float64, 2*n), make([]int32, 2*n)
-	return vose{weights: f[:n:n], scaled: f[n:], small: i[:n:n], large: i[n:]}
 }
 
 // fill constructs a Walker alias table (Vose's algorithm) over the

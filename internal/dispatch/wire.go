@@ -21,17 +21,17 @@ type TableWire struct {
 	Arrivals [][]float64 `json:"arrivals"` // [k][s] planner-budgeted arrival rates
 }
 
-// Wire serializes the table. The lane and ServersOn slices are copied;
-// the table stays immutable.
+// Wire serializes the table. The wire form shares the table's lane and
+// ServersOn slices: both are immutable, and a holder that edits a wire
+// form's lanes copies them first, as FromWire copies what it decodes.
 func (t *Table) Wire() *TableWire {
 	w := &TableWire{
 		Header:   t.Header,
 		K:        t.K(),
 		S:        t.S(),
-		Lanes:    append([]Lane(nil), t.Lanes...),
+		Lanes:    t.Lanes,
 		Arrivals: make([][]float64, t.K()),
 	}
-	w.ServersOn = append([]int(nil), t.ServersOn...)
 	arrivals := make([]float64, t.K()*t.S())
 	for k, row := range t.entries {
 		w.Arrivals[k] = linalg.Carve(&arrivals, len(row))

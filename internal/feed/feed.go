@@ -37,6 +37,7 @@ import (
 	"math/rand"
 
 	"profitlb/internal/fault"
+	"profitlb/internal/linalg"
 	"profitlb/internal/obs"
 	"profitlb/internal/workload"
 )
@@ -222,7 +223,7 @@ type Feed struct {
 	idx  int
 	seed int64 // Config.Seed
 	sch  *fault.Schedule
-	src  func(slot int) []float64
+	src  func(slot int, out []float64)
 	// prior is the estimator of last resort; floor is the smallest value
 	// the feed ever emits (a sliver of the prior for prices — electricity
 	// is never free — and zero for arrivals).
@@ -231,6 +232,8 @@ type Feed struct {
 	br      breaker
 	filters []*Kalman
 	lkg     []float64
+	// reading is the slot's reading, refilled by every Fetch.
+	reading []float64
 	lkgSlot int
 	hasLKG  bool
 	born    int
@@ -246,11 +249,13 @@ type Feed struct {
 
 // newFeed builds one feed. Each element's filter noise is relative to
 // its prior magnitude.
-func newFeed(kind string, idx int, seed int64, sch *fault.Schedule, prior []float64, src func(int) []float64) (*Feed, error) {
+func newFeed(kind string, idx int, seed int64, sch *fault.Schedule, prior []float64, src func(int, []float64)) (*Feed, error) {
 	f := &Feed{
 		kind: kind, idx: idx, seed: seed, sch: sch, src: src,
 		prior:   append([]float64(nil), prior...),
 		filters: make([]*Kalman, len(prior)),
+		lkg:     make([]float64, 0, len(prior)),
+		reading: make([]float64, len(prior)),
 	}
 	if kind == fault.FeedPrice {
 		f.floor = prior[0] * 0.01
@@ -272,7 +277,7 @@ func newFeed(kind string, idx int, seed int64, sch *fault.Schedule, prior []floa
 func sq(v float64) float64 { return v * v }
 
 // Fetch produces the slot's planner-facing reading and its health. The
-// returned slice is owned by the caller.
+// reading is the feed's until its next Fetch, which refills it.
 func (f *Feed) Fetch(slot int) ([]float64, Health) {
 	out, h := f.fetch(slot)
 	f.note(slot, h)
@@ -338,9 +343,8 @@ func (f *Feed) transport(rng *slotStream, eff fault.FeedEffects) (ok bool, attem
 // noisy reading poisons the cache and the filters too — the feed cannot
 // tell it is wrong, which is exactly the exposure feed-noise models.
 func (f *Feed) observe(slot int, rng *slotStream, eff fault.FeedEffects, h *Health) []float64 {
-	row := f.src(slot)
-	out := make([]float64, len(f.prior))
-	copy(out, row)
+	out := f.reading
+	f.src(slot, out)
 	if eff.NoiseSigma > 0 {
 		h.Noisy = true
 		for i := range out {
@@ -358,12 +362,12 @@ func (f *Feed) observe(slot int, rng *slotStream, eff fault.FeedEffects, h *Heal
 	f.lkg = append(f.lkg[:0], out...)
 	f.lkgSlot, f.hasLKG = slot, true
 	h.Tier, h.Staleness = TierFresh, 0
-	return append([]float64(nil), out...)
+	return out
 }
 
 // estimate runs the fallback chain for a slot whose live fetch failed.
 func (f *Feed) estimate(slot int, h *Health) []float64 {
-	out := make([]float64, len(f.prior))
+	out := f.reading
 	switch {
 	case f.hasLKG && slot-f.lkgSlot <= ttl:
 		h.Tier, h.Staleness = TierLKG, slot-f.lkgSlot
@@ -413,14 +417,17 @@ func (f *Feed) age(slot int) int {
 type Set struct {
 	prices   []*Feed
 	arrivals []*Feed
+	// sample is what FetchSlot refills.
+	sample Sample
 }
 
 // NewSet builds the feed layer. priceSrc[l] and arrivalSrc[s] are the
-// oracle readings (already composed with any legacy observation faults);
-// pricePriors[l] and arrivalPriors[s][k] are the priors, the estimators
-// of last resort.
+// oracle readings (already composed with any legacy observation faults),
+// arrivalSrc[s] writing front-end s's row of a slot into its second
+// argument; pricePriors[l] and arrivalPriors[s][k] are the priors, the
+// estimators of last resort.
 func NewSet(cfg Config, sch *fault.Schedule, priceSrc []func(int) float64, pricePriors []float64,
-	arrivalSrc []func(int) []float64, arrivalPriors [][]float64) (*Set, error) {
+	arrivalSrc []func(slot int, out []float64), arrivalPriors [][]float64) (*Set, error) {
 	st := &Set{}
 	for l := range priceSrc {
 		prior := pricePriors[l]
@@ -429,7 +436,7 @@ func NewSet(cfg Config, sch *fault.Schedule, priceSrc []func(int) float64, price
 		}
 		src := priceSrc[l]
 		f, err := newFeed(fault.FeedPrice, l, cfg.Seed, sch, []float64{prior},
-			func(slot int) []float64 { return []float64{src(slot)} })
+			func(slot int, out []float64) { out[0] = src(slot) })
 		if err != nil {
 			return nil, err
 		}
@@ -441,6 +448,22 @@ func NewSet(cfg Config, sch *fault.Schedule, priceSrc []func(int) float64, price
 			return nil, err
 		}
 		st.arrivals = append(st.arrivals, f)
+	}
+	cells := 0
+	for _, prior := range arrivalPriors {
+		cells += len(prior)
+	}
+	rows := make([]float64, cells)
+	st.sample = Sample{
+		Prices:   make([]float64, len(st.prices)),
+		Arrivals: make([][]float64, len(st.arrivals)),
+		Health: SlotHealth{
+			Prices:   make([]Health, len(st.prices)),
+			Arrivals: make([]Health, len(st.arrivals)),
+		},
+	}
+	for s := range st.sample.Arrivals {
+		st.sample.Arrivals[s] = linalg.Carve(&rows, len(arrivalPriors[s]))
 	}
 	return st, nil
 }
@@ -462,16 +485,11 @@ type Sample struct {
 }
 
 // FetchSlot fetches every feed for the slot and applies the staleness
-// margin to non-fresh arrival estimates.
+// margin to non-fresh arrival estimates. The Sample is the Set's until its
+// next FetchSlot, which refills it in place.
 func (st *Set) FetchSlot(slot int) *Sample {
-	out := &Sample{
-		Prices:   make([]float64, len(st.prices)),
-		Arrivals: make([][]float64, len(st.arrivals)),
-		Health: SlotHealth{
-			Prices:   make([]Health, len(st.prices)),
-			Arrivals: make([]Health, len(st.arrivals)),
-		},
-	}
+	out := &st.sample
+	out.Distorted = false
 	for l, f := range st.prices {
 		v, h := f.Fetch(slot)
 		out.Prices[l], out.Health.Prices[l] = v[0], h
@@ -480,14 +498,16 @@ func (st *Set) FetchSlot(slot int) *Sample {
 		}
 	}
 	for s, f := range st.arrivals {
-		row, h := f.Fetch(slot)
+		reading, h := f.Fetch(slot)
+		row := out.Arrivals[s]
+		copy(row, reading)
 		if h.Tier != TierFresh {
 			m := math.Min(maxMargin, staleMargin*float64(h.Staleness))
 			for k := range row {
 				row[k] *= 1 + m
 			}
 		}
-		out.Arrivals[s], out.Health.Arrivals[s] = row, h
+		out.Health.Arrivals[s] = h
 		if h.Tier != TierFresh || h.Noisy {
 			out.Distorted = true
 		}

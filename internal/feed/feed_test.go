@@ -17,9 +17,9 @@ func testSet(t *testing.T, cfg Config, sch *fault.Schedule) *Set {
 		func(slot int) float64 { return 0.08 + 0.02*math.Sin(float64(slot)) },
 		func(slot int) float64 { return 0.11 + 0.03*math.Cos(float64(slot)) },
 	}
-	arrivalSrc := []func(int) []float64{
-		func(slot int) []float64 {
-			return []float64{4000 + 500*math.Sin(float64(slot)/2), 1500 + 300*math.Cos(float64(slot)/3)}
+	arrivalSrc := []func(int, []float64){
+		func(slot int, out []float64) {
+			out[0], out[1] = 4000+500*math.Sin(float64(slot)/2), 1500+300*math.Cos(float64(slot)/3)
 		},
 	}
 	st, err := NewSet(cfg, sch, priceSrc, []float64{0.08, 0.11}, arrivalSrc, [][]float64{{4000, 1500}})
@@ -185,6 +185,19 @@ func TestDeadlineFailsUnderExtremeDelay(t *testing.T) {
 	}
 }
 
+// cloneSample deep-copies a Sample, which its Set refills every slot.
+func cloneSample(s *Sample) *Sample {
+	out := *s
+	out.Prices = append([]float64(nil), s.Prices...)
+	out.Arrivals = make([][]float64, len(s.Arrivals))
+	for i, row := range s.Arrivals {
+		out.Arrivals[i] = append([]float64(nil), row...)
+	}
+	out.Health.Prices = append([]Health(nil), s.Health.Prices...)
+	out.Health.Arrivals = append([]Health(nil), s.Health.Arrivals...)
+	return &out
+}
+
 func TestFeedDeterminismAcrossRebuilds(t *testing.T) {
 	sch := &fault.Schedule{Events: []fault.Event{
 		{Kind: fault.FeedDropout, Feed: fault.FeedPrice, Center: 0, Factor: 0.5, From: 0, To: 19},
@@ -194,7 +207,7 @@ func TestFeedDeterminismAcrossRebuilds(t *testing.T) {
 		st := testSet(t, Config{Seed: 42}, sch)
 		var out []*Sample
 		for slot := 0; slot < 20; slot++ {
-			out = append(out, st.FetchSlot(slot))
+			out = append(out, cloneSample(st.FetchSlot(slot)))
 		}
 		return out, st
 	}

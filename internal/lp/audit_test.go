@@ -25,7 +25,7 @@ func TestColdAuditSurfacesNumericBreakdown(t *testing.T) {
 
 	// Healthy tableau: the audit passes and the result is Optimal.
 	tb := build()
-	res, err := tb.result(Optimal)
+	res, err := tb.result(Optimal, new(Result))
 	if err != nil || res.Status != Optimal {
 		t.Fatalf("healthy path: status %v err %v", res.Status, err)
 	}
@@ -38,7 +38,7 @@ func TestColdAuditSurfacesNumericBreakdown(t *testing.T) {
 			tb.a.Set(r, tb.total, -1e-6)
 		}
 	}
-	res, err = tb.result(Optimal)
+	res, err = tb.result(Optimal, new(Result))
 	if !errors.Is(err, ErrNumericBreakdown) {
 		t.Fatalf("corrupted tableau: err %v, want ErrNumericBreakdown", err)
 	}

@@ -101,7 +101,7 @@ func TestDualSimplexCyclingRegression(t *testing.T) {
 	if st := tb.iterate(); st != Optimal {
 		t.Fatalf("primal finish: status %v", st)
 	}
-	res, err := tb.result(Optimal)
+	res, err := tb.result(Optimal, new(Result))
 	if err != nil {
 		t.Fatal(err)
 	}

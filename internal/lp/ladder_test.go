@@ -108,6 +108,7 @@ func TestSolveFreshMatchesCold(t *testing.T) {
 				t.Fatalf("outcome %+v, want %s on the %s kernel", out, start, kn.name)
 			}
 			requireMatchesCold(t, m1, want)
+			want = want.Clone() // the solver refills its Result
 			again, err := s.SolveFresh(m1, Options{})
 			if err != nil {
 				t.Fatal(err)

@@ -281,6 +281,18 @@ type Result struct {
 // Value returns the solution value of variable v.
 func (r *Result) Value(v int) float64 { return r.X[v] }
 
+// Clone returns a deep copy of the result (nil for nil): what a caller
+// keeps of a Solver's Result past the Solver's next solve, which refills
+// it.
+func (r *Result) Clone() *Result {
+	if r == nil {
+		return nil
+	}
+	out := *r
+	out.X, out.Duals = slices.Clone(r.X), slices.Clone(r.Duals)
+	return &out
+}
+
 // RowActivity returns Σ coef*x for constraint row c under solution x.
 func (m *Model) RowActivity(c int, x []float64) float64 {
 	var s float64

@@ -59,7 +59,7 @@ func snapshot(t testing.TB, s *Solver, warm bool, m *Model, opts Options) solved
 	if err != nil {
 		t.Fatal(err)
 	}
-	return solved{Res: *res, Out: s.LastOutcome()}
+	return solved{Res: *res.Clone(), Out: s.LastOutcome()}
 }
 
 func requireIdentical(t testing.TB, what string, got, want solved) {
@@ -236,9 +236,10 @@ func TestImportPivotsCounted(t *testing.T) {
 }
 
 // TestFreshSolveAllocs is the workspace's budget: in steady state a fresh
-// solve on a reused Solver — the spare unit's — allocates its Result — the
-// struct, X and Duals — and nothing else, on either start: the dense cold
-// simplex and the LU kernel's all-slack crash.
+// solve on a reused Solver — the spare unit's — allocates nothing, on
+// either start: the dense cold simplex and the LU kernel's all-slack
+// crash. Its Result too is the solver's, refilled by every solve (it was
+// three objects — the struct, X and Duals — while a solve allocated one).
 func TestFreshSolveAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector moves allocations to the heap")
@@ -261,8 +262,51 @@ func TestFreshSolveAllocs(t *testing.T) {
 		if out := s.LastOutcome(); out.Path != map[bool]string{false: "cold", true: "fresh"}[sparse] || out.Sparse != sparse || out.WarmPivots+out.ColdPivots == 0 {
 			t.Fatalf("%s: outcome %+v, want a fresh start that pivots", c.name, out)
 		}
-		if got := testing.AllocsPerRun(20, solve); got != 3 {
-			t.Errorf("%s: %v allocations a steady-state fresh solve, want 3 (Result, X, Duals)", c.name, got)
+		if got := testing.AllocsPerRun(20, solve); got != 0 {
+			t.Errorf("%s: %v allocations a steady-state fresh solve, want none", c.name, got)
 		}
+	}
+}
+
+// TestResultIsTheSolvers holds the Result rule (DESIGN §12): a Solver's
+// Result is the solver's until its next solve, which refills that very
+// Result, on every path — fresh, hot, trial and cold; a copy (Clone) is
+// the caller's, and another solver's solves touch neither.
+func TestResultIsTheSolvers(t *testing.T) {
+	for _, kn := range ladderKernels {
+		t.Run(kn.name, func(t *testing.T) {
+			s, other := kn.solver(), kn.solver()
+			m := packingLP(7, 40, 90)
+			first, err := s.SolveFresh(m, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := first.Clone()
+			if _, err := other.SolveWarm(driftRHS(packingLP(7, 40, 90), 0.2), nil, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(first, kept) {
+				t.Fatal("another solver's solve wrote this solver's Result")
+			}
+			for step, solve := range []func() (*Result, error){
+				func() (*Result, error) { return s.SolveWarm(driftRHS(m, 0.1), nil, Options{}) },
+				func() (*Result, error) { return s.SolveWarm(m, nil, Options{}) },
+				func() (*Result, error) {
+					if !s.Checkpoint() {
+						t.Fatal("no kernel to checkpoint")
+					}
+					return s.Trial(m, Options{}, math.Inf(-1)), nil
+				},
+				func() (*Result, error) { return s.Solve(m, Options{}) },
+			} {
+				res, err := solve()
+				if err != nil || res != first {
+					t.Fatalf("step %d: %v, the Result is another than the solver's (%v)", step, res, err)
+				}
+			}
+			if reflect.DeepEqual(kept, first) || kept.Objective == 0 {
+				t.Fatal("the steps left the first Result's copy or the Result where they found them")
+			}
+		})
 	}
 }

@@ -48,16 +48,18 @@ func (m *Model) Solve() (*Result, error) { return m.SolveOpts(Options{}) }
 // the status and the matching sentinel error.
 func (m *Model) SolveOpts(opts Options) (*Result, error) {
 	t := newTableau(m, opts)
-	return t.result(t.run())
+	return t.result(t.run(), new(Result))
 }
 
-// result assembles the Result (and sentinel error) for a finished tableau.
-// Optimal claims are audited against the model with the same rhs-scaled
-// CheckFeasible gate the warm paths use: a tableau that drifted far enough
-// to report basic values beyond the audit tolerance surfaces
-// NumericBreakdown instead of a silently wrong answer.
-func (t *tableau) result(status Status) (*Result, error) {
-	res := &Result{Status: status, Iterations: t.iters}
+// result assembles the Result (and sentinel error) for a finished tableau
+// into res, over the X and Duals it held. Optimal claims are audited
+// against the model with the same rhs-scaled CheckFeasible gate the warm
+// paths use: a tableau that drifted far enough to report basic values
+// beyond the audit tolerance surfaces NumericBreakdown instead of a
+// silently wrong answer.
+func (t *tableau) result(status Status, res *Result) (*Result, error) {
+	x, y := res.X, res.Duals
+	*res = Result{Status: status, Iterations: t.iters}
 	if status != Optimal {
 		var err error
 		switch status {
@@ -70,14 +72,14 @@ func (t *tableau) result(status Status) (*Result, error) {
 		}
 		return res, err
 	}
-	x := t.extract()
+	x = t.extract(x)
 	if t.m.CheckFeasible(x, auditTol(t.m, t.opts.Tol)) != nil {
 		res.Status = NumericBreakdown
 		return res, ErrNumericBreakdown
 	}
 	res.X = x
 	res.Objective = t.m.ObjectiveValue(x)
-	res.Duals = t.duals()
+	res.Duals = t.duals(y)
 	return res, nil
 }
 
@@ -226,12 +228,12 @@ func coldSense(row *constraint) (Sense, float64) {
 }
 
 // duals recovers the dual value of every original constraint row from the
-// final phase-2 reduced-cost row. For a maximization model, y_i is the
+// final phase-2 reduced-cost row, into y resized. For a maximization model, y_i is the
 // marginal objective gain per unit of rhs slack on row i (≥ 0 for binding
 // LE rows, ≤ 0 for binding GE rows, free for EQ rows); minimization
 // models report ∂objective/∂rhs in the minimized direction.
-func (t *tableau) duals() []float64 {
-	y := make([]float64, len(t.dualCol))
+func (t *tableau) duals(y []float64) []float64 {
+	y = linalg.Resized(y, len(t.dualCol))
 	dir := t.m.dir()
 	for i, col := range t.dualCol {
 		y[i] = dir * t.dualSign[i] * t.z[col]
@@ -439,9 +441,11 @@ func (t *tableau) pivot(row, col int) {
 	t.basis[row] = col
 }
 
-// extract reads the structural solution out of the final tableau.
-func (t *tableau) extract() []float64 {
-	x := make([]float64, t.n)
+// extract reads the structural solution out of the final tableau, into x
+// resized.
+func (t *tableau) extract(x []float64) []float64 {
+	x = linalg.Resized(x, t.n)
+	clear(x)
 	rhs := t.total
 	for r, b := range t.basis {
 		if b < t.n {

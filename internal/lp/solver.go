@@ -53,9 +53,12 @@ type Outcome struct {
 }
 
 // Solver runs successive LP solves while retaining every kernel's
-// workspace (a steady-state solve allocates only its Result) and, via
-// SolveWarm, the factorized final state of the previous solve (hot
-// re-solves). See DESIGN.md §12. The zero value is ready to use.
+// workspace and, via SolveWarm, the factorized final state of the previous
+// solve (hot re-solves). See DESIGN.md §12. The zero value is ready to
+// use. A steady-state solve allocates nothing: the Result a solve returns
+// is the solver's, refilled by its next solve (Solve, SolveWarm,
+// SolveFresh or Trial), so a caller that keeps one past that copies it
+// (Result.Clone).
 //
 // A Solver is not safe for concurrent use; the planner keeps one for its
 // hot chain and one for every other solve of a slot.
@@ -67,6 +70,9 @@ type Solver struct {
 	cp     checkpoint
 	last   kernel // final state of the most recent Optimal solve, for Checkpoint
 	out    Outcome
+	// res is every solve's Result, refilled by the next: a Solver owns the
+	// Result it returns until its next solve (DESIGN §12).
+	res Result
 	// yielded is when the solver last gave up the processor (see breathe).
 	yielded time.Time
 	// minRows, when positive, stands in for sparseMinRows: the seam this
@@ -106,8 +112,8 @@ type kernel interface {
 	bound() float64
 	priceIn()
 	primalIterate() Status
-	extract() []float64
-	duals() []float64
+	extract(x []float64) []float64
+	duals(y []float64) []float64
 	pivots() int
 	// crashWork is what pivots leaves out: the pivots crash spent and how
 	// many times the kernel has refactorized since it was armed.
@@ -453,24 +459,26 @@ func (s *Solver) attempt(k kernel, armed, price bool, cutoff, tol float64) *Resu
 		switch k.dualIterate(cutoff) {
 		case Cutoff:
 			s.out.WarmPivots = k.pivots()
-			return &Result{Status: Cutoff, Objective: k.model().dir() * k.bound(), Iterations: k.pivots(), Warm: true}
+			s.res = Result{Status: Cutoff, Objective: k.model().dir() * k.bound(), Iterations: k.pivots(), Warm: true, X: s.res.X[:0], Duals: s.res.Duals[:0]}
+			return &s.res
 		case Optimal:
 			if price {
 				k.priceIn()
 			}
 			if k.primalIterate() == Optimal {
-				m, x := k.model(), k.extract()
-				if m.CheckFeasible(x, auditTol(m, tol)) == nil {
+				m, x := k.model(), k.extract(s.res.X)
+				if s.res.X = x; m.CheckFeasible(x, auditTol(m, tol)) == nil {
 					s.out.WarmPivots = k.pivots()
 					s.last = k
-					return &Result{
+					s.res = Result{
 						Status:     Optimal,
 						Objective:  m.ObjectiveValue(x),
 						X:          x,
-						Duals:      k.duals(),
+						Duals:      k.duals(s.res.Duals),
 						Iterations: k.pivots(),
 						Warm:       true,
 					}
+					return &s.res
 				}
 			}
 		}
@@ -497,7 +505,7 @@ func (s *Solver) solveCold(m *Model, opts Options) (*Result, error) {
 	if st == Optimal {
 		s.last = t
 	}
-	return t.result(st)
+	return t.result(st, &s.res)
 }
 
 // warmFeasFactor scales the solver tolerance (per unit of rhs magnitude)

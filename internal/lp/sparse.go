@@ -633,9 +633,10 @@ func (ss *sparseSolve) price(bland bool, tol float64) int {
 }
 
 // extract reads the structural solution out of the basic values, with the
-// same tiny-negative clamp as the dense tableau.
-func (ss *sparseSolve) extract() []float64 {
-	x := make([]float64, ss.n)
+// same tiny-negative clamp as the dense tableau, into x resized.
+func (ss *sparseSolve) extract(x []float64) []float64 {
+	x = linalg.Resized(x, ss.n)
+	clear(x)
 	for i, c := range ss.basis {
 		if c < ss.n {
 			v := ss.xB[i]
@@ -652,9 +653,9 @@ func (ss *sparseSolve) extract() []float64 {
 // the true costs, which the reprice that declared optimality left in
 // place, in the model's own optimization direction (matching the dense
 // marker-column recovery).
-func (ss *sparseSolve) duals() []float64 {
+func (ss *sparseSolve) duals(out []float64) []float64 {
 	d := ss.m.dir()
-	out := make([]float64, ss.rows)
+	out = linalg.Resized(out, ss.rows)
 	for i := range out {
 		out[i] = d * ss.y.Val[i]
 	}

@@ -99,7 +99,7 @@ func FuzzTrialRollback(f *testing.F) {
 					}
 					continue
 				}
-				got := s.Trial(m, Options{}, math.Inf(-1))
+				got := s.Trial(m, Options{}, math.Inf(-1)).Clone()
 				gotRun := trialRun(got)
 				cutoff := inc - float64(mv/4%8)/16*math.Max(1, math.Abs(inc))
 				cut := s.Trial(m, Options{}, cutoff)
@@ -244,14 +244,14 @@ func TestTrialCutsALosingRemove(t *testing.T) {
 		if err != nil || !s.Checkpoint() {
 			t.Fatalf("%s: no warm kernel to checkpoint (%v)", kernel, err)
 		}
-		cuts := 0
+		inc, cuts := inc.Clone(), 0
 		for ci, c := range d.comms {
 			_, _, need := m.RowSpec(ci)
 			for _, x := range append([]int{c.flows[0] - 1}, c.flows...) {
 				m.Fix(x, true)
 			}
 			m.SetRHS(ci, 0)
-			full := s.Trial(m, Options{}, math.Inf(-1))
+			full := s.Trial(m, Options{}, math.Inf(-1)).Clone()
 			pivots := s.LastOutcome().WarmPivots
 			got := s.Trial(m, Options{}, inc.Objective)
 			out := s.LastOutcome()

@@ -60,6 +60,15 @@ const (
 	// instead of actuating: Slot, Epoch, Sub, Reason ("stale-counters"/
 	// "clock"/"publish-rejected"/"rescale"), Values (tick).
 	KindControlFrozen = "control-frozen"
+	// KindTopology is a run's topology, written once before the first
+	// slot-input that names it: Slot, Topology (its hash), Data (the
+	// datacenter.System's JSON, decoded).
+	KindTopology = "topology"
+	// KindSlotInput is what a slot's planner was handed beside its
+	// topology: Slot, Topology, Values (price.l, arrival.s.k and
+	// servers.l, the servers up at center l). sim.DecodeInputs rebuilds the
+	// core.Input from it.
+	KindSlotInput = "slot-input"
 )
 
 // Event is one structured trace record. Unused fields stay zero and are
@@ -87,6 +96,11 @@ type Event struct {
 	Breaker   string             `json:"breaker,omitempty"`
 	Staleness int                `json:"staleness,omitempty"`
 	Values    map[string]float64 `json:"values,omitempty"`
+	// Topology is the hash of the topology a topology or slot-input
+	// event concerns, and Data a kind's structured payload, a JSON value
+	// in its decoded form (a topology event's system).
+	Topology string `json:"topology,omitempty"`
+	Data     any    `json:"data,omitempty"`
 }
 
 // Sink receives the event stream. Implementations must be safe for

@@ -411,7 +411,7 @@ func buildFeeds(cfg *Config) (*feed.Set, error) {
 		}
 		_, _, pricePriors[l] = cfg.Prices[l].Stats()
 	}
-	arrivalSrc := make([]func(int) []float64, S)
+	arrivalSrc := make([]func(int, []float64), S)
 	arrivalPriors := make([][]float64, S)
 	for s := 0; s < S; s++ {
 		s := s
@@ -419,12 +419,10 @@ func buildFeeds(cfg *Config) (*feed.Set, error) {
 		if cfg.PlanTraces != nil {
 			tr = cfg.PlanTraces[s]
 		}
-		arrivalSrc[s] = func(abs int) []float64 {
-			row := make([]float64, K)
+		arrivalSrc[s] = func(abs int, row []float64) {
 			for k := 0; k < K; k++ {
 				row[k] = cfg.Faults.ObservedArrival(tr.At(abs, k), s, abs)
 			}
-			return row
 		}
 		arrivalPriors[s] = traceMeans(cfg.Traces[s], K)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"profitlb/internal/core"
 	"profitlb/internal/feed"
+	"profitlb/internal/linalg"
 )
 
 // SlotView is everything one slot presents to a planner and to the
@@ -42,6 +43,9 @@ type InputSource struct {
 	feeds *feed.Set
 	last  *SlotView
 	abs   int
+	// topology is the hash the run's slot-input events name (see record),
+	// "" until the first is traced.
+	topology string
 }
 
 // NewInputSource validates the config and builds the per-slot input
@@ -89,7 +93,10 @@ func (src *InputSource) Config() *Config { return &src.cfg }
 
 // View assembles the slot's planner and settlement inputs. abs is the
 // absolute slot index. Asking again for the current slot returns the
-// cached view; regressing breaks feed-state ordering and is an error.
+// cached view; regressing breaks feed-state ordering and is an error. A
+// view is its caller's to keep: the source never writes one again, and
+// cuts each slot's from one slab per element type (see slotView), copying
+// out the feed layer's sample, which the feeds refill every slot.
 func (src *InputSource) View(abs int) (*SlotView, error) {
 	if src.last != nil && abs == src.abs {
 		return src.last, nil
@@ -100,31 +107,59 @@ func (src *InputSource) View(abs int) (*SlotView, error) {
 	cfg := &src.cfg
 	sys := cfg.Sys
 	K, S, L := sys.K(), sys.S(), sys.L()
-	actual := make([][]float64, S)
-	for s := 0; s < S; s++ {
-		actual[s] = make([]float64, K)
-		for k := 0; k < K; k++ {
-			actual[s][k] = cfg.Traces[s].At(abs, k)
-		}
-	}
-	prices := make([]float64, L)
-	for l := 0; l < L; l++ {
-		prices[l] = cfg.Faults.TruePrice(cfg.Prices[l], l, abs)
-	}
 	effSys, _ := cfg.Faults.EffectiveSystem(sys, abs)
 	// The feed sources fold in the plan traces and the observation faults
 	// (buildFeeds); stale or noisy samples mark the view distorted, and the
 	// committed plan is reconciled against actual arrivals like any
 	// forecast.
 	sample := src.feeds.FetchSlot(abs)
-	view := &SlotView{
-		Plan:      &core.Input{Sys: effSys, Arrivals: sample.Arrivals, Prices: sample.Prices, Slot: abs},
-		Actual:    &core.Input{Sys: effSys, Arrivals: actual, Prices: prices, Slot: abs},
-		Health:    &sample.Health,
+	v := newSlotView(K, S, L, len(sample.Health.Prices), len(sample.Health.Arrivals))
+	v.plan = core.Input{Sys: effSys, Arrivals: v.arrivals[:S:S], Prices: v.prices[:L:L], Slot: abs}
+	v.actual = core.Input{Sys: effSys, Arrivals: v.arrivals[S:], Prices: v.prices[L:], Slot: abs}
+	for s := 0; s < S; s++ {
+		copy(v.plan.Arrivals[s], sample.Arrivals[s])
+		for k := 0; k < K; k++ {
+			v.actual.Arrivals[s][k] = cfg.Traces[s].At(abs, k)
+		}
+	}
+	copy(v.plan.Prices, sample.Prices)
+	for l := 0; l < L; l++ {
+		v.actual.Prices[l] = cfg.Faults.TruePrice(cfg.Prices[l], l, abs)
+	}
+	copy(v.health.Prices, sample.Health.Prices)
+	copy(v.health.Arrivals, sample.Health.Arrivals)
+	v.view = SlotView{
+		Plan:      &v.plan,
+		Actual:    &v.actual,
+		Health:    &v.health,
 		Distorted: cfg.PlanTraces != nil || cfg.Faults.ArrivalsFaulted(abs) || sample.Distorted,
 	}
-	src.last, src.abs = view, abs
-	return view, nil
+	src.last, src.abs = &v.view, abs
+	src.record(&v.plan)
+	return &v.view, nil
+}
+
+// slotView is one slot's view with everything it points at: the two
+// inputs, their numbers — the planner's S arrival rows and L prices, then
+// the settlement's — and the health rows, each kind cut from one slab.
+type slotView struct {
+	view         SlotView
+	plan, actual core.Input
+	health       feed.SlotHealth
+	arrivals     [][]float64
+	prices       []float64
+}
+
+func newSlotView(K, S, L, priceFeeds, arrivalFeeds int) *slotView {
+	v := &slotView{arrivals: make([][]float64, 2*S)}
+	cells := make([]float64, 2*(S*K+L))
+	for s := range v.arrivals {
+		v.arrivals[s] = linalg.Carve(&cells, K)
+	}
+	v.prices = cells
+	records := make([]feed.Health, priceFeeds+arrivalFeeds)
+	v.health = feed.SlotHealth{Prices: linalg.Carve(&records, priceFeeds), Arrivals: records}
+	return v
 }
 
 // PlannerInput returns the slot's planner-facing input. It satisfies the

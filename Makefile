@@ -129,12 +129,13 @@ bench-lp-sparse:
 # ~145 survivors are solved, and paper-day, the Section VI day's busiest
 # slot — the capture slot benchmark, the horizon
 # window benchmark (first build and steady refresh), the sparse kernel's
-# hot-pivot benchmark, the two-kernel crossover sweep and the routing-table
+# hot-pivot benchmark, its fresh start from the all-slack basis (pivots and
+# refactorizations a start), the two-kernel crossover sweep and the routing-table
 # benchmarks (compile, and the 8-replica decode, shares and installs) still
 # run (one iteration, no timing claims); wired into verify.
 bench-smoke:
 	$(GO) test -bench='BenchmarkPlanSearch|BenchmarkFleetSlot' -benchtime=1x -run=NONE .
-	$(GO) test -bench='BenchmarkHotPivot|BenchmarkKernelCrossover' -benchtime=1x -run=NONE ./internal/lp/
+	$(GO) test -bench='BenchmarkHotPivot|BenchmarkFreshStart|BenchmarkKernelCrossover' -benchtime=1x -run=NONE ./internal/lp/
 	$(GO) test -bench='BenchmarkBuildDispatchLP|BenchmarkRefineSlot|BenchmarkCaptureSlot|BenchmarkHorizonSlot' -benchtime=1x -run=NONE ./internal/core/
 	$(GO) test -bench='BenchmarkCompile|BenchmarkApply' -benchtime=1x -run=NONE ./internal/dispatch/
 
@@ -166,7 +167,11 @@ bench-smoke:
 # replicas' shares cut together and each installed (Compile alone is
 # BenchmarkCompile/fleet-20x100x3); W=kernel profiles BenchmarkHotPivot/slot, the
 # sparse kernel's hot re-solve of a generated 2160-row dispatch-shaped LP
-# at ~15 pivots a solve, with no planner on top; W=horizon profiles
+# at ~15 pivots a solve, with no planner on top; W=fresh profiles
+# BenchmarkFreshStart, that LP started over from the all-slack basis — a
+# zero-cost repair of ~2 000 dual pivots, most under Bland's rule, and 21
+# refactorizations — what an outage, a recovery or a planner's first slot
+# pays at fleet-large; W=horizon profiles
 # BenchmarkHorizonSlot/steady, a held horizon-4 window of the 6x10x3 fleet
 # refreshed and re-solved hot. Dig further with
 # `go tool pprof -list <regexp> prof/$(W).test prof/$(W).cpu`.
@@ -181,6 +186,8 @@ else ifeq ($(W),apply)
 	$(GO) test -run=NONE -bench=BenchmarkApply -benchtime=2000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/dispatch/
 else ifeq ($(W),kernel)
 	$(GO) test -run=NONE -bench=BenchmarkHotPivot/slot -benchtime=3000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/lp/
+else ifeq ($(W),fresh)
+	$(GO) test -run=NONE -bench=BenchmarkFreshStart -benchtime=100x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 ./internal/lp/
 else ifeq ($(W),fleet)
 	$(GO) test -run=NONE -bench=BenchmarkFleetSlot/refine-mid -benchtime=5000x -o prof/$(W).test -cpuprofile prof/$(W).cpu -memprofile prof/$(W).mem -memprofilerate=4096 .
 else ifeq ($(W),mid)

@@ -22,6 +22,9 @@
 //	                              -metrics/-trace/-pprof observe the storm)
 //	profitlb compare -config F    run a scenario under every planner
 //	profitlb export-lp -config F  dump a slot's dispatch LP (CPLEX format)
+//	profitlb replay T -slot N     re-plan slot N of a simulate -trace file
+//	                              on a fresh planner (-planner P) and
+//	                              compare it with the committed objective
 //	profitlb serve -config F      run the online dispatch gateway over HTTP
 //	                              (-addr, -slot-seconds, -seed; -replicas N
 //	                              sizes the fleet (one), -join URL joins
@@ -96,6 +99,8 @@ func run(args []string) error {
 		return cmdLoadtest(args[1:])
 	case "export-lp":
 		return cmdExportLP(args[1:])
+	case "replay":
+		return cmdReplay(args[1:])
 	case "help", "-h", "--help":
 		usage()
 		return nil
@@ -132,6 +137,10 @@ commands:
                        -metrics/-trace/-pprof observe the storm run)
   compare -config F    run a scenario under every planner
   export-lp -config F  dump one slot's dispatch LP in CPLEX LP format
+  replay T -slot N     rebuild slot N's input from a simulate -trace file T,
+                       plan it on a fresh planner (-planner P; default the
+                       one that ran the slot) and print the replayed and
+                       committed objectives and their relative difference
   serve -config F      run the online dispatch gateway: one HTTP endpoint
                        per front-end (/dispatch/<front-end>/<class>),
                        admin endpoints (/healthz /readyz /admin/plan

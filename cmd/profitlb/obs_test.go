@@ -289,3 +289,45 @@ func TestSimulateTraceRebuildsInputs(t *testing.T) {
 		t.Fatal("no slot ran with a center's servers down: the storm exercises nothing")
 	}
 }
+
+// TestReplayReproducesCommitted: `replay` re-plans every slot of a seeded
+// storm run with feeds on from its trace alone, each on a fresh planner,
+// to the committed objective within 1e-7 — outage slots included — and
+// two replays of one slot print the same bytes.
+func TestReplayReproducesCommitted(t *testing.T) {
+	cfgPath, dir := obsScenario(t)
+	tracePath := dir + "/trace.jsonl"
+	if _, err := capture(t, func() error {
+		return run([]string{"simulate", "-config", cfgPath, "-faults", "storm", "-seed", "42",
+			"-feeds", "on", "-resilient", "-trace", tracePath})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := loadScenario(cfgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diff := regexp.MustCompile(`(?m)^relative difference +(\S+)$`)
+	replay := func(slot int) string {
+		out, err := capture(t, func() error {
+			return run([]string{"replay", tracePath, "-slot", strconv.Itoa(slot)})
+		})
+		if err != nil {
+			t.Fatalf("slot %d: %v", slot, err)
+		}
+		return out
+	}
+	for slot := sc.StartSlot; slot < sc.StartSlot+sc.Slots; slot++ {
+		out := replay(slot)
+		m := diff.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("slot %d: no relative difference in\n%s", slot, out)
+		}
+		if d, err := strconv.ParseFloat(m[1], 64); err != nil || d > 1e-7 {
+			t.Fatalf("slot %d: the replay is %s off the committed objective:\n%s", slot, m[1], out)
+		}
+	}
+	if a, b := replay(sc.StartSlot+3), replay(sc.StartSlot+3); a != b {
+		t.Fatalf("two replays of one slot differ:\n%s\n%s", a, b)
+	}
+}

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -149,6 +150,154 @@ func TestHotPivotWorkIsSparse(t *testing.T) {
 	if image > 3*40 || rho > 3*120 || row > 3*2000 {
 		t.Errorf("a hot pivot walks %d image, %d rho and %d matrix-row entries on average, budget %d, %d and %d", image, rho, row, 3*40, 3*120, 3*2000)
 	}
+}
+
+// TestFreshStartWorkIsSparse holds a start-over on the LU kernel to what
+// each pivot changes: on the 2 160-row dispatch-shaped LP's all-slack
+// start the zero-cost repair turns to Bland's rule after 64 stalled pivots
+// and makes most of its ~2 000 there, and each of its leaving choices
+// averages a small multiple of the ~31 entries DESIGN §12.2 records for it
+// — the violator set's words, the rows each pivot keeps it from and the
+// rebuilds after a refactorization, amortized — where a scan reads all
+// 2 160 rows. Every Bland choice is held to the two scans (blandTwoScans).
+func TestFreshStartWorkIsSparse(t *testing.T) {
+	d := dispatchShaped(20, 100, 3, 1)
+	var s Solver
+	seen := holdBlandToTwoScans(t, &s.sparse)
+	if _, err := s.SolveFresh(d.m, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	out, k := s.LastOutcome(), &s.sparse
+	if out.Path != "fresh" || !out.Sparse || out.FellBack {
+		t.Fatalf("ran %+v, want a sparse fresh start", out)
+	}
+	if k.walked.bland < 1000 || seen.choices != k.walked.bland {
+		t.Fatalf("fixture drifted: %d of %d pivots chose under Bland's rule, %d seen", k.walked.bland, out.WarmPivots, seen.choices)
+	}
+	reads := k.walked.blandReads / k.walked.bland
+	t.Logf("%d pivots, %d refactorizations; %d Bland choices read %d entries each", out.WarmPivots, out.Refactors, k.walked.bland, reads)
+	if reads > 3*31 {
+		t.Errorf("a Bland choice reads %d entries on average, budget %d", reads, 3*31)
+	}
+}
+
+// TestBlandLeavingIsTheTwoScans holds Bland's dual leaving choice, read off
+// the kept violator set, to the two scans it replaced on LPs that start in
+// Bland mode: one of FuzzKernelDifferential's seeds solved fresh, warm and
+// hot after drift, and one of FuzzTrialRollback's dispatch-shaped LPs
+// solved as trials with commodities taken out, so fixed basics above tol
+// leave at their upper bound.
+func TestBlandLeavingIsTheTwoScans(t *testing.T) {
+	bland := Options{Bland: true}
+	t.Run("kernel-differential", func(t *testing.T) {
+		data := []byte{1, 8, 7, 6, 2, 8, 5, 5, 5, 0, 9, 1, 5, 0, 2, 6, 0, 5, 5, 1, 0, 5, 2, 0}
+		s := onSparse()
+		seen := holdBlandToTwoScans(t, &s.sparse)
+		held := fuzzLP(2, 3, data, 0)
+		for _, m := range []*Model{held, copyNumbers(held, fuzzLP(2, 3, data, 1))} {
+			if _, err := s.SolveWarm(m, nil, bland); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if seen.choices == 0 {
+			t.Fatal("no choice was made under Bland's rule")
+		}
+	})
+	t.Run("trial-rollback", func(t *testing.T) {
+		d := dispatchShaped(2, 3, 2, 1)
+		s := onSparse()
+		if _, err := s.SolveWarm(d.m, nil, bland); err != nil || !s.Checkpoint() {
+			t.Fatalf("no kernel to checkpoint (%v)", err)
+		}
+		seen := holdBlandToTwoScans(t, &s.sparse)
+		for ci := range d.comms { // out one at a time, as FuzzTrialRollback takes it
+			_, _, need := d.m.RowSpec(ci)
+			for _, out := range []bool{true, false} {
+				for _, x := range append([]int{d.comms[ci].flows[0] - 1}, d.comms[ci].flows...) {
+					d.m.Fix(x, out)
+				}
+				if out {
+					d.m.SetRHS(ci, 0)
+				} else {
+					d.m.SetRHS(ci, need)
+				}
+				if s.Trial(d.m, bland, math.Inf(-1)) == nil {
+					t.Fatalf("commodity %d out %v: the trial did not answer", ci, out)
+				}
+			}
+		}
+		if seen.choices == 0 || seen.ups == 0 {
+			t.Fatalf("%d choices under Bland's rule, %d of them a fixed basic leaving up", seen.choices, seen.ups)
+		}
+	})
+}
+
+// blandSeen counts the Bland choices holdBlandToTwoScans checked, and how
+// many of them had a fixed basic leave up.
+type blandSeen struct{ choices, ups int }
+
+// holdBlandToTwoScans sets k's onBland to check every Bland choice against
+// blandTwoScans.
+func holdBlandToTwoScans(t *testing.T, k *sparseSolve) *blandSeen {
+	t.Helper()
+	seen := new(blandSeen)
+	k.onBland = func(leave int, up bool) {
+		if seen.choices++; up {
+			seen.ups++
+		}
+		if wl, wu := blandTwoScans(k, k.opts.Tol); leave != wl || up != wu {
+			t.Errorf("choice %d: Bland's rule left position %d (up %v), the two scans say %d (up %v)", seen.choices, leave, up, wl, wu)
+		}
+	}
+	return seen
+}
+
+// blandTwoScans is Bland's dual leaving choice by scans over every row: the
+// negative basic value with the smallest basic column, then, on a model
+// with pins, a fixed basic above tol with a smaller one, which leaves up.
+func blandTwoScans(ss *sparseSolve, tol float64) (leave int, up bool) {
+	fixed := ss.m.fixed
+	leave, bestCol := -1, ss.ncols
+	for r, v := range ss.xB {
+		if v < -tol && ss.basis[r] < bestCol {
+			leave, bestCol = r, ss.basis[r]
+		}
+	}
+	for r, v := range ss.xB {
+		if v > tol && ss.basis[r] < bestCol && fixed.has(ss.basis[r]) {
+			leave, bestCol, up = r, ss.basis[r], true
+		}
+	}
+	return leave, up
+}
+
+// BenchmarkFreshStart times a start-over on the LU kernel with no planner
+// on top: SolveFresh of the 20×100×3 dispatch-shaped LP from the all-slack
+// basis, its zero-cost repair (mostly under Bland's rule) and the primal
+// finish, on a reused Solver. make profile W=fresh profiles it.
+func BenchmarkFreshStart(b *testing.B) {
+	d := dispatchShaped(20, 100, 3, 1)
+	var s Solver
+	for i := 0; i < 3; i++ { // the slabs settle at their size
+		if _, err := s.SolveFresh(d.m, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pivots, refactors := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.SolveFresh(d.m, Options{}); err != nil {
+			b.Fatal(err)
+		}
+		out := s.LastOutcome()
+		if out.Path != "fresh" || !out.Sparse {
+			b.Fatalf("iteration %d ran %+v, want a sparse fresh start", i, out)
+		}
+		pivots, refactors = pivots+out.WarmPivots, refactors+out.Refactors
+	}
+	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
 }
 
 // BenchmarkHotPivot times the sparse kernel's hot re-solve alone, with no

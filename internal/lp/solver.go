@@ -825,10 +825,11 @@ func (t *tableau) basicObj() float64 {
 
 func (t *tableau) bound() float64 { return t.cut }
 
-// leaving is the dual simplex's leaving row, as sparseSolve.leaving picks
-// it: the most negative basic value (bland: the violator with the smallest
-// basic column), and on a model with pins, in a second scan, a fixed basic
-// above tol, which leaves at its upper bound 0 (up).
+// leaving is the dual simplex's leaving row, as the LU kernel picks it
+// (sparseSolve.leaving, blandLeaving), by scans: the most negative basic
+// value (bland: the violator with the smallest basic column), and on a
+// model with pins, in a second scan, a fixed basic above tol, which leaves
+// at its upper bound 0 (up).
 func (t *tableau) leaving(bland bool, tol float64) (leave int, up bool) {
 	fixed, rhs := t.m.fixed, t.total
 	leave = -1

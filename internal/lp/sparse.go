@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"profitlb/internal/linalg"
@@ -35,8 +36,9 @@ const sparseStallLimit = 64
 // row of B⁻¹ come back from the factors with their non-zero lists, the
 // pivot row is gathered from that row's few matrix rows, and the ratio
 // tests, the xB, reduced-cost and objective updates and the eta append walk
-// those lists. What is still dense is per solve, not per pivot: computeXB
-// and reprice.
+// those lists. What is still dense: computeXB and reprice, once per solve
+// or factorization, and the dual leaving scan of Dantzig's rule, which
+// Bland's replaces by a violator set the pivots keep (see blandLeaving).
 type sparseSolve struct {
 	m    *Model
 	opts Options
@@ -58,9 +60,12 @@ type sparseSolve struct {
 	// pivot updates d from its pivot row and leaves y behind. optimal says
 	// that reprice found no d above the tolerance and no pivot has been made
 	// since: the one state optimality is declared in. Costs and d outlive
-	// the solve: the next slot's dual repair runs under them.
+	// the solve: the next slot's dual repair runs under them. priced says
+	// priceIn has run since the crash; until then costs, y and d are all
+	// zero, and a refactorization has nothing to reprice.
 	d       []float64
 	optimal bool
+	priced  bool
 	objv    float64 // objective change carried across a phase's pivots, for the stall test
 	cut     float64 // the basic objective that stopped the last repair (bound)
 
@@ -78,13 +83,20 @@ type sparseSolve struct {
 	held     bool
 	factored int // factorizations made: which a saved state shares
 
+	// onBland, nil outside tests, sees every dual leaving choice made under
+	// Bland's rule (see blandLeaving); it outlives newSparseSolveIn.
+	onBland func(leave int, up bool)
+
 	sparseArena
 }
 
 // walked sums, over a solve's pivots, the lengths of the three lists a
-// pivot walks — the FTRAN image, the row of B⁻¹ and the pivot row. Only
-// TestHotPivotWorkIsSparse reads it.
-type walked struct{ image, rho, row int }
+// pivot walks — the FTRAN image, the row of B⁻¹ and the pivot row — and,
+// over its dual leaving choices under Bland's rule, how many were made and
+// the entries they read: the violator set's words and the rows it was
+// built or kept from. Only TestHotPivotWorkIsSparse and
+// TestFreshStartWorkIsSparse read it.
+type walked struct{ image, rho, row, bland, blandReads int }
 
 // sparseArena is the part of a sparseSolve that outlives a solve: the two
 // slabs every array above is cut from and the factors, eta file and work
@@ -100,6 +112,43 @@ type sparseArena struct {
 	// multipliers those yield (by row) and alpha the pivot row rhoᵀA (by
 	// column).
 	w, unit, rho, y, alpha linalg.SparseVec
+	// violators is the dual simplex's leaving candidates under Bland's
+	// rule, by basic column (see blandLeaving).
+	violators colSet
+}
+
+// colSet is a set of columns: a bitmap, and over it a summary bitmap with
+// a bit set for every non-zero word, so the smallest member costs one read
+// per 4 096 columns and one more.
+type colSet struct{ words, sum []uint64 }
+
+// reset empties the set and sizes it for n columns.
+func (s *colSet) reset(n int) {
+	s.words = zeroed(s.words, (n+63)/64)
+	s.sum = zeroed(s.sum, (len(s.words)+63)/64)
+}
+
+// put adds column c to the set (in) or takes it out.
+func (s *colSet) put(c int, in bool) {
+	w, b := c>>6, uint64(1)<<(c&63)
+	if in {
+		s.words[w] |= b
+		s.sum[w>>6] |= 1 << (w & 63)
+	} else if s.words[w] &^= b; s.words[w] == 0 {
+		s.sum[w>>6] &^= 1 << (w & 63)
+	}
+}
+
+// min returns the smallest member, -1 when the set is empty, and how many
+// words it read.
+func (s *colSet) min() (c, reads int) {
+	for i, sw := range s.sum {
+		if sw != 0 {
+			w := i<<6 + bits.TrailingZeros64(sw)
+			return w<<6 + bits.TrailingZeros64(s.words[w]), i + 2
+		}
+	}
+	return -1, len(s.sum)
 }
 
 // newSparseSolveIn builds the CSC and CSR representations and scratch state
@@ -111,7 +160,7 @@ func newSparseSolveIn(m *Model, opts Options, ss *sparseSolve) *sparseSolve {
 	}
 	n := len(m.names)
 	rows := len(m.rows)
-	*ss = sparseSolve{m: m, n: n, rows: rows, sparseArena: ss.sparseArena}
+	*ss = sparseSolve{m: m, n: n, rows: rows, onBland: ss.onBland, sparseArena: ss.sparseArena}
 	ss.opts = opts.withDefaults(rows, n)
 
 	slacks := 0
@@ -197,6 +246,7 @@ func (ss *sparseSolve) col(j int) ([]int, []float64) {
 // priceIn loads the internal maximization costs from the current model and
 // prices every column under them.
 func (ss *sparseSolve) priceIn() {
+	ss.priced = true
 	d := ss.m.dir()
 	for v := 0; v < ss.n; v++ {
 		ss.obj[v] = d * ss.m.obj[v]
@@ -288,10 +338,11 @@ func (ss *sparseSolve) eliminate(c int) bool {
 }
 
 // refactorize rebuilds the LU factors in place from the current basis
-// columns, drops the eta file, and recomputes xB from the model rhs and
-// the reduced costs from the costs in place, shedding what the updates
-// accumulated. False means the basis went numerically singular — the
-// caller abandons to cold, so nothing reads the half-built factors.
+// columns, drops the eta file, and recomputes xB from the model rhs and —
+// once priced, the zero costs of a crash having none to give — the reduced
+// costs from the costs in place, shedding what the updates accumulated.
+// False means the basis went numerically singular — the caller abandons to
+// cold, so nothing reads the half-built factors.
 func (ss *sparseSolve) refactorize() bool {
 	ss.refactors++
 	ss.factored++
@@ -303,7 +354,9 @@ func (ss *sparseSolve) refactorize() bool {
 	}
 	ss.etas.Reset()
 	ss.computeXB()
-	ss.reprice()
+	if ss.priced {
+		ss.reprice()
+	}
 	return true
 }
 
@@ -412,7 +465,10 @@ func (ss *sparseSolve) stalled(sign float64, last *float64, stall *int) bool {
 // the repair needed after an rhs refresh or a basis crash. The ratio test
 // reads the pivot row's non-zeros and the reduced costs in place. Bland's
 // smallest-index rule engages after stalling so degenerate rhs
-// perturbations cannot cycle. Returns Optimal, Infeasible (certificate,
+// perturbations cannot cycle; a crash's zero-cost repair never moves the
+// objective, so from its 65th pivot on it is Bland's, and there the
+// leaving choice reads a violator set the pivots keep rather than every
+// row. Returns Optimal, Infeasible (certificate,
 // re-confirmed cold by the caller), IterationLimit (budget or numerical
 // breakdown; the caller abandons) or, under a cutoff, Cutoff: the basic
 // objective, c_B·xB once and then carried along with objv, fell below it.
@@ -429,11 +485,18 @@ func (ss *sparseSolve) dualIterate(cutoff float64) Status {
 			base += ss.obj[c] * ss.xB[i]
 		}
 	}
+	kept := -1 // the factorization ss.violators was built under
 	for {
 		if ss.iters >= ss.opts.MaxIterations {
 			return IterationLimit
 		}
-		leave, up := ss.leaving(bland, tol)
+		var leave int
+		var up bool
+		if bland {
+			leave, up = ss.blandLeaving(&kept, tol)
+		} else {
+			leave, up = ss.leaving(tol)
+		}
 		if leave < 0 {
 			return Optimal
 		}
@@ -480,8 +543,12 @@ func (ss *sparseSolve) dualIterate(cutoff float64) Status {
 		if math.Abs(ss.ftranCol(enter).Val[leave]) <= tol {
 			return IterationLimit // FTRAN disagrees with pricing: breakdown
 		}
+		out := ss.basis[leave]
 		if !ss.pivot(leave, enter) {
 			return IterationLimit
+		}
+		if bland && kept == ss.factored {
+			ss.keepViolators(leave, out, tol)
 		}
 		if ss.stalled(-1, &lastObj, &stall) {
 			bland = true
@@ -489,30 +556,16 @@ func (ss *sparseSolve) dualIterate(cutoff float64) Status {
 	}
 }
 
-// leaving is the dual simplex's leaving position: the most negative basic
-// value, or under bland the violator with the smallest basic column — and,
-// on a model with pins, a fixed basic above tol, which leaves at its upper
-// bound 0 (up). The pinned pass is a second scan, so an unpinned model's
-// scan, the hot loop of a crash's repair, tests nothing more.
-func (ss *sparseSolve) leaving(bland bool, tol float64) (leave int, up bool) {
+// leaving is the dual simplex's leaving position under Dantzig's rule: the
+// most negative basic value — or, on a model with pins, a fixed basic
+// further above zero than that is below, which leaves at its upper bound 0
+// (up). The pinned
+// pass is a second scan, so an unpinned model's scan tests nothing more. A
+// hot re-solve makes a few dual pivots, so a kept order would cost what
+// this scan does (DESIGN §12.2).
+func (ss *sparseSolve) leaving(tol float64) (leave int, up bool) {
 	fixed := ss.m.fixed
 	leave = -1
-	if bland {
-		bestCol := ss.ncols
-		for r, v := range ss.xB {
-			if v < -tol && ss.basis[r] < bestCol {
-				leave, bestCol = r, ss.basis[r]
-			}
-		}
-		if len(fixed) > 0 {
-			for r, v := range ss.xB {
-				if v > tol && ss.basis[r] < bestCol && fixed.has(ss.basis[r]) {
-					leave, bestCol, up = r, ss.basis[r], true
-				}
-			}
-		}
-		return leave, up
-	}
 	minVal := -tol
 	for r, v := range ss.xB {
 		if v < minVal {
@@ -527,6 +580,55 @@ func (ss *sparseSolve) leaving(bland bool, tol float64) (leave int, up bool) {
 		}
 	}
 	return leave, up
+}
+
+// violates reports whether basis position r is a dual leaving candidate:
+// its value below −tol, or a fixed column's above tol.
+func (ss *sparseSolve) violates(r int, tol float64) bool {
+	v := ss.xB[r]
+	return v < -tol || v > tol && ss.m.fixed.has(ss.basis[r])
+}
+
+// blandLeaving is the dual simplex's leaving position under Bland's rule:
+// of the violators, the one with the smallest basic column, up when it is
+// a fixed one above tol. It reads that column off ss.violators, which it
+// builds from xB where *kept is not the factorization in place — on Bland's
+// first choice and after a refactorization recomputed xB — and which
+// keepViolators keeps from pivot to pivot otherwise.
+func (ss *sparseSolve) blandLeaving(kept *int, tol float64) (leave int, up bool) {
+	if *kept != ss.factored {
+		*kept = ss.factored
+		ss.violators.reset(ss.ncols)
+		for r := range ss.xB {
+			if ss.violates(r, tol) {
+				ss.violators.put(ss.basis[r], true)
+			}
+		}
+		ss.walked.blandReads += ss.rows
+	}
+	c, reads := ss.violators.min()
+	ss.walked.bland++
+	ss.walked.blandReads += reads
+	if leave = -1; c >= 0 {
+		leave = ss.inBasis[c]
+		up = ss.xB[leave] > 0
+	}
+	if ss.onBland != nil {
+		ss.onBland(leave, up)
+	}
+	return leave, up
+}
+
+// keepViolators brings ss.violators up to the pivot just made at position
+// leave, which column out left: only the values along the entering
+// column's image, and at leave, moved.
+func (ss *sparseSolve) keepViolators(leave, out int, tol float64) {
+	ss.violators.put(out, false)
+	for _, i := range ss.w.Ind {
+		ss.violators.put(ss.basis[i], ss.violates(i, tol))
+	}
+	ss.violators.put(ss.basis[leave], ss.violates(leave, tol))
+	ss.walked.blandReads += len(ss.w.Ind) + 2
 }
 
 // primalIterate runs the revised primal simplex with partial pricing

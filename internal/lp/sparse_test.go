@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -103,5 +104,76 @@ func TestKernelRuleIsRowCount(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestUnpricedRefactorizeIsTheRepriced holds what a start-over skips: its
+// repair runs under a crash's zero costs, so a refactorization reprices
+// nothing until priceIn. On a fresh start whose repair fills the eta file,
+// the repair leaves the reduced costs and multipliers a reprice under zero
+// costs gives — every one zero — and after priceIn d, y and optimal, then
+// the finish's pivots and answer, are bit for bit those of the same start
+// with a reprice at every refactorization (its kernel marked priced from
+// the crash on).
+func TestUnpricedRefactorizeIsTheRepriced(t *testing.T) {
+	m := dispatchShaped(10, 20, 3, 1).m
+	type run struct {
+		d, y, x, duals    []float64
+		optimal           bool
+		refactors, repair int
+		pivots            int
+	}
+	start := func(repriced bool) run {
+		k := newSparseSolveIn(m, Options{}, nil)
+		if !k.crash(nil) {
+			t.Fatal("no all-slack basis")
+		}
+		k.priced = repriced
+		if st := k.dualIterate(math.Inf(-1)); st != Optimal {
+			t.Fatalf("repair: %v", st)
+		}
+		r := run{refactors: k.refactors, repair: k.iters}
+		if r.refactors == 0 {
+			t.Fatalf("the repair's %d pivots did not fill the eta file", k.iters)
+		}
+		if !repriced {
+			for j, d := range k.d {
+				if math.Float64bits(d) != 0 {
+					t.Fatalf("the unpriced repair left d[%d] = %g", j, d)
+				}
+			}
+			for i, y := range k.y.Val {
+				if math.Float64bits(y) != 0 {
+					t.Fatalf("the unpriced repair left y[%d] = %g", i, y)
+				}
+			}
+		}
+		k.priceIn()
+		r.d, r.y, r.optimal = slices.Clone(k.d), slices.Clone(k.y.Val), k.optimal
+		if st := k.primalIterate(); st != Optimal {
+			t.Fatalf("finish: %v", st)
+		}
+		r.x, r.duals, r.pivots = k.extract(nil), k.duals(nil), k.iters
+		return r
+	}
+	got, want := start(false), start(true)
+	t.Logf("repair: %d pivots, %d refactorizations; %d pivots in all", got.repair, got.refactors, got.pivots)
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, f := range v {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		what      string
+		got, want []float64
+	}{{"d", got.d, want.d}, {"y", got.y, want.y}, {"x", got.x, want.x}, {"duals", got.duals, want.duals}} {
+		if !slices.Equal(bits(c.got), bits(c.want)) {
+			t.Errorf("%s differs from the repriced start's", c.what)
+		}
+	}
+	if got.optimal != want.optimal || got.refactors != want.refactors || got.repair != want.repair || got.pivots != want.pivots {
+		t.Errorf("unpriced %+v, repriced %+v", got, want)
 	}
 }

@@ -16,7 +16,8 @@ const (
 	KindSlotEnd = "slot-end"
 	// KindPlanCommitted is the accounted plan: Slot, Planner,
 	// Tier/TierName, Values (revenue, energyCost, transferCost,
-	// netProfit, serversOn, offered, served, and from sim.Run the
+	// netProfit, serversOn, offered, served, the planner's objective z —
+	// what a replay of the slot's input reproduces — and from sim.Run the
 	// level-relaxed bound z̄ on the planner's input with the committed
 	// objective's gap (z̄ − z)/z̄).
 	KindPlanCommitted = "plan-committed"

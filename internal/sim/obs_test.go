@@ -174,8 +174,8 @@ func TestObsEscalationsHaveTraceEvents(t *testing.T) {
 }
 
 // TestPlanCommittedCarriesTheGap: under a scope every committed plan's
-// event carries the level-relaxed bound on the planner's input, at or
-// above the committed objective, and the gap between them.
+// event carries the committed objective, the level-relaxed bound on the
+// planner's input, at or above it, and the gap between them.
 func TestPlanCommittedCarriesTheGap(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.KeepPlans = true
@@ -192,8 +192,8 @@ func TestPlanCommittedCarriesTheGap(t *testing.T) {
 		}
 		z := rep.Slots[seen].Plan.Objective
 		zbar, gap := ev.Values["bound"], ev.Values["gap"]
-		if zbar <= 0 || z > zbar*(1+1e-9) || gap != (zbar-z)/zbar {
-			t.Fatalf("slot %d: objective %.17g, bound %.17g, gap %g", ev.Slot, z, zbar, gap)
+		if zbar <= 0 || z > zbar*(1+1e-9) || gap != (zbar-z)/zbar || ev.Values["objective"] != z {
+			t.Fatalf("slot %d: objective %.17g (the event's %.17g), bound %.17g, gap %g", ev.Slot, z, ev.Values["objective"], zbar, gap)
 		}
 		seen++
 	}

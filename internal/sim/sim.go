@@ -526,6 +526,7 @@ func Run(cfg Config, planner core.Planner) (*Report, error) {
 						"energyCost":   sr.EnergyCost,
 						"transferCost": sr.TransferCost,
 						"netProfit":    sr.NetProfit,
+						"objective":    plan.Objective,
 						"serversOn":    float64(sr.ServersOn),
 						"offered":      sr.Offered(),
 						"served":       sr.Served(),

@@ -245,7 +245,9 @@ loc:
 # knobs prints, for every exported field of the option structs below, how
 # many places outside the owning package and outside tests set it — a
 # composite-literal key of the struct, or an assignment `.Field =` in a
-# file that imports the package (grep-level: no type information, so a
+# file that imports the package; the root facade's aliases of the struct
+# (`Optimized = core.Optimized` in profitlb.go) count the same way in a
+# file that imports profitlb (grep-level: no type information, so a
 # same-named field of another struct in such a file counts too). A 0 is an
 # option no caller has ever given a value: the next candidate for a
 # constant (PR 24 turned 31 of them into constants on this census). Rows
@@ -259,8 +261,6 @@ loc:
 #   feeds), read by config.BuildPlanner;
 #   dispatch.Config Burst/MinBurst — one-valued outside tests, but 27 test
 #   sites use them as the seam to small token buckets;
-#   core.Optimized MinCompletion — set through the root facade
-#   (examples/fairness), whose files import profitlb, not internal/core;
 #   lp.Options MaxIterations/Tol/Bland and core.EngineOptions LPOpts —
 #   one-valued; bench/ spells lp.Options and LPOpts, so they go with
 #   ROADMAP item 8 (as do the two ignored Sparse fields bench/ assigns).
@@ -276,13 +276,17 @@ knobs:
 			on && /^\t[A-Z][A-Za-z0-9_]*[ ,]/ { \
 				n = split(substr($$0, 2), w, /[ \t]+/); \
 				for (i = 1; i <= n; i++) { c = sub(/,$$/, "", w[i]); print w[i]; if (!c) break } }'); \
-		echo $$files | tr ' ' '\n' | grep -v "^$$d/" | xargs awk -v Q="$$q" -v T="$$T" -v D="$$d" -v fields="$$fields" ' \
-			BEGIN { nf = split(fields, F, /[ \n]+/); open = Q "." T "{" } \
+		aliases=$$(awk -v Q="$$q" -v T="$$T" '$$0 ~ ("=[ \t]*" Q "\\." T "[ \t]*$$") { sub(/^[ \t]*(type[ \t]+)?/, ""); print $$1 }' profitlb.go); \
+		echo $$files | tr ' ' '\n' | grep -v "^$$d/" | xargs awk -v Q="$$q" -v T="$$T" -v D="$$d" -v fields="$$fields" -v aliases="$$aliases" ' \
+			BEGIN { nf = split(fields, F, /[ \n]+/); na = split(aliases, A); O[1] = Q "." T "{"; \
+				for (i = 1; i <= na; i++) O[i + 1] = "profitlb." A[i] "{" } \
 			FNR == 1 { imp = 0; depth = 0 } \
-			index($$0, "\"profitlb/" D "\"") { imp = 1 } \
+			index($$0, "\"profitlb/" D "\"") || na && index($$0, "\"profitlb\"") { imp = 1 } \
 			{ line = $$0; sub(/\/\/.*/, "", line); \
 				if (imp) for (i = 1; i <= nf; i++) if (line ~ ("\\." F[i] "[ \t]*[-+*/]?=([^=]|$$)")) n[F[i]]++; \
-				if (depth == 0) { p = index(line, open); if (!p) next; line = substr(line, p + length(open)); depth = 1 } \
+				if (depth == 0) { \
+					for (o = 1; o <= na + 1; o++) if ((p = index(line, O[o]))) break; \
+					if (!p) next; line = substr(line, p + length(O[o])); depth = 1 } \
 				lit = ""; \
 				for (j = 1; j <= length(line) && depth > 0; j++) { \
 					ch = substr(line, j, 1); \

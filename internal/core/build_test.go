@@ -596,17 +596,17 @@ func TestRefactorsReachTheBooks(t *testing.T) {
 }
 
 // TestCheckpointOnlyWhereMovesSurvive: the demand-limited slot, whose
-// moves the dual bound all turns down, solves no trial and takes no
-// checkpoint of the hot kernel; the capacity-limited one solves its
-// survivors as trials on the capture's own LP and, once its first slot is
-// behind it, crashes no basis at all where it crashed one per survivor,
-// ~55 columns each.
+// moves the dual bound all turns down, solves exactly one trial — its
+// greedy start, from the capture's checkpointed kernel — and no move; the
+// capacity-limited one solves its survivors as trials on the capture's
+// own LP and, once its first slot is behind it, crashes no basis at all
+// where it crashed one per survivor, ~55 columns each.
 func TestCheckpointOnlyWhereMovesSurvive(t *testing.T) {
 	o, in := refineSlot()
 	for i := 0; i < 3; i++ {
 		mustPlan(t, o, in)
-		if st := *o.Stats; st.Trials != 0 || st.Bounded == 0 || o.warm.hot.cp != 0 {
-			t.Fatalf("demand-limited slot %d: %+v, checkpoint taken: %v", i, st, o.warm.hot.cp != 0)
+		if st := *o.Stats; st.Solves != held(in) || st.Trials != 1 || st.Bounded == 0 {
+			t.Fatalf("demand-limited slot %d: %+v, want the capture and its start, a trial, solved and every move bounded", i, st)
 		}
 	}
 	o, in = refineSlotBusy()
@@ -616,6 +616,32 @@ func TestCheckpointOnlyWhereMovesSurvive(t *testing.T) {
 		survivors := st.Solves - held(in)
 		if st.Trials < survivors/2 || i > 0 && st.ImportPivots != 0 {
 			t.Fatalf("capacity-limited slot %d: %+v, %d survivors: want most solved as trials, and no crash after the first slot", i, st, survivors)
+		}
+	}
+}
+
+// TestLadderRungsReachTheEvent: the engine event splits a Plan call's
+// solver calls by the ladder rung they ended on, each with its wall time.
+// A steady demand-limited refine slot makes two — the capture, hot, and
+// its greedy start, a trial — and a rung shows time exactly where it shows
+// calls. Slot 0 starts the held LP over.
+func TestLadderRungsReachTheEvent(t *testing.T) {
+	o, in := refineSlot()
+	events := &obs.Collector{}
+	o.Obs = obs.NewScope(nil, events)
+	for slot := 0; slot < 3; slot++ {
+		mustPlan(t, o, in)
+		evs := events.Events()
+		v := evs[len(evs)-1].Values
+		want := map[string]float64{"trial": 1, "hot": 1}
+		if slot == 0 {
+			want = map[string]float64{"trial": 1, "fresh": 1}
+		}
+		for _, r := range rungs {
+			calls, us := v[r.calls], v[r.us]
+			if calls != want[r.path] || (us > 0) != (calls > 0) {
+				t.Fatalf("slot %d: %s rung: %v calls in %v µs, want %v calls, timed where there are any (event %v)", slot, r.path, calls, us, want[r.path], v)
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"profitlb/internal/linalg"
 	"profitlb/internal/lp"
 	"profitlb/internal/obs"
@@ -42,16 +44,17 @@ type SearchStats struct {
 	// (lp.Outcome.ImportPivots), which the three pivot counts above leave
 	// out: what a held chain pays when its structure changed.
 	ImportPivots int64
-	// ModelRebuilds counts held-chain solves (the capture, and a refine
-	// call's greedy start) whose dispatch LP could not be refreshed in
-	// place — the first slot, then a fault, a changed admitted set or a
-	// toggled floor — and so was rebuilt and started over: why a slot with
-	// the usual pivots still ran slow. Zero when WarmStart is off.
+	// ModelRebuilds counts capture solves whose held LP could not be
+	// refreshed in place — the first slot, then a fault, a changed
+	// admissible list or a toggled floor — and so was rebuilt and started
+	// over: why a slot with the usual pivots still ran slow. Zero when
+	// WarmStart is off.
 	ModelRebuilds int64
-	// Trials counts solves answered on the hot unit: a move's survivor
-	// solved hot from its incumbent's checkpointed kernel, its set a numbers
-	// change of the capture's LP (see heldUnit). Zero on a slot whose moves
-	// the dual bound all turns down, and when WarmStart is off.
+	// Trials counts solves answered on the hot unit: a move's survivor or
+	// Refine's greedy start, solved hot from its incumbent's checkpointed
+	// kernel, its set a numbers change of the capture's LP (see heldUnit).
+	// Zero on a single-level slot whose moves the dual bound all turns
+	// down, and when WarmStart is off.
 	Trials int64
 	// Cuts counts the trials stopped by their cutoff: a move whose dual
 	// bound fell below the incumbent's objective while it was being
@@ -81,10 +84,10 @@ type engine struct {
 	// warm, when non-nil, warm-starts every solve from the owning
 	// planner's retained basis (see warm.go); nil solves cold.
 	warm *warmState
-	// held is raised by prologue around the call's first solve (capture)
-	// and around Refine's greedy start (greedyStart): the first request
-	// while it is up takes that held chain, so a move's LP never lands on
-	// it.
+	// held is raised by prologue around the call's first solve (capture),
+	// which re-solves the hot unit's retained chain, and around Refine's
+	// greedy start (greedyStart): the first request while it is up reads
+	// its answer into that chain's held storage, where no move's lands.
 	held chain
 	// priced makes a solve keep its shadow prices and final basis. It is up
 	// while the planner runs a first-improvement search, which bounds each
@@ -104,6 +107,9 @@ type engine struct {
 	// n counts the call's solver work; close publishes it.
 	n     SearchStats
 	stats *SearchStats
+	// rungs[r] is, under an enabled scope, the call's solver calls that
+	// ended on ladder rung r (see rungs) and their wall time.
+	rungs [len(rungs)]struct{ calls, ns int64 }
 	// sc streams the engine's solver counters to the observability
 	// layer when the owning planner carries a scope; the Input's slot and
 	// epoch and the planner label the summary event. Nil-safe like
@@ -133,7 +139,7 @@ func (e *EngineOptions) open(in *Input, planner string, perServer, searches bool
 // place of the lists a call used to allocate: the call's admission (the
 // route pass and the admissible and capped lists, see admission),
 // pick's per-vector subset and its capped copy, the walks' lists, the
-// held chains' answers, planFromRates' read-out, the engine and a plan
+// held answers (see heldOut), planFromRates' read-out, the engine and a plan
 // handed back. Nothing in it is read before the call that fills it has
 // written it, so a planner plans alike with it dropped before every call
 // (TestHeldListsAreInvisible).
@@ -148,7 +154,7 @@ type planScratch struct {
 	levels []int
 	toggle []int
 	climb  climbScratch
-	// out[c] is what held chain c's one request a call reads out into.
+	// out[c] is what chain c's one request a call reads out into.
 	out [greedyStart + 1]heldOut
 	// plan is a plan handed back (Recycle), which the next call refills.
 	plan *Plan
@@ -156,7 +162,7 @@ type planScratch struct {
 	eng engine
 }
 
-// heldOut is a held chain's answer, refilled by the chain's one request a
+// heldOut is a chain's held answer, refilled by the chain's one request a
 // call: its rates, its shadow prices and, when it is a level vector's
 // set (evaluate), the vector and the set. A search may hold it as its
 // incumbent until the call returns.
@@ -168,7 +174,7 @@ type heldOut struct {
 }
 
 // heldOut is the storage of the request the engine is about to make when
-// that is a held chain's, nil for a spare request.
+// that is a held one's (see chain), nil for a spare request.
 func (e *engine) heldOut() *heldOut {
 	if e.held == spare {
 		return nil
@@ -228,11 +234,8 @@ func (e *engine) admit(floors []float64) (full, capped []commodity) {
 	return full, capped
 }
 
-// prologue runs solve's first request on the held chain c: the call's
-// first solve, the designated capture solve, re-solves on the retained hot
-// chain, which the next slot's capture re-solves in turn; Refine's greedy
-// start re-solves on its own. The window is closed explicitly in case the
-// subset was empty and nothing was requested.
+// prologue runs solve's first request on chain c (see held). The window is
+// closed explicitly in case the subset was empty and nothing was requested.
 func (e *engine) prologue(c chain, solve func() (assignment, error)) (assignment, error) {
 	e.held = c
 	defer func() { e.held = spare }()
@@ -312,13 +315,13 @@ func (e *engine) bounded(inc *assignment, out int, add *commodity) bool {
 	return true
 }
 
-// solveLP solves one dispatch LP in the call's layout: a move's
-// survivor (from: its incumbent's prices) as a trial on the hot unit if it
-// can, the capture on the hot unit's LP of the call's universe (see
-// heldUnit), otherwise comms' own LP built on chain c's unit, started
-// fresh. The LP and its handles are the unit's, good until
-// its next build; at lists comms' positions in the LP's commodities when
-// it was the hot unit's (nil: the LP is comms' own).
+// solveLP solves one dispatch LP in the call's layout: a request beside an
+// incumbent (from: its prices) as a trial on the hot unit if it can, the
+// capture on the hot unit's LP of the call's universe (see heldUnit),
+// otherwise comms' own LP built on the spare unit, started fresh. The LP
+// and its handles are the unit's, good until its next build; at lists
+// comms' positions in the LP's commodities when it was the hot unit's
+// (nil: the LP is comms' own).
 func (e *engine) solveLP(c chain, comms []commodity, floors []float64, from *prices, cutoff float64) (*dispatchLP, []int, *lp.Result, error) {
 	if res, at := e.trial(comms, floors, from, cutoff); res != nil {
 		return &e.warm.hot.d, at, res, nil
@@ -336,19 +339,44 @@ func (e *engine) solveLP(c chain, comms []commodity, floors []float64, from *pri
 
 // run hands a built LP — a slot's, or a horizon window's — to the simplex
 // through the call's warm state (cold when there is none) and books how
-// the solve went. rebuilt says a held chain's model had to be built again.
+// the solve went. rebuilt says the capture's model had to be built again.
 func (e *engine) run(m *lp.Model, c chain, rebuilt bool, sv *lp.Solver) (*lp.Result, error) {
-	if c != spare && e.warm != nil && rebuilt {
+	if c == capture && e.warm != nil && rebuilt {
 		e.n.ModelRebuilds++
 	}
+	start := e.clock()
 	res, out, err := e.warm.solveModel(m, e.opts, c, sv)
-	e.book(out, true)
+	e.book(out, true, start)
 	return res, err
 }
 
-// book adds one solver call's work to the call's counters; a call that
-// answered a request also counts as a warm hit or a fallback.
-func (e *engine) book(out lp.Outcome, answered bool) {
+// rungs are the warm ladder's rungs (lp.Outcome.Path), each with the
+// engine event's keys for the solver calls that ended on it and their wall
+// time in microseconds.
+var rungs = [...]struct{ path, calls, us string }{
+	{"trial", "lpTrialCalls", "lpTrialUs"}, {"hot", "lpHotCalls", "lpHotUs"},
+	{"fresh", "lpFreshCalls", "lpFreshUs"}, {"cold", "lpColdCalls", "lpColdUs"},
+}
+
+// clock is when a solver call starts under an enabled scope; untraced, it
+// reads no clock and the call goes untimed (zero).
+func (e *engine) clock() (t time.Time) {
+	if e.sc.Enabled() {
+		t = time.Now()
+	}
+	return t
+}
+
+// book adds one solver call's work to the call's counters, the call having
+// started at start (zero: untimed); a call that answered a request also
+// counts as a warm hit or a fallback.
+func (e *engine) book(out lp.Outcome, answered bool, start time.Time) {
+	for r := 0; r < len(rungs) && !start.IsZero(); r++ {
+		if rungs[r].path == out.Path {
+			e.rungs[r].calls++
+			e.rungs[r].ns += int64(time.Since(start))
+		}
+	}
 	if out.FellBack {
 		e.n.WarmFallbacks++
 	} else if answered && out.Path != "cold" {
@@ -400,10 +428,13 @@ func (e *engine) close() {
 	if e.warm == nil {
 		published = counters[:3]
 	}
-	values := make(map[string]float64, len(published))
+	values := make(map[string]float64, len(published)+2*len(rungs))
 	for _, c := range published {
 		e.sc.Counter(c.metric).Add(c.v)
 		values[c.key] = float64(c.v)
+	}
+	for r, n := range e.rungs {
+		values[rungs[r].calls], values[rungs[r].us] = float64(n.calls), float64(n.ns)/1e3
 	}
 	e.sc.Emit(obs.Event{Kind: obs.KindEngine, Slot: e.in.Slot, Epoch: e.in.Epoch, Planner: e.planner, Values: values})
 }

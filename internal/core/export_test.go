@@ -8,25 +8,39 @@ import (
 )
 
 // GreedySeedObjective plans in with o, then runs o's greedy seed on in
-// twice, each time through an engine of o's own as Plan does but with no
-// capture to share its start: the first arms o's greedy chain, the second
-// re-solves its start on it. It returns the objective of
-// the assignment the second reaches and how its start was solved.
+// through an engine of o's own as Plan does — the capture, the first toggle
+// search, the seed from where it ended — but passes it no capture, so a
+// start that is the capture's set is asked all the same. It returns the
+// objective of the assignment the seed reaches and the ladder rung that
+// answered its start ("" where the start was the first search's end).
 func GreedySeedObjective(o *Optimized, in *Input) (float64, string, error) {
 	if _, err := o.Plan(in); err != nil {
 		return 0, "", err
 	}
-	var a assignment
-	for i := 0; i < 2; i++ {
-		eng := o.open(in, o.Name(), o.PerServer, o.Refine)
-		var err error
-		a, err = o.greedySeed(eng, assignment{})
-		eng.close()
-		if err != nil {
-			return 0, "", err
+	eng := o.open(in, o.Name(), o.PerServer, o.Refine)
+	defer eng.close()
+	full, capped := eng.admit(o.MinCompletion)
+	captured, err := eng.prologue(capture, func() (assignment, error) {
+		return o.solveSubset(eng, capped, nil, noCutoff)
+	})
+	if err != nil {
+		return 0, "", err
+	}
+	searched, err := o.toggleSearch(eng, full, captured)
+	if err != nil {
+		return 0, "", err
+	}
+	path, trials := "", eng.n.Trials
+	eng.onSolve = func([]commodity, []float64, *prices, solution, error) {
+		if path == "" { // the start, the seed's first request
+			path = o.warm.spare.sv.LastOutcome().Path
+			if eng.n.Trials > trials {
+				path = o.warm.hot.sv.LastOutcome().Path
+			}
 		}
 	}
-	return a.obj, o.warm.greedy.sv.LastOutcome().Path, nil
+	a, err := o.greedySeed(eng, assignment{}, searched)
+	return a.obj, path, err
 }
 
 // evaluateLevels picks the set levels stands for and evaluates it on eng.

@@ -194,7 +194,7 @@ func (e *engine) pick(pairs []pair, levels []int) (kept []commodity, evicted boo
 
 // evaluate solves a copy of kept, the set levels stands for (see pick), as
 // a move from from, the incumbent it neighbours (nil: none), under cutoff
-// (see engine.solve). An empty set is no LP. A held chain's request copies
+// (see engine.solve). An empty set is no LP. A held request copies
 // into the chain's own storage (see heldOut), a move's into new slices a
 // search may keep.
 func (e *engine) evaluate(levels []int, kept []commodity, from *prices, cutoff float64) (assignment, error) {
@@ -297,7 +297,9 @@ func exhaustive(eng *engine, pairs []pair, first assignment) (assignment, error)
 // improvement, circular as toggleSearch is. A move is the pair's current
 // commodity out and its commodity at the new level in, if it earns
 // anything; of a pair's moves to levels that do not enter, one set, only
-// the first off its own level is asked. A move the incumbent's shadow
+// the first off its own level is asked, and a move whose kept set is the
+// incumbent's (capReservations evicting the pair it moved) is not asked
+// at all (DESIGN §7.3). A move the incumbent's shadow
 // prices bound at no improvement is rejected before anything is built
 // (see prices.bound); the others are solved from the incumbent's kernel
 // under its cutoff, in move order, and a pass goes on from the move it
@@ -388,6 +390,9 @@ func climb(eng *engine, pairs []pair, start assignment) (assignment, error) {
 			trial := cs.trial
 			trial[mv.pi] = mv.q
 			kept, _ := eng.pick(pairs, trial)
+			if len(kept) > 0 && sameSet(kept, best.comms) {
+				continue // the incumbent's own set: its answer is best's
+			}
 			a, err := eng.evaluate(trial, kept, best.px, cutoffOf(best.obj))
 			if err != nil {
 				return assignment{}, err

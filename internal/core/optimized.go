@@ -142,13 +142,13 @@ func (o *Optimized) Plan(in *Input) (*Plan, error) {
 		// all but one level per (type, center) and sometimes escapes the
 		// full set's reservation load.
 		if multiLevel(in) {
-			seed, err := o.greedySeed(eng, captured)
+			seed, err := o.greedySeed(eng, captured, best)
 			if err != nil {
 				return nil, err
 			}
-			// The capture's own answer as the seed (the climb took no move
-			// from it) would retrace the first search question for question.
-			if seed.px != nil && seed.px == captured.px {
+			// An answer the first search started or ended at as the seed
+			// (the climb took no move from it) would retrace that search.
+			if seed.px != nil && (seed.px == captured.px || seed.px == best.px) {
 				return eng.planOf(best)
 			}
 			// Floors are this planner's own constraint: the greedy search
@@ -485,20 +485,28 @@ func (o *Optimized) toggleSearch(eng *engine, full []commodity, start assignment
 
 // greedySeed runs LevelSearch's greedy single-level commitment on the
 // caller's engine to seed the subset search. Its start, every pair at its
-// top level, is re-solved on the greedy chain, unless it is the capture's
-// question (the same set, no floors), whose answer it then takes.
-func (o *Optimized) greedySeed(eng *engine, captured assignment) (assignment, error) {
+// top level, is a trial beside searched, where the first toggle search
+// ended, from the kernel that search left checkpointed — under floors,
+// which the held LP carries and the start does not, a fresh solve on the
+// spare unit — unless it is the question of the capture or of searched
+// (the same set, no floors), whose answer it then takes.
+func (o *Optimized) greedySeed(eng *engine, captured, searched assignment) (assignment, error) {
 	sc := eng.scratch
 	sc.pairs = appendPairs(sc.pairs[:0], eng.in.Sys)
 	pairs := sc.pairs
 	levels := eng.zeroLevels(len(pairs))
 	kept, _ := eng.pick(pairs, levels)
 	start, err := captured, error(nil)
-	if start.levels = levels; len(o.MinCompletion) > 0 || !sameSet(kept, captured.comms) {
+	switch floors := len(o.MinCompletion) > 0; {
+	case !floors && sameSet(kept, captured.comms):
+	case !floors && sameSet(kept, searched.comms):
+		start = searched
+	default:
 		start, err = eng.prologue(greedyStart, func() (assignment, error) {
-			return eng.evaluate(levels, kept, nil, noCutoff)
+			return eng.evaluate(levels, kept, searched.px, noCutoff)
 		})
 	}
+	start.levels = levels
 	if err != nil {
 		return assignment{}, err
 	}

@@ -288,10 +288,10 @@ func oracleCases(t testing.TB) map[string]*core.Input {
 // TestBigMOracle holds the planners to PAPER.md's program solved exactly.
 // LevelSearch's exhaustive and branch-and-bound strategies, which walk
 // each pair's levels and off, reach its optimum. Neither greedy climb —
-// LevelSearch's, and Optimized's greedy seed with its start re-solved hot
-// — exceeds the program; LevelSearch's never switches a pair off, and what
-// that costs it is logged (DESIGN §15). Optimized with Refine, warm (its
-// second slot) and cold, never falls below the program on these
+// LevelSearch's, and Optimized's greedy seed, its start a trial on the
+// held LP — exceeds the program; LevelSearch's never switches a pair off,
+// and what that costs it is logged (DESIGN §15). Optimized with Refine,
+// warm (its second slot) and cold, never falls below the program on these
 // homogeneous centers, and the gap by which its split-commodity LP beats
 // it is logged.
 func TestBigMOracle(t *testing.T) {
@@ -321,7 +321,7 @@ func TestBigMOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if path != "hot" || above(seed) {
+			if path != "trial" || above(seed) {
 				t.Errorf("Optimized's greedy seed, solved by %q, reaches %.12g; the oracle %.12g", path, seed, z)
 			}
 			for _, warm := range []bool{true, false} {

@@ -254,13 +254,13 @@ func chainInput(base *Input, slot int, load float64) *Input {
 }
 
 // TestRefreshedChainEqualsRebuiltChain runs each determinism chain on two
-// planners, one refreshing its held LPs in place — the capture's and, on a
-// refine chain, the greedy start's — and one made to build every slot's in
-// a new model, as the planner did before it held them. The two must agree
-// slot by slot in every solver counter and in the %.17g objective, through
-// a center losing half its servers mid-chain — which both meet by
-// starting over — and getting them back; and the first rebuilds exactly on
-// those slots, each of its held LPs once.
+// planners, one refreshing its held LP in place — the capture's, on which a
+// refine chain's greedy start and moves are trials — and one made to build
+// every slot's in a new model, as the planner did before it held it. The
+// two must agree slot by slot in every solver counter and in the %.17g
+// objective, through a center losing half its servers mid-chain — which
+// both meet by starting over — and getting them back; and the first
+// rebuilds exactly on those slots, its one held LP once.
 func TestRefreshedChainEqualsRebuiltChain(t *testing.T) {
 	chains := []struct {
 		name    string
@@ -282,14 +282,11 @@ func TestRefreshedChainEqualsRebuiltChain(t *testing.T) {
 			planner := func(forget bool) *Optimized {
 				o := NewOptimized()
 				o.Refine, o.Stats = c.refine, &SearchStats{}
-				o.warm.hot.d.forget, o.warm.greedy.d.forget = forget, forget
+				o.warm.hot.d.forget = forget
 				return o
 			}
 			refreshed, rebuilt := planner(false), planner(true)
-			held := int64(1) // the capture, and a refine call's greedy start
-			if c.refine {
-				held = 2
-			}
+			const held = 1 // the capture's LP
 			for slot := 0; slot < c.slots; slot++ {
 				reshaped := slot == 0
 				if slot == 4 || slot == 6 { // center 1 degrades, then recovers
@@ -350,43 +347,45 @@ func TestCaptureSolveRefreshesHot(t *testing.T) {
 
 // TestSteadyRefineSlotImportsNothing: a demand-limited 6×10×3 refine slot
 // solves two LPs — the capture and the greedy start, every move bounded —
-// and once both held chains are armed it crashes no basis: slot 0 builds
-// both held LPs, each steady slot re-solves both hot with no import pivot,
-// and a center outage makes both start over once, after which both are
-// hot again.
+// on its one held LP, and once that is armed it crashes no basis: slot 0
+// builds it, each steady slot re-solves the capture hot and the start as a
+// trial from the capture's kernel with no import pivot, and a center
+// outage makes the capture start over once, after which it is hot again.
 func TestSteadyRefineSlotImportsNothing(t *testing.T) {
 	base := synthInput(6, 10, 3)
 	o := NewOptimized()
 	o.Stats = &SearchStats{}
-	paths := func() [2]string {
-		return [2]string{o.warm.hot.sv.LastOutcome().Path, o.warm.greedy.sv.LastOutcome().Path}
+	var paths []string // the ladder rung of each request, in order
+	o.warm.onSolve = func([]commodity, []float64, *prices, solution, error) {
+		paths = append(paths, o.warm.hot.sv.LastOutcome().Path)
 	}
-	imported, hot := [2]string{"fresh", "fresh"}, [2]string{"hot", "hot"}
-	plan := func(n int, rebuilds int64, want [2]string) SearchStats {
+	plan := func(n int, rebuilds int64, capture string) SearchStats {
 		t.Helper()
+		paths = paths[:0]
 		mustPlan(t, o, chainInput(base, n, 1))
-		if st := *o.Stats; st.ModelRebuilds != rebuilds || paths() != want || st.WarmFallbacks != 0 {
-			t.Fatalf("slot %d: held chains by %v, %+v; want %v and %d rebuilds", n, paths(), st, want, rebuilds)
+		st := *o.Stats
+		if st.ModelRebuilds != rebuilds || len(paths) < 2 || paths[0] != capture || paths[1] != "trial" || st.WarmFallbacks != 0 {
+			t.Fatalf("slot %d: requests by %v, %+v; want the capture by %q, the start as a trial and %d rebuilds", n, paths, st, capture, rebuilds)
 		}
-		return *o.Stats
+		return st
 	}
 	steady := func(n int) {
 		t.Helper()
-		if st := plan(n, 0, hot); st.Solves != 2 || st.WarmHits != 2 || st.ImportPivots != 0 {
-			t.Fatalf("slot %d: %+v; want the two held LPs re-solved hot and no import", n, st)
+		if st := plan(n, 0, "hot"); st.Solves != 2 || st.Trials != 1 || st.WarmHits != 2 || st.ImportPivots != 0 {
+			t.Fatalf("slot %d: %+v; want the capture hot, the start a trial and no import", n, st)
 		}
 	}
-	if st := plan(0, 2, imported); st.Solves != 2 || st.ImportPivots == 0 {
-		t.Fatalf("slot 0: %+v; want the two held LPs crashed", st)
+	if st := plan(0, 1, "fresh"); st.Solves != 2 || st.ImportPivots == 0 {
+		t.Fatalf("slot 0: %+v; want the held LP crashed", st)
 	}
 	for n := 1; n < 5; n++ {
 		steady(n)
 	}
 	down := base.Sys.Centers[2].Servers
 	base.Sys.Centers[2].Servers = 0
-	plan(5, 2, imported)
-	plan(6, 0, hot) // the moves the outage lets past the bound start fresh, on the spare unit
+	plan(5, 1, "fresh")
+	steady(6) // on the rebuilt LP, the slot after the outage is steady again
 	base.Sys.Centers[2].Servers = down
-	plan(7, 2, imported)
+	plan(7, 1, "fresh")
 	steady(8)
 }

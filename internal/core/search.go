@@ -20,12 +20,13 @@ import (
 // goes on from it — as branch-and-bound re-solves each child from its
 // parent's basis.
 //
-// The checkpoint is taken on a call's first survivor, so a slot whose
-// moves the dual bound all turns down takes none, and trials leave the
-// hot chain where the capture left it (lp.Solver.Checkpoint). The model
-// persists across calls with its numbers, reshape deciding as for any
-// unit whether the structure stands; the identities of the solutions its
-// kernels hold do not (claim).
+// The checkpoint is taken on a call's first trial, so a single-level slot
+// whose moves the dual bound all turns down takes none, and trials leave
+// the hot chain where the capture left it (lp.Solver.Checkpoint). The
+// model persists across calls with its numbers, reshape deciding as for
+// any unit whether the structure stands, and a changed structure starts
+// over; the identities of the solutions its kernels hold do not persist
+// (claim).
 type heldUnit struct {
 	solveUnit
 	// out[i] says the numbers in place hold d.comms[i] out; at holds the
@@ -71,8 +72,9 @@ func (e *engine) trial(comms []commodity, floors []float64, from *prices, cutoff
 	if !e.ready(from) || !u.admit(e.in, comms) {
 		return nil, nil
 	}
+	start := e.clock()
 	res := u.sv.Trial(u.d.model, e.opts, cutoff)
-	e.book(u.sv.LastOutcome(), res != nil)
+	e.book(u.sv.LastOutcome(), res != nil, start)
 	switch {
 	case res == nil:
 		u.last = 0
@@ -111,8 +113,9 @@ func (e *engine) ready(from *prices) bool {
 	if u.cp == 0 || !u.admit(e.in, from.comms) {
 		return false
 	}
+	start := e.clock()
 	res := u.sv.Trial(u.d.model, e.opts, noCutoff)
-	e.book(u.sv.LastOutcome(), false)
+	e.book(u.sv.LastOutcome(), false, start)
 	if u.last = 0; res == nil {
 		return false
 	}

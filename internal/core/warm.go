@@ -3,37 +3,19 @@ package core
 import "profitlb/internal/lp"
 
 // warmState is one planner's warm-start machinery, carried across its
-// Plan calls inside its EngineOptions. Successive slots solve
-// near-identical LPs — the topology is fixed and only arrivals and
-// prices drift — so the optimal basis of one call is an excellent
-// starting vertex for the next (DESIGN.md §12). The state holds three
-// solve units:
-//
-//   - hot is the capture chain's unit and the call's one held LP (see
-//     heldUnit): the dispatch LP of the call's admissible universe, the
-//     capture's set admitted on it by numbers. Its solver runs one solve
-//     per Plan call — the capture solve, the call's first — and retains
-//     its factorized kernel; the LP is refreshed in place while the
-//     structure stands (dispatchLP.build), so the solver is handed the
-//     very model it factorized, at the stamp it factorized, and re-solves
-//     with a dual-simplex repair instead of a cold two-phase run. A move
-//     that survives the dual bound is a trial on the same LP, from a
-//     checkpoint of the kernel, which trials leave where the capture did.
-//   - greedy is the same kind of chain for a multi-level Refine call's
-//     second capture, its greedy start: the same commodity set slot after
-//     slot, so it re-solves hot too.
-//   - spare is the unit of every other solve of the call, one after the
-//     other: the search is sequential and reads a solution out before it
-//     asks for the next. Those solves start fresh (lp.Solver.SolveFresh),
-//     a pure function of the model, so a result never depends on what the
-//     unit did before.
-//
-// A held chain whose structure changed starts over as a spare solve does,
-// and keeps the kernel it ends with. A planner is driven by one caller at
-// a time, so one Plan call owns the state from claim to its return.
+// Plan calls inside its EngineOptions: successive slots solve
+// near-identical LPs, so one call's optimal basis is an excellent start
+// for the next (DESIGN.md §12). It holds two solve units. hot is the
+// call's one held LP (see heldUnit): the capture, the call's first solve,
+// re-solves it hot, refreshed in place while its structure stands, and
+// every other request it can take — a move's survivor, Refine's greedy
+// start — is a trial on it. spare is the unit of every other solve, one
+// after the other; those start fresh (lp.Solver.SolveFresh), a pure
+// function of the model. A planner is driven by one caller at a time, so
+// one Plan call owns the state from claim to its return.
 type warmState struct {
-	hot           heldUnit
-	greedy, spare solveUnit
+	hot   heldUnit
+	spare solveUnit
 	// onTrial, when set, sees every trial the hot unit answers: the set,
 	// its floors, its cutoff and the result. Set by tests only.
 	onTrial func(comms []commodity, floors []float64, cutoff float64, res *lp.Result)
@@ -43,14 +25,15 @@ type warmState struct {
 	onSolve func(comms []commodity, floors []float64, from *prices, sol solution, err error)
 }
 
-// chain names the solve unit a request runs on: a held chain's, which
-// re-solves hot, or the spare's, which starts fresh.
+// chain names a request's held answer storage (planScratch.out): the
+// capture's, which the hot unit solves, Refine's greedy start's, or none
+// (spare), a move's answer being a search's own to keep.
 type chain uint8
 
 const (
-	spare       chain = iota // the spare unit: a pure function of the model
-	capture                  // the hot unit
-	greedyStart              // the greedy unit
+	spare       chain = iota // no held storage
+	capture                  // the capture's, solved on the hot unit
+	greedyStart              // Refine's greedy start's
 )
 
 // solveUnit is what one solve works in and the next one reuses: the
@@ -68,16 +51,15 @@ type solveUnit struct {
 }
 
 // unit is the workspace of the call's next solve on chain c, the previous
-// one's solution having been read out. A cold call's is fresh, there being
-// no state to keep one in.
+// one's solution having been read out: the hot unit's for the capture,
+// else the spare's. A cold call's is fresh, there being no state to keep
+// one in.
 func (w *warmState) unit(c chain) *solveUnit {
 	switch {
 	case w == nil:
 		return &solveUnit{}
 	case c == capture:
 		return &w.hot.solveUnit
-	case c == greedyStart:
-		return &w.greedy
 	}
 	return &w.spare
 }
@@ -96,10 +78,9 @@ func (e *EngineOptions) claim(held bool) *warmState {
 // solveModel is the one way an LP in this package reaches the simplex
 // ladder, reporting how the solve ran; the hot unit's trials are its top
 // rung (engine.trial). A nil state is the cold dense reference. Otherwise
-// a held chain's solve (c: capture or greedyStart, at most one each per
-// Plan call) runs that unit's retained chain, on its solver whatever sv,
-// and every other solve starts fresh on sv, its unit's solver, keeping
-// the result a pure function of the model.
+// the capture (c, once per Plan call) runs the hot unit's retained chain,
+// on its solver whatever sv, and every other solve starts fresh on sv, its
+// unit's solver, keeping the result a pure function of the model.
 func (w *warmState) solveModel(m *lp.Model, opts lp.Options, c chain, sv *lp.Solver) (*lp.Result, lp.Outcome, error) {
 	if w == nil {
 		res, err := m.SolveOpts(opts)
@@ -107,11 +88,11 @@ func (w *warmState) solveModel(m *lp.Model, opts lp.Options, c chain, sv *lp.Sol
 	}
 	var res *lp.Result
 	var err error
-	if c == spare {
-		res, err = sv.SolveFresh(m, opts)
-	} else {
-		sv = &w.unit(c).sv
+	if c == capture {
+		sv = &w.hot.sv
 		res, err = sv.SolveWarm(m, nil, opts)
+	} else {
+		res, err = sv.SolveFresh(m, opts)
 	}
 	return res, sv.LastOutcome(), err
 }

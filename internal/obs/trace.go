@@ -37,7 +37,10 @@ const (
 	// KindEngine is one Plan call's plan-search engine summary: Slot,
 	// Epoch, Planner, Values (lpSolves, lpSolveErrors, lpBounded, and
 	// from a warm planner the lpWarm*, pivot, lpTrials, lpCuts and the
-	// other counters of core.SearchStats).
+	// other counters of core.SearchStats; from every planner, for each
+	// rung of the warm ladder — trial, hot, fresh, cold — the solver calls
+	// that ended on it and their wall time: lpTrialCalls, lpTrialUs,
+	// lpHotCalls, lpHotUs, lpFreshCalls, lpFreshUs, lpColdCalls, lpColdUs).
 	KindEngine = "engine"
 	// KindEpochApplied is a gateway replica applying a published plan
 	// epoch: Slot, Epoch, Sub, Replica, Values (members, index).

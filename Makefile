@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check race fuzz verify soak soak-smoke bench bench-lp-sparse bench-smoke profile benchall bench-e2e bench-compare bench-pairs loc knobs
+.PHONY: build test vet fmt-check race fuzz verify soak soak-smoke bench bench-lp-sparse bench-smoke profile benchall bench-e2e bench-compare bench-pairs loc knobs fma-audit
 
 build:
 	$(GO) build ./...
@@ -169,7 +169,8 @@ bench-smoke:
 # sparse kernel's hot re-solve of a generated 2160-row dispatch-shaped LP
 # at ~15 pivots a solve, with no planner on top; W=fresh profiles
 # BenchmarkFreshStart, that LP started over from the all-slack basis — a
-# zero-cost repair of ~2 000 dual pivots, most under Bland's rule, and 21
+# zero-cost repair of ~2 000 dual pivots, most under Bland's rule, on an
+# indexed eta file of up to rows/4 updates, then the priced finish: 5
 # refactorizations — what an outage, a recovery or a planner's first slot
 # pays at fleet-large; W=horizon profiles
 # BenchmarkHorizonSlot/steady, a held horizon-4 window of the 6x10x3 fleet
@@ -228,6 +229,14 @@ N ?= 10
 BASE ?= HEAD
 bench-pairs:
 	sh scripts/bench-pairs.sh $(W) $(N) $(BASE)
+
+# fma-audit checks the census of fusable float expressions behind
+# TestFusableSitesAreCensused (testdata/fma_census.txt) against the fused
+# multiply-adds a GOARCH=arm64 build -a -gcflags=-S emits under internal/
+# (~30 s): it fails on a fused line with no census site and lists the
+# census sites arm64 leaves unfused (scripts/fma-audit.sh).
+fma-audit:
+	GO=$(GO) sh scripts/fma-audit.sh
 
 # loc prints the non-test .go line count (plain wc -l) of every package
 # and their sum — the figure simplicity PRs report before and after — and,

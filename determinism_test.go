@@ -12,7 +12,7 @@ import (
 	"profitlb/internal/resilient"
 )
 
-var updateDeterminism = flag.Bool("update", false, "rewrite testdata/determinism.golden (deliberately: it pins every solver count and objective)")
+var updateDeterminism = flag.Bool("update", false, "rewrite the goldens of the tests run: testdata/determinism.golden (deliberately: it pins every solver count and objective) and testdata/fma_census.txt")
 
 // TestSlotChainDeterminism is the "nothing numerical moves" harness: it
 // drives the resilient chain over the default planner through three slot

@@ -1,6 +1,9 @@
 package linalg
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SparseLU is a sparse LU factorization of an n×n basis matrix assembled
 // column by column (Gilbert–Peierls left-looking elimination with partial
@@ -484,11 +487,17 @@ func (f *SparseLU) SolveT(c, out *SparseVec) {
 // applies the inverses in append order after the LU solve; BTRAN applies
 // the transposed inverses in reverse order before it. The simplex layer
 // refactorizes once the file grows past its refresh bound.
+//
+// A file can keep a position index beside it (Index, etaIndex); the
+// sparse walks then follow it to the updates that can act on the vector
+// in hand instead of visiting every one. They apply the same updates in
+// the same order with the same arithmetic (eta.ftran, eta.btran); what
+// they step over are updates the full walk finds to be no-ops.
 type EtaFile struct {
-	n    int
 	etas []eta
 	ind  []int     // slab behind the etas' entries
 	val  []float64 // (see SparseLU's)
+	ix   etaIndex
 }
 
 type eta struct {
@@ -496,18 +505,61 @@ type eta struct {
 	ind  []int
 	val  []float64
 	diag float64
+	// While indexed: the update before this one at position r (plus one, 0
+	// for none) and this update's first node (see etaIndex).
+	older, node int
 }
 
-// NewEtaFile returns an empty file for n-dimensional bases. The zero
-// value is an empty file too.
-func NewEtaFile(n int) *EtaFile { return &EtaFile{n: n} }
+// etaIndex lists an EtaFile's updates by position, newest first, each list
+// linked through the updates themselves, so that appending, truncating and
+// dropping cost the updates concerned and never the dimension. at[p] is
+// the newest update pivoting at p (FTRAN's question: which updates does a
+// non-zero at p set off), touch[p] the newest node of an update that
+// reads or writes p (BTRAN's); both are plus one, 0 for none, and all zero
+// while the index is off. An update's nodes are its pivot position's, then
+// its entries', in order. mark is a walk's worklist, a bitmap over the
+// updates, all clear between walks. On, the index covers every update in
+// the file.
+type etaIndex struct {
+	on        bool
+	at, touch []int
+	nodes     []etaNode
+	mark      []uint64
+}
+
+// etaNode is one position an update touches: the update, and the node of
+// the update before it that touches the same position (plus one).
+type etaNode struct{ eta, older int }
 
 // Len returns the number of recorded updates.
 func (f *EtaFile) Len() int { return len(f.etas) }
 
 // Reset drops every recorded update (after a refactorization), keeping
-// the storage.
-func (f *EtaFile) Reset() { f.etas, f.ind, f.val = f.etas[:0], f.ind[:0], f.val[:0] }
+// the storage and the index on or off.
+func (f *EtaFile) Reset() {
+	f.Truncate(EtaMark{0, f.ind[:0], f.val[:0]})
+}
+
+// Index turns the position index on, over every update recorded and each
+// one appended after, or off. It pays where updates are many and each
+// touches few positions, so that most of a full walk's visits are no-ops;
+// n is the vectors' dimension, and an index on for a smaller one is rebuilt.
+func (f *EtaFile) Index(on bool, n int) {
+	if f.ix.on && (!on || len(f.ix.at) < n) {
+		f.ix.cut(f.etas, 0)
+		f.ix.on = false
+	}
+	if !on || f.ix.on {
+		return
+	}
+	if len(f.ix.at) < n {
+		f.ix.at, f.ix.touch = make([]int, n), make([]int, n)
+	}
+	f.ix.on, f.ix.nodes = true, f.ix.nodes[:0]
+	for i := range f.etas {
+		f.ix.add(f.etas, i)
+	}
+}
 
 // EtaMark is a length of an EtaFile, to truncate it back to.
 type EtaMark struct {
@@ -521,7 +573,12 @@ func (f *EtaFile) Mark() EtaMark { return EtaMark{len(f.etas), f.ind, f.val} }
 
 // Truncate drops every update recorded since m was marked, with no Reset
 // between: the basis goes back to the one the file described then.
-func (f *EtaFile) Truncate(m EtaMark) { f.etas, f.ind, f.val = f.etas[:m.n], m.ind, m.val }
+func (f *EtaFile) Truncate(m EtaMark) {
+	if f.ix.on {
+		f.ix.cut(f.etas, m.n)
+	}
+	f.etas, f.ind, f.val = f.etas[:m.n], m.ind, m.val
+}
 
 // Append records the replacement of basis position r by the column whose
 // FTRAN image (position-indexed) is w, keeping w's listed non-zeros. It
@@ -541,7 +598,86 @@ func (f *EtaFile) Append(r int, w *SparseVec, tol float64) bool {
 	}
 	end := len(f.ind)
 	f.etas = append(f.etas, eta{r: r, ind: f.ind[at:end:end], val: f.val[at:end:end], diag: d})
+	if f.ix.on {
+		f.ix.add(f.etas, len(f.etas)-1)
+	}
 	return true
+}
+
+// add indexes update i, the newest.
+func (x *etaIndex) add(etas []eta, i int) {
+	e := &etas[i]
+	e.older, x.at[e.r] = x.at[e.r], i+1
+	e.node = len(x.nodes)
+	x.link(e.r, i)
+	for _, p := range e.ind {
+		x.link(p, i)
+	}
+	if words := (len(etas) + 63) / 64; len(x.mark) < words {
+		// Storage past the length is clear too: walks clear what they set.
+		x.mark = Resized(x.mark, max(words, 2*len(x.mark)))
+	}
+}
+
+func (x *etaIndex) link(p, i int) {
+	x.nodes = append(x.nodes, etaNode{eta: i, older: x.touch[p]})
+	x.touch[p] = len(x.nodes)
+}
+
+// cut takes every update from the n-th on out of the index, newest first.
+func (x *etaIndex) cut(etas []eta, n int) {
+	for i := len(etas) - 1; i >= n; i-- {
+		e := &etas[i]
+		x.at[e.r] = e.older
+		x.touch[e.r] = x.nodes[e.node].older
+		for j, p := range e.ind {
+			x.touch[p] = x.nodes[e.node+1+j].older
+		}
+		x.nodes = x.nodes[:e.node]
+	}
+}
+
+// markAt marks the updates pivoting at position p that come after update
+// i (-1: all of them).
+func (x *etaIndex) markAt(etas []eta, p, i int) {
+	for k := x.at[p]; k > i+1; k = etas[k-1].older {
+		x.mark[(k-1)>>6] |= 1 << ((k - 1) & 63)
+	}
+}
+
+// markTouch marks the update of node k (plus one) and of every node before
+// it at the same position.
+func (x *etaIndex) markTouch(k int) {
+	for ; k > 0; k = x.nodes[k-1].older {
+		i := x.nodes[k-1].eta
+		x.mark[i>>6] |= 1 << (i & 63)
+	}
+}
+
+// next clears and returns the first marked update after i, -1 for none;
+// none at or before i may be marked.
+func (x *etaIndex) next(i int) int {
+	for w := (i + 1) >> 6; w < len(x.mark); w++ {
+		if b := x.mark[w]; b != 0 {
+			t := bits.TrailingZeros64(b)
+			x.mark[w] = b &^ (1 << t)
+			return w<<6 + t
+		}
+	}
+	return -1
+}
+
+// prev clears and returns the last marked update before i, -1 for none;
+// none at or after i may be marked.
+func (x *etaIndex) prev(i int) int {
+	for w := (i - 1) >> 6; w >= 0; w-- {
+		if b := x.mark[w]; b != 0 {
+			t := 63 - bits.LeadingZeros64(b)
+			x.mark[w] = b &^ (1 << t)
+			return w<<6 + t
+		}
+	}
+	return -1
 }
 
 // Apply maps x ← E_k⁻¹···E_1⁻¹·x in place (the FTRAN tail) for a dense x.
@@ -558,34 +694,94 @@ func (f *EtaFile) Apply(x []float64) {
 
 // ApplySparse is Apply on a vector that knows its non-zeros: an update
 // whose position holds a zero is stepped over, and what the others fill in
-// joins the list.
-func (f *EtaFile) ApplySparse(x *SparseVec) {
-	for i := range f.etas {
-		e := &f.etas[i]
-		xr := x.Val[e.r]
-		if xr == 0 {
-			continue
+// joins the list. It reports how many updates it visited and how many of
+// those acted. An indexed file is walked from the listed positions: each
+// update pivoting at one of them is visited, and so is each one pivoting
+// at a position an update fills in after it.
+func (f *EtaFile) ApplySparse(x *SparseVec) (visited, applied int) {
+	if !f.ix.on {
+		for i := range f.etas {
+			if f.etas[i].ftran(x) {
+				applied++
+			}
 		}
-		xr /= e.diag
-		for j, idx := range e.ind {
-			x.Add(idx, -e.val[j]*xr)
-		}
-		x.Val[e.r] = xr
+		return len(f.etas), applied
 	}
+	ix := &f.ix
+	for _, p := range x.Ind {
+		ix.markAt(f.etas, p, -1)
+	}
+	for i := ix.next(-1); i >= 0; i = ix.next(i) {
+		visited++
+		listed := len(x.Ind)
+		if f.etas[i].ftran(x) {
+			applied++
+			for _, p := range x.Ind[listed:] {
+				ix.markAt(f.etas, p, i)
+			}
+		}
+	}
+	return visited, applied
+}
+
+// ftran applies e's inverse to x unless x holds a zero at e's position,
+// and reports whether it did.
+func (e *eta) ftran(x *SparseVec) bool {
+	xr := x.Val[e.r]
+	if xr == 0 {
+		return false
+	}
+	xr /= e.diag
+	for j, idx := range e.ind {
+		x.Add(idx, -e.val[j]*xr)
+	}
+	x.Val[e.r] = xr
+	return true
 }
 
 // ApplyT maps c ← E_1ᵀ⁻¹···E_kᵀ⁻¹·c in place, newest update first (the
 // BTRAN head, run before SparseLU.SolveT): each update writes one entry,
-// listed when it turns non-zero.
-func (f *EtaFile) ApplyT(c *SparseVec) {
-	for i := len(f.etas) - 1; i >= 0; i-- {
-		e := &f.etas[i]
-		s := 0.0
-		for j, idx := range e.ind {
-			s += e.val[j] * c.Val[idx]
+// listed when it turns non-zero. It reports how many updates it visited
+// and how many of those acted. An indexed file is walked from the listed
+// positions: each update touching one of them is visited, and so is each
+// older one touching a position an update writes.
+func (f *EtaFile) ApplyT(c *SparseVec) (visited, applied int) {
+	if !f.ix.on {
+		for i := len(f.etas) - 1; i >= 0; i-- {
+			if f.etas[i].btran(c) {
+				applied++
+			}
 		}
-		if s != 0 || c.Val[e.r] != 0 {
-			c.Set(e.r, (c.Val[e.r]-s)/e.diag)
+		return len(f.etas), applied
+	}
+	ix := &f.ix
+	for _, p := range c.Ind {
+		ix.markTouch(ix.touch[p])
+	}
+	for i := ix.prev(len(f.etas)); i >= 0; i = ix.prev(i) {
+		visited++
+		e := &f.etas[i]
+		listed := len(c.Ind)
+		if e.btran(c) {
+			applied++
+			if len(c.Ind) > listed {
+				ix.markTouch(ix.nodes[e.node].older)
+			}
 		}
 	}
+	return visited, applied
+}
+
+// btran applies e's transposed inverse to c unless it would be a no-op —
+// c zero at every position e touches — and reports whether it did.
+func (e *eta) btran(c *SparseVec) bool {
+	s := 0.0
+	for j, idx := range e.ind {
+		s += e.val[j] * c.Val[idx]
+	}
+	if s == 0 && c.Val[e.r] == 0 {
+		return false
+	}
+	c.Set(e.r, (c.Val[e.r]-s)/e.diag)
+	return true
 }

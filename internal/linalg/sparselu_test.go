@@ -222,7 +222,7 @@ func TestEtaFileUpdates(t *testing.T) {
 		if f == nil {
 			t.Fatalf("trial %d: base factorization rejected", trial)
 		}
-		etas := NewEtaFile(n)
+		etas := new(EtaFile)
 		ftran := func(b, out []float64) {
 			f.Solve(b, out)
 			etas.Apply(out)
@@ -329,7 +329,7 @@ func requireScratchClear(t *testing.T, f *SparseLU) {
 }
 
 func TestEtaFileRefusesSingularUpdate(t *testing.T) {
-	etas := NewEtaFile(2)
+	etas := new(EtaFile)
 	var w SparseVec
 	w.Reset(2)
 	w.Set(1, 3)
@@ -342,7 +342,8 @@ func TestEtaFileRefusesSingularUpdate(t *testing.T) {
 }
 
 // FuzzSparseFactors throws hostile basis column sets — duplicate columns,
-// zero rows, near-singular bases — at the LU + eta update path. Any basis
+// zero rows, near-singular bases — at the LU + eta update path, and its
+// bytes at an aged eta file (checkAgedEtas). Any basis
 // the factorization accepts must solve FTRAN/BTRAN to a small residual,
 // both before and after a product-form column replacement; the
 // list-returning solves must agree with the dense ones on every column
@@ -358,6 +359,7 @@ func FuzzSparseFactors(f *testing.F) {
 	f.Add(uint8(99), []byte("00007001 12010 2100000"))                // a BTRAN entry cancels to 1e-17 dense, to an exact 0 sparse
 	f.Fuzz(func(t *testing.T, dim uint8, data []byte) {
 		n := 1 + int(dim)%12
+		checkAgedEtas(t, n, data)
 		var cols []sparseCol
 		cur := -1
 		for i := 0; i+2 < len(data); i += 3 {
@@ -438,7 +440,7 @@ func FuzzSparseFactors(f *testing.F) {
 		if minD < 1e-7*maxD {
 			return
 		}
-		etas := NewEtaFile(n)
+		etas := new(EtaFile)
 		ftran := func(b, out []float64) {
 			lu.Solve(b, out)
 			etas.Apply(out)
@@ -479,4 +481,148 @@ func FuzzSparseFactors(f *testing.F) {
 			sparseSolves()
 		}
 	})
+}
+
+// checkAgedEtas is FuzzSparseFactors' aged-eta arm: an indexed
+// n-dimensional eta file drawn from data is grown past 100 updates,
+// marked, grown, truncated to the mark and to one before it, regrown, its
+// index dropped and rebuilt, reset and regrown, then its index turned on
+// again for twice the dimension and the file grown over all of it. After
+// each step every probe vector's indexed walks are held to the full walks
+// bit for bit — values, lists in order and updates applied — and the index
+// to the file (requireIndexed). Entries and probes come from data's bytes, as small
+// multiples of 1/8, so sums cancel to exact zeros and listed zeros turn
+// up.
+func checkAgedEtas(t *testing.T, n int, data []byte) {
+	t.Helper()
+	if len(data) == 0 {
+		data = []byte{0}
+	}
+	at := 0
+	next := func() int { at++; return int(data[at%len(data)]) + at/len(data) }
+	value := func() float64 { return float64(next()%17-8) / 8 }
+	var f EtaFile
+	var w SparseVec
+	w.Reset(n)
+	grow := func(to int) {
+		for f.Len() < to {
+			w.Clear()
+			r := next() % n
+			for k := next() % 4; k > 0; k-- {
+				w.Set(next()%n, value())
+			}
+			w.Set(r, float64(1+next()%3)*(1-2*float64(next()%2)))
+			if !f.Append(r, &w, 1e-12) {
+				t.Fatalf("update %d refused", f.Len())
+			}
+		}
+	}
+	probes := func(step string) {
+		t.Helper()
+		requireIndexed(t, &f, step)
+		var a, b SparseVec
+		for probe := 0; probe < 6; probe++ {
+			a.Reset(n)
+			b.Reset(n)
+			for k := 1 + next()%3; k > 0; k-- {
+				i, v := next()%n, value()
+				a.Set(i, v)
+				b.Set(i, v)
+			}
+			_, applied := f.ApplySparse(&a)
+			full := 0
+			for i := range f.etas {
+				if f.etas[i].ftran(&b) {
+					full++
+				}
+			}
+			requireSameVec(t, step+": FTRAN", &a, &b, applied, full)
+			_, applied = f.ApplyT(&a)
+			full = 0
+			for i := len(f.etas) - 1; i >= 0; i-- {
+				if f.etas[i].btran(&b) {
+					full++
+				}
+			}
+			requireSameVec(t, step+": BTRAN", &a, &b, applied, full)
+		}
+	}
+	f.Index(true, n)
+	grow(50)
+	short := f.Mark()
+	grow(130)
+	probes("130 updates")
+	long := f.Mark()
+	grow(150)
+	probes("grown past a mark")
+	f.Truncate(long)
+	probes("truncated to the mark")
+	f.Truncate(short)
+	probes("truncated to an earlier mark")
+	grow(120)
+	probes("regrown")
+	f.Index(false, n)
+	probes("index dropped")
+	f.Index(true, n)
+	probes("index rebuilt")
+	f.Reset()
+	probes("reset")
+	grow(110)
+	probes("reset and regrown")
+	n *= 2 // the file of a kernel rebuilt for a larger LP
+	w.Reset(n)
+	f.Index(true, n)
+	probes("index widened")
+	grow(f.Len() + 60)
+	probes("widened and grown")
+}
+
+// requireSameVec fails unless the indexed walk's a and applied match the
+// full walk's b and full to the bit.
+func requireSameVec(t *testing.T, what string, a, b *SparseVec, applied, full int) {
+	t.Helper()
+	if applied != full || !slices.Equal(a.Ind, b.Ind) {
+		t.Fatalf("%s: the indexed walk applied %d updates and listed %v, the full walk %d and %v", what, applied, a.Ind, full, b.Ind)
+	}
+	for i := range a.Val {
+		if math.Float64bits(a.Val[i]) != math.Float64bits(b.Val[i]) {
+			t.Fatalf("%s: entry %d is %v indexed, %v in full", what, i, a.Val[i], b.Val[i])
+		}
+	}
+}
+
+// requireIndexed checks f's index against its updates: on, every
+// position's two lists are the updates pivoting at it and touching it,
+// newest first; off, every list is empty.
+func requireIndexed(t *testing.T, f *EtaFile, step string) {
+	t.Helper()
+	x := &f.ix
+	for p := 0; p < len(x.at); p++ {
+		var wantAt, wantTouch, gotAt, gotTouch []int
+		if x.on {
+			for i := f.Len() - 1; i >= 0; i-- {
+				e := &f.etas[i]
+				if e.r == p {
+					wantAt = append(wantAt, i)
+				}
+				if e.r == p || slices.Contains(e.ind, p) {
+					wantTouch = append(wantTouch, i)
+				}
+			}
+		}
+		for k := x.at[p]; k > 0; k = f.etas[k-1].older {
+			gotAt = append(gotAt, k-1)
+		}
+		for k := x.touch[p]; k > 0; k = x.nodes[k-1].older {
+			gotTouch = append(gotTouch, x.nodes[k-1].eta)
+		}
+		if !slices.Equal(gotAt, wantAt) || !slices.Equal(gotTouch, wantTouch) {
+			t.Fatalf("%s: position %d lists %v pivoting and %v touching, want %v and %v", step, p, gotAt, gotTouch, wantAt, wantTouch)
+		}
+	}
+	for _, m := range x.mark {
+		if m != 0 {
+			t.Fatalf("%s: a walk left its worklist marked", step)
+		}
+	}
 }

@@ -160,6 +160,9 @@ func TestHotPivotWorkIsSparse(t *testing.T) {
 // — the violator set's words, the rows each pivot keeps it from and the
 // rebuilds after a refactorization, amortized — where a scan reads all
 // 2 160 rows. Every Bland choice is held to the two scans (blandTwoScans).
+// The eta updates its FTRANs and BTRANs visit stay within a small multiple
+// of freshEtaVisits, where walking the whole file every time visited
+// ~214 000.
 func TestFreshStartWorkIsSparse(t *testing.T) {
 	d := dispatchShaped(20, 100, 3, 1)
 	var s Solver
@@ -178,6 +181,11 @@ func TestFreshStartWorkIsSparse(t *testing.T) {
 	t.Logf("%d pivots, %d refactorizations; %d Bland choices read %d entries each", out.WarmPivots, out.Refactors, k.walked.bland, reads)
 	if reads > 3*31 {
 		t.Errorf("a Bland choice reads %d entries on average, budget %d", reads, 3*31)
+	}
+	ft, bt := k.walked.ftran, k.walked.btran
+	t.Logf("eta updates: FTRAN visited %d and applied %d, BTRAN visited %d and applied %d", ft.visited, ft.applied, bt.visited, bt.applied)
+	if visits := ft.visited + bt.visited; visits > 3*freshEtaVisits {
+		t.Errorf("the start visited %d eta updates, budget %d", visits, 3*freshEtaVisits)
 	}
 }
 
@@ -271,6 +279,12 @@ func blandTwoScans(ss *sparseSolve, tol float64) (leave int, up bool) {
 	return leave, up
 }
 
+// freshEtaVisits is the eta updates TestFreshStartWorkIsSparse's start
+// visits: 16 461, of which 2 864 act, every one of them in the priced
+// finish's 181 pivots, which walk their file whole. The indexed walks of
+// the repair's 2 000 find no update that acts, so they visit none.
+const freshEtaVisits = 16_500
+
 // BenchmarkFreshStart times a start-over on the LU kernel with no planner
 // on top: SolveFresh of the 20×100×3 dispatch-shaped LP from the all-slack
 // basis, its zero-cost repair (mostly under Bland's rule) and the primal
@@ -283,7 +297,7 @@ func BenchmarkFreshStart(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	pivots, refactors := 0, 0
+	pivots, refactors, etas := 0, 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -295,9 +309,11 @@ func BenchmarkFreshStart(b *testing.B) {
 			b.Fatalf("iteration %d ran %+v, want a sparse fresh start", i, out)
 		}
 		pivots, refactors = pivots+out.WarmPivots, refactors+out.Refactors
+		etas += s.sparse.walked.ftran.visited + s.sparse.walked.btran.visited
 	}
 	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
 	b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
+	b.ReportMetric(float64(etas)/float64(b.N), "etas/op")
 }
 
 // BenchmarkHotPivot times the sparse kernel's hot re-solve alone, with no
@@ -306,7 +322,10 @@ func BenchmarkFreshStart(b *testing.B) {
 // retained factors. The three drifts give roughly 0, a few and ~15 pivots
 // a solve, so a solve's fixed cost and a pivot's can be told apart;
 // ns/pivot is whole solves over their pivots. make profile W=kernel
-// profiles the middle one.
+// profiles slot. The age arms re-solve after the slot drift from
+// an eta file held at 0, 40 and 80 updates (ageEtas), so what a pivot
+// pays for the file's age shows on its own; at 80 a re-solve of 20 pivots
+// or more reaches the bound and refactorizes (refactors/op).
 func BenchmarkHotPivot(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -339,6 +358,81 @@ func BenchmarkHotPivot(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
 			}
 		})
+	}
+	for _, age := range []int{0, 40, 80} {
+		b.Run(fmt.Sprintf("age=%d", age), func(b *testing.B) {
+			d := dispatchShaped(20, 100, 3, 1)
+			rng := rand.New(rand.NewSource(2))
+			var s Solver
+			if _, err := s.SolveWarm(d.m, nil, Options{}); err != nil {
+				b.Fatal(err)
+			}
+			pivots, refactors := 0, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ageEtas(b, &s, age)
+				d.refresh(rng, 0.05)
+				b.StartTimer()
+				if _, err := s.SolveWarm(d.m, nil, Options{}); err != nil {
+					b.Fatal(err)
+				}
+				out := s.LastOutcome()
+				if out.Path != "hot" || !out.Sparse {
+					b.Fatalf("iteration %d ran %+v, want a sparse hot re-solve", i, out)
+				}
+				pivots, refactors = pivots+out.WarmPivots, refactors+out.Refactors
+			}
+			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+			b.ReportMetric(float64(refactors)/float64(b.N), "refactors/op")
+			if pivots > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
+			}
+		})
+	}
+}
+
+// ageEtas refactorizes s's retained sparse kernel, which sits at an
+// optimum, and then leaves n updates in its eta file on the same basis:
+// structural columns, non-basic, are each pivoted in at the position where
+// their FTRAN image is largest and straight back out. Each update is a
+// real pivot's, and the next re-solve starts from the basis, and so the
+// optimum, it would have started from. The solver's count of hot uses is
+// set back too, so the re-solve is not refactorized as stale and runs on
+// this file.
+func ageEtas(b *testing.B, s *Solver, n int) {
+	k := s.ws.k.(*sparseSolve)
+	if !k.refactorize() {
+		b.Fatal("refactorization failed")
+	}
+	s.ws.uses = 0
+	for j := 0; k.etas.Len() < n; j++ {
+		if j == k.n {
+			b.Fatalf("%d structural columns pivoted in and out give %d updates, want %d", j, k.etas.Len(), n)
+		}
+		if k.inBasis[j] >= 0 {
+			continue
+		}
+		w, r, big := k.ftranCol(j), -1, 1e-3
+		for _, i := range w.Ind {
+			if a := math.Abs(w.Val[i]); a > big {
+				r, big = i, a
+			}
+		}
+		if r < 0 {
+			continue
+		}
+		out := k.basis[r]
+		for _, c := range []int{j, out} {
+			if c == out {
+				k.ftranCol(out)
+			}
+			k.btranUnit(r)
+			if !k.pivot(r, c) {
+				b.Fatalf("pivoting column %d in at position %d failed", c, r)
+			}
+		}
 	}
 }
 

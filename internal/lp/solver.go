@@ -102,7 +102,8 @@ type kernel interface {
 	// means no complete basis emerged.
 	crash(cols []int) bool
 	// dualIterate repairs primal feasibility under the costs in place,
-	// priceIn loads the model's true costs, primalIterate finishes. Every
+	// priceIn loads the model's true costs (false: the kernel broke down
+	// doing so), primalIterate finishes. Every
 	// iterate of the repair is dual feasible, so where the costs in place
 	// are the model's its basic objective caps the optimum (weak duality);
 	// above −Inf, cutoff (internal maximization terms) stops the repair
@@ -110,7 +111,7 @@ type kernel interface {
 	// reads it.
 	dualIterate(cutoff float64) Status
 	bound() float64
-	priceIn()
+	priceIn() bool
 	primalIterate() Status
 	extract(x []float64) []float64
 	duals(y []float64) []float64
@@ -462,8 +463,8 @@ func (s *Solver) attempt(k kernel, armed, price bool, cutoff, tol float64) *Resu
 			s.res = Result{Status: Cutoff, Objective: k.model().dir() * k.bound(), Iterations: k.pivots(), Warm: true, X: s.res.X[:0], Duals: s.res.Duals[:0]}
 			return &s.res
 		case Optimal:
-			if price {
-				k.priceIn()
+			if price && !k.priceIn() {
+				break
 			}
 			if k.primalIterate() == Optimal {
 				m, x := k.model(), k.extract(s.res.X)
@@ -631,7 +632,10 @@ func (t *tableau) pivots() int { return t.iters }
 
 func (t *tableau) crashWork() (crashed, refactors int) { return t.crashed, t.refactors }
 
-func (t *tableau) priceIn() { t.setPhase2Z() }
+func (t *tableau) priceIn() bool {
+	t.setPhase2Z()
+	return true
+}
 
 func (t *tableau) primalIterate() Status { return t.iterate() }
 

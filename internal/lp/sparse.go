@@ -16,9 +16,11 @@ import (
 // side of it). The cold anchor is dense at every size.
 const sparseMinRows = 32
 
-// sparseRefactorEvery bounds the product-form eta file: once this many
-// updates accumulate on top of the LU factors, the basis is refactorized
-// from scratch so solve cost and floating-point drift stay bounded.
+// sparseRefactorEvery bounds the product-form eta file once the costs are
+// priced in: when this many updates accumulate on top of the LU factors,
+// the basis is refactorized from scratch so solve cost and floating-point
+// drift stay bounded. The zero-cost repair before that runs to a longer
+// bound (etaBound).
 const sparseRefactorEvery = 100
 
 // sparseStallLimit mirrors the dense stall→Bland switch: after this many
@@ -94,9 +96,20 @@ type sparseSolve struct {
 // pivot walks — the FTRAN image, the row of B⁻¹ and the pivot row — and,
 // over its dual leaving choices under Bland's rule, how many were made and
 // the entries they read: the violator set's words and the rows it was
-// built or kept from. Only TestHotPivotWorkIsSparse and
-// TestFreshStartWorkIsSparse read it.
-type walked struct{ image, rho, row, bland, blandReads int }
+// built or kept from. ftran and btran count the eta updates the sparse
+// FTRANs and BTRANs visited and, of those, applied. Only
+// TestHotPivotWorkIsSparse and TestFreshStartWorkIsSparse read it.
+type walked struct {
+	image, rho, row, bland, blandReads int
+	ftran, btran                       etaWork
+}
+
+// etaWork is the eta updates a kind of walk visited and applied.
+type etaWork struct{ visited, applied int }
+
+func (w *etaWork) add(visited, applied int) {
+	w.visited, w.applied = w.visited+visited, w.applied+applied
+}
 
 // sparseArena is the part of a sparseSolve that outlives a solve: the two
 // slabs every array above is cut from and the factors, eta file and work
@@ -245,8 +258,14 @@ func (ss *sparseSolve) col(j int) ([]int, []float64) {
 
 // priceIn loads the internal maximization costs from the current model and
 // prices every column under them.
-func (ss *sparseSolve) priceIn() {
+//
+// The eta file drops the index the repair walked (see etaBound), and one
+// the repair left past sparseRefactorEvery is refactorized away instead of
+// repriced, so every priced pivot runs on that bound; false means the
+// refactorization failed.
+func (ss *sparseSolve) priceIn() bool {
 	ss.priced = true
+	ss.etas.Index(false, ss.rows)
 	d := ss.m.dir()
 	for v := 0; v < ss.n; v++ {
 		ss.obj[v] = d * ss.m.obj[v]
@@ -254,7 +273,11 @@ func (ss *sparseSolve) priceIn() {
 	for v := ss.n; v < ss.ncols; v++ {
 		ss.obj[v] = 0
 	}
+	if ss.etas.Len() > sparseRefactorEvery {
+		return ss.refactorize()
+	}
 	ss.reprice()
+	return true
 }
 
 // reprice computes the simplex multipliers y = Bᵀ⁻¹·c_B and every
@@ -271,7 +294,7 @@ func (ss *sparseSolve) reprice() {
 			ss.unit.Set(i, v)
 		}
 	}
-	ss.etas.ApplyT(&ss.unit)
+	ss.btranEtas()
 	ss.lu.SolveT(&ss.unit, &ss.y)
 	// The columns are walked off ptr directly (at two or three entries a
 	// column, slice headers would cost more than the products), and optimal
@@ -320,6 +343,7 @@ func (ss *sparseSolve) crash(cols []int) bool {
 		return false
 	}
 	ss.etas.Reset()
+	ss.etas.Index(ss.etaBound() > sparseRefactorEvery, ss.rows)
 	for j := range ss.inBasis {
 		ss.inBasis[j] = -1
 	}
@@ -378,7 +402,7 @@ func (ss *sparseSolve) ftranCol(j int) *linalg.SparseVec {
 	ci, cv := ss.col(j)
 	ss.w.Clear()
 	ss.lu.SolveSparse(ci, cv, &ss.w)
-	ss.etas.ApplySparse(&ss.w)
+	ss.walked.ftran.add(ss.etas.ApplySparse(&ss.w))
 	slices.Sort(ss.w.Ind)
 	return &ss.w
 }
@@ -387,9 +411,12 @@ func (ss *sparseSolve) ftranCol(j int) *linalg.SparseVec {
 func (ss *sparseSolve) btranUnit(r int) {
 	ss.rho.Clear()
 	ss.unit.Set(r, 1)
-	ss.etas.ApplyT(&ss.unit)
+	ss.btranEtas()
 	ss.lu.SolveT(&ss.unit, &ss.rho)
 }
+
+// btranEtas runs ss.unit through the eta file, the head of a BTRAN.
+func (ss *sparseSolve) btranEtas() { ss.walked.btran.add(ss.etas.ApplyT(&ss.unit)) }
 
 // pivotRow gathers ss.alpha = rhoᵀ·A, the pivot row of the position
 // btranUnit was last asked for, from rho's non-zero rows of the matrix,
@@ -444,7 +471,24 @@ func (ss *sparseSolve) pivot(leave, enter int) bool {
 	ss.iters++
 	ss.walked.image += len(w.Ind)
 	ss.walked.rho += len(ss.rho.Ind)
-	return ss.etas.Len() < sparseRefactorEvery || !ss.held && ss.refactorize()
+	return ss.etas.Len() < ss.etaBound() || !ss.held && ss.refactorize()
+}
+
+// etaBound is the eta file's length at which a pivot refactorizes:
+// sparseRefactorEvery once priced, and before that, in a crash's zero-cost
+// repair, a quarter of the rows where that is longer. Such a repair's
+// updates carry an entry or two, and a file allowed past
+// sparseRefactorEvery keeps its position index (from crash to priceIn),
+// so an FTRAN or BTRAN visits the few updates that act rather than the
+// whole file, and a longer file costs less than the refactorizations it
+// saves. A priced update carries tens of entries: there the index would
+// not pay, and the priced bound stays. DESIGN §12.2 has the measurements
+// behind both choices and behind a quarter rather than all of the rows.
+func (ss *sparseSolve) etaBound() int {
+	if ss.priced {
+		return sparseRefactorEvery
+	}
+	return max(sparseRefactorEvery, ss.rows/4)
 }
 
 // stalled is the anti-cycling progress test both phases share: sign is +1

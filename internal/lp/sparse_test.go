@@ -3,7 +3,9 @@ package lp
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -104,6 +106,44 @@ func TestKernelRuleIsRowCount(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFailedRepairThenLargerStart: a start-over whose repair fails leaves
+// its eta file indexed (only priceIn drops the index), and the kernel's
+// arena goes on to the next LP. A start on a larger LP after it indexes
+// the larger dimension, and solves as on a solver that ran nothing before.
+func TestFailedRepairThenLargerStart(t *testing.T) {
+	bad := dispatchShaped(10, 40, 3, 1).m
+	var phis []Term
+	for v, name := range bad.names {
+		if strings.HasPrefix(name, "phi_") {
+			phis = append(phis, Term{Var: v, Coef: 1})
+		}
+	}
+	bad.AddConstraint("over_share", phis, GE, 41) // share_l caps each of the 40 centers at 1
+	big := dispatchShaped(20, 40, 3, 1).m
+	var s Solver
+	res, err := s.SolveFresh(bad, Options{})
+	if err == nil && res.Status != Infeasible {
+		t.Fatalf("the overcommitted LP solved: %v", res.Status)
+	}
+	if out := s.LastOutcome(); out.ImportPivots != len(bad.rows) || out.AbandonedPivots == 0 {
+		t.Fatalf("outcome %+v, want a %d-row start abandoned mid-repair", out, len(bad.rows))
+	}
+	got, err := s.SolveFresh(big, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := s.LastOutcome(); out.Path != "fresh" || !out.Sparse {
+		t.Fatalf("outcome %+v, want a sparse fresh start", out)
+	}
+	want, err := new(Solver).SolveFresh(big, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the failed repair the start gives %+v, a new solver %+v", got, want)
 	}
 }
 
